@@ -270,20 +270,19 @@ type ClusterConfig struct {
 	Key     ShardKeyFunc
 	// OnMatch receives every match in the merged deterministic order.
 	OnMatch func(*Match)
-	// Patterns hosts a multi-pattern set behind the ingress instead of a
-	// single pattern (pass p nil to NewClusterIngress): workers are bare,
-	// the set rides every handshake (including failover and migration),
-	// shared sub-patterns evaluate once per event, and matches arrive
-	// pattern-tagged through OnTagged. The returned ingress can
-	// AddPattern / RemovePattern at runtime without disturbing the other
-	// patterns' output.
+	// Patterns is the pattern set to host, for callers with more than one
+	// pattern (pass p nil to NewClusterIngress; p itself is the set of
+	// one): the set rides every handshake (including failover and
+	// migration), shared sub-patterns evaluate once per event, and
+	// matches arrive pattern-tagged through OnTagged. Either way the
+	// returned ingress can AddPattern / RemovePattern at runtime without
+	// disturbing the other patterns' output.
 	Patterns []MultiSpec
-	// Tenants installs per-tenant admission budgets (Patterns mode
-	// only); per-tenant accounting surfaces through the ingress's
-	// TenantStats.
+	// Tenants installs per-tenant admission budgets; per-tenant
+	// accounting surfaces through the ingress's TenantStats.
 	Tenants map[uint32]TenantBudget
-	// OnTagged receives pattern-tagged matches (Patterns mode; exactly
-	// one of OnMatch / OnTagged).
+	// OnTagged receives pattern-tagged matches (exactly one of OnMatch /
+	// OnTagged).
 	OnTagged func(TaggedMatch)
 	// Recover enables fault-tolerant failover: the ingress journals its
 	// cuts (bounded by MaxJournalBytes) and, when a worker dies, hands
@@ -440,29 +439,31 @@ func NewHAIngress(p *Pattern, cc ClusterConfig) (*HAIngress, error) {
 	})
 }
 
-// Multi-pattern, multi-tenant execution: one engine set hosts many
-// patterns over a single stream, evaluating shared work once — distinct
+// Pattern sets and tenancy: every sharded or clustered session hosts a
+// pattern set — a single pattern is the set of one — over a single
+// stream, evaluating shared work once — distinct
 // unary predicates are interned into one set-wide verdict table, and
 // patterns sharing a SEQ prefix subscribe to one shared prefix runner
 // that seeds their suffix automata. Per-pattern output is exactly what
 // an independent engine would produce. Tenants own patterns and can be
 // given admission budgets (token buckets in logical event time) so one
-// tenant's overload sheds only its own recall. Available at every
-// layer: NewShardedEngine with ShardedConfig.Patterns, and
-// NewClusterIngress with ClusterConfig.Patterns (both with a nil
-// pattern argument); matches arrive pattern-tagged through OnTagged.
-// See DESIGN.md ("Multi-pattern & tenancy").
+// tenant's overload sheds only its own recall. A set of several is
+// submitted through ShardedConfig.Patterns or ClusterConfig.Patterns
+// (with a nil pattern argument) and its matches arrive pattern-tagged
+// through OnTagged; a session opened with one pattern grows the same
+// way through AddPattern. See DESIGN.md ("Pattern sets & tenancy").
 type (
-	// MultiSpec registers one pattern of a multi-pattern set: a
-	// set-unique nonzero id, the owning tenant, the pattern itself, and
-	// the engine configuration used when it evaluates independently.
+	// MultiSpec registers one pattern of a set: a set-unique id (the
+	// single-pattern constructors use 0), the owning tenant, the pattern
+	// itself, and the engine configuration used when it evaluates
+	// independently.
 	MultiSpec = multi.Spec
 	// MultiPatternMetrics is one pattern's engine counters, tagged with
 	// its id and tenant (ShardedEngine.PatternMetrics,
 	// ClusterIngress.PatternMetrics).
 	MultiPatternMetrics = multi.PatternMetrics
 	// TaggedMatch is one merge-ordered match delivery annotated with the
-	// emitting pattern's id (the Pattern field; multi mode only).
+	// emitting pattern's id (the Pattern field).
 	TaggedMatch = shard.Tagged
 	// TenantBudget is one tenant's admission budget: a token bucket
 	// refilled in logical (event-time) seconds, so gating decisions are

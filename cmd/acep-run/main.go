@@ -72,12 +72,13 @@
 //	acep-run -in keyed.csv -connect 127.0.0.1:7101,127.0.0.1:7102 -recover \
 //	    -rebalance -join 127.0.0.1:7190 -drain 0
 //
-// Multi-pattern sets: -patternset loads a spec file written by acep-gen
-// -patterns and evaluates the whole set with shared sub-pattern
-// evaluation (-kind/-size/-window are ignored; the workload must be
-// keyed with the spec's key cardinality). Works locally, sharded and in
-// both cluster modes; -tenant-budget installs per-tenant admission
-// budgets in events per logical second:
+// Pattern sets: every sharded or clustered run hosts a pattern set, and
+// -kind/-size/-window name the set of one. -patternset instead loads a
+// spec file written by acep-gen -patterns and evaluates the whole set
+// with shared sub-pattern evaluation (the workload must be keyed with the
+// spec's key cardinality). Works locally, sharded and in both cluster
+// modes; -tenant-budget installs per-tenant admission budgets in events
+// per logical second:
 //
 //	acep-gen -dataset traffic -keys 8 -patterns 32 -tenants 2 -o set.acep
 //	acep-gen -dataset traffic -keys 8 -o keyed.csv
@@ -147,7 +148,7 @@ func main() {
 		drainSlot = flag.Int("drain", -1, "gracefully drain this worker slot mid-run (needs -recover)")
 		drainAft  = flag.Int("drain-after", 0, "drain the -drain slot after this many events (default: half of the stream)")
 		patset    = flag.String("patternset", "", "pattern-set spec file (acep-gen -patterns): evaluate the whole set with shared sub-pattern evaluation (-kind/-size/-window ignored)")
-		tenantBud = flag.String("tenant-budget", "", "per-tenant admission budgets tenant=rate[:burst],... in events per logical second (needs -patternset)")
+		tenantBud = flag.String("tenant-budget", "", "per-tenant admission budgets tenant=rate[:burst],... in events per logical second (a single pattern bills to tenant 0; needs -shards or a cluster mode)")
 		qcap      = flag.Int("queue-cap", 0, "per-shard ingestion queue bound in events (0 = default of 4 batches)")
 		overfl    = flag.String("overflow", "block", "full-queue behavior for -shards > 1: block (backpressure) or drop")
 		mempro    = flag.String("memprofile", "", "write a heap profile after the run to this file (pprof)")
@@ -251,15 +252,18 @@ func main() {
 		fail(fmt.Errorf("unknown overflow mode %q (want block or drop)", *overfl))
 	}
 
-	// Multi-pattern mode: regenerate the spec file's set against the
-	// loaded workload (the spec pins the parameters, OverlapPatterns is
-	// deterministic in them) and evaluate it as one shared set.
+	// The pattern set every sharded or clustered session hosts: the one
+	// pattern -kind/-size/-window name, or the spec file's set
+	// regenerated against the loaded workload (the spec pins the
+	// parameters, OverlapPatterns is deterministic in them).
+	cfg := engine.Config{Model: m, NewPolicy: newPolicy, CheckEvery: *check, Shedding: shedCfg}
 	var (
 		specs   []multi.Spec
 		budgets map[uint32]shed.TenantBudget
-		perPat  map[uint32]uint64
 	)
-	if *patset != "" {
+	if *patset == "" {
+		specs = multi.Solo(pat, cfg)
+	} else {
 		ps, err := gen.LoadPatternSet(*patset)
 		if err != nil {
 			fail(err)
@@ -269,38 +273,29 @@ func main() {
 			fail(err)
 		}
 		for _, e := range entries {
-			specs = append(specs, multi.Spec{
-				ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern,
-				Config: engine.Config{Model: m, NewPolicy: newPolicy, CheckEvery: *check},
-			})
-		}
-		perPat = make(map[uint32]uint64, len(specs))
-		if *tenantBud != "" {
-			if budgets, err = parseTenantBudgets(*tenantBud); err != nil {
-				fail(err)
-			}
+			specs = append(specs, multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: cfg})
 		}
 		if w.Keys == 0 {
 			fail(fmt.Errorf("-patternset needs a keyed workload; regenerate with acep-gen -keys %d", ps.Keys))
 		}
 		fmt.Printf("pattern set: %d %v patterns, overlap %d, window %d, %d tenant(s)\n",
 			ps.Patterns, ps.Kind, ps.Overlap, ps.Window, ps.Tenants)
-	} else if *tenantBud != "" {
-		fail(fmt.Errorf("-tenant-budget needs -patternset"))
+	}
+	if *tenantBud != "" {
+		if budgets, err = parseTenantBudgets(*tenantBud); err != nil {
+			fail(err)
+		}
 	}
 
 	var matches uint64
-	onMatch := func(mt *match.Match) {
-		matches++
-		if *verbose {
-			fmt.Println(mt)
-		}
-	}
+	perPat := make(map[uint32]uint64, len(specs))
 	onTagged := func(tg shard.Tagged) {
 		matches++
 		perPat[tg.Pattern]++
-		if *verbose {
+		if *verbose && *patset != "" {
 			fmt.Printf("[pattern %d] %v\n", tg.Pattern, tg.M)
+		} else if *verbose {
+			fmt.Println(tg.M)
 		}
 	}
 	if pat != nil {
@@ -317,8 +312,8 @@ func main() {
 		if *connect == "" {
 			fail(fmt.Errorf("-ha needs -connect worker addresses (the pair dials its own sessions)"))
 		}
-		if specs != nil {
-			fail(fmt.Errorf("-ha does not support -patternset"))
+		if *patset != "" || budgets != nil {
+			fail(fmt.Errorf("-ha does not support -patternset or -tenant-budget"))
 		}
 		if *rebalance || *joinStr != "" || *drainSlot >= 0 {
 			fail(fmt.Errorf("-ha does not compose with -rebalance/-join/-drain"))
@@ -339,7 +334,7 @@ func main() {
 			Pattern: pat, Schema: w.Schema, KeyAttr: *keyAttr, Batch: *batch,
 			Workers: addrs, Standbys: standbyAddrs,
 			StandbyAddr: *haStandby,
-			OnTagged:    func(tg shard.Tagged) { onMatch(tg.M) },
+			OnTagged:    onTagged,
 		}
 		switch *haLease {
 		case "":
@@ -421,16 +416,14 @@ func main() {
 				conns = append(conns, c)
 			}
 			opts := cluster.IngressOptions{
-				Batch:   *batch,
-				KeyAttr: *keyAttr,
-				Schema:  w.Schema,
+				Batch:    *batch,
+				KeyAttr:  *keyAttr,
+				Schema:   w.Schema,
+				Patterns: specs,
+				Tenants:  budgets,
+				OnTagged: onTagged,
+				Elastic:  elastic,
 			}
-			if specs != nil {
-				opts.Patterns, opts.Tenants, opts.OnTagged = specs, budgets, onTagged
-			} else {
-				opts.OnMatch = onMatch
-			}
-			opts.Elastic = elastic
 			if *recoverOn {
 				if *standby == "" {
 					fail(fmt.Errorf("-recover with -connect needs -standby addresses (a bare acep-node works)"))
@@ -443,7 +436,7 @@ func main() {
 					Standby: cluster.DialStandbys(addrs),
 				}
 			}
-			ing, err = cluster.NewIngress(pat, conns, opts)
+			ing, err = cluster.NewIngress(nil, conns, opts)
 		} else {
 			lc := cluster.LocalConfig{
 				Nodes:         *nodes,
@@ -456,18 +449,11 @@ func main() {
 				Recover:       *recoverOn,
 				Standbys:      *standbys,
 				Elastic:       elastic,
+				Patterns:      specs,
+				Tenants:       budgets,
+				OnTagged:      onTagged,
 			}
-			if specs != nil {
-				lc.Patterns, lc.Tenants, lc.OnTagged = specs, budgets, onTagged
-			} else {
-				lc.OnMatch = onMatch
-			}
-			ing, err = cluster.StartLocal(pat, engine.Config{
-				Model:      m,
-				NewPolicy:  newPolicy,
-				CheckEvery: *check,
-				Shedding:   shedCfg,
-			}, lc)
+			ing, err = cluster.StartLocal(nil, cfg, lc)
 		}
 		if err != nil {
 			fail(err)
@@ -538,33 +524,25 @@ func main() {
 			fmt.Printf("migration: shard %d node %d -> %d (%s): replayed %d cuts / %d events, paused %v\n",
 				mg.Shard, mg.From, mg.To, mg.Reason, mg.ReplayCuts, mg.ReplayEvents, mg.Pause().Round(time.Microsecond))
 		}
-		if specs != nil {
+		if *patset != "" || budgets != nil {
 			printPerPattern(ing.PatternMetrics(), perPat)
 			printTenantStats(ing.TenantStats())
 		}
-	} else if *shards > 1 || specs != nil {
+	} else if *shards > 1 || *patset != "" {
 		if w.Keys == 0 {
 			fail(fmt.Errorf("-shards %d needs a keyed workload; regenerate with acep-gen -keys", *shards))
 		}
-		sopts := shard.Options{
+		eng, err := shard.New(nil, engine.Config{}, shard.Options{
 			Shards:   *shards,
 			Batch:    *batch,
 			QueueCap: *qcap,
 			Overflow: overflow,
 			KeyAttr:  *keyAttr,
 			Schema:   w.Schema,
-		}
-		if specs != nil {
-			sopts.Patterns, sopts.Tenants, sopts.OnTagged = specs, budgets, onTagged
-		} else {
-			sopts.OnMatch = onMatch
-		}
-		eng, err := shard.New(pat, engine.Config{
-			Model:      m,
-			NewPolicy:  newPolicy,
-			CheckEvery: *check,
-			Shedding:   shedCfg,
-		}, sopts)
+			Patterns: specs,
+			Tenants:  budgets,
+			OnTagged: onTagged,
+		})
 		if err != nil {
 			fail(err)
 		}
@@ -576,27 +554,28 @@ func main() {
 		elapsed = time.Since(start)
 		met = eng.Metrics()
 		workers = *shards
-		for s, sp := range eng.Plans() {
-			for _, p := range sp {
-				plans = append(plans, fmt.Sprintf("shard %d: %s", s, p))
+		if *patset == "" { // a set's plans are per pattern per shard: too many to list
+			for s, sp := range eng.Plans() {
+				for _, p := range sp {
+					plans = append(plans, fmt.Sprintf("shard %d: %s", s, p))
+				}
 			}
 		}
 		for s, sm := range eng.ShardMetrics() {
 			fmt.Printf("shard %d: %d events, %d matches, %d replans\n",
 				s, sm.Events, sm.Matches, sm.Reoptimizations)
 		}
-		if specs != nil {
+		if *patset != "" || budgets != nil {
 			printPerPattern(eng.PatternMetrics(), perPat)
 			printTenantStats(eng.TenantStats())
 		}
 	} else {
-		eng, err := engine.New(pat, engine.Config{
-			Model:      m,
-			NewPolicy:  newPolicy,
-			CheckEvery: *check,
-			OnMatch:    onMatch,
-			Shedding:   shedCfg,
-		})
+		// The single-threaded reference: no session, the bare engine.
+		if budgets != nil {
+			fail(fmt.Errorf("-tenant-budget needs a hosted session: set -shards, -nodes or -connect"))
+		}
+		cfg.OnMatch = func(mt *match.Match) { onTagged(shard.Tagged{M: mt}) }
+		eng, err := engine.New(pat, cfg)
 		if err != nil {
 			fail(err)
 		}

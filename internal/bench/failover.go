@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"acep/internal/chaos"
 	"acep/internal/cluster"
 	"acep/internal/core"
 	"acep/internal/engine"
@@ -15,7 +16,6 @@ import (
 	recovery "acep/internal/recover"
 	"acep/internal/shard"
 	"acep/internal/stats"
-	"acep/internal/wire"
 )
 
 // FailoverIDs lists the fault-tolerance experiments.
@@ -40,22 +40,6 @@ func DefaultFailoverSweeps() []FailoverSweep {
 		{Nodes: 4, SlackWindows: 2},
 		{Nodes: 5, SlackWindows: 2},
 	}
-}
-
-// killConn severs the victim's link after a fixed number of successful
-// ingress sends, deterministically landing the failure mid-stream.
-type killConn struct {
-	cluster.Conn
-	budget int
-}
-
-func (k *killConn) Send(f wire.Frame) error {
-	if k.budget <= 0 {
-		k.Conn.Close()
-		return fmt.Errorf("bench: injected link death")
-	}
-	k.budget--
-	return k.Conn.Send(f)
 }
 
 // FailoverPoint is one measured sweep entry: the healthy cluster's
@@ -230,7 +214,9 @@ func (h *Harness) failoverRun(w *gen.Workload, pat *pattern.Pattern, cfg func() 
 			return fail(err)
 		}
 		if kill && i == 1 {
-			c = &killConn{Conn: c, budget: killBudget}
+			// Sever the victim's link after a fixed number of successful
+			// ingress sends, landing the failure mid-stream.
+			c = &chaos.Flaky{C: c, Budget: killBudget}
 		}
 		conns[i] = c
 	}

@@ -13,7 +13,7 @@ import (
 // iteration over a small keyed workload, on both transports — the
 // in-process pipe (frames by reference) and loopback TCP (the
 // serializing path: delta encode, zero-copy decode into the node's
-// arena, columnar mask scan, owned-emit match bytes back). The ns/event
+// arena, owned-emit match bytes back). The ns/event
 // metric is the per-event cluster overhead; CI runs this as a smoke
 // (benchtime=10x), not a measurement.
 func BenchmarkClusterIngest(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"acep/internal/engine"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/multi"
 	"acep/internal/oracle"
 	"acep/internal/shard"
 	"acep/internal/wire"
@@ -76,6 +77,15 @@ func runSharded(t *testing.T, w *gen.Workload, kind gen.Kind, shards int) *tagRe
 // ingress (for metrics assertions).
 func runClusterTCP(t *testing.T, w *gen.Workload, kind gen.Kind, shardsPerNode []int) (*tagRecorder, *Ingress) {
 	t.Helper()
+	return runClusterTCPAs(t, w, kind, shardsPerNode, false)
+}
+
+// runClusterTCPAs is runClusterTCP with the choice of entry point: asSet
+// submits the pattern as Options.Patterns of one instead of through
+// NewIngress's pattern argument (the nodes stay configured with the
+// pattern either way, so their fingerprints must accept both).
+func runClusterTCPAs(t *testing.T, w *gen.Workload, kind gen.Kind, shardsPerNode []int, asSet bool) (*tagRecorder, *Ingress) {
+	t.Helper()
 	pat, err := w.Pattern(kind, 3, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +122,11 @@ func runClusterTCP(t *testing.T, w *gen.Workload, kind gen.Kind, shardsPerNode [
 		}
 	}
 	rec := &tagRecorder{}
-	ing, err := NewIngress(pat, conns, IngressOptions{
-		Batch: 128, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-	})
+	opts := IngressOptions{Batch: 128, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec}
+	if asSet {
+		opts.Patterns, pat = multi.Solo(pat, engine.Config{}), nil
+	}
+	ing, err := NewIngress(pat, conns, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +170,12 @@ func TestClusterTCPByteIdentical(t *testing.T) {
 			}
 			if m := ing.Metrics(); m.EventsArrived != uint64(len(w.Events)) {
 				t.Fatalf("%s/%v: cluster metrics saw %d events, stream has %d", dataset, kind, m.EventsArrived, len(w.Events))
+			}
+			// One more input: the same pattern as Options.Patterns of one
+			// must deliver the identical wire bytes.
+			if asSet, _ := runClusterTCPAs(t, w, kind, shardsPerNode, true); !bytes.Equal(asSet.buf, got.buf) {
+				t.Fatalf("%s/%v: set of one diverges from the pattern argument (%d vs %d matches)",
+					dataset, kind, asSet.n, got.n)
 			}
 		}
 	}

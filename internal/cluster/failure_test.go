@@ -10,6 +10,7 @@ import (
 	"acep/internal/engine"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/multi"
 	"acep/internal/wire"
 )
 
@@ -117,7 +118,7 @@ func TestIngressSurvivesNodeCrash(t *testing.T) {
 		if i == 1 {
 			// Crash the node right after the handshake: greet, take the
 			// assignment, then slam the connection shut.
-			sig := signature(pat, w.Schema)
+			sig := signature(multi.Solo(pat, engine.Config{}), w.Schema)
 			go func() {
 				server.Send(wire.Hello{Version: wire.Version, Shards: 1, PatternSig: sig}) //nolint:errcheck
 				server.Recv()                                                              //nolint:errcheck // assign
@@ -151,7 +152,7 @@ func TestHandshakeRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := signature(pat, w.Schema)
+	sig := signature(multi.Solo(pat, engine.Config{}), w.Schema)
 	opts := IngressOptions{KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {}}
 	cases := []struct {
 		name  string
@@ -179,9 +180,14 @@ func TestHandshakeRejections(t *testing.T) {
 	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Watermark{UpTo: 1}}}); err == nil {
 		t.Error("node accepted a non-assign handshake reply")
 	}
-	// An assignment outside the global shard space is refused.
-	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Base: 5, Total: 3}}}); err == nil {
+	// An assignment outside the global shard space, or without a pattern
+	// set, is refused.
+	set := []wire.PatternEntry{{Pattern: pat}}
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Base: 5, Total: 3, Schema: w.Schema, Patterns: set}}}); err == nil {
 		t.Error("node accepted an out-of-range assignment")
+	}
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: w.Schema}}}); err == nil {
+		t.Error("node accepted an assignment without a pattern set")
 	}
 }
 

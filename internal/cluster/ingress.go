@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,20 +99,20 @@ type IngressOptions struct {
 	// OnTagged, when set instead of OnMatch, receives matches with their
 	// merge tags (Src is the global shard index).
 	OnTagged func(shard.Tagged)
-	// Patterns switches the cluster to multi-pattern mode: every node
-	// hosts the whole set behind one shared-evaluation engine (see
-	// internal/multi), every match callback sees the emitting pattern's
-	// id on its Tagged, and the set can be mutated at runtime with
-	// AddPattern/RemovePattern. NewIngress must then be called with a nil
-	// pattern; ids must be nonzero (zero marks a single-pattern session
-	// on the wire) and Schema is required. Spec Configs are ignored —
-	// each node applies its own engine configuration.
+	// Patterns is the pattern set the session opens with, for callers
+	// with more than one pattern (NewIngress is then called with a nil
+	// pattern; its pattern argument is shorthand for the set of one under
+	// multi.SoloID). Every node hosts the whole set behind one
+	// shared-evaluation engine (see internal/multi), every match callback
+	// sees the emitting pattern's id on its Tagged, and the set can be
+	// mutated at runtime with AddPattern/RemovePattern. Spec Configs are
+	// ignored — each node applies its own engine configuration.
 	Patterns []multi.Spec
-	// Tenants ships per-tenant token-bucket budgets to every node
-	// (multi-pattern mode only). Budgets gate per local shard on each
-	// node, so a rate intended as a global bound should be divided by
-	// the global shard count. Per-tenant admission counters come back
-	// with the final metrics (TenantStats).
+	// Tenants ships per-tenant token-bucket budgets to every node.
+	// Budgets gate per local shard on each node, so a rate intended as a
+	// global bound should be divided by the global shard count.
+	// Per-tenant admission counters come back with the final metrics
+	// (TenantStats).
 	Tenants map[uint32]shed.TenantBudget
 	// Recovery, when non-nil, makes the ingress fault-tolerant and
 	// elastic: sealed cuts are journaled per shard, a dead node's shards
@@ -205,13 +205,24 @@ type Ingress struct {
 	nodeShards []int
 	finSent    []bool
 
+	// The session's pattern set (ingress goroutine unless noted). specs
+	// is the current set — the truth shipped to every join and adoption —
+	// and sig its fingerprint under schema; keyAttr re-validates runtime
+	// additions; tenants are the shipped budgets. addCut maps
+	// runtime-added pattern ids to the cut boundary they joined at;
+	// reader goroutines load it to drop matches a migration replay
+	// regenerated from events the pattern never saw in the original
+	// timeline (see AddPattern).
+	specs   []multi.Spec
+	schema  *event.Schema
+	sig     uint64
+	keyAttr string
+	tenants map[uint32]shed.TenantBudget
+	addCut  atomic.Pointer[map[uint32]uint64]
+
 	// Recovery/elasticity state (nil/empty without
-	// IngressOptions.Recovery). The pattern, schema and fingerprint are
-	// kept for the standby/join handshake; released is the collector's
-	// delivered watermark.
-	pat           *pattern.Pattern
-	schema        *event.Schema
-	sig           uint64
+	// IngressOptions.Recovery). released is the collector's delivered
+	// watermark.
 	rec           *RecoveryConfig
 	elastic       *ElasticConfig
 	journal       *recovery.Journal
@@ -234,19 +245,6 @@ type Ingress struct {
 	epoch         uint64
 	suppressFloor uint64
 
-	// Multi-pattern state (ingress goroutine unless noted). specs is the
-	// current set — the truth shipped to every join and adoption; keyAttr
-	// re-validates runtime additions; tenants are the shipped budgets.
-	// addCut maps runtime-added pattern ids to the cut boundary they
-	// joined at; reader goroutines load it to drop matches a migration
-	// replay regenerated from events the pattern never saw in the
-	// original timeline (see AddPattern).
-	multi   bool
-	specs   []multi.Spec
-	keyAttr string
-	tenants map[uint32]shed.TenantBudget
-	addCut  atomic.Pointer[map[uint32]uint64]
-
 	mu          sync.Mutex
 	err         error
 	finished    bool
@@ -266,9 +264,11 @@ type Ingress struct {
 
 // NewIngress performs the handshake over the given node connections
 // (node i's shard block starts after node i-1's) and starts the merge
-// collector. The pattern and schema must match every node's — the
-// handshake compares fingerprints — and the pattern must be
-// key-partitionable in KeyAttr mode, exactly like shard.New.
+// collector. The session hosts pat — shorthand for the set of one,
+// multi.Solo — or, with a nil pattern, the set in opts.Patterns. The set
+// and schema must match every configured node's — the handshake compares
+// fingerprints — and every pattern must be key-partitionable in KeyAttr
+// mode, exactly like shard.New.
 func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingress, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("cluster: ingress needs at least one node connection")
@@ -287,28 +287,18 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 	if opts.OnMatch != nil && opts.OnTagged != nil {
 		return nil, fmt.Errorf("cluster: set at most one of OnMatch and OnTagged")
 	}
+	specs := append([]multi.Spec(nil), opts.Patterns...)
 	switch {
-	case pat == nil && len(opts.Patterns) == 0:
+	case pat != nil && len(specs) > 0:
+		return nil, fmt.Errorf("cluster: pass a pattern or Options.Patterns, not both")
+	case pat != nil:
+		specs = multi.Solo(pat, engine.Config{})
+	case len(specs) == 0:
 		return nil, fmt.Errorf("cluster: ingress needs a pattern (or a pattern set in Options.Patterns)")
-	case pat != nil && len(opts.Patterns) > 0:
-		return nil, fmt.Errorf("cluster: in multi-pattern mode the set travels in Options.Patterns; pass a nil pattern")
 	}
-	if len(opts.Tenants) > 0 && len(opts.Patterns) == 0 {
-		return nil, fmt.Errorf("cluster: Options.Tenants needs multi-pattern mode (Options.Patterns)")
-	}
-	if len(opts.Patterns) > 0 {
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("cluster: multi-pattern mode needs Options.Schema (set analysis rides the assignment)")
-		}
-		for _, sp := range opts.Patterns {
-			if sp.ID == 0 {
-				return nil, fmt.Errorf("cluster: pattern ids must be nonzero (zero marks a single-pattern session on the wire)")
-			}
-		}
-		// Fail a bad set here, not as one cryptic handshake error per node.
-		if _, err := multi.Analyze(opts.Patterns, opts.Schema); err != nil {
-			return nil, err
-		}
+	// Fail a bad set here, not as one cryptic handshake error per node.
+	if _, err := multi.Analyze(specs, opts.Schema); err != nil {
+		return nil, err
 	}
 	if opts.Batch <= 0 {
 		opts.Batch = 256
@@ -342,14 +332,10 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		if opts.Schema == nil {
 			return nil, fmt.Errorf("cluster: KeyAttr needs Schema to resolve the attribute")
 		}
-		if len(opts.Patterns) > 0 {
-			for _, sp := range opts.Patterns {
-				if err := shard.Partitionable(sp.Pattern, opts.Schema, opts.KeyAttr); err != nil {
-					return nil, fmt.Errorf("cluster: pattern %d: %w", sp.ID, err)
-				}
+		for _, sp := range specs {
+			if err := shard.Partitionable(sp.Pattern, opts.Schema, opts.KeyAttr); err != nil {
+				return nil, fmt.Errorf("cluster: pattern %d: %w", sp.ID, err)
 			}
-		} else if err := shard.Partitionable(pat, opts.Schema, opts.KeyAttr); err != nil {
-			return nil, err
 		}
 		k, err := shard.ByAttrName(opts.Schema, opts.KeyAttr)
 		if err != nil {
@@ -358,12 +344,6 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		key = k
 	}
 
-	var sig uint64
-	if len(opts.Patterns) > 0 {
-		sig = signatureMulti(opts.Patterns, opts.Schema)
-	} else {
-		sig = signature(pat, opts.Schema)
-	}
 	in := &Ingress{
 		conns:       conns,
 		key:         key,
@@ -382,9 +362,13 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		readerDone:  make([]chan struct{}, len(conns)),
 		exitCh:      make(chan struct{}, 1),
 		gen:         make([]int, len(conns)),
-		pat:         pat,
+		specs:       specs,
 		schema:      opts.Schema,
-		sig:         sig,
+		sig:         signature(specs, opts.Schema),
+		keyAttr:     opts.KeyAttr,
+		tenants:     maps.Clone(opts.Tenants),
+		patMetrics:  make(map[uint32]engine.Metrics),
+		tenantAgg:   make(map[uint32]shed.TenantStat),
 		epoch:       opts.Epoch,
 		onCut:       opts.OnCut,
 	}
@@ -404,19 +388,6 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		for _, c := range conns {
 			if sc, ok := c.(interface{ SetWriteStall(time.Duration) }); ok {
 				sc.SetWriteStall(ws)
-			}
-		}
-	}
-	if len(opts.Patterns) > 0 {
-		in.multi = true
-		in.specs = append([]multi.Spec(nil), opts.Patterns...)
-		in.keyAttr = opts.KeyAttr
-		in.patMetrics = make(map[uint32]engine.Metrics)
-		in.tenantAgg = make(map[uint32]shed.TenantStat)
-		if len(opts.Tenants) > 0 {
-			in.tenants = make(map[uint32]shed.TenantBudget, len(opts.Tenants))
-			for t, b := range opts.Tenants {
-				in.tenants[t] = b
 			}
 		}
 	}
@@ -447,11 +418,10 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		if h.Version != wire.Version {
 			return nil, fmt.Errorf("cluster: node %d speaks protocol v%d, ingress v%d", i, h.Version, wire.Version)
 		}
-		// Fingerprint 0 is a bare node: it has no pattern of its own and
-		// adopts the one shipped in the Assign reply. Configured nodes
-		// cross-validate.
-		if h.PatternSig != 0 && h.PatternSig != sig {
-			return nil, fmt.Errorf("cluster: node %d serves a different pattern or schema (fingerprint %x, want %x)", i, h.PatternSig, sig)
+		// Fingerprint 0 is a bare node: it hosts whatever set the Assign
+		// reply ships. Configured nodes cross-validate.
+		if h.PatternSig != 0 && h.PatternSig != in.sig {
+			return nil, fmt.Errorf("cluster: node %d serves a different pattern or schema (fingerprint %x, want %x)", i, h.PatternSig, in.sig)
 		}
 		if h.Shards < 1 {
 			return nil, fmt.Errorf("cluster: node %d hosts no shards", i)
@@ -605,29 +575,9 @@ func (in *Ingress) takeoverAdopt(rs *ResumeState) error {
 	return nil
 }
 
-// signatureMulti fingerprints a pattern set plus the schema layout, the
-// multi-pattern analogue of signature. Only bare nodes (fingerprint 0)
-// can join a multi cluster, so this mainly guards against pairing a
-// multi ingress with a configured single-pattern node.
-func signatureMulti(specs []multi.Spec, s *event.Schema) uint64 {
-	var b strings.Builder
-	for _, sp := range specs {
-		fmt.Fprintf(&b, "%d@%d:%s;", sp.ID, sp.Tenant, sp.Pattern.String())
-	}
-	if s != nil {
-		for t := 0; t < s.NumTypes(); t++ {
-			fmt.Fprintf(&b, "|%s:%v", s.TypeName(t), s.Attrs(t))
-		}
-	}
-	return wire.Fingerprint(b.String())
-}
-
 // maxWindow is the widest time window any hosted pattern can reach back
 // — the journal-sizing horizon.
 func (in *Ingress) maxWindow() event.Time {
-	if !in.multi {
-		return in.pat.Window
-	}
 	var w event.Time
 	for _, sp := range in.specs {
 		if sp.Pattern.Window > w {
@@ -638,33 +588,24 @@ func (in *Ingress) maxWindow() event.Time {
 }
 
 // assignFrame builds the handshake reply for a session hosting shards
-// [base, base+shards): single-pattern sessions ship the pattern; multi
-// sessions ship the current set (the first spec as the primary entry,
-// the rest in Extra) plus the tenant budgets, sorted for a
-// deterministic wire image. Ingress goroutine (reads in.specs).
+// [base, base+shards): the current pattern set plus the tenant budgets,
+// sorted for a deterministic wire image. Ingress goroutine (reads
+// in.specs).
 func (in *Ingress) assignFrame(base, shards int) wire.Assign {
 	a := wire.Assign{
 		Base: uint32(base), Shards: uint32(shards), Total: uint32(in.total),
-		Pattern: in.pat, Schema: in.schema, Epoch: in.epoch,
+		Schema: in.schema, Epoch: in.epoch,
 	}
-	if !in.multi {
-		return a
+	for _, sp := range in.specs {
+		a.Patterns = append(a.Patterns, wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern})
 	}
-	a.Pattern = in.specs[0].Pattern
-	a.PrimaryID = in.specs[0].ID
-	a.PrimaryTenant = in.specs[0].Tenant
-	for _, sp := range in.specs[1:] {
-		a.Extra = append(a.Extra, wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern})
+	ids := make([]int, 0, len(in.tenants))
+	for t := range in.tenants {
+		ids = append(ids, int(t))
 	}
-	if len(in.tenants) > 0 {
-		ids := make([]int, 0, len(in.tenants))
-		for t := range in.tenants {
-			ids = append(ids, int(t))
-		}
-		sort.Ints(ids)
-		for _, t := range ids {
-			a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: uint32(t), Budget: in.tenants[uint32(t)]})
-		}
+	sort.Ints(ids)
+	for _, t := range ids {
+		a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: uint32(t), Budget: in.tenants[uint32(t)]})
 	}
 	return a
 }
@@ -772,26 +713,21 @@ func (in *Ingress) read(i int, c Conn, gen int, done chan struct{}) {
 			in.stats[i] = v.Stats
 			in.mu.Unlock()
 		case wire.Metrics:
+			// The session's one report: fold it into the per-slot,
+			// per-pattern and per-tenant views.
 			in.mu.Lock()
-			if in.multi {
-				// Multi sessions report one frame per live pattern (plus
-				// the tenant accounting on exactly one frame); merge them
-				// into the per-slot, per-pattern and per-tenant views.
-				in.nodeMetrics[i].Merge(v.M)
-				if v.Pattern != 0 {
-					pm := in.patMetrics[v.Pattern]
-					pm.Merge(v.M)
-					in.patMetrics[v.Pattern] = pm
-				}
-				for _, ts := range v.Tenants {
-					agg := in.tenantAgg[ts.Tenant]
-					agg.Tenant = ts.Tenant
-					agg.Admitted += ts.Admitted
-					agg.Shed += ts.Shed
-					in.tenantAgg[ts.Tenant] = agg
-				}
-			} else {
-				in.nodeMetrics[i] = v.M
+			in.nodeMetrics[i] = v.M
+			for _, pm := range v.Patterns {
+				agg := in.patMetrics[pm.ID]
+				agg.Merge(pm.M)
+				in.patMetrics[pm.ID] = agg
+			}
+			for _, ts := range v.Tenants {
+				agg := in.tenantAgg[ts.Tenant]
+				agg.Tenant = ts.Tenant
+				agg.Admitted += ts.Admitted
+				agg.Shed += ts.Shed
+				in.tenantAgg[ts.Tenant] = agg
 			}
 			in.gotMetrics[i] = true
 			in.mu.Unlock()
@@ -1043,7 +979,11 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 }
 
 // routeBroadcast ships the current shard->slot owner table to every
-// live node (abandoned shards carry ^uint32(0)). Advisory for the
+// live node still in session (abandoned shards carry ^uint32(0); a node
+// already handed its Finish frame has drained and may have closed its
+// end — a frame written at it would be answered with a reset that its
+// reader can see before the clean end of stream, turning a finished
+// node into a failover during the Finish drain). Advisory for the
 // nodes — ownership semantics ride the Migrate frames — but it keeps
 // every member's picture of the routing current. Ingress goroutine,
 // behind the barrier; a send failure is parked in sendErr and handled
@@ -1058,7 +998,7 @@ func (in *Ingress) routeBroadcast() {
 		}
 	}
 	for n, c := range in.conns {
-		if in.dead[n] || in.drained[n] {
+		if in.dead[n] || in.drained[n] || in.finSent[n] {
 			continue
 		}
 		if err := c.Send(route); err != nil {
@@ -1501,8 +1441,8 @@ func (in *Ingress) MigrateShard(g, to int) error {
 	return nil
 }
 
-// AddPattern registers one more pattern on a running multi-pattern
-// cluster. The in-progress cut is sealed first, so the mutation lands
+// AddPattern registers one more pattern on a running cluster. The
+// in-progress cut is sealed first, so the mutation lands
 // on a clean cut boundary on every node: events already ingested stay
 // ahead of the new pattern and events after this call are the first it
 // sees. The spec joins the shipped set — future joins, adoptions and
@@ -1511,17 +1451,10 @@ func (in *Ingress) MigrateShard(g, to int) error {
 // delivered stream for the new pattern is exactly what a cluster that
 // had hosted it from this boundary onward would produce. The spec's
 // Config is ignored (each node applies its own engine configuration).
-// Requires multi-pattern mode; must be called from the Process
-// goroutine.
+// Must be called from the Process goroutine.
 func (in *Ingress) AddPattern(sp multi.Spec) error {
 	if in.finished {
 		return fmt.Errorf("cluster: AddPattern after Finish")
-	}
-	if !in.multi {
-		return fmt.Errorf("cluster: AddPattern needs a multi-pattern ingress (Options.Patterns)")
-	}
-	if sp.ID == 0 {
-		return fmt.Errorf("cluster: pattern ids must be nonzero (zero marks a single-pattern session on the wire)")
 	}
 	for _, have := range in.specs {
 		if have.ID == sp.ID {
@@ -1544,7 +1477,7 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 	in.waitSends()
 	in.checkSuspects()
 	in.specs = append(in.specs, sp)
-	in.sig = signatureMulti(in.specs, in.schema)
+	in.sig = signature(in.specs, in.schema)
 	// Publish the add boundary before any node can emit for the new
 	// pattern: the reader-side replay filter must be in place first.
 	next := map[uint32]uint64{sp.ID: in.lastSeq}
@@ -1579,15 +1512,11 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 // boundary but not yet delivered still drain normally, but if a shard
 // later migrates or fails over, undelivered matches of the retired
 // pattern inside the replayed span are not regenerated (the successor
-// no longer hosts it). The last live pattern cannot be removed.
-// Requires multi-pattern mode; must be called from the Process
-// goroutine.
+// no longer hosts it). The last live pattern cannot be removed. Must be
+// called from the Process goroutine.
 func (in *Ingress) RemovePattern(id uint32) error {
 	if in.finished {
 		return fmt.Errorf("cluster: RemovePattern after Finish")
-	}
-	if !in.multi {
-		return fmt.Errorf("cluster: RemovePattern needs a multi-pattern ingress (Options.Patterns)")
 	}
 	at := -1
 	for i, sp := range in.specs {
@@ -1608,7 +1537,7 @@ func (in *Ingress) RemovePattern(id uint32) error {
 	in.waitSends()
 	in.checkSuspects()
 	in.specs = append(in.specs[:at:at], in.specs[at+1:]...)
-	in.sig = signatureMulti(in.specs, in.schema)
+	in.sig = signature(in.specs, in.schema)
 	for n, c := range in.conns {
 		if in.dead[n] || in.drained[n] {
 			continue
@@ -1624,20 +1553,15 @@ func (in *Ingress) RemovePattern(id uint32) error {
 	return nil
 }
 
-// Patterns snapshots the current pattern set (multi-pattern mode; nil
-// otherwise). Process goroutine.
+// Patterns snapshots the current pattern set. Process goroutine.
 func (in *Ingress) Patterns() []multi.Spec {
 	return append([]multi.Spec(nil), in.specs...)
 }
 
-// PatternMetrics merges every node's per-pattern engine counters
-// (multi-pattern mode; nil otherwise), ascending by pattern id.
-// Patterns removed before Finish stop reporting and are absent. Call
-// after Finish.
+// PatternMetrics merges every node's per-pattern engine counters,
+// ascending by pattern id. Patterns removed before Finish stop reporting
+// and are absent. Call after Finish.
 func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
-	if !in.multi {
-		return nil
-	}
 	tenant := make(map[uint32]uint32, len(in.specs))
 	for _, sp := range in.specs {
 		tenant[sp.ID] = sp.Tenant
@@ -1659,12 +1583,8 @@ func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
 }
 
 // TenantStats merges the per-tenant admission accounting reported by
-// every node (multi-pattern mode; nil otherwise), sorted by tenant id.
-// Call after Finish.
+// every node, sorted by tenant id. Call after Finish.
 func (in *Ingress) TenantStats() []shed.TenantStat {
-	if !in.multi {
-		return nil
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	ids := make([]int, 0, len(in.tenantAgg))

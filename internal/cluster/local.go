@@ -43,12 +43,12 @@ type LocalConfig struct {
 	// OnMatch / OnTagged receive the merged match stream (exactly one).
 	OnMatch  func(*match.Match)
 	OnTagged func(shard.Tagged)
-	// Patterns hosts a multi-pattern set instead of a single pattern
-	// (pass pat nil to StartLocal): the nodes start bare, the ingress
-	// ships the set in every handshake, and matches arrive pattern-tagged
-	// through OnTagged. Same contract as IngressOptions.Patterns.
+	// Patterns is the pattern set to host, for callers with more than one
+	// pattern (pass pat nil to StartLocal): the nodes start bare and
+	// matches arrive pattern-tagged through OnTagged. Same contract as
+	// IngressOptions.Patterns.
 	Patterns []multi.Spec
-	// Tenants installs per-tenant admission budgets (multi mode only).
+	// Tenants installs per-tenant admission budgets.
 	Tenants map[uint32]shed.TenantBudget
 	// OnNodeErr (optional) observes node-side session errors; transport
 	// failures surface at the ingress regardless.
@@ -87,10 +87,6 @@ func StartLocal(pat *pattern.Pattern, cfg engine.Config, lc LocalConfig) (*Ingre
 				c.Close() // unblocks the node goroutine behind the pipe
 			}
 		}
-	}
-	if len(lc.Patterns) > 0 && pat != nil {
-		closeAll()
-		return nil, fmt.Errorf("cluster: StartLocal with Patterns needs a nil pattern (the set rides the handshake)")
 	}
 	for i := 0; i < lc.Nodes; i++ {
 		node, err := NewNode(NodeConfig{
@@ -138,10 +134,10 @@ func StartLocal(pat *pattern.Pattern, cfg engine.Config, lc LocalConfig) (*Ingre
 			HeartbeatTimeout: lc.HeartbeatTimeout,
 			MaxJournalBytes:  lc.MaxJournalBytes,
 			OnFailover:       lc.OnFailover,
-			// Each standby is a bare node: it learns the pattern and
+			// Each standby is a bare node: it learns the pattern set and
 			// schema from the Assign frame and its shards from the
-			// Migrate handshake (pattern shipping), so the factory needs
-			// only the engine config and the key.
+			// Migrate handshake, so the factory needs only the engine
+			// config and the key.
 			Standby: func() (Conn, error) {
 				if spawned >= lc.Standbys {
 					return nil, fmt.Errorf("cluster: all %d in-process standbys used", lc.Standbys)

@@ -479,10 +479,14 @@ func TestMultiClusterGhostSlots(t *testing.T) {
 	}
 
 	got, ing := runMultiCluster(t, rig, w, specs, nil, true, map[int]func(*Ingress){
-		1500: func(ing *Ingress) {
+		1600: func(ing *Ingress) {
 			// Satellite check: load reports are cut-stamped. Checked
 			// before any membership change — a join resets the stat
-			// cadence for a few cuts.
+			// cadence for a few cuts. 25 cuts are out by now: a node
+			// reports at its cut 24, when its workers (at most a queue of
+			// four cuts behind) have passed the cut 16 at which they first
+			// publish their load — at event 1500 the report of cut 20
+			// raced that publication, and nothing later was coming.
 			waitForStats(t, ing, 2)
 			var stamped bool
 			for _, ss := range ing.NodeStats() {
@@ -563,25 +567,19 @@ func TestMultiClusterValidation(t *testing.T) {
 	if _, err := NewIngress(nil, []Conn{conn()}, IngressOptions{
 		KeyAttr: "key", OnTagged: onTag, Patterns: specs,
 	}); err == nil {
-		t.Error("multi mode without schema accepted")
+		t.Error("KeyAttr without schema accepted")
 	}
-	zero := append([]multi.Spec(nil), specs...)
-	zero[2].ID = 0
+	dup := append([]multi.Spec(nil), specs...)
+	dup[2].ID = dup[0].ID
 	if _, err := NewIngress(nil, []Conn{conn()}, IngressOptions{
-		KeyAttr: "key", Schema: w.Schema, OnTagged: onTag, Patterns: zero,
+		KeyAttr: "key", Schema: w.Schema, OnTagged: onTag, Patterns: dup,
 	}); err == nil {
-		t.Error("zero pattern id accepted")
-	}
-	if _, err := NewIngress(pat, []Conn{conn()}, IngressOptions{
-		KeyAttr: "key", Schema: w.Schema, OnTagged: onTag,
-		Tenants: map[uint32]shed.TenantBudget{0: {Rate: 1}},
-	}); err == nil {
-		t.Error("tenant budgets without multi mode accepted")
+		t.Error("duplicate pattern id accepted")
 	}
 
-	// A configured single-pattern node must be refused by a multi
-	// ingress at the handshake: its fingerprint covers one pattern, the
-	// session's covers the set.
+	// A node configured with one pattern must be refused at the
+	// handshake by an ingress opening with any other set: its
+	// fingerprint covers the set of one, the session's covers four.
 	single, err := NewNode(NodeConfig{
 		Pattern: pat, Engine: engine.Config{CheckEvery: 250},
 		Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
@@ -615,8 +613,8 @@ func TestMultiClusterValidation(t *testing.T) {
 	if err := ing.AddPattern(specs[0]); err == nil {
 		t.Error("duplicate AddPattern accepted")
 	}
-	if err := ing.AddPattern(multi.Spec{ID: 0, Pattern: pat}); err == nil {
-		t.Error("AddPattern with zero id accepted")
+	if err := ing.AddPattern(multi.Spec{ID: 77}); err == nil {
+		t.Error("AddPattern without a pattern accepted")
 	}
 	if err := ing.RemovePattern(999); err == nil {
 		t.Error("unknown RemovePattern accepted")
@@ -633,30 +631,103 @@ func TestMultiClusterValidation(t *testing.T) {
 	if err := finishWithin(t, 30*time.Second, ing); err != nil {
 		t.Fatalf("validation cluster finish: %v", err)
 	}
+}
 
-	// AddPattern needs a multi-pattern session.
-	sn, err := NewNode(NodeConfig{
-		Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-		Shards: 1, Batch: 64, KeyAttr: "key", Schema: w.Schema,
+// TestSoloClusterAddRemove: a session opened through the single-pattern
+// entry points (NodeConfig.Pattern, NewIngress's pattern argument) is
+// the set of one, so patterns can be registered and retired on it at
+// runtime, every pattern's delivered stream staying byte-identical to
+// the single-process shard engine given the same mutations (which the
+// shard package checks against independent engines).
+func TestSoloClusterAddRemove(t *testing.T) {
+	w := keyedWorkload(t, "traffic")
+	var specs []multi.Spec
+	for i, kind := range []gen.Kind{gen.Sequence, gen.Conjunction, gen.Kleene} {
+		pat, err := w.Pattern(kind, 3, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, multi.Spec{ID: uint32(i), Pattern: pat, Config: engine.Config{CheckEvery: 250}})
+	}
+	solo, added, brief := specs[0], specs[1], specs[2]
+	addAt, dropAt := len(w.Events)/4, len(w.Events)/2
+
+	want := &multiRecorder{}
+	ref, err := shard.New(solo.Pattern, solo.Config, shard.Options{
+		Shards: 4, Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: want.rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, ss := Pipe()
-	go sn.Serve(ss) //nolint:errcheck // finished at test end
-	sing, err := NewIngress(pat, []Conn{sc}, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: onTag,
+
+	var conns []Conn
+	for i := 0; i < 2; i++ {
+		node, err := NewNode(NodeConfig{
+			Pattern: solo.Pattern, Engine: solo.Config,
+			Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server := Pipe()
+		go func() {
+			if err := node.Serve(server); err != nil {
+				t.Errorf("node: %v", err)
+			}
+		}()
+		conns = append(conns, client)
+	}
+	got := &multiRecorder{}
+	ing, err := NewIngress(solo.Pattern, conns, IngressOptions{
+		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: got.rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sing.AddPattern(specs[2]); err == nil {
-		t.Error("AddPattern on a single-pattern cluster accepted")
+	if err := ing.AddPattern(multi.Spec{ID: multi.SoloID, Pattern: added.Pattern}); err == nil {
+		t.Error("a second pattern under the solo id accepted")
 	}
-	if err := sing.RemovePattern(specs[2].ID); err == nil {
-		t.Error("RemovePattern on a single-pattern cluster accepted")
+	if err := ing.RemovePattern(multi.SoloID); err == nil {
+		t.Error("removing the session's only pattern accepted")
 	}
-	if err := finishWithin(t, 30*time.Second, sing); err != nil {
-		t.Fatalf("single-pattern cluster finish: %v", err)
+
+	for i := range w.Events {
+		switch i {
+		case addAt:
+			for _, sp := range []multi.Spec{added, brief} {
+				if err := ing.AddPattern(sp); err != nil {
+					t.Fatalf("AddPattern on a session opened with one pattern: %v", err)
+				}
+				if err := ref.AddPattern(sp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case dropAt:
+			if err := ing.RemovePattern(brief.ID); err != nil {
+				t.Fatalf("RemovePattern on a session opened with one pattern: %v", err)
+			}
+			if err := ref.RemovePattern(brief.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ing.Process(&w.Events[i])
+		ref.Process(&w.Events[i])
+	}
+	if err := finishWithin(t, 30*time.Second, ing); err != nil {
+		t.Fatalf("cluster finish: %v", err)
+	}
+	ref.Finish()
+
+	requireMultiIdentical(t, "solo session", specs, got, want)
+	for _, sp := range specs {
+		if len(got.keys[sp.ID]) == 0 {
+			t.Fatalf("pattern %d never fired; test is vacuous", sp.ID)
+		}
+	}
+	if live := ing.Patterns(); len(live) != 2 {
+		t.Fatalf("%d live patterns after add+add+remove, want 2", len(live))
+	}
+	if pms := ing.PatternMetrics(); len(pms) != 2 || pms[0].ID != multi.SoloID || pms[1].ID != added.ID {
+		t.Fatalf("per-pattern metrics cover %+v, want the solo and the added pattern", pms)
 	}
 }

@@ -27,24 +27,26 @@ import (
 // the controller's own cooldown.
 const statsEveryCuts = 4
 
-// NodeConfig assembles a worker node: which pattern it detects, how many
-// shards it claims at the handshake, and the shard-layer tuning its
-// engine runs with. The ingress assigns the node's initial slice of the
-// global shard space during the handshake — and may migrate shards in
-// and out afterwards — so the same binary can serve any position in any
-// cluster layout.
+// NodeConfig assembles a worker node: which pattern set it is willing to
+// host, how many shards it claims at the handshake, and the shard-layer
+// tuning its engine runs with. The ingress assigns the node's initial
+// slice of the global shard space during the handshake — and may migrate
+// shards in and out afterwards — so the same binary can serve any
+// position in any cluster layout.
 type NodeConfig struct {
-	// Pattern is the detected pattern; it must equal the ingress's (the
-	// handshake compares fingerprints and refuses to pair otherwise).
-	// Nil runs the node bare: it greets with fingerprint 0 and adopts
-	// the pattern and schema the ingress ships in the Assign frame — the
-	// standby/join mode of the elasticity subsystem, and the zero-config
-	// way to start a worker fleet.
+	// Pattern pins the session to the set of one: the node greets with
+	// the fingerprint of {Pattern} under Schema and the ingress refuses to
+	// pair unless that is the set it opens with. Nil runs the node bare:
+	// it greets with fingerprint 0 and hosts whatever set the ingress
+	// ships — the standby/join mode of the elasticity subsystem, and the
+	// zero-config way to start a worker fleet. Either way the node hosts
+	// the set and schema shipped in the Assign frame.
 	Pattern *pattern.Pattern
-	// Engine configures every local shard engine identically (same
-	// contract as shard.New: Policy and OnMatch must be nil). Ingress
-	// shedding lives here too: Engine.Shedding applies per local shard,
-	// with each shard's ingestion-queue depth probing the load monitor.
+	// Engine configures every hosted pattern's engine on every local shard
+	// identically (same contract as shard.New: Policy and OnMatch must be
+	// nil). Ingress shedding lives here too: Engine.Shedding applies per
+	// pattern per local shard, with each shard's ingestion-queue depth
+	// probing the load monitor.
 	Engine engine.Config
 	// Shards is the number of shards this node claims in its hello
 	// (default 1); the ingress sizes the global shard space from the
@@ -95,12 +97,14 @@ type Node struct {
 	epoch atomic.Uint64
 }
 
-// signature fingerprints the pattern plus the schema's type/attribute
+// signature fingerprints a pattern set plus the schema's type/attribute
 // layout; ingress and node must agree on both for events and matches to
 // mean the same thing on either side.
-func signature(pat *pattern.Pattern, s *event.Schema) uint64 {
+func signature(specs []multi.Spec, s *event.Schema) uint64 {
 	var b strings.Builder
-	b.WriteString(pat.String())
+	for _, sp := range specs {
+		fmt.Fprintf(&b, "%d@%d:%s;", sp.ID, sp.Tenant, sp.Pattern.String())
+	}
 	if s != nil {
 		for t := 0; t < s.NumTypes(); t++ {
 			fmt.Fprintf(&b, "|%s:%v", s.TypeName(t), s.Attrs(t))
@@ -110,8 +114,8 @@ func signature(pat *pattern.Pattern, s *event.Schema) uint64 {
 }
 
 // NewNode validates the configuration and resolves the partition key. A
-// bare node (nil Pattern) defers pattern, schema and key resolution to
-// the handshake that ships them.
+// bare node (nil Pattern) defers schema and key resolution to the
+// handshake that ships them.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -124,8 +128,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("cluster: a partition key is required: set Key or KeyAttr")
 	}
 	if cfg.Pattern == nil {
-		// Bare mode: the ingress ships pattern and schema; KeyAttr (or a
-		// custom Key) resolves against them at handshake time.
+		// Bare mode: KeyAttr resolves against the shipped schema at
+		// handshake time.
 		return &Node{cfg: cfg, key: key, sig: 0}, nil
 	}
 	if cfg.KeyAttr != "" {
@@ -141,7 +145,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		key = k
 	}
-	return &Node{cfg: cfg, key: key, sig: signature(cfg.Pattern, cfg.Schema)}, nil
+	return &Node{cfg: cfg, key: key, sig: signature(multi.Solo(cfg.Pattern, cfg.Engine), cfg.Schema)}, nil
 }
 
 // sender serializes a node's upstream frames and latches the first send
@@ -221,34 +225,11 @@ func (n *Node) Serve(conn Conn) error {
 	if !ok {
 		return fmt.Errorf("cluster: node expected assign frame, got %s", wire.KindOf(f))
 	}
-	return n.serveBlock(conn, blockAssign{
-		base: int(a.Base), shards: int(a.Shards), total: int(a.Total),
-		pattern: a.Pattern, schema: a.Schema,
-		primaryID: a.PrimaryID, primaryTenant: a.PrimaryTenant,
-		extra: a.Extra, tenants: a.Tenants,
-		epoch: a.Epoch,
-	})
-}
-
-// blockAssign is a resolved handshake reply: which slice of the global
-// shard space this session initially hosts (possibly empty), with what
-// pattern — or, when primaryID is nonzero, with what pattern *set*
-// (Pattern is the primary entry, extra carries the rest, tenants the
-// per-tenant budgets).
-type blockAssign struct {
-	base, shards, total int
-	pattern             *pattern.Pattern
-	schema              *event.Schema
-
-	primaryID, primaryTenant uint32
-	extra                    []wire.PatternEntry
-	tenants                  []wire.TenantBudgetEntry
-
-	epoch uint64 // coordinator epoch stamped on the Assign (0 without HA)
+	return n.serveBlock(conn, a)
 }
 
 // serveBlock hosts one ingress session.
-func (n *Node) serveBlock(conn Conn, a blockAssign) error {
+func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// Epoch fence, entry half: latch the highest coordinator epoch this
 	// process has served and refuse anything lower — a session from a
 	// primary that a takeover already superseded must not rebuild state.
@@ -256,65 +237,52 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 	// handshake but got superseded mid-run.)
 	for {
 		cur := n.epoch.Load()
-		if a.epoch < cur {
-			return fmt.Errorf("cluster: node fencing coordinator epoch %d (process has served epoch %d)", a.epoch, cur)
+		if a.Epoch < cur {
+			return fmt.Errorf("cluster: node fencing coordinator epoch %d (process has served epoch %d)", a.Epoch, cur)
 		}
-		if n.epoch.CompareAndSwap(cur, a.epoch) {
+		if n.epoch.CompareAndSwap(cur, a.Epoch) {
 			break
 		}
 	}
-	pat, schema := n.cfg.Pattern, n.cfg.Schema
-	if pat == nil {
-		// Bare mode: adopt the shipped pattern and schema.
-		if a.pattern == nil {
-			return fmt.Errorf("cluster: bare node got an assignment without a shipped pattern")
-		}
-		pat, schema = a.pattern, a.schema
+	// The session hosts the shipped set behind one shared-evaluation
+	// engine; a configured node's fingerprint was already cross-validated
+	// against it by the ingress.
+	if len(a.Patterns) == 0 {
+		return fmt.Errorf("cluster: node got an assignment without a pattern set")
 	}
-	// A nonzero primary id marks a multi-pattern assignment: the session
-	// hosts the whole shipped set (Pattern is the primary entry, Extra
-	// the rest) behind one shared-evaluation engine. Only a bare node can
-	// adopt a set — a configured node's fingerprint covers exactly one
-	// pattern, and the handshake has already cross-validated it.
-	var specs []multi.Spec
-	if a.primaryID != 0 {
-		if n.cfg.Pattern != nil {
-			return fmt.Errorf("cluster: multi-pattern assignment needs a bare node (configured node serves one pattern)")
-		}
-		if schema == nil {
-			return fmt.Errorf("cluster: multi-pattern assignment without a shipped schema")
-		}
-		specs = append(specs, multi.Spec{
-			ID: a.primaryID, Tenant: a.primaryTenant, Pattern: pat, Config: n.cfg.Engine,
-		})
-		for _, e := range a.extra {
-			specs = append(specs, multi.Spec{
-				ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: n.cfg.Engine,
-			})
+	specs := make([]multi.Spec, len(a.Patterns))
+	// relWindow is the arena-release horizon: the widest window any
+	// hosted pattern can reach back (grows if PatternAdd ships a wider
+	// one).
+	var relWindow event.Time
+	for i, e := range a.Patterns {
+		specs[i] = multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: n.cfg.Engine}
+		if e.Pattern.Window > relWindow {
+			relWindow = e.Pattern.Window
 		}
 	}
 	key := n.key
 	if key == nil {
 		// Bare KeyAttr mode: resolve against the shipped schema, with
 		// the same partitionability validation a configured node runs.
-		// (Multi mode defers the per-spec validation to shard.New.)
-		if schema == nil {
+		if a.Schema == nil {
 			return fmt.Errorf("cluster: bare node needs a shipped schema to resolve key attribute %q", n.cfg.KeyAttr)
 		}
-		if specs == nil {
-			if err := shard.Partitionable(pat, schema, n.cfg.KeyAttr); err != nil {
-				return err
+		for _, sp := range specs {
+			if err := shard.Partitionable(sp.Pattern, a.Schema, n.cfg.KeyAttr); err != nil {
+				return fmt.Errorf("cluster: pattern %d: %w", sp.ID, err)
 			}
 		}
-		k, err := shard.ByAttrName(schema, n.cfg.KeyAttr)
+		k, err := shard.ByAttrName(a.Schema, n.cfg.KeyAttr)
 		if err != nil {
 			return err
 		}
 		key = k
 	}
-	if a.total < 1 || a.base < 0 || a.shards < 0 || a.base+a.shards > a.total {
+	total := int(a.Total)
+	if total < 1 || uint64(a.Base)+uint64(a.Shards) > uint64(a.Total) {
 		return fmt.Errorf("cluster: assignment [%d,%d) outside global shard space of %d",
-			a.base, a.base+a.shards, a.total)
+			a.Base, uint64(a.Base)+uint64(a.Shards), a.Total)
 	}
 
 	// The engine spans the full global shard space with the identity
@@ -341,7 +309,6 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 		h.SetSendHold(true)
 		up.fl = h
 	}
-	total := a.total
 
 	// Migration state, shared between the session loop (which receives
 	// Migrate frames and the ShardRoute markers that end each replay
@@ -368,36 +335,20 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 	// Zero-copy receive: on a serializing transport (probe below), Batch
 	// frames decode straight into this arena — the decoded slots are the
 	// events the evaluators retain, no re-intern — and surface as
-	// wire.BatchView with columnar spans for the unary mask scan. The
-	// arena never recycles chunks (the zero value), so releasing behind
-	// the time horizon merely unpins: anything an evaluator or an
-	// in-flight match still references stays alive through the GC —
-	// which is also what makes replaying old-timestamp history into a
-	// live session memory-safe.
+	// wire.BatchView. The arena never recycles chunks (the zero value),
+	// so releasing behind the time horizon merely unpins: anything an
+	// evaluator or an in-flight match still references stays alive
+	// through the GC — which is also what makes replaying old-timestamp
+	// history into a live session memory-safe.
 	var decArena *match.Arena
 	if da, ok := conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
 		decArena = &match.Arena{}
 		da.SetDecodeArena(decArena)
 	}
-	// OR patterns split into per-disjunct runners inside the engine, so a
-	// top-level mask would index the wrong positions — skip the scan. In
-	// multi-pattern mode the shared evaluator composes per-pattern masks
-	// from its own predicate table, so the node-level scan is off too.
-	scannable := specs == nil && pat.MaskScannable() && pat.Op != pattern.Or
-	// relWindow is the arena-release horizon: the widest window any
-	// hosted pattern can reach back (grows if PatternAdd ships a wider
-	// one).
-	relWindow := pat.Window
-	for _, sp := range specs {
-		if sp.Pattern.Window > relWindow {
-			relWindow = sp.Pattern.Window
-		}
-	}
 	var (
-		maskBuf []uint32
-		ptrBuf  []*event.Event
-		maxTS   event.Time
-		cuts    uint64
+		ptrBuf []*event.Event
+		maxTS  event.Time
+		cuts   uint64
 	)
 
 	// Cut reassembly. A live cut arrives as one events-only frame (UpTo
@@ -412,42 +363,25 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 	// carry their original cut watermark and flush immediately, one frame
 	// per reconstructed cut.
 	var (
-		cutEvs   []*event.Event
-		cutMasks []uint32
-		runEnds  []int
-		mergEvs  []*event.Event
-		mergMask []uint32
-		runHead  []int
+		cutEvs  []*event.Event
+		runEnds []int
+		mergEvs []*event.Event
+		runHead []int
 	)
-	appendRun := func(evs []*event.Event, masks []uint32) {
+	appendRun := func(evs []*event.Event) {
 		if len(evs) == 0 {
 			return
 		}
 		cutEvs = append(cutEvs, evs...)
-		if masks != nil {
-			cutMasks = append(cutMasks, masks...)
-		}
 		runEnds = append(runEnds, len(cutEvs))
 	}
-	// flushCut (defined after the engine below) feeds the buffered runs
-	// to the engine in seq order and seals the cut at upTo.
-	var flushCut func(upTo uint64)
 
-	enginePat, engineCfg := pat, n.cfg.Engine
-	var budgets map[uint32]shed.TenantBudget
-	if specs != nil {
-		// Multi mode: the set travels in Options.Patterns (each spec
-		// carries the node's engine config) and per-tenant budgets apply
-		// per local shard.
-		enginePat, engineCfg = nil, engine.Config{}
-		if len(a.tenants) > 0 {
-			budgets = make(map[uint32]shed.TenantBudget, len(a.tenants))
-			for _, t := range a.tenants {
-				budgets[t.Tenant] = t.Budget
-			}
-		}
+	// Per-tenant budgets apply per local shard.
+	budgets := make(map[uint32]shed.TenantBudget, len(a.Tenants))
+	for _, t := range a.Tenants {
+		budgets[t.Tenant] = t.Budget
 	}
-	eng, err := shard.New(enginePat, engineCfg, shard.Options{
+	eng, err := shard.New(nil, engine.Config{}, shard.Options{
 		Shards:   total,
 		Batch:    n.cfg.Batch,
 		QueueCap: n.cfg.QueueCap,
@@ -455,7 +389,7 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 		Window:   n.cfg.Window,
 		Overflow: n.cfg.Overflow,
 		Key:      key,
-		Schema:   schema,
+		Schema:   a.Schema,
 		Patterns: specs,
 		Tenants:  budgets,
 		Route: func(ev *event.Event) int {
@@ -511,19 +445,16 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 	if err != nil {
 		return err
 	}
-	flushCut = func(upTo uint64) {
-		haveMasks := len(cutMasks) > 0 && len(cutMasks) == len(cutEvs)
+	// flushCut feeds the buffered runs to the engine in seq order and
+	// seals the cut at upTo.
+	flushCut := func(upTo uint64) {
 		switch len(runEnds) {
 		case 0:
 		case 1: // single run: already in seq order
-			if haveMasks {
-				eng.ProcessStable(cutEvs, cutMasks)
-			} else {
-				eng.ProcessStable(cutEvs, nil)
-			}
+			eng.ProcessStable(cutEvs)
 		default:
 			// k-way merge of the per-shard runs (each seq-ordered).
-			mergEvs, mergMask, runHead = mergEvs[:0], mergMask[:0], runHead[:0]
+			mergEvs, runHead = mergEvs[:0], runHead[:0]
 			start := 0
 			for range runEnds {
 				runHead = append(runHead, start)
@@ -542,16 +473,9 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 				}
 				h := runHead[best]
 				mergEvs = append(mergEvs, cutEvs[h])
-				if haveMasks {
-					mergMask = append(mergMask, cutMasks[h])
-				}
 				runHead[best] = h + 1
 			}
-			if haveMasks {
-				eng.ProcessStable(mergEvs, mergMask)
-			} else {
-				eng.ProcessStable(mergEvs, nil)
-			}
+			eng.ProcessStable(mergEvs)
 			for i := range mergEvs {
 				mergEvs[i] = nil // do not pin arena chunks across cuts
 			}
@@ -559,7 +483,7 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 		for i := range cutEvs {
 			cutEvs[i] = nil
 		}
-		cutEvs, cutMasks, runEnds = cutEvs[:0], cutMasks[:0], runEnds[:0]
+		cutEvs, runEnds = cutEvs[:0], runEnds[:0]
 		eng.Flush(upTo)
 	}
 
@@ -602,27 +526,18 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 		// Epoch fence, loop half: a takeover successor may have raised
 		// the process epoch since the handshake — stop serving the
 		// superseded coordinator at its next frame.
-		if cur := n.epoch.Load(); cur > a.epoch {
+		if cur := n.epoch.Load(); cur > a.Epoch {
 			finish()
 			up.flush()
-			return fmt.Errorf("cluster: session fenced: coordinator epoch %d superseded by %d", a.epoch, cur)
+			return fmt.Errorf("cluster: session fenced: coordinator epoch %d superseded by %d", a.Epoch, cur)
 		}
 		switch v := f.(type) {
 		case *wire.BatchView:
 			// Serializing transport: the events already live in decArena
-			// (decoded in place by conn.Recv). Scan the columnar spans
-			// into per-event unary masks, then buffer the stable pointers
+			// (decoded in place by conn.Recv). Buffer the stable pointers
 			// as one run of the current cut — no copy anywhere between
 			// socket and match.
-			var masks []uint32
-			if scannable && len(v.Events) > 0 {
-				if cap(maskBuf) < len(v.Events) {
-					maskBuf = make([]uint32, len(v.Events))
-				}
-				masks = maskBuf[:len(v.Events)]
-				pat.ScanUnarySpans(v.Spans, masks)
-			}
-			appendRun(v.Events, masks)
+			appendRun(v.Events)
 			if ne := len(v.Events); ne > 0 {
 				if ts := v.Events[ne-1].TS; ts > maxTS {
 					maxTS = ts
@@ -659,7 +574,7 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 				for i := range v.Events {
 					ptrBuf = append(ptrBuf, &v.Events[i])
 				}
-				appendRun(ptrBuf, nil)
+				appendRun(ptrBuf)
 			}
 			if v.UpTo == 0 {
 				break // events-only frame; the cut's watermark frame follows
@@ -720,11 +635,6 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 			// Register a pattern on the running set. The frame sits
 			// between two cuts in the stream, so the engine pins the
 			// mutation to that cut boundary on every local shard.
-			if specs == nil {
-				finish()
-				up.flush()
-				return fmt.Errorf("cluster: pattern add on a single-pattern session")
-			}
 			sp := multi.Spec{
 				ID: v.Entry.ID, Tenant: v.Entry.Tenant,
 				Pattern: v.Entry.Pattern, Config: n.cfg.Engine,
@@ -738,11 +648,6 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 				relWindow = sp.Pattern.Window
 			}
 		case wire.PatternRemove:
-			if specs == nil {
-				finish()
-				up.flush()
-				return fmt.Errorf("cluster: pattern remove on a single-pattern session")
-			}
 			if err := eng.RemovePattern(v.ID); err != nil {
 				finish()
 				up.flush()
@@ -753,26 +658,11 @@ func (n *Node) serveBlock(conn Conn, a blockAssign) error {
 			// has delivered every match (and the MaxUint64 watermark)
 			// through the sender above.
 			finish()
-			if specs != nil {
-				// One Metrics frame per live pattern; the first carries
-				// the per-tenant shed accounting for the whole session
-				// (on exactly one frame, so the ingress never counts a
-				// tenant twice).
-				pms := eng.PatternMetrics()
-				ts := eng.TenantStats()
-				if len(pms) == 0 {
-					up.send(wire.Metrics{Tenants: ts})
-				}
-				for i, pm := range pms {
-					fr := wire.Metrics{Pattern: pm.ID, M: pm.M}
-					if i == 0 {
-						fr.Tenants = ts
-					}
-					up.send(fr)
-				}
-			} else {
-				up.send(wire.Metrics{M: eng.Metrics()})
+			report := wire.Metrics{M: eng.Metrics(), Tenants: eng.TenantStats()}
+			for _, pm := range eng.PatternMetrics() {
+				report.Patterns = append(report.Patterns, wire.PatternMetrics{ID: pm.ID, M: pm.M})
 			}
+			up.send(report)
 			up.flush()
 			if err := up.failed(); err != nil {
 				return fmt.Errorf("cluster: node streaming results: %w", err)

@@ -174,7 +174,9 @@ func TestNodeWedgedIngressFailsSession(t *testing.T) {
 	} else if _, ok := f.(wire.Hello); !ok {
 		t.Fatalf("expected hello, got %s", wire.KindOf(f))
 	}
-	if err := ing.Send(wire.Assign{Base: 0, Shards: 1, Total: 1}); err != nil {
+	if err := ing.Send(wire.Assign{
+		Base: 0, Shards: 1, Total: 1, Schema: w.Schema, Patterns: []wire.PatternEntry{{Pattern: pat}},
+	}); err != nil {
 		t.Fatalf("assign: %v", err)
 	}
 	// Wedge: stop reading entirely, then make the node owe us frames. A

@@ -80,7 +80,7 @@ type Config struct {
 	// OnMatch receives every detected match.
 	OnMatch func(*match.Match)
 	// ExternalEvents declares that every event pointer handed to Process
-	// (and ProcessBatch) stays valid for at least the pattern's retention
+	// stays valid for at least the pattern's retention
 	// window — the events live in a shared ingest or decode arena whose
 	// chunks are recycled only by the garbage collector. Evaluators then
 	// retain the caller's pointers directly instead of interning copies
@@ -277,7 +277,7 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 func (e *Engine) Process(ev *event.Event) { e.ProcessMasked(ev, 0) }
 
 // ProcessMasked is Process with a precomputed unary predicate mask for
-// the event (see pattern.ScanUnarySpan); a zero mask means "none" and
+// the event (see pattern.MaskValid); a zero mask means "none" and
 // predicates are evaluated per event as usual.
 func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 	if e.split {
@@ -290,22 +290,6 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 	}
 	for _, r := range e.runners {
 		r.process(ev, mask)
-	}
-}
-
-// ProcessBatch feeds a whole batch through one call, equivalent to
-// per-event ProcessMasked calls: same shedding decisions, same adaptation
-// checks, same emission order. masks, when non-nil, is parallel to evs.
-// With Config.ExternalEvents set the batch's pointers are retained
-// directly, so arena-backed batches flow to the evaluators without any
-// per-event copy.
-func (e *Engine) ProcessBatch(evs []*event.Event, masks []uint32) {
-	for i, ev := range evs {
-		var m uint32
-		if masks != nil {
-			m = masks[i]
-		}
-		e.ProcessMasked(ev, m)
 	}
 }
 

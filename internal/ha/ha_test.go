@@ -174,6 +174,23 @@ func runPair(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
 	return rec, p
 }
 
+// waitMirroredEmission blocks until the in-process standby has mirrored a
+// nonzero emission boundary from the primary.
+func waitMirroredEmission(t *testing.T, p *Pair) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.srv.mu.Lock()
+		emitted := p.srv.emitted
+		p.srv.mu.Unlock()
+		if emitted > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never mirrored an emission boundary")
+		}
+	}
+}
+
 // TestTakeoverByteIdentical is the tentpole's acceptance criterion:
 // the primary coordinator is killed mid-cut (a partial cut pending,
 // matches in flight at the gate) and the standby's successor resumes —
@@ -188,6 +205,10 @@ func TestTakeoverByteIdentical(t *testing.T) {
 			rig := startHARig(t, w, kind, 0)
 			got, p := runPair(t, rig, w, kind, nil, map[int]func(*Pair){
 				2500: func(p *Pair) {
+					// The feed outruns the pipeline, so let the mirror
+					// learn an emission boundary first: the drill is about
+					// suppressing an already-delivered prefix.
+					waitMirroredEmission(t, p)
 					if err := p.KillPrimary(); err != nil {
 						t.Fatalf("takeover failed: %v", err)
 					}

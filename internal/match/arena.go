@@ -83,11 +83,7 @@ func (a *Arena) Intern(ev *event.Event) *event.Event {
 // write decoded values straight into the returned slice — the event is
 // materialized exactly once). Sealing follows Intern: a chunk closes when
 // its event array fills or nattrs would overflow its attribute buffer.
-//
-// Alloc additionally returns the offset of the event's attribute block
-// within the chunk buffer returned by Tail, so callers can detect
-// contiguous same-stride runs and build columnar event.Spans over them.
-func (a *Arena) Alloc(typ int, ts event.Time, seq uint64, nattrs int) (*event.Event, int) {
+func (a *Arena) Alloc(typ int, ts event.Time, seq uint64, nattrs int) *event.Event {
 	var c *chunk
 	if n := len(a.chunks); n > 0 {
 		c = a.chunks[n-1]
@@ -103,20 +99,7 @@ func (a *Arena) Alloc(typ int, ts event.Time, seq uint64, nattrs int) (*event.Ev
 	if ts > c.maxTS {
 		c.maxTS = ts
 	}
-	return ne, ai
-}
-
-// Tail returns the live chunk's flat attribute buffer extended to its
-// full capacity. The backing array never reallocates (chunks seal instead
-// of growing), so the returned slice stays valid for the chunk's whole
-// lifetime; only the prefix covered by allocated events holds meaningful
-// values. Returns nil before the first allocation.
-func (a *Arena) Tail() []float64 {
-	if n := len(a.chunks); n > 0 {
-		c := a.chunks[n-1]
-		return c.attrs[:cap(c.attrs)]
-	}
-	return nil
+	return ne
 }
 
 // grow appends a fresh (or recycled) chunk with room for at least one

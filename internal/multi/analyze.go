@@ -1,8 +1,11 @@
-// Package multi is the multi-pattern registry and shared-evaluation
+// Package multi is the pattern-set registry and shared-evaluation
 // layer: it sits between ingestion and the per-pattern engines, analyzes
 // the registered pattern set at compile time to factor out work the
 // patterns have in common, and gates each tenant's patterns behind a
-// token-bucket budget (see internal/shed).
+// token-bucket budget (see internal/shed). Every sharded or clustered
+// session hosts its patterns through an Evaluator; a single pattern is
+// the set of one (Solo), which shares nothing and costs one mask
+// composition per event over a bare engine.
 //
 // Two kinds of sharing are detected (the "global plan" setting of
 // Kolchinsky & Schuster's join-query-ordering work, applied to this
@@ -52,6 +55,15 @@ type Spec struct {
 	Tenant  uint32
 	Pattern *pattern.Pattern
 	Config  engine.Config
+}
+
+// SoloID is the pattern id the single-pattern entry points of the shard
+// and cluster layers register their pattern under.
+const SoloID uint32 = 0
+
+// Solo is the set of one: pat under SoloID, tenant 0, evaluated with cfg.
+func Solo(pat *pattern.Pattern, cfg engine.Config) []Spec {
+	return []Spec{{ID: SoloID, Pattern: pat, Config: cfg}}
 }
 
 // PrefixGroup is one shared-prefix subscription: Members (indices into
@@ -104,11 +116,9 @@ func (r Report) String() string {
 
 // Analyze inspects the pattern set and builds its sharing structure. The
 // specs must carry distinct IDs and non-nil patterns valid against the
-// schema.
+// schema; a nil schema (sessions partitioned by a custom key extractor
+// have none) skips the name checks when a shared prefix is rebuilt.
 func Analyze(specs []Spec, schema *event.Schema) (*Set, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("multi: nil schema")
-	}
 	s := &Set{
 		Specs:  append([]Spec(nil), specs...),
 		schema: schema,

@@ -98,6 +98,11 @@ type Evaluator struct {
 	admit    []bool
 	maxTypes int
 
+	// Ingestion-queue probes for the hosted engines' shedders (see
+	// SetProbes); nil outside the shard layer.
+	queueProbe   func() (depth, capacity int)
+	latencyProbe func() float64
+
 	arena     *match.Arena // nil with StableInput
 	maxWindow event.Time
 	watermark event.Time
@@ -185,8 +190,25 @@ func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multi: pattern %d: %w", sp.ID, err)
 	}
+	eng.SetQueueProbe(v.queueProbe)
+	eng.SetLatencyProbe(v.latencyProbe)
 	s.eng = eng
 	return s, nil
+}
+
+// SetProbes attaches an ingestion-queue depth source and a queue-wait p99
+// source (nanoseconds) to the shedding monitor of every hosted engine,
+// present and future — the shard layer points them at the worker's
+// channel and queue-wait estimator; see engine.Engine.SetQueueProbe and
+// SetLatencyProbe. Engines without shedding ignore them.
+func (v *Evaluator) SetProbes(queue func() (depth, capacity int), latency func() float64) {
+	v.queueProbe, v.latencyProbe = queue, latency
+	for _, s := range v.sinks {
+		if s.eng != nil {
+			s.eng.SetQueueProbe(queue)
+			s.eng.SetLatencyProbe(latency)
+		}
+	}
 }
 
 // tenantSlot interns a tenant id into the per-event admission memo.
@@ -341,13 +363,6 @@ func (v *Evaluator) Process(e *event.Event) {
 	}
 }
 
-// ProcessBatch feeds a batch, equivalent to per-event Process calls.
-func (v *Evaluator) ProcessBatch(evs []*event.Event) {
-	for _, e := range evs {
-		v.Process(e)
-	}
-}
-
 // intern copies e into the evaluator's arena so every engine can retain
 // the pointer, releasing chunks that fell out of every retention window.
 func (v *Evaluator) intern(e *event.Event) *event.Event {
@@ -430,6 +445,21 @@ func (v *Evaluator) Patterns() []uint32 {
 	out := make([]uint32, len(v.sinks))
 	for i, s := range v.sinks {
 		out[i] = s.spec.ID
+	}
+	return out
+}
+
+// Plans reports the plan in effect for every pattern (one per disjunct
+// of an OR pattern), in evaluation order. Group members report the fixed
+// order plan of their suffix automaton.
+func (v *Evaluator) Plans() []plan.Plan {
+	var out []plan.Plan
+	for _, s := range v.sinks {
+		if s.seeded != nil {
+			out = append(out, s.seeded.Plan())
+		} else {
+			out = append(out, s.eng.CurrentPlans()...)
+		}
 	}
 	return out
 }

@@ -304,24 +304,11 @@ func (g *Engine) putPM(m *pm) {
 // effect); the caller may reuse it.
 func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 
-// ProcessMasked is Process with a precomputed unary predicate mask (see
-// pattern.ScanUnarySpan): when mask carries pattern.MaskValid, bit p
+// ProcessMasked is Process with a precomputed unary predicate mask:
+// when mask carries pattern.MaskValid, bit p
 // replaces the per-event UnaryOk evaluation for position p. A zero mask
 // falls back to per-event evaluation, so callers without masks pass 0.
 func (g *Engine) ProcessMasked(e *event.Event, mask uint32) { g.process(e, mask) }
-
-// ProcessBatch feeds a whole batch of stable events through one call.
-// masks, when non-nil, is parallel to evs and carries precomputed unary
-// masks. Emission order is identical to per-event Process calls.
-func (g *Engine) ProcessBatch(evs []*event.Event, masks []uint32) {
-	for i, e := range evs {
-		var m uint32
-		if masks != nil {
-			m = masks[i]
-		}
-		g.process(e, m)
-	}
-}
 
 func (g *Engine) process(e *event.Event, mask uint32) {
 	if e.TS > g.watermark {

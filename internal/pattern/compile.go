@@ -163,6 +163,23 @@ func (p *Pattern) UnaryOk(i int, ev *event.Event, npreds *uint64) bool {
 	return true
 }
 
+// Unary position masks: a caller that has already evaluated an event's
+// unary predicates (the pattern-set evaluator composes them from its
+// shared verdict table) hands the engines one bit per position instead
+// of having them call UnaryOk again. Bit p (0 ≤ p ≤ 30) is set iff
+// position p's unary predicates all pass; MaskValid (bit 31) marks the
+// mask as populated, so a zero mask means "not precomputed" and engines
+// fall back to per-event UnaryOk.
+const MaskValid uint32 = 1 << 31
+
+// MaskScannable reports whether the pattern's positions fit a 32-bit
+// unary mask (bit 31 is reserved for MaskValid).
+func (p *Pattern) MaskScannable() bool { return len(p.Positions) < 32 }
+
+// MaskOk reports whether position p's unary predicates passed in the
+// populated mask m. Meaningful only when m&MaskValid != 0.
+func MaskOk(m uint32, p int) bool { return m&(1<<uint(p)) != 0 }
+
 // Pair returns the compiled check for offering a new event at position
 // newPos against an event already assigned at position oldPos. The
 // result is shared and immutable.

@@ -14,8 +14,8 @@ type Tagged struct {
 	Seq uint64
 	Src int
 	Idx uint64
-	// Pattern is the emitting pattern's id in multi-pattern mode (0 in
-	// single-pattern engines). It rides along for the wire and is not
+	// Pattern is the emitting pattern's id (multi.SoloID for an engine
+	// opened with one pattern). It rides along for the wire and is not
 	// part of the merge key — within one (Seq, Src) the posting worker
 	// already orders matches canonically by pattern id.
 	Pattern uint32

@@ -243,9 +243,8 @@ func TestMultiShardValidation(t *testing.T) {
 	if _, err := New(nil, engine.Config{}, Options{Patterns: specs, KeyAttr: "key"}); err == nil {
 		t.Error("multi mode without schema accepted")
 	}
-	if _, err := New(pat, engine.Config{}, Options{KeyAttr: "key", Schema: w.Schema,
-		Tenants: map[uint32]shed.TenantBudget{0: {Rate: 1}}}); err == nil {
-		t.Error("tenant budgets without multi mode accepted")
+	if _, err := New(nil, engine.Config{}, Options{KeyAttr: "key", Schema: w.Schema}); err == nil {
+		t.Error("engine without any pattern accepted")
 	}
 
 	eng, err := New(nil, engine.Config{}, Options{
@@ -255,8 +254,8 @@ func TestMultiShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.MultiPattern() || len(eng.PatternIDs()) != 3 {
-		t.Fatal("MultiPattern/PatternIDs accessors wrong")
+	if len(eng.PatternIDs()) != 3 {
+		t.Fatal("PatternIDs accessor wrong")
 	}
 	if err := eng.AddPattern(specs[0]); err == nil {
 		t.Error("duplicate AddPattern accepted")
@@ -271,13 +270,119 @@ func TestMultiShardValidation(t *testing.T) {
 		t.Errorf("valid RemovePattern rejected: %v", err)
 	}
 	eng.Finish()
+}
 
-	single, err := New(pat, engine.Config{}, Options{KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {}})
+// TestSoloEngineAddRemove: an engine opened through New's pattern
+// argument is the set of one, so the set can grow and shrink at runtime
+// like any other — each pattern's stream staying exactly what an
+// independent engine (fed the events the pattern was registered for)
+// produces.
+func TestSoloEngineAddRemove(t *testing.T) {
+	w := multiWorkload(t, 8000, 37)
+	specs := multiSpecs(t, w, gen.Sequence, 3, 1)
+	solo, added, brief := specs[0], specs[1], specs[2]
+	solo.ID = multi.SoloID
+	addAt, dropAt := len(w.Events)/4, len(w.Events)/2
+
+	got := make(map[uint32][]string)
+	eng, err := New(solo.Pattern, solo.Config, Options{
+		Shards: 4, Batch: 128, KeyAttr: "key", Schema: w.Schema,
+		OnTagged: func(tg Tagged) { got[tg.Pattern] = append(got[tg.Pattern], tg.M.Key()) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := single.AddPattern(specs[1]); err == nil {
-		t.Error("AddPattern on single-pattern engine accepted")
+	if err := eng.AddPattern(solo); err == nil {
+		t.Error("a second pattern under the solo id accepted")
 	}
-	single.Finish()
+	for i := range w.Events {
+		switch i {
+		case addAt:
+			if err := eng.AddPattern(added); err != nil {
+				t.Fatalf("AddPattern on an engine opened with one pattern: %v", err)
+			}
+			if err := eng.AddPattern(brief); err != nil {
+				t.Fatal(err)
+			}
+		case dropAt:
+			if err := eng.RemovePattern(brief.ID); err != nil {
+				t.Fatalf("RemovePattern on an engine opened with one pattern: %v", err)
+			}
+		}
+		eng.Process(&w.Events[i])
+	}
+	eng.Finish()
+
+	// The independent references see exactly the events each pattern was
+	// registered for; AddPattern seals the open cut, so that is the
+	// stream from the add index on.
+	from := func(lo, hi int) *gen.Workload {
+		c := *w
+		c.Events = w.Events[lo:hi]
+		return &c
+	}
+	want := runIndependent(t, w, []multi.Spec{solo})
+	if len(want[solo.ID]) == 0 {
+		t.Fatal("reference produced no matches; test is vacuous")
+	}
+	for id, ref := range map[uint32][]string{
+		solo.ID:  want[solo.ID],
+		added.ID: runIndependent(t, from(addAt, len(w.Events)), []multi.Spec{added})[added.ID],
+	} {
+		if !reflect.DeepEqual(sorted(got[id]), sorted(ref)) {
+			t.Fatalf("pattern %d: %d matches, independent engine has %d", id, len(got[id]), len(ref))
+		}
+	}
+	// The removed pattern stops at a cut boundary: a prefix-subset of
+	// its independent stream over the registered span.
+	briefRef := make(map[string]int)
+	for _, k := range runIndependent(t, from(addAt, len(w.Events)), []multi.Spec{brief})[brief.ID] {
+		briefRef[k]++
+	}
+	for _, k := range got[brief.ID] {
+		if briefRef[k] == 0 {
+			t.Fatalf("removed pattern emitted a match outside its independent stream: %s", k)
+		}
+		briefRef[k]--
+	}
+}
+
+// TestSetSheddingSeesQueue: the shard layer's queue-depth and queue-wait
+// probes reach the shedder of every engine the evaluator hosts, not only
+// a pattern passed through New's pattern argument. Every queue wait
+// exceeds a 1ns latency budget, so a shedder that can see the queue is
+// overloaded from its first refresh; one that cannot never activates.
+func TestSetSheddingSeesQueue(t *testing.T) {
+	w := multiWorkload(t, 4000, 43)
+	var specs []multi.Spec
+	for i, kind := range []gen.Kind{gen.Sequence, gen.Conjunction} {
+		pat, err := w.Pattern(kind, 3, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, multi.Spec{ID: uint32(i + 1), Pattern: pat, Config: engine.Config{
+			CheckEvery: 250,
+			Shedding: shed.Config{
+				Policy:       shed.PatternAware{Target: 0.5},
+				Budget:       shed.Budget{QueueWait: 1},
+				RefreshEvery: 32,
+			},
+		}})
+	}
+	eng, err := New(nil, engine.Config{}, Options{
+		Shards: 2, Batch: 64, QueueCap: 64, KeyAttr: "key", Schema: w.Schema,
+		Patterns: specs, OnTagged: func(Tagged) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Events {
+		eng.Process(&w.Events[i])
+	}
+	eng.Finish()
+	for _, pm := range eng.PatternMetrics() {
+		if pm.M.EventsShed == 0 {
+			t.Errorf("pattern %d: shedder never saw the queue-wait p99 (shed nothing of %d events)", pm.ID, pm.M.EventsArrived)
+		}
+	}
 }

@@ -1,10 +1,11 @@
 // Package shard is the parallel execution layer: it partitions one input
-// stream by a user-supplied key, runs a fully independent adaptive
-// detection engine per shard on its own worker goroutine, and merges the
-// per-shard matches back into one deterministic, ordered output.
+// stream by a user-supplied key, hosts the session's pattern set on every
+// shard — one multi.Evaluator per worker goroutine, a single pattern
+// being the set of one — and merges the per-shard matches back into one
+// deterministic, ordered output.
 //
-// Each shard owns a complete detection-adaptation loop — its own
-// evaluation plan, statistics estimator and invariant policy — so the
+// Each shard owns a complete detection-adaptation loop per pattern — its
+// own evaluation plan, statistics estimator and invariant policy — so the
 // paper's adaptation method applies per partition without modification
 // (§7: each shard keeps independent statistics and invariants, and may
 // legitimately settle on a different plan when its key group's data
@@ -149,19 +150,21 @@ type Options struct {
 	// the engine's completion watermark advances: every match tagged at
 	// or below the reported sequence number has been delivered.
 	OnProgress func(uint64)
-	// Patterns switches the engine to multi-pattern mode: every worker
-	// runs one multi.Evaluator over the whole set (shared unary
+	// Patterns is the pattern set to host, for callers with more than one
+	// pattern (New is then called with a nil pattern and a zero
+	// engine.Config — each spec carries its own Config; New's pattern
+	// argument is shorthand for the set of one under multi.SoloID). Every
+	// worker runs one multi.Evaluator over the whole set (shared unary
 	// predicates, shared SEQ prefix runners, per-tenant budgets) on its
 	// partition of the stream, and every Tagged match carries the
-	// emitting pattern's id. New must then be called with a nil pattern
-	// and a zero engine.Config — each spec carries its own Config. In
-	// hash mode every pattern of the set must be partitionable by
-	// KeyAttr. Mutate the running set with AddPattern/RemovePattern.
+	// emitting pattern's id. In hash mode every pattern of the set must
+	// be partitionable by KeyAttr. Mutate the running set with
+	// AddPattern/RemovePattern.
 	Patterns []multi.Spec
-	// Tenants installs per-tenant token-bucket budgets (multi-pattern
-	// mode only). Each worker gates its own partition independently with
-	// a full copy of the budget, so a budget intended as a global rate
-	// should be divided by the shard count before it lands here.
+	// Tenants installs per-tenant token-bucket budgets. Each worker gates
+	// its own partition independently with a full copy of the budget, so
+	// a budget intended as a global rate should be divided by the shard
+	// count before it lands here.
 	Tenants map[uint32]shed.TenantBudget
 	// EncodeMatch, settable only with OnTagged, switches the engine to the
 	// owned-emit wire path: every shard's evaluators run under the
@@ -177,20 +180,18 @@ type Options struct {
 
 // cut is one batch handoff: pointers to the shard's events accumulated
 // since the last cut (possibly none), their ingress wall-clock stamps
-// (unix nanos, parallel to events), optional precomputed unary masks
-// (parallel to events; zero entries mean "none"), plus the global
-// sequence watermark the cut covers. The events live in the engine's
+// (unix nanos, parallel to events), plus the global sequence watermark
+// the cut covers. The events live in the engine's
 // ingest arena (Process) or in caller-stable storage (ProcessStable) —
 // either way they outlive the evaluators' retention window, so workers
 // hand the pointers straight to their engines without re-interning.
 type cut struct {
 	events []*event.Event
 	stamps []int64
-	masks  []uint32
 	upTo   uint64
-	// ops are pattern-set mutations applied before the cut's events
-	// (multi-pattern mode): sealing mutations into their own cut pins
-	// them to one deterministic stream position on every worker.
+	// ops are pattern-set mutations applied before the cut's events:
+	// sealing mutations into their own cut pins them to one
+	// deterministic stream position on every worker.
 	ops []patternOp
 }
 
@@ -211,16 +212,15 @@ const detectSampleEvery = 16
 // reservoir, so it is refreshed every few cuts, not every cut.
 const loadSampleCuts = 16
 
-// worker runs one shard's engine on its own goroutine.
+// worker runs one shard's evaluator on its own goroutine.
 type worker struct {
 	id   int
-	eng  *engine.Engine   // single-pattern mode
-	mev  *multi.Evaluator // multi-pattern mode (eng is nil then)
+	eval *multi.Evaluator
 	in   chan cut
 	free chan cut // recycles consumed cut buffers back to the coordinator
 
-	// Emission state, owned by the worker goroutine (the OnMatch closure
-	// of the shard engine runs there). scratch collects the matches
+	// Emission state, owned by the worker goroutine (emit, the
+	// evaluator's OnMatch, runs there). scratch collects the matches
 	// emitted while processing one event; flushEmits moves them into out
 	// in canonical order (per-shard emission indices are assigned by the
 	// collector in posting order). On the owned-emit wire path (Options.
@@ -252,10 +252,21 @@ type worker struct {
 }
 
 // scratchMatch is one match emitted while processing the current event,
-// tagged with its pattern id (always 0 in single-pattern mode).
+// tagged with its pattern id.
 type scratchMatch struct {
 	pat uint32
 	m   *match.Match
+}
+
+// emit is the evaluator's OnMatch: it parks the match until the current
+// event is fully processed (see flushEmits). On the owned-emit path the
+// scratch match dies when this callback returns, so it is cloned into a
+// pooled copy first.
+func (w *worker) emit(id uint32, m *match.Match) {
+	if w.encode != nil {
+		m = w.copyScratch(m)
+	}
+	w.scratch = append(w.scratch, scratchMatch{pat: id, m: m})
 }
 
 func (w *worker) take() []Tagged {
@@ -345,13 +356,10 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 			// RemovePattern on the coordinator goroutine, so the only
 			// possible failure here is a duplicate id, which the engine-
 			// side registry already rejected.
-			if w.mev == nil {
-				continue
-			}
 			if op.add != nil {
-				_ = w.mev.Add(*op.add)
+				_ = w.eval.Add(*op.add)
 			} else {
-				_ = w.mev.Remove(op.id)
+				_ = w.eval.Remove(op.id)
 			}
 		}
 		if len(c.events) > 0 {
@@ -360,16 +368,12 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 				w.qwait.Add(float64(recv - c.stamps[i]))
 				w.curSeq = ev.Seq
 				w.nevents++
-				var mk uint32
-				if c.masks != nil {
-					mk = c.masks[i]
-				}
 				if w.nevents%detectSampleEvery == 0 {
 					t0 := time.Now()
-					w.process(ev, mk)
+					w.eval.Process(ev)
 					w.detect.Add(float64(time.Since(t0)))
 				} else {
-					w.process(ev, mk)
+					w.eval.Process(ev)
 				}
 				w.flushEmits()
 			}
@@ -390,7 +394,7 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 				c.events[i] = nil
 			}
 			select {
-			case w.free <- cut{events: c.events[:0], stamps: c.stamps[:0], masks: c.masks[:0]}:
+			case w.free <- cut{events: c.events[:0], stamps: c.stamps[:0]}:
 			default:
 			}
 		}
@@ -398,24 +402,9 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 	// End of stream: flush parked matches. They are tagged past every
 	// real sequence number and ordered by (shard, emission index).
 	w.curSeq = math.MaxUint64
-	if w.mev != nil {
-		w.mev.Finish()
-	} else {
-		w.eng.Finish()
-	}
+	w.eval.Finish()
 	w.flushEmits()
 	col.Post(w.id, math.MaxUint64, w.take())
-}
-
-// process feeds one event to the worker's evaluator. The multi-pattern
-// evaluator composes its own per-pattern masks from the shared verdict
-// table, so the cut-level mask (single-pattern scan) is ignored there.
-func (w *worker) process(ev *event.Event, mask uint32) {
-	if w.mev != nil {
-		w.mev.Process(ev)
-		return
-	}
-	w.eng.ProcessMasked(ev, mask)
 }
 
 // sortMatches orders simultaneously emitted matches canonically: by
@@ -496,7 +485,6 @@ type Engine struct {
 	workers []*worker
 	bufs    [][]*event.Event
 	stamps  [][]int64
-	masks   [][]uint32
 	free    chan cut // consumed cut buffers recycled by the workers
 	pending int
 	lastSeq uint64
@@ -516,10 +504,12 @@ type Engine struct {
 	queueDropped []uint64 // per shard, owned by the Process goroutine
 	queueCap     int      // effective per-shard queue bound, in events
 
-	// Multi-pattern registry (nil in single-pattern mode), owned by the
-	// Process goroutine like all coordinator state.
-	patIDs map[uint32]bool
-	schema *event.Schema
+	// Pattern registry, owned by the Process goroutine like all
+	// coordinator state. schema and key re-validate runtime additions.
+	patIDs  map[uint32]bool
+	schema  *event.Schema
+	key     KeyFunc
+	keyAttr string
 
 	col      *Collector
 	wg       sync.WaitGroup
@@ -551,36 +541,25 @@ func DeriveQueueCap(s *stats.Snapshot, window event.Time, shards int) int {
 	return int(rate * float64(window) / float64(event.Second) / float64(shards))
 }
 
-// New builds a sharded engine for the pattern. cfg configures every
-// shard's engine identically; cfg.OnMatch must be nil (matches are merged
-// through opts.OnMatch) and cfg.Policy must be nil (policies are stateful
-// and cannot be shared across shards — set cfg.NewPolicy, or leave both
-// nil for the default invariant policy per shard).
+// New builds a sharded engine hosting pat — shorthand for the set of one,
+// multi.Solo(pat, cfg) — or, with a nil pattern, the set in
+// opts.Patterns. cfg configures the pattern's engine on every shard
+// identically; cfg.OnMatch must be nil (matches are merged through
+// opts.OnMatch) and no hosted Config may carry a Policy (policies are
+// stateful and cannot be shared across shards — set NewPolicy, or leave
+// both nil for the default invariant policy per shard).
 func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error) {
 	if cfg.OnMatch != nil {
 		return nil, fmt.Errorf("shard: set Options.OnMatch, not engine Config.OnMatch (per-shard callbacks would not be ordered)")
 	}
-	if cfg.Policy != nil {
-		return nil, fmt.Errorf("shard: Config.Policy would be shared across shards; set Config.NewPolicy so each shard adapts independently")
-	}
-	if len(opts.Patterns) > 0 {
-		if pat != nil {
-			return nil, fmt.Errorf("shard: in multi-pattern mode the set travels in Options.Patterns; pass a nil pattern")
-		}
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("shard: multi-pattern mode needs Options.Schema for set analysis")
-		}
-		// The arena release horizon and snapshot queue sizing need the
-		// widest window of the set.
-		if opts.Window == 0 {
-			for _, sp := range opts.Patterns {
-				if sp.Pattern != nil && sp.Pattern.Window > opts.Window {
-					opts.Window = sp.Pattern.Window
-				}
-			}
-		}
-	} else if len(opts.Tenants) > 0 {
-		return nil, fmt.Errorf("shard: Options.Tenants needs multi-pattern mode (Options.Patterns)")
+	specs := append([]multi.Spec(nil), opts.Patterns...)
+	switch {
+	case pat != nil && len(specs) > 0:
+		return nil, fmt.Errorf("shard: pass a pattern or Options.Patterns, not both")
+	case pat != nil:
+		specs = multi.Solo(pat, cfg)
+	case len(specs) == 0:
+		return nil, fmt.Errorf("shard: nothing to detect: pass a pattern or set Options.Patterns")
 	}
 	if opts.OnMatch != nil && opts.OnTagged != nil {
 		return nil, fmt.Errorf("shard: set at most one of Options.OnMatch and Options.OnTagged")
@@ -593,6 +572,15 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 	}
 	if opts.Batch <= 0 {
 		opts.Batch = 256
+	}
+	if opts.Window == 0 {
+		// The arena release horizon and snapshot queue sizing need the
+		// widest window of the set.
+		for _, sp := range specs {
+			if sp.Pattern != nil && sp.Pattern.Window > opts.Window {
+				opts.Window = sp.Pattern.Window
+			}
+		}
 	}
 	if opts.QueueCap <= 0 && opts.Queue <= 0 {
 		// Snapshot-driven sizing: derive the bound from measured
@@ -619,15 +607,6 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		if opts.Schema == nil {
 			return nil, fmt.Errorf("shard: Options.KeyAttr needs Options.Schema to resolve the attribute")
 		}
-		if len(opts.Patterns) > 0 {
-			for _, sp := range opts.Patterns {
-				if err := Partitionable(sp.Pattern, opts.Schema, opts.KeyAttr); err != nil {
-					return nil, fmt.Errorf("shard: pattern %d: %w", sp.ID, err)
-				}
-			}
-		} else if err := Partitionable(pat, opts.Schema, opts.KeyAttr); err != nil {
-			return nil, err
-		}
 		key, err := ByAttrName(opts.Schema, opts.KeyAttr)
 		if err != nil {
 			return nil, err
@@ -643,16 +622,50 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		window:       opts.Window,
 		bufs:         make([][]*event.Event, opts.Shards),
 		stamps:       make([][]int64, opts.Shards),
-		masks:        make([][]uint32, opts.Shards),
 		queueDropped: make([]uint64, opts.Shards),
 		queueCap:     opts.Queue * opts.Batch,
 		// One pooled buffer set per queue slot plus the one being filled:
 		// with full queues every cut still finds a recycled buffer.
-		free: make(chan cut, opts.Shards*(opts.Queue+1)),
+		free:    make(chan cut, opts.Shards*(opts.Queue+1)),
+		patIDs:  make(map[uint32]bool, len(specs)),
+		schema:  opts.Schema,
+		key:     opts.Key,
+		keyAttr: opts.KeyAttr,
 	}
 	if e.route == nil {
 		key, n := opts.Key, uint64(opts.Shards)
 		e.route = func(ev *event.Event) int { return int(mix64(key(ev)) % n) }
+	}
+	for i := range specs {
+		var err error
+		if specs[i], err = e.admit(specs[i]); err != nil {
+			return nil, err
+		}
+		e.patIDs[specs[i].ID] = true
+	}
+	set, err := multi.Analyze(specs, opts.Schema)
+	if err != nil {
+		return nil, err
+	}
+	for s := 0; s < e.nshards; s++ {
+		w := &worker{id: s, in: make(chan cut, opts.Queue), encode: opts.EncodeMatch, free: e.free}
+		w.eval, err = multi.NewEvaluator(set, multi.Options{
+			OnMatch:     w.emit,
+			OwnedEmit:   opts.EncodeMatch != nil,
+			StableInput: true, // cut buffers carry arena/caller-stable pointers
+			Budgets:     opts.Tenants,
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Every hosted engine's shedder (when configured) watches this
+		// worker's queue depth and its queue-wait p99; probe and estimator
+		// both run on the worker goroutine, so len/cap on the channel and
+		// the quantile reservoir are safe to sample from there.
+		w.eval.SetProbes(
+			func() (int, int) { return len(w.in), cap(w.in) },
+			func() float64 { return w.qwait.Quantile(0.99) })
+		e.workers = append(e.workers, w)
 	}
 	deliver := func(t Tagged) {
 		if opts.OnMatch != nil {
@@ -663,87 +676,34 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		deliver = opts.OnTagged
 	}
 	e.col = NewCollector(opts.Shards, deliver, opts.OnProgress)
-	var set *multi.Set
-	if len(opts.Patterns) > 0 {
-		var err error
-		if set, err = multi.Analyze(opts.Patterns, opts.Schema); err != nil {
-			return nil, err
-		}
-		e.schema = opts.Schema
-		e.patIDs = make(map[uint32]bool, len(opts.Patterns))
-		for _, sp := range opts.Patterns {
-			e.patIDs[sp.ID] = true
-		}
-	}
-	for s := 0; s < e.nshards; s++ {
-		w := &worker{id: s, in: make(chan cut, opts.Queue), encode: opts.EncodeMatch, free: e.free}
-		if set != nil {
-			w := w
-			mev, err := multi.NewEvaluator(set, multi.Options{
-				OnMatch: func(id uint32, m *match.Match) {
-					if w.encode != nil {
-						// Owned-emit: the scratch match dies when this
-						// callback returns; clone into a pooled copy.
-						m = w.copyScratch(m)
-					}
-					w.scratch = append(w.scratch, scratchMatch{pat: id, m: m})
-				},
-				OwnedEmit:   opts.EncodeMatch != nil,
-				StableInput: true, // cut buffers carry arena/caller-stable pointers
-				Budgets:     opts.Tenants,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.mev = mev
-			e.workers = append(e.workers, w)
-			continue
-		}
-		shardCfg := cfg
-		// Cut buffers carry stable pointers (ingest arena or caller
-		// storage), so evaluators retain them directly instead of
-		// interning another copy — one materialization between the wire
-		// and the match buffer.
-		shardCfg.ExternalEvents = true
-		if opts.EncodeMatch != nil {
-			// Owned-emit wire path: the resolver's scratch match is
-			// cloned into a pooled worker copy inside the callback (its
-			// slices die when the callback returns; the arena events it
-			// points at do not).
-			shardCfg.OwnedEmit = true
-			shardCfg.OnMatch = func(m *match.Match) {
-				w.scratch = append(w.scratch, scratchMatch{m: w.copyScratch(m)})
-			}
-		} else {
-			shardCfg.OnMatch = func(m *match.Match) {
-				w.scratch = append(w.scratch, scratchMatch{m: m})
-			}
-		}
-		if shardCfg.Shedding.Policy != nil && shardCfg.Shedding.Key == nil && opts.Key != nil {
-			// Pattern-aware shedding protects per-entity state; default the
-			// protected key to the partition key so each shard's shedder
-			// recognizes its own live entities.
-			shardCfg.Shedding.Key = opts.Key
-		}
-		eng, err := engine.New(pat, shardCfg)
-		if err != nil {
-			return nil, err
-		}
-		// The shedder (when configured) watches this worker's queue depth
-		// and its queue-wait p99; probe and estimator both run on the
-		// worker goroutine, so len/cap on the channel and the quantile
-		// reservoir are safe to sample from there.
-		in := w.in
-		eng.SetQueueProbe(func() (int, int) { return len(in), cap(in) })
-		eng.SetLatencyProbe(func() float64 { return w.qwait.Quantile(0.99) })
-		w.eng = eng
-		e.workers = append(e.workers, w)
-	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
 		go w.run(e.col, &e.wg)
 	}
 	return e, nil
+}
+
+// admit checks one spec against this engine's partitioning and returns
+// it as the workers will host it.
+func (e *Engine) admit(sp multi.Spec) (multi.Spec, error) {
+	if sp.Pattern == nil {
+		return sp, fmt.Errorf("shard: pattern %d is nil", sp.ID)
+	}
+	if sp.Config.Policy != nil {
+		return sp, fmt.Errorf("shard: pattern %d: Config.Policy would be shared across shards; set Config.NewPolicy so each shard adapts independently", sp.ID)
+	}
+	if e.keyAttr != "" {
+		if err := Partitionable(sp.Pattern, e.schema, e.keyAttr); err != nil {
+			return sp, fmt.Errorf("shard: pattern %d: %w", sp.ID, err)
+		}
+	}
+	if sp.Config.Shedding.Policy != nil && sp.Config.Shedding.Key == nil {
+		// Pattern-aware shedding protects per-entity state; default the
+		// protected key to the partition key so each shard's shedder
+		// recognizes its own live entities (nil under a custom Route).
+		sp.Config.Shedding.Key = e.key
+	}
+	return sp, nil
 }
 
 // Process routes one event to its shard. Events must arrive in
@@ -757,7 +717,6 @@ func (e *Engine) Process(ev *event.Event) {
 	ae := e.arena.Intern(ev)
 	e.bufs[s] = append(e.bufs[s], ae)
 	e.stamps[s] = append(e.stamps[s], time.Now().UnixNano())
-	e.masks[s] = append(e.masks[s], 0)
 	e.track(ev)
 }
 
@@ -765,26 +724,18 @@ func (e *Engine) Process(ev *event.Event) {
 // evs must stay valid (and its event immutable) for at least the
 // pattern's retention window — the cluster node passes arena slots filled
 // by the wire decoder, and failover replay passes journal-backed storage.
-// No per-event copy is made anywhere downstream. masks, when non-nil, is
-// parallel to evs and carries precomputed unary predicate masks
-// (pattern.ScanUnarySpans) that evaluators consult instead of re-running
-// unary predicates per event. Cut boundaries fall exactly where
-// equivalent per-event Process calls would put them, so the merged match
-// stream is identical.
-func (e *Engine) ProcessStable(evs []*event.Event, masks []uint32) {
+// No per-event copy is made anywhere downstream. Cut boundaries fall
+// exactly where equivalent per-event Process calls would put them, so the
+// merged match stream is identical.
+func (e *Engine) ProcessStable(evs []*event.Event) {
 	if e.finished {
 		panic("shard: Process after Finish")
 	}
 	now := time.Now().UnixNano()
-	for i, ev := range evs {
+	for _, ev := range evs {
 		s := e.route(ev)
 		e.bufs[s] = append(e.bufs[s], ev)
 		e.stamps[s] = append(e.stamps[s], now)
-		var mk uint32
-		if masks != nil {
-			mk = masks[i]
-		}
-		e.masks[s] = append(e.masks[s], mk)
 		e.track(ev)
 	}
 }
@@ -826,7 +777,7 @@ func (e *Engine) Flush(upTo uint64) {
 // handoff, whose upTo is necessarily newer).
 func (e *Engine) cutAll(block bool) {
 	for s, w := range e.workers {
-		c := cut{events: e.bufs[s], stamps: e.stamps[s], masks: e.masks[s], upTo: e.lastSeq}
+		c := cut{events: e.bufs[s], stamps: e.stamps[s], upTo: e.lastSeq}
 		if block || e.overflow == Backpressure {
 			w.in <- c
 		} else {
@@ -838,10 +789,9 @@ func (e *Engine) cutAll(block bool) {
 		}
 		e.bufs[s] = nil
 		e.stamps[s] = nil
-		e.masks[s] = nil
 		select {
 		case b := <-e.free: // a worker finished with an earlier cut's buffers
-			e.bufs[s], e.stamps[s], e.masks[s] = b.events, b.stamps, b.masks
+			e.bufs[s], e.stamps[s] = b.events, b.stamps
 		default:
 		}
 	}
@@ -875,16 +825,9 @@ func (e *Engine) Finish() {
 // Shards reports the shard count.
 func (e *Engine) Shards() int { return e.nshards }
 
-// MultiPattern reports whether the engine runs in multi-pattern mode.
-func (e *Engine) MultiPattern() bool { return e.patIDs != nil }
-
-// PatternIDs lists the currently registered pattern ids (multi-pattern
-// mode; nil otherwise). Sorted ascending. Call from the Process
-// goroutine.
+// PatternIDs lists the currently registered pattern ids, sorted
+// ascending. Call from the Process goroutine.
 func (e *Engine) PatternIDs() []uint32 {
-	if e.patIDs == nil {
-		return nil
-	}
 	out := make([]uint32, 0, len(e.patIDs))
 	for id := range e.patIDs {
 		out = append(out, id)
@@ -893,16 +836,13 @@ func (e *Engine) PatternIDs() []uint32 {
 	return out
 }
 
-// AddPattern registers one additional pattern on the running engine
-// (multi-pattern mode). The current cut is sealed first and the pattern
-// starts evaluating at that cut boundary on every worker — a single
-// deterministic stream position — without disturbing the other
-// patterns' output (the newcomer joins the shared unary table but no
-// prefix group). Call from the Process goroutine.
+// AddPattern registers one additional pattern on the running engine.
+// The current cut is sealed first and the pattern starts evaluating at
+// that cut boundary on every worker — a single deterministic stream
+// position — without disturbing the other patterns' output (the newcomer
+// joins the shared unary table but no prefix group). Call from the
+// Process goroutine.
 func (e *Engine) AddPattern(sp multi.Spec) error {
-	if e.patIDs == nil {
-		return fmt.Errorf("shard: AddPattern on a single-pattern engine")
-	}
 	if e.finished {
 		return fmt.Errorf("shard: AddPattern after Finish")
 	}
@@ -912,6 +852,10 @@ func (e *Engine) AddPattern(sp multi.Spec) error {
 	// Prevalidate on the coordinator so the per-worker Add cannot fail
 	// asynchronously: a one-spec analysis plus evaluator build runs the
 	// exact checks the workers would.
+	sp, err := e.admit(sp)
+	if err != nil {
+		return err
+	}
 	set, err := multi.Analyze([]multi.Spec{sp}, e.schema)
 	if err != nil {
 		return err
@@ -924,14 +868,10 @@ func (e *Engine) AddPattern(sp multi.Spec) error {
 	return nil
 }
 
-// RemovePattern retires a pattern on the running engine (multi-pattern
-// mode): its partial matches are discarded at the next cut boundary and
-// no further matches with its id are emitted. Call from the Process
-// goroutine.
+// RemovePattern retires a pattern on the running engine: its partial
+// matches are discarded at the next cut boundary and no further matches
+// with its id are emitted. Call from the Process goroutine.
 func (e *Engine) RemovePattern(id uint32) error {
-	if e.patIDs == nil {
-		return fmt.Errorf("shard: RemovePattern on a single-pattern engine")
-	}
 	if e.finished {
 		return fmt.Errorf("shard: RemovePattern after Finish")
 	}
@@ -975,12 +915,8 @@ func (e *Engine) Metrics() engine.Metrics {
 func (e *Engine) ShardMetrics() []engine.Metrics {
 	out := make([]engine.Metrics, len(e.workers))
 	for i, w := range e.workers {
-		if w.mev != nil {
-			for _, pm := range w.mev.Metrics() {
-				out[i].Merge(pm.M)
-			}
-		} else {
-			out[i] = w.eng.Metrics()
+		for _, pm := range w.eval.Metrics() {
+			out[i].Merge(pm.M)
 		}
 		out[i].QueueDropped += e.queueDropped[i]
 		out[i].QueueWait = w.qwait
@@ -989,17 +925,13 @@ func (e *Engine) ShardMetrics() []engine.Metrics {
 	return out
 }
 
-// PatternMetrics merges each pattern's engine counters across the
-// shards (multi-pattern mode; nil otherwise), in ascending pattern-id
-// order. Call after Finish.
+// PatternMetrics merges each live pattern's engine counters across the
+// shards, in ascending pattern-id order. Call after Finish.
 func (e *Engine) PatternMetrics() []multi.PatternMetrics {
 	agg := make(map[uint32]*multi.PatternMetrics)
 	var ids []uint32
 	for _, w := range e.workers {
-		if w.mev == nil {
-			continue
-		}
-		for _, pm := range w.mev.Metrics() {
+		for _, pm := range w.eval.Metrics() {
 			if a, ok := agg[pm.ID]; ok {
 				a.M.Merge(pm.M)
 			} else {
@@ -1009,9 +941,6 @@ func (e *Engine) PatternMetrics() []multi.PatternMetrics {
 			}
 		}
 	}
-	if agg == nil || len(ids) == 0 {
-		return nil
-	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]multi.PatternMetrics, len(ids))
 	for i, id := range ids {
@@ -1020,17 +949,13 @@ func (e *Engine) PatternMetrics() []multi.PatternMetrics {
 	return out
 }
 
-// TenantStats sums per-tenant admission accounting across the shards
-// (multi-pattern mode; nil otherwise), sorted by tenant id. Call after
-// Finish.
+// TenantStats sums per-tenant admission accounting across the shards,
+// sorted by tenant id. Call after Finish.
 func (e *Engine) TenantStats() []shed.TenantStat {
 	agg := make(map[uint32]*shed.TenantStat)
 	var ids []uint32
 	for _, w := range e.workers {
-		if w.mev == nil {
-			continue
-		}
-		for _, ts := range w.mev.TenantStats() {
+		for _, ts := range w.eval.TenantStats() {
 			if a, ok := agg[ts.Tenant]; ok {
 				a.Admitted += ts.Admitted
 				a.Shed += ts.Shed
@@ -1040,9 +965,6 @@ func (e *Engine) TenantStats() []shed.TenantStat {
 				ids = append(ids, ts.Tenant)
 			}
 		}
-	}
-	if len(ids) == 0 {
-		return nil
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]shed.TenantStat, len(ids))
@@ -1077,16 +999,14 @@ func (e *Engine) ShardLoads() []ShardLoad {
 	return out
 }
 
-// Plans reports each shard's current plans (one per sub-pattern). Call
-// after Finish. Shards may legitimately hold different plans: each
-// adapted to its own partition's statistics.
+// Plans reports each shard's current plans (one per hosted pattern, or
+// per disjunct of an OR pattern, in registration order). Call after
+// Finish. Shards may legitimately hold different plans: each adapted to
+// its own partition's statistics.
 func (e *Engine) Plans() [][]string {
 	out := make([][]string, len(e.workers))
 	for i, w := range e.workers {
-		if w.eng == nil {
-			continue // multi-pattern workers hold many plans; see PatternMetrics
-		}
-		for _, p := range w.eng.CurrentPlans() {
+		for _, p := range w.eval.Plans() {
 			out[i] = append(out[i], fmt.Sprint(p))
 		}
 	}

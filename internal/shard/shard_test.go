@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -9,8 +10,10 @@ import (
 	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/multi"
 	"acep/internal/oracle"
 	"acep/internal/pattern"
+	"acep/internal/wire"
 )
 
 // keyedWorkload is a small keyed traffic stream with one regime shift, so
@@ -49,18 +52,37 @@ func runSingle(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model)
 // returns the match keys in delivery order plus the engine.
 func runSharded(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model, shards, batch int) ([]string, *Engine) {
 	t.Helper()
+	keys, _, eng := runShardedBytes(t, w, kind, model, shards, batch, false)
+	return keys, eng
+}
+
+// runShardedBytes additionally returns the delivered stream's wire
+// encoding (every match with its merge tag, in delivery order). asSet
+// submits the pattern as Options.Patterns of one instead of through
+// New's pattern argument.
+func runShardedBytes(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model, shards, batch int, asSet bool) ([]string, []byte, *Engine) {
+	t.Helper()
 	pat, err := w.Pattern(kind, 3, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	eng, err := New(pat, engine.Config{Model: model, CheckEvery: 250}, Options{
+	var buf []byte
+	cfg := engine.Config{Model: model, CheckEvery: 250}
+	opts := Options{
 		Shards:  shards,
 		Batch:   batch,
 		KeyAttr: "key",
 		Schema:  w.Schema,
-		OnMatch: func(m *match.Match) { got = append(got, m.Key()) },
-	})
+		OnTagged: func(tg Tagged) {
+			got = append(got, tg.M.Key())
+			buf = wire.Append(buf, wire.TaggedMatch{Shard: uint32(tg.Src), Seq: tg.Seq, Pattern: tg.Pattern, M: tg.M})
+		},
+	}
+	if asSet {
+		opts.Patterns, pat, cfg = multi.Solo(pat, cfg), nil, engine.Config{}
+	}
+	eng, err := New(pat, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +90,7 @@ func runSharded(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model
 		eng.Process(&w.Events[i])
 	}
 	eng.Finish()
-	return got, eng
+	return got, buf, eng
 }
 
 // TestShardedMatchesSingleThreaded is the central exactness property of
@@ -84,10 +106,15 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 				t.Fatalf("%v/%v: reference produced no matches; test is vacuous", kind, model)
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
-				got, _ := runSharded(t, w, kind, model, shards, 128)
+				got, legacy, _ := runShardedBytes(t, w, kind, model, shards, 128, false)
 				if !reflect.DeepEqual(sorted(got), want) {
 					t.Fatalf("%v/%v shards=%d: %d matches vs single-threaded %d",
 						kind, model, shards, len(got), len(want))
+				}
+				// One more input: the same pattern as Options.Patterns of
+				// one must deliver the identical wire bytes.
+				if _, asSet, _ := runShardedBytes(t, w, kind, model, shards, 128, true); !bytes.Equal(asSet, legacy) {
+					t.Fatalf("%v/%v shards=%d: set of one diverges from the pattern argument", kind, model, shards)
 				}
 			}
 		}

@@ -9,8 +9,7 @@ import (
 )
 
 // benchBatch builds one delta-friendly Batch of n events: four rotating
-// types (so decode produces short columnar spans, the realistic shape),
-// monotone TS/Seq with small deltas, four attributes per event.
+// types, monotone TS/Seq with small deltas, four attributes per event.
 func benchBatch(n int) Batch {
 	evs := make([]event.Event, n)
 	for i := range evs {
@@ -115,7 +114,7 @@ func TestBatchDecodeArenaAllocs(t *testing.T) {
 		arena.Release(horizon)
 	}
 	for i := 0; i < 4; i++ {
-		decode() // warm Reader buffers, span scratch and the free list
+		decode() // warm Reader buffers and the free list
 	}
 	if avg := testing.AllocsPerRun(100, decode); avg != 0 {
 		t.Fatalf("decode-into-arena allocated %.2f times per %d-event frame; want 0 steady-state", avg, n)

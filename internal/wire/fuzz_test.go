@@ -22,15 +22,21 @@ func FuzzDecode(f *testing.F) {
 	}
 	// Hand-made corrupt shapes from the unit tests.
 	f.Add([]byte{0, 0, 0, 0})
-	// v4 seeds: pattern-id-tagged match, pattern lifecycle frames.
+	// Pattern lifecycle frames and corrupt Assign sets: an entry without
+	// a pattern, and an entry count the frame cannot hold.
+	f.Add(Append(nil, Assign{Total: 1, Patterns: []PatternEntry{{ID: 1}}}))
+	f.Add([]byte{7, 0, 0, 0, byte(KindAssign), 0, 1, 1, 0, 0xff, 0x1f})
+	overcount := Append(nil, Metrics{})
+	overcount[len(overcount)-2] = 9 // pattern-metrics count beyond the frame
+	f.Add(overcount)
 	f.Add(Append(nil, PatternRemove{ID: 7}))
 	f.Add(Append(nil, PatternAdd{Entry: PatternEntry{ID: 1}})) // invalid: no pattern
 	f.Add([]byte{5, 0, 0, 0, byte(KindPatternAdd), 1, 0, 3})   // bad presence tag
 	f.Add([]byte{1, 0, 0, 0, 99})
 	f.Add([]byte{8, 0, 0, 0, byte(KindMatch), 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0})
 	f.Add(append(Append(nil, Watermark{UpTo: 1}), Append(nil, Finish{})...))
-	// v6 seeds: lease arbitration and mirror-handover frames, plus
-	// corrupt shapes the flag validators must reject cleanly.
+	// Lease arbitration and mirror-handover frames, plus corrupt shapes
+	// the flag validators must reject cleanly.
 	f.Add(Append(nil, LeaseRenew{Holder: 1, Epoch: 2, TTLMillis: 2000, EmittedUpTo: 99, Count: 7}))
 	f.Add(Append(nil, LeaseFence{Granted: true, Holder: 1, Epoch: 2}))
 	f.Add(Append(nil, HandoverState{Dead: true, Cause: "x", Owner: []uint32{0}}))

@@ -1,9 +1,20 @@
 // Package wire is the versioned binary codec of the distributed cluster
-// layer (internal/cluster): it frames the messages exchanged between the
-// ingress coordinator and its worker nodes — event batches with their
-// watermark cuts, tagged matches flowing back, completion watermarks,
-// merged engine metrics, and the handshake that pins protocol version,
-// pattern identity and shard layout before any event crosses the wire.
+// layer (internal/cluster, internal/ha, internal/lease). It frames four
+// conversations:
+//
+//   - ingress ↔ worker node: the Hello/Assign handshake that pins protocol
+//     version, pattern-set identity, shard layout and coordinator epoch;
+//     event Batch cuts with their watermarks; pattern-tagged matches,
+//     completion Watermarks, Heartbeats and ShardStats flowing back;
+//     shard migration (Migrate, MigrateAck, ShardRoute); runtime pattern
+//     registration (PatternAdd, PatternRemove); Takeover from a successor
+//     coordinator; and Finish answered by one Metrics frame.
+//   - primary → standby coordinator: Epoch opens the replication link,
+//     ReplCut mirrors every sealed cut, ReplState the emission boundary.
+//   - coordinator ↔ lease server: LeaseAcquire and LeaseRenew, answered by
+//     LeaseFence.
+//   - successor → standby process: Handover, answered by HandoverState
+//     and the retained cuts as ReplCut frames.
 //
 // # Framing
 //
@@ -48,43 +59,10 @@ import (
 )
 
 // Version is the protocol version carried in Hello frames. Bump on any
-// incompatible body-layout change.
-//
-// v2: delta-encoded Batch bodies, pattern+schema shipping, and the
-// failover frames (Heartbeat plus the since-removed block Reassign /
-// RecoveryDone pair).
-//
-// v3: per-shard elasticity — Assign carries an explicit (possibly zero)
-// initial block size, tagged matches carry their global shard index,
-// and the migration frames (Migrate, MigrateAck, ShardRoute,
-// ShardStats) replace the v2 block-reassignment handshake.
-//
-// v4: pattern multiplexing and tenancy — Assign ships the whole pattern
-// set (primary plus Extra entries, each tagged with a pattern id and
-// tenant) and the per-tenant budget table; tagged matches and Metrics
-// carry the emitting pattern's id; Metrics additionally reports
-// per-tenant admission counters; ShardStat is stamped with the cut its
-// sample was taken at; and the PatternAdd/PatternRemove frames register
-// and retire patterns on a running node.
-//
-// v5: ingress high availability — Assign is epoch-stamped so workers
-// fence sessions from a superseded coordinator; the replication frames
-// (ReplCut, ReplState, Epoch) carry the primary's sealed cuts, owner
-// table and emission boundary to a hot-standby ingress over a dedicated
-// replication link; and Takeover announces a successor's assumption of
-// the cluster, carrying the emission boundary below which every match
-// was already delivered.
-//
-// v6: partition tolerance — ReplCut carries a dense cut ordinal so a
-// mirror detects duplicated, reordered or dropped replication frames
-// instead of silently desynchronizing; Epoch ships the journal sizing
-// (window, slack, byte bound) so an out-of-process standby needs no
-// pattern knowledge; the lease frames (LeaseAcquire, LeaseRenew,
-// LeaseFence) carry the single-writer emission lease that arbitrates
-// split-brain; and the handover frames (Handover, HandoverState) let a
-// takeover successor pull the mirrored state back from a standby
-// process over TCP.
-const Version = 6
+// incompatible body-layout change; both sides refuse a peer that speaks
+// another version, so no frame carries compatibility shapes (the
+// protocol's history lives in CHANGES.md).
+const Version = 7
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.
@@ -110,8 +88,8 @@ const (
 	maxRouteShards = 1 << 20 // global shards per ShardRoute table
 	maxShardStats  = 1 << 20 // entries per ShardStats frame
 
-	// Multi-pattern caps (Assign extras, tenant tables).
-	maxPatternEntries = 1 << 12 // extra pattern entries per Assign
+	// Pattern-set caps (Assign sets, Metrics entries, tenant tables).
+	maxPatternEntries = 1 << 12 // pattern entries per Assign or Metrics frame
 	maxTenantEntries  = 1 << 12 // tenant budget/stat entries per frame
 
 	// Ingress-HA caps (ReplCut topology tables and per-shard runs).
@@ -124,10 +102,11 @@ type Kind uint8
 
 const (
 	// KindHello is the node's handshake greeting: protocol version, the
-	// node's local shard count, and the pattern fingerprint it serves.
+	// node's local shard count, and the pattern-set fingerprint it expects.
 	KindHello Kind = 1 + iota
 	// KindAssign is the ingress's handshake reply: the node's base index
-	// in the global shard space and the cluster-wide total.
+	// in the global shard space, the cluster-wide total, and the pattern
+	// set the session hosts.
 	KindAssign
 	// KindBatch carries one uniform cut: the node's events accumulated
 	// since the last cut (possibly none) plus the global watermark.
@@ -137,8 +116,8 @@ const (
 	KindWatermark
 	// KindMatch carries one detected match with its merge tag.
 	KindMatch
-	// KindMetrics carries a node's merged engine metrics (sent once,
-	// after Finish).
+	// KindMetrics carries a node's engine metrics — session-wide, per
+	// pattern and per tenant — in one frame, sent once, after Finish.
 	KindMetrics
 	// KindFinish signals end of stream (ingress → node).
 	KindFinish
@@ -288,45 +267,39 @@ type Frame interface{ kind() Kind }
 type Hello struct {
 	Version    uint32
 	Shards     uint32 // local shard engines hosted by the node
-	PatternSig uint64 // Fingerprint of the served pattern
+	PatternSig uint64 // Fingerprint of the pattern set the node expects (0: any)
 }
 
 // Assign is the ingress's handshake reply fixing the shard layout: the
 // node initially owns global shard indices [Base, Base+Shards) out of
 // Total (Shards may be zero — a node admitted into a running cluster
 // starts empty and receives its shards via Migrate frames). The ingress
-// ships its pattern and schema in the reply, so a bare node (one started
-// without out-of-band configuration, Hello.PatternSig == 0) can serve
-// any ingress; configured nodes cross-validate via the fingerprint in
-// Hello and may ignore the payload.
+// ships the session's pattern set and schema in the reply and every node
+// hosts exactly what is shipped; a node configured with a pattern of its
+// own only pins, through the fingerprint in its Hello, which set it is
+// willing to be handed.
 type Assign struct {
-	Base    uint32
-	Shards  uint32 // initial block size (0 = join empty, shards arrive by Migrate)
-	Total   uint32 // cluster-wide shard count
-	Pattern *pattern.Pattern
-	Schema  *event.Schema
+	Base   uint32
+	Shards uint32 // initial block size (0 = join empty, shards arrive by Migrate)
+	Total  uint32 // cluster-wide shard count
+	Schema *event.Schema
 
-	// Extra is the rest of the multi-pattern set (v4): every pattern
-	// beyond the primary, each with its own id and tenant. Single-pattern
-	// clusters leave it empty. When Extra is non-empty the primary
-	// pattern's id/tenant travel as Extra[0]-style metadata in PrimaryID
-	// and PrimaryTenant.
-	Extra         []PatternEntry
-	PrimaryID     uint32
-	PrimaryTenant uint32
+	// Patterns is the pattern set the session hosts; one pattern is the
+	// set of one.
+	Patterns []PatternEntry
 
 	// Tenants is the per-tenant budget table applied node-side before
-	// pattern evaluation (v4); empty means no tenant is budgeted.
+	// pattern evaluation; empty means no tenant is budgeted.
 	Tenants []TenantBudgetEntry
 
-	// Epoch is the sending coordinator's epoch (v5). A node remembers the
+	// Epoch is the sending coordinator's epoch. A node remembers the
 	// highest epoch it has ever been assigned under and rejects sessions
 	// carrying a lower one, fencing a superseded primary whose standby
 	// already took over. Zero on clusters without ingress HA.
 	Epoch uint64
 }
 
-// PatternEntry is one pattern of a multi-pattern set: the id tagging its
+// PatternEntry is one pattern of a session's set: the id tagging its
 // matches and metrics on the wire, the tenant it bills to, and the
 // pattern itself.
 type PatternEntry struct {
@@ -350,22 +323,17 @@ type Batch struct {
 // BatchView is the zero-copy decode of a Batch frame: a Reader with a
 // decode arena (SetDecodeArena) materializes each event exactly once,
 // directly into an arena chunk, and returns pointers to the arena slots
-// instead of an intermediate []event.Event. Spans describe the columnar
-// runs the decode produced (consecutive same-type events whose attribute
-// blocks sit back to back in one chunk's flat buffer), partitioning
-// Events so callers can precompute unary predicate masks with stride
-// scans.
+// instead of an intermediate []event.Event.
 //
 // The view itself — Read returns a pointer to a Reader-owned BatchView,
 // so the steady-state decode performs no allocation at all — and its
-// Events and Spans slice headers are scratch reused by the next Read on
-// the same Reader; the arena events they point at live until the arena
-// releases their chunk. BatchView frames exist only on the decode side —
-// senders encode Batch.
+// Events slice header are scratch that the next Read on the same Reader
+// reuses; the arena events Events points at live until the arena
+// releases their chunk. BatchView frames exist only on the decode side — senders
+// encode Batch.
 type BatchView struct {
 	UpTo   uint64
 	Events []*event.Event
-	Spans  []event.Span
 }
 
 // Watermark reports a node's completion progress.
@@ -382,7 +350,7 @@ type Watermark struct {
 type TaggedMatch struct {
 	Shard   uint32
 	Seq     uint64
-	Pattern uint32 // id of the emitting pattern (0 on single-pattern clusters)
+	Pattern uint32 // id of the emitting pattern
 	M       *match.Match
 }
 
@@ -401,14 +369,22 @@ type TaggedMatchRaw struct {
 	Body    []byte
 }
 
-// Metrics carries a node's merged engine metrics. On multi-pattern
-// clusters one Metrics frame is sent per pattern, tagged with the
-// pattern's id; Tenants reports the node's per-tenant admission
-// counters (sent on the first frame only, to avoid double counting).
+// Metrics is a node's final report. M is the session-wide view: every
+// hosted pattern on every local shard merged, plus what only the shard
+// layer sees (queue drops and the latency estimators). Patterns breaks
+// the engine counters down per live pattern in ascending id order, and
+// Tenants reports the per-tenant admission counters.
 type Metrics struct {
-	M       engine.Metrics
-	Pattern uint32
-	Tenants []shed.TenantStat
+	M        engine.Metrics
+	Patterns []PatternMetrics
+	Tenants  []shed.TenantStat
+}
+
+// PatternMetrics is one pattern's engine counters within a Metrics
+// frame.
+type PatternMetrics struct {
+	ID uint32
+	M  engine.Metrics
 }
 
 // Finish signals end of stream.
@@ -455,8 +431,8 @@ type ShardStats struct {
 
 // ShardStat is one shard's load sample: events processed by its engine
 // since the session started and the engine's queue-wait p99 estimate.
-// Cut stamps the sample with the global watermark it was taken at (v4),
-// so the ingress placement controller can discard reports staled by an
+// Cut stamps the sample with the global watermark it was taken at, so
+// the ingress placement controller can discard reports staled by an
 // intervening migration instead of rebalancing on pre-move load.
 type ShardStat struct {
 	Shard    uint32
@@ -488,7 +464,7 @@ type PatternRemove struct {
 // over when the link closes.
 type ReplCut struct {
 	UpTo uint64
-	// Cut is the dense per-run cut ordinal (1, 2, 3, … — v6). The mirror
+	// Cut is the dense per-run cut ordinal (1, 2, 3, …). The mirror
 	// uses it to recognize a duplicated or reordered frame (Cut at or
 	// below the last mirrored ordinal: ack again, mirror nothing) and to
 	// detect a dropped one (a gap: the mirror is desynchronized and must
@@ -526,7 +502,7 @@ type Takeover struct {
 }
 
 // Epoch opens a replication link, declaring the primary's coordination
-// epoch (see KindEpoch). Since v6 it also ships the mirror journal's
+// epoch (see KindEpoch). It also ships the mirror journal's
 // sizing — the pattern window, the retention slack and the byte bound —
 // so an out-of-process standby (cmd/acep-standby) can size its journal
 // without any pattern knowledge of its own.
@@ -650,14 +626,9 @@ func Append(dst []byte, f Frame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(v.Shards))
 		dst = binary.AppendUvarint(dst, uint64(v.Total))
 		dst = appendSchema(dst, v.Schema)
-		dst = appendPattern(dst, v.Pattern)
-		dst = binary.AppendUvarint(dst, uint64(v.PrimaryID))
-		dst = binary.AppendUvarint(dst, uint64(v.PrimaryTenant))
-		dst = binary.AppendUvarint(dst, uint64(len(v.Extra)))
-		for _, e := range v.Extra {
-			dst = binary.AppendUvarint(dst, uint64(e.ID))
-			dst = binary.AppendUvarint(dst, uint64(e.Tenant))
-			dst = appendPattern(dst, e.Pattern)
+		dst = binary.AppendUvarint(dst, uint64(len(v.Patterns)))
+		for _, e := range v.Patterns {
+			dst = appendPatternEntry(dst, e)
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(v.Tenants)))
 		for _, t := range v.Tenants {
@@ -689,8 +660,12 @@ func Append(dst []byte, f Frame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(v.Pattern))
 		dst = append(dst, v.Body...)
 	case Metrics:
-		dst = binary.AppendUvarint(dst, uint64(v.Pattern))
 		dst = appendMetrics(dst, &v.M)
+		dst = binary.AppendUvarint(dst, uint64(len(v.Patterns)))
+		for i := range v.Patterns {
+			dst = binary.AppendUvarint(dst, uint64(v.Patterns[i].ID))
+			dst = appendMetrics(dst, &v.Patterns[i].M)
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(v.Tenants)))
 		for _, t := range v.Tenants {
 			dst = binary.AppendUvarint(dst, uint64(t.Tenant))
@@ -722,9 +697,7 @@ func Append(dst []byte, f Frame) []byte {
 			dst = binary.AppendUvarint(dst, s.Cut)
 		}
 	case PatternAdd:
-		dst = binary.AppendUvarint(dst, uint64(v.Entry.ID))
-		dst = binary.AppendUvarint(dst, uint64(v.Entry.Tenant))
-		dst = appendPattern(dst, v.Entry.Pattern)
+		dst = appendPatternEntry(dst, v.Entry)
 	case PatternRemove:
 		dst = binary.AppendUvarint(dst, uint64(v.ID))
 	case ReplCut:
@@ -870,6 +843,12 @@ func appendAttrs(dst []byte, attrs []float64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a))
 	}
 	return dst
+}
+
+func appendPatternEntry(dst []byte, e PatternEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(e.ID))
+	dst = binary.AppendUvarint(dst, uint64(e.Tenant))
+	return appendPattern(dst, e.Pattern)
 }
 
 // appendPattern encodes a compiled pattern (1 byte presence, then for OR
@@ -1149,12 +1128,10 @@ func decodePayload(p []byte) (Frame, error) {
 			Shards: uint32(c.uvarint()),
 			Total:  uint32(c.uvarint()),
 		}
-		v.Pattern, v.Schema = c.patternAndSchema()
-		v.PrimaryID = uint32(c.uvarint())
-		v.PrimaryTenant = uint32(c.uvarint())
+		v.Schema = c.schema()
 		ne := c.count(maxPatternEntries, 3, "pattern entry")
 		for i := 0; i < ne && c.err == nil; i++ {
-			v.Extra = append(v.Extra, c.patternEntry(v.Schema))
+			v.Patterns = append(v.Patterns, c.patternEntry(v.Schema))
 		}
 		nt := c.count(maxTenantEntries, 17, "tenant budget")
 		for i := 0; i < nt && c.err == nil; i++ {
@@ -1185,8 +1162,13 @@ func decodePayload(p []byte) (Frame, error) {
 		v.M = c.match()
 		f = v
 	case KindMetrics:
-		v := Metrics{Pattern: uint32(c.uvarint())}
-		v.M = c.metrics()
+		v := Metrics{M: c.metrics()}
+		// An entry is at least 20 bytes: the id, 15 counters and two
+		// empty estimators of two count bytes each.
+		np := c.count(maxPatternEntries, 20, "pattern metrics")
+		for i := 0; i < np && c.err == nil; i++ {
+			v.Patterns = append(v.Patterns, PatternMetrics{ID: uint32(c.uvarint()), M: c.metrics()})
+		}
 		nt := c.count(maxTenantEntries, 3, "tenant stat")
 		for i := 0; i < nt && c.err == nil; i++ {
 			v.Tenants = append(v.Tenants, shed.TenantStat{
@@ -1396,22 +1378,14 @@ func (c *cursor) str(what string) string {
 	return s
 }
 
-// patternAndSchema decodes the shipped schema and pattern of an Assign
-// body. The pattern is rebuilt through the pattern Builder,
-// so the shipped structure passes the same validation a locally built
-// pattern does (position/attribute ranges against the schema when one is
-// shipped alongside).
-func (c *cursor) patternAndSchema() (*pattern.Pattern, *event.Schema) {
-	s := c.schema()
-	p := c.pattern(s)
-	return p, s
-}
-
-// patternEntry decodes one multi-pattern set entry. A nil schema (the
-// PatternAdd path — the schema was pinned by the Assign handshake)
-// skips type/attribute range validation, exactly like a schema-free
-// Assign; structural validation still runs through the Builder. An
-// entry without a pattern is invalid — an id with nothing to evaluate.
+// patternEntry decodes one pattern-set entry. The pattern is rebuilt
+// through the pattern Builder, so the shipped structure passes the same
+// validation a locally built pattern does (position/attribute ranges
+// against the schema when one is shipped alongside). A nil schema (the
+// PatternAdd path — the schema was pinned by the Assign handshake —
+// or a schema-free Assign) skips the range validation; structural
+// validation still runs. An entry without a pattern is invalid — an id
+// with nothing to evaluate.
 func (c *cursor) patternEntry(s *event.Schema) PatternEntry {
 	e := PatternEntry{ID: uint32(c.uvarint()), Tenant: uint32(c.uvarint())}
 	e.Pattern = c.pattern(s)
@@ -1606,7 +1580,6 @@ type Reader struct {
 	// Zero-copy batch decode state (SetDecodeArena).
 	arena *match.Arena
 	evs   []*event.Event
-	spans []event.Span
 	view  BatchView
 }
 
@@ -1655,10 +1628,7 @@ func (r *Reader) Read() (Frame, error) {
 // decodeBatchInto is the zero-copy KindBatch decode: every event is
 // allocated in place in the Reader's arena (match.Arena.Alloc) and its
 // delta-coded fields and attribute values are written straight into the
-// chunk slot — no intermediate event slice exists. Consecutive events
-// sharing a type and attribute stride whose blocks land back to back in
-// one chunk become one event.Span, so the returned BatchView partitions
-// the batch into columnar runs as a free by-product of decoding.
+// chunk slot — no intermediate event slice exists.
 func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 	c := &cursor{b: p, off: 1}
 	r.view = BatchView{UpTo: c.uvarint()}
@@ -1667,10 +1637,8 @@ func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 		r.evs = make([]*event.Event, n)
 	}
 	evs := r.evs[:n]
-	spans := r.spans[:0]
 	var prevTS event.Time
 	var prevSeq uint64
-	prevOff, prevStride, prevType := 0, -1, -1
 	for i := 0; i < n && c.err == nil; i++ {
 		typ := int(c.uvarint())
 		ts := prevTS + event.Time(c.varint())
@@ -1679,27 +1647,13 @@ func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 		if c.err != nil {
 			break
 		}
-		ev, off := r.arena.Alloc(typ, ts, seq, na)
+		ev := r.arena.Alloc(typ, ts, seq, na)
 		for k := 0; k < na && c.err == nil; k++ {
 			ev.Attrs[k] = c.f64()
 		}
 		evs[i] = ev
 		prevTS, prevSeq = ts, seq
-		if ns := len(spans); ns > 0 && typ == prevType && na == prevStride &&
-			na > 0 && off == prevOff+prevStride {
-			sp := &spans[ns-1]
-			sp.N++
-			sp.Attrs = sp.Attrs[:sp.N*na]
-		} else {
-			tail := r.arena.Tail()
-			spans = append(spans, event.Span{
-				Type: typ, First: i, N: 1, Stride: na,
-				Attrs: tail[off : off+na],
-			})
-		}
-		prevOff, prevStride, prevType = off, na, typ
 	}
-	r.spans = spans
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -1707,6 +1661,5 @@ func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 		return nil, fmt.Errorf("wire: batch frame has %d trailing bytes", len(p)-c.off)
 	}
 	r.view.Events = evs
-	r.view.Spans = spans
 	return &r.view, nil
 }

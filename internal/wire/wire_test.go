@@ -72,12 +72,13 @@ func frames() []Frame {
 		Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d},
 		Hello{},
 		Assign{Base: 6, Shards: 2, Total: 12},
-		Assign{Base: 0, Shards: 4, Total: 4, Pattern: p, Schema: s},
-		Assign{Base: 0, Total: 4, Pattern: orPat, Schema: s}, // empty join: shards arrive by Migrate
-		Assign{ // v4: full multi-pattern set with tenant budgets
-			Base: 0, Shards: 2, Total: 2, Pattern: p, Schema: s,
-			PrimaryID: 1, PrimaryTenant: 9,
-			Extra: []PatternEntry{
+		Assign{Base: 0, Shards: 4, Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: p}}}, // the set of one
+		Assign{Base: 0, Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: orPat}}},        // empty join: shards arrive by Migrate
+		Assign{Base: 0, Total: 1, Patterns: []PatternEntry{{ID: 3, Tenant: 1, Pattern: p}}},     // schema-free: custom key extractors
+		Assign{ // a full pattern set with tenant budgets
+			Base: 0, Shards: 2, Total: 2, Schema: s,
+			Patterns: []PatternEntry{
+				{ID: 1, Tenant: 9, Pattern: p},
 				{ID: 2, Tenant: 9, Pattern: samplePattern(s)},
 				{ID: 7, Tenant: 0, Pattern: samplePattern(s)},
 			},
@@ -116,7 +117,11 @@ func frames() []Frame {
 			QueueWait: q,
 		}},
 		Metrics{},
-		Metrics{Pattern: 12, M: engine.Metrics{Events: 5, Matches: 1},
+		Metrics{M: engine.Metrics{Events: 12, Matches: 1, QueueDropped: 4},
+			Patterns: []PatternMetrics{
+				{ID: 0, M: engine.Metrics{Events: 7, Matches: 1}},
+				{ID: 12, M: engine.Metrics{Events: 5, PlanTime: time.Millisecond, PeakPMs: 3}},
+			},
 			Tenants: []shed.TenantStat{
 				{Tenant: 0, Admitted: 100, Shed: 3},
 				{Tenant: 4, Admitted: 1 << 40},
@@ -124,8 +129,8 @@ func frames() []Frame {
 		PatternAdd{Entry: PatternEntry{ID: 99, Tenant: 2, Pattern: samplePattern(s)}},
 		PatternRemove{ID: 99},
 		PatternRemove{},
-		Assign{Base: 0, Shards: 2, Total: 4, Epoch: 3}, // v5: epoch-stamped session
-		ReplCut{ // v5: replicated cut with topology tables
+		Assign{Base: 0, Shards: 2, Total: 4, Epoch: 3}, // epoch-stamped session
+		ReplCut{ // replicated cut with topology tables
 			UpTo:  1 << 30,
 			Cut:   17,
 			Owner: []uint32{0, 1, 1, 0},
@@ -142,7 +147,7 @@ func frames() []Frame {
 		Takeover{Epoch: 2, Boundary: 768, Count: 99},
 		Takeover{},
 		Epoch{Epoch: 1},
-		Epoch{Epoch: 3, Window: 5000, Slack: 4, MaxBytes: 1 << 28}, // v6: self-configuring standby
+		Epoch{Epoch: 3, Window: 5000, Slack: 4, MaxBytes: 1 << 28}, // self-configuring standby
 		Epoch{Epoch: 2, Window: -1},
 		LeaseAcquire{Holder: 1, TTLMillis: 2000},
 		LeaseAcquire{},
@@ -153,7 +158,7 @@ func frames() []Frame {
 		LeaseFence{},
 		Handover{Epoch: 2},
 		Handover{},
-		HandoverState{ // v6: full mirror handover header
+		HandoverState{ // full mirror handover header
 			LastUpTo: 1 << 30, LastCut: 255, EmittedUpTo: 1 << 29, Count: 4242,
 			Cuts: 8, Events: 1 << 16,
 			Dead: true, Cause: "replication link: read tcp: connection reset",
@@ -186,6 +191,13 @@ func eqFrame(t *testing.T, a, b Frame) bool {
 		}
 		am.M.QueueWait, bm.M.QueueWait = stats.Quantile{}, stats.Quantile{}
 		am.M.DetectTime, bm.M.DetectTime = stats.Quantile{}, stats.Quantile{}
+		// Per-pattern entries carry no latency samples (those are
+		// session-wide); drop the restored-empty estimators.
+		for _, pms := range [][]PatternMetrics{am.Patterns, bm.Patterns} {
+			for i := range pms {
+				pms[i].M.QueueWait, pms[i].M.DetectTime = stats.Quantile{}, stats.Quantile{}
+			}
+		}
 		return reflect.DeepEqual(am, bm)
 	}
 	// NaNs: compare canonical re-encodings instead of raw values.
@@ -351,13 +363,14 @@ func TestBatchDeltaNonMonotone(t *testing.T) {
 func TestPatternShipping(t *testing.T) {
 	s := sampleSchema()
 	p := samplePattern(s)
-	f, _, err := Decode(Append(nil, Assign{Base: 1, Total: 3, Pattern: p, Schema: s}))
+	f, _, err := Decode(Append(nil, Assign{Base: 1, Total: 3, Schema: s, Patterns: []PatternEntry{{ID: 5, Tenant: 2, Pattern: p}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := f.(Assign)
-	if got.Pattern == nil || got.Pattern.String() != p.String() {
-		t.Fatalf("shipped pattern renders %q, want %q", got.Pattern, p)
+	if len(got.Patterns) != 1 || got.Patterns[0].ID != 5 || got.Patterns[0].Tenant != 2 ||
+		got.Patterns[0].Pattern.String() != p.String() {
+		t.Fatalf("shipped set %+v, want pattern 5 of tenant 2 rendering %q", got.Patterns, p)
 	}
 	if got.Schema == nil || got.Schema.NumTypes() != s.NumTypes() {
 		t.Fatal("shipped schema lost types")
@@ -374,7 +387,7 @@ func TestPatternShipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.(Assign); got.Pattern != nil || got.Schema != nil {
+	if got := f.(Assign); got.Patterns != nil || got.Schema != nil {
 		t.Fatal("payload-free assign grew a pattern or schema")
 	}
 
@@ -383,7 +396,7 @@ func TestPatternShipping(t *testing.T) {
 	bad := samplePattern(s)
 	bad.Preds = append([]pattern.Pred(nil), bad.Preds...)
 	bad.Preds[0].L = 99
-	if _, _, err := Decode(Append(nil, Assign{Pattern: bad, Schema: s})); err == nil {
+	if _, _, err := Decode(Append(nil, Assign{Schema: s, Patterns: []PatternEntry{{Pattern: bad}}})); err == nil {
 		t.Fatal("invalid shipped pattern accepted")
 	}
 }
