@@ -190,31 +190,6 @@ func BenchmarkAblationK(b *testing.B) {
 	}
 }
 
-// BenchmarkScaling measures the sharded execution layer: events/sec
-// against shard count on the keyed traffic and stocks workloads
-// (cmd/acep-bench -exp scale-* runs the same experiment with adjustable
-// sweep and JSON recording into BENCH_scaling.json).
-func BenchmarkScaling(b *testing.B) {
-	for _, dataset := range []string{"traffic", "stocks"} {
-		dataset := dataset
-		b.Run(dataset, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				h := bench.NewHarness(benchScale())
-				d, err := h.Scaling(dataset, bench.DefaultShardCounts(), 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var buf bytes.Buffer
-				d.Write(&buf)
-				b.Log("\n" + buf.String())
-				last := d.Points[len(d.Points)-1]
-				b.ReportMetric(last.Speedup, "x_speedup_maxshards")
-				b.ReportMetric(last.Throughput, "events/sec_maxshards")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSelector compares §3.5 invariant-selection strategies
 // (tightest absolute gap, tightest relative gap, full DCS).
 func BenchmarkAblationSelector(b *testing.B) {

@@ -1,107 +1,49 @@
 // Command acep-bench regenerates the paper's evaluation tables and
-// figures on the synthetic stand-in workloads.
+// figures on the synthetic stand-in workloads, and runs the experiments
+// that go beyond the paper but are not throughput measurements.
 //
 // Usage:
 //
+//	acep-bench -list                     # every experiment id, with what it does
 //	acep-bench -exp fig6                 # one experiment
-//	acep-bench -exp all                  # everything (slow)
+//	acep-bench -exp all                  # everything -list shows (slow)
 //	acep-bench -exp fig5 -events 200000  # scale up
-//	acep-bench -list                     # show experiment ids
 //
-// Experiment ids follow the paper: fig5, table1, fig6..fig9 (main
-// method comparison per dataset-algorithm combo), fig10..fig29 (appendix:
-// per pattern set). See DESIGN.md for the full index.
+// The ids come from one table, bench.Experiments:
 //
-// Beyond the paper, scale-traffic and scale-stocks measure the sharded
-// execution layer's throughput against shard count on keyed workloads:
+//   - fig5, table1, fig6..fig9 (method comparison per dataset-algorithm
+//     combo) and fig10..fig29 (the same per pattern set) follow the
+//     paper; DESIGN.md has the index.
+//   - shed-traffic and shed-stocks measure the overload-control layer's
+//     throughput-vs-recall frontier (every shedding policy against the
+//     unshedded baseline, under deterministic forced overload).
+//   - failover-*, elastic-*, ha-* and chaos-* (each on -traffic and
+//     -stocks) are the fault drills: a 3 x 2-shard loopback-TCP cluster at
+//     batch 256 has a worker's link severed, a third node joined, its
+//     coordinator killed, its replication link made faulty and then
+//     partitioned. Every run is digest-verified against the
+//     single-process sharded engine before its recovery times and volumes
+//     are reported.
 //
-//	acep-bench -exp scale-traffic -shards 8 -batch 512
-//	acep-bench -exp scale-traffic -json BENCH_scaling.json
+// Throughput, scaling and per-layer cost are not measured here: that is
+// the cost-ladder benchmark's job (benchmark/README.md).
 //
-// shed-traffic and shed-stocks measure the overload-control layer's
-// throughput-vs-recall frontier (every shedding policy against the
-// unshedded baseline, under deterministic forced overload):
+// Examples:
 //
-//	acep-bench -exp shed-traffic
-//	acep-bench -exp shed-traffic -shed random,pattern-aware -json BENCH_shedding.json
+//	acep-bench -exp shed-traffic -shed random,pattern-aware
 //	acep-bench -exp shed-traffic -queue-cap 1024   # + bounded drop-newest queues
-//
-// cluster-traffic and cluster-stocks measure the distributed layer's
-// throughput against node count (loopback-TCP worker nodes, each point
-// cross-checked against the single-process sharded engine at the same
-// total shard count):
-//
-//	acep-bench -exp cluster-traffic -nodes 3 -shards 2
-//	acep-bench -exp cluster-traffic -json BENCH_cluster.json
-//	acep-bench -exp cluster-traffic -nodes 2 -batch-sweep 64,256,1024
-//
-// failover-traffic and failover-stocks measure the fault-tolerance
-// layer: one node of a loopback-TCP cluster is killed mid-stream and its
-// shard block fails over to a bare standby, sweeping node count (3-5)
-// and journal retention; every run's match stream is verified against
-// the single-process sharded engine before reporting recovery time and
-// throughput dip:
-//
-//	acep-bench -exp failover-traffic -json BENCH_failover.json
-//
-// elastic-traffic and elastic-stocks measure the elasticity layer: the
-// identical skewed keyed workload runs through a balanced 3-node
-// cluster, a 2-node cluster that admits a bare third node mid-stream
-// with rebalancing off (the joiner idles), and the same join with the
-// placement controller on (it must migrate load onto the joiner);
-// every run's match stream is verified against the single-process
-// sharded engine before reporting migration pauses and the post-join
-// throughput recovery:
-//
-//	acep-bench -exp elastic-traffic -json BENCH_elastic.json
-//
-// multi-traffic and multi-stocks measure the multi-pattern sharing
-// layer: generated overlap sets (shared SEQ prefixes, divergent
-// suffixes) run through one shared evaluator and, for the baseline,
-// through one independent engine per pattern over the same stream;
-// per-pattern match streams are digest-verified identical between the
-// modes before reporting throughput and speedup across the pattern-count
-// sweep (-patterns, default 8,32,128):
-//
-//	acep-bench -exp multi-traffic -json BENCH_multi.json
-//	acep-bench -exp multi-stocks -patterns 8,64
-//
-// ha-traffic and ha-stocks measure the ingress-HA layer: the identical
-// keyed workload runs through a plain journaled coordinator, a
-// replicated coordinator pair left healthy (replication overhead), and
-// a replicated pair whose primary is killed ~40% into the stream
-// (takeover pause, replay and re-feed volumes); every run's match
-// stream is digest-verified against the single-process sharded engine:
-//
-//	acep-bench -exp ha-traffic -json BENCH_ha.json
-//	acep-bench -exp ha-stocks -nodes 3 -shards 2
-//
-// chaos-traffic and chaos-stocks measure partition tolerance: the same
-// replicated pair runs with a deterministically faulty replication link
-// (duplicated and delayed frames, absorbed by the cut-ordinal protocol)
-// and then with the link silently blackholed mid-stream under a lease
-// arbiter — the primary demotes, the successor wins the lease and takes
-// over, and the delivered stream is digest-verified byte-identical:
-//
-//	acep-bench -exp chaos-traffic -json BENCH_chaos.json
-//
-// hotpath-traffic and hotpath-stocks measure the single-engine hot path:
-// per-event cost (events/sec, B/event, allocs/event) of a raw
-// static-plan engine for the sequence, negation and Kleene families on
-// both engine models, oracle-verified before timing:
-//
-//	acep-bench -exp hotpath-traffic -phase after -json BENCH_hotpath.json
+//	acep-bench -exp shed-traffic -json BENCH_shedding.json
+//	acep-bench -exp failover-traffic -json BENCH_drills.json
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // experiment runs, so perf changes can carry evidence:
 //
-//	acep-bench -exp hotpath-traffic -cpuprofile cpu.pb.gz
+//	acep-bench -exp fig6 -cpuprofile cpu.pb.gz
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -110,44 +52,28 @@ import (
 
 	"acep/internal/bench"
 	"acep/internal/event"
-	"acep/internal/gen"
 )
 
 func main() {
 	var (
-		exp    = flag.String("exp", "", "experiment id (fig5, table1, fig6..fig29, or 'all')")
+		exp    = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
-		events = flag.Int("events", 0, "events per measured run (default 30000)")
+		events = flag.Int("events", 0, "events per measured run (default 60000)")
 		seed   = flag.Int64("seed", 1, "workload seed")
-		window = flag.Int64("window", 0, "pattern window in logical ms (default 100)")
+		window = flag.Int64("window", 0, "pattern window in logical ms (default 150)")
 		check  = flag.Int("check", 0, "adaptation check interval in events (default 500)")
 		sizes  = flag.String("sizes", "", "comma-separated pattern sizes (default 3..8)")
-		shards = flag.Int("shards", 0, "max shard count for scale-* experiments (sweeps powers of two; default 8); shards per node for cluster-*")
-		nodes  = flag.Int("nodes", 0, "max node count for cluster-* experiments (default sweep 1,2,3)")
-		batch  = flag.Int("batch", 0, "events per shard handoff batch for scale-* experiments (0 = default)")
-		bsweep = flag.String("batch-sweep", "", "comma-separated batch sizes for cluster-* experiments (sweeps batch at fixed -nodes instead of node count)")
 		shedPo = flag.String("shed", "", "comma-separated shedding policies for shed-* experiments (default all: random,rate-utility,pattern-aware)")
 		qcap   = flag.Int("queue-cap", 0, "bounded per-shard drop-newest ingestion queue (events) for shed-* experiments (0 = unsharded, deterministic)")
-		pcount = flag.String("patterns", "", "comma-separated pattern counts for multi-* experiments (default 8,32,128)")
-		pset   = flag.String("patternset", "", "pattern-set spec file (acep-gen -patterns) pinning the multi-* experiment's set shape (default: generated sequence sets)")
-		jsonMD = flag.String("json", "", "append scale-*/shed-* results to this BENCH_*.json trajectory file")
-		phase  = flag.String("phase", "after", "phase label recorded by hotpath-* experiments (e.g. before/after an optimization)")
+		jsonMD = flag.String("json", "", "append the records of shed-* and drill experiments to this BENCH_*.json trajectory file")
 		cpupro = flag.String("cpuprofile", "", "write a CPU profile covering the experiment runs to this file")
 		mempro = flag.String("memprofile", "", "write a heap profile after the experiment runs to this file")
 	)
 	flag.Parse()
 
 	if *list {
-		ids := append(bench.ExperimentIDs(), bench.ScalingIDs()...)
-		ids = append(ids, bench.SheddingIDs()...)
-		ids = append(ids, bench.ClusterIDs()...)
-		ids = append(ids, bench.FailoverIDs()...)
-		ids = append(ids, bench.ElasticIDs()...)
-		ids = append(ids, bench.MultiIDs()...)
-		ids = append(ids, bench.HAIDs()...)
-		ids = append(ids, bench.ChaosIDs()...)
-		for _, id := range append(ids, bench.HotpathIDs()...) {
-			fmt.Println(id)
+		for _, e := range bench.Experiments() {
+			fmt.Printf("%-18s%s\n", e.ID, e.Doc)
 		}
 		return
 	}
@@ -177,45 +103,34 @@ func main() {
 			sc.Sizes = append(sc.Sizes, v)
 		}
 	}
-	h := bench.NewHarness(sc)
-	r := bench.NewRunner(h)
+	r := bench.NewRunner(bench.NewHarness(sc))
+	r.QueueCap = *qcap
+	if *shedPo != "" {
+		for _, p := range strings.Split(*shedPo, ",") {
+			r.ShedPolicies = append(r.ShedPolicies, strings.TrimSpace(p))
+		}
+	}
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = append(bench.ExperimentIDs(), bench.ScalingIDs()...)
-		ids = append(ids, bench.SheddingIDs()...)
-		ids = append(ids, bench.ClusterIDs()...)
-		ids = append(ids, bench.FailoverIDs()...)
-		ids = append(ids, bench.ElasticIDs()...)
-		ids = append(ids, bench.MultiIDs()...)
-		ids = append(ids, bench.HAIDs()...)
-		ids = append(ids, bench.ChaosIDs()...)
-		ids = append(ids, bench.HotpathIDs()...)
+		ids = nil
+		for _, e := range bench.Experiments() {
+			ids = append(ids, e.ID)
+		}
 	}
-	// Profile lifecycle and the experiment loop live in one function so
-	// its defers — the CPU profile trailer, the heap snapshot — run even
-	// when an experiment errors; os.Exit only happens after they fire
-	// (a failing run is exactly when the profile is wanted).
-	if err := runAll(ids, h, r, flags{
-		shards: *shards, nodes: *nodes, batch: *batch, qcap: *qcap,
-		shedPo: *shedPo, bsweep: *bsweep, phase: *phase, jsonMD: *jsonMD,
-		pcount: *pcount, pset: *pset,
-		cpupro: *cpupro, mempro: *mempro,
-	}); err != nil {
+	if err := runAll(ids, r, *jsonMD, *cpupro, *mempro); err != nil {
 		fmt.Fprintf(os.Stderr, "acep-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// flags carries the experiment-tuning CLI values into runAll.
-type flags struct {
-	shards, nodes, batch, qcap    int
-	shedPo, bsweep, phase, jsonMD string
-	cpupro, mempro, pcount, pset  string
-}
-
-func runAll(ids []string, h *bench.Harness, r *bench.Runner, fl flags) error {
-	if fl.cpupro != "" {
-		f, err := os.Create(fl.cpupro)
+// runAll holds the profile and trajectory-file lifecycle and the
+// experiment loop in one function so its defers — the CPU profile
+// trailer, the heap snapshot — run even when an experiment errors;
+// os.Exit only happens after they fire (a failing run is exactly when
+// the profile is wanted).
+func runAll(ids []string, r *bench.Runner, jsonPath, cpuPath, memPath string) (err error) {
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
 		if err != nil {
 			return err
 		}
@@ -228,39 +143,28 @@ func runAll(ids []string, h *bench.Harness, r *bench.Runner, fl flags) error {
 			f.Close()
 		}()
 	}
-	if fl.mempro != "" {
+	if memPath != "" {
 		defer func() {
-			if err := writeHeapProfile(fl.mempro); err != nil {
+			if err := writeHeapProfile(memPath); err != nil {
 				fmt.Fprintf(os.Stderr, "acep-bench: heap profile: %v\n", err)
 			}
 		}()
 	}
+	if jsonPath != "" {
+		f, err := os.OpenFile(jsonPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		r.JSON = f
+	}
 	for _, id := range ids {
 		fmt.Printf("=== %s ===\n", id)
-		var err error
-		switch {
-		case contains(bench.ScalingIDs(), id):
-			err = runScaling(h, id, fl.shards, fl.batch, fl.jsonMD)
-		case contains(bench.SheddingIDs(), id):
-			err = runShedding(h, id, fl.shedPo, fl.qcap, fl.jsonMD)
-		case contains(bench.ClusterIDs(), id):
-			err = runCluster(h, id, fl.nodes, fl.shards, fl.batch, fl.bsweep, fl.jsonMD)
-		case contains(bench.FailoverIDs(), id):
-			err = runFailover(h, id, fl.nodes, fl.shards, fl.batch, fl.jsonMD)
-		case contains(bench.ElasticIDs(), id):
-			err = runElastic(h, id, fl.shards, fl.batch, fl.jsonMD)
-		case contains(bench.MultiIDs(), id):
-			err = runMulti(h, id, fl.pcount, fl.pset, fl.jsonMD)
-		case contains(bench.HAIDs(), id):
-			err = runHA(h, id, fl.nodes, fl.shards, fl.batch, fl.jsonMD)
-		case contains(bench.ChaosIDs(), id):
-			err = runChaos(h, id, fl.nodes, fl.shards, fl.batch, fl.jsonMD)
-		case contains(bench.HotpathIDs(), id):
-			err = runHotpath(h, id, fl.phase, fl.jsonMD)
-		default:
-			err = r.Run(os.Stdout, id)
-		}
-		if err != nil {
+		if err := r.Run(os.Stdout, id); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -278,202 +182,4 @@ func writeHeapProfile(path string) error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.WriteHeapProfile(f)
-}
-
-func contains(ids []string, id string) bool {
-	for _, s := range ids {
-		if id == s {
-			return true
-		}
-	}
-	return false
-}
-
-// runScaling executes one scale-* experiment with the CLI's shard sweep
-// and batch size, printing the table and optionally appending the run to
-// a BENCH_*.json trajectory.
-func runScaling(h *bench.Harness, id string, maxShards, batch int, jsonPath string) error {
-	if maxShards <= 0 {
-		maxShards = 8
-	}
-	dataset := strings.TrimPrefix(id, "scale-")
-	d, err := h.Scaling(dataset, bench.ShardCountsUpTo(maxShards), batch)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runShedding executes one shed-* experiment with the CLI's policy
-// filter and queue bound, printing the frontier table and optionally
-// appending the run to a BENCH_*.json trajectory.
-func runShedding(h *bench.Harness, id, policyCSV string, queueCap int, jsonPath string) error {
-	var policies []string
-	if policyCSV != "" {
-		for _, p := range strings.Split(policyCSV, ",") {
-			policies = append(policies, strings.TrimSpace(p))
-		}
-	}
-	dataset := strings.TrimPrefix(id, "shed-")
-	d, err := h.Shedding(dataset, bench.DefaultShedTargets(), policies, queueCap)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runCluster executes one cluster-* experiment with the CLI's node
-// sweep, shards-per-node and batch size — or, with -batch-sweep, the
-// batch-size sweep at a fixed node count — printing the table and
-// optionally appending the run to a BENCH_*.json trajectory.
-func runCluster(h *bench.Harness, id string, maxNodes, shardsPerNode, batch int, batchSweep, jsonPath string) error {
-	dataset := strings.TrimPrefix(id, "cluster-")
-	var d *bench.ClusterData
-	var err error
-	if batchSweep != "" {
-		var batches []int
-		for _, s := range strings.Split(batchSweep, ",") {
-			v, perr := strconv.Atoi(strings.TrimSpace(s))
-			if perr != nil || v < 1 {
-				return fmt.Errorf("bad -batch-sweep entry %q", s)
-			}
-			batches = append(batches, v)
-		}
-		d, err = h.ClusterBatchSweep(dataset, batches, maxNodes, shardsPerNode)
-	} else {
-		counts := bench.DefaultNodeCounts()
-		if maxNodes > 0 {
-			counts = bench.NodeCountsUpTo(maxNodes)
-		}
-		d, err = h.Cluster(dataset, counts, shardsPerNode, batch)
-	}
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runFailover executes one failover-* experiment: the default sweep
-// crosses node counts 3-5 with journal horizons, or -nodes pins one node
-// count swept across horizons 1/2/4 windows.
-func runFailover(h *bench.Harness, id string, nodes, shardsPerNode, batch int, jsonPath string) error {
-	sweeps := bench.DefaultFailoverSweeps()
-	if nodes > 0 {
-		sweeps = nil
-		for _, slack := range []int{1, 2, 4} {
-			sweeps = append(sweeps, bench.FailoverSweep{Nodes: nodes, SlackWindows: slack})
-		}
-	}
-	dataset := strings.TrimPrefix(id, "failover-")
-	d, err := h.Failover(dataset, sweeps, shardsPerNode, batch)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runElastic executes one elastic-* experiment: balanced vs
-// join-without-rebalance vs join-with-controller, with -shards setting
-// the balanced configuration's per-node count.
-func runElastic(h *bench.Harness, id string, shardsPerNode, batch int, jsonPath string) error {
-	dataset := strings.TrimPrefix(id, "elastic-")
-	d, err := h.Elastic(dataset, shardsPerNode, batch)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runMulti executes one multi-* experiment: shared evaluation of a
-// generated overlap set against one-engine-per-pattern over the same
-// stream, sweeping pattern counts.
-func runMulti(h *bench.Harness, id, patternCounts, patternSet, jsonPath string) error {
-	dataset := strings.TrimPrefix(id, "multi-")
-	var counts []int
-	if patternCounts != "" {
-		for _, s := range strings.Split(patternCounts, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				return fmt.Errorf("bad pattern count %q", s)
-			}
-			counts = append(counts, v)
-		}
-	}
-	var d *bench.MultiData
-	var err error
-	if patternSet != "" {
-		spec, lerr := gen.LoadPatternSet(patternSet)
-		if lerr != nil {
-			return lerr
-		}
-		if spec.Dataset != dataset {
-			return fmt.Errorf("pattern set %s is for dataset %q, experiment %s wants %q",
-				patternSet, spec.Dataset, id, dataset)
-		}
-		d, err = h.MultiSet(spec, counts)
-	} else {
-		d, err = h.Multi(dataset, counts)
-	}
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runHA executes one ha-* experiment: plain vs replicated vs killed
-// coordinator over fresh loopback-TCP workers.
-func runHA(h *bench.Harness, id string, nodes, shardsPerNode, batch int, jsonPath string) error {
-	dataset := strings.TrimPrefix(id, "ha-")
-	d, err := h.HA(dataset, nodes, shardsPerNode, batch)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runChaos executes one chaos-* experiment, printing the
-// partition-tolerance table and optionally appending the run to a
-// BENCH_*.json trajectory.
-func runChaos(h *bench.Harness, id string, nodes, shardsPerNode, batch int, jsonPath string) error {
-	dataset := strings.TrimPrefix(id, "chaos-")
-	d, err := h.Chaos(dataset, nodes, shardsPerNode, batch)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// runHotpath executes one hotpath-* experiment, printing the per-cell
-// cost table and optionally appending the run (labelled with the CLI's
-// phase) to a BENCH_*.json trajectory.
-func runHotpath(h *bench.Harness, id, phase, jsonPath string) error {
-	dataset := strings.TrimPrefix(id, "hotpath-")
-	d, err := h.Hotpath(dataset, phase)
-	if err != nil {
-		return err
-	}
-	d.Write(os.Stdout)
-	return appendJSON(jsonPath, d.WriteJSON)
-}
-
-// appendJSON appends one experiment record to a BENCH_*.json trajectory
-// file (no-op for an empty path).
-func appendJSON(path string, write func(io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return write(f)
 }

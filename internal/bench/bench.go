@@ -73,8 +73,9 @@ type Scale struct {
 	// Types is the number of event types in the generated workloads.
 	Types int
 	// Keys is the number of distinct partition keys in the keyed workload
-	// variants used by the shard-scaling experiment (0 picks a per-dataset
-	// default tuned for nonzero match counts; see KeyedWorkload).
+	// variants used by the shedding experiment and the fault drills (0
+	// picks each one's default, tuned for nonzero match counts; see
+	// keyedWorkload).
 	Keys int
 }
 

@@ -162,17 +162,51 @@ func TestScanThreshold(t *testing.T) {
 	}
 }
 
+// paperID reports whether id is one of the paper's tables and figures.
+func paperID(id string) bool { return id == "table1" || strings.HasPrefix(id, "fig") }
+
+// TestExperimentRegistry: -list, -exp all and dispatch are one table, so
+// every listed id must run — the shed-* ids here at a small scale, the
+// drill ids in TestDrills, the paper ids through two representatives
+// (their runners are covered by the tests above).
 func TestExperimentRegistry(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 2+4+20 {
-		t.Fatalf("%d experiment ids", len(ids))
+	seen := map[string]bool{}
+	paper := 0
+	for _, e := range Experiments() {
+		if seen[e.ID] {
+			t.Errorf("id %s listed twice", e.ID)
+		}
+		seen[e.ID] = true
+		if e.Doc == "" {
+			t.Errorf("id %s has no doc line", e.ID)
+		}
+		switch {
+		case paperID(e.ID):
+			paper++
+		case strings.HasPrefix(e.ID, "shed-"):
+			var tbl, rec bytes.Buffer
+			r := NewRunner(NewHarness(shedScale()))
+			r.ShedPolicies, r.JSON = []string{"random"}, &rec
+			if err := r.Run(&tbl, e.ID); err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			if !strings.Contains(tbl.String(), "Load shedding") || !strings.Contains(rec.String(), "\"baseline_matches\"") {
+				t.Errorf("%s: table or JSON record missing", e.ID)
+			}
+		default:
+			name, dataset, _ := strings.Cut(e.ID, "-")
+			if _, ok := drillChecks[name]; !ok || (dataset != "traffic" && dataset != "stocks") {
+				t.Errorf("id %s is listed but no test runs it", e.ID)
+			}
+		}
 	}
-	want := map[string]bool{"fig5": true, "table1": true, "fig6": true, "fig29": true}
-	for _, id := range ids {
-		delete(want, id)
+	if paper != 2+4+20 {
+		t.Fatalf("%d paper ids, want fig5, table1, fig6-fig29", paper)
 	}
-	if len(want) != 0 {
-		t.Fatalf("missing ids: %v", want)
+	for _, id := range []string{"fig5", "table1", "fig6", "fig29"} {
+		if !seen[id] {
+			t.Fatalf("missing id %s", id)
+		}
 	}
 
 	sc := tinyScale()

@@ -3,64 +3,74 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"acep/internal/gen"
 )
 
-// experimentSpec maps a paper table/figure id to what regenerates it.
-type experimentSpec struct {
-	id    string
-	combo Combo
-	// kind < 0 means "all kinds averaged" (main figures 6-9); otherwise a
-	// single pattern set (appendix figures 10-29).
-	kind int
-	// fig5 / table1 flag experiments with their own runners.
-	fig5, table1 bool
+// Experiment is one row of the registry: what `acep-bench -list` prints,
+// what `-exp all` iterates and what Runner.Run dispatches to.
+type Experiment struct {
+	ID  string
+	Doc string
+	run func(r *Runner, w io.Writer) error
 }
 
-func specs() []experimentSpec {
-	cs := Combos()
-	out := []experimentSpec{
-		{id: "fig5", fig5: true},
-		{id: "table1", table1: true},
+// datasets are the two workload regimes every non-paper experiment runs
+// on (as <family>-traffic and <family>-stocks).
+var datasets = []string{"traffic", "stocks"}
+
+// Experiments lists every runnable experiment: the paper's evaluation
+// (fig5, table1, fig6-fig29), the shedding recall frontier, and the four
+// fault drills. Throughput and per-layer cost are not here: they come
+// from benchmark/ (see benchmark/README.md).
+func Experiments() []Experiment {
+	out := []Experiment{
+		{"fig5", "Figure 5: invariant-method throughput vs pattern size and distance d, per combo; yields d_opt", (*Runner).fig5},
+		{"table1", "Table 1: quality of the d_avg estimate against the empirical d_opt", (*Runner).table1},
 	}
+	cs := Combos()
 	for i, c := range cs {
-		out = append(out, experimentSpec{id: fmt.Sprintf("fig%d", 6+i), combo: c, kind: -1})
+		out = append(out, Experiment{
+			fmt.Sprintf("fig%d", 6+i),
+			fmt.Sprintf("Figure %d: adaptation methods on %s, averaged over all pattern sets", 6+i, c),
+			func(r *Runner, w io.Writer) error { return r.methods(w, c, -1) },
+		})
 	}
 	// Appendix: figs 10-29, grouped by pattern set, four combos each.
 	for ki, kind := range gen.Kinds() {
 		for ci, c := range cs {
-			out = append(out, experimentSpec{
-				id:    fmt.Sprintf("fig%d", 10+4*ki+ci),
-				combo: c,
-				kind:  int(kind),
+			out = append(out, Experiment{
+				fmt.Sprintf("fig%d", 10+4*ki+ci),
+				fmt.Sprintf("Figure %d: adaptation methods on %s, %s patterns", 10+4*ki+ci, c, kind),
+				func(r *Runner, w io.Writer) error { return r.methods(w, c, ki) },
+			})
+		}
+	}
+	for _, ds := range datasets {
+		out = append(out, Experiment{
+			"shed-" + ds,
+			"shedding: throughput-vs-recall frontier of every policy x drop target under forced overload, keyed " + ds,
+			func(r *Runner, w io.Writer) error { return r.shedding(w, ds) },
+		})
+	}
+	for _, dr := range drills {
+		for _, ds := range datasets {
+			out = append(out, Experiment{
+				dr.name + "-" + ds,
+				"drill, keyed " + ds + ": " + dr.doc,
+				func(r *Runner, w io.Writer) error {
+					rec, err := r.H.Drill(dr.name, ds)
+					if err != nil {
+						return err
+					}
+					rec.Write(w)
+					return r.record(rec)
+				},
 			})
 		}
 	}
 	return out
 }
-
-// ExperimentIDs lists every runnable paper experiment id (the tables and
-// figures of the paper's evaluation). The shard-scaling experiments are
-// listed separately by ScalingIDs.
-func ExperimentIDs() []string {
-	var ids []string
-	for _, s := range specs() {
-		ids = append(ids, s.id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// ScalingIDs lists the shard-scaling experiments of the parallel
-// execution layer (not part of the paper's figure set).
-func ScalingIDs() []string { return []string{"scale-traffic", "scale-stocks"} }
-
-// SheddingIDs lists the overload-control experiments of the shedding
-// layer (not part of the paper's figure set).
-func SheddingIDs() []string { return []string{"shed-traffic", "shed-stocks"} }
 
 // tuned caches per-combo tuning (d_opt from the Figure 5 sweep, t_opt
 // from the threshold scan) and the full method-comparison data so the
@@ -74,13 +84,39 @@ type tuned struct {
 
 // Runner executes experiments by id, caching tuning per combo.
 type Runner struct {
-	H     *Harness
+	H *Harness
+	// ShedPolicies narrows the shed-* experiments to the named policies
+	// (nil: all); QueueCap > 0 runs them through bounded drop-newest shard
+	// queues of that many events (see Harness.Shedding).
+	ShedPolicies []string
+	QueueCap     int
+	// JSON, when non-nil, receives one record per run of an experiment
+	// that has one (shed-* and the drills), in BENCH_*.json format.
+	JSON io.Writer
+
 	cache map[string]*tuned
 }
 
 // NewRunner wraps a harness.
 func NewRunner(h *Harness) *Runner {
 	return &Runner{H: h, cache: make(map[string]*tuned)}
+}
+
+// Run executes one experiment id and writes its tables to w.
+func (r *Runner) Run(w io.Writer, id string) error {
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e.run(r, w)
+		}
+	}
+	return fmt.Errorf("bench: unknown experiment %q (acep-bench -list shows the ids)", id)
+}
+
+func (r *Runner) record(v any) error {
+	if r.JSON == nil {
+		return nil
+	}
+	return WriteJSON(r.JSON, v)
 }
 
 // tune computes (or returns cached) d_opt and t_opt for a combo.
@@ -101,77 +137,57 @@ func (r *Runner) tune(c Combo) (*tuned, error) {
 	return t, nil
 }
 
-// Run executes one experiment id and writes its tables to w. Scaling
-// experiments run with the default shard sweep and batch size; use
-// Harness.Scaling directly (cmd/acep-bench does) to control both.
-func (r *Runner) Run(w io.Writer, id string) error {
-	for _, sid := range ScalingIDs() {
-		if id != sid {
-			continue
-		}
-		d, err := r.H.Scaling(strings.TrimPrefix(id, "scale-"), DefaultShardCounts(), 0)
+func (r *Runner) fig5(w io.Writer) error {
+	for _, c := range Combos() {
+		t, err := r.tune(c)
 		if err != nil {
 			return err
 		}
-		d.Write(w)
-		return nil
+		t.fig5.Write(w)
+		fmt.Fprintln(w)
 	}
-	for _, sid := range SheddingIDs() {
-		if id != sid {
-			continue
-		}
-		d, err := r.H.Shedding(strings.TrimPrefix(id, "shed-"), DefaultShedTargets(), ShedPolicyNames(), 0)
+	return nil
+}
+
+func (r *Runner) table1(w io.Writer) error {
+	var rows []Table1Row
+	for _, c := range Combos() {
+		t, err := r.tune(c)
 		if err != nil {
 			return err
 		}
-		d.Write(w)
-		return nil
-	}
-	for _, spec := range specs() {
-		if spec.id != id {
-			continue
+		cr, err := r.H.Table1(c, t.fig5)
+		if err != nil {
+			return err
 		}
-		switch {
-		case spec.fig5:
-			for _, c := range Combos() {
-				t, err := r.tune(c)
-				if err != nil {
-					return err
-				}
-				t.fig5.Write(w)
-				fmt.Fprintln(w)
-			}
-			return nil
-		case spec.table1:
-			var rows []Table1Row
-			for _, c := range Combos() {
-				t, err := r.tune(c)
-				if err != nil {
-					return err
-				}
-				cr, err := r.H.Table1(c, t.fig5)
-				if err != nil {
-					return err
-				}
-				rows = append(rows, cr...)
-			}
-			WriteTable1(w, rows)
-			return nil
-		default:
-			t, err := r.tune(spec.combo)
-			if err != nil {
-				return err
-			}
-			if t.methods == nil {
-				data, err := r.H.Methods(spec.combo, gen.Kinds(), t.topt, t.dopt)
-				if err != nil {
-					return err
-				}
-				t.methods = data
-			}
-			t.methods.WriteFigure(w, spec.kind)
-			return nil
+		rows = append(rows, cr...)
+	}
+	WriteTable1(w, rows)
+	return nil
+}
+
+// methods prints one method-comparison figure of a combo: kind < 0 is
+// the average over all pattern sets (main figures 6-9), otherwise a
+// single pattern set (appendix figures 10-29).
+func (r *Runner) methods(w io.Writer, c Combo, kind int) error {
+	t, err := r.tune(c)
+	if err != nil {
+		return err
+	}
+	if t.methods == nil {
+		if t.methods, err = r.H.Methods(c, gen.Kinds(), t.topt, t.dopt); err != nil {
+			return err
 		}
 	}
-	return fmt.Errorf("bench: unknown experiment %q (known: %v)", id, ExperimentIDs())
+	t.methods.WriteFigure(w, kind)
+	return nil
+}
+
+func (r *Runner) shedding(w io.Writer, dataset string) error {
+	d, err := r.H.Shedding(dataset, DefaultShedTargets(), r.ShedPolicies, r.QueueCap)
+	if err != nil {
+		return err
+	}
+	d.Write(w)
+	return r.record(d)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -71,38 +70,6 @@ type ShedData struct {
 	Points          []ShedPoint `json:"points"`
 }
 
-// ShedWorkload returns (and caches) the shedding variant of a dataset:
-// keyed like the scaling workload but with a higher key count, so the
-// liveness signal (which keys hold partial matches) is informative rather
-// than saturated.
-func (h *Harness) ShedWorkload(dataset string) *gen.Workload {
-	name := "shed/" + dataset
-	if w, ok := h.workloads[name]; ok {
-		return w
-	}
-	keys := h.Scale.Keys
-	if keys <= 0 {
-		keys = 16
-	}
-	var w *gen.Workload
-	switch dataset {
-	case "traffic":
-		w = gen.Traffic(gen.TrafficConfig{
-			Types: h.Scale.Types, Events: h.Scale.Events, Seed: h.Scale.Seed,
-			MeanGap: 2, Skew: 1.2, Shifts: 3, Keys: keys,
-		})
-	case "stocks":
-		w = gen.Stocks(gen.StocksConfig{
-			Types: h.Scale.Types, Events: h.Scale.Events, Seed: h.Scale.Seed,
-			MeanGap: 2, DriftEvery: 400, DriftMag: 0.12, Keys: keys,
-		})
-	default:
-		panic("bench: unknown dataset " + dataset)
-	}
-	h.workloads[name] = w
-	return w
-}
-
 // logicalRate is the stream's arrival rate in events per logical second.
 func logicalRate(evs []event.Event) float64 {
 	if len(evs) < 2 {
@@ -130,7 +97,10 @@ func (h *Harness) Shedding(dataset string, targets []float64, policies []string,
 	if len(policies) == 0 {
 		policies = ShedPolicyNames()
 	}
-	w := h.ShedWorkload(dataset)
+	// Keyed like the drills' workload but with more keys, so the liveness
+	// signal (which keys hold partial matches) is informative rather than
+	// saturated.
+	w := h.keyedWorkload(dataset, 16)
 	// A size-3 keyed sequence over a wide window: wide enough for
 	// same-key chains to fire by the thousands, so recall differences
 	// between policies are measured on a dense match base.
@@ -258,12 +228,4 @@ func (d *ShedData) Write(w io.Writer) {
 		fmt.Fprintf(w, "%-16s%8.2f%10.3f%10d%10.3f%12.3f%14.0f\n",
 			p.Policy, p.Target, p.Dropped, p.Matches, p.Recall, p.RecallEst, p.Throughput)
 	}
-}
-
-// WriteJSON appends the run to a BENCH_*.json trajectory (one JSON object
-// per invocation).
-func (d *ShedData) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }

@@ -58,7 +58,7 @@ func TestSheddingExperiment(t *testing.T) {
 		t.Fatalf("table output missing policies:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := d.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "\"baseline_matches\"") {
