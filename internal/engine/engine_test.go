@@ -298,3 +298,30 @@ func TestMetricsAggregation(t *testing.T) {
 		t.Fatal("zero-total overhead must be 0")
 	}
 }
+
+// TestAdaptiveCountsPinned pins the adaptive loop's exact counts on a
+// traffic stream with regime shifts. They are a function of every
+// Snapshot the estimator hands the policy, bit for bit: a statistics
+// change that alters one estimate somewhere moves a reoptimization point,
+// and with it the plans run and the work the evaluators do. The values
+// were recorded with the event-ring/Pred.Eval estimator that the
+// differential tests in internal/stats keep as their reference.
+func TestAdaptiveCountsPinned(t *testing.T) {
+	w := gen.Traffic(gen.TrafficConfig{Types: 6, Events: 60000, Seed: 7, Shifts: 3, MeanGap: 2})
+	pat, err := w.Pattern(gen.Sequence, 4, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ Reoptimizations, PlanGenerations, PredEvals, PMCreated, Matches uint64 }
+	want := map[Model]counts{
+		GreedyNFA:   {Reoptimizations: 59, PlanGenerations: 62, PredEvals: 141722, PMCreated: 7372, Matches: 362},
+		ZStreamTree: {Reoptimizations: 6, PlanGenerations: 14, PredEvals: 267460, PMCreated: 46506, Matches: 362},
+	}
+	for _, model := range []Model{GreedyNFA, ZStreamTree} {
+		_, m := run(t, pat, w.Events, Config{Model: model, Policy: &core.Invariant{}, CheckEvery: 250})
+		got := counts{m.Reoptimizations, m.PlanGenerations, m.PredEvals, m.PMCreated, m.Matches}
+		if got != want[model] {
+			t.Errorf("%v: %+v, want %+v", model, got, want[model])
+		}
+	}
+}

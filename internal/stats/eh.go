@@ -7,8 +7,9 @@
 // SIAM J. Comput. 2002) — the paper's reference [27] — which counts the
 // events of a type inside a sliding time window with bounded relative
 // error in O(log^2 N) space. Selectivities are estimated by evaluating
-// each pattern predicate over pairs drawn from small rings of recent
-// events, smoothed with an exponential moving average.
+// each pattern predicate over all pairs of values drawn from small per-
+// position rings — one column of recent attribute values per attribute a
+// predicate reads — smoothed with an exponential moving average.
 //
 // A Snapshot is an immutable copy of all estimates at one instant; it is
 // the only statistics type the planner and decision layers see.
@@ -30,15 +31,17 @@ import (
 type EH struct {
 	window event.Time
 	r      int // max buckets per size before merge
-	// buckets is ordered oldest first; sizes are non-increasing oldest to
-	// newest.
-	buckets []ehBucket
-	total   uint64 // sum of bucket sizes
-}
-
-type ehBucket struct {
-	size uint64
-	ts   event.Time // timestamp of the newest element in the bucket
+	// Buckets of one size are adjacent in age, the bigger the older, so
+	// each size class is a queue of its own: a merge takes the two oldest
+	// of class k and appends one to class k+1, and only the top class
+	// expires. Class k (size 2^k) keeps its n[k] bucket timestamps oldest
+	// first at the start of its r+1 slots, ts[k*(r+1):]; taking from the
+	// front compacts that one class in place, so nothing beyond r words
+	// ever moves and the buffer never creeps. A class below the top is
+	// never empty (a merge leaves r-1 >= 1 behind).
+	ts    []event.Time
+	n     []int
+	total uint64 // sum of bucket sizes
 }
 
 // NewEH builds a sliding-window counter with the given window width and
@@ -57,42 +60,59 @@ func NewEH(window event.Time, eps float64) (*EH, error) {
 	return &EH{window: window, r: r}, nil
 }
 
+// class returns the bucket timestamps of size class k, oldest first.
+func (h *EH) class(k int) []event.Time {
+	return h.ts[k*(h.r+1):][:h.n[k]]
+}
+
+// drop removes the d oldest buckets of class k.
+func (h *EH) drop(k, d int) {
+	c := h.class(k)
+	h.n[k] = copy(c, c[d:])
+}
+
 // Add records one event at timestamp ts. Timestamps must be non-decreasing.
 func (h *EH) Add(ts event.Time) {
 	h.expire(ts)
-	h.buckets = append(h.buckets, ehBucket{size: 1, ts: ts})
 	h.total++
-	// Cascade merges from the newest size upward. Buckets of equal size
-	// are contiguous because sizes are non-increasing oldest-to-newest.
-	end := len(h.buckets)
-	size := uint64(1)
-	for {
-		// Find the run [start, end) of buckets with the current size.
-		start := end
-		for start > 0 && h.buckets[start-1].size == size {
-			start--
+	for k := 0; ; k++ {
+		if k == len(h.n) {
+			// A first bucket of this size: open its class. After expiry
+			// shrank the histogram this reuses the old capacity.
+			h.n = append(h.n, 0)
+			h.ts = append(h.ts, make([]event.Time, h.r+1)...)
 		}
-		if end-start <= h.r {
-			break
+		h.n[k]++
+		c := h.class(k)
+		c[len(c)-1] = ts
+		if len(c) <= h.r {
+			return
 		}
-		// Merge the two oldest buckets of this size (start, start+1):
-		// the merged bucket keeps the newer timestamp.
-		h.buckets[start+1].size = 2 * size
-		h.buckets = append(h.buckets[:start], h.buckets[start+1:]...)
-		end = start + 1
-		size *= 2
+		// Merge the two oldest buckets of this size; the merged bucket
+		// keeps the newer timestamp and is the youngest of the next size.
+		ts = c[1]
+		h.drop(k, 2)
 	}
 }
 
 // expire drops buckets that have fully left the window ending at now.
 func (h *EH) expire(now event.Time) {
-	cut := 0
-	for cut < len(h.buckets) && h.buckets[cut].ts <= now-h.window {
-		h.total -= h.buckets[cut].size
-		cut++
-	}
-	if cut > 0 {
-		h.buckets = h.buckets[cut:]
+	for k := len(h.n) - 1; k >= 0; k-- {
+		c := h.class(k)
+		d := 0
+		for d < len(c) && c[d] <= now-h.window {
+			d++
+		}
+		if d == 0 {
+			return
+		}
+		h.total -= uint64(d) << uint(k)
+		if d < len(c) {
+			h.drop(k, d)
+			return
+		}
+		h.n = h.n[:k]
+		h.ts = h.ts[:k*(h.r+1)]
 	}
 }
 
@@ -101,10 +121,11 @@ func (h *EH) expire(now event.Time) {
 // straddle the window boundary.
 func (h *EH) Count(now event.Time) float64 {
 	h.expire(now)
-	if len(h.buckets) == 0 {
+	if len(h.n) == 0 {
 		return 0
 	}
-	return float64(h.total) - float64(h.buckets[0].size-1)/2
+	oldest := uint64(1) << uint(len(h.n)-1)
+	return float64(h.total) - float64(oldest-1)/2
 }
 
 // Rate estimates the arrival rate in events per second over the window
@@ -119,7 +140,13 @@ func (h *EH) Rate(now event.Time) float64 {
 
 // Buckets reports the current number of buckets (for tests and
 // introspection of the space bound).
-func (h *EH) Buckets() int { return len(h.buckets) }
+func (h *EH) Buckets() int {
+	total := 0
+	for _, n := range h.n {
+		total += n
+	}
+	return total
+}
 
 // Window returns the window width the counter was built with.
 func (h *EH) Window() event.Time { return h.window }

@@ -59,11 +59,21 @@ func (c Config) withDefaults(patWindow event.Time) Config {
 type Estimator struct {
 	pat     *pattern.Pattern
 	cfg     Config
-	ehs     []*EH         // per position
-	rings   []*sampleRing // per position
-	selPred []float64     // per predicate, EWMA-smoothed
-	seeded  []bool        // per predicate: has a first estimate landed
+	ehs     []*EH        // per position
+	rings   []sampleRing // per position
+	cols    columns      // which ring column each predicate reads
+	counts  []predCount  // per predicate, as of the last refresh
+	selPred []float64    // per predicate, EWMA-smoothed
+	seeded  []bool       // per predicate: has a first estimate landed
 	version uint64
+}
+
+// predCount is a predicate's pass/total over the sample rings, with the
+// rings' add counts at the time it was taken: while those have not moved
+// the columns have not either, and the count is reused.
+type predCount struct {
+	pass, total  int
+	addsL, addsR uint64
 }
 
 // NewEstimator builds an estimator for the pattern. OR patterns are
@@ -78,7 +88,9 @@ func NewEstimator(pat *pattern.Pattern, cfg Config) (*Estimator, error) {
 		pat:     pat,
 		cfg:     cfg,
 		ehs:     make([]*EH, n),
-		rings:   make([]*sampleRing, n),
+		rings:   make([]sampleRing, n),
+		cols:    layoutColumns(pat),
+		counts:  make([]predCount, len(pat.Preds)),
 		selPred: make([]float64, len(pat.Preds)),
 		seeded:  make([]bool, len(pat.Preds)),
 	}
@@ -88,7 +100,7 @@ func NewEstimator(pat *pattern.Pattern, cfg Config) (*Estimator, error) {
 			return nil, err
 		}
 		e.ehs[i] = eh
-		e.rings[i] = newSampleRing(cfg.SampleSize)
+		e.rings[i] = newSampleRing(e.cols.attrs[i], cfg.SampleSize)
 	}
 	for i := range e.selPred {
 		e.selPred[i] = 1 // optimistic until observed
@@ -99,44 +111,37 @@ func NewEstimator(pat *pattern.Pattern, cfg Config) (*Estimator, error) {
 // Observe records one input event. Events whose type matches no pattern
 // position are ignored. An event type occupying several positions updates
 // each of them.
+//
+// The event is not retained: its timestamp and the attribute values the
+// pattern's predicates read are copied before Observe returns, so the
+// caller may overwrite or release ev and its Attrs immediately.
 func (e *Estimator) Observe(ev *event.Event) {
-	for i, pos := range e.pat.Positions {
-		if pos.Type == ev.Type {
-			e.ehs[i].Add(ev.TS)
-			e.rings[i].add(ev)
-		}
+	for _, i := range e.pat.PositionsOfType(ev.Type) {
+		e.ehs[i].Add(ev.TS)
+		e.rings[i].add(ev.Attrs)
 	}
 }
 
-// refreshSelectivities re-evaluates every predicate over the current
-// sample rings and folds the result into the EWMA estimates.
+// refreshSelectivities recounts every predicate whose sample rings
+// changed since the previous refresh and folds each predicate's count
+// into its EWMA estimate. The fold runs on every refresh, changed or not:
+// an unchanged observation still pulls the smoothed estimate toward it.
 func (e *Estimator) refreshSelectivities() {
 	for k := range e.pat.Preds {
 		pr := &e.pat.Preds[k]
-		var pass, total int
-		if pr.IsUnary() {
-			ring := e.rings[pr.L]
-			for i := 0; i < ring.len(); i++ {
-				total++
-				if pr.Eval(ring.at(i), nil) {
-					pass++
-				}
-			}
-		} else {
-			lring, rring := e.rings[pr.L], e.rings[pr.R]
-			for i := 0; i < lring.len(); i++ {
-				for j := 0; j < rring.len(); j++ {
-					total++
-					if pr.Eval(lring.at(i), rring.at(j)) {
-						pass++
-					}
-				}
-			}
+		cnt := &e.counts[k]
+		lring, rring := &e.rings[pr.L], &e.rings[pr.L] // unary: countPred ignores the right column
+		if !pr.IsUnary() {
+			rring = &e.rings[pr.R]
 		}
-		if total == 0 {
+		if cnt.addsL != lring.adds || cnt.addsR != rring.adds {
+			cnt.pass, cnt.total = countPred(pr, lring.col(e.cols.l[k]), rring.col(e.cols.r[k]))
+			cnt.addsL, cnt.addsR = lring.adds, rring.adds
+		}
+		if cnt.total == 0 {
 			continue // keep previous estimate
 		}
-		obs := float64(pass) / float64(total)
+		obs := float64(cnt.pass) / float64(cnt.total)
 		if obs < e.cfg.MinSel {
 			obs = e.cfg.MinSel
 		}

@@ -20,7 +20,12 @@ func Exact(pat *pattern.Pattern, events []event.Event) *Snapshot {
 		return s
 	}
 	minTS, maxTS := events[0].TS, events[0].TS
-	byPos := make([][]*event.Event, n)
+	lay := layoutColumns(pat)
+	counts := make([]int, n)       // events per position
+	cols := make([][][]float64, n) // cols[pos][c]: the values of attribute lay.attrs[pos][c]
+	for i := range cols {
+		cols[i] = make([][]float64, len(lay.attrs[i]))
+	}
 	for idx := range events {
 		ev := &events[idx]
 		if ev.TS < minTS {
@@ -29,9 +34,10 @@ func Exact(pat *pattern.Pattern, events []event.Event) *Snapshot {
 		if ev.TS > maxTS {
 			maxTS = ev.TS
 		}
-		for i, pos := range pat.Positions {
-			if pos.Type == ev.Type {
-				byPos[i] = append(byPos[i], ev)
+		for _, i := range pat.PositionsOfType(ev.Type) {
+			counts[i]++
+			for c, a := range lay.attrs[i] {
+				cols[i][c] = append(cols[i][c], ev.Attrs[a])
 			}
 		}
 	}
@@ -40,28 +46,15 @@ func Exact(pat *pattern.Pattern, events []event.Event) *Snapshot {
 		span = 1
 	}
 	for i := 0; i < n; i++ {
-		s.Rates[i] = float64(len(byPos[i])) / span
+		s.Rates[i] = float64(counts[i]) / span
 	}
 	selOf := func(k int) float64 {
 		pr := &pat.Preds[k]
-		var pass, total int
-		if pr.IsUnary() {
-			for _, ev := range byPos[pr.L] {
-				total++
-				if pr.Eval(ev, nil) {
-					pass++
-				}
-			}
-		} else {
-			for _, el := range byPos[pr.L] {
-				for _, er := range byPos[pr.R] {
-					total++
-					if pr.Eval(el, er) {
-						pass++
-					}
-				}
-			}
+		var rcol []float64
+		if !pr.IsUnary() {
+			rcol = cols[pr.R][lay.r[k]]
 		}
+		pass, total := countPred(pr, cols[pr.L][lay.l[k]], rcol)
 		if total == 0 {
 			return 1
 		}

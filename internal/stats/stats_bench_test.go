@@ -4,7 +4,22 @@ import (
 	"testing"
 
 	"acep/internal/event"
+	"acep/internal/gen"
+	"acep/internal/pattern"
 )
+
+// chainWorkload is a traffic stream and the SEQ of 4 gen's chain builds
+// over it: two GT predicates between every pair of positions, 12 in all —
+// the pattern the engine-adapt benchmark workload runs.
+func chainWorkload(tb testing.TB, events int) (*gen.Workload, *pattern.Pattern) {
+	tb.Helper()
+	w := gen.Traffic(gen.TrafficConfig{Types: 4, Events: events, Seed: 1, Shifts: 1})
+	pat, err := w.Pattern(gen.Sequence, 4, event.Second)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w, pat
+}
 
 // BenchmarkEHAdd measures the per-event cost of the sliding-window
 // counter (paid once per event per pattern position).
@@ -30,29 +45,67 @@ func BenchmarkEHCount(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot measures a full statistics refresh (selectivity
+// snapshotter is the part of an estimator the refresh benchmark drives;
+// the test-only reference implementation satisfies it too.
+type snapshotter interface {
+	Observe(*event.Event)
+	Snapshot(event.Time) *Snapshot
+}
+
+// benchSnapshot measures a full statistics refresh (selectivity
 // re-evaluation over the sample rings plus rate reads) — the per-check
-// cost of the adaptation loop's statistics component.
-func BenchmarkSnapshot(b *testing.B) {
-	s := estSchema()
-	pat := estPattern(s)
-	e, _ := NewEstimator(pat, Config{})
-	var seq uint64
-	for ts := event.Time(0); ts < 10000; ts += 5 {
-		for typ := 0; typ < 3; typ++ {
-			ev := s.MustNew(typ, ts, float64(ts%7))
-			seq++
-			ev.Seq = seq
-			e.Observe(&ev)
-		}
+// cost of the adaptation loop's statistics component. One event lands
+// in every ring between two refreshes, so no cached count is reused.
+func benchSnapshot(b *testing.B, pat *pattern.Pattern, e snapshotter, evs []event.Event) {
+	for i := range evs {
+		e.Observe(&evs[i])
 	}
+	n := pat.NumPositions()
+	fresh := evs[len(evs)-1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap := e.Snapshot(10000); snap == nil {
+		for p := 0; p < n; p++ {
+			fresh.Type = pat.Positions[p].Type
+			fresh.TS++
+			e.Observe(&fresh)
+		}
+		if snap := e.Snapshot(fresh.TS); snap == nil {
 			b.Fatal("nil snapshot")
 		}
 	}
+	b.StopTimer()
+	perCheck := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perCheck, "ns/check")
+	b.ReportMetric(perCheck/float64(len(pat.Preds)), "ns/pred")
+}
+
+// BenchmarkSnapshot runs the refresh on the 2-predicate test pattern and
+// on the 12-predicate all-pairs SEQ of 4 the engine-adapt workload uses.
+func BenchmarkSnapshot(b *testing.B) {
+	b.Run("preds=2", func(b *testing.B) {
+		s := estSchema()
+		pat := estPattern(s)
+		e, _ := NewEstimator(pat, Config{})
+		var evs []event.Event
+		for ts := event.Time(0); ts < 10000; ts += 5 {
+			for typ := 0; typ < 3; typ++ {
+				evs = append(evs, s.MustNew(typ, ts, float64(ts%7)))
+			}
+		}
+		benchSnapshot(b, pat, e, evs)
+	})
+	b.Run("preds=12", func(b *testing.B) {
+		w, pat := chainWorkload(b, 4000)
+		e, _ := NewEstimator(pat, Config{})
+		benchSnapshot(b, pat, e, w.Events)
+	})
+	// The event-ring/Pred.Eval estimator the differential tests keep as
+	// their reference, on the same input: the "before" of preds=12.
+	b.Run("preds=12/reference", func(b *testing.B) {
+		w, pat := chainWorkload(b, 4000)
+		benchSnapshot(b, pat, newRefEstimator(pat, Config{}), w.Events)
+	})
 }
 
 // BenchmarkObserve measures the per-event estimator cost.
