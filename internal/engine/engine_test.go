@@ -325,3 +325,30 @@ func TestAdaptiveCountsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedCountsPinned is TestAdaptiveCountsPinned on a keyed stream,
+// where the plans' check lists carry key equalities and the partial-match
+// store's index engages. The index only spares the evaluators candidates
+// their check lists would have rejected, so the adaptive loop's decisions,
+// the partial matches created and the matches found are the ones recorded
+// before it existed; predicate evaluations alone fall — from 1362661
+// (NFA) and 1472110 (tree) on the single-bucket store at b9eed69.
+func TestKeyedCountsPinned(t *testing.T) {
+	w := gen.Traffic(gen.TrafficConfig{Types: 6, Events: 60000, Seed: 7, Shifts: 3, MeanGap: 2, Keys: 8})
+	pat, err := w.Pattern(gen.Sequence, 4, 1600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ Reoptimizations, PlanGenerations, PredEvals, PMCreated, Matches uint64 }
+	want := map[Model]counts{
+		GreedyNFA:   {Reoptimizations: 20, PlanGenerations: 23, PredEvals: 213866, PMCreated: 15610, Matches: 295},
+		ZStreamTree: {Reoptimizations: 11, PlanGenerations: 60, PredEvals: 183545, PMCreated: 46601, Matches: 295},
+	}
+	for _, model := range []Model{GreedyNFA, ZStreamTree} {
+		_, m := run(t, pat, w.Events, Config{Model: model, Policy: &core.Invariant{}, CheckEvery: 250})
+		got := counts{m.Reoptimizations, m.PlanGenerations, m.PredEvals, m.PMCreated, m.Matches}
+		if got != want[model] {
+			t.Errorf("%v: %+v, want %+v", model, got, want[model])
+		}
+	}
+}

@@ -15,12 +15,26 @@ import (
 // every engine model produces exactly the match set of an engine without
 // any shedding — which in turn equals the brute-force oracle's.
 func TestSheddingNoneIdentity(t *testing.T) {
-	w := gen.Traffic(gen.TrafficConfig{Types: 5, Events: 1500, Seed: 23, Shifts: 1, MeanGap: 4})
-	pat, err := w.Pattern(gen.Sequence, 3, 50)
+	for _, keys := range shedKeyCounts {
+		testSheddingNoneIdentity(t, keys)
+	}
+}
+
+// shedKeyCounts runs the shedding contracts on an unkeyed stream and on a
+// keyed one, where the evaluators' partial-match stores are indexed and
+// LivePMs may count expired partial matches until the next prune.
+var shedKeyCounts = []int{0, 3}
+
+func testSheddingNoneIdentity(t *testing.T, keys int) {
+	w := gen.Traffic(gen.TrafficConfig{Types: 5, Events: 1500, Seed: 23, Shifts: 1, MeanGap: 4, Keys: keys})
+	pat, err := w.Pattern(gen.Sequence, 3, 50*event.Time(1+keys))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := oracle.Keys(oracle.Matches(pat, w.Events))
+	if keys > 0 && len(want) == 0 {
+		t.Fatal("oracle found no matches on the keyed stream; the identity would be vacuous")
+	}
 	for _, model := range []Model{GreedyNFA, ZStreamTree} {
 		plain, _ := run(t, pat, w.Events, Config{Model: model, CheckEvery: 100})
 		shedded, m := run(t, pat, w.Events, Config{
@@ -54,8 +68,14 @@ func TestSheddingNoneIdentity(t *testing.T) {
 // events are counted, never processed, and the recall estimate reflects
 // the measured drop rate.
 func TestSheddingDropsUnderOverload(t *testing.T) {
-	w := gen.Traffic(gen.TrafficConfig{Types: 5, Events: 4000, Seed: 7, Shifts: 1, MeanGap: 4})
-	pat, err := w.Pattern(gen.Sequence, 3, 50)
+	for _, keys := range shedKeyCounts {
+		testSheddingDropsUnderOverload(t, keys)
+	}
+}
+
+func testSheddingDropsUnderOverload(t *testing.T, keys int) {
+	w := gen.Traffic(gen.TrafficConfig{Types: 5, Events: 4000, Seed: 7, Shifts: 1, MeanGap: 4, Keys: keys})
+	pat, err := w.Pattern(gen.Sequence, 3, 50*event.Time(1+keys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,14 @@
 package ha
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"acep/internal/cluster"
+	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/shard"
 	"acep/internal/wire"
@@ -89,5 +94,87 @@ func TestGateDemoteMidCommitFenced(t *testing.T) {
 	}
 	if len(g.q) != 0 {
 		t.Fatalf("queue not discarded: %d entries", len(g.q))
+	}
+}
+
+// stallConn is a replication link whose next Send, once armed, parks
+// until the test fails it — the link then dies the way a reset TCP
+// stream does: Send returns an error and the peer's frames stop.
+type stallConn struct {
+	cluster.Conn
+	armed   atomic.Bool
+	entered chan struct{} // closed when the armed Send is parked
+	fail    chan struct{} // closed by the test to fail the parked Send
+}
+
+func (c *stallConn) Send(f wire.Frame) error {
+	if !c.armed.Load() {
+		return c.Conn.Send(f)
+	}
+	close(c.entered)
+	<-c.fail
+	c.Conn.Close()
+	return errors.New("stallConn: link reset")
+}
+
+// TestGateDrainSurvivesLinkLossOnFullReplCh pins the replication-link
+// deadlock: a drain publishing its ReplState blocks on a full replCh
+// while holding the gate lock, and the only goroutine that drains replCh
+// — the sender — is the one that finds the link dead and goes into
+// linkLost → gate.degrade, which needs that lock. Link loss must release
+// the blocked publish.
+func TestGateDrainSurvivesLinkLossOnFullReplCh(t *testing.T) {
+	w := haWorkload(t, "traffic")
+	rig := startHARig(t, w, gen.Sequence, 0)
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &stallConn{entered: make(chan struct{}), fail: make(chan struct{})}
+	emitted := make(chan struct{}, 1)
+	p, err := New(Config{
+		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
+		Workers:  rig.workers,
+		OnTagged: func(shard.Tagged) { emitted <- struct{}{} },
+		WrapRepl: func(c cluster.Conn) cluster.Conn { link.Conn = c; return link },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Park the sender inside Send, then fill the channel behind it.
+	link.armed.Store(true)
+	p.replCh <- wire.ReplState{}
+	<-link.entered
+	for i := 0; i < replDepth; i++ {
+		p.replCh <- wire.ReplState{}
+	}
+	// One acknowledged match: releasing it drains the gate, and the
+	// drain's publish finds replCh full.
+	p.g.onTagged(shard.Tagged{M: &match.Match{}, Seq: 1})
+	p.g.onAck(1)
+	drained := make(chan struct{})
+	go func() {
+		p.g.onProgress(1)
+		close(drained)
+	}()
+	<-emitted // the drain is past its emit loop, on its way into publish
+	close(link.fail)
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gate drain deadlocked against linkLost on a full replCh")
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Finish() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("finish after the link loss: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("pair Finish hung")
+	}
+	if deg, _ := p.Degraded(); !deg {
+		t.Fatal("a failed replication link did not degrade the pair")
 	}
 }

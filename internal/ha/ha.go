@@ -151,16 +151,18 @@ type Pair struct {
 	standbyAddr string
 	ing         *cluster.Ingress
 
-	replCh     chan wire.Frame
-	replConn   cluster.Conn
-	replDown   atomic.Bool
-	cleanFinal atomic.Bool
-	killedFlag atomic.Bool
-	senderDone chan struct{}
-	ackDone    chan struct{}
-	replClosed bool
-	srvStopped bool
-	cutSeq     uint64 // dense replication cut ordinal (ingress goroutine)
+	replCh       chan wire.Frame
+	replConn     cluster.Conn
+	replDown     atomic.Bool
+	replDownCh   chan struct{} // closed when replDown is first set
+	replDownOnce sync.Once
+	cleanFinal   atomic.Bool
+	killedFlag   atomic.Bool
+	senderDone   chan struct{}
+	ackDone      chan struct{}
+	replClosed   bool
+	srvStopped   bool
+	cutSeq       uint64 // dense replication cut ordinal (ingress goroutine)
 
 	leaseCl     *lease.Client
 	leaseHolder uint64
@@ -214,6 +216,7 @@ func New(cfg Config) (*Pair, error) {
 	p := &Pair{
 		cfg:        cfg,
 		replCh:     make(chan wire.Frame, replDepth),
+		replDownCh: make(chan struct{}),
 		senderDone: make(chan struct{}),
 		ackDone:    make(chan struct{}),
 	}
@@ -337,7 +340,7 @@ func (p *Pair) stopStandby() {
 // shutdownRepl's joins cannot hang on a healthy standby.
 func (p *Pair) abort() {
 	p.cleanFinal.Store(true) // suppress degrade bookkeeping: nothing ran
-	p.replDown.Store(true)
+	p.markReplDown()
 	p.replConn.Close()
 	p.shutdownRepl()
 	p.stopStandby()
@@ -380,7 +383,7 @@ func (p *Pair) noteDemotion(cause string) {
 	// also unblocks the sender and ack reader. The lease is NOT
 	// released — the last committed state must stand exactly as the
 	// final commit left it, and the grant lapses by TTL.
-	p.replDown.Store(true)
+	p.markReplDown()
 	p.replConn.Close()
 }
 
@@ -441,19 +444,30 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 		// silently blackholed standby.
 		floor := ci.UpTo - uint64(replLagCuts*p.cfg.Batch)
 		if !p.g.waitAckedTimeout(floor, p.cfg.ReplTimeout) {
-			p.replDown.Store(true)
+			p.markReplDown()
 			p.replConn.Close()
 			p.linkLost(fmt.Errorf("ha: standby acknowledgements stalled for %v (silent partition)", p.cfg.ReplTimeout))
 		}
 	}
 }
 
-// replSend enqueues a gate-published frame on the replication link.
+// markReplDown records that the replication link is gone and releases
+// every producer blocked on it.
+func (p *Pair) markReplDown() {
+	p.replDown.Store(true)
+	p.replDownOnce.Do(func() { close(p.replDownCh) })
+}
+
+// replSend enqueues a gate-published frame on the replication link. It
+// runs under the gate lock, so it must not outwait a dead link: whoever
+// notices the failure — the sender itself included — goes on to
+// linkLost, which needs that lock, and so cannot be relied on to drain
+// replCh first.
 func (p *Pair) replSend(f wire.Frame) {
-	if p.replDown.Load() {
-		return
+	select {
+	case <-p.replDownCh:
+	case p.replCh <- f:
 	}
-	p.replCh <- f
 }
 
 // sender owns all writes to the replication link: ReplCut frames from
@@ -468,7 +482,7 @@ func (p *Pair) sender() {
 			continue
 		}
 		if err := p.replConn.Send(f); err != nil {
-			p.replDown.Store(true)
+			p.markReplDown()
 			p.linkLost(err)
 		}
 	}
@@ -483,7 +497,7 @@ func (p *Pair) ackReader() {
 		f, err := p.replConn.Recv()
 		if err != nil {
 			if !p.cleanFinal.Load() {
-				p.replDown.Store(true)
+				p.markReplDown()
 				p.linkLost(err)
 			}
 			return
@@ -644,7 +658,7 @@ func (p *Pair) KillPrimary() error {
 	}
 	p.killedFlag.Store(true)
 	delivered := p.g.kill()
-	p.replDown.Store(true)
+	p.markReplDown()
 	p.replConn.Close()
 	p.ing.Kill()
 	p.shutdownRepl()

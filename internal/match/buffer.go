@@ -32,12 +32,16 @@ func (b *Buffer) Len() int { return len(b.evs) - b.start }
 // Prune drops all events with TS < horizon by advancing the live-prefix
 // index; the dead prefix is released in bulk when compaction runs (and,
 // for arena-interned events, by whole-chunk arena release), never by a
-// per-element nil-out walk.
+// per-element nil-out walk. Compaction runs once the dead prefix is at
+// least as long as the live rest, so a buffer never pins more dead events
+// than it holds live ones — which matters when there is one small buffer
+// per join key rather than one large one per position — and a buffer
+// pruned empty holds no pointer at all.
 func (b *Buffer) Prune(horizon event.Time) {
 	for b.start < len(b.evs) && b.evs[b.start].TS < horizon {
 		b.start++
 	}
-	if b.start > 64 && b.start*2 >= len(b.evs) {
+	if b.start > 0 && b.start*2 >= len(b.evs) {
 		n := copy(b.evs, b.evs[b.start:])
 		clear(b.evs[n:]) // release the tail for GC in one shot
 		b.evs = b.evs[:n]

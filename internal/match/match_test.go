@@ -88,6 +88,26 @@ func TestBufferCompaction(t *testing.T) {
 	}
 }
 
+// TestBufferSmallReleasesDeadPrefix: small buffers compact too — with one
+// buffer per join key, dead prefixes that waited for a size threshold
+// would pin an old arena chunk each.
+func TestBufferSmallReleasesDeadPrefix(t *testing.T) {
+	s := mkSchema()
+	var b Buffer
+	for ts := event.Time(1); ts <= 6; ts++ {
+		b.Add(ev(s, 0, ts, 0))
+	}
+	backing := b.evs[:cap(b.evs)]
+	b.Prune(4) // three dead, three live
+	if b.start != 0 || b.Len() != 3 || backing[3] != nil {
+		t.Fatalf("start %d len %d after pruning half; want compacted with the tail cleared", b.start, b.Len())
+	}
+	b.Prune(100)
+	if b.start != 0 || len(b.evs) != 0 || backing[0] != nil {
+		t.Fatal("a buffer pruned empty still holds events")
+	}
+}
+
 func TestBufferCopyInto(t *testing.T) {
 	s := mkSchema()
 	var a, b Buffer

@@ -1,0 +1,307 @@
+package match
+
+import (
+	"math"
+
+	"acep/internal/event"
+	"acep/internal/pattern"
+)
+
+// Partial is a pooled partial match: an assignment of events to some of
+// the pattern's positions (an NFA prefix of the plan's order, or a tree
+// node's leaf set) with its timestamp span.
+type Partial struct {
+	Evs          []*event.Event // by pattern position
+	MinTS, MaxTS event.Time
+}
+
+// Check is one compiled pair check of an extension or join: the joining
+// side's event at PosN against the parked side's event at PosO, with PC
+// oriented so the joining event is the "new" operand.
+type Check struct {
+	PosN, PosO int
+	PC         *pattern.PairCheck
+}
+
+// EqKey is the equality predicate a Place is indexed on. A partial parked
+// there is filed under Evs[PosO].Attrs[AttrO]+C — the very expression
+// CPair.Ok compares — and the joining event at PosN probes with
+// Attrs[AttrN], so a probe meets exactly the partials the predicate could
+// pass. The zero EqKey indexes nothing: one bucket holds everything.
+type EqKey struct {
+	Indexed     bool
+	PosO, AttrO int
+	C           float64
+	PosN, AttrN int
+}
+
+// EqKeyOf picks the key of a place whose joins run the given check list:
+// the list's first EQ predicate, or the zero key when it has none. No
+// equality is inferred by transitivity — the index only skips candidates
+// the check list itself would reject.
+func EqKeyOf(checks []Check) EqKey {
+	for _, c := range checks {
+		for i := range c.PC.Preds {
+			if p := &c.PC.Preds[i]; p.Op == pattern.EQ {
+				return EqKey{Indexed: true, PosO: c.PosO, AttrO: p.AttrO, C: p.C, PosN: c.PosN, AttrN: p.AttrN}
+			}
+		}
+	}
+	return EqKey{}
+}
+
+// keyBits normalises a key to its map form: the two zeros compare equal
+// and so share one entry; NaN has none.
+func keyBits(v float64) (uint64, bool) {
+	if v != v {
+		return 0, false
+	}
+	if v == 0 {
+		return 0, true
+	}
+	return math.Float64bits(v), true
+}
+
+// bucket is one key's share of a Place: the partials parked under the
+// key and the events that probed with it, in timestamp order.
+type bucket struct {
+	ms   []*Partial
+	hist Buffer
+}
+
+// Store is the partial-match store both engine models keep their state
+// in: a pool of Partials, and the Places they are parked at while they
+// wait to be extended. A partial is expired once the watermark has moved
+// more than the window past its earliest event; expired partials are
+// recycled when a probe sweeps their bucket or, in buckets nothing
+// probes, at the next Prune.
+type Store struct {
+	npos   int
+	window event.Time
+	free   []*Partial
+	places []*Place
+	live   int
+	peak   int
+}
+
+// NewStore builds a store for partials over npos pattern positions that
+// expire one window after their earliest event.
+func NewStore(npos int, window event.Time) *Store {
+	return &Store{npos: npos, window: window}
+}
+
+// Get returns a pooled (or fresh) partial with no events assigned.
+func (s *Store) Get() *Partial {
+	if n := len(s.free); n > 0 {
+		m := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return m
+	}
+	return &Partial{Evs: make([]*event.Event, s.npos)}
+}
+
+// Put recycles a dead partial. Safe because partials never escape their
+// engine: completion hands the resolver a copy of the assignment.
+func (s *Store) Put(m *Partial) {
+	clear(m.Evs)
+	s.free = append(s.free, m)
+}
+
+// Live reports the partials currently parked, expired ones that no sweep
+// has reached yet included.
+func (s *Store) Live() int { return s.live }
+
+// Peak reports the high-water mark of Live.
+func (s *Store) Peak() int { return s.peak }
+
+// NewPlace adds a parking place indexed on key.
+func (s *Store) NewPlace(key EqKey) *Place {
+	pl := &Place{st: s, key: key}
+	if key.Indexed {
+		pl.idx = make(map[uint64]*bucket)
+	}
+	s.places = append(s.places, pl)
+	return pl
+}
+
+// Prune sweeps every bucket of every place: expired partials are
+// recycled, recorded events older than two windows are dropped, and
+// buckets left with neither go back to their place's free list, so a
+// place's table is bounded by the keys live within the retention horizon.
+func (s *Store) Prune(now event.Time) {
+	for _, pl := range s.places {
+		pl.prune(&pl.flat, now)
+		for k, b := range pl.idx {
+			if pl.prune(b, now) {
+				delete(pl.idx, k)
+				pl.free = append(pl.free, b)
+			}
+		}
+	}
+}
+
+// Place is where partials of one kind — one NFA state, one tree node —
+// wait for the events that can extend them: a set of buckets, one per
+// live value of the place's key (a single one when the key indexes
+// nothing).
+//
+// A nil idx is the unindexed place: flat is the only bucket. In an indexed
+// place flat is where NaN keys park — NaN equals nothing, so no probe ever
+// looks there, but Prune still does.
+type Place struct {
+	st   *Store
+	key  EqKey
+	idx  map[uint64]*bucket
+	free []*bucket
+	flat bucket
+	n    int
+}
+
+// slot returns the bucket filed under v, taking one from the free list
+// (or allocating) when v has none yet.
+func (pl *Place) slot(v float64) *bucket {
+	if pl.idx == nil {
+		return &pl.flat
+	}
+	k, ok := keyBits(v)
+	if !ok {
+		return &pl.flat
+	}
+	b := pl.idx[k]
+	if b == nil {
+		if n := len(pl.free); n > 0 {
+			b = pl.free[n-1]
+			pl.free[n-1] = nil
+			pl.free = pl.free[:n-1]
+		} else {
+			b = new(bucket)
+		}
+		pl.idx[k] = b
+	}
+	return b
+}
+
+// find returns the bucket a probe with v meets, or nil when there is
+// none.
+func (pl *Place) find(v float64) *bucket {
+	if pl.idx == nil {
+		return &pl.flat
+	}
+	k, ok := keyBits(v)
+	if !ok {
+		return nil
+	}
+	return pl.idx[k]
+}
+
+// Len reports the partials parked here, swept or not.
+func (pl *Place) Len() int { return pl.n }
+
+// Buckets reports the number of key buckets currently in the table.
+func (pl *Place) Buckets() int { return len(pl.idx) }
+
+// Park files m under its key and returns the events recorded under the
+// same key so far (see Offer) — the ones that arrived before m existed.
+func (pl *Place) Park(m *Partial) *Buffer {
+	var v float64
+	if pl.key.Indexed {
+		v = m.Evs[pl.key.PosO].Attrs[pl.key.AttrO] + pl.key.C
+	}
+	b := pl.slot(v)
+	b.ms = append(b.ms, m)
+	pl.n++
+	s := pl.st
+	s.live++
+	if s.live > s.peak {
+		s.peak = s.live
+	}
+	return &b.hist
+}
+
+// Probe returns the unexpired partials e's key selects, after sweeping
+// the expired ones out of that bucket. The slice is the bucket's own and
+// is valid until the place is next parked at, probed or pruned.
+func (pl *Place) Probe(e *event.Event, now event.Time) []*Partial {
+	var v float64
+	if pl.key.Indexed {
+		v = e.Attrs[pl.key.AttrN]
+	}
+	b := pl.find(v)
+	if b == nil {
+		return nil
+	}
+	pl.expire(b, now)
+	return b.ms
+}
+
+// ProbePartial is Probe with the event t holds at the key's joining
+// position.
+func (pl *Place) ProbePartial(t *Partial, now event.Time) []*Partial {
+	return pl.Probe(t.Evs[pl.key.PosN], now)
+}
+
+// Offer is Probe for a place that also keeps history: e is recorded under
+// its key for partials parked later to find. An event whose key is NaN
+// can join nothing, now or later, and is not recorded.
+func (pl *Place) Offer(e *event.Event, now event.Time) []*Partial {
+	var v float64
+	if pl.key.Indexed {
+		if v = e.Attrs[pl.key.AttrN]; v != v {
+			return nil
+		}
+	}
+	b := pl.slot(v)
+	b.hist.Add(e)
+	pl.expire(b, now)
+	return b.ms
+}
+
+// HotKeys calls add with key(ev) for one representative event of every
+// partial parked here.
+func (pl *Place) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
+	hot := func(b *bucket) {
+		for _, m := range b.ms {
+			for _, e := range m.Evs {
+				if e != nil {
+					add(key(e))
+					break
+				}
+			}
+		}
+	}
+	hot(&pl.flat)
+	for _, b := range pl.idx {
+		hot(b)
+	}
+}
+
+// expire swap-removes and recycles b's expired partials.
+func (pl *Place) expire(b *bucket, now event.Time) {
+	s := pl.st
+	ms := b.ms
+	for i := 0; i < len(ms); {
+		m := ms[i]
+		if now-m.MinTS <= s.window {
+			i++
+			continue
+		}
+		last := len(ms) - 1
+		ms[i] = ms[last]
+		ms[last] = nil
+		ms = ms[:last]
+		s.Put(m)
+	}
+	gone := len(b.ms) - len(ms)
+	pl.n -= gone
+	s.live -= gone
+	b.ms = ms
+}
+
+// prune is one bucket's share of Store.Prune; it reports whether the
+// bucket is left empty.
+func (pl *Place) prune(b *bucket, now event.Time) bool {
+	pl.expire(b, now)
+	b.hist.Prune(now - 2*pl.st.window)
+	return len(b.ms) == 0 && b.hist.Len() == 0
+}

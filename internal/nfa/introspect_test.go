@@ -63,3 +63,41 @@ func TestIntrospection(t *testing.T) {
 		t.Fatalf("hot keys after B = %v, want 7 present", k)
 	}
 }
+
+// TestIntrospectionStaleBound pins what LivePMs and HotKeys may report on
+// an indexed state: a PM that expired in a bucket no later event probes
+// is still counted, but only until the next prune — never more than half
+// a window past its expiry.
+func TestIntrospectionStaleBound(t *testing.T) {
+	s := mkSchema(3)
+	const window = 100
+	pat := seqChainPattern(s, 3, window)
+	g := New(pat, plan.NewOrderPlan([]int{0, 1, 2}), func(*match.Match) {})
+	firstTS := func(ev *event.Event) uint64 { return uint64(ev.TS) }
+
+	// Every A carries its own key, and every B a key no A has: no bucket
+	// holding a PM is ever probed, so nothing but prune reclaims them.
+	sawStale := false
+	for ts := event.Time(1); ts <= 1000; ts++ {
+		e := s.MustNew(int(ts%2), ts, float64(ts)*float64(1-2*(ts%2)))
+		e.Seq = uint64(ts)
+		g.Process(&e)
+		reported := 0
+		g.HotKeys(firstTS, func(created uint64) {
+			reported++
+			age := ts - event.Time(created)
+			if age > window {
+				sawStale = true
+			}
+			if age > window+window/2 {
+				t.Fatalf("at ts %d a PM created at %d is still reported: %d past its expiry, want <= %d", ts, created, age-window, window/2)
+			}
+		})
+		if reported != g.LivePMs() {
+			t.Fatalf("at ts %d HotKeys reported %d PMs, LivePMs %d", ts, reported, g.LivePMs())
+		}
+	}
+	if !sawStale {
+		t.Fatal("no expired PM was ever counted; the bound was not exercised")
+	}
+}

@@ -3,22 +3,37 @@
 // positions in the order prescribed by an OrderPlan rather than in
 // declaration order.
 //
-// Events are buffered per core position. A partial match (PM) is created
-// when an event of the plan's first position arrives; a PM at state s has
-// filled the first s positions of the order and advances either when a
-// matching event of position order[s] arrives (eager path) or, upon
-// creation, by scanning the history buffer of order[s] for events that
-// arrived earlier (lazy path). Every extension forks, so each event
-// combination is enumerated exactly once. Core-complete matches are
-// handed to the residual resolver for negation/Kleene processing.
+// A partial match (PM) is created when an event of the plan's first
+// position arrives; a PM at state s has filled the first s positions of
+// the order and advances either when a matching event of position
+// order[s] arrives (eager path) or, upon creation, by scanning the
+// history of order[s] for events that arrived earlier (lazy path). Every
+// extension forks, so each event combination is enumerated exactly once.
+// Core-complete matches are handed to the residual resolver for
+// negation/Kleene processing.
+//
+// PMs and the per-position histories live in a match.Store: each state
+// s >= 1 is a match.Place holding the PMs waiting there and the events of
+// order[s] seen so far (the first position needs no history — nothing
+// scans it). When state s's check list contains an equality predicate
+// between order[s] and a filled position, the place is indexed on it and
+// an event meets only the PMs — a PM only the history — filed under its
+// key value; the full check list still runs on each of those. Matches and
+// Stats.PMCreated are those of the unindexed engine; Stats.PredEvals is
+// lower.
+//
+// Introspection (LivePMs, HotTypes, HotKeys) reads the store. On an
+// indexed state, a PM that expired in a bucket no later event probes is
+// still counted until the next prune, at most half a window past its
+// expiry; an unindexed state is swept by every event offered to it.
 //
 // The steady-state per-event path is allocation-free: arriving events are
 // copied into a chunked arena (released whole chunks at a time as the
-// watermark passes them), PMs and their assignment arrays come from a
-// free list recycled on expiry and completion, and all predicate and
-// order checks run off the pattern's compiled transition tables — a
-// type-indexed dispatch list plus per-state flat pair-check tables with
-// operand orientation baked in.
+// watermark passes them), PMs, their assignment arrays and the index's
+// buckets come from free lists recycled on expiry and completion, and all
+// predicate and order checks run off the pattern's compiled transition
+// tables — a type-indexed dispatch list plus per-state flat pair-check
+// tables with operand orientation baked in.
 package nfa
 
 import (
@@ -53,22 +68,6 @@ type Stats struct {
 	Pending int
 }
 
-// pm is a partial match: an assignment of events to a prefix of the
-// plan's order.
-type pm struct {
-	evs          []*event.Event // by pattern position
-	filled       int
-	minTS, maxTS event.Time
-}
-
-// stateCheck is one compiled extension check of a state: the event being
-// offered must be compatible with the PM's event at pos, per the
-// pre-oriented pair table.
-type stateCheck struct {
-	pos int // previously-filled pattern position
-	pc  *pattern.PairCheck
-}
-
 // Engine is a lazy-NFA evaluation engine for one (non-OR) pattern and one
 // order plan.
 type Engine struct {
@@ -76,18 +75,16 @@ type Engine struct {
 	op  *plan.OrderPlan
 	res *match.Resolver
 
-	bufs     []*match.Buffer // per pattern position; non-nil at core ones
 	orderIdx []int           // pattern position -> index in order (-1 if residual)
-	states   [][]*pm         // states[s]: PMs with s filled positions (1..n-1)
-	checks   [][]stateCheck  // per state: checks against the filled prefix
+	store    *match.Store    // PM pool and the states' parking places
+	states   []*match.Place  // states[s]: PMs with s filled positions (1..n-1)
+	checks   [][]match.Check // per state: checks against the filled prefix
 	n        int             // number of core positions
 
 	arena    match.Arena
 	external bool // events are caller-stable; retain pointers, don't intern
-	pmFree   []*pm
 
 	watermark  event.Time
-	retention  event.Time
 	lastPrune  event.Time
 	emitBefore uint64 // when >0, emit only matches with a core Seq < emitBefore
 	prefix     int    // when >0, order[0..prefix-1] is fed externally via Seed
@@ -95,45 +92,54 @@ type Engine struct {
 	pmCreated  uint64
 	predEvals  uint64
 	suppressed uint64
-	live       int
-	peak       int
 }
 
 // New builds an engine for the pattern following the given order plan.
 // emit receives every surviving match. The engine copies every event it
 // keeps, so the caller's *event.Event is never retained past Process.
 func New(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)) *Engine {
+	return newEngine(pat, op, emit, true)
+}
+
+// newEngine is New with the equality index optional: indexed=false parks
+// every state in a single bucket, the reference the differential tests
+// hold the index against.
+func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match), indexed bool) *Engine {
 	g := &Engine{
-		pat:       pat,
-		op:        op,
-		res:       match.NewResolver(pat, emit),
-		bufs:      make([]*match.Buffer, pat.NumPositions()),
-		orderIdx:  make([]int, pat.NumPositions()),
-		n:         len(op.Order),
-		retention: 2 * pat.Window,
+		pat:      pat,
+		op:       op,
+		res:      match.NewResolver(pat, emit),
+		orderIdx: make([]int, pat.NumPositions()),
+		store:    match.NewStore(pat.NumPositions(), pat.Window),
+		n:        len(op.Order),
 	}
 	for i := range g.orderIdx {
 		g.orderIdx[i] = -1
 	}
 	for k, p := range op.Order {
 		g.orderIdx[p] = k
-		g.bufs[p] = &match.Buffer{}
 	}
-	g.states = make([][]*pm, g.n)
 	// Compile the per-state transition tables: a PM at state s has filled
 	// exactly order[0..s-1], so the extension checks are a fixed list (in
 	// declaration-position order, matching the historical predicate
-	// evaluation order).
-	g.checks = make([][]stateCheck, g.n)
+	// evaluation order). A state whose list holds an equality predicate
+	// is indexed on it.
+	g.states = make([]*match.Place, g.n)
+	g.checks = make([][]match.Check, g.n)
 	for s := 1; s < g.n; s++ {
 		next := op.Order[s]
-		cs := make([]stateCheck, 0, s)
+		cs := make([]match.Check, 0, s)
 		for k := 0; k < s; k++ {
 			q := op.Order[k]
-			cs = append(cs, stateCheck{pos: q, pc: pat.Pair(next, q)})
+			cs = append(cs, match.Check{PosN: next, PosO: q, PC: pat.Pair(next, q)})
 		}
-		sort.Slice(cs, func(i, j int) bool { return cs[i].pos < cs[j].pos })
+		sort.Slice(cs, func(i, j int) bool { return cs[i].PosO < cs[j].PosO })
 		g.checks[s] = cs
+		var key match.EqKey
+		if indexed {
+			key = match.EqKeyOf(cs)
+		}
+		g.states[s] = g.store.NewPlace(key)
 	}
 	return g
 }
@@ -210,24 +216,23 @@ func (g *Engine) SetSharedPrefix(k int) error {
 // runner sized to the widest subscriber window can fan one completion
 // to every subscriber unfiltered.
 func (g *Engine) Seed(evs []*event.Event) {
-	m := g.getPM()
-	m.filled = g.prefix
+	m := g.store.Get()
 	for j := 0; j < g.prefix; j++ {
 		e := evs[j]
-		m.evs[g.op.Order[j]] = e
-		if j == 0 || e.TS < m.minTS {
-			m.minTS = e.TS
+		m.Evs[g.op.Order[j]] = e
+		if j == 0 || e.TS < m.MinTS {
+			m.MinTS = e.TS
 		}
-		if j == 0 || e.TS > m.maxTS {
-			m.maxTS = e.TS
+		if j == 0 || e.TS > m.MaxTS {
+			m.MaxTS = e.TS
 		}
 	}
-	if m.maxTS-m.minTS > g.pat.Window {
-		g.putPM(m)
+	if m.MaxTS-m.MinTS > g.pat.Window {
+		g.store.Put(m)
 		return
 	}
 	g.pmCreated++
-	g.register(m)
+	g.register(g.prefix, m)
 }
 
 // Advance moves the watermark forward, resolving parked matches and
@@ -245,58 +250,11 @@ func (g *Engine) Advance(ts event.Time) {
 }
 
 func (g *Engine) prune() {
-	horizon := g.watermark - g.retention
-	for _, b := range g.bufs {
-		if b != nil {
-			b.Prune(horizon)
-		}
-	}
-	for s, list := range g.states {
-		kept := list[:0]
-		for _, m := range list {
-			if g.expired(m) {
-				g.putPM(m)
-				continue
-			}
-			kept = append(kept, m)
-		}
-		for i := len(kept); i < len(list); i++ {
-			list[i] = nil
-		}
-		g.states[s] = kept
-	}
-	g.live = 0
-	for _, list := range g.states {
-		g.live += len(list)
-	}
-	// Every holder — buffers, PMs, the resolver (pruned in Advance) — is
-	// now at or inside the horizon, so whole chunks behind it can go.
-	g.arena.Release(horizon)
-}
-
-// expired reports whether the PM can no longer be extended: every future
-// event is too far from its earliest element.
-func (g *Engine) expired(m *pm) bool {
-	return g.watermark-m.minTS > g.pat.Window
-}
-
-// getPM returns a pooled (or fresh) zeroed partial match.
-func (g *Engine) getPM() *pm {
-	if n := len(g.pmFree); n > 0 {
-		m := g.pmFree[n-1]
-		g.pmFree[n-1] = nil
-		g.pmFree = g.pmFree[:n-1]
-		return m
-	}
-	return &pm{evs: make([]*event.Event, len(g.pat.Positions))}
-}
-
-// putPM recycles a dead partial match. Safe because PMs never escape the
-// engine: completion hands the resolver a copy of the assignment, never
-// the PM's own array.
-func (g *Engine) putPM(m *pm) {
-	clear(m.evs)
-	g.pmFree = append(g.pmFree, m)
+	g.store.Prune(g.watermark)
+	// Every holder — recorded events, PMs, the resolver (pruned in
+	// Advance) — is now at or inside the two-window horizon, so whole
+	// chunks behind it can go.
+	g.arena.Release(g.watermark - 2*g.pat.Window)
 }
 
 // Process feeds one input event. Events must arrive in non-decreasing
@@ -339,10 +297,15 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		}
 		if k == 0 {
 			g.create(p, ae)
-		} else {
-			g.extendState(k, p, ae)
+			continue
 		}
-		g.bufs[p].Add(ae)
+		// Offer the event to the PMs waiting at state k that its key
+		// selects, and record it for the ones that park there later.
+		for _, m := range g.states[k].Offer(ae, g.watermark) {
+			if g.canExtend(k, m, ae) {
+				g.fork(k, m, p, ae)
+			}
+		}
 	}
 }
 
@@ -373,39 +336,17 @@ func (g *Engine) wantsResidual(p int, e *event.Event, mask uint32) bool {
 	return g.res.Wants(p, e)
 }
 
-// extendState offers event e (at position p = order[k]) to every PM
-// waiting at state k, removing expired PMs on the way.
-func (g *Engine) extendState(k, p int, e *event.Event) {
-	list := g.states[k]
-	for i := 0; i < len(list); {
-		m := list[i]
-		if g.expired(m) {
-			list[i] = list[len(list)-1]
-			list[len(list)-1] = nil
-			list = list[:len(list)-1]
-			g.live--
-			g.putPM(m)
-			continue
-		}
-		if g.canExtend(k, m, e) {
-			g.fork(m, p, e)
-		}
-		i++
-	}
-	g.states[k] = list
-}
-
 // canExtend checks whether event e can fill state k's position of PM m:
 // one window check against the PM's timestamp span, then the state's
 // compiled check list (temporal relation + oriented predicates against
 // each filled position).
-func (g *Engine) canExtend(k int, m *pm, e *event.Event) bool {
-	if m.maxTS-e.TS > g.pat.Window || e.TS-m.minTS > g.pat.Window {
+func (g *Engine) canExtend(k int, m *match.Partial, e *event.Event) bool {
+	if m.MaxTS-e.TS > g.pat.Window || e.TS-m.MinTS > g.pat.Window {
 		return false
 	}
 	for i := range g.checks[k] {
 		c := &g.checks[k][i]
-		if !c.pc.Ok(e, m.evs[c.pos], &g.predEvals) {
+		if !c.PC.Ok(e, m.Evs[c.PosO], &g.predEvals) {
 			return false
 		}
 	}
@@ -414,54 +355,47 @@ func (g *Engine) canExtend(k int, m *pm, e *event.Event) bool {
 
 // create starts a new PM from an event at the plan's first position.
 func (g *Engine) create(p int, e *event.Event) {
-	m := g.getPM()
-	m.filled = 1
-	m.minTS = e.TS
-	m.maxTS = e.TS
-	m.evs[p] = e
+	m := g.store.Get()
+	m.MinTS = e.TS
+	m.MaxTS = e.TS
+	m.Evs[p] = e
 	g.pmCreated++
-	g.register(m)
+	g.register(1, m)
 }
 
-// fork copies parent, adds e at position p and registers the child.
-func (g *Engine) fork(parent *pm, p int, e *event.Event) {
-	m := g.getPM()
-	copy(m.evs, parent.evs)
-	m.filled = parent.filled + 1
-	m.minTS = parent.minTS
-	m.maxTS = parent.maxTS
-	if e.TS < m.minTS {
-		m.minTS = e.TS
+// fork copies parent (a PM at state k), adds e at position p and
+// registers the child.
+func (g *Engine) fork(k int, parent *match.Partial, p int, e *event.Event) {
+	m := g.store.Get()
+	copy(m.Evs, parent.Evs)
+	m.MinTS = parent.MinTS
+	m.MaxTS = parent.MaxTS
+	if e.TS < m.MinTS {
+		m.MinTS = e.TS
 	}
-	if e.TS > m.maxTS {
-		m.maxTS = e.TS
+	if e.TS > m.MaxTS {
+		m.MaxTS = e.TS
 	}
-	m.evs[p] = e
+	m.Evs[p] = e
 	g.pmCreated++
-	g.register(m)
+	g.register(k+1, m)
 }
 
-// register completes the PM if full; otherwise it parks it at its state
-// and lazily scans the next position's history for events that already
-// arrived.
-func (g *Engine) register(m *pm) {
-	if m.filled == g.n {
+// register completes a PM that has filled s positions if that is all of
+// them; otherwise it parks it at state s and lazily scans the next
+// position's history for events that already arrived.
+func (g *Engine) register(s int, m *match.Partial) {
+	if s == g.n {
 		g.complete(m)
-		g.putPM(m)
+		g.store.Put(m)
 		return
-	}
-	s := m.filled
-	g.states[s] = append(g.states[s], m)
-	g.live++
-	if g.live > g.peak {
-		g.peak = g.live
 	}
 	next := g.op.Order[s]
 	// Lazy path: events of the next position that arrived before this PM
-	// was created. Future events arrive through extendState.
-	g.bufs[next].Scan(m.maxTS-g.pat.Window, m.minTS+g.pat.Window, false, false, func(c *event.Event) bool {
+	// was created. Future events arrive through Offer.
+	g.states[s].Park(m).Scan(m.MaxTS-g.pat.Window, m.MinTS+g.pat.Window, false, false, func(c *event.Event) bool {
 		if g.canExtend(s, m, c) {
-			g.fork(m, next, c)
+			g.fork(s, m, next, c)
 		}
 		return true
 	})
@@ -470,10 +404,10 @@ func (g *Engine) register(m *pm) {
 // complete applies the migration emit filter and hands the core match to
 // the resolver (which copies the assignment; the PM is recycled by the
 // caller).
-func (g *Engine) complete(m *pm) {
+func (g *Engine) complete(m *match.Partial) {
 	if g.emitBefore > 0 {
 		old := false
-		for _, ev := range m.evs {
+		for _, ev := range m.Evs {
 			if ev != nil && ev.Seq < g.emitBefore {
 				old = true
 				break
@@ -484,7 +418,7 @@ func (g *Engine) complete(m *pm) {
 			return
 		}
 	}
-	g.res.OnCoreComplete(m.evs, g.watermark)
+	g.res.OnCoreComplete(m.Evs, g.watermark)
 }
 
 // Finish force-resolves all parked matches, treating the stream as ended.
@@ -492,7 +426,7 @@ func (g *Engine) Finish() { g.res.Flush() }
 
 // LivePMs reports the current number of registered partial matches (the
 // shedding layer's load signal).
-func (g *Engine) LivePMs() int { return g.live }
+func (g *Engine) LivePMs() int { return g.store.Live() }
 
 // HotTypes marks (in mark, indexed by event type) every type that could
 // extend a live partial match right now: for each non-empty NFA state,
@@ -501,7 +435,7 @@ func (g *Engine) LivePMs() int { return g.live }
 // so the pattern-aware shedding policy protects it.
 func (g *Engine) HotTypes(mark []bool) {
 	for s := 1; s < g.n; s++ {
-		if len(g.states[s]) == 0 {
+		if g.states[s].Len() == 0 {
 			continue
 		}
 		if t := g.pat.Positions[g.op.Order[s]].Type; t < len(mark) {
@@ -515,15 +449,8 @@ func (g *Engine) HotTypes(mark []bool) {
 // event of a PM carries the same key value, so one representative
 // identifies the PM's entity.
 func (g *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
-	for _, list := range g.states {
-		for _, m := range list {
-			for _, e := range m.evs {
-				if e != nil {
-					add(key(e))
-					break
-				}
-			}
-		}
+	for s := 1; s < g.n; s++ {
+		g.states[s].HotKeys(key, add)
 	}
 }
 
@@ -535,8 +462,8 @@ func (g *Engine) Stats() Stats {
 		Emitted:    g.res.Emitted,
 		Dropped:    g.res.Dropped,
 		Suppressed: g.suppressed,
-		LivePMs:    g.live,
-		PeakPMs:    g.peak,
+		LivePMs:    g.store.Live(),
+		PeakPMs:    g.store.Peak(),
 		Pending:    g.res.PendingCount(),
 	}
 }

@@ -119,3 +119,66 @@ func TestProcessBoundedAllocsKleene(t *testing.T) {
 		t.Fatalf("steady-state kleene Process allocated %.4f/event; want <= 0.05", perEvent)
 	}
 }
+
+// TestProcessZeroAllocsKeyChurn: the equality index under key churn. The
+// pattern joins on a key every node's store is indexed on (and on an x
+// ordering the stream never satisfies, so nothing matches); each key
+// value lives for three events and never returns — over 100,000 distinct
+// keys across the run. Buckets come and go with their keys, so the steady
+// state must still allocate nothing, and after a prune each node's table
+// must hold no more buckets than there are keys inside the window.
+func TestProcessZeroAllocsKeyChurn(t *testing.T) {
+	s := event.NewSchema()
+	for _, name := range []string{"A", "B", "C"} {
+		s.MustAddType(name, "x", "k")
+	}
+	const window = 60
+	b := pattern.NewBuilder(s, pattern.Seq, window)
+	for i := 0; i < 3; i++ {
+		b.Event(i)
+	}
+	for i := 0; i+1 < 3; i++ {
+		b.WherePred(pattern.Pred{L: i, R: i + 1, AttrL: 1, AttrR: 1, Op: pattern.EQ})
+		b.WherePred(pattern.Pred{L: i, R: i + 1, AttrL: 0, AttrR: 0, Op: pattern.LT})
+	}
+	tp := plan.NewTreePlan(plan.Join(plan.Join(plan.Leaf(0), plan.Leaf(1)), plan.Leaf(2)))
+	g := New(b.MustBuild(), tp, func(*match.Match) {
+		t.Fatal("no-match stream produced a match")
+	})
+	g.SetOwnedEmit(true)
+	ev := event.Event{Attrs: make([]float64, 2)}
+	var seq uint64
+	run := func(events int) {
+		for i := 0; i < events; i++ {
+			ev.Type = int(seq % 3)
+			ev.Attrs[1] = float64(seq / 3) // the key: one A, B and C each
+			seq++
+			ev.TS = event.Time(seq)
+			ev.Seq = seq
+			ev.Attrs[0] = -float64(seq)
+			g.Process(&ev)
+		}
+	}
+	run(250000)
+	before := g.Stats().PredEvals
+	allocs := testing.AllocsPerRun(10, func() { run(5000) })
+	if allocs != 0 {
+		t.Fatalf("steady-state Process under key churn allocated %.2f times per 5000-event run; want 0", allocs)
+	}
+	if seq/3 < 100000 {
+		t.Fatalf("only %d distinct keys over the run; want 100000", seq/3)
+	}
+	// A and B meet only each other within their key: two predicate
+	// evaluations per three events, where the flat join asked every
+	// sibling tuple in the window.
+	if per := float64(g.Stats().PredEvals-before) / 55000; per > 1 {
+		t.Fatalf("%.2f predicate evaluations per event; the index is not selecting", per)
+	}
+	g.store.Prune(g.watermark)
+	liveKeys := window/3 + 2 // keys with a tuple inside the window
+	for _, n := range []*node{g.leafByPos[0], g.leafByPos[1], g.leafByPos[2]} {
+		if got := n.store.Buckets(); got == 0 || got > liveKeys {
+			t.Fatalf("leaf %d holds %d buckets after prune; want 1..%d", n.pos, got, liveKeys)
+		}
+	}
+}

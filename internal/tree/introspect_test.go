@@ -61,3 +61,35 @@ func TestIntrospection(t *testing.T) {
 		t.Fatalf("hot keys = %v, want {7}", keys)
 	}
 }
+
+// TestIntrospectionStaleBound pins what LivePMs may report on an indexed
+// node: a tuple that expired in a bucket no later insert probes is still
+// counted, but only until the next prune — never more than half a window
+// past its expiry.
+func TestIntrospectionStaleBound(t *testing.T) {
+	s := mkSchema(3)
+	const window = 100
+	pat := seqChainPattern(s, 3, window)
+	tp := plan.NewTreePlan(plan.Join(plan.Join(plan.Leaf(0), plan.Leaf(1)), plan.Leaf(2)))
+	g := New(pat, tp, func(*match.Match) {})
+
+	// One leaf tuple per event, every one under a key of its own: no
+	// bucket is ever probed, so nothing but prune reclaims them. With one
+	// event per tick, the tuples alive at ts are those of the last
+	// window+1 ticks.
+	sawStale := false
+	for ts := event.Time(1); ts <= 1000; ts++ {
+		e := s.MustNew(int(ts%2), ts, float64(ts))
+		e.Seq = uint64(ts)
+		g.Process(&e)
+		alive := int(min(ts, window+1))
+		stale := g.LivePMs() - alive
+		if stale < 0 || stale > window/2 {
+			t.Fatalf("at ts %d LivePMs = %d with %d tuples in the window: %d stale, want 0..%d", ts, g.LivePMs(), alive, stale, window/2)
+		}
+		sawStale = sawStale || stale > 0
+	}
+	if !sawStale {
+		t.Fatal("no expired tuple was ever counted; the bound was not exercised")
+	}
+}

@@ -8,13 +8,25 @@
 // the order in which predicates are applied and therefore the volume of
 // intermediate tuples.
 //
+// Tuples live in the match.Store the NFA engine also uses: each non-root
+// node is a match.Place. When the join table between a node and its
+// sibling contains an equality predicate, the node's place is indexed on
+// it and a tuple inserted at the sibling meets only the tuples filed
+// under its key value; the full join table still runs on each of those.
+// Matches and Stats.PMCreated are those of the unindexed engine;
+// Stats.PredEvals is lower. LivePMs and HotTypes read the store: on an
+// indexed node a tuple that expired in a bucket no later insert probes is
+// still counted until the next prune, at most half a window past its
+// expiry.
+//
 // Like the NFA engine, the steady-state per-event path is
-// allocation-free: events are interned into a chunked arena, tuples and
-// their assignment arrays come from a free list recycled on expiry and
-// completion, and every join runs off a per-node compiled table of the
-// cross pairs between the node's leaf set and its sibling's — both sides
-// of a join tuple are complete over their leaf sets, so the table needs
-// no nil checks and the pair predicates are pre-oriented.
+// allocation-free: events are interned into a chunked arena, tuples,
+// their assignment arrays and the index's buckets come from free lists
+// recycled on expiry and completion, and every join runs off a per-node
+// compiled table of the cross pairs between the node's leaf set and its
+// sibling's — both sides of a join tuple are complete over their leaf
+// sets, so the table needs no nil checks and the pair predicates are
+// pre-oriented.
 package tree
 
 import (
@@ -30,17 +42,7 @@ import (
 type Stats = nfa.Stats
 
 // tuple is a partial match over one node's leaf set.
-type tuple struct {
-	evs          []*event.Event // by pattern position
-	minTS, maxTS event.Time
-}
-
-// joinCheck is one compiled cross-pair check of a node's join: the
-// inserted tuple's event at pa against the sibling tuple's event at pb.
-type joinCheck struct {
-	pa, pb int
-	pc     *pattern.PairCheck
-}
+type tuple = match.Partial
 
 // node mirrors a plan.TreeNode with evaluation state.
 type node struct {
@@ -48,8 +50,8 @@ type node struct {
 	pos             int // pattern position when leaf
 	left, right     *node
 	parent, sibling *node
-	store           []*tuple
-	joins           []joinCheck // cross pairs vs the sibling's leaf set
+	store           *match.Place  // tuples over this node's leaf set (nil at the root)
+	joins           []match.Check // cross pairs vs the sibling's leaf set: inserted tuple's PosN, sibling tuple's PosO
 }
 
 // Engine is a tree-based evaluation engine for one (non-OR) pattern and
@@ -62,9 +64,9 @@ type Engine struct {
 	root      *node
 	leafByPos []*node // pattern position -> leaf node (nil for residuals)
 
-	arena     match.Arena
-	external  bool // events are caller-stable; retain pointers, don't intern
-	tupleFree []*tuple
+	store    *match.Store // tuple pool and the nodes' parking places
+	arena    match.Arena
+	external bool // events are caller-stable; retain pointers, don't intern
 
 	watermark  event.Time
 	lastPrune  event.Time
@@ -73,22 +75,29 @@ type Engine struct {
 	pmCreated  uint64
 	predEvals  uint64
 	suppressed uint64
-	live       int
-	peak       int
 }
 
 // New builds an engine for the pattern following the given tree plan.
 // The engine copies every event it keeps, so the caller's *event.Event
 // is never retained past Process.
 func New(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match)) *Engine {
+	return newEngine(pat, tp, emit, true)
+}
+
+// newEngine is New with the equality index optional: indexed=false keeps
+// every node's tuples in a single bucket, the reference the differential
+// tests hold the index against.
+func newEngine(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match), indexed bool) *Engine {
 	g := &Engine{
 		pat:       pat,
 		tp:        tp,
 		res:       match.NewResolver(pat, emit),
 		leafByPos: make([]*node, pat.NumPositions()),
+		store:     match.NewStore(pat.NumPositions(), pat.Window),
 	}
 	g.root = g.build(tp.Root, nil)
 	g.compileJoins(g.root)
+	g.placeStores(g.root, indexed)
 	return g
 }
 
@@ -136,12 +145,31 @@ func (g *Engine) compileJoins(n *node) {
 		theirs := leafSet(n.sibling, nil)
 		for _, pa := range mine {
 			for _, pb := range theirs {
-				n.joins = append(n.joins, joinCheck{pa: pa, pb: pb, pc: g.pat.Pair(pa, pb)})
+				n.joins = append(n.joins, match.Check{PosN: pa, PosO: pb, PC: g.pat.Pair(pa, pb)})
 			}
 		}
 	}
 	g.compileJoins(n.left)
 	g.compileJoins(n.right)
+}
+
+// placeStores gives every non-root node its parking place. A node's
+// tuples are probed by tuples inserted at its sibling, so the place is
+// indexed on an equality predicate of the sibling's join table, if it has
+// one.
+func (g *Engine) placeStores(n *node, indexed bool) {
+	if n == nil {
+		return
+	}
+	if n != g.root {
+		var key match.EqKey
+		if indexed {
+			key = match.EqKeyOf(n.sibling.joins)
+		}
+		n.store = g.store.NewPlace(key)
+	}
+	g.placeStores(n.left, indexed)
+	g.placeStores(n.right, indexed)
 }
 
 // Resolver exposes the residual resolver (for migration seeding).
@@ -190,52 +218,13 @@ func (g *Engine) Advance(ts event.Time) {
 	g.watermark = ts
 	g.res.Advance(ts)
 	if ts-g.lastPrune >= g.pat.Window/2 {
-		g.pruneNode(g.root)
+		g.store.Prune(g.watermark)
 		// The resolver's residual buffers prune at watermark-2·window
 		// (in Advance above) — the oldest horizon any arena pointer can
 		// outlive — so chunks wholly behind it are released.
 		g.arena.Release(g.watermark - 2*g.pat.Window)
 		g.lastPrune = ts
 	}
-}
-
-func (g *Engine) pruneNode(n *node) {
-	if n == nil {
-		return
-	}
-	kept := n.store[:0]
-	for _, t := range n.store {
-		if g.watermark-t.minTS <= g.pat.Window {
-			kept = append(kept, t)
-			continue
-		}
-		g.putTuple(t)
-	}
-	for i := len(kept); i < len(n.store); i++ {
-		n.store[i] = nil
-	}
-	g.live -= len(n.store) - len(kept)
-	n.store = kept
-	g.pruneNode(n.left)
-	g.pruneNode(n.right)
-}
-
-// getTuple returns a pooled (or fresh) zeroed tuple.
-func (g *Engine) getTuple() *tuple {
-	if n := len(g.tupleFree); n > 0 {
-		t := g.tupleFree[n-1]
-		g.tupleFree[n-1] = nil
-		g.tupleFree = g.tupleFree[:n-1]
-		return t
-	}
-	return &tuple{evs: make([]*event.Event, len(g.pat.Positions))}
-}
-
-// putTuple recycles a dead tuple. Safe because tuples never escape the
-// engine: completion hands the resolver a copy of the assignment.
-func (g *Engine) putTuple(t *tuple) {
-	clear(t.evs)
-	g.tupleFree = append(g.tupleFree, t)
 }
 
 // Process feeds one input event (non-decreasing timestamps). The event
@@ -272,10 +261,10 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		if ae == nil {
 			ae = g.intern(e)
 		}
-		t := g.getTuple()
-		t.minTS = ae.TS
-		t.maxTS = ae.TS
-		t.evs[p] = ae
+		t := g.store.Get()
+		t.MinTS = ae.TS
+		t.MaxTS = ae.TS
+		t.Evs[p] = ae
 		g.pmCreated++
 		g.insert(leaf, t)
 	}
@@ -309,50 +298,33 @@ func (g *Engine) wantsResidual(p int, e *event.Event, mask uint32) bool {
 }
 
 // insert adds a tuple at a node, emits if the node is the root, and
-// otherwise joins it against the sibling's store, pushing combined tuples
-// to the parent.
+// otherwise joins it against the sibling tuples its key selects, pushing
+// combined tuples to the parent.
 func (g *Engine) insert(n *node, t *tuple) {
 	if n == g.root {
 		g.complete(t)
-		g.putTuple(t)
+		g.store.Put(t)
 		return
 	}
-	n.store = append(n.store, t)
-	g.live++
-	if g.live > g.peak {
-		g.peak = g.live
-	}
-	sib := n.sibling
-	list := sib.store
-	for i := 0; i < len(list); {
-		s := list[i]
-		if g.watermark-s.minTS > g.pat.Window {
-			list[i] = list[len(list)-1]
-			list[len(list)-1] = nil
-			list = list[:len(list)-1]
-			g.live--
-			g.putTuple(s)
-			continue
-		}
+	n.store.Park(t)
+	for _, s := range n.sibling.store.ProbePartial(t, g.watermark) {
 		if g.joinOK(n, t, s) {
 			g.pmCreated++
 			g.insert(n.parent, g.merge(t, s))
 		}
-		i++
 	}
-	sib.store = list
 }
 
 // joinOK checks the node's compiled cross-pair table between the
 // inserted tuple t and sibling tuple s, after one window check on the
 // tuples' timestamp spans.
 func (g *Engine) joinOK(n *node, t, s *tuple) bool {
-	if t.maxTS-s.minTS > g.pat.Window || s.maxTS-t.minTS > g.pat.Window {
+	if t.MaxTS-s.MinTS > g.pat.Window || s.MaxTS-t.MinTS > g.pat.Window {
 		return false
 	}
 	for i := range n.joins {
 		j := &n.joins[i]
-		if !j.pc.Ok(t.evs[j.pa], s.evs[j.pb], &g.predEvals) {
+		if !j.PC.Ok(t.Evs[j.PosN], s.Evs[j.PosO], &g.predEvals) {
 			return false
 		}
 	}
@@ -360,20 +332,20 @@ func (g *Engine) joinOK(n *node, t, s *tuple) bool {
 }
 
 func (g *Engine) merge(a, b *tuple) *tuple {
-	m := g.getTuple()
-	copy(m.evs, a.evs)
-	m.minTS = a.minTS
-	m.maxTS = a.maxTS
-	for p, qe := range b.evs {
+	m := g.store.Get()
+	copy(m.Evs, a.Evs)
+	m.MinTS = a.MinTS
+	m.MaxTS = a.MaxTS
+	for p, qe := range b.Evs {
 		if qe != nil {
-			m.evs[p] = qe
+			m.Evs[p] = qe
 		}
 	}
-	if b.minTS < m.minTS {
-		m.minTS = b.minTS
+	if b.MinTS < m.MinTS {
+		m.MinTS = b.MinTS
 	}
-	if b.maxTS > m.maxTS {
-		m.maxTS = b.maxTS
+	if b.MaxTS > m.MaxTS {
+		m.MaxTS = b.MaxTS
 	}
 	return m
 }
@@ -384,7 +356,7 @@ func (g *Engine) merge(a, b *tuple) *tuple {
 func (g *Engine) complete(t *tuple) {
 	if g.emitBefore > 0 {
 		old := false
-		for _, ev := range t.evs {
+		for _, ev := range t.Evs {
 			if ev != nil && ev.Seq < g.emitBefore {
 				old = true
 				break
@@ -395,7 +367,7 @@ func (g *Engine) complete(t *tuple) {
 			return
 		}
 	}
-	g.res.OnCoreComplete(t.evs, g.watermark)
+	g.res.OnCoreComplete(t.Evs, g.watermark)
 }
 
 // Finish force-resolves all parked matches.
@@ -403,7 +375,7 @@ func (g *Engine) Finish() { g.res.Flush() }
 
 // LivePMs reports the current number of stored tuples (the shedding
 // layer's load signal; tuples play the role of partial matches).
-func (g *Engine) LivePMs() int { return g.live }
+func (g *Engine) LivePMs() int { return g.store.Live() }
 
 // HotTypes marks (in mark, indexed by event type) every type that could
 // extend a live tuple right now: a leaf position is hot when its
@@ -413,7 +385,7 @@ func (g *Engine) LivePMs() int { return g.live }
 // pattern-aware shedding policy protects.)
 func (g *Engine) HotTypes(mark []bool) {
 	for p, leaf := range g.leafByPos {
-		if leaf == nil || leaf.sibling == nil || len(leaf.sibling.store) == 0 {
+		if leaf == nil || leaf.sibling == nil || leaf.sibling.store.Len() == 0 {
 			continue
 		}
 		if t := g.pat.Positions[p].Type; t < len(mark) {
@@ -436,13 +408,8 @@ func (g *Engine) hotKeys(n *node, key func(*event.Event) uint64, add func(uint64
 	if n == nil || n.leaf {
 		return
 	}
-	for _, t := range n.store {
-		for _, e := range t.evs {
-			if e != nil {
-				add(key(e))
-				break
-			}
-		}
+	if n.store != nil {
+		n.store.HotKeys(key, add)
 	}
 	g.hotKeys(n.left, key, add)
 	g.hotKeys(n.right, key, add)
@@ -456,8 +423,8 @@ func (g *Engine) Stats() Stats {
 		Emitted:    g.res.Emitted,
 		Dropped:    g.res.Dropped,
 		Suppressed: g.suppressed,
-		LivePMs:    g.live,
-		PeakPMs:    g.peak,
+		LivePMs:    g.store.Live(),
+		PeakPMs:    g.store.Peak(),
 		Pending:    g.res.PendingCount(),
 	}
 }
