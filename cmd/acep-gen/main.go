@@ -6,7 +6,7 @@
 //	acep-gen -dataset stocks  -types 20 | head
 //
 // With -patterns it instead emits a reproducible overlapping-prefix
-// pattern-set spec (consumed by acep-run -patternset and acep-bench):
+// pattern-set spec (consumed by acep-run -patternset):
 //
 //	acep-gen -dataset traffic -patterns 32 -overlap 3 -window 150 -o set.acep
 package main

@@ -204,9 +204,10 @@ func (r *rig) elastic() error {
 // published every 4 cuts. So every node has reported by cut 24, and from
 // then on its newest report trails its own progress by under 4 cuts.
 // The controller treats a node whose report trails its peers' by 16
-// cuts as stale — i.e. as idle, which makes it the migration target
-// instead of the joiner — so the drill holds the feed within
-// telemetryLag of every node's newest report.
+// cuts as stale — its load unknown, so it neither gives up nor takes a
+// shard — and an unpaced feed is over before the reports catch up, so
+// the drill holds the feed within telemetryLag of every node's newest
+// report.
 const (
 	firstLoadReport = 24 * drillBatch
 	telemetryLag    = 6 * drillBatch

@@ -9,6 +9,8 @@ import (
 	"acep/internal/chaos"
 	"acep/internal/engine"
 	"acep/internal/gen"
+	"acep/internal/match"
+	"acep/internal/wire"
 )
 
 // runElastic streams the workload through the rig's cluster with the
@@ -84,37 +86,38 @@ func TestMigrateLive(t *testing.T) {
 	}
 }
 
-// waitForStats blocks until at least `nodes` slots have reported a
-// ShardStats snapshot. A test ingress outruns its nodes by design (no
-// flow control ties ingest to worker progress), so a controller test
-// must let the first snapshots arrive before streaming on — a paced
-// real deployment gets them continuously.
-func waitForStats(t *testing.T, ing *Ingress, nodes int) {
+// waitForStats blocks until each of the first `nodes` slots has reported
+// shard stats stamped at or after event index from (every report covers
+// every shard, idle ones as zeros, under one stamp). A test ingress
+// outruns its nodes by design — no flow control ties ingest to worker
+// progress — and the placement controller does not act on reports that
+// trail their peers', so a controller test holds the feed near its
+// nodes' telemetry; a paced real deployment gets it continuously.
+func waitForStats(t *testing.T, ing *Ingress, nodes, from int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		got := 0
-		ing.mu.Lock()
-		for _, ss := range ing.stats {
-			if len(ss) > 0 {
-				got++
+		fresh := 0
+		for _, ss := range ing.NodeStats()[:nodes] {
+			if len(ss) > 0 && int(ss[0].Cut) >= from {
+				fresh++
 			}
 		}
-		ing.mu.Unlock()
-		if got >= nodes {
+		if fresh == nodes {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("nodes never reported shard stats")
+			t.Fatalf("%d/%d nodes reported shard stats from event %d on", fresh, nodes, from)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestRebalanceSkewed: the placement controller, fed per-shard
-// queue-wait p99 snapshots, moves at least one shard off the hottest
-// node on its own — and however many moves it makes, the stream stays
-// byte-identical to the single-process reference.
+// queue-wait p99 snapshots from real nodes, moves at least one shard off
+// the hottest node on its own — among the founders alone, and onto a
+// node that joined empty — and however many moves it makes, the stream
+// stays byte-identical to the single-process reference.
 func TestRebalanceSkewed(t *testing.T) {
 	// Keys: 4 over 6 global shards leaves at least two shards idle, so
 	// node load is skewed from the start and stays so.
@@ -122,28 +125,54 @@ func TestRebalanceSkewed(t *testing.T) {
 		Types: 6, Events: 5000, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 4,
 	})
 	want := runSharded(t, w, gen.Sequence, 6)
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, nil, nil)
-	got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
-		Rebalance: true, HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
-	}, map[int]func(*Ingress){
-		// Snapshots need ~20 cuts of worker progress (publish and ship
-		// strides) before the controller can see the skew.
-		3000: func(ing *Ingress) { waitForStats(t, ing, 2) },
-	})
-	requireIdentical(t, "rebalance under skew", got, want)
-	if fos := ing.Failovers(); len(fos) != 0 {
-		t.Fatalf("rebalance recorded failovers: %+v", fos)
-	}
-	mgs := ing.Migrations()
-	if len(mgs) == 0 {
-		t.Fatal("controller never moved a shard off the hot node")
-	}
-	for _, m := range mgs {
-		if m.Reason != "rebalance" && m.Reason != "join" {
-			t.Fatalf("controller move with reason %q: %+v", m.Reason, m)
+	for _, joiner := range []bool{false, true} {
+		name, standbys := "rebalance under skew", 0
+		if joiner {
+			name, standbys = "rebalance under skew, with a joiner", 1
 		}
-		if m.CompletedAt.IsZero() {
-			t.Fatalf("migration never acknowledged: %+v", m)
+		rig, _ := startFailoverRig(t, w, gen.Sequence, standbys, nil, nil)
+		// Snapshots need ~20 cuts of worker progress (publish and ship
+		// strides) before the controller can see the skew; from event 3000
+		// on the feed stays within 6 cuts of every founder's newest report
+		// (a node reports every 4), inside the 8-cut age horizon.
+		at := map[int]func(*Ingress){}
+		for i := 3000; i < 4000; i += 64 {
+			at[i] = func(ing *Ingress) { waitForStats(t, ing, 3, i-6*64) }
+		}
+		if joiner {
+			at[1000] = func(ing *Ingress) {
+				c, err := DialTCP(rig.standbyLs[0].Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ing.AddNode(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
+			Rebalance: true, HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
+		}, at)
+		requireIdentical(t, name, got, want)
+		if fos := ing.Failovers(); len(fos) != 0 {
+			t.Fatalf("%s: recorded failovers: %+v", name, fos)
+		}
+		mgs := ing.Migrations()
+		if len(mgs) == 0 {
+			t.Fatalf("%s: controller never moved a shard off the hot node", name)
+		}
+		// An empty node ties the idlest founder at best and owns fewer
+		// shards, so the first move is the joiner's.
+		if joiner && mgs[0].To != 3 {
+			t.Fatalf("%s: first move went to node %d, not the joiner: %+v", name, mgs[0].To, mgs)
+		}
+		for _, m := range mgs {
+			if m.Reason != "rebalance" && m.Reason != "join" {
+				t.Fatalf("%s: controller move with reason %q: %+v", name, m.Reason, m)
+			}
+			if m.CompletedAt.IsZero() {
+				t.Fatalf("%s: migration never acknowledged: %+v", name, m)
+			}
 		}
 	}
 }
@@ -421,5 +450,189 @@ func TestAddNodeDrain(t *testing.T) {
 	owners := ing.Owners()
 	if owners[1] != 2 || owners[0] == 0 {
 		t.Fatalf("owners %v: shard 1 must ride the joiner and shard 0 must have left node 0", owners)
+	}
+}
+
+// TestPlace is the placement rule's truth table: two founders of two
+// shards each unless a row says otherwise, reports stamped at cut 1000
+// with a 100-cut age horizon.
+func TestPlace(t *testing.T) {
+	const now = 1000
+	ms := func(f float64) uint64 { return uint64(f * float64(time.Millisecond)) }
+	st := func(shard uint32, events uint64, p99ms float64, cut uint64) wire.ShardStat {
+		return wire.ShardStat{Shard: shard, Events: events, P99Nanos: ms(p99ms), Cut: cut}
+	}
+	founder := func(report ...wire.ShardStat) slotView {
+		return slotView{eligible: true, hosted: map[int]bool{}, report: report}
+	}
+	joiner := founder()
+	hot := founder(st(0, 100, 40, now), st(1, 500, 30, now))
+	cold := founder(st(2, 100, 10, now), st(3, 100, 5, now))
+	view := func(edit func(*placementView), slots ...slotView) placementView {
+		v := placementView{
+			cfg:   ElasticConfig{Rebalance: true}.withDefaults(),
+			owner: []int{0, 0, 1, 1}, pinned: make([]bool, 4), slots: slots,
+			ageHorizon: 100,
+		}
+		if edit != nil {
+			edit(&v)
+		}
+		return v
+	}
+	type move struct {
+		shard, to int
+		reason    string
+	}
+	none := move{-1, -1, ""}
+	cases := []struct {
+		name string
+		v    placementView
+		want move
+	}{
+		{"balanced", view(nil, founder(st(0, 100, 10, now)), founder(st(2, 100, 10, now))), none},
+		{"hot over HotRatio: its busiest shard moves", view(nil, hot, cold), move{1, 1, "rebalance"}},
+		{"hot under HotRatio", view(nil, founder(st(0, 100, 15, now)), cold), none},
+		{"hot under MinWaitP99", view(nil, founder(st(0, 100, 0.8, now)), founder(st(2, 100, 0.1, now))), none},
+		{"sole-shard hot node keeps it", view(func(v *placementView) { v.owner = []int{0, 1, 1, 1} }, hot, cold), none},
+		{"sole-shard hot node gives it to an empty one",
+			view(func(v *placementView) { v.owner = []int{0, 1, 1, 1} }, hot, cold, joiner), move{0, 2, "join"}},
+		{"report older than the last move is unknown, so nothing is hot",
+			view(func(v *placementView) { v.moveHorizon = now }, founder(st(0, 100, 40, now-1)), cold), none},
+		{"stale peer is not a target; the joiner is",
+			view(nil, hot, founder(st(2, 100, 10, now-101)), joiner), move{1, 2, "join"}},
+		{"stale peer alone: no target", view(nil, hot, founder(st(2, 100, 10, now-101))), none},
+		{"never-reporting peer that owns shards: no target", view(nil, hot, founder()), none},
+		{"idle founder reports zeros: known load 0, the target",
+			view(nil, hot, founder(st(2, 0, 0, now), st(3, 0, 0, now))), move{1, 1, "rebalance"}},
+		{"joiner beats an idle founder on shard count",
+			view(nil, hot, founder(st(2, 100, 0, now)), joiner), move{1, 2, "join"}},
+		{"every candidate already hosted",
+			view(nil, hot, slotView{eligible: true, hosted: map[int]bool{0: true, 1: true}, report: cold.report}), none},
+		{"busiest shard pinned: the next one moves", view(func(v *placementView) { v.pinned[1] = true }, hot, cold), move{0, 1, "rebalance"}},
+		{"cold slot not live", view(nil, hot, slotView{hosted: map[int]bool{}, report: cold.report}), none},
+		{"migration in flight", view(func(v *placementView) { v.inFlight = true }, hot, cold), none},
+	}
+	for _, c := range cases {
+		got := none
+		if g, to, reason, ok := place(c.v); ok {
+			got = move{g, to, reason}
+		}
+		if got != c.want {
+			t.Errorf("%s: place = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// scriptedNode speaks the node side of the protocol with no engine
+// behind it: it acknowledges every cut, reports the load its script
+// dictates for the cut, and acknowledges migrations.
+func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat) {
+	defer c.Close()
+	send := func(f wire.Frame) { c.Send(f) } //nolint:errcheck // a dead pipe ends the Recv loop below
+	send(wire.Hello{Version: wire.Version, Shards: shards})
+	var moving []uint32
+	var last uint64
+	for {
+		f, err := c.Recv()
+		if err != nil {
+			return
+		}
+		switch v := f.(type) {
+		case wire.Batch:
+			if v.UpTo == 0 {
+				continue
+			}
+			if ss := load(v.UpTo); len(ss) > 0 {
+				send(wire.ShardStats{Stats: ss})
+			}
+			last = max(last, v.UpTo)
+			send(wire.Watermark{UpTo: last})
+		case wire.Migrate:
+			moving = append(moving, v.Shard)
+		case wire.ShardRoute:
+			for _, g := range moving {
+				send(wire.MigrateAck{Shard: g, UpTo: last})
+			}
+			moving = nil
+		case wire.Finish:
+			send(wire.Watermark{UpTo: maxSeq})
+			send(wire.Metrics{})
+			return
+		}
+	}
+}
+
+// TestRebalanceStaleReporter is ROADMAP defect (b) end to end: two
+// loaded founders, one of whose load reports stopped advancing, and a
+// fresh joiner. The lagging founder's load is unknown, not zero, so the
+// hot founder's shard must land on the joiner — and nothing may move
+// onto the lagging founder before the joiner exists.
+func TestRebalanceStaleReporter(t *testing.T) {
+	w := keyedWorkload(t, "traffic")
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, preCuts, postCuts = 4, 16, 8
+	busy := func(p99 time.Duration, stuckAt uint64, shards ...uint32) func(uint64) []wire.ShardStat {
+		return func(upTo uint64) []wire.ShardStat {
+			if stuckAt != 0 {
+				upTo = stuckAt
+			}
+			var ss []wire.ShardStat
+			for _, g := range shards {
+				ss = append(ss, wire.ShardStat{Shard: g, Events: 100, P99Nanos: uint64(p99), Cut: upTo})
+			}
+			return ss
+		}
+	}
+	start := func(shards uint32, load func(uint64) []wire.ShardStat) Conn {
+		client, server := Pipe()
+		go scriptedNode(server, shards, load)
+		return client
+	}
+	// The lagging founder's reports stay stamped with the first cut.
+	stuck := w.Events[batch-1].Seq
+	progress := make(chan uint64, 4*(preCuts+postCuts)) // a release per cut at most: the collector never blocks on it
+	ing, err := NewIngress(pat, []Conn{
+		start(2, busy(time.Millisecond, 0, 0, 1)),
+		start(2, busy(900*time.Microsecond, stuck, 2, 3)),
+	}, IngressOptions{
+		Batch: batch, KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {},
+		Recovery: &RecoveryConfig{}, OnProgress: func(w uint64) { progress <- w },
+		Elastic: &ElasticConfig{Rebalance: true, MinWaitP99: 1, CooldownCuts: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(from, cuts int) int {
+		to := from + cuts*batch
+		for i := from; i < to; i++ {
+			ing.Process(&w.Events[i])
+		}
+		// Every report sent up to the last cut is in once the merge has
+		// released it: a node sends its stats ahead of the cut's watermark.
+		for <-progress < w.Events[to-1].Seq {
+		}
+		return to
+	}
+	at := feed(0, preCuts)
+	if mgs := ing.Migrations(); len(mgs) != 0 {
+		t.Fatalf("moved before the joiner existed: %+v", mgs)
+	}
+	joiner, err := ing.AddNode(start(1, func(uint64) []wire.ShardStat { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(at, postCuts)
+	if err := finishWithin(t, 30*time.Second, ing); err != nil {
+		t.Fatal(err)
+	}
+	mgs := ing.Migrations()
+	if len(mgs) == 0 {
+		t.Fatal("the controller never moved a shard onto the joiner")
+	}
+	if m := mgs[0]; m.From != 0 || m.To != joiner || m.Reason != "join" {
+		t.Fatalf("first move %+v, want a shard of founder 0 joining slot %d (the lagging founder is slot 1)", m, joiner)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,5 +440,55 @@ func TestLocalClusterRecover(t *testing.T) {
 	requireIdentical(t, "local recover-enabled cluster", rec, want)
 	if len(fos) != 0 {
 		t.Fatalf("healthy local run failed over: %+v", fos)
+	}
+}
+
+// stallProbe records the write-stall window a session arms on it.
+type stallProbe struct {
+	Conn
+	armed *atomic.Int64
+}
+
+func (p stallProbe) SetWriteStall(d time.Duration) { p.armed.Store(int64(d)) }
+
+// TestWriteStallArmedOnEverySession: the probe that turns a wedged
+// worker into a link error must be armed on every connection a session
+// is installed on — a founding member's, a join's, and above all the
+// standby's that is in service because something already failed.
+func TestWriteStallArmedOnEverySession(t *testing.T) {
+	w := failoverWorkload(t, "traffic")
+	want := runSharded(t, w, gen.Sequence, 6)
+	var founding [3]atomic.Int64
+	var joined, adopted atomic.Int64
+	rig, _ := startFailoverRig(t, w, gen.Sequence, 2, func(i int, c Conn) Conn {
+		if i == 1 {
+			c = &chaos.Flaky{C: c, Budget: 30} // dies ~37% in; standby 0 adopts its shards
+		}
+		return stallProbe{c, &founding[i]}
+	}, func(_ int, c Conn) Conn { return stallProbe{c, &adopted} })
+	rig.recOptions.HeartbeatTimeout = 5 * time.Second
+	got, ing := runElastic(t, rig, w, gen.Sequence, nil, map[int]func(*Ingress){
+		500: func(ing *Ingress) {
+			c, err := DialTCP(rig.standbyLs[1].Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ing.AddNode(stallProbe{c, &joined}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
+	requireIdentical(t, "join and failover", got, want)
+	if fos := ing.Failovers(); len(fos) != 1 {
+		t.Fatalf("failovers = %+v, want the one adoption", fos)
+	}
+	sessions := map[string]*atomic.Int64{
+		"founding 0": &founding[0], "founding 1": &founding[1], "founding 2": &founding[2],
+		"join": &joined, "adoption": &adopted,
+	}
+	for name, armed := range sessions {
+		if got, want := time.Duration(armed.Load()), 4*rig.recOptions.HeartbeatTimeout; got != want {
+			t.Errorf("%s session: write stall armed at %v, want %v", name, got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
+	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/multi"
@@ -163,9 +164,22 @@ func TestHandshakeRejections(t *testing.T) {
 		{"zero shards", wire.Hello{Version: wire.Version, Shards: 0, PatternSig: sig}},
 		{"wrong frame", wire.Batch{UpTo: 1}},
 	}
+	// Every way into a session runs the one hello check: a founding
+	// member's, a join's, a standby's adopting a dead slot.
+	running := func() *Ingress { return &Ingress{sig: sig, rec: &RecoveryConfig{}} }
+	entries := []struct {
+		name string
+		open func(c Conn) error
+	}{
+		{"founding", func(c Conn) error { _, err := NewIngress(pat, []Conn{c}, opts); return err }},
+		{"join", func(c Conn) error { _, err := running().AddNode(c); return err }},
+		{"adoption", func(c Conn) error { return running().adopt(0, c, 0) }},
+	}
 	for _, c := range cases {
-		if _, err := NewIngress(pat, []Conn{&chaos.Script{Frames: []wire.Frame{c.hello}}}, opts); err == nil {
-			t.Errorf("%s: handshake accepted", c.name)
+		for _, e := range entries {
+			if err := e.open(&chaos.Script{Frames: []wire.Frame{c.hello}}); err == nil {
+				t.Errorf("%s: %s handshake accepted", c.name, e.name)
+			}
 		}
 	}
 
@@ -188,6 +202,83 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: w.Schema}}}); err == nil {
 		t.Error("node accepted an assignment without a pattern set")
+	}
+}
+
+// frameLog is a peer that records the kind of every frame sent at it.
+type frameLog struct {
+	chaos.Script
+	got map[wire.Kind]int
+}
+
+func (l *frameLog) Send(f wire.Frame) error {
+	l.got[wire.KindOf(f)]++
+	return nil
+}
+
+// TestSlotLifecycle: per slot state, which frames the coordinator's
+// fan-outs reach, whether the slot may take a shard, and whether a join
+// may reuse it — each asked of the code path that decides it.
+func TestSlotLifecycle(t *testing.T) {
+	w := keyedWorkload(t, "traffic")
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		state                                         slotState
+		cut, route, patternAdd, finish, target, ghost bool
+	}{
+		{slotLive, true, true, true, true, true, false},
+		// The PR 13 bug was a ShardRoute written at a node already handed
+		// Finish: this row.
+		{slotFinishing, false, false, false, false, false, false},
+		{slotDrained, false, false, false, false, false, true},
+		{slotDead, false, false, false, false, false, false},
+		{slotAbandoned, false, false, false, false, false, false},
+	}
+	for _, r := range rows {
+		// Two slots: the one under test owns shard 0, a live peer owns
+		// shard 1 (so a fan-out always has somewhere to go). Both sessions
+		// have ended cleanly, so only the state decides ghost reuse.
+		logs := []*frameLog{{got: map[wire.Kind]int{}}, {got: map[wire.Kind]int{}}}
+		in := &Ingress{
+			owner: []int{0, 1}, bufs: make([][]event.Event, 2), total: 2,
+			specs: multi.Solo(pat, engine.Config{}), schema: w.Schema,
+		}
+		for n, st := range []slotState{r.state, slotLive} {
+			s := &slot{conn: logs[n], state: st, hosted: map[int]bool{n: true}, done: make(chan struct{}), gotMetrics: true}
+			close(s.done)
+			in.slots = append(in.slots, s)
+		}
+		in.bufs[0] = []event.Event{w.Events[0]}
+		target, ghost := in.slots[0].takes(1), in.ghost() == 0
+		in.cutAll()
+		in.waitSends()
+		in.routeBroadcast()
+		if err := in.AddPattern(multi.Spec{ID: 7, Pattern: pat}); err != nil {
+			t.Fatal(err)
+		}
+		in.finishNodes()
+		got := logs[0].got
+		for _, c := range []struct {
+			what      string
+			got, want bool
+		}{
+			{"cut", got[wire.KindBatch] > 0, r.cut},
+			{"ShardRoute", got[wire.KindShardRoute] > 0, r.route},
+			{"PatternAdd", got[wire.KindPatternAdd] > 0, r.patternAdd},
+			{"Finish", got[wire.KindFinish] > 0, r.finish},
+			{"migration target", target, r.target},
+			{"ghost reuse", ghost, r.ghost},
+		} {
+			if c.got != c.want {
+				t.Errorf("state %d: %s = %v, want %v", r.state, c.what, c.got, c.want)
+			}
+		}
+		if logs[1].got[wire.KindBatch] == 0 || logs[1].got[wire.KindFinish] != 1 {
+			t.Errorf("state %d: the live peer got %v, want its cut and exactly one Finish", r.state, logs[1].got)
+		}
 	}
 }
 

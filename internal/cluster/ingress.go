@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,36 +25,12 @@ import (
 // shard->node map stays small.
 const maxShardsPerNode = 1 << 12
 
-// ElasticConfig tunes the placement controller: when Rebalance is set
-// the ingress watches per-shard queue-wait p99 snapshots reported by
-// the nodes and migrates the busiest shard off the hottest node onto
-// the coolest one — with hysteresis (the hot node must be HotRatio
-// times the cool one and above MinWaitP99 before anything moves) and a
-// cooldown (CooldownCuts cuts must pass between moves, and never while
-// another migration is still in flight) so the controller converges
-// instead of thrashing.
-type ElasticConfig struct {
-	// Rebalance enables the controller. Requires IngressOptions.Recovery:
-	// migrations replay shard history from the journal.
-	Rebalance bool
-	// HotRatio is the load ratio (hottest node / coolest node, by max
-	// owned-shard queue-wait p99) that triggers a move. Values <= 1 mean
-	// the default 2.0.
-	HotRatio float64
-	// MinWaitP99 is the absolute queue-wait floor below which the
-	// controller never moves anything, however skewed the ratio looks
-	// (default 1ms): an idle cluster has nothing worth migrating.
-	MinWaitP99 time.Duration
-	// CooldownCuts is the minimum number of cuts between moves (default
-	// 16), giving each move's effect time to show up in the stats.
-	CooldownCuts int
-}
-
 // CutInfo is one sealed cut as observed by IngressOptions.OnCut: the
 // global watermark, every shard's events of the cut, and the routing
-// truth at seal time. The slices alias ingress-owned state and are
+// truth at seal time. Bufs and Owner alias ingress-owned state and are
 // valid only during the call — a replicator must encode or copy before
-// returning. Final marks the cut sealed by Finish (the stream's last).
+// returning; Addrs is the observer's to keep. Final marks the cut sealed
+// by Finish (the stream's last).
 type CutInfo struct {
 	UpTo  uint64
 	Final bool
@@ -163,47 +139,38 @@ type IngressOptions struct {
 // a single goroutine; the match callback fires on the collector
 // goroutine. Construct with NewIngress.
 type Ingress struct {
-	conns []Conn
+	// slots are the node seats, one per member past and present (slot.go).
+	// The ingress goroutine owns the slice and every slot field except the
+	// reader-written ones; it replaces or appends an element only under mu,
+	// which is what lets readers and accessors index it there.
+	slots []*slot
 	key   shard.KeyFunc
 	batch int
 	total int
 
 	// owner is the routing truth: global shard index -> the node slot
 	// currently feeding it (-1: abandoned). Mutated only on the ingress
-	// goroutine, strictly behind the send barrier. hosted[n] records
-	// every shard node slot n's *current session* has ever hosted: a
-	// session that already ran a shard holds stale window state for it,
-	// so migrating the shard back would double-process — the set is
-	// reset when a slot is re-adopted by a fresh standby.
-	owner  []int
-	hosted []map[int]bool
+	// goroutine, strictly behind the send barrier.
+	owner []int
 
-	bufs      [][]event.Event   // per global shard: the accumulating cut
-	spare     [][]event.Event   // recycled cut buffers (serializing transports, no recovery)
-	recycle   []bool            // per shard: cut buffers may be reused
-	outs      [][][]event.Event // per node: send-goroutine scratch, regrouped each cut
-	pending   int
-	lastSeq   uint64
-	dead      []bool
-	drained   []bool // gracefully emptied and finished; skip its sends
-	abandoned []bool // degraded with no successor: stop journaling its shards
+	bufs    [][]event.Event // per global shard: the accumulating cut
+	spare   [][]event.Event // recycled cut buffers (serializing transports, no recovery)
+	recycle []bool          // per shard: cut buffers may be reused
+	pending int
+	lastSeq uint64
 
 	// Cut pipelining: each sealed cut's frames are encoded and sent by
 	// per-node goroutines while the coordinator returns to accumulating
-	// the next cut. sendWG is the in-flight cut; sendErr[n] is node n's
-	// send failure, acted on at the next barrier (waitSends). Per-node
+	// the next cut. sendWG is the in-flight cut; a send failure is parked
+	// on its slot and acted on at the next barrier (waitSends). Per-node
 	// frame order is preserved because a new cut's sends only launch
 	// after the barrier, and all routing mutation (migrate, adopt, join,
 	// drain — which closes, replaces and replays connections) runs
 	// strictly behind it.
-	sendWG  sync.WaitGroup
-	sendErr []error
+	sendWG sync.WaitGroup
 
 	col     *shard.Collector
 	readers sync.WaitGroup
-
-	nodeShards []int
-	finSent    []bool
 
 	// The session's pattern set (ingress goroutine unless noted). specs
 	// is the current set — the truth shipped to every join and adoption —
@@ -228,36 +195,30 @@ type Ingress struct {
 	journal       *recovery.Journal
 	det           *recovery.Detector
 	released      atomic.Uint64
-	readerDone    []chan struct{}
 	exitCh        chan struct{} // coalesced reader-exit wakeup for the drain loop
 	cutsSinceMove int
 	moveHorizon   uint64 // cut watermark at the last shard move (staleness horizon)
 
 	// HA state (zero without the internal/ha subsystem driving this
-	// ingress). onCut is the replication tap, addrs the per-slot worker
-	// addresses it replicates, epoch the coordinator epoch stamped on
-	// every Assign, and suppressFloor the takeover boundary a successor
-	// imposes on every adoption migration (a fresh collector's release
-	// frontier starts at zero, so the mirrored emission watermark — not
-	// the collector — is the truth about what was already delivered).
+	// ingress). onCut is the replication tap, epoch the coordinator epoch
+	// stamped on every Assign, and suppressFloor the takeover boundary a
+	// successor imposes on every adoption migration (a fresh collector's
+	// release frontier starts at zero, so the mirrored emission watermark
+	// — not the collector — is the truth about what was already
+	// delivered).
 	onCut         func(CutInfo)
-	addrs         []string
 	epoch         uint64
 	suppressFloor uint64
 
 	mu          sync.Mutex
 	err         error
 	finished    bool
-	gen         []int // per-slot reader generation (guards stale suspects)
 	suspects    []suspectRec
 	failovers   []recovery.Failover
 	facked      []int // per failover: migrations acknowledged so far
 	migrations  []recovery.Migration
-	migFailover []int // per migration: owning failover index, -1 if none
-	nodeMetrics []engine.Metrics
-	gotMetrics  []bool
-	stats       [][]wire.ShardStat // per slot: latest load snapshot
-	retired     engine.Metrics     // metrics of drained sessions whose slot was reused
+	migFailover []int          // per migration: owning failover index, -1 if none
+	retired     engine.Metrics // metrics of drained sessions whose slot was reused
 	patMetrics  map[uint32]engine.Metrics
 	tenantAgg   map[uint32]shed.TenantStat
 }
@@ -322,120 +283,35 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 			}
 		}
 	}
-	key := opts.Key
-	switch {
-	case key != nil && opts.KeyAttr != "":
-		return nil, fmt.Errorf("cluster: set exactly one of Key and KeyAttr")
-	case key == nil && opts.KeyAttr == "":
-		return nil, fmt.Errorf("cluster: a partition key is required: set Key or KeyAttr")
-	case opts.KeyAttr != "":
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("cluster: KeyAttr needs Schema to resolve the attribute")
-		}
-		for _, sp := range specs {
-			if err := shard.Partitionable(sp.Pattern, opts.Schema, opts.KeyAttr); err != nil {
-				return nil, fmt.Errorf("cluster: pattern %d: %w", sp.ID, err)
-			}
-		}
-		k, err := shard.ByAttrName(opts.Schema, opts.KeyAttr)
-		if err != nil {
-			return nil, err
-		}
-		key = k
+	key, err := shard.KeyFor(opts.Key, opts.KeyAttr, opts.Schema, specs)
+	if err != nil {
+		return nil, err
 	}
 
 	in := &Ingress{
-		conns:       conns,
-		key:         key,
-		batch:       opts.Batch,
-		sendErr:     make([]error, len(conns)),
-		dead:        make([]bool, len(conns)),
-		drained:     make([]bool, len(conns)),
-		abandoned:   make([]bool, len(conns)),
-		nodeShards:  make([]int, len(conns)),
-		hosted:      make([]map[int]bool, len(conns)),
-		outs:        make([][][]event.Event, len(conns)),
-		nodeMetrics: make([]engine.Metrics, len(conns)),
-		gotMetrics:  make([]bool, len(conns)),
-		finSent:     make([]bool, len(conns)),
-		stats:       make([][]wire.ShardStat, len(conns)),
-		readerDone:  make([]chan struct{}, len(conns)),
-		exitCh:      make(chan struct{}, 1),
-		gen:         make([]int, len(conns)),
-		specs:       specs,
-		schema:      opts.Schema,
-		sig:         signature(specs, opts.Schema),
-		keyAttr:     opts.KeyAttr,
-		tenants:     maps.Clone(opts.Tenants),
-		patMetrics:  make(map[uint32]engine.Metrics),
-		tenantAgg:   make(map[uint32]shed.TenantStat),
-		epoch:       opts.Epoch,
-		onCut:       opts.OnCut,
-	}
-	in.addrs = make([]string, len(conns))
-	copy(in.addrs, opts.Addrs)
-	if opts.Recovery != nil && opts.Recovery.HeartbeatTimeout > 0 {
-		// A worker that stops draining its socket (wedged peer, one-way
-		// partition) must surface as that slot's link error in bounded
-		// time instead of wedging the feed inside a blocking send.
-		// Scaled off the heartbeat timeout: a peer making zero write
-		// progress for several heartbeat windows is already dead by the
-		// read-side detector's standards.
-		ws := 4 * opts.Recovery.HeartbeatTimeout
-		if ws < 2*time.Second {
-			ws = 2 * time.Second
-		}
-		for _, c := range conns {
-			if sc, ok := c.(interface{ SetWriteStall(time.Duration) }); ok {
-				sc.SetWriteStall(ws)
-			}
-		}
+		key:        key,
+		batch:      opts.Batch,
+		exitCh:     make(chan struct{}, 1),
+		specs:      specs,
+		schema:     opts.Schema,
+		sig:        signature(specs, opts.Schema),
+		keyAttr:    opts.KeyAttr,
+		tenants:    maps.Clone(opts.Tenants),
+		patMetrics: make(map[uint32]engine.Metrics),
+		tenantAgg:  make(map[uint32]shed.TenantStat),
+		epoch:      opts.Epoch,
+		onCut:      opts.OnCut,
 	}
 	if opts.Elastic != nil {
-		ec := *opts.Elastic
-		if ec.HotRatio <= 1 {
-			ec.HotRatio = 2.0
-		}
-		if ec.MinWaitP99 <= 0 {
-			ec.MinWaitP99 = time.Millisecond
-		}
-		if ec.CooldownCuts <= 0 {
-			ec.CooldownCuts = 16
-		}
+		ec := opts.Elastic.withDefaults()
 		in.elastic = &ec
 	}
 	// Collect every node's greeting, then assign contiguous blocks of the
 	// global shard space in connection order.
+	claims := make([]int, len(conns))
 	for i, c := range conns {
-		f, err := c.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d hello: %w", i, err)
-		}
-		h, ok := f.(wire.Hello)
-		if !ok {
-			return nil, fmt.Errorf("cluster: node %d sent %s, want hello", i, wire.KindOf(f))
-		}
-		if h.Version != wire.Version {
-			return nil, fmt.Errorf("cluster: node %d speaks protocol v%d, ingress v%d", i, h.Version, wire.Version)
-		}
-		// Fingerprint 0 is a bare node: it hosts whatever set the Assign
-		// reply ships. Configured nodes cross-validate.
-		if h.PatternSig != 0 && h.PatternSig != in.sig {
-			return nil, fmt.Errorf("cluster: node %d serves a different pattern or schema (fingerprint %x, want %x)", i, h.PatternSig, in.sig)
-		}
-		if h.Shards < 1 {
-			return nil, fmt.Errorf("cluster: node %d hosts no shards", i)
-		}
-		// Cap the claimed shard count before it sizes the global
-		// shard->node map: a buggy or hostile hello must not be able to
-		// force a multi-gigabyte allocation (the same promise the wire
-		// codec makes for frame-internal counts).
-		if h.Shards > maxShardsPerNode {
-			return nil, fmt.Errorf("cluster: node %d claims %d shards, cap is %d", i, h.Shards, maxShardsPerNode)
-		}
-		if opts.Resume == nil {
-			in.nodeShards[i] = int(h.Shards)
-			in.total += int(h.Shards)
+		if claims[i], err = in.hello(c, fmt.Sprintf("node %d", i)); err != nil {
+			return nil, err
 		}
 	}
 	if rs := opts.Resume; rs != nil {
@@ -443,30 +319,25 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		// space, every worker session starts bare (it learns its shards
 		// through the adoption migrations below), and the stream resumes
 		// at the newest mirrored cut.
-		in.total = len(rs.Owner)
+		clear(claims)
 		in.owner = append([]int(nil), rs.Owner...)
 		in.lastSeq = rs.NextSeq
 		in.moveHorizon = rs.NextSeq
 		in.suppressFloor = rs.Boundary
-		for i, c := range conns {
-			if err := c.Send(in.assignFrame(0, 0)); err != nil {
-				return nil, fmt.Errorf("cluster: assigning successor worker %d: %w", i, err)
-			}
-			in.hosted[i] = make(map[int]bool)
-		}
 	} else {
-		base := 0
-		for i, c := range conns {
-			if err := c.Send(in.assignFrame(base, in.nodeShards[i])); err != nil {
-				return nil, fmt.Errorf("cluster: assigning node %d: %w", i, err)
-			}
-			in.hosted[i] = make(map[int]bool, in.nodeShards[i])
-			for s := 0; s < in.nodeShards[i]; s++ {
+		for i, n := range claims {
+			for s := 0; s < n; s++ {
 				in.owner = append(in.owner, i)
-				in.hosted[i][base+s] = true
 			}
-			base += in.nodeShards[i]
 		}
+	}
+	in.total = len(in.owner)
+	base := 0
+	for i, c := range conns {
+		if err := c.Send(in.assignFrame(base, claims[i])); err != nil {
+			return nil, fmt.Errorf("cluster: assigning node %d: %w", i, err)
+		}
+		base += claims[i]
 	}
 	in.bufs = make([][]event.Event, in.total)
 	in.spare = make([][]event.Event, in.total)
@@ -481,25 +352,17 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 	}
 	var progress func(uint64)
 	if opts.Recovery != nil {
-		rc := *opts.Recovery
-		if rc.Window <= 0 {
-			rc.Window = in.maxWindow()
-		}
-		in.rec = &rc
+		rc := opts.Recovery
+		in.rec = rc
 		if opts.Resume != nil {
 			in.journal = opts.Resume.Journal
-		} else {
-			journal, err := recovery.NewJournal(recovery.JournalConfig{
-				Window: rc.Window, Shards: in.total,
-				SlackWindows: rc.SlackWindows,
-				MaxBytes:     rc.MaxJournalBytes,
-			})
-			if err != nil {
-				return nil, err
-			}
-			in.journal = journal
+		} else if in.journal, err = recovery.NewJournal(recovery.JournalConfig{
+			Window: in.maxWindow(), Shards: in.total,
+			SlackWindows: rc.SlackWindows, MaxBytes: rc.MaxJournalBytes,
+		}); err != nil {
+			return nil, err
 		}
-		in.det = recovery.NewDetector(len(conns), rc.HeartbeatTimeout)
+		in.det = recovery.NewDetector(0, rc.HeartbeatTimeout) // install grows it
 		progress = func(w uint64) { in.released.Store(w) }
 	}
 	if tap := opts.OnProgress; tap != nil {
@@ -526,24 +389,27 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 	}
 	in.col = shard.NewCollectorOwned(in.owner, deliver, progress)
 	for i, c := range conns {
-		done := make(chan struct{})
-		in.readerDone[i] = done
-		in.readers.Add(1)
-		go in.read(i, c, 0, done)
-	}
-	if rs := opts.Resume; rs != nil {
-		if err := in.takeoverAdopt(rs); err != nil {
-			// Orderly teardown: close every session so the readers exit,
-			// then drain the collector — the deferred sweep above would
-			// leave both running.
-			for _, c := range conns {
-				c.Close()
-			}
-			in.readers.Wait()
-			in.col.Close()
-			built = true // connections already released
-			return nil, err
+		addr := ""
+		if i < len(opts.Addrs) {
+			addr = opts.Addrs[i]
 		}
+		in.install(i, c, addr)
+	}
+	if rs := opts.Resume; rs == nil {
+		for g, o := range in.owner {
+			in.slots[o].hosted[g] = true
+		}
+	} else if err := in.takeoverAdopt(rs); err != nil {
+		// Orderly teardown: close every session so the readers exit, then
+		// drain the collector — the deferred sweep above would leave both
+		// running.
+		for _, c := range conns {
+			c.Close()
+		}
+		in.readers.Wait()
+		in.col.Close()
+		built = true // connections already released
+		return nil, err
 	}
 	built = true
 	return in, nil
@@ -557,8 +423,8 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 // once, at successor construction, before any ingest.
 func (in *Ingress) takeoverAdopt(rs *ResumeState) error {
 	tk := wire.Takeover{Epoch: in.epoch, Boundary: rs.Boundary}
-	for i, c := range in.conns {
-		if err := c.Send(tk); err != nil {
+	for i, s := range in.slots {
+		if err := s.conn.Send(tk); err != nil {
 			return fmt.Errorf("cluster: takeover announce to worker %d: %w", i, err)
 		}
 		in.det.Sent(i)
@@ -599,13 +465,8 @@ func (in *Ingress) assignFrame(base, shards int) wire.Assign {
 	for _, sp := range in.specs {
 		a.Patterns = append(a.Patterns, wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern})
 	}
-	ids := make([]int, 0, len(in.tenants))
-	for t := range in.tenants {
-		ids = append(ids, int(t))
-	}
-	sort.Ints(ids)
-	for _, t := range ids {
-		a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: uint32(t), Budget: in.tenants[uint32(t)]})
+	for _, t := range slices.Sorted(maps.Keys(in.tenants)) {
+		a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: t, Budget: in.tenants[t]})
 	}
 	return a
 }
@@ -626,43 +487,49 @@ func (in *Ingress) dropRegen(p uint32, seq uint64) bool {
 	return ok && seq <= born
 }
 
-// metricsDone reports whether slot i delivered its final metrics (the
-// clean-exit marker), synchronized with the reader that records them.
-func (in *Ingress) metricsDone(i int) bool {
+// metricsDone reports whether the session delivered its final metrics
+// (the clean-exit marker), synchronized with the reader that records them.
+func (in *Ingress) metricsDone(s *slot) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.gotMetrics[i]
+	return s.gotMetrics
 }
 
-// read is node slot i's reader goroutine (generation gen): it buffers
+// read is the reader goroutine of session s on node slot i: it buffers
 // tagged matches and posts them to the merge collector together with
 // each completion watermark, applies migration acknowledgements,
 // stores the node's load snapshots and final metrics, and on failure
 // either queues a suspect for failover (recovery configured, posting
 // nothing — the slot will be re-registered) or posts a terminal
 // watermark so the merge never deadlocks on a dead node.
-func (in *Ingress) read(i int, c Conn, gen int, done chan struct{}) {
+func (in *Ingress) read(i int, s *slot) {
 	defer func() { // runs last: done is closed by the time the drain wakes
 		select {
 		case in.exitCh <- struct{}{}:
 		default:
 		}
 	}()
-	defer close(done)
+	defer close(s.done)
 	defer in.readers.Done()
 	var pend []shard.Tagged
+	// lost ends the session on a failure: failover when recovery is
+	// configured, otherwise record the error and release the merge.
+	lost := func(err error) {
+		if in.rec != nil {
+			in.suspect(i, s, err)
+			return
+		}
+		in.recordErr(err)
+		in.col.Post(i, maxSeq, pend)
+	}
 	for {
-		f, err := c.Recv()
+		f, err := s.conn.Recv()
 		if err != nil {
-			clean := err == io.EOF && in.metricsDone(i)
-			if in.rec != nil && !clean {
-				in.suspect(i, gen, fmt.Errorf("cluster: node %d stream: %w", i, err))
-				return
+			if err == io.EOF && in.metricsDone(s) {
+				in.col.Post(i, maxSeq, pend) // clean end of stream
+			} else {
+				lost(fmt.Errorf("cluster: node %d stream: %w", i, err))
 			}
-			if !clean {
-				in.recordErr(fmt.Errorf("cluster: node %d stream: %w", i, err))
-			}
-			in.col.Post(i, maxSeq, pend)
 			return
 		}
 		in.det.Heard(i)
@@ -682,13 +549,7 @@ func (in *Ingress) read(i int, c Conn, gen int, done chan struct{}) {
 			}
 			m, derr := wire.DecodeMatchBody(v.Body)
 			if derr != nil {
-				err := fmt.Errorf("cluster: node %d match body: %w", i, derr)
-				if in.rec != nil {
-					in.suspect(i, gen, err)
-					return
-				}
-				in.recordErr(err)
-				in.col.Post(i, maxSeq, pend)
+				lost(fmt.Errorf("cluster: node %d match body: %w", i, derr))
 				return
 			}
 			pend = append(pend, shard.Tagged{M: m, Seq: v.Seq, Src: int(v.Shard), Pattern: v.Pattern})
@@ -710,13 +571,13 @@ func (in *Ingress) read(i int, c Conn, gen int, done chan struct{}) {
 			in.migrationAcked(i, int(v.Shard))
 		case wire.ShardStats:
 			in.mu.Lock()
-			in.stats[i] = v.Stats
+			s.stats = v.Stats
 			in.mu.Unlock()
 		case wire.Metrics:
 			// The session's one report: fold it into the per-slot,
 			// per-pattern and per-tenant views.
 			in.mu.Lock()
-			in.nodeMetrics[i] = v.M
+			s.metrics = v.M
 			for _, pm := range v.Patterns {
 				agg := in.patMetrics[pm.ID]
 				agg.Merge(pm.M)
@@ -729,16 +590,10 @@ func (in *Ingress) read(i int, c Conn, gen int, done chan struct{}) {
 				agg.Shed += ts.Shed
 				in.tenantAgg[ts.Tenant] = agg
 			}
-			in.gotMetrics[i] = true
+			s.gotMetrics = true
 			in.mu.Unlock()
 		default:
-			err := fmt.Errorf("cluster: node %d sent unexpected %s frame", i, wire.KindOf(f))
-			if in.rec != nil {
-				in.suspect(i, gen, err)
-				return
-			}
-			in.recordErr(err)
-			in.col.Post(i, maxSeq, pend)
+			lost(fmt.Errorf("cluster: node %d sent unexpected %s frame", i, wire.KindOf(f)))
 			return
 		}
 	}
@@ -751,8 +606,8 @@ func (in *Ingress) read(i int, c Conn, gen int, done chan struct{}) {
 // way the cluster finishes instead of deadlocking on a dead link.
 func (in *Ingress) kill(n int, err error) {
 	in.recordErr(err)
-	in.dead[n] = true
-	in.conns[n].Close()
+	in.slots[n].state = slotDead
+	in.slots[n].conn.Close()
 }
 
 func (in *Ingress) recordErr(err error) {
@@ -810,14 +665,18 @@ func (in *Ingress) cutAll() {
 		// Replication tap: behind the barrier (routing settled for this
 		// cut, the previous cut fully sent) and after journaling, so what
 		// the standby mirrors is exactly what a failover would replay.
+		addrs := make([]string, len(in.slots))
+		for n, s := range in.slots {
+			addrs[n] = s.addr
+		}
 		in.onCut(CutInfo{
 			UpTo: in.lastSeq, Final: in.finished,
-			Bufs: in.bufs, Owner: in.owner, Addrs: in.addrs,
+			Bufs: in.bufs, Owner: in.owner, Addrs: addrs,
 		})
 	}
 	upTo := in.lastSeq
-	for n := range in.outs {
-		in.outs[n] = in.outs[n][:0]
+	for _, s := range in.slots {
+		s.outs = s.outs[:0]
 	}
 	for g := range in.bufs {
 		evs := in.bufs[g]
@@ -828,35 +687,33 @@ func (in *Ingress) cutAll() {
 			in.bufs[g] = in.spare[g][:0]
 			in.spare[g] = evs
 		}
-		o := in.owner[g]
-		if o < 0 || in.dead[o] || in.drained[o] || len(evs) == 0 {
-			continue
+		if o := in.owner[g]; o >= 0 && len(evs) > 0 && in.slots[o].receives() {
+			in.slots[o].outs = append(in.slots[o].outs, evs)
 		}
-		in.outs[o] = append(in.outs[o], evs)
 	}
-	for n, c := range in.conns {
-		if in.dead[n] || in.drained[n] {
+	for n, s := range in.slots {
+		if !s.receives() {
 			continue
 		}
 		in.det.Sent(n)
 		in.sendWG.Add(1)
-		go func(n int, c Conn, slices [][]event.Event) {
+		go func(s *slot) {
 			defer in.sendWG.Done()
 			// Events-only frames (UpTo 0), one per owned shard with
 			// traffic, then the cut's single watermark frame: the node
 			// reassembles the runs into seq order and seals its cut only
 			// when the watermark arrives, so a cut split across shards
 			// can never publish a watermark ahead of its own events.
-			for _, evs := range slices {
-				if err := c.Send(wire.Batch{Events: evs}); err != nil {
-					in.sendErr[n] = err
+			for _, evs := range s.outs {
+				if err := s.conn.Send(wire.Batch{Events: evs}); err != nil {
+					s.sendErr = err
 					return
 				}
 			}
-			if err := c.Send(wire.Batch{UpTo: upTo}); err != nil {
-				in.sendErr[n] = err
+			if err := s.conn.Send(wire.Batch{UpTo: upTo}); err != nil {
+				s.sendErr = err
 			}
-		}(n, c, in.outs[n])
+		}(s)
 	}
 	in.pending = 0
 }
@@ -869,13 +726,12 @@ func (in *Ingress) cutAll() {
 // discipline intact.
 func (in *Ingress) waitSends() {
 	in.sendWG.Wait()
-	for n, err := range in.sendErr {
-		if err == nil {
-			continue
-		}
-		in.sendErr[n] = nil
-		if !in.dead[n] {
-			in.fail(n, fmt.Errorf("cluster: sending cut to node %d: %w", n, err))
+	for n, s := range in.slots {
+		if err := s.sendErr; err != nil {
+			s.sendErr = nil
+			if s.inSession() {
+				in.fail(n, fmt.Errorf("cluster: sending to node %d: %w", n, err))
+			}
 		}
 	}
 }
@@ -896,14 +752,15 @@ func (in *Ingress) ownedShards(n int) []int {
 // it freezes shard g at the merge collector (capturing the release
 // boundary), flips its owner to slot `to`, ships the Migrate frame with
 // the suppress boundary and replay horizon, and replays g's journaled
-// history to the destination. Failover, rebalance, scale-out handoff
-// and drain are all callers. Must run on the ingress goroutine behind
-// the send barrier; fidx >= 0 folds the move into that failover record.
-// On error the destination is in an unknown state — the caller routes
-// it into the failure path (and aborted in-flight records are dropped
-// there).
+// history to the destination. A healthy shard moves through handoff; a
+// failover's adoption and a takeover's re-establishment call it
+// directly. Must run on the ingress goroutine behind the send barrier;
+// fidx >= 0 folds the move into that failover record. On error the
+// destination is in an unknown state — the caller routes it into the
+// failure path (and aborted in-flight records are dropped there).
 func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
-	if in.hosted[to][g] {
+	dst := in.slots[to]
+	if dst.hosted[g] {
 		return fmt.Errorf("cluster: node %d already hosted shard %d this session; migrating it back would double-process", to, g)
 	}
 	if err := in.journal.CoveredShard(g); err != nil {
@@ -918,7 +775,7 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 		boundary = in.suppressFloor
 	}
 	in.owner[g] = to
-	in.hosted[to][g] = true
+	dst.hosted[g] = true
 	// Every move invalidates the fleet's load picture: reports stamped
 	// before this cut describe the pre-move distribution, and the
 	// placement controller must not act on them (see rebalance).
@@ -945,7 +802,7 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 		}
 	}
 	in.mu.Unlock()
-	c := in.conns[to]
+	c := dst.conn
 	in.det.Sent(to)
 	if err := c.Send(wire.Migrate{Shard: uint32(g), SuppressUpTo: boundary, ReplayUpTo: replayUpTo}); err != nil {
 		return fmt.Errorf("cluster: migrating shard %d to node %d: %w", g, to, err)
@@ -978,16 +835,35 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 	return nil
 }
 
+// handoff migrates healthy shard g to slot `to`. A failed handoff leaves
+// the destination in an unknown state, so the error is parked on it (the
+// next barrier fails it over) as well as returned.
+func (in *Ingress) handoff(g, to int, reason string) error {
+	err := in.migrateShard(g, to, reason, -1)
+	if err != nil {
+		in.slots[to].park(err)
+	}
+	return err
+}
+
+// move hands shard g to slot `to` and tells the fleet — the one way a
+// healthy shard changes owner: the placement controller and MigrateShard
+// come through here, and Drain hands off each owned shard the same way
+// before its single route broadcast.
+func (in *Ingress) move(g, to int, reason string) error {
+	if err := in.handoff(g, to, reason); err != nil {
+		return err
+	}
+	in.routeBroadcast()
+	return nil
+}
+
 // routeBroadcast ships the current shard->slot owner table to every
-// live node still in session (abandoned shards carry ^uint32(0); a node
-// already handed its Finish frame has drained and may have closed its
-// end — a frame written at it would be answered with a reset that its
-// reader can see before the clean end of stream, turning a finished
-// node into a failover during the Finish drain). Advisory for the
-// nodes — ownership semantics ride the Migrate frames — but it keeps
-// every member's picture of the routing current. Ingress goroutine,
-// behind the barrier; a send failure is parked in sendErr and handled
-// at the next waitSends.
+// slot that receives control frames (abandoned shards carry
+// ^uint32(0)). Advisory for the nodes — ownership semantics ride the
+// Migrate frames — but it keeps every member's picture of the routing
+// current, and its position behind a migration's replay is what the
+// destination's acknowledgement keys on.
 func (in *Ingress) routeBroadcast() {
 	route := wire.ShardRoute{Owner: make([]uint32, len(in.owner))}
 	for g, o := range in.owner {
@@ -997,18 +873,7 @@ func (in *Ingress) routeBroadcast() {
 			route.Owner[g] = uint32(o)
 		}
 	}
-	for n, c := range in.conns {
-		if in.dead[n] || in.drained[n] || in.finSent[n] {
-			continue
-		}
-		if err := c.Send(route); err != nil {
-			if in.sendErr[n] == nil {
-				in.sendErr[n] = err
-			}
-			continue
-		}
-		in.det.Sent(n)
-	}
+	in.broadcast(route, slotLive)
 }
 
 // migrationAcked stamps the youngest in-flight migration of shard g to
@@ -1036,12 +901,9 @@ func (in *Ingress) migrationAcked(n, g int) {
 	}
 }
 
-// rebalance is the placement controller, run once per cut behind the
-// barrier: when the hottest node's max owned-shard queue-wait p99
-// exceeds both the absolute floor and HotRatio times the coolest
-// node's, the hottest node's busiest shard migrates to the coolest
-// node. Hysteresis plus the cut cooldown (and never moving while any
-// migration is still in flight) keep it from thrashing.
+// rebalance runs the placement controller once per cut, behind the
+// barrier: past the cooldown it gathers what place reads and carries out
+// the move it decides on.
 func (in *Ingress) rebalance() {
 	if in.journal == nil || in.elastic == nil || !in.elastic.Rebalance {
 		return
@@ -1050,128 +912,30 @@ func (in *Ingress) rebalance() {
 	if in.cutsSinceMove < in.elastic.CooldownCuts {
 		return
 	}
-	waits := make([]time.Duration, in.total)
-	events := make([]uint64, in.total)
-	// A report also goes stale by age alone: stats ride the nodes'
-	// upstream frame flow, so a node that stops reporting (wedged, or
-	// about to be declared dead) leaves numbers describing a
-	// distribution many cuts old next to its peers' current ones.
-	// Discount any report whose cut stamp trails the freshest report by
-	// more than one controller period (floored at two reporting
-	// intervals so a report is never discarded just for riding the
-	// statsEveryCuts cadence). The reference is the newest *report*, not
-	// the ingest frontier: nothing paces Process against worker
-	// progress, so all reports trail in.lastSeq by an unbounded, shared
-	// lag — what marks one stale is falling behind its peers.
-	staleCuts := in.elastic.CooldownCuts
-	if staleCuts < 2*statsEveryCuts {
-		staleCuts = 2 * statsEveryCuts
+	// A report is stale once it trails the freshest by one controller
+	// period, floored at two reporting intervals so none is discarded
+	// just for riding the statsEveryCuts cadence.
+	v := placementView{
+		cfg: *in.elastic, owner: in.owner, moveHorizon: in.moveHorizon,
+		ageHorizon: uint64(max(in.elastic.CooldownCuts, 2*statsEveryCuts) * in.batch),
+		pinned:     make([]bool, in.total),
+		slots:      make([]slotView, len(in.slots)),
 	}
-	ageHorizon := uint64(staleCuts * in.batch)
+	for g := range v.pinned {
+		v.pinned[g] = in.journal.CoveredShard(g) != nil
+	}
 	in.mu.Lock()
 	for _, m := range in.migrations {
-		if m.CompletedAt.IsZero() {
-			in.mu.Unlock()
-			return
-		}
+		v.inFlight = v.inFlight || m.CompletedAt.IsZero()
 	}
-	var freshest uint64
-	for n, ss := range in.stats {
-		for _, s := range ss {
-			g := int(s.Shard)
-			if g >= 0 && g < in.total && in.owner[g] == n && s.Cut > freshest {
-				freshest = s.Cut
-			}
-		}
-	}
-	for n, ss := range in.stats {
-		for _, s := range ss {
-			g := int(s.Shard)
-			if g < 0 || g >= in.total || in.owner[g] != n {
-				continue // stale: reported by a slot that no longer owns g
-			}
-			// Reports stamped before the cooldown horizon — the cut at
-			// which the last move happened — describe a load distribution
-			// that move already reshaped; acting on them would ping-pong
-			// the same shard. Wait for numbers from after the move.
-			if s.Cut < in.moveHorizon {
-				continue
-			}
-			if s.Cut+ageHorizon < freshest {
-				continue // older than one controller period: stale reporter
-			}
-			waits[g] = time.Duration(s.P99Nanos)
-			events[g] = s.Events
-		}
+	for n, s := range in.slots {
+		v.slots[n] = slotView{eligible: s.state == slotLive, hosted: s.hosted, report: s.stats}
 	}
 	in.mu.Unlock()
-	ownedCount := make([]int, len(in.conns))
-	for _, o := range in.owner {
-		if o >= 0 {
-			ownedCount[o]++
-		}
+	if g, to, reason, ok := place(v); ok {
+		in.move(g, to, reason) //nolint:errcheck // parked on the destination; the next barrier acts on it
+		in.cutsSinceMove = 0
 	}
-	hot, cold := -1, -1
-	var hotLoad, coldLoad time.Duration
-	for n := range in.conns {
-		if in.dead[n] || in.drained[n] || in.abandoned[n] {
-			continue
-		}
-		var load time.Duration
-		for g, o := range in.owner {
-			if o == n && waits[g] > load {
-				load = waits[g]
-			}
-		}
-		if hot < 0 || load > hotLoad {
-			hot, hotLoad = n, load
-		}
-		if cold < 0 || load < coldLoad {
-			cold, coldLoad = n, load
-		}
-	}
-	if hot < 0 || cold < 0 || hot == cold {
-		return
-	}
-	if hotLoad <= in.elastic.MinWaitP99 {
-		return
-	}
-	if float64(hotLoad) <= in.elastic.HotRatio*float64(coldLoad) {
-		return
-	}
-	// Never empty the hot node unless the cold one has nothing: moving a
-	// sole shard between two busy nodes just relocates the hotspot.
-	if ownedCount[hot] < 2 && ownedCount[cold] != 0 {
-		return
-	}
-	pick := -1
-	var pickEv uint64
-	for g, o := range in.owner {
-		if o != hot || in.hosted[cold][g] {
-			continue
-		}
-		if in.journal.CoveredShard(g) != nil {
-			continue
-		}
-		if pick < 0 || events[g] > pickEv {
-			pick, pickEv = g, events[g]
-		}
-	}
-	if pick < 0 {
-		return
-	}
-	reason := "rebalance"
-	if ownedCount[cold] == 0 {
-		reason = "join"
-	}
-	if err := in.migrateShard(pick, cold, reason, -1); err != nil {
-		if in.sendErr[cold] == nil {
-			in.sendErr[cold] = err
-		}
-	} else {
-		in.routeBroadcast()
-	}
-	in.cutsSinceMove = 0
 }
 
 // AddNode admits a freshly dialed node into the running cluster: it
@@ -1190,99 +954,44 @@ func (in *Ingress) AddNode(c Conn) (int, error) {
 		return -1, fmt.Errorf("cluster: AddNode requires Recovery (the journal feeds shard handoff)")
 	}
 	in.waitSends()
-	f, err := c.Recv()
-	if err != nil {
+	if err := in.openSession(c, "joining node"); err != nil {
 		c.Close()
-		return -1, fmt.Errorf("cluster: joining node hello: %w", err)
+		return -1, err
 	}
-	h, ok := f.(wire.Hello)
-	if !ok {
-		c.Close()
-		return -1, fmt.Errorf("cluster: joining node sent %s, want hello", wire.KindOf(f))
+	// Ghost-slot compaction: reuse the oldest ghost for the joining node
+	// instead of growing the fleet, so a long-running cluster's
+	// join/drain churn doesn't leak slots. The retired session's metrics
+	// move to the retired accumulator first, keeping the cluster-wide
+	// Metrics sum intact.
+	n := in.ghost()
+	if n < 0 {
+		n = len(in.slots)
+	} else {
+		in.mu.Lock()
+		in.retired.Merge(in.slots[n].metrics)
+		in.mu.Unlock()
 	}
-	if h.Version != wire.Version {
-		c.Close()
-		return -1, fmt.Errorf("cluster: joining node speaks protocol v%d, ingress v%d", h.Version, wire.Version)
-	}
-	if h.PatternSig != 0 && h.PatternSig != in.sig {
-		c.Close()
-		return -1, fmt.Errorf("cluster: joining node serves a different pattern or schema (fingerprint %x, want %x)", h.PatternSig, in.sig)
-	}
-	if err := c.Send(in.assignFrame(0, 0)); err != nil {
-		c.Close()
-		return -1, fmt.Errorf("cluster: assigning joining node: %w", err)
-	}
-	// Ghost-slot compaction: a drained slot whose session has fully
-	// ended (reader exited, final metrics recorded) is a ghost — it owns
-	// nothing and will never speak again. Reuse the oldest one for the
-	// joining node instead of growing every per-slot array, so a
-	// long-running cluster's join/drain churn doesn't leak slots. The
-	// retired session's metrics move to the retired accumulator first,
-	// keeping the cluster-wide Metrics sum intact.
-	slot := -1
-	for m := range in.conns {
-		if !in.drained[m] || in.dead[m] || in.abandoned[m] {
+	in.install(n, c, connAddr(c))
+	return n, nil
+}
+
+// ghost finds the oldest ghost slot (-1: none): drained, its session
+// fully ended — reader exited, final metrics recorded. It owns nothing
+// and will never speak again.
+func (in *Ingress) ghost() int {
+	for n, s := range in.slots {
+		if s.state != slotDrained {
 			continue
 		}
 		select {
-		case <-in.readerDone[m]:
-		default:
-			continue // session still draining
+		case <-s.done:
+			if in.metricsDone(s) {
+				return n
+			}
+		default: // session still draining
 		}
-		if !in.metricsDone(m) {
-			continue
-		}
-		slot = m
-		break
 	}
-	if slot >= 0 {
-		in.conns[slot] = c
-		in.sendErr[slot] = nil
-		in.dead[slot] = false
-		in.drained[slot] = false
-		in.finSent[slot] = false
-		in.nodeShards[slot] = 0
-		in.hosted[slot] = map[int]bool{} // a fresh session has hosted nothing
-		in.outs[slot] = nil
-		in.addrs[slot] = connAddr(c)
-		done := make(chan struct{})
-		in.readerDone[slot] = done
-		in.mu.Lock()
-		in.gen[slot]++
-		gen := in.gen[slot]
-		in.retired.Merge(in.nodeMetrics[slot])
-		in.nodeMetrics[slot] = engine.Metrics{}
-		in.gotMetrics[slot] = false
-		in.stats[slot] = nil
-		in.mu.Unlock()
-		in.det.Heard(slot)
-		in.readers.Add(1)
-		go in.read(slot, c, gen, done)
-		return slot, nil
-	}
-	n := len(in.conns)
-	in.conns = append(in.conns, c)
-	in.sendErr = append(in.sendErr, nil)
-	in.dead = append(in.dead, false)
-	in.drained = append(in.drained, false)
-	in.abandoned = append(in.abandoned, false)
-	in.nodeShards = append(in.nodeShards, 0)
-	in.finSent = append(in.finSent, false)
-	in.hosted = append(in.hosted, map[int]bool{})
-	in.outs = append(in.outs, nil)
-	in.addrs = append(in.addrs, connAddr(c))
-	done := make(chan struct{})
-	in.readerDone = append(in.readerDone, done)
-	in.mu.Lock()
-	in.gen = append(in.gen, 0)
-	in.nodeMetrics = append(in.nodeMetrics, engine.Metrics{})
-	in.gotMetrics = append(in.gotMetrics, false)
-	in.stats = append(in.stats, nil)
-	in.mu.Unlock()
-	in.det.Grow()
-	in.readers.Add(1)
-	go in.read(n, c, 0, done)
-	return n, nil
+	return -1
 }
 
 // Drain gracefully empties node slot n: every shard it owns migrates
@@ -1297,65 +1006,50 @@ func (in *Ingress) Drain(n int) error {
 	if in.rec == nil {
 		return fmt.Errorf("cluster: Drain requires Recovery (migrations replay from the journal)")
 	}
-	if n < 0 || n >= len(in.conns) {
+	if n < 0 || n >= len(in.slots) {
 		return fmt.Errorf("cluster: Drain: no node slot %d", n)
 	}
 	in.waitSends()
 	in.checkSuspects()
-	if in.dead[n] {
-		return fmt.Errorf("cluster: Drain: node %d is dead", n)
+	s := in.slots[n]
+	if !s.receives() {
+		return fmt.Errorf("cluster: Drain: node %d is not live (dead or already drained)", n)
 	}
-	if in.drained[n] {
-		return fmt.Errorf("cluster: Drain: node %d already drained", n)
-	}
+	// Round-robin over the other slots from slot 0, skipping any that
+	// cannot take the shard (not live, or its session already hosted it).
 	owned := in.ownedShards(n)
-	var targets []int
-	for m := range in.conns {
-		if m != n && !in.dead[m] && !in.drained[m] && !in.abandoned[m] {
-			targets = append(targets, m)
-		}
-	}
-	if len(owned) > 0 && len(targets) == 0 {
-		return fmt.Errorf("cluster: draining node %d: no live node can take its shards", n)
-	}
-	ti := 0
+	next := len(in.slots) - 1
 	for _, g := range owned {
 		pick := -1
-		for k := 0; k < len(targets); k++ {
-			t := targets[(ti+k)%len(targets)]
-			if !in.hosted[t][g] {
+		for k := 1; k <= len(in.slots) && pick < 0; k++ {
+			if t := (next + k) % len(in.slots); t != n && in.slots[t].takes(g) {
 				pick = t
-				ti = (ti + k + 1) % len(targets)
-				break
 			}
 		}
 		if pick < 0 {
-			return fmt.Errorf("cluster: draining node %d: every live node already hosted shard %d this session", n, g)
+			return fmt.Errorf("cluster: draining node %d: no live node can take shard %d (every one is gone or already hosted it this session)", n, g)
 		}
-		if err := in.migrateShard(g, pick, "drain", -1); err != nil {
-			if in.sendErr[pick] == nil {
-				in.sendErr[pick] = err
-			}
+		next = pick
+		if err := in.handoff(g, pick, "drain"); err != nil {
 			return err
 		}
 	}
 	if len(owned) > 0 {
 		in.routeBroadcast()
 	}
-	if err := in.conns[n].Send(wire.Finish{}); err != nil {
+	if err := s.conn.Send(wire.Finish{}); err != nil {
 		// The shards are already safe on their new owners; the node's
 		// death at this point is a benign failover.
 		in.fail(n, fmt.Errorf("cluster: finishing drained node %d: %w", n, err))
 		return nil
 	}
 	in.det.Sent(n)
-	in.finSent[n] = true
-	in.drained[n] = true
-	in.addrs[n] = "" // the slot no longer lives anywhere dialable
+	s.state = slotDrained
+	s.addr = "" // the slot no longer lives anywhere dialable
 	// The ghost slot's last load report is history now — drop it so
 	// NodeStats and the placement controller never see it again.
 	in.mu.Lock()
-	in.stats[n] = nil
+	s.stats = nil
 	in.mu.Unlock()
 	return nil
 }
@@ -1377,20 +1071,16 @@ func (in *Ingress) RemoveNode(n int) error {
 	// metrics before the slot can be compacted. The wait cannot starve —
 	// draining needs no further ingress sends, and the merge collector
 	// runs on its own goroutine.
-	<-in.readerDone[n]
-	in.conns[n].Close()
+	s := in.slots[n]
+	<-s.done
+	s.conn.Close()
 	in.mu.Lock()
-	if in.gotMetrics[n] {
-		// Fold the retired session's counters now so the slot's metrics
-		// slate is clean for reuse; gotMetrics stays set — it is the
-		// clean-end marker ghost-slot compaction keys on.
-		in.retired.Merge(in.nodeMetrics[n])
-		in.nodeMetrics[n] = engine.Metrics{}
-	}
-	in.stats[n] = nil
+	// Fold the retired session's counters now so the slot's metrics slate
+	// is clean for reuse; gotMetrics stays set — it is the clean-end
+	// marker ghost-slot compaction keys on.
+	in.retired.Merge(s.metrics)
+	s.metrics = engine.Metrics{}
 	in.mu.Unlock()
-	in.nodeShards[n] = 0
-	in.outs[n] = nil
 	return nil
 }
 
@@ -1416,12 +1106,12 @@ func (in *Ingress) MigrateShard(g, to int) error {
 	if g < 0 || g >= in.total {
 		return fmt.Errorf("cluster: MigrateShard: no shard %d", g)
 	}
-	if to < 0 || to >= len(in.conns) {
+	if to < 0 || to >= len(in.slots) {
 		return fmt.Errorf("cluster: MigrateShard: no node slot %d", to)
 	}
 	in.waitSends()
 	in.checkSuspects()
-	if in.dead[to] || in.drained[to] || in.abandoned[to] {
+	if !in.slots[to].receives() {
 		return fmt.Errorf("cluster: MigrateShard: node %d cannot take shards", to)
 	}
 	if in.owner[g] == to {
@@ -1431,14 +1121,7 @@ func (in *Ingress) MigrateShard(g, to int) error {
 	if len(in.ownedShards(to)) == 0 {
 		reason = "join"
 	}
-	if err := in.migrateShard(g, to, reason, -1); err != nil {
-		if in.sendErr[to] == nil {
-			in.sendErr[to] = err
-		}
-		return err
-	}
-	in.routeBroadcast()
-	return nil
+	return in.move(g, to, reason)
 }
 
 // AddPattern registers one more pattern on a running cluster. The
@@ -1487,21 +1170,7 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 		}
 	}
 	in.addCut.Store(&next)
-	entry := wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern}
-	for n, c := range in.conns {
-		if in.dead[n] || in.drained[n] {
-			continue
-		}
-		if err := c.Send(wire.PatternAdd{Entry: entry}); err != nil {
-			// Parked like any cut-send failure: the next barrier fails the
-			// node over, and its successor adopts the updated set.
-			if in.sendErr[n] == nil {
-				in.sendErr[n] = err
-			}
-			continue
-		}
-		in.det.Sent(n)
-	}
+	in.broadcast(wire.PatternAdd{Entry: wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern}}, slotLive)
 	return nil
 }
 
@@ -1538,18 +1207,7 @@ func (in *Ingress) RemovePattern(id uint32) error {
 	in.checkSuspects()
 	in.specs = append(in.specs[:at:at], in.specs[at+1:]...)
 	in.sig = signature(in.specs, in.schema)
-	for n, c := range in.conns {
-		if in.dead[n] || in.drained[n] {
-			continue
-		}
-		if err := c.Send(wire.PatternRemove{ID: id}); err != nil {
-			if in.sendErr[n] == nil {
-				in.sendErr[n] = err
-			}
-			continue
-		}
-		in.det.Sent(n)
-	}
+	in.broadcast(wire.PatternRemove{ID: id}, slotLive)
 	return nil
 }
 
@@ -1568,16 +1226,9 @@ func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ids := make([]int, 0, len(in.patMetrics))
-	for id := range in.patMetrics {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	out := make([]multi.PatternMetrics, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, multi.PatternMetrics{
-			ID: uint32(id), Tenant: tenant[uint32(id)], M: in.patMetrics[uint32(id)],
-		})
+	out := make([]multi.PatternMetrics, 0, len(in.patMetrics))
+	for _, id := range slices.Sorted(maps.Keys(in.patMetrics)) {
+		out = append(out, multi.PatternMetrics{ID: id, Tenant: tenant[id], M: in.patMetrics[id]})
 	}
 	return out
 }
@@ -1587,14 +1238,9 @@ func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
 func (in *Ingress) TenantStats() []shed.TenantStat {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	ids := make([]int, 0, len(in.tenantAgg))
-	for t := range in.tenantAgg {
-		ids = append(ids, int(t))
-	}
-	sort.Ints(ids)
-	out := make([]shed.TenantStat, 0, len(ids))
-	for _, t := range ids {
-		out = append(out, in.tenantAgg[uint32(t)])
+	out := make([]shed.TenantStat, 0, len(in.tenantAgg))
+	for _, t := range slices.Sorted(maps.Keys(in.tenantAgg)) {
+		out = append(out, in.tenantAgg[t])
 	}
 	return out
 }
@@ -1614,8 +1260,8 @@ func (in *Ingress) Owners() []int {
 }
 
 // NodeStats snapshots the latest per-shard load report of every node
-// slot (nil for a slot that has not reported yet — a dead node, or one
-// whose shards have seen no traffic). This is the placement
+// slot (nil for a slot that has not reported yet or was drained; a
+// report covers every shard, idle ones as zeros). This is the placement
 // controller's input, exposed so operators and benchmarks can observe
 // when load telemetry has actually arrived: stats ride the node's
 // upstream frame flow, so a coordinator far ahead of its workers sees
@@ -1623,34 +1269,21 @@ func (in *Ingress) Owners() []int {
 func (in *Ingress) NodeStats() [][]wire.ShardStat {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make([][]wire.ShardStat, len(in.stats))
-	for i, ss := range in.stats {
-		if len(ss) > 0 {
-			out[i] = append([]wire.ShardStat(nil), ss...)
+	out := make([][]wire.ShardStat, len(in.slots))
+	for i, s := range in.slots {
+		if len(s.stats) > 0 {
+			out[i] = append([]wire.ShardStat(nil), s.stats...)
 		}
 	}
 	return out
 }
 
-// finishNodes delivers the Finish frame to every live node that has not
-// received one, failing over (and retrying the successor) on send
-// errors. Terminates because every failed attempt either consumes a
-// standby or degrades the slot.
+// finishNodes hands Finish to every slot still live, failing over (and
+// finishing the successor) on send errors. Terminates because every
+// failed attempt either consumes a standby or ends the slot.
 func (in *Ingress) finishNodes() {
-	for again := true; again; {
-		again = false
-		for n, c := range in.conns {
-			if in.dead[n] || in.finSent[n] {
-				continue
-			}
-			if err := c.Send(wire.Finish{}); err != nil {
-				in.fail(n, fmt.Errorf("cluster: finishing node %d: %w", n, err))
-				again = true
-				continue
-			}
-			in.det.Sent(n)
-			in.finSent[n] = true
-		}
+	for in.broadcast(wire.Finish{}, slotFinishing) > 0 {
+		in.waitSends()
 	}
 }
 
@@ -1678,8 +1311,8 @@ func (in *Ingress) Finish() error {
 		in.drainRecovered()
 	}
 	in.col.Close()
-	for _, c := range in.conns {
-		c.Close()
+	for _, s := range in.slots {
+		s.conn.Close()
 	}
 	return in.Err()
 }
@@ -1696,8 +1329,8 @@ func (in *Ingress) Kill() {
 		return
 	}
 	in.finished = true
-	for _, c := range in.conns {
-		c.Close()
+	for _, s := range in.slots {
+		s.conn.Close()
 	}
 	in.sendWG.Wait()
 	in.readers.Wait()
@@ -1706,7 +1339,7 @@ func (in *Ingress) Kill() {
 
 // Nodes reports the node slot count (live, drained and dead slots
 // included).
-func (in *Ingress) Nodes() int { return len(in.conns) }
+func (in *Ingress) Nodes() int { return len(in.slots) }
 
 // TotalShards reports the global shard count across all nodes.
 func (in *Ingress) TotalShards() int { return in.total }
@@ -1718,9 +1351,9 @@ func (in *Ingress) Metrics() engine.Metrics {
 	defer in.mu.Unlock()
 	var m engine.Metrics
 	m.Merge(in.retired)
-	for i := range in.nodeMetrics {
-		if in.gotMetrics[i] {
-			m.Merge(in.nodeMetrics[i])
+	for _, s := range in.slots {
+		if s.gotMetrics {
+			m.Merge(s.metrics)
 		}
 	}
 	return m
@@ -1731,7 +1364,9 @@ func (in *Ingress) Metrics() engine.Metrics {
 func (in *Ingress) NodeMetrics() []engine.Metrics {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make([]engine.Metrics, len(in.nodeMetrics))
-	copy(out, in.nodeMetrics)
+	out := make([]engine.Metrics, len(in.slots))
+	for i, s := range in.slots {
+		out[i] = s.metrics
+	}
 	return out
 }

@@ -12,7 +12,6 @@ import (
 	recovery "acep/internal/recover"
 	"acep/internal/shard"
 	"acep/internal/shed"
-	"acep/internal/stats"
 )
 
 // LocalConfig assembles an in-process cluster: worker nodes served over
@@ -29,11 +28,9 @@ type LocalConfig struct {
 	// Batch is the events-per-cut of the ingress and the local handoff
 	// batch of every node (default 256).
 	Batch int
-	// QueueCap / Snapshot / Window size each node's local ingestion
-	// queues (see shard.Options).
+	// QueueCap bounds each node's local ingestion queues (see
+	// shard.Options).
 	QueueCap int
-	Snapshot *stats.Snapshot
-	Window   event.Time
 	// Overflow selects the nodes' full-queue behavior.
 	Overflow shard.Overflow
 	// Key or KeyAttr+Schema selects the partition key (see shard.Options).
@@ -80,39 +77,36 @@ func StartLocal(pat *pattern.Pattern, cfg engine.Config, lc LocalConfig) (*Ingre
 	if lc.ShardsPerNode <= 0 {
 		lc.ShardsPerNode = 1
 	}
-	conns := make([]Conn, lc.Nodes)
-	closeAll := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close() // unblocks the node goroutine behind the pipe
-			}
-		}
-	}
-	for i := 0; i < lc.Nodes; i++ {
+	// spawn starts one in-process node behind a pipe and returns the
+	// ingress end. A nil pattern starts it bare: it learns the pattern set
+	// and schema from the Assign frame and its shards from the Migrate
+	// handshake, so it needs only the engine config and the key.
+	spawn := func(pat *pattern.Pattern, schema *event.Schema) (Conn, error) {
 		node, err := NewNode(NodeConfig{
-			Pattern:  pat,
-			Engine:   cfg,
-			Shards:   lc.ShardsPerNode,
-			Batch:    lc.Batch,
-			QueueCap: lc.QueueCap,
-			Snapshot: lc.Snapshot,
-			Window:   lc.Window,
-			Overflow: lc.Overflow,
-			Key:      lc.Key,
-			KeyAttr:  lc.KeyAttr,
-			Schema:   lc.Schema,
+			Pattern: pat, Schema: schema, Engine: cfg,
+			Shards: lc.ShardsPerNode, Batch: lc.Batch, QueueCap: lc.QueueCap, Overflow: lc.Overflow,
+			Key: lc.Key, KeyAttr: lc.KeyAttr,
 		})
 		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+			return nil, err
 		}
 		client, server := Pipe()
-		conns[i] = client
-		go func(n *Node, c Conn) {
-			if err := n.Serve(c); err != nil && lc.OnNodeErr != nil {
+		go func() {
+			if err := node.Serve(server); err != nil && lc.OnNodeErr != nil {
 				lc.OnNodeErr(err)
 			}
-		}(node, server)
+		}()
+		return client, nil
+	}
+	conns := make([]Conn, lc.Nodes)
+	for i := range conns {
+		var err error
+		if conns[i], err = spawn(pat, lc.Schema); err != nil {
+			for _, c := range conns[:i] {
+				c.Close() // unblocks the node goroutine behind the pipe
+			}
+			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+		}
 	}
 	opts := IngressOptions{
 		Batch:    lc.Batch,
@@ -134,34 +128,12 @@ func StartLocal(pat *pattern.Pattern, cfg engine.Config, lc LocalConfig) (*Ingre
 			HeartbeatTimeout: lc.HeartbeatTimeout,
 			MaxJournalBytes:  lc.MaxJournalBytes,
 			OnFailover:       lc.OnFailover,
-			// Each standby is a bare node: it learns the pattern set and
-			// schema from the Assign frame and its shards from the
-			// Migrate handshake, so the factory needs only the engine
-			// config and the key.
 			Standby: func() (Conn, error) {
 				if spawned >= lc.Standbys {
 					return nil, fmt.Errorf("cluster: all %d in-process standbys used", lc.Standbys)
 				}
 				spawned++
-				node, err := NewNode(NodeConfig{
-					Engine:   cfg,
-					Shards:   lc.ShardsPerNode,
-					Batch:    lc.Batch,
-					QueueCap: lc.QueueCap,
-					Overflow: lc.Overflow,
-					Key:      lc.Key,
-					KeyAttr:  lc.KeyAttr,
-				})
-				if err != nil {
-					return nil, err
-				}
-				client, server := Pipe()
-				go func() {
-					if err := node.Serve(server); err != nil && lc.OnNodeErr != nil {
-						lc.OnNodeErr(err)
-					}
-				}()
-				return client, nil
+				return spawn(nil, nil)
 			},
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"acep/internal/pattern"
 	"acep/internal/shard"
 	"acep/internal/shed"
-	"acep/internal/stats"
 	"acep/internal/wire"
 )
 
@@ -57,12 +56,9 @@ type NodeConfig struct {
 	// Batch is the local handoff batch (default 256); the network cut
 	// drives uniform watermark flushes regardless.
 	Batch int
-	// QueueCap bounds each local shard's ingestion queue in events;
-	// Snapshot+Window derive it from measured statistics when unset (see
+	// QueueCap bounds each local shard's ingestion queue in events (see
 	// shard.Options).
 	QueueCap int
-	Snapshot *stats.Snapshot
-	Window   event.Time
 	// Overflow selects the full-queue behavior (default Backpressure).
 	Overflow shard.Overflow
 	// Key extracts the partition key; Key or KeyAttr+Schema is required
@@ -120,32 +116,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	key := cfg.Key
-	switch {
-	case key != nil && cfg.KeyAttr != "":
-		return nil, fmt.Errorf("cluster: set exactly one of Key and KeyAttr")
-	case key == nil && cfg.KeyAttr == "":
-		return nil, fmt.Errorf("cluster: a partition key is required: set Key or KeyAttr")
+	n := &Node{cfg: cfg}
+	if cfg.Pattern == nil && cfg.Key == nil && cfg.KeyAttr != "" {
+		// Bare KeyAttr mode: the attribute resolves against the schema the
+		// handshake ships.
+		return n, nil
 	}
-	if cfg.Pattern == nil {
-		// Bare mode: KeyAttr resolves against the shipped schema at
-		// handshake time.
-		return &Node{cfg: cfg, key: key, sig: 0}, nil
+	var specs []multi.Spec
+	if cfg.Pattern != nil {
+		specs = multi.Solo(cfg.Pattern, cfg.Engine)
+		n.sig = signature(specs, cfg.Schema)
 	}
-	if cfg.KeyAttr != "" {
-		if cfg.Schema == nil {
-			return nil, fmt.Errorf("cluster: KeyAttr needs Schema to resolve the attribute")
-		}
-		if err := shard.Partitionable(cfg.Pattern, cfg.Schema, cfg.KeyAttr); err != nil {
-			return nil, err
-		}
-		k, err := shard.ByAttrName(cfg.Schema, cfg.KeyAttr)
-		if err != nil {
-			return nil, err
-		}
-		key = k
+	var err error
+	if n.key, err = shard.KeyFor(cfg.Key, cfg.KeyAttr, cfg.Schema, specs); err != nil {
+		return nil, err
 	}
-	return &Node{cfg: cfg, key: key, sig: signature(multi.Solo(cfg.Pattern, cfg.Engine), cfg.Schema)}, nil
+	return n, nil
 }
 
 // sender serializes a node's upstream frames and latches the first send
@@ -265,19 +251,10 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	if key == nil {
 		// Bare KeyAttr mode: resolve against the shipped schema, with
 		// the same partitionability validation a configured node runs.
-		if a.Schema == nil {
-			return fmt.Errorf("cluster: bare node needs a shipped schema to resolve key attribute %q", n.cfg.KeyAttr)
+		var err error
+		if key, err = shard.KeyFor(nil, n.cfg.KeyAttr, a.Schema, specs); err != nil {
+			return fmt.Errorf("cluster: bare node: %w", err)
 		}
-		for _, sp := range specs {
-			if err := shard.Partitionable(sp.Pattern, a.Schema, n.cfg.KeyAttr); err != nil {
-				return fmt.Errorf("cluster: pattern %d: %w", sp.ID, err)
-			}
-		}
-		k, err := shard.ByAttrName(a.Schema, n.cfg.KeyAttr)
-		if err != nil {
-			return err
-		}
-		key = k
 	}
 	total := int(a.Total)
 	if total < 1 || uint64(a.Base)+uint64(a.Shards) > uint64(a.Total) {
@@ -385,8 +362,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		Shards:   total,
 		Batch:    n.cfg.Batch,
 		QueueCap: n.cfg.QueueCap,
-		Snapshot: n.cfg.Snapshot,
-		Window:   n.cfg.Window,
 		Overflow: n.cfg.Overflow,
 		Key:      key,
 		Schema:   a.Schema,
@@ -487,49 +462,61 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		eng.Flush(upTo)
 	}
 
-	finish := func() { // idempotent by shard.Engine contract
+	// abort ends the session on an error: drain the engines (Finish is
+	// idempotent by shard.Engine contract) and push out what they still
+	// produced — best-effort, the drained tail may still arrive.
+	abort := func(err error) error {
 		eng.Finish()
+		up.flush()
+		return err
 	}
 	// sendStats ships a per-shard load snapshot (events processed and
-	// ingestion queue-wait p99) for the placement controller; shards
-	// that processed nothing are omitted. Each stat is stamped with the
-	// highest cut watermark sealed so far, so the controller can discard
-	// reports that predate its decision horizon.
+	// ingestion queue-wait p99) for the placement controller. Shards
+	// that processed nothing are reported too: a stamped zero is how the
+	// controller tells an idle node (known load 0, a fine target) from a
+	// lagging one (no current report, load unknown). Each stat is stamped
+	// with the highest cut watermark sealed so far, so the controller can
+	// discard reports that predate its decision horizon.
 	sendStats := func() {
 		loads := eng.ShardLoads()
 		migMu.Lock()
 		cutMark := maxUpTo
 		migMu.Unlock()
-		var ss []wire.ShardStat
+		ss := make([]wire.ShardStat, len(loads))
 		for g, l := range loads {
-			if l.Events == 0 {
-				continue
-			}
-			ss = append(ss, wire.ShardStat{
+			ss[g] = wire.ShardStat{
 				Shard: uint32(g), Events: l.Events, P99Nanos: uint64(l.WaitP99), Cut: cutMark,
-			})
+			}
 		}
-		if len(ss) > 0 {
-			up.send(wire.ShardStats{Stats: ss})
+		up.send(wire.ShardStats{Stats: ss})
+	}
+	// sealCut is what a watermark-bearing Batch frame triggers on either
+	// transport: beat on receipt, feed and seal the buffered cut, then
+	// the periodic load report.
+	sealCut := func(upTo uint64) {
+		up.send(wire.Heartbeat{UpTo: upTo})
+		flushCut(upTo)
+		migMu.Lock()
+		maxUpTo = max(maxUpTo, upTo)
+		migMu.Unlock()
+		cuts++
+		if cuts%statsEveryCuts == 0 {
+			sendStats()
 		}
 	}
 	for {
 		f, err := conn.Recv()
 		if err != nil {
-			finish()
-			up.flush() // best-effort: the drained tail may still arrive
 			if err == io.EOF {
-				return fmt.Errorf("cluster: ingress closed before finish")
+				err = fmt.Errorf("cluster: ingress closed before finish")
 			}
-			return err
+			return abort(err)
 		}
 		// Epoch fence, loop half: a takeover successor may have raised
 		// the process epoch since the handshake — stop serving the
 		// superseded coordinator at its next frame.
 		if cur := n.epoch.Load(); cur > a.Epoch {
-			finish()
-			up.flush()
-			return fmt.Errorf("cluster: session fenced: coordinator epoch %d superseded by %d", a.Epoch, cur)
+			return abort(fmt.Errorf("cluster: session fenced: coordinator epoch %d superseded by %d", a.Epoch, cur))
 		}
 		switch v := f.(type) {
 		case *wire.BatchView:
@@ -546,17 +533,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			if v.UpTo == 0 {
 				break // events-only frame; the cut's watermark frame follows
 			}
-			up.send(wire.Heartbeat{UpTo: v.UpTo})
-			flushCut(v.UpTo)
-			migMu.Lock()
-			if v.UpTo > maxUpTo {
-				maxUpTo = v.UpTo
-			}
-			migMu.Unlock()
-			cuts++
-			if cuts%statsEveryCuts == 0 {
-				sendStats()
-			}
+			sealCut(v.UpTo)
 			// Unpin decoded chunks the engines can no longer need for
 			// new matches (recycle is off, so any horizon is safe — see
 			// the arena comment above).
@@ -576,19 +553,8 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 				}
 				appendRun(ptrBuf)
 			}
-			if v.UpTo == 0 {
-				break // events-only frame; the cut's watermark frame follows
-			}
-			up.send(wire.Heartbeat{UpTo: v.UpTo})
-			flushCut(v.UpTo)
-			migMu.Lock()
-			if v.UpTo > maxUpTo {
-				maxUpTo = v.UpTo
-			}
-			migMu.Unlock()
-			cuts++
-			if cuts%statsEveryCuts == 0 {
-				sendStats()
+			if v.UpTo != 0 { // else events-only; the cut's watermark frame follows
+				sealCut(v.UpTo)
 			}
 		case wire.Migrate:
 			// A shard is moving onto this session: suppress its
@@ -596,9 +562,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			// once the post-replay marker and a proving watermark pass.
 			g := int(v.Shard)
 			if g < 0 || g >= total {
-				finish()
-				up.flush()
-				return fmt.Errorf("cluster: migrate for shard %d outside global space of %d", g, total)
+				return abort(fmt.Errorf("cluster: migrate for shard %d outside global space of %d", g, total))
 			}
 			migMu.Lock()
 			suppress[g] = v.SuppressUpTo
@@ -613,9 +577,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			// additionally covers any match a frame-ordering edge could
 			// slip in between.
 			migMu.Lock()
-			if v.Boundary > suppressAll {
-				suppressAll = v.Boundary
-			}
+			suppressAll = max(suppressAll, v.Boundary)
 			migMu.Unlock()
 			up.send(wire.Heartbeat{UpTo: v.Boundary})
 		case wire.ShardRoute:
@@ -640,24 +602,18 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 				Pattern: v.Entry.Pattern, Config: n.cfg.Engine,
 			}
 			if err := eng.AddPattern(sp); err != nil {
-				finish()
-				up.flush()
-				return fmt.Errorf("cluster: node adding pattern %d: %w", sp.ID, err)
+				return abort(fmt.Errorf("cluster: node adding pattern %d: %w", sp.ID, err))
 			}
-			if sp.Pattern.Window > relWindow {
-				relWindow = sp.Pattern.Window
-			}
+			relWindow = max(relWindow, sp.Pattern.Window)
 		case wire.PatternRemove:
 			if err := eng.RemovePattern(v.ID); err != nil {
-				finish()
-				up.flush()
-				return fmt.Errorf("cluster: node removing pattern %d: %w", v.ID, err)
+				return abort(fmt.Errorf("cluster: node removing pattern %d: %w", v.ID, err))
 			}
 		case wire.Finish:
 			// Drain everything: Finish returns only after the collector
 			// has delivered every match (and the MaxUint64 watermark)
 			// through the sender above.
-			finish()
+			eng.Finish()
 			report := wire.Metrics{M: eng.Metrics(), Tenants: eng.TenantStats()}
 			for _, pm := range eng.PatternMetrics() {
 				report.Patterns = append(report.Patterns, wire.PatternMetrics{ID: pm.ID, M: pm.M})
@@ -669,9 +625,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			}
 			return nil
 		default:
-			finish()
-			up.flush()
-			return fmt.Errorf("cluster: node received unexpected %s frame", wire.KindOf(f))
+			return abort(fmt.Errorf("cluster: node received unexpected %s frame", wire.KindOf(f)))
 		}
 		up.flush()
 		if err := up.failed(); err != nil {
@@ -679,8 +633,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			// partition, write stall. Without this check the session
 			// would go back to Recv and block forever on a peer that is
 			// done talking to us; surface the link error instead.
-			finish()
-			return fmt.Errorf("cluster: node upstream send: %w", err)
+			return abort(fmt.Errorf("cluster: node upstream send: %w", err))
 		}
 	}
 }

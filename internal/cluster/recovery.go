@@ -5,9 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"acep/internal/event"
 	recovery "acep/internal/recover"
-	"acep/internal/wire"
 )
 
 // maxAdoptAttempts caps how many successor connections one failover
@@ -33,11 +31,9 @@ type RecoveryConfig struct {
 	// failure then surfaces from Finish exactly as it would without
 	// recovery configured.
 	Standby func() (Conn, error)
-	// Window is the pattern's time window for journal sizing (default:
-	// the pattern's own Window).
-	Window event.Time
 	// SlackWindows / MaxJournalBytes tune the journal's retention
-	// horizon and memory bound (see recovery.JournalConfig).
+	// horizon and memory bound (see recovery.JournalConfig); its window is
+	// the widest of the hosted patterns'.
 	SlackWindows    int
 	MaxJournalBytes int64
 	// HeartbeatTimeout declares a node dead after this much frame
@@ -52,16 +48,18 @@ type RecoveryConfig struct {
 
 // releaseConn returns its standby address to the pool when the
 // connection closes, so a consumed standby whose process restarts (and
-// re-listens) can be dialed again by a later failover or join.
+// re-listens) can be dialed again by a later failover or join. It embeds
+// the concrete stream connection, not the Conn interface, so the probes
+// an installed session relies on (SetWriteStall) stay reachable.
 type releaseConn struct {
-	Conn
+	*streamConn
 	addr    string
 	once    sync.Once
 	release func()
 }
 
 func (c *releaseConn) Close() error {
-	err := c.Conn.Close()
+	err := c.streamConn.Close()
 	c.once.Do(c.release)
 	return err
 }
@@ -102,7 +100,7 @@ func DialStandbys(addrs []string) func() (Conn, error) {
 				continue
 			}
 			i := i
-			rc := &releaseConn{Conn: c, addr: addrs[i]}
+			rc := &releaseConn{streamConn: c.(*streamConn), addr: addrs[i]}
 			rc.release = func() {
 				mu.Lock()
 				inUse[i] = false
@@ -118,19 +116,20 @@ func DialStandbys(addrs []string) func() (Conn, error) {
 }
 
 // suspectRec is a failure observed by a reader goroutine, queued for the
-// ingress goroutine to act on. gen guards against a stale suspect from a
-// previous tenant of the slot killing its successor.
+// ingress goroutine to act on. The session it names guards against a
+// stale suspect from a previous tenant of the slot killing its successor.
 type suspectRec struct {
 	node int
-	gen  int
+	s    *slot
 	err  error
 }
 
-// suspect queues a failure observation from node slot i's reader.
-func (in *Ingress) suspect(i, gen int, err error) {
+// suspect queues a failure observation from the reader of session s on
+// node slot i.
+func (in *Ingress) suspect(i int, s *slot, err error) {
 	in.mu.Lock()
-	if gen == in.gen[i] {
-		in.suspects = append(in.suspects, suspectRec{node: i, gen: gen, err: err})
+	if in.slots[i] == s {
+		in.suspects = append(in.suspects, suspectRec{node: i, s: s, err: err})
 	}
 	in.mu.Unlock()
 }
@@ -145,27 +144,25 @@ func (in *Ingress) checkSuspects() {
 	sus := in.suspects
 	in.suspects = nil
 	in.mu.Unlock()
-	for _, s := range sus {
-		in.mu.Lock()
-		stale := s.gen != in.gen[s.node]
-		in.mu.Unlock()
-		if !stale && !in.dead[s.node] {
-			in.failNode(s.node, s.err)
+	for _, su := range sus {
+		if in.slots[su.node] == su.s && su.s.inSession() {
+			in.failNode(su.node, su.err)
 		}
 	}
-	for n := range in.conns {
-		if in.dead[n] {
+	for n, s := range in.slots {
+		if !s.inSession() {
 			continue
 		}
 		select {
-		case <-in.readerDone[n]:
+		case <-s.done:
 			// The session is over — finished cleanly, or its failure is
 			// already queued as a suspect. A finished node stops
 			// heartbeating legitimately.
 			continue
 		default:
 		}
-		if in.det.Expired(n, in.finSent[n]) {
+		// A slot handed Finish owes frames whatever the send order.
+		if in.det.Expired(n, s.state != slotLive) {
 			in.failNode(n, fmt.Errorf("cluster: node %d silent past the heartbeat timeout", n))
 		}
 	}
@@ -186,16 +183,16 @@ func (in *Ingress) fail(n int, err error) {
 // journal coverage, then migrate its shards to standby connections
 // until one survives adoption, the attempt cap is hit, or none remain.
 func (in *Ingress) failNode(n int, cause error) {
-	if in.dead[n] {
+	s := in.slots[n]
+	if !s.inSession() {
 		return
 	}
-	in.dead[n] = true
-	in.finSent[n] = false
+	s.state = slotDead
 	// Closing the connection makes the old reader observe the failure
 	// and exit without posting; its frames must stop before the
 	// collector slot is re-registered.
-	in.conns[n].Close()
-	<-in.readerDone[n]
+	s.conn.Close()
+	<-s.done
 	in.dropAbortedMigrations(n)
 	owned := in.ownedShards(n)
 	if len(owned) == 0 {
@@ -225,20 +222,19 @@ func (in *Ingress) failNode(n int, cause error) {
 	in.facked = append(in.facked, 0)
 	in.mu.Unlock()
 	for attempt := 0; ; attempt++ {
-		if in.rec.Standby == nil {
-			in.popFailover(fidx)
-			in.degrade(n, fmt.Errorf("cluster: node %d failed with no standby configured: %w", n, cause))
-			return
+		var conn Conn
+		var err error
+		switch {
+		case in.rec.Standby == nil:
+			err = fmt.Errorf("no standby configured")
+		case attempt >= maxAdoptAttempts:
+			err = fmt.Errorf("gave up after %d adoption attempts", attempt)
+		default:
+			conn, err = in.rec.Standby()
 		}
-		if attempt >= maxAdoptAttempts {
-			in.popFailover(fidx)
-			in.degrade(n, fmt.Errorf("cluster: node %d failed (%v): gave up after %d adoption attempts", n, cause, attempt))
-			return
-		}
-		conn, err := in.rec.Standby()
 		if err != nil {
 			in.popFailover(fidx)
-			in.degrade(n, fmt.Errorf("cluster: node %d failed (%v) and no standby remains: %w", n, cause, err))
+			in.degrade(n, fmt.Errorf("cluster: node %d failed (%v) and no standby took over: %w", n, cause, err))
 			return
 		}
 		if in.adopt(n, conn, fidx) == nil {
@@ -295,82 +291,51 @@ func (in *Ingress) dropAbortedMigrations(n int) {
 // MaxBytes for the rest of the run.
 func (in *Ingress) degrade(n int, err error) {
 	in.recordErr(err)
-	in.abandoned[n] = true
-	in.addrs[n] = ""
+	in.slots[n].state = slotAbandoned
+	in.slots[n].addr = ""
 	for _, g := range in.ownedShards(n) {
 		in.journal.AbandonShard(g)
 	}
 	in.col.Abandon(n)
 }
 
-// adopt hands slot n's shards to one successor connection: handshake,
-// a zero-shard Assign (the successor runs a total-sized engine and
-// learns its shards from the Migrate frames), then one migrateShard
-// per owned shard. On error the connection is closed, its reader (if
-// started) has exited, aborted migrations are dropped, and the slot is
-// dead again — the caller may try another standby, which re-migrates
-// every owned shard afresh.
+// adopt hands slot n's shards to one successor connection: a
+// zero-shard session (the successor runs a total-sized engine and learns
+// its shards from the Migrate frames), then one migrateShard per owned
+// shard. On error the connection is closed, its reader has exited,
+// aborted migrations are dropped, and the slot is dead again — the
+// caller may try another standby, which re-migrates every owned shard
+// afresh.
 func (in *Ingress) adopt(n int, conn Conn, fidx int) error {
-	f, err := conn.Recv()
-	if err != nil {
+	if err := in.openSession(conn, fmt.Sprintf("standby for node %d", n)); err != nil {
 		conn.Close()
-		return fmt.Errorf("cluster: standby hello for node %d: %w", n, err)
+		return err
 	}
-	h, ok := f.(wire.Hello)
-	if !ok {
-		conn.Close()
-		return fmt.Errorf("cluster: standby for node %d sent %s, want hello", n, wire.KindOf(f))
-	}
-	if h.Version != wire.Version {
-		conn.Close()
-		return fmt.Errorf("cluster: standby for node %d speaks protocol v%d, ingress v%d", n, h.Version, wire.Version)
-	}
-	// A bare standby (sig 0) learns the pattern from the Assign frame;
-	// a configured one must already match.
-	if h.PatternSig != 0 && h.PatternSig != in.sig {
-		conn.Close()
-		return fmt.Errorf("cluster: standby for node %d serves a different pattern (fingerprint %x, want %x)", n, h.PatternSig, in.sig)
-	}
-	if err := conn.Send(in.assignFrame(0, 0)); err != nil {
-		conn.Close()
-		return fmt.Errorf("cluster: assigning standby for node %d: %w", n, err)
-	}
-
-	// Register the new session and start its reader before replaying:
-	// the reader must drain the upstream (matches, heartbeats, acks)
-	// while replay cuts flow down, or a bounded transport fills in both
-	// directions and deadlocks. An adoption retry resets the per-replay
-	// aggregates the failed attempt accumulated; the final shard's ack
-	// re-stamps RecoveredAt, so a premature stamp cannot survive.
+	// An adoption retry resets the per-replay aggregates the failed
+	// attempt accumulated; the final shard's ack re-stamps RecoveredAt,
+	// so a premature stamp cannot survive.
 	in.mu.Lock()
-	in.gen[n]++
-	gen := in.gen[n]
-	in.stats[n] = nil
 	fr := &in.failovers[fidx]
 	fr.Shards, fr.SuppressUpTo, fr.ReplayUpTo = 0, 0, 0
 	fr.ReplayCuts, fr.ReplayEvents, fr.ReplayBytes = 0, 0, 0
 	fr.RecoveredAt = time.Time{}
 	in.facked[fidx] = 0
 	in.mu.Unlock()
-	in.conns[n] = conn
-	in.hosted[n] = map[int]bool{} // a fresh session has hosted nothing
-	done := make(chan struct{})
-	in.readerDone[n] = done
-	in.det.Heard(n)
-	in.readers.Add(1)
-	go in.read(n, conn, gen, done)
-
+	// Seat the session — its reader running — before replaying: the
+	// reader must drain the upstream (matches, heartbeats, acks) while
+	// replay cuts flow down, or a bounded transport fills in both
+	// directions and deadlocks. The slot now lives at the standby's
+	// address.
+	s := in.install(n, conn, connAddr(conn))
 	for _, g := range in.ownedShards(n) {
 		if err := in.migrateShard(g, n, "failover", fidx); err != nil {
-			in.dead[n] = true
+			s.state = slotDead
 			conn.Close()
-			<-done
+			<-s.done
 			in.dropAbortedMigrations(n)
 			return err
 		}
 	}
-	in.dead[n] = false
-	in.addrs[n] = connAddr(conn) // the slot now lives at the standby's address
 	in.routeBroadcast()
 	if in.rec.OnFailover != nil {
 		in.mu.Lock()
@@ -403,9 +368,9 @@ func (in *Ingress) drainRecovered() {
 		in.checkSuspects()
 		in.finishNodes()
 		idle := true
-		for n := range in.conns {
+		for _, s := range in.slots {
 			select {
-			case <-in.readerDone[n]:
+			case <-s.done:
 			default:
 				idle = false
 			}

@@ -1,0 +1,185 @@
+package cluster
+
+import (
+	"fmt"
+	"time"
+
+	"acep/internal/engine"
+	"acep/internal/event"
+	"acep/internal/wire"
+)
+
+// slotState is where a node slot stands in its lifecycle (DESIGN.md
+// "Slot lifecycle" has the table). Everything the coordinator asks
+// about a slot — does it get this frame, is its session still watched,
+// may it take this shard — is a predicate over this one field. The
+// in-session states come first; inSession relies on the order.
+type slotState uint8
+
+const (
+	// slotLive: in session and serving. Receives cuts and control frames,
+	// may be handed shards.
+	slotLive slotState = iota
+	// slotFinishing: handed Finish at end of stream and draining its
+	// results upstream. It has stopped reading: a frame written at it now
+	// would be answered with a reset its reader can see before the clean
+	// end of stream, turning a finished node into a failover.
+	slotFinishing
+	// slotDrained: emptied by Drain and handed Finish mid-stream. Once
+	// its reader has exited and its metrics are in it is a ghost, and
+	// AddNode reuses the slot.
+	slotDrained
+	// slotDead: the link failed. With recovery this lasts only while
+	// failNode finds a successor session (or for good, if the slot owned
+	// nothing); without, the error surfaces from Finish.
+	slotDead
+	// slotAbandoned: dead with no successor; its shards are abandoned at
+	// the collector and the journal.
+	slotAbandoned
+)
+
+// slot is one node's seat at the coordinator: the session currently
+// installed on it and everything the coordinator keeps per session. A
+// new session gets a new slot value (install), so nothing carries over
+// by accident and a reader's stale reference identifies itself.
+type slot struct {
+	conn  Conn
+	state slotState
+	// addr is the worker's dialable address ("" unknown), replicated by
+	// OnCut so a standby coordinator can re-dial it on takeover.
+	addr string
+	// hosted records every shard this session has ever hosted: a session
+	// that already ran a shard holds stale window state for it, so
+	// migrating the shard back would double-process.
+	hosted map[int]bool
+	outs   [][]event.Event // send-goroutine scratch, regrouped each cut
+	// sendErr is a send failure parked for the next barrier (waitSends),
+	// which routes it into failover or record-and-drain.
+	sendErr error
+	done    chan struct{} // closed when the session's reader exits
+
+	// Written by the slot's reader goroutine, under Ingress.mu.
+	metrics    engine.Metrics
+	gotMetrics bool             // final metrics recorded: the clean-exit marker
+	stats      []wire.ShardStat // latest load snapshot
+}
+
+// receives reports whether the slot gets cuts and control frames
+// (ShardRoute, PatternAdd, PatternRemove, Finish).
+func (s *slot) receives() bool { return s.state == slotLive }
+
+// inSession reports whether the slot's session is still open: its link
+// is up, its heartbeat is watched and its failure would be acted on.
+func (s *slot) inSession() bool { return s.state <= slotDrained }
+
+// takes reports whether shard g may migrate onto the slot.
+func (s *slot) takes(g int) bool { return s.state == slotLive && !s.hosted[g] }
+
+// park records a send failure for the next barrier; the first one wins.
+func (s *slot) park(err error) {
+	if s.sendErr == nil {
+		s.sendErr = err
+	}
+}
+
+// hello receives and validates a node's greeting — the one place the
+// coordinator decides whether a peer may join the session — and returns
+// the shard count it claims. who names the peer in errors.
+func (in *Ingress) hello(c Conn, who string) (int, error) {
+	f, err := c.Recv()
+	if err != nil {
+		return 0, fmt.Errorf("cluster: %s hello: %w", who, err)
+	}
+	h, ok := f.(wire.Hello)
+	if !ok {
+		return 0, fmt.Errorf("cluster: %s sent %s, want hello", who, wire.KindOf(f))
+	}
+	if h.Version != wire.Version {
+		return 0, fmt.Errorf("cluster: %s speaks protocol v%d, ingress v%d", who, h.Version, wire.Version)
+	}
+	// Fingerprint 0 is a bare node: it hosts whatever set the Assign
+	// reply ships. Configured nodes cross-validate.
+	if h.PatternSig != 0 && h.PatternSig != in.sig {
+		return 0, fmt.Errorf("cluster: %s serves a different pattern or schema (fingerprint %x, want %x)", who, h.PatternSig, in.sig)
+	}
+	if h.Shards < 1 {
+		return 0, fmt.Errorf("cluster: %s hosts no shards", who)
+	}
+	// Cap the claimed shard count before it sizes the global shard->node
+	// map: a buggy or hostile hello must not be able to force a
+	// multi-gigabyte allocation (the same promise the wire codec makes
+	// for frame-internal counts).
+	if h.Shards > maxShardsPerNode {
+		return 0, fmt.Errorf("cluster: %s claims %d shards, cap is %d", who, h.Shards, maxShardsPerNode)
+	}
+	return int(h.Shards), nil
+}
+
+// openSession handshakes a peer into a zero-shard session — every
+// session but a founding member's: the node runs a total-sized engine
+// and learns its shards from Migrate frames.
+func (in *Ingress) openSession(c Conn, who string) error {
+	if _, err := in.hello(c, who); err != nil {
+		return err
+	}
+	if err := c.Send(in.assignFrame(0, 0)); err != nil {
+		return fmt.Errorf("cluster: assigning %s: %w", who, err)
+	}
+	return nil
+}
+
+// install seats a handshaken session on slot n (n == len(in.slots)
+// grows the fleet by one) and starts its reader. Every session — a
+// founding member's, a join's, a standby's adopting a dead slot — comes
+// through here, so what a session needs is armed in one place.
+func (in *Ingress) install(n int, c Conn, addr string) *slot {
+	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{})}
+	if in.rec != nil && in.rec.HeartbeatTimeout > 0 {
+		// A worker that stops draining its socket (wedged peer, one-way
+		// partition) must surface as this slot's link error in bounded
+		// time instead of wedging the feed inside a blocking send. Scaled
+		// off the heartbeat timeout: a peer making zero write progress for
+		// several heartbeat windows is already dead by the read-side
+		// detector's standards.
+		if sc, ok := c.(interface{ SetWriteStall(time.Duration) }); ok {
+			sc.SetWriteStall(max(4*in.rec.HeartbeatTimeout, 2*time.Second))
+		}
+	}
+	grow := n == len(in.slots)
+	in.mu.Lock()
+	if grow {
+		in.slots = append(in.slots, s)
+	} else {
+		in.slots[n] = s
+	}
+	in.mu.Unlock()
+	if !grow {
+		in.det.Heard(n)
+	} else if in.det != nil {
+		in.det.Grow()
+	}
+	in.readers.Add(1)
+	go in.read(n, s)
+	return s
+}
+
+// broadcast sends one control frame to every slot that receives them,
+// moves each slot it reached to state then, and reports how many sends
+// failed. A failure is parked on the slot: the next barrier fails the
+// node over (its successor adopts the current set and routing) or, with
+// no recovery, records the error. Ingress goroutine, behind the barrier.
+func (in *Ingress) broadcast(f wire.Frame, then slotState) (failed int) {
+	for n, s := range in.slots {
+		if !s.receives() {
+			continue
+		}
+		if err := s.conn.Send(f); err != nil {
+			s.park(err)
+			failed++
+			continue
+		}
+		in.det.Sent(n)
+		s.state = then
+	}
+	return failed
+}

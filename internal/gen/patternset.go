@@ -13,8 +13,8 @@ import (
 
 // PatternSetSpec is the reproducible description of an overlapping-prefix
 // pattern set: not the patterns themselves but the parameters that
-// regenerate them, so a small text file shared between acep-gen,
-// acep-run and acep-bench pins the exact same set everywhere
+// regenerate them, so a small text file written by acep-gen and read by
+// acep-run -patternset pins the exact same set everywhere
 // (OverlapPatterns is deterministic in these parameters).
 type PatternSetSpec struct {
 	// Dataset is the workload family the set is built against ("traffic"

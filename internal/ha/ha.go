@@ -133,10 +133,6 @@ type Config struct {
 	// drops and duplicates are safe to inject — the cut ordinal detects
 	// them.
 	WrapRepl func(c cluster.Conn) cluster.Conn
-	// WrapLease (tests, chaos) wraps the primary's lease connection —
-	// partitioning primary-to-arbiter is half of the split-brain
-	// matrix.
-	WrapLease func(c cluster.Conn) cluster.Conn
 }
 
 // Pair is a replicated coordinator: one primary ingress, one hot
@@ -269,23 +265,10 @@ func New(cfg Config) (*Pair, error) {
 	// The lease comes before the first event: a primary that cannot
 	// acquire it must not start emitting at all.
 	if cfg.LeaseAddr != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), 4*cfg.LeaseTTL+2*time.Second)
-		cl, err := lease.Dial(ctx, cfg.LeaseAddr, cluster.DialPolicy{}, cfg.WrapLease)
-		if err != nil {
-			cancel()
+		if _, err := p.acquireLease(leasePrimaryHolder); err != nil {
 			p.abort()
-			return nil, fmt.Errorf("ha: lease arbiter: %w", err)
+			return nil, err
 		}
-		fence, err := cl.AcquireWait(ctx, leasePrimaryHolder, cfg.LeaseTTL)
-		cancel()
-		if err != nil {
-			cl.Close()
-			p.abort()
-			return nil, fmt.Errorf("ha: acquiring emission lease: %w", err)
-		}
-		p.leaseCl = cl
-		p.leaseHolder = leasePrimaryHolder
-		p.leaseEpoch = fence.Epoch
 		p.g.commit = p.leaseCommit
 	}
 
@@ -304,24 +287,50 @@ func New(cfg Config) (*Pair, error) {
 		}
 		conns[i] = c
 	}
-	ing, err := cluster.NewIngress(cfg.Pattern, conns, cluster.IngressOptions{
-		Batch: cfg.Batch, KeyAttr: cfg.KeyAttr, Schema: cfg.Schema,
-		OnTagged:   p.g.onTagged,
-		OnProgress: p.g.onProgress,
-		OnCut:      p.onCut,
-		Epoch:      1,
-		Addrs:      cfg.Workers,
-		Recovery: &cluster.RecoveryConfig{
-			Standby: p.pool, HeartbeatTimeout: cfg.HeartbeatTimeout,
-			SlackWindows: cfg.SlackWindows, MaxJournalBytes: cfg.MaxJournalBytes,
-		},
-	})
-	if err != nil {
+	opts := p.ingressOptions(1, cfg.Workers)
+	opts.OnProgress = p.g.onProgress
+	opts.OnCut = p.onCut
+	if p.ing, err = cluster.NewIngress(cfg.Pattern, conns, opts); err != nil {
 		p.abort()
 		return nil, err
 	}
-	p.ing = ing
 	return p, nil
+}
+
+// ingressOptions is what the primary and its takeover successor
+// configure alike: the session's key and cut size, the gated delivery,
+// the coordinator epoch, where each slot's worker can be re-dialed, and
+// worker failover from the shared standby pool.
+func (p *Pair) ingressOptions(epoch uint64, addrs []string) cluster.IngressOptions {
+	return cluster.IngressOptions{
+		Batch: p.cfg.Batch, KeyAttr: p.cfg.KeyAttr, Schema: p.cfg.Schema,
+		OnTagged: p.g.onTagged,
+		Epoch:    epoch,
+		Addrs:    addrs,
+		Recovery: &cluster.RecoveryConfig{
+			Standby: p.pool, HeartbeatTimeout: p.cfg.HeartbeatTimeout,
+			SlackWindows: p.cfg.SlackWindows, MaxJournalBytes: p.cfg.MaxJournalBytes,
+		},
+	}
+}
+
+// acquireLease dials the arbiter and waits out any current grant until
+// holder owns the emission lease, returning the match count the previous
+// holder committed. The wait is bounded: a grant lapses within one TTL.
+func (p *Pair) acquireLease(holder uint64) (committed uint64, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*p.cfg.LeaseTTL+2*time.Second)
+	defer cancel()
+	cl, err := lease.Dial(ctx, p.cfg.LeaseAddr, cluster.DialPolicy{}, nil)
+	if err != nil {
+		return 0, fmt.Errorf("ha: lease arbiter unreachable: %w", err)
+	}
+	fence, err := cl.AcquireWait(ctx, holder, p.cfg.LeaseTTL)
+	if err != nil {
+		cl.Close()
+		return 0, fmt.Errorf("ha: emission lease not acquired: %w", err)
+	}
+	p.leaseCl, p.leaseHolder, p.leaseEpoch = cl, holder, fence.Epoch
+	return fence.Count, nil
 }
 
 // stopStandby stops the in-process standby server (no-op for an
@@ -397,9 +406,9 @@ func (p *Pair) demote(cause string) {
 // onCut is the primary's replication tap (ingress goroutine, behind the
 // send barrier): the sealed cut becomes one ReplCut frame stamped with
 // the next dense cut ordinal — the standby's dedup/gap detector. Owner
-// and Addrs are copied — the ingress mutates them after the call —
-// while the event runs alias the journal-retained cut slices, which are
-// immutable for the rest of the run.
+// is copied — the ingress mutates it after the call — Addrs is ours to
+// keep, and the event runs alias the journal-retained cut slices, which
+// are immutable for the rest of the run.
 func (p *Pair) onCut(ci cluster.CutInfo) {
 	if p.replDown.Load() {
 		return
@@ -408,7 +417,7 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 	rc := wire.ReplCut{
 		UpTo: ci.UpTo, Cut: p.cutSeq, Final: ci.Final,
 		Owner: make([]uint32, len(ci.Owner)),
-		Addrs: append([]string(nil), ci.Addrs...),
+		Addrs: ci.Addrs,
 	}
 	for g, o := range ci.Owner {
 		if o < 0 {
@@ -682,27 +691,13 @@ func (p *Pair) KillPrimary() error {
 	// Arbitration before anything else: no lease, no takeover. The
 	// successor waits out the dead primary's grant.
 	var leaseN uint64
-	haveLease := false
-	if p.cfg.LeaseAddr != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), 4*p.cfg.LeaseTTL+2*time.Second)
-		cl, err := lease.Dial(ctx, p.cfg.LeaseAddr, cluster.DialPolicy{}, nil)
-		if err != nil {
-			cancel()
-			p.err = fmt.Errorf("ha: takeover blocked: lease arbiter unreachable: %w", err)
+	haveLease := p.cfg.LeaseAddr != ""
+	if haveLease {
+		var err error
+		if leaseN, err = p.acquireLease(leaseSuccessorHolder); err != nil {
+			p.err = fmt.Errorf("ha: takeover blocked: %w", err)
 			return p.err
 		}
-		fence, err := cl.AcquireWait(ctx, leaseSuccessorHolder, p.cfg.LeaseTTL)
-		cancel()
-		if err != nil {
-			cl.Close()
-			p.err = fmt.Errorf("ha: takeover blocked: emission lease not acquired: %w", err)
-			return p.err
-		}
-		p.leaseCl = cl
-		p.leaseHolder = leaseSuccessorHolder
-		p.leaseEpoch = fence.Epoch
-		leaseN = fence.Count
-		haveLease = true
 	}
 
 	st, err := p.fetchMirror(2)
@@ -869,20 +864,12 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 	// emission state the mirror received — drop that many.
 	skip := delivered - st.count
 	p.g.takeover(skip)
-	ing, err := cluster.NewIngress(p.cfg.Pattern, conns, cluster.IngressOptions{
-		Batch: p.cfg.Batch, KeyAttr: p.cfg.KeyAttr, Schema: p.cfg.Schema,
-		OnTagged: p.g.onTagged,
-		Epoch:    2,
-		Addrs:    addrs,
-		Recovery: &cluster.RecoveryConfig{
-			Standby: p.pool, HeartbeatTimeout: p.cfg.HeartbeatTimeout,
-			SlackWindows: p.cfg.SlackWindows, MaxJournalBytes: p.cfg.MaxJournalBytes,
-		},
-		Resume: &cluster.ResumeState{
-			NextSeq: st.lastUpTo, Boundary: st.emitted,
-			Owner: newOwner, Journal: st.journal,
-		},
-	})
+	opts := p.ingressOptions(2, addrs)
+	opts.Resume = &cluster.ResumeState{
+		NextSeq: st.lastUpTo, Boundary: st.emitted,
+		Owner: newOwner, Journal: st.journal,
+	}
+	ing, err := cluster.NewIngress(p.cfg.Pattern, conns, opts)
 	if err != nil {
 		p.err = fmt.Errorf("ha: building takeover successor: %w", err)
 		return p.err

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"acep/internal/event"
+	"acep/internal/multi"
 	"acep/internal/pattern"
 )
 
@@ -61,6 +62,30 @@ func ByAttrName(s *event.Schema, name string) (KeyFunc, error) {
 	return func(ev *event.Event) uint64 {
 		return math.Float64bits(ev.Attrs[idx[ev.Type]])
 	}, nil
+}
+
+// KeyFor resolves a partition-key configuration into its KeyFunc — the
+// one statement of the rule every layer that places events applies:
+// exactly one of an extractor and an attribute name; the attribute
+// resolved per type through the schema, with every pattern of specs
+// verified partitionable by it.
+func KeyFor(key KeyFunc, attr string, s *event.Schema, specs []multi.Spec) (KeyFunc, error) {
+	switch {
+	case key != nil && attr != "":
+		return nil, fmt.Errorf("shard: set exactly one of Key and KeyAttr, not both")
+	case key != nil:
+		return key, nil
+	case attr == "":
+		return nil, fmt.Errorf("shard: a partition key is required: set Key or KeyAttr")
+	case s == nil:
+		return nil, fmt.Errorf("shard: KeyAttr needs Schema to resolve the attribute")
+	}
+	for _, sp := range specs {
+		if err := Partitionable(sp.Pattern, s, attr); err != nil {
+			return nil, fmt.Errorf("shard: pattern %d: %w", sp.ID, err)
+		}
+	}
+	return ByAttrName(s, attr)
 }
 
 // Partitionable verifies that pat can be detected shard-locally when the

@@ -17,13 +17,12 @@
 //
 // # Ingestion, bounded queues and ordering
 //
-// Per-shard ingestion queues are bounded (Options.Queue / QueueCap; with
-// Options.Snapshot and Options.Window the bound is derived from the
-// measured arrival rate instead of a constant — see DeriveQueueCap).
-// When a shard falls behind, Options.Overflow chooses between blocking
-// the producer (Backpressure, lossless) and discarding the overflowing
-// handoff (DropNewest, counted in Metrics().QueueDropped) — the coarse,
-// last-resort arm of overload control. The fine-grained arm is
+// Per-shard ingestion queues are bounded (Options.QueueCap events,
+// default four batches). When a shard falls behind, Options.Overflow
+// chooses between blocking the producer (Backpressure, lossless) and
+// discarding the overflowing handoff (DropNewest, counted in
+// Metrics().QueueDropped) — the coarse, last-resort arm of overload
+// control. The fine-grained arm is
 // per-event shedding inside each shard's engine (engine.Config.Shedding,
 // see internal/shed), whose load monitor watches this queue's depth.
 //
@@ -102,24 +101,11 @@ type Options struct {
 	// 256). Larger batches amortize synchronization; smaller ones reduce
 	// match emission latency.
 	Batch int
-	// Queue is the per-shard channel capacity in batches (default 4);
-	// ingestion blocks (Backpressure) or drops (DropNewest) when a shard
-	// falls this far behind.
-	Queue int
-	// QueueCap, when positive, bounds the per-shard ingestion queue in
-	// events instead of batches: the capacity is QueueCap/Batch batches
-	// (at least one). It takes precedence over Queue.
+	// QueueCap bounds the per-shard ingestion queue in events: the
+	// channel holds QueueCap/Batch batches, rounded up (default
+	// defaultQueueBatches); ingestion blocks (Backpressure) or drops
+	// (DropNewest) when a shard falls this far behind.
 	QueueCap int
-	// Snapshot, together with Window, derives a default QueueCap from the
-	// measured arrival rate when neither QueueCap nor Queue is set: one
-	// pattern window's worth of events at the snapshot's total rate,
-	// split across the shards (see DeriveQueueCap). Seed it with
-	// stats.Exact over a stream prefix, or with the engine's own latest
-	// snapshot when resizing between runs.
-	Snapshot *stats.Snapshot
-	// Window is the pattern's time window, used only for snapshot-driven
-	// queue sizing.
-	Window event.Time
 	// Overflow selects the full-queue behavior (default Backpressure).
 	Overflow Overflow
 	// Key extracts the partition key (custom-extractor mode). Exactly one
@@ -516,30 +502,9 @@ type Engine struct {
 	finished bool
 }
 
-// minAutoQueueBatches floors the snapshot-derived queue bound: below two
-// in-flight batches the handoff pipeline cannot overlap with detection.
-const minAutoQueueBatches = 2
-
-// DeriveQueueCap derives a per-shard ingestion-queue bound (in events)
-// from measured statistics: one pattern window's worth of events at the
-// snapshot's total arrival rate, divided evenly across the shards. The
-// rationale: a queue holding less than a window of the live rate forces
-// drops (or blocking) on traffic the pattern could still join against,
-// while a much larger queue only adds latency — the window is the horizon
-// beyond which buffered events cannot extend a new partial match anyway.
-func DeriveQueueCap(s *stats.Snapshot, window event.Time, shards int) int {
-	if s == nil || window <= 0 {
-		return 0
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	rate := 0.0 // events/sec across the pattern's positions
-	for _, r := range s.Rates {
-		rate += r
-	}
-	return int(rate * float64(window) / float64(event.Second) / float64(shards))
-}
+// defaultQueueBatches is the per-shard channel capacity, in batches, when
+// Options.QueueCap is unset.
+const defaultQueueBatches = 4
 
 // New builds a sharded engine hosting pat — shorthand for the set of one,
 // multi.Solo(pat, cfg) — or, with a nil pattern, the set in
@@ -573,41 +538,21 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 	if opts.Batch <= 0 {
 		opts.Batch = 256
 	}
-	if opts.Window == 0 {
-		// The arena release horizon and snapshot queue sizing need the
-		// widest window of the set.
-		for _, sp := range specs {
-			if sp.Pattern != nil && sp.Pattern.Window > opts.Window {
-				opts.Window = sp.Pattern.Window
-			}
+	// The arena release horizon is the widest window of the set.
+	var window event.Time
+	for _, sp := range specs {
+		if sp.Pattern != nil && sp.Pattern.Window > window {
+			window = sp.Pattern.Window
 		}
 	}
-	if opts.QueueCap <= 0 && opts.Queue <= 0 {
-		// Snapshot-driven sizing: derive the bound from measured
-		// events/sec × window instead of the fixed default.
-		if qc := DeriveQueueCap(opts.Snapshot, opts.Window, opts.Shards); qc > 0 {
-			opts.QueueCap = qc
-			if floor := minAutoQueueBatches * opts.Batch; opts.QueueCap < floor {
-				opts.QueueCap = floor
-			}
-		}
-	}
+	queue := defaultQueueBatches
 	if opts.QueueCap > 0 {
-		opts.Queue = (opts.QueueCap + opts.Batch - 1) / opts.Batch
+		queue = (opts.QueueCap + opts.Batch - 1) / opts.Batch
 	}
-	if opts.Queue <= 0 {
-		opts.Queue = 4
-	}
-	switch {
-	case opts.Key != nil && opts.KeyAttr != "":
-		return nil, fmt.Errorf("shard: set exactly one of Options.Key and Options.KeyAttr, not both")
-	case opts.Key == nil && opts.KeyAttr == "" && opts.Route == nil:
-		return nil, fmt.Errorf("shard: a partition key is required: set Options.Key or Options.KeyAttr")
-	case opts.KeyAttr != "":
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("shard: Options.KeyAttr needs Options.Schema to resolve the attribute")
-		}
-		key, err := ByAttrName(opts.Schema, opts.KeyAttr)
+	if opts.Route == nil || opts.Key != nil || opts.KeyAttr != "" {
+		// admit verifies each pattern partitionable (it also vets runtime
+		// additions), so the set is not passed here.
+		key, err := KeyFor(opts.Key, opts.KeyAttr, opts.Schema, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -619,14 +564,14 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		nshards:      opts.Shards,
 		batch:        opts.Batch,
 		overflow:     opts.Overflow,
-		window:       opts.Window,
+		window:       window,
 		bufs:         make([][]*event.Event, opts.Shards),
 		stamps:       make([][]int64, opts.Shards),
 		queueDropped: make([]uint64, opts.Shards),
-		queueCap:     opts.Queue * opts.Batch,
+		queueCap:     queue * opts.Batch,
 		// One pooled buffer set per queue slot plus the one being filled:
 		// with full queues every cut still finds a recycled buffer.
-		free:    make(chan cut, opts.Shards*(opts.Queue+1)),
+		free:    make(chan cut, opts.Shards*(queue+1)),
 		patIDs:  make(map[uint32]bool, len(specs)),
 		schema:  opts.Schema,
 		key:     opts.Key,
@@ -648,7 +593,7 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		return nil, err
 	}
 	for s := 0; s < e.nshards; s++ {
-		w := &worker{id: s, in: make(chan cut, opts.Queue), encode: opts.EncodeMatch, free: e.free}
+		w := &worker{id: s, in: make(chan cut, queue), encode: opts.EncodeMatch, free: e.free}
 		w.eval, err = multi.NewEvaluator(set, multi.Options{
 			OnMatch:     w.emit,
 			OwnedEmit:   opts.EncodeMatch != nil,

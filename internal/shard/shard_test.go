@@ -346,3 +346,40 @@ func TestPartitionable(t *testing.T) {
 		t.Error("OR with non-partitionable disjunct accepted")
 	}
 }
+
+// TestLatencyEstimators: the shard workers sample per-event queue wait
+// and detection time into the merged Metrics, behind the default queue
+// bound of four batches.
+func TestLatencyEstimators(t *testing.T) {
+	w := gen.Stocks(gen.StocksConfig{Types: 4, Events: 6000, Seed: 7, MeanGap: 2, Keys: 16})
+	pat, err := w.Pattern(gen.Sequence, 4, 2*event.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(pat, engine.Config{}, Options{
+		Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.QueueCap() != defaultQueueBatches*64 {
+		t.Errorf("default cap %d, want %d batches of 64", eng.QueueCap(), defaultQueueBatches)
+	}
+	for i := range w.Events {
+		eng.Process(&w.Events[i])
+	}
+	eng.Finish()
+	m := eng.Metrics()
+	if m.QueueWait.Count() != uint64(len(w.Events)) {
+		t.Errorf("queue-wait samples %d, want one per event (%d)", m.QueueWait.Count(), len(w.Events))
+	}
+	if m.DetectTime.Count() == 0 {
+		t.Error("no detection-time samples recorded")
+	}
+	if p50, p99 := m.QueueWait.Quantile(0.5), m.QueueWait.Quantile(0.99); p50 < 0 || p99 < p50 {
+		t.Errorf("queue-wait percentiles implausible: p50=%v p99=%v", p50, p99)
+	}
+	if m.DetectTime.Quantile(0.99) <= 0 {
+		t.Error("detection-time p99 should be positive")
+	}
+}
