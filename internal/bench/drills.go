@@ -198,11 +198,14 @@ func (r *rig) elastic() error {
 	return nil
 }
 
-// Load telemetry, as the controller sees it: a shard worker publishes
-// its load every 16 of its cuts and runs at most 5 cuts behind its node
-// (a 4-cut queue plus the cut in hand); the node reports what is
-// published every 4 cuts. So every node has reported by cut 24, and from
-// then on its newest report trails its own progress by under 4 cuts.
+// Load telemetry, as the controller sees it: a node reports every 4
+// cuts what its shard workers published after the previous report asked
+// them to, and a worker runs at most 5 cuts behind its node (a 4-cut
+// queue plus the cut in hand). The first report is empty, the second
+// (cut 8) may predate a lagging worker's answer, so every node has
+// reported real load by cut 12 — firstLoadReport keeps the margin the
+// rig was sized with — and from then on its newest report trails its
+// own progress by under 4 cuts.
 // The controller treats a node whose report trails its peers' by 16
 // cuts as stale — its load unknown, so it neither gives up nor takes a
 // shard — and an unpaced feed is over before the reports catch up, so

@@ -131,16 +131,19 @@ func TestRebalanceSkewed(t *testing.T) {
 			name, standbys = "rebalance under skew, with a joiner", 1
 		}
 		rig, _ := startFailoverRig(t, w, gen.Sequence, standbys, nil, nil)
-		// Snapshots need ~20 cuts of worker progress (publish and ship
-		// strides) before the controller can see the skew; from event 3000
-		// on the feed stays within 6 cuts of every founder's newest report
-		// (a node reports every 4), inside the 8-cut age horizon.
+		// A node's first report (cut 4) carries zeros — nothing was
+		// published before anyone asked — and its second (cut 8) the first
+		// samples, so the controller cannot see the skew before event 512:
+		// the joiner below is seated by then, whatever the scheduler does.
+		// From event 3000 on the feed stays within 6 cuts of every
+		// founder's newest report (a node reports every 4), inside the
+		// 8-cut age horizon.
 		at := map[int]func(*Ingress){}
 		for i := 3000; i < 4000; i += 64 {
 			at[i] = func(ing *Ingress) { waitForStats(t, ing, 3, i-6*64) }
 		}
 		if joiner {
-			at[1000] = func(ing *Ingress) {
+			at[256] = func(ing *Ingress) {
 				c, err := DialTCP(rig.standbyLs[0].Addr())
 				if err != nil {
 					t.Fatal(err)

@@ -701,9 +701,9 @@ func (in *Ingress) cutAll() {
 			defer in.sendWG.Done()
 			// Events-only frames (UpTo 0), one per owned shard with
 			// traffic, then the cut's single watermark frame: the node
-			// reassembles the runs into seq order and seals its cut only
-			// when the watermark arrives, so a cut split across shards
-			// can never publish a watermark ahead of its own events.
+			// hands each run to its shard's worker as it is and seals
+			// only when the watermark arrives, so a cut split across
+			// shards can never publish a watermark ahead of its events.
 			for _, evs := range s.outs {
 				if err := s.conn.Send(wire.Batch{Events: evs}); err != nil {
 					s.sendErr = err

@@ -53,13 +53,15 @@ type NodeConfig struct {
 	// — shards the node does not own simply stay idle — which is what
 	// lets any shard migrate onto any node mid-run.
 	Shards int
-	// Batch is the local handoff batch (default 256); the network cut
-	// drives uniform watermark flushes regardless.
+	// Batch cuts nothing on a node — the ingress's network cut is the
+	// only cut, and each shard's run of it is one handoff — it only
+	// converts QueueCap into handoffs (default 256; see shard.Options).
 	Batch int
-	// QueueCap bounds each local shard's ingestion queue in events (see
-	// shard.Options).
+	// QueueCap bounds each local shard's ingestion queue in events: a
+	// shard may fall QueueCap/Batch handoffs behind (see shard.Options).
 	QueueCap int
 	// Overflow selects the full-queue behavior (default Backpressure).
+	// DropNewest discards a shard's whole run of the overflowing cut.
 	Overflow shard.Overflow
 	// Key extracts the partition key; Key or KeyAttr+Schema is required
 	// and must match the ingress's placement.
@@ -262,12 +264,12 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			a.Base, uint64(a.Base)+uint64(a.Shards), a.Total)
 	}
 
-	// The engine spans the full global shard space with the identity
-	// route — worker g IS global shard g — so the cluster-wide
-	// event-to-engine assignment, and therefore every engine's event
-	// subsequence and its match tags, is identical to a single-process
-	// sharded engine with `total` shards regardless of which node runs
-	// which shard. Workers for shards this session does not own receive
+	// The engine spans the full global shard space — worker g IS global
+	// shard g — so the cluster-wide event-to-engine assignment, and
+	// therefore every engine's event subsequence and its match tags, is
+	// identical to a single-process sharded engine with `total` shards
+	// regardless of which node runs which shard. Workers for shards this
+	// session does not own receive
 	// no events and stay idle; a migrated-in shard rebuilds its worker
 	// from replayed history (the adaptation trajectory differs — plans
 	// restart fresh — but match sets and tags do not depend on it).
@@ -328,31 +330,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		cuts   uint64
 	)
 
-	// Cut reassembly. A live cut arrives as one events-only frame (UpTo
-	// 0) per owned shard followed by one watermark-bearing frame, because
-	// the ingress groups each cut per shard for the journal. The shards'
-	// runs are merged back into global seq order before the engine sees
-	// them: the engine's own batch accounting can seal a cut of its own
-	// mid-stream, and its watermark (the last ingested seq) only covers a
-	// prefix of the cut if ingestion order is seq order — otherwise a
-	// match could surface after a watermark that already covers it and
-	// the merge collectors would deliver out of order. Replay frames
-	// carry their original cut watermark and flush immediately, one frame
-	// per reconstructed cut.
-	var (
-		cutEvs  []*event.Event
-		runEnds []int
-		mergEvs []*event.Event
-		runHead []int
-	)
-	appendRun := func(evs []*event.Event) {
-		if len(evs) == 0 {
-			return
-		}
-		cutEvs = append(cutEvs, evs...)
-		runEnds = append(runEnds, len(cutEvs))
-	}
-
 	// Per-tenant budgets apply per local shard.
 	budgets := make(map[uint32]shed.TenantBudget, len(a.Tenants))
 	for _, t := range a.Tenants {
@@ -367,9 +344,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		Schema:   a.Schema,
 		Patterns: specs,
 		Tenants:  budgets,
-		Route: func(ev *event.Event) int {
-			return shard.GlobalIndex(key(ev), total)
-		},
 		// Owned emit: workers encode each match into a per-shard outbox
 		// slab as it is emitted; the tag carries the encoded body and the
 		// node forwards it verbatim — a serializing transport then writes
@@ -420,48 +394,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	if err != nil {
 		return err
 	}
-	// flushCut feeds the buffered runs to the engine in seq order and
-	// seals the cut at upTo.
-	flushCut := func(upTo uint64) {
-		switch len(runEnds) {
-		case 0:
-		case 1: // single run: already in seq order
-			eng.ProcessStable(cutEvs)
-		default:
-			// k-way merge of the per-shard runs (each seq-ordered).
-			mergEvs, runHead = mergEvs[:0], runHead[:0]
-			start := 0
-			for range runEnds {
-				runHead = append(runHead, start)
-				start = runEnds[len(runHead)-1]
-			}
-			for len(mergEvs) < len(cutEvs) {
-				best := -1
-				var bestSeq uint64
-				for r, h := range runHead {
-					if h >= runEnds[r] {
-						continue
-					}
-					if s := cutEvs[h].Seq; best < 0 || s < bestSeq {
-						best, bestSeq = r, s
-					}
-				}
-				h := runHead[best]
-				mergEvs = append(mergEvs, cutEvs[h])
-				runHead[best] = h + 1
-			}
-			eng.ProcessStable(mergEvs)
-			for i := range mergEvs {
-				mergEvs[i] = nil // do not pin arena chunks across cuts
-			}
-		}
-		for i := range cutEvs {
-			cutEvs[i] = nil
-		}
-		cutEvs, runEnds = cutEvs[:0], runEnds[:0]
-		eng.Flush(upTo)
-	}
-
 	// abort ends the session on an error: drain the engines (Finish is
 	// idempotent by shard.Engine contract) and push out what they still
 	// produced — best-effort, the drained tail may still arrive.
@@ -476,7 +408,9 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// controller tells an idle node (known load 0, a fine target) from a
 	// lagging one (no current report, load unknown). Each stat is stamped
 	// with the highest cut watermark sealed so far, so the controller can
-	// discard reports that predate its decision horizon.
+	// discard reports that predate its decision horizon; the sample under
+	// the stamp is the one this call's predecessor asked the workers for
+	// (shard.Engine.ShardLoads), so no report re-ships an earlier one's.
 	sendStats := func() {
 		loads := eng.ShardLoads()
 		migMu.Lock()
@@ -490,12 +424,24 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		}
 		up.send(wire.ShardStats{Stats: ss})
 	}
-	// sealCut is what a watermark-bearing Batch frame triggers on either
-	// transport: beat on receipt, feed and seal the buffered cut, then
-	// the periodic load report.
-	sealCut := func(upTo uint64) {
+	// ingest is what a Batch frame triggers on either transport. A frame's
+	// events are one global shard's run of the open cut, by the ingress's
+	// construction: a live cut arrives as one events-only frame (UpTo 0)
+	// per owned shard with traffic, then one watermark-bearing frame; a
+	// replay frame is one shard's journaled run with its cut's watermark.
+	// So the run's first event places all of it, the pointers go straight
+	// to that worker's buffer, and only the watermark seals — covering
+	// every run of the cut, whatever order the shards came in. Then: beat
+	// on receipt, seal, and the periodic load report.
+	ingest := func(run []*event.Event, upTo uint64) {
+		if len(run) > 0 {
+			eng.ProcessStable(shard.GlobalIndex(key(run[0]), total), run)
+		}
+		if upTo == 0 {
+			return
+		}
 		up.send(wire.Heartbeat{UpTo: upTo})
-		flushCut(upTo)
+		eng.Flush(upTo)
 		migMu.Lock()
 		maxUpTo = max(maxUpTo, upTo)
 		migMu.Unlock()
@@ -521,19 +467,15 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		switch v := f.(type) {
 		case *wire.BatchView:
 			// Serializing transport: the events already live in decArena
-			// (decoded in place by conn.Recv). Buffer the stable pointers
-			// as one run of the current cut — no copy anywhere between
+			// (decoded in place by conn.Recv) — no copy anywhere between
 			// socket and match.
-			appendRun(v.Events)
 			if ne := len(v.Events); ne > 0 {
-				if ts := v.Events[ne-1].TS; ts > maxTS {
-					maxTS = ts
-				}
+				maxTS = max(maxTS, v.Events[ne-1].TS)
 			}
+			ingest(v.Events, v.UpTo)
 			if v.UpTo == 0 {
 				break // events-only frame; the cut's watermark frame follows
 			}
-			sealCut(v.UpTo)
 			// Unpin decoded chunks the engines can no longer need for
 			// new matches (recycle is off, so any horizon is safe — see
 			// the arena comment above).
@@ -546,16 +488,11 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			// Reference transport (in-process pipe): the frame's event
 			// slice is owned by the ingress/journal and stable for the
 			// run, so the engines can retain pointers into it directly.
-			if len(v.Events) > 0 {
-				ptrBuf = ptrBuf[:0]
-				for i := range v.Events {
-					ptrBuf = append(ptrBuf, &v.Events[i])
-				}
-				appendRun(ptrBuf)
+			ptrBuf = ptrBuf[:0]
+			for i := range v.Events {
+				ptrBuf = append(ptrBuf, &v.Events[i])
 			}
-			if v.UpTo != 0 { // else events-only; the cut's watermark frame follows
-				sealCut(v.UpTo)
-			}
+			ingest(ptrBuf, v.UpTo)
 		case wire.Migrate:
 			// A shard is moving onto this session: suppress its
 			// regenerated duplicates, and queue it for acknowledgement

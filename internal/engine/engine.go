@@ -119,11 +119,15 @@ type Metrics struct {
 	PMCreated       uint64
 	PredEvals       uint64
 	PeakPMs         int
-	// Latency percentiles (the groundwork latency-aware shedding needs):
-	// per-event ingress-to-dequeue queue wait and per-event detection
-	// time, in wall-clock nanoseconds, sampled by the shard layer (the
+	// Latency percentiles (the groundwork latency-aware shedding needs),
+	// in wall-clock nanoseconds, sampled by the shard layer (the
 	// single-process engine has no ingestion queue and leaves both empty).
-	// Read with e.g. QueueWait.Quantile(0.99).
+	// QueueWait is seal-to-dequeue: how long a cut sat in its shard's
+	// queue, from the moment it was sealed to the moment the worker took
+	// it, charged once to every event of the cut — time an event spent in
+	// the open cut before the seal (a slow feed) is not queueing and is not
+	// counted. DetectTime is the time inside the evaluator, per sampled
+	// event. Read with e.g. QueueWait.Quantile(0.99).
 	QueueWait  stats.Quantile
 	DetectTime stats.Quantile
 }

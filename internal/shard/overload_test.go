@@ -77,7 +77,9 @@ func TestZeroEventShardLiveness(t *testing.T) {
 	}
 }
 
-// TestEmptyStream finishes a sharded engine that never saw an event.
+// TestEmptyStream finishes a sharded engine that never saw an event —
+// an empty run handed to ProcessStable is none, and the cut sealed after
+// it carries only its watermark.
 func TestEmptyStream(t *testing.T) {
 	w := keyedWorkload(t)
 	pat, err := w.Pattern(gen.Sequence, 3, 300)
@@ -93,6 +95,8 @@ func TestEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.ProcessStable(1, nil)
+	eng.Flush(0)
 	eng.Finish()
 	eng.Finish() // idempotent
 	if m := eng.Metrics(); m.Events != 0 || m.Matches != 0 {

@@ -26,11 +26,14 @@
 // per-event shedding inside each shard's engine (engine.Config.Shedding,
 // see internal/shed), whose load monitor watches this queue's depth.
 //
-// Process hands events to workers in batches (Options.Batch events per
-// cut) to amortize channel synchronization; at every cut all shards
-// receive their accumulated events together with the global sequence
-// number the cut covers, so every shard's progress watermark advances
-// uniformly even when its partition is momentarily idle. Matches are
+// The cut is the unit of ingestion: events accumulate in one buffer per
+// shard, and sealing a cut hands every shard its buffer (possibly empty),
+// the global sequence number the cut covers and the one clock reading
+// taken at the seal — so what a handoff costs is paid per cut, not per
+// event, and every shard's progress watermark advances uniformly even
+// when its partition is momentarily idle. Process places an event by key
+// and seals every Options.Batch events; ProcessStable appends a run the
+// caller already partitioned and leaves sealing to Flush. Matches are
 // tagged with the sequence number of the event whose processing emitted
 // them, buffered in a Collector, and released strictly in tag order once
 // every shard's watermark has passed the tag: OnMatch therefore observes
@@ -39,11 +42,11 @@
 // is a deterministic function of the input for a fixed shard count.
 //
 // The cluster layer (internal/cluster) stacks on this package: a worker
-// node hosts one Engine routed by explicit global shard index
-// (Options.Route), flushes it at every network cut (Flush), receives
-// tagged matches and completion watermarks through Options.OnTagged and
-// Options.OnProgress, and the ingress coordinator merges whole node
-// streams through another Collector.
+// node hosts one Engine spanning the global shard space, appends each
+// shard's run as the ingress split it (ProcessStable), seals at every
+// network cut (Flush), receives tagged matches and completion watermarks
+// through Options.OnTagged and Options.OnProgress, and the ingress
+// coordinator merges whole node streams through another Collector.
 package shard
 
 import (
@@ -97,20 +100,20 @@ type Options struct {
 	// Shards is the number of partitions (and worker goroutines).
 	// Defaults to runtime.GOMAXPROCS(0).
 	Shards int
-	// Batch is the number of ingested events per handoff cut (default
+	// Batch is the number of events Process ingests per cut (default
 	// 256). Larger batches amortize synchronization; smaller ones reduce
-	// match emission latency.
+	// match emission latency. ProcessStable is never cut by it: there it
+	// only converts QueueCap into handoffs.
 	Batch int
 	// QueueCap bounds the per-shard ingestion queue in events: the
-	// channel holds QueueCap/Batch batches, rounded up (default
+	// channel holds QueueCap/Batch handoffs, rounded up (default
 	// defaultQueueBatches); ingestion blocks (Backpressure) or drops
 	// (DropNewest) when a shard falls this far behind.
 	QueueCap int
 	// Overflow selects the full-queue behavior (default Backpressure).
 	Overflow Overflow
 	// Key extracts the partition key (custom-extractor mode). Exactly one
-	// of Key and KeyAttr must be set, unless Route is set (then Key is
-	// optional and used only for shedding protection).
+	// of Key and KeyAttr must be set.
 	Key KeyFunc
 	// KeyAttr names the key attribute (hash mode): the key is the
 	// attribute's value, resolved per type through Schema, and the
@@ -118,12 +121,6 @@ type Options struct {
 	KeyAttr string
 	// Schema resolves KeyAttr; required in hash mode.
 	Schema *event.Schema
-	// Route, when set, maps an event directly to its shard index in
-	// [0, Shards), overriding the default mix64(Key) % Shards placement.
-	// The caller owns the correctness obligation that all events of one
-	// partition key route to one shard. The cluster node layer uses it to
-	// pin each global shard index to a fixed local engine.
-	Route func(*event.Event) int
 	// OnMatch receives every match, on the collector goroutine, in the
 	// deterministic merged order described in the package comment.
 	OnMatch func(*match.Match)
@@ -164,16 +161,16 @@ type Options struct {
 	EncodeMatch func(dst []byte, m *match.Match) []byte
 }
 
-// cut is one batch handoff: pointers to the shard's events accumulated
-// since the last cut (possibly none), their ingress wall-clock stamps
-// (unix nanos, parallel to events), plus the global sequence watermark
-// the cut covers. The events live in the engine's
+// cut is one handoff: pointers to the shard's events accumulated since
+// the last cut (possibly none), the wall-clock time the cut was sealed
+// (unix nanos, read once for all shards) and the global sequence
+// watermark the cut covers. The events live in the engine's
 // ingest arena (Process) or in caller-stable storage (ProcessStable) —
 // either way they outlive the evaluators' retention window, so workers
 // hand the pointers straight to their engines without re-interning.
 type cut struct {
 	events []*event.Event
-	stamps []int64
+	sealed int64
 	upTo   uint64
 	// ops are pattern-set mutations applied before the cut's events:
 	// sealing mutations into their own cut pins them to one
@@ -189,21 +186,17 @@ type patternOp struct {
 }
 
 // detectSampleEvery is the per-worker sampling stride of the detection-
-// time estimator (queue wait is measured for every event; detection time
-// costs two clock reads, so it is sampled).
+// time estimator (queue wait costs one clock read per cut and is charged
+// to every event of it; detection time costs two per event, so it is
+// sampled).
 const detectSampleEvery = 16
-
-// loadSampleCuts is the per-worker publishing stride of the live load
-// snapshot (ShardLoads): the queue-wait p99 read sorts the estimator's
-// reservoir, so it is refreshed every few cuts, not every cut.
-const loadSampleCuts = 16
 
 // worker runs one shard's evaluator on its own goroutine.
 type worker struct {
 	id   int
 	eval *multi.Evaluator
 	in   chan cut
-	free chan cut // recycles consumed cut buffers back to the coordinator
+	free chan []*event.Event // recycles consumed cut buffers back to the coordinator
 
 	// Emission state, owned by the worker goroutine (emit, the
 	// evaluator's OnMatch, runs there). scratch collects the matches
@@ -227,12 +220,12 @@ type worker struct {
 	detect  stats.Quantile
 	nevents uint64
 
-	// Live load snapshot, published by the worker goroutine every
-	// loadSampleCuts cuts and readable from any goroutine mid-run
-	// (Engine.ShardLoads): events processed so far and the queue-wait
-	// p99 estimate in nanoseconds. The placement controller of the
-	// cluster layer feeds on these.
-	cuts       uint64
+	// Live load snapshot, readable from any goroutine mid-run: events
+	// processed so far and the queue-wait p99 estimate in nanoseconds.
+	// The p99 read walks the estimator's reservoir, so the worker
+	// publishes only when wantLoad asks (see Engine.ShardLoads), after
+	// its next cut. The cluster's placement controller feeds on these.
+	wantLoad   atomic.Bool
 	liveEvents atomic.Uint64
 	liveWait   atomic.Uint64
 }
@@ -349,9 +342,9 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 			}
 		}
 		if len(c.events) > 0 {
-			recv := time.Now().UnixNano()
-			for i, ev := range c.events {
-				w.qwait.Add(float64(recv - c.stamps[i]))
+			wait := float64(time.Now().UnixNano() - c.sealed)
+			for _, ev := range c.events {
+				w.qwait.Add(wait)
 				w.curSeq = ev.Seq
 				w.nevents++
 				if w.nevents%detectSampleEvery == 0 {
@@ -365,9 +358,7 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 			}
 		}
 		col.Post(w.id, c.upTo, w.take())
-		// Publish the live load sample on a stride (the p99 read sorts
-		// the reservoir, too costly per cut).
-		if w.cuts++; w.cuts%loadSampleCuts == 0 {
+		if w.wantLoad.CompareAndSwap(true, false) {
 			w.liveEvents.Store(w.nevents)
 			w.liveWait.Store(uint64(w.qwait.Quantile(0.99)))
 		}
@@ -380,7 +371,7 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 				c.events[i] = nil
 			}
 			select {
-			case w.free <- cut{events: c.events[:0], stamps: c.stamps[:0]}:
+			case w.free <- c.events[:0]:
 			default:
 			}
 		}
@@ -462,17 +453,15 @@ func cmpEvents(a, b []*event.Event) int {
 // Finish must be called from a single goroutine; OnMatch fires on the
 // collector goroutine. The zero value is not usable; construct with New.
 type Engine struct {
-	route    func(*event.Event) int
 	nshards  int
 	batch    int
 	overflow Overflow
 	window   event.Time
 
 	workers []*worker
-	bufs    [][]*event.Event
-	stamps  [][]int64
-	free    chan cut // consumed cut buffers recycled by the workers
-	pending int
+	bufs    [][]*event.Event    // the open cut, one buffer per shard
+	free    chan []*event.Event // consumed cut buffers recycled by the workers
+	pending int                 // events Process put in the open cut
 	lastSeq uint64
 
 	// arena is the single-copy ingest store: Process interns each event
@@ -549,40 +538,30 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 	if opts.QueueCap > 0 {
 		queue = (opts.QueueCap + opts.Batch - 1) / opts.Batch
 	}
-	if opts.Route == nil || opts.Key != nil || opts.KeyAttr != "" {
-		// admit verifies each pattern partitionable (it also vets runtime
-		// additions), so the set is not passed here.
-		key, err := KeyFor(opts.Key, opts.KeyAttr, opts.Schema, nil)
-		if err != nil {
-			return nil, err
-		}
-		opts.Key = key
+	// admit verifies each pattern partitionable (it also vets runtime
+	// additions), so the set is not passed here.
+	key, err := KeyFor(opts.Key, opts.KeyAttr, opts.Schema, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	e := &Engine{
-		route:        opts.Route,
 		nshards:      opts.Shards,
 		batch:        opts.Batch,
 		overflow:     opts.Overflow,
 		window:       window,
 		bufs:         make([][]*event.Event, opts.Shards),
-		stamps:       make([][]int64, opts.Shards),
 		queueDropped: make([]uint64, opts.Shards),
 		queueCap:     queue * opts.Batch,
-		// One pooled buffer set per queue slot plus the one being filled:
+		// One pooled buffer per queue slot plus the one being filled:
 		// with full queues every cut still finds a recycled buffer.
-		free:    make(chan cut, opts.Shards*(queue+1)),
+		free:    make(chan []*event.Event, opts.Shards*(queue+1)),
 		patIDs:  make(map[uint32]bool, len(specs)),
 		schema:  opts.Schema,
-		key:     opts.Key,
+		key:     key,
 		keyAttr: opts.KeyAttr,
 	}
-	if e.route == nil {
-		key, n := opts.Key, uint64(opts.Shards)
-		e.route = func(ev *event.Event) int { return int(mix64(key(ev)) % n) }
-	}
 	for i := range specs {
-		var err error
 		if specs[i], err = e.admit(specs[i]); err != nil {
 			return nil, err
 		}
@@ -645,49 +624,24 @@ func (e *Engine) admit(sp multi.Spec) (multi.Spec, error) {
 	if sp.Config.Shedding.Policy != nil && sp.Config.Shedding.Key == nil {
 		// Pattern-aware shedding protects per-entity state; default the
 		// protected key to the partition key so each shard's shedder
-		// recognizes its own live entities (nil under a custom Route).
+		// recognizes its own live entities.
 		sp.Config.Shedding.Key = e.key
 	}
 	return sp, nil
 }
 
-// Process routes one event to its shard. Events must arrive in
+// Process is the per-event adapter over the cut buffers: it places the
+// event on shard mix64(key) % Shards, interns it, appends it to the open
+// cut and seals the cut every Options.Batch events. Events must arrive in
 // non-decreasing timestamp order with unique, increasing Seq numbers
-// (the same contract as engine.Engine.Process).
+// (the same contract as engine.Engine.Process) — which is what lets the
+// seal use the last ingested Seq as the cut's watermark.
 func (e *Engine) Process(ev *event.Event) {
 	if e.finished {
 		panic("shard: Process after Finish")
 	}
-	s := e.route(ev)
-	ae := e.arena.Intern(ev)
-	e.bufs[s] = append(e.bufs[s], ae)
-	e.stamps[s] = append(e.stamps[s], time.Now().UnixNano())
-	e.track(ev)
-}
-
-// ProcessStable is the batched zero-copy ingest entry: every pointer in
-// evs must stay valid (and its event immutable) for at least the
-// pattern's retention window — the cluster node passes arena slots filled
-// by the wire decoder, and failover replay passes journal-backed storage.
-// No per-event copy is made anywhere downstream. Cut boundaries fall
-// exactly where equivalent per-event Process calls would put them, so the
-// merged match stream is identical.
-func (e *Engine) ProcessStable(evs []*event.Event) {
-	if e.finished {
-		panic("shard: Process after Finish")
-	}
-	now := time.Now().UnixNano()
-	for _, ev := range evs {
-		s := e.route(ev)
-		e.bufs[s] = append(e.bufs[s], ev)
-		e.stamps[s] = append(e.stamps[s], now)
-		e.track(ev)
-	}
-}
-
-// track updates ingest progress after an event lands in its cut buffer
-// and seals the cut at the batch boundary.
-func (e *Engine) track(ev *event.Event) {
+	s := GlobalIndex(e.key(ev), e.nshards)
+	e.bufs[s] = append(e.bufs[s], e.arena.Intern(ev))
 	e.lastSeq = ev.Seq
 	if ev.TS > e.maxTS {
 		e.maxTS = ev.TS
@@ -698,12 +652,35 @@ func (e *Engine) track(ev *event.Event) {
 	}
 }
 
+// ProcessStable is the by-shard zero-copy ingest entry: run is shard g's
+// events of the open cut in Seq order, partitioned by the caller — who
+// owns the obligation that all events of one partition key go to one
+// shard (GlobalIndex is Process's placement). Every pointer must stay
+// valid (and its event immutable) for at least the patterns' retention
+// window: the cluster node passes arena slots filled by the wire decoder,
+// failover replay journal-backed storage, and nothing downstream copies.
+// It never seals: the caller's Flush does, with a watermark covering
+// every run of the cut, so runs may arrive in any shard order.
+func (e *Engine) ProcessStable(g int, run []*event.Event) {
+	if e.finished {
+		panic("shard: ProcessStable after Finish")
+	}
+	if g < 0 || g >= e.nshards {
+		panic(fmt.Sprintf("shard: ProcessStable for shard %d of %d", g, e.nshards))
+	}
+	if len(run) == 0 {
+		return
+	}
+	e.bufs[g] = append(e.bufs[g], run...)
+	e.lastSeq = max(e.lastSeq, run[len(run)-1].Seq)
+}
+
 // Flush seals the current cut even when partial: every shard receives its
 // accumulated events and a watermark of at least upTo (pass 0 to just use
 // the newest local sequence number). An external coordinator uses it to
 // drive uniform cuts across engines — the cluster node flushes at every
-// network batch boundary, so a node whose partitions are momentarily idle
-// still advances its completion watermark.
+// network cut, so a node whose partitions are momentarily idle still
+// advances its completion watermark.
 func (e *Engine) Flush(upTo uint64) {
 	if e.finished {
 		panic("shard: Flush after Finish")
@@ -715,14 +692,16 @@ func (e *Engine) Flush(upTo uint64) {
 }
 
 // cutAll seals the current cut: every shard receives its accumulated
-// events (possibly none) and the watermark, so progress advances
-// uniformly across shards. When block is false and the overflow mode is
-// DropNewest, a full shard's handoff is discarded instead of awaited (the
-// events are lost and counted; the watermark rides on the next successful
-// handoff, whose upTo is necessarily newer).
+// events (possibly none), the watermark and the seal time — the ingest
+// side's one clock read — so progress advances uniformly across shards.
+// When block is false and the overflow mode is DropNewest, a full shard's
+// handoff is discarded instead of awaited (the events are lost and
+// counted; the watermark rides on the next successful handoff, whose upTo
+// is necessarily newer).
 func (e *Engine) cutAll(block bool) {
+	sealed := time.Now().UnixNano()
 	for s, w := range e.workers {
-		c := cut{events: e.bufs[s], stamps: e.stamps[s], upTo: e.lastSeq}
+		c := cut{events: e.bufs[s], sealed: sealed, upTo: e.lastSeq}
 		if block || e.overflow == Backpressure {
 			w.in <- c
 		} else {
@@ -732,12 +711,10 @@ func (e *Engine) cutAll(block bool) {
 				e.queueDropped[s] += uint64(len(c.events))
 			}
 		}
-		e.bufs[s] = nil
-		e.stamps[s] = nil
 		select {
-		case b := <-e.free: // a worker finished with an earlier cut's buffers
-			e.bufs[s], e.stamps[s] = b.events, b.stamps
+		case e.bufs[s] = <-e.free: // a worker finished with an earlier cut's buffer
 		default:
+			e.bufs[s] = nil
 		}
 	}
 	e.pending = 0
@@ -839,8 +816,7 @@ func (e *Engine) dispatchOp(op patternOp) {
 }
 
 // QueueCap reports the effective per-shard ingestion bound in events
-// (after defaulting and snapshot-driven derivation, rounded up to whole
-// batches).
+// (after defaulting, rounded up to whole batches).
 func (e *Engine) QueueCap() int { return e.queueCap }
 
 // Metrics merges the per-shard engine metrics into one stream-wide view,
@@ -928,11 +904,13 @@ type ShardLoad struct {
 }
 
 // ShardLoads snapshots every shard's live load — events processed and
-// queue-wait p99 — without stopping the engine: the samples are
-// published by the workers on a stride (every loadSampleCuts cuts), so
-// they lag the stream by a few cuts. Safe from any goroutine, including
-// mid-run; the cluster node layer ships these to the ingress placement
-// controller as wire ShardStats.
+// queue-wait p99 — without stopping the engine. It returns what each
+// worker published in answer to the previous call (zeros before the
+// first) and asks every worker for a fresh sample after its next cut, so
+// a reader polling every k cuts sees samples at most k cuts old and an
+// engine nobody polls never reads a quantile. Safe from any goroutine,
+// including mid-run; the cluster node layer ships these to the ingress
+// placement controller as wire ShardStats.
 func (e *Engine) ShardLoads() []ShardLoad {
 	out := make([]ShardLoad, len(e.workers))
 	for i, w := range e.workers {
@@ -940,6 +918,7 @@ func (e *Engine) ShardLoads() []ShardLoad {
 			Events:  w.liveEvents.Load(),
 			WaitP99: time.Duration(w.liveWait.Load()),
 		}
+		w.wantLoad.Store(true)
 	}
 	return out
 }

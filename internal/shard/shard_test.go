@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"acep/internal/core"
@@ -281,6 +283,32 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("default shard count < 1")
 	}
 	eng.Finish() // idempotent
+
+	// Ingest misuse is a caller bug: it panics, with a message that names
+	// the call.
+	live, err := New(pat, engine.Config{}, Options{Shards: 2, KeyAttr: "key", Schema: w.Schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Finish()
+	run := []*event.Event{&w.Events[0]}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"shard below 0", func() { live.ProcessStable(-1, run) }},
+		{"shard == Shards", func() { live.ProcessStable(2, run) }},
+		{"ProcessStable after Finish", func() { eng.ProcessStable(0, run) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "ProcessStable") {
+					t.Errorf("%s: recovered %q, want a panic naming ProcessStable", c.name, msg)
+				}
+			}()
+			c.call()
+		}()
+	}
 }
 
 // TestPartitionable exercises the validator directly.
@@ -381,5 +409,102 @@ func TestLatencyEstimators(t *testing.T) {
 	}
 	if m.DetectTime.Quantile(0.99) <= 0 {
 		t.Error("detection-time p99 should be positive")
+	}
+}
+
+// TestByShardRunsMatchPerEvent is the claim ProcessStable's contract rests
+// on, as a differential: the same stream fed once per event through
+// Process (which places each event and seals every Batch) and once cut by
+// cut as per-shard runs handed over in shard order — alternately
+// ascending and descending, never Seq order — and sealed by Flush must
+// deliver the identical ordered Tagged stream. The by-shard cuts are
+// two and a half batches long, so a ProcessStable that sealed at Batch
+// would publish a watermark ahead of the runs still to come.
+func TestByShardRunsMatchPerEvent(t *testing.T) {
+	const shards, batch, cutLen = 4, 64, 160
+	for _, wl := range []struct {
+		name string
+		w    *gen.Workload
+	}{
+		{"traffic", keyedWorkload(t)},
+		{"stocks", gen.Stocks(gen.StocksConfig{
+			Types: 6, Events: 5000, Seed: 23, MeanGap: 3, DriftEvery: 300, Keys: 8,
+		})},
+	} {
+		name, w := wl.name, wl.w
+		key, err := ByAttrName(w.Schema, "key")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addAt := len(w.Events)/3 + 7 // mid-cut in both feeds
+		for _, kind := range []gen.Kind{gen.Sequence, gen.Negation, gen.Kleene} {
+			pat, err := w.Pattern(kind, 3, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := multiSpecs(t, w, kind, 4, 1)
+			for _, tc := range []struct {
+				mode    string
+				initial []multi.Spec
+				added   *multi.Spec
+			}{
+				{"solo", multi.Solo(pat, engine.Config{CheckEvery: 250}), nil},
+				{"set", set[:3], &set[3]},
+			} {
+				run := func(feed func(e *Engine, lo, hi int)) []string {
+					var got []string
+					eng, err := New(nil, engine.Config{}, Options{
+						Shards: shards, Batch: batch, KeyAttr: "key", Schema: w.Schema,
+						Patterns: tc.initial,
+						OnTagged: func(tg Tagged) {
+							got = append(got, fmt.Sprintf("%d/%d/%d/%s", tg.Seq, tg.Src, tg.Pattern, tg.M.Key()))
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed(eng, 0, addAt)
+					if tc.added != nil {
+						if err := eng.AddPattern(*tc.added); err != nil {
+							t.Fatal(err)
+						}
+					}
+					feed(eng, addAt, len(w.Events))
+					eng.Finish()
+					return got
+				}
+				want := run(func(e *Engine, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						e.Process(&w.Events[i])
+					}
+				})
+				if len(want) == 0 {
+					t.Fatalf("%s/%v/%s: per-event feed produced no matches; test is vacuous", name, kind, tc.mode)
+				}
+				ncut := 0
+				got := run(func(e *Engine, lo, hi int) {
+					for ; lo < hi; lo += cutLen {
+						end := min(lo+cutLen, hi)
+						runs := byShard(key, w.Events[lo:end], shards)
+						ncut++
+						for g := range runs {
+							if ncut%2 == 0 {
+								g = shards - 1 - g
+							}
+							e.ProcessStable(g, runs[g])
+						}
+						e.Flush(w.Events[end-1].Seq)
+					}
+				})
+				if !reflect.DeepEqual(got, want) {
+					i := 0
+					for i < len(got) && i < len(want) && got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("%s/%v/%s: by-shard feed diverges from per-event (%d vs %d matches, first divergence at %d)",
+						name, kind, tc.mode, len(got), len(want), i)
+				}
+			}
+		}
 	}
 }

@@ -56,10 +56,11 @@ type Budget struct {
 	Queue int
 	// QueueWait is the target p99 ingestion-queue wait: the latency
 	// budget. Meaningful only when a latency probe is attached — the
-	// shard layer wires it to each worker's per-event queue-wait
-	// estimator (Metrics.QueueWait) — so the monitor activates when
-	// events wait too long, even while rate and depth look healthy
-	// (e.g. a slow shard behind a generous queue).
+	// shard layer wires it to each worker's queue-wait estimator
+	// (Metrics.QueueWait: seal-to-dequeue, the time a sealed cut waits for
+	// its worker) — so the monitor activates when events wait too long,
+	// even while rate and depth look healthy (e.g. a slow shard behind a
+	// generous queue). A slow feed is not a backlog and does not count.
 	QueueWait time.Duration
 }
 

@@ -61,18 +61,47 @@ func (q *Quantile) Count() uint64 { return q.count }
 // distribution by nearest-rank over the retained sample. It returns 0
 // when nothing has been observed.
 func (q *Quantile) Quantile(p float64) float64 {
-	if len(q.samples) == 0 {
+	n := len(q.samples)
+	if n == 0 {
 		return 0
 	}
-	s := append([]float64(nil), q.samples...)
-	sort.Float64s(s)
 	if p < 0 {
 		p = 0
 	}
 	if p > 1 {
 		p = 1
 	}
-	i := int(p * float64(len(s)-1))
+	i := int(p * float64(n-1))
+	// The mid-run readers — a shard's load report, the shedder's latency
+	// probe — all read the p99, which in a reservoir under quantileCap is
+	// one of its eight largest samples: select it in one pass instead of
+	// copying and sorting the reservoir. top[:m] holds the largest
+	// samples seen so far in ascending order, so once all k = n-i are in,
+	// top[0] is the k-th largest, i.e. sorted rank i.
+	var top [8]float64
+	if k := n - i; k <= len(top) {
+		m := 0
+		for _, v := range q.samples {
+			j := m
+			if m == k {
+				if v <= top[0] {
+					continue
+				}
+				for j = 0; j+1 < k && top[j+1] < v; j++ {
+					top[j] = top[j+1]
+				}
+			} else {
+				for ; j > 0 && top[j-1] > v; j-- {
+					top[j] = top[j-1]
+				}
+				m++
+			}
+			top[j] = v
+		}
+		return top[0]
+	}
+	s := append([]float64(nil), q.samples...)
+	sort.Float64s(s)
 	return s[i]
 }
 

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -107,4 +109,40 @@ func TestQuantileRestore(t *testing.T) {
 		t.Fatalf("restored p50 = %v, want %v", r.Quantile(0.5), q.Quantile(0.5))
 	}
 	r.Add(5) // must not panic; estimator stays live
+}
+
+// TestQuantileSelectionMatchesSort: for every reservoir size under the
+// cap and every p, the one-pass selection of a high quantile returns the
+// order statistic a full sort would — ties, runs of one repeated value
+// (a cut charges all its events the same wait) and reversed input
+// included — and reading the p99 allocates nothing.
+func TestQuantileSelectionMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	for n := 1; n < quantileCap; n++ {
+		var q Quantile
+		for i := 0; i < n; i++ {
+			switch n % 3 {
+			case 0:
+				q.Add(float64(r.IntN(8))) // heavy ties
+			case 1:
+				q.Add(float64(n - i)) // descending
+			default:
+				q.Add(r.Float64())
+			}
+		}
+		sorted := append([]float64(nil), q.Samples()...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got, want := q.Quantile(p), sorted[int(p*float64(n-1))]; got != want {
+				t.Fatalf("n=%d p=%v: got %v, sort says %v", n, p, got, want)
+			}
+		}
+	}
+	var q Quantile
+	for i := 0; i < 10*quantileCap; i++ {
+		q.Add(r.Float64())
+	}
+	if avg := testing.AllocsPerRun(100, func() { q.Quantile(0.99) }); avg != 0 {
+		t.Fatalf("p99 read allocated %.2f times; want 0", avg)
+	}
 }
