@@ -541,7 +541,7 @@ func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat
 			return
 		}
 		switch v := f.(type) {
-		case wire.Batch:
+		case wire.BatchRaw:
 			if v.UpTo == 0 {
 				continue
 			}

@@ -8,7 +8,6 @@ import (
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
-	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/multi"
@@ -243,7 +242,7 @@ func TestSlotLifecycle(t *testing.T) {
 		// have ended cleanly, so only the state decides ghost reuse.
 		logs := []*frameLog{{got: map[wire.Kind]int{}}, {got: map[wire.Kind]int{}}}
 		in := &Ingress{
-			owner: []int{0, 1}, bufs: make([][]event.Event, 2), total: 2,
+			owner: []int{0, 1}, runs: make([]wire.RunEncoder, 2), recycle: make([]bool, 2), total: 2,
 			specs: multi.Solo(pat, engine.Config{}), schema: w.Schema,
 		}
 		for n, st := range []slotState{r.state, slotLive} {
@@ -251,7 +250,7 @@ func TestSlotLifecycle(t *testing.T) {
 			close(s.done)
 			in.slots = append(in.slots, s)
 		}
-		in.bufs[0] = []event.Event{w.Events[0]}
+		in.runs[0].Append(&w.Events[0])
 		target, ghost := in.slots[0].takes(1), in.ghost() == 0
 		in.cutAll()
 		in.waitSends()

@@ -1,0 +1,174 @@
+package cluster
+
+import (
+	"io"
+	"sync"
+	"testing"
+
+	"acep/internal/engine"
+	"acep/internal/event"
+	"acep/internal/gen"
+	"acep/internal/shard"
+	"acep/internal/wire"
+)
+
+// feedReusing streams the workload the way a parser with one scratch
+// record does: every event is handed over in the same event.Event
+// struct, its attributes in the same slice, both overwritten for the
+// next one as soon as Process returns.
+func feedReusing(w *gen.Workload, at map[int]func(), process func(*event.Event)) {
+	var ev event.Event
+	attrs := make([]float64, 0, 16)
+	for i := range w.Events {
+		if fn, ok := at[i]; ok {
+			fn()
+		}
+		src := &w.Events[i]
+		attrs = append(attrs[:0], src.Attrs...)
+		ev = event.Event{Type: src.Type, TS: src.TS, Seq: src.Seq, Attrs: attrs}
+		process(&ev)
+	}
+}
+
+// TestIngressDoesNotRetainCallerEvent: Process keeps nothing of the
+// event it is handed — not the struct, not the attribute array — exactly
+// like shard.Engine.Process, which interns. A caller that reuses one
+// struct and one slice for the whole stream therefore gets the reference
+// stream from the cluster too: over the in-process pipe without
+// recovery (the run crosses by reference and is decoded whenever the
+// node gets to it), and over TCP with the journal on and a shard
+// migrated mid-stream (the replay re-sends runs sealed a thousand events
+// earlier).
+func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
+	w := failoverWorkload(t, "traffic")
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runSharded(t, w, gen.Sequence, 6)
+
+	t.Run("plain", func(t *testing.T) {
+		rec := &tagRecorder{}
+		ing, err := StartLocal(pat, engine.Config{CheckEvery: 250}, LocalConfig{
+			Nodes: 3, ShardsPerNode: 2, Batch: 64,
+			KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
+			OnNodeErr: func(err error) { t.Errorf("node error: %v", err) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedReusing(w, nil, ing.Process)
+		if err := ing.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, "reused event, pipes", rec, want)
+	})
+
+	t.Run("recovery and migration", func(t *testing.T) {
+		rig, _ := startFailoverRig(t, w, gen.Sequence, 0, nil, nil)
+		rec := &tagRecorder{}
+		ing, err := NewIngress(pat, rig.conns, IngressOptions{
+			Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
+			Recovery: &rig.recOptions,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedReusing(w, map[int]func(){
+			2000: func() {
+				// Shard 2 is node 1's first shard; node 0 never hosted it.
+				if err := ing.MigrateShard(2, 0); err != nil {
+					t.Fatalf("live migration failed: %v", err)
+				}
+			},
+		}, ing.Process)
+		if err := ing.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if mgs := ing.Migrations(); len(mgs) != 1 || mgs[0].ReplayEvents == 0 {
+			t.Fatalf("migrations %+v, want one that replayed journaled events", mgs)
+		}
+		requireIdentical(t, "reused event, recovery + migration", rec, want)
+	})
+}
+
+// discardConn is a node that greets and then neither answers nor reads:
+// every frame sent at it is dropped by reference.
+type discardConn struct {
+	hello chan wire.Frame
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newDiscardConn(shards uint32) *discardConn {
+	c := &discardConn{hello: make(chan wire.Frame, 1), done: make(chan struct{})}
+	c.hello <- wire.Hello{Version: wire.Version, Shards: shards}
+	return c
+}
+
+func (c *discardConn) Send(wire.Frame) error { return nil }
+
+func (c *discardConn) Recv() (wire.Frame, error) {
+	select {
+	case f := <-c.hello:
+		return f, nil
+	case <-c.done:
+		return nil, io.EOF
+	}
+}
+
+func (c *discardConn) Close() error {
+	c.once.Do(func() { close(c.done) })
+	return nil
+}
+
+// TestIngressCutAllocs is the allocation-regression guard of the
+// coordinator's ingest path with the journal on: a cut costs a fixed
+// number of allocations however many events it carries — nothing is
+// allocated per event. Per cut that is, per shard with traffic, the next
+// run's storage (the journal keeps the sealed one) and the boxing of its
+// Batch frame; per node, the send goroutine's closure and the watermark
+// frame's boxing; and the journal's record. (The journal never trims
+// here — nothing is ever released — so its cut list also grows, by
+// doubling: rounding error at these run counts.)
+func TestIngressCutAllocs(t *testing.T) {
+	w := failoverWorkload(t, "traffic")
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodes, perNode = 2, 2
+	const bound = 2*nodes*perNode + 2*nodes + 1 // holds under the race detector too
+	for _, batch := range []int{64, 1024} {
+		conns := make([]Conn, nodes)
+		for i := range conns {
+			conns[i] = newDiscardConn(perNode)
+		}
+		ing, err := NewIngress(pat, conns, IngressOptions{
+			Batch: batch, KeyAttr: "key", Schema: w.Schema,
+			OnTagged: func(shard.Tagged) {},
+			Recovery: &RecoveryConfig{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev event.Event // one struct for the whole feed: the test must not allocate per event either
+		next := 0
+		cut := func() {
+			for k := 0; k < batch; k++ {
+				ev = w.Events[next%len(w.Events)]
+				ev.Seq = uint64(next + 1)
+				ing.Process(&ev)
+				next++
+			}
+		}
+		for i := 0; i < 8; i++ {
+			cut() // size every shard's run storage and the per-slot scratch
+		}
+		if avg := testing.AllocsPerRun(50, cut); avg > bound {
+			t.Errorf("batch %d: %.0f allocations per cut, want at most %d (%d shards on %d nodes)",
+				batch, avg, bound, nodes*perNode, nodes)
+		}
+		ing.Kill()
+	}
+}

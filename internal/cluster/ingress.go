@@ -26,17 +26,18 @@ import (
 const maxShardsPerNode = 1 << 12
 
 // CutInfo is one sealed cut as observed by IngressOptions.OnCut: the
-// global watermark, every shard's events of the cut, and the routing
-// truth at seal time. Bufs and Owner alias ingress-owned state and are
-// valid only during the call — a replicator must encode or copy before
-// returning; Addrs is the observer's to keep. Final marks the cut sealed
-// by Finish (the stream's last).
+// global watermark, the encoded run of every shard that had events in
+// the cut, and the routing truth at seal time. The Runs and Owner slices
+// are ingress-owned scratch, valid only during the call — a replicator
+// copies them before returning — while the run bodies are the bytes the
+// journal retains, immutable from here on, and Addrs is the observer's
+// to keep. Final marks the cut sealed by Finish (the stream's last).
 type CutInfo struct {
 	UpTo  uint64
 	Final bool
-	Bufs  [][]event.Event // per global shard, arrival order
-	Owner []int           // shard -> slot (-1: abandoned)
-	Addrs []string        // per slot: dialable worker address ("" unknown)
+	Runs  []wire.ReplRun // ascending shard; shards without events omitted
+	Owner []int          // shard -> slot (-1: abandoned)
+	Addrs []string       // per slot: dialable worker address ("" unknown)
 }
 
 // ResumeState builds a takeover successor: a standby coordinator that
@@ -153,9 +154,16 @@ type Ingress struct {
 	// goroutine, strictly behind the send barrier.
 	owner []int
 
-	bufs    [][]event.Event // per global shard: the accumulating cut
-	spare   [][]event.Event // recycled cut buffers (serializing transports, no recovery)
-	recycle []bool          // per shard: cut buffers may be reused
+	// The accumulating cut: an event is encoded onto its shard's run as
+	// it is accepted, and the sealed bytes are what the worker link, the
+	// journal and the replication tap all carry. Where nothing keeps a
+	// sealed run (recycle: no journal, and a transport that has put the
+	// bytes on the wire by the time Send returns) two encoders per shard
+	// alternate, the idle one's run being the cut in flight.
+	runs    []wire.RunEncoder // per global shard
+	spare   []wire.RunEncoder // the alternates (nil without recycling)
+	recycle []bool            // per shard: a sealed run is dead once its send is barriered
+	sealed  []wire.ReplRun    // cutAll scratch: the runs of the cut being sealed
 	pending int
 	lastSeq uint64
 
@@ -339,8 +347,7 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 		}
 		base += claims[i]
 	}
-	in.bufs = make([][]event.Event, in.total)
-	in.spare = make([][]event.Event, in.total)
+	in.runs = make([]wire.RunEncoder, in.total)
 
 	deliver := func(t shard.Tagged) {
 		if opts.OnMatch != nil {
@@ -372,16 +379,16 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 			progress = tap
 		}
 	}
-	// Cut-buffer recycling: on a serializing transport the Batch frame
-	// is fully encoded onto the wire by the time Send returns, so a
-	// cut's event buffer is reusable once its send has been barriered
-	// (behind waitSends). The in-process pipe hands the slice to the
-	// node by reference — stable for the run, never reused — and the
-	// recovery journal retains cut history (and lets shards change
-	// owner), so a pipe conn or a configured Recovery disables recycling
-	// for the session.
+	// Run recycling: on a serializing transport the frame is on the wire
+	// by the time Send returns, so a sealed run's storage is reusable once
+	// its send has been barriered (behind waitSends). The in-process pipe
+	// hands the bytes to the node by reference — it decodes them whenever
+	// it gets to the frame — and the recovery journal retains them (and
+	// lets shards change owner), so a pipe conn or a configured Recovery
+	// disables recycling for the session.
+	in.recycle = make([]bool, in.total)
 	if in.rec == nil {
-		in.recycle = make([]bool, in.total)
+		in.spare = make([]wire.RunEncoder, in.total)
 		for g, o := range in.owner {
 			_, serializing := conns[o].(interface{ SetDecodeArena(*match.Arena) })
 			in.recycle[g] = serializing
@@ -633,8 +640,7 @@ func (in *Ingress) Process(ev *event.Event) {
 	if in.finished {
 		panic("cluster: Process after Finish")
 	}
-	g := shard.GlobalIndex(in.key(ev), in.total)
-	in.bufs[g] = append(in.bufs[g], *ev)
+	in.runs[shard.GlobalIndex(in.key(ev), in.total)].Append(ev)
 	in.lastSeq = ev.Seq
 	in.pending++
 	if in.pending >= in.batch {
@@ -646,20 +652,27 @@ func (in *Ingress) Process(ev *event.Event) {
 // barriered first and their failures — together with pending reader
 // suspects — handled (so a failover's replay ends at the previous cut
 // and this one rides the normal send), the placement controller gets a
-// chance to move a shard, the cut is journaled per shard when recovery
-// is on, and then every live node's frames — one Batch per owned shard
-// with accumulated events, or a bare one carrying just the global
-// watermark — are encoded and sent by a per-node goroutine while the
-// coordinator goes back to ingesting. A send failure surfaces at the
-// next barrier and fails over there; the successor receives the
-// journaled cuts through replay.
+// chance to move a shard, the cut's runs are journaled when recovery is
+// on, and then every live node's frames — one Batch per owned shard
+// with a run, then a bare one carrying the global watermark — are sent
+// by a per-node goroutine while the coordinator goes back to ingesting.
+// A send failure surfaces at the next barrier and fails over there; the
+// successor receives the journaled cuts through replay.
 func (in *Ingress) cutAll() {
 	in.waitSends()
 	in.checkSuspects()
 	in.rebalance()
+	in.sealed = in.sealed[:0]
+	for g := range in.runs {
+		if in.runs[g].Events() > 0 {
+			in.sealed = append(in.sealed, in.runs[g].Seal(uint32(g)))
+		}
+	}
 	if in.journal != nil {
 		in.journal.Advance(in.released.Load())
-		in.journal.Append(in.bufs, in.lastSeq)
+		if err := in.journal.AppendRuns(in.sealed, in.lastSeq); err != nil {
+			panic(err) // every shard index above is below in.total
+		}
 	}
 	if in.onCut != nil {
 		// Replication tap: behind the barrier (routing settled for this
@@ -671,24 +684,23 @@ func (in *Ingress) cutAll() {
 		}
 		in.onCut(CutInfo{
 			UpTo: in.lastSeq, Final: in.finished,
-			Bufs: in.bufs, Owner: in.owner, Addrs: addrs,
+			Runs: in.sealed, Owner: in.owner, Addrs: addrs,
 		})
 	}
 	upTo := in.lastSeq
 	for _, s := range in.slots {
 		s.outs = s.outs[:0]
 	}
-	for g := range in.bufs {
-		evs := in.bufs[g]
-		in.bufs[g] = nil
-		if in.recycle != nil && in.recycle[g] {
-			// Hand the next cut the previous cut's buffer (its send
-			// completed at the barrier above) and queue this one.
-			in.bufs[g] = in.spare[g][:0]
-			in.spare[g] = evs
+	for _, r := range in.sealed {
+		g := int(r.Shard)
+		if in.recycle[g] {
+			// The alternate's run was the previous cut's; its send
+			// completed at the barrier above.
+			in.runs[g], in.spare[g] = in.spare[g], in.runs[g]
 		}
-		if o := in.owner[g]; o >= 0 && len(evs) > 0 && in.slots[o].receives() {
-			in.slots[o].outs = append(in.slots[o].outs, evs)
+		in.runs[g].Reset(in.recycle[g])
+		if o := in.owner[g]; o >= 0 && in.slots[o].receives() {
+			in.slots[o].outs = append(in.slots[o].outs, r.Body)
 		}
 	}
 	for n, s := range in.slots {
@@ -699,18 +711,7 @@ func (in *Ingress) cutAll() {
 		in.sendWG.Add(1)
 		go func(s *slot) {
 			defer in.sendWG.Done()
-			// Events-only frames (UpTo 0), one per owned shard with
-			// traffic, then the cut's single watermark frame: the node
-			// hands each run to its shard's worker as it is and seals
-			// only when the watermark arrives, so a cut split across
-			// shards can never publish a watermark ahead of its events.
-			for _, evs := range s.outs {
-				if err := s.conn.Send(wire.Batch{Events: evs}); err != nil {
-					s.sendErr = err
-					return
-				}
-			}
-			if err := s.conn.Send(wire.Batch{UpTo: upTo}); err != nil {
+			if err := s.sendCut(upTo); err != nil {
 				s.sendErr = err
 			}
 		}(s)
@@ -809,14 +810,14 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 	}
 	var cuts, events int
 	var bytes int64
-	rerr := in.journal.ReplayShard(g, func(evs []event.Event, upTo uint64) error {
+	rerr := in.journal.ReplayShard(g, func(r wire.ReplRun, upTo uint64) error {
 		in.det.Sent(to)
-		if err := c.Send(wire.Batch{UpTo: upTo, Events: evs}); err != nil {
+		if err := c.Send(wire.BatchRaw{UpTo: upTo, Run: r.Body}); err != nil {
 			return err
 		}
 		cuts++
-		events += len(evs)
-		bytes += recovery.EventsBytes(evs)
+		events += r.Events
+		bytes += int64(len(r.Body))
 		return nil
 	})
 	in.mu.Lock()

@@ -145,7 +145,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 type sender struct {
 	mu  sync.Mutex
 	c   Conn
-	fl  interface{ Flush() error }
+	fl  sendHolder
 	err error
 }
 
@@ -281,10 +281,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// quiescence point: the ingress never blocks on a node frame while
 	// it still has frames of its own to send, and the final drain is
 	// flushed before the session returns.
-	if h, ok := conn.(interface {
-		SetSendHold(bool)
-		Flush() error
-	}); ok {
+	if h, ok := conn.(sendHolder); ok {
 		h.SetSendHold(true)
 		up.fl = h
 	}
@@ -311,21 +308,22 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		suppressAll uint64
 	)
 
-	// Zero-copy receive: on a serializing transport (probe below), Batch
-	// frames decode straight into this arena — the decoded slots are the
-	// events the evaluators retain, no re-intern — and surface as
-	// wire.BatchView. The arena never recycles chunks (the zero value),
-	// so releasing behind the time horizon merely unpins: anything an
-	// evaluator or an in-flight match still references stays alive
-	// through the GC — which is also what makes replaying old-timestamp
-	// history into a live session memory-safe.
-	var decArena *match.Arena
+	// Zero-copy receive: a run decodes straight into this arena — the
+	// decoded slots are the events the evaluators retain, no re-intern. A
+	// serializing transport (probe below) does it inside Recv and
+	// surfaces a wire.BatchView; the in-process pipe delivers the
+	// ingress's wire.BatchRaw and the loop below runs the same decoder on
+	// it. The arena never recycles chunks (the zero value), so releasing
+	// behind the time horizon merely unpins: anything an evaluator or an
+	// in-flight match still references stays alive through the GC — which
+	// is also what makes replaying old-timestamp history into a live
+	// session memory-safe.
+	decArena := &match.Arena{}
 	if da, ok := conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
-		decArena = &match.Arena{}
 		da.SetDecodeArena(decArena)
 	}
 	var (
-		ptrBuf []*event.Event
+		rawEvs []*event.Event // DecodeRun scratch (pipe sessions)
 		maxTS  event.Time
 		cuts   uint64
 	)
@@ -432,13 +430,16 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// So the run's first event places all of it, the pointers go straight
 	// to that worker's buffer, and only the watermark seals — covering
 	// every run of the cut, whatever order the shards came in. Then: beat
-	// on receipt, seal, and the periodic load report.
+	// on receipt, seal, the periodic load report, and unpin the decoded
+	// chunks the engines can no longer need for new matches (recycle is
+	// off, so any horizon is safe — see the arena comment above).
 	ingest := func(run []*event.Event, upTo uint64) {
-		if len(run) > 0 {
+		if ne := len(run); ne > 0 {
+			maxTS = max(maxTS, run[ne-1].TS)
 			eng.ProcessStable(shard.GlobalIndex(key(run[0]), total), run)
 		}
 		if upTo == 0 {
-			return
+			return // events-only frame; the cut's watermark frame follows
 		}
 		up.send(wire.Heartbeat{UpTo: upTo})
 		eng.Flush(upTo)
@@ -448,6 +449,11 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		cuts++
 		if cuts%statsEveryCuts == 0 {
 			sendStats()
+		}
+		if relWindow > 0 {
+			decArena.Release(maxTS - 2*relWindow)
+		} else if decArena.Live() > 64 {
+			decArena.Release(maxTS)
 		}
 	}
 	for {
@@ -466,33 +472,15 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		}
 		switch v := f.(type) {
 		case *wire.BatchView:
-			// Serializing transport: the events already live in decArena
-			// (decoded in place by conn.Recv) — no copy anywhere between
-			// socket and match.
-			if ne := len(v.Events); ne > 0 {
-				maxTS = max(maxTS, v.Events[ne-1].TS)
-			}
 			ingest(v.Events, v.UpTo)
-			if v.UpTo == 0 {
-				break // events-only frame; the cut's watermark frame follows
+		case wire.BatchRaw:
+			rawEvs = rawEvs[:0]
+			if len(v.Run) > 0 { // nil: the cut's bare watermark frame
+				if rawEvs, err = wire.DecodeRun(decArena, v.Run, rawEvs); err != nil {
+					return abort(fmt.Errorf("cluster: node decoding a run: %w", err))
+				}
 			}
-			// Unpin decoded chunks the engines can no longer need for
-			// new matches (recycle is off, so any horizon is safe — see
-			// the arena comment above).
-			if relWindow > 0 {
-				decArena.Release(maxTS - 2*relWindow)
-			} else if decArena.Live() > 64 {
-				decArena.Release(maxTS)
-			}
-		case wire.Batch:
-			// Reference transport (in-process pipe): the frame's event
-			// slice is owned by the ingress/journal and stable for the
-			// run, so the engines can retain pointers into it directly.
-			ptrBuf = ptrBuf[:0]
-			for i := range v.Events {
-				ptrBuf = append(ptrBuf, &v.Events[i])
-			}
-			ingest(ptrBuf, v.UpTo)
+			ingest(rawEvs, v.UpTo)
 		case wire.Migrate:
 			// A shard is moving onto this session: suppress its
 			// regenerated duplicates, and queue it for acknowledgement

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"acep/internal/engine"
-	"acep/internal/event"
 	"acep/internal/wire"
 )
 
@@ -52,7 +51,10 @@ type slot struct {
 	// that already ran a shard holds stale window state for it, so
 	// migrating the shard back would double-process.
 	hosted map[int]bool
-	outs   [][]event.Event // send-goroutine scratch, regrouped each cut
+	outs   [][]byte // the open cut's runs bound for this node, regrouped each cut
+	// burst is the conn's held-send probe (nil: every Send writes
+	// through): sendCut brackets a cut's frames with it.
+	burst sendHolder
 	// sendErr is a send failure parked for the next barrier (waitSends),
 	// which routes it into failover or record-and-drain.
 	sendErr error
@@ -74,6 +76,29 @@ func (s *slot) inSession() bool { return s.state <= slotDrained }
 
 // takes reports whether shard g may migrate onto the slot.
 func (s *slot) takes(g int) bool { return s.state == slotLive && !s.hosted[g] }
+
+// sendCut ships the open cut to the node: events-only frames (UpTo 0),
+// one per owned shard with a run, then the cut's single watermark frame.
+// The node hands each run to its shard's worker as it is and seals only
+// when the watermark arrives, so a cut split across shards can never
+// publish a watermark ahead of its events. On a buffering transport the
+// frames go out in one write. Runs on the cut's per-node send goroutine,
+// the connection's only writer until the next barrier.
+func (s *slot) sendCut(upTo uint64) error {
+	if s.burst != nil {
+		s.burst.SetSendHold(true)
+		defer s.burst.SetSendHold(false)
+	}
+	for _, run := range s.outs {
+		if err := s.conn.Send(wire.BatchRaw{Run: run}); err != nil {
+			return err
+		}
+	}
+	if err := s.conn.Send(wire.BatchRaw{UpTo: upTo}); err != nil || s.burst == nil {
+		return err
+	}
+	return s.burst.Flush()
+}
 
 // park records a send failure for the next barrier; the first one wins.
 func (s *slot) park(err error) {
@@ -134,6 +159,7 @@ func (in *Ingress) openSession(c Conn, who string) error {
 // through here, so what a session needs is armed in one place.
 func (in *Ingress) install(n int, c Conn, addr string) *slot {
 	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{})}
+	s.burst, _ = c.(sendHolder)
 	if in.rec != nil && in.rec.HeartbeatTimeout > 0 {
 		// A worker that stops draining its socket (wedged peer, one-way
 		// partition) must surface as this slot's link error in bounded

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"acep/internal/engine"
-	"acep/internal/event"
 	"acep/internal/gen"
 	recovery "acep/internal/recover"
 	"acep/internal/shard"
@@ -62,9 +61,9 @@ type inlineMirror struct {
 }
 
 func (m *inlineMirror) onCut(ci CutInfo) {
-	perShard := make([][]event.Event, len(ci.Bufs))
-	copy(perShard, ci.Bufs) // inner runs are journal-retained, stable
-	m.journal.Append(perShard, ci.UpTo)
+	if err := m.journal.AppendRuns(ci.Runs, ci.UpTo); err != nil { // the bodies are journal-retained, stable
+		panic(err)
+	}
 	m.lastUpTo = ci.UpTo
 	m.owner = append(m.owner[:0], ci.Owner...)
 	m.addrs = append(m.addrs[:0], ci.Addrs...)

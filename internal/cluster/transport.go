@@ -69,7 +69,8 @@ type pipeHalf struct {
 // Pipe returns the two endpoints of an in-process connection: frames
 // sent on one are received on the other, in order. It is the chan-based
 // transport the in-process cluster (and the transport-agnostic tests)
-// run on — no serialization, but the identical protocol surface.
+// run on — no serialization (a pre-encoded frame such as wire.BatchRaw
+// arrives as the sender built it), but the identical protocol surface.
 func Pipe() (Conn, Conn) {
 	ab := make(chan wire.Frame, pipeDepth)
 	ba := make(chan wire.Frame, pipeDepth)
@@ -246,14 +247,23 @@ func (s *streamConn) Send(f wire.Frame) error {
 	return s.bw.Flush()
 }
 
+// sendHolder is what a buffering transport offers a sender that knows
+// where its bursts end: hold frames in the write buffer, push them out
+// together. Probed for on a Conn; the in-process pipe has no buffer.
+type sendHolder interface {
+	SetSendHold(bool)
+	Flush() error
+}
+
 // SetSendHold switches Send between write-through (false, the default:
 // every frame is flushed to the socket immediately) and held mode
 // (true: frames accumulate in the write buffer until Flush). Held mode
 // is only safe when the caller owns a protocol quiescence point to
 // flush at — the node flushes after handling each inbound frame and at
-// session end — since a held frame the peer is waiting for would
-// otherwise deadlock the session. Callers probe for this method; the
-// in-process pipe delivers frames by reference and does not buffer.
+// session end, the ingress after the last frame of a cut — since a held
+// frame the peer is waiting for would otherwise deadlock the session.
+// Callers probe for this method; the in-process pipe delivers frames by
+// reference and does not buffer.
 func (s *streamConn) SetSendHold(on bool) { s.hold = on }
 
 // Flush writes any held frames through to the socket.
@@ -267,9 +277,9 @@ func (s *streamConn) RemoteAddr() string { return s.c.RemoteAddr().String() }
 // SetDecodeArena switches the receive side to zero-copy batch decoding:
 // Batch frames decode straight into arena chunks and surface as
 // wire.BatchView (see wire.Reader.SetDecodeArena). Nodes probe for this
-// method on their Conn — it marks a serializing transport, where the
-// decode-into-arena and owned-emit paths pay off; the in-process pipe
-// passes frames by reference and deliberately does not implement it.
+// method on their Conn — it marks a serializing transport, whose Send
+// has put the frame's bytes on the wire when it returns; the in-process
+// pipe passes frames by reference and deliberately does not implement it.
 func (s *streamConn) SetDecodeArena(a *match.Arena) { s.r.SetDecodeArena(a) }
 func (s *streamConn) Recv() (wire.Frame, error) {
 	f, err := s.r.Read()

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"acep/internal/match"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -15,7 +16,8 @@ import (
 // design outlives the call (it holds matches until the standby's mirror
 // acknowledgement catches up). Encoding through AppendMatchBody keeps
 // the copy byte-canonical: the re-decoded match serializes to exactly
-// the bytes the original would have.
+// the bytes the original would have. Bodies are slices of the gate's
+// slab chunks (see gate.hold).
 type pendMatch struct {
 	seq  uint64
 	src  int
@@ -68,6 +70,7 @@ type gate struct {
 	ackCond   *sync.Cond // broadcast whenever acked advances or gating ends
 	q         []pendMatch
 	head      int
+	slab      []byte // the chunk held bodies are being encoded into
 	acked     uint64 // standby's mirrored watermark (ack-reader)
 	released  uint64 // collector release frontier (progress tap)
 	delivered uint64 // matches emitted downstream so far (D)
@@ -99,11 +102,29 @@ func (g *gate) onTagged(t shard.Tagged) {
 		g.mu.Unlock()
 		return
 	}
-	g.q = append(g.q, pendMatch{
-		seq: t.Seq, src: t.Src, pat: t.Pattern,
-		body: wire.AppendMatchBody(nil, t.M),
-	})
+	g.q = append(g.q, pendMatch{seq: t.Seq, src: t.Src, pat: t.Pattern, body: g.hold(t.M)})
 	g.mu.Unlock()
+}
+
+// slabChunk sizes the gate's body slab: large against a match body (tens
+// of bytes), small against what a stalled standby lets the queue grow to.
+const slabChunk = 4 << 10
+
+// hold encodes m's body into the slab and returns it. Bodies share
+// chunks instead of growing a buffer each; nothing frees a chunk
+// explicitly — the queue entries are its only references besides the
+// slab field, which moves on to a fresh chunk when this one is nearly
+// full, so the chunk goes once head has passed the last body in it. A
+// body larger than the room left grows the slab into a new array (the
+// earlier bodies keep the old one alive), which then serves as the
+// chunk. Called with the gate lock held.
+func (g *gate) hold(m *match.Match) []byte {
+	if cap(g.slab)-len(g.slab) < slabChunk/8 {
+		g.slab = make([]byte, 0, slabChunk)
+	}
+	start := len(g.slab)
+	g.slab = wire.AppendMatchBody(g.slab, m)
+	return g.slab[start:len(g.slab):len(g.slab)]
 }
 
 // onProgress is the collector's release tap: matches at or below w have

@@ -46,6 +46,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,9 +223,9 @@ func New(cfg Config) (*Pair, error) {
 
 	// The standby: an external process's listener, or the same server
 	// spawned on loopback — the replication link is a real TCP stream
-	// either way, so the v6 frames serialize end to end and the
-	// mirror's decoded events are fresh allocations with no aliasing
-	// back into the primary.
+	// either way, so the frames serialize end to end and the mirror's
+	// run bodies are its own copies with no aliasing back into the
+	// primary.
 	p.standbyAddr = cfg.StandbyAddr
 	if p.standbyAddr == "" {
 		l, err := cluster.ListenTCP("127.0.0.1:0")
@@ -406,9 +407,10 @@ func (p *Pair) demote(cause string) {
 // onCut is the primary's replication tap (ingress goroutine, behind the
 // send barrier): the sealed cut becomes one ReplCut frame stamped with
 // the next dense cut ordinal — the standby's dedup/gap detector. Owner
-// is copied — the ingress mutates it after the call — Addrs is ours to
-// keep, and the event runs alias the journal-retained cut slices, which
-// are immutable for the rest of the run.
+// and the run headers are copied — the ingress reuses both after the
+// call — Addrs is ours to keep, and the run bodies are the bytes the
+// ingress framed to the workers and its journal retains, immutable for
+// the rest of the run.
 func (p *Pair) onCut(ci cluster.CutInfo) {
 	if p.replDown.Load() {
 		return
@@ -418,17 +420,13 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 		UpTo: ci.UpTo, Cut: p.cutSeq, Final: ci.Final,
 		Owner: make([]uint32, len(ci.Owner)),
 		Addrs: ci.Addrs,
+		Runs:  slices.Clone(ci.Runs),
 	}
 	for g, o := range ci.Owner {
 		if o < 0 {
 			rc.Owner[g] = ^uint32(0)
 		} else {
 			rc.Owner[g] = uint32(o)
-		}
-	}
-	for g, evs := range ci.Bufs {
-		if len(evs) > 0 {
-			rc.Runs = append(rc.Runs, wire.ReplRun{Shard: uint32(g), Events: evs})
 		}
 	}
 	p.replCh <- rc
@@ -560,7 +558,11 @@ func (p *Pair) linkLost(err error) {
 var demotedRingCap = 1 << 18
 
 // Process feeds one event through the primary (or, after takeover, the
-// successor). Same contract as Ingress.Process.
+// successor). Same contract as Ingress.Process, with one exception: the
+// refeed ring below keeps *ev by value, so ev.Attrs' backing array must
+// stay unchanged until the standby has acknowledged the cut the event
+// went into — the ingress itself keeps nothing of ev, the ring still
+// aliases it (ROADMAP, known defects).
 func (p *Pair) Process(ev *event.Event) {
 	if p.err != nil {
 		return
@@ -795,13 +797,9 @@ func (p *Pair) fetchMirror(epoch uint64) (mirrorState, error) {
 			if !ok {
 				return mirrorState{}, fmt.Errorf("handover cut %d/%d: unexpected %s frame", i+1, hs.Cuts, wire.KindOf(f))
 			}
-			perShard := make([][]event.Event, len(hs.Owner))
-			for _, r := range rc.Runs {
-				if int(r.Shard) < len(perShard) {
-					perShard[r.Shard] = r.Events
-				}
+			if err := j.AppendRuns(rc.Runs, rc.UpTo); err != nil {
+				return mirrorState{}, fmt.Errorf("handover cut %d/%d: %w", i+1, hs.Cuts, err)
 			}
-			j.Append(perShard, rc.UpTo)
 		}
 		j.Advance(hs.EmittedUpTo)
 		st.journal = j

@@ -34,7 +34,7 @@ func (r *tagRecorder) rec(t shard.Tagged) {
 
 // haWorkload mirrors the cluster failover workloads: enough keys that
 // every node of a 3×2 cluster owns live traffic.
-func haWorkload(t *testing.T, dataset string) *gen.Workload {
+func haWorkload(t testing.TB, dataset string) *gen.Workload {
 	t.Helper()
 	switch dataset {
 	case "traffic":

@@ -16,7 +16,11 @@ import (
 // the primary's sealed-cut stream into a mirror journal — the same
 // journal type the primary itself retains for worker failover — together
 // with the owner table, the per-slot worker addresses, and the primary's
-// emission state. Every mirrored cut is acknowledged with its watermark;
+// emission state. The mirror is opaque: a cut's runs arrive as the bytes
+// the primary's ingress encoded for the workers, and the server keeps
+// and hands over those bytes without ever decoding an event. Every
+// mirrored cut is acknowledged with its watermark — and only a mirrored
+// one: a cut the server cannot hold fails the link instead;
 // the primary's emission gate holds matches until the cut producing them
 // is acknowledged, which is what makes the mirror's (lastUpTo, emitted,
 // count) triple sufficient to resume the stream byte-identically after a
@@ -35,7 +39,9 @@ import (
 // replication session, then any number of handover reads. Duplicated or
 // reordered replication frames are detected by the dense ReplCut.Cut
 // ordinal (re-acked, not re-mirrored); a gap means a dropped frame, and
-// the server fails the link rather than journal incomplete history.
+// the server fails the link rather than journal incomplete history —
+// as it does for a cut it has no journal for (the Epoch frame declared
+// no usable window) or whose runs name shards outside the owner table.
 type StandbyServer struct {
 	l    *cluster.Listener
 	done chan struct{}
@@ -47,9 +53,7 @@ type StandbyServer struct {
 	mu         sync.Mutex
 	conn       cluster.Conn // active session conn (Stop must unblock it)
 	journal    *recovery.Journal
-	window     event.Time
-	slack      int
-	maxBytes   int64
+	sizing     wire.Epoch
 	lastUpTo   uint64 // newest mirrored cut watermark
 	lastCut    uint64 // newest mirrored cut ordinal (dedup/gap detector)
 	emitted    uint64 // primary's last received EmittedUpTo (E*)
@@ -127,9 +131,7 @@ func (s *StandbyServer) serveSession(conn cluster.Conn) {
 		s.logf("replication session open: epoch %d window %d slack %d maxbytes %d",
 			v.Epoch, v.Window, v.Slack, v.MaxBytes)
 		s.mu.Lock()
-		s.window = event.Time(v.Window)
-		s.slack = int(v.Slack)
-		s.maxBytes = int64(v.MaxBytes)
+		s.sizing = v
 		s.mu.Unlock()
 		s.serveReplication(conn)
 	case wire.Handover:
@@ -153,15 +155,16 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 		case wire.Epoch:
 			// Re-declaration on an open link: tolerated, no-op.
 		case wire.ReplCut:
-			switch dup, gap := s.mirror(v); {
-			case gap:
-				// A replication frame was lost in transit. Journaling on
-				// would silently hand a successor incomplete history, so
-				// fail the link — the primary degrades (or demotes) and
+			dup, err := s.mirror(v)
+			if err != nil {
+				// Journaling on (or acknowledging) past a cut the mirror
+				// does not hold would hand a successor incomplete history,
+				// so fail the link — the primary degrades (or demotes) and
 				// the mirror stops advertising itself as current.
-				s.fail(fmt.Errorf("ha: replication gap: cut %d arrived after cut %d", v.Cut, s.snapLastCut()))
+				s.fail(err)
 				return
-			case dup:
+			}
+			if dup {
 				// Duplicate or reordered-behind frame: the cut is already
 				// mirrored. Re-ack so a lost ack cannot stall the
 				// primary's flow control, but touch nothing.
@@ -214,36 +217,32 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 }
 
 // mirror appends one replicated cut to the mirror journal, creating it
-// lazily at the first cut (which fixes the global shard count). It
-// reports dup for an already-mirrored ordinal and gap for a skipped one.
-func (s *StandbyServer) mirror(v wire.ReplCut) (dup, gap bool) {
+// lazily at the first cut (whose owner table fixes the global shard
+// count). It reports dup for an already-mirrored ordinal, and as an
+// error everything that would leave the mirror short of the cut: a
+// skipped ordinal (a frame was lost in transit), no journal to put it in
+// (no owner table yet, or a sizing — the session's opening Epoch frame —
+// that NewJournal refuses: a non-positive window from a misconfigured
+// primary), a run outside the shard space.
+func (s *StandbyServer) mirror(v wire.ReplCut) (dup bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v.Cut <= s.lastCut && s.mirrored {
-		return true, false
+		return true, nil
 	}
 	if v.Cut != s.lastCut+1 {
-		return false, true
+		return false, fmt.Errorf("ha: replication gap: cut %d arrived after cut %d", v.Cut, s.lastCut)
 	}
-	total := len(v.Owner)
-	if s.journal == nil && total > 0 {
-		j, err := recovery.NewJournal(recovery.JournalConfig{
-			Window: s.window, Shards: total,
-			SlackWindows: s.slack, MaxBytes: s.maxBytes,
-		})
-		if err != nil {
-			return false, false // window invalid: the primary validated it, unreachable
+	if s.journal == nil {
+		if s.journal, err = recovery.NewJournal(recovery.JournalConfig{
+			Window: event.Time(s.sizing.Window), Shards: len(v.Owner),
+			SlackWindows: int(s.sizing.Slack), MaxBytes: int64(s.sizing.MaxBytes),
+		}); err != nil {
+			return false, fmt.Errorf("ha: cut %d cannot be mirrored: %w", v.Cut, err)
 		}
-		s.journal = j
 	}
-	if s.journal != nil {
-		perShard := make([][]event.Event, total)
-		for _, r := range v.Runs {
-			if int(r.Shard) < total {
-				perShard[r.Shard] = r.Events
-			}
-		}
-		s.journal.Append(perShard, v.UpTo)
+	if err := s.journal.AppendRuns(v.Runs, v.UpTo); err != nil {
+		return false, fmt.Errorf("ha: cut %d cannot be mirrored: %w", v.Cut, err)
 	}
 	s.lastUpTo = v.UpTo
 	s.lastCut = v.Cut
@@ -252,9 +251,9 @@ func (s *StandbyServer) mirror(v wire.ReplCut) (dup, gap bool) {
 	s.addrs = append(s.addrs[:0], v.Addrs...)
 	s.cuts++
 	for _, r := range v.Runs {
-		s.events += len(r.Events)
+		s.events += r.Events
 	}
-	return false, false
+	return false, nil
 }
 
 // serveHandover streams the mirrored state to a takeover successor: the
@@ -285,24 +284,11 @@ func (s *StandbyServer) serveHandover(conn cluster.Conn) {
 	}
 	if j != nil {
 		var cut uint64
-		j.EachCut(func(perShard [][]event.Event, upTo uint64) error { //nolint:errcheck // send failure just ends the walk
+		j.EachCut(func(runs []wire.ReplRun, upTo uint64) error { //nolint:errcheck // send failure just ends the walk
 			cut++
-			rc := wire.ReplCut{UpTo: upTo, Cut: cut}
-			for g, evs := range perShard {
-				if len(evs) > 0 {
-					rc.Runs = append(rc.Runs, wire.ReplRun{Shard: uint32(g), Events: evs})
-				}
-			}
-			return conn.Send(rc)
+			return conn.Send(wire.ReplCut{UpTo: upTo, Cut: cut, Runs: runs})
 		})
 	}
-}
-
-// snapLastCut reads the newest mirrored ordinal (error-message helper).
-func (s *StandbyServer) snapLastCut() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastCut
 }
 
 // fail records the primary's death as observed on the link — unless the

@@ -21,9 +21,11 @@
 //     point, and a second because negation scopes and parked (residual)
 //     matches reach one further window back. Retention is per shard —
 //     a cold shard trims on its own clock instead of pinning every
-//     sibling's history. Memory is accounted explicitly; a hard byte
-//     bound force-trims with an explicit per-shard coverage-lost marker
-//     rather than growing silently.
+//     sibling's history. What it retains is the runs the ingress already
+//     encoded for the workers (wire.ReplRun), so its memory is exactly
+//     the bytes it accounts; a hard byte bound force-trims with an
+//     explicit per-shard coverage-lost marker rather than growing
+//     silently.
 //   - Detector — a wall-clock heartbeat monitor fed by the frames each
 //     node sends (watermarks double as heartbeats; nodes additionally
 //     acknowledge every cut on receipt), declaring a silent node dead
@@ -43,12 +45,8 @@ import (
 	"fmt"
 
 	"acep/internal/event"
+	"acep/internal/wire"
 )
-
-// perEventBytes approximates the fixed in-memory footprint of one
-// journaled event (struct header plus slice bookkeeping); attribute
-// payloads are accounted at 8 bytes each on top.
-const perEventBytes = 48
 
 // DefaultMaxBytes bounds the journal at 256 MiB unless configured.
 const DefaultMaxBytes = 256 << 20
@@ -75,43 +73,30 @@ type JournalConfig struct {
 	// and conjunctions); below two, negation scopes and parked matches
 	// may outrun the journal.
 	SlackWindows int
-	// MaxBytes is the hard memory bound (default DefaultMaxBytes). When
-	// exceeded the oldest cuts are trimmed regardless of the horizon and
-	// the journal records, per shard, the coverage loss; a later
-	// migration whose replay would have needed the trimmed history fails
-	// explicitly instead of delivering a silently incomplete stream.
+	// MaxBytes is the hard bound on retained run bytes (default
+	// DefaultMaxBytes). When exceeded the oldest cuts are trimmed
+	// regardless of the horizon and the journal records, per shard, the
+	// coverage loss; a later migration whose replay would have needed the
+	// trimmed history fails explicitly instead of delivering a silently
+	// incomplete stream.
 	MaxBytes int64
 }
 
-// cutRecord is one sealed ingress cut: every global shard's events in
-// arrival order (evs[g] nil when the shard had none, or after its slice
-// trimmed away) plus the global watermark the cut covers.
+// cutRecord is one sealed ingress cut: the runs of the shards that had
+// events in it (a run leaves when its shard's retention trims it) plus
+// the global watermark the cut covers.
 type cutRecord struct {
-	upTo  uint64
-	evs   [][]event.Event
-	bytes int64
+	upTo uint64
+	runs []wire.ReplRun
 }
-
-// EventsBytes accounts a slice of events with the journal's memory
-// formula (fixed overhead plus attribute payload).
-func EventsBytes(evs []event.Event) int64 {
-	b := int64(len(evs)) * perEventBytes
-	for i := range evs {
-		b += 8 * int64(len(evs[i].Attrs))
-	}
-	return b
-}
-
-// lastTS is a slice's newest timestamp; per-shard slices are in arrival
-// (hence timestamp) order, so the last event is the newest.
-func lastTS(evs []event.Event) event.Time { return evs[len(evs)-1].TS }
 
 // Journal is the ingress's cut journal. It is confined to the ingress
-// goroutine (no internal locking): Append seals cuts, Advance folds the
-// released watermark and trims, ReplayShard feeds a migration. The
-// journaled event slices alias the per-shard cut buffers the ingress
-// already sent — both sides treat them as immutable — so retention, not
-// copying, is the journal's only memory cost.
+// goroutine (no internal locking): AppendRuns seals cuts, Advance folds
+// the released watermark and trims, ReplayShard feeds a migration. A
+// journaled run is the encoded body the ingress framed to the worker —
+// both sides treat it as immutable — so retention, not copying, is the
+// journal's only memory cost, and of a run it reads nothing but its
+// shard, event count and newest timestamp.
 type Journal struct {
 	cfg   JournalConfig
 	slack event.Time // retention horizon behind a shard's released frontier
@@ -157,65 +142,82 @@ func NewJournal(cfg JournalConfig) (*Journal, error) {
 
 // AbandonShard drops shard g from the journal: its slot was given up
 // with no successor, so no replay will ever need its history again. Its
-// retained slices free immediately and future cuts for it are not
+// retained runs free immediately and future cuts for it are not
 // retained.
-func (j *Journal) AbandonShard(g int) {
-	if g >= 0 && g < len(j.excluded) {
-		j.excluded[g] = true
-	}
-	j.trim()
-}
+func (j *Journal) AbandonShard(g int) { j.Abandon(g, 1) }
 
 // Abandon drops shard block [base, base+shards) (see AbandonShard).
 func (j *Journal) Abandon(base, shards int) {
-	for g := base; g < base+shards && g < len(j.excluded); g++ {
+	for g := max(base, 0); g < base+shards && g < len(j.excluded); g++ {
 		j.excluded[g] = true
 	}
 	j.trim()
 }
 
-// Append seals one cut: perShard holds each global shard's events of
-// the cut in arrival order (the journal aliases the slices; they must
-// not be mutated afterwards), upTo is the cut's global watermark.
-// All-empty cuts are skipped. Exceeding MaxBytes force-trims oldest
-// cuts and marks the affected shards' coverage as lost from that point.
-func (j *Journal) Append(perShard [][]event.Event, upTo uint64) {
-	var bytes int64
-	n := 0
-	for g, evs := range perShard {
-		if len(evs) == 0 || (g < len(j.excluded) && j.excluded[g]) {
-			continue
+// AppendRuns seals one cut: runs holds the encoded run of every shard
+// that had events in it, upTo is the cut's global watermark. The journal
+// copies the run headers and keeps the bodies, which must not change
+// afterwards. Empty runs and abandoned shards' runs are not retained and
+// a cut with nothing to retain is skipped; a run of a shard outside the
+// configured space is an error and nothing of the cut is journaled.
+// Exceeding MaxBytes force-trims oldest cuts and marks the affected
+// shards' coverage as lost from that point.
+func (j *Journal) AppendRuns(runs []wire.ReplRun, upTo uint64) error {
+	keep := 0
+	for _, r := range runs {
+		if int(r.Shard) >= j.cfg.Shards {
+			return fmt.Errorf("recovery: run of shard %d in a journal of %d shards", r.Shard, j.cfg.Shards)
 		}
-		n += len(evs)
-		bytes += EventsBytes(evs)
-	}
-	if n == 0 {
-		return
-	}
-	rec := cutRecord{upTo: upTo, bytes: bytes, evs: make([][]event.Event, len(perShard))}
-	for g, evs := range perShard {
-		if len(evs) == 0 || (g < len(j.excluded) && j.excluded[g]) {
-			continue
+		if r.Events > 0 && !j.excluded[r.Shard] {
+			keep++
 		}
-		rec.evs[g] = evs
+	}
+	if keep == 0 {
+		return nil
+	}
+	rec := cutRecord{upTo: upTo, runs: make([]wire.ReplRun, 0, keep)}
+	for _, r := range runs {
+		if r.Events > 0 && !j.excluded[r.Shard] {
+			rec.runs = append(rec.runs, r)
+			j.bytes += int64(len(r.Body))
+			j.events += r.Events
+		}
 	}
 	j.cuts = append(j.cuts, rec)
-	j.bytes += bytes
-	j.events += n
 	j.lastUp = upTo
 	for j.bytes > j.cfg.MaxBytes && len(j.cuts) > 1 {
 		j.forceTrimOldest()
 	}
+	return nil
 }
 
-// EachCut visits every retained cut oldest-first with its per-shard
-// event slices and watermark — the serialization walk a standby uses to
-// hand its mirror to a takeover successor over the wire (trimmed shard
-// slices visit as nil). The slices are the journal's retained storage:
+// Append is AppendRuns for callers that hold event slices (tests, the
+// benchmark's direct call): perShard[g] is global shard g's events of
+// the cut in arrival order, encoded here the way the ingress does.
+func (j *Journal) Append(perShard [][]event.Event, upTo uint64) {
+	var runs []wire.ReplRun
+	for g, evs := range perShard {
+		if len(evs) == 0 {
+			continue
+		}
+		var e wire.RunEncoder
+		for i := range evs {
+			e.Append(&evs[i])
+		}
+		runs = append(runs, e.Seal(uint32(g)))
+	}
+	if err := j.AppendRuns(runs, upTo); err != nil {
+		panic(err) // more slices than the journal has shards: a caller bug
+	}
+}
+
+// EachCut visits every retained cut oldest-first with its retained runs
+// and watermark — the walk a standby uses to hand its mirror to a
+// takeover successor over the wire. The runs are the journal's storage:
 // callers must not mutate them or call other Journal methods from fn.
-func (j *Journal) EachCut(fn func(perShard [][]event.Event, upTo uint64) error) error {
-	for k := range j.cuts {
-		if err := fn(j.cuts[k].evs, j.cuts[k].upTo); err != nil {
+func (j *Journal) EachCut(fn func(runs []wire.ReplRun, upTo uint64) error) error {
+	for _, c := range j.cuts {
+		if err := fn(c.runs, c.upTo); err != nil {
 			return err
 		}
 	}
@@ -223,115 +225,82 @@ func (j *Journal) EachCut(fn func(perShard [][]event.Event, upTo uint64) error) 
 }
 
 // Advance folds the released (delivered) watermark into the per-shard
-// frontiers and trims every slice no undelivered or future match can
-// reach: released slices whose newest event is more than the slack
+// frontiers and trims every run no undelivered or future match can
+// reach: released runs whose newest event is more than the slack
 // horizon behind their own shard's released frontier.
 func (j *Journal) Advance(relSeq uint64) {
-	if relSeq <= j.relSeq {
-		j.trim()
-		return
-	}
-	j.relSeq = relSeq
-	for j.folded < len(j.cuts) && j.cuts[j.folded].upTo <= relSeq {
-		for g, evs := range j.cuts[j.folded].evs {
-			if len(evs) == 0 || g >= len(j.relTS) {
-				continue
+	if relSeq > j.relSeq {
+		j.relSeq = relSeq
+		for j.folded < len(j.cuts) && j.cuts[j.folded].upTo <= relSeq {
+			for _, r := range j.cuts[j.folded].runs {
+				j.relTS[r.Shard] = r.LastTS
+				j.relSeen[r.Shard] = true
 			}
-			j.relTS[g] = lastTS(evs)
-			j.relSeen[g] = true
+			j.folded++
 		}
-		j.folded++
 	}
 	j.trim()
 }
 
-// droppable reports whether shard g's slice with newest timestamp ts is
-// past its own retention horizon (or the shard is abandoned).
-func (j *Journal) droppable(g int, ts event.Time) bool {
-	if g < len(j.excluded) && j.excluded[g] {
+// droppable reports whether run r is past its own shard's retention
+// horizon (or the shard is abandoned).
+func (j *Journal) droppable(r wire.ReplRun) bool {
+	if j.excluded[r.Shard] {
 		return true
 	}
-	if g >= len(j.relTS) || !j.relSeen[g] {
-		return false
-	}
-	return ts < j.relTS[g]-j.slack
+	return j.relSeen[r.Shard] && r.LastTS < j.relTS[r.Shard]-j.slack
 }
 
-// trim drops, slice by slice, the history no replay can need: within
-// released cuts, each shard's slice goes as soon as that shard's own
-// frontier moves past it (abandoned shards' slices go anywhere). Cuts
-// whose every slice dropped are compacted away.
+// drop takes run r out of the accounting.
+func (j *Journal) drop(r wire.ReplRun) {
+	j.bytes -= int64(len(r.Body))
+	j.events -= r.Events
+}
+
+// trim drops, run by run, the history no replay can need: within
+// released cuts, each shard's run goes as soon as that shard's own
+// frontier moves past it (abandoned shards' runs go anywhere). Cuts
+// whose every run dropped are compacted away.
 func (j *Journal) trim() {
-	changed := false
+	w, folded := 0, j.folded
 	for k := range j.cuts {
-		released := k < j.folded
-		for g, evs := range j.cuts[k].evs {
-			if len(evs) == 0 {
+		c := j.cuts[k]
+		kept := c.runs[:0]
+		for _, r := range c.runs {
+			if j.excluded[r.Shard] || (k < folded && j.droppable(r)) {
+				j.drop(r)
 				continue
 			}
-			excl := g < len(j.excluded) && j.excluded[g]
-			if !excl && (!released || !j.droppable(g, lastTS(evs))) {
-				continue
-			}
-			j.dropSlice(k, g)
-			changed = true
+			kept = append(kept, r)
 		}
-	}
-	if changed {
-		j.compact()
-	}
-}
-
-// dropSlice releases one shard's slice of one cut.
-func (j *Journal) dropSlice(k, g int) {
-	evs := j.cuts[k].evs[g]
-	b := EventsBytes(evs)
-	j.cuts[k].bytes -= b
-	j.bytes -= b
-	j.events -= len(evs)
-	j.cuts[k].evs[g] = nil
-}
-
-// compact removes cuts whose every slice has been dropped.
-func (j *Journal) compact() {
-	w := 0
-	for k := range j.cuts {
-		empty := true
-		for _, evs := range j.cuts[k].evs {
-			if len(evs) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			if k < j.folded {
+		clear(c.runs[len(kept):]) // let go of the dropped bodies
+		if len(kept) == 0 {
+			if k < folded {
 				j.folded--
 			}
 			continue
 		}
-		j.cuts[w] = j.cuts[k]
+		if w != k || len(kept) != len(c.runs) {
+			c.runs = kept
+			j.cuts[w] = c
+		}
 		w++
 	}
+	clear(j.cuts[w:])
 	j.cuts = j.cuts[:w]
 }
 
 // forceTrimOldest drops the oldest cut whole to honor MaxBytes,
-// recording, per shard still holding a slice inside its safe horizon,
+// recording, per shard still holding a run inside its safe horizon,
 // that coverage was lost.
 func (j *Journal) forceTrimOldest() {
-	c := &j.cuts[0]
-	for g, evs := range c.evs {
-		if len(evs) == 0 {
-			continue
+	c := j.cuts[0]
+	for _, r := range c.runs {
+		if !j.droppable(r) || c.upTo > j.relSeq {
+			j.forced[r.Shard] = true
+			j.forcedTS[r.Shard] = max(j.forcedTS[r.Shard], r.LastTS)
 		}
-		ts := lastTS(evs)
-		if g < len(j.forced) && (!j.droppable(g, ts) || c.upTo > j.relSeq) {
-			j.forced[g] = true
-			if ts > j.forcedTS[g] {
-				j.forcedTS[g] = ts
-			}
-		}
-		j.dropSlice(0, g)
+		j.drop(r)
 	}
 	j.cuts = append(j.cuts[:0], j.cuts[1:]...)
 	if j.folded > 0 {
@@ -370,15 +339,17 @@ func (j *Journal) Covered(base, shards int) error {
 	return nil
 }
 
-// ReplayShard walks the retained cuts that still carry events for
-// shard g, oldest first, stopping on the first error.
-func (j *Journal) ReplayShard(g int, fn func(events []event.Event, upTo uint64) error) error {
+// ReplayShard walks the retained runs of shard g, oldest first, each
+// with its cut's watermark, stopping on the first error.
+func (j *Journal) ReplayShard(g int, fn func(run wire.ReplRun, upTo uint64) error) error {
 	for _, c := range j.cuts {
-		if g >= len(c.evs) || len(c.evs[g]) == 0 {
-			continue
-		}
-		if err := fn(c.evs[g], c.upTo); err != nil {
-			return err
+		for _, r := range c.runs {
+			if int(r.Shard) != g {
+				continue
+			}
+			if err := fn(r, c.upTo); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -389,15 +360,15 @@ func (j *Journal) ReplayShard(g int, fn func(events []event.Event, upTo uint64) 
 // shard has caught up with everything sealed before the migration
 // (0 if none).
 func (j *Journal) ReplayUpToShard(g int) uint64 {
-	for k := len(j.cuts) - 1; k >= 0; k-- {
-		if g < len(j.cuts[k].evs) && len(j.cuts[k].evs[g]) > 0 {
-			return j.cuts[k].upTo
-		}
-	}
-	return 0
+	var upTo uint64
+	j.ReplayShard(g, func(_ wire.ReplRun, u uint64) error { //nolint:errcheck // fn never fails
+		upTo = u
+		return nil
+	})
+	return upTo
 }
 
-// Bytes reports the accounted memory of the retained cuts.
+// Bytes reports the retained run bytes — exactly what the journal pins.
 func (j *Journal) Bytes() int64 { return j.bytes }
 
 // Cuts reports the number of retained cuts.

@@ -1,10 +1,13 @@
 package recovery
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"acep/internal/event"
+	"acep/internal/match"
+	"acep/internal/wire"
 )
 
 // j4 builds a 4-shard journal with window 100.
@@ -31,6 +34,19 @@ func cutFor(evs ...[3]int64) [][]event.Event {
 	return perShard
 }
 
+// decodeRun is what a worker does with a replayed run.
+func decodeRun(t *testing.T, r wire.ReplRun) []*event.Event {
+	t.Helper()
+	evs, err := wire.DecodeRun(&match.Arena{}, r.Body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != r.Events {
+		t.Fatalf("run of shard %d declares %d events, decodes to %d", r.Shard, r.Events, len(evs))
+	}
+	return evs
+}
+
 func TestJournalValidation(t *testing.T) {
 	if _, err := NewJournal(JournalConfig{Shards: 1}); err == nil {
 		t.Error("zero window accepted")
@@ -53,8 +69,10 @@ func TestJournalTrim(t *testing.T) {
 	if j.Cuts() != 4 || j.Events() != 8 {
 		t.Fatalf("retained %d cuts / %d events, want 4/8", j.Cuts(), j.Events())
 	}
-	if j.Bytes() <= 0 {
-		t.Fatal("no memory accounted")
+	// A one-event run here is 13 encoded bytes, 14 once its timestamp
+	// needs a second varint byte (six of the eight do).
+	if j.Bytes() != 2*13+6*14 {
+		t.Fatalf("accounted %d bytes, want the 110 the eight one-event runs encode to", j.Bytes())
 	}
 
 	// Releasing through seq 6 puts the frontiers at {300, 100, 310, 110}:
@@ -92,7 +110,7 @@ func TestJournalTrim(t *testing.T) {
 // is never even approached.
 func TestJournalTrimSkew(t *testing.T) {
 	j, err := NewJournal(JournalConfig{
-		Window: 100, Shards: 2, SlackWindows: 1, MaxBytes: 3000,
+		Window: 100, Shards: 2, SlackWindows: 1, MaxBytes: 700,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +119,9 @@ func TestJournalTrimSkew(t *testing.T) {
 	j.Append([][]event.Event{nil, {{TS: 0, Seq: 1, Attrs: []float64{1}}}}, 1)
 	j.Advance(1)
 	// 100 hot cuts on shard 0, each released as soon as sealed. Retaining
-	// them all would cost ~5.6 KiB — past MaxBytes — so under whole-cut
-	// retention the cold slice would have force-trimmed coverage away.
+	// them all would cost 1.4 KiB encoded — past MaxBytes — so under
+	// whole-cut retention the cold slice would have force-trimmed coverage
+	// away.
 	for i := int64(0); i < 100; i++ {
 		j.Append([][]event.Event{{{TS: event.Time(i * 50), Seq: uint64(i + 2), Attrs: []float64{0}}}, nil}, uint64(i+2))
 		j.Advance(uint64(i + 2))
@@ -120,8 +139,8 @@ func TestJournalTrimSkew(t *testing.T) {
 	}
 	// The cold shard's slice itself must still be replayable.
 	var cold int
-	j.ReplayShard(1, func(evs []event.Event, _ uint64) error {
-		cold += len(evs)
+	j.ReplayShard(1, func(r wire.ReplRun, _ uint64) error { //nolint:errcheck // fn never fails
+		cold += r.Events
 		return nil
 	})
 	if cold != 1 {
@@ -140,12 +159,12 @@ func TestJournalReplay(t *testing.T) {
 
 	var ups []uint64
 	var n int
-	err := j.ReplayShard(2, func(evs []event.Event, upTo uint64) error {
+	err := j.ReplayShard(2, func(r wire.ReplRun, upTo uint64) error {
 		ups = append(ups, upTo)
-		n += len(evs)
-		for i := range evs {
-			if evs[i].Attrs[0] != 2 {
-				t.Errorf("replay of shard 2 leaked an event of shard %v", evs[i].Attrs[0])
+		n += r.Events
+		for _, ev := range decodeRun(t, r) {
+			if r.Shard != 2 || ev.Attrs[0] != 2 {
+				t.Errorf("replay of shard 2 leaked an event of shard %v in a run of shard %d", ev.Attrs[0], r.Shard)
 			}
 		}
 		return nil
@@ -173,11 +192,11 @@ func TestJournalReplay(t *testing.T) {
 // TestJournalForceTrim: the byte bound evicts history past the safe
 // horizon and Covered then refuses the affected shards.
 func TestJournalForceTrim(t *testing.T) {
-	j := j4(t, 600, 2) // a few events' worth
+	j := j4(t, 140, 2) // a few events' worth: ten 14-byte runs
 	for i := int64(0); i < 32; i++ {
 		j.Append(cutFor([3]int64{i * 10, i + 1, i % 4}), uint64(i+1))
 	}
-	if j.Bytes() > 600 {
+	if j.Bytes() > 140 {
 		t.Fatalf("byte bound not enforced: %d", j.Bytes())
 	}
 	if j.Cuts() >= 32 {
@@ -207,22 +226,81 @@ func TestJournalAbandon(t *testing.T) {
 	}
 }
 
-// TestJournalAliasesCuts: journaled slices alias the appended buffers
-// (retention is the only memory cost) and all-empty cuts are skipped.
-func TestJournalAliasesCuts(t *testing.T) {
+// TestJournalKeepsTheRunBytes: a journaled run is the caller's encoded
+// body, retained — not copied, not re-encoded — which is what makes
+// Bytes exact; all-empty cuts are skipped, a run outside the shard space
+// refuses its whole cut, and the event-slice adapter stores the same
+// bytes the ingress's encoder would have handed over.
+func TestJournalKeepsTheRunBytes(t *testing.T) {
 	j := j4(t, 0, 1)
-	evs := []event.Event{{TS: 1, Seq: 1, Attrs: []float64{0}}}
-	j.Append([][]event.Event{evs, nil}, 1)
-	j.Append([][]event.Event{nil, nil}, 2) // empty: skipped
-	if j.Cuts() != 1 {
-		t.Fatalf("%d cuts, want 1 (empty cut journaled)", j.Cuts())
+	evs := []event.Event{{TS: 1, Seq: 1, Attrs: []float64{0}}, {TS: 2, Seq: 3, Attrs: []float64{0}}}
+	var e wire.RunEncoder
+	for i := range evs {
+		e.Append(&evs[i])
 	}
-	j.ReplayShard(0, func(got []event.Event, _ uint64) error {
-		if &got[0] != &evs[0] {
-			t.Error("journal copied the cut instead of aliasing it")
-		}
+	run := e.Seal(0)
+	if err := j.AppendRuns([]wire.ReplRun{run, {Shard: 1}}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendRuns([]wire.ReplRun{{Shard: 2}}, 4); err != nil { // empty: skipped
+		t.Fatal(err)
+	}
+	j.Append([][]event.Event{nil, nil, nil, nil}, 5) // empty: skipped
+	if j.Cuts() != 1 || j.Events() != 2 || j.Bytes() != int64(len(run.Body)) {
+		t.Fatalf("%d cuts / %d events / %d bytes, want 1 / 2 / %d (an empty cut journaled, or the run re-accounted)",
+			j.Cuts(), j.Events(), j.Bytes(), len(run.Body))
+	}
+	if err := j.AppendRuns([]wire.ReplRun{run, {Shard: 4, Events: 1, Body: []byte{1, 0, 0, 0, 0}}}, 6); err == nil || j.Cuts() != 1 {
+		t.Fatalf("a run of shard 4 in a 4-shard journal: err %v, %d cuts; want an error and nothing journaled", err, j.Cuts())
+	}
+	j.Append([][]event.Event{nil, evs}, 7)
+	var got []wire.ReplRun
+	j.EachCut(func(runs []wire.ReplRun, _ uint64) error { //nolint:errcheck // fn never fails
+		got = append(got, runs...)
 		return nil
 	})
+	if len(got) != 2 || &got[0].Body[0] != &run.Body[0] {
+		t.Fatalf("retained %d runs, the first at %p; want 2 with the first aliasing the appended body at %p", len(got), got[0].Body, run.Body)
+	}
+	if got[1].Shard != 1 || got[1].Events != 2 || got[1].LastTS != 2 || !bytes.Equal(got[1].Body, run.Body) {
+		t.Fatalf("the adapter stored %+v, want shard 1's copy of the encoder's run", got[1])
+	}
+}
+
+// TestJournalAppendAllocs: journaling a cut costs one allocation — the
+// record holding its run headers — whatever the runs carry, and trimming
+// costs none: the bodies are kept, never copied.
+func TestJournalAppendAllocs(t *testing.T) {
+	j := j4(t, 0, 2)
+	var e wire.RunEncoder
+	runs := make([]wire.ReplRun, 4)
+	for g := range runs {
+		e.Reset(false)
+		for i := 0; i < 64; i++ {
+			e.Append(&event.Event{TS: event.Time(i), Seq: uint64(i + 1), Attrs: []float64{1, 2, 3}})
+		}
+		runs[g] = e.Seal(uint32(g))
+	}
+	var upTo uint64
+	cut := func() {
+		upTo += 256
+		for g := range runs {
+			runs[g].LastTS += 50 // the released frontier moves on, old cuts age out
+		}
+		if err := j.AppendRuns(runs, upTo); err != nil {
+			t.Fatal(err)
+		}
+		j.Advance(upTo - 256)
+	}
+	for i := 0; i < 32; i++ {
+		cut() // reach the retention horizon, size the cut list
+	}
+	if avg := testing.AllocsPerRun(200, cut); avg > 1 {
+		t.Fatalf("journaling a cut allocated %.0f times, want 1 (its record)", avg)
+	}
+	if j.Cuts() > 12 {
+		t.Fatalf("%d cuts retained; the steady state did not trim", j.Cuts())
+	}
 }
 
 // TestDetector: a node expires only when it owes a beat — silent past

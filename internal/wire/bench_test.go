@@ -38,6 +38,27 @@ func BenchmarkBatchEncode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 }
 
+// BenchmarkRunEncode measures the ingress's side of a cut: 256 events
+// through a RunEncoder whose storage is reused, sealed (ns/event;
+// allocs/op must be zero once the storage is warm).
+func BenchmarkRunEncode(b *testing.B) {
+	const n = 256
+	evs := benchBatch(n).Events
+	var e RunEncoder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset(true)
+		for k := range evs {
+			e.Append(&evs[k])
+		}
+		if e.Seal(0).Events != n {
+			b.Fatal("short run")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
+}
+
 // BenchmarkBatchDecode measures decoding a 256-event v2 delta frame:
 // the copying path (one event.Event slice + per-event Attrs per frame)
 // against the decode-into-arena path (events materialized once, in
@@ -130,5 +151,29 @@ func TestBatchEncodeAllocs(t *testing.T) {
 		dst = Append(dst[:0], f)
 	}); avg != 0 {
 		t.Fatalf("warm Batch encode allocated %.2f times per frame; want 0", avg)
+	}
+}
+
+// TestRunEncodeAllocs pins the two ways an ingress cycles a run encoder:
+// reusing the sealed run's storage costs nothing per cut, and leaving it
+// to whoever keeps the body costs exactly the next run's storage — sized
+// after the last, so the run never regrows.
+func TestRunEncodeAllocs(t *testing.T) {
+	evs := benchBatch(256).Events
+	var e RunEncoder
+	cut := func(reuse bool) func() {
+		return func() {
+			e.Reset(reuse)
+			for k := range evs {
+				e.Append(&evs[k])
+			}
+			e.Seal(0)
+		}
+	}
+	cut(false)() // size the storage
+	for reuse, want := range map[bool]float64{true: 0, false: 1} {
+		if avg := testing.AllocsPerRun(100, cut(reuse)); avg != want {
+			t.Errorf("encoding a 256-event run with reuse=%v allocated %.2f times; want %v", reuse, avg, want)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"acep/internal/match"
 )
 
 // FuzzDecode asserts the codec's crash-safety and consistency contract on
@@ -42,17 +44,49 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Append(nil, HandoverState{Dead: true, Cause: "x", Owner: []uint32{0}}))
 	f.Add([]byte{2, 0, 0, 0, byte(KindLeaseFence), 0xfe})                         // unknown fence flags
 	f.Add([]byte{8, 0, 0, 0, byte(KindHandoverState), 0, 0, 0, 0, 0, 0, 0xf0, 0}) // unknown handover flags
+	// A ReplCut's runs travel as bytes: the ways its metadata can lie
+	// about them.
+	for _, b := range corruptReplCuts() {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<20 {
 			return // linear decoder; keep fuzzing fast
 		}
 		fr, n, err := Decode(b)
+		// The worker's decoder sees the same bytes through a Reader with
+		// an arena: it must agree with Decode on what a Batch frame is.
+		ar := NewReader(bytes.NewReader(b))
+		ar.SetDecodeArena(&match.Arena{})
+		view, aerr := ar.Read()
+		if len(b) > 4 && Kind(b[4]) == KindBatch && (err == nil) != (aerr == nil) {
+			t.Fatalf("Decode says %v, the arena decode of the same batch frame %v", err, aerr)
+		}
 		if err != nil {
 			if fr != nil {
 				t.Fatalf("Decode returned both frame %#v and error %v", fr, err)
 			}
 			return
+		}
+		if v, ok := view.(*BatchView); ok {
+			flat := Batch{UpTo: v.UpTo}
+			for _, ev := range v.Events {
+				flat.Events = append(flat.Events, *ev)
+			}
+			if !bytes.Equal(Append(nil, flat), Append(nil, fr)) {
+				t.Fatalf("the arena decode of a batch frame differs from Decode's")
+			}
+		}
+		if rc, ok := fr.(ReplCut); ok {
+			// A mirrored run is opaque until a worker gets it: whatever
+			// the bytes are, decoding them is an error or a run of the
+			// declared size, never a panic.
+			for _, run := range rc.Runs {
+				if evs, err := DecodeRun(&match.Arena{}, run.Body, nil); err == nil && len(evs) != run.Events {
+					t.Fatalf("a run declared as %d events decoded to %d", run.Events, len(evs))
+				}
+			}
 		}
 		if n < 5 || n > len(b) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(b))

@@ -10,7 +10,8 @@
 //     registration (PatternAdd, PatternRemove); Takeover from a successor
 //     coordinator; and Finish answered by one Metrics frame.
 //   - primary → standby coordinator: Epoch opens the replication link,
-//     ReplCut mirrors every sealed cut, ReplState the emission boundary.
+//     ReplCut mirrors every sealed cut — its runs as the ingress encoded
+//     them, unparsed — and ReplState the emission boundary.
 //   - coordinator ↔ lease server: LeaseAcquire and LeaseRenew, answered by
 //     LeaseFence.
 //   - successor → standby process: Handover, answered by HandoverState
@@ -33,6 +34,16 @@
 // the deltas almost always fit one varint byte where the absolute values
 // take three to five. Matches keep absolute encoding (their events are
 // position-ordered, not arrival-ordered).
+//
+// # Runs
+//
+// What follows the watermark in a Batch body — the event count, then the
+// delta-coded events starting from (0, 0) — is a run: one shard's events
+// of one cut. The ingress encodes a run once, as it accepts the events
+// (RunEncoder), and everything above a worker carries those bytes as they
+// are: the Batch frame to the worker (BatchRaw), the cut journal, the
+// ReplCut to the standby, its mirror and the handover (ReplRun). Only a
+// worker decodes one (DecodeRun, or a Reader with a decode arena).
 //
 // The protocol version travels in the Hello frame; both sides reject a
 // mismatch at handshake time, so all later frames can assume one version.
@@ -62,7 +73,7 @@ import (
 // incompatible body-layout change; both sides refuse a peer that speaks
 // another version, so no frame carries compatibility shapes (the
 // protocol's history lives in CHANGES.md).
-const Version = 7
+const Version = 8
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.
@@ -329,11 +340,23 @@ type Batch struct {
 // so the steady-state decode performs no allocation at all — and its
 // Events slice header are scratch that the next Read on the same Reader
 // reuses; the arena events Events points at live until the arena
-// releases their chunk. BatchView frames exist only on the decode side — senders
-// encode Batch.
+// releases their chunk. BatchView frames exist only on the decode side —
+// senders encode Batch or BatchRaw.
 type BatchView struct {
 	UpTo   uint64
 	Events []*event.Event
+}
+
+// BatchRaw is a pre-encoded Batch: Run holds the exact bytes that follow
+// the watermark in the frame (see "Runs" in the package comment; nil
+// stands for the empty run of a bare watermark frame), so Append emits a
+// frame byte-identical to the Batch it replaces without an event struct
+// ever existing on the sending side. A serializing transport decodes it
+// as a Batch or BatchView like any other; the in-process pipe delivers
+// it as it is and the node decodes a non-nil Run itself (DecodeRun).
+type BatchRaw struct {
+	UpTo uint64
+	Run  []byte
 }
 
 // Watermark reports a node's completion progress.
@@ -455,8 +478,8 @@ type PatternRemove struct {
 }
 
 // ReplCut replicates one sealed cut to a hot-standby ingress (see
-// KindReplCut). Runs carries the cut's events grouped by global shard
-// (shards with no events in the cut are omitted); Owner and Addrs ship
+// KindReplCut). Runs carries the cut's encoded runs in ascending shard
+// order (shards with no events in the cut are omitted); Owner and Addrs ship
 // the shard→slot table and per-slot worker addresses only on the cuts
 // where the topology changed (nil otherwise — the standby keeps the last
 // received tables). Final marks the stream-ending cut: the primary
@@ -476,10 +499,17 @@ type ReplCut struct {
 	Runs  []ReplRun
 }
 
-// ReplRun is one shard's slice of a replicated cut.
+// ReplRun is one shard's run of a sealed cut in the form every layer
+// above a worker holds it: the encoded Body plus the three things a
+// coordinator needs to know about it without decoding — whose it is, how
+// many events it carries (the journal's accounting) and its newest
+// timestamp (the journal's retention clock). Decode validates Events
+// against the count Body opens with; nothing else of Body is read.
 type ReplRun struct {
 	Shard  uint32
-	Events []event.Event
+	Events int
+	LastTS event.Time
+	Body   []byte
 }
 
 // ReplState publishes the primary's emission boundary to its standby
@@ -570,6 +600,7 @@ func (Hello) kind() Kind          { return KindHello }
 func (Assign) kind() Kind         { return KindAssign }
 func (Batch) kind() Kind          { return KindBatch }
 func (BatchView) kind() Kind      { return KindBatch }
+func (BatchRaw) kind() Kind       { return KindBatch }
 func (Watermark) kind() Kind      { return KindWatermark }
 func (TaggedMatch) kind() Kind    { return KindMatch }
 func (TaggedMatchRaw) kind() Kind { return KindMatch }
@@ -647,6 +678,9 @@ func Append(dst []byte, f Frame) []byte {
 			dst = appendEventDelta(dst, ev, prevTS, prevSeq)
 			prevTS, prevSeq = ev.TS, ev.Seq
 		}
+	case BatchRaw:
+		dst = binary.AppendUvarint(dst, v.UpTo)
+		dst = appendRun(dst, v.Run)
 	case Watermark:
 		dst = binary.AppendUvarint(dst, v.UpTo)
 	case TaggedMatch:
@@ -729,14 +763,10 @@ func Append(dst []byte, f Frame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.Runs)))
 		for _, run := range v.Runs {
 			dst = binary.AppendUvarint(dst, uint64(run.Shard))
-			dst = binary.AppendUvarint(dst, uint64(len(run.Events)))
-			var prevTS event.Time
-			var prevSeq uint64
-			for i := range run.Events {
-				ev := &run.Events[i]
-				dst = appendEventDelta(dst, ev, prevTS, prevSeq)
-				prevTS, prevSeq = ev.TS, ev.Seq
-			}
+			dst = binary.AppendUvarint(dst, uint64(run.Events))
+			dst = binary.AppendVarint(dst, int64(run.LastTS))
+			dst = binary.AppendUvarint(dst, uint64(len(run.Body)))
+			dst = append(dst, run.Body...)
 		}
 	case ReplState:
 		dst = binary.AppendUvarint(dst, v.EmittedUpTo)
@@ -835,6 +865,69 @@ func appendEventDelta(dst []byte, ev *event.Event, prevTS event.Time, prevSeq ui
 	dst = binary.AppendVarint(dst, int64(ev.TS-prevTS))
 	dst = binary.AppendVarint(dst, int64(ev.Seq-prevSeq))
 	return appendAttrs(dst, ev.Attrs)
+}
+
+// appendRun appends a pre-encoded run; nil stands for the empty run,
+// whose encoding is its zero event count.
+func appendRun(dst, run []byte) []byte {
+	if len(run) == 0 {
+		return append(dst, 0)
+	}
+	return append(dst, run...)
+}
+
+// runHead is the room a RunEncoder keeps in front of the events for the
+// count that opens the run: the count is known only at the seal, and a
+// varint's width depends on its value.
+const runHead = binary.MaxVarintLen64
+
+// RunEncoder builds one run event by event — the ingress's cut buffer.
+// The zero value is ready to use.
+type RunEncoder struct {
+	buf     []byte // runHead spare bytes, then the delta-coded events
+	n       int
+	prevTS  event.Time
+	prevSeq uint64
+}
+
+// Append encodes ev onto the run. Nothing of ev is retained.
+func (e *RunEncoder) Append(ev *event.Event) {
+	if len(e.buf) == 0 {
+		e.buf = append(e.buf, make([]byte, runHead)...)
+	}
+	e.buf = appendEventDelta(e.buf, ev, e.prevTS, e.prevSeq)
+	e.prevTS, e.prevSeq = ev.TS, ev.Seq
+	e.n++
+}
+
+// Events reports how many events the open run holds.
+func (e *RunEncoder) Events() int { return e.n }
+
+// Seal closes the run and returns it; Body aliases the encoder's storage
+// until Reset lets go of it. An empty run seals to a ReplRun without a
+// body.
+func (e *RunEncoder) Seal(shard uint32) ReplRun {
+	if e.n == 0 {
+		return ReplRun{Shard: shard}
+	}
+	var count [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(count[:], uint64(e.n))
+	copy(e.buf[runHead-k:], count[:k])
+	return ReplRun{Shard: shard, Events: e.n, LastTS: e.prevTS, Body: e.buf[runHead-k:]}
+}
+
+// Reset starts the next run. With reuse it overwrites the storage of the
+// last one, which is legal only once nothing reads the sealed body any
+// more; otherwise the body keeps that storage and the encoder takes
+// fresh storage sized after it — consecutive cuts give a shard runs of
+// similar length.
+func (e *RunEncoder) Reset(reuse bool) {
+	if reuse {
+		e.buf = e.buf[:0]
+	} else if n := len(e.buf); n > 0 {
+		e.buf = make([]byte, 0, n+n/8+64)
+	}
+	e.n, e.prevTS, e.prevSeq = 0, 0, 0
 }
 
 func appendAttrs(dst []byte, attrs []float64) []byte {
@@ -1241,20 +1334,13 @@ func decodePayload(p []byte) (Frame, error) {
 				v.Addrs[i] = c.str("repl addr")
 			}
 		}
-		nr := c.count(maxReplRuns, 2, "repl run")
+		// A run is at least its four metadata varints and a one-event body.
+		nr := c.count(maxReplRuns, 9, "repl run")
+		if nr > 0 {
+			v.Runs = make([]ReplRun, 0, nr)
+		}
 		for i := 0; i < nr && c.err == nil; i++ {
-			run := ReplRun{Shard: uint32(c.uvarint())}
-			ne := c.count(maxBatchEvents, 4, "repl event")
-			if ne > 0 {
-				run.Events = make([]event.Event, ne)
-				var prevTS event.Time
-				var prevSeq uint64
-				for j := 0; j < ne && c.err == nil; j++ {
-					run.Events[j] = c.eventDelta(prevTS, prevSeq)
-					prevTS, prevSeq = run.Events[j].TS, run.Events[j].Seq
-				}
-			}
-			v.Runs = append(v.Runs, run)
+			v.Runs = append(v.Runs, c.replRun())
 		}
 		f = v
 	case KindReplState:
@@ -1356,6 +1442,29 @@ func (c *cursor) eventDelta(prevTS event.Time, prevSeq uint64) event.Event {
 	ev.Seq = prevSeq + uint64(c.varint())
 	c.attrs(&ev)
 	return ev
+}
+
+// replRun reads one run of a ReplCut: the metadata, then the body as
+// bytes. The body is copied out of the frame (the caller's buffer is
+// reused) and only its opening count is looked at — it must be what the
+// metadata claims, or the mirror's accounting would drift from what a
+// worker later decodes.
+func (c *cursor) replRun() ReplRun {
+	run := ReplRun{Shard: uint32(c.uvarint())}
+	run.Events = c.count(maxBatchEvents, 4, "repl run event")
+	run.LastTS = event.Time(c.varint())
+	n := c.count(MaxFrame, 1, "repl run byte")
+	if c.err != nil {
+		return run
+	}
+	body := c.b[c.off : c.off+n]
+	c.off += n
+	if count, k := binary.Uvarint(body); run.Events == 0 || k <= 0 || count != uint64(run.Events) {
+		c.fail("repl run of shard %d declares %d events over a %d-byte body that does not open with that count", run.Shard, run.Events, n)
+		return run
+	}
+	run.Body = append([]byte(nil), body...)
+	return run
 }
 
 func (c *cursor) attrs(ev *event.Event) {
@@ -1552,8 +1661,9 @@ func (c *cursor) quantile() stats.Quantile {
 // Stream framing
 
 // Writer frames messages onto an io.Writer. Each Write issues exactly one
-// underlying write call, so frames on a net.Conn are not interleaved as
-// long as one goroutine owns the Writer.
+// underlying write call — two for a BatchRaw, whose run goes out as it is
+// instead of through the frame buffer — so frames on a net.Conn are not
+// interleaved as long as one goroutine owns the Writer.
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -1564,6 +1674,16 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Write encodes and sends one frame.
 func (w *Writer) Write(f Frame) error {
+	if raw, ok := f.(BatchRaw); ok && len(raw.Run) > 0 {
+		w.buf = append(w.buf[:0], 0, 0, 0, 0, byte(KindBatch))
+		w.buf = binary.AppendUvarint(w.buf, raw.UpTo)
+		binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4+len(raw.Run)))
+		if _, err := w.w.Write(w.buf); err != nil {
+			return err
+		}
+		_, err := w.w.Write(raw.Run)
+		return err
+	}
 	w.buf = Append(w.buf[:0], f)
 	_, err := w.w.Write(w.buf)
 	return err
@@ -1625,18 +1745,37 @@ func (r *Reader) Read() (Frame, error) {
 	return decodePayload(r.buf)
 }
 
-// decodeBatchInto is the zero-copy KindBatch decode: every event is
-// allocated in place in the Reader's arena (match.Arena.Alloc) and its
-// delta-coded fields and attribute values are written straight into the
-// chunk slot — no intermediate event slice exists.
+// decodeBatchInto is the zero-copy KindBatch decode: the watermark, then
+// the run straight into the Reader's arena.
 func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 	c := &cursor{b: p, off: 1}
 	r.view = BatchView{UpTo: c.uvarint()}
-	n := c.count(maxBatchEvents, 4, "batch event")
-	if cap(r.evs) < n {
-		r.evs = make([]*event.Event, n)
+	if c.err != nil {
+		return nil, c.err
 	}
-	evs := r.evs[:n]
+	evs, err := DecodeRun(r.arena, p[c.off:], r.evs)
+	if err != nil {
+		return nil, err
+	}
+	r.evs, r.view.Events = evs, evs
+	return &r.view, nil
+}
+
+// DecodeRun decodes a run into a: every event is allocated in place in
+// an arena chunk (match.Arena.Alloc) and its delta-coded fields and
+// attribute values are written straight into the slot — no intermediate
+// event slice exists. The pointers are appended to evs[:0], which the
+// caller keeps as scratch between calls. This is the one decoder a
+// worker runs, whether the run arrived in a socket frame or as a
+// BatchRaw over the in-process pipe; corrupt bytes are an error, never a
+// panic.
+func DecodeRun(a *match.Arena, run []byte, evs []*event.Event) ([]*event.Event, error) {
+	c := &cursor{b: run}
+	n := c.count(maxBatchEvents, 4, "batch event")
+	if cap(evs) < n {
+		evs = make([]*event.Event, 0, n)
+	}
+	evs = evs[:0]
 	var prevTS event.Time
 	var prevSeq uint64
 	for i := 0; i < n && c.err == nil; i++ {
@@ -1647,19 +1786,18 @@ func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 		if c.err != nil {
 			break
 		}
-		ev := r.arena.Alloc(typ, ts, seq, na)
+		ev := a.Alloc(typ, ts, seq, na)
 		for k := 0; k < na && c.err == nil; k++ {
 			ev.Attrs[k] = c.f64()
 		}
-		evs[i] = ev
+		evs = append(evs, ev)
 		prevTS, prevSeq = ts, seq
 	}
 	if c.err != nil {
-		return nil, c.err
+		return evs, c.err
 	}
-	if c.off != len(p) {
-		return nil, fmt.Errorf("wire: batch frame has %d trailing bytes", len(p)-c.off)
+	if c.off != len(run) {
+		return evs, fmt.Errorf("wire: batch frame has %d trailing bytes", len(run)-c.off)
 	}
-	r.view.Events = evs
-	return &r.view, nil
+	return evs, nil
 }

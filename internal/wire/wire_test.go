@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -53,6 +54,15 @@ func sampleEvent() event.Event {
 	}
 }
 
+// sealRun encodes evs the way an ingress does: one RunEncoder, sealed.
+func sealRun(shard uint32, evs ...event.Event) ReplRun {
+	var e RunEncoder
+	for i := range evs {
+		e.Append(&evs[i])
+	}
+	return e.Seal(shard)
+}
+
 // frames is the table every round-trip test walks: at least one instance
 // of every frame kind, including degenerate shapes.
 func frames() []Frame {
@@ -89,7 +99,10 @@ func frames() []Frame {
 		},
 		Batch{UpTo: 1 << 50},
 		Batch{UpTo: 42, Events: []event.Event{ev, ev2}},
-		Batch{Events: []event.Event{ev2}}, // events-only run of an open cut
+		Batch{Events: []event.Event{ev2}},             // events-only run of an open cut
+		BatchRaw{UpTo: 1 << 50},                       // pre-encoded: the bare watermark,
+		BatchRaw{Run: sealRun(0, ev, ev2).Body},       // a live cut's run,
+		BatchRaw{UpTo: 42, Run: sealRun(0, ev2).Body}, // a replayed one
 		Heartbeat{UpTo: 77},
 		Migrate{Shard: 9, SuppressUpTo: 1234, ReplayUpTo: 5678},
 		Migrate{},
@@ -135,13 +148,10 @@ func frames() []Frame {
 			Cut:   17,
 			Owner: []uint32{0, 1, 1, 0},
 			Addrs: []string{"127.0.0.1:9001", "", "[::1]:40000"},
-			Runs: []ReplRun{
-				{Shard: 0, Events: []event.Event{ev, ev2}},
-				{Shard: 3},
-			},
+			Runs:  []ReplRun{sealRun(0, ev, ev2), sealRun(3, ev2, ev, ev)},
 		},
-		ReplCut{UpTo: 512, Cut: 1, Runs: []ReplRun{{Shard: 1, Events: []event.Event{ev2}}}},
-		ReplCut{UpTo: 1 << 52, Cut: 1 << 20, Final: true}, // stream-ending marker
+		ReplCut{UpTo: 512, Cut: 1, Runs: []ReplRun{sealRun(1, ev2)}}, // what a handover carries: no tables
+		ReplCut{UpTo: 1 << 52, Cut: 1 << 20, Final: true},            // stream-ending marker
 		ReplState{EmittedUpTo: 1 << 40, Count: 12345},
 		ReplState{},
 		Takeover{Epoch: 2, Boundary: 768, Count: 99},
@@ -289,6 +299,9 @@ func TestDecodeCorrupt(t *testing.T) {
 		"position cap break": {8, 0, 0, 0, byte(KindMatch), 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},
 	}
 	cases["unknown kind"] = append(cases["unknown kind"], 99)
+	for name, b := range corruptReplCuts() {
+		cases[name] = b
+	}
 	// A PatternAdd whose entry ships no pattern is structurally invalid:
 	// an id with nothing to evaluate.
 	cases["empty pattern add"] = Append(nil, PatternAdd{Entry: PatternEntry{ID: 3}})
@@ -296,6 +309,8 @@ func TestDecodeCorrupt(t *testing.T) {
 		f, _, err := Decode(b)
 		if err == nil {
 			t.Errorf("%s: decoded %#v, want error", name, f)
+		} else if errors.Is(err, ErrShort) {
+			t.Errorf("%s: rejected as a short buffer, not as corrupt: %v", name, err)
 		}
 	}
 	// "trailing bytes" needs its length prefix to cover the extra byte.
@@ -304,6 +319,146 @@ func TestDecodeCorrupt(t *testing.T) {
 	b[0]++ // grow the declared payload length over the junk byte
 	if _, _, err := Decode(b); err == nil {
 		t.Error("trailing byte inside declared length accepted")
+	}
+}
+
+// corruptReplCuts damages a one-run ReplCut whose every header field is a
+// single byte — length prefix, kind, UpTo, Cut, flags, run count, then
+// the run's shard, event count, newest timestamp and body length, then
+// the body — in each way its decoder must refuse without looking past
+// the body's opening count.
+func corruptReplCuts() map[string][]byte {
+	const flags, events, byteLen = 7, 10, 12
+	good := Append(nil, ReplCut{UpTo: 1, Cut: 1, Runs: []ReplRun{
+		sealRun(2, event.Event{Type: 1, TS: 5, Seq: 1}, event.Event{Type: 1, TS: 6, Seq: 2}),
+	}})
+	damage := func(at int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[at] = v
+		return b
+	}
+	// A body length beyond any frame, ahead of the intact body.
+	huge := append(append(good[:byteLen:byteLen], 0xff, 0xff, 0xff, 0xff, 0x7f), good[byteLen+1:]...)
+	binary.LittleEndian.PutUint32(huge, uint32(len(huge)-4))
+	return map[string][]byte{
+		"repl-cut unknown flag":            damage(flags, 8),
+		"repl-cut count 0 with bytes":      damage(events, 0),
+		"repl-cut count not the body's":    damage(events, 1),
+		"repl-cut body past the frame end": damage(byteLen, good[byteLen]+1),
+		"repl-cut body short of the frame": damage(byteLen, good[byteLen]-1),
+		"repl-cut body beyond any frame":   huge,
+	}
+}
+
+// runCases are event sequences the run codec must carry exactly: the
+// float edge values by bit pattern, timestamps and sequence numbers that
+// go backwards or wrap, no attributes, no events, and counts on both
+// sides of the count varint's width changes.
+func runCases() map[string][]event.Event {
+	long := func(n int) []event.Event {
+		evs := make([]event.Event, n)
+		for i := range evs {
+			evs[i] = event.Event{Type: i % 3, TS: event.Time(i / 2), Seq: uint64(i + 1), Attrs: []float64{float64(i)}}
+		}
+		return evs
+	}
+	return map[string][]event.Event{
+		"empty":  nil,
+		"sample": {sampleEvent(), {Type: 0, TS: 0, Seq: 1}},
+		"float edges": {{Type: 1, TS: 1, Seq: 1, Attrs: []float64{
+			math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Copysign(0, -1), 0,
+			math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64,
+		}}},
+		"decreasing ts":   {{TS: 100, Seq: 1}, {TS: -50, Seq: 2}, {TS: math.MinInt64, Seq: 3}, {TS: math.MaxInt64, Seq: 4}},
+		"wrapping seq":    {{Seq: math.MaxUint64}, {Seq: 0}, {Seq: 1 << 63}, {Seq: 3}},
+		"zero attributes": {{Type: 7, TS: 1, Seq: 1}, {Type: 7, TS: 1, Seq: 2, Attrs: []float64{}}},
+		"127 events":      long(127),
+		"128 events":      long(128),
+		"16384 events":    long(16384),
+	}
+}
+
+// TestRunEncoderIsTheBatchBody: the bytes are the contract. For any
+// event sequence the incremental encoder yields exactly what follows the
+// watermark in the Batch frame of the same events — so a BatchRaw of the
+// run is that frame, byte for byte — with the count and newest timestamp
+// a coordinator reads off it; and a reused encoder yields the same bytes
+// again.
+func TestRunEncoderIsTheBatchBody(t *testing.T) {
+	var reused RunEncoder
+	for name, evs := range runCases() {
+		want := Append(nil, Batch{Events: evs})
+		run := sealRun(4, evs...)
+		if run.Shard != 4 || run.Events != len(evs) {
+			t.Errorf("%s: sealed as shard %d with %d events, want shard 4 with %d", name, run.Shard, run.Events, len(evs))
+		}
+		if len(evs) > 0 && run.LastTS != evs[len(evs)-1].TS {
+			t.Errorf("%s: LastTS %d, want the last event's %d", name, run.LastTS, evs[len(evs)-1].TS)
+		}
+		// Payload: length prefix, kind, the one-byte watermark 0, the run.
+		if body := want[4+1+1:]; len(evs) > 0 && !bytes.Equal(run.Body, body) {
+			t.Errorf("%s: run body differs from the Batch frame's", name)
+		}
+		if got := Append(nil, BatchRaw{Run: run.Body}); !bytes.Equal(got, want) {
+			t.Errorf("%s: BatchRaw frame differs from the Batch frame", name)
+		}
+		for _, reuse := range []bool{true, false} {
+			reused.Reset(reuse)
+			for i := range evs {
+				reused.Append(&evs[i])
+			}
+			if again := reused.Seal(4); !bytes.Equal(again.Body, run.Body) || again.Events != run.Events || again.LastTS != run.LastTS {
+				t.Errorf("%s: encoder reset with reuse=%v sealed a different run", name, reuse)
+			}
+		}
+	}
+}
+
+// TestDecodeRunIsTheBatchDecode: decoding a run into an arena yields the
+// events a Reader decodes from the Batch frame of it — the same events
+// that were encoded, bit for bit — and every truncation of a run is an
+// error, never a panic.
+func TestDecodeRunIsTheBatchDecode(t *testing.T) {
+	reencode := func(evs []*event.Event) []byte {
+		flat := make([]event.Event, len(evs))
+		for i, ev := range evs {
+			flat[i] = *ev
+		}
+		return Append(nil, Batch{Events: flat})
+	}
+	for name, evs := range runCases() {
+		want := Append(nil, Batch{Events: evs})
+		r := NewReader(bytes.NewReader(want))
+		r.SetDecodeArena(&match.Arena{})
+		f, err := r.Read()
+		if err != nil {
+			t.Fatalf("%s: reader: %v", name, err)
+		}
+		if got := reencode(f.(*BatchView).Events); !bytes.Equal(got, want) {
+			t.Errorf("%s: the Reader's arena decode does not re-encode to the frame", name)
+		}
+		body := sealRun(0, evs...).Body
+		if body == nil {
+			body = []byte{0} // Seal gives an empty run no body; its encoding is the zero count
+		}
+		got, err := DecodeRun(&match.Arena{}, body, nil)
+		if err != nil {
+			t.Fatalf("%s: DecodeRun: %v", name, err)
+		}
+		if !bytes.Equal(reencode(got), want) {
+			t.Errorf("%s: DecodeRun does not re-encode to the frame", name)
+		}
+		if len(body) > 4096 {
+			continue // the truncation sweep is quadratic
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := DecodeRun(&match.Arena{}, body[:cut], nil); err == nil {
+				t.Fatalf("%s: run truncated to %d/%d bytes decoded", name, cut, len(body))
+			}
+		}
+		if _, err := DecodeRun(&match.Arena{}, append(body[:len(body):len(body)], 0), nil); err == nil {
+			t.Fatalf("%s: run with a trailing byte decoded", name)
+		}
 	}
 }
 
