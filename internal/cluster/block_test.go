@@ -1,0 +1,66 @@
+package cluster
+
+import (
+	"testing"
+
+	"acep/internal/shard"
+	"acep/internal/shard/shardtest"
+)
+
+// TestBlockReuseScenarios runs the sharded engine's block-reuse table
+// (see shardtest.Scenarios) through a two-node cluster over in-process
+// pipes, where every run is decoded into a block of the node's pool and
+// comes back from the shard worker that consumed it, against the same
+// reference that never reuses storage. One more row moves a shard
+// mid-stream: its journaled history — timestamps far behind the
+// destination's live traffic — is replayed into the destination's
+// running session, out of the pool that session's busy worker returns
+// its blocks to.
+func TestBlockReuseScenarios(t *testing.T) {
+	const shards = 2
+	scs := shardtest.Scenarios(t, shards)
+	moved := scs[0] // idle-shard: shard 1 moves while it is silent
+	moved.Name = "migrate-replay"
+	for _, sc := range append(scs, moved) {
+		t.Run(sc.Name, func(t *testing.T) {
+			want := shardtest.Reference(t, sc, shards)
+			var kept []shard.Tagged
+			ing, err := StartLocal(nil, sc.Config, LocalConfig{
+				Nodes: shards, ShardsPerNode: 1, Batch: 64,
+				KeyAttr: "key", Schema: sc.Schema,
+				Patterns: sc.Specs, Tenants: sc.Tenants,
+				Recover:   sc.Name == moved.Name,
+				OnTagged:  func(tg shard.Tagged) { kept = append(kept, tg) },
+				OnNodeErr: func(err error) { t.Errorf("node error: %v", err) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sc.Events {
+				if op, ok := sc.Ops[i]; ok {
+					if op.Add != nil {
+						err = ing.AddPattern(*op.Add)
+					} else {
+						err = ing.RemovePattern(op.Remove)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if sc.Name == moved.Name && i == 2800 {
+					if err := ing.MigrateShard(1, 0); err != nil {
+						t.Fatalf("live migration failed: %v", err)
+					}
+				}
+				ing.Process(&sc.Events[i])
+			}
+			if err := ing.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if mgs := ing.Migrations(); sc.Name == moved.Name && (len(mgs) != 1 || mgs[0].ReplayEvents == 0) {
+				t.Fatalf("migrations %+v, want one that replayed journaled events", mgs)
+			}
+			shardtest.RequireSame(t, kept, want)
+		})
+	}
+}

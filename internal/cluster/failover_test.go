@@ -43,6 +43,16 @@ type recvKiller struct {
 	budget int
 }
 
+// SetDecodeArena passes the node's decode-arena probe through to the
+// wrapped connection: a serializing transport behind the killer must
+// still decode in place, or the node dies of its first plain Batch frame
+// instead of the budget.
+func (k *recvKiller) SetDecodeArena(a *match.Arena) {
+	if da, ok := k.Conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
+		da.SetDecodeArena(a)
+	}
+}
+
 func (k *recvKiller) Recv() (wire.Frame, error) {
 	if k.budget <= 0 {
 		k.Conn.Close()

@@ -8,6 +8,8 @@ import (
 	"acep/internal/engine"
 	"acep/internal/event"
 	"acep/internal/gen"
+	"acep/internal/multi"
+	"acep/internal/pattern"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -170,5 +172,95 @@ func TestIngressCutAllocs(t *testing.T) {
 				batch, avg, bound, nodes*perNode, nodes)
 		}
 		ing.Kill()
+	}
+}
+
+// TestNodeDecodeAllocs is the worker-side counterpart of
+// TestIngressCutAllocs, over the in-process pipe: a node that is handed
+// pre-encoded cuts decodes each run into a pooled block, runs it through
+// its shard engine and gets the block back from the worker, so a cut
+// costs the same few allocations — the boxing of its heartbeat and
+// watermark frames and, every fourth cut, the load report — whether it
+// carries 64 events or 1024: nothing per event, and no block. The stream
+// is of a type no pattern position takes, as in shard's TestIngestAllocs.
+func TestNodeDecodeAllocs(t *testing.T) {
+	s := event.NewSchema()
+	pb := pattern.NewBuilder(s, pattern.Seq, 100)
+	for _, name := range []string{"A", "B", "C"} {
+		pb.Event(s.MustAddType(name, "key"))
+	}
+	pb.WhereEq(0, "key", 1, "key").WhereEq(1, "key", 2, "key")
+	pat := pb.MustBuild()
+	d := s.MustAddType("D", "key")
+	const bound = 3 // holds under the race detector too
+	for _, batch := range []int{64, 1024} {
+		node, err := NewNode(NodeConfig{
+			Pattern: pat, Schema: s, KeyAttr: "key", Shards: 1,
+			Engine: engine.Config{CheckEvery: 1 << 30},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server := Pipe()
+		served := make(chan error, 1)
+		go func() { served <- node.Serve(server) }()
+		if _, err := client.Recv(); err != nil { // the node's hello
+			t.Fatal(err)
+		}
+		if err := client.Send(wire.Assign{
+			Shards: 1, Total: 1, Schema: s,
+			Patterns: []wire.PatternEntry{{ID: multi.SoloID, Pattern: pat}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Every cut's frame is encoded and boxed up front: the harness must
+		// not allocate inside the measured region.
+		const cuts = 32 + 51
+		frames := make([]wire.Frame, cuts)
+		var enc wire.RunEncoder
+		for c := range frames {
+			for k := 0; k < batch; k++ {
+				i := c*batch + k
+				ev := s.MustNew(d, event.Time(i), float64(i%64))
+				ev.Seq = uint64(i + 1)
+				enc.Append(&ev)
+			}
+			frames[c] = wire.BatchRaw{UpTo: uint64((c + 1) * batch), Run: enc.Seal(0).Body}
+			enc.Reset(false)
+		}
+		next := 0
+		cut := func() {
+			upTo := uint64((next + 1) * batch)
+			if err := client.Send(frames[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			for { // until the node reports the cut complete
+				f, err := client.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, ok := f.(wire.Watermark); ok && w.UpTo >= upTo {
+					return
+				}
+			}
+		}
+		for next < 32 {
+			cut() // warm the pool, the worker's reservoirs and the decode scratch
+		}
+		if avg := testing.AllocsPerRun(50, cut); avg > bound {
+			t.Errorf("batch %d: %.1f allocations per cut on the node, want at most %d", batch, avg, bound)
+		}
+		if err := client.Send(wire.Finish{}); err != nil {
+			t.Fatal(err)
+		}
+		for f, err := client.Recv(); err == nil; f, err = client.Recv() {
+			if _, done := f.(wire.Metrics); done {
+				break
+			}
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("node session: %v", err)
+		}
 	}
 }

@@ -239,15 +239,8 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		return fmt.Errorf("cluster: node got an assignment without a pattern set")
 	}
 	specs := make([]multi.Spec, len(a.Patterns))
-	// relWindow is the arena-release horizon: the widest window any
-	// hosted pattern can reach back (grows if PatternAdd ships a wider
-	// one).
-	var relWindow event.Time
 	for i, e := range a.Patterns {
 		specs[i] = multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: n.cfg.Engine}
-		if e.Pattern.Window > relWindow {
-			relWindow = e.Pattern.Window
-		}
 	}
 	key := n.key
 	if key == nil {
@@ -308,23 +301,8 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		suppressAll uint64
 	)
 
-	// Zero-copy receive: a run decodes straight into this arena — the
-	// decoded slots are the events the evaluators retain, no re-intern. A
-	// serializing transport (probe below) does it inside Recv and
-	// surfaces a wire.BatchView; the in-process pipe delivers the
-	// ingress's wire.BatchRaw and the loop below runs the same decoder on
-	// it. The arena never recycles chunks (the zero value), so releasing
-	// behind the time horizon merely unpins: anything an evaluator or an
-	// in-flight match still references stays alive through the GC — which
-	// is also what makes replaying old-timestamp history into a live
-	// session memory-safe.
-	decArena := &match.Arena{}
-	if da, ok := conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
-		da.SetDecodeArena(decArena)
-	}
 	var (
 		rawEvs []*event.Event // DecodeRun scratch (pipe sessions)
-		maxTS  event.Time
 		cuts   uint64
 	)
 
@@ -392,6 +370,21 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	if err != nil {
 		return err
 	}
+	// Zero-copy receive: a run decodes straight into a block of the
+	// engine's pool — the decoded slots are the events the evaluators
+	// retain, no re-intern — through this arena, which holds the block only
+	// until ingest takes it out and hands it to the engine. A serializing
+	// transport (probe below) decodes inside Recv and surfaces a
+	// wire.BatchView; the in-process pipe delivers the ingress's
+	// wire.BatchRaw and the loop below runs the same decoder on it. The
+	// block comes back to the pool from the shard worker that consumed it,
+	// on that worker's own clock — which is what makes replaying
+	// old-timestamp history into a live session safe.
+	dec := &match.Arena{}
+	dec.SetPool(eng.Pool())
+	if da, ok := conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
+		da.SetDecodeArena(dec)
+	}
 	// abort ends the session on an error: drain the engines (Finish is
 	// idempotent by shard.Engine contract) and push out what they still
 	// produced — best-effort, the drained tail may still arrive.
@@ -427,16 +420,13 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// construction: a live cut arrives as one events-only frame (UpTo 0)
 	// per owned shard with traffic, then one watermark-bearing frame; a
 	// replay frame is one shard's journaled run with its cut's watermark.
-	// So the run's first event places all of it, the pointers go straight
-	// to that worker's buffer, and only the watermark seals — covering
-	// every run of the cut, whatever order the shards came in. Then: beat
-	// on receipt, seal, the periodic load report, and unpin the decoded
-	// chunks the engines can no longer need for new matches (recycle is
-	// off, so any horizon is safe — see the arena comment above).
-	ingest := func(run []*event.Event, upTo uint64) {
-		if ne := len(run); ne > 0 {
-			maxTS = max(maxTS, run[ne-1].TS)
-			eng.ProcessStable(shard.GlobalIndex(key(run[0]), total), run)
+	// So the run's first event places all of it, the block it was decoded
+	// into goes to that worker whole, and only the watermark seals —
+	// covering every run of the cut, whatever order the shards came in.
+	// Then: beat on receipt, seal, the periodic load report.
+	ingest := func(upTo uint64) {
+		if run := dec.Take(); run != nil {
+			eng.ProcessStable(shard.GlobalIndex(key(run.At(0)), total), run)
 		}
 		if upTo == 0 {
 			return // events-only frame; the cut's watermark frame follows
@@ -449,11 +439,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		cuts++
 		if cuts%statsEveryCuts == 0 {
 			sendStats()
-		}
-		if relWindow > 0 {
-			decArena.Release(maxTS - 2*relWindow)
-		} else if decArena.Live() > 64 {
-			decArena.Release(maxTS)
 		}
 	}
 	for {
@@ -472,15 +457,14 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		}
 		switch v := f.(type) {
 		case *wire.BatchView:
-			ingest(v.Events, v.UpTo)
+			ingest(v.UpTo)
 		case wire.BatchRaw:
-			rawEvs = rawEvs[:0]
 			if len(v.Run) > 0 { // nil: the cut's bare watermark frame
-				if rawEvs, err = wire.DecodeRun(decArena, v.Run, rawEvs); err != nil {
+				if rawEvs, err = wire.DecodeRun(dec, v.Run, rawEvs); err != nil {
 					return abort(fmt.Errorf("cluster: node decoding a run: %w", err))
 				}
 			}
-			ingest(rawEvs, v.UpTo)
+			ingest(v.UpTo)
 		case wire.Migrate:
 			// A shard is moving onto this session: suppress its
 			// regenerated duplicates, and queue it for acknowledgement
@@ -529,7 +513,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			if err := eng.AddPattern(sp); err != nil {
 				return abort(fmt.Errorf("cluster: node adding pattern %d: %w", sp.ID, err))
 			}
-			relWindow = max(relWindow, sp.Pattern.Window)
 		case wire.PatternRemove:
 			if err := eng.RemovePattern(v.ID); err != nil {
 				return abort(fmt.Errorf("cluster: node removing pattern %d: %w", v.ID, err))

@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"acep/internal/core"
@@ -80,12 +81,12 @@ type Config struct {
 	// OnMatch receives every detected match.
 	OnMatch func(*match.Match)
 	// ExternalEvents declares that every event pointer handed to Process
-	// stays valid for at least the pattern's retention
-	// window — the events live in a shared ingest or decode arena whose
-	// chunks are recycled only by the garbage collector. Evaluators then
-	// retain the caller's pointers directly instead of interning copies
-	// into their own arenas, eliminating the last per-event copy of the
-	// batched wire-to-match path.
+	// stays valid until the engine's Floor has passed the event — the
+	// events live in storage whose owner consults Floor before reusing it
+	// (a shard worker's blocks). Evaluators then retain the caller's
+	// pointers directly instead of interning copies into their own arenas,
+	// eliminating the last per-event copy of the batched wire-to-match
+	// path.
 	ExternalEvents bool
 	// OwnedEmit runs the evaluators under the owned-emit contract: the
 	// OnMatch callback receives the resolver's scratch match, valid only
@@ -204,6 +205,7 @@ type evaluator interface {
 	SetExternal(bool)
 	SetOwnedEmit(bool)
 	Advance(event.Time)
+	Floor() event.Time
 	Finish()
 	SetEmitOnlyBefore(uint64)
 	Resolver() *match.Resolver
@@ -295,6 +297,27 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 	for _, r := range e.runners {
 		r.process(ev, mask)
 	}
+}
+
+// Floor reports a timestamp no event the engine can still reach lies
+// before — the least over every runner's current and draining evaluators
+// (see nfa.Engine.Floor) — or the largest Time while no event has reached
+// a runner, which then holds nothing. A shed event advances nothing, so
+// an engine that sheds keeps its floor where its last admitted event
+// left it: under ExternalEvents that holds the caller's storage back,
+// never the detection.
+func (e *Engine) Floor() event.Time {
+	floor := event.Time(math.MaxInt64)
+	for _, r := range e.runners {
+		if r.metrics.Events == 0 {
+			continue
+		}
+		floor = min(floor, r.cur.Floor())
+		for _, d := range r.draining {
+			floor = min(floor, d.eval.Floor())
+		}
+	}
+	return floor
 }
 
 // Finish flushes parked matches at end of stream.

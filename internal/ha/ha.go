@@ -54,6 +54,7 @@ import (
 	"acep/internal/cluster"
 	"acep/internal/event"
 	"acep/internal/lease"
+	"acep/internal/match"
 	"acep/internal/pattern"
 	recovery "acep/internal/recover"
 	"acep/internal/shard"
@@ -165,12 +166,13 @@ type Pair struct {
 	leaseHolder uint64
 	leaseEpoch  uint64
 
-	// ring retains fed events the standby has not yet acknowledged
-	// (consumer side): the takeover successor re-feeds the tail past
-	// the last mirrored cut. Trimmed to the gate's acked watermark.
-	// ringForfeited records that a demoted primary outgrew
-	// demotedRingCap and dropped the tail — takeover is off the table.
-	ring          []event.Event
+	// ring retains copies, attribute values included, of the fed events
+	// the standby has not yet acknowledged (consumer side): the takeover
+	// successor re-feeds the tail past the last mirrored cut. Trimmed to
+	// the gate's acked watermark. ringForfeited records that a demoted
+	// primary outgrew demotedRingCap and dropped the tail — takeover is
+	// off the table.
+	ring          match.Block
 	ringForfeited bool
 
 	tookOver    bool
@@ -558,11 +560,9 @@ func (p *Pair) linkLost(err error) {
 var demotedRingCap = 1 << 18
 
 // Process feeds one event through the primary (or, after takeover, the
-// successor). Same contract as Ingress.Process, with one exception: the
-// refeed ring below keeps *ev by value, so ev.Attrs' backing array must
-// stay unchanged until the standby has acknowledged the cut the event
-// went into — the ingress itself keeps nothing of ev, the ring still
-// aliases it (ROADMAP, known defects).
+// successor). Same contract as Ingress.Process: nothing of ev is kept —
+// the refeed ring copies it, attribute values included, into storage of
+// its own that trimRing compacts.
 func (p *Pair) Process(ev *event.Event) {
 	if p.err != nil {
 		return
@@ -573,19 +573,19 @@ func (p *Pair) Process(ev *event.Event) {
 		// successor replays its own journal after a takeover; a lost
 		// standby means a later kill is a double death) — it is dead
 		// weight, and with acks stopped trimRing would never reclaim it.
-		p.ring = nil
+		p.ring = match.Block{}
 	case p.demotedFlag.Load():
 		// Demoted but still supersedable: retain the takeover tail up
 		// to the cap, then forfeit takeover instead of growing forever.
-		if len(p.ring) >= demotedRingCap {
-			p.ring = nil
+		if p.ring.Len() >= demotedRingCap {
+			p.ring = match.Block{}
 			p.ringForfeited = true
 		} else {
-			p.ring = append(p.ring, *ev)
+			p.ring.Intern(ev)
 		}
 	default:
-		p.ring = append(p.ring, *ev)
-		if len(p.ring) >= 4*p.cfg.Batch {
+		p.ring.Intern(ev)
+		if p.ring.Len() >= 4*p.cfg.Batch {
 			p.trimRing()
 		}
 	}
@@ -597,12 +597,10 @@ func (p *Pair) Process(ev *event.Event) {
 func (p *Pair) trimRing() {
 	acked := p.g.ackedSeq()
 	i := 0
-	for i < len(p.ring) && p.ring[i].Seq <= acked {
+	for i < p.ring.Len() && p.ring.At(i).Seq <= acked {
 		i++
 	}
-	if i > 0 {
-		p.ring = append(p.ring[:0], p.ring[i:]...)
-	}
+	p.ring.DropFront(i)
 }
 
 // Finish flushes and drains the stream. On the primary path the final
@@ -875,14 +873,14 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 	p.ing = ing
 	p.tookOver = true
 	refed := 0
-	for i := range p.ring {
-		if p.ring[i].Seq <= st.lastUpTo {
+	for i := 0; i < p.ring.Len(); i++ {
+		if p.ring.At(i).Seq <= st.lastUpTo {
 			continue
 		}
-		ing.Process(&p.ring[i])
+		ing.Process(p.ring.At(i))
 		refed++
 	}
-	p.ring = nil
+	p.ring = match.Block{}
 	var replayCuts, replayEvents int
 	for _, m := range ing.Migrations() {
 		if m.Reason == "takeover" {

@@ -3,6 +3,7 @@ package ha
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"acep/internal/chaos"
 	"acep/internal/cluster"
 	"acep/internal/engine"
+	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/shard"
 	"acep/internal/wire"
@@ -142,6 +144,20 @@ func startHARig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int) *haR
 func runPair(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
 	wrap func(i int, c cluster.Conn) cluster.Conn, at map[int]func(*Pair)) (*tagRecorder, *Pair) {
 	t.Helper()
+	return runPairFeed(t, rig, w, kind, wrap, func(p *Pair) {
+		for i := range w.Events {
+			if fn, ok := at[i]; ok {
+				fn(p)
+			}
+			p.Process(&w.Events[i])
+		}
+	})
+}
+
+// runPairFeed is runPair with the feed loop the caller's.
+func runPairFeed(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
+	wrap func(i int, c cluster.Conn) cluster.Conn, feed func(*Pair)) (*tagRecorder, *Pair) {
+	t.Helper()
 	pat, err := w.Pattern(kind, 3, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +171,7 @@ func runPair(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
-		if fn, ok := at[i]; ok {
-			fn(p)
-		}
-		p.Process(&w.Events[i])
-	}
+	feed(p)
 	done := make(chan error, 1)
 	go func() { done <- p.Finish() }()
 	select {
@@ -236,6 +247,46 @@ func TestTakeoverByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPairDoesNotRetainCallerEvent: Process keeps nothing of the event it
+// is handed, the refeed ring included. The caller streams the workload
+// through one event.Event struct and one attribute slice, overwritten as
+// soon as Process returns, and the primary is killed mid-stream: the
+// successor re-feeds the unacknowledged tail from the ring, so a ring
+// that aliased the caller's slice would re-feed every event with the
+// attribute values of the last one fed.
+func TestPairDoesNotRetainCallerEvent(t *testing.T) {
+	// Dense on purpose — a match every few events — so the few dozen
+	// events of the unacknowledged tail are certain to sit in some.
+	w := gen.Stocks(gen.StocksConfig{
+		Types: 6, Events: 5000, Seed: 23, MeanGap: 1, DriftEvery: 300, Keys: 12,
+	})
+	want := runShardedRef(t, w, gen.Sequence, 6)
+	rig := startHARig(t, w, gen.Sequence, 0)
+	got, p := runPairFeed(t, rig, w, gen.Sequence, nil, func(p *Pair) {
+		var ev event.Event
+		attrs := make([]float64, 0, 16)
+		for i := range w.Events {
+			if i == 40*64-1 { // the open cut (Batch 64) is one event short of sealing
+				waitMirroredEmission(t, p)
+				if err := p.KillPrimary(); err != nil {
+					t.Fatalf("takeover failed: %v", err)
+				}
+			}
+			src := &w.Events[i]
+			attrs = append(attrs[:0], src.Attrs...)
+			ev = event.Event{Type: src.Type, TS: src.TS, Seq: src.Seq, Attrs: attrs}
+			p.Process(&ev)
+			for k := range attrs {
+				attrs[k] = math.NaN() // the caller's scratch is the caller's again
+			}
+		}
+	})
+	if tk := p.Takeover(); tk == nil || tk.RefedEvents == 0 {
+		t.Fatalf("no unacknowledged tail was re-fed (%+v); test is vacuous", tk)
+	}
+	requireIdentical(t, "reused event across a takeover", got, want)
 }
 
 // TestTakeoverMidMigration — kill matrix: the primary dies right after

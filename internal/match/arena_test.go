@@ -1,0 +1,199 @@
+package match
+
+import (
+	"reflect"
+	"testing"
+
+	"acep/internal/event"
+)
+
+// blockEvents builds n events with i%4 attribute values each (so some
+// carry none), values distinct across the whole run.
+func blockEvents(n int) []event.Event {
+	evs := make([]event.Event, n)
+	for i := range evs {
+		evs[i] = event.Event{Type: i % 3, TS: event.Time(10 + i), Seq: uint64(i + 1)}
+		for k := 0; k < i%4; k++ {
+			evs[i].Attrs = append(evs[i].Attrs, float64(100*i+k))
+		}
+	}
+	return evs
+}
+
+func requireBlock(t *testing.T, b *Block, want []event.Event) {
+	t.Helper()
+	if b.Len() != len(want) {
+		t.Fatalf("block holds %d events, want %d", b.Len(), len(want))
+	}
+	for i := range want {
+		got := b.At(i)
+		if got.Type != want[i].Type || got.TS != want[i].TS || got.Seq != want[i].Seq ||
+			len(got.Attrs) != len(want[i].Attrs) || (len(got.Attrs) > 0 && !reflect.DeepEqual(got.Attrs, want[i].Attrs)) {
+			t.Fatalf("event %d reads %+v, want %+v", i, *got, want[i])
+		}
+	}
+}
+
+// TestBlockGrowsInPlace: a block filled one event at a time from empty
+// relocates both its arrays several times on the way; every event must
+// keep reading its own attribute values through each move, a reserved
+// block must hand out pointers that stay good, and a reset block must
+// refill without allocating.
+func TestBlockGrowsInPlace(t *testing.T) {
+	evs := blockEvents(1000)
+	var b Block
+	for i := range evs {
+		b.Intern(&evs[i])
+	}
+	requireBlock(t, &b, evs)
+	if b.MaxTS() != evs[len(evs)-1].TS {
+		t.Fatalf("MaxTS %d, want %d", b.MaxTS(), evs[len(evs)-1].TS)
+	}
+
+	var r Block
+	r.Reserve(len(evs), 0)
+	ptrs := make([]*event.Event, len(evs))
+	for i := range evs {
+		ptrs[i] = r.Intern(&evs[i])
+	}
+	for i, p := range ptrs {
+		if p != r.At(i) {
+			t.Fatalf("event %d moved although its room was reserved", i)
+		}
+	}
+	requireBlock(t, &r, evs)
+
+	b.Reset()
+	if avg := testing.AllocsPerRun(10, func() {
+		for i := range evs {
+			b.Intern(&evs[i])
+		}
+		b.Reset()
+	}); avg != 0 {
+		t.Fatalf("refilling a reset block allocated %.1f times", avg)
+	}
+}
+
+// TestBlockDropFront: dropping a prefix moves the rest down, attribute
+// values alongside, and later appends continue behind it.
+func TestBlockDropFront(t *testing.T) {
+	evs := blockEvents(40)
+	var b Block
+	for i := range evs[:30] {
+		b.Intern(&evs[i])
+	}
+	b.DropFront(0)
+	requireBlock(t, &b, evs[:30])
+	b.DropFront(13)
+	for i := 30; i < 40; i++ {
+		b.Intern(&evs[i])
+	}
+	requireBlock(t, &b, evs[13:])
+	b.DropFront(b.Len())
+	requireBlock(t, &b, nil)
+}
+
+// TestMatchClone: a clone shares no storage with the match it was made
+// from — rewriting every source event leaves it reading the old values —
+// and keeps the shape: nil core entries, nil and empty Kleene sets.
+func TestMatchClone(t *testing.T) {
+	evs := blockEvents(8)
+	var b Block
+	for i := range evs {
+		b.Intern(&evs[i])
+	}
+	m := &Match{
+		Events: []*event.Event{b.At(0), nil, b.At(3)},
+		Kleene: [][]*event.Event{nil, {b.At(1), b.At(2), b.At(7)}, nil},
+	}
+	c := m.Clone()
+	b.Reset()
+	for i := range evs {
+		b.Alloc(-1, -1, 0, len(evs[i].Attrs)) // same slots, other values
+	}
+	same := func(got *event.Event, want *event.Event) {
+		t.Helper()
+		if (got == nil) != (want == nil) {
+			t.Fatalf("clone has %v where its source had %v", got, want)
+		}
+		if got != nil {
+			var one Block
+			one.evs, one.attrs = []event.Event{*got}, got.Attrs
+			requireBlock(t, &one, []event.Event{*want})
+		}
+	}
+	if len(c.Events) != 3 || len(c.Kleene) != 3 || c.Kleene[0] != nil || len(c.Kleene[1]) != 3 || c.Kleene[2] != nil {
+		t.Fatalf("clone has another shape than its source: %v / %v", c.Events, c.Kleene)
+	}
+	same(c.Events[0], &evs[0])
+	same(c.Events[1], nil)
+	same(c.Events[2], &evs[3])
+	for k, src := range []int{1, 2, 7} {
+		same(c.Kleene[1][k], &evs[src])
+	}
+	if plain := (&Match{Events: []*event.Event{&evs[5]}}).Clone(); plain.Kleene != nil {
+		t.Fatalf("clone of a match without Kleene sets grew some: %v", plain.Kleene)
+	}
+}
+
+// TestPoolDropsSurplus: a pool lets at most its slack more blocks wait
+// than are out and forgets the rest — with everything returned, the slack
+// itself; one without slack keeps them all.
+func TestPoolDropsSurplus(t *testing.T) {
+	for _, tc := range []struct{ limit, want int }{{2, 2}, {0, 5}} {
+		p := NewPool(tc.limit)
+		var out []*Block
+		for i := 0; i < 5; i++ {
+			out = append(out, p.Get())
+		}
+		if p.Live() != 5 {
+			t.Fatalf("slack %d: %d blocks live after 5 Gets", tc.limit, p.Live())
+		}
+		for _, b := range out {
+			p.Put(b)
+		}
+		if p.Live() != tc.want {
+			t.Fatalf("slack %d: %d blocks live after all came back, want %d", tc.limit, p.Live(), tc.want)
+		}
+		for i := 0; i < tc.want; i++ {
+			p.Get()
+		}
+		if p.Live() != tc.want {
+			t.Fatalf("slack %d: Get made a block while returned ones waited", tc.limit)
+		}
+	}
+}
+
+// TestArenaChunks: interning seals a chunk when it is full, Release
+// frees whole chunks behind the horizon — to the pool when recycling, so
+// the next chunk reuses the storage — and Take lifts the newest chunk
+// out of Release's reach.
+func TestArenaChunks(t *testing.T) {
+	evs := blockEvents(3 * arenaChunkEvents)
+	var a Arena
+	a.SetRecycle(true)
+	for i := range evs {
+		a.Intern(&evs[i])
+	}
+	if a.Live() != 3 {
+		t.Fatalf("%d chunks for %d events, want 3", a.Live(), len(evs))
+	}
+	a.Release(evs[arenaChunkEvents].TS) // the first chunk's events all precede it
+	if a.Live() != 2 {
+		t.Fatalf("%d chunks after releasing the first, want 2", a.Live())
+	}
+	taken := a.Take()
+	if taken == nil || taken.At(0).Seq != evs[2*arenaChunkEvents].Seq || a.Live() != 1 {
+		t.Fatalf("Take did not lift out the newest chunk")
+	}
+	a.Release(1 << 40)
+	requireBlock(t, taken, evs[2*arenaChunkEvents:])
+	if a.Intern(&evs[0]); a.pool.Live() != 3 {
+		t.Fatalf("the arena made a chunk while released ones waited")
+	}
+	a.Freeze()
+	a.Release(1 << 40)
+	if a.Live() != 0 || a.pool != nil {
+		t.Fatalf("a frozen arena still recycles")
+	}
+}

@@ -38,6 +38,48 @@ func (m *Match) Key() string {
 	return b.String()
 }
 
+// Clone returns a copy of m that owns its events, attribute values
+// included: nothing in it points into the storage m's events live in, so
+// it stays valid however that storage is reused. The copy's events sit
+// in one array and their attribute values in another.
+func (m *Match) Clone() *Match {
+	events, attrs := 0, 0
+	count := func(evs []*event.Event) {
+		for _, ev := range evs {
+			if ev != nil {
+				events++
+				attrs += len(ev.Attrs)
+			}
+		}
+	}
+	count(m.Events)
+	for _, set := range m.Kleene {
+		count(set)
+	}
+	var own Block
+	own.Reserve(events, attrs)
+	copyOf := func(evs []*event.Event) []*event.Event {
+		if evs == nil {
+			return nil
+		}
+		out := make([]*event.Event, len(evs))
+		for i, ev := range evs {
+			if ev != nil {
+				out[i] = own.Intern(ev)
+			}
+		}
+		return out
+	}
+	c := &Match{Events: copyOf(m.Events)}
+	if m.Kleene != nil {
+		c.Kleene = make([][]*event.Event, len(m.Kleene))
+		for p, set := range m.Kleene {
+			c.Kleene[p] = copyOf(set)
+		}
+	}
+	return c
+}
+
 // Span returns the minimum and maximum timestamp over the match's core
 // events.
 func (m *Match) Span() (lo, hi event.Time) {

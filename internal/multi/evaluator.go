@@ -23,10 +23,11 @@ type Options struct {
 	// duration of the call (encode or copy inside).
 	OwnedEmit bool
 	// StableInput declares that every event pointer handed to Process
-	// stays valid for the longest pattern's retention horizon (arena
-	// ingest, see engine.Config.ExternalEvents). Without it the
-	// evaluator interns each event once into its own arena — still one
-	// copy for the whole set instead of one per pattern.
+	// stays valid until Floor has passed the event (see
+	// engine.Config.ExternalEvents): the caller owns the storage and asks
+	// Floor what it may reuse. Without it the evaluator interns each event
+	// once into its own arena — still one copy for the whole set instead
+	// of one per pattern.
 	StableInput bool
 	// Budgets installs per-tenant token buckets; tenants absent from
 	// the map are unbudgeted. See shed.TenantGate.
@@ -96,6 +97,7 @@ type Evaluator struct {
 	tenants  []uint32
 	tslotOf  map[uint32]int
 	admit    []bool
+	fed      []bool // per slot: the gate has admitted an event
 	maxTypes int
 
 	// Ingestion-queue probes for the hosted engines' shedders (see
@@ -220,6 +222,7 @@ func (v *Evaluator) tenantSlot(t uint32) int {
 	v.tenants = append(v.tenants, t)
 	v.tslotOf[t] = slot
 	v.admit = append(v.admit, true)
+	v.fed = append(v.fed, false)
 	return slot
 }
 
@@ -341,6 +344,7 @@ func (v *Evaluator) Process(e *event.Event) {
 	}
 	for slot, t := range v.tenants {
 		v.admit[slot] = v.gate.Admit(t, e.TS)
+		v.fed[slot] = v.fed[slot] || v.admit[slot]
 	}
 	for _, r := range v.runners {
 		if v.admit[r.tslot] {
@@ -375,6 +379,34 @@ func (v *Evaluator) intern(e *event.Event) *event.Event {
 		}
 	}
 	return st
+}
+
+// Floor is the release floor of StableInput storage: no hosted engine can
+// still reach an event older than it, so the caller may reuse whatever
+// lies wholly before — buffers, partial matches, residuals, parked
+// matches and prefix-runner seeds all sit at or after it. It is the least
+// engine floor (see engine.Engine.Floor, nfa.Engine.Floor) over the
+// engines that have been fed. An engine the evaluator steps over — its
+// tenant gated, its shedder dropping — is not advanced on the events it
+// skips (advancing would resolve its parked matches at an event it never
+// saw); it holds the floor back instead, so storage waits for it for as
+// long as it lags and the matches it delivers do not depend on the lag.
+func (v *Evaluator) Floor() event.Time {
+	floor := event.Time(math.MaxInt64)
+	for _, r := range v.runners {
+		if v.fed[r.tslot] {
+			floor = min(floor, r.eng.Floor())
+		}
+	}
+	for _, s := range v.sinks {
+		switch {
+		case s.eng != nil:
+			floor = min(floor, s.eng.Floor())
+		case v.fed[s.tslot]:
+			floor = min(floor, s.seeded.Floor())
+		}
+	}
+	return floor
 }
 
 // Finish flushes every pattern at end of stream (runners first — their

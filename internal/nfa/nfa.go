@@ -161,13 +161,24 @@ func (g *Engine) SetOwnedEmit(owned bool) {
 }
 
 // SetExternal declares that every event handed to Process is already
-// stored stably outside the engine — an ingest or decode arena with
-// recycling off, whose chunks the garbage collector keeps alive for as
-// long as anything references them — so the engine retains the caller's
-// pointer directly instead of interning a copy. This removes the last
-// per-event copy on the batched wire-to-match path: the arena slot the
-// decoder filled is the very pointer buffers and partial matches hold.
+// stored stably outside the engine, in storage whose owner reuses it only
+// for events older than Floor — a shard worker's blocks — so the engine
+// retains the caller's pointer directly instead of interning a copy. This
+// removes the last per-event copy on the batched wire-to-match path: the
+// slot the decoder filled is the very pointer buffers and partial
+// matches hold.
 func (g *Engine) SetExternal(on bool) { g.external = on }
+
+// Floor reports a timestamp no event the engine can still reach lies
+// before: pruning runs at most half a window behind the watermark (see
+// Advance) and keeps two windows — the residual scopes' reach — so
+// histories, partial matches, residual buffers and parked matches all
+// hold events at or after it. It moves only when the engine is fed: an
+// engine nobody advances keeps what it has. The owner of external event
+// storage (SetExternal) may reuse whatever is wholly older.
+func (g *Engine) Floor() event.Time {
+	return g.watermark - 2*g.pat.Window - g.pat.Window/2
+}
 
 // SetEmitOnlyBefore restricts emission to matches containing at least one
 // core event with Seq < seq: the old-plan side of the paper's §2.2

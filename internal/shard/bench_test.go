@@ -6,6 +6,7 @@ import (
 
 	"acep/internal/engine"
 	"acep/internal/event"
+	"acep/internal/match"
 	"acep/internal/pattern"
 )
 
@@ -63,8 +64,21 @@ func (f ingestFixture) runs(tb testing.TB, shards int) [][][]*event.Event {
 	return cuts
 }
 
-// byShard splits one cut's events into per-shard runs of stable pointers,
-// placing each event where Process would.
+// stable copies a run into a block of the engine's pool, as the cluster
+// node's decoder fills one: what ProcessStable is handed.
+func stable(e *Engine, run []*event.Event) *match.Block {
+	if len(run) == 0 {
+		return nil
+	}
+	b := e.Pool().Get()
+	for _, ev := range run {
+		b.Intern(ev)
+	}
+	return b
+}
+
+// byShard splits one cut's events into per-shard runs, placing each event
+// where Process would.
 func byShard(key KeyFunc, cut []event.Event, shards int) [][]*event.Event {
 	runs := make([][]*event.Event, shards)
 	for i := range cut {
@@ -107,7 +121,7 @@ func BenchmarkIngest(b *testing.B) {
 			eng := f.engine(b, 2, nil)
 			for c, cut := range cuts {
 				for g, run := range cut {
-					eng.ProcessStable(g, run)
+					eng.ProcessStable(g, stable(eng, run))
 				}
 				eng.Flush(uint64(min((c+1)*ingestCut, len(f.events))))
 			}
@@ -119,12 +133,14 @@ func BenchmarkIngest(b *testing.B) {
 
 // TestIngestAllocs pins what one steady-state cut through ProcessStable +
 // Flush allocates on either side of the handoff: nothing. The feeder
-// waits for each cut's completion watermark before the next, so every
-// seal finds a buffer recycled through free whatever the scheduler does
-// (AllocsPerRun pins GOMAXPROCS to 1), the reservoirs are full after the
-// warm-up, and a cut without matches posts a nil slice — the bound holds
-// under the race detector too. (At the default CheckEvery the engines
-// below add three snapshot allocations per 256-event cut.)
+// waits for each cut's completion watermark before the next, so the pool
+// holds a returned block for every fill whatever the scheduler does
+// (AllocsPerRun pins GOMAXPROCS to 1; a worker that returns its blocks a
+// moment after the watermark costs one extra block in circulation, made
+// during the warm-up), the reservoirs are full after the warm-up, and a
+// cut without matches posts a nil slice — the bound holds under the race
+// detector too. (At the default CheckEvery the engines below add three
+// snapshot allocations per 256-event cut.)
 func TestIngestAllocs(t *testing.T) {
 	f := newIngestFixture(256 * ingestCut)
 	cuts := f.runs(t, 2)
@@ -135,7 +151,7 @@ func TestIngestAllocs(t *testing.T) {
 	feed := func() {
 		upTo := uint64((next + 1) * ingestCut)
 		for g, run := range cuts[next] {
-			eng.ProcessStable(g, run)
+			eng.ProcessStable(g, stable(eng, run))
 		}
 		next++
 		eng.Flush(upTo)
@@ -147,5 +163,86 @@ func TestIngestAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, feed); avg != 0 {
 		t.Fatalf("steady-state ProcessStable+Flush allocated %.2f times per %d-event cut; want 0", avg, ingestCut)
+	}
+}
+
+// TestProcessAllocs is TestIngestAllocs for the per-event entry: Process
+// copies each event into its shard's open block, the 256th seals the cut,
+// and a warmed engine allocates nothing for it — no block (the workers
+// hand back the ones the engines have pruned past), no cut buffer, no
+// outbox.
+func TestProcessAllocs(t *testing.T) {
+	f := newIngestFixture(256 * ingestCut)
+	done := make(chan uint64, len(f.events)/ingestCut+1)
+	eng := f.engine(t, 2, func(w uint64) { done <- w })
+	defer eng.Finish()
+	next := 0
+	feed := func() {
+		for i := next * ingestCut; i < (next+1)*ingestCut; i++ {
+			eng.Process(&f.events[i])
+		}
+		next++
+		for upTo := uint64(next * ingestCut); <-done < upTo; {
+		}
+	}
+	for next < 32 {
+		feed()
+	}
+	if avg := testing.AllocsPerRun(100, feed); avg != 0 {
+		t.Fatalf("steady-state Process allocated %.2f times per %d-event cut; want 0", avg, ingestCut)
+	}
+}
+
+// TestBlockPoolBounded feeds two million events, 95 % of them to one
+// shard, and watches the number of blocks in existence — in a queue, held
+// by a worker, or waiting in the pool. While 64 events share a timestamp,
+// a cut spans four time units and a worker must hold two and a half
+// windows of them: the count may reach that retention plus the queues and
+// the waiting blocks, and no more. Then the clock runs a thousandfold
+// faster, every worker's floor passes all it holds at once, and the
+// surplus must go to the garbage collector: the count falls back to what
+// queues and pool can hold.
+func TestBlockPoolBounded(t *testing.T) {
+	f := newIngestFixture(0)
+	const shards, n, slow = 2, 2 << 20, 1 << 20
+	eng := f.engine(t, shards, nil)
+	defer eng.Finish()
+	window := int(f.pat.Window)
+	queued := shards * (eng.QueueCap()/ingestCut + 1) // per shard: its queue and the open block
+	retained := shards * (5*window/2/(ingestCut/64) + 2)
+	key, err := ByAttrName(f.schema, "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := f.schema.MustNew(3, 0, 0)
+	shardOf := func(k float64) int {
+		ev.Attrs[0] = k
+		return GlobalIndex(key(&ev), shards)
+	}
+	cold := 1.0 // a key value on another shard than key 0's
+	for shardOf(cold) == shardOf(0) {
+		cold++
+	}
+	peak := [2]int{}
+	for i := 0; i < n; i++ {
+		phase := i / slow
+		if phase == 0 {
+			ev.TS = event.Time(i / 64)
+		} else {
+			ev.TS += 16
+		}
+		ev.Seq = uint64(i + 1)
+		ev.Attrs[0] = cold * float64(i%20/19) // one event in twenty
+		eng.Process(&ev)
+		if i%ingestCut == 0 && i > phase*slow+slow/2 {
+			peak[phase] = max(peak[phase], eng.Pool().Live())
+		}
+	}
+	t.Logf("blocks in existence: %d retaining, %d after", peak[0], peak[1])
+	if limit := 2*queued + retained; peak[0] > limit || peak[0] < retained/2 {
+		t.Errorf("%d blocks while a worker retains %d cuts; want no more than %d and at least half the retention", peak[0], retained/shards, limit)
+	}
+	if limit := 2*queued + 2*shards; peak[1] > limit {
+		t.Errorf("%d blocks once nothing is retained; want the surplus dropped to at most %d", peak[1], limit)
 	}
 }

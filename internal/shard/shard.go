@@ -26,14 +26,14 @@
 // per-event shedding inside each shard's engine (engine.Config.Shedding,
 // see internal/shed), whose load monitor watches this queue's depth.
 //
-// The cut is the unit of ingestion: events accumulate in one buffer per
-// shard, and sealing a cut hands every shard its buffer (possibly empty),
-// the global sequence number the cut covers and the one clock reading
-// taken at the seal — so what a handoff costs is paid per cut, not per
-// event, and every shard's progress watermark advances uniformly even
-// when its partition is momentarily idle. Process places an event by key
-// and seals every Options.Batch events; ProcessStable appends a run the
-// caller already partitioned and leaves sealing to Flush. Matches are
+// The cut is the unit of ingestion: events accumulate in one block per
+// shard, and sealing a cut hands every shard its block (or none), the
+// global sequence number the cut covers and the one clock reading taken
+// at the seal — so what a handoff costs is paid per cut, not per event,
+// and every shard's progress watermark advances uniformly even when its
+// partition is momentarily idle. Process places an event by key and seals
+// every Options.Batch events; ProcessStable takes a run the caller
+// already partitioned and leaves sealing to Flush. Matches are
 // tagged with the sequence number of the event whose processing emitted
 // them, buffered in a Collector, and released strictly in tag order once
 // every shard's watermark has passed the tag: OnMatch therefore observes
@@ -41,8 +41,28 @@
 // timestamp-ordered, nondecreasing detection timestamp), in an order that
 // is a deterministic function of the input for a fixed shard count.
 //
+// # Who owns an event's storage
+//
+// A block (match.Block: a run's events and exactly the attribute values
+// they carry, flat) has one owner at a time: the engine's pool, then
+// whoever fills it (Process copying the caller's event in, or a decoder
+// writing into a block it drew with Pool), then the shard's queue, then
+// the one worker the cut goes to, then the pool again. The worker's
+// evaluators point straight into it — bucket histories, partial matches,
+// resolver residuals and parked matches, prefix-runner seeds; nothing is
+// copied a second time — and the worker returns it once its own hosted
+// engines can no longer reach any event in it: when the block's newest
+// timestamp lies before multi.Evaluator.Floor, the least prune floor over
+// the engines the worker hosts. The clock is the worker's, never the
+// feeder's, so a feeder running ahead, a shard that sits idle, and old
+// timestamps replayed into a live session are all safe by construction:
+// a block waits for the worker that holds it. Nothing leaves a worker
+// pointing into a block — a match is serialised (Options.EncodeMatch) or
+// deep-copied as it is tagged — so a delivered *match.Match stays valid
+// for as long as its consumer keeps it.
+//
 // The cluster layer (internal/cluster) stacks on this package: a worker
-// node hosts one Engine spanning the global shard space, appends each
+// node hosts one Engine spanning the global shard space, hands over each
 // shard's run as the ingress split it (ProcessStable), seals at every
 // network cut (Flush), receives tagged matches and completion watermarks
 // through Options.OnTagged and Options.OnProgress, and the ingress
@@ -149,27 +169,25 @@ type Options struct {
 	// a budget intended as a global rate should be divided by the shard
 	// count before it lands here.
 	Tenants map[uint32]shed.TenantBudget
-	// EncodeMatch, settable only with OnTagged, switches the engine to the
-	// owned-emit wire path: every shard's evaluators run under the
-	// owned-emit contract, each match is encoded into a per-shard outbox
-	// slab on the worker goroutine (dst is the slab to append to; return
-	// the extended slice), and the resulting Tagged carries the encoded
-	// bytes in Enc with M nil. The callback must read m synchronously and
-	// retain nothing — the cluster node layer passes
+	// EncodeMatch, settable only with OnTagged, makes a match leave its
+	// worker as bytes instead of as a deep copy: each match is encoded into
+	// a per-shard outbox slab on the worker goroutine (dst is the slab to
+	// append to; return the extended slice), and the resulting Tagged
+	// carries the encoded bytes in Enc with M nil. The callback must read m
+	// synchronously and retain nothing — the cluster node layer passes
 	// wire.AppendMatchBody, so matches travel from the resolver's scratch
 	// to the wire without ever materializing a collector-side copy.
 	EncodeMatch func(dst []byte, m *match.Match) []byte
 }
 
-// cut is one handoff: pointers to the shard's events accumulated since
-// the last cut (possibly none), the wall-clock time the cut was sealed
-// (unix nanos, read once for all shards) and the global sequence
-// watermark the cut covers. The events live in the engine's
-// ingest arena (Process) or in caller-stable storage (ProcessStable) —
-// either way they outlive the evaluators' retention window, so workers
-// hand the pointers straight to their engines without re-interning.
+// cut is one handoff: the block holding the shard's events accumulated
+// since the last cut (nil when there are none), the wall-clock time the
+// cut was sealed (unix nanos, read once for all shards) and the global
+// sequence watermark the cut covers. The block is the worker's from here:
+// its engines point into it without re-interning, and the worker returns
+// it to the pool (see worker.release).
 type cut struct {
-	events []*event.Event
+	blk    *match.Block
 	sealed int64
 	upTo   uint64
 	// ops are pattern-set mutations applied before the cut's events:
@@ -196,23 +214,30 @@ type worker struct {
 	id   int
 	eval *multi.Evaluator
 	in   chan cut
-	free chan []*event.Event // recycles consumed cut buffers back to the coordinator
+
+	// Consumed blocks the hosted engines may still point into, oldest
+	// first, and the pool they go back to (see release).
+	held []*match.Block
+	pool *match.Pool
 
 	// Emission state, owned by the worker goroutine (emit, the
 	// evaluator's OnMatch, runs there). scratch collects the matches
-	// emitted while processing one event; flushEmits moves them into out
-	// in canonical order (per-shard emission indices are assigned by the
-	// collector in posting order). On the owned-emit wire path (Options.
-	// EncodeMatch) the scratch entries are pooled copies of the
-	// resolver's scratch match and flushEmits encodes each into the enc
-	// outbox slab instead of letting it escape to the collector.
+	// emitted while processing one event, as pooled copies of the
+	// resolver's scratch match; flushEmits moves them into out in
+	// canonical order (per-shard emission indices are assigned by the
+	// collector in posting order), each encoded into the enc outbox slab
+	// (Options.EncodeMatch) or deep-copied, so none leaves the worker
+	// pointing into a block.
 	curSeq  uint64
 	scratch []scratchMatch
 	out     []Tagged
 
 	encode func(dst []byte, m *match.Match) []byte
 	enc    []byte         // per-cut outbox slab; ownership passes with take()
-	mfree  []*match.Match // pooled scratch copies (owned-emit path only)
+	mfree  []*match.Match // pooled scratch copies
+	// Lengths of out and enc at the last cut that emitted: the next
+	// outbox starts sized after them instead of regrowing from nil.
+	outLen, encLen int
 
 	// Latency estimators, owned by the worker goroutine; read by
 	// Metrics/ShardMetrics after Finish.
@@ -238,30 +263,30 @@ type scratchMatch struct {
 }
 
 // emit is the evaluator's OnMatch: it parks the match until the current
-// event is fully processed (see flushEmits). On the owned-emit path the
-// scratch match dies when this callback returns, so it is cloned into a
-// pooled copy first.
+// event is fully processed (see flushEmits). The evaluators run under
+// owned emit, so the scratch match dies when this callback returns and is
+// cloned into a pooled copy first.
 func (w *worker) emit(id uint32, m *match.Match) {
-	if w.encode != nil {
-		m = w.copyScratch(m)
-	}
-	w.scratch = append(w.scratch, scratchMatch{pat: id, m: m})
+	w.scratch = append(w.scratch, scratchMatch{pat: id, m: w.copyScratch(m)})
 }
 
+// take hands the cut's outbox over. The tags and the slab they reference
+// now belong to the collector, which may buffer them indefinitely, so the
+// next cut that emits starts fresh ones (see flushEmits) — sized after
+// this cut's.
 func (w *worker) take() []Tagged {
 	m := w.out
-	w.out = nil
-	// The outbox slab is now referenced by the taken tags; the next cut
-	// starts a fresh one (the collector may buffer tags indefinitely, so
-	// the slab must never be overwritten).
-	w.enc = nil
+	if len(m) > 0 {
+		w.outLen, w.encLen = len(m), len(w.enc)
+	}
+	w.out, w.enc = nil, nil
 	return m
 }
 
 // copyScratch clones the resolver's scratch match into a pooled worker
 // match: the slice headers are the worker's own (reused across matches),
-// the event pointers are stable arena events. Needed because the
-// owned-emit contract invalidates the emitted match when the OnMatch
+// the event pointers still point into the worker's blocks. Needed because
+// the owned-emit contract invalidates the emitted match when the OnMatch
 // callback returns, but canonical ordering (flushEmits) runs only after
 // the whole event is processed.
 func (w *worker) copyScratch(src *match.Match) *match.Match {
@@ -281,8 +306,7 @@ func (w *worker) copyScratch(src *match.Match) *match.Match {
 	return m
 }
 
-// putMatch recycles a pooled scratch copy, dropping its event references
-// so dead matches don't pin arena chunks.
+// putMatch recycles a pooled scratch copy, dropping its event references.
 func (w *worker) putMatch(m *match.Match) {
 	clear(m.Events[:cap(m.Events)])
 	m.Events = m.Events[:0]
@@ -308,20 +332,26 @@ func (w *worker) flushEmits() {
 	if len(w.scratch) > 1 {
 		sortMatches(w.scratch)
 	}
+	if w.out == nil {
+		// The cut's first match: an outbox a little larger than the last
+		// one that filled (wire.RunEncoder.Reset's rule).
+		w.out = make([]Tagged, 0, w.outLen+w.outLen/8+4)
+		if w.encode != nil {
+			w.enc = make([]byte, 0, w.encLen+w.encLen/8+64)
+		}
+	}
 	for _, s := range w.scratch {
 		t := Tagged{Seq: w.curSeq, Src: w.id, Pattern: s.pat}
 		if w.encode != nil {
-			// Owned-emit wire path: encode into the outbox slab and
-			// recycle the pooled copy. Appends may grow the slab into a
-			// new backing array; earlier tags keep the old one alive, so
-			// every Enc slice stays valid.
+			// Appends may grow the slab into a new backing array; earlier
+			// tags keep the old one alive, so every Enc slice stays valid.
 			start := len(w.enc)
 			w.enc = w.encode(w.enc, s.m)
 			t.Enc = w.enc[start:len(w.enc):len(w.enc)]
-			w.putMatch(s.m)
 		} else {
-			t.M = s.m
+			t.M = s.m.Clone()
 		}
+		w.putMatch(s.m)
 		w.out = append(w.out, t)
 	}
 	w.scratch = w.scratch[:0]
@@ -341,9 +371,10 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 				_ = w.eval.Remove(op.id)
 			}
 		}
-		if len(c.events) > 0 {
+		if c.blk != nil {
 			wait := float64(time.Now().UnixNano() - c.sealed)
-			for _, ev := range c.events {
+			for i, n := 0, c.blk.Len(); i < n; i++ {
+				ev := c.blk.At(i)
 				w.qwait.Add(wait)
 				w.curSeq = ev.Seq
 				w.nevents++
@@ -356,24 +387,15 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 				}
 				w.flushEmits()
 			}
+			w.held = append(w.held, c.blk)
 		}
 		col.Post(w.id, c.upTo, w.take())
 		if w.wantLoad.CompareAndSwap(true, false) {
 			w.liveEvents.Store(w.nevents)
 			w.liveWait.Store(uint64(w.qwait.Quantile(0.99)))
 		}
-		// Recycle the consumed cut buffers: the evaluator retains the
-		// events themselves, never these slice headers. Event pointers
-		// are cleared first so a pooled buffer cannot pin arena chunks
-		// past their release horizon.
-		if cap(c.events) > 0 {
-			for i := range c.events {
-				c.events[i] = nil
-			}
-			select {
-			case w.free <- c.events[:0]:
-			default:
-			}
+		if c.blk != nil || len(c.ops) > 0 {
+			w.release()
 		}
 	}
 	// End of stream: flush parked matches. They are tagged past every
@@ -382,6 +404,25 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 	w.eval.Finish()
 	w.flushEmits()
 	col.Post(w.id, math.MaxUint64, w.take())
+}
+
+// release returns to the pool every consumed block, oldest first, whose
+// newest event lies before the evaluator's floor: no engine this worker
+// hosts can reach into it any more, and matches left as copies or bytes.
+// Blocks arrive in timestamp order, so the oldest one the floor has not
+// passed holds back the ones behind it and nothing more.
+func (w *worker) release() {
+	floor := w.eval.Floor()
+	n := 0
+	for n < len(w.held) && w.held[n].MaxTS() < floor {
+		w.pool.Put(w.held[n])
+		n++
+	}
+	if n > 0 {
+		k := copy(w.held, w.held[n:])
+		clear(w.held[k:])
+		w.held = w.held[:k]
+	}
 }
 
 // sortMatches orders simultaneously emitted matches canonically: by
@@ -456,25 +497,12 @@ type Engine struct {
 	nshards  int
 	batch    int
 	overflow Overflow
-	window   event.Time
 
 	workers []*worker
-	bufs    [][]*event.Event    // the open cut, one buffer per shard
-	free    chan []*event.Event // consumed cut buffers recycled by the workers
-	pending int                 // events Process put in the open cut
+	open    []*match.Block // the open cut: per shard, nil or a block holding events
+	pool    *match.Pool    // where blocks wait between a worker's release and the next fill
+	pending int            // events Process put in the open cut
 	lastSeq uint64
-
-	// arena is the single-copy ingest store: Process interns each event
-	// exactly once here and everything downstream — cut buffers, evaluator
-	// buffers, partial matches, emitted matches — holds pointers into it.
-	// Recycling stays off, so releasing a chunk merely drops the arena's
-	// reference and the garbage collector keeps it alive for as long as
-	// any evaluator or buffered match still points in; any release horizon
-	// is therefore memory-safe, and the horizon below only bounds how much
-	// the arena itself pins. ProcessStable bypasses the arena entirely
-	// (its events are caller-stable — a wire decode arena or journal).
-	arena match.Arena
-	maxTS event.Time
 
 	queueDropped []uint64 // per shard, owned by the Process goroutine
 	queueCap     int      // effective per-shard queue bound, in events
@@ -527,13 +555,6 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 	if opts.Batch <= 0 {
 		opts.Batch = 256
 	}
-	// The arena release horizon is the widest window of the set.
-	var window event.Time
-	for _, sp := range specs {
-		if sp.Pattern != nil && sp.Pattern.Window > window {
-			window = sp.Pattern.Window
-		}
-	}
 	queue := defaultQueueBatches
 	if opts.QueueCap > 0 {
 		queue = (opts.QueueCap + opts.Batch - 1) / opts.Batch
@@ -549,13 +570,16 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		nshards:      opts.Shards,
 		batch:        opts.Batch,
 		overflow:     opts.Overflow,
-		window:       window,
-		bufs:         make([][]*event.Event, opts.Shards),
+		open:         make([]*match.Block, opts.Shards),
 		queueDropped: make([]uint64, opts.Shards),
 		queueCap:     queue * opts.Batch,
-		// One pooled buffer per queue slot plus the one being filled:
-		// with full queues every cut still finds a recycled buffer.
-		free:    make(chan []*event.Event, opts.Shards*(queue+1)),
+		// The blocks of a moment's returns wait for the next fills; a
+		// surplus — a worker returning a whole retention's worth after an
+		// idle stretch — is dropped to the garbage collector rather than
+		// hoarded (see match.NewPool). The slack covers an engine that
+		// retains nothing: one block per queue slot plus the one being
+		// filled can then all be waiting at once.
+		pool:    match.NewPool(opts.Shards * (queue + 1)),
 		patIDs:  make(map[uint32]bool, len(specs)),
 		schema:  opts.Schema,
 		key:     key,
@@ -572,11 +596,11 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		return nil, err
 	}
 	for s := 0; s < e.nshards; s++ {
-		w := &worker{id: s, in: make(chan cut, queue), encode: opts.EncodeMatch, free: e.free}
+		w := &worker{id: s, in: make(chan cut, queue), encode: opts.EncodeMatch, pool: e.pool}
 		w.eval, err = multi.NewEvaluator(set, multi.Options{
 			OnMatch:     w.emit,
-			OwnedEmit:   opts.EncodeMatch != nil,
-			StableInput: true, // cut buffers carry arena/caller-stable pointers
+			OwnedEmit:   true, // a match leaves the worker as bytes or as a copy
+			StableInput: true, // events stay in the cut's block until release
 			Budgets:     opts.Tenants,
 		})
 		if err != nil {
@@ -630,9 +654,10 @@ func (e *Engine) admit(sp multi.Spec) (multi.Spec, error) {
 	return sp, nil
 }
 
-// Process is the per-event adapter over the cut buffers: it places the
-// event on shard mix64(key) % Shards, interns it, appends it to the open
-// cut and seals the cut every Options.Batch events. Events must arrive in
+// Process is the per-event adapter over the open cut: it places the
+// event on shard mix64(key) % Shards, copies it — the one copy — into
+// that shard's open block and seals the cut every Options.Batch events;
+// the caller's event is not retained. Events must arrive in
 // non-decreasing timestamp order with unique, increasing Seq numbers
 // (the same contract as engine.Engine.Process) — which is what lets the
 // seal use the last ingested Seq as the cut's watermark.
@@ -641,38 +666,54 @@ func (e *Engine) Process(ev *event.Event) {
 		panic("shard: Process after Finish")
 	}
 	s := GlobalIndex(e.key(ev), e.nshards)
-	e.bufs[s] = append(e.bufs[s], e.arena.Intern(ev))
-	e.lastSeq = ev.Seq
-	if ev.TS > e.maxTS {
-		e.maxTS = ev.TS
+	if e.open[s] == nil {
+		e.open[s] = e.pool.Get()
 	}
+	e.open[s].Intern(ev)
+	e.lastSeq = ev.Seq
 	e.pending++
 	if e.pending >= e.batch {
 		e.cutAll(false)
 	}
 }
 
-// ProcessStable is the by-shard zero-copy ingest entry: run is shard g's
-// events of the open cut in Seq order, partitioned by the caller — who
+// Pool is where this engine's blocks wait between uses: a caller that
+// fills blocks itself — the cluster node's run decoder — draws them here
+// and hands them in through ProcessStable; the workers return them.
+func (e *Engine) Pool() *match.Pool { return e.pool }
+
+// ProcessStable is the by-shard zero-copy ingest entry: run holds shard
+// g's events of the open cut in Seq order, partitioned by the caller — who
 // owns the obligation that all events of one partition key go to one
-// shard (GlobalIndex is Process's placement). Every pointer must stay
-// valid (and its event immutable) for at least the patterns' retention
-// window: the cluster node passes arena slots filled by the wire decoder,
-// failover replay journal-backed storage, and nothing downstream copies.
-// It never seals: the caller's Flush does, with a watermark covering
-// every run of the cut, so runs may arrive in any shard order.
-func (e *Engine) ProcessStable(g int, run []*event.Event) {
+// shard (GlobalIndex is Process's placement) — in a block drawn from
+// Pool. The engine owns the block from here: the cluster node passes the
+// block the wire decoder filled, the shard's worker points its engines
+// into it and returns it to the pool, and nothing in between copies. (A
+// second run for a shard within one cut is the exception: it is copied
+// behind the first.) It never seals: the caller's Flush does, with a
+// watermark covering every run of the cut, so runs may arrive in any
+// shard order.
+func (e *Engine) ProcessStable(g int, run *match.Block) {
 	if e.finished {
 		panic("shard: ProcessStable after Finish")
 	}
 	if g < 0 || g >= e.nshards {
 		panic(fmt.Sprintf("shard: ProcessStable for shard %d of %d", g, e.nshards))
 	}
-	if len(run) == 0 {
+	if run == nil {
 		return
 	}
-	e.bufs[g] = append(e.bufs[g], run...)
-	e.lastSeq = max(e.lastSeq, run[len(run)-1].Seq)
+	if n := run.Len(); n > 0 {
+		e.lastSeq = max(e.lastSeq, run.At(n-1).Seq)
+		if e.open[g] == nil {
+			e.open[g] = run
+			return
+		}
+		for i := 0; i < n; i++ {
+			e.open[g].Intern(run.At(i))
+		}
+	}
+	e.pool.Put(run)
 }
 
 // Flush seals the current cut even when partial: every shard receives its
@@ -691,42 +732,32 @@ func (e *Engine) Flush(upTo uint64) {
 	e.cutAll(false)
 }
 
-// cutAll seals the current cut: every shard receives its accumulated
-// events (possibly none), the watermark and the seal time — the ingest
-// side's one clock read — so progress advances uniformly across shards.
-// When block is false and the overflow mode is DropNewest, a full shard's
-// handoff is discarded instead of awaited (the events are lost and
-// counted; the watermark rides on the next successful handoff, whose upTo
-// is necessarily newer).
+// cutAll seals the current cut: every shard receives its block of
+// accumulated events (or none), the watermark and the seal time — the
+// ingest side's one clock read — so progress advances uniformly across
+// shards. When block is false and the overflow mode is DropNewest, a full
+// shard's handoff is discarded instead of awaited (the events are lost
+// and counted, their block goes straight back to the pool; the watermark
+// rides on the next successful handoff, whose upTo is necessarily newer).
 func (e *Engine) cutAll(block bool) {
 	sealed := time.Now().UnixNano()
 	for s, w := range e.workers {
-		c := cut{events: e.bufs[s], sealed: sealed, upTo: e.lastSeq}
+		c := cut{blk: e.open[s], sealed: sealed, upTo: e.lastSeq}
+		e.open[s] = nil
 		if block || e.overflow == Backpressure {
 			w.in <- c
-		} else {
-			select {
-			case w.in <- c:
-			default:
-				e.queueDropped[s] += uint64(len(c.events))
-			}
+			continue
 		}
 		select {
-		case e.bufs[s] = <-e.free: // a worker finished with an earlier cut's buffer
+		case w.in <- c:
 		default:
-			e.bufs[s] = nil
+			if c.blk != nil {
+				e.queueDropped[s] += uint64(c.blk.Len())
+				e.pool.Put(c.blk)
+			}
 		}
 	}
 	e.pending = 0
-	// Unpin ingest-arena chunks the evaluators have certainly pruned
-	// (recycling is off, so references — not this call — govern lifetime;
-	// see the arena field comment). Without a window the retention horizon
-	// is unknown, so fall back to bounding the arena's own pin list.
-	if e.window > 0 {
-		e.arena.Release(e.maxTS - 2*e.window)
-	} else if e.arena.Live() > 64 {
-		e.arena.Release(e.maxTS)
-	}
 }
 
 // Finish flushes the final partial cut, drains every shard, and waits

@@ -291,7 +291,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Finish()
-	run := []*event.Event{&w.Events[0]}
+	run := stable(live, []*event.Event{&w.Events[0]})
 	for _, c := range []struct {
 		name string
 		call func()
@@ -491,7 +491,7 @@ func TestByShardRunsMatchPerEvent(t *testing.T) {
 							if ncut%2 == 0 {
 								g = shards - 1 - g
 							}
-							e.ProcessStable(g, runs[g])
+							e.ProcessStable(g, stable(e, runs[g]))
 						}
 						e.Flush(w.Events[end-1].Seq)
 					}

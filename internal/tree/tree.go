@@ -189,10 +189,17 @@ func (g *Engine) SetOwnedEmit(owned bool) {
 }
 
 // SetExternal declares that every event handed to Process is already
-// stored stably outside the engine (an ingest or decode arena with
-// recycling off), so the engine retains the caller's pointer directly
+// stored stably outside the engine, in storage reused only for events
+// older than Floor, so the engine retains the caller's pointer directly
 // instead of interning a copy. See nfa.Engine.SetExternal.
 func (g *Engine) SetExternal(on bool) { g.external = on }
+
+// Floor reports a timestamp no event the engine can still reach lies
+// before: two windows behind a prune clock that runs at most half a
+// window behind the watermark. See nfa.Engine.Floor.
+func (g *Engine) Floor() event.Time {
+	return g.watermark - 2*g.pat.Window - g.pat.Window/2
+}
 
 // SetEmitOnlyBefore restricts emission to matches containing at least one
 // core event with Seq < seq (old-plan side of plan migration). Setting a

@@ -45,178 +45,196 @@ func decodeOne(t *testing.T, r *Reader, br *bytes.Reader, b Batch) *BatchView {
 	return v
 }
 
-// TestDecodeArenaReleaseInFlight pins the decode-side half of the
-// ownership contract: releasing the decode arena behind a time horizon
-// while pointers to earlier decoded batches are still in flight must
-// not disturb them — with recycling off (the wire contract), Release
-// only unpins chunks, and anything still referenced lives on through
-// the GC with its values intact.
-func TestDecodeArenaReleaseInFlight(t *testing.T) {
-	var arena match.Arena // zero value: recycling off
-	br := bytes.NewReader(nil)
-	r := NewReader(br)
-	r.SetDecodeArena(&arena)
-
-	const n = 300 // > one chunk, so Release has a whole chunk to drop
-	b1 := aliasBatch(n, 1000, 1)
-	v1 := decodeOne(t, r, br, b1)
-
-	// Hold the in-flight batch: copy the pointer slice (the view's
-	// header is Reader scratch) and record the expected values.
-	held := append([]*event.Event(nil), v1.Events...)
-	want := b1.Events
-
-	// Decode a later batch and release everything before it, racing the
-	// horizon past the held batch.
-	b2 := aliasBatch(n, 5000, n+1)
-	decodeOne(t, r, br, b2)
-	before := arena.Live()
-	arena.Release(5000)
-	if arena.Live() >= before {
-		t.Fatalf("Release(5000) dropped no chunks (live %d -> %d)", before, arena.Live())
-	}
-
-	for i, ev := range held {
+// sameEvents fails the test unless every pointer still reads the value
+// it was decoded from.
+func sameEvents(t *testing.T, label string, got []*event.Event, want []event.Event) {
+	t.Helper()
+	for i, ev := range got {
 		w := &want[i]
 		if ev.Type != w.Type || ev.TS != w.TS || ev.Seq != w.Seq {
-			t.Fatalf("held event %d header corrupted after Release: got %+v want %+v", i, *ev, *w)
+			t.Fatalf("%s: event %d reads %+v, was decoded from %+v", label, i, *ev, *w)
 		}
 		for k := range w.Attrs {
 			if ev.Attrs[k] != w.Attrs[k] {
-				t.Fatalf("held event %d attr %d corrupted after Release: got %v want %v",
-					i, k, ev.Attrs[k], w.Attrs[k])
+				t.Fatalf("%s: event %d attr %d reads %v, was decoded from %v", label, i, k, ev.Attrs[k], w.Attrs[k])
 			}
 		}
 	}
 }
 
+// TestDecodeArenaReleaseInFlight pins the decode-side half of the
+// ownership contract: a run's block is not reusable while its consumer
+// can reach it. The node takes each decoded run out of the arena and
+// hands it to a shard worker; from then on neither the arena's Release
+// nor the pool can touch it, however far later decodes and horizons run
+// ahead, and its storage comes around again only after the worker has
+// put it back — at which point the very next decode lands in it.
+func TestDecodeArenaReleaseInFlight(t *testing.T) {
+	var arena match.Arena
+	pool := match.NewPool(4)
+	arena.SetPool(pool)
+	br := bytes.NewReader(nil)
+	r := NewReader(br)
+	r.SetDecodeArena(&arena)
+
+	const n = 300
+	b1 := aliasBatch(n, 1000, 1)
+	v1 := decodeOne(t, r, br, b1)
+	// The view's header is Reader scratch: copy the pointers, take the
+	// block, as the node does.
+	held := append([]*event.Event(nil), v1.Events...)
+	inFlight := arena.Take()
+	if inFlight == nil || inFlight.Len() != n || inFlight.At(0) != held[0] {
+		t.Fatalf("Take did not hand over the block the run was decoded into")
+	}
+
+	// Later runs decode, are consumed and returned at once, and the arena
+	// releases far past the held run's timestamps.
+	for c := 0; c < 8; c++ {
+		v := decodeOne(t, r, br, aliasBatch(n, event.Time(5000+1000*c), uint64((c+1)*n+1)))
+		if v.Events[0] == held[0] {
+			t.Fatalf("decode %d reused a block its consumer has not returned", c)
+		}
+		pool.Put(arena.Take())
+		arena.Release(1 << 40)
+	}
+	sameEvents(t, "held across 8 later decodes", held, b1.Events)
+
+	// The consumer is done: the block goes back, and the next run gets it.
+	pool.Put(inFlight)
+	b3 := aliasBatch(n, 20000, 10*n+1)
+	v3 := decodeOne(t, r, br, b3)
+	if v3.Events[0] != held[0] {
+		t.Fatalf("a returned block was not the next one reused")
+	}
+	sameEvents(t, "reusing decode", v3.Events, b3.Events)
+}
+
 // TestDecodeArenaMigrationFreeze runs the §2.2 migration freeze over
-// wire-decoded chunks: an external-events evaluator buffers pointers
-// into the decode arena, SetEmitOnlyBefore freezes it mid-stream (the
-// draining-evaluator transition), and the decode arena keeps releasing
-// behind the horizon. The drained matches must still be correct — same
-// match set as an unfrozen copying run restricted to the boundary — and
-// their events must read back the decoded values even after every
-// decode-arena chunk has been released.
+// wire-decoded blocks that are recycled the way a shard worker recycles
+// them: an external-events evaluator points into each decoded block, the
+// block goes back to the pool only once the evaluator's Floor has passed
+// its newest event, and SetEmitOnlyBefore freezes the evaluator
+// mid-stream (the draining-evaluator transition). The matches — copied
+// out as they are emitted, which is all that may leave a worker — must
+// equal those of a run that interns every event for good, and blocks
+// must actually have come around: the stream is many retentions long.
 func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	s := event.NewSchema()
 	s.MustAddType("A", "x", "y")
 	s.MustAddType("B", "x", "y")
-	pb := pattern.NewBuilder(s, pattern.Seq, 1<<20)
+	const window, n, cuts = 150, 64, 60
+	pb := pattern.NewBuilder(s, pattern.Seq, window)
 	pb.Event(0)
 	pb.Event(1)
 	pat := pb.MustBuild()
+	batches := make([]Batch, cuts)
+	for c := range batches {
+		batches[c] = aliasBatch(n, event.Time(1000+c*n), uint64(c*n+1))
+	}
+	boundary := uint64(cuts/2*n + 1) // matches wholly after it are the successor's
 
-	const n = 64
-	b1 := aliasBatch(n, 1000, 1)
-	b2 := aliasBatch(n, 2000, n+1)
-	boundary := uint64(n + 1) // only matches touching batch 1 may emit
-
+	render := func(m *match.Match) string {
+		return string(AppendMatchBody(nil, m))
+	}
 	// Reference: plain per-event interning run with the same emission
 	// restriction.
-	var wantKeys []string
+	var want []string
 	{
-		g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) {
-			wantKeys = append(wantKeys, string(m.Key()))
-		})
-		for _, b := range []Batch{b1, b2} {
+		g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { want = append(want, render(m)) })
+		for _, b := range batches {
 			for i := range b.Events {
 				g.Process(&b.Events[i])
 			}
-			if b.UpTo == uint64(n) {
+			if b.UpTo+1 == boundary {
 				g.SetEmitOnlyBefore(boundary)
 			}
 		}
 		g.Finish()
 	}
 
-	// Wire path: decode into an arena, feed the pointers to an
-	// external-events evaluator, freeze at the batch boundary.
 	var arena match.Arena
+	pool := match.NewPool(0)
+	arena.SetPool(pool)
 	br := bytes.NewReader(nil)
 	r := NewReader(br)
 	r.SetDecodeArena(&arena)
-	var got []*match.Match
-	g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) {
-		// The evaluator owns emitted matches only during the callback;
-		// copy the slice header, keeping the arena event pointers.
-		got = append(got, &match.Match{Events: append([]*event.Event(nil), m.Events...)})
-	})
+	var kept []*match.Match
+	g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { kept = append(kept, m.Clone()) })
 	g.SetExternal(true)
-	for _, b := range []Batch{b1, b2} {
+	var held []*match.Block
+	for _, b := range batches {
 		v := decodeOne(t, r, br, b)
 		for _, ev := range v.Events {
 			g.Process(ev)
 		}
-		if b.UpTo == uint64(n) {
-			g.SetEmitOnlyBefore(boundary) // migration: freezes the evaluator arena
+		held = append(held, arena.Take())
+		if b.UpTo+1 == boundary {
+			g.SetEmitOnlyBefore(boundary)
+		}
+		for len(held) > 0 && held[0].MaxTS() < g.Floor() {
+			pool.Put(held[0])
+			held = held[1:]
 		}
 	}
 	g.Finish()
-	arena.Release(1 << 30) // drop every decode chunk; matches keep them alive
-
-	if len(got) != len(wantKeys) {
-		t.Fatalf("frozen wire run emitted %d matches, reference %d", len(got), len(wantKeys))
+	if live := pool.Live(); live >= cuts/2 {
+		t.Fatalf("%d blocks for %d runs: nothing was reused, the test is vacuous", live, cuts)
 	}
-	for i, m := range got {
-		if string(m.Key()) != wantKeys[i] {
-			t.Fatalf("match %d diverged: got %s want %s", i, m.Key(), wantKeys[i])
-		}
-		for _, ev := range m.Events {
-			if ev.Attrs[1] < 100 || ev.Attrs[1] > 106 {
-				t.Fatalf("match %d holds corrupted attrs after full Release: %v", i, ev.Attrs)
-			}
+	if len(want) == 0 || len(kept) != len(want) {
+		t.Fatalf("recycling run emitted %d matches, reference %d", len(kept), len(want))
+	}
+	for i, m := range kept {
+		if render(m) != want[i] {
+			t.Fatalf("match %d diverged from the interning reference", i)
 		}
 	}
 }
 
-// TestReplayDecodeFreshArena pins the failover-replay contract: the
-// journaled cut history re-sent to a successor decodes into the
-// successor's own fresh arena, producing events value-identical to the
-// failed node's but in distinct storage — nothing aliases the dead
-// session. (The end-to-end version of this runs in internal/cluster's
-// kill-matrix tests over loopback TCP.)
-func TestReplayDecodeFreshArena(t *testing.T) {
+// TestReplayDecodeIntoLiveSession pins the migration-replay contract: a
+// shard's journaled history — old timestamps — decodes into a session
+// that is already live, out of the same pool, and lands only in blocks
+// the pool was given back: never in one a worker still holds, whatever
+// the timestamps say. The replayed events are value-identical to the
+// journal. (The end-to-end version runs in internal/cluster's migration
+// and kill-matrix tests.)
+func TestReplayDecodeIntoLiveSession(t *testing.T) {
 	const n = 50
-	cuts := []Batch{
+	history := []Batch{
 		aliasBatch(n, 1000, 1),
 		aliasBatch(n, 2000, n+1),
 		aliasBatch(n, 3000, 2*n+1),
 	}
+	var arena match.Arena
+	pool := match.NewPool(0)
+	arena.SetPool(pool)
+	br := bytes.NewReader(nil)
+	r := NewReader(br)
+	r.SetDecodeArena(&arena)
 
-	decodeAll := func() (*match.Arena, [][]*event.Event) {
-		var arena match.Arena
-		br := bytes.NewReader(nil)
-		r := NewReader(br)
-		r.SetDecodeArena(&arena)
-		var out [][]*event.Event
-		for _, b := range cuts {
-			v := decodeOne(t, r, br, b)
-			out = append(out, append([]*event.Event(nil), v.Events...))
-		}
-		return &arena, out
+	// The live session: a newer run a worker still holds, and two it has
+	// returned.
+	live := aliasBatch(n, 90000, 10*n+1)
+	held := append([]*event.Event(nil), decodeOne(t, r, br, live).Events...)
+	arena.Take()
+	for c := 0; c < 2; c++ {
+		decodeOne(t, r, br, aliasBatch(n, event.Time(91000+1000*c), uint64((11+c)*n+1)))
+		pool.Put(arena.Take())
 	}
+	made := pool.Live()
 
-	_, failed := decodeAll()    // the dead node's view of the history
-	_, successor := decodeAll() // replay into a fresh arena
-
-	for c := range cuts {
-		for i := range cuts[c].Events {
-			w, f, sc := &cuts[c].Events[i], failed[c][i], successor[c][i]
-			if f == sc {
-				t.Fatalf("cut %d event %d: successor aliases the failed node's arena slot", c, i)
-			}
-			if &f.Attrs[0] == &sc.Attrs[0] {
-				t.Fatalf("cut %d event %d: successor attrs alias the failed node's chunk", c, i)
-			}
-			if sc.Type != w.Type || sc.TS != w.TS || sc.Seq != w.Seq {
-				t.Fatalf("cut %d event %d: replay decoded %+v, journal holds %+v", c, i, *sc, *w)
-			}
-			for k := range w.Attrs {
-				if sc.Attrs[k] != w.Attrs[k] {
-					t.Fatalf("cut %d event %d attr %d: replay %v, journal %v", c, i, k, sc.Attrs[k], w.Attrs[k])
-				}
+	for c, b := range history {
+		v := decodeOne(t, r, br, b)
+		sameEvents(t, "replayed run", v.Events, b.Events)
+		for i, ev := range v.Events {
+			if ev == held[i] || &ev.Attrs[0] == &held[i].Attrs[0] {
+				t.Fatalf("replayed run %d event %d sits in a block the live session still holds", c, i)
 			}
 		}
+		pool.Put(arena.Take())
 	}
+	if pool.Live() != made {
+		t.Fatalf("replay made %d new blocks; want the returned ones reused", pool.Live()-made)
+	}
+	sameEvents(t, "held across the replay", held, live.Events)
 }

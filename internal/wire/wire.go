@@ -339,9 +339,10 @@ type Batch struct {
 // The view itself — Read returns a pointer to a Reader-owned BatchView,
 // so the steady-state decode performs no allocation at all — and its
 // Events slice header are scratch that the next Read on the same Reader
-// reuses; the arena events Events points at live until the arena
-// releases their chunk. BatchView frames exist only on the decode side —
-// senders encode Batch or BatchRaw.
+// reuses; the events Events points at are one arena chunk, alive until
+// the arena releases it or, once taken (match.Arena.Take), until its new
+// owner does. BatchView frames exist only on the decode side — senders
+// encode Batch or BatchRaw.
 type BatchView struct {
 	UpTo   uint64
 	Events []*event.Event
@@ -1706,15 +1707,15 @@ type Reader struct {
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// SetDecodeArena switches the Reader to zero-copy batch decoding: Batch
-// frames are decoded directly into a's chunks (each event materialized
-// once, its attribute values written in place into the chunk's flat
-// buffer) and returned as *BatchView frames instead of Batch. All other
-// frame kinds are unaffected. The arena must run with recycling off —
-// the Reader hands out pointers into it whose lifetime it does not track
-// — unless the caller itself bounds every decoded pointer's lifetime
-// (drops all references before each Release), as the allocation tests
-// do. A nil arena restores the copying decode.
+// SetDecodeArena switches the Reader to zero-copy batch decoding: every
+// Batch frame's run is decoded directly into a chunk of its own in a
+// (each event materialized once, its attribute values written in place
+// into the chunk's flat array) and returned as a *BatchView frame instead
+// of a Batch. All other frame kinds are unaffected. The Reader hands out
+// pointers into the arena whose lifetime it does not track: whoever
+// recycles the chunks — the arena's Release, or the consumer a taken
+// chunk was handed to — answers for no decoded pointer outliving them. A
+// nil arena restores the copying decode.
 func (r *Reader) SetDecodeArena(a *match.Arena) { r.arena = a }
 
 // Read decodes the next frame.
@@ -1761,14 +1762,15 @@ func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 	return &r.view, nil
 }
 
-// DecodeRun decodes a run into a: every event is allocated in place in
-// an arena chunk (match.Arena.Alloc) and its delta-coded fields and
-// attribute values are written straight into the slot — no intermediate
-// event slice exists. The pointers are appended to evs[:0], which the
-// caller keeps as scratch between calls. This is the one decoder a
-// worker runs, whether the run arrived in a socket frame or as a
-// BatchRaw over the in-process pipe; corrupt bytes are an error, never a
-// panic.
+// DecodeRun decodes a non-empty run into a chunk of its own in a
+// (match.Arena.Open): the chunk reserves room for the run, every event is
+// appended in place and its delta-coded fields and attribute values are
+// written straight into the slot — no intermediate event slice exists, and
+// the caller can lift the whole run out of the arena with Take. The pointers
+// are appended to evs[:0], which the caller keeps as scratch between
+// calls. This is the one decoder a worker runs, whether the run arrived in
+// a socket frame or as a BatchRaw over the in-process pipe; corrupt bytes
+// are an error, never a panic.
 func DecodeRun(a *match.Arena, run []byte, evs []*event.Event) ([]*event.Event, error) {
 	c := &cursor{b: run}
 	n := c.count(maxBatchEvents, 4, "batch event")
@@ -1776,6 +1778,13 @@ func DecodeRun(a *match.Arena, run []byte, evs []*event.Event) ([]*event.Event, 
 		evs = make([]*event.Event, 0, n)
 	}
 	evs = evs[:0]
+	var dst *match.Block
+	if n > 0 { // a bare watermark frame's empty run opens nothing
+		dst = a.Open()
+		// An attribute value is 8 bytes of the run, so the bytes left bound
+		// their number: nothing relocates while the run decodes.
+		dst.Reserve(n, (len(run)-c.off)/8)
+	}
 	var prevTS event.Time
 	var prevSeq uint64
 	for i := 0; i < n && c.err == nil; i++ {
@@ -1786,7 +1795,7 @@ func DecodeRun(a *match.Arena, run []byte, evs []*event.Event) ([]*event.Event, 
 		if c.err != nil {
 			break
 		}
-		ev := a.Alloc(typ, ts, seq, na)
+		ev := dst.Alloc(typ, ts, seq, na)
 		for k := 0; k < na && c.err == nil; k++ {
 			ev.Attrs[k] = c.f64()
 		}
