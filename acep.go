@@ -154,7 +154,10 @@ func Or(subs ...*Pattern) (*Pattern, error) { return pattern.NewOr(subs...) }
 // internal/sase package for the full grammar.
 func ParsePattern(s *Schema, src string) (*Pattern, error) { return sase.Parse(s, src) }
 
-// NewEngine builds an adaptive engine for the pattern.
+// NewEngine builds an adaptive engine for the pattern. The engine copies
+// what it keeps of an event, so the caller may reuse the Event (and its
+// Attrs) once Process returns, and a match delivered to cfg.OnMatch is the
+// consumer's to keep.
 func NewEngine(p *Pattern, cfg Config) (*Engine, error) { return engine.New(p, cfg) }
 
 // Sharded parallel execution: the input stream is partitioned by a key,

@@ -275,7 +275,7 @@ func (s *streamConn) Flush() error { return s.bw.Flush() }
 func (s *streamConn) RemoteAddr() string { return s.c.RemoteAddr().String() }
 
 // SetDecodeArena switches the receive side to zero-copy batch decoding:
-// Batch frames decode straight into arena chunks and surface as
+// Batch frames decode straight into the arena's blocks and surface as
 // wire.BatchView (see wire.Reader.SetDecodeArena). Nodes probe for this
 // method on their Conn — it marks a serializing transport, whose Send
 // has put the frame's bytes on the wire when it returns; the in-process

@@ -78,21 +78,23 @@ type Config struct {
 	// (sub-)pattern before any input is seen; nil (or a nil result) uses
 	// an empty snapshot (the paper's "default, empty Stat").
 	InitialStats func(*pattern.Pattern) *stats.Snapshot
-	// OnMatch receives every detected match.
+	// OnMatch receives every detected match. Unless OwnedEmit says
+	// otherwise the match is the callback's to keep.
 	OnMatch func(*match.Match)
-	// ExternalEvents declares that every event pointer handed to Process
-	// stays valid until the engine's Floor has passed the event — the
-	// events live in storage whose owner consults Floor before reusing it
-	// (a shard worker's blocks). Evaluators then retain the caller's
-	// pointers directly instead of interning copies into their own arenas,
-	// eliminating the last per-event copy of the batched wire-to-match
-	// path.
+	// ExternalEvents declares that the caller owns the events' storage:
+	// every event pointer handed to Process stays valid, unchanged, until
+	// the engine's Floor has passed the event (a shard worker's blocks, or
+	// a stream that outlives the engine). The engine then keeps the
+	// caller's pointers — no copy going in, and none coming out: a
+	// delivered match points at the caller's events. Without it the engine
+	// owns the storage: Process copies each event once, into blocks reused
+	// behind Floor, and the caller's event is its own again on return.
 	ExternalEvents bool
-	// OwnedEmit runs the evaluators under the owned-emit contract: the
-	// OnMatch callback receives the resolver's scratch match, valid only
-	// for the duration of the call, and must retain neither the match nor
-	// its slices (encode or copy inside the callback). Emission structures
-	// are pooled and reused, so the steady-state emit path allocates
+	// OwnedEmit declares that OnMatch reads each match synchronously and
+	// retains neither the match nor anything reachable from it (encode or
+	// copy inside the callback). The emission structures are then reused,
+	// and an engine that owns its events' storage hands out its working
+	// match instead of a copy, so the steady-state emit path allocates
 	// nothing.
 	OwnedEmit bool
 	// Shedding configures the overload-control layer (see internal/shed):
@@ -202,7 +204,6 @@ func (m *Metrics) add(o Metrics) {
 type evaluator interface {
 	Process(*event.Event)
 	ProcessMasked(*event.Event, uint32)
-	SetExternal(bool)
 	SetOwnedEmit(bool)
 	Advance(event.Time)
 	Floor() event.Time
@@ -226,6 +227,10 @@ type Engine struct {
 	// sub-patterns: a mask computed against the top-level pattern indexes
 	// the wrong positions there, so ProcessMasked strips it.
 	split bool
+	// arena holds the one copy of each admitted event that every runner's
+	// evaluators — current and draining, all disjuncts — point into; nil
+	// under Config.ExternalEvents, where the caller holds the events.
+	arena *match.Arena
 }
 
 // New builds an adaptive engine for the pattern.
@@ -253,6 +258,17 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 		return &core.Invariant{}
 	}
 	e := &Engine{}
+	if !cfg.ExternalEvents {
+		// The engine owns the events' storage: it interns once, releases on
+		// its own Floor, and copies what leaves — a match the evaluators
+		// emit points into blocks that will be overwritten.
+		e.arena = &match.Arena{}
+		e.arena.SetRecycle(true)
+		if deliver := cfg.OnMatch; deliver != nil && !cfg.OwnedEmit {
+			cfg.OnMatch = func(m *match.Match) { deliver(m.Clone()) }
+		}
+		cfg.OwnedEmit = true
+	}
 	subs := []*pattern.Pattern{pat}
 	if pat.Op == pattern.Or {
 		subs = pat.Subs
@@ -294,6 +310,12 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 		e.metrics.EventsShed++
 		return
 	}
+	if e.arena != nil {
+		if e.arena.Full() {
+			e.arena.Release(e.Floor())
+		}
+		ev = e.arena.Intern(ev)
+	}
 	for _, r := range e.runners {
 		r.process(ev, mask)
 	}
@@ -304,8 +326,8 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 // (see nfa.Engine.Floor) — or the largest Time while no event has reached
 // a runner, which then holds nothing. A shed event advances nothing, so
 // an engine that sheds keeps its floor where its last admitted event
-// left it: under ExternalEvents that holds the caller's storage back,
-// never the detection.
+// left it: that holds the storage back — the engine's own, or under
+// ExternalEvents the caller's — never the detection.
 func (e *Engine) Floor() event.Time {
 	floor := event.Time(math.MaxInt64)
 	for _, r := range e.runners {

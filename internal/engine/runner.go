@@ -79,14 +79,7 @@ func (r *runner) buildEvaluator(p plan.Plan) evaluator {
 	default:
 		panic("engine: unknown plan type")
 	}
-	// Applied on every build — including migration rebuilds — so the
-	// ingest contract survives plan changes.
-	if r.cfg.ExternalEvents {
-		ev.SetExternal(true)
-	}
-	if r.cfg.OwnedEmit {
-		ev.SetOwnedEmit(true)
-	}
+	ev.SetOwnedEmit(r.cfg.OwnedEmit) // as New settled it
 	return ev
 }
 

@@ -15,9 +15,9 @@ import (
 //
 // Appending relocates the events when their array fills, so an event
 // pointer taken while the block is still being filled is good only if
-// the room was reserved first (Reserve, or an Arena's fixed-size chunks).
-// A growing attribute array is re-pointed under the events, so it never
-// invalidates an event pointer.
+// the room was reserved first (Reserve; Arena.Intern reserves a block's
+// events as it opens one). A growing attribute array is re-pointed under
+// the events, so it never invalidates an event pointer.
 type Block struct {
 	evs   []event.Event
 	attrs []float64
@@ -196,36 +196,33 @@ func (p *Pool) Live() int {
 	return p.out + len(p.free)
 }
 
-// An arena chunk holds arenaChunkEvents events and is provisioned with
-// arenaChunkAttrs attribute values; it seals early if a fat event would
-// overflow either.
-const (
-	arenaChunkEvents = 256
-	arenaChunkAttrs  = 2048
-)
+// arenaBlockEvents is how many events Intern puts in one block: the unit
+// an owner's storage is released in, and how often it asks its engines
+// for their floor.
+const arenaBlockEvents = 256
 
-// Arena is chunked copy-in storage for the events one engine retains:
-// buffers and partial matches hold pointers into arena chunks instead of
-// individually GC-tracked caller objects, and expiry releases whole
-// chunks at once instead of dropping events one by one. A chunk is a
-// Block that is never grown once it holds an event, so pointers into it
-// stay valid for the chunk's whole lifetime.
+// Arena is what an owner of event storage holds its blocks in: an ordered
+// run of blocks, oldest first, drawn from a pool and returned to it once
+// the horizon the owner gives has passed them. The owner fills the newest
+// block itself (Intern: the single-process engine and the pattern-set
+// evaluator copying the caller's event in; Open: a decoder writing a run)
+// or takes over one filled elsewhere (Hold: a shard worker and the cut it
+// dequeued). Evaluation engines keep bare pointers into the blocks —
+// histories, partial matches, residual buffers, parked matches — so the
+// horizon is theirs to name: the owner releases on its engines' Floor,
+// and copies whatever it hands on (Match.Clone), since a returned block
+// is overwritten.
 //
-// Input is timestamp-ordered, so chunks are too: a chunk whose MaxTS has
-// left the retention horizon can contain no referenced event (every
-// holder prunes at or before the same horizon) and is released wholesale
-// — to the arena's pool when it has one (see SetRecycle, SetPool), or
-// dropped for the GC to collect as three objects per 256 events.
+// Input is timestamp-ordered, so the blocks are too, and Release stops at
+// the first one the horizon has not passed. Without a pool (SetRecycle,
+// SetPool) released blocks are left to the garbage collector.
 type Arena struct {
-	chunks []*Block
+	blocks []*Block
 	pool   *Pool
 }
 
-// SetRecycle toggles chunk recycling through a pool of the arena's own.
-// Recycling overwrites released chunks, so it is only safe while no
-// pointer into the arena escapes the engine — the owned-emit contract.
-// Turning it off (the default, and forced on migration: see Freeze)
-// drops released chunks to the GC instead.
+// SetRecycle gives the arena a pool of its own to return released blocks
+// to and draw new ones from (on), or takes the pool away (off).
 func (a *Arena) SetRecycle(on bool) {
 	switch {
 	case !on:
@@ -235,81 +232,90 @@ func (a *Arena) SetRecycle(on bool) {
 	}
 }
 
-// SetPool makes p the place this arena's chunks come from and go back
+// SetPool makes p the place this arena's blocks come from and go back
 // to. A decoder's arena shares the pool of the engine that consumes what
-// it decodes: the consumer, not Release, returns a chunk the arena gave
-// up with Take.
+// it decodes: the consumer, not this arena's Release, returns a block the
+// arena gave up with Take.
 func (a *Arena) SetPool(p *Pool) { a.pool = p }
 
-// Freeze permanently disables recycling: existing chunks may now be
-// referenced from outside the engine (migration seeds the successor's
-// residual buffers with arena pointers), so they must die by GC, never
-// by reuse.
-func (a *Arena) Freeze() { a.SetRecycle(false) }
+// Pool returns where the arena's blocks come from and go back to, nil
+// when it has no pool (for tests: Pool.Live counts the blocks made).
+func (a *Arena) Pool() *Pool { return a.pool }
 
-// Intern copies ev into the arena and returns the arena copy, including
-// its attribute values. The caller's event is not retained and may be
-// reused immediately.
+// Full reports whether the next Intern opens a block: the newest one has
+// its arenaBlockEvents events, or there is none. An owner asks before it
+// interns and releases first, so the block it frees is the one it refills
+// — once per arenaBlockEvents events.
+func (a *Arena) Full() bool {
+	n := len(a.blocks)
+	return n == 0 || len(a.blocks[n-1].evs) == cap(a.blocks[n-1].evs)
+}
+
+// Intern copies ev, attribute values included, into the newest block and
+// returns the copy, which stays where it is until Release passes it. The
+// caller's event is not retained. A new block reserves its events and as
+// many attribute values as if every event were as wide as this one; a
+// recycled block keeps the arrays it grew to, so a stream's width is
+// learned once.
 func (a *Arena) Intern(ev *event.Event) *event.Event {
-	var c *Block
-	if n := len(a.chunks); n > 0 {
-		c = a.chunks[n-1]
+	if a.Full() {
+		a.Open().Reserve(arenaBlockEvents, arenaBlockEvents*len(ev.Attrs))
 	}
-	if c == nil || !c.Room(len(ev.Attrs)) {
-		c = a.Open()
-		c.Reserve(arenaChunkEvents, max(arenaChunkAttrs, len(ev.Attrs)))
-	}
-	return c.Intern(ev)
+	return a.blocks[len(a.blocks)-1].Intern(ev)
 }
 
-// Open starts a new chunk — a pooled block or a fresh one — and returns
-// it for the caller to fill: a run decoder reserves the run's length and
+// Open starts a new block — a pooled one or a fresh one — and returns it
+// for the caller to fill: a run decoder reserves the run's length and
 // decodes the whole run into it (wire.DecodeRun), so every run sits in a
-// chunk of its own.
+// block of its own.
 func (a *Arena) Open() *Block {
-	var c *Block
+	var b *Block
 	if a.pool != nil {
-		c = a.pool.Get()
+		b = a.pool.Get()
 	} else {
-		c = &Block{}
+		b = &Block{}
 	}
-	a.chunks = append(a.chunks, c)
-	return c
+	a.blocks = append(a.blocks, b)
+	return b
 }
 
-// Take removes the newest chunk from the arena and returns it (nil when
+// Hold appends a block filled elsewhere — drawn from the arena's pool —
+// as the newest: Release returns it with the rest.
+func (a *Arena) Hold(b *Block) { a.blocks = append(a.blocks, b) }
+
+// Take removes the newest block from the arena and returns it (nil when
 // the arena is empty). The caller owns it from here: Release will not
 // see it, and returning it to a pool is the caller's to do.
 func (a *Arena) Take() *Block {
-	n := len(a.chunks)
+	n := len(a.blocks)
 	if n == 0 {
 		return nil
 	}
-	c := a.chunks[n-1]
-	a.chunks[n-1] = nil
-	a.chunks = a.chunks[:n-1]
-	return c
+	b := a.blocks[n-1]
+	a.blocks[n-1] = nil
+	a.blocks = a.blocks[:n-1]
+	return b
 }
 
-// Release frees every chunk whose events all precede the horizon
-// (MaxTS < horizon). Call only when every holder of arena pointers —
-// buffers, partial matches, the resolver — has already pruned to at
-// least the same horizon.
+// Release returns every block, oldest first, whose events all precede
+// the horizon (MaxTS < horizon), and stops at the first that does not:
+// the blocks behind it are newer. Whatever still points into the arena —
+// an engine's histories, partial matches, residual buffers and parked
+// matches — must lie at or after the horizon: the engine's Floor.
 func (a *Arena) Release(horizon event.Time) {
 	n := 0
-	for _, c := range a.chunks {
-		if c.maxTS < horizon {
-			if a.pool != nil {
-				a.pool.Put(c)
-			}
-			continue
+	for n < len(a.blocks) && a.blocks[n].maxTS < horizon {
+		if a.pool != nil {
+			a.pool.Put(a.blocks[n])
 		}
-		a.chunks[n] = c
 		n++
 	}
-	clear(a.chunks[n:])
-	a.chunks = a.chunks[:n]
+	if n > 0 {
+		k := copy(a.blocks, a.blocks[n:])
+		clear(a.blocks[k:])
+		a.blocks = a.blocks[:k]
+	}
 }
 
-// Live reports the number of live chunks (for tests).
-func (a *Arena) Live() int { return len(a.chunks) }
+// Live reports the number of blocks the arena holds (for tests).
+func (a *Arena) Live() int { return len(a.blocks) }

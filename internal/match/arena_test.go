@@ -164,36 +164,90 @@ func TestPoolDropsSurplus(t *testing.T) {
 	}
 }
 
-// TestArenaChunks: interning seals a chunk when it is full, Release
-// frees whole chunks behind the horizon — to the pool when recycling, so
-// the next chunk reuses the storage — and Take lifts the newest chunk
-// out of Release's reach.
+// TestArenaChunks: the holder's rules. Interning opens a block every
+// arenaBlockEvents events and Full says so beforehand; Release returns
+// whole blocks, oldest first, and stops at the first one the horizon has
+// not passed, whatever lies behind it; Take lifts the newest block out of
+// Release's reach and Hold puts one filled elsewhere under it; and a
+// stream of one width never grows a block at all.
 func TestArenaChunks(t *testing.T) {
-	evs := blockEvents(3 * arenaChunkEvents)
+	evs := blockEvents(3 * arenaBlockEvents)
 	var a Arena
 	a.SetRecycle(true)
 	for i := range evs {
+		if full := a.Full(); full != (i%arenaBlockEvents == 0) {
+			t.Fatalf("Full() = %v before event %d", full, i)
+		}
 		a.Intern(&evs[i])
 	}
 	if a.Live() != 3 {
-		t.Fatalf("%d chunks for %d events, want 3", a.Live(), len(evs))
+		t.Fatalf("%d blocks for %d events, want 3", a.Live(), len(evs))
 	}
-	a.Release(evs[arenaChunkEvents].TS) // the first chunk's events all precede it
+	for k := 0; k < 3; k++ {
+		requireBlock(t, a.blocks[k], evs[k*arenaBlockEvents:(k+1)*arenaBlockEvents])
+	}
+	a.Release(evs[arenaBlockEvents].TS) // the first block's events all precede it
 	if a.Live() != 2 {
-		t.Fatalf("%d chunks after releasing the first, want 2", a.Live())
+		t.Fatalf("%d blocks after releasing the first, want 2", a.Live())
 	}
 	taken := a.Take()
-	if taken == nil || taken.At(0).Seq != evs[2*arenaChunkEvents].Seq || a.Live() != 1 {
-		t.Fatalf("Take did not lift out the newest chunk")
+	if taken == nil || taken.At(0).Seq != evs[2*arenaBlockEvents].Seq || a.Live() != 1 {
+		t.Fatalf("Take did not lift out the newest block")
 	}
 	a.Release(1 << 40)
-	requireBlock(t, taken, evs[2*arenaChunkEvents:])
-	if a.Intern(&evs[0]); a.pool.Live() != 3 {
-		t.Fatalf("the arena made a chunk while released ones waited")
+	requireBlock(t, taken, evs[2*arenaBlockEvents:])
+	if a.Live() != 0 || a.pool.Live() != 3 {
+		t.Fatalf("%d blocks held, %d in existence after releasing all but the taken one", a.Live(), a.pool.Live())
 	}
-	a.Freeze()
-	a.Release(1 << 40)
-	if a.Live() != 0 || a.pool != nil {
-		t.Fatalf("a frozen arena still recycles")
+
+	// FIFO: a block the horizon has not passed holds back the ones behind
+	// it, even one whose own events are all older (an owner's blocks are in
+	// arrival order; out-of-order content only ever waits longer).
+	a.Hold(taken)
+	old := a.Open()
+	old.Intern(&evs[0])
+	a.Release(taken.MaxTS()) // passes old, not taken
+	if a.Live() != 2 {
+		t.Fatalf("Release went past a block its horizon had not passed: %d held", a.Live())
+	}
+	a.Release(taken.MaxTS() + 1)
+	if a.Live() != 0 || a.pool.Live() != 3 {
+		t.Fatalf("%d blocks held, %d in existence after releasing everything", a.Live(), a.pool.Live())
+	}
+
+	// A stream of one width is provisioned exactly from its first block on.
+	var u Arena
+	wide := event.Event{Attrs: []float64{1, 2, 3}}
+	for i := 0; i < arenaBlockEvents; i++ {
+		u.Intern(&wide)
+	}
+	if got, want := cap(u.blocks[0].attrs), 3*arenaBlockEvents; !u.Full() || got != want {
+		t.Fatalf("a block of %d three-attribute events has room for %d values, want %d", arenaBlockEvents, got, want)
+	}
+}
+
+// TestArenaInternAllocs: an owner's steady state — release behind a
+// horizon whenever the open block is full, then intern — allocates
+// nothing once the blocks have been round: each has grown to the
+// attribute values its events carry, mixed widths included.
+func TestArenaInternAllocs(t *testing.T) {
+	evs := blockEvents(8 * arenaBlockEvents)
+	var a Arena
+	a.SetRecycle(true)
+	const horizon = 3 * arenaBlockEvents // in ticks: one event a tick
+	cycle := func() {
+		for i := range evs {
+			if a.Full() {
+				a.Release(evs[i].TS - horizon)
+			}
+			a.Intern(&evs[i])
+		}
+		a.Release(1 << 40) // the stream starts over at tick 10
+	}
+	cycle()
+	made := a.pool.Live()
+	if avg := testing.AllocsPerRun(5, cycle); avg != 0 || a.pool.Live() != made || made > 5 {
+		t.Fatalf("a warmed arena allocated %.1f times over %d events, %d blocks made then, %d now",
+			avg, len(evs), made, a.pool.Live())
 	}
 }

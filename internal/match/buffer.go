@@ -30,8 +30,8 @@ func (b *Buffer) Add(ev *event.Event) {
 func (b *Buffer) Len() int { return len(b.evs) - b.start }
 
 // Prune drops all events with TS < horizon by advancing the live-prefix
-// index; the dead prefix is released in bulk when compaction runs (and,
-// for arena-interned events, by whole-chunk arena release), never by a
+// index; the dead prefix is released in bulk when compaction runs (the
+// events themselves by their owner, a block at a time), never by a
 // per-element nil-out walk. Compaction runs once the dead prefix is at
 // least as long as the live rest, so a buffer never pins more dead events
 // than it holds live ones — which matters when there is one small buffer

@@ -189,3 +189,72 @@ func Permutations(ps []int) [][]int {
 	}
 	return out
 }
+
+// Owner holds the events an engine under test points into, the way every
+// owner of an engine does: one copy of each event in an arena of pooled
+// blocks, released on the engine's Floor and on nothing else. A test that
+// feeds through it holds Floor to its contract — a block comes back only
+// once Floor has passed it, and under the race detector it comes back
+// poisoned — and may reuse its own event at once.
+type Owner struct {
+	g    floored
+	held match.Arena
+}
+
+// floored is an engine as the owner of its events' storage sees it.
+type floored interface {
+	Process(*event.Event)
+	Floor() event.Time
+}
+
+// NewOwner returns the owner of the storage behind g's events.
+func NewOwner(g floored) *Owner {
+	o := &Owner{g: g}
+	o.held.SetRecycle(true)
+	return o
+}
+
+// Process copies ev into the owner's storage and feeds g the copy.
+func (o *Owner) Process(ev *event.Event) {
+	if o.held.Full() {
+		o.held.Release(o.g.Floor())
+	}
+	o.g.Process(o.held.Intern(ev))
+}
+
+// Intact fails the test if m holds an event whose first attribute is not
+// its sequence number, for streams written that way: a block reused under
+// a match reads another event's values, a poisoned one NaN.
+func Intact(tb testing.TB, m *match.Match) {
+	tb.Helper()
+	check := func(ev *event.Event) {
+		if ev != nil && ev.Attrs[0] != float64(ev.Seq) {
+			tb.Fatalf("match holds event %+v: its block was reused under it", *ev)
+		}
+	}
+	for _, ev := range m.Events {
+		check(ev)
+	}
+	for _, set := range m.Kleene {
+		for _, ev := range set {
+			check(ev)
+		}
+	}
+}
+
+// Reused is the caller's side of the ownership contract at its most
+// hostile: every event reaches the system under test through one Event
+// and one Attrs array, both overwritten — with values no stream carries —
+// the moment Process returns.
+type Reused struct{ ev event.Event }
+
+// Feed hands process a scratch copy of src and scribbles over it after.
+func (r *Reused) Feed(src *event.Event, process func(*event.Event)) {
+	attrs := append(r.ev.Attrs[:0], src.Attrs...)
+	r.ev = event.Event{Type: src.Type, TS: src.TS, Seq: src.Seq, Attrs: attrs}
+	process(&r.ev)
+	for k := range attrs {
+		attrs[k] = math.NaN()
+	}
+	r.ev = event.Event{Type: -1, TS: math.MinInt64, Seq: math.MaxUint64, Attrs: attrs}
+}

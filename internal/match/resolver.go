@@ -113,7 +113,7 @@ func (r *Resolver) Buffered(p int) bool { return r.bufs[p] != nil }
 
 // AddResidual stores ev in residual position p's buffer. The caller has
 // checked Wants and guarantees ev stays valid for the resolver's
-// retention horizon (engines pass arena-interned events).
+// retention horizon (the engine's Floor covers it).
 func (r *Resolver) AddResidual(p int, ev *event.Event) {
 	r.bufs[p].Add(ev)
 }
@@ -168,7 +168,7 @@ func (r *Resolver) newCore(src []*event.Event) []*event.Event {
 }
 
 // putCore recycles a core slice obtained from newCore, cleared so an
-// idle pool entry never pins released arena chunks.
+// idle pool entry never points into a released block.
 func (r *Resolver) putCore(core []*event.Event) {
 	clear(core)
 	r.freeCores = append(r.freeCores, core)
@@ -250,7 +250,7 @@ func (r *Resolver) getOuter(n int) [][]*event.Event {
 }
 
 // putSet recycles one Kleene set, clearing its event pointers so a
-// pooled backing array never pins released arena chunks while it sits
+// pooled backing array never points into a released block while it sits
 // unused (beyond-len entries are nil by induction: every put clears).
 func (r *Resolver) putSet(s []*event.Event) {
 	clear(s)
@@ -386,8 +386,9 @@ func (r *Resolver) PendingCount() int { return len(r.pending) }
 // SeedFrom copies the residual buffers of another resolver (same
 // pattern). Plan migration uses this so a freshly deployed plan can still
 // veto matches with pre-migration negated events and build complete
-// Kleene sets. The copied events stay owned by the source engine's
-// arena, which the source freezes when migration begins.
+// Kleene sets. Only pointers are copied: both resolvers' engines point
+// into the one copy of each event their owner holds, which stays in
+// place until the floor of both has passed it.
 func (r *Resolver) SeedFrom(src *Resolver) {
 	for _, p := range r.residuals {
 		if src.bufs[p] != nil {

@@ -16,18 +16,19 @@ import (
 // Options assembles an Evaluator.
 type Options struct {
 	// OnMatch receives every match, tagged with the emitting pattern's
-	// id. Required.
+	// id. Required. Unless OwnedEmit says otherwise the match is the
+	// callback's to keep.
 	OnMatch func(id uint32, m *match.Match)
-	// OwnedEmit runs the per-pattern engines under the owned-emit
-	// contract: OnMatch receives a scratch match valid only for the
-	// duration of the call (encode or copy inside).
+	// OwnedEmit declares that OnMatch reads each match synchronously and
+	// retains nothing of it (encode or copy inside): see
+	// engine.Config.OwnedEmit.
 	OwnedEmit bool
-	// StableInput declares that every event pointer handed to Process
-	// stays valid until Floor has passed the event (see
-	// engine.Config.ExternalEvents): the caller owns the storage and asks
-	// Floor what it may reuse. Without it the evaluator interns each event
-	// once into its own arena — still one copy for the whole set instead
-	// of one per pattern.
+	// StableInput declares that the caller owns the events' storage: every
+	// event pointer handed to Process stays valid, unchanged, until Floor
+	// has passed the event, and a delivered match points at the caller's
+	// events (see engine.Config.ExternalEvents). Without it the evaluator
+	// owns the storage: Process copies each event once for the whole set,
+	// into blocks reused behind Floor.
 	StableInput bool
 	// Budgets installs per-tenant token buckets; tenants absent from
 	// the map are unbudgeted. See shed.TenantGate.
@@ -105,11 +106,12 @@ type Evaluator struct {
 	queueProbe   func() (depth, capacity int)
 	latencyProbe func() float64
 
-	arena     *match.Arena // nil with StableInput
-	maxWindow event.Time
+	// arena holds the one copy of each event every hosted engine points
+	// into; nil with StableInput, where the caller holds the events.
+	arena *match.Arena
+
 	watermark event.Time
 	started   bool
-	sinceRel  int
 	predEvals uint64 // shared-table evaluations (for diagnostics)
 }
 
@@ -133,7 +135,14 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 	v.verdict = make([]bool, len(v.preds))
 	v.stamp = make([]uint64, len(v.preds))
 	if !opt.StableInput {
+		// The evaluator owns the events' storage: it interns once, releases
+		// on its own Floor, and copies what leaves.
 		v.arena = &match.Arena{}
+		v.arena.SetRecycle(true)
+		if deliver := opt.OnMatch; !opt.OwnedEmit {
+			v.opt.OnMatch = func(id uint32, m *match.Match) { deliver(id, m.Clone()) }
+		}
+		v.opt.OwnedEmit = true
 	}
 
 	for gi := range set.Groups {
@@ -146,7 +155,6 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 				s.seeded.Seed(m.Events)
 			}
 		})
-		run.SetExternal(true)
 		run.SetOwnedEmit(true)
 		r.eng = run
 		r.recipe = v.buildRecipe(g.Prefix)
@@ -178,7 +186,6 @@ func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
 		if err := e.SetSharedPrefix(r.group.Len); err != nil {
 			return nil, err
 		}
-		e.SetExternal(true)
 		e.SetOwnedEmit(v.opt.OwnedEmit)
 		s.seeded = e
 		r.subs = append(r.subs, s)
@@ -226,11 +233,8 @@ func (v *Evaluator) tenantSlot(t uint32) int {
 	return slot
 }
 
-// growTypes tracks the widest type universe and retention horizon.
+// growTypes tracks the widest type universe.
 func (v *Evaluator) growTypes(p *pattern.Pattern) {
-	if p.Window > v.maxWindow {
-		v.maxWindow = p.Window
-	}
 	if p.Op == pattern.Or {
 		for _, sub := range p.Subs {
 			v.growTypes(sub)
@@ -340,7 +344,10 @@ func (v *Evaluator) Process(e *event.Event) {
 	v.watermark = e.TS
 	v.epoch++
 	if v.arena != nil {
-		e = v.intern(e)
+		if v.arena.Full() {
+			v.arena.Release(v.Floor())
+		}
+		e = v.arena.Intern(e)
 	}
 	for slot, t := range v.tenants {
 		v.admit[slot] = v.gate.Admit(t, e.TS)
@@ -367,23 +374,10 @@ func (v *Evaluator) Process(e *event.Event) {
 	}
 }
 
-// intern copies e into the evaluator's arena so every engine can retain
-// the pointer, releasing chunks that fell out of every retention window.
-func (v *Evaluator) intern(e *event.Event) *event.Event {
-	st := v.arena.Intern(e)
-	v.sinceRel++
-	if v.sinceRel >= 1024 {
-		v.sinceRel = 0
-		if horizon := v.watermark - 2*v.maxWindow; horizon > 0 {
-			v.arena.Release(horizon)
-		}
-	}
-	return st
-}
-
-// Floor is the release floor of StableInput storage: no hosted engine can
-// still reach an event older than it, so the caller may reuse whatever
-// lies wholly before — buffers, partial matches, residuals, parked
+// Floor is the release floor of the events' storage: no hosted engine can
+// still reach an event older than it, so the storage's owner — the
+// evaluator, or under StableInput the caller — may reuse whatever lies
+// wholly before — buffers, partial matches, residuals, parked
 // matches and prefix-runner seeds all sit at or after it. It is the least
 // engine floor (see engine.Engine.Floor, nfa.Engine.Floor) over the
 // engines that have been fed. An engine the evaluator steps over — its

@@ -5,6 +5,7 @@ import (
 
 	"acep/internal/event"
 	"acep/internal/match"
+	"acep/internal/match/matchtest"
 	"acep/internal/pattern"
 	"acep/internal/plan"
 )
@@ -26,12 +27,14 @@ func ltChainPattern(s *event.Schema, n int, window event.Time, kleeneAt int) *pa
 	return b.MustBuild()
 }
 
-// stepper feeds batches of round-robin-typed events through an engine,
-// reusing one event struct (the engine interns what it keeps, so the
-// caller's event is reusable immediately). sign picks increasing
-// (matching) or decreasing (never-matching) attribute values.
+// stepper feeds batches of round-robin-typed events to an engine through
+// the owner of their storage (matchtest.Owner: one copy of each event, in
+// blocks reused behind the engine's Floor — so the pins below also hold
+// Floor to its contract), reusing one event struct. sign picks
+// x = Seq, increasing and matching — what matchtest.Intact checks in every
+// delivered match — or x = −Seq, decreasing and never matching.
 type stepper struct {
-	g    *Engine
+	o    *matchtest.Owner
 	ev   event.Event
 	ts   event.Time
 	seq  uint64
@@ -40,7 +43,7 @@ type stepper struct {
 }
 
 func newStepper(g *Engine, types int, sign float64) *stepper {
-	return &stepper{g: g, ev: event.Event{Attrs: make([]float64, 1)}, n: types, sign: sign}
+	return &stepper{o: matchtest.NewOwner(g), ev: event.Event{Attrs: make([]float64, 1)}, n: types, sign: sign}
 }
 
 func (s *stepper) run(events int) {
@@ -51,15 +54,15 @@ func (s *stepper) run(events int) {
 		s.ev.TS = s.ts
 		s.ev.Seq = s.seq
 		s.ev.Attrs[0] = s.sign * float64(s.seq)
-		s.g.Process(&s.ev)
+		s.o.Process(&s.ev)
 	}
 }
 
 // TestProcessZeroAllocsNoMatch: after warm-up, a no-match stream must
 // drive the NFA hot path — dispatch, PM creation, extension attempts,
-// buffer appends, pruning, arena interning — with zero heap allocations
-// per event. This is the allocation-regression guard for the pooled /
-// arena'd engine; any new per-event allocation fails it.
+// buffer appends, pruning — and its owner's interning and block turnover
+// with zero heap allocations per event. This is the allocation-regression
+// guard for the pooled engine; any new per-event allocation fails it.
 func TestProcessZeroAllocsNoMatch(t *testing.T) {
 	s := mkSchema(3)
 	pat := ltChainPattern(s, 3, 60, -1)
@@ -68,7 +71,7 @@ func TestProcessZeroAllocsNoMatch(t *testing.T) {
 	})
 	g.SetOwnedEmit(true)
 	st := newStepper(g, 3, -1)
-	st.run(20000) // reach steady state: buffers, states and arena at capacity
+	st.run(20000) // reach steady state: buffers, states and blocks at capacity
 	allocs := testing.AllocsPerRun(10, func() { st.run(2000) })
 	if allocs != 0 {
 		t.Fatalf("steady-state no-match Process allocated %.2f times per 2000-event run; want 0", allocs)
@@ -83,7 +86,10 @@ func TestProcessBoundedAllocsMatching(t *testing.T) {
 	s := mkSchema(3)
 	pat := ltChainPattern(s, 3, 24, -1)
 	var matches uint64
-	g := New(pat, plan.NewOrderPlan([]int{0, 1, 2}), func(*match.Match) { matches++ })
+	g := New(pat, plan.NewOrderPlan([]int{0, 1, 2}), func(m *match.Match) {
+		matches++
+		matchtest.Intact(t, m)
+	})
 	g.SetOwnedEmit(true)
 	st := newStepper(g, 3, 1)
 	st.run(20000)
@@ -106,6 +112,7 @@ func TestProcessBoundedAllocsKleene(t *testing.T) {
 	var matches uint64
 	g := New(pat, plan.NewOrderPlan([]int{0, 2}), func(m *match.Match) {
 		matches++
+		matchtest.Intact(t, m)
 		if m.Kleene == nil || len(m.Kleene[1]) == 0 {
 			t.Fatal("kleene match without a set")
 		}
@@ -148,6 +155,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 		t.Fatal("no-match stream produced a match")
 	})
 	g.SetOwnedEmit(true)
+	o := matchtest.NewOwner(g)
 	ev := event.Event{Attrs: make([]float64, 2)}
 	var seq uint64
 	run := func(events int) {
@@ -158,7 +166,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 			ev.TS = event.Time(seq)
 			ev.Seq = seq
 			ev.Attrs[0] = -float64(seq)
-			g.Process(&ev)
+			o.Process(&ev)
 		}
 	}
 	run(250000)
@@ -175,7 +183,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 	if per := float64(g.Stats().PredEvals-before) / 55000; per > 1 {
 		t.Fatalf("%.2f predicate evaluations per event; the index is not selecting", per)
 	}
-	g.prune()
+	g.store.Prune(g.watermark)
 	liveKeys := 2*window/3 + 2 // keys with an event inside the two-window horizon
 	for st := 1; st < g.n; st++ {
 		if n := g.states[st].Buckets(); n == 0 || n > liveKeys {

@@ -27,10 +27,11 @@
 // still counted until the next prune, at most half a window past its
 // expiry; an unindexed state is swept by every event offered to it.
 //
-// The steady-state per-event path is allocation-free: arriving events are
-// copied into a chunked arena (released whole chunks at a time as the
-// watermark passes them), PMs, their assignment arrays and the index's
-// buckets come from free lists recycled on expiry and completion, and all
+// The engine stores no event: it keeps the pointers it is handed, and
+// whoever owns the storage behind them keeps an event in place until
+// Floor has passed it. The steady-state per-event path is
+// allocation-free: PMs, their assignment arrays and the index's buckets
+// come from free lists recycled on expiry and completion, and all
 // predicate and order checks run off the pattern's compiled transition
 // tables — a type-indexed dispatch list plus per-state flat pair-check
 // tables with operand orientation baked in.
@@ -81,9 +82,6 @@ type Engine struct {
 	checks   [][]match.Check // per state: checks against the filled prefix
 	n        int             // number of core positions
 
-	arena    match.Arena
-	external bool // events are caller-stable; retain pointers, don't intern
-
 	watermark  event.Time
 	lastPrune  event.Time
 	emitBefore uint64 // when >0, emit only matches with a core Seq < emitBefore
@@ -95,8 +93,9 @@ type Engine struct {
 }
 
 // New builds an engine for the pattern following the given order plan.
-// emit receives every surviving match. The engine copies every event it
-// keeps, so the caller's *event.Event is never retained past Process.
+// emit receives every surviving match. The engine retains the event
+// pointers it is handed: each must stay valid, unchanged, until Floor has
+// passed the event.
 func New(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)) *Engine {
 	return newEngine(pat, op, emit, true)
 }
@@ -147,50 +146,28 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 // Resolver exposes the residual resolver (for migration seeding).
 func (g *Engine) Resolver() *match.Resolver { return g.res }
 
-// SetOwnedEmit declares that the emit callback consumes each match (and
-// its events) synchronously and retains nothing past its return. The
-// engine then recycles emission structures and overwrites released arena
-// chunks instead of leaving them to the GC, making the steady-state path
+// SetOwnedEmit declares that the emit callback consumes each match
+// synchronously and retains nothing past its return. The engine then
+// recycles its emission structures, making the steady-state emit path
 // allocation-free. Must not be combined with callbacks that buffer
 // matches (e.g. the shard collector).
-func (g *Engine) SetOwnedEmit(owned bool) {
-	g.res.SetOwned(owned)
-	if g.emitBefore == 0 { // a migrating engine's arena stays frozen
-		g.arena.SetRecycle(owned)
-	}
-}
-
-// SetExternal declares that every event handed to Process is already
-// stored stably outside the engine, in storage whose owner reuses it only
-// for events older than Floor — a shard worker's blocks — so the engine
-// retains the caller's pointer directly instead of interning a copy. This
-// removes the last per-event copy on the batched wire-to-match path: the
-// slot the decoder filled is the very pointer buffers and partial
-// matches hold.
-func (g *Engine) SetExternal(on bool) { g.external = on }
+func (g *Engine) SetOwnedEmit(owned bool) { g.res.SetOwned(owned) }
 
 // Floor reports a timestamp no event the engine can still reach lies
 // before: pruning runs at most half a window behind the watermark (see
 // Advance) and keeps two windows — the residual scopes' reach — so
 // histories, partial matches, residual buffers and parked matches all
 // hold events at or after it. It moves only when the engine is fed: an
-// engine nobody advances keeps what it has. The owner of external event
-// storage (SetExternal) may reuse whatever is wholly older.
+// engine nobody advances keeps what it has. The owner of the events'
+// storage may reuse whatever is wholly older.
 func (g *Engine) Floor() event.Time {
 	return g.watermark - 2*g.pat.Window - g.pat.Window/2
 }
 
 // SetEmitOnlyBefore restricts emission to matches containing at least one
 // core event with Seq < seq: the old-plan side of the paper's §2.2
-// migration protocol. Zero removes the filter. Setting a boundary also
-// freezes the arena: migration hands this engine's residual events to
-// the successor, so released chunks must never be overwritten.
-func (g *Engine) SetEmitOnlyBefore(seq uint64) {
-	g.emitBefore = seq
-	if seq > 0 {
-		g.arena.Freeze()
-	}
-}
+// migration protocol. Zero removes the filter.
+func (g *Engine) SetEmitOnlyBefore(seq uint64) { g.emitBefore = seq }
 
 // Plan returns the order plan in effect.
 func (g *Engine) Plan() plan.Plan { return g.op }
@@ -221,11 +198,10 @@ func (g *Engine) SetSharedPrefix(k int) error {
 // runner: evs[j] is the event assigned to the plan's order position j,
 // for j < k (SetSharedPrefix). The events must satisfy the prefix's
 // unary and pairwise constraints (the runner evaluated them) and stay
-// stable for the engine's retention horizon — Seed retains the
-// pointers without interning, like SetExternal. Assignments whose
-// timestamp span exceeds this pattern's window are dropped here, so a
-// runner sized to the widest subscriber window can fan one completion
-// to every subscriber unfiltered.
+// in place until Floor has passed them, as Process's events must.
+// Assignments whose timestamp span exceeds this pattern's window are
+// dropped here, so a runner sized to the widest subscriber window can fan
+// one completion to every subscriber unfiltered.
 func (g *Engine) Seed(evs []*event.Event) {
 	m := g.store.Get()
 	for j := 0; j < g.prefix; j++ {
@@ -255,22 +231,14 @@ func (g *Engine) Advance(ts event.Time) {
 	g.watermark = ts
 	g.res.Advance(ts)
 	if ts-g.lastPrune >= g.pat.Window/2 {
-		g.prune()
+		g.store.Prune(g.watermark)
 		g.lastPrune = ts
 	}
 }
 
-func (g *Engine) prune() {
-	g.store.Prune(g.watermark)
-	// Every holder — recorded events, PMs, the resolver (pruned in
-	// Advance) — is now at or inside the two-window horizon, so whole
-	// chunks behind it can go.
-	g.arena.Release(g.watermark - 2*g.pat.Window)
-}
-
 // Process feeds one input event. Events must arrive in non-decreasing
-// timestamp order. The event is copied if kept (unless SetExternal is in
-// effect); the caller may reuse it.
+// timestamp order. The pointer is retained if the event is kept (see
+// New).
 func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 
 // ProcessMasked is Process with a precomputed unary predicate mask:
@@ -283,17 +251,13 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 	if e.TS > g.watermark {
 		g.Advance(e.TS)
 	}
-	var ae *event.Event // arena copy, interned at most once
 	for _, p := range g.pat.PositionsOfType(e.Type) {
 		k := g.orderIdx[p]
 		if k < 0 {
 			// Residual position: the resolver buffers it for scope
 			// resolution (it applies the position's unary predicates).
 			if g.wantsResidual(p, e, mask) {
-				if ae == nil {
-					ae = g.intern(e)
-				}
-				g.res.AddResidual(p, ae)
+				g.res.AddResidual(p, e)
 			}
 			continue
 		}
@@ -303,30 +267,18 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		if !g.unaryOk(p, e, mask) {
 			continue
 		}
-		if ae == nil {
-			ae = g.intern(e)
-		}
 		if k == 0 {
-			g.create(p, ae)
+			g.create(p, e)
 			continue
 		}
 		// Offer the event to the PMs waiting at state k that its key
 		// selects, and record it for the ones that park there later.
-		for _, m := range g.states[k].Offer(ae, g.watermark) {
-			if g.canExtend(k, m, ae) {
-				g.fork(k, m, p, ae)
+		for _, m := range g.states[k].Offer(e, g.watermark) {
+			if g.canExtend(k, m, e) {
+				g.fork(k, m, p, e)
 			}
 		}
 	}
-}
-
-// intern stores the event for retention: an arena copy normally, the
-// caller's stable pointer under SetExternal.
-func (g *Engine) intern(e *event.Event) *event.Event {
-	if g.external {
-		return e
-	}
-	return g.arena.Intern(e)
 }
 
 // unaryOk consults the precomputed mask bit when one is present and falls

@@ -82,11 +82,9 @@ func TestSeededPrefixEquivalence(t *testing.T) {
 		if err := sub.SetSharedPrefix(k); err != nil {
 			t.Fatal(err)
 		}
-		sub.SetExternal(true)
 		runner := New(runnerPat, plan.NewOrderPlan(runnerPat.Core()), func(m *match.Match) {
 			sub.Seed(m.Events)
 		})
-		runner.SetExternal(true)
 		runner.SetOwnedEmit(true)
 		for i := range evs {
 			runner.Process(&evs[i])

@@ -40,8 +40,14 @@ func (b *Builder) fail(err error) {
 }
 
 // Event appends a primitive event position of the given type and returns
-// its position index.
+// its position index. A type the schema does not hold (any negative one
+// when there is no schema) fails the build: the compiled pattern has a
+// dispatch table as long as its largest type.
 func (b *Builder) Event(typeID int) int {
+	if typeID < 0 || (b.schema != nil && typeID >= b.schema.NumTypes()) {
+		b.fail(fmt.Errorf("pattern: unknown event type %d", typeID))
+		typeID = 0
+	}
 	b.pos = append(b.pos, Position{Type: typeID})
 	return len(b.pos) - 1
 }

@@ -89,6 +89,19 @@ func TestBuilderErrors(t *testing.T) {
 			b.EventName("Nope")
 			return b.Build()
 		}},
+		{"type outside the schema", func() (*Pattern, error) {
+			b := NewBuilder(s, Seq, event.Minute)
+			b.Event(s.NumTypes())
+			return b.Build()
+		}},
+		// Without a schema nothing bounds a type from above (the wire
+		// decoder applies its own cap), but a negative one would index the
+		// compiled dispatch table from the wrong end.
+		{"negative type, no schema", func() (*Pattern, error) {
+			b := NewBuilder(nil, Seq, event.Minute)
+			b.Event(-1)
+			return b.Build()
+		}},
 		{"unknown attr", func() (*Pattern, error) {
 			b := NewBuilder(s, Seq, event.Minute)
 			a := b.EventName("A")

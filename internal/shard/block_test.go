@@ -50,3 +50,27 @@ func TestBlockReuseScenarios(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockReuseScenariosEvaluator runs the scenarios that turn on what an
+// evaluator's engines still hold — a plan replaced, a tenant gated, a
+// shedder's span, a set that changes — one rung down: against bare
+// evaluators that own their events' storage and release it on their own
+// Floor, their caller reusing one event. Same reference, same comparison,
+// same vacuity checks as the sharded rung above.
+func TestBlockReuseScenariosEvaluator(t *testing.T) {
+	const shards = 2
+	run := map[string]bool{"plan-replaced": true, "tenant-gated": true, "shed-span": true, "add-remove": true}
+	for _, sc := range shardtest.Scenarios(t, shards) {
+		if !run[sc.Name] {
+			continue
+		}
+		delete(run, sc.Name)
+		t.Run(sc.Name, func(t *testing.T) {
+			want := shardtest.Reference(t, sc, shards)
+			shardtest.RequireSame(t, shardtest.Evaluators(t, sc, shards), want)
+		})
+	}
+	if len(run) > 0 {
+		t.Fatalf("scenarios %v are gone from the table", run)
+	}
+}

@@ -185,7 +185,7 @@ type Options struct {
 // cut was sealed (unix nanos, read once for all shards) and the global
 // sequence watermark the cut covers. The block is the worker's from here:
 // its engines point into it without re-interning, and the worker returns
-// it to the pool (see worker.release).
+// it to the pool once their floor has passed it (see worker.run).
 type cut struct {
 	blk    *match.Block
 	sealed int64
@@ -215,10 +215,9 @@ type worker struct {
 	eval *multi.Evaluator
 	in   chan cut
 
-	// Consumed blocks the hosted engines may still point into, oldest
-	// first, and the pool they go back to (see release).
-	held []*match.Block
-	pool *match.Pool
+	// held is the consumed blocks the hosted engines may still point into,
+	// each on its way back to the engine's pool.
+	held match.Arena
 
 	// Emission state, owned by the worker goroutine (emit, the
 	// evaluator's OnMatch, runs there). scratch collects the matches
@@ -387,7 +386,7 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 				}
 				w.flushEmits()
 			}
-			w.held = append(w.held, c.blk)
+			w.held.Hold(c.blk)
 		}
 		col.Post(w.id, c.upTo, w.take())
 		if w.wantLoad.CompareAndSwap(true, false) {
@@ -395,7 +394,9 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 			w.liveWait.Store(uint64(w.qwait.Quantile(0.99)))
 		}
 		if c.blk != nil || len(c.ops) > 0 {
-			w.release()
+			// No engine this worker hosts can reach behind the evaluator's
+			// floor any more, and matches left as copies or bytes.
+			w.held.Release(w.eval.Floor())
 		}
 	}
 	// End of stream: flush parked matches. They are tagged past every
@@ -404,25 +405,6 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 	w.eval.Finish()
 	w.flushEmits()
 	col.Post(w.id, math.MaxUint64, w.take())
-}
-
-// release returns to the pool every consumed block, oldest first, whose
-// newest event lies before the evaluator's floor: no engine this worker
-// hosts can reach into it any more, and matches left as copies or bytes.
-// Blocks arrive in timestamp order, so the oldest one the floor has not
-// passed holds back the ones behind it and nothing more.
-func (w *worker) release() {
-	floor := w.eval.Floor()
-	n := 0
-	for n < len(w.held) && w.held[n].MaxTS() < floor {
-		w.pool.Put(w.held[n])
-		n++
-	}
-	if n > 0 {
-		k := copy(w.held, w.held[n:])
-		clear(w.held[k:])
-		w.held = w.held[:k]
-	}
 }
 
 // sortMatches orders simultaneously emitted matches canonically: by
@@ -596,7 +578,8 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		return nil, err
 	}
 	for s := 0; s < e.nshards; s++ {
-		w := &worker{id: s, in: make(chan cut, queue), encode: opts.EncodeMatch, pool: e.pool}
+		w := &worker{id: s, in: make(chan cut, queue), encode: opts.EncodeMatch}
+		w.held.SetPool(e.pool)
 		w.eval, err = multi.NewEvaluator(set, multi.Options{
 			OnMatch:     w.emit,
 			OwnedEmit:   true, // a match leaves the worker as bytes or as a copy

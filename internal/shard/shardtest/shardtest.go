@@ -4,9 +4,8 @@
 // traffic does — a shard that falls silent, a hot key, an engine its
 // tenant gate or its shedder steps over while the rest of the worker
 // moves on, a plan replaced mid-stream, a pattern set that changes — and
-// the reference each is held against: one evaluator per partition that
-// interns every event into storage of its own, which nothing ever
-// reuses.
+// the reference each is held against: one evaluator per partition over
+// the immutable stream itself, storage nothing ever reuses.
 package shardtest
 
 import (
@@ -19,6 +18,7 @@ import (
 	"acep/internal/engine"
 	"acep/internal/event"
 	"acep/internal/match"
+	"acep/internal/match/matchtest"
 	"acep/internal/multi"
 	"acep/internal/pattern"
 	"acep/internal/shard"
@@ -264,10 +264,47 @@ func RequireSame(tb testing.TB, kept []shard.Tagged, want []string) {
 }
 
 // Reference detects the scenario's set over each of the stream's
-// partitions with an evaluator that copies every event into an arena
-// nothing recycles, and returns the tagged matches as sorted Records. It
-// fails the test when the scenario did not do what it is named for.
+// partitions with an evaluator that owns no storage — the immutable stream
+// is the storage (StableInput), so there is no block to reuse — and
+// returns the tagged matches, rendered as they are delivered, as sorted
+// Records. It fails the test when the scenario did not do what it is
+// named for.
 func Reference(tb testing.TB, sc Scenario, shards int) []string {
+	tb.Helper()
+	var out []string
+	metrics := detect(tb, sc, shards, true, func(seq uint64, g int, id uint32, m *match.Match) {
+		out = append(out, Record(seq, g, id, m))
+	})
+	if len(out) < 100 {
+		tb.Fatalf("%s: reference found %d matches; the scenario is vacuous", sc.Name, len(out))
+	}
+	if sc.exercised != nil {
+		if err := sc.exercised(metrics); err != nil {
+			tb.Fatalf("%s: not exercised: %v", sc.Name, err)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Evaluators is the evaluator rung: the scenario's set over each
+// partition on a bare multi.Evaluator that owns its events' storage, fed
+// through one reused event that is overwritten after every Process. It
+// returns every delivered match, kept as delivered, for RequireSame.
+func Evaluators(tb testing.TB, sc Scenario, shards int) []shard.Tagged {
+	tb.Helper()
+	var kept []shard.Tagged
+	detect(tb, sc, shards, false, func(seq uint64, g int, id uint32, m *match.Match) {
+		kept = append(kept, shard.Tagged{Seq: seq, Src: g, Pattern: id, M: m})
+	})
+	return kept
+}
+
+// detect runs one evaluator per partition over the scenario, tagging each
+// match as a shard worker would, and returns the per-pattern metrics.
+// stable evaluators are fed the scenario's own events; the others one
+// reused event, overwritten after every Process (matchtest.Reused).
+func detect(tb testing.TB, sc Scenario, shards int, stable bool, deliver func(seq uint64, g int, id uint32, m *match.Match)) map[uint32]engine.Metrics {
 	tb.Helper()
 	key, err := shard.ByAttrName(sc.Schema, "key")
 	if err != nil {
@@ -277,18 +314,19 @@ func Reference(tb testing.TB, sc Scenario, shards int) []string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var out []string
 	seq := make([]uint64, shards)
 	evals := make([]*multi.Evaluator, shards)
 	for g := range evals {
 		evals[g], err = multi.NewEvaluator(set, multi.Options{
-			Budgets: sc.Tenants,
-			OnMatch: func(id uint32, m *match.Match) { out = append(out, Record(seq[g], g, id, m)) },
+			Budgets:     sc.Tenants,
+			StableInput: stable,
+			OnMatch:     func(id uint32, m *match.Match) { deliver(seq[g], g, id, m) },
 		})
 		if err != nil {
 			tb.Fatal(err)
 		}
 	}
+	var caller matchtest.Reused
 	for i := range sc.Events {
 		if op, ok := sc.Ops[i]; ok {
 			for _, v := range evals {
@@ -305,7 +343,11 @@ func Reference(tb testing.TB, sc Scenario, shards int) []string {
 		ev := &sc.Events[i]
 		g := shard.GlobalIndex(key(ev), shards)
 		seq[g] = ev.Seq
-		evals[g].Process(ev)
+		if stable {
+			evals[g].Process(ev)
+		} else {
+			caller.Feed(ev, evals[g].Process)
+		}
 	}
 	metrics := make(map[uint32]engine.Metrics)
 	for g, v := range evals {
@@ -317,14 +359,5 @@ func Reference(tb testing.TB, sc Scenario, shards int) []string {
 			metrics[pm.ID] = m
 		}
 	}
-	if len(out) < 100 {
-		tb.Fatalf("%s: reference found %d matches; the scenario is vacuous", sc.Name, len(out))
-	}
-	if sc.exercised != nil {
-		if err := sc.exercised(metrics); err != nil {
-			tb.Fatalf("%s: not exercised: %v", sc.Name, err)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return metrics
 }

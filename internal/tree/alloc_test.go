@@ -5,6 +5,7 @@ import (
 
 	"acep/internal/event"
 	"acep/internal/match"
+	"acep/internal/match/matchtest"
 	"acep/internal/pattern"
 	"acep/internal/plan"
 )
@@ -25,10 +26,13 @@ func ltChain(s *event.Schema, window event.Time, kleeneAt int) *pattern.Pattern 
 	return b.MustBuild()
 }
 
-// feed drives batches of round-robin events through the engine, reusing
-// one event struct (the engine interns what it keeps).
+// feed drives batches of round-robin events to the engine through the
+// owner of their storage (matchtest.Owner: one copy of each event, in
+// blocks reused behind the engine's Floor — so the pins below also hold
+// Floor to its contract), reusing one event struct. Every event carries
+// x = ±Seq; matchtest.Intact checks it in what a matching stream delivers.
 type feed struct {
-	g    *Engine
+	o    *matchtest.Owner
 	ev   event.Event
 	ts   event.Time
 	seq  uint64
@@ -36,7 +40,7 @@ type feed struct {
 }
 
 func newFeed(g *Engine, sign float64) *feed {
-	return &feed{g: g, ev: event.Event{Attrs: make([]float64, 1)}, sign: sign}
+	return &feed{o: matchtest.NewOwner(g), ev: event.Event{Attrs: make([]float64, 1)}, sign: sign}
 }
 
 func (f *feed) run(events int) {
@@ -47,14 +51,14 @@ func (f *feed) run(events int) {
 		f.ev.TS = f.ts
 		f.ev.Seq = f.seq
 		f.ev.Attrs[0] = f.sign * float64(f.seq)
-		f.g.Process(&f.ev)
+		f.o.Process(&f.ev)
 	}
 }
 
 // TestProcessZeroAllocsNoMatch: after warm-up, a no-match stream must
 // drive the tree hot path — dispatch, leaf tuple creation, sibling
-// joins, store pruning, arena interning — with zero heap allocations per
-// event.
+// joins, store pruning — and its owner's interning and block turnover
+// with zero heap allocations per event.
 func TestProcessZeroAllocsNoMatch(t *testing.T) {
 	s := mkSchema(3)
 	pat := ltChain(s, 60, -1)
@@ -79,7 +83,10 @@ func TestProcessBoundedAllocsMatching(t *testing.T) {
 	pat := ltChain(s, 24, -1)
 	tp := plan.NewTreePlan(plan.Join(plan.Join(plan.Leaf(0), plan.Leaf(1)), plan.Leaf(2)))
 	var matches uint64
-	g := New(pat, tp, func(*match.Match) { matches++ })
+	g := New(pat, tp, func(m *match.Match) {
+		matches++
+		matchtest.Intact(t, m)
+	})
 	g.SetOwnedEmit(true)
 	f := newFeed(g, 1)
 	f.run(20000)
@@ -103,6 +110,7 @@ func TestProcessBoundedAllocsKleene(t *testing.T) {
 	var matches uint64
 	g := New(pat, tp, func(m *match.Match) {
 		matches++
+		matchtest.Intact(t, m)
 		if m.Kleene == nil || len(m.Kleene[1]) == 0 {
 			t.Fatal("kleene match without a set")
 		}
@@ -146,6 +154,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 		t.Fatal("no-match stream produced a match")
 	})
 	g.SetOwnedEmit(true)
+	o := matchtest.NewOwner(g)
 	ev := event.Event{Attrs: make([]float64, 2)}
 	var seq uint64
 	run := func(events int) {
@@ -156,7 +165,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 			ev.TS = event.Time(seq)
 			ev.Seq = seq
 			ev.Attrs[0] = -float64(seq)
-			g.Process(&ev)
+			o.Process(&ev)
 		}
 	}
 	run(250000)

@@ -19,11 +19,11 @@
 // still counted until the next prune, at most half a window past its
 // expiry.
 //
-// Like the NFA engine, the steady-state per-event path is
-// allocation-free: events are interned into a chunked arena, tuples,
-// their assignment arrays and the index's buckets come from free lists
-// recycled on expiry and completion, and every join runs off a per-node
-// compiled table of the cross pairs between the node's leaf set and its
+// Like the NFA engine, this one stores no event — it keeps the pointers
+// it is handed, good until Floor has passed them — and its steady-state
+// per-event path is allocation-free: tuples, their assignment arrays and
+// the index's buckets come from free lists recycled on expiry and
+// completion, and every join runs off a per-node compiled table of the cross pairs between the node's leaf set and its
 // sibling's — both sides of a join tuple are complete over their leaf
 // sets, so the table needs no nil checks and the pair predicates are
 // pre-oriented.
@@ -64,9 +64,7 @@ type Engine struct {
 	root      *node
 	leafByPos []*node // pattern position -> leaf node (nil for residuals)
 
-	store    *match.Store // tuple pool and the nodes' parking places
-	arena    match.Arena
-	external bool // events are caller-stable; retain pointers, don't intern
+	store *match.Store // tuple pool and the nodes' parking places
 
 	watermark  event.Time
 	lastPrune  event.Time
@@ -78,8 +76,8 @@ type Engine struct {
 }
 
 // New builds an engine for the pattern following the given tree plan.
-// The engine copies every event it keeps, so the caller's *event.Event
-// is never retained past Process.
+// The engine retains the event pointers it is handed: each must stay
+// valid, unchanged, until Floor has passed the event.
 func New(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match)) *Engine {
 	return newEngine(pat, tp, emit, true)
 }
@@ -175,24 +173,12 @@ func (g *Engine) placeStores(n *node, indexed bool) {
 // Resolver exposes the residual resolver (for migration seeding).
 func (g *Engine) Resolver() *match.Resolver { return g.res }
 
-// SetOwnedEmit declares that the emit callback consumes each match (and
-// its events) synchronously and retains nothing past its return. The
-// engine then recycles emission structures and overwrites released arena
-// chunks instead of leaving them to the GC, making the steady-state path
+// SetOwnedEmit declares that the emit callback consumes each match
+// synchronously and retains nothing past its return. The engine then
+// recycles its emission structures, making the steady-state emit path
 // allocation-free. Must not be combined with callbacks that buffer
 // matches (e.g. the shard collector).
-func (g *Engine) SetOwnedEmit(owned bool) {
-	g.res.SetOwned(owned)
-	if g.emitBefore == 0 { // a migrating engine's arena stays frozen
-		g.arena.SetRecycle(owned)
-	}
-}
-
-// SetExternal declares that every event handed to Process is already
-// stored stably outside the engine, in storage reused only for events
-// older than Floor, so the engine retains the caller's pointer directly
-// instead of interning a copy. See nfa.Engine.SetExternal.
-func (g *Engine) SetExternal(on bool) { g.external = on }
+func (g *Engine) SetOwnedEmit(owned bool) { g.res.SetOwned(owned) }
 
 // Floor reports a timestamp no event the engine can still reach lies
 // before: two windows behind a prune clock that runs at most half a
@@ -202,16 +188,8 @@ func (g *Engine) Floor() event.Time {
 }
 
 // SetEmitOnlyBefore restricts emission to matches containing at least one
-// core event with Seq < seq (old-plan side of plan migration). Setting a
-// boundary also freezes the arena: migration hands this engine's
-// residual events to the successor, so released chunks must never be
-// overwritten.
-func (g *Engine) SetEmitOnlyBefore(seq uint64) {
-	g.emitBefore = seq
-	if seq > 0 {
-		g.arena.Freeze()
-	}
-}
+// core event with Seq < seq (old-plan side of plan migration).
+func (g *Engine) SetEmitOnlyBefore(seq uint64) { g.emitBefore = seq }
 
 // Plan returns the tree plan in effect.
 func (g *Engine) Plan() plan.Plan { return g.tp }
@@ -226,17 +204,12 @@ func (g *Engine) Advance(ts event.Time) {
 	g.res.Advance(ts)
 	if ts-g.lastPrune >= g.pat.Window/2 {
 		g.store.Prune(g.watermark)
-		// The resolver's residual buffers prune at watermark-2·window
-		// (in Advance above) — the oldest horizon any arena pointer can
-		// outlive — so chunks wholly behind it are released.
-		g.arena.Release(g.watermark - 2*g.pat.Window)
 		g.lastPrune = ts
 	}
 }
 
-// Process feeds one input event (non-decreasing timestamps). The event
-// is copied if kept (unless SetExternal is in effect); the caller may
-// reuse it.
+// Process feeds one input event (non-decreasing timestamps). The pointer
+// is retained if the event is kept (see New).
 func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 
 // ProcessMasked is Process with a precomputed unary predicate mask:
@@ -248,42 +221,26 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 	if e.TS > g.watermark {
 		g.Advance(e.TS)
 	}
-	var ae *event.Event // arena copy, interned at most once
 	for _, p := range g.pat.PositionsOfType(e.Type) {
 		leaf := g.leafByPos[p]
 		if leaf == nil {
 			// Residual position: the resolver buffers it for scope
 			// resolution (it applies the position's unary predicates).
 			if g.wantsResidual(p, e, mask) {
-				if ae == nil {
-					ae = g.intern(e)
-				}
-				g.res.AddResidual(p, ae)
+				g.res.AddResidual(p, e)
 			}
 			continue
 		}
 		if !g.unaryOk(p, e, mask) {
 			continue
 		}
-		if ae == nil {
-			ae = g.intern(e)
-		}
 		t := g.store.Get()
-		t.MinTS = ae.TS
-		t.MaxTS = ae.TS
-		t.Evs[p] = ae
+		t.MinTS = e.TS
+		t.MaxTS = e.TS
+		t.Evs[p] = e
 		g.pmCreated++
 		g.insert(leaf, t)
 	}
-}
-
-// intern stores the event for retention: an arena copy normally, the
-// caller's stable pointer under SetExternal.
-func (g *Engine) intern(e *event.Event) *event.Event {
-	if g.external {
-		return e
-	}
-	return g.arena.Intern(e)
 }
 
 // unaryOk consults the precomputed mask bit when one is present and falls

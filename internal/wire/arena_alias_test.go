@@ -112,12 +112,12 @@ func TestDecodeArenaReleaseInFlight(t *testing.T) {
 
 // TestDecodeArenaMigrationFreeze runs the §2.2 migration freeze over
 // wire-decoded blocks that are recycled the way a shard worker recycles
-// them: an external-events evaluator points into each decoded block, the
+// them: an evaluator points into each decoded block, the
 // block goes back to the pool only once the evaluator's Floor has passed
 // its newest event, and SetEmitOnlyBefore freezes the evaluator
 // mid-stream (the draining-evaluator transition). The matches — copied
 // out as they are emitted, which is all that may leave a worker — must
-// equal those of a run that interns every event for good, and blocks
+// equal those of a run over events nothing ever reuses, and blocks
 // must actually have come around: the stream is many retentions long.
 func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	s := event.NewSchema()
@@ -137,7 +137,7 @@ func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	render := func(m *match.Match) string {
 		return string(AppendMatchBody(nil, m))
 	}
-	// Reference: plain per-event interning run with the same emission
+	// Reference: a run over the batches' own events with the same emission
 	// restriction.
 	var want []string
 	{
@@ -161,7 +161,6 @@ func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	r.SetDecodeArena(&arena)
 	var kept []*match.Match
 	g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { kept = append(kept, m.Clone()) })
-	g.SetExternal(true)
 	var held []*match.Block
 	for _, b := range batches {
 		v := decodeOne(t, r, br, b)
@@ -186,7 +185,7 @@ func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	}
 	for i, m := range kept {
 		if render(m) != want[i] {
-			t.Fatalf("match %d diverged from the interning reference", i)
+			t.Fatalf("match %d diverged from the reference", i)
 		}
 	}
 }

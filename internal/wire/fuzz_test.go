@@ -34,6 +34,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Append(nil, PatternRemove{ID: 7}))
 	f.Add(Append(nil, PatternAdd{Entry: PatternEntry{ID: 1}})) // invalid: no pattern
 	f.Add([]byte{5, 0, 0, 0, byte(KindPatternAdd), 1, 0, 3})   // bad presence tag
+	f.Add(patternTypeBomb())
 	f.Add([]byte{1, 0, 0, 0, 99})
 	f.Add([]byte{8, 0, 0, 0, byte(KindMatch), 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0})
 	f.Add(append(Append(nil, Watermark{UpTo: 1}), Append(nil, Finish{})...))

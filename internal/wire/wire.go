@@ -333,14 +333,14 @@ type Batch struct {
 
 // BatchView is the zero-copy decode of a Batch frame: a Reader with a
 // decode arena (SetDecodeArena) materializes each event exactly once,
-// directly into an arena chunk, and returns pointers to the arena slots
-// instead of an intermediate []event.Event.
+// directly into a block the arena opens, and returns pointers to the
+// block's slots instead of an intermediate []event.Event.
 //
 // The view itself — Read returns a pointer to a Reader-owned BatchView,
 // so the steady-state decode performs no allocation at all — and its
 // Events slice header are scratch that the next Read on the same Reader
-// reuses; the events Events points at are one arena chunk, alive until
-// the arena releases it or, once taken (match.Arena.Take), until its new
+// reuses; the events Events points at are one block, alive until the
+// arena releases it or, once taken (match.Arena.Take), until its new
 // owner does. BatchView frames exist only on the decode side — senders
 // encode Batch or BatchRaw.
 type BatchView struct {
@@ -1563,9 +1563,21 @@ func (c *cursor) subPattern(s *event.Schema) *pattern.Pattern {
 		return nil
 	}
 	b := pattern.NewBuilder(s, op, event.Time(c.varint()))
+	// A compiled pattern's dispatch table is as long as its largest type:
+	// the schema bounds it, and where none was shipped the cap on any
+	// schema's size does.
+	types := uint64(maxSchemaTypes)
+	if s != nil {
+		types = uint64(s.NumTypes())
+	}
 	np := c.count(maxPatPositions, 2, "pattern position")
 	for i := 0; i < np && c.err == nil; i++ {
-		pos := b.Event(int(c.uvarint()))
+		typ := c.uvarint()
+		if typ >= types {
+			c.fail("shipped pattern: event type %d outside the schema's %d", typ, types)
+			return nil
+		}
+		pos := b.Event(int(typ))
 		flags := c.u8()
 		if flags&1 != 0 {
 			b.Negate(pos)
@@ -1708,14 +1720,15 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // SetDecodeArena switches the Reader to zero-copy batch decoding: every
-// Batch frame's run is decoded directly into a chunk of its own in a
-// (each event materialized once, its attribute values written in place
-// into the chunk's flat array) and returned as a *BatchView frame instead
-// of a Batch. All other frame kinds are unaffected. The Reader hands out
-// pointers into the arena whose lifetime it does not track: whoever
-// recycles the chunks — the arena's Release, or the consumer a taken
-// chunk was handed to — answers for no decoded pointer outliving them. A
-// nil arena restores the copying decode.
+// Batch frame's run is decoded directly into a block of its own that a
+// opens (each event materialized once, its attribute values written in
+// place into the block's flat array) and returned as a *BatchView frame
+// instead of a Batch. All other frame kinds are unaffected. The Reader
+// hands out pointers into the block and does not track their lifetime:
+// the block's owner — a, until it releases the block behind a horizon,
+// or the consumer that took it (match.Arena.Take) and holds it until its
+// engines' Floor has passed it — answers for no decoded pointer outliving
+// it. A nil arena restores the copying decode.
 func (r *Reader) SetDecodeArena(a *match.Arena) { r.arena = a }
 
 // Read decodes the next frame.
@@ -1762,8 +1775,8 @@ func (r *Reader) decodeBatchInto(p []byte) (Frame, error) {
 	return &r.view, nil
 }
 
-// DecodeRun decodes a non-empty run into a chunk of its own in a
-// (match.Arena.Open): the chunk reserves room for the run, every event is
+// DecodeRun decodes a non-empty run into a block of its own in a
+// (match.Arena.Open): the block reserves room for the run, every event is
 // appended in place and its delta-coded fields and attribute values are
 // written straight into the slot — no intermediate event slice exists, and
 // the caller can lift the whole run out of the arena with Take. The pointers

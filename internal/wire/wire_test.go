@@ -305,6 +305,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	// A PatternAdd whose entry ships no pattern is structurally invalid:
 	// an id with nothing to evaluate.
 	cases["empty pattern add"] = Append(nil, PatternAdd{Entry: PatternEntry{ID: 3}})
+	cases["pattern type bomb"] = patternTypeBomb()
 	for name, b := range cases {
 		f, _, err := Decode(b)
 		if err == nil {
@@ -320,6 +321,15 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, _, err := Decode(b); err == nil {
 		t.Error("trailing byte inside declared length accepted")
 	}
+}
+
+// patternTypeBomb is a schema-less PatternAdd whose one position names
+// event type 0xbabababababa-odd: compiled, its dispatch table would be
+// that many entries long. Found by FuzzDecode, where it killed the process
+// with a 48 TB allocation instead of returning an error.
+func patternTypeBomb() []byte {
+	b := []byte("E\x00\x00\x00\rc\x02\x01\x00\xd8\x04\x04\x00\x00\x01\xba\xba\xba\xba\xba\xba\xba")
+	return append(b, make([]byte, 4+int(b[0])-len(b))...) // zeros out to the declared length
 }
 
 // corruptReplCuts damages a one-run ReplCut whose every header field is a
