@@ -44,7 +44,7 @@ type tagRecorder struct {
 }
 
 func (r *tagRecorder) rec(t shard.Tagged) {
-	r.buf = wire.Append(r.buf, wire.TaggedMatch{Seq: t.Seq, M: t.M})
+	r.buf = wire.AppendMatchRecord(r.buf, 0, t.Seq, 0, wire.AppendMatchBody(nil, t.M))
 	r.keys = append(r.keys, t.M.Key())
 	r.n++
 }

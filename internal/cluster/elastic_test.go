@@ -549,7 +549,7 @@ func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat
 				send(wire.ShardStats{Stats: ss})
 			}
 			last = max(last, v.UpTo)
-			send(wire.Watermark{UpTo: last})
+			send(wire.Matches{UpTo: last})
 		case wire.Migrate:
 			moving = append(moving, v.Shard)
 		case wire.ShardRoute:
@@ -558,7 +558,7 @@ func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat
 			}
 			moving = nil
 		case wire.Finish:
-			send(wire.Watermark{UpTo: maxSeq})
+			send(wire.Matches{UpTo: maxSeq})
 			send(wire.Metrics{})
 			return
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -322,5 +323,169 @@ func TestNodeRejectsGarbageBytes(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("node hung on garbage bytes")
+	}
+}
+
+// truncator damages one Matches frame on its way out of a node: the
+// nth that carries at least two records loses the tail of its last body,
+// the record's length field adjusted so the frame still parses up to the
+// body itself — what a worker with a bug in its encoder would send. It
+// keeps the sound records of that frame for the test to look for.
+type truncator struct {
+	nth     int
+	spared  []wire.MatchRecord
+	damaged bool
+}
+
+func (tr *truncator) send(f wire.Frame) wire.Frame {
+	m, ok := f.(wire.Matches)
+	if !ok || m.Count < 2 || tr.damaged {
+		return f
+	}
+	if tr.nth--; tr.nth > 0 {
+		return f
+	}
+	tr.damaged = true
+	var recs []wire.MatchRecord
+	if err := m.Each(func(r wire.MatchRecord) { recs = append(recs, r) }); err != nil {
+		panic(err)
+	}
+	last := &recs[len(recs)-1]
+	last.Body = last.Body[:len(last.Body)-9] // mid-event: an attribute value and a byte gone
+	out := wire.Matches{UpTo: m.UpTo, Count: m.Count}
+	for _, r := range recs {
+		out.Recs = wire.AppendMatchRecord(out.Recs, r.Shard, r.Seq, r.Pattern, r.Body)
+	}
+	for _, r := range recs[:len(recs)-1] {
+		r.Body = append([]byte(nil), r.Body...)
+		tr.spared = append(tr.spared, r)
+	}
+	return out
+}
+
+// The node side of a link whose Send goes through a truncator: over the
+// in-process pipe, and over a socket (where the node must still find the
+// stream transport's probes).
+type truncPipe struct {
+	Conn
+	tr *truncator
+}
+
+func (c truncPipe) Send(f wire.Frame) error { return c.Conn.Send(c.tr.send(f)) }
+
+type truncStream struct {
+	*streamConn
+	tr *truncator
+}
+
+func (c truncStream) Send(f wire.Frame) error { return c.streamConn.Send(c.tr.send(f)) }
+
+// TestCorruptMatchesFrame: a worker answers a cut with a Matches frame
+// one of whose bodies is cut short. The coordinator refuses the frame
+// where it arrives — the pipe's reader by walking it, the socket's codec
+// by decoding it — so nothing of it reaches the consumer, not even the
+// sound records ahead of the damaged one: without recovery the run ends
+// in an error that names the frame, with it the node is failed over and
+// the delivered stream is the single-process one, byte for byte. The
+// check a body passes on arrival is the decoder's own (wire's
+// FuzzCheckMatchBody), so no match is left to fail at emission.
+func TestCorruptMatchesFrame(t *testing.T) {
+	w := keyedWorkload(t, "traffic")
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runSharded(t, w, gen.Sequence, 2)
+	node := func(bare bool) *Node {
+		cfg := NodeConfig{Engine: engine.Config{CheckEvery: 250}, Shards: 1, Batch: 128, KeyAttr: "key"}
+		if !bare {
+			cfg.Pattern, cfg.Schema = pat, w.Schema
+		}
+		n, err := NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name         string
+		tcp, recover bool
+	}{{"pipe", false, false}, {"tcp", true, false}, {"pipe-recovered", false, true}, {"tcp-recovered", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &truncator{nth: 3}
+			conns := make([]Conn, 2)
+			for i := range conns {
+				victim, n := i == 1, node(false)
+				if !tc.tcp {
+					client, server := Pipe()
+					if victim {
+						server = truncPipe{server, tr}
+					}
+					go n.Serve(server) //nolint:errcheck // the failed session's error is expected
+					conns[i] = client
+					continue
+				}
+				l, err := ListenTCP("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					defer l.Close()
+					c, err := l.Accept()
+					if err != nil {
+						return
+					}
+					if victim {
+						c = truncStream{c.(*streamConn), tr}
+					}
+					n.Serve(c) //nolint:errcheck // the failed session's error is expected
+				}()
+				if conns[i], err = DialTCP(l.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := &tagRecorder{}
+			opts := IngressOptions{Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: got.rec}
+			if tc.recover {
+				standby := node(true)
+				opts.Recovery = &RecoveryConfig{Standby: func() (Conn, error) {
+					client, server := Pipe()
+					go standby.Serve(server) //nolint:errcheck // ends with the run
+					return client, nil
+				}}
+			}
+			ing, err := NewIngress(pat, conns, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range w.Events {
+				ing.Process(&w.Events[i])
+			}
+			err = finishWithin(t, 60*time.Second, ing)
+			if !tr.damaged || len(tr.spared) == 0 {
+				t.Fatal("no frame was damaged: the test is vacuous")
+			}
+			if tc.recover {
+				if err != nil {
+					t.Fatalf("recovered run finished with %v", err)
+				}
+				if fo := ing.Failovers(); len(fo) != 1 || fo[0].Node != 1 || !strings.Contains(fo[0].Cause, "matches frame") {
+					t.Fatalf("failovers %+v, want one of node 1 caused by the frame", fo)
+				}
+				requireIdentical(t, tc.name, got, want)
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "matches frame") {
+				t.Fatalf("Finish returned %v, want the refused frame", err)
+			}
+			for _, r := range tr.spared {
+				if rec := wire.AppendMatchRecord(nil, 0, r.Seq, 0, r.Body); bytes.Contains(got.buf, rec) {
+					t.Fatalf("the match at %d, a sound record of the refused frame, was delivered", r.Seq)
+				}
+			}
+			if got.n == 0 || got.n >= want.n {
+				t.Fatalf("delivered %d matches of the reference's %d, want some and not all", got.n, want.n)
+			}
+		})
 	}
 }

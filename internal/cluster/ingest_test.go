@@ -240,7 +240,7 @@ func TestNodeDecodeAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w, ok := f.(wire.Watermark); ok && w.UpTo >= upTo {
+				if w, ok := f.(wire.Matches); ok && w.UpTo >= upTo {
 					return
 				}
 			}

@@ -74,7 +74,9 @@ type IngressOptions struct {
 	// sharded engine's, see the package comment).
 	OnMatch func(*match.Match)
 	// OnTagged, when set instead of OnMatch, receives matches with their
-	// merge tags (Src is the global shard index).
+	// merge tags (Src is the global shard index). Either way the match is
+	// decoded as it is handed over — it crossed the coordinator as the
+	// bytes its worker wrote — and is the consumer's to keep.
 	OnTagged func(shard.Tagged)
 	// Patterns is the pattern set the session opens with, for callers
 	// with more than one pattern (NewIngress is then called with a nil
@@ -239,6 +241,20 @@ type Ingress struct {
 // fingerprints — and every pattern must be key-partitionable in KeyAttr
 // mode, exactly like shard.New.
 func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingress, error) {
+	return newIngress(pat, conns, opts, false)
+}
+
+// NewSealedIngress is NewIngress for a consumer that holds matches back
+// before it emits them — the HA emission gate. opts.OnTagged receives
+// every tag sealed: Enc holds the match as its worker encoded it —
+// checked on receipt, aliasing the frame it arrived in, which nothing
+// overwrites — and M is nil; the consumer decodes where it emits (Open),
+// and what it holds until then is bytes.
+func NewSealedIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingress, error) {
+	return newIngress(pat, conns, opts, true)
+}
+
+func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed bool) (*Ingress, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("cluster: ingress needs at least one node connection")
 	}
@@ -255,6 +271,9 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 	}()
 	if opts.OnMatch != nil && opts.OnTagged != nil {
 		return nil, fmt.Errorf("cluster: set at most one of OnMatch and OnTagged")
+	}
+	if sealed && opts.OnTagged == nil {
+		return nil, fmt.Errorf("cluster: a sealed ingress delivers through OnTagged")
 	}
 	specs := append([]multi.Spec(nil), opts.Patterns...)
 	switch {
@@ -349,13 +368,17 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 	}
 	in.runs = make([]wire.RunEncoder, in.total)
 
-	deliver := func(t shard.Tagged) {
-		if opts.OnMatch != nil {
-			opts.OnMatch(t.M)
-		}
-	}
-	if opts.OnTagged != nil {
+	// The emission boundary: the collector orders sealed tags, and the
+	// match is decoded here, as the consumer takes it — unless the
+	// consumer asked for the tags sealed.
+	var deliver func(shard.Tagged)
+	switch {
+	case sealed:
 		deliver = opts.OnTagged
+	case opts.OnTagged != nil:
+		deliver = in.opened(opts.OnTagged)
+	case opts.OnMatch != nil:
+		deliver = in.opened(func(t shard.Tagged) { opts.OnMatch(t.M) })
 	}
 	var progress func(uint64)
 	if opts.Recovery != nil {
@@ -494,6 +517,57 @@ func (in *Ingress) dropRegen(p uint32, seq uint64) bool {
 	return ok && seq <= born
 }
 
+// Open decodes a sealed tag in place (Enc into M): the one decode of a
+// match's life, and the emission boundary is the only place for it — this
+// ingress handing a match to its consumer, or a consumer of sealed tags
+// (NewSealedIngress) doing so later. A reader checked these bytes when
+// they arrived (tagsOf), so an error is a fault of the coordinator, not of
+// the worker that sent them.
+func Open(t *shard.Tagged) error {
+	m, err := wire.DecodeMatchBody(t.Enc)
+	if err != nil {
+		return fmt.Errorf("match at %d of shard %d does not decode at emission: %w", t.Seq, t.Src, err)
+	}
+	t.M, t.Enc = m, nil
+	return nil
+}
+
+// opened wraps a consumer that takes matches decoded, on the collector
+// goroutine. A match that does not open is not delivered, and Finish
+// reports why.
+func (in *Ingress) opened(out func(shard.Tagged)) func(shard.Tagged) {
+	return func(t shard.Tagged) {
+		if err := Open(&t); err != nil {
+			in.recordErr(fmt.Errorf("cluster: %w", err))
+			return
+		}
+		out(t)
+	}
+}
+
+// tagsOf turns a node's Matches frame into the tags the merge collector
+// orders: each carries its body as Enc, aliasing the frame's own bytes,
+// undecoded. The walk checks the whole frame (wire.Matches.Each) — corrupt
+// bytes fail this node's session, and nothing of an unsound frame is
+// posted — and drops replay artifacts of runtime-added patterns. Reader
+// goroutines.
+func (in *Ingress) tagsOf(v wire.Matches) ([]shard.Tagged, error) {
+	var tags []shard.Tagged
+	err := v.Each(func(r wire.MatchRecord) {
+		if in.dropRegen(r.Pattern, r.Seq) {
+			return
+		}
+		if tags == nil {
+			tags = make([]shard.Tagged, 0, v.Count) // Each held the count against the bytes
+		}
+		tags = append(tags, shard.Tagged{Seq: r.Seq, Src: int(r.Shard), Pattern: r.Pattern, Enc: r.Body})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tags, nil
+}
+
 // metricsDone reports whether the session delivered its final metrics
 // (the clean-exit marker), synchronized with the reader that records them.
 func (in *Ingress) metricsDone(s *slot) bool {
@@ -502,13 +576,13 @@ func (in *Ingress) metricsDone(s *slot) bool {
 	return s.gotMetrics
 }
 
-// read is the reader goroutine of session s on node slot i: it buffers
-// tagged matches and posts them to the merge collector together with
-// each completion watermark, applies migration acknowledgements,
-// stores the node's load snapshots and final metrics, and on failure
-// either queues a suspect for failover (recovery configured, posting
-// nothing — the slot will be re-registered) or posts a terminal
-// watermark so the merge never deadlocks on a dead node.
+// read is the reader goroutine of session s on node slot i: it turns each
+// Matches frame into one post to the merge collector — the frame's
+// matches, sealed, and its completion watermark — applies migration
+// acknowledgements, stores the node's load snapshots and final metrics,
+// and on failure either queues a suspect for failover (recovery
+// configured, posting nothing — the slot will be re-registered) or posts
+// a terminal watermark so the merge never deadlocks on a dead node.
 func (in *Ingress) read(i int, s *slot) {
 	defer func() { // runs last: done is closed by the time the drain wakes
 		select {
@@ -518,22 +592,28 @@ func (in *Ingress) read(i int, s *slot) {
 	}()
 	defer close(s.done)
 	defer in.readers.Done()
-	var pend []shard.Tagged
 	// lost ends the session on a failure: failover when recovery is
-	// configured, otherwise record the error and release the merge.
+	// configured, otherwise record the error and release the merge — and
+	// keep the link drained, unread: a node that is still talking must not
+	// fill it and stall the cuts the coordinator goes on sending it.
 	lost := func(err error) {
 		if in.rec != nil {
 			in.suspect(i, s, err)
 			return
 		}
 		in.recordErr(err)
-		in.col.Post(i, maxSeq, pend)
+		in.col.Post(i, maxSeq, nil)
+		for {
+			if _, err := s.conn.Recv(); err != nil {
+				return
+			}
+		}
 	}
 	for {
 		f, err := s.conn.Recv()
 		if err != nil {
 			if err == io.EOF && in.metricsDone(s) {
-				in.col.Post(i, maxSeq, pend) // clean end of stream
+				in.col.Post(i, maxSeq, nil) // clean end of stream
 			} else {
 				lost(fmt.Errorf("cluster: node %d stream: %w", i, err))
 			}
@@ -541,39 +621,20 @@ func (in *Ingress) read(i int, s *slot) {
 		}
 		in.det.Heard(i)
 		switch v := f.(type) {
-		case wire.TaggedMatch:
-			if in.dropRegen(v.Pattern, v.Seq) {
-				break
-			}
-			pend = append(pend, shard.Tagged{M: v.M, Seq: v.Seq, Src: int(v.Shard), Pattern: v.Pattern})
-		case wire.TaggedMatchRaw:
-			// Owned-emit match over a reference transport (the pipe): the
-			// body is the worker's pre-encoded outbox slice; decode it
-			// here. A serializing transport never delivers this frame —
-			// its codec reads the identical bytes back as a TaggedMatch.
-			if in.dropRegen(v.Pattern, v.Seq) {
-				break
-			}
-			m, derr := wire.DecodeMatchBody(v.Body)
-			if derr != nil {
-				lost(fmt.Errorf("cluster: node %d match body: %w", i, derr))
+		case wire.Matches:
+			tags, err := in.tagsOf(v)
+			if err != nil {
+				lost(fmt.Errorf("cluster: node %d: %w", i, err))
 				return
 			}
-			pend = append(pend, shard.Tagged{M: m, Seq: v.Seq, Src: int(v.Shard), Pattern: v.Pattern})
-		case wire.Watermark:
-			in.col.Post(i, v.UpTo, pend)
-			pend = nil
+			if v.UpTo > 0 || len(tags) > 0 {
+				in.col.Post(i, v.UpTo, tags)
+			}
 		case wire.Heartbeat:
 			// Liveness only (recorded above).
 		case wire.MigrateAck:
-			// The destination caught up to a migration's replay horizon.
-			// Flush buffered matches first (watermark 0 never advances a
-			// mark) so unfreezing cannot release past a match still
-			// sitting in this reader's buffer.
-			if len(pend) > 0 {
-				in.col.Post(i, 0, pend)
-				pend = nil
-			}
+			// The destination caught up to a migration's replay horizon; the
+			// matches it released on the way arrived ahead of this frame.
 			in.col.Complete(i, int(v.Shard), v.UpTo)
 			in.migrationAcked(i, int(v.Shard))
 		case wire.ShardStats:

@@ -70,7 +70,7 @@ func (r *multiRecorder) rec(tg shard.Tagged) {
 		r.bufs = make(map[uint32][]byte)
 		r.keys = make(map[uint32][]string)
 	}
-	r.bufs[tg.Pattern] = wire.Append(r.bufs[tg.Pattern], wire.TaggedMatch{Seq: tg.Seq, M: tg.M})
+	r.bufs[tg.Pattern] = wire.AppendMatchRecord(r.bufs[tg.Pattern], 0, tg.Seq, 0, wire.AppendMatchBody(nil, tg.M))
 	r.keys[tg.Pattern] = append(r.keys[tg.Pattern], tg.M.Key())
 	r.n++
 }

@@ -139,7 +139,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // sender serializes a node's upstream frames and latches the first send
 // error; after a failure every further send is a no-op, so the engines
 // can still drain cleanly. The mutex interleaves the Serve loop's
-// heartbeats with the collector goroutine's matches and watermarks.
+// heartbeats with the collector goroutine's Matches frames.
 // When the conn supports held sends (fl non-nil), frames accumulate in
 // its write buffer and flush() pushes the burst out in one syscall.
 type sender struct {
@@ -175,8 +175,8 @@ func (s *sender) failed() error {
 }
 
 // Serve runs one ingress session over the connection: handshake, event
-// ingestion with uniform watermark flushes, tagged-match and watermark
-// streaming, shard migration in and out, and a final metrics report. It
+// ingestion with uniform watermark flushes, one Matches frame back per
+// progress step, shard migration in and out, and a final metrics report. It
 // returns when the ingress finishes the stream (nil) or the transport
 // fails (the error), closing the connection either way.
 //
@@ -268,9 +268,9 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// restart fresh — but match sets and tags do not depend on it).
 	up := &sender{c: conn}
 	// Coalesced upstream writes: a serializing transport holds the cut's
-	// burst (heartbeat, matches, watermark) in its write buffer and the
-	// loop flushes once per inbound frame — one write syscall per cut
-	// instead of one per frame. The handler boundary is a protocol
+	// burst (heartbeat, Matches) in its write buffer and the loop flushes
+	// once per inbound frame — one write syscall per cut instead of one
+	// per frame. The handler boundary is a protocol
 	// quiescence point: the ingress never blocks on a node frame while
 	// it still has frames of its own to send, and the final drain is
 	// flushed before the session returns.
@@ -306,6 +306,30 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		cuts   uint64
 	)
 
+	// The Matches frame being filled, on the engine's collector goroutine:
+	// every match it releases is copied in as a record — so nothing outside
+	// this node aliases a worker's outbox slab — and each progress step
+	// sends the frame. A serializing transport has put the bytes on the
+	// wire when Send returns, so the buffer is refilled; the in-process
+	// pipe hands them to the ingress by reference, whose tags alias them
+	// from then on, so the next frame gets a buffer of its own, sized after
+	// this one.
+	var (
+		recs    []byte
+		nrec    int
+		lastLen int
+	)
+	_, serializing := conn.(interface{ SetDecodeArena(*match.Arena) })
+	sendMatches := func(upTo uint64) {
+		up.send(wire.Matches{UpTo: upTo, Count: nrec, Recs: recs})
+		if serializing {
+			recs = recs[:0]
+		} else if nrec > 0 {
+			recs, lastLen = nil, len(recs)
+		}
+		nrec = 0
+	}
+
 	// Per-tenant budgets apply per local shard.
 	budgets := make(map[uint32]shed.TenantBudget, len(a.Tenants))
 	for _, t := range a.Tenants {
@@ -320,11 +344,10 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		Schema:   a.Schema,
 		Patterns: specs,
 		Tenants:  budgets,
-		// Owned emit: workers encode each match into a per-shard outbox
-		// slab as it is emitted; the tag carries the encoded body and the
-		// node forwards it verbatim — a serializing transport then writes
-		// the bytes through (no second encode), and the in-process pipe
-		// hands the slab slice to the ingress by reference.
+		// Workers encode each match into the cut's outbox slab as it is
+		// emitted — the one encode of its life: the tag carries the body,
+		// the body is copied into the frame, and everything from here to
+		// the emission boundary carries those bytes.
 		EncodeMatch: wire.AppendMatchBody,
 		OnTagged: func(t shard.Tagged) {
 			migMu.Lock()
@@ -337,16 +360,18 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			if migrated && t.Seq <= boundary {
 				return // already delivered before the shard moved here
 			}
-			if t.Enc != nil {
-				up.send(wire.TaggedMatchRaw{Shard: uint32(t.Src), Seq: t.Seq, Pattern: t.Pattern, Body: t.Enc})
-				return
+			if recs == nil {
+				recs = make([]byte, 0, lastLen+lastLen/8+64)
 			}
-			up.send(wire.TaggedMatch{Shard: uint32(t.Src), Seq: t.Seq, Pattern: t.Pattern, M: t.M})
+			recs = wire.AppendMatchRecord(recs, uint32(t.Src), t.Seq, t.Pattern, t.Enc)
+			nrec++
 		},
 		OnProgress: func(w uint64) {
 			// Acknowledge caught-up migrations before the watermark that
 			// proves them, so the ingress completes the move before it
-			// can act on the watermark.
+			// can act on the watermark — and behind the matches released
+			// so far: completing a move unfreezes the shard at the ingress,
+			// which must not release past a match still on its way.
 			var ready []int
 			migMu.Lock()
 			for g, limit := range ackWait {
@@ -359,12 +384,15 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			}
 			migMu.Unlock()
 			if len(ready) > 0 {
+				if nrec > 0 {
+					sendMatches(0)
+				}
 				sort.Ints(ready)
 				for _, g := range ready {
 					up.send(wire.MigrateAck{Shard: uint32(g), UpTo: w})
 				}
 			}
-			up.send(wire.Watermark{UpTo: w})
+			sendMatches(w)
 		},
 	})
 	if err != nil {
@@ -519,8 +547,8 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			}
 		case wire.Finish:
 			// Drain everything: Finish returns only after the collector
-			// has delivered every match (and the MaxUint64 watermark)
-			// through the sender above.
+			// has delivered every match, and the MaxUint64 watermark that
+			// sends the last of them, through the sender above.
 			eng.Finish()
 			report := wire.Metrics{M: eng.Metrics(), Tenants: eng.TenantStats()}
 			for _, pm := range eng.PatternMetrics() {

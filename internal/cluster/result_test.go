@@ -1,0 +1,278 @@
+package cluster
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"acep/internal/engine"
+	"acep/internal/event"
+	"acep/internal/match"
+	"acep/internal/multi"
+	"acep/internal/pattern"
+	"acep/internal/wire"
+)
+
+// resultFixture is a stream that completes a match every third event —
+// a keyed SEQ(A, B, C), stream K's shape, with types A, B, C in turn, three
+// events to a key and keys recurring further apart than the window — so
+// every cut does the same work and sends some 85 matches back: the way
+// out is what the cut costs above the engines.
+type resultFixture struct {
+	schema *event.Schema
+	pat    *pattern.Pattern
+}
+
+const resultCut = 256
+
+func newResultFixture() resultFixture {
+	s := event.NewSchema()
+	pb := pattern.NewBuilder(s, pattern.Seq, 100)
+	for _, name := range []string{"A", "B", "C"} {
+		pb.Event(s.MustAddType(name, "key"))
+	}
+	pb.WhereEq(0, "key", 1, "key").WhereEq(1, "key", 2, "key")
+	return resultFixture{schema: s, pat: pb.MustBuild()}
+}
+
+// set makes ev the stream's i-th event, reusing its attribute storage: the
+// harness must not allocate inside a measured region.
+func (resultFixture) set(ev *event.Event, i int) {
+	ev.Type, ev.TS, ev.Seq = i%3, event.Time(i), uint64(i+1)
+	ev.Attrs = append(ev.Attrs[:0], float64(i/3%64))
+}
+
+func (f resultFixture) node(tb testing.TB) *Node {
+	n, err := NewNode(NodeConfig{
+		Pattern: f.pat, Schema: f.schema, KeyAttr: "key", Shards: 1,
+		Engine: engine.Config{CheckEvery: 1 << 30},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// cluster starts two one-shard nodes behind an ingress over pipes or
+// loopback TCP and returns a function feeding one cut and waiting until
+// its matches have been delivered — over a socket, those of the cut
+// sixteen before it: a node there sends a cut's results with the next
+// frame it handles, and its loop may run a queue's depth ahead of its
+// workers — with the count of matches delivered so far.
+func (f resultFixture) cluster(tb testing.TB, tcp bool) (ing *Ingress, cut func(), delivered *atomic.Int64) {
+	conns := make([]Conn, 2)
+	for i := range conns {
+		n := f.node(tb)
+		if !tcp {
+			client, server := Pipe()
+			go n.Serve(server) //nolint:errcheck // Finish reports a failed session
+			conns[i] = client
+			continue
+		}
+		l, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		go func() {
+			defer l.Close()
+			if c, err := l.Accept(); err == nil {
+				n.Serve(c) //nolint:errcheck // Finish reports a failed session
+			}
+		}()
+		if conns[i], err = DialTCP(l.Addr()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	delivered = new(atomic.Int64)
+	done := make(chan uint64, 1024)
+	ing, err := NewIngress(f.pat, conns, IngressOptions{
+		Batch: resultCut, KeyAttr: "key", Schema: f.schema,
+		OnMatch:    func(*match.Match) { delivered.Add(1) },
+		OnProgress: func(w uint64) { done <- w },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lag := uint64(0)
+	if tcp {
+		lag = 16 * resultCut
+	}
+	next, seen, ev := 0, uint64(0), new(event.Event)
+	return ing, func() {
+		for k := 0; k < resultCut; k++ {
+			f.set(ev, next)
+			ing.Process(ev)
+			next++
+		}
+		for seen+lag < uint64(next) {
+			seen = <-done
+		}
+	}, delivered
+}
+
+// mallocs reports the objects the process has allocated so far, on every
+// goroutine.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// framesPerCut is what a cut costs a two-node cluster in allocations
+// whatever it carries, both directions and both sides of each link
+// together. The way in, per node: the run's storage where the transport
+// keeps the sealed one, the boxing of the run's and the watermark's Batch
+// frames, the send goroutine's closure; on the node the boxing of its
+// heartbeat and, every fourth cut, its load report. The way out, per
+// node: the boxing of the Matches frame on the node and — where the frame
+// is decoded — at the ingress, the frame's buffer (the node's, over the
+// pipe; the Reader's, over a socket), and the tag slice the reader posts.
+// Sixteen a node covers either transport with room for the scheduler
+// (a pooled block or outbox returned a moment late is made anew); the
+// point of the bound is what it does not scale with.
+const framesPerCut = 2 * 16
+
+// TestResultPathAllocs pins the way out of the cluster: a match is decoded
+// once, where the consumer takes it, into the four objects of a match
+// someone owns (match.Owned) — and between the worker's encode and that
+// decode nothing is allocated per match: not on the worker, whose outbox
+// comes back; not on the node, which copies bodies into one frame; not at
+// the reader, the collector or the delivery, which carry the frame's
+// bytes. The node leg runs a node alone over the pipe and holds a cut to a
+// constant however many matches it sends; the cluster legs count every
+// allocation of the process, per delivered match.
+func TestResultPathAllocs(t *testing.T) {
+	f := newResultFixture()
+	t.Run("node", func(t *testing.T) {
+		client, server := Pipe()
+		served := make(chan error, 1)
+		n := f.node(t)
+		go func() { served <- n.Serve(server) }()
+		if _, err := client.Recv(); err != nil { // the node's hello
+			t.Fatal(err)
+		}
+		if err := client.Send(wire.Assign{
+			Shards: 1, Total: 1, Schema: f.schema,
+			Patterns: []wire.PatternEntry{{ID: multi.SoloID, Pattern: f.pat}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		const cuts = 32 + 51
+		frames := make([]wire.Frame, cuts) // encoded and boxed up front
+		var enc wire.RunEncoder
+		var ev event.Event
+		for c := range frames {
+			for k := 0; k < resultCut; k++ {
+				f.set(&ev, c*resultCut+k)
+				enc.Append(&ev)
+			}
+			frames[c] = wire.BatchRaw{UpTo: uint64((c + 1) * resultCut), Run: enc.Seal(0).Body}
+			enc.Reset(false)
+		}
+		next, got := 0, 0
+		cut := func() {
+			upTo := uint64((next + 1) * resultCut)
+			if err := client.Send(frames[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			for {
+				fr, err := client.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m, ok := fr.(wire.Matches); ok {
+					got += m.Count
+					if m.UpTo >= upTo {
+						return
+					}
+				}
+			}
+		}
+		for next < 32 {
+			cut()
+		}
+		before := got
+		// Heartbeat, Matches and (every fourth cut) load report, boxed, and
+		// the frame's buffer — the pipe hands it to the ingress: 3 a cut as
+		// measured. The rest is for the race detector's build, where the
+		// engines' estimators reopen a histogram class through a temporary
+		// (stats.EH.Add) that the plain build optimises away, 4 a cut on
+		// this stream.
+		const bound = 8
+		avg := testing.AllocsPerRun(50, cut)
+		if perCut := float64(got-before) / 51; perCut < 80 {
+			t.Fatalf("%.1f matches per cut: the stream no longer exercises the result path", perCut)
+		} else if avg > bound {
+			t.Errorf("a cut sending %.1f matches allocated %.1f objects on the node, want at most %d", perCut, avg, bound)
+		}
+		if err := client.Send(wire.Finish{}); err != nil {
+			t.Fatal(err)
+		}
+		for fr, err := client.Recv(); err == nil; fr, err = client.Recv() {
+			if _, done := fr.(wire.Metrics); done {
+				break
+			}
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("node session: %v", err)
+		}
+	})
+	for name, tcp := range map[string]bool{"pipe": false, "tcp": true} {
+		t.Run(name, func(t *testing.T) {
+			ing, cut, delivered := f.cluster(t, tcp)
+			for i := 0; i < 32; i++ {
+				cut()
+			}
+			const cuts = 200
+			m0, d0 := mallocs(), delivered.Load()
+			for i := 0; i < cuts; i++ {
+				cut()
+			}
+			objects, matches := float64(mallocs()-m0), float64(delivered.Load()-d0)
+			if err := ing.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if matches/cuts < 80 {
+				t.Fatalf("%.1f matches per cut: the stream no longer exercises the result path", matches/cuts)
+			}
+			perMatch := (objects - cuts*framesPerCut) / matches
+			t.Logf("%.0f objects for %.0f matches over %d cuts: %.2f a match beyond %d a cut (%.1f a cut beyond 4 a match)",
+				objects, matches, cuts, perMatch, framesPerCut, (objects-4*matches)/cuts)
+			if perMatch > 4 {
+				t.Errorf("%.2f objects per delivered match beyond the %d a cut may cost, want at most the 4 of a decoded match", perMatch, framesPerCut)
+			}
+		})
+	}
+}
+
+// BenchmarkResultPath runs the matching stream through a two-node pipe
+// cluster, one cut per iteration, and reports what a delivered match
+// costs in bytes and objects over everything the process allocates — the
+// quick before-and-after of the result path. CI runs it as a smoke.
+func BenchmarkResultPath(b *testing.B) {
+	f := newResultFixture()
+	ing, cut, delivered := f.cluster(b, false)
+	for i := 0; i < 32; i++ {
+		cut()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes0, objs0, d0 := ms.TotalAlloc, ms.Mallocs, delivered.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cut()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	if matches := float64(delivered.Load() - d0); matches > 0 {
+		b.ReportMetric(float64(ms.TotalAlloc-bytes0)/matches, "B/match")
+		b.ReportMetric(float64(ms.Mallocs-objs0)/matches, "allocs/match")
+	} else {
+		b.Fatal("no match was delivered")
+	}
+	if err := ing.Finish(); err != nil {
+		b.Fatal(err)
+	}
+}

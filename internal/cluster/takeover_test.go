@@ -28,7 +28,7 @@ func (r *seqRecorder) rec(t shard.Tagged) {
 	r.mu.Lock()
 	r.offs = append(r.offs, len(r.buf))
 	r.seqs = append(r.seqs, t.Seq)
-	r.buf = wire.Append(r.buf, wire.TaggedMatch{Seq: t.Seq, M: t.M})
+	r.buf = wire.AppendMatchRecord(r.buf, 0, t.Seq, 0, wire.AppendMatchBody(nil, t.M))
 	r.mu.Unlock()
 }
 

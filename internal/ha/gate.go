@@ -1,29 +1,14 @@
 package ha
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
-	"acep/internal/match"
+	"acep/internal/cluster"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
-
-// pendMatch is one match held by the emission gate: the merge tag plus
-// the match body re-encoded through the wire codec. The body copy is
-// load-bearing — under the cluster's owned-emit path the *match.Match a
-// callback sees is scratch valid only during the call, and the gate by
-// design outlives the call (it holds matches until the standby's mirror
-// acknowledgement catches up). Encoding through AppendMatchBody keeps
-// the copy byte-canonical: the re-decoded match serializes to exactly
-// the bytes the original would have. Bodies are slices of the gate's
-// slab chunks (see gate.hold).
-type pendMatch struct {
-	seq  uint64
-	src  int
-	pat  uint32
-	body []byte
-}
 
 // gate is the HA emission gate, the piece that turns replication into
 // an exactly-once guarantee. A primary coordinator must not let a match
@@ -58,6 +43,12 @@ type pendMatch struct {
 // without a lease instead degrades the gate: acked stops being a bound
 // and emission follows released alone, trading the takeover guarantee
 // for availability.
+//
+// What the gate holds is what the coordinator received: the queue is the
+// collector's sealed tags, each Enc aliasing the frame its match arrived
+// in, and a match is decoded once, as its prefix is emitted — before the
+// prefix is committed, so a body that does not decode fails the gate
+// (see failure) with the lease still equal to what was emitted.
 type gate struct {
 	out     func(shard.Tagged)
 	publish func(wire.Frame) // enqueues a ReplState on the repl link
@@ -67,14 +58,15 @@ type gate struct {
 	commit func(boundary, count uint64) bool
 
 	mu        sync.Mutex
-	ackCond   *sync.Cond // broadcast whenever acked advances or gating ends
-	q         []pendMatch
+	ackCond   *sync.Cond     // broadcast whenever acked advances or gating ends
+	q         []shard.Tagged // sealed: Enc set, M nil
 	head      int
-	slab      []byte // the chunk held bodies are being encoded into
-	acked     uint64 // standby's mirrored watermark (ack-reader)
-	released  uint64 // collector release frontier (progress tap)
-	delivered uint64 // matches emitted downstream so far (D)
-	emitted   uint64 // highest threshold published in a ReplState (E)
+	open      []shard.Tagged // drain scratch: the prefix being emitted, decoded
+	err       error          // why the gate failed (see failure)
+	acked     uint64         // standby's mirrored watermark (ack-reader)
+	released  uint64         // collector release frontier (progress tap)
+	delivered uint64         // matches emitted downstream so far (D)
+	emitted   uint64         // highest threshold published in a ReplState (E)
 	frozen    bool
 	killed    bool // frozen by kill (vs demotion): no further emission at all
 	demoted   bool
@@ -84,8 +76,10 @@ type gate struct {
 	skip      uint64
 }
 
-// onTagged receives every match the merge collector delivers, on the
-// collector goroutine.
+// onTagged receives every match the merge collector delivers — sealed —
+// on the collector goroutine. A gated match joins the queue as it is:
+// nothing is copied or decoded until its prefix is emitted. A successor's
+// passes straight through, decoded on the way.
 func (g *gate) onTagged(t shard.Tagged) {
 	g.mu.Lock()
 	if g.direct {
@@ -94,37 +88,20 @@ func (g *gate) onTagged(t shard.Tagged) {
 			g.mu.Unlock()
 			return
 		}
+		if g.err == nil {
+			g.err = cluster.Open(&t)
+		}
+		ok := g.err == nil
 		g.mu.Unlock()
-		g.out(t)
+		if ok {
+			g.out(t)
+		}
 		return
 	}
-	if g.frozen {
-		g.mu.Unlock()
-		return
+	if !g.frozen {
+		g.q = append(g.q, t)
 	}
-	g.q = append(g.q, pendMatch{seq: t.Seq, src: t.Src, pat: t.Pattern, body: g.hold(t.M)})
 	g.mu.Unlock()
-}
-
-// slabChunk sizes the gate's body slab: large against a match body (tens
-// of bytes), small against what a stalled standby lets the queue grow to.
-const slabChunk = 4 << 10
-
-// hold encodes m's body into the slab and returns it. Bodies share
-// chunks instead of growing a buffer each; nothing frees a chunk
-// explicitly — the queue entries are its only references besides the
-// slab field, which moves on to a fresh chunk when this one is nearly
-// full, so the chunk goes once head has passed the last body in it. A
-// body larger than the room left grows the slab into a new array (the
-// earlier bodies keep the old one alive), which then serves as the
-// chunk. Called with the gate lock held.
-func (g *gate) hold(m *match.Match) []byte {
-	if cap(g.slab)-len(g.slab) < slabChunk/8 {
-		g.slab = make([]byte, 0, slabChunk)
-	}
-	start := len(g.slab)
-	g.slab = wire.AppendMatchBody(g.slab, m)
-	return g.slab[start:len(g.slab):len(g.slab)]
 }
 
 // onProgress is the collector's release tap: matches at or below w have
@@ -211,10 +188,20 @@ func (g *gate) drainLocked() {
 		// matches before advancing the release frontier past them), so
 		// the projected count cannot drift while the lock is dropped.
 		n := 0
-		for i := g.head; i < len(g.q) && g.q[i].seq <= t; i++ {
+		for i := g.head; i < len(g.q) && g.q[i].Seq <= t; i++ {
 			n++
 		}
 		if n == 0 && t <= g.emitted {
+			break
+		}
+		// Decode the prefix before committing it: a count the lease
+		// records must be a count the consumer gets.
+		g.open = append(g.open[:0], g.q[g.head:g.head+n]...)
+		for i := 0; i < n && g.err == nil; i++ {
+			g.err = cluster.Open(&g.open[i])
+		}
+		if g.err != nil {
+			g.demoteLocked()
 			break
 		}
 		if g.commit != nil && !g.degraded {
@@ -236,15 +223,10 @@ func (g *gate) drainLocked() {
 			// the queue discard while draining is set, so the prefix is
 			// still intact here.
 		}
-		for k := 0; k < n; k++ {
-			pm := g.q[g.head]
-			g.q[g.head] = pendMatch{}
-			g.head++
-			m, err := wire.DecodeMatchBody(pm.body)
-			if err != nil {
-				continue // unreachable: the body is our own encode
-			}
-			g.out(shard.Tagged{M: m, Seq: pm.seq, Src: pm.src, Pattern: pm.pat})
+		clear(g.q[g.head : g.head+n])
+		g.head += n
+		for i := range g.open {
+			g.out(g.open[i])
 			g.delivered++
 		}
 		if g.head == len(g.q) {
@@ -263,6 +245,7 @@ func (g *gate) drainLocked() {
 		}
 	}
 	g.draining = false
+	clear(g.open) // the consumer's now, or never emitted
 	if g.demoted {
 		// A demotion that landed while this drain was in flight deferred
 		// its queue discard to us (see demoteLocked); nothing beyond the
@@ -290,6 +273,18 @@ func (g *gate) demoteLocked() {
 		g.head = 0
 	}
 	g.ackCond.Broadcast()
+}
+
+// failure reports why the gate failed: a held match did not decode where
+// it was to be emitted. The gate demotes itself — nothing further escapes,
+// nothing uncommitted was emitted — and the run's Finish returns this.
+func (g *gate) failure() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.err != nil {
+		return fmt.Errorf("ha: emission gate: %w", g.err)
+	}
+	return nil
 }
 
 // demote is the external demotion entry (feed goroutine: keepalive

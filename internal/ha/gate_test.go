@@ -1,18 +1,27 @@
 package ha
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"acep/internal/cluster"
+	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
+
+// sealedTag is a tag as the coordinator's collector hands it to the gate:
+// the match as bytes, nothing decoded.
+func sealedTag(seq uint64) shard.Tagged {
+	return shard.Tagged{Seq: seq, Enc: wire.AppendMatchBody(nil, &match.Match{})}
+}
 
 // TestGateDemoteMidCommitEmitsCommittedPrefix pins the race between a
 // feed-side demotion (lease keepalive failure, replication timeout) and
@@ -37,7 +46,7 @@ func TestGateDemoteMidCommitEmitsCommittedPrefix(t *testing.T) {
 		return true
 	}
 	for seq := uint64(1); seq <= 2; seq++ {
-		g.onTagged(shard.Tagged{M: &match.Match{}, Seq: seq})
+		g.onTagged(sealedTag(seq))
 	}
 	g.onProgress(2)
 	g.onAck(2) // drain: commit(2, 2) succeeds, demotion races in
@@ -59,7 +68,7 @@ func TestGateDemoteMidCommitEmitsCommittedPrefix(t *testing.T) {
 	}
 
 	// Nothing further escapes the demoted gate.
-	g.onTagged(shard.Tagged{M: &match.Match{}, Seq: 3})
+	g.onTagged(sealedTag(3))
 	g.onProgress(3)
 	if len(got) != 2 {
 		t.Fatalf("demoted gate emitted past the committed prefix: %v", got)
@@ -81,7 +90,7 @@ func TestGateDemoteMidCommitFenced(t *testing.T) {
 		g.demote()
 		return false
 	}
-	g.onTagged(shard.Tagged{M: &match.Match{}, Seq: 1})
+	g.onTagged(sealedTag(1))
 	g.onProgress(1)
 	g.onAck(1)
 	if len(got) != 0 {
@@ -150,7 +159,7 @@ func TestGateDrainSurvivesLinkLossOnFullReplCh(t *testing.T) {
 	}
 	// One acknowledged match: releasing it drains the gate, and the
 	// drain's publish finds replCh full.
-	p.g.onTagged(shard.Tagged{M: &match.Match{}, Seq: 1})
+	p.g.onTagged(sealedTag(1))
 	p.g.onAck(1)
 	drained := make(chan struct{})
 	go func() {
@@ -176,5 +185,151 @@ func TestGateDrainSurvivesLinkLossOnFullReplCh(t *testing.T) {
 	}
 	if deg, _ := p.Degraded(); !deg {
 		t.Fatal("a failed replication link did not degrade the pair")
+	}
+}
+
+// heldFrames builds what a stalled standby leaves in the gate: cuts cuts'
+// worth of sealed tags, perCut to a cut, each cut's bodies sharing one
+// frame buffer the way an ingress reader's tags alias the Matches frame
+// they arrived in. It returns the tags in merge order and the bytes each
+// must still decode to at emission.
+func heldFrames(cuts, perCut int) (tags []shard.Tagged, bodies [][]byte) {
+	ev := func(seq uint64) *event.Event {
+		return &event.Event{Type: int(seq % 3), TS: event.Time(seq), Seq: seq, Attrs: []float64{float64(seq), 0.5}}
+	}
+	for c := 0; c < cuts; c++ {
+		var frame []byte
+		var offs []int
+		for k := 0; k < perCut; k++ {
+			seq := uint64(c*perCut+k)*3 + 1
+			m := &match.Match{Events: []*event.Event{ev(seq), ev(seq + 1), ev(seq + 2)}}
+			offs = append(offs, len(frame))
+			frame = wire.AppendMatchBody(frame, m)
+		}
+		offs = append(offs, len(frame))
+		for k := 0; k < perCut; k++ {
+			body := frame[offs[k]:offs[k+1]:offs[k+1]]
+			tags = append(tags, shard.Tagged{Seq: uint64(c + 1), Src: k % 2, Pattern: uint32(k), Enc: body})
+			bodies = append(bodies, append([]byte(nil), body...))
+		}
+	}
+	return tags, bodies
+}
+
+// TestGateHoldAllocs pins what a held match costs: the gate queues the
+// collector's sealed tag as it is — no copy of the body, no decode, no
+// re-encode — so holding allocates nothing beyond the queue's amortised
+// growth, however long the standby stalls. A thousand cuts later the ack
+// arrives and every match decodes, in order, to the bytes that were held:
+// what waits in the gate is the tags and the frame buffers they alias,
+// bounded by the replication window the primary may run ahead of its
+// standby (replLagCuts cuts, enforced by waitAcked in the replication tap,
+// plus what the workers have in flight).
+func TestGateHoldAllocs(t *testing.T) {
+	const cuts, perCut = 1000, 8
+	tags, bodies := heldFrames(cuts, perCut)
+	var got []shard.Tagged
+	g := &gate{
+		out:     func(tg shard.Tagged) { got = append(got, tg) },
+		publish: func(wire.Frame) {},
+	}
+	g.ackCond = sync.NewCond(&g.mu)
+	next := 0
+	hold := func() {
+		for k := 0; k < perCut; k++ {
+			g.onTagged(tags[next])
+			next++
+		}
+		g.onProgress(tags[next-1].Seq) // released by the collector, not yet acknowledged
+	}
+	for next < 500*perCut {
+		hold()
+	}
+	// The queue grows by amortised doubling — a few reallocations over the
+	// next 400 cuts, which AllocsPerRun's whole-number average drops; one
+	// allocation per held cut, let alone per match, it would not.
+	if avg := testing.AllocsPerRun(399, hold); avg != 0 {
+		t.Errorf("holding a cut of %d matches allocated %.3f times, want only the queue's amortised growth", perCut, avg)
+	}
+	for next < len(tags) {
+		hold()
+	}
+	if len(got) != 0 {
+		t.Fatalf("%d matches escaped a gate whose standby acknowledged nothing", len(got))
+	}
+	g.onAck(cuts)
+	if len(got) != len(tags) {
+		t.Fatalf("emitted %d of %d held matches", len(got), len(tags))
+	}
+	for i, tg := range got {
+		if tg.M == nil || tg.Enc != nil {
+			t.Fatalf("match %d emitted sealed: %+v", i, tg)
+		}
+		if tg.Seq != tags[i].Seq || tg.Src != tags[i].Src || tg.Pattern != tags[i].Pattern {
+			t.Fatalf("match %d emitted as (%d, %d, %d), held as (%d, %d, %d)", i, tg.Seq, tg.Src, tg.Pattern, tags[i].Seq, tags[i].Src, tags[i].Pattern)
+		}
+		if again := wire.AppendMatchBody(nil, tg.M); !bytes.Equal(again, bodies[i]) {
+			t.Fatalf("match %d re-encodes to other bytes than were held", i)
+		}
+	}
+	if d := g.deliveredCount(); d != uint64(len(tags)) {
+		t.Fatalf("delivered count %d, want %d", d, len(tags))
+	}
+}
+
+// TestGateRefusesUndecodableMatch: a held body that does not decode where
+// it is to be emitted fails the gate before anything of its prefix is
+// committed — the lease's count stays the delivered count, so a successor
+// skips exactly what the consumer got — and the failure is the run's
+// error, not a silently skipped match. (Unreachable through the
+// coordinator, whose readers check every body on arrival; the gate does
+// not rest its lease on that.)
+func TestGateRefusesUndecodableMatch(t *testing.T) {
+	tags, _ := heldFrames(3, 2)
+	bad := tags[3]
+	bad.Enc = bad.Enc[:len(bad.Enc)-9]
+	tags[3] = bad
+	for _, direct := range []bool{false, true} {
+		var got []uint64
+		var commits [][2]uint64
+		g := &gate{
+			out:     func(tg shard.Tagged) { got = append(got, tg.Seq) },
+			publish: func(wire.Frame) {},
+			commit: func(boundary, count uint64) bool {
+				commits = append(commits, [2]uint64{boundary, count})
+				return true
+			},
+		}
+		g.ackCond = sync.NewCond(&g.mu)
+		if direct {
+			g.takeover(0)
+		}
+		for cut := 0; cut < 3; cut++ {
+			g.onTagged(tags[2*cut])
+			g.onTagged(tags[2*cut+1])
+			g.onProgress(uint64(cut + 1))
+			g.onAck(uint64(cut + 1))
+		}
+		// Cut 1 is out; cut 2 holds the damaged body, behind a sound one
+		// that a successor, emitting match by match, has already passed on.
+		want := 2
+		if direct {
+			want = 3
+		}
+		if len(got) != want {
+			t.Fatalf("direct=%v: emitted %v, want %d matches and nothing past the damaged one", direct, got, want)
+		}
+		if err := g.failure(); err == nil || !strings.Contains(err.Error(), "does not decode at emission") {
+			t.Fatalf("direct=%v: gate failure %v, want the decode error", direct, err)
+		}
+		if direct {
+			continue
+		}
+		if last := commits[len(commits)-1]; last != [2]uint64{1, 2} || g.deliveredCount() != 2 {
+			t.Fatalf("lease last committed %v with %d delivered, want (1, 2) and 2: committed must equal emitted", last, g.deliveredCount())
+		}
+		if b, c := g.committedState(); b != 1 || c != 2 {
+			t.Fatalf("committed state (%d, %d), want (1, 2)", b, c)
+		}
 	}
 }

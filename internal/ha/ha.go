@@ -293,7 +293,7 @@ func New(cfg Config) (*Pair, error) {
 	opts := p.ingressOptions(1, cfg.Workers)
 	opts.OnProgress = p.g.onProgress
 	opts.OnCut = p.onCut
-	if p.ing, err = cluster.NewIngress(cfg.Pattern, conns, opts); err != nil {
+	if p.ing, err = cluster.NewSealedIngress(cfg.Pattern, conns, opts); err != nil {
 		p.abort()
 		return nil, err
 	}
@@ -628,6 +628,9 @@ func (p *Pair) Finish() error {
 	if err != nil {
 		return err
 	}
+	if err := p.g.failure(); err != nil {
+		return err // the stream stopped short at a match that would not decode
+	}
 	if demoted && !p.tookOver {
 		d := p.demotion.Load()
 		return fmt.Errorf("ha: primary demoted without takeover: %s", d.Cause)
@@ -865,7 +868,7 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 		NextSeq: st.lastUpTo, Boundary: st.emitted,
 		Owner: newOwner, Journal: st.journal,
 	}
-	ing, err := cluster.NewIngress(p.cfg.Pattern, conns, opts)
+	ing, err := cluster.NewSealedIngress(p.cfg.Pattern, conns, opts)
 	if err != nil {
 		p.err = fmt.Errorf("ha: building takeover successor: %w", err)
 		return p.err

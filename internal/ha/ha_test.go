@@ -29,7 +29,7 @@ type tagRecorder struct {
 
 func (r *tagRecorder) rec(t shard.Tagged) {
 	r.mu.Lock()
-	r.buf = wire.Append(r.buf, wire.TaggedMatch{Seq: t.Seq, M: t.M})
+	r.buf = wire.AppendMatchRecord(r.buf, 0, t.Seq, 0, wire.AppendMatchBody(nil, t.M))
 	r.n++
 	r.mu.Unlock()
 }

@@ -6,6 +6,7 @@ import (
 	"acep/internal/engine"
 	"acep/internal/shard"
 	"acep/internal/shard/shardtest"
+	"acep/internal/wire"
 )
 
 // TestBlockReuseScenarios holds the sharded engine, whose workers hand
@@ -18,36 +19,64 @@ import (
 // engine owns. Under the race detector returned blocks are poisoned, and
 // a pointer left behind anywhere shows up here as a diverging record, a
 // panic in type dispatch, or a reported race.
+//
+// Each scenario runs both ways a match leaves a worker: copied, and
+// encoded into the cut's outbox slab (Options.EncodeMatch), where the
+// consumer may read the bytes during the call only — it copies them, as
+// the cluster node does, and decodes them after Finish. The slab is
+// poisoned too when it goes back to its worker, so one returned before
+// its last match was delivered fails the decode here.
 func TestBlockReuseScenarios(t *testing.T) {
 	const shards = 2
 	for _, sc := range shardtest.Scenarios(t, shards) {
-		t.Run(sc.Name, func(t *testing.T) {
-			want := shardtest.Reference(t, sc, shards)
-			var kept []shard.Tagged
-			eng, err := shard.New(nil, engine.Config{}, shard.Options{
-				Shards: shards, Batch: 64, KeyAttr: "key", Schema: sc.Schema,
-				Patterns: sc.Specs, Tenants: sc.Tenants,
-				OnTagged: func(tg shard.Tagged) { kept = append(kept, tg) },
-			})
-			if err != nil {
-				t.Fatal(err)
+		for _, encoded := range []bool{false, true} {
+			name := sc.Name
+			if encoded {
+				name += "/encoded"
 			}
-			for i := range sc.Events {
-				if op, ok := sc.Ops[i]; ok {
-					if op.Add != nil {
-						err = eng.AddPattern(*op.Add)
-					} else {
-						err = eng.RemovePattern(op.Remove)
+			t.Run(name, func(t *testing.T) {
+				want := shardtest.Reference(t, sc, shards)
+				var kept []shard.Tagged
+				opts := shard.Options{
+					Shards: shards, Batch: 64, KeyAttr: "key", Schema: sc.Schema,
+					Patterns: sc.Specs, Tenants: sc.Tenants,
+					OnTagged: func(tg shard.Tagged) {
+						tg.Enc = append([]byte(nil), tg.Enc...)
+						kept = append(kept, tg)
+					},
+				}
+				if encoded {
+					opts.EncodeMatch = wire.AppendMatchBody
+				}
+				eng, err := shard.New(nil, engine.Config{}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range sc.Events {
+					if op, ok := sc.Ops[i]; ok {
+						if op.Add != nil {
+							err = eng.AddPattern(*op.Add)
+						} else {
+							err = eng.RemovePattern(op.Remove)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
 					}
-					if err != nil {
-						t.Fatal(err)
+					eng.Process(&sc.Events[i])
+				}
+				eng.Finish()
+				for i := range kept {
+					if !encoded {
+						continue
+					}
+					if kept[i].M, err = wire.DecodeMatchBody(kept[i].Enc); err != nil {
+						t.Fatalf("match %d of %d, at %d of shard %d: %v", i, len(kept), kept[i].Seq, kept[i].Src, err)
 					}
 				}
-				eng.Process(&sc.Events[i])
-			}
-			eng.Finish()
-			shardtest.RequireSame(t, kept, want)
-		})
+				shardtest.RequireSame(t, kept, want)
+			})
+		}
 	}
 }
 

@@ -19,11 +19,12 @@ type Tagged struct {
 	// part of the merge key — within one (Seq, Src) the posting worker
 	// already orders matches canonically by pattern id.
 	Pattern uint32
-	// Enc, on the owned-emit wire path (Options.EncodeMatch), holds the
-	// match pre-encoded as a wire KindMatch body; M is nil then. The
-	// slice aliases a worker outbox slab that is never overwritten, so it
-	// stays valid for as long as the tag (or anything downstream) holds
-	// it.
+	// Enc holds the match as its worker encoded it — a wire match body —
+	// wherever matches travel as bytes; M is nil then. Out of a sharded
+	// engine (Options.EncodeMatch) the slice aliases the worker's outbox
+	// slab and is valid only during the OnTagged call; at a cluster
+	// ingress it aliases the buffer of the frame it arrived in, which
+	// nothing overwrites, and is valid for as long as the tag is kept.
 	Enc []byte
 }
 
@@ -45,6 +46,9 @@ type post struct {
 	node     int
 	progress uint64
 	matches  []Tagged
+	// box, on a worker's post, is the outbox matches is the tag slice of:
+	// the collector's to hand back (see postBox).
+	box *outbox
 
 	ctrl  ctrlOp
 	shard int
@@ -84,6 +88,17 @@ type Collector struct {
 	nextIdx []uint64
 	heap    []Tagged
 	min     uint64
+
+	// boxes, per shard, is the worker outboxes with tags still in the heap,
+	// oldest first, each with how many (see postBox).
+	boxes [][]heldBox
+}
+
+// heldBox is an outbox the collector holds: left of its tags are still in
+// the heap.
+type heldBox struct {
+	box  *outbox
+	left int
 }
 
 // NewCollector starts a collector goroutine over shards sources with the
@@ -116,6 +131,7 @@ func NewCollectorOwned(owner []int, deliver func(Tagged), progress func(uint64))
 		frozen:   make([]bool, n),
 		marks:    make([]uint64, n),
 		nextIdx:  make([]uint64, n),
+		boxes:    make([][]heldBox, n),
 	}
 	go c.run()
 	return c
@@ -127,6 +143,21 @@ func NewCollectorOwned(owner []int, deliver func(Tagged), progress func(uint64))
 // inbox is full.
 func (c *Collector) Post(node int, watermark uint64, matches []Tagged) {
 	c.ch <- post{node: node, progress: watermark, matches: matches}
+}
+
+// postBox is Post for a sharded engine's own workers: worker w posts as
+// node w, its tags all have Src w, and the outbox they came in (nil: the
+// cut emitted nothing) goes back to it when the last of them has left the
+// heap — delivered or purged; at once if none was taken. That needs no
+// bookkeeping per tag, because a worker's posts leave in the order they
+// came: each covers the sequence numbers past the watermark of the one
+// before, and delivery is in sequence order.
+func (c *Collector) postBox(node int, watermark uint64, box *outbox) {
+	p := post{node: node, progress: watermark, box: box}
+	if box != nil {
+		p.matches = box.tags
+	}
+	c.ch <- p
 }
 
 // Close ends the input and waits until every buffered match has been
@@ -199,6 +230,7 @@ func (c *Collector) run() {
 				c.marks[g] = p.progress
 			}
 		}
+		taken := 0
 		for _, t := range p.matches {
 			if t.Src < 0 || t.Src >= len(c.owner) || c.owner[t.Src] != p.node {
 				continue // stale: an in-flight post from a previous owner
@@ -206,6 +238,14 @@ func (c *Collector) run() {
 			t.Idx = c.nextIdx[t.Src]
 			c.nextIdx[t.Src]++
 			c.push(t)
+			taken++
+		}
+		switch {
+		case p.box == nil:
+		case taken == 0:
+			p.box.release()
+		default:
+			c.boxes[p.node] = append(c.boxes[p.node], heldBox{p.box, taken})
 		}
 		c.release()
 	}
@@ -236,6 +276,10 @@ func (c *Collector) migrate(p post) {
 	for i := len(c.heap)/2 - 1; i >= 0; i-- {
 		c.siftDown(i)
 	}
+	for _, h := range c.boxes[g] {
+		h.box.release() // every tag it still had here was the shard's
+	}
+	c.boxes[g] = c.boxes[g][:0]
 	c.owner[g] = p.owner
 	c.frozen[g] = true
 	c.marks[g] = c.min
@@ -268,6 +312,13 @@ func (c *Collector) release() {
 func (c *Collector) emit(t Tagged) {
 	if c.deliver != nil {
 		c.deliver(t)
+	}
+	if q := c.boxes[t.Src]; len(q) > 0 {
+		// The shard's oldest outbox is the one t came in (see postBox).
+		if q[0].left--; q[0].left == 0 {
+			q[0].box.release()
+			c.boxes[t.Src] = q[:copy(q, q[1:])]
+		}
 	}
 }
 

@@ -61,6 +61,14 @@
 // deep-copied as it is tagged — so a delivered *match.Match stays valid
 // for as long as its consumer keeps it.
 //
+// What a cut's matches leave the worker in — the tag slice and, under
+// EncodeMatch, the slab the encoded bodies sit in (an outbox) — has one
+// owner at a time too: the worker while it fills it, the collector from
+// the post until the last of its tags has been delivered or purged, then
+// the worker again, which refills it. An encoded body is therefore good
+// during its OnTagged call and not after; the cluster node copies it into
+// the frame it sends.
+//
 // The cluster layer (internal/cluster) stacks on this package: a worker
 // node hosts one Engine spanning the global shard space, hands over each
 // shard's run as the ingress split it (ProcessStable), seals at every
@@ -171,12 +179,14 @@ type Options struct {
 	Tenants map[uint32]shed.TenantBudget
 	// EncodeMatch, settable only with OnTagged, makes a match leave its
 	// worker as bytes instead of as a deep copy: each match is encoded into
-	// a per-shard outbox slab on the worker goroutine (dst is the slab to
+	// the cut's outbox slab on the worker goroutine (dst is the slab to
 	// append to; return the extended slice), and the resulting Tagged
 	// carries the encoded bytes in Enc with M nil. The callback must read m
 	// synchronously and retain nothing — the cluster node layer passes
 	// wire.AppendMatchBody, so matches travel from the resolver's scratch
-	// to the wire without ever materializing a collector-side copy.
+	// to the wire without ever materializing a collector-side copy. Enc is
+	// valid only during the OnTagged call: the slab goes back to its worker
+	// once the cut's last match has been delivered.
 	EncodeMatch func(dst []byte, m *match.Match) []byte
 }
 
@@ -222,21 +232,24 @@ type worker struct {
 	// Emission state, owned by the worker goroutine (emit, the
 	// evaluator's OnMatch, runs there). scratch collects the matches
 	// emitted while processing one event, as pooled copies of the
-	// resolver's scratch match; flushEmits moves them into out in
-	// canonical order (per-shard emission indices are assigned by the
-	// collector in posting order), each encoded into the enc outbox slab
-	// (Options.EncodeMatch) or deep-copied, so none leaves the worker
+	// resolver's scratch match; flushEmits moves them into the cut's
+	// outbox in canonical order (per-shard emission indices are assigned
+	// by the collector in posting order), each encoded into the outbox's
+	// slab (Options.EncodeMatch) or deep-copied, so none leaves the worker
 	// pointing into a block.
 	curSeq  uint64
 	scratch []scratchMatch
-	out     []Tagged
+	out     *outbox // the open cut's; nil until its first match
 
 	encode func(dst []byte, m *match.Match) []byte
-	enc    []byte         // per-cut outbox slab; ownership passes with take()
 	mfree  []*match.Match // pooled scratch copies
-	// Lengths of out and enc at the last cut that emitted: the next
-	// outbox starts sized after them instead of regrowing from nil.
-	outLen, encLen int
+
+	// Outboxes back from the collector (see outbox), waiting to be refilled:
+	// the collector goroutine puts, the worker takes. made counts the ones
+	// this worker ever made.
+	boxMu   sync.Mutex
+	boxFree []*outbox
+	made    int
 
 	// Latency estimators, owned by the worker goroutine; read by
 	// Metrics/ShardMetrics after Finish.
@@ -269,17 +282,11 @@ func (w *worker) emit(id uint32, m *match.Match) {
 	w.scratch = append(w.scratch, scratchMatch{pat: id, m: w.copyScratch(m)})
 }
 
-// take hands the cut's outbox over. The tags and the slab they reference
-// now belong to the collector, which may buffer them indefinitely, so the
-// next cut that emits starts fresh ones (see flushEmits) — sized after
-// this cut's.
-func (w *worker) take() []Tagged {
-	m := w.out
-	if len(m) > 0 {
-		w.outLen, w.encLen = len(m), len(w.enc)
-	}
-	w.out, w.enc = nil, nil
-	return m
+// post reports the cut's completion to the collector and hands it the
+// cut's outbox, if the cut emitted.
+func (w *worker) post(col *Collector, upTo uint64) {
+	col.postBox(w.id, upTo, w.out)
+	w.out = nil
 }
 
 // copyScratch clones the resolver's scratch match into a pooled worker
@@ -332,26 +339,20 @@ func (w *worker) flushEmits() {
 		sortMatches(w.scratch)
 	}
 	if w.out == nil {
-		// The cut's first match: an outbox a little larger than the last
-		// one that filled (wire.RunEncoder.Reset's rule).
-		w.out = make([]Tagged, 0, w.outLen+w.outLen/8+4)
-		if w.encode != nil {
-			w.enc = make([]byte, 0, w.encLen+w.encLen/8+64)
-		}
+		w.out = w.box() // the cut's first match
 	}
+	out := w.out
 	for _, s := range w.scratch {
 		t := Tagged{Seq: w.curSeq, Src: w.id, Pattern: s.pat}
 		if w.encode != nil {
-			// Appends may grow the slab into a new backing array; earlier
-			// tags keep the old one alive, so every Enc slice stays valid.
-			start := len(w.enc)
-			w.enc = w.encode(w.enc, s.m)
-			t.Enc = w.enc[start:len(w.enc):len(w.enc)]
+			start := len(out.enc)
+			out.enc = w.encode(out.enc, s.m)
+			t.Enc = out.enc[start:len(out.enc):len(out.enc)]
 		} else {
 			t.M = s.m.Clone()
 		}
 		w.putMatch(s.m)
-		w.out = append(w.out, t)
+		out.tags = append(out.tags, t)
 	}
 	w.scratch = w.scratch[:0]
 }
@@ -388,7 +389,7 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 			}
 			w.held.Hold(c.blk)
 		}
-		col.Post(w.id, c.upTo, w.take())
+		w.post(col, c.upTo)
 		if w.wantLoad.CompareAndSwap(true, false) {
 			w.liveEvents.Store(w.nevents)
 			w.liveWait.Store(uint64(w.qwait.Quantile(0.99)))
@@ -404,7 +405,7 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 	w.curSeq = math.MaxUint64
 	w.eval.Finish()
 	w.flushEmits()
-	col.Post(w.id, math.MaxUint64, w.take())
+	w.post(col, math.MaxUint64)
 }
 
 // sortMatches orders simultaneously emitted matches canonically: by

@@ -78,7 +78,7 @@ func runShardedBytes(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.
 		Schema:  w.Schema,
 		OnTagged: func(tg Tagged) {
 			got = append(got, tg.M.Key())
-			buf = wire.Append(buf, wire.TaggedMatch{Shard: uint32(tg.Src), Seq: tg.Seq, Pattern: tg.Pattern, M: tg.M})
+			buf = wire.AppendMatchRecord(buf, uint32(tg.Src), tg.Seq, tg.Pattern, wire.AppendMatchBody(nil, tg.M))
 		},
 	}
 	if asSet {

@@ -177,3 +177,54 @@ func TestRunEncodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchDecodeAllocs pins the one layout of a match someone owns
+// (match.Owned) on the decode side: the Match, one pointer array, one
+// events array, one attribute array — four objects for a three-event match,
+// and one more for a Kleene match's table of sets however many sets and
+// members it has. Checking a body allocates nothing, and a decoded match
+// re-encodes to the bytes it came from.
+func TestMatchDecodeAllocs(t *testing.T) {
+	evs := benchBatch(16).Events
+	ptr := func(is ...int) []*event.Event {
+		out := make([]*event.Event, len(is))
+		for k, i := range is {
+			out[k] = &evs[i]
+		}
+		return out
+	}
+	for name, tc := range map[string]struct {
+		m    *match.Match
+		want float64
+	}{
+		"three events": {&match.Match{Events: ptr(0, 1, 2)}, 4},
+		"kleene": {&match.Match{
+			Events: []*event.Event{&evs[0], nil, nil, &evs[9]},
+			Kleene: [][]*event.Event{nil, ptr(1, 2, 3, 4, 5), ptr(6, 7, 8), nil},
+		}, 5},
+	} {
+		b := AppendMatchBody(nil, tc.m)
+		var got *match.Match
+		if avg := testing.AllocsPerRun(100, func() {
+			var err error
+			if got, err = DecodeMatchBody(b); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != tc.want {
+			t.Errorf("%s: decoding allocated %.1f objects, want %.0f", name, avg, tc.want)
+		}
+		if again := AppendMatchBody(nil, got); !bytes.Equal(again, b) {
+			t.Errorf("%s: the decoded match re-encodes to other bytes", name)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := CheckMatchBody(b); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: checking allocated %.1f times, want 0", name, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { got = tc.m.Clone() }); avg != tc.want {
+			t.Errorf("%s: Clone allocated %.1f objects, want the decoder's %.0f", name, avg, tc.want)
+		}
+	}
+}

@@ -4,8 +4,9 @@
 //
 //   - ingress ↔ worker node: the Hello/Assign handshake that pins protocol
 //     version, pattern-set identity, shard layout and coordinator epoch;
-//     event Batch cuts with their watermarks; pattern-tagged matches,
-//     completion Watermarks, Heartbeats and ShardStats flowing back;
+//     event Batch cuts with their watermarks; Matches — a completion
+//     watermark and the matches released under it — Heartbeats and
+//     ShardStats flowing back;
 //     shard migration (Migrate, MigrateAck, ShardRoute); runtime pattern
 //     registration (PatternAdd, PatternRemove); Takeover from a successor
 //     coordinator; and Finish answered by one Metrics frame.
@@ -34,6 +35,16 @@
 // the deltas almost always fit one varint byte where the absolute values
 // take three to five. Matches keep absolute encoding (their events are
 // position-ordered, not arrival-ordered).
+//
+// # Match bodies
+//
+// A match crosses every layer between the worker that detected it and
+// the consumer as its body: the bytes AppendMatchBody wrote on the worker.
+// A Matches frame carries bodies as records, whoever receives one checks
+// them without allocating (Matches.Each, CheckMatchBody), and only the
+// emission boundary — where a consumer is about to see the match —
+// decodes one (DecodeMatchBody). The encoding is canonical: what
+// CheckMatchBody accepts re-encodes to the same bytes.
 //
 // # Runs
 //
@@ -73,7 +84,7 @@ import (
 // incompatible body-layout change; both sides refuse a peer that speaks
 // another version, so no frame carries compatibility shapes (the
 // protocol's history lives in CHANGES.md).
-const Version = 8
+const Version = 9
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.
@@ -86,6 +97,7 @@ const (
 	maxPositions   = 1 << 12 // positions per match
 	maxKleene      = 1 << 20 // events per Kleene closure
 	maxSamples     = 1 << 16 // retained quantile samples per estimator
+	maxMatches     = 1 << 22 // records per Matches frame
 
 	// Pattern/schema shipping caps (Assign payloads).
 	maxSchemaTypes  = 1 << 10 // event types per schema
@@ -122,11 +134,14 @@ const (
 	// KindBatch carries one uniform cut: the node's events accumulated
 	// since the last cut (possibly none) plus the global watermark.
 	KindBatch
-	// KindWatermark reports node completion: every match tagged at or
-	// below UpTo has been sent.
+	// KindWatermark acknowledges progress on the replication link: the
+	// standby has mirrored every cut at or below UpTo.
 	KindWatermark
-	// KindMatch carries one detected match with its merge tag.
-	KindMatch
+	// KindMatches is a node's answer to one progress step: the matches its
+	// collector released, each with its merge tag, and the completion
+	// watermark they were released under — every match tagged at or below
+	// UpTo has been sent.
+	KindMatches
 	// KindMetrics carries a node's engine metrics — session-wide, per
 	// pattern and per tenant — in one frame, sent once, after Finish.
 	KindMetrics
@@ -228,8 +243,8 @@ func (k Kind) String() string {
 		return "batch"
 	case KindWatermark:
 		return "watermark"
-	case KindMatch:
-		return "match"
+	case KindMatches:
+		return "matches"
 	case KindMetrics:
 		return "metrics"
 	case KindFinish:
@@ -360,33 +375,36 @@ type BatchRaw struct {
 	Run  []byte
 }
 
-// Watermark reports a node's completion progress.
+// Watermark acknowledges a mirrored cut on the replication link.
 type Watermark struct {
 	UpTo uint64
 }
 
-// TaggedMatch is one detected match with its merge tag: the global
-// shard index whose engine emitted it and the sequence number of the
-// event whose processing emitted it (the within-shard order is implied
-// by frame order on the connection). Tagging matches with their shard —
-// not their node — is what lets a shard's stream resume from a
-// different node mid-run with the merge collector none the wiser.
-type TaggedMatch struct {
-	Shard   uint32
-	Seq     uint64
-	Pattern uint32 // id of the emitting pattern
-	M       *match.Match
+// Matches is a node's answer to one progress step (see KindMatches). Recs
+// holds Count records back to back, each a merge tag and a match body as
+// the worker encoded it:
+//
+//	uvarint shard · uvarint seq · uvarint pattern · uvarint body length · body
+//
+// The sender builds Recs with AppendMatchRecord and the frame carries the
+// bytes as they are; a decoded frame's Recs alias the buffer it was
+// decoded from (a Reader reads such a frame into a buffer of its own and
+// lets go of it), so the records — and the bodies Each hands out — stay
+// valid for as long as anything holds them. UpTo zero advances nothing:
+// the frame only delivers its records.
+type Matches struct {
+	UpTo  uint64
+	Count int
+	Recs  []byte
 }
 
-// TaggedMatchRaw is a pre-encoded tagged match: Body holds the exact
-// bytes AppendMatchBody produced from the match, so Append emits a frame
-// byte-identical to the TaggedMatch it replaces without ever
-// materializing a heap match. Nodes running the owned-emit path encode
-// matches from the resolver's scratch straight into per-shard outbox
-// slabs and send them as TaggedMatchRaw; the receiving side decodes a
-// regular TaggedMatch (stream transports) or calls DecodeMatchBody
-// (in-process pipes).
-type TaggedMatchRaw struct {
+// MatchRecord is one record of a Matches frame: the global shard index
+// whose engine emitted the match, the sequence number of the event whose
+// processing emitted it (the within-shard order is record order), the
+// emitting pattern's id, and the match body. Tagging matches with their
+// shard — not their node — is what lets a shard's stream resume from a
+// different node mid-run with the merge collector none the wiser.
+type MatchRecord struct {
 	Shard   uint32
 	Seq     uint64
 	Pattern uint32
@@ -597,32 +615,31 @@ type HandoverState struct {
 	Addrs       []string
 }
 
-func (Hello) kind() Kind          { return KindHello }
-func (Assign) kind() Kind         { return KindAssign }
-func (Batch) kind() Kind          { return KindBatch }
-func (BatchView) kind() Kind      { return KindBatch }
-func (BatchRaw) kind() Kind       { return KindBatch }
-func (Watermark) kind() Kind      { return KindWatermark }
-func (TaggedMatch) kind() Kind    { return KindMatch }
-func (TaggedMatchRaw) kind() Kind { return KindMatch }
-func (Metrics) kind() Kind        { return KindMetrics }
-func (Finish) kind() Kind         { return KindFinish }
-func (Heartbeat) kind() Kind      { return KindHeartbeat }
-func (Migrate) kind() Kind        { return KindMigrate }
-func (MigrateAck) kind() Kind     { return KindMigrateAck }
-func (ShardRoute) kind() Kind     { return KindShardRoute }
-func (ShardStats) kind() Kind     { return KindShardStats }
-func (PatternAdd) kind() Kind     { return KindPatternAdd }
-func (PatternRemove) kind() Kind  { return KindPatternRemove }
-func (ReplCut) kind() Kind        { return KindReplCut }
-func (ReplState) kind() Kind      { return KindReplState }
-func (Takeover) kind() Kind       { return KindTakeover }
-func (Epoch) kind() Kind          { return KindEpoch }
-func (LeaseAcquire) kind() Kind   { return KindLeaseAcquire }
-func (LeaseRenew) kind() Kind     { return KindLeaseRenew }
-func (LeaseFence) kind() Kind     { return KindLeaseFence }
-func (Handover) kind() Kind       { return KindHandover }
-func (HandoverState) kind() Kind  { return KindHandoverState }
+func (Hello) kind() Kind         { return KindHello }
+func (Assign) kind() Kind        { return KindAssign }
+func (Batch) kind() Kind         { return KindBatch }
+func (BatchView) kind() Kind     { return KindBatch }
+func (BatchRaw) kind() Kind      { return KindBatch }
+func (Watermark) kind() Kind     { return KindWatermark }
+func (Matches) kind() Kind       { return KindMatches }
+func (Metrics) kind() Kind       { return KindMetrics }
+func (Finish) kind() Kind        { return KindFinish }
+func (Heartbeat) kind() Kind     { return KindHeartbeat }
+func (Migrate) kind() Kind       { return KindMigrate }
+func (MigrateAck) kind() Kind    { return KindMigrateAck }
+func (ShardRoute) kind() Kind    { return KindShardRoute }
+func (ShardStats) kind() Kind    { return KindShardStats }
+func (PatternAdd) kind() Kind    { return KindPatternAdd }
+func (PatternRemove) kind() Kind { return KindPatternRemove }
+func (ReplCut) kind() Kind       { return KindReplCut }
+func (ReplState) kind() Kind     { return KindReplState }
+func (Takeover) kind() Kind      { return KindTakeover }
+func (Epoch) kind() Kind         { return KindEpoch }
+func (LeaseAcquire) kind() Kind  { return KindLeaseAcquire }
+func (LeaseRenew) kind() Kind    { return KindLeaseRenew }
+func (LeaseFence) kind() Kind    { return KindLeaseFence }
+func (Handover) kind() Kind      { return KindHandover }
+func (HandoverState) kind() Kind { return KindHandoverState }
 
 // KindOf reports a frame's kind.
 func KindOf(f Frame) Kind { return f.kind() }
@@ -684,16 +701,9 @@ func Append(dst []byte, f Frame) []byte {
 		dst = appendRun(dst, v.Run)
 	case Watermark:
 		dst = binary.AppendUvarint(dst, v.UpTo)
-	case TaggedMatch:
-		dst = binary.AppendUvarint(dst, uint64(v.Shard))
-		dst = binary.AppendUvarint(dst, v.Seq)
-		dst = binary.AppendUvarint(dst, uint64(v.Pattern))
-		dst = appendMatch(dst, v.M)
-	case TaggedMatchRaw:
-		dst = binary.AppendUvarint(dst, uint64(v.Shard))
-		dst = binary.AppendUvarint(dst, v.Seq)
-		dst = binary.AppendUvarint(dst, uint64(v.Pattern))
-		dst = append(dst, v.Body...)
+	case Matches:
+		dst = appendMatchesHead(dst, v)
+		dst = append(dst, v.Recs...)
 	case Metrics:
 		dst = appendMetrics(dst, &v.M)
 		dst = binary.AppendUvarint(dst, uint64(len(v.Patterns)))
@@ -1014,32 +1024,63 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// AppendMatchBody encodes a match's KindMatch body (everything after the
-// shard/seq/pattern tag varints) onto dst and returns the extended slice. The bytes are
-// exactly what Append(TaggedMatch{...}) would produce for the match, so a
-// TaggedMatchRaw carrying them frames byte-identically. The match is read
-// during the call and not retained — safe on a resolver scratch match
-// under the owned-emit contract.
+// appendMatchesHead encodes what precedes the records in a Matches frame.
+func appendMatchesHead(dst []byte, v Matches) []byte {
+	dst = binary.AppendUvarint(dst, v.UpTo)
+	return binary.AppendUvarint(dst, uint64(v.Count))
+}
+
+// AppendMatchRecord appends one record of a Matches frame to dst: the
+// merge tag, then body — the bytes AppendMatchBody wrote — copied as it
+// is.
+func AppendMatchRecord(dst []byte, shard uint32, seq uint64, pattern uint32, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(shard))
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(pattern))
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
+}
+
+// minMatchRecord is the shortest record: four one-byte varints and the
+// body of a match without positions.
+const minMatchRecord = 6
+
+// Each checks the frame — the count against the bytes, every record's
+// tag and length, every body (CheckMatchBody) — and calls visit, when not
+// nil, with each record in order; the bodies alias Recs. It allocates
+// nothing. On an error the records visited so far were sound, the frame
+// is not: a caller that must take all of it or none collects and discards.
+func (m Matches) Each(visit func(MatchRecord)) error {
+	if m.Count < 0 || uint64(m.Count)*minMatchRecord > uint64(len(m.Recs)) {
+		return fmt.Errorf("wire: matches frame declares %d records over %d bytes", m.Count, len(m.Recs))
+	}
+	c := cursor{b: m.Recs}
+	for i := 0; i < m.Count; i++ {
+		r := MatchRecord{Shard: uint32(c.uvarint()), Seq: c.uvarint(), Pattern: uint32(c.uvarint())}
+		n := c.count(MaxFrame, 1, "match body byte")
+		if c.err != nil {
+			return c.err
+		}
+		r.Body = c.b[c.off : c.off+n : c.off+n]
+		c.off += n
+		if err := CheckMatchBody(r.Body); err != nil {
+			return fmt.Errorf("wire: matches frame record %d of %d: %w", i+1, m.Count, err)
+		}
+		if visit != nil {
+			visit(r)
+		}
+	}
+	if c.off != len(m.Recs) {
+		return fmt.Errorf("wire: matches frame has %d trailing bytes", len(m.Recs)-c.off)
+	}
+	return nil
+}
+
+// AppendMatchBody encodes a match's body onto dst and returns the
+// extended slice: the positions, then the Kleene sets, every event with
+// absolute timestamp and sequence number. The match is read during the
+// call and not retained — safe on a resolver's scratch match.
 func AppendMatchBody(dst []byte, m *match.Match) []byte {
-	return appendMatch(dst, m)
-}
-
-// DecodeMatchBody decodes a KindMatch body previously produced by
-// AppendMatchBody into a freshly allocated match. Used by in-process
-// transports that deliver TaggedMatchRaw frames by reference.
-func DecodeMatchBody(b []byte) (*match.Match, error) {
-	c := &cursor{b: b}
-	m := c.match()
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.off != len(b) {
-		return nil, fmt.Errorf("wire: match body has %d trailing bytes", len(b)-c.off)
-	}
-	return m, nil
-}
-
-func appendMatch(dst []byte, m *match.Match) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.Events)))
 	for _, ev := range m.Events {
 		if ev == nil {
@@ -1062,6 +1103,112 @@ func appendMatch(dst []byte, m *match.Match) []byte {
 		}
 	}
 	return dst
+}
+
+// CheckMatchBody reports whether b is a match body: exactly what
+// DecodeMatchBody accepts, without allocating. Whoever takes bodies in
+// from outside — the ingress reader, off a worker's link — checks them
+// here, so that corrupt bytes fail the session they arrived on and never
+// the emission boundary.
+func CheckMatchBody(b []byte) error {
+	_, err := matchLayout(b)
+	return err
+}
+
+// DecodeMatchBody decodes a match body into a match the caller owns, in
+// the one layout such a match has (match.Owned): four allocations, five
+// with Kleene sets. It belongs at the emission boundary — the last point
+// before a consumer sees the match; everything ahead of it carries the
+// bytes.
+func DecodeMatchBody(b []byte) (*match.Match, error) {
+	l, err := matchLayout(b)
+	if err != nil {
+		return nil, err
+	}
+	// The walk above accepted these bytes, so none of the reads below can
+	// fail, and it counted them, so nothing below relocates.
+	m, own := l.New()
+	c := cursor{b: b}
+	next := func() *event.Event {
+		typ, ts, seq := int(c.uvarint()), event.Time(c.varint()), c.uvarint()
+		ev := own.Alloc(typ, ts, seq, int(c.uvarint()))
+		for k := range ev.Attrs {
+			ev.Attrs[k] = c.f64()
+		}
+		return ev
+	}
+	c.uvarint() // len(m.Events)
+	for i := range m.Events {
+		if c.u8() == 1 {
+			m.Events[i] = next()
+		}
+	}
+	c.uvarint() // len(m.Kleene)
+	for p := range m.Kleene {
+		if c.u8() == 1 {
+			set := own.Set(int(c.uvarint()))
+			for i := range set {
+				set[i] = next()
+			}
+			m.Kleene[p] = set
+		}
+	}
+	return m, nil
+}
+
+// matchLayout walks a match body once, allocating nothing: it checks the
+// structure — counts against their caps and the bytes left, presence tags
+// 0 or 1, every varint in its shortest form, nothing trailing — and
+// counts what a decode will store. Every size DecodeMatchBody allocates
+// comes from here, so each is bounded by bytes actually present: an event
+// by the 4 bytes it takes at least, an attribute value by its 8, a
+// position by its presence tag (and maxPositions).
+func matchLayout(b []byte) (match.Layout, error) {
+	var l match.Layout
+	c := cursor{b: b, strict: true}
+	skip := func() { // one event
+		c.uvarint() // type
+		c.varint()  // timestamp
+		c.uvarint() // sequence number
+		n := c.count(maxAttrs, 8, "attribute")
+		c.off += 8 * n
+		l.Events++
+		l.Attrs += n
+	}
+	present := func() bool {
+		switch c.u8() {
+		case 0:
+		case 1:
+			return c.err == nil
+		default:
+			c.fail("presence tag at offset %d is neither 0 nor 1", c.off-1)
+		}
+		return false
+	}
+	l.Positions = c.count(maxPositions, 1, "match position")
+	for i := 0; i < l.Positions && c.err == nil; i++ {
+		if present() {
+			skip()
+		}
+	}
+	l.Sets = c.count(maxPositions, 1, "kleene position")
+	for i := 0; i < l.Sets && c.err == nil; i++ {
+		if !present() {
+			continue
+		}
+		n := c.count(maxKleene, 4, "kleene event")
+		l.Members += n
+		for j := 0; j < n && c.err == nil; j++ {
+			skip()
+		}
+	}
+	if c.err != nil {
+		return l, c.err
+	}
+	if c.off != len(b) {
+		return l, fmt.Errorf("wire: match body has %d trailing bytes", len(b)-c.off)
+	}
+	return l, nil
 }
 
 func appendMetrics(dst []byte, m *engine.Metrics) []byte {
@@ -1098,11 +1245,14 @@ func appendQuantile(dst []byte, q *stats.Quantile) []byte {
 // readers treat it as "need more data", not corruption.
 var ErrShort = errors.New("wire: short buffer")
 
-// cursor walks a frame body, latching the first error.
+// cursor walks a frame body, latching the first error. A strict cursor
+// also refuses a varint that is not in its shortest form: what it accepts
+// has one encoding.
 type cursor struct {
-	b   []byte
-	off int
-	err error
+	b      []byte
+	off    int
+	err    error
+	strict bool
 }
 
 func (c *cursor) fail(format string, args ...any) {
@@ -1120,8 +1270,17 @@ func (c *cursor) uvarint() uint64 {
 		c.fail("truncated or overlong varint at offset %d", c.off)
 		return 0
 	}
+	c.minimal(n)
 	c.off += n
 	return v
+}
+
+// minimal fails a strict cursor on an n-byte varint at the current offset
+// that a shorter one would have encoded: its last byte adds nothing.
+func (c *cursor) minimal(n int) {
+	if c.strict && n > 1 && c.b[c.off+n-1] == 0 {
+		c.fail("varint at offset %d is not in its shortest form", c.off)
+	}
 }
 
 func (c *cursor) varint() int64 {
@@ -1133,6 +1292,7 @@ func (c *cursor) varint() int64 {
 		c.fail("truncated or overlong varint at offset %d", c.off)
 		return 0
 	}
+	c.minimal(n)
 	c.off += n
 	return v
 }
@@ -1251,9 +1411,18 @@ func decodePayload(p []byte) (Frame, error) {
 		f = v
 	case KindWatermark:
 		f = Watermark{UpTo: c.uvarint()}
-	case KindMatch:
-		v := TaggedMatch{Shard: uint32(c.uvarint()), Seq: c.uvarint(), Pattern: uint32(c.uvarint())}
-		v.M = c.match()
+	case KindMatches:
+		v := Matches{UpTo: c.uvarint()}
+		v.Count = c.count(maxMatches, minMatchRecord, "match record")
+		if c.err == nil {
+			if c.off < len(p) {
+				v.Recs = p[c.off:]
+				c.off = len(p)
+			}
+			if err := v.Each(nil); err != nil {
+				return nil, err
+			}
+		}
 		f = v
 	case KindMetrics:
 		v := Metrics{M: c.metrics()}
@@ -1422,16 +1591,6 @@ func decodePayload(p []byte) (Frame, error) {
 		return nil, fmt.Errorf("wire: %s frame has %d trailing bytes", Kind(p[0]), len(p)-c.off)
 	}
 	return f, nil
-}
-
-func (c *cursor) event() event.Event {
-	ev := event.Event{
-		Type: int(c.uvarint()),
-		TS:   event.Time(c.varint()),
-		Seq:  c.uvarint(),
-	}
-	c.attrs(&ev)
-	return ev
 }
 
 // eventDelta decodes a Batch event whose timestamp and sequence number
@@ -1608,37 +1767,6 @@ func (c *cursor) subPattern(s *event.Schema) *pattern.Pattern {
 	return p
 }
 
-func (c *cursor) match() *match.Match {
-	m := &match.Match{}
-	np := c.count(maxPositions, 1, "match position")
-	if np > 0 {
-		m.Events = make([]*event.Event, np)
-		for i := 0; i < np && c.err == nil; i++ {
-			if c.u8() == 1 {
-				ev := c.event()
-				m.Events[i] = &ev
-			}
-		}
-	}
-	nk := c.count(maxPositions, 1, "kleene position")
-	if nk > 0 {
-		m.Kleene = make([][]*event.Event, nk)
-		for i := 0; i < nk && c.err == nil; i++ {
-			if c.u8() != 1 {
-				continue
-			}
-			n := c.count(maxKleene, 4, "kleene event")
-			set := make([]*event.Event, 0, min(n, 1024))
-			for j := 0; j < n && c.err == nil; j++ {
-				ev := c.event()
-				set = append(set, &ev)
-			}
-			m.Kleene[i] = set
-		}
-	}
-	return m
-}
-
 func (c *cursor) metrics() engine.Metrics {
 	var m engine.Metrics
 	for _, u := range []*uint64{
@@ -1674,9 +1802,10 @@ func (c *cursor) quantile() stats.Quantile {
 // Stream framing
 
 // Writer frames messages onto an io.Writer. Each Write issues exactly one
-// underlying write call — two for a BatchRaw, whose run goes out as it is
-// instead of through the frame buffer — so frames on a net.Conn are not
-// interleaved as long as one goroutine owns the Writer.
+// underlying write call — two for a BatchRaw or a Matches, whose run or
+// records go out as they are instead of through the frame buffer — so
+// frames on a net.Conn are not interleaved as long as one goroutine owns
+// the Writer.
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -1687,18 +1816,29 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Write encodes and sends one frame.
 func (w *Writer) Write(f Frame) error {
-	if raw, ok := f.(BatchRaw); ok && len(raw.Run) > 0 {
-		w.buf = append(w.buf[:0], 0, 0, 0, 0, byte(KindBatch))
-		w.buf = binary.AppendUvarint(w.buf, raw.UpTo)
-		binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4+len(raw.Run)))
-		if _, err := w.w.Write(w.buf); err != nil {
-			return err
+	var tail []byte // pre-encoded bytes that follow the head as they are
+	switch v := f.(type) {
+	case BatchRaw:
+		if tail = v.Run; len(tail) > 0 {
+			w.buf = append(w.buf[:0], 0, 0, 0, 0, byte(KindBatch))
+			w.buf = binary.AppendUvarint(w.buf, v.UpTo)
 		}
-		_, err := w.w.Write(raw.Run)
+	case Matches:
+		if tail = v.Recs; len(tail) > 0 {
+			w.buf = append(w.buf[:0], 0, 0, 0, 0, byte(KindMatches))
+			w.buf = appendMatchesHead(w.buf, v)
+		}
+	}
+	if len(tail) == 0 {
+		w.buf = Append(w.buf[:0], f)
+		_, err := w.w.Write(w.buf)
 		return err
 	}
-	w.buf = Append(w.buf[:0], f)
-	_, err := w.w.Write(w.buf)
+	binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4+len(tail)))
+	if _, err := w.w.Write(w.buf); err != nil {
+		return err
+	}
+	_, err := w.w.Write(tail)
 	return err
 }
 
@@ -1707,7 +1847,7 @@ func (w *Writer) Write(f Frame) error {
 // io.ErrUnexpectedEOF.
 type Reader struct {
 	r    io.Reader
-	head [4]byte
+	head [5]byte // length prefix and kind
 	buf  []byte
 
 	// Zero-copy batch decode state (SetDecodeArena).
@@ -1731,9 +1871,11 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // it. A nil arena restores the copying decode.
 func (r *Reader) SetDecodeArena(a *match.Arena) { r.arena = a }
 
-// Read decodes the next frame.
+// Read decodes the next frame. What it returns may alias the Reader's
+// buffer only until the next Read, with one exception: a Matches frame's
+// records are the consumer's to keep.
 func (r *Reader) Read() (Frame, error) {
-	if _, err := io.ReadFull(r.r, r.head[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.head[:4]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
@@ -1743,20 +1885,32 @@ func (r *Reader) Read() (Frame, error) {
 	if n < 1 || n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame length %d out of range [1, %d]", n, MaxFrame)
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	_, err := io.ReadFull(r.r, r.head[4:])
+	var buf []byte
+	if err == nil {
+		if Kind(r.head[4]) == KindMatches {
+			// The decoded records alias the frame's bytes and outlive this
+			// call: the frame gets a buffer of its own, which goes with it.
+			buf = make([]byte, n)
+		} else {
+			if cap(r.buf) < int(n) {
+				r.buf = make([]byte, n)
+			}
+			buf = r.buf[:n]
+		}
+		buf[0] = r.head[4]
+		_, err = io.ReadFull(r.r, buf[1:])
 	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	if r.arena != nil && Kind(r.buf[0]) == KindBatch {
-		return r.decodeBatchInto(r.buf)
+	if r.arena != nil && Kind(buf[0]) == KindBatch {
+		return r.decodeBatchInto(buf)
 	}
-	return decodePayload(r.buf)
+	return decodePayload(buf)
 }
 
 // decodeBatchInto is the zero-copy KindBatch decode: the watermark, then

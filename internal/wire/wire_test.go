@@ -63,6 +63,29 @@ func sealRun(shard uint32, evs ...event.Event) ReplRun {
 	return e.Seal(shard)
 }
 
+// matchesOf builds a Matches frame the way a node does: one record per
+// match, appended in order.
+func matchesOf(upTo uint64, recs ...MatchRecord) Matches {
+	f := Matches{UpTo: upTo, Count: len(recs)}
+	for _, r := range recs {
+		f.Recs = AppendMatchRecord(f.Recs, r.Shard, r.Seq, r.Pattern, r.Body)
+	}
+	return f
+}
+
+// sampleMatches are the match shapes a body must carry: plain positions
+// with a negated one, Kleene sets beside nil ones, and nothing at all.
+func sampleMatches() (plain, kleene, empty *match.Match) {
+	ev := sampleEvent()
+	ev2 := event.Event{Type: 0, TS: 0, Seq: 1}
+	plain = &match.Match{Events: []*event.Event{&ev, nil, &ev2}}
+	kleene = &match.Match{
+		Events: []*event.Event{&ev, nil, nil},
+		Kleene: [][]*event.Event{nil, {&ev2, &ev}, nil},
+	}
+	return plain, kleene, &match.Match{}
+}
+
 // frames is the table every round-trip test walks: at least one instance
 // of every frame kind, including degenerate shapes.
 func frames() []Frame {
@@ -78,6 +101,7 @@ func frames() []Frame {
 	if err != nil {
 		panic(err)
 	}
+	plain, kleene, empty := sampleMatches()
 	return []Frame{
 		Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d},
 		Hello{},
@@ -115,12 +139,12 @@ func frames() []Frame {
 		}},
 		ShardStats{},
 		Watermark{UpTo: math.MaxUint64},
-		TaggedMatch{Shard: 3, Seq: 7, Pattern: 42, M: &match.Match{Events: []*event.Event{&ev, nil, &ev2}}},
-		TaggedMatch{Seq: math.MaxUint64, M: &match.Match{
-			Events: []*event.Event{&ev, nil, nil},
-			Kleene: [][]*event.Event{nil, {&ev2, &ev}, nil},
-		}},
-		TaggedMatch{Seq: 0, M: &match.Match{}},
+		matchesOf(1 << 40), // a cut that released nothing: the bare watermark
+		matchesOf(7, MatchRecord{Shard: 3, Seq: 7, Pattern: 42, Body: AppendMatchBody(nil, plain)}),
+		matchesOf(math.MaxUint64, // the end-of-stream flush
+			MatchRecord{Seq: math.MaxUint64, Body: AppendMatchBody(nil, kleene)},
+			MatchRecord{Shard: 1, Seq: math.MaxUint64, Pattern: 9, Body: AppendMatchBody(nil, plain)}),
+		matchesOf(0, MatchRecord{Body: AppendMatchBody(nil, empty)}), // records only: no watermark moves
 		Metrics{M: engine.Metrics{
 			Events: 100, Matches: 3, LateDropped: 1, EventsArrived: 100,
 			EventsShed: 7, QueueDropped: 2, DecisionCalls: 5, PlanGenerations: 4,
@@ -288,18 +312,19 @@ func TestReaderTruncated(t *testing.T) {
 // wire-prefixed errors and never panic.
 func TestDecodeCorrupt(t *testing.T) {
 	cases := map[string][]byte{
-		"zero length":        {0, 0, 0, 0},
-		"oversized length":   {0xff, 0xff, 0xff, 0xff, byte(KindFinish)},
-		"unknown kind":       Append(nil, Finish{})[:4:4],
-		"overlong varint":    {10, 0, 0, 0, byte(KindWatermark), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
-		"event count lie":    {3, 0, 0, 0, byte(KindBatch), 5, 200},
-		"attr count lie":     {7, 0, 0, 0, byte(KindBatch), 5, 1, 0, 0, 1, 250},
-		"kleene count lie":   {6, 0, 0, 0, byte(KindMatch), 0, 0, 1, 1, 99},
-		"sample count bomb":  {8, 0, 0, 0, byte(KindMetrics), 0, 0, 0, 0, 0, 0, 0},
-		"position cap break": {8, 0, 0, 0, byte(KindMatch), 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},
+		"zero length":       {0, 0, 0, 0},
+		"oversized length":  {0xff, 0xff, 0xff, 0xff, byte(KindFinish)},
+		"unknown kind":      Append(nil, Finish{})[:4:4],
+		"overlong varint":   {10, 0, 0, 0, byte(KindWatermark), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+		"event count lie":   {3, 0, 0, 0, byte(KindBatch), 5, 200},
+		"attr count lie":    {7, 0, 0, 0, byte(KindBatch), 5, 1, 0, 0, 1, 250},
+		"sample count bomb": {8, 0, 0, 0, byte(KindMetrics), 0, 0, 0, 0, 0, 0, 0},
 	}
 	cases["unknown kind"] = append(cases["unknown kind"], 99)
 	for name, b := range corruptReplCuts() {
+		cases[name] = b
+	}
+	for name, b := range corruptMatches() {
 		cases[name] = b
 	}
 	// A PatternAdd whose entry ships no pattern is structurally invalid:
@@ -357,6 +382,151 @@ func corruptReplCuts() map[string][]byte {
 		"repl-cut body past the frame end": damage(byteLen, good[byteLen]+1),
 		"repl-cut body short of the frame": damage(byteLen, good[byteLen]-1),
 		"repl-cut body beyond any frame":   huge,
+	}
+}
+
+// corruptMatches damages a Matches frame of two records — the frame a
+// node answers a cut with — in each way a reader must refuse before any
+// of it reaches the collector: a record count the bytes cannot hold, a
+// body length that runs past the frame or stops short of the body's end,
+// a body cut off mid-event, counts past their caps, a presence tag that is
+// neither 0 nor 1, a varint that is not in its shortest form, and a record
+// the count does not cover.
+func corruptMatches() map[string][]byte {
+	plain, kleene, _ := sampleMatches()
+	body, kbody := AppendMatchBody(nil, plain), AppendMatchBody(nil, kleene)
+	frame := func(count int, recs ...[]byte) []byte {
+		f := Matches{UpTo: 5, Count: count}
+		for _, r := range recs {
+			f.Recs = append(f.Recs, r...)
+		}
+		return Append(nil, f)
+	}
+	rec := func(body []byte) []byte { return AppendMatchRecord(nil, 1, 5, 0, body) }
+	lying := func(n int, body []byte) []byte { // a record whose length field says n
+		r := binary.AppendUvarint([]byte{1, 5, 0}, uint64(n))
+		return append(r, body...)
+	}
+	damaged := func(body []byte, at int, v ...byte) []byte {
+		b := append([]byte(nil), body[:at]...)
+		b = append(b, v...)
+		return append(b, body[at+1:]...)
+	}
+	return map[string][]byte{
+		"matches count past the bytes":    frame(200, rec(body)),
+		"matches count short of records":  frame(1, rec(body), rec(body)),
+		"matches truncated record":        frame(2, rec(body), rec(body)[:3]),
+		"matches body past the frame":     frame(2, rec(body), lying(len(body)+1, body)),
+		"matches body beyond any frame":   frame(2, rec(body), lying(MaxFrame+1, body)),
+		"matches body length short":       frame(2, rec(body), lying(len(body)-1, body)),
+		"matches truncated body":          frame(2, rec(body), rec(body[:len(body)-9])),
+		"matches position cap overrun":    frame(1, rec(append(binary.AppendUvarint(nil, maxPositions+1), make([]byte, maxPositions+2)...))),
+		"matches position count lie":      frame(1, rec([]byte{99, 0})),
+		"matches kleene cap overrun":      frame(1, rec(append(binary.AppendUvarint([]byte{0, 1, 1}, maxKleene+1), make([]byte, 16)...))),
+		"matches kleene count lie":        frame(1, rec([]byte{0, 1, 1, 99})),
+		"matches presence tag 2":          frame(1, rec(damaged(body, 1, 2))),
+		"matches kleene presence tag 2":   frame(1, rec(damaged(kbody, len(kbody)-1, 2))),
+		"matches non-minimal body varint": frame(1, rec(damaged(body, 0, 0x83, 0))),
+	}
+}
+
+// TestMatchBodyCanonical: the three ways to read a body agree. What
+// CheckMatchBody accepts decodes, what it refuses does not, and a decoded
+// match re-encodes to the bytes it came from — the property that lets
+// every layer between a worker and the consumer carry the worker's bytes
+// and the emission boundary alone decode them.
+func TestMatchBodyCanonical(t *testing.T) {
+	plain, kleene, empty := sampleMatches()
+	present := &match.Match{Kleene: [][]*event.Event{{}}} // a set that is there and empty
+	for _, m := range []*match.Match{plain, kleene, empty, present} {
+		b := AppendMatchBody(nil, m)
+		if err := CheckMatchBody(b); err != nil {
+			t.Fatalf("%v: own encoding refused: %v", m, err)
+		}
+		got, err := DecodeMatchBody(b)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if again := AppendMatchBody(nil, got); !bytes.Equal(again, b) {
+			t.Fatalf("%v re-encodes to other bytes:\n was: %x\n now: %x", m, b, again)
+		}
+		for cut := 0; cut < len(b); cut++ {
+			if CheckMatchBody(b[:cut]) == nil {
+				t.Fatalf("%v: body truncated to %d/%d bytes passes the check", m, cut, len(b))
+			}
+			if _, err := DecodeMatchBody(b[:cut]); err == nil {
+				t.Fatalf("%v: body truncated to %d/%d bytes decodes", m, cut, len(b))
+			}
+		}
+		if CheckMatchBody(append(b[:len(b):len(b)], 0)) == nil {
+			t.Fatalf("%v: a trailing byte passes the check", m)
+		}
+	}
+}
+
+// TestMatchesEach: Each hands out the records as appended, their bodies
+// aliasing the frame's bytes, and visits nothing past the first unsound
+// record.
+func TestMatchesEach(t *testing.T) {
+	plain, kleene, _ := sampleMatches()
+	want := []MatchRecord{
+		{Shard: 3, Seq: 7, Pattern: 42, Body: AppendMatchBody(nil, plain)},
+		{Shard: 0, Seq: 9, Pattern: 1, Body: AppendMatchBody(nil, kleene)},
+	}
+	f := matchesOf(9, want...)
+	var got []MatchRecord
+	if err := f.Each(func(r MatchRecord) { got = append(got, r) }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Each yields %+v, want %+v", got, want)
+	}
+	if &got[1].Body[0] != &f.Recs[len(f.Recs)-len(got[1].Body)] {
+		t.Fatal("a record's body is a copy, not the frame's bytes")
+	}
+	f.Recs = f.Recs[:len(f.Recs)-1]
+	got = got[:0]
+	if err := f.Each(func(r MatchRecord) { got = append(got, r) }); err == nil || len(got) != 1 {
+		t.Fatalf("truncated frame: error %v after %d records, want an error after the first", err, len(got))
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := matchesOf(9).Each(nil); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("checking an empty frame allocates %.1f times", avg)
+	}
+}
+
+// TestReaderHandsOverMatches: a Matches frame read off a stream keeps its
+// records when the Reader moves on — its bytes are the consumer's, not the
+// Reader's reusable buffer.
+func TestReaderHandsOverMatches(t *testing.T) {
+	plain, kleene, _ := sampleMatches()
+	first := matchesOf(1, MatchRecord{Seq: 1, Body: AppendMatchBody(nil, plain)})
+	second := matchesOf(2, MatchRecord{Seq: 2, Body: AppendMatchBody(nil, kleene)})
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	for _, f := range []Frame{first, second, Batch{UpTo: 3, Events: make([]event.Event, 64)}} {
+		if err := w.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReader(&stream)
+	var held []Matches
+	for i := 0; i < 3; i++ {
+		f, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := f.(Matches); ok {
+			held = append(held, m)
+		}
+	}
+	for i, want := range []Matches{first, second} {
+		if !bytes.Equal(held[i].Recs, want.Recs) {
+			t.Fatalf("frame %d's records changed under a later Read", i)
+		}
 	}
 }
 
