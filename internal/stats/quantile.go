@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // quantileCap bounds the reservoir of a Quantile. 512 samples put the
 // worst-case p99 rank error near 1/512 of the retained distribution,
@@ -130,12 +133,14 @@ func (q *Quantile) Merge(o *Quantile) {
 func (q *Quantile) Samples() []float64 { return q.samples }
 
 // RestoreQuantile rebuilds an estimator from a transported count and
-// reservoir (the inverse of Count/Samples, used by the wire codec). The
-// restored estimator continues to accept observations.
-func RestoreQuantile(count uint64, samples []float64) Quantile {
-	q := Quantile{count: count, stride: 1, samples: append([]float64(nil), samples...)}
-	for len(q.samples) >= quantileCap {
-		q.decimate()
+// reservoir (the inverse of Count/Samples, used by the wire codec). A
+// reservoir larger than an estimator keeps — fewer than quantileCap
+// samples — is refused: no Quantile produced it, and restoring it would
+// not give back what was sent. The restored estimator continues to accept
+// observations.
+func RestoreQuantile(count uint64, samples []float64) (Quantile, error) {
+	if len(samples) >= quantileCap {
+		return Quantile{}, fmt.Errorf("stats: a reservoir of %d samples exceeds the %d a quantile estimator keeps", len(samples), quantileCap-1)
 	}
-	return q
+	return Quantile{count: count, stride: 1, samples: append([]float64(nil), samples...)}, nil
 }

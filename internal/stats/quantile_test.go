@@ -101,7 +101,10 @@ func TestQuantileRestore(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		q.Add(float64(i))
 	}
-	r := RestoreQuantile(q.Count(), q.Samples())
+	r, err := RestoreQuantile(q.Count(), q.Samples())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Count() != q.Count() {
 		t.Fatalf("restored count = %d, want %d", r.Count(), q.Count())
 	}
@@ -109,6 +112,9 @@ func TestQuantileRestore(t *testing.T) {
 		t.Fatalf("restored p50 = %v, want %v", r.Quantile(0.5), q.Quantile(0.5))
 	}
 	r.Add(5) // must not panic; estimator stays live
+	if _, err := RestoreQuantile(1, make([]float64, quantileCap)); err == nil {
+		t.Fatal("a reservoir larger than an estimator keeps was restored")
+	}
 }
 
 // TestQuantileSelectionMatchesSort: for every reservoir size under the

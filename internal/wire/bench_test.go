@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"acep/internal/engine"
 	"acep/internal/event"
 	"acep/internal/match"
+	"acep/internal/stats"
 )
 
 // benchBatch builds one delta-friendly Batch of n events: four rotating
@@ -175,6 +178,96 @@ func TestRunEncodeAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, cut(reuse)); avg != want {
 			t.Errorf("encoding a 256-event run with reuse=%v allocated %.2f times; want %v", reuse, avg, want)
 		}
+	}
+}
+
+// controlFrame is one control frame the allocation guard and the
+// benchmark run, with the objects decoding it may allocate: the frame's
+// box — none for a value small enough for the runtime's preallocated
+// ones — plus each table it carries and each string and run body in them.
+type controlFrame struct {
+	name   string
+	f      Frame
+	decode float64
+}
+
+func controlFrames() []controlFrame {
+	ev, ev2 := sampleEvent(), event.Event{Type: 0, TS: 0, Seq: 1}
+	var q stats.Quantile
+	for i := 0; i < 2000; i++ {
+		q.Add(float64(i % 97))
+	}
+	return []controlFrame{
+		{"heartbeat", Heartbeat{UpTo: 77}, 0},
+		{"pattern-remove", PatternRemove{ID: 99}, 0},
+		{"handover", Handover{Epoch: 2}, 0},
+		{"finish", Finish{}, 0},
+		{"hello", Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d}, 1},
+		{"assign", Assign{Base: 0, Shards: 2, Total: 4, Epoch: 3}, 1},
+		{"watermark", Watermark{UpTo: math.MaxUint64}, 1},
+		{"migrate", Migrate{Shard: 9, SuppressUpTo: 1234, ReplayUpTo: 5678}, 1},
+		{"migrate-ack", MigrateAck{Shard: 9, UpTo: 5690}, 1},
+		{"repl-state", ReplState{EmittedUpTo: 1 << 40, Count: 12345}, 1},
+		{"takeover", Takeover{Epoch: 2, Boundary: 768, Count: 99}, 1},
+		{"epoch", Epoch{Epoch: 3, Window: 5000, Slack: 4, MaxBytes: 1 << 28}, 1},
+		{"lease-acquire", LeaseAcquire{Holder: 1, TTLMillis: 2000}, 1},
+		{"lease-renew", LeaseRenew{Holder: 1, Epoch: 4, TTLMillis: 2000, EmittedUpTo: 1 << 33, Count: 777}, 1},
+		{"lease-fence", LeaseFence{Granted: true, Holder: 1, Epoch: 4, EmittedUpTo: 1 << 33, Count: 777}, 1},
+		{"handover-state", HandoverState{LastUpTo: 1 << 30, LastCut: 255, Cuts: 8, Finished: true}, 1},
+		{"shard-route", ShardRoute{Owner: []uint32{0, 2, 1, math.MaxUint32, 2}}, 2},
+		{"shard-stats", ShardStats{Stats: []ShardStat{{Shard: 0, Events: 1 << 44, P99Nanos: 125_000, Cut: 1 << 52}, {Shard: 3, Events: 7}}}, 2},
+		{"metrics", Metrics{M: engine.Metrics{Events: 100, Matches: 3, PeakPMs: 17, QueueWait: q}}, 3},
+		{"repl-cut-final", ReplCut{UpTo: 1 << 52, Cut: 1 << 20, Final: true}, 1},
+		{"repl-cut-run", ReplCut{UpTo: 512, Cut: 1, Runs: []ReplRun{sealRun(1, ev2)}}, 3},
+		{"repl-cut-tables", ReplCut{
+			UpTo: 1 << 30, Cut: 17, Owner: []uint32{0, 1, 1, 0},
+			Addrs: []string{"127.0.0.1:9001", "", "[::1]:40000"},
+			Runs:  []ReplRun{sealRun(0, ev, ev2), sealRun(3, ev2, ev, ev)},
+		}, 8},
+	}
+}
+
+// TestControlFrameAllocs pins what a control frame's code method costs
+// in each direction: encoding onto a warm buffer allocates nothing, and
+// decoding allocates the frame's box and its tables, nothing for the codec
+// or the dispatch.
+func TestControlFrameAllocs(t *testing.T) {
+	for _, tc := range controlFrames() {
+		b := Append(nil, tc.f)
+		dst := Append(nil, tc.f)
+		if avg := testing.AllocsPerRun(100, func() { dst = Append(dst[:0], tc.f) }); avg != 0 {
+			t.Errorf("%s: encoding allocated %.1f times, want 0", tc.name, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if _, _, err := Decode(b); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > tc.decode {
+			t.Errorf("%s: decoding allocated %.1f times, want at most %.0f", tc.name, avg, tc.decode)
+		}
+	}
+}
+
+// BenchmarkControlFrames measures the encode (onto a warm buffer) and the
+// decode of each control frame.
+func BenchmarkControlFrames(b *testing.B) {
+	for _, tc := range controlFrames() {
+		frame := Append(nil, tc.f)
+		b.Run(tc.name+"/encode", func(b *testing.B) {
+			dst := append([]byte(nil), frame...)
+			b.ReportAllocs()
+			for b.Loop() {
+				dst = Append(dst[:0], tc.f)
+			}
+		})
+		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := Decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

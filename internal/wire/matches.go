@@ -1,0 +1,220 @@
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"acep/internal/event"
+	"acep/internal/match"
+)
+
+// Matches is a node's answer to one progress step: the matches its
+// collector released and the completion watermark they were released
+// under — every match tagged at or below UpTo has been sent (zero: none
+// advances). Recs holds Count records back to back, built by
+// AppendMatchRecord:
+//
+//	uvarint shard · uvarint seq · uvarint pattern · uvarint body length · body
+//
+// A decoded frame's Recs alias the buffer it was decoded from, which a
+// Reader gives up to the frame, so the records and the bodies Each hands
+// out stay valid for as long as anything holds them.
+type Matches struct {
+	UpTo  uint64
+	Count int
+	Recs  []byte
+}
+
+// MatchRecord is one record of a Matches frame: the merge tag — the global
+// shard that emitted the match (not the node: a shard's stream may resume
+// on another node mid-run) and the sequence number of the event whose
+// processing emitted it — the pattern's id, and the body.
+type MatchRecord struct {
+	Shard   uint32
+	Seq     uint64
+	Pattern uint32
+	Body    []byte
+}
+
+// minMatchRecord is the shortest record: four one-byte varints and the
+// body of a match without positions.
+const minMatchRecord = 6
+
+// code codes what precedes the records. An encoder leaves the records to
+// its caller; a decoder aliases and checks them (Each).
+func (m Matches) code(c *codec) Matches {
+	c.u64(&m.UpTo)
+	m.Count = c.count(m.Count, maxMatches, minMatchRecord, "match record")
+	if !c.enc && c.err == nil {
+		m.Recs, c.off = c.b[c.off:], len(c.b)
+		c.err = m.Each(nil)
+	}
+	return m
+}
+
+// AppendMatchRecord appends one record of a Matches frame to dst: the
+// merge tag, then body, the bytes AppendMatchBody wrote.
+func AppendMatchRecord(dst []byte, shard uint32, seq uint64, pattern uint32, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(shard))
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(pattern))
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
+}
+
+// Each checks the frame — the count against the bytes, every record's
+// tag and length, every body (CheckMatchBody) — and calls visit, when not
+// nil, with each record in order; the bodies alias Recs. It allocates
+// nothing. On an error the records visited so far were sound, the frame
+// is not: a caller that must take all of it or none collects and discards.
+func (m Matches) Each(visit func(MatchRecord)) error {
+	if m.Count < 0 || uint64(m.Count)*minMatchRecord > uint64(len(m.Recs)) {
+		return fmt.Errorf("wire: matches frame declares %d records over %d bytes", m.Count, len(m.Recs))
+	}
+	c := codec{b: m.Recs}
+	for i := 0; i < m.Count; i++ {
+		var r MatchRecord
+		c.u32(&r.Shard)
+		c.u64(&r.Seq)
+		c.u32(&r.Pattern)
+		n := c.count(0, MaxFrame, 1, "match body byte")
+		if c.err != nil {
+			return c.err
+		}
+		r.Body = c.b[c.off : c.off+n : c.off+n]
+		c.off += n
+		if err := CheckMatchBody(r.Body); err != nil {
+			return fmt.Errorf("wire: matches frame record %d of %d: %w", i+1, m.Count, err)
+		}
+		if visit != nil {
+			visit(r)
+		}
+	}
+	if c.off != len(m.Recs) {
+		c.fail("matches frame has %d trailing bytes", len(m.Recs)-c.off)
+	}
+	return c.err
+}
+
+// AppendMatchBody appends a match's body to dst: the positions, then the
+// Kleene sets, every event with absolute timestamp and sequence number (a
+// match is position-ordered, so deltas would not pay). Nothing of m is
+// retained — safe on a resolver's scratch match.
+func AppendMatchBody(dst []byte, m *match.Match) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m.Events)))
+	for _, ev := range m.Events {
+		if ev == nil {
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, 1)
+		dst = appendEvent(dst, ev)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Kleene)))
+	for _, set := range m.Kleene {
+		if set == nil {
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, 1)
+		dst = binary.AppendUvarint(dst, uint64(len(set)))
+		for _, ev := range set {
+			dst = appendEvent(dst, ev)
+		}
+	}
+	return dst
+}
+
+func appendEvent(dst []byte, ev *event.Event) []byte {
+	dst = binary.AppendUvarint(dst, uint64(ev.Type))
+	dst = binary.AppendVarint(dst, int64(ev.TS))
+	dst = binary.AppendUvarint(dst, ev.Seq)
+	return appendAttrs(dst, ev.Attrs)
+}
+
+// CheckMatchBody reports whether b is a match body — exactly what
+// DecodeMatchBody accepts — without allocating: corrupt bytes then fail
+// the session that brought them, never the emission boundary.
+func CheckMatchBody(b []byte) error {
+	_, err := matchLayout(b)
+	return err
+}
+
+// DecodeMatchBody decodes a match body into a match the caller owns, in
+// its one layout (match.Owned): four allocations, five with Kleene sets.
+// It belongs where a consumer is about to see the match.
+func DecodeMatchBody(b []byte) (*match.Match, error) {
+	l, err := matchLayout(b)
+	if err != nil {
+		return nil, err
+	}
+	// The walk above accepted these bytes, so none of the reads below can
+	// fail, and it counted them, so nothing below relocates.
+	m, own := l.New()
+	c := codec{b: b}
+	next := func() *event.Event {
+		typ, ts, seq := int(c.uvarint()), event.Time(c.varint()), c.uvarint()
+		ev := own.Alloc(typ, ts, seq, int(c.uvarint()))
+		for k := range ev.Attrs {
+			ev.Attrs[k] = c.float()
+		}
+		return ev
+	}
+	c.uvarint() // len(m.Events)
+	for i := range m.Events {
+		if c.u8() == 1 {
+			m.Events[i] = next()
+		}
+	}
+	c.uvarint() // len(m.Kleene)
+	for p := range m.Kleene {
+		if c.u8() == 1 {
+			set := own.Set(int(c.uvarint()))
+			for i := range set {
+				set[i] = next()
+			}
+			m.Kleene[p] = set
+		}
+	}
+	return m, nil
+}
+
+// matchLayout walks a match body once, allocating nothing: it checks the
+// structure as strictly as any decode, nothing trailing, and counts what
+// a decode stores. Every size DecodeMatchBody allocates comes from here,
+// bounded by bytes present: an event by its 4 bytes at least, an attribute
+// value by its 8, a position by its presence byte.
+func matchLayout(b []byte) (match.Layout, error) {
+	var l match.Layout
+	c := codec{b: b}
+	skip := func() { // one event
+		c.uvarint() // type
+		c.varint()  // timestamp
+		c.uvarint() // sequence number
+		n := c.count(0, maxAttrs, 8, "attribute")
+		c.off += 8 * n
+		l.Events++
+		l.Attrs += n
+	}
+	l.Positions = c.count(0, maxPositions, 1, "match position")
+	for i := 0; i < l.Positions && c.err == nil; i++ {
+		if c.present(false) {
+			skip()
+		}
+	}
+	l.Sets = c.count(0, maxPositions, 1, "kleene position")
+	for i := 0; i < l.Sets && c.err == nil; i++ {
+		if !c.present(false) {
+			continue
+		}
+		n := c.count(0, maxKleene, 4, "kleene event")
+		l.Members += n
+		for j := 0; j < n && c.err == nil; j++ {
+			skip()
+		}
+	}
+	if c.err == nil && c.off != len(b) {
+		c.fail("match body has %d trailing bytes", len(b)-c.off)
+	}
+	return l, c.err
+}

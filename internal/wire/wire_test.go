@@ -309,16 +309,22 @@ func TestReaderTruncated(t *testing.T) {
 }
 
 // TestDecodeCorrupt: structurally invalid frames are rejected with
-// wire-prefixed errors and never panic.
+// wire-prefixed errors and never panic. The single-byte corruptions of
+// every frame are TestDecodeMutations'; these are the framing, the
+// crashers fuzzing found and the shapes a byte flip cannot reach.
 func TestDecodeCorrupt(t *testing.T) {
 	cases := map[string][]byte{
-		"zero length":       {0, 0, 0, 0},
-		"oversized length":  {0xff, 0xff, 0xff, 0xff, byte(KindFinish)},
-		"unknown kind":      Append(nil, Finish{})[:4:4],
-		"overlong varint":   {10, 0, 0, 0, byte(KindWatermark), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
-		"event count lie":   {3, 0, 0, 0, byte(KindBatch), 5, 200},
-		"attr count lie":    {7, 0, 0, 0, byte(KindBatch), 5, 1, 0, 0, 1, 250},
-		"sample count bomb": {8, 0, 0, 0, byte(KindMetrics), 0, 0, 0, 0, 0, 0, 0},
+		"zero length":      {0, 0, 0, 0},
+		"oversized length": {0xff, 0xff, 0xff, 0xff, byte(KindFinish)},
+		"unknown kind":     Append(nil, Finish{})[:4:4],
+		"event count lie":  {3, 0, 0, 0, byte(KindBatch), 5, 200},
+		"attr count lie":   {7, 0, 0, 0, byte(KindBatch), 5, 1, 0, 0, 1, 250},
+		// A uint32 field whose varint does not fit 32 bits: truncated to 32,
+		// it would name another shard, version or pattern.
+		"migrate shard 2^32+3":  frame(KindMigrate, uvarints(1<<32+3, 0, 0)),
+		"hello version 2^32+9":  frame(KindHello, uvarints(1<<32+9, 1, 0)),
+		"match shard 2^32+1":    frame(KindMatches, uvarints(5, 1, 1<<32+1, 5, 0, 2), []byte{0, 0}),
+		"match pattern 2^32+42": frame(KindMatches, uvarints(5, 1, 1, 5, 1<<32+42, 2), []byte{0, 0}),
 	}
 	cases["unknown kind"] = append(cases["unknown kind"], 99)
 	for name, b := range corruptReplCuts() {
@@ -327,10 +333,11 @@ func TestDecodeCorrupt(t *testing.T) {
 	for name, b := range corruptMatches() {
 		cases[name] = b
 	}
-	// A PatternAdd whose entry ships no pattern is structurally invalid:
-	// an id with nothing to evaluate.
-	cases["empty pattern add"] = Append(nil, PatternAdd{Entry: PatternEntry{ID: 3}})
 	cases["pattern type bomb"] = patternTypeBomb()
+	// A byte past the body, inside the declared length, in every kind.
+	for _, f := range frames() {
+		cases[KindOf(f).String()+" trailing byte"] = withTrailingByte(Append(nil, f))
+	}
 	for name, b := range cases {
 		f, _, err := Decode(b)
 		if err == nil {
@@ -339,13 +346,66 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Errorf("%s: rejected as a short buffer, not as corrupt: %v", name, err)
 		}
 	}
-	// "trailing bytes" needs its length prefix to cover the extra byte.
-	b := Append(nil, Watermark{UpTo: 1})
-	b = append(b, 0xcc)
-	b[0]++ // grow the declared payload length over the junk byte
-	if _, _, err := Decode(b); err == nil {
-		t.Error("trailing byte inside declared length accepted")
+}
+
+// TestDecodeMutations: every frame Decode accepts has one encoding. Each
+// frames() entry with any one body byte set to any of a spread of values
+// either fails to decode — as corrupt, not as short — or decodes to a
+// frame that re-encodes to exactly the mutated bytes.
+func TestDecodeMutations(t *testing.T) {
+	violations := 0
+	for _, f := range frames() {
+		good := Append(nil, f)
+		b := make([]byte, len(good))
+		for at := 5; at < len(good); at++ { // past the length prefix and the kind
+			for _, v := range []byte{0x00, 0x01, 0x02, 0x04, 0x08, 0x7f, 0x80, 0xff} {
+				copy(b, good)
+				b[at] = v
+				got, _, err := Decode(b)
+				if errors.Is(err, ErrShort) {
+					t.Fatalf("%s with byte %d set to %#x: rejected as a short buffer: %v", KindOf(f), at, v, err)
+				}
+				if err != nil {
+					continue
+				}
+				if again := Append(nil, got); !bytes.Equal(again, b) {
+					if violations++; violations <= 5 {
+						t.Errorf("%s with byte %d set to %#x re-encodes to other bytes:\n  in: %x\n out: %x",
+							KindOf(f), at, v, b, again)
+					}
+				}
+			}
+		}
 	}
+	if violations > 0 {
+		t.Errorf("%d mutated frames decode to a frame with another encoding", violations)
+	}
+}
+
+// frame prefixes a hand-written body with its length and kind.
+func frame(k Kind, body ...[]byte) []byte {
+	b := []byte{0, 0, 0, 0, byte(k)}
+	for _, part := range body {
+		b = append(b, part...)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// withTrailingByte appends a junk byte to an encoded frame and grows its
+// declared length over it.
+func withTrailingByte(b []byte) []byte {
+	b = append(b[:len(b):len(b)], 0xcc)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
 }
 
 // patternTypeBomb is a schema-less PatternAdd whose one position names
