@@ -13,7 +13,10 @@ import (
 // prefix runners, seeded suffix automata and independent engines, on a
 // stream that never matches, fed through one reused event — allocates
 // nothing per 256 events, and makes no block: every event is copied once
-// for the whole set, into a block that came back from behind Floor.
+// for the whole set, into a block that came back from behind Floor. That
+// holds on the dispatch path too: an event skips the automata that do not
+// consume its type, and a skipped automaton is advanced when its prune
+// comes due.
 func TestEvaluatorProcessAllocs(t *testing.T) {
 	const types, window = 5, 400
 	s := event.NewSchema()
@@ -77,11 +80,25 @@ func TestEvaluatorProcessAllocs(t *testing.T) {
 		}
 	}
 	run(20 * window)
-	before := v.arena.Pool().Live()
+	// Every type skips some engine, and the suffix automata are handed only
+	// their last type: the measured events take the skip path, and the
+	// prune schedule comes due on events the due engines do not consume.
+	for typ, route := range v.route {
+		if len(route) == len(v.targets) {
+			t.Fatalf("type %d reaches all %d engines; want some skipped", typ, len(v.targets))
+		}
+	}
+	if len(v.skippers) == 0 {
+		t.Fatal("no engine is handed only its own types")
+	}
+	before, due := v.arena.Pool().Live(), v.due
 	if avg := testing.AllocsPerRun(20, func() { run(256) }); avg != 0 {
 		t.Fatalf("steady-state Process allocated %.2f times per 256 events; want 0", avg)
 	}
 	if after := v.arena.Pool().Live(); after != before || before < 3 {
 		t.Fatalf("%d blocks in existence after warm-up, %d twenty blocks of events later", before, after)
+	}
+	if v.due < due+20*256 {
+		t.Fatalf("the next prune moved from %d to %d over %d ticks; the measured events skipped the schedule", due, v.due, 21*256)
 	}
 }

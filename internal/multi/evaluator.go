@@ -3,6 +3,7 @@ package multi
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"acep/internal/engine"
 	"acep/internal/event"
@@ -42,21 +43,29 @@ type PatternMetrics struct {
 	M      engine.Metrics
 }
 
-// sink is one registered pattern's evaluation state: either a full
-// adaptive engine (independent patterns) or a fixed-plan NFA resuming
-// from shared-prefix seeds (group members).
-type sink struct {
-	spec   Spec
-	eng    *engine.Engine // independent path
-	seeded *nfa.Engine    // shared-prefix path
-	recipe [][]posRecipe  // per event type: mask composition, nil if unscannable
-	tslot  int            // tenant slot index
-
-	arrived uint64 // events offered, pre-gate
-	gated   uint64 // events shed by the tenant gate
-	late    uint64 // out-of-order events dropped at the evaluator
-	events  uint64 // events reaching the seeded NFA (independent path counts its own)
+// target is one engine the evaluator drives: a fixed-plan NFA (a prefix
+// runner or a group member's suffix automaton) or a full adaptive engine
+// (an independent pattern).
+type target struct {
+	fixed  *nfa.Engine
+	eng    *engine.Engine
+	recipe [][]posRecipe // per event type: mask composition, nil if unscannable
+	tslot  int           // tenant slot index
+	// types lists the event types a fixed-plan NFA consumes, when it is
+	// handed only those; nil when the engine is handed every event.
+	types []int
 }
+
+// sink is one registered pattern's evaluation state.
+type sink struct {
+	target
+	spec Spec
+	base tally // the set's counters when the pattern joined
+}
+
+// tally is the evaluator's event accounting: events offered, dropped out
+// of order, and (per tenant) shed by the tenant gate.
+type tally struct{ arrived, late, gated uint64 }
 
 // posRecipe composes one position's mask bit from global verdicts.
 type posRecipe struct {
@@ -66,12 +75,9 @@ type posRecipe struct {
 
 // runnerState is one shared-prefix runner and its subscribers.
 type runnerState struct {
-	eng    *nfa.Engine
-	recipe [][]posRecipe
-	subs   []*sink
-	tenant uint32
-	tslot  int
-	group  PrefixGroup
+	target
+	subs  []*sink
+	group PrefixGroup
 }
 
 // Evaluator drives a pattern set over one event stream, evaluating
@@ -85,6 +91,16 @@ type Evaluator struct {
 	byID    map[uint32]*sink
 	runners []*runnerState
 
+	// Dispatch (see reroute): targets is every engine, runners first;
+	// route[t] the ones an event of type t reaches, in that order, and
+	// always the ones every event reaches; skippers the fixed-plan NFAs
+	// handed only their own types, and due the earliest NextPrune of them.
+	targets  []*target
+	route    [][]*target
+	always   []*target
+	skippers []*target
+	due      event.Time
+
 	// Shared unary verdict table: one entry per distinct predicate,
 	// memoized per event via epoch stamps.
 	preds   []globalPred
@@ -94,12 +110,15 @@ type Evaluator struct {
 	epoch   uint64
 
 	// Tenant gating: slot-indexed per-event admission memo.
-	gate     *shed.TenantGate
-	tenants  []uint32
-	tslotOf  map[uint32]int
-	admit    []bool
-	fed      []bool // per slot: the gate has admitted an event
-	maxTypes int
+	gate    *shed.TenantGate
+	tenants []uint32
+	tslotOf map[uint32]int
+	admit   []bool
+	fed     []bool       // per slot: the gate has admitted an event
+	last    []event.Time // per slot: the timestamp of the last admitted event
+	gated   []uint64     // per slot: events shed by the gate
+	arrived uint64       // events offered
+	late    uint64       // events dropped out of order
 
 	// Ingestion-queue probes for the hosted engines' shedders (see
 	// SetProbes); nil outside the shard layer.
@@ -112,7 +131,6 @@ type Evaluator struct {
 
 	watermark event.Time
 	started   bool
-	predEvals uint64 // shared-table evaluations (for diagnostics)
 }
 
 // NewEvaluator builds the evaluation state for an analyzed set.
@@ -147,17 +165,17 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 
 	for gi := range set.Groups {
 		g := set.Groups[gi]
-		r := &runnerState{tenant: g.Tenant, tslot: v.tenantSlot(g.Tenant), group: g}
+		r := &runnerState{group: g}
 		// The emit closure reads r.subs at call time, so runtime
 		// subscribe/unsubscribe takes effect without rebinding.
 		run := nfa.New(g.Prefix, plan.NewOrderPlan(g.Prefix.Core()), func(m *match.Match) {
 			for _, s := range r.subs {
-				s.seeded.Seed(m.Events)
+				s.fixed.Seed(m.Events)
 			}
 		})
 		run.SetOwnedEmit(true)
-		r.eng = run
-		r.recipe = v.buildRecipe(g.Prefix)
+		r.target = target{fixed: run, recipe: v.buildRecipe(g.Prefix), tslot: v.tenantSlot(g.Tenant),
+			types: typesOf(g.Prefix, g.Prefix.Core())}
 		v.runners = append(v.runners, r)
 	}
 	for i := range set.Specs {
@@ -168,6 +186,7 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 		v.sinks = append(v.sinks, s)
 		v.byID[s.spec.ID] = s
 	}
+	v.reroute()
 	return v, nil
 }
 
@@ -175,9 +194,10 @@ func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
 	if _, dup := v.byID[sp.ID]; dup {
 		return nil, fmt.Errorf("multi: duplicate pattern id %d", sp.ID)
 	}
-	s := &sink{spec: sp, tslot: v.tenantSlot(sp.Tenant)}
+	s := &sink{spec: sp}
+	s.tslot = v.tenantSlot(sp.Tenant)
 	s.recipe = v.buildRecipe(sp.Pattern)
-	v.growTypes(sp.Pattern)
+	s.base = tally{arrived: v.arrived, late: v.late, gated: v.gated[s.tslot]}
 	if group >= 0 {
 		r := v.runners[group]
 		e := nfa.New(sp.Pattern, plan.NewOrderPlan(sp.Pattern.Core()), func(m *match.Match) {
@@ -187,7 +207,12 @@ func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
 			return nil, err
 		}
 		e.SetOwnedEmit(v.opt.OwnedEmit)
-		s.seeded = e
+		s.fixed = e
+		if !e.Resolver().HasResiduals() {
+			// Parked matches resolve on the watermark: an automaton with
+			// negated or Kleene positions sees every event.
+			s.types = typesOf(sp.Pattern, sp.Pattern.Core()[r.group.Len:])
+		}
 		r.subs = append(r.subs, s)
 		return s, nil
 	}
@@ -230,20 +255,56 @@ func (v *Evaluator) tenantSlot(t uint32) int {
 	v.tslotOf[t] = slot
 	v.admit = append(v.admit, true)
 	v.fed = append(v.fed, false)
+	v.last = append(v.last, 0)
+	v.gated = append(v.gated, 0)
 	return slot
 }
 
-// growTypes tracks the widest type universe.
-func (v *Evaluator) growTypes(p *pattern.Pattern) {
-	if p.Op == pattern.Or {
-		for _, sub := range p.Subs {
-			v.growTypes(sub)
+// typesOf lists, once each, the event types of p's given positions.
+func typesOf(p *pattern.Pattern, positions []int) []int {
+	ts := make([]int, 0, len(positions))
+	for _, pos := range positions {
+		if t := p.Positions[pos].Type; !slices.Contains(ts, t) {
+			ts = append(ts, t)
 		}
-		return
 	}
-	for _, pos := range p.Positions {
-		if pos.Type+1 > v.maxTypes {
-			v.maxTypes = pos.Type + 1
+	return ts
+}
+
+// reroute rebuilds the dispatch tables after the set changed. An event
+// reaches the engines that consume its type: a runner its prefix types, a
+// group member the types of its suffix core positions, every other engine
+// every type — runners first, then patterns in evaluation order, so seeds
+// land before their subscribers run and matches are delivered in the
+// order of an evaluator that hands every event to every engine.
+func (v *Evaluator) reroute() {
+	v.targets, v.always, v.skippers = nil, nil, nil
+	for _, r := range v.runners {
+		v.targets = append(v.targets, &r.target)
+	}
+	for _, s := range v.sinks {
+		v.targets = append(v.targets, &s.target)
+	}
+	width := 0
+	for _, d := range v.targets {
+		for _, t := range d.types {
+			width = max(width, t+1)
+		}
+	}
+	v.route = make([][]*target, width)
+	v.due = math.MaxInt64
+	for _, d := range v.targets {
+		if d.types == nil {
+			v.always = append(v.always, d)
+			for t := range v.route {
+				v.route[t] = append(v.route[t], d)
+			}
+			continue
+		}
+		v.skippers = append(v.skippers, d)
+		v.due = min(v.due, d.fixed.NextPrune())
+		for _, t := range d.types {
+			v.route[t] = append(v.route[t], d)
 		}
 	}
 }
@@ -294,7 +355,6 @@ func (v *Evaluator) verdictOf(id int, e *event.Event) bool {
 		return v.verdict[id]
 	}
 	v.stamp[id] = v.epoch
-	v.predEvals++
 	ok := v.preds[id].cu.Ok(e)
 	v.verdict[id] = ok
 	return ok
@@ -329,15 +389,15 @@ func (v *Evaluator) maskFor(recipe [][]posRecipe, e *event.Event) uint32 {
 
 // Process feeds one event through the whole set: tenant gates decide
 // once per tenant, shared unary verdicts are memoized across patterns,
-// prefix runners run first so their seeds reach subscribers before the
-// subscribers see the event (the ordering the seeding contract
-// requires), then every pattern advances.
+// and the event reaches the engines of its type (see reroute), prefix
+// runners first so their seeds reach subscribers before the subscribers
+// see the event (the ordering the seeding contract requires). A skipped
+// fixed-plan NFA is advanced only on the event at which it would have
+// pruned, which keeps its store where feeding it every event would.
 func (v *Evaluator) Process(e *event.Event) {
+	v.arrived++
 	if v.started && e.TS < v.watermark {
-		for _, s := range v.sinks {
-			s.arrived++
-			s.late++
-		}
+		v.late++
 		return
 	}
 	v.started = true
@@ -350,26 +410,51 @@ func (v *Evaluator) Process(e *event.Event) {
 		e = v.arena.Intern(e)
 	}
 	for slot, t := range v.tenants {
-		v.admit[slot] = v.gate.Admit(t, e.TS)
-		v.fed[slot] = v.fed[slot] || v.admit[slot]
-	}
-	for _, r := range v.runners {
-		if v.admit[r.tslot] {
-			r.eng.ProcessMasked(e, v.maskFor(r.recipe, e))
+		if v.admit[slot] = v.gate.Admit(t, e.TS); v.admit[slot] {
+			v.fed[slot], v.last[slot] = true, e.TS
+		} else {
+			v.gated[slot]++
 		}
 	}
-	for _, s := range v.sinks {
-		s.arrived++
-		if !v.admit[s.tslot] {
-			s.gated++
+	route := v.always
+	if t := e.Type; t >= 0 && t < len(v.route) {
+		route = v.route[t]
+	}
+	for _, d := range route {
+		if !v.admit[d.tslot] {
 			continue
 		}
-		mask := v.maskFor(s.recipe, e)
-		if s.seeded != nil {
-			s.events++
-			s.seeded.ProcessMasked(e, mask)
+		if mask := v.maskFor(d.recipe, e); d.fixed != nil {
+			d.fixed.ProcessMasked(e, mask)
 		} else {
-			s.eng.ProcessMasked(e, mask)
+			d.eng.ProcessMasked(e, mask)
+		}
+	}
+	if e.TS >= v.due {
+		v.prune(e.TS)
+	}
+}
+
+// prune advances the skipped fixed-plan NFAs whose prune falls due at ts
+// and finds the next due time. An engine of a gated tenant stays due
+// until its tenant admits an event, as it would stay unfed.
+func (v *Evaluator) prune(ts event.Time) {
+	v.due = math.MaxInt64
+	for _, d := range v.skippers {
+		if v.admit[d.tslot] && ts >= d.fixed.NextPrune() {
+			d.fixed.Advance(ts)
+		}
+		v.due = min(v.due, d.fixed.NextPrune())
+	}
+}
+
+// catchUp brings every skipped fixed-plan NFA's watermark up to its
+// tenant's last admitted event, where feeding it every event would have
+// left it. It prunes nothing: Process advanced every engine that was due.
+func (v *Evaluator) catchUp() {
+	for _, d := range v.skippers {
+		if v.fed[d.tslot] {
+			d.fixed.Advance(v.last[d.tslot])
 		}
 	}
 }
@@ -380,24 +465,21 @@ func (v *Evaluator) Process(e *event.Event) {
 // wholly before — buffers, partial matches, residuals, parked
 // matches and prefix-runner seeds all sit at or after it. It is the least
 // engine floor (see engine.Engine.Floor, nfa.Engine.Floor) over the
-// engines that have been fed. An engine the evaluator steps over — its
-// tenant gated, its shedder dropping — is not advanced on the events it
-// skips (advancing would resolve its parked matches at an event it never
-// saw); it holds the floor back instead, so storage waits for it for as
-// long as it lags and the matches it delivers do not depend on the lag.
+// engines that have been fed, each first brought up to its tenant's last
+// admitted event. An engine its tenant's gate or its shedder steps over
+// is not advanced on the events it skips (advancing would resolve its
+// parked matches at an event it never saw); it holds the floor back
+// instead, so storage waits for it for as long as it lags and the matches
+// it delivers do not depend on the lag.
 func (v *Evaluator) Floor() event.Time {
+	v.catchUp()
 	floor := event.Time(math.MaxInt64)
-	for _, r := range v.runners {
-		if v.fed[r.tslot] {
-			floor = min(floor, r.eng.Floor())
-		}
-	}
-	for _, s := range v.sinks {
+	for _, d := range v.targets {
 		switch {
-		case s.eng != nil:
-			floor = min(floor, s.eng.Floor())
-		case v.fed[s.tslot]:
-			floor = min(floor, s.seeded.Floor())
+		case d.eng != nil:
+			floor = min(floor, d.eng.Floor())
+		case v.fed[d.tslot]:
+			floor = min(floor, d.fixed.Floor())
 		}
 	}
 	return floor
@@ -406,14 +488,12 @@ func (v *Evaluator) Floor() event.Time {
 // Finish flushes every pattern at end of stream (runners first — their
 // final seeds must land before subscribers flush).
 func (v *Evaluator) Finish() {
-	for _, r := range v.runners {
-		r.eng.Finish()
-	}
-	for _, s := range v.sinks {
-		if s.seeded != nil {
-			s.seeded.Finish()
+	v.catchUp()
+	for _, d := range v.targets {
+		if d.fixed != nil {
+			d.fixed.Finish()
 		} else {
-			s.eng.Finish()
+			d.eng.Finish()
 		}
 	}
 }
@@ -428,6 +508,7 @@ func (v *Evaluator) Add(sp Spec) error {
 	}
 	v.sinks = append(v.sinks, s)
 	v.byID[sp.ID] = s
+	v.reroute()
 	return nil
 }
 
@@ -440,29 +521,12 @@ func (v *Evaluator) Remove(id uint32) error {
 		return fmt.Errorf("multi: unknown pattern id %d", id)
 	}
 	delete(v.byID, id)
-	for i, t := range v.sinks {
-		if t == s {
-			v.sinks = append(v.sinks[:i], v.sinks[i+1:]...)
-			break
-		}
-	}
-	if s.seeded == nil {
-		return nil
-	}
+	v.sinks = slices.DeleteFunc(v.sinks, func(t *sink) bool { return t == s })
 	for _, r := range v.runners {
-		for i, sub := range r.subs {
-			if sub == s {
-				r.subs = append(r.subs[:i], r.subs[i+1:]...)
-				break
-			}
-		}
+		r.subs = slices.DeleteFunc(r.subs, func(t *sink) bool { return t == s })
 	}
-	for i, r := range v.runners {
-		if len(r.subs) == 0 {
-			v.runners = append(v.runners[:i], v.runners[i+1:]...)
-			break
-		}
-	}
+	v.runners = slices.DeleteFunc(v.runners, func(r *runnerState) bool { return len(r.subs) == 0 })
+	v.reroute()
 	return nil
 }
 
@@ -481,8 +545,8 @@ func (v *Evaluator) Patterns() []uint32 {
 func (v *Evaluator) Plans() []plan.Plan {
 	var out []plan.Plan
 	for _, s := range v.sinks {
-		if s.seeded != nil {
-			out = append(out, s.seeded.Plan())
+		if s.fixed != nil {
+			out = append(out, s.fixed.Plan())
 		} else {
 			out = append(out, s.eng.CurrentPlans()...)
 		}
@@ -501,26 +565,30 @@ func (v *Evaluator) TenantStats() []shed.TenantStat { return v.gate.Stats() }
 
 // Metrics reports per-pattern engine counters in evaluation order. For
 // group members (fixed-plan NFAs) the adaptive-loop counters are zero
-// and the evaluation counters are synthesized from nfa.Stats.
+// and the evaluation counters are synthesized from nfa.Stats. The event
+// counts are the set's since the pattern joined: every event arrives at
+// every pattern, and its tenant's gate sheds it for all of them.
 func (v *Evaluator) Metrics() []PatternMetrics {
+	v.catchUp()
 	out := make([]PatternMetrics, 0, len(v.sinks))
 	for _, s := range v.sinks {
+		arrived, late, gated := v.arrived-s.base.arrived, v.late-s.base.late, v.gated[s.tslot]-s.base.gated
 		var m engine.Metrics
 		if s.eng != nil {
 			m = s.eng.Metrics()
 		} else {
-			st := s.seeded.Stats()
+			st := s.fixed.Stats()
 			m = engine.Metrics{
-				Events:    s.events,
+				Events:    arrived - late - gated,
 				Matches:   st.Emitted,
 				PMCreated: st.PMCreated,
 				PredEvals: st.PredEvals,
 				PeakPMs:   st.PeakPMs,
 			}
 		}
-		m.EventsArrived = s.arrived
-		m.EventsShed += s.gated
-		m.LateDropped += s.late
+		m.EventsArrived = arrived
+		m.EventsShed += gated
+		m.LateDropped += late
 		out = append(out, PatternMetrics{ID: s.spec.ID, Tenant: s.spec.Tenant, M: m})
 	}
 	return out
@@ -529,15 +597,13 @@ func (v *Evaluator) Metrics() []PatternMetrics {
 // LivePMs sums live partial matches across every pattern and runner
 // (shedding introspection for the shard layer).
 func (v *Evaluator) LivePMs() int {
+	v.catchUp()
 	n := 0
-	for _, r := range v.runners {
-		n += r.eng.LivePMs()
-	}
-	for _, s := range v.sinks {
-		if s.seeded != nil {
-			n += s.seeded.LivePMs()
+	for _, d := range v.targets {
+		if d.fixed != nil {
+			n += d.fixed.LivePMs()
 		} else {
-			n += s.eng.LivePMs()
+			n += d.eng.LivePMs()
 		}
 	}
 	return n

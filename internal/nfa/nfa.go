@@ -236,6 +236,15 @@ func (g *Engine) Advance(ts event.Time) {
 	}
 }
 
+// NextPrune reports the earliest timestamp at which Process prunes: the
+// first event later than the watermark and at least half a window past
+// the last prune. A host that skips the engine on events it cannot use
+// keeps it exactly where an engine fed every event would be by calling
+// Advance on the first skipped event at or past NextPrune.
+func (g *Engine) NextPrune() event.Time {
+	return max(g.lastPrune+g.pat.Window/2, g.watermark+1)
+}
+
 // Process feeds one input event. Events must arrive in non-decreasing
 // timestamp order. The pointer is retained if the event is kept (see
 // New).
@@ -355,8 +364,21 @@ func (g *Engine) register(s int, m *match.Partial) {
 	}
 	next := g.op.Order[s]
 	// Lazy path: events of the next position that arrived before this PM
-	// was created. Future events arrive through Offer.
-	g.states[s].Park(m).Scan(m.MaxTS-g.pat.Window, m.MinTS+g.pat.Window, false, false, func(c *event.Event) bool {
+	// was created. Future events arrive through Offer. The scan reads the
+	// window narrowed to what the check list's order relations let through:
+	// after the latest filled event next must follow, before the earliest
+	// one it must precede.
+	lo, loExcl := m.MaxTS-g.pat.Window, false
+	hi, hiExcl := m.MinTS+g.pat.Window, false
+	for _, c := range g.checks[s] {
+		switch ts := m.Evs[c.PosO].TS; {
+		case c.PC.Rel == pattern.RelAfter && ts >= lo:
+			lo, loExcl = ts, true
+		case c.PC.Rel == pattern.RelBefore && ts <= hi:
+			hi, hiExcl = ts, true
+		}
+	}
+	g.states[s].Park(m).Scan(lo, hi, loExcl, hiExcl, func(c *event.Event) bool {
 		if g.canExtend(s, m, c) {
 			g.fork(s, m, next, c)
 		}
