@@ -94,6 +94,72 @@ func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
 	})
 }
 
+// TestIngressElidesUnreadTypes holds the ingress's router to the rule
+// shard.Engine.Process follows, on what the journal receives: an event of
+// a type no hosted pattern reads is encoded onto no run, yet counts toward
+// Batch, so every cut seals at the watermark it would carry were the event
+// routed; and a pattern change reroutes from its cut on. The stream has
+// six types; SEQ(T0, T1, T2) is hosted first, SEQ(T3, T4, T5) joins at a
+// third of it, and the first leaves at two thirds — cut boundaries both, so
+// neither change seals a partial cut.
+func TestIngressElidesUnreadTypes(t *testing.T) {
+	w := failoverWorkload(t, "traffic")
+	first, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := pattern.NewBuilder(w.Schema, pattern.Seq, 300)
+	for typ := 3; typ < 6; typ++ {
+		pb.Event(typ)
+	}
+	pb.WhereEq(0, "key", 1, "key").WhereEq(1, "key", 2, "key")
+	second := pb.MustBuild()
+	// Whole cuts only: Kill seals nothing.
+	const batch = 64
+	n := len(w.Events) / batch * batch
+	addAt, dropAt := n/3, 2*n/3
+	var runEvents, want int
+	var offBatch []uint64
+	ing, err := NewIngress(first, []Conn{newDiscardConn(2), newDiscardConn(2)}, IngressOptions{
+		Batch: batch, KeyAttr: "key", Schema: w.Schema,
+		OnTagged: func(shard.Tagged) {},
+		Recovery: &RecoveryConfig{},
+		OnCut: func(c CutInfo) {
+			for _, r := range c.Runs {
+				runEvents += r.Events
+			}
+			if c.UpTo%batch != 0 {
+				offBatch = append(offBatch, c.UpTo)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		switch i {
+		case addAt:
+			err = ing.AddPattern(multi.Spec{ID: 1, Pattern: second})
+		case dropAt:
+			err = ing.RemovePattern(multi.SoloID)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ := w.Events[i].Type; i < addAt && typ < 3 || i >= addAt && i < dropAt || i >= dropAt && typ >= 3 {
+			want++
+		}
+		ing.Process(&w.Events[i])
+	}
+	ing.Kill()
+	if len(offBatch) > 0 {
+		t.Errorf("%d cuts sealed off a multiple of Batch %d, the first at %d", len(offBatch), batch, offBatch[0])
+	}
+	if want == n || runEvents != want {
+		t.Fatalf("the runs carried %d events; want the %d of %d a hosted pattern reads", runEvents, want, n)
+	}
+}
+
 // discardConn is a node that greets and then neither answers nor reads:
 // every frame sent at it is dropped by reference.
 type discardConn struct {
@@ -182,16 +248,18 @@ func TestIngressCutAllocs(t *testing.T) {
 // costs the same few allocations — the boxing of its heartbeat and
 // watermark frames and, every fourth cut, the load report — whether it
 // carries 64 events or 1024: nothing per event, and no block. The stream
-// is of a type no pattern position takes, as in shard's TestIngestAllocs.
+// is shard's TestIngestAllocs's: of a type the pattern reads — an ingress
+// routes it — with keys its predicate never passes, so no evaluator takes
+// an event.
 func TestNodeDecodeAllocs(t *testing.T) {
 	s := event.NewSchema()
 	pb := pattern.NewBuilder(s, pattern.Seq, 100)
 	for _, name := range []string{"A", "B", "C"} {
 		pb.Event(s.MustAddType(name, "key"))
 	}
+	pb.WhereConst(0, "key", pattern.GE, 0)
 	pb.WhereEq(0, "key", 1, "key").WhereEq(1, "key", 2, "key")
 	pat := pb.MustBuild()
-	d := s.MustAddType("D", "key")
 	const bound = 3 // holds under the race detector too
 	for _, batch := range []int{64, 1024} {
 		node, err := NewNode(NodeConfig{
@@ -221,7 +289,7 @@ func TestNodeDecodeAllocs(t *testing.T) {
 		for c := range frames {
 			for k := 0; k < batch; k++ {
 				i := c*batch + k
-				ev := s.MustNew(d, event.Time(i), float64(i%64))
+				ev := s.MustNew(0, event.Time(i), -float64(i%64+1))
 				ev.Seq = uint64(i + 1)
 				enc.Append(&ev)
 			}

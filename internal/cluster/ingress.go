@@ -166,8 +166,9 @@ type Ingress struct {
 	spare   []wire.RunEncoder // the alternates (nil without recycling)
 	recycle []bool            // per shard: a sealed run is dead once its send is barriered
 	sealed  []wire.ReplRun    // cutAll scratch: the runs of the cut being sealed
-	pending int
+	pending int               // events Process took since the last cut, elided ones included
 	lastSeq uint64
+	elided  uint64 // events Process offered no shard: no hosted pattern reads their type
 
 	// Cut pipelining: each sealed cut's frames are encoded and sent by
 	// per-node goroutines while the coordinator returns to accumulating
@@ -184,13 +185,15 @@ type Ingress struct {
 
 	// The session's pattern set (ingress goroutine unless noted). specs
 	// is the current set — the truth shipped to every join and adoption —
-	// and sig its fingerprint under schema; keyAttr re-validates runtime
+	// reads the types it reads, which Process routes by, and sig its
+	// fingerprint under schema; keyAttr re-validates runtime
 	// additions; tenants are the shipped budgets. addCut maps
 	// runtime-added pattern ids to the cut boundary they joined at;
 	// reader goroutines load it to drop matches a migration replay
 	// regenerated from events the pattern never saw in the original
 	// timeline (see AddPattern).
 	specs   []multi.Spec
+	reads   multi.Reads
 	schema  *event.Schema
 	sig     uint64
 	keyAttr string
@@ -320,6 +323,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		batch:      opts.Batch,
 		exitCh:     make(chan struct{}, 1),
 		specs:      specs,
+		reads:      multi.ReadsOf(specs),
 		schema:     opts.Schema,
 		sig:        signature(specs, opts.Schema),
 		keyAttr:    opts.KeyAttr,
@@ -694,14 +698,21 @@ func (in *Ingress) Err() error {
 	return in.err
 }
 
-// Process routes one event to its shard. Events must arrive in
+// Process routes one event to its shard. An event of a type no hosted
+// pattern reads goes to no shard — it is neither encoded, journaled nor
+// sent — but counts toward Batch and the cut's watermark like any other,
+// exactly as shard.Engine.Process elides it. Events must arrive in
 // non-decreasing timestamp order with unique, increasing Seq numbers
 // (the same contract as the engines underneath).
 func (in *Ingress) Process(ev *event.Event) {
 	if in.finished {
 		panic("cluster: Process after Finish")
 	}
-	in.runs[shard.GlobalIndex(in.key(ev), in.total)].Append(ev)
+	if in.reads.Has(ev.Type) {
+		in.runs[shard.GlobalIndex(in.key(ev), in.total)].Append(ev)
+	} else {
+		in.elided++
+	}
 	in.lastSeq = ev.Seq
 	in.pending++
 	if in.pending >= in.batch {
@@ -1222,6 +1233,7 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 	in.waitSends()
 	in.checkSuspects()
 	in.specs = append(in.specs, sp)
+	in.reads = multi.ReadsOf(in.specs)
 	in.sig = signature(in.specs, in.schema)
 	// Publish the add boundary before any node can emit for the new
 	// pattern: the reader-side replay filter must be in place first.
@@ -1268,6 +1280,7 @@ func (in *Ingress) RemovePattern(id uint32) error {
 	in.waitSends()
 	in.checkSuspects()
 	in.specs = append(in.specs[:at:at], in.specs[at+1:]...)
+	in.reads = multi.ReadsOf(in.specs)
 	in.sig = signature(in.specs, in.schema)
 	in.broadcast(wire.PatternRemove{ID: id}, slotLive)
 	return nil
@@ -1406,12 +1419,13 @@ func (in *Ingress) Nodes() int { return len(in.slots) }
 // TotalShards reports the global shard count across all nodes.
 func (in *Ingress) TotalShards() int { return in.total }
 
-// Metrics merges every node's engine metrics into one cluster-wide view.
+// Metrics merges every node's engine metrics into one cluster-wide view;
+// EventsArrived also counts, once, every event Process offered no shard.
 // Call after Finish.
 func (in *Ingress) Metrics() engine.Metrics {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	var m engine.Metrics
+	m := engine.Metrics{EventsArrived: in.elided}
 	m.Merge(in.retired)
 	for _, s := range in.slots {
 		if s.gotMetrics {

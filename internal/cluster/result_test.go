@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -224,21 +225,29 @@ func TestResultPathAllocs(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				cut()
 			}
+			// The count is the whole process's, so whatever else allocates
+			// during a window — the runtime, another test's goroutine still
+			// winding down — lands in it: the least of three windows is the
+			// result path's.
 			const cuts = 200
-			m0, d0 := mallocs(), delivered.Load()
-			for i := 0; i < cuts; i++ {
-				cut()
+			perMatch := math.Inf(1)
+			for range 3 {
+				m0, d0 := mallocs(), delivered.Load()
+				for i := 0; i < cuts; i++ {
+					cut()
+				}
+				objects, matches := float64(mallocs()-m0), float64(delivered.Load()-d0)
+				if matches/cuts < 80 {
+					t.Fatalf("%.1f matches per cut: the stream no longer exercises the result path", matches/cuts)
+				}
+				window := (objects - cuts*framesPerCut) / matches
+				t.Logf("%.0f objects for %.0f matches over %d cuts: %.2f a match beyond %d a cut (%.1f a cut beyond 4 a match)",
+					objects, matches, cuts, window, framesPerCut, (objects-4*matches)/cuts)
+				perMatch = min(perMatch, window)
 			}
-			objects, matches := float64(mallocs()-m0), float64(delivered.Load()-d0)
 			if err := ing.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			if matches/cuts < 80 {
-				t.Fatalf("%.1f matches per cut: the stream no longer exercises the result path", matches/cuts)
-			}
-			perMatch := (objects - cuts*framesPerCut) / matches
-			t.Logf("%.0f objects for %.0f matches over %d cuts: %.2f a match beyond %d a cut (%.1f a cut beyond 4 a match)",
-				objects, matches, cuts, perMatch, framesPerCut, (objects-4*matches)/cuts)
 			if perMatch > 4 {
 				t.Errorf("%.2f objects per delivered match beyond the %d a cut may cost, want at most the 4 of a decoded match", perMatch, framesPerCut)
 			}

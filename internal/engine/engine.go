@@ -72,7 +72,9 @@ type Config struct {
 	// Stats tunes the statistics estimator.
 	Stats stats.Config
 	// CheckEvery is the adaptation check interval in events per
-	// sub-pattern (default 500).
+	// sub-pattern (default 500). A shard engine's clock counts the events
+	// offered to its shard: the router offers none of a type no hosted
+	// pattern reads.
 	CheckEvery int
 	// InitialStats supplies a-priori statistics for the initial plan of a
 	// (sub-)pattern before any input is seen; nil (or a nil result) uses

@@ -66,6 +66,37 @@ func Solo(pat *pattern.Pattern, cfg engine.Config) []Spec {
 	return []Spec{{ID: SoloID, Pattern: pat, Config: cfg}}
 }
 
+// Reads is the set of event types a pattern set reads, indexed by type.
+type Reads []bool
+
+// ReadsOf reports, per event type, whether a pattern of specs has a
+// position of that type — core, negated or Kleene, in any disjunct of an
+// OR. An event of any other type can neither join a match nor change
+// one, so the shard and cluster routers offer no shard such an event (see
+// DESIGN.md "Batched ingestion").
+func ReadsOf(specs []Spec) Reads {
+	var r Reads
+	var visit func(p *pattern.Pattern)
+	visit = func(p *pattern.Pattern) {
+		for _, sub := range p.Subs {
+			visit(sub)
+		}
+		for _, pos := range p.Positions {
+			if pos.Type >= len(r) {
+				r = append(r, make(Reads, pos.Type+1-len(r))...)
+			}
+			r[pos.Type] = true
+		}
+	}
+	for _, sp := range specs {
+		visit(sp.Pattern)
+	}
+	return r
+}
+
+// Has reports whether the set reads events of type t.
+func (r Reads) Has(t int) bool { return t >= 0 && t < len(r) && r[t] }
+
 // PrefixGroup is one shared-prefix subscription: Members (indices into
 // the analyzed spec slice) share the pattern Prefix over their first Len
 // core positions.

@@ -443,3 +443,32 @@ func TestSharedMetrics(t *testing.T) {
 		t.Fatal("LivePMs negative")
 	}
 }
+
+// TestReadsOf: a set reads the type of every position of every pattern —
+// core, negated and Kleene, in every disjunct of an OR — and nothing else.
+func TestReadsOf(t *testing.T) {
+	s := event.NewSchema()
+	for _, name := range []string{"A", "B", "C", "D", "E", "F", "G"} {
+		s.MustAddType(name, "v")
+	}
+	seq := func(types ...int) *pattern.Pattern {
+		b := pattern.NewBuilder(s, pattern.Seq, 100)
+		for _, typ := range types {
+			b.Event(typ)
+		}
+		return b.Negate(1).Kleene(2).MustBuild()
+	}
+	or, err := pattern.NewOr(seq(4, 1, 0), seq(0, 5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := ReadsOf([]Spec{{ID: 1, Pattern: seq(0, 2, 3)}, {ID: 2, Pattern: or}})
+	for typ, want := range []bool{true, true, true, true, true, true, false, false} {
+		if got := reads.Has(typ); got != want {
+			t.Errorf("type %d: read %v, want %v", typ, got, want)
+		}
+	}
+	if reads.Has(-1) || ReadsOf(nil).Has(0) {
+		t.Error("a type outside the set is read")
+	}
+}

@@ -11,29 +11,37 @@ import (
 )
 
 // ingestFixture is a feeder-only workload: a keyed SEQ(A, B, C) pattern
-// and a stream made of a fourth type alone, so no evaluator takes an
-// event and what is left is the hop above the engine — placement, cut
-// buffers, the handoff, the worker's loop and the collector's watermark
-// traffic. Adaptation checks are off: they tick on arrivals whatever the
-// type and allocate a statistics snapshot each, which is the engine's
-// cost, not the feeder's.
+// whose A must carry a key of at least 0, and a stream made of A alone
+// with negative keys, so every event is routed to a shard and reaches the
+// engine, yet none passes a predicate and no evaluator takes one. What is
+// left is the hop above the engine — placement, cut buffers, the handoff,
+// the worker's loop and the collector's watermark traffic. Adaptation
+// checks are off: they tick on arrivals and allocate a statistics
+// snapshot each, which is the engine's cost, not the feeder's. With
+// elide set the stream is of a fourth type, D, which no position reads:
+// the router offers those events to no shard.
 type ingestFixture struct {
 	schema *event.Schema
 	pat    *pattern.Pattern
+	typ    int // the stream's one type
 	events []event.Event
 }
 
-func newIngestFixture(n int) ingestFixture {
+func newIngestFixture(n int, elide bool) ingestFixture {
 	s := event.NewSchema()
 	a, b, c := s.MustAddType("A", "key"), s.MustAddType("B", "key"), s.MustAddType("C", "key")
 	d := s.MustAddType("D", "key")
 	pb := pattern.NewBuilder(s, pattern.Seq, 100)
 	p0, p1, p2 := pb.Event(a), pb.Event(b), pb.Event(c)
+	pb.WhereConst(p0, "key", pattern.GE, 0)
 	pb.WhereEq(p0, "key", p1, "key")
 	pb.WhereEq(p1, "key", p2, "key")
-	f := ingestFixture{schema: s, pat: pb.MustBuild(), events: make([]event.Event, n)}
+	f := ingestFixture{schema: s, pat: pb.MustBuild(), typ: a, events: make([]event.Event, n)}
+	if elide {
+		f.typ = d
+	}
 	for i := range f.events {
-		f.events[i] = s.MustNew(d, event.Time(i), float64(i%64))
+		f.events[i] = s.MustNew(f.typ, event.Time(i), -float64(i%64+1))
 		f.events[i].Seq = uint64(i + 1)
 	}
 	return f
@@ -91,12 +99,12 @@ func byShard(key KeyFunc, cut []event.Event, shards int) [][]*event.Event {
 const ingestCut = 256
 
 // BenchmarkIngest is the hot-path guard of the hop above the engine: one
-// engine lifetime per iteration over a stream no pattern position takes,
-// through Process at 1 and 2 shards and through ProcessStable + Flush by
+// engine lifetime per iteration over a stream no evaluator keeps, through
+// Process at 1 and 2 shards and through ProcessStable + Flush by
 // pre-partitioned run. ns/event is the per-event cost of ingesting; CI
 // runs this as a smoke (benchtime=10x), not a measurement.
 func BenchmarkIngest(b *testing.B) {
-	f := newIngestFixture(1 << 15)
+	f := newIngestFixture(1<<15, false)
 	perEvent := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(f.events)), "ns/event")
 	}
@@ -142,7 +150,7 @@ func BenchmarkIngest(b *testing.B) {
 // detector too. (At the default CheckEvery the engines below add three
 // snapshot allocations per 256-event cut.)
 func TestIngestAllocs(t *testing.T) {
-	f := newIngestFixture(256 * ingestCut)
+	f := newIngestFixture(256*ingestCut, false)
 	cuts := f.runs(t, 2)
 	done := make(chan uint64, len(cuts)+1)
 	eng := f.engine(t, 2, func(w uint64) { done <- w })
@@ -170,26 +178,36 @@ func TestIngestAllocs(t *testing.T) {
 // copies each event into its shard's open block, the 256th seals the cut,
 // and a warmed engine allocates nothing for it — no block (the workers
 // hand back the ones the engines have pruned past), no cut buffer, no
-// outbox.
+// outbox. An event of a type no pattern reads is not copied at all: its
+// cut costs nothing either and puts no block in circulation, yet it seals
+// at the 256th event like any other.
 func TestProcessAllocs(t *testing.T) {
-	f := newIngestFixture(256 * ingestCut)
-	done := make(chan uint64, len(f.events)/ingestCut+1)
-	eng := f.engine(t, 2, func(w uint64) { done <- w })
-	defer eng.Finish()
-	next := 0
-	feed := func() {
-		for i := next * ingestCut; i < (next+1)*ingestCut; i++ {
-			eng.Process(&f.events[i])
+	for _, elide := range []bool{false, true} {
+		f := newIngestFixture(256*ingestCut, elide)
+		done := make(chan uint64, len(f.events)/ingestCut+1)
+		eng := f.engine(t, 2, func(w uint64) { done <- w })
+		next := 0
+		feed := func() {
+			for i := next * ingestCut; i < (next+1)*ingestCut; i++ {
+				if eng.pending != i%ingestCut { // elided or not, every event counts toward the cut
+					t.Fatalf("elide=%v: %d events into a cut, %d pending", elide, i%ingestCut, eng.pending)
+				}
+				eng.Process(&f.events[i])
+			}
+			next++
+			for upTo := uint64(next * ingestCut); <-done < upTo; {
+			}
 		}
-		next++
-		for upTo := uint64(next * ingestCut); <-done < upTo; {
+		for next < 32 {
+			feed()
 		}
-	}
-	for next < 32 {
-		feed()
-	}
-	if avg := testing.AllocsPerRun(100, feed); avg != 0 {
-		t.Fatalf("steady-state Process allocated %.2f times per %d-event cut; want 0", avg, ingestCut)
+		if avg := testing.AllocsPerRun(100, feed); avg != 0 {
+			t.Errorf("elide=%v: steady-state Process allocated %.2f times per %d-event cut; want 0", elide, avg, ingestCut)
+		}
+		if live := eng.Pool().Live(); elide != (live == 0) {
+			t.Errorf("elide=%v: %d blocks in existence", elide, live)
+		}
+		eng.Finish()
 	}
 }
 
@@ -203,7 +221,7 @@ func TestProcessAllocs(t *testing.T) {
 // surplus must go to the garbage collector: the count falls back to what
 // queues and pool can hold.
 func TestBlockPoolBounded(t *testing.T) {
-	f := newIngestFixture(0)
+	f := newIngestFixture(0, false)
 	const shards, n, slow = 2, 2 << 20, 1 << 20
 	eng := f.engine(t, shards, nil)
 	defer eng.Finish()
@@ -214,14 +232,15 @@ func TestBlockPoolBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := f.schema.MustNew(3, 0, 0)
+	ev := f.schema.MustNew(f.typ, 0, 0)
 	shardOf := func(k float64) int {
 		ev.Attrs[0] = k
 		return GlobalIndex(key(&ev), shards)
 	}
-	cold := 1.0 // a key value on another shard than key 0's
-	for shardOf(cold) == shardOf(0) {
-		cold++
+	const hot = -1.0 // the fixture's keys are negative
+	cold := hot - 1  // a key value on another shard than hot's
+	for shardOf(cold) == shardOf(hot) {
+		cold--
 	}
 	peak := [2]int{}
 	for i := 0; i < n; i++ {
@@ -232,7 +251,7 @@ func TestBlockPoolBounded(t *testing.T) {
 			ev.TS += 16
 		}
 		ev.Seq = uint64(i + 1)
-		ev.Attrs[0] = cold * float64(i%20/19) // one event in twenty
+		ev.Attrs[0] = hot + (cold-hot)*float64(i%20/19) // one event in twenty cold
 		eng.Process(&ev)
 		if i%ingestCut == 0 && i > phase*slow+slow/2 {
 			peak[phase] = max(peak[phase], eng.Pool().Live())

@@ -10,11 +10,11 @@ import (
 )
 
 // matchingFixture is ingestFixture's stream with something to find: types
-// A, B, C in turn, three events to a key, keys recurring further apart
-// than the window — every third event completes exactly one match, some
-// 85 to a cut, so a warmed engine does the same work every cut.
+// A, B, C in turn, three events to a key, keys from 0 up recurring further
+// apart than the window — every third event completes exactly one match,
+// some 85 to a cut, so a warmed engine does the same work every cut.
 func matchingFixture(n int) ingestFixture {
-	f := newIngestFixture(n)
+	f := newIngestFixture(n, false)
 	for i := range f.events {
 		f.events[i].Type = i % 3
 		f.events[i].Attrs[0] = float64(i / 3 % 64)

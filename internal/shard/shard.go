@@ -31,8 +31,9 @@
 // global sequence number the cut covers and the one clock reading taken
 // at the seal — so what a handoff costs is paid per cut, not per event,
 // and every shard's progress watermark advances uniformly even when its
-// partition is momentarily idle. Process places an event by key and seals
-// every Options.Batch events; ProcessStable takes a run the caller
+// partition is momentarily idle. Process places an event by key — one of a
+// type no hosted pattern reads it only counts — and seals every
+// Options.Batch events; ProcessStable takes a run the caller
 // already partitioned and leaves sealing to Flush. Matches are
 // tagged with the sequence number of the event whose processing emitted
 // them, buffered in a Collector, and released strictly in tag order once
@@ -79,8 +80,10 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -484,15 +487,18 @@ type Engine struct {
 	workers []*worker
 	open    []*match.Block // the open cut: per shard, nil or a block holding events
 	pool    *match.Pool    // where blocks wait between a worker's release and the next fill
-	pending int            // events Process put in the open cut
+	pending int            // events Process took since the last cut, elided ones included
 	lastSeq uint64
+	elided  uint64 // events Process offered no shard: no hosted pattern reads their type
 
 	queueDropped []uint64 // per shard, owned by the Process goroutine
 	queueCap     int      // effective per-shard queue bound, in events
 
 	// Pattern registry, owned by the Process goroutine like all
-	// coordinator state. schema and key re-validate runtime additions.
-	patIDs  map[uint32]bool
+	// coordinator state: the hosted set by id and the types it reads,
+	// which Process routes by. schema and key re-validate runtime additions.
+	specs   map[uint32]multi.Spec
+	reads   multi.Reads
 	schema  *event.Schema
 	key     KeyFunc
 	keyAttr string
@@ -563,7 +569,7 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		// retains nothing: one block per queue slot plus the one being
 		// filled can then all be waiting at once.
 		pool:    match.NewPool(opts.Shards * (queue + 1)),
-		patIDs:  make(map[uint32]bool, len(specs)),
+		specs:   make(map[uint32]multi.Spec, len(specs)),
 		schema:  opts.Schema,
 		key:     key,
 		keyAttr: opts.KeyAttr,
@@ -572,8 +578,9 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 		if specs[i], err = e.admit(specs[i]); err != nil {
 			return nil, err
 		}
-		e.patIDs[specs[i].ID] = true
+		e.specs[specs[i].ID] = specs[i]
 	}
+	e.reads = multi.ReadsOf(specs)
 	set, err := multi.Analyze(specs, opts.Schema)
 	if err != nil {
 		return nil, err
@@ -641,19 +648,27 @@ func (e *Engine) admit(sp multi.Spec) (multi.Spec, error) {
 // Process is the per-event adapter over the open cut: it places the
 // event on shard mix64(key) % Shards, copies it — the one copy — into
 // that shard's open block and seals the cut every Options.Batch events;
-// the caller's event is not retained. Events must arrive in
-// non-decreasing timestamp order with unique, increasing Seq numbers
-// (the same contract as engine.Engine.Process) — which is what lets the
-// seal use the last ingested Seq as the cut's watermark.
+// the caller's event is not retained. An event of a type no hosted
+// pattern reads is offered to no shard — no key, no copy — but counts
+// toward Batch and the cut's watermark like any other, so cuts fall where
+// they would if it were placed (see DESIGN.md "Batched ingestion").
+// Events must arrive in non-decreasing timestamp order with unique,
+// increasing Seq numbers (the same contract as engine.Engine.Process) —
+// which is what lets the seal use the last ingested Seq as the cut's
+// watermark.
 func (e *Engine) Process(ev *event.Event) {
 	if e.finished {
 		panic("shard: Process after Finish")
 	}
-	s := GlobalIndex(e.key(ev), e.nshards)
-	if e.open[s] == nil {
-		e.open[s] = e.pool.Get()
+	if e.reads.Has(ev.Type) {
+		s := GlobalIndex(e.key(ev), e.nshards)
+		if e.open[s] == nil {
+			e.open[s] = e.pool.Get()
+		}
+		e.open[s].Intern(ev)
+	} else {
+		e.elided++
 	}
-	e.open[s].Intern(ev)
 	e.lastSeq = ev.Seq
 	e.pending++
 	if e.pending >= e.batch {
@@ -765,12 +780,7 @@ func (e *Engine) Shards() int { return e.nshards }
 // PatternIDs lists the currently registered pattern ids, sorted
 // ascending. Call from the Process goroutine.
 func (e *Engine) PatternIDs() []uint32 {
-	out := make([]uint32, 0, len(e.patIDs))
-	for id := range e.patIDs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(e.specs))
 }
 
 // AddPattern registers one additional pattern on the running engine.
@@ -783,7 +793,7 @@ func (e *Engine) AddPattern(sp multi.Spec) error {
 	if e.finished {
 		return fmt.Errorf("shard: AddPattern after Finish")
 	}
-	if e.patIDs[sp.ID] {
+	if _, dup := e.specs[sp.ID]; dup {
 		return fmt.Errorf("shard: duplicate pattern id %d", sp.ID)
 	}
 	// Prevalidate on the coordinator so the per-worker Add cannot fail
@@ -800,7 +810,7 @@ func (e *Engine) AddPattern(sp multi.Spec) error {
 	if _, err := multi.NewEvaluator(set, multi.Options{OnMatch: func(uint32, *match.Match) {}}); err != nil {
 		return err
 	}
-	e.patIDs[sp.ID] = true
+	e.specs[sp.ID] = sp
 	e.dispatchOp(patternOp{add: &sp})
 	return nil
 }
@@ -812,22 +822,24 @@ func (e *Engine) RemovePattern(id uint32) error {
 	if e.finished {
 		return fmt.Errorf("shard: RemovePattern after Finish")
 	}
-	if !e.patIDs[id] {
+	if _, ok := e.specs[id]; !ok {
 		return fmt.Errorf("shard: unknown pattern id %d", id)
 	}
-	delete(e.patIDs, id)
+	delete(e.specs, id)
 	e.dispatchOp(patternOp{id: id})
 	return nil
 }
 
 // dispatchOp seals the current cut, then delivers the mutation to every
 // worker in its own cut — blocking, so a pattern-set change is never
-// lost to DropNewest and lands at the same watermark everywhere.
+// lost to DropNewest and lands at the same watermark everywhere — and
+// routes the events after it by the changed set's types.
 func (e *Engine) dispatchOp(op patternOp) {
 	e.cutAll(true)
 	for _, w := range e.workers {
 		w.in <- cut{upTo: e.lastSeq, ops: []patternOp{op}}
 	}
+	e.reads = multi.ReadsOf(slices.Collect(maps.Values(e.specs)))
 }
 
 // QueueCap reports the effective per-shard ingestion bound in events
@@ -836,18 +848,19 @@ func (e *Engine) QueueCap() int { return e.queueCap }
 
 // Metrics merges the per-shard engine metrics into one stream-wide view,
 // including the events dropped on queue overflow and the latency
-// percentile estimators sampled by the workers. Call after Finish (shard
+// percentile estimators sampled by the workers. EventsArrived also counts,
+// once, every event Process offered no shard. Call after Finish (shard
 // engines are owned by their workers until then).
 func (e *Engine) Metrics() engine.Metrics {
-	var m engine.Metrics
+	m := engine.Metrics{EventsArrived: e.elided}
 	for _, sm := range e.ShardMetrics() {
 		m.Merge(sm)
 	}
 	return m
 }
 
-// ShardMetrics is the per-shard breakdown behind Metrics. Call after
-// Finish.
+// ShardMetrics is the per-shard breakdown behind Metrics: each shard's
+// counters cover the events offered to it. Call after Finish.
 func (e *Engine) ShardMetrics() []engine.Metrics {
 	out := make([]engine.Metrics, len(e.workers))
 	for i, w := range e.workers {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -301,9 +302,11 @@ func Evaluators(tb testing.TB, sc Scenario, shards int) []shard.Tagged {
 }
 
 // detect runs one evaluator per partition over the scenario, tagging each
-// match as a shard worker would, and returns the per-pattern metrics.
-// stable evaluators are fed the scenario's own events; the others one
-// reused event, overwritten after every Process (matchtest.Reused).
+// match as a shard worker would, and returns the per-pattern metrics. A
+// partition is offered only the events of a type the live set reads, as
+// the routers offer them (multi.ReadsOf). stable evaluators are fed the
+// scenario's own events; the others one reused event, overwritten after
+// every Process (matchtest.Reused).
 func detect(tb testing.TB, sc Scenario, shards int, stable bool, deliver func(seq uint64, g int, id uint32, m *match.Match)) map[uint32]engine.Metrics {
 	tb.Helper()
 	key, err := shard.ByAttrName(sc.Schema, "key")
@@ -326,6 +329,8 @@ func detect(tb testing.TB, sc Scenario, shards int, stable bool, deliver func(se
 			tb.Fatal(err)
 		}
 	}
+	live := slices.Clone(sc.Specs)
+	reads := multi.ReadsOf(live)
 	var caller matchtest.Reused
 	for i := range sc.Events {
 		if op, ok := sc.Ops[i]; ok {
@@ -339,8 +344,17 @@ func detect(tb testing.TB, sc Scenario, shards int, stable bool, deliver func(se
 					tb.Fatal(err)
 				}
 			}
+			if op.Add != nil {
+				live = append(live, *op.Add)
+			} else {
+				live = slices.DeleteFunc(live, func(sp multi.Spec) bool { return sp.ID == op.Remove })
+			}
+			reads = multi.ReadsOf(live)
 		}
 		ev := &sc.Events[i]
+		if !reads.Has(ev.Type) {
+			continue
+		}
 		g := shard.GlobalIndex(key(ev), shards)
 		seq[g] = ev.Seq
 		if stable {

@@ -108,7 +108,9 @@ func (g *TenantGate) state(tenant uint32) *tenantState {
 // Admit decides one event for one tenant: true to evaluate it on the
 // tenant's patterns. Callers must invoke Admit exactly once per arriving
 // event per hosted tenant, in stream order (each call costs the tenant
-// one token when budgeted).
+// one token when budgeted). Behind the shard and cluster routers an event
+// arrives only if some hosted pattern reads its type, so an elided event
+// costs no token.
 func (g *TenantGate) Admit(tenant uint32, ts event.Time) bool {
 	st := g.state(tenant)
 	if st.budget.Rate <= 0 {

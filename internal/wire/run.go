@@ -141,6 +141,7 @@ const runHead = binary.MaxVarintLen64
 // The zero value is ready to use.
 type RunEncoder struct {
 	buf     []byte // runHead spare bytes, then the delta-coded events
+	peak    int    // the recent runs' largest length, decaying (see Reset)
 	n       int
 	prevTS  event.Time
 	prevSeq uint64
@@ -174,13 +175,17 @@ func (e *RunEncoder) Seal(shard uint32) ReplRun {
 
 // Reset starts the next run. With reuse it overwrites the last one's
 // storage, legal only once nothing reads the sealed body; otherwise the
-// body keeps it and the encoder takes storage sized after it (a shard's
-// consecutive runs are of similar length).
+// body keeps it and the encoder takes storage sized after the recent runs'
+// peak, which forgets a sixteenth a run: a shard's runs are of similar
+// length, but where the router drops the types no pattern reads, that
+// length follows the stream's type mix, and a run outgrowing its storage
+// costs a regrowth.
 func (e *RunEncoder) Reset(reuse bool) {
 	if reuse {
 		e.buf = e.buf[:0]
 	} else if n := len(e.buf); n > 0 {
-		e.buf = make([]byte, 0, n+n/8+64)
+		e.peak = max(n, e.peak-e.peak/16)
+		e.buf = make([]byte, 0, e.peak+e.peak/8+64)
 	}
 	e.n, e.prevTS, e.prevSeq = 0, 0, 0
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"acep"
+	"acep/internal/multi"
 )
 
 // TestSheddingFacade exercises the overload-control surface through the
@@ -118,8 +119,15 @@ func TestShardedOverloadFacade(t *testing.T) {
 	if m.EventsShed == 0 {
 		t.Fatal("sharded engine shed nothing under forced overload")
 	}
-	if m.Events+m.EventsShed+m.QueueDropped != uint64(len(w.Events)) {
-		t.Fatalf("event accounting: %d + %d + %d != %d",
-			m.Events, m.EventsShed, m.QueueDropped, len(w.Events))
+	// Events of a type the pattern does not read reach no shard.
+	reads, elided := multi.ReadsOf(multi.Solo(pat, acep.Config{})), uint64(0)
+	for i := range w.Events {
+		if !reads.Has(w.Events[i].Type) {
+			elided++
+		}
+	}
+	if m.Events+m.EventsShed+m.QueueDropped+elided != uint64(len(w.Events)) {
+		t.Fatalf("event accounting: %d + %d + %d + %d elided != %d",
+			m.Events, m.EventsShed, m.QueueDropped, elided, len(w.Events))
 	}
 }
