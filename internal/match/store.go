@@ -63,10 +63,15 @@ func keyBits(v float64) (uint64, bool) {
 }
 
 // bucket is one key's share of a Place: the partials parked under the
-// key and the events that probed with it, in timestamp order.
+// key with the least MinTS among them, and the events that probed with
+// it, in timestamp order. key and at file it in its place's table and
+// live list.
 type bucket struct {
-	ms   []*Partial
-	hist Buffer
+	ms     []*Partial
+	oldest event.Time
+	hist   Buffer
+	key    uint64
+	at     int
 }
 
 // Store is the partial-match store both engine models keep their state
@@ -115,9 +120,11 @@ func (s *Store) Live() int { return s.live }
 // Peak reports the high-water mark of Live.
 func (s *Store) Peak() int { return s.peak }
 
-// NewPlace adds a parking place indexed on key.
-func (s *Store) NewPlace(key EqKey) *Place {
-	pl := &Place{st: s, key: key}
+// NewPlace adds a parking place indexed on key. A place without history
+// records nothing Offer is handed, and Park returns nil there: it is for
+// partials that never look back at events that arrived before them.
+func (s *Store) NewPlace(key EqKey, history bool) *Place {
+	pl := &Place{st: s, key: key, history: history}
 	if key.Indexed {
 		pl.idx = make(map[uint64]*bucket)
 	}
@@ -132,10 +139,10 @@ func (s *Store) NewPlace(key EqKey) *Place {
 func (s *Store) Prune(now event.Time) {
 	for _, pl := range s.places {
 		pl.prune(&pl.flat, now)
-		for k, b := range pl.idx {
-			if pl.prune(b, now) {
-				delete(pl.idx, k)
-				pl.free = append(pl.free, b)
+		// Backwards: the bucket a drop moves into slot i was visited.
+		for i := len(pl.live) - 1; i >= 0; i-- {
+			if b := pl.live[i]; pl.prune(b, now) {
+				pl.drop(b)
 			}
 		}
 	}
@@ -148,14 +155,17 @@ func (s *Store) Prune(now event.Time) {
 //
 // A nil idx is the unindexed place: flat is the only bucket. In an indexed
 // place flat is where NaN keys park — NaN equals nothing, so no probe ever
-// looks there, but Prune still does.
+// looks there, but Prune still does. live lists idx's buckets densely
+// (live[b.at] == b), so Prune and HotKeys walk a slice, not the map.
 type Place struct {
-	st   *Store
-	key  EqKey
-	idx  map[uint64]*bucket
-	free []*bucket
-	flat bucket
-	n    int
+	st      *Store
+	key     EqKey
+	history bool
+	idx     map[uint64]*bucket
+	live    []*bucket
+	free    []*bucket
+	flat    bucket
+	n       int
 }
 
 // slot returns the bucket filed under v, taking one from the free list
@@ -177,9 +187,24 @@ func (pl *Place) slot(v float64) *bucket {
 		} else {
 			b = new(bucket)
 		}
+		b.key, b.at = k, len(pl.live)
 		pl.idx[k] = b
+		pl.live = append(pl.live, b)
 	}
 	return b
+}
+
+// drop swap-deletes an emptied bucket from the table and the live list
+// and returns it to the free list.
+func (pl *Place) drop(b *bucket) {
+	n := len(pl.live) - 1
+	last := pl.live[n]
+	pl.live[b.at] = last
+	last.at = b.at
+	pl.live[n] = nil
+	pl.live = pl.live[:n]
+	delete(pl.idx, b.key)
+	pl.free = append(pl.free, b)
 }
 
 // find returns the bucket a probe with v meets, or nil when there is
@@ -201,20 +226,30 @@ func (pl *Place) Len() int { return pl.n }
 // Buckets reports the number of key buckets currently in the table.
 func (pl *Place) Buckets() int { return len(pl.idx) }
 
+// KeepsHistory reports whether Offer records events here.
+func (pl *Place) KeepsHistory() bool { return pl.history }
+
 // Park files m under its key and returns the events recorded under the
-// same key so far (see Offer) — the ones that arrived before m existed.
+// same key so far (see Offer) — the ones that arrived before m existed —
+// or nil on a place without history.
 func (pl *Place) Park(m *Partial) *Buffer {
 	var v float64
 	if pl.key.Indexed {
 		v = m.Evs[pl.key.PosO].Attrs[pl.key.AttrO] + pl.key.C
 	}
 	b := pl.slot(v)
+	if len(b.ms) == 0 || m.MinTS < b.oldest {
+		b.oldest = m.MinTS
+	}
 	b.ms = append(b.ms, m)
 	pl.n++
 	s := pl.st
 	s.live++
 	if s.live > s.peak {
 		s.peak = s.live
+	}
+	if !pl.history {
+		return nil
 	}
 	return &b.hist
 }
@@ -243,8 +278,12 @@ func (pl *Place) ProbePartial(t *Partial, now event.Time) []*Partial {
 
 // Offer is Probe for a place that also keeps history: e is recorded under
 // its key for partials parked later to find. An event whose key is NaN
-// can join nothing, now or later, and is not recorded.
+// can join nothing, now or later, and is not recorded. On a place without
+// history Offer is Probe.
 func (pl *Place) Offer(e *event.Event, now event.Time) []*Partial {
+	if !pl.history {
+		return pl.Probe(e, now)
+	}
 	var v float64
 	if pl.key.Indexed {
 		if v = e.Attrs[pl.key.AttrN]; v != v {
@@ -271,18 +310,24 @@ func (pl *Place) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
 		}
 	}
 	hot(&pl.flat)
-	for _, b := range pl.idx {
+	for _, b := range pl.live {
 		hot(b)
 	}
 }
 
-// expire swap-removes and recycles b's expired partials.
+// expire swap-removes and recycles b's expired partials and recomputes
+// the bucket's oldest MinTS. While that is inside the window nothing has
+// expired, and expire returns without a sweep.
 func (pl *Place) expire(b *bucket, now event.Time) {
 	s := pl.st
-	ms := b.ms
+	if now-b.oldest <= s.window {
+		return
+	}
+	ms, oldest := b.ms, now
 	for i := 0; i < len(ms); {
 		m := ms[i]
 		if now-m.MinTS <= s.window {
+			oldest = min(oldest, m.MinTS)
 			i++
 			continue
 		}
@@ -295,7 +340,7 @@ func (pl *Place) expire(b *bucket, now event.Time) {
 	gone := len(b.ms) - len(ms)
 	pl.n -= gone
 	s.live -= gone
-	b.ms = ms
+	b.ms, b.oldest = ms, oldest
 }
 
 // prune is one bucket's share of Store.Prune; it reports whether the

@@ -1,7 +1,10 @@
 package match
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"acep/internal/event"
@@ -10,7 +13,7 @@ import (
 
 // eqPlace builds a store with one place for SEQ(A,B) partials holding an
 // A, indexed on b.x == a.x + c.
-func eqPlace(t *testing.T, c float64) (*event.Schema, *Store, *Place) {
+func eqPlace(t testing.TB, c float64, history bool) (*event.Schema, *Store, *Place) {
 	t.Helper()
 	s := mkSchema()
 	b := pattern.NewBuilder(s, pattern.Seq, 10)
@@ -23,7 +26,7 @@ func eqPlace(t *testing.T, c float64) (*event.Schema, *Store, *Place) {
 		t.Fatalf("EqKeyOf = %+v, want an indexed key with C=%v", key, c)
 	}
 	st := NewStore(2, pat.Window)
-	return s, st, st.NewPlace(key)
+	return s, st, st.NewPlace(key, history)
 }
 
 // parkA parks a partial holding one A event with the given key value.
@@ -57,7 +60,7 @@ func TestEqKeyOfTakesFirstEqualityOnly(t *testing.T) {
 }
 
 func TestPlaceProbeSelectsByKey(t *testing.T) {
-	s, st, pl := eqPlace(t, 1)
+	s, st, pl := eqPlace(t, 1, true)
 	parkA(s, st, pl, 1, 4)  // filed under 5
 	parkA(s, st, pl, 2, 4)  // filed under 5
 	parkA(s, st, pl, 3, -1) // filed under +0
@@ -83,7 +86,7 @@ func TestPlaceProbeSelectsByKey(t *testing.T) {
 // nothing, so no probe reaches it — but it is counted while it lives and
 // Prune expires it like any other.
 func TestPlaceNaNParkedButNeverProbed(t *testing.T) {
-	s, st, pl := eqPlace(t, 0)
+	s, st, pl := eqPlace(t, 0, true)
 	parkA(s, st, pl, 1, math.NaN())
 	parkA(s, st, pl, 1, math.Inf(1))
 	if got := pl.Probe(ev(s, 1, 2, math.NaN()), 2); len(got) != 0 {
@@ -107,7 +110,7 @@ func TestPlaceNaNParkedButNeverProbed(t *testing.T) {
 // TestPlaceExpiryAndReclaim: a probe sweeps only its own bucket; the rest
 // wait for Prune, which also returns emptied buckets for reuse.
 func TestPlaceExpiryAndReclaim(t *testing.T) {
-	s, st, pl := eqPlace(t, 0)
+	s, st, pl := eqPlace(t, 0, true)
 	old := parkA(s, st, pl, 1, 7)
 	parkA(s, st, pl, 1, 8)
 	parkA(s, st, pl, 20, 7)
@@ -136,7 +139,7 @@ func TestPlaceExpiryAndReclaim(t *testing.T) {
 // partial parked later under the same key gets back, in arrival order,
 // until they age past two windows.
 func TestPlaceOfferRecordsHistory(t *testing.T) {
-	s, st, pl := eqPlace(t, 0)
+	s, st, pl := eqPlace(t, 0, true)
 	pl.Offer(ev(s, 1, 1, 7), 1)
 	pl.Offer(ev(s, 1, 2, 8), 2)
 	pl.Offer(ev(s, 1, 3, 7), 3)
@@ -166,7 +169,7 @@ func TestPlaceOfferRecordsHistory(t *testing.T) {
 func TestPlaceUnindexedIsOneBucket(t *testing.T) {
 	s := mkSchema()
 	st := NewStore(2, 10)
-	pl := st.NewPlace(EqKey{})
+	pl := st.NewPlace(EqKey{}, true)
 	parkA(s, st, pl, 1, 1)
 	parkA(s, st, pl, 1, math.NaN())
 	bare := &event.Event{Type: 1, TS: 2} // no attributes at all
@@ -175,5 +178,137 @@ func TestPlaceUnindexedIsOneBucket(t *testing.T) {
 	}
 	if pl.Buckets() != 0 {
 		t.Fatalf("an unindexed place grew %d key buckets", pl.Buckets())
+	}
+}
+
+// requireOldest checks the sweep guard's invariant: a bucket holding
+// partials knows the least MinTS among them.
+func requireOldest(t *testing.T, pl *Place, at string) {
+	t.Helper()
+	for _, b := range append([]*bucket{&pl.flat}, pl.live...) {
+		if len(b.ms) == 0 {
+			continue
+		}
+		least := b.ms[0].MinTS
+		for _, m := range b.ms {
+			least = min(least, m.MinTS)
+		}
+		if b.oldest != least {
+			t.Fatalf("%s: bucket %d holds oldest %d, its partials' least MinTS is %d", at, b.key, b.oldest, least)
+		}
+	}
+}
+
+// TestPlaceSweepGuard holds a place whose buckets skip the sweep while
+// nothing in them has expired against a model that sweeps the probed
+// bucket on every probe: after every probe, offer and prune the partials
+// a probe meets and Live are the model's. Partials park with MinTS up to
+// a window old, as forks of a lazy scan do, so the oldest is not always
+// the first.
+func TestPlaceSweepGuard(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		s, st, pl := eqPlace(t, 0, history)
+		r := rand.New(rand.NewSource(7))
+		model := map[float64][]event.Time{} // key -> MinTS of the partials the model holds
+		sweep := func(k float64, now event.Time) {
+			model[k] = slices.DeleteFunc(model[k], func(ts event.Time) bool { return now-ts > st.window })
+		}
+		live := func() (n int) {
+			for _, ms := range model {
+				n += len(ms)
+			}
+			return n
+		}
+		swept := 0
+		var now event.Time
+		for op := 0; op < 20000; op++ {
+			now += event.Time(r.Intn(2))
+			k := float64(r.Intn(5))
+			switch x := r.Intn(10); {
+			case x < 5:
+				ts := now - event.Time(r.Intn(int(st.window)))
+				m := st.Get()
+				m.Evs[0] = ev(s, 0, ts, k)
+				m.MinTS, m.MaxTS = ts, now
+				pl.Park(m)
+				model[k] = append(model[k], ts)
+			case x < 9:
+				before := len(model[k])
+				sweep(k, now)
+				swept += before - len(model[k])
+				probe := pl.Probe
+				if x == 8 {
+					probe = pl.Offer
+				}
+				if got := probe(ev(s, 1, now, k), now); len(got) != len(model[k]) {
+					t.Fatalf("history %v op %d: a probe of key %v met %d partials, want %d", history, op, k, len(got), len(model[k]))
+				}
+			default:
+				st.Prune(now)
+				for k := range model {
+					sweep(k, now)
+				}
+			}
+			if st.Live() != live() || pl.Len() != live() {
+				t.Fatalf("history %v op %d: live %d len %d, a sweep on every probe leaves %d", history, op, st.Live(), pl.Len(), live())
+			}
+			requireOldest(t, pl, fmt.Sprintf("history %v op %d", history, op))
+		}
+		if swept == 0 {
+			t.Fatalf("history %v: no probe found an expired partial; the guard was not exercised", history)
+		}
+	}
+}
+
+// requireLiveList checks that a place's live list and key map hold the
+// same buckets, each once and at its recorded slot.
+func requireLiveList(t *testing.T, pl *Place, at string) {
+	t.Helper()
+	if len(pl.live) != len(pl.idx) {
+		t.Fatalf("%s: %d buckets listed, %d in the map", at, len(pl.live), len(pl.idx))
+	}
+	for i, b := range pl.live {
+		if b.at != i || pl.idx[b.key] != b {
+			t.Fatalf("%s: live[%d] records slot %d, key %d maps to %p, want %p", at, i, b.at, b.key, pl.idx[b.key], b)
+		}
+	}
+}
+
+// TestPlacePruneKeyChurn: keys churn through a place — each lives for a
+// few events and never returns — and after every prune the live list and
+// the map agree (no bucket lost, none listed twice), HotKeys visits every
+// parked partial once, and without history a bucket is left exactly for
+// each key with a partial parked.
+func TestPlacePruneKeyChurn(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		s, st, pl := eqPlace(t, 0, history)
+		r := rand.New(rand.NewSource(3))
+		prunes := 0
+		for ts := event.Time(1); ts < 3000; ts++ {
+			k := float64(int(ts)/3 + r.Intn(4)) // a key lives for about a dozen events
+			if r.Intn(2) == 0 {
+				parkA(s, st, pl, ts, k)
+			} else {
+				pl.Offer(ev(s, 1, ts, k), ts)
+			}
+			if ts%5 != 0 {
+				continue
+			}
+			st.Prune(ts)
+			prunes++
+			at := fmt.Sprintf("history %v prune at %d", history, ts)
+			requireLiveList(t, pl, at)
+			visited, keys := 0, map[uint64]bool{}
+			pl.HotKeys(func(e *event.Event) uint64 { return uint64(e.Attrs[0]) }, func(k uint64) { visited++; keys[k] = true })
+			if visited != pl.Len() {
+				t.Fatalf("%s: HotKeys visited %d partials, %d parked", at, visited, pl.Len())
+			}
+			if !history && len(keys) != pl.Buckets() {
+				t.Fatalf("%s: %d buckets for %d keys with a partial", at, pl.Buckets(), len(keys))
+			}
+		}
+		if len(pl.free) == 0 || prunes == 0 {
+			t.Fatalf("history %v: no bucket was ever dropped; the churn was not exercised", history)
+		}
 	}
 }

@@ -135,8 +135,11 @@ func TestProcessBoundedAllocsKleene(t *testing.T) {
 // the stream never satisfies, so nothing matches); each key value lives
 // for three events and never returns — over 100,000 distinct keys across
 // the run. Buckets come and go with their keys, so the steady state must
-// still allocate nothing, and after a prune each state's table must hold
-// no more buckets than there are keys inside the retention horizon.
+// still allocate nothing. Under the declaration order every state is
+// forward-only and keeps no history: after a prune a state holds a bucket
+// exactly for each key with a live PM there. Under the reverse order every
+// state keeps history, and a state's table holds no more buckets than
+// there are keys inside the retention horizon.
 func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 	s := event.NewSchema()
 	for _, name := range []string{"A", "B", "C"} {
@@ -151,43 +154,60 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 		b.WherePred(pattern.Pred{L: i, R: i + 1, AttrL: 1, AttrR: 1, Op: pattern.EQ})
 		b.WherePred(pattern.Pred{L: i, R: i + 1, AttrL: 0, AttrR: 0, Op: pattern.LT})
 	}
-	g := New(b.MustBuild(), plan.NewOrderPlan([]int{0, 1, 2}), func(*match.Match) {
-		t.Fatal("no-match stream produced a match")
-	})
-	g.SetOwnedEmit(true)
-	o := matchtest.NewOwner(g)
-	ev := event.Event{Attrs: make([]float64, 2)}
-	var seq uint64
-	run := func(events int) {
-		for i := 0; i < events; i++ {
-			ev.Type = int(seq % 3)
-			ev.Attrs[1] = float64(seq / 3) // the key: one A, B and C each
-			seq++
-			ev.TS = event.Time(seq)
-			ev.Seq = seq
-			ev.Attrs[0] = -float64(seq)
-			o.Process(&ev)
+	pat := b.MustBuild()
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+		history := order[0] != 0
+		g := New(pat, plan.NewOrderPlan(order), func(*match.Match) {
+			t.Fatal("no-match stream produced a match")
+		})
+		g.SetOwnedEmit(true)
+		o := matchtest.NewOwner(g)
+		ev := event.Event{Attrs: make([]float64, 2)}
+		var seq uint64
+		run := func(events int) {
+			for i := 0; i < events; i++ {
+				ev.Type = int(seq % 3)
+				ev.Attrs[1] = float64(seq / 3) // the key: one A, B and C each
+				seq++
+				ev.TS = event.Time(seq)
+				ev.Seq = seq
+				ev.Attrs[0] = -float64(seq)
+				o.Process(&ev)
+			}
 		}
-	}
-	run(250000)
-	before := g.Stats().PredEvals
-	allocs := testing.AllocsPerRun(10, func() { run(5000) })
-	if allocs != 0 {
-		t.Fatalf("steady-state Process under key churn allocated %.2f times per 5000-event run; want 0", allocs)
-	}
-	if seq/3 < 100000 {
-		t.Fatalf("only %d distinct keys over the run; want 100000", seq/3)
-	}
-	// Each B meets the one A-PM of its key: two predicate evaluations per
-	// three events, where the flat scan asked every PM in the window.
-	if per := float64(g.Stats().PredEvals-before) / 55000; per > 1 {
-		t.Fatalf("%.2f predicate evaluations per event; the index is not selecting", per)
-	}
-	g.store.Prune(g.watermark)
-	liveKeys := 2*window/3 + 2 // keys with an event inside the two-window horizon
-	for st := 1; st < g.n; st++ {
-		if n := g.states[st].Buckets(); n == 0 || n > liveKeys {
-			t.Fatalf("state %d holds %d buckets after prune; want 1..%d", st, n, liveKeys)
+		run(250000)
+		before := g.Stats().PredEvals
+		allocs := testing.AllocsPerRun(10, func() { run(5000) })
+		if allocs != 0 {
+			t.Fatalf("order %v: steady-state Process under key churn allocated %.2f times per 5000-event run; want 0", order, allocs)
+		}
+		if seq/3 < 100000 {
+			t.Fatalf("order %v: only %d distinct keys over the run; want 100000", order, seq/3)
+		}
+		// Each B meets the one A-PM of its key (each C-PM the one B of its
+		// key's history): two predicate evaluations per three events, where
+		// the flat scan asked every PM in the window.
+		if per := float64(g.Stats().PredEvals-before) / 55000; per > 1 {
+			t.Fatalf("order %v: %.2f predicate evaluations per event; the index is not selecting", order, per)
+		}
+		g.store.Prune(g.watermark)
+		liveKeys := 2*window/3 + 2 // keys with an event inside the two-window horizon
+		for st := 1; st < g.n; st++ {
+			pl := g.states[st]
+			if pl.KeepsHistory() != history {
+				t.Fatalf("order %v: state %d keeps history %v, want %v", order, st, pl.KeepsHistory(), history)
+			}
+			if n := pl.Buckets(); history && (n == 0 || n > liveKeys) {
+				t.Fatalf("order %v: state %d holds %d buckets after prune; want 1..%d", order, st, n, liveKeys)
+			}
+			keys := map[uint64]bool{}
+			pl.HotKeys(func(e *event.Event) uint64 { return uint64(e.Attrs[1]) }, func(k uint64) { keys[k] = true })
+			if n := pl.Buckets(); !history && n != len(keys) {
+				t.Fatalf("order %v: state %d holds %d buckets after prune; want %d, one per key with a live PM", order, st, n, len(keys))
+			}
+		}
+		if !history && g.states[1].Buckets() == 0 {
+			t.Fatalf("order %v: no bucket at state 1; the bound is vacuous", order)
 		}
 	}
 }

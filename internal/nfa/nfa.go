@@ -22,10 +22,17 @@
 // Stats.PMCreated are those of the unindexed engine; Stats.PredEvals is
 // lower.
 //
+// A state whose next position must strictly follow every filled one
+// (every check RelAfter — all states of a declaration-order SEQ) keeps no
+// history: a PM is registered there only while the event it holds last is
+// processed, so nothing recorded could follow it and the lazy scan would
+// visit nothing.
+//
 // Introspection (LivePMs, HotTypes, HotKeys) reads the store. On an
 // indexed state, a PM that expired in a bucket no later event probes is
 // still counted until the next prune, at most half a window past its
-// expiry; an unindexed state is swept by every event offered to it.
+// expiry; on an unindexed state every event offered to it removes the
+// PMs that have expired.
 //
 // The engine stores no event: it keeps the pointers it is handed, and
 // whoever owns the storage behind them keeps an event in place until
@@ -39,6 +46,7 @@ package nfa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"acep/internal/event"
@@ -122,7 +130,7 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 	// exactly order[0..s-1], so the extension checks are a fixed list (in
 	// declaration-position order, matching the historical predicate
 	// evaluation order). A state whose list holds an equality predicate
-	// is indexed on it.
+	// is indexed on it; one whose list is all RelAfter keeps no history.
 	g.states = make([]*match.Place, g.n)
 	g.checks = make([][]match.Check, g.n)
 	for s := 1; s < g.n; s++ {
@@ -138,7 +146,8 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 		if indexed {
 			key = match.EqKeyOf(cs)
 		}
-		g.states[s] = g.store.NewPlace(key)
+		history := slices.ContainsFunc(cs, func(c match.Check) bool { return c.PC.Rel != pattern.RelAfter })
+		g.states[s] = g.store.NewPlace(key, history)
 	}
 	return g
 }
@@ -355,11 +364,16 @@ func (g *Engine) fork(k int, parent *match.Partial, p int, e *event.Event) {
 
 // register completes a PM that has filled s positions if that is all of
 // them; otherwise it parks it at state s and lazily scans the next
-// position's history for events that already arrived.
+// position's history, if the state keeps one, for events that already
+// arrived.
 func (g *Engine) register(s int, m *match.Partial) {
 	if s == g.n {
 		g.complete(m)
 		g.store.Put(m)
+		return
+	}
+	h := g.states[s].Park(m)
+	if h == nil {
 		return
 	}
 	next := g.op.Order[s]
@@ -378,7 +392,7 @@ func (g *Engine) register(s int, m *match.Partial) {
 			hi, hiExcl = ts, true
 		}
 	}
-	g.states[s].Park(m).Scan(lo, hi, loExcl, hiExcl, func(c *event.Event) bool {
+	h.Scan(lo, hi, loExcl, hiExcl, func(c *event.Event) bool {
 		if g.canExtend(s, m, c) {
 			g.fork(s, m, next, c)
 		}

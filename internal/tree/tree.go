@@ -164,7 +164,7 @@ func (g *Engine) placeStores(n *node, indexed bool) {
 		if indexed {
 			key = match.EqKeyOf(n.sibling.joins)
 		}
-		n.store = g.store.NewPlace(key)
+		n.store = g.store.NewPlace(key, false) // nothing offers to a node
 	}
 	g.placeStores(n.left, indexed)
 	g.placeStores(n.right, indexed)
