@@ -23,7 +23,6 @@ import (
 	"acep/internal/core"
 	"acep/internal/event"
 	"acep/internal/match"
-	"acep/internal/nfa"
 	"acep/internal/pattern"
 	"acep/internal/plan"
 	"acep/internal/planner"
@@ -213,7 +212,7 @@ type evaluator interface {
 	SetEmitOnlyBefore(uint64)
 	Resolver() *match.Resolver
 	Plan() plan.Plan
-	Stats() nfa.Stats
+	Stats() match.Stats
 	// Shedding introspection (see internal/shed.Probe).
 	LivePMs() int
 	HotTypes(mark []bool)
@@ -325,23 +324,29 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 
 // Floor reports a timestamp no event the engine can still reach lies
 // before — the least over every runner's current and draining evaluators
-// (see nfa.Engine.Floor) — or the largest Time while no event has reached
+// (see match.Frame.Floor) — or the largest Time while no event has reached
 // a runner, which then holds nothing. A shed event advances nothing, so
 // an engine that sheds keeps its floor where its last admitted event
 // left it: that holds the storage back — the engine's own, or under
 // ExternalEvents the caller's — never the detection.
 func (e *Engine) Floor() event.Time {
 	floor := event.Time(math.MaxInt64)
-	for _, r := range e.runners {
-		if r.metrics.Events == 0 {
-			continue
+	e.evaluators(func(r *runner, ev evaluator) {
+		if r.metrics.Events > 0 {
+			floor = min(floor, ev.Floor())
 		}
-		floor = min(floor, r.cur.Floor())
+	})
+	return floor
+}
+
+// evaluators calls f on every runner's current and draining evaluators.
+func (e *Engine) evaluators(f func(*runner, evaluator)) {
+	for _, r := range e.runners {
+		f(r, r.cur)
 		for _, d := range r.draining {
-			floor = min(floor, d.eval.Floor())
+			f(r, d.eval)
 		}
 	}
-	return floor
 }
 
 // Finish flushes parked matches at end of stream.
@@ -391,14 +396,8 @@ func (e *Engine) ShedLoad() float64 {
 
 // LivePMs implements shed.Probe: the live partial matches across every
 // runner's current and draining evaluators.
-func (e *Engine) LivePMs() int {
-	n := 0
-	for _, r := range e.runners {
-		n += r.cur.LivePMs()
-		for _, d := range r.draining {
-			n += d.eval.LivePMs()
-		}
-	}
+func (e *Engine) LivePMs() (n int) {
+	e.evaluators(func(_ *runner, ev evaluator) { n += ev.LivePMs() })
 	return n
 }
 
@@ -406,22 +405,12 @@ func (e *Engine) LivePMs() int {
 // and draining evaluators (a draining evaluator's partial matches can
 // still complete, so their extensions stay protected through migration).
 func (e *Engine) HotTypes(mark []bool) {
-	for _, r := range e.runners {
-		r.cur.HotTypes(mark)
-		for _, d := range r.draining {
-			d.eval.HotTypes(mark)
-		}
-	}
+	e.evaluators(func(_ *runner, ev evaluator) { ev.HotTypes(mark) })
 }
 
 // HotKeys implements shed.Probe; see HotTypes for the aggregation scope.
 func (e *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
-	for _, r := range e.runners {
-		r.cur.HotKeys(key, add)
-		for _, d := range r.draining {
-			d.eval.HotKeys(key, add)
-		}
-	}
+	e.evaluators(func(_ *runner, ev evaluator) { ev.HotKeys(key, add) })
 }
 
 // LastSnapshots implements shed.Probe: the most recent statistics

@@ -30,7 +30,7 @@ type runner struct {
 	lastSnap   *stats.Snapshot // most recent adaptation-check snapshot
 
 	metrics Metrics
-	retired nfa.Stats // counters accumulated from retired evaluators
+	retired match.Stats // counters accumulated from retired evaluators
 }
 
 // drainingEngine is a pre-migration evaluator still serving matches that
@@ -214,7 +214,7 @@ func (r *runner) snapshotMetrics() Metrics {
 	m.PMCreated = r.retired.PMCreated
 	m.PredEvals = r.retired.PredEvals
 	m.PeakPMs = r.retired.PeakPMs
-	add := func(st nfa.Stats) {
+	add := func(st match.Stats) {
 		m.PMCreated += st.PMCreated
 		m.PredEvals += st.PredEvals
 		if st.PeakPMs > m.PeakPMs {

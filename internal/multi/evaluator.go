@@ -464,7 +464,7 @@ func (v *Evaluator) catchUp() {
 // evaluator, or under StableInput the caller — may reuse whatever lies
 // wholly before — buffers, partial matches, residuals, parked
 // matches and prefix-runner seeds all sit at or after it. It is the least
-// engine floor (see engine.Engine.Floor, nfa.Engine.Floor) over the
+// engine floor (see engine.Engine.Floor, match.Frame.Floor) over the
 // engines that have been fed, each first brought up to its tenant's last
 // admitted event. An engine its tenant's gate or its shedder steps over
 // is not advanced on the events it skips (advancing would resolve its
@@ -565,7 +565,7 @@ func (v *Evaluator) TenantStats() []shed.TenantStat { return v.gate.Stats() }
 
 // Metrics reports per-pattern engine counters in evaluation order. For
 // group members (fixed-plan NFAs) the adaptive-loop counters are zero
-// and the evaluation counters are synthesized from nfa.Stats. The event
+// and the evaluation counters are synthesized from match.Stats. The event
 // counts are the set's since the pattern joined: every event arrives at
 // every pattern, and its tenant's gate sheds it for all of them.
 func (v *Evaluator) Metrics() []PatternMetrics {

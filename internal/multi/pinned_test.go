@@ -10,6 +10,8 @@ import (
 	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/match/matchtest"
+	"acep/internal/pattern"
 	"acep/internal/shed"
 )
 
@@ -138,6 +140,22 @@ func TestSetDeliveryPinned(t *testing.T) {
 	churn := gen.Traffic(gen.TrafficConfig{Types: 7, Events: 8000, Seed: 23, Shifts: 1})
 	churnSpecs := renumber(must(churn.OverlapPatterns(gen.Sequence, 8, 3, 400, 1)), 1)
 
+	// A suffix position of the prefix's last type: the event that completes
+	// a prefix also reaches the subscriber, which the runner must have
+	// seeded first. The seeds then sit in the subscriber's store when that
+	// event sweeps it, which orders its partial matches — so the delivery —
+	// and sets its peak.
+	tied := &gen.Workload{Schema: matchtest.Schema(3)}
+	tied.Events = matchtest.Stream(3, tied.Schema, 3000, []float64{1})
+	seqOf := func(types ...int) *pattern.Pattern {
+		b := pattern.NewBuilder(tied.Schema, pattern.Seq, 12)
+		for _, t := range types {
+			b.Event(t)
+		}
+		return b.MustBuild()
+	}
+	tiedSpecs := []Spec{{ID: 1, Pattern: seqOf(0, 1, 1)}, {ID: 2, Pattern: seqOf(0, 1, 2)}}
+
 	scenarios := []scenario{
 		{name: "overlap32-keyed", w: keyed, specs: overlap,
 			want: pinnedRun{matches: 6352, delivery: 0xfc1e6feab648cac3, state: 0xc40fc2c0ede82bd8, metrics: 0x7993c611bc62cebc, predEvals: 2461664}},
@@ -161,6 +179,8 @@ func TestSetDeliveryPinned(t *testing.T) {
 				}
 			},
 			want: pinnedRun{matches: 855, delivery: 0xe4b8cd9de09ec9ad, state: 0x2e94504d77ad5895, metrics: 0x5ede52c0e25fc3eb, predEvals: 56746}},
+		{name: "suffix-tied-to-prefix", w: tied, specs: tiedSpecs,
+			want: pinnedRun{matches: 3327, delivery: 0x3b983bb5b701dc79, state: 0xd0ca751cb966dac9, metrics: 0x2fc2a8cc0e747f6b}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

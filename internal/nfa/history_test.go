@@ -22,7 +22,7 @@ func keepAllHistory(g *Engine, indexed bool) {
 		if indexed {
 			key = match.EqKeyOf(g.checks[s])
 		}
-		g.states[s] = g.store.NewPlace(key, true)
+		g.states[s] = g.Store.NewPlace(key, true)
 	}
 }
 
@@ -30,7 +30,7 @@ func keepAllHistory(g *Engine, indexed bool) {
 // and the engine's counters.
 type delivery struct {
 	keys  []string
-	stats Stats
+	stats match.Stats
 }
 
 func deliver(out *delivery) func(*match.Match) {

@@ -13,7 +13,7 @@ import (
 )
 
 // asRun packages a finished engine's output for matchtest.RequireSameWork.
-func asRun(out []*match.Match, st Stats, indexed int) matchtest.Run {
+func asRun(out []*match.Match, st match.Stats, indexed int) matchtest.Run {
 	return matchtest.Run{
 		Keys: matchtest.Keys(out), PMCreated: st.PMCreated, PredEvals: st.PredEvals,
 		Emitted: st.Emitted, Dropped: st.Dropped, Suppressed: st.Suppressed, Indexed: indexed,

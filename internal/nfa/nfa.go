@@ -55,49 +55,18 @@ import (
 	"acep/internal/plan"
 )
 
-// Stats aggregates the engine's work and output counters.
-type Stats struct {
-	// PMCreated counts partial matches created (a memory/work proxy, the
-	// quantity the greedy plan cost models).
-	PMCreated uint64
-	// PredEvals counts predicate evaluations (engine + resolver).
-	PredEvals uint64
-	// Emitted counts matches delivered to the callback.
-	Emitted uint64
-	// Dropped counts core-complete matches discarded by residual
-	// constraints.
-	Dropped uint64
-	// Suppressed counts matches withheld by the migration emit filter.
-	Suppressed uint64
-	// LivePMs is the current number of registered partial matches.
-	LivePMs int
-	// PeakPMs is the high-water mark of LivePMs.
-	PeakPMs int
-	// Pending is the number of matches parked in the resolver.
-	Pending int
-}
-
 // Engine is a lazy-NFA evaluation engine for one (non-OR) pattern and one
-// order plan.
+// order plan: the plan's states over the match.Frame that holds the
+// clock, the emit filter, the resolver and the counters.
 type Engine struct {
-	pat *pattern.Pattern
-	op  *plan.OrderPlan
-	res *match.Resolver
+	match.Frame
+	op *plan.OrderPlan
 
 	orderIdx []int           // pattern position -> index in order (-1 if residual)
-	store    *match.Store    // PM pool and the states' parking places
 	states   []*match.Place  // states[s]: PMs with s filled positions (1..n-1)
 	checks   [][]match.Check // per state: checks against the filled prefix
 	n        int             // number of core positions
-
-	watermark  event.Time
-	lastPrune  event.Time
-	emitBefore uint64 // when >0, emit only matches with a core Seq < emitBefore
-	prefix     int    // when >0, order[0..prefix-1] is fed externally via Seed
-
-	pmCreated  uint64
-	predEvals  uint64
-	suppressed uint64
+	prefix   int             // when >0, order[0..prefix-1] is fed externally via Seed
 }
 
 // New builds an engine for the pattern following the given order plan.
@@ -113,11 +82,9 @@ func New(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)) *Eng
 // hold the index against.
 func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match), indexed bool) *Engine {
 	g := &Engine{
-		pat:      pat,
+		Frame:    match.NewFrame(pat, emit),
 		op:       op,
-		res:      match.NewResolver(pat, emit),
 		orderIdx: make([]int, pat.NumPositions()),
-		store:    match.NewStore(pat.NumPositions(), pat.Window),
 		n:        len(op.Order),
 	}
 	for i := range g.orderIdx {
@@ -147,36 +114,10 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 			key = match.EqKeyOf(cs)
 		}
 		history := slices.ContainsFunc(cs, func(c match.Check) bool { return c.PC.Rel != pattern.RelAfter })
-		g.states[s] = g.store.NewPlace(key, history)
+		g.states[s] = g.Store.NewPlace(key, history)
 	}
 	return g
 }
-
-// Resolver exposes the residual resolver (for migration seeding).
-func (g *Engine) Resolver() *match.Resolver { return g.res }
-
-// SetOwnedEmit declares that the emit callback consumes each match
-// synchronously and retains nothing past its return. The engine then
-// recycles its emission structures, making the steady-state emit path
-// allocation-free. Must not be combined with callbacks that buffer
-// matches (e.g. the shard collector).
-func (g *Engine) SetOwnedEmit(owned bool) { g.res.SetOwned(owned) }
-
-// Floor reports a timestamp no event the engine can still reach lies
-// before: pruning runs at most half a window behind the watermark (see
-// Advance) and keeps two windows — the residual scopes' reach — so
-// histories, partial matches, residual buffers and parked matches all
-// hold events at or after it. It moves only when the engine is fed: an
-// engine nobody advances keeps what it has. The owner of the events'
-// storage may reuse whatever is wholly older.
-func (g *Engine) Floor() event.Time {
-	return g.watermark - 2*g.pat.Window - g.pat.Window/2
-}
-
-// SetEmitOnlyBefore restricts emission to matches containing at least one
-// core event with Seq < seq: the old-plan side of the paper's §2.2
-// migration protocol. Zero removes the filter.
-func (g *Engine) SetEmitOnlyBefore(seq uint64) { g.emitBefore = seq }
 
 // Plan returns the order plan in effect.
 func (g *Engine) Plan() plan.Plan { return g.op }
@@ -212,7 +153,7 @@ func (g *Engine) SetSharedPrefix(k int) error {
 // dropped here, so a runner sized to the widest subscriber window can fan
 // one completion to every subscriber unfiltered.
 func (g *Engine) Seed(evs []*event.Event) {
-	m := g.store.Get()
+	m := g.Store.Get()
 	for j := 0; j < g.prefix; j++ {
 		e := evs[j]
 		m.Evs[g.op.Order[j]] = e
@@ -223,35 +164,12 @@ func (g *Engine) Seed(evs []*event.Event) {
 			m.MaxTS = e.TS
 		}
 	}
-	if m.MaxTS-m.MinTS > g.pat.Window {
-		g.store.Put(m)
+	if m.MaxTS-m.MinTS > g.Pat.Window {
+		g.Store.Put(m)
 		return
 	}
-	g.pmCreated++
+	g.PMCreated++
 	g.register(g.prefix, m)
-}
-
-// Advance moves the watermark forward, resolving parked matches and
-// periodically pruning buffers and expired partial matches.
-func (g *Engine) Advance(ts event.Time) {
-	if ts < g.watermark {
-		return
-	}
-	g.watermark = ts
-	g.res.Advance(ts)
-	if ts-g.lastPrune >= g.pat.Window/2 {
-		g.store.Prune(g.watermark)
-		g.lastPrune = ts
-	}
-}
-
-// NextPrune reports the earliest timestamp at which Process prunes: the
-// first event later than the watermark and at least half a window past
-// the last prune. A host that skips the engine on events it cannot use
-// keeps it exactly where an engine fed every event would be by calling
-// Advance on the first skipped event at or past NextPrune.
-func (g *Engine) NextPrune() event.Time {
-	return max(g.lastPrune+g.pat.Window/2, g.watermark+1)
 }
 
 // Process feeds one input event. Events must arrive in non-decreasing
@@ -266,23 +184,23 @@ func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 func (g *Engine) ProcessMasked(e *event.Event, mask uint32) { g.process(e, mask) }
 
 func (g *Engine) process(e *event.Event, mask uint32) {
-	if e.TS > g.watermark {
+	if e.TS > g.Watermark {
 		g.Advance(e.TS)
 	}
-	for _, p := range g.pat.PositionsOfType(e.Type) {
+	for _, p := range g.Pat.PositionsOfType(e.Type) {
 		k := g.orderIdx[p]
 		if k < 0 {
 			// Residual position: the resolver buffers it for scope
 			// resolution (it applies the position's unary predicates).
-			if g.wantsResidual(p, e, mask) {
-				g.res.AddResidual(p, e)
+			if g.WantsResidual(p, e, mask) {
+				g.Resolver().AddResidual(p, e)
 			}
 			continue
 		}
 		if k < g.prefix {
 			continue // fed externally through Seed
 		}
-		if !g.unaryOk(p, e, mask) {
+		if !g.UnaryOk(p, e, mask) {
 			continue
 		}
 		if k == 0 {
@@ -291,7 +209,7 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		}
 		// Offer the event to the PMs waiting at state k that its key
 		// selects, and record it for the ones that park there later.
-		for _, m := range g.states[k].Offer(e, g.watermark) {
+		for _, m := range g.states[k].Offer(e, g.Watermark) {
 			if g.canExtend(k, m, e) {
 				g.fork(k, m, p, e)
 			}
@@ -299,35 +217,17 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 	}
 }
 
-// unaryOk consults the precomputed mask bit when one is present and falls
-// back to evaluating position p's compiled unary predicates.
-func (g *Engine) unaryOk(p int, e *event.Event, mask uint32) bool {
-	if mask&pattern.MaskValid != 0 {
-		return pattern.MaskOk(mask, p)
-	}
-	return g.pat.UnaryOk(p, e, &g.predEvals)
-}
-
-// wantsResidual is Resolver.Wants with the mask consulted for the unary
-// predicates when present.
-func (g *Engine) wantsResidual(p int, e *event.Event, mask uint32) bool {
-	if mask&pattern.MaskValid != 0 {
-		return g.res.Buffered(p) && pattern.MaskOk(mask, p)
-	}
-	return g.res.Wants(p, e)
-}
-
 // canExtend checks whether event e can fill state k's position of PM m:
 // one window check against the PM's timestamp span, then the state's
 // compiled check list (temporal relation + oriented predicates against
 // each filled position).
 func (g *Engine) canExtend(k int, m *match.Partial, e *event.Event) bool {
-	if m.MaxTS-e.TS > g.pat.Window || e.TS-m.MinTS > g.pat.Window {
+	if m.MaxTS-e.TS > g.Pat.Window || e.TS-m.MinTS > g.Pat.Window {
 		return false
 	}
 	for i := range g.checks[k] {
 		c := &g.checks[k][i]
-		if !c.PC.Ok(e, m.Evs[c.PosO], &g.predEvals) {
+		if !c.PC.Ok(e, m.Evs[c.PosO], &g.PredEvals) {
 			return false
 		}
 	}
@@ -336,18 +236,18 @@ func (g *Engine) canExtend(k int, m *match.Partial, e *event.Event) bool {
 
 // create starts a new PM from an event at the plan's first position.
 func (g *Engine) create(p int, e *event.Event) {
-	m := g.store.Get()
+	m := g.Store.Get()
 	m.MinTS = e.TS
 	m.MaxTS = e.TS
 	m.Evs[p] = e
-	g.pmCreated++
+	g.PMCreated++
 	g.register(1, m)
 }
 
 // fork copies parent (a PM at state k), adds e at position p and
 // registers the child.
 func (g *Engine) fork(k int, parent *match.Partial, p int, e *event.Event) {
-	m := g.store.Get()
+	m := g.Store.Get()
 	copy(m.Evs, parent.Evs)
 	m.MinTS = parent.MinTS
 	m.MaxTS = parent.MaxTS
@@ -358,7 +258,7 @@ func (g *Engine) fork(k int, parent *match.Partial, p int, e *event.Event) {
 		m.MaxTS = e.TS
 	}
 	m.Evs[p] = e
-	g.pmCreated++
+	g.PMCreated++
 	g.register(k+1, m)
 }
 
@@ -368,8 +268,7 @@ func (g *Engine) fork(k int, parent *match.Partial, p int, e *event.Event) {
 // arrived.
 func (g *Engine) register(s int, m *match.Partial) {
 	if s == g.n {
-		g.complete(m)
-		g.store.Put(m)
+		g.Complete(m)
 		return
 	}
 	h := g.states[s].Park(m)
@@ -382,8 +281,8 @@ func (g *Engine) register(s int, m *match.Partial) {
 	// window narrowed to what the check list's order relations let through:
 	// after the latest filled event next must follow, before the earliest
 	// one it must precede.
-	lo, loExcl := m.MaxTS-g.pat.Window, false
-	hi, hiExcl := m.MinTS+g.pat.Window, false
+	lo, loExcl := m.MaxTS-g.Pat.Window, false
+	hi, hiExcl := m.MinTS+g.Pat.Window, false
 	for _, c := range g.checks[s] {
 		switch ts := m.Evs[c.PosO].TS; {
 		case c.PC.Rel == pattern.RelAfter && ts >= lo:
@@ -400,33 +299,6 @@ func (g *Engine) register(s int, m *match.Partial) {
 	})
 }
 
-// complete applies the migration emit filter and hands the core match to
-// the resolver (which copies the assignment; the PM is recycled by the
-// caller).
-func (g *Engine) complete(m *match.Partial) {
-	if g.emitBefore > 0 {
-		old := false
-		for _, ev := range m.Evs {
-			if ev != nil && ev.Seq < g.emitBefore {
-				old = true
-				break
-			}
-		}
-		if !old {
-			g.suppressed++
-			return
-		}
-	}
-	g.res.OnCoreComplete(m.Evs, g.watermark)
-}
-
-// Finish force-resolves all parked matches, treating the stream as ended.
-func (g *Engine) Finish() { g.res.Flush() }
-
-// LivePMs reports the current number of registered partial matches (the
-// shedding layer's load signal).
-func (g *Engine) LivePMs() int { return g.store.Live() }
-
 // HotTypes marks (in mark, indexed by event type) every type that could
 // extend a live partial match right now: for each non-empty NFA state,
 // the type of the next position in the plan's order. An event of a hot
@@ -437,7 +309,7 @@ func (g *Engine) HotTypes(mark []bool) {
 		if g.states[s].Len() == 0 {
 			continue
 		}
-		if t := g.pat.Positions[g.op.Order[s]].Type; t < len(mark) {
+		if t := g.Pat.Positions[g.op.Order[s]].Type; t < len(mark) {
 			mark[t] = true
 		}
 	}
@@ -450,19 +322,5 @@ func (g *Engine) HotTypes(mark []bool) {
 func (g *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
 	for s := 1; s < g.n; s++ {
 		g.states[s].HotKeys(key, add)
-	}
-}
-
-// Stats returns a snapshot of the engine's counters.
-func (g *Engine) Stats() Stats {
-	return Stats{
-		PMCreated:  g.pmCreated,
-		PredEvals:  g.predEvals + g.res.PredEvals,
-		Emitted:    g.res.Emitted,
-		Dropped:    g.res.Dropped,
-		Suppressed: g.suppressed,
-		LivePMs:    g.store.Live(),
-		PeakPMs:    g.store.Peak(),
-		Pending:    g.res.PendingCount(),
 	}
 }

@@ -46,7 +46,7 @@ func genStream(r *rand.Rand, s *event.Schema, weights []int, count, xmod int, ga
 	return evs
 }
 
-func runEngine(pat *pattern.Pattern, op *plan.OrderPlan, evs []event.Event) ([]*match.Match, Stats) {
+func runEngine(pat *pattern.Pattern, op *plan.OrderPlan, evs []event.Event) ([]*match.Match, match.Stats) {
 	var out []*match.Match
 	g := New(pat, op, func(m *match.Match) { out = append(out, m) })
 	for i := range evs {

@@ -163,12 +163,15 @@ func Scenarios(tb testing.TB, shards int) []Scenario {
 		}),
 	}, {
 		// Tenant 1's bucket empties after 100 events and refills one token
-		// per five windows; tenant 0 keeps every worker's clock running.
+		// per ten windows; tenant 0 keeps every worker's clock running.
 		// Each lone admission resolves trailing-negation matches that have
-		// been parked, with their residual buffer, across the whole gap.
+		// been parked, with their residual buffer, across the whole gap —
+		// long enough that an owner releasing on its own clock rather than
+		// on Floor frees their block first (a worker's block of 256 events
+		// spans about four windows here).
 		Name: "tenant-gated", Schema: s,
 		Specs:   []multi.Spec{spec(Seq, 0), spec(Neg, 1)},
-		Tenants: map[uint32]shed.TenantBudget{1: {Rate: float64(event.Second) / (5 * Window), Burst: 100}},
+		Tenants: map[uint32]shed.TenantBudget{1: {Rate: float64(event.Second) / (10 * Window), Burst: 100}},
 		Events:  stream(n, 3, evenTypes, anyKey),
 		exercised: func(m map[uint32]engine.Metrics) error {
 			if m[Neg].EventsShed < n/2 || m[Neg].Matches == 0 {

@@ -23,23 +23,18 @@
 // it is handed, good until Floor has passed them — and its steady-state
 // per-event path is allocation-free: tuples, their assignment arrays and
 // the index's buckets come from free lists recycled on expiry and
-// completion, and every join runs off a per-node compiled table of the cross pairs between the node's leaf set and its
-// sibling's — both sides of a join tuple are complete over their leaf
-// sets, so the table needs no nil checks and the pair predicates are
-// pre-oriented.
+// completion, and every join runs off a per-node compiled table of the
+// cross pairs between the node's leaf set and its sibling's — both sides
+// of a join tuple are complete over their leaf sets, so the table needs
+// no nil checks and the pair predicates are pre-oriented.
 package tree
 
 import (
 	"acep/internal/event"
 	"acep/internal/match"
-	"acep/internal/nfa"
 	"acep/internal/pattern"
 	"acep/internal/plan"
 )
-
-// Stats is identical in meaning to the NFA engine's counters; tuples
-// stored at tree nodes play the role of partial matches.
-type Stats = nfa.Stats
 
 // tuple is a partial match over one node's leaf set.
 type tuple = match.Partial
@@ -55,24 +50,14 @@ type node struct {
 }
 
 // Engine is a tree-based evaluation engine for one (non-OR) pattern and
-// one tree plan.
+// one tree plan: the plan's nodes over the match.Frame that holds the
+// clock, the emit filter, the resolver and the counters.
 type Engine struct {
-	pat *pattern.Pattern
-	tp  *plan.TreePlan
-	res *match.Resolver
+	match.Frame
+	tp *plan.TreePlan
 
 	root      *node
 	leafByPos []*node // pattern position -> leaf node (nil for residuals)
-
-	store *match.Store // tuple pool and the nodes' parking places
-
-	watermark  event.Time
-	lastPrune  event.Time
-	emitBefore uint64
-
-	pmCreated  uint64
-	predEvals  uint64
-	suppressed uint64
 }
 
 // New builds an engine for the pattern following the given tree plan.
@@ -87,11 +72,9 @@ func New(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match)) *Engi
 // tests hold the index against.
 func newEngine(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match), indexed bool) *Engine {
 	g := &Engine{
-		pat:       pat,
+		Frame:     match.NewFrame(pat, emit),
 		tp:        tp,
-		res:       match.NewResolver(pat, emit),
 		leafByPos: make([]*node, pat.NumPositions()),
-		store:     match.NewStore(pat.NumPositions(), pat.Window),
 	}
 	g.root = g.build(tp.Root, nil)
 	g.compileJoins(g.root)
@@ -143,7 +126,7 @@ func (g *Engine) compileJoins(n *node) {
 		theirs := leafSet(n.sibling, nil)
 		for _, pa := range mine {
 			for _, pb := range theirs {
-				n.joins = append(n.joins, match.Check{PosN: pa, PosO: pb, PC: g.pat.Pair(pa, pb)})
+				n.joins = append(n.joins, match.Check{PosN: pa, PosO: pb, PC: g.Pat.Pair(pa, pb)})
 			}
 		}
 	}
@@ -164,49 +147,14 @@ func (g *Engine) placeStores(n *node, indexed bool) {
 		if indexed {
 			key = match.EqKeyOf(n.sibling.joins)
 		}
-		n.store = g.store.NewPlace(key, false) // nothing offers to a node
+		n.store = g.Store.NewPlace(key, false) // nothing offers to a node
 	}
 	g.placeStores(n.left, indexed)
 	g.placeStores(n.right, indexed)
 }
 
-// Resolver exposes the residual resolver (for migration seeding).
-func (g *Engine) Resolver() *match.Resolver { return g.res }
-
-// SetOwnedEmit declares that the emit callback consumes each match
-// synchronously and retains nothing past its return. The engine then
-// recycles its emission structures, making the steady-state emit path
-// allocation-free. Must not be combined with callbacks that buffer
-// matches (e.g. the shard collector).
-func (g *Engine) SetOwnedEmit(owned bool) { g.res.SetOwned(owned) }
-
-// Floor reports a timestamp no event the engine can still reach lies
-// before: two windows behind a prune clock that runs at most half a
-// window behind the watermark. See nfa.Engine.Floor.
-func (g *Engine) Floor() event.Time {
-	return g.watermark - 2*g.pat.Window - g.pat.Window/2
-}
-
-// SetEmitOnlyBefore restricts emission to matches containing at least one
-// core event with Seq < seq (old-plan side of plan migration).
-func (g *Engine) SetEmitOnlyBefore(seq uint64) { g.emitBefore = seq }
-
 // Plan returns the tree plan in effect.
 func (g *Engine) Plan() plan.Plan { return g.tp }
-
-// Advance moves the watermark forward, resolving parked matches and
-// periodically pruning expired tuples.
-func (g *Engine) Advance(ts event.Time) {
-	if ts < g.watermark {
-		return
-	}
-	g.watermark = ts
-	g.res.Advance(ts)
-	if ts-g.lastPrune >= g.pat.Window/2 {
-		g.store.Prune(g.watermark)
-		g.lastPrune = ts
-	}
-}
 
 // Process feeds one input event (non-decreasing timestamps). The pointer
 // is retained if the event is kept (see New).
@@ -218,47 +166,29 @@ func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 func (g *Engine) ProcessMasked(e *event.Event, mask uint32) { g.process(e, mask) }
 
 func (g *Engine) process(e *event.Event, mask uint32) {
-	if e.TS > g.watermark {
+	if e.TS > g.Watermark {
 		g.Advance(e.TS)
 	}
-	for _, p := range g.pat.PositionsOfType(e.Type) {
+	for _, p := range g.Pat.PositionsOfType(e.Type) {
 		leaf := g.leafByPos[p]
 		if leaf == nil {
 			// Residual position: the resolver buffers it for scope
 			// resolution (it applies the position's unary predicates).
-			if g.wantsResidual(p, e, mask) {
-				g.res.AddResidual(p, e)
+			if g.WantsResidual(p, e, mask) {
+				g.Resolver().AddResidual(p, e)
 			}
 			continue
 		}
-		if !g.unaryOk(p, e, mask) {
+		if !g.UnaryOk(p, e, mask) {
 			continue
 		}
-		t := g.store.Get()
+		t := g.Store.Get()
 		t.MinTS = e.TS
 		t.MaxTS = e.TS
 		t.Evs[p] = e
-		g.pmCreated++
+		g.PMCreated++
 		g.insert(leaf, t)
 	}
-}
-
-// unaryOk consults the precomputed mask bit when one is present and falls
-// back to evaluating position p's compiled unary predicates.
-func (g *Engine) unaryOk(p int, e *event.Event, mask uint32) bool {
-	if mask&pattern.MaskValid != 0 {
-		return pattern.MaskOk(mask, p)
-	}
-	return g.pat.UnaryOk(p, e, &g.predEvals)
-}
-
-// wantsResidual is Resolver.Wants with the mask consulted for the unary
-// predicates when present.
-func (g *Engine) wantsResidual(p int, e *event.Event, mask uint32) bool {
-	if mask&pattern.MaskValid != 0 {
-		return g.res.Buffered(p) && pattern.MaskOk(mask, p)
-	}
-	return g.res.Wants(p, e)
 }
 
 // insert adds a tuple at a node, emits if the node is the root, and
@@ -266,14 +196,13 @@ func (g *Engine) wantsResidual(p int, e *event.Event, mask uint32) bool {
 // combined tuples to the parent.
 func (g *Engine) insert(n *node, t *tuple) {
 	if n == g.root {
-		g.complete(t)
-		g.store.Put(t)
+		g.Complete(t)
 		return
 	}
 	n.store.Park(t)
-	for _, s := range n.sibling.store.ProbePartial(t, g.watermark) {
+	for _, s := range n.sibling.store.ProbePartial(t, g.Watermark) {
 		if g.joinOK(n, t, s) {
-			g.pmCreated++
+			g.PMCreated++
 			g.insert(n.parent, g.merge(t, s))
 		}
 	}
@@ -283,12 +212,12 @@ func (g *Engine) insert(n *node, t *tuple) {
 // inserted tuple t and sibling tuple s, after one window check on the
 // tuples' timestamp spans.
 func (g *Engine) joinOK(n *node, t, s *tuple) bool {
-	if t.MaxTS-s.MinTS > g.pat.Window || s.MaxTS-t.MinTS > g.pat.Window {
+	if t.MaxTS-s.MinTS > g.Pat.Window || s.MaxTS-t.MinTS > g.Pat.Window {
 		return false
 	}
 	for i := range n.joins {
 		j := &n.joins[i]
-		if !j.PC.Ok(t.Evs[j.PosN], s.Evs[j.PosO], &g.predEvals) {
+		if !j.PC.Ok(t.Evs[j.PosN], s.Evs[j.PosO], &g.PredEvals) {
 			return false
 		}
 	}
@@ -296,7 +225,7 @@ func (g *Engine) joinOK(n *node, t, s *tuple) bool {
 }
 
 func (g *Engine) merge(a, b *tuple) *tuple {
-	m := g.store.Get()
+	m := g.Store.Get()
 	copy(m.Evs, a.Evs)
 	m.MinTS = a.MinTS
 	m.MaxTS = a.MaxTS
@@ -314,33 +243,6 @@ func (g *Engine) merge(a, b *tuple) *tuple {
 	return m
 }
 
-// complete applies the migration emit filter and hands the core match to
-// the resolver (which copies the assignment; the tuple is recycled by
-// the caller).
-func (g *Engine) complete(t *tuple) {
-	if g.emitBefore > 0 {
-		old := false
-		for _, ev := range t.Evs {
-			if ev != nil && ev.Seq < g.emitBefore {
-				old = true
-				break
-			}
-		}
-		if !old {
-			g.suppressed++
-			return
-		}
-	}
-	g.res.OnCoreComplete(t.Evs, g.watermark)
-}
-
-// Finish force-resolves all parked matches.
-func (g *Engine) Finish() { g.res.Flush() }
-
-// LivePMs reports the current number of stored tuples (the shedding
-// layer's load signal; tuples play the role of partial matches).
-func (g *Engine) LivePMs() int { return g.store.Live() }
-
 // HotTypes marks (in mark, indexed by event type) every type that could
 // extend a live tuple right now: a leaf position is hot when its
 // sibling's store is non-empty, so an arriving event of that type joins
@@ -352,7 +254,7 @@ func (g *Engine) HotTypes(mark []bool) {
 		if leaf == nil || leaf.sibling == nil || leaf.sibling.store.Len() == 0 {
 			continue
 		}
-		if t := g.pat.Positions[p].Type; t < len(mark) {
+		if t := g.Pat.Positions[p].Type; t < len(mark) {
 			mark[t] = true
 		}
 	}
@@ -377,18 +279,4 @@ func (g *Engine) hotKeys(n *node, key func(*event.Event) uint64, add func(uint64
 	}
 	g.hotKeys(n.left, key, add)
 	g.hotKeys(n.right, key, add)
-}
-
-// Stats returns a snapshot of the engine's counters.
-func (g *Engine) Stats() Stats {
-	return Stats{
-		PMCreated:  g.pmCreated,
-		PredEvals:  g.predEvals + g.res.PredEvals,
-		Emitted:    g.res.Emitted,
-		Dropped:    g.res.Dropped,
-		Suppressed: g.suppressed,
-		LivePMs:    g.store.Live(),
-		PeakPMs:    g.store.Peak(),
-		Pending:    g.res.PendingCount(),
-	}
 }

@@ -56,7 +56,7 @@ func seqChainPattern(s *event.Schema, n int, window event.Time) *pattern.Pattern
 	return b.MustBuild()
 }
 
-func runTree(pat *pattern.Pattern, tp *plan.TreePlan, evs []event.Event) ([]*match.Match, Stats) {
+func runTree(pat *pattern.Pattern, tp *plan.TreePlan, evs []event.Event) ([]*match.Match, match.Stats) {
 	var out []*match.Match
 	g := New(pat, tp, func(m *match.Match) { out = append(out, m) })
 	for i := range evs {
