@@ -33,12 +33,17 @@ type Stats struct {
 // the work counters. nfa.Engine and tree.Engine embed it and add only the
 // plan — NFA states with their check lists, tree nodes with their join
 // tables — and the per-event step over it.
+//
+// The exported fields and Complete, UnaryOk and WantsResidual are for the
+// embedding engine's step only; its hosts go through the engine's methods.
+// Only Advance moves the watermark, since Floor, and with it the release of
+// event storage, is computed from it.
 type Frame struct {
 	Pat   *pattern.Pattern
 	Store *Store    // the partial-match pool and the plan's parking places
 	res   *Resolver // negation and Kleene scopes, and emission
 
-	Watermark  event.Time
+	watermark  event.Time
 	lastPrune  event.Time
 	emitBefore uint64 // when >0, emit only matches with a core Seq < emitBefore
 
@@ -68,14 +73,17 @@ func (f *Frame) SetOwnedEmit(owned bool) { f.res.SetOwned(owned) }
 // migration protocol. Zero removes the filter.
 func (f *Frame) SetEmitOnlyBefore(seq uint64) { f.emitBefore = seq }
 
+// Watermark reports the latest timestamp the engine was advanced to.
+func (f *Frame) Watermark() event.Time { return f.watermark }
+
 // Advance moves the watermark forward, resolving parked matches and
 // pruning the store once the watermark is half a window past the last
 // prune.
 func (f *Frame) Advance(ts event.Time) {
-	if ts < f.Watermark {
+	if ts < f.watermark {
 		return
 	}
-	f.Watermark = ts
+	f.watermark = ts
 	f.res.Advance(ts)
 	if ts-f.lastPrune >= f.Pat.Window/2 {
 		f.Store.Prune(ts)
@@ -89,7 +97,7 @@ func (f *Frame) Advance(ts event.Time) {
 // cannot use keeps it exactly where an engine fed every event would be by
 // calling Advance on the first skipped event at or past NextPrune.
 func (f *Frame) NextPrune() event.Time {
-	return max(f.lastPrune+f.Pat.Window/2, f.Watermark+1)
+	return max(f.lastPrune+f.Pat.Window/2, f.watermark+1)
 }
 
 // Floor reports a timestamp no event the engine can still reach lies
@@ -100,7 +108,7 @@ func (f *Frame) NextPrune() event.Time {
 // engine nobody advances keeps what it has. The owner of the events'
 // storage may reuse whatever is wholly older.
 func (f *Frame) Floor() event.Time {
-	return f.Watermark - 2*f.Pat.Window - f.Pat.Window/2
+	return f.watermark - 2*f.Pat.Window - f.Pat.Window/2
 }
 
 // UnaryOk reports whether e passes position p's unary predicates: bit p of
@@ -130,7 +138,7 @@ func (f *Frame) Complete(m *Partial) {
 		emit = m.Evs[i] != nil && m.Evs[i].Seq < f.emitBefore
 	}
 	if emit {
-		f.res.OnCoreComplete(m.Evs, f.Watermark)
+		f.res.OnCoreComplete(m.Evs, f.watermark)
 	} else {
 		f.suppressed++
 	}

@@ -190,7 +190,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 		if per := float64(g.Stats().PredEvals-before) / 55000; per > 1 {
 			t.Fatalf("order %v: %.2f predicate evaluations per event; the index is not selecting", order, per)
 		}
-		g.Store.Prune(g.Watermark)
+		g.Store.Prune(g.Watermark())
 		liveKeys := 2*window/3 + 2 // keys with an event inside the two-window horizon
 		for st := 1; st < g.n; st++ {
 			pl := g.states[st]

@@ -184,7 +184,7 @@ func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 func (g *Engine) ProcessMasked(e *event.Event, mask uint32) { g.process(e, mask) }
 
 func (g *Engine) process(e *event.Event, mask uint32) {
-	if e.TS > g.Watermark {
+	if e.TS > g.Watermark() {
 		g.Advance(e.TS)
 	}
 	for _, p := range g.Pat.PositionsOfType(e.Type) {
@@ -209,7 +209,7 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		}
 		// Offer the event to the PMs waiting at state k that its key
 		// selects, and record it for the ones that park there later.
-		for _, m := range g.states[k].Offer(e, g.Watermark) {
+		for _, m := range g.states[k].Offer(e, g.Watermark()) {
 			if g.canExtend(k, m, e) {
 				g.fork(k, m, p, e)
 			}

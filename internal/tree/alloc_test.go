@@ -183,7 +183,7 @@ func TestProcessZeroAllocsKeyChurn(t *testing.T) {
 	if per := float64(g.Stats().PredEvals-before) / 55000; per > 1 {
 		t.Fatalf("%.2f predicate evaluations per event; the index is not selecting", per)
 	}
-	g.Store.Prune(g.Watermark)
+	g.Store.Prune(g.Watermark())
 	liveKeys := window/3 + 2 // keys with a tuple inside the window
 	for _, n := range []*node{g.leafByPos[0], g.leafByPos[1], g.leafByPos[2]} {
 		if got := n.store.Buckets(); got == 0 || got > liveKeys {

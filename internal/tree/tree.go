@@ -166,7 +166,7 @@ func (g *Engine) Process(e *event.Event) { g.process(e, 0) }
 func (g *Engine) ProcessMasked(e *event.Event, mask uint32) { g.process(e, mask) }
 
 func (g *Engine) process(e *event.Event, mask uint32) {
-	if e.TS > g.Watermark {
+	if e.TS > g.Watermark() {
 		g.Advance(e.TS)
 	}
 	for _, p := range g.Pat.PositionsOfType(e.Type) {
@@ -200,7 +200,7 @@ func (g *Engine) insert(n *node, t *tuple) {
 		return
 	}
 	n.store.Park(t)
-	for _, s := range n.sibling.store.ProbePartial(t, g.Watermark) {
+	for _, s := range n.sibling.store.ProbePartial(t, g.Watermark()) {
 		if g.joinOK(n, t, s) {
 			g.PMCreated++
 			g.insert(n.parent, g.merge(t, s))
