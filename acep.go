@@ -29,8 +29,8 @@
 //	pattern := pb.MustBuild()
 //
 //	eng, _ := acep.NewEngine(pattern, acep.Config{
-//		Policy:  acep.NewInvariantPolicy(acep.InvariantOptions{}),
-//		OnMatch: func(m *acep.Match) { fmt.Println(m) },
+//		NewPolicy: func() acep.Policy { return acep.NewInvariantPolicy(acep.InvariantOptions{}) },
+//		OnMatch:   func(m *acep.Match) { fmt.Println(m) },
 //	})
 //	for _, ev := range events {
 //		eng.Process(&ev)
@@ -176,8 +176,8 @@ type (
 )
 
 // NewShardedEngine builds a sharded adaptive engine. cfg configures every
-// shard's engine identically (leave Policy nil; set NewPolicy for a
-// non-default policy so each shard adapts independently); sc selects the
+// shard's engine identically (each shard's engine calls cfg.NewPolicy for
+// a policy of its own, so each shard adapts independently); sc selects the
 // partition key — either a named attribute validated for partitionability
 // (KeyAttr + Schema) or a custom extractor (Key) — and receives the
 // merged matches through sc.OnMatch.
@@ -231,11 +231,11 @@ type (
 	// moved, what was replayed, and the delivery pause it cost (Pause).
 	ClusterMigration = recovery.Migration
 	// ClusterElastic tunes the ingress placement controller (see
-	// cluster.ElasticConfig): with Rebalance set the ingress migrates the
-	// busiest shard off the hottest node when per-shard queue-wait p99
-	// snapshots show sustained skew.
+	// cluster.ElasticConfig): with it set the ingress migrates the busiest
+	// shard off the hottest node when per-shard queue-wait p99 snapshots
+	// show sustained skew.
 	ClusterElastic = cluster.ElasticConfig
-	// HAIngress is a replicated coordinator pair (StandbyIngress mode): a
+	// HAIngress is a replicated coordinator pair (built by NewHAIngress): a
 	// primary ingress with a hot standby mirroring every sealed cut over
 	// a replication link, able to assume the whole cluster on primary
 	// death with the delivered stream staying byte-identical. Process and
@@ -309,15 +309,9 @@ type ClusterConfig struct {
 	MaxJournalBytes int64
 	// OnFailover observes each recovered failure as it completes.
 	OnFailover func(ClusterFailover)
-	// Elastic enables and tunes the placement controller (requires
-	// Recover when Rebalance is set).
+	// Elastic, when non-nil, enables and tunes the placement controller
+	// (requires Recover).
 	Elastic *ClusterElastic
-	// StandbyIngress replicates the coordinator itself: build with
-	// NewHAIngress (Connect mode only) to run a hot-standby ingress that
-	// mirrors every sealed cut and takes the cluster over on primary
-	// death. NewClusterIngress rejects the flag so a replicated intent
-	// cannot silently downgrade to a single coordinator.
-	StandbyIngress bool
 }
 
 // NewClusterIngress builds a distributed cluster ingress for the
@@ -335,9 +329,6 @@ type ClusterConfig struct {
 //	for i := range events { ing.Process(&events[i]) }
 //	err = ing.Finish()
 func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngress, error) {
-	if cc.StandbyIngress {
-		return nil, fmt.Errorf("acep: StandbyIngress needs NewHAIngress (a replicated pair has its own lifecycle)")
-	}
 	if len(cc.Connect) > 0 {
 		conns := make([]cluster.Conn, len(cc.Connect))
 		for i, addr := range cc.Connect {
@@ -405,24 +396,36 @@ func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngres
 // the delivered stream byte-identical to an unkilled run. Matches
 // arrive through OnMatch (or OnTagged) exactly as with
 // NewClusterIngress; ClusterConfig.Standby seeds the shared worker
-// standby pool.
+// standby pool. The pair hosts p alone, partitioned by KeyAttr, and
+// refuses a config that sets Patterns, Tenants, Elastic, OnFailover or
+// Key rather than run without them.
 //
 //	ing, err := acep.NewHAIngress(pattern, acep.ClusterConfig{
-//		Connect:        []string{"host1:7001", "host2:7001"},
-//		StandbyIngress: true,
-//		KeyAttr:        "key",
-//		Schema:         w.Schema,
-//		OnMatch:        func(m *acep.Match) { ... },
+//		Connect: []string{"host1:7001", "host2:7001"},
+//		KeyAttr: "key",
+//		Schema:  w.Schema,
+//		OnMatch: func(m *acep.Match) { ... },
 //	})
 func NewHAIngress(p *Pattern, cc ClusterConfig) (*HAIngress, error) {
-	if !cc.StandbyIngress {
-		return nil, fmt.Errorf("acep: NewHAIngress needs ClusterConfig.StandbyIngress set")
-	}
 	if len(cc.Connect) == 0 {
 		return nil, fmt.Errorf("acep: NewHAIngress needs Connect worker addresses (in-process nodes share the coordinator's fate)")
 	}
 	if (cc.OnMatch == nil) == (cc.OnTagged == nil) {
 		return nil, fmt.Errorf("acep: NewHAIngress needs exactly one of OnMatch and OnTagged")
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Patterns", len(cc.Patterns) > 0},
+		{"Tenants", len(cc.Tenants) > 0},
+		{"Elastic", cc.Elastic != nil},
+		{"OnFailover", cc.OnFailover != nil},
+		{"Key", cc.Key != nil},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("acep: NewHAIngress does not support ClusterConfig.%s (the pair hosts one pattern, partitioned by KeyAttr)", f.name)
+		}
 	}
 	onTagged := cc.OnTagged
 	if onTagged == nil {

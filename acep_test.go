@@ -27,7 +27,9 @@ func TestFacadeQuickstart(t *testing.T) {
 
 	var matches []*acep.Match
 	eng, err := acep.NewEngine(pat, acep.Config{
-		Policy:  acep.NewInvariantPolicy(acep.InvariantOptions{K: 2, Distance: 0.1}),
+		NewPolicy: func() acep.Policy {
+			return acep.NewInvariantPolicy(acep.InvariantOptions{K: 2, Distance: 0.1})
+		},
 		OnMatch: func(m *acep.Match) { matches = append(matches, m) },
 	})
 	if err != nil {
@@ -58,15 +60,15 @@ func TestFacadePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policies := []acep.Policy{
-		acep.NewStaticPolicy(),
-		acep.NewUnconditionalPolicy(),
-		acep.NewThresholdPolicy(0.3),
-		acep.NewInvariantPolicy(acep.InvariantOptions{AutoDistance: true}),
+	policies := []func() acep.Policy{
+		acep.NewStaticPolicy,
+		acep.NewUnconditionalPolicy,
+		func() acep.Policy { return acep.NewThresholdPolicy(0.3) },
+		func() acep.Policy { return acep.NewInvariantPolicy(acep.InvariantOptions{AutoDistance: true}) },
 	}
 	var counts []uint64
 	for _, p := range policies {
-		eng, err := acep.NewEngine(pat, acep.Config{Policy: p, CheckEvery: 300})
+		eng, err := acep.NewEngine(pat, acep.Config{NewPolicy: p, CheckEvery: 300})
 		if err != nil {
 			t.Fatal(err)
 		}

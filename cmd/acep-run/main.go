@@ -403,7 +403,7 @@ func main() {
 		}
 		var elastic *cluster.ElasticConfig
 		if *rebalance {
-			elastic = &cluster.ElasticConfig{Rebalance: true}
+			elastic = &cluster.ElasticConfig{}
 		}
 		var ing *cluster.Ingress
 		if *connect != "" {

@@ -22,7 +22,9 @@ func Example() {
 	}
 
 	eng, err := acep.NewEngine(pat, acep.Config{
-		Policy: acep.NewInvariantPolicy(acep.InvariantOptions{Distance: 0.1}),
+		NewPolicy: func() acep.Policy {
+			return acep.NewInvariantPolicy(acep.InvariantOptions{Distance: 0.1})
+		},
 		OnMatch: func(m *acep.Match) {
 			fmt.Printf("person %.0f reached the restricted area\n", m.Events[0].Attr(0))
 		},
@@ -68,7 +70,7 @@ func ExampleNewMetaInvariantPolicy() {
 		panic(err)
 	}
 	eng, err := acep.NewEngine(pat, acep.Config{
-		Policy: acep.NewMetaInvariantPolicy(0.1),
+		NewPolicy: func() acep.Policy { return acep.NewMetaInvariantPolicy(0.1) },
 	})
 	if err != nil {
 		panic(err)

@@ -33,7 +33,7 @@ func main() {
 	fmt.Println("pattern:", pat)
 
 	eng, err := acep.NewEngine(pat, acep.Config{
-		Policy: acep.NewInvariantPolicy(acep.InvariantOptions{}),
+		NewPolicy: func() acep.Policy { return acep.NewInvariantPolicy(acep.InvariantOptions{}) },
 		OnMatch: func(m *acep.Match) {
 			fmt.Printf("ALERT person %.0f: gate@%d, %d lobby sighting(s), restricted@%d\n",
 				m.Events[a].Attr(0), m.Events[a].TS, len(m.Kleene[b]), m.Events[c].TS)

@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("pattern:", pattern)
 
 	eng, err := acep.NewEngine(pattern, acep.Config{
-		Policy: acep.NewInvariantPolicy(acep.InvariantOptions{}),
+		NewPolicy: func() acep.Policy { return acep.NewInvariantPolicy(acep.InvariantOptions{}) },
 		OnMatch: func(m *acep.Match) {
 			fmt.Printf("ALERT: person %.0f took the route A->B->C (%s)\n",
 				m.Events[a].Attr(0), m)

@@ -41,9 +41,9 @@ func main() {
 	for _, p := range policies {
 		var matches uint64
 		eng, err := acep.NewEngine(pat, acep.Config{
-			Model:   acep.ZStreamTree, // tree-based plans, DP planner
-			Policy:  p.mk(),
-			OnMatch: func(*acep.Match) { matches++ },
+			Model:     acep.ZStreamTree, // tree-based plans, DP planner
+			NewPolicy: p.mk,
+			OnMatch:   func(*acep.Match) { matches++ },
 		})
 		if err != nil {
 			panic(err)

@@ -42,8 +42,8 @@ func main() {
 	for _, p := range policies {
 		var matches uint64
 		eng, err := acep.NewEngine(pat, acep.Config{
-			Policy:  p.mk(),
-			OnMatch: func(*acep.Match) { matches++ },
+			NewPolicy: p.mk,
+			OnMatch:   func(*acep.Match) { matches++ },
 		})
 		if err != nil {
 			panic(err)

@@ -70,12 +70,11 @@ func TestFacadeHA(t *testing.T) {
 
 	var got []string
 	ing, err := acep.NewHAIngress(pat, acep.ClusterConfig{
-		Connect:        addrs,
-		StandbyIngress: true,
-		Batch:          16,
-		KeyAttr:        "person_id",
-		Schema:         schema,
-		OnMatch:        func(m *acep.Match) { got = append(got, m.Key()) },
+		Connect: addrs,
+		Batch:   16,
+		KeyAttr: "person_id",
+		Schema:  schema,
+		OnMatch: func(m *acep.Match) { got = append(got, m.Key()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,42 +107,39 @@ func TestFacadeHA(t *testing.T) {
 	}
 }
 
-// TestFacadeHAConfigGates: a replicated-coordinator intent must not
-// silently downgrade, and the pair constructor enforces its own
-// preconditions.
+// TestFacadeHAConfigGates: the pair constructor enforces its own
+// preconditions, and refuses every ClusterConfig field the pair would
+// otherwise drop without a word. Each row fails before anything is
+// dialed.
 func TestFacadeHAConfigGates(t *testing.T) {
 	schema, pat, _ := personPattern(t)
 	onMatch := func(*acep.Match) {}
-
-	_, err := acep.NewClusterIngress(pat, acep.Config{}, acep.ClusterConfig{
-		Nodes: 2, KeyAttr: "person_id", Schema: schema,
-		StandbyIngress: true, OnMatch: onMatch,
-	})
-	if err == nil || !strings.Contains(err.Error(), "NewHAIngress") {
-		t.Fatalf("NewClusterIngress with StandbyIngress: err = %v, want pointer to NewHAIngress", err)
+	key, err := acep.ShardKeyByAttr(schema, "person_id")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	_, err = acep.NewHAIngress(pat, acep.ClusterConfig{
-		Connect: []string{"127.0.0.1:1"}, KeyAttr: "person_id", Schema: schema,
-		OnMatch: onMatch,
-	})
-	if err == nil || !strings.Contains(err.Error(), "StandbyIngress") {
-		t.Fatalf("NewHAIngress without the flag: err = %v", err)
-	}
-
-	_, err = acep.NewHAIngress(pat, acep.ClusterConfig{
-		StandbyIngress: true, Nodes: 2, KeyAttr: "person_id", Schema: schema,
-		OnMatch: onMatch,
-	})
-	if err == nil || !strings.Contains(err.Error(), "Connect") {
-		t.Fatalf("NewHAIngress without Connect: err = %v", err)
-	}
-
-	_, err = acep.NewHAIngress(pat, acep.ClusterConfig{
-		StandbyIngress: true, Connect: []string{"127.0.0.1:1"},
-		KeyAttr: "person_id", Schema: schema,
-	})
-	if err == nil || !strings.Contains(err.Error(), "OnMatch") {
-		t.Fatalf("NewHAIngress without a sink: err = %v", err)
+	connect := []string{"127.0.0.1:1"}
+	for _, c := range []struct {
+		name string
+		cc   acep.ClusterConfig
+		want string // in the error
+	}{
+		{"no Connect", acep.ClusterConfig{Nodes: 2, OnMatch: onMatch}, "Connect"},
+		{"no sink", acep.ClusterConfig{Connect: connect}, "OnMatch"},
+		{"Patterns", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
+			Patterns: []acep.MultiSpec{{Pattern: pat}}}, "Patterns"},
+		{"Tenants", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
+			Tenants: map[uint32]acep.TenantBudget{0: {Rate: 1}}}, "Tenants"},
+		{"Elastic", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
+			Elastic: &acep.ClusterElastic{}}, "Elastic"},
+		{"OnFailover", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
+			OnFailover: func(acep.ClusterFailover) {}}, "OnFailover"},
+		{"Key", acep.ClusterConfig{Connect: connect, OnMatch: onMatch, Key: key}, "Key"},
+	} {
+		c.cc.KeyAttr, c.cc.Schema = "person_id", schema
+		_, err := acep.NewHAIngress(pat, c.cc)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
+		}
 	}
 }

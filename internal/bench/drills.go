@@ -110,7 +110,7 @@ func (r *rig) elastic() error {
 			// always the coldest node, so the scale-out moves fire regardless,
 			// and the wide ratio keeps the controller from flapping once the
 			// joiner carries its share.
-			ec = &cluster.ElasticConfig{Rebalance: true, MinWaitP99: 1}
+			ec = &cluster.ElasticConfig{MinWaitP99: 1}
 		}
 		err := r.run(scenario, 2, 3, 1, func(d *drill) error {
 			conns, err := d.dial()

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"acep/internal/core"
 	"acep/internal/engine"
 	"acep/internal/gen"
@@ -242,5 +240,3 @@ func algorithmFor(c Combo) planner.Algorithm {
 	}
 	return planner.Greedy{}
 }
-
-var _ = fmt.Sprintf

@@ -154,7 +154,7 @@ func TestRebalanceSkewed(t *testing.T) {
 			}
 		}
 		got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
-			Rebalance: true, HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
+			HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
 		}, at)
 		requireIdentical(t, name, got, want)
 		if fos := ing.Failovers(); len(fos) != 0 {
@@ -275,7 +275,7 @@ func TestRebalanceDuringFailover(t *testing.T) {
 		return c
 	}, nil)
 	got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
-		Rebalance: true, HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
+		HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
 	}, nil)
 	requireIdentical(t, "rebalance during failover", got, want)
 	fos := ing.Failovers()
@@ -473,7 +473,7 @@ func TestPlace(t *testing.T) {
 	cold := founder(st(2, 100, 10, now), st(3, 100, 5, now))
 	view := func(edit func(*placementView), slots ...slotView) placementView {
 		v := placementView{
-			cfg:   ElasticConfig{Rebalance: true}.withDefaults(),
+			cfg:   ElasticConfig{}.withDefaults(),
 			owner: []int{0, 0, 1, 1}, pinned: make([]bool, 4), slots: slots,
 			ageHorizon: 100,
 		}
@@ -603,7 +603,7 @@ func TestRebalanceStaleReporter(t *testing.T) {
 	}, IngressOptions{
 		Batch: batch, KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {},
 		Recovery: &RecoveryConfig{}, OnProgress: func(w uint64) { progress <- w },
-		Elastic: &ElasticConfig{Rebalance: true, MinWaitP99: 1, CooldownCuts: 4},
+		Elastic: &ElasticConfig{MinWaitP99: 1, CooldownCuts: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

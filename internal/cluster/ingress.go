@@ -101,8 +101,8 @@ type IngressOptions struct {
 	// failure surfaces as an error from Finish (exactness over
 	// availability) and migration is unavailable.
 	Recovery *RecoveryConfig
-	// Elastic configures the placement controller (optional; needs
-	// Recovery when Rebalance is set).
+	// Elastic, when non-nil, enables and tunes the placement controller
+	// (it needs Recovery).
 	Elastic *ElasticConfig
 	// Epoch stamps every Assign frame this ingress issues (0 without
 	// HA). Worker processes latch the highest epoch they have served and
@@ -294,8 +294,8 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	if opts.Batch <= 0 {
 		opts.Batch = 256
 	}
-	if opts.Elastic != nil && opts.Elastic.Rebalance && opts.Recovery == nil {
-		return nil, fmt.Errorf("cluster: Elastic.Rebalance requires Recovery (migrations replay from the journal)")
+	if opts.Elastic != nil && opts.Recovery == nil {
+		return nil, fmt.Errorf("cluster: Options.Elastic requires Recovery (migrations replay from the journal)")
 	}
 	if opts.OnCut != nil && opts.Recovery == nil {
 		return nil, fmt.Errorf("cluster: Options.OnCut requires Recovery (replication rides the journal)")
@@ -978,7 +978,7 @@ func (in *Ingress) migrationAcked(n, g int) {
 // barrier: past the cooldown it gathers what place reads and carries out
 // the move it decides on.
 func (in *Ingress) rebalance() {
-	if in.journal == nil || in.elastic == nil || !in.elastic.Rebalance {
+	if in.journal == nil || in.elastic == nil {
 		return
 	}
 	in.cutsSinceMove++

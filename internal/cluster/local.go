@@ -61,8 +61,8 @@ type LocalConfig struct {
 	HeartbeatTimeout time.Duration
 	MaxJournalBytes  int64
 	OnFailover       func(recovery.Failover)
-	// Elastic configures the placement controller (see ElasticConfig;
-	// Rebalance needs Recover).
+	// Elastic, when non-nil, enables and tunes the placement controller
+	// (see ElasticConfig; it needs Recover).
 	Elastic *ElasticConfig
 }
 

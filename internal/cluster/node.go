@@ -42,10 +42,10 @@ type NodeConfig struct {
 	// the set and schema shipped in the Assign frame.
 	Pattern *pattern.Pattern
 	// Engine configures every hosted pattern's engine on every local shard
-	// identically (same contract as shard.New: Policy and OnMatch must be
-	// nil). Ingress shedding lives here too: Engine.Shedding applies per
-	// pattern per local shard, with each shard's ingestion-queue depth
-	// probing the load monitor.
+	// identically (same contract as shard.New: OnMatch must be nil).
+	// Ingress shedding lives here too: Engine.Shedding applies per pattern
+	// per local shard, with each shard's queue-wait p99 probing the load
+	// monitor.
 	Engine engine.Config
 	// Shards is the number of shards this node claims in its hello
 	// (default 1); the ingress sizes the global shard space from the

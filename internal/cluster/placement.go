@@ -6,18 +6,17 @@ import (
 	"acep/internal/wire"
 )
 
-// ElasticConfig tunes the placement controller: when Rebalance is set
-// the ingress watches per-shard queue-wait p99 snapshots reported by
-// the nodes and migrates the busiest shard off the hottest node onto
-// the coolest one — with hysteresis (the hot node must be HotRatio
-// times the cool one and above MinWaitP99 before anything moves) and a
-// cooldown (CooldownCuts cuts must pass between moves, and never while
-// another migration is still in flight) so the controller converges
-// instead of thrashing. The rule itself is place.
+// ElasticConfig tunes the placement controller, which a non-nil
+// IngressOptions.Elastic enables (it requires IngressOptions.Recovery:
+// migrations replay shard history from the journal). The ingress watches
+// per-shard queue-wait p99 snapshots reported by the nodes and migrates
+// the busiest shard off the hottest node onto the coolest one — with
+// hysteresis (the hot node must be HotRatio times the cool one and above
+// MinWaitP99 before anything moves) and a cooldown (CooldownCuts cuts
+// must pass between moves, and never while another migration is still in
+// flight) so the controller converges instead of thrashing. The rule
+// itself is place.
 type ElasticConfig struct {
-	// Rebalance enables the controller. Requires IngressOptions.Recovery:
-	// migrations replay shard history from the journal.
-	Rebalance bool
 	// HotRatio is the load ratio (hottest node / coolest node, by max
 	// owned-shard queue-wait p99) that triggers a move. Values <= 1 mean
 	// the default 2.0.

@@ -59,15 +59,11 @@ func (m Model) String() string {
 type Config struct {
 	// Model picks the evaluation structure (default GreedyNFA).
 	Model Model
-	// Policy is the reoptimizing decision function D. Nil defaults to the
-	// invariant-based method with K=1, d=0.
-	Policy core.Policy
-	// NewPolicy, when set, supplies a fresh Policy per sub-pattern of an
-	// OR pattern (each disjunct adapts independently). Ignored for
-	// non-OR patterns when Policy is set.
+	// NewPolicy supplies the reoptimizing decision function D. It is called
+	// once per adaptation loop — per disjunct of an OR pattern, and per
+	// shard above this package — so no two loops share a policy's state.
+	// Nil defaults to the invariant-based method with K=1, d=0.
 	NewPolicy func() core.Policy
-	// Algorithm overrides the model's default plan generation algorithm.
-	Algorithm planner.Algorithm
 	// Stats tunes the statistics estimator.
 	Stats stats.Config
 	// CheckEvery is the adaptation check interval in events per
@@ -239,24 +235,19 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 500
 	}
-	if cfg.Algorithm == nil {
-		switch cfg.Model {
-		case GreedyNFA:
-			cfg.Algorithm = planner.Greedy{}
-		case ZStreamTree:
-			cfg.Algorithm = planner.ZStream{}
-		default:
-			return nil, fmt.Errorf("engine: unknown model %v", cfg.Model)
-		}
+	// A, the plan generation algorithm, is the model's (paper §4.1, §4.2).
+	var alg planner.Algorithm
+	switch cfg.Model {
+	case GreedyNFA:
+		alg = planner.Greedy{}
+	case ZStreamTree:
+		alg = planner.ZStream{}
+	default:
+		return nil, fmt.Errorf("engine: unknown model %v", cfg.Model)
 	}
-	newPolicy := func() core.Policy {
-		if cfg.NewPolicy != nil {
-			return cfg.NewPolicy()
-		}
-		if cfg.Policy != nil {
-			return cfg.Policy
-		}
-		return &core.Invariant{}
+	newPolicy := cfg.NewPolicy
+	if newPolicy == nil {
+		newPolicy = func() core.Policy { return &core.Invariant{} }
 	}
 	e := &Engine{}
 	if !cfg.ExternalEvents {
@@ -274,12 +265,9 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 	if pat.Op == pattern.Or {
 		subs = pat.Subs
 		e.split = true
-		if cfg.NewPolicy == nil && cfg.Policy != nil && len(subs) > 1 {
-			return nil, fmt.Errorf("engine: OR pattern with a shared Policy; provide NewPolicy so each disjunct adapts independently")
-		}
 	}
 	for _, sub := range subs {
-		r, err := newRunner(sub, cfg, newPolicy())
+		r, err := newRunner(sub, cfg, alg, newPolicy())
 		if err != nil {
 			return nil, err
 		}
@@ -364,15 +352,6 @@ func (e *Engine) Metrics() Metrics {
 		m.add(r.snapshotMetrics())
 	}
 	return m
-}
-
-// SetQueueProbe attaches an ingestion-queue depth source to the shedding
-// monitor (the shard layer points it at the worker's channel). A no-op
-// without shedding configured.
-func (e *Engine) SetQueueProbe(f func() (depth, capacity int)) {
-	if e.shedder != nil {
-		e.shedder.SetQueueProbe(f)
-	}
 }
 
 // SetLatencyProbe attaches a queue-wait p99 source (nanoseconds) to the

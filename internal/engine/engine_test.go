@@ -57,7 +57,7 @@ func TestPolicyIndependence(t *testing.T) {
 			for name, mk := range policies() {
 				got, m := run(t, pat, w.Events, Config{
 					Model:      model,
-					Policy:     mk(),
+					NewPolicy:  mk,
 					CheckEvery: 200,
 				})
 				if first {
@@ -91,7 +91,7 @@ func TestMatchesOracle(t *testing.T) {
 	for _, model := range []Model{GreedyNFA, ZStreamTree} {
 		got, m := run(t, pat, w.Events, Config{
 			Model:      model,
-			Policy:     core.Unconditional{}, // max migration churn
+			NewPolicy:  func() core.Policy { return core.Unconditional{} }, // max migration churn
 			CheckEvery: 100,
 		})
 		if !reflect.DeepEqual(got, want) {
@@ -113,7 +113,7 @@ func TestAdaptationReactsToShift(t *testing.T) {
 	}
 	_, m := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     &core.Invariant{},
+		NewPolicy:  func() core.Policy { return &core.Invariant{} },
 		CheckEvery: 500,
 	})
 	if m.Reoptimizations == 0 {
@@ -122,7 +122,7 @@ func TestAdaptationReactsToShift(t *testing.T) {
 	// The static policy must not adapt.
 	_, ms := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     core.Static{},
+		NewPolicy:  func() core.Policy { return core.Static{} },
 		CheckEvery: 500,
 	})
 	if ms.Reoptimizations != 0 || ms.PlanGenerations != 1 {
@@ -141,12 +141,12 @@ func TestInvariantDistanceSuppressesNoise(t *testing.T) {
 	}
 	_, basic := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     &core.Invariant{},
+		NewPolicy:  func() core.Policy { return &core.Invariant{} },
 		CheckEvery: 500,
 	})
 	_, dist := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     &core.Invariant{D: 0.3},
+		NewPolicy:  func() core.Policy { return &core.Invariant{D: 0.3} },
 		CheckEvery: 500,
 	})
 	// One replan is legitimate even with distance: the initial plan was
@@ -169,7 +169,7 @@ func TestUnconditionalRunsAEveryCheck(t *testing.T) {
 	}
 	_, m := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     core.Unconditional{},
+		NewPolicy:  func() core.Policy { return core.Unconditional{} },
 		CheckEvery: 200,
 	})
 	if m.DecisionCalls != m.PlanGenerations-1 { // -1: the initial Generate
@@ -189,7 +189,7 @@ func TestStaticDecisionAccounting(t *testing.T) {
 	pat, _ := w.Pattern(gen.Sequence, 3, 60)
 	_, m := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     core.Static{},
+		NewPolicy:  func() core.Policy { return core.Static{} },
 		CheckEvery: 200,
 	})
 	if m.PlanGenerations != 1 {
@@ -212,9 +212,13 @@ func TestOrPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := oracle.Keys(oracle.Matches(pat, w.Events))
+	calls := 0
 	got, m := run(t, pat, w.Events, Config{
-		Model:      GreedyNFA,
-		NewPolicy:  func() core.Policy { return &core.Invariant{} },
+		Model: GreedyNFA,
+		NewPolicy: func() core.Policy {
+			calls++
+			return &core.Invariant{}
+		},
 		CheckEvery: 300,
 	})
 	if !reflect.DeepEqual(got, want) {
@@ -223,10 +227,10 @@ func TestOrPattern(t *testing.T) {
 	if m.Events != uint64(len(w.Events))*3 { // three sub-runners
 		t.Fatalf("Events = %d", m.Events)
 	}
-
-	// A shared stateful policy across disjuncts must be rejected.
-	if _, err := New(pat, Config{Policy: &core.Invariant{}}); err == nil {
-		t.Fatal("shared policy across OR disjuncts accepted")
+	// Each disjunct adapts with a policy of its own: an invariant policy
+	// holds the invariants of one plan.
+	if calls != 3 {
+		t.Fatalf("NewPolicy called %d times for three disjuncts, want 3", calls)
 	}
 }
 
@@ -234,14 +238,14 @@ func TestOrPattern(t *testing.T) {
 func TestModelPlanWiring(t *testing.T) {
 	w := gen.Traffic(TrafficSmall())
 	pat, _ := w.Pattern(gen.Sequence, 3, 60)
-	e, err := New(pat, Config{Model: ZStreamTree, Policy: core.Static{}})
+	e, err := New(pat, Config{Model: ZStreamTree, NewPolicy: func() core.Policy { return core.Static{} }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.CurrentPlans()[0].(*plan.TreePlan); !ok {
 		t.Fatalf("plan type %T", e.CurrentPlans()[0])
 	}
-	e2, _ := New(pat, Config{Model: GreedyNFA, Policy: core.Static{}})
+	e2, _ := New(pat, Config{Model: GreedyNFA, NewPolicy: func() core.Policy { return core.Static{} }})
 	if _, ok := e2.CurrentPlans()[0].(*plan.OrderPlan); !ok {
 		t.Fatalf("plan type %T", e2.CurrentPlans()[0])
 	}
@@ -258,7 +262,7 @@ func TestDefaultPolicyIsInvariant(t *testing.T) {
 	w := gen.Traffic(TrafficSmall())
 	pat, _ := w.Pattern(gen.Sequence, 3, 60)
 	got, _ := run(t, pat, w.Events, Config{}) // all defaults
-	want, _ := run(t, pat, w.Events, Config{Policy: &core.Invariant{}})
+	want, _ := run(t, pat, w.Events, Config{NewPolicy: func() core.Policy { return &core.Invariant{} }})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("default configuration diverged from explicit invariant policy")
 	}
@@ -275,7 +279,7 @@ func TestMigrationSeedsResiduals(t *testing.T) {
 	want := oracle.Keys(oracle.Matches(pat, w.Events))
 	got, m := run(t, pat, w.Events, Config{
 		Model:      GreedyNFA,
-		Policy:     core.Unconditional{},
+		NewPolicy:  func() core.Policy { return core.Unconditional{} },
 		CheckEvery: 50, // migrate aggressively
 	})
 	if m.Reoptimizations == 0 {
@@ -325,7 +329,7 @@ func TestAdaptiveCountsPinned(t *testing.T) {
 		ZStreamTree: {Reoptimizations: 6, PlanGenerations: 14, PredEvals: 267460, PMCreated: 46506, Matches: 362},
 	}
 	for _, model := range []Model{GreedyNFA, ZStreamTree} {
-		_, m := run(t, pat, w.Events, Config{Model: model, Policy: &core.Invariant{}, CheckEvery: 250})
+		_, m := run(t, pat, w.Events, Config{Model: model, NewPolicy: func() core.Policy { return &core.Invariant{} }, CheckEvery: 250})
 		got := counts{m.Reoptimizations, m.PlanGenerations, m.PredEvals, m.PMCreated, m.Matches}
 		if got != want[model] {
 			t.Errorf("%v: %+v, want %+v", model, got, want[model])
@@ -354,7 +358,7 @@ func TestKeyedCountsPinned(t *testing.T) {
 		ZStreamTree: {Reoptimizations: 11, PlanGenerations: 60, PredEvals: 183545, PMCreated: 46601, Matches: 295},
 	}
 	for _, model := range []Model{GreedyNFA, ZStreamTree} {
-		_, m := run(t, pat, w.Events, Config{Model: model, Policy: &core.Invariant{}, CheckEvery: 250})
+		_, m := run(t, pat, w.Events, Config{Model: model, NewPolicy: func() core.Policy { return &core.Invariant{} }, CheckEvery: 250})
 		got := counts{m.Reoptimizations, m.PlanGenerations, m.PredEvals, m.PMCreated, m.Matches}
 		if got != want[model] {
 			t.Errorf("%v: %+v, want %+v", model, got, want[model])

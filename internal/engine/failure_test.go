@@ -29,7 +29,7 @@ func TestLateEventsDropped(t *testing.T) {
 		evs[i].TS = evs[i-50].TS // jump backwards
 		lateCount++
 	}
-	got, m := run(t, pat, evs, Config{Policy: &core.Invariant{}, CheckEvery: 500})
+	got, m := run(t, pat, evs, Config{NewPolicy: func() core.Policy { return &core.Invariant{} }, CheckEvery: 500})
 	if m.LateDropped != lateCount {
 		t.Fatalf("LateDropped = %d; want %d", m.LateDropped, lateCount)
 	}
@@ -52,7 +52,7 @@ func TestLateEventsDropped(t *testing.T) {
 	// Re-sorting with the stream package recovers full detection.
 	sorted := append([]event.Event(nil), evs...)
 	stream.SortByTime(sorted)
-	got2, m2 := run(t, pat, sorted, Config{Policy: &core.Invariant{}, CheckEvery: 500})
+	got2, m2 := run(t, pat, sorted, Config{NewPolicy: func() core.Policy { return &core.Invariant{} }, CheckEvery: 500})
 	if m2.LateDropped != 0 {
 		t.Fatalf("sorted stream still dropped %d", m2.LateDropped)
 	}
@@ -72,10 +72,10 @@ func TestEstimatorNoiseRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := run(t, pat, w.Events, Config{Policy: core.Static{}, CheckEvery: 300})
+	base, _ := run(t, pat, w.Events, Config{NewPolicy: func() core.Policy { return core.Static{} }, CheckEvery: 300})
 
 	noisy := Config{
-		Policy:     &core.Invariant{},
+		NewPolicy:  func() core.Policy { return &core.Invariant{} },
 		CheckEvery: 300,
 	}
 	noisy.Stats.SampleSize = 2

@@ -9,6 +9,7 @@ import (
 	"acep/internal/nfa"
 	"acep/internal/pattern"
 	"acep/internal/plan"
+	"acep/internal/planner"
 	"acep/internal/stats"
 	"acep/internal/tree"
 )
@@ -17,6 +18,7 @@ import (
 type runner struct {
 	pat    *pattern.Pattern
 	cfg    Config
+	alg    planner.Algorithm
 	policy core.Policy
 	est    *stats.Estimator
 
@@ -42,12 +44,12 @@ type drainingEngine struct {
 	retireAt event.Time
 }
 
-func newRunner(pat *pattern.Pattern, cfg Config, policy core.Policy) (*runner, error) {
+func newRunner(pat *pattern.Pattern, cfg Config, alg planner.Algorithm, policy core.Policy) (*runner, error) {
 	est, err := stats.NewEstimator(pat, cfg.Stats)
 	if err != nil {
 		return nil, err
 	}
-	r := &runner{pat: pat, cfg: cfg, policy: policy, est: est}
+	r := &runner{pat: pat, cfg: cfg, alg: alg, policy: policy, est: est}
 	var initial *stats.Snapshot
 	if cfg.InitialStats != nil {
 		initial = cfg.InitialStats(pat)
@@ -55,7 +57,7 @@ func newRunner(pat *pattern.Pattern, cfg Config, policy core.Policy) (*runner, e
 	if initial == nil {
 		initial = stats.NewSnapshot(pat.NumPositions())
 	}
-	res := cfg.Algorithm.Generate(pat, initial)
+	res := alg.Generate(pat, initial)
 	r.metrics.PlanGenerations++
 	r.curPlan = res.Plan
 	r.cur = r.buildEvaluator(res.Plan)
@@ -141,7 +143,7 @@ func (r *runner) adaptationCheck() {
 	}
 
 	t2 := time.Now()
-	res := r.cfg.Algorithm.Generate(r.pat, snap)
+	res := r.alg.Generate(r.pat, snap)
 	curCost := r.curPlan.Cost(snap)
 	newCost := res.Plan.Cost(snap)
 	better := !res.Plan.Equal(r.curPlan) && newCost < curCost

@@ -120,9 +120,8 @@ type Evaluator struct {
 	arrived uint64       // events offered
 	late    uint64       // events dropped out of order
 
-	// Ingestion-queue probes for the hosted engines' shedders (see
-	// SetProbes); nil outside the shard layer.
-	queueProbe   func() (depth, capacity int)
+	// The queue-wait p99 source for the hosted engines' shedders (see
+	// SetLatencyProbe); nil outside the shard layer.
 	latencyProbe func() float64
 
 	// arena holds the one copy of each event every hosted engine points
@@ -224,22 +223,19 @@ func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multi: pattern %d: %w", sp.ID, err)
 	}
-	eng.SetQueueProbe(v.queueProbe)
 	eng.SetLatencyProbe(v.latencyProbe)
 	s.eng = eng
 	return s, nil
 }
 
-// SetProbes attaches an ingestion-queue depth source and a queue-wait p99
-// source (nanoseconds) to the shedding monitor of every hosted engine,
-// present and future — the shard layer points them at the worker's
-// channel and queue-wait estimator; see engine.Engine.SetQueueProbe and
-// SetLatencyProbe. Engines without shedding ignore them.
-func (v *Evaluator) SetProbes(queue func() (depth, capacity int), latency func() float64) {
-	v.queueProbe, v.latencyProbe = queue, latency
+// SetLatencyProbe attaches a queue-wait p99 source (nanoseconds) to the
+// shedding monitor of every hosted engine, present and future — the shard
+// layer points it at the worker's queue-wait estimator; see
+// engine.Engine.SetLatencyProbe. Engines without shedding ignore it.
+func (v *Evaluator) SetLatencyProbe(latency func() float64) {
+	v.latencyProbe = latency
 	for _, s := range v.sinks {
 		if s.eng != nil {
-			s.eng.SetQueueProbe(queue)
 			s.eng.SetLatencyProbe(latency)
 		}
 	}

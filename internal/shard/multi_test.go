@@ -347,8 +347,8 @@ func TestSoloEngineAddRemove(t *testing.T) {
 	}
 }
 
-// TestSetSheddingSeesQueue: the shard layer's queue-depth and queue-wait
-// probes reach the shedder of every engine the evaluator hosts, not only
+// TestSetSheddingSeesQueue: the shard layer's queue-wait probe reaches
+// the shedder of every engine the evaluator hosts, not only
 // a pattern passed through New's pattern argument. Every queue wait
 // exceeds a 1ns latency budget, so a shedder that can see the queue is
 // overloaded from its first refresh; one that cannot never activates.

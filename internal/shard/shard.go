@@ -24,7 +24,7 @@
 // Metrics().QueueDropped) — the coarse, last-resort arm of overload
 // control. The fine-grained arm is
 // per-event shedding inside each shard's engine (engine.Config.Shedding,
-// see internal/shed), whose load monitor watches this queue's depth.
+// see internal/shed), whose load monitor watches this queue's wait.
 //
 // The cut is the unit of ingestion: events accumulate in one block per
 // shard, and sealing a cut hands every shard its block (or none), the
@@ -515,10 +515,9 @@ const defaultQueueBatches = 4
 // New builds a sharded engine hosting pat — shorthand for the set of one,
 // multi.Solo(pat, cfg) — or, with a nil pattern, the set in
 // opts.Patterns. cfg configures the pattern's engine on every shard
-// identically; cfg.OnMatch must be nil (matches are merged through
-// opts.OnMatch) and no hosted Config may carry a Policy (policies are
-// stateful and cannot be shared across shards — set NewPolicy, or leave
-// both nil for the default invariant policy per shard).
+// identically — each shard's engine calls cfg.NewPolicy for a policy of
+// its own; cfg.OnMatch must be nil (matches are merged through
+// opts.OnMatch).
 func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error) {
 	if cfg.OnMatch != nil {
 		return nil, fmt.Errorf("shard: set Options.OnMatch, not engine Config.OnMatch (per-shard callbacks would not be ordered)")
@@ -598,12 +597,10 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 			return nil, err
 		}
 		// Every hosted engine's shedder (when configured) watches this
-		// worker's queue depth and its queue-wait p99; probe and estimator
-		// both run on the worker goroutine, so len/cap on the channel and
-		// the quantile reservoir are safe to sample from there.
-		w.eval.SetProbes(
-			func() (int, int) { return len(w.in), cap(w.in) },
-			func() float64 { return w.qwait.Quantile(0.99) })
+		// worker's queue-wait p99; probe and estimator both run on the
+		// worker goroutine, so the quantile reservoir is safe to sample
+		// from there.
+		w.eval.SetLatencyProbe(func() float64 { return w.qwait.Quantile(0.99) })
 		e.workers = append(e.workers, w)
 	}
 	deliver := func(t Tagged) {
@@ -627,9 +624,6 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 func (e *Engine) admit(sp multi.Spec) (multi.Spec, error) {
 	if sp.Pattern == nil {
 		return sp, fmt.Errorf("shard: pattern %d is nil", sp.ID)
-	}
-	if sp.Config.Policy != nil {
-		return sp, fmt.Errorf("shard: pattern %d: Config.Policy would be shared across shards; set Config.NewPolicy so each shard adapts independently", sp.ID)
 	}
 	if e.keyAttr != "" {
 		if err := Partitionable(sp.Pattern, e.schema, e.keyAttr); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"acep/internal/core"
@@ -258,6 +259,40 @@ func TestShardedMetrics(t *testing.T) {
 	}
 }
 
+// TestPolicyPerShard: every shard's engine adapts with a policy of its
+// own, so NewPolicy is called once per shard, and AddPattern calls it once
+// more for the evaluator it builds to prevalidate the pattern.
+func TestPolicyPerShard(t *testing.T) {
+	w := keyedWorkload(t)
+	seq, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conj, err := w.Pattern(gen.Conjunction, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32 // workers build the added pattern's engines
+	cfg := engine.Config{NewPolicy: func() core.Policy {
+		calls.Add(1)
+		return &core.Invariant{}
+	}}
+	eng, err := New(seq, cfg, Options{Shards: 4, KeyAttr: "key", Schema: w.Schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 4 {
+		t.Fatalf("NewPolicy called %d times for 4 shards, want 4", n)
+	}
+	if err := eng.AddPattern(multi.Spec{ID: 1, Pattern: conj, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Finish()
+	if n := calls.Load(); n != 9 {
+		t.Fatalf("NewPolicy called %d times after adding a pattern on 4 shards, want 4+1+4", n)
+	}
+}
+
 // TestNewValidation covers the constructor's misuse errors.
 func TestNewValidation(t *testing.T) {
 	w := keyedWorkload(t)
@@ -276,7 +311,6 @@ func TestNewValidation(t *testing.T) {
 		{"keyattr without schema", engine.Config{}, Options{KeyAttr: "key"}},
 		{"unknown attr", engine.Config{}, Options{KeyAttr: "nope", Schema: w.Schema}},
 		{"engine OnMatch", engine.Config{OnMatch: func(*match.Match) {}}, ok},
-		{"shared policy", engine.Config{Policy: &core.Invariant{}}, ok},
 	}
 	for _, c := range cases {
 		if _, err := New(pat, c.cfg, c.opts); err == nil {

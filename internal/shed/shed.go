@@ -8,7 +8,7 @@
 // The layer has three parts:
 //
 //   - a load monitor that compares the live partial-match count, the
-//     logical arrival rate and the ingestion-queue depth against
+//     logical arrival rate and the p99 ingestion-queue wait against
 //     configurable budgets and reduces them to one utilization figure
 //     (>= 1 means overloaded);
 //   - pluggable shedding policies (None, Random, RateUtility,
@@ -49,24 +49,21 @@ type Budget struct {
 	// engine (the memory/work proxy the paper's cost models minimize).
 	LivePMs int
 	// EventsPerSec is the target arrival rate in events per logical
-	// second, measured over Config.RateWindow of stream time.
+	// second, measured over consecutive stream seconds.
 	EventsPerSec float64
-	// Queue is the target ingestion-queue depth in batches; meaningful
-	// only when a queue probe is attached (the shard layer does this).
-	Queue int
 	// QueueWait is the target p99 ingestion-queue wait: the latency
 	// budget. Meaningful only when a latency probe is attached — the
 	// shard layer wires it to each worker's queue-wait estimator
 	// (Metrics.QueueWait: seal-to-dequeue, the time a sealed cut waits for
 	// its worker) — so the monitor activates when events wait too long,
-	// even while rate and depth look healthy (e.g. a slow shard behind a
+	// even while the rate looks healthy (e.g. a slow shard behind a
 	// generous queue). A slow feed is not a backlog and does not count.
 	QueueWait time.Duration
 }
 
 // unset reports whether no budget dimension is configured.
 func (b Budget) unset() bool {
-	return b.LivePMs <= 0 && b.EventsPerSec <= 0 && b.Queue <= 0 && b.QueueWait <= 0
+	return b.LivePMs <= 0 && b.EventsPerSec <= 0 && b.QueueWait <= 0
 }
 
 // Probe is the engine-side introspection surface the shedder samples at
@@ -103,12 +100,6 @@ type Config struct {
 	// rebuilds and policy refreshes (default 128). Smaller values track
 	// live state more closely at higher introspection cost.
 	RefreshEvery int
-	// RateWindow is the logical-time window of the arrival-rate meter
-	// (default 1 stream second).
-	RateWindow event.Time
-	// Seed decorrelates the deterministic per-event drop draw between
-	// engines sharing one stream (default 0).
-	Seed uint64
 	// Key extracts the partition-key value PatternAware protects; nil
 	// disables key-level protection (type-level hotness still applies).
 	// The sharded layer defaults it to the shard key.
@@ -118,9 +109,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.RefreshEvery <= 0 {
 		c.RefreshEvery = 128
-	}
-	if c.RateWindow <= 0 {
-		c.RateWindow = event.Second
 	}
 	return c
 }
@@ -203,8 +191,7 @@ type Shedder struct {
 
 	protected []bool // types at negated positions: never dropped
 	rate      rateMeter
-	queue     func() (depth, capacity int) // optional, set by the shard layer
-	latency   func() float64               // optional p99 queue-wait in nanos, set by the shard layer
+	latency   func() float64 // optional p99 queue-wait in nanos, set by the shard layer
 
 	counts       []uint64 // per-type arrivals since last refresh
 	total        uint64
@@ -227,7 +214,7 @@ func New(cfg Config, pat *pattern.Pattern, probe Probe) (*Shedder, error) {
 		return nil, fmt.Errorf("shed: nil probe")
 	}
 	if cfg.Budget.unset() {
-		return nil, fmt.Errorf("shed: policy %q configured without any budget; set Budget.LivePMs, EventsPerSec or Queue", cfg.Policy.Name())
+		return nil, fmt.Errorf("shed: policy %q configured without any budget; set Budget.LivePMs, EventsPerSec or QueueWait", cfg.Policy.Name())
 	}
 	cfg = cfg.withDefaults()
 	subs := []*pattern.Pattern{pat}
@@ -246,7 +233,6 @@ func New(cfg Config, pat *pattern.Pattern, probe Probe) (*Shedder, error) {
 		cfg:       cfg,
 		probe:     probe,
 		protected: make([]bool, maxType+1),
-		rate:      rateMeter{window: cfg.RateWindow},
 		counts:    make([]uint64, maxType+1),
 	}
 	for _, sub := range subs {
@@ -265,10 +251,6 @@ func New(cfg Config, pat *pattern.Pattern, probe Probe) (*Shedder, error) {
 	}
 	return s, nil
 }
-
-// SetQueueProbe attaches the ingestion-queue depth source (the shard
-// layer's per-worker channel). Must be set before the first Admit.
-func (s *Shedder) SetQueueProbe(f func() (depth, capacity int)) { s.queue = f }
 
 // SetLatencyProbe attaches the queue-wait p99 source in nanoseconds (the
 // shard layer's per-worker estimator). Must be set before the first
@@ -319,7 +301,7 @@ func (s *Shedder) Admit(ev *event.Event) bool {
 		s.kept++
 		return true
 	}
-	if s.cfg.Policy.Drop(ev, &s.view, uniform(ev.Seq, s.cfg.Seed)) {
+	if s.cfg.Policy.Drop(ev, &s.view, uniform(ev.Seq)) {
 		s.shed++
 		return false
 	}
@@ -375,12 +357,6 @@ func (s *Shedder) load() float64 {
 			u = v
 		}
 	}
-	if s.cfg.Budget.Queue > 0 && s.queue != nil {
-		depth, _ := s.queue()
-		if v := float64(depth) / float64(s.cfg.Budget.Queue); v > u {
-			u = v
-		}
-	}
 	if s.cfg.Budget.QueueWait > 0 && s.latency != nil {
 		if v := s.latency() / float64(s.cfg.Budget.QueueWait); v > u {
 			u = v
@@ -399,9 +375,8 @@ func (s *Shedder) Kept() uint64 { return s.kept }
 func (s *Shedder) Load() float64 { return s.view.Load }
 
 // rateMeter measures the logical arrival rate (events per stream second)
-// over consecutive buckets of the configured window.
+// over consecutive buckets of one stream second.
 type rateMeter struct {
-	window  event.Time
 	start   event.Time
 	count   int
 	started bool
@@ -413,7 +388,7 @@ func (r *rateMeter) observe(ts event.Time) {
 		r.started = true
 		r.start = ts
 	}
-	if ts-r.start >= r.window {
+	if ts-r.start >= event.Second {
 		r.rate = float64(r.count) * float64(event.Second) / float64(ts-r.start)
 		r.start = ts
 		r.count = 0
@@ -422,9 +397,9 @@ func (r *rateMeter) observe(ts event.Time) {
 }
 
 // uniform derives a deterministic uniform draw in [0,1) from an event's
-// sequence number (splitmix64 finalizer over seq^seed).
-func uniform(seq, seed uint64) float64 {
-	x := seq ^ seed
+// sequence number (splitmix64 finalizer over seq).
+func uniform(seq uint64) float64 {
+	x := seq
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -6,35 +6,6 @@ import (
 	"acep/internal/event"
 )
 
-// TestMergeDegenerateInputs: zero streams and all-empty streams must
-// yield an empty (non-panicking) result, and empty streams mixed with a
-// real one must not disturb it.
-func TestMergeDegenerateInputs(t *testing.T) {
-	if out := Merge(); len(out) != 0 {
-		t.Fatalf("Merge() = %v", out)
-	}
-	if out := Merge(nil, nil, nil); len(out) != 0 {
-		t.Fatalf("Merge(nil x3) = %v", out)
-	}
-	if out := Merge([]event.Event{}, []event.Event{}); len(out) != 0 {
-		t.Fatalf("Merge(empty x2) = %v", out)
-	}
-	s := []event.Event{
-		{Type: 0, TS: 1, Seq: 9},
-		{Type: 1, TS: 5, Seq: 10},
-	}
-	out := Merge(nil, s, []event.Event{})
-	if len(out) != 2 || out[0].TS != 1 || out[1].TS != 5 {
-		t.Fatalf("Merge(nil, s, empty) = %v", out)
-	}
-	if out[0].Seq != 1 || out[1].Seq != 2 {
-		t.Fatalf("Seq not renumbered: %v", out)
-	}
-	if i := Validate(out); i != -1 {
-		t.Fatalf("merged stream invalid at %d", i)
-	}
-}
-
 // TestSortByTimeDegenerateInputs: nil and empty slices are fine.
 func TestSortByTimeDegenerateInputs(t *testing.T) {
 	SortByTime(nil)

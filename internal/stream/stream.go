@@ -1,6 +1,6 @@
 // Package stream provides event-stream utilities: CSV persistence of
 // generated workloads (so experiments can be archived and replayed),
-// timestamp-order enforcement, and k-way merging of sorted streams.
+// and timestamp-order enforcement.
 //
 // The CSV layout is one event per row — type,ts,seq,attr0,attr1,... —
 // preceded by a header comment that captures the schema:
@@ -165,105 +165,6 @@ func SortByTime(evs []event.Event) {
 	for i := range evs {
 		evs[i].Seq = uint64(i + 1)
 	}
-}
-
-// Merge combines several timestamp-ordered streams into one, renumbering
-// Seq globally. It runs a heap-based k-way merge — O(n log k) for n total
-// events over k streams — and breaks timestamp ties by stream index, so
-// the output is deterministic and each input stream's internal order is
-// preserved.
-func Merge(streams ...[]event.Event) []event.Event {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]event.Event, 0, total)
-
-	// h is a binary min-heap over the streams' current heads, ordered by
-	// head timestamp with ties broken by stream index. Caching the head
-	// timestamp in the node keeps each comparison free of double slice
-	// indexing.
-	type head struct {
-		ts event.Time
-		si int
-	}
-	idx := make([]int, len(streams))
-	h := make([]head, 0, len(streams))
-	less := func(a, b head) bool {
-		if a.ts != b.ts {
-			return a.ts < b.ts
-		}
-		return a.si < b.si
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for si, s := range streams {
-		if len(s) > 0 {
-			h = append(h, head{ts: s[0].TS, si: si})
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		si := h[0].si
-		out = append(out, streams[si][idx[si]])
-		idx[si]++
-		if idx[si] == len(streams[si]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		} else {
-			h[0].ts = streams[si][idx[si]].TS
-		}
-		siftDown(0)
-	}
-	for i := range out {
-		out[i].Seq = uint64(i + 1)
-	}
-	return out
-}
-
-// mergeLinear is the pre-heap O(n·k) implementation, kept as the baseline
-// for BenchmarkMerge.
-func mergeLinear(streams ...[]event.Event) []event.Event {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]event.Event, 0, total)
-	idx := make([]int, len(streams))
-	for len(out) < total {
-		best := -1
-		for si, s := range streams {
-			if idx[si] >= len(s) {
-				continue
-			}
-			if best < 0 || s[idx[si]].TS < streams[best][idx[best]].TS {
-				best = si
-			}
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
-	for i := range out {
-		out[i].Seq = uint64(i + 1)
-	}
-	return out
 }
 
 // Validate checks that a stream is timestamp-ordered with strictly

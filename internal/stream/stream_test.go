@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -101,25 +100,6 @@ func TestSortByTime(t *testing.T) {
 	}
 	if Validate(evs) != -1 {
 		t.Fatal("sorted stream invalid")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := []event.Event{{TS: 1, Seq: 1}, {TS: 5, Seq: 2}}
-	b := []event.Event{{TS: 2, Seq: 1}, {TS: 3, Seq: 2}, {TS: 9, Seq: 3}}
-	out := Merge(a, b)
-	if len(out) != 5 {
-		t.Fatalf("merged %d", len(out))
-	}
-	var ts []event.Time
-	for _, e := range out {
-		ts = append(ts, e.TS)
-	}
-	if !reflect.DeepEqual(ts, []event.Time{1, 2, 3, 5, 9}) {
-		t.Fatalf("ts order %v", ts)
-	}
-	if Validate(out) != -1 {
-		t.Fatal("merged stream invalid")
 	}
 }
 
