@@ -212,7 +212,7 @@ func ShardPartitionable(p *Pattern, s *Schema, attr string) error {
 // and merges the node match streams into one deterministic, ordered
 // output that is byte-identical to the single-process sharded engine's
 // for key-partitionable patterns. Nodes are either spawned in-process
-// (ClusterConfig.Nodes, chan transport) or connected over TCP
+// (ClusterConfig.Nodes, each behind a loopback socket) or connected over TCP
 // (ClusterConfig.Connect, workers started with cmd/acep-node). See
 // DESIGN.md ("Distributed execution").
 type (

@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"acep/internal/wire"
@@ -298,22 +297,6 @@ func (s *Script) Recv() (wire.Frame, error) {
 	return f, nil
 }
 func (s *Script) Close() error { return nil }
-
-// WrapAccept chaos-wraps every connection an accept function yields.
-// Each connection derives its own seed from cfg.Seed and the accept
-// ordinal, so multi-connection runs stay deterministic.
-func WrapAccept(accept func() (Conn, error), cfg Config) func() (Conn, error) {
-	var n atomic.Uint64
-	return func() (Conn, error) {
-		c, err := accept()
-		if err != nil {
-			return nil, err
-		}
-		cc := cfg
-		cc.Seed = cfg.Seed ^ (n.Add(1) * 0xbf58476d1ce4e5b9)
-		return Wrap(c, cc), nil
-	}
-}
 
 // ParseSpec parses the command-line chaos grammar shared by acep-run
 // -chaos and acep-bench: a comma-separated list of

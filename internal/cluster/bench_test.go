@@ -11,14 +11,13 @@ import (
 
 // BenchmarkClusterIngest measures the wire-to-match ingest path end to
 // end: one full cluster run (handshake, batch cuts, merge, finish) per
-// iteration over a small keyed workload, on both transports — the
-// in-process pipe (frames by reference) and loopback TCP (the
-// serializing path: delta encode, zero-copy decode into the node's
-// arena, owned-emit match bytes back) — and on two streams: one of the
-// three types the pattern reads, where the ingress routes every event,
-// and one of six, where it routes the three it reads and elides the rest.
-// The ns/event metric is the per-event cluster overhead; CI runs this as
-// a smoke (benchtime=10x), not a measurement.
+// iteration over a small keyed workload, two nodes behind loopback pipes
+// (delta encode, zero-copy decode into the node's arena, owned-emit match
+// bytes back), on two streams: one of the three types the pattern reads,
+// where the ingress routes every event, and one of six, where it routes
+// the three it reads and elides the rest. The ns/event metric is the
+// per-event cluster overhead; CI runs this as a smoke (benchtime=10x),
+// not a measurement.
 func BenchmarkClusterIngest(b *testing.B) {
 	for _, types := range []int{3, 6} {
 		w := gen.Traffic(gen.TrafficConfig{
@@ -62,22 +61,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 			return node
 		}
 
-		b.Run(fmt.Sprintf("pipe/types=%d", types), func(b *testing.B) {
-			var matches int
-			for i := 0; i < b.N; i++ {
-				const nodes = 2
-				conns := make([]Conn, nodes)
-				for n := range conns {
-					client, server := Pipe()
-					go node(b).Serve(server) //nolint:errcheck // Finish reports a failed session
-					conns[n] = client
-				}
-				run(b, conns, &matches)
-			}
-			report(b, matches)
-		})
-
-		b.Run(fmt.Sprintf("tcp/types=%d", types), func(b *testing.B) {
+		b.Run(fmt.Sprintf("types=%d", types), func(b *testing.B) {
 			var matches int
 			for i := 0; i < b.N; i++ {
 				const nodes = 2
@@ -85,22 +69,9 @@ func BenchmarkClusterIngest(b *testing.B) {
 				serveErr := make(chan error, nodes)
 				for n := range conns {
 					nd := node(b)
-					l, err := ListenTCP("127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					go func() {
-						defer l.Close()
-						c, err := l.Accept()
-						if err != nil {
-							serveErr <- err
-							return
-						}
-						serveErr <- nd.Serve(c)
-					}()
-					if conns[n], err = DialTCP(l.Addr()); err != nil {
-						b.Fatal(err)
-					}
+					client, server := Pipe()
+					go func() { serveErr <- nd.Serve(server) }()
+					conns[n] = client
 				}
 				run(b, conns, &matches)
 				for n := 0; n < nodes; n++ {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestBlockReuseScenarios runs the sharded engine's block-reuse table
-// (see shardtest.Scenarios) through a two-node cluster over in-process
-// pipes, where every run is decoded into a block of the node's pool and
+// (see shardtest.Scenarios) through a two-node in-process cluster, where
+// every run is decoded into a block of the node's pool and
 // comes back from the shard worker that consumed it, against the same
 // reference that never reuses storage. One more row moves a shard
 // mid-stream: its journaled history — timestamps far behind the

@@ -211,9 +211,9 @@ func TestClusterHeterogeneousNodes(t *testing.T) {
 	}
 }
 
-// TestClusterLocalPipes: the chan transport behaves identically to TCP —
-// same protocol, no serialization — across node counts, and reruns
-// deliver the identical order (determinism).
+// TestClusterLocalPipes: StartLocal's in-process nodes, each behind a
+// loopback Pipe, deliver the single-process stream across node counts,
+// and reruns deliver the identical order (determinism).
 func TestClusterLocalPipes(t *testing.T) {
 	w := keyedWorkload(t, "traffic")
 	pat, err := w.Pattern(gen.Sequence, 3, 300)

@@ -328,7 +328,7 @@ func TestStandbyRestartRejoins(t *testing.T) {
 			}
 			if n == 1 {
 				// First tenancy dies ~30 cuts after adoption.
-				c = &recvKiller{Conn: c, budget: 120}
+				c = &recvKiller{streamConn: c.(*streamConn), budget: 120}
 			}
 			go node.Serve(c) //nolint:errcheck // session 1's crash is the point
 		}
@@ -531,7 +531,7 @@ func TestPlace(t *testing.T) {
 // dictates for the cut, and acknowledges migrations.
 func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat) {
 	defer c.Close()
-	send := func(f wire.Frame) { c.Send(f) } //nolint:errcheck // a dead pipe ends the Recv loop below
+	send := func(f wire.Frame) { c.Send(f) } //nolint:errcheck // a dead link ends the Recv loop below
 	send(wire.Hello{Version: wire.Version, Shards: shards})
 	var moving []uint32
 	var last uint64
@@ -541,7 +541,7 @@ func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat
 			return
 		}
 		switch v := f.(type) {
-		case wire.BatchRaw:
+		case wire.Batch:
 			if v.UpTo == 0 {
 				continue
 			}

@@ -37,29 +37,20 @@ func failoverWorkload(t *testing.T, dataset string) *gen.Workload {
 }
 
 // recvKiller crashes the node side: after budget received frames the
-// connection slams shut — the remote-process-died failure mode.
+// connection slams shut — the remote-process-died failure mode. It embeds
+// the stream connection, so the node still arms its decode arena.
 type recvKiller struct {
-	Conn
+	*streamConn
 	budget int
-}
-
-// SetDecodeArena passes the node's decode-arena probe through to the
-// wrapped connection: a serializing transport behind the killer must
-// still decode in place, or the node dies of its first plain Batch frame
-// instead of the budget.
-func (k *recvKiller) SetDecodeArena(a *match.Arena) {
-	if da, ok := k.Conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
-		da.SetDecodeArena(a)
-	}
 }
 
 func (k *recvKiller) Recv() (wire.Frame, error) {
 	if k.budget <= 0 {
-		k.Conn.Close()
+		k.streamConn.Close()
 		return nil, fmt.Errorf("recvkiller: injected node crash")
 	}
 	k.budget--
-	return k.Conn.Recv()
+	return k.streamConn.Recv()
 }
 
 // blackholeConn goes silent without an error after budget sends: frames
@@ -263,7 +254,7 @@ func TestFailoverNodeSideCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig, _ := startFailoverRig(t, w, gen.Sequence, 1, nil, nil)
-	// Replace node 2's connection with a pipe-backed node whose receive
+	// Replace node 2's connection with a loopback node whose receive
 	// path dies after 25 frames: a node-side crash, not a link failure.
 	rig.conns[2].Close()
 	node, err := NewNode(NodeConfig{
@@ -274,7 +265,7 @@ func TestFailoverNodeSideCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, server := Pipe()
-	go node.Serve(&recvKiller{Conn: server, budget: 25}) //nolint:errcheck // the crash is the point
+	go node.Serve(&recvKiller{streamConn: server.(*streamConn), budget: 25}) //nolint:errcheck // the crash is the point
 	rig.conns[2] = client
 
 	got, ing := runRecovered(t, rig, w, gen.Sequence)
@@ -421,7 +412,7 @@ func TestRecoveryHealthyRun(t *testing.T) {
 
 // TestLocalClusterRecover: the in-process StartLocal path spawns bare
 // standbys on demand; heartbeat detection is wired through LocalConfig.
-// (No failure is injectable through StartLocal's own pipes, so this pins
+// (No failure is injectable through StartLocal's own links, so this pins
 // the healthy path plus configuration plumbing.)
 func TestLocalClusterRecover(t *testing.T) {
 	w := failoverWorkload(t, "traffic")

@@ -243,7 +243,7 @@ func TestSlotLifecycle(t *testing.T) {
 		// have ended cleanly, so only the state decides ghost reuse.
 		logs := []*frameLog{{got: map[wire.Kind]int{}}, {got: map[wire.Kind]int{}}}
 		in := &Ingress{
-			owner: []int{0, 1}, runs: make([]wire.RunEncoder, 2), recycle: make([]bool, 2), total: 2,
+			owner: []int{0, 1}, runs: make([]wire.RunEncoder, 2), total: 2,
 			specs: multi.Solo(pat, engine.Config{}), schema: w.Schema,
 		}
 		for n, st := range []slotState{r.state, slotLive} {
@@ -363,16 +363,8 @@ func (tr *truncator) send(f wire.Frame) wire.Frame {
 	return out
 }
 
-// The node side of a link whose Send goes through a truncator: over the
-// in-process pipe, and over a socket (where the node must still find the
-// stream transport's probes).
-type truncPipe struct {
-	Conn
-	tr *truncator
-}
-
-func (c truncPipe) Send(f wire.Frame) error { return c.Conn.Send(c.tr.send(f)) }
-
+// The node side of a link whose Send goes through a truncator. It embeds
+// the stream connection, so the node still finds the transport's probes.
 type truncStream struct {
 	*streamConn
 	tr *truncator
@@ -382,8 +374,8 @@ func (c truncStream) Send(f wire.Frame) error { return c.streamConn.Send(c.tr.se
 
 // TestCorruptMatchesFrame: a worker answers a cut with a Matches frame
 // one of whose bodies is cut short. The coordinator refuses the frame
-// where it arrives — the pipe's reader by walking it, the socket's codec
-// by decoding it — so nothing of it reaches the consumer, not even the
+// where it arrives — the codec decoding it, behind a Pipe or a dialed
+// socket — so nothing of it reaches the consumer, not even the
 // sound records ahead of the damaged one: without recovery the run ends
 // in an error that names the frame, with it the node is failed over and
 // the delivered stream is the single-process one, byte for byte. The
@@ -419,7 +411,7 @@ func TestCorruptMatchesFrame(t *testing.T) {
 				if !tc.tcp {
 					client, server := Pipe()
 					if victim {
-						server = truncPipe{server, tr}
+						server = truncStream{server.(*streamConn), tr}
 					}
 					go n.Serve(server) //nolint:errcheck // the failed session's error is expected
 					conns[i] = client

@@ -36,11 +36,10 @@ func feedReusing(w *gen.Workload, at map[int]func(), process func(*event.Event))
 // event it is handed — not the struct, not the attribute array — exactly
 // like shard.Engine.Process, which interns. A caller that reuses one
 // struct and one slice for the whole stream therefore gets the reference
-// stream from the cluster too: over the in-process pipe without
-// recovery (the run crosses by reference and is decoded whenever the
-// node gets to it), and over TCP with the journal on and a shard
-// migrated mid-stream (the replay re-sends runs sealed a thousand events
-// earlier).
+// stream from the cluster too: in process without recovery (the ingress
+// reuses a run's storage once its send is barriered), and over TCP with
+// the journal on and a shard migrated mid-stream (the replay re-sends
+// runs sealed a thousand events earlier).
 func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
 	w := failoverWorkload(t, "traffic")
 	pat, err := w.Pattern(gen.Sequence, 3, 300)
@@ -242,15 +241,14 @@ func TestIngressCutAllocs(t *testing.T) {
 }
 
 // TestNodeDecodeAllocs is the worker-side counterpart of
-// TestIngressCutAllocs, over the in-process pipe: a node that is handed
-// pre-encoded cuts decodes each run into a pooled block, runs it through
-// its shard engine and gets the block back from the worker, so a cut
-// costs the same few allocations — the boxing of its heartbeat and
-// watermark frames and, every fourth cut, the load report — whether it
-// carries 64 events or 1024: nothing per event, and no block. The stream
-// is shard's TestIngestAllocs's: of a type the pattern reads — an ingress
-// routes it — with keys its predicate never passes, so no evaluator takes
-// an event.
+// TestIngressCutAllocs: a node that is handed pre-encoded cuts decodes
+// each run into a pooled block, runs it through its shard engine and gets
+// the block back from the worker, so a cut costs the same few allocations
+// — the boxing of its heartbeat and Matches frames and, every fourth cut,
+// the load report — whether it carries 64 events or 1024: nothing per
+// event, and no block. The stream is shard's TestIngestAllocs's: of a
+// type the pattern reads — an ingress routes it — with keys its predicate
+// never passes, so no evaluator takes an event.
 func TestNodeDecodeAllocs(t *testing.T) {
 	s := event.NewSchema()
 	pb := pattern.NewBuilder(s, pattern.Seq, 100)
@@ -269,49 +267,18 @@ func TestNodeDecodeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client, server := Pipe()
-		served := make(chan error, 1)
-		go func() { served <- node.Serve(server) }()
-		if _, err := client.Recv(); err != nil { // the node's hello
-			t.Fatal(err)
-		}
-		if err := client.Send(wire.Assign{
-			Shards: 1, Total: 1, Schema: s,
-			Patterns: []wire.PatternEntry{{ID: multi.SoloID, Pattern: pat}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Every cut's frame is encoded and boxed up front: the harness must
-		// not allocate inside the measured region.
-		const cuts = 32 + 51
-		frames := make([]wire.Frame, cuts)
-		var enc wire.RunEncoder
-		for c := range frames {
-			for k := 0; k < batch; k++ {
-				i := c*batch + k
-				ev := s.MustNew(0, event.Time(i), -float64(i%64+1))
-				ev.Seq = uint64(i + 1)
-				enc.Append(&ev)
-			}
-			frames[c] = wire.BatchRaw{UpTo: uint64((c + 1) * batch), Run: enc.Seal(0).Body}
-			enc.Reset(false)
-		}
+		h := startSolo(t, node, s, pat)
+		// Every cut's frame is encoded up front: the harness must not
+		// allocate inside the measured region.
+		frames := h.cuts(32+51, batch, func(ev *event.Event, i int) {
+			ev.Type, ev.TS, ev.Seq = 0, event.Time(i), uint64(i+1)
+			ev.Attrs = append(ev.Attrs[:0], -float64(i%64+1))
+		})
 		next := 0
 		cut := func() {
-			upTo := uint64((next + 1) * batch)
-			if err := client.Send(frames[next]); err != nil {
-				t.Fatal(err)
-			}
+			h.send(frames[next])
 			next++
-			for { // until the node reports the cut complete
-				f, err := client.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w, ok := f.(wire.Matches); ok && w.UpTo >= upTo {
-					return
-				}
-			}
+			h.await(uint64(next * batch)) // until the node reports the cut complete
 		}
 		for next < 32 {
 			cut() // warm the pool, the worker's reservoirs and the decode scratch
@@ -319,16 +286,6 @@ func TestNodeDecodeAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(50, cut); avg > bound {
 			t.Errorf("batch %d: %.1f allocations per cut on the node, want at most %d", batch, avg, bound)
 		}
-		if err := client.Send(wire.Finish{}); err != nil {
-			t.Fatal(err)
-		}
-		for f, err := client.Recv(); err == nil; f, err = client.Recv() {
-			if _, done := f.(wire.Metrics); done {
-				break
-			}
-		}
-		if err := <-served; err != nil {
-			t.Fatalf("node session: %v", err)
-		}
+		h.finish()
 	}
 }

@@ -158,13 +158,12 @@ type Ingress struct {
 
 	// The accumulating cut: an event is encoded onto its shard's run as
 	// it is accepted, and the sealed bytes are what the worker link, the
-	// journal and the replication tap all carry. Where nothing keeps a
-	// sealed run (recycle: no journal, and a transport that has put the
-	// bytes on the wire by the time Send returns) two encoders per shard
-	// alternate, the idle one's run being the cut in flight.
+	// journal and the replication tap all carry. Without a journal nothing
+	// keeps a sealed run past its send, which has copied the bytes when it
+	// returns, so two encoders per shard alternate, the idle one's run
+	// being the cut in flight.
 	runs    []wire.RunEncoder // per global shard
-	spare   []wire.RunEncoder // the alternates (nil without recycling)
-	recycle []bool            // per shard: a sealed run is dead once its send is barriered
+	spare   []wire.RunEncoder // the alternates (nil under Recovery)
 	sealed  []wire.ReplRun    // cutAll scratch: the runs of the cut being sealed
 	pending int               // events Process took since the last cut, elided ones included
 	lastSeq uint64
@@ -406,20 +405,11 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 			progress = tap
 		}
 	}
-	// Run recycling: on a serializing transport the frame is on the wire
-	// by the time Send returns, so a sealed run's storage is reusable once
-	// its send has been barriered (behind waitSends). The in-process pipe
-	// hands the bytes to the node by reference — it decodes them whenever
-	// it gets to the frame — and the recovery journal retains them (and
-	// lets shards change owner), so a pipe conn or a configured Recovery
-	// disables recycling for the session.
-	in.recycle = make([]bool, in.total)
+	// Run recycling: a sealed run's storage is reusable once its send has
+	// been barriered (behind waitSends), unless the recovery journal keeps
+	// it.
 	if in.rec == nil {
 		in.spare = make([]wire.RunEncoder, in.total)
-		for g, o := range in.owner {
-			_, serializing := conns[o].(interface{ SetDecodeArena(*match.Arena) })
-			in.recycle[g] = serializing
-		}
 	}
 	in.col = shard.NewCollectorOwned(in.owner, deliver, progress)
 	for i, c := range conns {
@@ -763,14 +753,15 @@ func (in *Ingress) cutAll() {
 	for _, s := range in.slots {
 		s.outs = s.outs[:0]
 	}
+	recycle := in.spare != nil
 	for _, r := range in.sealed {
 		g := int(r.Shard)
-		if in.recycle[g] {
+		if recycle {
 			// The alternate's run was the previous cut's; its send
 			// completed at the barrier above.
 			in.runs[g], in.spare[g] = in.spare[g], in.runs[g]
 		}
-		in.runs[g].Reset(in.recycle[g])
+		in.runs[g].Reset(recycle)
 		if o := in.owner[g]; o >= 0 && in.slots[o].receives() {
 			in.slots[o].outs = append(in.slots[o].outs, r.Body)
 		}
@@ -1157,8 +1148,8 @@ func (in *Ingress) RemoveNode(n int) error {
 	return nil
 }
 
-// connAddr reports a connection's dialable remote address ("" when the
-// transport does not expose one — the in-process pipe).
+// connAddr reports a connection's dialable remote address ("" when it has
+// none: accepted, in-process or wrapped).
 func connAddr(c Conn) string {
 	if ra, ok := c.(interface{ RemoteAddr() string }); ok {
 		return ra.RemoteAddr()

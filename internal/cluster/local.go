@@ -14,12 +14,11 @@ import (
 	"acep/internal/shed"
 )
 
-// LocalConfig assembles an in-process cluster: worker nodes served over
-// chan-transport pipes inside this process, behind the identical
-// protocol surface a TCP deployment uses. This is the zero-setup way to
-// run the cluster layer (and what the facade's NewClusterIngress builds
-// when no addresses are given); it is also how the tests pin
-// transport-independent behavior.
+// LocalConfig assembles an in-process cluster: worker nodes served inside
+// this process, each behind a loopback Pipe — the transport a TCP
+// deployment runs, without addresses to manage. This is the zero-setup
+// way to run the cluster layer (and what the facade's NewClusterIngress
+// builds when no addresses are given).
 type LocalConfig struct {
 	// Nodes is the worker-node count (default 2).
 	Nodes int
@@ -67,7 +66,7 @@ type LocalConfig struct {
 }
 
 // StartLocal builds the nodes, connects them to a new ingress over
-// pipes, and returns the ingress ready for Process/Finish. cfg
+// loopback Pipes, and returns the ingress ready for Process/Finish. cfg
 // configures every shard engine on every node identically (same contract
 // as shard.New).
 func StartLocal(pat *pattern.Pattern, cfg engine.Config, lc LocalConfig) (*Ingress, error) {
@@ -103,7 +102,7 @@ func StartLocal(pat *pattern.Pattern, cfg engine.Config, lc LocalConfig) (*Ingre
 		var err error
 		if conns[i], err = spawn(pat, lc.Schema); err != nil {
 			for _, c := range conns[:i] {
-				c.Close() // unblocks the node goroutine behind the pipe
+				c.Close() // ends the node goroutine behind the pipe
 			}
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}

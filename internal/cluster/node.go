@@ -141,12 +141,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // can still drain cleanly. The mutex interleaves the Serve loop's
 // heartbeats with the collector goroutine's Matches frames.
 // When the conn supports held sends (fl non-nil), frames accumulate in
-// its write buffer and flush() pushes the burst out in one syscall.
+// its write buffer until a flush pushes the burst out in one syscall: the
+// loop's, after each frame it handles (take marks it busy until then), or
+// the collector's own, when it releases results while the loop is idle.
 type sender struct {
-	mu  sync.Mutex
-	c   Conn
-	fl  sendHolder
-	err error
+	mu   sync.Mutex
+	c    Conn
+	fl   sendHolder
+	busy bool // the loop is handling a frame and will flush after it
+	err  error
 }
 
 func (s *sender) send(f wire.Frame) {
@@ -157,14 +160,33 @@ func (s *sender) send(f wire.Frame) {
 	s.mu.Unlock()
 }
 
-func (s *sender) flush() {
-	if s.fl == nil {
-		return
-	}
+// release sends a frame of the collector's and, unless the loop will
+// flush it, flushes: a cut's results leave when they are released.
+func (s *sender) release(f wire.Frame) {
 	s.mu.Lock()
 	if s.err == nil {
+		s.err = s.c.Send(f)
+	}
+	if s.err == nil && s.fl != nil && !s.busy {
 		s.err = s.fl.Flush()
 	}
+	s.mu.Unlock()
+}
+
+// take marks the loop busy with a frame it received.
+func (s *sender) take() {
+	s.mu.Lock()
+	s.busy = true
+	s.mu.Unlock()
+}
+
+// flush pushes out what is held and marks the loop idle.
+func (s *sender) flush() {
+	s.mu.Lock()
+	if s.err == nil && s.fl != nil {
+		s.err = s.fl.Flush()
+	}
+	s.busy = false
 	s.mu.Unlock()
 }
 
@@ -267,13 +289,15 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// from replayed history (the adaptation trajectory differs — plans
 	// restart fresh — but match sets and tags do not depend on it).
 	up := &sender{c: conn}
-	// Coalesced upstream writes: a serializing transport holds the cut's
-	// burst (heartbeat, Matches) in its write buffer and the loop flushes
-	// once per inbound frame — one write syscall per cut instead of one
-	// per frame. The handler boundary is a protocol
-	// quiescence point: the ingress never blocks on a node frame while
-	// it still has frames of its own to send, and the final drain is
-	// flushed before the session returns.
+	// Coalesced upstream writes: the transport holds the cut's burst
+	// (heartbeat, Matches) in its write buffer. The loop flushes once per
+	// inbound frame, carrying out whatever the collector released
+	// meanwhile; the collector flushes its own only while the loop waits
+	// for a frame. A loop kept busy then costs one write syscall per cut,
+	// and an idle one still sends a cut's results when they are released.
+	// The handler boundary is a protocol quiescence point: the ingress
+	// never blocks on a node frame while it still has frames of its own
+	// to send, and the final drain is flushed before the session returns.
 	if h, ok := conn.(sendHolder); ok {
 		h.SetSendHold(true)
 		up.fl = h
@@ -301,33 +325,20 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		suppressAll uint64
 	)
 
-	var (
-		rawEvs []*event.Event // DecodeRun scratch (pipe sessions)
-		cuts   uint64
-	)
+	var cuts uint64
 
 	// The Matches frame being filled, on the engine's collector goroutine:
 	// every match it releases is copied in as a record — so nothing outside
 	// this node aliases a worker's outbox slab — and each progress step
-	// sends the frame. A serializing transport has put the bytes on the
-	// wire when Send returns, so the buffer is refilled; the in-process
-	// pipe hands them to the ingress by reference, whose tags alias them
-	// from then on, so the next frame gets a buffer of its own, sized after
-	// this one.
+	// sends the frame. Send has copied the bytes when it returns, so the
+	// buffer is refilled.
 	var (
-		recs    []byte
-		nrec    int
-		lastLen int
+		recs []byte
+		nrec int
 	)
-	_, serializing := conn.(interface{ SetDecodeArena(*match.Arena) })
 	sendMatches := func(upTo uint64) {
-		up.send(wire.Matches{UpTo: upTo, Count: nrec, Recs: recs})
-		if serializing {
-			recs = recs[:0]
-		} else if nrec > 0 {
-			recs, lastLen = nil, len(recs)
-		}
-		nrec = 0
+		up.release(wire.Matches{UpTo: upTo, Count: nrec, Recs: recs})
+		recs, nrec = recs[:0], 0
 	}
 
 	// Per-tenant budgets apply per local shard.
@@ -359,9 +370,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			}
 			if migrated && t.Seq <= boundary {
 				return // already delivered before the shard moved here
-			}
-			if recs == nil {
-				recs = make([]byte, 0, lastLen+lastLen/8+64)
 			}
 			recs = wire.AppendMatchRecord(recs, uint32(t.Src), t.Seq, t.Pattern, t.Enc)
 			nrec++
@@ -398,16 +406,14 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	if err != nil {
 		return err
 	}
-	// Zero-copy receive: a run decodes straight into a block of the
-	// engine's pool — the decoded slots are the events the evaluators
-	// retain, no re-intern — through this arena, which holds the block only
-	// until ingest takes it out and hands it to the engine. A serializing
-	// transport (probe below) decodes inside Recv and surfaces a
-	// wire.BatchView; the in-process pipe delivers the ingress's
-	// wire.BatchRaw and the loop below runs the same decoder on it. The
-	// block comes back to the pool from the shard worker that consumed it,
-	// on that worker's own clock — which is what makes replaying
-	// old-timestamp history into a live session safe.
+	// Zero-copy receive: the transport decodes a run inside Recv straight
+	// into a block of the engine's pool — the decoded slots are the events
+	// the evaluators retain, no re-intern — through this arena, which holds
+	// the block only until ingest takes it out and hands it to the engine,
+	// and surfaces the frame as a wire.BatchView. The block comes back to
+	// the pool from the shard worker that consumed it, on that worker's own
+	// clock — which is what makes replaying old-timestamp history into a
+	// live session safe.
 	dec := &match.Arena{}
 	dec.SetPool(eng.Pool())
 	if da, ok := conn.(interface{ SetDecodeArena(*match.Arena) }); ok {
@@ -443,8 +449,8 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		}
 		up.send(wire.ShardStats{Stats: ss})
 	}
-	// ingest is what a Batch frame triggers on either transport. A frame's
-	// events are one global shard's run of the open cut, by the ingress's
+	// ingest is what a Batch frame triggers. A frame's events are one
+	// global shard's run of the open cut, by the ingress's
 	// construction: a live cut arrives as one events-only frame (UpTo 0)
 	// per owned shard with traffic, then one watermark-bearing frame; a
 	// replay frame is one shard's journaled run with its cut's watermark.
@@ -477,6 +483,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			}
 			return abort(err)
 		}
+		up.take()
 		// Epoch fence, loop half: a takeover successor may have raised
 		// the process epoch since the handshake — stop serving the
 		// superseded coordinator at its next frame.
@@ -485,13 +492,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		}
 		switch v := f.(type) {
 		case *wire.BatchView:
-			ingest(v.UpTo)
-		case wire.BatchRaw:
-			if len(v.Run) > 0 { // nil: the cut's bare watermark frame
-				if rawEvs, err = wire.DecodeRun(dec, v.Run, rawEvs); err != nil {
-					return abort(fmt.Errorf("cluster: node decoding a run: %w", err))
-				}
-			}
 			ingest(v.UpTo)
 		case wire.Migrate:
 			// A shard is moving onto this session: suppress its

@@ -50,10 +50,10 @@ type RecoveryConfig struct {
 // connection closes, so a consumed standby whose process restarts (and
 // re-listens) can be dialed again by a later failover or join. It embeds
 // the concrete stream connection, not the Conn interface, so the probes
-// an installed session relies on (SetWriteStall) stay reachable.
+// an installed session relies on (SetWriteStall, RemoteAddr: where the
+// slot now lives) stay reachable.
 type releaseConn struct {
 	*streamConn
-	addr    string
 	once    sync.Once
 	release func()
 }
@@ -63,11 +63,6 @@ func (c *releaseConn) Close() error {
 	c.once.Do(c.release)
 	return err
 }
-
-// RemoteAddr exposes the dialed standby address so an adoption can
-// record where the slot now lives (and replicate it to a standby
-// coordinator for takeover re-dialing).
-func (c *releaseConn) RemoteAddr() string { return c.addr }
 
 // DialStandbys builds a RecoveryConfig.Standby supplier over a list of
 // TCP addresses. Each call dials a free address; an address returns to
@@ -100,7 +95,7 @@ func DialStandbys(addrs []string) func() (Conn, error) {
 				continue
 			}
 			i := i
-			rc := &releaseConn{streamConn: c.(*streamConn), addr: addrs[i]}
+			rc := &releaseConn{streamConn: c.(*streamConn)}
 			rc.release = func() {
 				mu.Lock()
 				inUse[i] = false

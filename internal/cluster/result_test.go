@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"io"
 	"math"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"acep/internal/engine"
 	"acep/internal/event"
@@ -54,12 +58,120 @@ func (f resultFixture) node(tb testing.TB) *Node {
 	return n
 }
 
-// cluster starts two one-shard nodes behind an ingress over pipes or
-// loopback TCP and returns a function feeding one cut and waiting until
-// its matches have been delivered — over a socket, those of the cut
-// sixteen before it: a node there sends a cut's results with the next
-// frame it handles, and its loop may run a queue's depth ahead of its
-// workers — with the count of matches delivered so far.
+// soloNode serves a node alone over ListenTCP and speaks the ingress's
+// side of the session on the raw socket: frames go down pre-encoded, and
+// the node's frames are walked, not decoded, so the harness allocates
+// nothing while a cut is measured.
+type soloNode struct {
+	tb     testing.TB
+	c      net.Conn
+	served chan error
+	head   [5]byte // a field, not a local: a local escapes through io.ReadFull
+	body   []byte
+}
+
+// startSolo connects to n, reads its hello and assigns it the one shard
+// of a one-shard space hosting pat. Reads fail after a minute.
+func startSolo(tb testing.TB, n *Node, s *event.Schema, pat *pattern.Pattern) *soloNode {
+	l, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := &soloNode{tb: tb, served: make(chan error, 1)}
+	go func() {
+		defer l.Close()
+		c, err := l.Accept()
+		if err != nil {
+			h.served <- err
+			return
+		}
+		h.served <- n.Serve(c)
+	}()
+	if h.c, err = net.Dial("tcp", l.Addr()); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { h.c.Close() })
+	h.c.SetReadDeadline(time.Now().Add(time.Minute)) //nolint:errcheck // a failed deadline fails no read
+	if k, _ := h.next(); k != wire.KindHello {
+		tb.Fatalf("node opened with a %v frame, want hello", k)
+	}
+	h.send(wire.Append(nil, wire.Assign{
+		Shards: 1, Total: 1, Schema: s,
+		Patterns: []wire.PatternEntry{{ID: multi.SoloID, Pattern: pat}},
+	}))
+	return h
+}
+
+// cuts encodes the frames of n cuts of batch events each, the i-th event
+// of the stream written by set.
+func (h *soloNode) cuts(n, batch int, set func(ev *event.Event, i int)) [][]byte {
+	frames := make([][]byte, n)
+	var enc wire.RunEncoder
+	var ev event.Event
+	for c := range frames {
+		for k := 0; k < batch; k++ {
+			set(&ev, c*batch+k)
+			enc.Append(&ev)
+		}
+		frames[c] = wire.Append(nil, wire.BatchRaw{UpTo: uint64((c + 1) * batch), Run: enc.Seal(0).Body})
+		enc.Reset(false)
+	}
+	return frames
+}
+
+func (h *soloNode) send(frame []byte) {
+	if _, err := h.c.Write(frame); err != nil {
+		h.tb.Fatal(err)
+	}
+}
+
+// next reads the node's next frame: its kind and body, the body valid
+// until the next call.
+func (h *soloNode) next() (wire.Kind, []byte) {
+	if _, err := io.ReadFull(h.c, h.head[:]); err != nil {
+		h.tb.Fatalf("reading the node's frames: %v", err)
+	}
+	n := int(binary.LittleEndian.Uint32(h.head[:4])) - 1 // the length counts the kind
+	if cap(h.body) < n {
+		h.body = make([]byte, n)
+	}
+	h.body = h.body[:n]
+	if _, err := io.ReadFull(h.c, h.body); err != nil {
+		h.tb.Fatalf("reading the node's frames: %v", err)
+	}
+	return wire.Kind(h.head[4]), h.body
+}
+
+// await reads frames until a Matches frame whose watermark reaches upTo
+// and returns the matches those frames carried.
+func (h *soloNode) await(upTo uint64) (matches int) {
+	for {
+		k, body := h.next()
+		if k != wire.KindMatches {
+			continue
+		}
+		w, n := binary.Uvarint(body)
+		count, _ := binary.Uvarint(body[n:])
+		if matches += int(count); w >= upTo {
+			return matches
+		}
+	}
+}
+
+// finish ends the session and requires it to end cleanly.
+func (h *soloNode) finish() {
+	h.send(wire.Append(nil, wire.Finish{}))
+	for k, _ := h.next(); k != wire.KindMetrics; k, _ = h.next() {
+	}
+	if err := <-h.served; err != nil {
+		h.tb.Fatalf("node session: %v", err)
+	}
+}
+
+// cluster starts two one-shard nodes behind an ingress, over Pipe or a
+// dialed listener, and returns a function feeding one cut and waiting
+// until its matches have been delivered, with the count of matches
+// delivered so far.
 func (f resultFixture) cluster(tb testing.TB, tcp bool) (ing *Ingress, cut func(), delivered *atomic.Int64) {
 	conns := make([]Conn, 2)
 	for i := range conns {
@@ -94,10 +206,6 @@ func (f resultFixture) cluster(tb testing.TB, tcp bool) (ing *Ingress, cut func(
 	if err != nil {
 		tb.Fatal(err)
 	}
-	lag := uint64(0)
-	if tcp {
-		lag = 16 * resultCut
-	}
 	next, seen, ev := 0, uint64(0), new(event.Event)
 	return ing, func() {
 		for k := 0; k < resultCut; k++ {
@@ -105,7 +213,7 @@ func (f resultFixture) cluster(tb testing.TB, tcp bool) (ing *Ingress, cut func(
 			ing.Process(ev)
 			next++
 		}
-		for seen+lag < uint64(next) {
+		for seen < uint64(next) {
 			seen = <-done
 		}
 	}, delivered
@@ -121,16 +229,14 @@ func mallocs() uint64 {
 
 // framesPerCut is what a cut costs a two-node cluster in allocations
 // whatever it carries, both directions and both sides of each link
-// together. The way in, per node: the run's storage where the transport
-// keeps the sealed one, the boxing of the run's and the watermark's Batch
-// frames, the send goroutine's closure; on the node the boxing of its
-// heartbeat and, every fourth cut, its load report. The way out, per
-// node: the boxing of the Matches frame on the node and — where the frame
-// is decoded — at the ingress, the frame's buffer (the node's, over the
-// pipe; the Reader's, over a socket), and the tag slice the reader posts.
-// Sixteen a node covers either transport with room for the scheduler
-// (a pooled block or outbox returned a moment late is made anew); the
-// point of the bound is what it does not scale with.
+// together. The way in, per node: the boxing of the run's and the
+// watermark's Batch frames, the send goroutine's closure; on the node the
+// boxing of its heartbeat and, every fourth cut, its load report. The way
+// out, per node: the boxing of the Matches frame on the node and at the
+// ingress, which decodes it, the frame's buffer, and the tag slice the
+// reader posts. Sixteen a node leaves room for the scheduler (a pooled
+// block or outbox returned a moment late is made anew); the point of the
+// bound is what it does not scale with.
 const framesPerCut = 2 * 16
 
 // TestResultPathAllocs pins the way out of the cluster: a match is decoded
@@ -139,67 +245,29 @@ const framesPerCut = 2 * 16
 // decode nothing is allocated per match: not on the worker, whose outbox
 // comes back; not on the node, which copies bodies into one frame; not at
 // the reader, the collector or the delivery, which carry the frame's
-// bytes. The node leg runs a node alone over the pipe and holds a cut to a
+// bytes. The node leg runs a node alone over a socket and holds a cut to a
 // constant however many matches it sends; the cluster legs count every
 // allocation of the process, per delivered match.
 func TestResultPathAllocs(t *testing.T) {
 	f := newResultFixture()
 	t.Run("node", func(t *testing.T) {
-		client, server := Pipe()
-		served := make(chan error, 1)
-		n := f.node(t)
-		go func() { served <- n.Serve(server) }()
-		if _, err := client.Recv(); err != nil { // the node's hello
-			t.Fatal(err)
-		}
-		if err := client.Send(wire.Assign{
-			Shards: 1, Total: 1, Schema: f.schema,
-			Patterns: []wire.PatternEntry{{ID: multi.SoloID, Pattern: f.pat}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		const cuts = 32 + 51
-		frames := make([]wire.Frame, cuts) // encoded and boxed up front
-		var enc wire.RunEncoder
-		var ev event.Event
-		for c := range frames {
-			for k := 0; k < resultCut; k++ {
-				f.set(&ev, c*resultCut+k)
-				enc.Append(&ev)
-			}
-			frames[c] = wire.BatchRaw{UpTo: uint64((c + 1) * resultCut), Run: enc.Seal(0).Body}
-			enc.Reset(false)
-		}
+		h := startSolo(t, f.node(t), f.schema, f.pat)
+		frames := h.cuts(32+51, resultCut, f.set) // encoded up front
 		next, got := 0, 0
 		cut := func() {
-			upTo := uint64((next + 1) * resultCut)
-			if err := client.Send(frames[next]); err != nil {
-				t.Fatal(err)
-			}
+			h.send(frames[next])
 			next++
-			for {
-				fr, err := client.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m, ok := fr.(wire.Matches); ok {
-					got += m.Count
-					if m.UpTo >= upTo {
-						return
-					}
-				}
-			}
+			got += h.await(uint64(next * resultCut))
 		}
 		for next < 32 {
 			cut()
 		}
 		before := got
-		// Heartbeat, Matches and (every fourth cut) load report, boxed, and
-		// the frame's buffer — the pipe hands it to the ingress: 3 a cut as
-		// measured. The rest is for the race detector's build, where the
-		// engines' estimators reopen a histogram class through a temporary
-		// (stats.EH.Add) that the plain build optimises away, 4 a cut on
-		// this stream.
+		// Heartbeat, Matches and (every fourth cut) load report, boxed: 2
+		// a cut as measured. The rest is for the race detector's build,
+		// where the engines' estimators reopen a histogram class through a
+		// temporary (stats.EH.Add) that the plain build optimises away, 4 a
+		// cut on this stream.
 		const bound = 8
 		avg := testing.AllocsPerRun(50, cut)
 		if perCut := float64(got-before) / 51; perCut < 80 {
@@ -207,17 +275,7 @@ func TestResultPathAllocs(t *testing.T) {
 		} else if avg > bound {
 			t.Errorf("a cut sending %.1f matches allocated %.1f objects on the node, want at most %d", perCut, avg, bound)
 		}
-		if err := client.Send(wire.Finish{}); err != nil {
-			t.Fatal(err)
-		}
-		for fr, err := client.Recv(); err == nil; fr, err = client.Recv() {
-			if _, done := fr.(wire.Metrics); done {
-				break
-			}
-		}
-		if err := <-served; err != nil {
-			t.Fatalf("node session: %v", err)
-		}
+		h.finish()
 	})
 	for name, tcp := range map[string]bool{"pipe": false, "tcp": true} {
 		t.Run(name, func(t *testing.T) {
@@ -255,8 +313,23 @@ func TestResultPathAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkResultPath runs the matching stream through a two-node pipe
-// cluster, one cut per iteration, and reports what a delivered match
+// TestNodeSendsReleasedResults is ROADMAP defect (g): a node sends a cut's
+// results when its collector releases them, not with the next frame it
+// handles. The ingress side here sends one cut and then waits: the cut's
+// Matches frame must arrive without another frame going down.
+func TestNodeSendsReleasedResults(t *testing.T) {
+	f := newResultFixture()
+	h := startSolo(t, f.node(t), f.schema, f.pat)
+	h.c.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline fails no read
+	h.send(h.cuts(1, resultCut, f.set)[0])
+	if got := h.await(resultCut); got < 80 {
+		t.Fatalf("the cut's results carried %d matches, want the 85 it completes", got)
+	}
+	h.finish()
+}
+
+// BenchmarkResultPath runs the matching stream through a two-node
+// in-process cluster, one cut per iteration, and reports what a delivered match
 // costs in bytes and objects over everything the process allocates — the
 // quick before-and-after of the result path. CI runs it as a smoke.
 func BenchmarkResultPath(b *testing.B) {

@@ -19,10 +19,10 @@
 // distribution boundary. internal/cluster tests verify this on loopback
 // TCP against internal/shard directly.
 //
-// Messages travel as internal/wire frames over a Conn, the transport
-// abstraction with three implementations: an in-process channel pipe
-// (Pipe), loopback/remote TCP (ListenTCP/DialTCP), and failure-injecting
-// wrappers in the tests.
+// Messages travel as internal/wire frames over a Conn. There is one
+// transport, a framed TCP stream: between processes (ListenTCP/DialTCP)
+// or over loopback inside one (Pipe). Failure-injecting wrappers
+// (internal/chaos, the tests) wrap a Conn.
 package cluster
 
 import (
@@ -33,7 +33,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,75 +51,38 @@ type Conn interface {
 	Close() error
 }
 
-// pipeDepth is the per-direction frame buffer of an in-process pipe;
-// when a node falls this many cuts behind, the ingress's Send blocks —
-// the same backpressure a TCP socket buffer provides.
-const pipeDepth = 64
-
-// pipeHalf is one endpoint of an in-process connection.
-type pipeHalf struct {
-	out      chan wire.Frame
-	in       chan wire.Frame
-	ownDone  chan struct{}
-	peerDone chan struct{}
-	once     sync.Once
-}
-
-// Pipe returns the two endpoints of an in-process connection: frames
-// sent on one are received on the other, in order. It is the chan-based
-// transport the in-process cluster (and the transport-agnostic tests)
-// run on — no serialization (a pre-encoded frame such as wire.BatchRaw
-// arrives as the sender built it), but the identical protocol surface.
+// Pipe returns the two ends of one loopback TCP connection, framed as
+// DialTCP's and Accept's are. The in-process cluster and the tests run on
+// it, so they run the transport a deployment runs: frames serialize, a
+// sender's buffer is its own again when Send returns, and a node flushes
+// on the same rules. It panics if the loopback interface refuses it.
 func Pipe() (Conn, Conn) {
-	ab := make(chan wire.Frame, pipeDepth)
-	ba := make(chan wire.Frame, pipeDepth)
-	aDone := make(chan struct{})
-	bDone := make(chan struct{})
-	a := &pipeHalf{out: ab, in: ba, ownDone: aDone, peerDone: bDone}
-	b := &pipeHalf{out: ba, in: ab, ownDone: bDone, peerDone: aDone}
-	return a, b
-}
-
-func (p *pipeHalf) Send(f wire.Frame) error {
-	select {
-	case <-p.ownDone:
-		return fmt.Errorf("cluster: send on closed pipe")
-	default:
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		panic(fmt.Sprintf("cluster: loopback pipe: %v", err))
 	}
-	select {
-	case p.out <- f:
-		return nil
-	case <-p.peerDone:
-		return fmt.Errorf("cluster: pipe peer closed: %w", io.ErrClosedPipe)
+	defer l.Close()
+	// The kernel completes the connection before Accept takes it.
+	a, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		panic(fmt.Sprintf("cluster: loopback pipe: %v", err))
 	}
-}
-
-func (p *pipeHalf) Recv() (wire.Frame, error) {
-	// Drain buffered frames even after the peer closed, so a clean
-	// shutdown delivers everything already sent.
-	f, ok := <-p.in
-	if !ok {
-		return nil, io.EOF
+	b, err := l.Accept()
+	if err != nil {
+		panic(fmt.Sprintf("cluster: loopback pipe: %v", err))
 	}
-	return f, nil
+	return newStreamConn(a, ""), newStreamConn(b, "")
 }
 
-func (p *pipeHalf) Close() error {
-	p.once.Do(func() {
-		close(p.ownDone)
-		close(p.out)
-	})
-	return nil
-}
-
-// streamConn frames wire messages over any io stream (TCP here). Both
-// directions are buffered: reads through a bufio.Reader so a frame's
-// length prefix and body (and any frames already queued in the socket)
-// cost one read syscall instead of two each, and writes through a
-// bufio.Writer that Send flushes by default — one syscall per frame,
-// the pre-buffering behavior. A session that emits bursts of small
-// frames (a node's per-cut heartbeat, watermark and matches) can probe
-// for SetSendHold/Flush and coalesce a burst into a single write.
+// streamConn frames wire messages over a TCP stream. Both directions are
+// buffered: reads through a bufio.Reader so a frame's length prefix and
+// body (and any frames already queued in the socket) cost one read
+// syscall instead of two each, and writes through a bufio.Writer that
+// Send flushes by default — one syscall per frame. Either way Send has
+// copied the frame's bytes when it returns, so the sender may reuse them.
+// A session that emits bursts of small frames (a node's per-cut
+// heartbeat and matches, the ingress's runs of a cut) can probe for
+// SetSendHold/Flush and coalesce a burst into a single write.
 type streamConn struct {
 	c    net.Conn
 	sc   *stallNetConn
@@ -128,28 +90,28 @@ type streamConn struct {
 	bw   *bufio.Writer
 	w    *wire.Writer
 	hold bool
+	addr string // the address dialed ("" accepted or in-process)
 }
 
 const streamBufSize = 32 << 10
 
-func newStreamConn(c net.Conn) Conn {
+func newStreamConn(c net.Conn, addr string) *streamConn {
 	sc := &stallNetConn{Conn: c}
 	bw := bufio.NewWriterSize(sc, streamBufSize)
 	return &streamConn{
-		c:  c,
-		sc: sc,
-		r:  wire.NewReader(bufio.NewReaderSize(sc, streamBufSize)),
-		bw: bw,
-		w:  wire.NewWriter(bw),
+		c:    c,
+		sc:   sc,
+		r:    wire.NewReader(bufio.NewReaderSize(sc, streamBufSize)),
+		bw:   bw,
+		w:    wire.NewWriter(bw),
+		addr: addr,
 	}
 }
 
-// WrapNetConn frames wire messages over an already-established net.Conn.
-// Callers that need their own socket setup (chaos wrappers, shrunken
-// kernel buffers in tests, custom dialers) use this instead of DialTCP;
-// the result is the same streamConn DialTCP returns, including the
-// SetWriteStall/SetReadStall probes.
-func WrapNetConn(c net.Conn) Conn { return newStreamConn(c) }
+// WrapNetConn frames wire messages over an already-established net.Conn:
+// the streamConn DialTCP returns, stall probes included. Only the
+// transport tests call it, to run the framing over net.Pipe.
+func WrapNetConn(c net.Conn) Conn { return newStreamConn(c, "") }
 
 // stallSlices is how many deadline slices a stall window is cut into:
 // progress within any slice resets the stall clock, so only a peer that
@@ -247,9 +209,9 @@ func (s *streamConn) Send(f wire.Frame) error {
 	return s.bw.Flush()
 }
 
-// sendHolder is what a buffering transport offers a sender that knows
+// sendHolder is what the stream transport offers a sender that knows
 // where its bursts end: hold frames in the write buffer, push them out
-// together. Probed for on a Conn; the in-process pipe has no buffer.
+// together. Probed for on a Conn; a wrapper may hide it.
 type sendHolder interface {
 	SetSendHold(bool)
 	Flush() error
@@ -259,27 +221,25 @@ type sendHolder interface {
 // every frame is flushed to the socket immediately) and held mode
 // (true: frames accumulate in the write buffer until Flush). Held mode
 // is only safe when the caller owns a protocol quiescence point to
-// flush at — the node flushes after handling each inbound frame and at
-// session end, the ingress after the last frame of a cut — since a held
-// frame the peer is waiting for would otherwise deadlock the session.
-// Callers probe for this method; the in-process pipe delivers frames by
-// reference and does not buffer.
+// flush at — the node after handling each inbound frame, and for the
+// results its collector releases while it waits for one; the ingress
+// after the last frame of a cut — since a held frame the peer is waiting
+// for would otherwise deadlock the session.
 func (s *streamConn) SetSendHold(on bool) { s.hold = on }
 
 // Flush writes any held frames through to the socket.
 func (s *streamConn) Flush() error { return s.bw.Flush() }
 
-// RemoteAddr reports the peer's network address. The ingress replicates
-// it per node slot so a standby coordinator can re-dial the worker on
-// takeover; the in-process pipe deliberately has no analogue.
-func (s *streamConn) RemoteAddr() string { return s.c.RemoteAddr().String() }
+// RemoteAddr reports the address the connection was dialed at ("" for an
+// accepted or in-process one: nothing listens there). The ingress
+// replicates it per node slot so a standby coordinator can re-dial the
+// worker on takeover.
+func (s *streamConn) RemoteAddr() string { return s.addr }
 
 // SetDecodeArena switches the receive side to zero-copy batch decoding:
 // Batch frames decode straight into the arena's blocks and surface as
-// wire.BatchView (see wire.Reader.SetDecodeArena). Nodes probe for this
-// method on their Conn — it marks a serializing transport, whose Send
-// has put the frame's bytes on the wire when it returns; the in-process
-// pipe passes frames by reference and deliberately does not implement it.
+// wire.BatchView (see wire.Reader.SetDecodeArena). A node arms it on its
+// Conn: a BatchView is the only batch it takes.
 func (s *streamConn) SetDecodeArena(a *match.Arena) { s.r.SetDecodeArena(a) }
 func (s *streamConn) Recv() (wire.Frame, error) {
 	f, err := s.r.Read()
@@ -293,8 +253,7 @@ func (s *streamConn) Close() error { return s.c.Close() }
 // SetWriteStall arms (d > 0) or disarms (d <= 0) progress-based write
 // stall detection: a Send that makes zero bytes of progress for d fails
 // with a link error instead of blocking forever on a blackholed peer.
-// Callers probe for this method; the in-process pipe backpressures by
-// design and does not implement it.
+// Callers probe for this method; a wrapper may hide it.
 func (s *streamConn) SetWriteStall(d time.Duration) { s.sc.writeStall.Store(int64(d)) }
 
 // SetReadStall arms (d > 0) or disarms (d <= 0) progress-based read
@@ -355,7 +314,7 @@ func DialTCPContext(ctx context.Context, addr string, p DialPolicy) (Conn, error
 		}
 		c, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
-			return newStreamConn(c), nil
+			return newStreamConn(c, addr), nil
 		}
 		trail = append(trail, fmt.Errorf("attempt %d: %w", i+1, err))
 		if ctx.Err() != nil {
@@ -393,7 +352,7 @@ func (l *Listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStreamConn(c), nil
+	return newStreamConn(c, ""), nil
 }
 
 // Addr reports the bound address (with the resolved port).

@@ -261,14 +261,36 @@ func TestStandbyMirrorsVerbatim(t *testing.T) {
 	}
 }
 
-// openMirror starts a standby serving one replication session over the
-// in-process pipe and opens it: frames cross by reference, so what the
-// server does per cut — journal it, acknowledge it — is all that runs.
+// scriptConn is one end of a scripted link with no socket under it:
+// frames cross by reference on channels, and Close ends the other end's
+// Recv.
+type scriptConn struct {
+	out chan<- wire.Frame
+	in  <-chan wire.Frame
+}
+
+func (c scriptConn) Send(f wire.Frame) error { c.out <- f; return nil }
+
+func (c scriptConn) Recv() (wire.Frame, error) {
+	f, ok := <-c.in
+	if !ok {
+		return nil, io.EOF
+	}
+	return f, nil
+}
+
+func (c scriptConn) Close() error { close(c.out); return nil }
+
+// openMirror starts a standby serving one replication session over a
+// scripted link and opens it: the frames are the script's, boxed ahead of
+// time, so what the server does per cut — journal it, acknowledge it — is
+// all that runs.
 func openMirror(t testing.TB) (primary cluster.Conn) {
 	t.Helper()
 	srv := &StandbyServer{done: make(chan struct{})}
-	primary, standby := cluster.Pipe()
-	go srv.serveSession(standby)
+	down, up := make(chan wire.Frame, 4), make(chan wire.Frame, 4)
+	primary = scriptConn{out: down, in: up}
+	go srv.serveSession(scriptConn{out: up, in: down})
 	if err := primary.Send(wire.Epoch{Epoch: 1, Window: 300}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +341,8 @@ func TestStandbyMirrorAllocs(t *testing.T) {
 }
 
 // BenchmarkStandbyMirror measures the standby's own per-cut work — the
-// mirror append and the acknowledgement — on 256-event cuts crossing the
-// pipe by reference: cuts/s, and a B/op that does not scale with the
+// mirror append and the acknowledgement — on 256-event cuts crossing a
+// scripted link by reference: cuts/s, and a B/op that does not scale with the
 // events a cut carries (about 200 B of it is this script's: two frames
 // boxed and the relabelled run headers). The cuts of a small workload
 // are replayed lap after lap under fresh ordinals, watermarks and

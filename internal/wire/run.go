@@ -30,8 +30,8 @@ type BatchView struct {
 // BatchRaw is a pre-encoded Batch: Run is the run that follows the
 // watermark (nil: the empty run of a bare watermark frame), so its frame
 // is the Batch's, byte for byte, with no event struct on the sending
-// side. It decodes as a Batch or BatchView; the in-process pipe delivers
-// it as it is and the node decodes Run itself (DecodeRun).
+// side. It decodes as a Batch, or as a BatchView where the receiver
+// decodes into an arena, as a node does.
 type BatchRaw struct {
 	UpTo uint64
 	Run  []byte
@@ -193,9 +193,9 @@ func (e *RunEncoder) Reset(reuse bool) {
 // DecodeRun decodes a run into a block of its own in a (match.Arena.Open;
 // none for an empty run): every event is written in place into the block,
 // which the caller can lift out with Take, and pointed at from evs[:0],
-// the caller's scratch. It is the one run decoder, whether the run came
-// in a socket frame or as a BatchRaw over the pipe; corrupt bytes are an
-// error, never a panic.
+// the caller's scratch. It is the one run decoder: a Reader runs it on a
+// Batch frame's run, and anyone holding a sealed run's body can run it
+// directly; corrupt bytes are an error, never a panic.
 func DecodeRun(a *match.Arena, run []byte, evs []*event.Event) ([]*event.Event, error) {
 	c := &codec{b: run}
 	n := c.count(0, maxBatchEvents, 4, "batch event")
