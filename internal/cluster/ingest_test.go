@@ -270,7 +270,7 @@ func TestNodeDecodeAllocs(t *testing.T) {
 		h := startSolo(t, node, s, pat)
 		// Every cut's frame is encoded up front: the harness must not
 		// allocate inside the measured region.
-		frames := h.cuts(32+51, batch, func(ev *event.Event, i int) {
+		frames := encodeCuts(32+51, batch, func(ev *event.Event, i int) {
 			ev.Type, ev.TS, ev.Seq = 0, event.Time(i), uint64(i+1)
 			ev.Attrs = append(ev.Attrs[:0], -float64(i%64+1))
 		})

@@ -102,9 +102,9 @@ func startSolo(tb testing.TB, n *Node, s *event.Schema, pat *pattern.Pattern) *s
 	return h
 }
 
-// cuts encodes the frames of n cuts of batch events each, the i-th event
-// of the stream written by set.
-func (h *soloNode) cuts(n, batch int, set func(ev *event.Event, i int)) [][]byte {
+// encodeCuts encodes the Batch frames of n cuts of batch events each, the
+// i-th event of the stream written by set.
+func encodeCuts(n, batch int, set func(ev *event.Event, i int)) [][]byte {
 	frames := make([][]byte, n)
 	var enc wire.RunEncoder
 	var ev event.Event
@@ -252,7 +252,7 @@ func TestResultPathAllocs(t *testing.T) {
 	f := newResultFixture()
 	t.Run("node", func(t *testing.T) {
 		h := startSolo(t, f.node(t), f.schema, f.pat)
-		frames := h.cuts(32+51, resultCut, f.set) // encoded up front
+		frames := encodeCuts(32+51, resultCut, f.set) // encoded up front
 		next, got := 0, 0
 		cut := func() {
 			h.send(frames[next])
@@ -321,7 +321,7 @@ func TestNodeSendsReleasedResults(t *testing.T) {
 	f := newResultFixture()
 	h := startSolo(t, f.node(t), f.schema, f.pat)
 	h.c.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline fails no read
-	h.send(h.cuts(1, resultCut, f.set)[0])
+	h.send(encodeCuts(1, resultCut, f.set)[0])
 	if got := h.await(resultCut); got < 80 {
 		t.Fatalf("the cut's results carried %d matches, want the 85 it completes", got)
 	}
