@@ -198,6 +198,10 @@ type Ingress struct {
 	keyAttr string
 	tenants map[uint32]shed.TenantBudget
 	addCut  atomic.Pointer[map[uint32]uint64]
+	// fixedSet refuses AddPattern and RemovePattern: a sealed ingress's
+	// consumer rebuilds the session from its own configuration (see
+	// NewSealedIngress).
+	fixedSet bool
 
 	// Recovery/elasticity state (nil/empty without
 	// IngressOptions.Recovery). released is the collector's delivered
@@ -251,7 +255,11 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 // every tag sealed: Enc holds the match as its worker encoded it —
 // checked on receipt, aliasing the frame it arrived in, which nothing
 // overwrites — and M is nil; the consumer decodes where it emits (Open),
-// and what it holds until then is bytes.
+// and what it holds until then is bytes. Its pattern set is the one it
+// was built with: AddPattern and RemovePattern refuse, because the
+// consumer that holds the matches back (the HA pair) rebuilds a
+// successor from its own configuration, where a runtime change would be
+// lost.
 func NewSealedIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingress, error) {
 	return newIngress(pat, conns, opts, true)
 }
@@ -331,6 +339,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		tenantAgg:  make(map[uint32]shed.TenantStat),
 		epoch:      opts.Epoch,
 		onCut:      opts.OnCut,
+		fixedSet:   sealed,
 	}
 	if opts.Elastic != nil {
 		ec := opts.Elastic.withDefaults()
@@ -543,16 +552,21 @@ func (in *Ingress) opened(out func(shard.Tagged)) func(shard.Tagged) {
 // orders: each carries its body as Enc, aliasing the frame's own bytes,
 // undecoded. The walk checks the whole frame (wire.Matches.Each) — corrupt
 // bytes fail this node's session, and nothing of an unsound frame is
-// posted — and drops replay artifacts of runtime-added patterns. Reader
-// goroutines.
-func (in *Ingress) tagsOf(v wire.Matches) ([]shard.Tagged, error) {
+// posted — and drops replay artifacts of runtime-added patterns. The
+// slice comes from the slot's free list when the collector has handed
+// one back. Reader goroutines.
+func (in *Ingress) tagsOf(v wire.Matches, free chan []shard.Tagged) ([]shard.Tagged, error) {
 	var tags []shard.Tagged
 	err := v.Each(func(r wire.MatchRecord) {
 		if in.dropRegen(r.Pattern, r.Seq) {
 			return
 		}
 		if tags == nil {
-			tags = make([]shard.Tagged, 0, v.Count) // Each held the count against the bytes
+			select {
+			case tags = <-free:
+			default:
+			}
+			tags = slices.Grow(tags, v.Count) // Each held the count against the bytes
 		}
 		tags = append(tags, shard.Tagged{Seq: r.Seq, Src: int(r.Shard), Pattern: r.Pattern, Enc: r.Body})
 	})
@@ -616,13 +630,13 @@ func (in *Ingress) read(i int, s *slot) {
 		in.det.Heard(i)
 		switch v := f.(type) {
 		case wire.Matches:
-			tags, err := in.tagsOf(v)
+			tags, err := in.tagsOf(v, s.free)
 			if err != nil {
 				lost(fmt.Errorf("cluster: node %d: %w", i, err))
 				return
 			}
 			if v.UpTo > 0 || len(tags) > 0 {
-				in.col.Post(i, v.UpTo, tags)
+				in.col.PostRecycled(i, v.UpTo, tags, s.free)
 			}
 		case wire.Heartbeat:
 			// Liveness only (recorded above).
@@ -1200,6 +1214,9 @@ func (in *Ingress) MigrateShard(g, to int) error {
 // Config is ignored (each node applies its own engine configuration).
 // Must be called from the Process goroutine.
 func (in *Ingress) AddPattern(sp multi.Spec) error {
+	if in.fixedSet {
+		return fmt.Errorf("cluster: AddPattern on a sealed ingress (its pattern set is fixed)")
+	}
 	if in.finished {
 		return fmt.Errorf("cluster: AddPattern after Finish")
 	}
@@ -1249,6 +1266,9 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 // no longer hosts it). The last live pattern cannot be removed. Must be
 // called from the Process goroutine.
 func (in *Ingress) RemovePattern(id uint32) error {
+	if in.fixedSet {
+		return fmt.Errorf("cluster: RemovePattern on a sealed ingress (its pattern set is fixed)")
+	}
 	if in.finished {
 		return fmt.Errorf("cluster: RemovePattern after Finish")
 	}

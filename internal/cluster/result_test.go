@@ -233,8 +233,8 @@ func mallocs() uint64 {
 // watermark's Batch frames, the send goroutine's closure; on the node the
 // boxing of its heartbeat and, every fourth cut, its load report. The way
 // out, per node: the boxing of the Matches frame on the node and at the
-// ingress, which decodes it, the frame's buffer, and the tag slice the
-// reader posts. Sixteen a node leaves room for the scheduler (a pooled
+// ingress, which decodes it, and the frame's buffer (the tag slice the
+// reader posts comes back from the collector). Sixteen a node leaves room for the scheduler (a pooled
 // block or outbox returned a moment late is made anew); the point of the
 // bound is what it does not scale with.
 const framesPerCut = 2 * 16

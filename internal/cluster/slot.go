@@ -5,8 +5,17 @@ import (
 	"time"
 
 	"acep/internal/engine"
+	"acep/internal/shard"
 	"acep/internal/wire"
 )
+
+// tagsFree is the depth of a slot's free list of emptied tag slices. The
+// collector hands a reader's slice back as soon as it has copied the tags
+// into its heap, so a reader has out only the posts queued in the
+// collector's inbox — one or two at the rate a node sends results, a few
+// in a burst. Four covers that; a slice handed back to a full list is
+// dropped, so an idle slot parks at most four slices.
+const tagsFree = 4
 
 // slotState is where a node slot stands in its lifecycle (DESIGN.md
 // "Slot lifecycle" has the table). Everything the coordinator asks
@@ -59,6 +68,9 @@ type slot struct {
 	// which routes it into failover or record-and-drain.
 	sendErr error
 	done    chan struct{} // closed when the session's reader exits
+	// free is the reader's tag slices, handed back emptied by the
+	// collector once it has copied the tags into its heap (see tagsOf).
+	free chan []shard.Tagged
 
 	// Written by the slot's reader goroutine, under Ingress.mu.
 	metrics    engine.Metrics
@@ -158,7 +170,7 @@ func (in *Ingress) openSession(c Conn, who string) error {
 // founding member's, a join's, a standby's adopting a dead slot — comes
 // through here, so what a session needs is armed in one place.
 func (in *Ingress) install(n int, c Conn, addr string) *slot {
-	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{})}
+	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{}), free: make(chan []shard.Tagged, tagsFree)}
 	s.burst, _ = c.(sendHolder)
 	if in.rec != nil && in.rec.HeartbeatTimeout > 0 {
 		// A worker that stops draining its socket (wedged peer, one-way

@@ -3,6 +3,8 @@ package ha
 import (
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +12,8 @@ import (
 	"acep/internal/cluster"
 	"acep/internal/gen"
 	"acep/internal/lease"
+	"acep/internal/multi"
+	"acep/internal/shard"
 	"acep/internal/wire"
 )
 
@@ -191,7 +195,7 @@ func TestDemotedRingCapForfeitsTakeover(t *testing.T) {
 func TestLeaseFencedPrimaryDemotes(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	rig := startHARig(t, w, gen.Sequence, 0)
-	arbAddr, _ := startArbiter(t)
+	arbAddr, arb := startArbiter(t)
 	pat, err := w.Pattern(gen.Sequence, 3, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +229,92 @@ func TestLeaseFencedPrimaryDemotes(t *testing.T) {
 	if got := p.Delivered(); got != d.Count {
 		t.Fatalf("fenced primary delivered %d matches but committed %d", got, d.Count)
 	}
+	// And the arbiter holds that count: it is what a successor skips by.
+	if _, _, _, count := arb.State(); count != p.Delivered() {
+		t.Fatalf("arbiter records %d delivered, the fenced primary delivered %d", count, p.Delivered())
+	}
 	if err := p.Finish(); err == nil || !strings.Contains(err.Error(), "demoted without takeover") {
 		t.Fatalf("Finish returned %v after a fence", err)
 	}
+}
+
+// TestLeaseRenewsOnTheTTLClock pins the lease's cost: the primary commits
+// a prefix only when it delivers a match, and renews on its own only once
+// the last renewal is a quarter TTL old — not once per cut. Counted at the
+// arbiter, whose clock ticks once per Acquire or Renew, the RPCs are at
+// most the cuts that held a delivered match, plus the keepalives the run's
+// length allows, plus the acquire, the release and one keepalive of slack.
+func TestLeaseRenewsOnTheTTLClock(t *testing.T) {
+	const batch, ttl = 64, 2 * time.Second
+	w := haWorkload(t, "traffic")
+	rig := startHARig(t, w, gen.Sequence, 0)
+	var rpcs atomic.Int64
+	arb := lease.NewAt(func() time.Time { rpcs.Add(1); return time.Now() })
+	arbAddr, err := arb.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(arb.Close)
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	matchCuts := map[uint64]bool{} // cut ordinal (seq-1)/batch; the flush has its own
+	start := time.Now()
+	p, err := New(Config{
+		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: batch,
+		Workers: rig.workers, LeaseAddr: arbAddr, LeaseTTL: ttl,
+		OnTagged: func(tg shard.Tagged) {
+			mu.Lock()
+			matchCuts[(tg.Seq-1)/batch] = true
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Events {
+		p.Process(&w.Events[i])
+	}
+	if err := p.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	cuts := (len(w.Events) + batch - 1) / batch
+	if len(matchCuts) == 0 || len(matchCuts) > cuts/2 {
+		t.Fatalf("%d of %d cuts held a match: the workload cannot tell a per-cut lease from one that is not", len(matchCuts), cuts)
+	}
+	bound := int64(len(matchCuts)) + int64(elapsed/(ttl/4)) + 3
+	if got := rpcs.Load(); got > bound {
+		t.Fatalf("%d lease RPCs over %d cuts (%d holding a delivered match) in %v, want at most %d", got, cuts, len(matchCuts), elapsed, bound)
+	}
+}
+
+// TestPairRefusesPatternOps: a takeover rebuilds the successor from
+// Config.Pattern alone, so the pair's ingress hosts that pattern and no
+// other — a runtime add or remove would be silently undone by the first
+// takeover, and the sealed ingress refuses both.
+func TestPairRefusesPatternOps(t *testing.T) {
+	w := haWorkload(t, "traffic")
+	rig := startHARig(t, w, gen.Sequence, 0)
+	other, err := w.Pattern(gen.Negation, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPairFeed(t, rig, w, gen.Sequence, nil, func(p *Pair) {
+		for i := range w.Events {
+			if i == len(w.Events)/2 {
+				if err := p.Ingress().AddPattern(multi.Spec{ID: 1, Pattern: other}); err == nil || !strings.Contains(err.Error(), "sealed") {
+					t.Errorf("AddPattern on the pair's ingress returned %v, want a sealed-ingress refusal", err)
+				}
+				if err := p.Ingress().RemovePattern(multi.SoloID); err == nil || !strings.Contains(err.Error(), "sealed") {
+					t.Errorf("RemovePattern on the pair's ingress returned %v, want a sealed-ingress refusal", err)
+				}
+			}
+			p.Process(&w.Events[i])
+		}
+	})
 }
 
 // fenceLease acquires the arbiter's lease as a foreign holder (the

@@ -23,12 +23,16 @@ import (
 // suppression plus a bounded skip count.
 //
 // With a lease configured (commit non-nil) the gate additionally obeys
-// commit-then-emit: before emitting a prefix it commits the boundary
-// and the projected delivered count to the lease arbiter, and a commit
-// that fails — fence or unreachable arbiter — demotes the gate without
-// emitting a byte. The committed state therefore always equals the
-// gate's actual emitted state, which is what lets an out-of-process
-// successor compute an exact skip count from the lease alone. (The one
+// commit-then-emit: before emitting a prefix that holds a match it
+// commits the boundary and the projected delivered count to the lease
+// arbiter, and a commit that fails — fence or unreachable arbiter —
+// demotes the gate without emitting a byte. A drain that only advances
+// the threshold commits nothing: it leaves the count unchanged, and the
+// count is all a successor reads (its skip is the lease's count minus
+// the mirror's), so the lease's boundary may lag the published one
+// while its count always equals the gate's delivered count. That is
+// what lets an out-of-process successor compute an exact skip count
+// from the lease alone. (The one
 // exception is a torn commit: commit succeeded, process died before the
 // emit loop ran — an at-most-once window inherent to commit-then-emit
 // without consumer-side dedup. A partition cannot open it: a failed or
@@ -54,7 +58,8 @@ type gate struct {
 	publish func(wire.Frame) // enqueues a ReplState on the repl link
 	// commit, when set, is the lease hook: it must durably record
 	// (boundary, projected count) and report whether the gate may emit.
-	// Called without the gate lock held (it does an RPC).
+	// Called without the gate lock held (it does an RPC), and only for a
+	// prefix that holds at least one match.
 	commit func(boundary, count uint64) bool
 
 	mu        sync.Mutex
@@ -129,28 +134,24 @@ func (g *gate) onAck(w uint64) {
 	g.mu.Unlock()
 }
 
-// waitAcked blocks the caller (the feed goroutine, from the replication
-// tap) until the standby has acknowledged at least floor — the
-// replication flow-control window. Bounding the primary's lead is what
-// makes the mirror hot rather than nominal: without it a fast feed can
-// run arbitrarily far ahead of the standby (the link and socket buffers
-// absorb whole cut batches), leaving a takeover with a cold mirror and
-// the consumer ring unbounded. Returns immediately once the gate stops
-// gating (degraded, frozen, or successor mode).
-func (g *gate) waitAcked(floor uint64) {
-	g.mu.Lock()
-	for g.acked < floor && !g.degraded && !g.frozen && !g.direct {
-		g.ackCond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-// waitAckedTimeout is waitAcked with an upper bound: it reports false
+// waitAckedTimeout blocks the caller (the feed goroutine, from the
+// replication tap) until the standby has acknowledged at least floor —
+// the replication flow-control window. Bounding the primary's lead is
+// what makes the mirror hot rather than nominal: without it a fast feed
+// can run arbitrarily far ahead of the standby (the link and socket
+// buffers absorb whole cut batches), leaving a takeover with a cold
+// mirror and the consumer ring unbounded. It reports true at once when
+// the gate stops gating (degraded, frozen, or successor mode), and false
 // when the standby still had not acknowledged floor after d — the
-// silently-blackholed replication link that plain waitAcked would block
-// on forever. The caller decides what a timeout means (degrade without
-// a lease, demote with one).
+// silently blackholed replication link an unbounded wait would block on
+// forever. The caller decides what a timeout means (degrade without a
+// lease, demote with one).
 func (g *gate) waitAckedTimeout(floor uint64, d time.Duration) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.passedLocked(floor) {
+		return true // the common case, once per cut: arm no timer
+	}
 	timedOut := false
 	tm := time.AfterFunc(d, func() {
 		g.mu.Lock()
@@ -159,20 +160,23 @@ func (g *gate) waitAckedTimeout(floor uint64, d time.Duration) bool {
 		g.ackCond.Broadcast()
 	})
 	defer tm.Stop()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.acked < floor && !g.degraded && !g.frozen && !g.direct && !timedOut {
+	for !g.passedLocked(floor) && !timedOut {
 		g.ackCond.Wait()
 	}
+	return g.passedLocked(floor)
+}
+
+// passedLocked reports whether a feed waiting on floor may go on.
+func (g *gate) passedLocked(floor uint64) bool {
 	return g.acked >= floor || g.degraded || g.frozen || g.direct
 }
 
 // drainLocked emits the queued prefix at or below the current threshold
 // and publishes the new emission state to the standby. With a commit
-// hook the gate unlocks around the lease RPC, so the loop re-reads the
-// bounds each pass until no further progress is possible; the draining
-// flag keeps concurrent taps from interleaving their own drains through
-// the unlocked window.
+// hook the gate unlocks around the lease RPC of a prefix that holds a
+// match, so the loop re-reads the bounds after each commit until no
+// further progress is possible; the draining flag keeps concurrent taps
+// from interleaving their own drains through the unlocked window.
 func (g *gate) drainLocked() {
 	if g.frozen || g.direct || g.draining {
 		return
@@ -204,7 +208,8 @@ func (g *gate) drainLocked() {
 			g.demoteLocked()
 			break
 		}
-		if g.commit != nil && !g.degraded {
+		committed := n > 0 && g.commit != nil && !g.degraded
+		if committed {
 			proj := g.delivered + uint64(n)
 			g.mu.Unlock()
 			ok := g.commit(t, proj)
@@ -240,7 +245,7 @@ func (g *gate) drainLocked() {
 		if g.frozen {
 			break // demoted mid-commit: the committed prefix is out, stop
 		}
-		if g.commit == nil || g.degraded {
+		if !committed {
 			break // no unlock happened, the bounds cannot have moved
 		}
 	}

@@ -3,6 +3,7 @@ package ha
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -223,8 +224,8 @@ func heldFrames(cuts, perCut int) (tags []shard.Tagged, bodies [][]byte) {
 // arrives and every match decodes, in order, to the bytes that were held:
 // what waits in the gate is the tags and the frame buffers they alias,
 // bounded by the replication window the primary may run ahead of its
-// standby (replLagCuts cuts, enforced by waitAcked in the replication tap,
-// plus what the workers have in flight).
+// standby (replLagCuts cuts, enforced by waitAckedTimeout in the
+// replication tap, plus what the workers have in flight).
 func TestGateHoldAllocs(t *testing.T) {
 	const cuts, perCut = 1000, 8
 	tags, bodies := heldFrames(cuts, perCut)
@@ -331,5 +332,92 @@ func TestGateRefusesUndecodableMatch(t *testing.T) {
 		if b, c := g.committedState(); b != 1 || c != 2 {
 			t.Fatalf("committed state (%d, %d), want (1, 2)", b, c)
 		}
+	}
+}
+
+// TestGateCommitsOnlyWhatEmits pins the lease traffic of the drain: every
+// threshold advance publishes its ReplState, but only an advance whose
+// prefix holds a match commits, with the count the consumer will then
+// have. A prefix without one leaves the count — all a successor reads —
+// unchanged, so committing it would be a round trip for nothing.
+func TestGateCommitsOnlyWhatEmits(t *testing.T) {
+	var commits, states [][2]uint64
+	delivered := 0
+	g := &gate{
+		out: func(shard.Tagged) { delivered++ },
+		publish: func(f wire.Frame) {
+			st := f.(wire.ReplState)
+			states = append(states, [2]uint64{st.EmittedUpTo, st.Count})
+		},
+		commit: func(boundary, count uint64) bool {
+			commits = append(commits, [2]uint64{boundary, count})
+			return true
+		},
+	}
+	g.ackCond = sync.NewCond(&g.mu)
+	var wantCommits, wantStates [][2]uint64
+	count := uint64(0)
+	advance := func(to uint64, matches uint64) {
+		count += matches
+		if matches > 0 {
+			wantCommits = append(wantCommits, [2]uint64{to, count})
+		}
+		wantStates = append(wantStates, [2]uint64{to, count})
+	}
+	cut := uint64(0)
+	// Cut by cut, the bounds arriving in either order: one advance a cut.
+	for ; cut < 30; cut++ {
+		next := cut + 1
+		n := next % 3
+		for range n {
+			g.onTagged(sealedTag(next))
+		}
+		if next%2 == 0 {
+			g.onAck(next)
+			g.onProgress(next)
+		} else {
+			g.onProgress(next)
+			g.onAck(next)
+		}
+		advance(next, n)
+	}
+	// The standby lags ten cuts, five of them with matches: one advance.
+	for k := uint64(1); k <= 10; k++ {
+		if k%2 == 0 {
+			g.onTagged(sealedTag(cut + k))
+		}
+		g.onProgress(cut + k)
+	}
+	g.onAck(cut + 10)
+	advance(cut+10, 5)
+	cut += 10
+	// Ten cuts without a match, then the ack: an advance, no commit.
+	g.onProgress(cut + 10)
+	g.onAck(cut + 10)
+	advance(cut+10, 0)
+
+	if !slices.Equal(commits, wantCommits) {
+		t.Errorf("commits %v, want %v (one per advance that emits, none otherwise)", commits, wantCommits)
+	}
+	if !slices.Equal(states, wantStates) {
+		t.Errorf("published states %v, want %v (one per advance)", states, wantStates)
+	}
+	if uint64(delivered) != count || g.deliveredCount() != count {
+		t.Errorf("delivered %d (gate counts %d), want %d", delivered, g.deliveredCount(), count)
+	}
+}
+
+// TestGateWaitAckedAllocs: the replication window check runs once per
+// cut, and while the standby keeps up it must cost no timer.
+func TestGateWaitAckedAllocs(t *testing.T) {
+	g := &gate{out: func(shard.Tagged) {}, publish: func(wire.Frame) {}}
+	g.ackCond = sync.NewCond(&g.mu)
+	g.onAck(1000)
+	if avg := testing.AllocsPerRun(100, func() {
+		if !g.waitAckedTimeout(1000, time.Minute) {
+			t.Fatal("an acknowledged floor timed out")
+		}
+	}); avg != 0 {
+		t.Errorf("waiting on an acknowledged floor allocated %.1f times, want 0", avg)
 	}
 }

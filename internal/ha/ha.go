@@ -25,13 +25,14 @@
 //
 // Partition tolerance is arbitrated by an external single-writer lease
 // (Config.LeaseAddr, internal/lease): the primary must hold the lease
-// to emit, commits every emission boundary to it *before* emitting
-// (commit-then-emit), and demotes — gate frozen, a Demotion recorded,
-// the run surfacing an error unless a successor takes over — the moment
-// it cannot renew or is fenced. The takeover successor must acquire the
-// same lease first. Two coordinators partitioned from each other can
-// therefore never both emit: whatever the partition does to the
-// replication link, the lease server observes exactly one writer.
+// to emit, commits every prefix that delivers a match to it *before*
+// emitting (commit-then-emit), renews it from the feed once the last
+// renewal is LeaseTTL/4 old, and demotes — gate frozen, a Demotion
+// recorded, the run surfacing an error unless a successor takes over —
+// the moment it cannot renew or is fenced. The takeover successor must
+// acquire the same lease first. Two coordinators partitioned from each
+// other can therefore never both emit: whatever the partition does to
+// the replication link, the lease server observes exactly one writer.
 //
 // Failure handling is graded: without a lease, losing the standby (or
 // the replication link) degrades the primary to plain
@@ -165,6 +166,13 @@ type Pair struct {
 	leaseCl     *lease.Client
 	leaseHolder uint64
 	leaseEpoch  uint64
+	// renewedAt is when the last successful lease RPC started, as an
+	// offset from born (a monotonic reading): the keepalive in onCut
+	// renews only once it is LeaseTTL/4 old. Written by the feed and the
+	// gate's drain alike; two racing renewals may leave the earlier
+	// start, which makes the next renewal due early, never late.
+	born      time.Time
+	renewedAt atomic.Int64
 
 	// ring retains copies, attribute values included, of the fed events
 	// the standby has not yet acknowledged (consumer side): the takeover
@@ -214,6 +222,7 @@ func New(cfg Config) (*Pair, error) {
 	}
 	p := &Pair{
 		cfg:        cfg,
+		born:       time.Now(),
 		replCh:     make(chan wire.Frame, replDepth),
 		replDownCh: make(chan struct{}),
 		senderDone: make(chan struct{}),
@@ -327,12 +336,14 @@ func (p *Pair) acquireLease(holder uint64) (committed uint64, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("ha: lease arbiter unreachable: %w", err)
 	}
+	start := time.Since(p.born)
 	fence, err := cl.AcquireWait(ctx, holder, p.cfg.LeaseTTL)
 	if err != nil {
 		cl.Close()
 		return 0, fmt.Errorf("ha: emission lease not acquired: %w", err)
 	}
 	p.leaseCl, p.leaseHolder, p.leaseEpoch = cl, holder, fence.Epoch
+	p.renewedAt.Store(int64(start))
 	return fence.Count, nil
 }
 
@@ -362,10 +373,13 @@ func (p *Pair) abort() {
 }
 
 // leaseCommit is the gate's commit hook (called with the gate unlocked,
-// from a drain): renew the lease and durably record the emission
-// boundary about to be emitted. Any failure — transport error or a
-// fence from a higher epoch — records the demotion and vetoes the emit.
+// from a drain) and the feed's keepalive: renew the lease and durably
+// record the emission state. Any failure — transport error or a fence
+// from a higher epoch — records the demotion and vetoes the emit; a
+// success stamps renewedAt with the time the RPC started, so a renewal
+// is never credited with time it spent in flight.
 func (p *Pair) leaseCommit(boundary, count uint64) bool {
+	start := time.Since(p.born)
 	fence, err := p.leaseCl.Renew(p.leaseHolder, p.leaseEpoch, p.cfg.LeaseTTL, boundary, count)
 	if err != nil {
 		p.noteDemotion(fmt.Sprintf("ha: lease renew failed: %v", err))
@@ -375,7 +389,17 @@ func (p *Pair) leaseCommit(boundary, count uint64) bool {
 		p.noteDemotion(fmt.Sprintf("ha: fenced off the emission lease by holder %d at epoch %d", fence.Holder, fence.Epoch))
 		return false
 	}
+	p.renewedAt.Store(int64(start))
 	return true
+}
+
+// renewDue reports whether the keepalive should renew: the last
+// successful lease RPC started LeaseTTL/4 ago or more. A silently
+// partitioned arbiter is therefore caught within LeaseTTL/4 plus one RPC
+// timeout of feed time, while a healthy pair renews a few times per TTL
+// instead of once per cut.
+func (p *Pair) renewDue() bool {
+	return time.Since(p.born)-time.Duration(p.renewedAt.Load()) >= p.cfg.LeaseTTL/4
 }
 
 // noteDemotion records the demotion and severs replication (the gate
@@ -437,10 +461,11 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 		// Finish rather than flow control.
 		return
 	}
-	if p.leaseCl != nil && !p.demotedFlag.Load() {
-		// Per-cut lease keepalive: on a silently partitioned arbiter
-		// this is what demotes the primary promptly — the gate's own
-		// commits stop firing once acks stop advancing the threshold.
+	if p.leaseCl != nil && !p.demotedFlag.Load() && p.renewDue() {
+		// Lease keepalive: on a silently partitioned arbiter this is
+		// what demotes the primary promptly — the gate commits only a
+		// prefix that emits, and none once acks stop advancing the
+		// threshold.
 		b, c := p.g.committedState()
 		if !p.leaseCommit(b, c) {
 			p.g.demote()

@@ -17,12 +17,15 @@
 //   - Renew with TTL zero releases the lease; the committed boundary
 //     survives the release so a successor can still read it.
 //
-// The emission gate in internal/ha commits its boundary via Renew
-// *before* emitting past it (commit-then-emit). A partitioned primary's
-// renew therefore fails before any unarbitrated byte reaches the
-// consumer, and the state stored here is exactly the primary's emitted
-// state — which is what makes takeover skip counts exact across a
-// process boundary.
+// The emission gate in internal/ha commits via Renew *before* emitting
+// a prefix that holds a match (commit-then-emit), and the primary's
+// feed renews on its own only once the last renewal is a quarter of
+// the TTL old. A partitioned primary's renew therefore fails before any
+// unarbitrated match reaches the consumer, and the count stored here is
+// exactly the primary's delivered count — which is what makes takeover
+// skip counts exact across a process boundary. The stored boundary may
+// lag the primary's emitted one (a prefix without a match is not
+// committed); nothing reads it to resume.
 //
 // Denied requests return a fence carrying the current holder, epoch,
 // committed boundary and the grant's remaining TTL, so a contender knows

@@ -49,6 +49,9 @@ type post struct {
 	// box, on a worker's post, is the outbox matches is the tag slice of:
 	// the collector's to hand back (see postBox).
 	box *outbox
+	// free, on a recycling post, takes matches back emptied (see
+	// PostRecycled).
+	free chan<- []Tagged
 
 	ctrl  ctrlOp
 	shard int
@@ -143,6 +146,14 @@ func NewCollectorOwned(owner []int, deliver func(Tagged), progress func(uint64))
 // inbox is full.
 func (c *Collector) Post(node int, watermark uint64, matches []Tagged) {
 	c.ch <- post{node: node, progress: watermark, matches: matches}
+}
+
+// PostRecycled is Post for a source that reuses its tag slices: once the
+// collector has copied matches into its heap it clears the slice and
+// offers it back on free, dropping it when free is full. The caller must
+// not touch matches after the call.
+func (c *Collector) PostRecycled(node int, watermark uint64, matches []Tagged, free chan<- []Tagged) {
+	c.ch <- post{node: node, progress: watermark, matches: matches, free: free}
 }
 
 // postBox is Post for a sharded engine's own workers: worker w posts as
@@ -246,6 +257,13 @@ func (c *Collector) run() {
 			p.box.release()
 		default:
 			c.boxes[p.node] = append(c.boxes[p.node], heldBox{p.box, taken})
+		}
+		if p.free != nil && cap(p.matches) > 0 {
+			clear(p.matches) // a parked slice must not pin the frames its tags alias
+			select {
+			case p.free <- p.matches[:0]:
+			default:
+			}
 		}
 		c.release()
 	}

@@ -130,3 +130,31 @@ func TestCollectorAbandon(t *testing.T) {
 }
 
 func tag1(t Tagged) Tagged { t.Src = 1; return t }
+
+// TestCollectorRecyclesTagSlices: a recycling post's slice comes back on
+// its free list once the collector holds the tags — emptied, and cleared
+// so a parked slice pins nothing its tags pointed at — and a slice handed
+// back to a full list is dropped, never blocking the collector. The tags
+// themselves are delivered as copied, unaffected by the clear.
+func TestCollectorRecyclesTagSlices(t *testing.T) {
+	rec := &seqRec{}
+	c := NewCollector(1, rec.add, nil)
+	free := make(chan []Tagged, 1)
+	first := []Tagged{{M: &match.Match{}, Seq: 1}, {M: &match.Match{}, Seq: 2}}
+	c.PostRecycled(0, 1, first, free)
+	back := <-free
+	if len(back) != 0 || cap(back) != 2 || &back[:1][0] != &first[0] {
+		t.Fatalf("got back a slice of len %d cap %d, want the posted one emptied", len(back), cap(back))
+	}
+	if first[0].M != nil || first[1].M != nil {
+		t.Fatal("a handed-back slice still holds its tags")
+	}
+	c.PostRecycled(0, 2, []Tagged{{M: &match.Match{}, Seq: 3}}, free) // fills the list
+	c.PostRecycled(0, 3, []Tagged{{M: &match.Match{}, Seq: 3}}, free) // dropped
+	c.Post(0, math.MaxUint64, nil)
+	c.Close()
+	if got := <-free; cap(got) != 1 {
+		t.Fatalf("free list holds a slice of cap %d, want the first handed back", cap(got))
+	}
+	rec.expect(t, 1, 2, 3, 3)
+}
