@@ -239,7 +239,7 @@ type (
 	// primary ingress with a hot standby mirroring every sealed cut over
 	// a replication link, able to assume the whole cluster on primary
 	// death with the delivered stream staying byte-identical. Process and
-	// Finish mirror ClusterIngress; Takeover and Degraded report the
+	// Finish mirror ClusterIngress; Takeover and Demotion report the
 	// incidents.
 	HAIngress = ha.Pair
 	// ClusterTakeover records one coordinator takeover: detection,

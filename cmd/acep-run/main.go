@@ -51,17 +51,17 @@
 //
 //	acep-run -in keyed.csv -connect 127.0.0.1:7101,127.0.0.1:7102 -ha -ha-kill-after 5000
 //
-// Partition tolerance (with -ha): -standby-addr points the pair at an
-// out-of-process standby (acep-standby) instead of spawning one on
-// loopback; -lease-addr arbitrates emission through an external
-// single-writer lease ("local" serves one in-process — handy for
-// drills), demoting a partitioned primary instead of letting two
-// coordinators emit; -chaos injects deterministic faults into the
-// replication link (spec: seed=N,drop=P,dup=P,reorder=P,delay=P:DUR):
+// Partition tolerance (with -ha): every pair emits behind a
+// single-writer lease, demoting a partitioned primary instead of letting
+// two coordinators emit. -standby-addr points the pair at an
+// out-of-process standby (acep-standby) and -lease-addr at an external
+// lease arbiter, instead of spawning either on loopback; -chaos injects
+// deterministic faults into the replication link (spec:
+// seed=N,drop=P,dup=P,reorder=P,delay=P:DUR):
 //
 //	acep-standby -listen 127.0.0.1:7200 &
 //	acep-run -in keyed.csv -connect ... -ha -standby-addr 127.0.0.1:7200 \
-//	    -lease-addr local -chaos seed=7,dup=0.05,delay=0.1:2ms
+//	    -chaos seed=7,dup=0.05,delay=0.1:2ms
 //
 // Elasticity (built on the same journal): -rebalance lets the ingress
 // migrate hot shards between live workers from their queue-wait
@@ -103,7 +103,6 @@ import (
 	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/ha"
-	"acep/internal/lease"
 	"acep/internal/match"
 	"acep/internal/multi"
 	"acep/internal/pattern"
@@ -140,7 +139,7 @@ func main() {
 		haFlag    = flag.Bool("ha", false, "replicate the coordinator: hot-standby ingress with byte-identical takeover (needs -connect)")
 		haKill    = flag.Int("ha-kill-after", -1, "kill the primary coordinator after this many events (takeover demo; needs -ha)")
 		haStandby = flag.String("standby-addr", "", "out-of-process coordinator standby address (acep-standby) for -ha; empty spawns the mirror in-process")
-		haLease   = flag.String("lease-addr", "", "emission-lease arbiter address for -ha ('local' spawns one in-process); empty runs without lease arbitration")
+		haLease   = flag.String("lease-addr", "", "emission-lease arbiter address for -ha; empty spawns the pair's own on loopback")
 		chaosSpec = flag.String("chaos", "", "inject deterministic faults on the -ha replication link, e.g. seed=7,drop=0.01,delay=0.2:2ms (see internal/chaos)")
 		rebalance = flag.Bool("rebalance", false, "enable the placement controller: migrate hot shards between workers (needs -recover)")
 		joinStr   = flag.String("join", "", "comma-separated TCP addresses of bare acep-node workers to admit mid-run (needs -recover and -connect)")
@@ -333,21 +332,8 @@ func main() {
 		hcfg := ha.Config{
 			Pattern: pat, Schema: w.Schema, KeyAttr: *keyAttr, Batch: *batch,
 			Workers: addrs, Standbys: standbyAddrs,
-			StandbyAddr: *haStandby,
-			OnTagged:    onTagged,
-		}
-		switch *haLease {
-		case "":
-		case "local":
-			ls := lease.New()
-			addr, err := ls.ListenAndServe("127.0.0.1:0")
-			if err != nil {
-				fail(err)
-			}
-			defer ls.Close()
-			hcfg.LeaseAddr = addr
-		default:
-			hcfg.LeaseAddr = *haLease
+			StandbyAddr: *haStandby, LeaseAddr: *haLease,
+			OnTagged: onTagged,
 		}
 		if *chaosSpec != "" {
 			ccfg, err := chaos.ParseSpec(*chaosSpec)
@@ -385,9 +371,6 @@ func main() {
 		if tk := p.Takeover(); tk != nil {
 			fmt.Printf("takeover: epoch %d (%s): redialed %d of %d worker(s), replayed %d cuts / %d events, re-fed %d, skipped %d regenerated matches, paused %v\n",
 				tk.Epoch, tk.Cause, tk.Redialed, tk.Workers, tk.ReplayCuts, tk.ReplayEvents, tk.RefedEvents, tk.Skipped, tk.Pause().Round(time.Microsecond))
-		}
-		if deg, cause := p.Degraded(); deg {
-			fmt.Printf("degraded: %s (serving without the takeover guarantee)\n", cause)
 		}
 		if d := p.Demotion(); d != nil {
 			fmt.Printf("demoted: %s (lease epoch %d, committed boundary %d / %d matches)\n",

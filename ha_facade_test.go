@@ -102,8 +102,8 @@ func TestFacadeHA(t *testing.T) {
 	if tk.Epoch != 2 || tk.Workers != 2 {
 		t.Fatalf("takeover = %+v, want epoch 2 over 2 workers", tk)
 	}
-	if deg, cause := ing.Degraded(); deg {
-		t.Fatalf("successor reported degraded: %s", cause)
+	if d := ing.Demotion(); d != nil {
+		t.Fatalf("the primary demoted before its kill: %s", d.Cause)
 	}
 }
 

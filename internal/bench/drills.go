@@ -7,7 +7,6 @@ import (
 	"acep/internal/chaos"
 	"acep/internal/cluster"
 	"acep/internal/ha"
-	"acep/internal/lease"
 )
 
 // drills are the four fault drills, each a list of scenarios on the rig.
@@ -288,7 +287,7 @@ const chaosSeed = 0xace9
 // injection (internal/chaos) on its replication link. The faulty-link
 // run duplicates and delays frames the whole way — the cut-ordinal
 // protocol must absorb every one. The partition run silently blackholes
-// the link 40% in with a lease arbiter attached: the primary must demote
+// the link 40% in: the primary must demote
 // (not emit through the partition) once its acknowledgement window times
 // out, the feed continues frozen, and at end of feed the successor must
 // win the lease and take over.
@@ -309,10 +308,7 @@ func (r *rig) partitionTolerance() error {
 			return err
 		}
 		if err := d.feed(p, nil); err != nil {
-			return err
-		}
-		if deg, cause := p.Degraded(); deg {
-			return fmt.Errorf("degraded: %s", cause)
+			return err // a demotion fails Finish
 		}
 		st := link.Stats()
 		if st.Dups == 0 || st.Delays == 0 {
@@ -326,14 +322,8 @@ func (r *rig) partitionTolerance() error {
 		return err
 	}
 	return r.run("partition", 3, drillShardsPerNode, 0, func(d *drill) error {
-		arb := lease.New()
-		arbAddr, err := arb.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer arb.Close()
 		cfg := d.pairConfig()
-		cfg.LeaseAddr, cfg.LeaseTTL, cfg.ReplTimeout = arbAddr, 300*time.Millisecond, 400*time.Millisecond
+		cfg.ReplTimeout = 400 * time.Millisecond
 		cfg.WrapRepl = wrap(chaos.Config{})
 		p, err := ha.New(cfg)
 		if err != nil {

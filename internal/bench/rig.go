@@ -360,12 +360,14 @@ func (d *drill) ingress(conns []cluster.Conn, rc *cluster.RecoveryConfig, ec *cl
 }
 
 // pairConfig is the replicated coordinator pair over the configured
-// nodes; a scenario adds its lease and link wrappers to it.
+// nodes, behind its own lease arbiter at a 300 ms TTL: a takeover waits
+// out the dead primary's grant. A scenario adds its link wrappers to it.
 func (d *drill) pairConfig() ha.Config {
 	return ha.Config{
 		Pattern: d.r.pat, Schema: d.r.w.Schema, KeyAttr: "key", Batch: drillBatch,
 		Workers:  d.addrs[:d.Nodes],
 		OnTagged: func(t shard.Tagged) { d.digest.add(t.M) },
+		LeaseTTL: 300 * time.Millisecond,
 	}
 }
 

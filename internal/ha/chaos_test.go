@@ -40,26 +40,8 @@ func TestSplitBrainLeaseArbitrated(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	want := runShardedRef(t, w, gen.Sequence, 6)
 	rig := startHARig(t, w, gen.Sequence, 0)
-	arbAddr, _ := startArbiter(t)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &tagRecorder{}
-	var wrap *chaos.Wrapper
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		LeaseAddr: arbAddr, LeaseTTL: 300 * time.Millisecond,
-		ReplTimeout: 500 * time.Millisecond,
-		WrapRepl: func(c cluster.Conn) cluster.Conn {
-			wrap = chaos.Wrap(c, chaos.Config{Seed: 0xbad})
-			return wrap
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, wrap := newPartitionedPair(t, rig.pairConfig(t, w, gen.Sequence, rec.rec), 500*time.Millisecond)
 	for i := range w.Events {
 		if i == 2000 {
 			wrap.Partition() // both directions, silently
@@ -67,17 +49,13 @@ func TestSplitBrainLeaseArbitrated(t *testing.T) {
 		p.Process(&w.Events[i])
 	}
 	// The replication flow-control window trips during the feed: the
-	// blackholed standby stops acknowledging, and with a lease that is a
-	// demotion, not a degrade.
+	// blackholed standby stops acknowledging, and that is a demotion.
 	d := p.Demotion()
 	if d == nil {
 		t.Fatal("partitioned lease-holding primary never demoted")
 	}
 	if !strings.Contains(d.Cause, "stalled") && !strings.Contains(d.Cause, "replication") {
 		t.Fatalf("demotion cause %q does not name the replication loss", d.Cause)
-	}
-	if deg, cause := p.Degraded(); deg {
-		t.Fatalf("lease-holding primary degraded (%s) instead of demoting", cause)
 	}
 	// The frozen primary must not have emitted past its committed state.
 	if got := p.Delivered(); got != d.Count {
@@ -99,32 +77,30 @@ func TestSplitBrainLeaseArbitrated(t *testing.T) {
 	}
 }
 
+// newPartitionedPair starts a pair whose replication link a chaos wrapper
+// can blackhole, with flow control timing out after replTimeout.
+func newPartitionedPair(t *testing.T, cfg Config, replTimeout time.Duration) (*Pair, *chaos.Wrapper) {
+	t.Helper()
+	var wrap *chaos.Wrapper
+	cfg.ReplTimeout = replTimeout
+	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn {
+		wrap = chaos.Wrap(c, chaos.Config{Seed: 0xbad})
+		return wrap
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, wrap
+}
+
 // TestDemotedWithoutTakeoverErrors: a demoted primary that is never
 // taken over must finish with an explicit error — a silently truncated
 // stream would hide the partition from the operator.
 func TestDemotedWithoutTakeoverErrors(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	rig := startHARig(t, w, gen.Sequence, 0)
-	arbAddr, _ := startArbiter(t)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
-	var wrap *chaos.Wrapper
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		LeaseAddr: arbAddr, LeaseTTL: 300 * time.Millisecond,
-		ReplTimeout: 400 * time.Millisecond,
-		WrapRepl: func(c cluster.Conn) cluster.Conn {
-			wrap = chaos.Wrap(c, chaos.Config{Seed: 0xbad})
-			return wrap
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, wrap := newPartitionedPair(t, rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}), 400*time.Millisecond)
 	for i := range w.Events {
 		if i == 2000 {
 			wrap.Partition()
@@ -134,7 +110,7 @@ func TestDemotedWithoutTakeoverErrors(t *testing.T) {
 	if p.Demotion() == nil {
 		t.Fatal("partitioned primary never demoted")
 	}
-	err = p.Finish()
+	err := p.Finish()
 	if err == nil || !strings.Contains(err.Error(), "demoted without takeover") {
 		t.Fatalf("Finish on a demoted, never-superseded primary returned %v, want an explicit demotion error", err)
 	}
@@ -151,26 +127,7 @@ func TestDemotedRingCapForfeitsTakeover(t *testing.T) {
 	defer func() { demotedRingCap = oldCap }()
 	w := haWorkload(t, "traffic")
 	rig := startHARig(t, w, gen.Sequence, 0)
-	arbAddr, _ := startArbiter(t)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
-	var wrap *chaos.Wrapper
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		LeaseAddr: arbAddr, LeaseTTL: 300 * time.Millisecond,
-		ReplTimeout: 400 * time.Millisecond,
-		WrapRepl: func(c cluster.Conn) cluster.Conn {
-			wrap = chaos.Wrap(c, chaos.Config{Seed: 0xbad})
-			return wrap
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, wrap := newPartitionedPair(t, rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}), 400*time.Millisecond)
 	for i := range w.Events {
 		if i == 2000 {
 			wrap.Partition()
@@ -337,28 +294,23 @@ func fenceLease(t *testing.T, addr string, holder uint64) {
 
 // TestChaosFaultyLinkAbsorbed: duplicated and delayed replication
 // frames — the only faults the cut-ordinal protocol absorbs silently —
-// must have zero effect on the delivered stream, with no degrade.
+// must have zero effect on the delivered stream, and demote nothing (a
+// demoted primary's Finish errors).
 func TestChaosFaultyLinkAbsorbed(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	want := runShardedRef(t, w, gen.Sequence, 6)
 	rig := startHARig(t, w, gen.Sequence, 0)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &tagRecorder{}
 	var wrap *chaos.Wrapper
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		WrapRepl: func(c cluster.Conn) cluster.Conn {
-			wrap = chaos.Wrap(c, chaos.Config{
-				Seed: 0xfeed, DupProb: 0.08,
-				DelayProb: 0.15, MaxDelay: time.Millisecond,
-			})
-			return wrap
-		},
-	})
+	cfg := rig.pairConfig(t, w, gen.Sequence, rec.rec)
+	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn {
+		wrap = chaos.Wrap(c, chaos.Config{
+			Seed: 0xfeed, DupProb: 0.08,
+			DelayProb: 0.15, MaxDelay: time.Millisecond,
+		})
+		return wrap
+	}
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +320,6 @@ func TestChaosFaultyLinkAbsorbed(t *testing.T) {
 	if err := p.Finish(); err != nil {
 		t.Fatalf("finish under dup/delay faults: %v", err)
 	}
-	if deg, cause := p.Degraded(); deg {
-		t.Fatalf("absorbable faults degraded the pair: %s", cause)
-	}
 	requireIdentical(t, "faulty link", rec, want)
 	st := wrap.Stats()
 	if st.Dups+st.Delays == 0 {
@@ -378,28 +327,23 @@ func TestChaosFaultyLinkAbsorbed(t *testing.T) {
 	}
 }
 
-// TestChaosDroppedCutDegrades: a silently dropped replication frame is
+// TestChaosDroppedCutDemotes: a silently dropped replication frame is
 // NOT absorbable — the next cut's ordinal exposes the gap, the standby
-// fails the link rather than journal incomplete history, and the
-// leaseless primary degrades (still byte-exact, no takeover coverage).
-func TestChaosDroppedCutDegrades(t *testing.T) {
+// fails the link rather than journal incomplete history, and the primary
+// demotes. Killing it then hands the stream to a successor that resumes
+// from the mirror's last whole cut, byte-identical.
+func TestChaosDroppedCutDemotes(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	want := runShardedRef(t, w, gen.Sequence, 6)
 	rig := startHARig(t, w, gen.Sequence, 0)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &tagRecorder{}
 	var wrap *chaos.Wrapper
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		WrapRepl: func(c cluster.Conn) cluster.Conn {
-			wrap = chaos.Wrap(c, chaos.Config{Seed: 0xd0d0})
-			return wrap
-		},
-	})
+	cfg := rig.pairConfig(t, w, gen.Sequence, rec.rec)
+	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn {
+		wrap = chaos.Wrap(c, chaos.Config{Seed: 0xd0d0})
+		return wrap
+	}
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,20 +356,21 @@ func TestChaosDroppedCutDegrades(t *testing.T) {
 		}
 		p.Process(&w.Events[i])
 	}
+	// The primary cannot outrun its window past the gap: flow control
+	// holds the feed until the failed link demotes it.
+	if d := p.Demotion(); d == nil || !strings.Contains(d.Cause, "replication link lost") {
+		t.Fatalf("dropped replication frames left demotion %+v, want one naming the lost link", d)
+	}
+	if err := p.KillPrimary(); err != nil {
+		t.Fatalf("takeover after the gap failed: %v", err)
+	}
 	if err := p.Finish(); err != nil {
-		t.Fatalf("finish after a dropped cut: %v", err)
-	}
-	deg, cause := p.Degraded()
-	if !deg {
-		t.Fatal("dropped replication frames did not degrade the pair")
-	}
-	if cause == "" {
-		t.Fatal("degradation carried no cause")
-	}
-	if p.Takeover() != nil {
-		t.Fatal("degraded run recorded a takeover")
+		t.Fatalf("finish after takeover: %v", err)
 	}
 	requireIdentical(t, "dropped cut", rec, want)
+	if p.Takeover() == nil {
+		t.Fatal("no takeover record after the gap")
+	}
 }
 
 // TestOutOfProcessStandbyTakeover exercises the acep-standby deployment
@@ -443,16 +388,10 @@ func TestOutOfProcessStandbyTakeover(t *testing.T) {
 	srv := NewStandbyServer(l)
 	go srv.Serve()
 	t.Cleanup(func() { srv.Stop(); srv.Wait() })
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &tagRecorder{}
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		StandbyAddr: l.Addr(),
-	})
+	cfg := rig.pairConfig(t, w, gen.Sequence, rec.rec)
+	cfg.StandbyAddr = l.Addr()
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,16 +462,9 @@ func TestWedgedStandbyHandoverTimesOut(t *testing.T) {
 			}(c)
 		}
 	}()
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-		StandbyAddr: l.Addr(),
-	})
+	cfg := rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {})
+	cfg.StandbyAddr = l.Addr()
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,10 @@ import (
 // (see ReplState) and lets a successor resume with a watermark
 // suppression plus a bounded skip count.
 //
-// With a lease configured (commit non-nil) the gate additionally obeys
-// commit-then-emit: before emitting a prefix that holds a match it
-// commits the boundary and the projected delivered count to the lease
-// arbiter, and a commit that fails — fence or unreachable arbiter —
-// demotes the gate without emitting a byte. A drain that only advances
+// The gate also obeys commit-then-emit: before emitting a prefix that
+// holds a match it commits the boundary and the projected delivered
+// count to the lease arbiter, and a commit that fails — fence or
+// unreachable arbiter — demotes the gate without emitting a byte. A drain that only advances
 // the threshold commits nothing: it leaves the count unchanged, and the
 // count is all a successor reads (its skip is the lease's count minus
 // the mirror's), so the lease's boundary may lag the published one
@@ -36,17 +35,15 @@ import (
 // exception is a torn commit: commit succeeded, process died before the
 // emit loop ran — an at-most-once window inherent to commit-then-emit
 // without consumer-side dedup. A partition cannot open it: a failed or
-// fenced commit emits nothing.)
+// fenced commit emits nothing, and a kill, the in-process death, waits
+// for a committed prefix to be emitted.)
 //
 // The gate moves through phases: gated (primary healthy), frozen
-// (killed or demoted: nothing further escapes — except that a demotion
+// (killed or demoted: nothing further escapes — except that a freeze
 // arriving while a successfully committed prefix is mid-flight lets
 // that prefix finish, keeping committed == emitted), and direct
 // (takeover successor: matches pass straight through, minus the skip
-// prefix the dead primary already delivered). A replication-link loss
-// without a lease instead degrades the gate: acked stops being a bound
-// and emission follows released alone, trading the takeover guarantee
-// for availability.
+// prefix the dead primary already delivered).
 //
 // What the gate holds is what the coordinator received: the queue is the
 // collector's sealed tags, each Enc aliasing the frame its match arrived
@@ -56,8 +53,8 @@ import (
 type gate struct {
 	out     func(shard.Tagged)
 	publish func(wire.Frame) // enqueues a ReplState on the repl link
-	// commit, when set, is the lease hook: it must durably record
-	// (boundary, projected count) and report whether the gate may emit.
+	// commit is the lease hook: it must durably record (boundary,
+	// projected count) and report whether the gate may emit.
 	// Called without the gate lock held (it does an RPC), and only for a
 	// prefix that holds at least one match.
 	commit func(boundary, count uint64) bool
@@ -72,10 +69,7 @@ type gate struct {
 	released  uint64         // collector release frontier (progress tap)
 	delivered uint64         // matches emitted downstream so far (D)
 	emitted   uint64         // highest threshold published in a ReplState (E)
-	frozen    bool
-	killed    bool // frozen by kill (vs demotion): no further emission at all
-	demoted   bool
-	degraded  bool
+	frozen    bool           // killed or demoted
 	direct    bool
 	draining  bool // a drain (possibly unlocked mid-commit) is in flight
 	skip      uint64
@@ -141,11 +135,10 @@ func (g *gate) onAck(w uint64) {
 // can run arbitrarily far ahead of the standby (the link and socket
 // buffers absorb whole cut batches), leaving a takeover with a cold
 // mirror and the consumer ring unbounded. It reports true at once when
-// the gate stops gating (degraded, frozen, or successor mode), and false
-// when the standby still had not acknowledged floor after d — the
-// silently blackholed replication link an unbounded wait would block on
-// forever. The caller decides what a timeout means (degrade without a
-// lease, demote with one).
+// the gate stops gating (frozen, or successor mode), and false when the
+// standby still had not acknowledged floor after d — the silently
+// blackholed replication link an unbounded wait would block on forever,
+// which the caller answers with a demotion.
 func (g *gate) waitAckedTimeout(floor uint64, d time.Duration) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -168,25 +161,22 @@ func (g *gate) waitAckedTimeout(floor uint64, d time.Duration) bool {
 
 // passedLocked reports whether a feed waiting on floor may go on.
 func (g *gate) passedLocked(floor uint64) bool {
-	return g.acked >= floor || g.degraded || g.frozen || g.direct
+	return g.acked >= floor || g.frozen || g.direct
 }
 
 // drainLocked emits the queued prefix at or below the current threshold
-// and publishes the new emission state to the standby. With a commit
-// hook the gate unlocks around the lease RPC of a prefix that holds a
-// match, so the loop re-reads the bounds after each commit until no
-// further progress is possible; the draining flag keeps concurrent taps
-// from interleaving their own drains through the unlocked window.
+// and publishes the new emission state to the standby. The gate unlocks
+// around the lease RPC of a prefix that holds a match, so the loop
+// re-reads the bounds after each commit until no further progress is
+// possible; the draining flag keeps concurrent taps from interleaving
+// their own drains through the unlocked window.
 func (g *gate) drainLocked() {
 	if g.frozen || g.direct || g.draining {
 		return
 	}
 	g.draining = true
 	for {
-		t := g.released
-		if !g.degraded && g.acked < t {
-			t = g.acked
-		}
+		t := min(g.released, g.acked)
 		// The emit prefix is fixed before any unlock: every match with
 		// seq <= t <= released is already queued (the collector queues
 		// matches before advancing the release frontier past them), so
@@ -208,7 +198,7 @@ func (g *gate) drainLocked() {
 			g.demoteLocked()
 			break
 		}
-		committed := n > 0 && g.commit != nil && !g.degraded
+		committed := n > 0
 		if committed {
 			proj := g.delivered + uint64(n)
 			g.mu.Unlock()
@@ -218,10 +208,7 @@ func (g *gate) drainLocked() {
 				g.demoteLocked()
 				break
 			}
-			if g.killed || g.direct {
-				break
-			}
-			// A demotion that raced the commit still lets this committed
+			// A freeze that raced the commit still lets this committed
 			// prefix out: the lease already records it, and holding it
 			// back would leave the lease ahead of the actually delivered
 			// stream (a successor would over-skip). demoteLocked defers
@@ -238,12 +225,12 @@ func (g *gate) drainLocked() {
 			g.q = g.q[:0]
 			g.head = 0
 		}
-		if (n > 0 || t > g.emitted) && !g.degraded {
+		if n > 0 || t > g.emitted {
 			g.emitted = t
 			g.publish(wire.ReplState{EmittedUpTo: t, Count: g.delivered})
 		}
 		if g.frozen {
-			break // demoted mid-commit: the committed prefix is out, stop
+			break // frozen mid-commit: the committed prefix is out, stop
 		}
 		if !committed {
 			break // no unlock happened, the bounds cannot have moved
@@ -251,12 +238,13 @@ func (g *gate) drainLocked() {
 	}
 	g.draining = false
 	clear(g.open) // the consumer's now, or never emitted
-	if g.demoted {
-		// A demotion that landed while this drain was in flight deferred
-		// its queue discard to us (see demoteLocked); nothing beyond the
-		// committed prefix may ever escape now.
+	if g.frozen {
+		// A freeze that landed while this drain was in flight deferred
+		// its queue discard to us (see demoteLocked), and a kill waits
+		// for us; nothing beyond the committed prefix may ever escape now.
 		g.q = nil
 		g.head = 0
+		g.ackCond.Broadcast()
 	}
 }
 
@@ -268,10 +256,9 @@ func (g *gate) drainLocked() {
 // records as committed, and yanking the queue under it would both
 // panic the emit loop and leave the lease count ahead of the stream.
 func (g *gate) demoteLocked() {
-	if g.killed || g.direct || g.demoted {
+	if g.direct || g.frozen {
 		return
 	}
-	g.demoted = true
 	g.frozen = true
 	if !g.draining {
 		g.q = nil
@@ -293,7 +280,7 @@ func (g *gate) failure() error {
 }
 
 // demote is the external demotion entry (feed goroutine: keepalive
-// failure or replication timeout with a lease). It reports the last
+// failure, lost replication link or standby). It reports the last
 // committed emission state for the demotion record.
 func (g *gate) demote() (boundary, count uint64) {
 	g.mu.Lock()
@@ -302,29 +289,19 @@ func (g *gate) demote() (boundary, count uint64) {
 	return g.emitted, g.delivered
 }
 
-// degrade drops the acked bound: the replication link is gone, the
-// primary keeps serving on the collector frontier alone.
-func (g *gate) degrade() {
-	g.mu.Lock()
-	g.degraded = true
-	g.drainLocked()
-	g.ackCond.Broadcast()
-	g.mu.Unlock()
-}
-
-// kill freezes the gate — the primary is dead, nothing further may
-// reach the consumer — and reports how many matches were delivered in
-// total (the D of the takeover skip computation). The queue is
-// discarded; the successor regenerates its matches.
-func (g *gate) kill() uint64 {
+// kill freezes the gate as a demotion does — the primary is dead,
+// nothing further reaches the consumer, the successor regenerates what
+// was queued — and returns once no drain is in flight, so a prefix
+// already committed to the lease has been emitted: the death lands
+// between drains, and the lease's count is the delivered count a
+// successor skips by.
+func (g *gate) kill() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.frozen = true
-	g.killed = true
-	g.q = nil
-	g.head = 0
-	g.ackCond.Broadcast()
-	return g.delivered
+	g.demoteLocked()
+	for g.draining {
+		g.ackCond.Wait()
+	}
 }
 
 // takeover switches the gate to successor mode: matches pass straight

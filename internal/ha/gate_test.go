@@ -59,9 +59,9 @@ func TestGateDemoteMidCommitEmitsCommittedPrefix(t *testing.T) {
 		t.Fatalf("committed state = (%d, %d), want (2, 2)", b, c)
 	}
 	g.mu.Lock()
-	demoted, qlen := g.demoted, len(g.q)
+	frozen, qlen := g.frozen, len(g.q)
 	g.mu.Unlock()
-	if !demoted {
+	if !frozen {
 		t.Fatal("gate not demoted")
 	}
 	if qlen != 0 {
@@ -99,11 +99,56 @@ func TestGateDemoteMidCommitFenced(t *testing.T) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.demoted {
+	if !g.frozen {
 		t.Fatal("gate not demoted")
 	}
 	if len(g.q) != 0 {
 		t.Fatalf("queue not discarded: %d entries", len(g.q))
+	}
+}
+
+// TestGateKillMidCommitEmitsCommittedPrefix: a kill that lands while a
+// drain is out committing returns only once the committed prefix is
+// emitted. The successor skips by the lease's count, so a kill that let
+// the prefix die with the primary would leave that count ahead of what
+// the consumer got, and the successor would drop matches nobody saw.
+func TestGateKillMidCommitEmitsCommittedPrefix(t *testing.T) {
+	var got []uint64
+	g := &gate{
+		out:     func(tg shard.Tagged) { got = append(got, tg.Seq) },
+		publish: func(wire.Frame) {},
+	}
+	g.ackCond = sync.NewCond(&g.mu)
+	killed := make(chan uint64)
+	g.commit = func(boundary, count uint64) bool {
+		go func() {
+			g.kill()
+			killed <- g.deliveredCount()
+		}()
+		// Wait for the kill to freeze the gate: it holds the lock from
+		// then until it waits for this drain.
+		for frozen := false; !frozen; {
+			g.mu.Lock()
+			frozen = g.frozen
+			g.mu.Unlock()
+		}
+		return true
+	}
+	g.onTagged(sealedTag(1))
+	g.onTagged(sealedTag(2))
+	g.onProgress(2)
+	g.onAck(2)
+	if d := <-killed; d != 2 {
+		t.Fatalf("kill returned with %d of the 2 committed matches delivered", d)
+	}
+	if !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("emitted %v, want [1 2]", got)
+	}
+	g.onTagged(sealedTag(3))
+	g.onProgress(3)
+	g.onAck(3)
+	if len(got) != 2 {
+		t.Fatalf("killed gate emitted past the committed prefix: %v", got)
 	}
 }
 
@@ -131,23 +176,16 @@ func (c *stallConn) Send(f wire.Frame) error {
 // deadlock: a drain publishing its ReplState blocks on a full replCh
 // while holding the gate lock, and the only goroutine that drains replCh
 // — the sender — is the one that finds the link dead and goes into
-// linkLost → gate.degrade, which needs that lock. Link loss must release
-// the blocked publish.
+// linkLost → demote, which needs that lock. Link loss must release the
+// blocked publish, and demote the primary.
 func TestGateDrainSurvivesLinkLossOnFullReplCh(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	rig := startHARig(t, w, gen.Sequence, 0)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	link := &stallConn{entered: make(chan struct{}), fail: make(chan struct{})}
 	emitted := make(chan struct{}, 1)
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers:  rig.workers,
-		OnTagged: func(shard.Tagged) { emitted <- struct{}{} },
-		WrapRepl: func(c cluster.Conn) cluster.Conn { link.Conn = c; return link },
-	})
+	cfg := rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) { emitted <- struct{}{} })
+	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn { link.Conn = c; return link }
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +216,14 @@ func TestGateDrainSurvivesLinkLossOnFullReplCh(t *testing.T) {
 	go func() { done <- p.Finish() }()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatalf("finish after the link loss: %v", err)
+		if err == nil || !strings.Contains(err.Error(), "demoted without takeover") {
+			t.Fatalf("finish after the link loss returned %v, want an explicit demotion error", err)
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("pair Finish hung")
 	}
-	if deg, _ := p.Degraded(); !deg {
-		t.Fatal("a failed replication link did not degrade the pair")
+	if d := p.Demotion(); d == nil || !strings.Contains(d.Cause, "replication link lost") {
+		t.Fatalf("a failed replication link left demotion %+v, want one naming the lost link", d)
 	}
 }
 
@@ -233,6 +271,7 @@ func TestGateHoldAllocs(t *testing.T) {
 	g := &gate{
 		out:     func(tg shard.Tagged) { got = append(got, tg) },
 		publish: func(wire.Frame) {},
+		commit:  func(uint64, uint64) bool { return true },
 	}
 	g.ackCond = sync.NewCond(&g.mu)
 	next := 0

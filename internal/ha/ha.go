@@ -23,23 +23,20 @@
 // pulls the mirrored state back over the wire with the Handover
 // exchange. Nothing about a takeover reads the standby's memory.
 //
-// Partition tolerance is arbitrated by an external single-writer lease
-// (Config.LeaseAddr, internal/lease): the primary must hold the lease
-// to emit, commits every prefix that delivers a match to it *before*
-// emitting (commit-then-emit), renews it from the feed once the last
-// renewal is LeaseTTL/4 old, and demotes — gate frozen, a Demotion
-// recorded, the run surfacing an error unless a successor takes over —
-// the moment it cannot renew or is fenced. The takeover successor must
-// acquire the same lease first. Two coordinators partitioned from each
-// other can therefore never both emit: whatever the partition does to
-// the replication link, the lease server observes exactly one writer.
-//
-// Failure handling is graded: without a lease, losing the standby (or
-// the replication link) degrades the primary to plain
-// exactly-once-by-collector emission and the run continues; with a
-// lease the same loss is a demotion, because a primary that cannot
-// prove its mirror is current must not keep emitting a stream a
-// successor might re-emit. Losing the primary after the standby is gone
+// Partition tolerance is arbitrated by a single-writer lease
+// (internal/lease): an external arbiter at Config.LeaseAddr, or the same
+// server spawned on loopback in-process when it is empty. The primary
+// must hold the lease to emit, commits every prefix that delivers a match
+// to it *before* emitting (commit-then-emit), renews it from the feed
+// once the last renewal is LeaseTTL/4 old, and demotes — gate frozen, a
+// Demotion recorded, the run surfacing an error unless a successor takes
+// over — the moment it cannot renew or is fenced. The takeover successor
+// must acquire the same lease first. Two coordinators partitioned from
+// each other can therefore never both emit: whatever the partition does
+// to the replication link, the lease server observes exactly one writer.
+// Losing the standby or the replication link demotes the primary too: one
+// that cannot prove its mirror is current must not keep emitting a stream
+// a successor might re-emit. Losing the primary after the standby is gone
 // is a double death and surfaces an explicit error.
 package ha
 
@@ -113,9 +110,8 @@ type Config struct {
 	// inside this process — same server, same protocol.
 	StandbyAddr string
 	// LeaseAddr is the lease arbiter's address (internal/lease). Empty
-	// disables lease arbitration: link loss degrades instead of
-	// demoting, and takeover trusts the local delivered count — exactly
-	// the pre-partition-tolerance behavior.
+	// spawns a lease.Server on loopback inside this process — same
+	// server, same protocol — which the pair closes when the run ends.
 	LeaseAddr string
 	// LeaseTTL is the emission lease's time-to-live (default 2s): the
 	// window a partitioned primary can keep believing it is primary,
@@ -123,9 +119,9 @@ type Config struct {
 	// lapse.
 	LeaseTTL time.Duration
 	// ReplTimeout bounds the replication flow-control wait (default
-	// 30s): a standby that has not acknowledged within it is treated as
-	// lost even though the link never errored — the silently blackholed
-	// peer a plain TCP read would wait on forever.
+	// 30s): a standby that has not acknowledged within it demotes the
+	// primary even though the link never errored — the silently
+	// blackholed peer a plain TCP read would wait on forever.
 	ReplTimeout time.Duration
 	// WrapWorker (tests) wraps each initially dialed worker connection,
 	// by slot, to inject failures.
@@ -148,6 +144,8 @@ type Pair struct {
 	g           *gate
 	srv         *StandbyServer // in-process standby; nil when StandbyAddr is set
 	standbyAddr string
+	arb         *lease.Server // in-process arbiter; nil when LeaseAddr is set
+	leaseAddr   string
 	ing         *cluster.Ingress
 
 	replCh       chan wire.Frame
@@ -184,8 +182,7 @@ type Pair struct {
 	ringForfeited bool
 
 	tookOver    bool
-	standbyLost atomic.Bool
-	degradeErr  atomic.Pointer[string]
+	standbyLost bool
 	demotedFlag atomic.Bool
 	demotion    atomic.Pointer[recovery.Demotion]
 	takeover    *recovery.Takeover
@@ -194,10 +191,9 @@ type Pair struct {
 	err         error
 }
 
-// New dials the workers, connects the standby (spawning one on loopback
-// if no external address is given), acquires the emission lease when an
-// arbiter is configured, and brings up the primary coordinator at
-// epoch 1.
+// New acquires the emission lease and connects the standby (spawning
+// either server on loopback when no external address is given), dials
+// the workers, and brings up the primary coordinator at epoch 1.
 func New(cfg Config) (*Pair, error) {
 	if cfg.Pattern == nil || cfg.Schema == nil || cfg.KeyAttr == "" {
 		return nil, fmt.Errorf("ha: Pattern, Schema and KeyAttr are required")
@@ -232,6 +228,22 @@ func New(cfg Config) (*Pair, error) {
 		p.pool = cluster.DialStandbys(cfg.Standbys)
 	}
 
+	// The lease comes before anything else: a primary that cannot acquire
+	// it must not start at all.
+	p.leaseAddr = cfg.LeaseAddr
+	if p.leaseAddr == "" {
+		p.arb = lease.New()
+		addr, err := p.arb.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		p.leaseAddr = addr
+	}
+	if _, err := p.acquireLease(leasePrimaryHolder); err != nil {
+		p.closeArbiter()
+		return nil, err
+	}
+
 	// The standby: an external process's listener, or the same server
 	// spawned on loopback — the replication link is a real TCP stream
 	// either way, so the frames serialize end to end and the mirror's
@@ -241,6 +253,7 @@ func New(cfg Config) (*Pair, error) {
 	if p.standbyAddr == "" {
 		l, err := cluster.ListenTCP("127.0.0.1:0")
 		if err != nil {
+			p.closeLease()
 			return nil, fmt.Errorf("ha: replication listener: %w", err)
 		}
 		p.srv = NewStandbyServer(l)
@@ -250,6 +263,7 @@ func New(cfg Config) (*Pair, error) {
 	replConn, err := cluster.DialTCP(p.standbyAddr)
 	if err != nil {
 		p.stopStandby()
+		p.closeLease()
 		return nil, fmt.Errorf("ha: dialing replication link: %w", err)
 	}
 	if cfg.WrapRepl != nil {
@@ -267,22 +281,13 @@ func New(cfg Config) (*Pair, error) {
 		// The sender and ack reader have not started: tear down by hand.
 		replConn.Close()
 		p.stopStandby()
+		p.closeLease()
 		return nil, fmt.Errorf("ha: opening replication link: %w", err)
 	}
-	p.g = &gate{out: cfg.OnTagged, publish: p.replSend}
+	p.g = &gate{out: cfg.OnTagged, publish: p.replSend, commit: p.leaseCommit}
 	p.g.ackCond = sync.NewCond(&p.g.mu)
 	go p.sender()
 	go p.ackReader()
-
-	// The lease comes before the first event: a primary that cannot
-	// acquire it must not start emitting at all.
-	if cfg.LeaseAddr != "" {
-		if _, err := p.acquireLease(leasePrimaryHolder); err != nil {
-			p.abort()
-			return nil, err
-		}
-		p.g.commit = p.leaseCommit
-	}
 
 	conns := make([]cluster.Conn, len(cfg.Workers))
 	for i, addr := range cfg.Workers {
@@ -332,7 +337,7 @@ func (p *Pair) ingressOptions(epoch uint64, addrs []string) cluster.IngressOptio
 func (p *Pair) acquireLease(holder uint64) (committed uint64, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*p.cfg.LeaseTTL+2*time.Second)
 	defer cancel()
-	cl, err := lease.Dial(ctx, p.cfg.LeaseAddr, cluster.DialPolicy{}, nil)
+	cl, err := lease.Dial(ctx, p.leaseAddr, cluster.DialPolicy{}, nil)
 	if err != nil {
 		return 0, fmt.Errorf("ha: lease arbiter unreachable: %w", err)
 	}
@@ -358,18 +363,31 @@ func (p *Pair) stopStandby() {
 	p.srv.Wait()
 }
 
+// closeArbiter closes the in-process lease arbiter (no-op for an
+// external one). Idempotent.
+func (p *Pair) closeArbiter() {
+	if p.arb != nil {
+		p.arb.Close()
+	}
+}
+
+// closeLease drops the lease client and closes the in-process arbiter:
+// the end of the pair's lease, on every terminal path.
+func (p *Pair) closeLease() {
+	p.leaseCl.Close()
+	p.closeArbiter()
+}
+
 // abort tears the replication machinery down from a failed
 // construction: closing the link first unblocks the ack reader, so
 // shutdownRepl's joins cannot hang on a healthy standby.
 func (p *Pair) abort() {
-	p.cleanFinal.Store(true) // suppress degrade bookkeeping: nothing ran
+	p.cleanFinal.Store(true) // suppress link-loss bookkeeping: nothing ran
 	p.markReplDown()
 	p.replConn.Close()
 	p.shutdownRepl()
 	p.stopStandby()
-	if p.leaseCl != nil {
-		p.leaseCl.Close()
-	}
+	p.closeLease()
 }
 
 // leaseCommit is the gate's commit hook (called with the gate unlocked,
@@ -461,7 +479,7 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 		// Finish rather than flow control.
 		return
 	}
-	if p.leaseCl != nil && !p.demotedFlag.Load() && p.renewDue() {
+	if !p.demotedFlag.Load() && p.renewDue() {
 		// Lease keepalive: on a silently partitioned arbiter this is
 		// what demotes the primary promptly — the gate commits only a
 		// prefix that emits, and none once acks stop advancing the
@@ -552,25 +570,14 @@ func (p *Pair) ackReader() {
 
 // linkLost routes a replication-link failure. After a clean final, a
 // deliberate primary kill, or a demotion already recorded it is
-// expected. Otherwise: with a lease, a primary that lost its mirror
-// must demote — it can no longer prove a successor could resume
-// exactly, and availability now belongs to whoever holds the lease
-// next. Without a lease the primary degrades — the gate opens on the
-// collector frontier alone and the run continues without takeover
-// coverage.
+// expected. Otherwise a primary that lost its mirror must demote: it can
+// no longer prove a successor could resume exactly, and availability now
+// belongs to whoever holds the lease next.
 func (p *Pair) linkLost(err error) {
 	if p.cleanFinal.Load() || p.killedFlag.Load() || p.demotedFlag.Load() {
 		return
 	}
-	if p.leaseCl != nil && !p.tookOver {
-		p.demote(fmt.Sprintf("ha: replication link lost: %v", err))
-		return
-	}
-	if p.standbyLost.CompareAndSwap(false, true) {
-		msg := fmt.Sprintf("ha: replication link lost, primary continuing degraded: %v", err)
-		p.degradeErr.Store(&msg)
-	}
-	p.g.degrade()
+	p.demote(fmt.Sprintf("ha: replication link lost: %v", err))
 }
 
 // demotedRingCap bounds the consumer-side ring on a demoted primary.
@@ -593,7 +600,7 @@ func (p *Pair) Process(ev *event.Event) {
 		return
 	}
 	switch {
-	case p.tookOver || p.standbyLost.Load() || p.ringForfeited:
+	case p.tookOver || p.standbyLost || p.ringForfeited:
 		// No successor can ever consume the ring from here (the
 		// successor replays its own journal after a takeover; a lost
 		// standby means a later kill is a double death) — it is dead
@@ -643,13 +650,11 @@ func (p *Pair) Finish() error {
 	p.shutdownRepl()
 	p.stopStandby()
 	demoted := p.demotedFlag.Load()
-	if p.leaseCl != nil {
-		if p.tookOver || !demoted {
-			b, c := p.g.committedState()
-			p.leaseCl.Release(p.leaseHolder, p.leaseEpoch, b, c) //nolint:errcheck // best-effort courtesy to the next holder
-		}
-		p.leaseCl.Close()
+	if p.tookOver || !demoted {
+		b, c := p.g.committedState()
+		p.leaseCl.Release(p.leaseHolder, p.leaseEpoch, b, c) //nolint:errcheck // best-effort courtesy to the next holder
 	}
+	p.closeLease()
 	if err != nil {
 		return err
 	}
@@ -666,7 +671,7 @@ func (p *Pair) Finish() error {
 // shutdownRepl tears the replication machinery down in dependency
 // order: wait for the ack reader (it exits on stand-down, link failure,
 // demotion, or kill), stop the sender, then close the link. Idempotent;
-// safe on every path (clean finish, degraded, demoted, takeover).
+// safe on every path (clean finish, demoted, takeover).
 func (p *Pair) shutdownRepl() {
 	if p.replClosed {
 		return
@@ -681,12 +686,13 @@ func (p *Pair) shutdownRepl() {
 // KillPrimary kills the primary coordinator as if its process died —
 // the emission gate freezes, the replication link drops, every worker
 // connection slams shut — and then drives the standby's takeover: the
-// successor acquires the emission lease (when configured), pulls the
-// mirrored state from the standby process over the handover protocol,
-// and resumes the stream. Returns the double-death error when the
-// standby was already lost; the takeover record is available from
-// Takeover().
-func (p *Pair) KillPrimary() error {
+// successor acquires the emission lease, pulls the mirrored state from
+// the standby process over the handover protocol, and resumes the
+// stream. Returns the double-death error when the standby was already
+// lost; the takeover record is available from Takeover(). Once the
+// primary is dead the standby stops whatever the outcome, and a failed
+// takeover closes the pair's lease too: no successor will ever hold it.
+func (p *Pair) KillPrimary() (err error) {
 	if p.err != nil {
 		return p.err
 	}
@@ -694,44 +700,44 @@ func (p *Pair) KillPrimary() error {
 		return fmt.Errorf("ha: primary already killed (successor running)")
 	}
 	p.killedFlag.Store(true)
-	delivered := p.g.kill()
+	// The link goes first: a drain the kill waits out must not block
+	// publishing to it.
 	p.markReplDown()
 	p.replConn.Close()
+	p.g.kill()
 	p.ing.Kill()
 	p.shutdownRepl()
-	if p.leaseCl != nil {
-		// The dead primary's client dies with it; the grant lapses by
-		// TTL (a dead process releases nothing).
-		p.leaseCl.Close()
-		p.leaseCl = nil
-	}
+	// The dead primary's client dies with it; the grant lapses by TTL (a
+	// dead process releases nothing).
+	p.leaseCl.Close()
+	defer func() {
+		p.stopStandby()
+		if err != nil {
+			p.closeLease()
+			p.err = err
+		}
+	}()
 
-	if p.standbyLost.Load() {
-		p.err = fmt.Errorf("ha: double death: primary killed after the standby was lost; the stream cannot resume")
-		return p.err
+	if p.standbyLost {
+		return fmt.Errorf("ha: double death: primary killed after the standby was lost; the stream cannot resume")
 	}
 	if p.ringForfeited {
-		p.stopStandby()
-		p.err = fmt.Errorf("ha: takeover impossible: the demoted primary outlived its takeover window (event tail exceeded %d events and was dropped)", demotedRingCap)
-		return p.err
+		return fmt.Errorf("ha: takeover impossible: the demoted primary outlived its takeover window (event tail exceeded %d events and was dropped)", demotedRingCap)
 	}
 
 	// Arbitration before anything else: no lease, no takeover. The
-	// successor waits out the dead primary's grant.
-	var leaseN uint64
-	haveLease := p.cfg.LeaseAddr != ""
-	if haveLease {
-		var err error
-		if leaseN, err = p.acquireLease(leaseSuccessorHolder); err != nil {
-			p.err = fmt.Errorf("ha: takeover blocked: %w", err)
-			return p.err
-		}
+	// successor waits out the dead primary's grant, and reads from the
+	// lease how many matches the dead primary delivered — exact by
+	// commit-then-emit, readable across a process boundary, immune to
+	// partition-lost ReplStates.
+	delivered, err := p.acquireLease(leaseSuccessorHolder)
+	if err != nil {
+		return fmt.Errorf("ha: takeover blocked: %w", err)
 	}
 
 	st, err := p.fetchMirror(2)
 	if err != nil {
-		p.err = fmt.Errorf("ha: double death: %w", err)
-		return p.err
+		return fmt.Errorf("ha: double death: %w", err)
 	}
 	p.mirrorCuts, p.mirrorEvs = st.cuts, st.events
 	detectedAt := st.detectedAt
@@ -743,20 +749,9 @@ func (p *Pair) KillPrimary() error {
 		cause = "ha: primary killed before the mirror observed it"
 	}
 	if st.journal == nil {
-		p.err = fmt.Errorf("ha: takeover impossible: the standby mirrored no cut before the primary died")
-		return p.err
+		return fmt.Errorf("ha: takeover impossible: the standby mirrored no cut before the primary died")
 	}
-	// How many regenerated matches the dead primary already delivered
-	// past the mirror's emission state: with a lease, the lease's
-	// committed count is exact by commit-then-emit — readable across a
-	// process boundary, immune to partition-lost ReplStates. Without
-	// one, trust the local delivered count (in-process knowledge).
-	if haveLease {
-		delivered = leaseN
-	}
-	err = p.runTakeover(delivered, st, cause, detectedAt)
-	p.stopStandby()
-	return err
+	return p.runTakeover(delivered, st, cause, detectedAt)
 }
 
 // fetchMirror pulls the mirrored state out of the standby process over
@@ -847,7 +842,6 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 		for _, c := range conns {
 			c.Close()
 		}
-		p.err = err
 		return err
 	}
 	for g, o := range st.owner {
@@ -895,8 +889,7 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 	}
 	ing, err := cluster.NewSealedIngress(p.cfg.Pattern, conns, opts)
 	if err != nil {
-		p.err = fmt.Errorf("ha: building takeover successor: %w", err)
-		return p.err
+		return fmt.Errorf("ha: building takeover successor: %w", err)
 	}
 	p.ing = ing
 	p.tookOver = true
@@ -926,23 +919,17 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 	return nil
 }
 
-// KillStandby kills the standby as if its process died. With a lease
-// the primary demotes (it can no longer prove its mirror); without one
-// it observes the link failure, degrades the gate, and continues. A
-// later KillPrimary is a double death either way.
+// KillStandby kills the standby as if its process died. The primary
+// demotes at once (it can no longer prove its mirror) — before the
+// standby stops, so the demotion names the standby rather than the
+// link loss its death causes — and a later KillPrimary is a double
+// death.
 func (p *Pair) KillStandby() {
-	p.stopStandby()
-	p.standbyLost.Store(true)
-	if p.leaseCl != nil && !p.tookOver {
+	p.standbyLost = true
+	if !p.tookOver {
 		p.demote("ha: standby killed; the primary cannot prove its mirror is current")
-		return
 	}
-	// Deterministic degrade: don't wait for the ack reader to notice.
-	if s := p.degradeErr.Load(); s == nil {
-		msg := "ha: standby killed; primary continuing degraded"
-		p.degradeErr.Store(&msg)
-	}
-	p.g.degrade()
+	p.stopStandby()
 }
 
 // Ingress exposes the live coordinator (primary, or successor after
@@ -957,14 +944,11 @@ func (p *Pair) Takeover() *recovery.Takeover { return p.takeover }
 // the emission lease).
 func (p *Pair) Demotion() *recovery.Demotion { return p.demotion.Load() }
 
-// Degraded reports whether the pair lost its standby and continued
-// without takeover coverage, with the cause.
-func (p *Pair) Degraded() (bool, string) {
-	if s := p.degradeErr.Load(); s != nil {
-		return true, *s
-	}
-	return false, ""
-}
+// Degraded always reports false: a pair that loses its standby or its
+// replication link demotes (see Demotion) rather than serve on.
+//
+// Deprecated: there is no degraded mode; use Demotion.
+func (p *Pair) Degraded() (bool, string) { return false, "" }
 
 // MirrorStats reports how much the standby mirrored (cuts, events) —
 // the replication volume behind the overhead measurements. For an

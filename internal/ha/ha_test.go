@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +139,23 @@ func startHARig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int) *haR
 	return rig
 }
 
+// pairConfig is the configuration every pair under test starts from: the
+// rig's workers and pool, cuts of 64, and the pair's own lease arbiter
+// at a 300 ms TTL, so a takeover waits little for the dead primary's
+// grant to lapse.
+func (r *haRig) pairConfig(t *testing.T, w *gen.Workload, kind gen.Kind, onTagged func(shard.Tagged)) Config {
+	t.Helper()
+	pat, err := w.Pattern(kind, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
+		Workers: r.workers, Standbys: r.standbys, OnTagged: onTagged,
+		LeaseTTL: 300 * time.Millisecond,
+	}
+}
+
 // runPair streams the workload through a replicated pair, invoking the
 // `at` hooks just before the given event indexes (on the feed
 // goroutine, the calling contract of KillPrimary and friends).
@@ -158,16 +176,10 @@ func runPair(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
 func runPairFeed(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
 	wrap func(i int, c cluster.Conn) cluster.Conn, feed func(*Pair)) (*tagRecorder, *Pair) {
 	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &tagRecorder{}
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, Standbys: rig.standbys,
-		OnTagged: rec.rec, WrapWorker: wrap,
-	})
+	cfg := rig.pairConfig(t, w, kind, rec.rec)
+	cfg.WrapWorker = wrap
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,21 +197,25 @@ func runPairFeed(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
 	return rec, p
 }
 
+// waitFor polls cond until it holds, and fails the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+	}
+}
+
 // waitMirroredEmission blocks until the in-process standby has mirrored a
 // nonzero emission boundary from the primary.
 func waitMirroredEmission(t *testing.T, p *Pair) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+	waitFor(t, "the standby mirroring an emission boundary", func() bool {
 		p.srv.mu.Lock()
-		emitted := p.srv.emitted
-		p.srv.mu.Unlock()
-		if emitted > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the standby never mirrored an emission boundary")
-		}
-	}
+		defer p.srv.mu.Unlock()
+		return p.srv.emitted > 0
+	})
 }
 
 // TestTakeoverByteIdentical is the tentpole's acceptance criterion:
@@ -242,8 +258,8 @@ func TestTakeoverByteIdentical(t *testing.T) {
 			if tk.ResumedAt.IsZero() || tk.Pause() <= 0 {
 				t.Fatalf("%s/%v: takeover never stamped its resumption: %+v", dataset, kind, tk)
 			}
-			if deg, cause := p.Degraded(); deg {
-				t.Fatalf("%s/%v: healthy takeover reported degradation: %s", dataset, kind, cause)
+			if d := p.Demotion(); d != nil {
+				t.Fatalf("%s/%v: healthy primary demoted before its kill: %s", dataset, kind, d.Cause)
 			}
 		}
 	}
@@ -348,22 +364,43 @@ func TestTakeoverDuringWorkerFailover(t *testing.T) {
 }
 
 // TestStandbyKilledBeforeTakeover — kill matrix: the standby dies
-// mid-run. The primary degrades (gate opens on the collector frontier
-// alone) and the run completes exactly, with the degradation surfaced.
+// mid-run. The primary demotes at once — it can no longer prove its
+// mirror is current — and, never taken over, finishes with an explicit
+// error. What it delivered is a prefix of the reference stream, and
+// exactly the count its lease arbiter committed.
 func TestStandbyKilledBeforeTakeover(t *testing.T) {
-	w := haWorkload(t, "traffic")
+	w := haWorkload(t, "stocks")
 	want := runShardedRef(t, w, gen.Sequence, 6)
 	rig := startHARig(t, w, gen.Sequence, 0)
-	got, p := runPair(t, rig, w, gen.Sequence, nil, map[int]func(*Pair){
-		2000: func(p *Pair) { p.KillStandby() },
-	})
-	requireIdentical(t, "standby killed mid-run", got, want)
-	deg, cause := p.Degraded()
-	if !deg || cause == "" {
-		t.Fatal("losing the standby did not surface degradation")
+	got := &tagRecorder{}
+	cfg := rig.pairConfig(t, w, gen.Sequence, got.rec)
+	cfg.LeaseTTL = time.Minute // no keepalive: the arbiter's count is the gate's commits alone
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Events {
+		if i == 2000 {
+			// Some match must be out, or the count check below is 0 == 0.
+			waitFor(t, "a delivered match", func() bool { return p.Delivered() > 0 })
+			p.KillStandby()
+		}
+		p.Process(&w.Events[i])
+	}
+	if d := p.Demotion(); d == nil || !strings.Contains(d.Cause, "standby killed") {
+		t.Fatalf("losing the standby left demotion %+v, want one naming the standby", d)
+	}
+	if err := p.Finish(); err == nil || !strings.Contains(err.Error(), "demoted without takeover") {
+		t.Fatalf("Finish returned %v after the standby died, want an explicit demotion error", err)
+	}
+	if got.n == 0 || !bytes.HasPrefix(want.buf, got.buf) {
+		t.Fatalf("the demoted primary delivered %d matches, want a nonempty prefix of the %d-match reference", got.n, want.n)
+	}
+	if _, _, _, count := p.arb.State(); count != p.Delivered() {
+		t.Fatalf("arbiter records %d delivered, the demoted primary delivered %d", count, p.Delivered())
 	}
 	if p.Takeover() != nil {
-		t.Fatal("degraded run recorded a takeover")
+		t.Fatal("demoted run recorded a takeover")
 	}
 }
 
@@ -373,15 +410,7 @@ func TestStandbyKilledBeforeTakeover(t *testing.T) {
 func TestDoubleDeath(t *testing.T) {
 	w := haWorkload(t, "traffic")
 	rig := startHARig(t, w, gen.Sequence, 0)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
-	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
-	})
+	p, err := New(rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,5 +429,100 @@ func TestDoubleDeath(t *testing.T) {
 	}
 	if err := p.Finish(); err == nil || !strings.Contains(err.Error(), "double death") {
 		t.Fatalf("Finish returned %v after a double death", err)
+	}
+}
+
+// TestFailedTakeoverTearsDown: a takeover that fails — here on a cold
+// mirror, the primary killed before its first event — leaks none of the
+// servers the pair spawned: once Finish has returned, neither the
+// in-process standby's address nor the lease arbiter's accepts a dial.
+func TestFailedTakeoverTearsDown(t *testing.T) {
+	w := haWorkload(t, "traffic")
+	rig := startHARig(t, w, gen.Sequence, 0)
+	p, err := New(rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.KillPrimary(); err == nil || !strings.Contains(err.Error(), "mirrored no cut") {
+		t.Fatalf("killing the primary before its first event returned %v, want the cold-mirror error", err)
+	}
+	if err := p.Finish(); err == nil {
+		t.Fatal("Finish after a failed takeover returned no error")
+	}
+	for name, addr := range map[string]string{"standby": p.standbyAddr, "lease arbiter": p.leaseAddr} {
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Errorf("the %s at %s still accepts dials after a failed takeover", name, addr)
+		}
+	}
+}
+
+// TestTakeoverAfterControlOps — kill matrix: the primary dies a few cuts
+// after a control op the sealed ingress accepts has completed, once the
+// mirror holds a cut sealed two cuts past it, so the mirrored owner and
+// address tables carry its result. The successor resumes from them, over
+// the workers that own shards then, and the stream stays exact.
+func TestTakeoverAfterControlOps(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		op      func(t *testing.T, p *Pair, rig *haRig)
+		workers int
+	}{
+		{"drain", func(t *testing.T, p *Pair, _ *haRig) {
+			if err := p.Ingress().Drain(1); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		}, 2},
+		{"add-migrate", func(t *testing.T, p *Pair, rig *haRig) {
+			c, err := cluster.DialTCP(rig.standbys[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := p.Ingress().AddNode(c)
+			if err != nil {
+				t.Fatalf("add node: %v", err)
+			}
+			if err := p.Ingress().MigrateShard(2, n); err != nil {
+				t.Fatalf("migrate onto the joiner: %v", err)
+			}
+		}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := haWorkload(t, "traffic")
+			want := runShardedRef(t, w, gen.Sequence, 6)
+			rig := startHARig(t, w, gen.Sequence, 1)
+			got := &tagRecorder{}
+			cfg := rig.pairConfig(t, w, gen.Sequence, got.rec)
+			cfg.Standbys = nil // the bare node joins by AddNode, not as a failover target
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range w.Events {
+				switch i {
+				case 2000:
+					tc.op(t, p, rig)
+				case 2000 + 4*64:
+					// The mirror may trail the feed by up to replLagCuts.
+					after := w.Events[2000+2*64].Seq
+					waitFor(t, "the mirror holding a cut past the op", func() bool {
+						p.srv.mu.Lock()
+						defer p.srv.mu.Unlock()
+						return p.srv.lastUpTo >= after
+					})
+					if err := p.KillPrimary(); err != nil {
+						t.Fatalf("takeover failed: %v", err)
+					}
+				}
+				p.Process(&w.Events[i])
+			}
+			if err := p.Finish(); err != nil {
+				t.Fatalf("finish after takeover: %v", err)
+			}
+			requireIdentical(t, tc.name, got, want)
+			if tk := p.Takeover(); tk == nil || tk.Workers != tc.workers {
+				t.Fatalf("takeover %+v, want the successor over %d workers", tk, tc.workers)
+			}
+		})
 	}
 }

@@ -159,8 +159,8 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 			if err != nil {
 				// Journaling on (or acknowledging) past a cut the mirror
 				// does not hold would hand a successor incomplete history,
-				// so fail the link — the primary degrades (or demotes) and
-				// the mirror stops advertising itself as current.
+				// so fail the link — the primary demotes and the mirror
+				// stops advertising itself as current.
 				s.fail(err)
 				return
 			}
