@@ -70,7 +70,8 @@ const replDepth = 4
 // trails by more than this many cuts. The window keeps the pipeline
 // full (sends overlap acks) while guaranteeing a hot mirror — the
 // takeover state is never more than replLagCuts cuts behind the feed —
-// and bounding the consumer-side ring to window + ring-trim slack.
+// and bounding the consumer-side ring, trimmed once per cut behind
+// the wait, to replLagCuts+1 cuts of events.
 const replLagCuts = 8
 
 // Lease holder identities: the pair only ever has two candidate
@@ -174,10 +175,11 @@ type Pair struct {
 
 	// ring retains copies, attribute values included, of the fed events
 	// the standby has not yet acknowledged (consumer side): the takeover
-	// successor re-feeds the tail past the last mirrored cut. Trimmed to
-	// the gate's acked watermark. ringForfeited records that a demoted
-	// primary outgrew demotedRingCap and dropped the tail — takeover is
-	// off the table.
+	// successor re-feeds the tail past the last mirrored cut. onCut trims
+	// it to the gate's acked watermark after the flow-control wait, so it
+	// holds at most replLagCuts+1 cuts of events. ringForfeited records
+	// that a demoted primary outgrew demotedRingCap and dropped the tail —
+	// takeover is off the table.
 	ring          match.Block
 	ringForfeited bool
 
@@ -501,6 +503,9 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 			p.linkLost(fmt.Errorf("ha: standby acknowledgements stalled for %v (silent partition)", p.cfg.ReplTimeout))
 		}
 	}
+	if !p.demotedFlag.Load() && !p.replDown.Load() {
+		p.trimRing()
+	}
 }
 
 // markReplDown records that the replication link is gone and releases
@@ -594,7 +599,7 @@ var demotedRingCap = 1 << 18
 // Process feeds one event through the primary (or, after takeover, the
 // successor). Same contract as Ingress.Process: nothing of ev is kept —
 // the refeed ring copies it, attribute values included, into storage of
-// its own that trimRing compacts.
+// its own that onCut trims.
 func (p *Pair) Process(ev *event.Event) {
 	if p.err != nil {
 		return
@@ -617,15 +622,13 @@ func (p *Pair) Process(ev *event.Event) {
 		}
 	default:
 		p.ring.Intern(ev)
-		if p.ring.Len() >= 4*p.cfg.Batch {
-			p.trimRing()
-		}
 	}
 	p.ing.Process(ev)
 }
 
 // trimRing drops the ring prefix the standby has acknowledged — those
-// events live in the mirror journal now and will never be re-fed.
+// events live in the mirror journal now and will never be re-fed. onCut
+// calls it once per cut, after the flow-control wait.
 func (p *Pair) trimRing() {
 	acked := p.g.ackedSeq()
 	i := 0

@@ -305,6 +305,39 @@ func TestPairDoesNotRetainCallerEvent(t *testing.T) {
 	requireIdentical(t, "reused event across a takeover", got, want)
 }
 
+// TestRingTrimsAtEachCut: the refeed ring is trimmed at every cut, not
+// once it outgrows a threshold. Two cuts fed and acknowledged, a third
+// fed: the ring holds the third alone. Over the rest of the stream it
+// never holds more than the flow-control window plus the open cut, and
+// the stream stays exact.
+func TestRingTrimsAtEachCut(t *testing.T) {
+	w := haWorkload(t, "stocks")
+	want := runShardedRef(t, w, gen.Sequence, 6)
+	rig := startHARig(t, w, gen.Sequence, 0)
+	const batch = 64 // pairConfig's
+	got, _ := runPairFeed(t, rig, w, gen.Sequence, nil, func(p *Pair) {
+		for i := range 2 * batch {
+			p.Process(&w.Events[i])
+		}
+		waitFor(t, "the standby acknowledging the second cut", func() bool {
+			return p.g.ackedSeq() >= w.Events[2*batch-1].Seq
+		})
+		for i := 2 * batch; i < 3*batch; i++ {
+			p.Process(&w.Events[i])
+		}
+		if n := p.ring.Len(); n > batch {
+			t.Fatalf("ring holds %d events after the third cut, want at most the %d of that cut", n, batch)
+		}
+		for i := 3 * batch; i < len(w.Events); i++ {
+			p.Process(&w.Events[i])
+			if n := p.ring.Len(); n > (replLagCuts+1)*batch {
+				t.Fatalf("ring holds %d events at event %d, past replLagCuts+1 cuts (%d)", n, i, (replLagCuts+1)*batch)
+			}
+		}
+	})
+	requireIdentical(t, "ring trimmed at each cut", got, want)
+}
+
 // TestTakeoverMidMigration — kill matrix: the primary dies right after
 // initiating a shard migration, before (and after) the mirrored owner
 // table could reflect it. Either way the successor resumes from the

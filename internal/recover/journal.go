@@ -96,12 +96,14 @@ type cutRecord struct {
 // journaled run is the encoded body the ingress framed to the worker —
 // both sides treat it as immutable — so retention, not copying, is the
 // journal's only memory cost, and of a run it reads nothing but its
-// shard, event count and newest timestamp.
+// shard, event count and newest timestamp. Per cut it costs what it
+// releases or drops, never what is still in flight (see Advance).
 type Journal struct {
 	cfg   JournalConfig
 	slack event.Time // retention horizon behind a shard's released frontier
 
-	cuts     []cutRecord // oldest first; cuts[:folded] are released
+	cuts     []cutRecord // retained: cuts[head:], oldest first; the first folded are released
+	head     int
 	bytes    int64
 	events   int
 	lastUp   uint64
@@ -151,7 +153,7 @@ func (j *Journal) Abandon(base, shards int) {
 	for g := max(base, 0); g < base+shards && g < len(j.excluded); g++ {
 		j.excluded[g] = true
 	}
-	j.trim()
+	j.trim(j.Cuts())
 }
 
 // AppendRuns seals one cut: runs holds the encoded run of every shard
@@ -185,7 +187,7 @@ func (j *Journal) AppendRuns(runs []wire.ReplRun, upTo uint64) error {
 	}
 	j.cuts = append(j.cuts, rec)
 	j.lastUp = upTo
-	for j.bytes > j.cfg.MaxBytes && len(j.cuts) > 1 {
+	for j.bytes > j.cfg.MaxBytes && j.Cuts() > 1 {
 		j.forceTrimOldest()
 	}
 	return nil
@@ -216,7 +218,7 @@ func (j *Journal) Append(perShard [][]event.Event, upTo uint64) {
 // takeover successor over the wire. The runs are the journal's storage:
 // callers must not mutate them or call other Journal methods from fn.
 func (j *Journal) EachCut(fn func(runs []wire.ReplRun, upTo uint64) error) error {
-	for _, c := range j.cuts {
+	for _, c := range j.cuts[j.head:] {
 		if err := fn(c.runs, c.upTo); err != nil {
 			return err
 		}
@@ -227,19 +229,21 @@ func (j *Journal) EachCut(fn func(runs []wire.ReplRun, upTo uint64) error) error
 // Advance folds the released (delivered) watermark into the per-shard
 // frontiers and trims every run no undelivered or future match can
 // reach: released runs whose newest event is more than the slack
-// horizon behind their own shard's released frontier.
+// horizon behind their own shard's released frontier. Only a released
+// cut can hold one (AppendRuns keeps no abandoned shard's run), so a call
+// costs O(released cuts), however many unreleased ones are in flight.
 func (j *Journal) Advance(relSeq uint64) {
 	if relSeq > j.relSeq {
 		j.relSeq = relSeq
-		for j.folded < len(j.cuts) && j.cuts[j.folded].upTo <= relSeq {
-			for _, r := range j.cuts[j.folded].runs {
+		for j.head+j.folded < len(j.cuts) && j.cuts[j.head+j.folded].upTo <= relSeq {
+			for _, r := range j.cuts[j.head+j.folded].runs {
 				j.relTS[r.Shard] = r.LastTS
 				j.relSeen[r.Shard] = true
 			}
 			j.folded++
 		}
 	}
-	j.trim()
+	j.trim(j.folded)
 }
 
 // droppable reports whether run r is past its own shard's retention
@@ -257,14 +261,18 @@ func (j *Journal) drop(r wire.ReplRun) {
 	j.events -= r.Events
 }
 
-// trim drops, run by run, the history no replay can need: within
-// released cuts, each shard's run goes as soon as that shard's own
-// frontier moves past it (abandoned shards' runs go anywhere). Cuts
-// whose every run dropped are compacted away.
-func (j *Journal) trim() {
-	w, folded := 0, j.folded
-	for k := range j.cuts {
-		c := j.cuts[k]
+// trim drops, run by run, the history no replay can need among the n
+// oldest retained cuts: within released cuts, each shard's run goes as
+// soon as that shard's own frontier moves past it (abandoned shards' runs
+// go anywhere). The kept cuts among the n slide up to meet the rest, so
+// the emptied ones leave from the front: their slots are cleared (they
+// pin run bodies) and the array is compacted only once at least half of
+// it is dead. A call costs O(n) amortized, and appends never regrow the
+// array for what left.
+func (j *Journal) trim(n int) {
+	live, w, folded := j.cuts[j.head:], n, j.folded
+	for k := n - 1; k >= 0; k-- {
+		c := live[k]
 		kept := c.runs[:0]
 		for _, r := range c.runs {
 			if j.excluded[r.Shard] || (k < folded && j.droppable(r)) {
@@ -280,21 +288,24 @@ func (j *Journal) trim() {
 			}
 			continue
 		}
-		if w != k || len(kept) != len(c.runs) {
-			c.runs = kept
-			j.cuts[w] = c
-		}
-		w++
+		c.runs = kept
+		w--
+		live[w] = c
 	}
-	clear(j.cuts[w:])
-	j.cuts = j.cuts[:w]
+	clear(live[:w])
+	j.head += w
+	if 2*j.head >= len(j.cuts) {
+		m := copy(j.cuts, j.cuts[j.head:])
+		clear(j.cuts[m:])
+		j.cuts, j.head = j.cuts[:m], 0
+	}
 }
 
-// forceTrimOldest drops the oldest cut whole to honor MaxBytes,
-// recording, per shard still holding a run inside its safe horizon,
-// that coverage was lost.
+// forceTrimOldest empties the oldest cut to honor MaxBytes, recording,
+// per shard still holding a run inside its safe horizon, that coverage
+// was lost, and lets trim retire it.
 func (j *Journal) forceTrimOldest() {
-	c := j.cuts[0]
+	c := &j.cuts[j.head]
 	for _, r := range c.runs {
 		if !j.droppable(r) || c.upTo > j.relSeq {
 			j.forced[r.Shard] = true
@@ -302,10 +313,8 @@ func (j *Journal) forceTrimOldest() {
 		}
 		j.drop(r)
 	}
-	j.cuts = append(j.cuts[:0], j.cuts[1:]...)
-	if j.folded > 0 {
-		j.folded--
-	}
+	c.runs = c.runs[:0]
+	j.trim(1)
 }
 
 // CoveredShard reports whether the retained journal still holds
@@ -342,7 +351,7 @@ func (j *Journal) Covered(base, shards int) error {
 // ReplayShard walks the retained runs of shard g, oldest first, each
 // with its cut's watermark, stopping on the first error.
 func (j *Journal) ReplayShard(g int, fn func(run wire.ReplRun, upTo uint64) error) error {
-	for _, c := range j.cuts {
+	for _, c := range j.cuts[j.head:] {
 		for _, r := range c.runs {
 			if int(r.Shard) != g {
 				continue
@@ -372,7 +381,7 @@ func (j *Journal) ReplayUpToShard(g int) uint64 {
 func (j *Journal) Bytes() int64 { return j.bytes }
 
 // Cuts reports the number of retained cuts.
-func (j *Journal) Cuts() int { return len(j.cuts) }
+func (j *Journal) Cuts() int { return len(j.cuts) - j.head }
 
 // Events reports the number of retained events.
 func (j *Journal) Events() int { return j.events }

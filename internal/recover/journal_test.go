@@ -2,6 +2,9 @@ package recovery
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -303,6 +306,81 @@ func TestJournalAppendAllocs(t *testing.T) {
 	}
 }
 
+// laggingJournal is a journal in steady state with lag cuts in flight:
+// step seals one more cut of four 64-event runs and releases the cut lag
+// cuts behind it, whose runs then age out of their shards' horizons a few
+// cuts later.
+func laggingJournal(tb testing.TB, lag int) (j *Journal, step func()) {
+	tb.Helper()
+	j, err := NewJournal(JournalConfig{Window: 100, Shards: 4, SlackWindows: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var e wire.RunEncoder
+	runs := make([]wire.ReplRun, 4)
+	for g := range runs {
+		e.Reset(false)
+		for i := 0; i < 64; i++ {
+			e.Append(&event.Event{TS: event.Time(i), Seq: uint64(i + 1), Attrs: []float64{1, 2, 3}})
+		}
+		runs[g] = e.Seal(uint32(g))
+	}
+	var upTo uint64
+	step = func() {
+		upTo += 256
+		for g := range runs {
+			runs[g].LastTS += 50
+		}
+		if err := j.AppendRuns(runs, upTo); err != nil {
+			tb.Fatal(err)
+		}
+		if rel := uint64(lag) * 256; upTo > rel {
+			j.Advance(upTo - rel)
+		}
+	}
+	for i := 0; i < 4*lag+32; i++ {
+		step() // fill the backlog, reach the horizon, size the cut array
+	}
+	return j, step
+}
+
+// TestJournalAdvanceAllocs: with 1,024 cuts in flight the journal still
+// seals a cut with one allocation, its record — the cuts that leave from
+// the front neither copy the backlog nor make appends regrow the array.
+// The count is exact over 4,096 cuts (a per-run average rounds down, and
+// a regrowth every thousand cuts would hide in it).
+func TestJournalAdvanceAllocs(t *testing.T) {
+	const cuts = 4096
+	j, step := laggingJournal(t, 1024)
+	total := testing.AllocsPerRun(1, func() {
+		for range cuts {
+			step()
+		}
+	})
+	if total > cuts {
+		t.Fatalf("journaling %d cuts behind 1024 unreleased ones allocated %.0f times, want <= %d", cuts, total, cuts)
+	}
+	if n := j.Cuts(); n < 1024 || n > 1024+12 {
+		t.Fatalf("%d cuts retained, want the 1024 in flight plus the released few", n)
+	}
+}
+
+// BenchmarkJournalAdvance: one cut sealed and one released per op,
+// behind 16 or 1,024 unreleased cuts. The cost is what is released and
+// dropped, so both sizes should cost about the same.
+func BenchmarkJournalAdvance(b *testing.B) {
+	for _, lag := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("inflight=%d", lag), func(b *testing.B) {
+			_, step := laggingJournal(b, lag)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				step()
+			}
+		})
+	}
+}
+
 // TestDetector: a node expires only when it owes a beat — silent past
 // the timeout after a send — so frames reset the clock, an idle source
 // (no sends) never kills anyone, and a zero timeout disables expiry.
@@ -361,5 +439,254 @@ func TestDetectorGrow(t *testing.T) {
 	d.Heard(1)
 	if d.Expired(1, false) {
 		t.Fatal("grown slot expired after a beat")
+	}
+}
+
+// refJournal is the reference model for the bounded trim: the journal's
+// retention rules with the trim every call used to run — a walk of every
+// retained cut — and an eviction that shifts the whole cut list down.
+type refJournal struct {
+	slack    event.Time
+	maxBytes int64
+	cuts     []cutRecord
+	bytes    int64
+	events   int
+	relSeq   uint64
+	folded   int
+	relTS    []event.Time
+	relSeen  []bool
+	excluded []bool
+	forced   []bool
+	forcedTS []event.Time
+}
+
+func newRefJournal(window event.Time, shards, slackWindows int, maxBytes int64) *refJournal {
+	return &refJournal{
+		slack: event.Time(slackWindows)*window + 1, maxBytes: maxBytes,
+		relTS: make([]event.Time, shards), relSeen: make([]bool, shards),
+		excluded: make([]bool, shards), forced: make([]bool, shards),
+		forcedTS: make([]event.Time, shards),
+	}
+}
+
+func (m *refJournal) droppable(r wire.ReplRun) bool {
+	return m.excluded[r.Shard] || (m.relSeen[r.Shard] && r.LastTS < m.relTS[r.Shard]-m.slack)
+}
+
+func (m *refJournal) appendRuns(runs []wire.ReplRun, upTo uint64) {
+	var rec cutRecord
+	rec.upTo = upTo
+	for _, r := range runs {
+		if r.Events > 0 && !m.excluded[r.Shard] {
+			rec.runs = append(rec.runs, r)
+			m.bytes += int64(len(r.Body))
+			m.events += r.Events
+		}
+	}
+	if len(rec.runs) == 0 {
+		return
+	}
+	m.cuts = append(m.cuts, rec)
+	for m.bytes > m.maxBytes && len(m.cuts) > 1 {
+		c := m.cuts[0]
+		for _, r := range c.runs {
+			if !m.droppable(r) || c.upTo > m.relSeq {
+				m.forced[r.Shard] = true
+				m.forcedTS[r.Shard] = max(m.forcedTS[r.Shard], r.LastTS)
+			}
+			m.bytes -= int64(len(r.Body))
+			m.events -= r.Events
+		}
+		m.cuts = m.cuts[1:]
+		if m.folded > 0 {
+			m.folded--
+		}
+	}
+}
+
+func (m *refJournal) advance(relSeq uint64) {
+	if relSeq > m.relSeq {
+		m.relSeq = relSeq
+		for m.folded < len(m.cuts) && m.cuts[m.folded].upTo <= relSeq {
+			for _, r := range m.cuts[m.folded].runs {
+				m.relTS[r.Shard] = r.LastTS
+				m.relSeen[r.Shard] = true
+			}
+			m.folded++
+		}
+	}
+	m.trim()
+}
+
+func (m *refJournal) abandon(base, shards int) {
+	for g := base; g < base+shards; g++ {
+		m.excluded[g] = true
+	}
+	m.trim()
+}
+
+// trim walks every retained cut: released cuts drop the runs past their
+// shard's horizon, every cut drops abandoned shards' runs, and emptied
+// cuts go wherever they are.
+func (m *refJournal) trim() {
+	var cuts []cutRecord
+	folded := 0
+	for k, c := range m.cuts {
+		var kept []wire.ReplRun
+		for _, r := range c.runs {
+			if m.excluded[r.Shard] || (k < m.folded && m.droppable(r)) {
+				m.bytes -= int64(len(r.Body))
+				m.events -= r.Events
+				continue
+			}
+			kept = append(kept, r)
+		}
+		if len(kept) > 0 {
+			if k < m.folded {
+				folded++
+			}
+			cuts = append(cuts, cutRecord{upTo: c.upTo, runs: kept})
+		}
+	}
+	m.cuts, m.folded = cuts, folded
+}
+
+// covered is CoveredShard's verdict, as a bool.
+func (m *refJournal) covered(g int) bool {
+	return !m.forced[g] || (m.relSeen[g] && m.forcedTS[g] < m.relTS[g]-m.slack)
+}
+
+// replay lists what ReplayShard(g) would hand a migration, in order.
+func (m *refJournal) replay(g int) []replayed {
+	var out []replayed
+	for _, c := range m.cuts {
+		for _, r := range c.runs {
+			if int(r.Shard) == g {
+				out = append(out, replayed{r.Events, r.LastTS, len(r.Body), c.upTo})
+			}
+		}
+	}
+	return out
+}
+
+// replayed is one run a replay hands over, with its cut's watermark.
+type replayed struct {
+	events int
+	lastTS event.Time
+	bytes  int
+	upTo   uint64
+}
+
+func replayOf(j *Journal, g int) []replayed {
+	var out []replayed
+	j.ReplayShard(g, func(r wire.ReplRun, upTo uint64) error { //nolint:errcheck // fn never fails
+		out = append(out, replayed{r.Events, r.LastTS, len(r.Body), upTo})
+		return nil
+	})
+	return out
+}
+
+// TestJournalTrimDifferential holds the bounded trim — Advance walks only
+// released cuts, emptied cuts leave from the front — to the full-walk
+// reference model over a seeded script on 4 shards: a hot, a warm, a cold
+// and a bursty shard, releases that trail the feed by hundreds of cuts and
+// now and then catch up, an Abandon of shards still holding unreleased
+// runs, and (second row) a byte bound that force-trims. After every step
+// the counters, each shard's replay and each shard's coverage verdict
+// must agree.
+func TestJournalTrimDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+		seed     uint64
+	}{
+		{"unbounded", 1 << 40, 1},
+		{"force-trim", 12 << 10, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const shards, steps = 4, 3000
+			rng := rand.New(rand.NewPCG(tc.seed, 45))
+			j, err := NewJournal(JournalConfig{Window: 100, Shards: shards, SlackWindows: 2, MaxBytes: tc.maxBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefJournal(100, shards, 2, tc.maxBytes)
+			heat := [shards]float64{0.95, 0.6, 0.03, 0.3}
+			var (
+				ts                  event.Time
+				seq, released       uint64
+				ups                 []uint64
+				abandonedUnreleased int
+				maxUnreleased       int
+			)
+			lag := 300
+			for step := 0; step < steps; step++ {
+				var runs []wire.ReplRun
+				for g := range shards {
+					if rng.Float64() >= heat[g] || (g == 3 && step%400 >= 200) {
+						continue // cold this cut; shard 3 sleeps half of every 400 cuts
+					}
+					n := 1 + rng.IntN(4)
+					ts += event.Time(1 + rng.IntN(8))
+					seq += uint64(n)
+					runs = append(runs, wire.ReplRun{Shard: uint32(g), Events: n, LastTS: ts, Body: make([]byte, 5+9*n)})
+				}
+				seq++ // an elided event still moves the watermark
+				if err := j.AppendRuns(runs, seq); err != nil {
+					t.Fatal(err)
+				}
+				ref.appendRuns(runs, seq)
+				ups = append(ups, seq)
+
+				switch {
+				case step == 1500:
+					// Abandon the cold and the bursty shard while most of
+					// their history is unreleased.
+					for _, g := range []int{2, 3} {
+						for _, r := range ref.replay(g) {
+							if r.upTo > released {
+								abandonedUnreleased++
+							}
+						}
+					}
+					j.Abandon(2, 2)
+					ref.abandon(2, 2)
+				case step >= 1200 && step < 1500:
+					lag = 300 // Abandon must meet a backlog
+				case rng.IntN(50) == 0:
+					lag = rng.IntN(6) // catch up, then fall behind again
+				case rng.IntN(20) == 0:
+					lag = 100 + rng.IntN(400)
+				}
+				if k := len(ups) - 1 - lag; k >= 0 && ups[k] > released {
+					released = ups[k]
+				}
+				j.Advance(released)
+				ref.advance(released)
+				maxUnreleased = max(maxUnreleased, len(ref.cuts)-ref.folded)
+				if j.Cuts() != len(ref.cuts) || j.Events() != ref.events || j.Bytes() != ref.bytes {
+					t.Fatalf("step %d: %d cuts / %d events / %d bytes, reference %d / %d / %d",
+						step, j.Cuts(), j.Events(), j.Bytes(), len(ref.cuts), ref.events, ref.bytes)
+				}
+				for g := range shards {
+					if got, want := replayOf(j, g), ref.replay(g); !slices.Equal(got, want) {
+						t.Fatalf("step %d: shard %d replays %v, reference %v", step, g, got, want)
+					}
+					if got, want := j.CoveredShard(g) == nil, ref.covered(g); got != want {
+						t.Fatalf("step %d: shard %d covered %v, reference %v", step, g, got, want)
+					}
+				}
+			}
+			if maxUnreleased < 100 {
+				t.Fatalf("at most %d cuts were in flight; the script never lagged", maxUnreleased)
+			}
+			if abandonedUnreleased == 0 {
+				t.Fatal("the abandoned shards held no unreleased run; Abandon was not exercised")
+			}
+			if forced := slices.Contains(ref.forced, true); forced != (tc.name == "force-trim") {
+				t.Fatalf("force-trimmed into a horizon: %v, want %v", forced, !forced)
+			}
+			t.Logf("peak %d cuts in flight; Abandon met %d unreleased runs", maxUnreleased, abandonedUnreleased)
+		})
 	}
 }
