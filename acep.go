@@ -232,8 +232,8 @@ type (
 	ClusterMigration = recovery.Migration
 	// ClusterElastic tunes the ingress placement controller (see
 	// cluster.ElasticConfig): with it set the ingress migrates the busiest
-	// shard off the hottest node when per-shard queue-wait p99 snapshots
-	// show sustained skew.
+	// shard off the most loaded node when the events it routed to each
+	// node's shards since the last move show sustained skew.
 	ClusterElastic = cluster.ElasticConfig
 	// HAIngress is a replicated coordinator pair (built by NewHAIngress): a
 	// primary ingress with a hot standby mirroring every sealed cut over

@@ -64,9 +64,10 @@
 //	    -chaos seed=7,dup=0.05,delay=0.1:2ms
 //
 // Elasticity (built on the same journal): -rebalance lets the ingress
-// migrate hot shards between live workers from their queue-wait
-// telemetry, -join admits fresh bare workers mid-run (the controller
-// hands them shards), and -drain gracefully empties a worker slot:
+// migrate hot shards between live workers by the events it routed to
+// each shard since the last move, -join admits fresh bare workers mid-run
+// (the controller hands them shards), and -drain gracefully empties a
+// worker slot:
 //
 //	acep-node -listen 127.0.0.1:7190 &   # bare worker, joins mid-run
 //	acep-run -in keyed.csv -connect 127.0.0.1:7101,127.0.0.1:7102 -recover \
@@ -141,7 +142,7 @@ func main() {
 		haStandby = flag.String("standby-addr", "", "out-of-process coordinator standby address (acep-standby) for -ha; empty spawns the mirror in-process")
 		haLease   = flag.String("lease-addr", "", "emission-lease arbiter address for -ha; empty spawns the pair's own on loopback")
 		chaosSpec = flag.String("chaos", "", "inject deterministic faults on the -ha replication link, e.g. seed=7,drop=0.01,delay=0.2:2ms (see internal/chaos)")
-		rebalance = flag.Bool("rebalance", false, "enable the placement controller: migrate hot shards between workers (needs -recover)")
+		rebalance = flag.Bool("rebalance", false, "enable the placement controller: move shards off the worker routed the most events (needs -recover)")
 		joinStr   = flag.String("join", "", "comma-separated TCP addresses of bare acep-node workers to admit mid-run (needs -recover and -connect)")
 		joinAfter = flag.Int("join-after", 0, "admit -join workers after this many events (default: a quarter of the stream)")
 		drainSlot = flag.Int("drain", -1, "gracefully drain this worker slot mid-run (needs -recover)")

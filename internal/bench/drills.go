@@ -103,13 +103,11 @@ func (r *rig) elastic() error {
 		var ec *cluster.ElasticConfig
 		if rebalance {
 			scenario = "join-rebalance"
-			// MinWaitP99 is a production floor against migrating an idle
-			// cluster; this run constructs the overload, so only the ratio
-			// gates. Default hysteresis/cooldown otherwise: an empty joiner is
-			// always the coldest node, so the scale-out moves fire regardless,
-			// and the wide ratio keeps the controller from flapping once the
-			// joiner carries its share.
-			ec = &cluster.ElasticConfig{MinWaitP99: 1}
+			// Default hysteresis and cooldown: an empty joiner is always the
+			// coldest node, so the scale-out move fires, and the wide ratio
+			// keeps the controller from flapping once the joiner carries its
+			// share.
+			ec = &cluster.ElasticConfig{}
 		}
 		err := r.run(scenario, 2, 3, 1, func(d *drill) error {
 			conns, err := d.dial()
@@ -124,10 +122,6 @@ func (r *rig) elastic() error {
 				return err
 			}
 			joinAt := len(r.w.Events) / 3
-			if rebalance && joinAt < firstLoadReport {
-				return fmt.Errorf("%d events are too few: the join at event %d precedes the first load report (event %d)",
-					len(r.w.Events), joinAt, firstLoadReport)
-			}
 			joinSlot := -1
 			var joined time.Time
 			err = d.feed(ing, func(i int) error {
@@ -140,10 +134,6 @@ func (r *rig) elastic() error {
 						return err
 					}
 					joined = time.Now()
-				}
-				// The controller is exercised over the middle third.
-				if rebalance && i >= joinAt && i < 2*joinAt && i%drillBatch == 0 {
-					return awaitNodeStats(ing, d.Nodes, i-telemetryLag)
 				}
 				return nil
 			})
@@ -195,51 +185,6 @@ func (r *rig) elastic() error {
 		}
 	}
 	return nil
-}
-
-// Load telemetry, as the controller sees it: a node reports every 4
-// cuts what its shard workers published after the previous report asked
-// them to, and a worker runs at most 5 cuts behind its node (a 4-cut
-// queue plus the cut in hand). The first report is empty, the second
-// (cut 8) may predate a lagging worker's answer, so every node has
-// reported real load by cut 12 — firstLoadReport keeps the margin the
-// rig was sized with — and from then on its newest report trails its
-// own progress by under 4 cuts.
-// The controller treats a node whose report trails its peers' by 16
-// cuts as stale — its load unknown, so it neither gives up nor takes a
-// shard — and an unpaced feed is over before the reports catch up, so
-// the drill holds the feed within telemetryLag of every node's newest
-// report.
-const (
-	firstLoadReport = 24 * drillBatch
-	telemetryLag    = 6 * drillBatch
-)
-
-// awaitNodeStats blocks until each of the first `nodes` slots has
-// reported per-shard load stamped at or after event index from. Load
-// telemetry rides the upstream frame flow, so an unpaced coordinator
-// outruns it; a real deployment's continuous stream has no such race to
-// begin with, and the drill paces the middle third to match.
-func awaitNodeStats(ing *cluster.Ingress, nodes, from int) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fresh := 0
-		for _, ss := range ing.NodeStats()[:nodes] {
-			for _, s := range ss {
-				if int(s.Cut) >= from {
-					fresh++
-					break
-				}
-			}
-		}
-		if fresh == nodes {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%d/%d nodes reported shard stats from event %d on before the deadline", fresh, nodes, from)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
 }
 
 // takeover kills the primary of a replicated coordinator pair 40% into

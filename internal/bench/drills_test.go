@@ -96,10 +96,10 @@ func TestDrills(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault drills in -short mode")
 	}
-	// tinyScale, but long enough for the elastic join (a third in) to come
-	// after the workers' first load report, 24 cuts in, and wide enough for
-	// the size-4 keyed sequence to fire on traffic: the rig refuses a
-	// vacuous reference.
+	// tinyScale, but long enough for the placement controller, which
+	// decides at most every 16 cuts, to decide several times after the
+	// elastic join a third in, and wide enough for the size-4 keyed
+	// sequence to fire on traffic: the rig refuses a vacuous reference.
 	sc := tinyScale()
 	sc.Events, sc.Window = 20000, 150
 	for name, want := range drillChecks {

@@ -107,13 +107,6 @@ func (w *Wrapper) PartitionSend() {
 	w.mu.Unlock()
 }
 
-// PartitionRecv blackholes the inbound direction only.
-func (w *Wrapper) PartitionRecv() {
-	w.mu.Lock()
-	w.recvCut = true
-	w.mu.Unlock()
-}
-
 // Wedge makes Send block (a peer that accepted the connection and
 // stopped reading; the socket buffer has filled). Heal or Close unblock.
 func (w *Wrapper) Wedge() {

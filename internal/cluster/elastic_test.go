@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
+	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/shard"
 	"acep/internal/wire"
 )
 
@@ -86,38 +90,17 @@ func TestMigrateLive(t *testing.T) {
 	}
 }
 
-// waitForStats blocks until each of the first `nodes` slots has reported
-// shard stats stamped at or after event index from (every report covers
-// every shard, idle ones as zeros, under one stamp). A test ingress
-// outruns its nodes by design — no flow control ties ingest to worker
-// progress — and the placement controller does not act on reports that
-// trail their peers', so a controller test holds the feed near its
-// nodes' telemetry; a paced real deployment gets it continuously.
-func waitForStats(t *testing.T, ing *Ingress, nodes, from int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fresh := 0
-		for _, ss := range ing.NodeStats()[:nodes] {
-			if len(ss) > 0 && int(ss[0].Cut) >= from {
-				fresh++
-			}
-		}
-		if fresh == nodes {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d/%d nodes reported shard stats from event %d on", fresh, nodes, from)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestRebalanceSkewed: the placement controller, fed per-shard
-// queue-wait p99 snapshots from real nodes, moves at least one shard off
-// the hottest node on its own — among the founders alone, and onto a
-// node that joined empty — and however many moves it makes, the stream
-// stays byte-identical to the single-process reference.
+// TestRebalanceSkewed: the placement controller, reading the events the
+// ingress routed to each shard, moves load off the most loaded node on
+// its own — among the founders alone, and onto a node that joined empty —
+// the stream stays byte-identical to the single-process reference, and a
+// second run of the same stream makes the same moves. Nothing paces the
+// feed, and the controller's input is a function of the stream; the one
+// timing input left is whether the last move is acknowledged when a
+// decision comes, and an unpaced feed outruns an acknowledgement by tens
+// of cuts. So HotRatio is 3: the first decision (cut 16) moves shard 3
+// off node 1, and after that no node routes more than about twice
+// another's events, whenever the next decision comes.
 func TestRebalanceSkewed(t *testing.T) {
 	// Keys: 4 over 6 global shards leaves at least two shards idle, so
 	// node load is skewed from the start and stays so.
@@ -125,56 +108,59 @@ func TestRebalanceSkewed(t *testing.T) {
 		Types: 6, Events: 5000, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 4,
 	})
 	want := runSharded(t, w, gen.Sequence, 6)
+	type move struct {
+		shard, from, to int
+		reason          string
+	}
 	for _, joiner := range []bool{false, true} {
 		name, standbys := "rebalance under skew", 0
 		if joiner {
 			name, standbys = "rebalance under skew, with a joiner", 1
 		}
-		rig, _ := startFailoverRig(t, w, gen.Sequence, standbys, nil, nil)
-		// A node's first report (cut 4) carries zeros — nothing was
-		// published before anyone asked — and its second (cut 8) the first
-		// samples, so the controller cannot see the skew before event 512:
-		// the joiner below is seated by then, whatever the scheduler does.
-		// From event 3000 on the feed stays within 6 cuts of every
-		// founder's newest report (a node reports every 4), inside the
-		// 8-cut age horizon.
-		at := map[int]func(*Ingress){}
-		for i := 3000; i < 4000; i += 64 {
-			at[i] = func(ing *Ingress) { waitForStats(t, ing, 3, i-6*64) }
-		}
-		if joiner {
-			at[256] = func(ing *Ingress) {
-				c, err := DialTCP(rig.standbyLs[0].Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := ing.AddNode(c); err != nil {
-					t.Fatal(err)
+		var first []move
+		for run := range 2 {
+			rig, _ := startFailoverRig(t, w, gen.Sequence, standbys, nil, nil)
+			at := map[int]func(*Ingress){}
+			if joiner {
+				// Seated before the first decision, at cut 16.
+				at[64] = func(ing *Ingress) {
+					c, err := DialTCP(rig.standbyLs[0].Addr())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ing.AddNode(c); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
-			HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
-		}, at)
-		requireIdentical(t, name, got, want)
-		if fos := ing.Failovers(); len(fos) != 0 {
-			t.Fatalf("%s: recorded failovers: %+v", name, fos)
-		}
-		mgs := ing.Migrations()
-		if len(mgs) == 0 {
-			t.Fatalf("%s: controller never moved a shard off the hot node", name)
-		}
-		// An empty node ties the idlest founder at best and owns fewer
-		// shards, so the first move is the joiner's.
-		if joiner && mgs[0].To != 3 {
-			t.Fatalf("%s: first move went to node %d, not the joiner: %+v", name, mgs[0].To, mgs)
-		}
-		for _, m := range mgs {
-			if m.Reason != "rebalance" && m.Reason != "join" {
-				t.Fatalf("%s: controller move with reason %q: %+v", name, m.Reason, m)
+			got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{HotRatio: 3}, at)
+			requireIdentical(t, name, got, want)
+			if fos := ing.Failovers(); len(fos) != 0 {
+				t.Fatalf("%s: recorded failovers: %+v", name, fos)
 			}
-			if m.CompletedAt.IsZero() {
-				t.Fatalf("%s: migration never acknowledged: %+v", name, m)
+			mgs := ing.Migrations()
+			if len(mgs) == 0 {
+				t.Fatalf("%s: controller never moved a shard off the hot node", name)
+			}
+			// An empty node ties the idlest founder at best and owns fewer
+			// shards, so the first move is the joiner's.
+			if joiner && mgs[0].To != 3 {
+				t.Fatalf("%s: first move went to node %d, not the joiner: %+v", name, mgs[0].To, mgs)
+			}
+			var moves []move
+			for _, m := range mgs {
+				if m.Reason != "rebalance" && m.Reason != "join" {
+					t.Fatalf("%s: controller move with reason %q: %+v", name, m.Reason, m)
+				}
+				if m.CompletedAt.IsZero() {
+					t.Fatalf("%s: migration never acknowledged: %+v", name, m)
+				}
+				moves = append(moves, move{m.Shard, m.From, m.To, m.Reason})
+			}
+			if run == 0 {
+				first = moves
+			} else if !slices.Equal(moves, first) {
+				t.Fatalf("%s: the second run moved %+v, the first %+v", name, moves, first)
 			}
 		}
 	}
@@ -275,7 +261,7 @@ func TestRebalanceDuringFailover(t *testing.T) {
 		return c
 	}, nil)
 	got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
-		HotRatio: 1.1, MinWaitP99: 1, CooldownCuts: 2,
+		HotRatio: 1.1, CooldownCuts: 2,
 	}, nil)
 	requireIdentical(t, "rebalance during failover", got, want)
 	fos := ing.Failovers()
@@ -457,31 +443,31 @@ func TestAddNodeDrain(t *testing.T) {
 }
 
 // TestPlace is the placement rule's truth table: two founders of two
-// shards each unless a row says otherwise, reports stamped at cut 1000
-// with a 100-cut age horizon.
+// shards each unless a row says otherwise; a shard's load is the events
+// routed to it since the last move.
 func TestPlace(t *testing.T) {
-	const now = 1000
-	ms := func(f float64) uint64 { return uint64(f * float64(time.Millisecond)) }
-	st := func(shard uint32, events uint64, p99ms float64, cut uint64) wire.ShardStat {
-		return wire.ShardStat{Shard: shard, Events: events, P99Nanos: ms(p99ms), Cut: cut}
+	slot := func(hosted ...int) slotView {
+		sv := slotView{eligible: true, hosted: map[int]bool{}}
+		for _, g := range hosted {
+			sv.hosted[g] = true
+		}
+		return sv
 	}
-	founder := func(report ...wire.ShardStat) slotView {
-		return slotView{eligible: true, hosted: map[int]bool{}, report: report}
-	}
-	joiner := founder()
-	hot := founder(st(0, 100, 40, now), st(1, 500, 30, now))
-	cold := founder(st(2, 100, 10, now), st(3, 100, 5, now))
-	view := func(edit func(*placementView), slots ...slotView) placementView {
+	founders := []slotView{slot(0, 1), slot(2, 3)}
+	joined := []slotView{slot(0, 1), slot(2, 3), slot()}
+	soleOwner := func(v *placementView) { v.owner = []int{0, 1, 1, 1} }
+	view := func(load []uint64, slots []slotView, edit func(*placementView)) placementView {
 		v := placementView{
 			cfg:   ElasticConfig{}.withDefaults(),
-			owner: []int{0, 0, 1, 1}, pinned: make([]bool, 4), slots: slots,
-			ageHorizon: 100,
+			owner: []int{0, 0, 1, 1}, pinned: make([]bool, 4), load: load, slots: slots,
 		}
 		if edit != nil {
 			edit(&v)
 		}
 		return v
 	}
+	skew := []uint64{100, 500, 150, 100} // node 0: 600, node 1: 250
+	idle := []uint64{100, 500, 0, 0}     // node 1 routed nothing
 	type move struct {
 		shard, to int
 		reason    string
@@ -492,28 +478,22 @@ func TestPlace(t *testing.T) {
 		v    placementView
 		want move
 	}{
-		{"balanced", view(nil, founder(st(0, 100, 10, now)), founder(st(2, 100, 10, now))), none},
-		{"hot over HotRatio: its busiest shard moves", view(nil, hot, cold), move{1, 1, "rebalance"}},
-		{"hot under HotRatio", view(nil, founder(st(0, 100, 15, now)), cold), none},
-		{"hot under MinWaitP99", view(nil, founder(st(0, 100, 0.8, now)), founder(st(2, 100, 0.1, now))), none},
-		{"sole-shard hot node keeps it", view(func(v *placementView) { v.owner = []int{0, 1, 1, 1} }, hot, cold), none},
+		{"idle stream", view(make([]uint64, 4), founders, nil), none},
+		{"balanced", view([]uint64{100, 100, 100, 100}, founders, nil), none},
+		{"hot over HotRatio: its busiest shard moves", view(skew, founders, nil), move{1, 1, "rebalance"}},
+		{"hot under HotRatio", view([]uint64{100, 300, 150, 100}, founders, nil), none},
+		{"sole-shard hot node keeps it", view([]uint64{600, 0, 100, 50}, founders, soleOwner), none},
 		{"sole-shard hot node gives it to an empty one",
-			view(func(v *placementView) { v.owner = []int{0, 1, 1, 1} }, hot, cold, joiner), move{0, 2, "join"}},
-		{"report older than the last move is unknown, so nothing is hot",
-			view(func(v *placementView) { v.moveHorizon = now }, founder(st(0, 100, 40, now-1)), cold), none},
-		{"stale peer is not a target; the joiner is",
-			view(nil, hot, founder(st(2, 100, 10, now-101)), joiner), move{1, 2, "join"}},
-		{"stale peer alone: no target", view(nil, hot, founder(st(2, 100, 10, now-101))), none},
-		{"never-reporting peer that owns shards: no target", view(nil, hot, founder()), none},
-		{"idle founder reports zeros: known load 0, the target",
-			view(nil, hot, founder(st(2, 0, 0, now), st(3, 0, 0, now))), move{1, 1, "rebalance"}},
-		{"joiner beats an idle founder on shard count",
-			view(nil, hot, founder(st(2, 100, 0, now)), joiner), move{1, 2, "join"}},
-		{"every candidate already hosted",
-			view(nil, hot, slotView{eligible: true, hosted: map[int]bool{0: true, 1: true}, report: cold.report}), none},
-		{"busiest shard pinned: the next one moves", view(func(v *placementView) { v.pinned[1] = true }, hot, cold), move{0, 1, "rebalance"}},
-		{"cold slot not live", view(nil, hot, slotView{hosted: map[int]bool{}, report: cold.report}), none},
-		{"migration in flight", view(func(v *placementView) { v.inFlight = true }, hot, cold), none},
+			view([]uint64{600, 0, 100, 50}, joined, soleOwner), move{0, 2, "join"}},
+		{"idle founder is the target", view(idle, founders, nil), move{1, 1, "rebalance"}},
+		{"joiner beats an idle founder on shard count", view(idle, joined, nil), move{1, 2, "join"}},
+		{"every candidate already hosted", view(skew, []slotView{slot(0, 1), slot(0, 1, 2, 3)}, nil), none},
+		{"busiest shard hosted by the target: the next one moves",
+			view(skew, []slotView{slot(0, 1), slot(1, 2, 3)}, nil), move{0, 1, "rebalance"}},
+		{"busiest shard pinned: the next one moves",
+			view(skew, founders, func(v *placementView) { v.pinned[1] = true }), move{0, 1, "rebalance"}},
+		{"cold slot not live", view(skew, []slotView{slot(0, 1), {hosted: map[int]bool{}}}, nil), none},
+		{"migration in flight", view(skew, founders, func(v *placementView) { v.inFlight = true }), none},
 	}
 	for _, c := range cases {
 		got := none
@@ -527,9 +507,8 @@ func TestPlace(t *testing.T) {
 }
 
 // scriptedNode speaks the node side of the protocol with no engine
-// behind it: it acknowledges every cut, reports the load its script
-// dictates for the cut, and acknowledges migrations.
-func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat) {
+// behind it: it acknowledges every cut and every migration.
+func scriptedNode(c Conn, shards uint32) {
 	defer c.Close()
 	send := func(f wire.Frame) { c.Send(f) } //nolint:errcheck // a dead link ends the Recv loop below
 	send(wire.Hello{Version: wire.Version, Shards: shards})
@@ -544,9 +523,6 @@ func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat
 		case wire.Batch:
 			if v.UpTo == 0 {
 				continue
-			}
-			if ss := load(v.UpTo); len(ss) > 0 {
-				send(wire.ShardStats{Stats: ss})
 			}
 			last = max(last, v.UpTo)
 			send(wire.Matches{UpTo: last})
@@ -565,77 +541,106 @@ func scriptedNode(c Conn, shards uint32, load func(upTo uint64) []wire.ShardStat
 	}
 }
 
-// TestRebalanceStaleReporter is ROADMAP defect (b) end to end: two
-// loaded founders, one of whose load reports stopped advancing, and a
-// fresh joiner. The lagging founder's load is unknown, not zero, so the
-// hot founder's shard must land on the joiner — and nothing may move
-// onto the lagging founder before the joiner exists.
-func TestRebalanceStaleReporter(t *testing.T) {
+// TestRebalanceRoutedLoad pins the controller's moves on a stream whose
+// per-shard split is known. Two scripted founders own shards {0, 1} and
+// {2, 3}; cuts are 8 events, the cooldown 4 cuts, HotRatio the default 2,
+// and the feed waits for each cut's release — which a moved shard's
+// acknowledgement precedes — so no timing enters.
+//   - Cuts 1-5 route 5:0:2:1 events to shards 0-3: node 0 carries 5/3 of
+//     node 1's load, under the ratio, so nothing moves.
+//   - Cuts 6-9 route 6:2:0:0. At cut 7 node 0 has routed 33 events to
+//     node 1's 15, and its busiest shard, 0, moves there.
+//   - From cut 10 on the split is 2:4:1:1. At cut 11, counted since the
+//     move, node 1 (shards 0, 2 and 3) has routed 22 events to node 0's
+//     10, and shard 2 moves to node 0: the busiest shard node 0 has not
+//     hosted (it ties shard 3, and the lower index wins).
+//   - A joiner is seated before cut 14. At cut 15 node 0 (shards 1 and 2)
+//     has routed 20 events to node 1's 12 and the joiner's 0, and its
+//     busiest shard, 1, joins the empty node. After that the joiner is the
+//     hottest, but it owns one shard and no node is empty, so nothing
+//     more moves.
+func TestRebalanceRoutedLoad(t *testing.T) {
 	w := keyedWorkload(t, "traffic")
 	pat, err := w.Pattern(gen.Sequence, 3, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batch, preCuts, postCuts = 4, 16, 8
-	busy := func(p99 time.Duration, stuckAt uint64, shards ...uint32) func(uint64) []wire.ShardStat {
-		return func(upTo uint64) []wire.ShardStat {
-			if stuckAt != 0 {
-				upTo = stuckAt
-			}
-			var ss []wire.ShardStat
-			for _, g := range shards {
-				ss = append(ss, wire.ShardStat{Shard: g, Events: 100, P99Nanos: uint64(p99), Cut: upTo})
-			}
-			return ss
-		}
-	}
-	start := func(shards uint32, load func(uint64) []wire.ShardStat) Conn {
+	const batch = 8
+	start := func(shards uint32) Conn {
 		client, server := Pipe()
-		go scriptedNode(server, shards, load)
+		go scriptedNode(server, shards)
 		return client
 	}
-	// The lagging founder's reports stay stamped with the first cut.
-	stuck := w.Events[batch-1].Seq
-	progress := make(chan uint64, 4*(preCuts+postCuts)) // a release per cut at most: the collector never blocks on it
-	ing, err := NewIngress(pat, []Conn{
-		start(2, busy(time.Millisecond, 0, 0, 1)),
-		start(2, busy(900*time.Microsecond, stuck, 2, 3)),
-	}, IngressOptions{
+	var released atomic.Uint64
+	wake := make(chan struct{}, 1)
+	ing, err := NewIngress(pat, []Conn{start(2), start(2)}, IngressOptions{
 		Batch: batch, KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {},
-		Recovery: &RecoveryConfig{}, OnProgress: func(w uint64) { progress <- w },
-		Elastic: &ElasticConfig{MinWaitP99: 1, CooldownCuts: 4},
+		Recovery: &RecoveryConfig{}, Elastic: &ElasticConfig{CooldownCuts: 4},
+		OnProgress: func(w uint64) {
+			released.Store(w)
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := func(from, cuts int) int {
-		to := from + cuts*batch
-		for i := from; i < to; i++ {
-			ing.Process(&w.Events[i])
+	// Every event copies one the pattern reads, keyed onto its shard.
+	tmpl := w.Events[slices.IndexFunc(w.Events, func(ev event.Event) bool { return ing.reads.Has(ev.Type) })]
+	keyAt, _ := w.Schema.AttrIndex(tmpl.Type, "key")
+	var keys [4]float64
+	var keyed [4]bool
+	for k, found := 0, 0; found < 4; k++ {
+		if g := shard.GlobalIndex(math.Float64bits(float64(k)), 4); !keyed[g] {
+			keys[g], keyed[g] = float64(k), true
+			found++
 		}
-		// Every report sent up to the last cut is in once the merge has
-		// released it: a node sends its stats ahead of the cut's watermark.
-		for <-progress < w.Events[to-1].Seq {
+	}
+	var seq uint64
+	cut := func(split [4]int) {
+		for g, n := range split {
+			for range n {
+				ev := tmpl
+				ev.Attrs = slices.Clone(tmpl.Attrs)
+				ev.Attrs[keyAt] = keys[g]
+				seq++
+				ev.Seq, ev.TS = seq, event.Time(seq)
+				ing.Process(&ev)
+			}
 		}
-		return to
+		for released.Load() < seq {
+			<-wake
+		}
 	}
-	at := feed(0, preCuts)
-	if mgs := ing.Migrations(); len(mgs) != 0 {
-		t.Fatalf("moved before the joiner existed: %+v", mgs)
+	for c := 1; c <= 29; c++ {
+		switch {
+		case c <= 5:
+			cut([4]int{5, 0, 2, 1})
+		case c <= 9:
+			cut([4]int{6, 2, 0, 0})
+		default:
+			if c == 14 {
+				if _, err := ing.AddNode(start(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cut([4]int{2, 4, 1, 1})
+		}
 	}
-	joiner, err := ing.AddNode(start(1, func(uint64) []wire.ShardStat { return nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(at, postCuts)
 	if err := finishWithin(t, 30*time.Second, ing); err != nil {
 		t.Fatal(err)
 	}
-	mgs := ing.Migrations()
-	if len(mgs) == 0 {
-		t.Fatal("the controller never moved a shard onto the joiner")
+	type move struct {
+		shard, from, to int
+		reason          string
 	}
-	if m := mgs[0]; m.From != 0 || m.To != joiner || m.Reason != "join" {
-		t.Fatalf("first move %+v, want a shard of founder 0 joining slot %d (the lagging founder is slot 1)", m, joiner)
+	var got []move
+	for _, m := range ing.Migrations() {
+		got = append(got, move{m.Shard, m.From, m.To, m.Reason})
+	}
+	if want := []move{{0, 0, 1, "rebalance"}, {2, 1, 0, "rebalance"}, {1, 0, 2, "join"}}; !slices.Equal(got, want) {
+		t.Fatalf("migrations %+v, want %+v", got, want)
 	}
 }

@@ -209,11 +209,13 @@ type Ingress struct {
 	rec           *RecoveryConfig
 	elastic       *ElasticConfig
 	journal       *recovery.Journal
-	det           *recovery.Detector
+	det           *recovery.Detector // nil without a HeartbeatTimeout: nothing would read its clocks
 	released      atomic.Uint64
 	exitCh        chan struct{} // coalesced reader-exit wakeup for the drain loop
 	cutsSinceMove int
-	moveHorizon   uint64 // cut watermark at the last shard move (staleness horizon)
+	// load is the placement controller's input (nil without one): per
+	// global shard, the events routed to it since the last move.
+	load []uint64
 
 	// HA state (zero without the internal/ha subsystem driving this
 	// ingress). onCut is the replication tap, epoch the coordinator epoch
@@ -361,7 +363,6 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		clear(claims)
 		in.owner = append([]int(nil), rs.Owner...)
 		in.lastSeq = rs.NextSeq
-		in.moveHorizon = rs.NextSeq
 		in.suppressFloor = rs.Boundary
 	} else {
 		for i, n := range claims {
@@ -379,6 +380,9 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		base += claims[i]
 	}
 	in.runs = make([]wire.RunEncoder, in.total)
+	if in.elastic != nil {
+		in.load = make([]uint64, in.total)
+	}
 
 	// The emission boundary: the collector orders sealed tags, and the
 	// match is decoded here, as the consumer takes it — unless the
@@ -404,7 +408,9 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		}); err != nil {
 			return nil, err
 		}
-		in.det = recovery.NewDetector(0, rc.HeartbeatTimeout) // install grows it
+		if rc.HeartbeatTimeout > 0 {
+			in.det = recovery.NewDetector(0, rc.HeartbeatTimeout) // install grows it
+		}
 		progress = func(w uint64) { in.released.Store(w) }
 	}
 	if tap := opts.OnProgress; tap != nil {
@@ -587,10 +593,10 @@ func (in *Ingress) metricsDone(s *slot) bool {
 // read is the reader goroutine of session s on node slot i: it turns each
 // Matches frame into one post to the merge collector — the frame's
 // matches, sealed, and its completion watermark — applies migration
-// acknowledgements, stores the node's load snapshots and final metrics,
-// and on failure either queues a suspect for failover (recovery
-// configured, posting nothing — the slot will be re-registered) or posts
-// a terminal watermark so the merge never deadlocks on a dead node.
+// acknowledgements and the node's final metrics, and on failure either
+// queues a suspect for failover (recovery configured, posting nothing —
+// the slot will be re-registered) or posts a terminal watermark so the
+// merge never deadlocks on a dead node.
 func (in *Ingress) read(i int, s *slot) {
 	defer func() { // runs last: done is closed by the time the drain wakes
 		select {
@@ -645,10 +651,6 @@ func (in *Ingress) read(i int, s *slot) {
 			// matches it released on the way arrived ahead of this frame.
 			in.col.Complete(i, int(v.Shard), v.UpTo)
 			in.migrationAcked(i, int(v.Shard))
-		case wire.ShardStats:
-			in.mu.Lock()
-			s.stats = v.Stats
-			in.mu.Unlock()
 		case wire.Metrics:
 			// The session's one report: fold it into the per-slot,
 			// per-pattern and per-tenant views.
@@ -740,7 +742,10 @@ func (in *Ingress) cutAll() {
 	in.rebalance()
 	in.sealed = in.sealed[:0]
 	for g := range in.runs {
-		if in.runs[g].Events() > 0 {
+		if n := in.runs[g].Events(); n > 0 {
+			if in.load != nil {
+				in.load[g] += uint64(n)
+			}
 			in.sealed = append(in.sealed, in.runs[g].Seal(uint32(g)))
 		}
 	}
@@ -854,10 +859,9 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 	}
 	in.owner[g] = to
 	dst.hosted[g] = true
-	// Every move invalidates the fleet's load picture: reports stamped
-	// before this cut describe the pre-move distribution, and the
-	// placement controller must not act on them (see rebalance).
-	in.moveHorizon = in.lastSeq
+	// Every move reshapes the fleet's load: the placement controller
+	// counts afresh from here (see rebalance).
+	clear(in.load)
 	replayUpTo := in.journal.ReplayUpToShard(g)
 	// Register the record before the replay: the destination's ack races
 	// with the tail of the replay loop, and an ack that finds no record
@@ -990,14 +994,10 @@ func (in *Ingress) rebalance() {
 	if in.cutsSinceMove < in.elastic.CooldownCuts {
 		return
 	}
-	// A report is stale once it trails the freshest by one controller
-	// period, floored at two reporting intervals so none is discarded
-	// just for riding the statsEveryCuts cadence.
 	v := placementView{
-		cfg: *in.elastic, owner: in.owner, moveHorizon: in.moveHorizon,
-		ageHorizon: uint64(max(in.elastic.CooldownCuts, 2*statsEveryCuts) * in.batch),
-		pinned:     make([]bool, in.total),
-		slots:      make([]slotView, len(in.slots)),
+		cfg: *in.elastic, owner: in.owner, load: in.load,
+		pinned: make([]bool, in.total),
+		slots:  make([]slotView, len(in.slots)),
 	}
 	for g := range v.pinned {
 		v.pinned[g] = in.journal.CoveredShard(g) != nil
@@ -1007,7 +1007,7 @@ func (in *Ingress) rebalance() {
 		v.inFlight = v.inFlight || m.CompletedAt.IsZero()
 	}
 	for n, s := range in.slots {
-		v.slots[n] = slotView{eligible: s.state == slotLive, hosted: s.hosted, report: s.stats}
+		v.slots[n] = slotView{eligible: s.state == slotLive, hosted: s.hosted}
 	}
 	in.mu.Unlock()
 	if g, to, reason, ok := place(v); ok {
@@ -1124,11 +1124,6 @@ func (in *Ingress) Drain(n int) error {
 	in.det.Sent(n)
 	s.state = slotDrained
 	s.addr = "" // the slot no longer lives anywhere dialable
-	// The ghost slot's last load report is history now — drop it so
-	// NodeStats and the placement controller never see it again.
-	in.mu.Lock()
-	s.stats = nil
-	in.mu.Unlock()
 	return nil
 }
 
@@ -1343,25 +1338,6 @@ func (in *Ingress) Migrations() []recovery.Migration {
 // Process goroutine.
 func (in *Ingress) Owners() []int {
 	return append([]int(nil), in.owner...)
-}
-
-// NodeStats snapshots the latest per-shard load report of every node
-// slot (nil for a slot that has not reported yet or was drained; a
-// report covers every shard, idle ones as zeros). This is the placement
-// controller's input, exposed so operators and benchmarks can observe
-// when load telemetry has actually arrived: stats ride the node's
-// upstream frame flow, so a coordinator far ahead of its workers sees
-// them lag.
-func (in *Ingress) NodeStats() [][]wire.ShardStat {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([][]wire.ShardStat, len(in.slots))
-	for i, s := range in.slots {
-		if len(s.stats) > 0 {
-			out[i] = append([]wire.ShardStat(nil), s.stats...)
-		}
-	}
-	return out
 }
 
 // finishNodes hands Finish to every slot still live, failing over (and

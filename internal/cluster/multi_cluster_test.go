@@ -429,8 +429,8 @@ func waitGhost(t *testing.T, ing *Ingress, n int) {
 // TestMultiClusterGhostSlots: join/drain churn on a live multi-pattern
 // cluster compacts ghost slots instead of growing the node arrays — a
 // later joiner reuses the drained slot, the drained session's metrics
-// move to the retired accumulator, its stale load report is dropped
-// from NodeStats, and the delivered streams stay byte-identical.
+// move to the retired accumulator, and the delivered streams stay
+// byte-identical.
 func TestMultiClusterGhostSlots(t *testing.T) {
 	w := multiClusterWorkload(t, "traffic", 4)
 	specs := multiClusterSpecs(t, w, gen.Sequence, 6, 1)
@@ -467,27 +467,6 @@ func TestMultiClusterGhostSlots(t *testing.T) {
 	}
 
 	got, ing := runMultiCluster(t, rig, w, specs, nil, true, map[int]func(*Ingress){
-		1600: func(ing *Ingress) {
-			// Satellite check: load reports are cut-stamped. Checked
-			// before any membership change — a join resets the stat
-			// cadence for a few cuts. 25 cuts are out by now: a node
-			// reports at its cut 24, when its workers (at most a queue of
-			// four cuts behind) have passed the cut 16 at which they first
-			// publish their load — at event 1500 the report of cut 20
-			// raced that publication, and nothing later was coming.
-			waitForStats(t, ing, 2, 1)
-			var stamped bool
-			for _, ss := range ing.NodeStats() {
-				for _, s := range ss {
-					if s.Cut > 0 {
-						stamped = true
-					}
-				}
-			}
-			if !stamped {
-				t.Fatal("no shard stat carries a cut stamp")
-			}
-		},
 		1800: func(ing *Ingress) {
 			if n := join(ing, 0); n != 2 {
 				t.Fatalf("first joiner landed in slot %d, want appended slot 2", n)
@@ -496,9 +475,6 @@ func TestMultiClusterGhostSlots(t *testing.T) {
 		2600: func(ing *Ingress) {
 			if err := ing.Drain(0); err != nil {
 				t.Fatalf("Drain(0): %v", err)
-			}
-			if ss := ing.NodeStats()[0]; len(ss) != 0 {
-				t.Fatalf("drained slot 0 still shows %d shard stats", len(ss))
 			}
 		},
 		4000: func(ing *Ingress) {

@@ -20,12 +20,6 @@ import (
 	"acep/internal/wire"
 )
 
-// statsEveryCuts is how often a node snapshots per-shard load for the
-// ingress placement controller: one ShardStats frame every this many
-// cuts keeps the overhead a rounding error while staying fresher than
-// the controller's own cooldown.
-const statsEveryCuts = 4
-
 // NodeConfig assembles a worker node: which pattern set it is willing to
 // host, how many shards it claims at the handshake, and the shard-layer
 // tuning its engine runs with. The ingress assigns the node's initial
@@ -325,8 +319,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		suppressAll uint64
 	)
 
-	var cuts uint64
-
 	// The Matches frame being filled, on the engine's collector goroutine:
 	// every match it releases is copied in as a record — so nothing outside
 	// this node aliases a worker's outbox slab — and each progress step
@@ -427,28 +419,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		up.flush()
 		return err
 	}
-	// sendStats ships a per-shard load snapshot (events processed and
-	// ingestion queue-wait p99) for the placement controller. Shards
-	// that processed nothing are reported too: a stamped zero is how the
-	// controller tells an idle node (known load 0, a fine target) from a
-	// lagging one (no current report, load unknown). Each stat is stamped
-	// with the highest cut watermark sealed so far, so the controller can
-	// discard reports that predate its decision horizon; the sample under
-	// the stamp is the one this call's predecessor asked the workers for
-	// (shard.Engine.ShardLoads), so no report re-ships an earlier one's.
-	sendStats := func() {
-		loads := eng.ShardLoads()
-		migMu.Lock()
-		cutMark := maxUpTo
-		migMu.Unlock()
-		ss := make([]wire.ShardStat, len(loads))
-		for g, l := range loads {
-			ss[g] = wire.ShardStat{
-				Shard: uint32(g), Events: l.Events, P99Nanos: uint64(l.WaitP99), Cut: cutMark,
-			}
-		}
-		up.send(wire.ShardStats{Stats: ss})
-	}
 	// ingest is what a Batch frame triggers. A frame's events are one
 	// global shard's run of the open cut, by the ingress's
 	// construction: a live cut arrives as one events-only frame (UpTo 0)
@@ -457,7 +427,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// So the run's first event places all of it, the block it was decoded
 	// into goes to that worker whole, and only the watermark seals —
 	// covering every run of the cut, whatever order the shards came in.
-	// Then: beat on receipt, seal, the periodic load report.
+	// Then: beat on receipt, seal.
 	ingest := func(upTo uint64) {
 		if run := dec.Take(); run != nil {
 			eng.ProcessStable(shard.GlobalIndex(key(run.At(0)), total), run)
@@ -470,10 +440,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		migMu.Lock()
 		maxUpTo = max(maxUpTo, upTo)
 		migMu.Unlock()
-		cuts++
-		if cuts%statsEveryCuts == 0 {
-			sendStats()
-		}
 	}
 	for {
 		f, err := conn.Recv()

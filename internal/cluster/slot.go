@@ -74,8 +74,7 @@ type slot struct {
 
 	// Written by the slot's reader goroutine, under Ingress.mu.
 	metrics    engine.Metrics
-	gotMetrics bool             // final metrics recorded: the clean-exit marker
-	stats      []wire.ShardStat // latest load snapshot
+	gotMetrics bool // final metrics recorded: the clean-exit marker
 }
 
 // receives reports whether the slot gets cuts and control frames

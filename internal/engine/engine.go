@@ -364,15 +364,6 @@ func (e *Engine) SetLatencyProbe(f func() float64) {
 	}
 }
 
-// ShedLoad reports the utilization measured at the shedder's last refresh
-// (0 without shedding configured); see shed.Budget.
-func (e *Engine) ShedLoad() float64 {
-	if e.shedder == nil {
-		return 0
-	}
-	return e.shedder.Load()
-}
-
 // LivePMs implements shed.Probe: the live partial matches across every
 // runner's current and draining evaluators.
 func (e *Engine) LivePMs() (n int) {

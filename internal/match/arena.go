@@ -33,12 +33,6 @@ func (b *Block) At(i int) *event.Event { return &b.evs[i] }
 // MaxTS reports the newest timestamp in the block (0 when empty).
 func (b *Block) MaxTS() event.Time { return b.maxTS }
 
-// Room reports whether one more event carrying attrs values fits without
-// growing either array.
-func (b *Block) Room(attrs int) bool {
-	return len(b.evs) < cap(b.evs) && len(b.attrs)+attrs <= cap(b.attrs)
-}
-
 // Reserve makes room for that many more events and attribute values, so
 // the appends that use it relocate nothing. Event pointers taken before
 // the call are invalid after it.

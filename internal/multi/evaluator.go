@@ -550,12 +550,6 @@ func (v *Evaluator) Plans() []plan.Plan {
 	return out
 }
 
-// SetBudget installs or replaces a tenant budget at runtime.
-func (v *Evaluator) SetBudget(tenant uint32, b shed.TenantBudget) {
-	v.tenantSlot(tenant)
-	v.gate.SetBudget(tenant, b)
-}
-
 // TenantStats reports per-tenant admission accounting.
 func (v *Evaluator) TenantStats() []shed.TenantStat { return v.gate.Stats() }
 

@@ -86,7 +86,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"acep/internal/engine"
@@ -259,15 +258,6 @@ type worker struct {
 	qwait   stats.Quantile
 	detect  stats.Quantile
 	nevents uint64
-
-	// Live load snapshot, readable from any goroutine mid-run: events
-	// processed so far and the queue-wait p99 estimate in nanoseconds.
-	// The p99 read walks the estimator's reservoir, so the worker
-	// publishes only when wantLoad asks (see Engine.ShardLoads), after
-	// its next cut. The cluster's placement controller feeds on these.
-	wantLoad   atomic.Bool
-	liveEvents atomic.Uint64
-	liveWait   atomic.Uint64
 }
 
 // scratchMatch is one match emitted while processing the current event,
@@ -393,10 +383,6 @@ func (w *worker) run(col *Collector, wg *sync.WaitGroup) {
 			w.held.Hold(c.blk)
 		}
 		w.post(col, c.upTo)
-		if w.wantLoad.CompareAndSwap(true, false) {
-			w.liveEvents.Store(w.nevents)
-			w.liveWait.Store(uint64(w.qwait.Quantile(0.99)))
-		}
 		if c.blk != nil || len(c.ops) > 0 {
 			// No engine this worker hosts can reach behind the evaluator's
 			// floor any more, and matches left as copies or bytes.
@@ -913,34 +899,6 @@ func (e *Engine) TenantStats() []shed.TenantStat {
 	out := make([]shed.TenantStat, len(ids))
 	for i, id := range ids {
 		out[i] = *agg[id]
-	}
-	return out
-}
-
-// ShardLoad is one shard's live load sample (see Engine.ShardLoads).
-type ShardLoad struct {
-	// Events counts the events the shard's engine has processed.
-	Events uint64
-	// WaitP99 is the shard's queue-wait p99 estimate.
-	WaitP99 time.Duration
-}
-
-// ShardLoads snapshots every shard's live load — events processed and
-// queue-wait p99 — without stopping the engine. It returns what each
-// worker published in answer to the previous call (zeros before the
-// first) and asks every worker for a fresh sample after its next cut, so
-// a reader polling every k cuts sees samples at most k cuts old and an
-// engine nobody polls never reads a quantile. Safe from any goroutine,
-// including mid-run; the cluster node layer ships these to the ingress
-// placement controller as wire ShardStats.
-func (e *Engine) ShardLoads() []ShardLoad {
-	out := make([]ShardLoad, len(e.workers))
-	for i, w := range e.workers {
-		out[i] = ShardLoad{
-			Events:  w.liveEvents.Load(),
-			WaitP99: time.Duration(w.liveWait.Load()),
-		}
-		w.wantLoad.Store(true)
 	}
 	return out
 }

@@ -215,7 +215,6 @@ func controlFrames() []controlFrame {
 		{"lease-fence", LeaseFence{Granted: true, Holder: 1, Epoch: 4, EmittedUpTo: 1 << 33, Count: 777}, 1},
 		{"handover-state", HandoverState{LastUpTo: 1 << 30, LastCut: 255, Cuts: 8, Finished: true}, 1},
 		{"shard-route", ShardRoute{Owner: []uint32{0, 2, 1, math.MaxUint32, 2}}, 2},
-		{"shard-stats", ShardStats{Stats: []ShardStat{{Shard: 0, Events: 1 << 44, P99Nanos: 125_000, Cut: 1 << 52}, {Shard: 3, Events: 7}}}, 2},
 		{"metrics", Metrics{M: engine.Metrics{Events: 100, Matches: 3, PeakPMs: 17, QueueWait: q}}, 3},
 		{"repl-cut-final", ReplCut{UpTo: 1 << 52, Cut: 1 << 20, Final: true}, 1},
 		{"repl-cut-run", ReplCut{UpTo: 512, Cut: 1, Runs: []ReplRun{sealRun(1, ev2)}}, 3},

@@ -175,31 +175,6 @@ type ShardRoute struct {
 
 func (v ShardRoute) code(c *codec) ShardRoute { c.owners(&v.Owner); return v }
 
-// ShardStats is a node's per-shard load snapshot, feeding the ingress
-// placement controller.
-type ShardStats struct {
-	Stats []ShardStat
-}
-
-func (v ShardStats) code(c *codec) ShardStats {
-	table(c, &v.Stats, maxShards, 4, "shard stat")
-	for i := range v.Stats {
-		c.u32(&v.Stats[i].Shard)
-		c.u64(&v.Stats[i].Events, &v.Stats[i].P99Nanos, &v.Stats[i].Cut)
-	}
-	return v
-}
-
-// ShardStat is one shard's load sample: events its engine processed this
-// session and its queue-wait p99, stamped with the watermark it was taken
-// at (Cut) so that the placement controller can discard pre-move load.
-type ShardStat struct {
-	Shard    uint32
-	Events   uint64
-	P99Nanos uint64
-	Cut      uint64
-}
-
 // PatternAdd registers one more pattern on a running node from the next
 // cut boundary on; the other patterns are unaffected. It is validated
 // against the Assign handshake's schema on application.

@@ -40,9 +40,10 @@ func allocated() uint64 {
 //   - whatever Decode accepts, Append re-encodes to exactly the bytes it
 //     consumed: an accepted frame has one encoding.
 //
-// The seeds are every frames() entry, each also with a trailing byte
-// inside its declared length, plus what no byte flip of them reaches: the
-// framing, two frames in one buffer, and the crashers of the unit tests.
+// The seeds are every frames() entry and every frame of the retired kind
+// 12, each also with a trailing byte inside its declared length, plus
+// what no byte flip of them reaches: the framing, two frames in one
+// buffer, and the crashers of the unit tests.
 // CI runs this for a short smoke interval on every push (like the SASE
 // parser fuzzer); longer runs are local.
 func FuzzDecode(f *testing.F) {
@@ -51,6 +52,10 @@ func FuzzDecode(f *testing.F) {
 	}
 	for _, fr := range frames() {
 		f.Add(withTrailingByte(Append(nil, fr)))
+	}
+	for _, b := range retiredFrames() {
+		f.Add(b)
+		f.Add(withTrailingByte(b))
 	}
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 99})

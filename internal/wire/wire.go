@@ -3,7 +3,7 @@
 // conversations:
 //
 //   - ingress ↔ worker node: the Hello/Assign handshake; Batch cuts down,
-//     Matches, Heartbeats and ShardStats back; shard migration (Migrate,
+//     Matches and Heartbeats back; shard migration (Migrate,
 //     MigrateAck, ShardRoute); pattern registration (PatternAdd,
 //     PatternRemove); Takeover from a successor; Finish, answered by
 //     Metrics.
@@ -58,7 +58,7 @@ import (
 
 // Version is the protocol version carried in Hello frames. Bump it on any
 // layout change: no frame carries compatibility shapes.
-const Version = 9
+const Version = 10
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.
@@ -80,7 +80,7 @@ const (
 	maxPatPreds     = 1 << 12 // predicates per (sub-)pattern
 	maxSubPatterns  = 1 << 8  // disjuncts per OR pattern
 
-	// Cluster caps (owner tables, ShardStats entries, ReplCut runs; pattern
+	// Cluster caps (owner tables, ReplCut runs; pattern
 	// sets and tenant tables; worker address tables).
 	maxShards         = 1 << 20 // global shards
 	maxPatternEntries = 1 << 12 // pattern entries per Assign or Metrics frame
@@ -104,7 +104,7 @@ const (
 	KindMigrate
 	KindMigrateAck
 	KindShardRoute
-	KindShardStats
+	_ // 12: retired (a node's load report, up to Version 9); decodes as unknown
 	KindPatternAdd
 	KindPatternRemove
 	KindReplCut
@@ -123,9 +123,9 @@ var kindNames = [...]string{
 	KindWatermark: "watermark", KindMatches: "matches", KindMetrics: "metrics",
 	KindFinish: "finish", KindHeartbeat: "heartbeat", KindMigrate: "migrate",
 	KindMigrateAck: "migrate-ack", KindShardRoute: "shard-route",
-	KindShardStats: "shard-stats", KindPatternAdd: "pattern-add",
-	KindPatternRemove: "pattern-remove", KindReplCut: "repl-cut",
-	KindReplState: "repl-state", KindTakeover: "takeover", KindEpoch: "epoch",
+	KindPatternAdd: "pattern-add", KindPatternRemove: "pattern-remove",
+	KindReplCut: "repl-cut", KindReplState: "repl-state",
+	KindTakeover: "takeover", KindEpoch: "epoch",
 	KindLeaseAcquire: "lease-acquire", KindLeaseRenew: "lease-renew",
 	KindLeaseFence: "lease-fence", KindHandover: "handover",
 	KindHandoverState: "handover-state",
@@ -155,7 +155,6 @@ func (Heartbeat) kind() Kind     { return KindHeartbeat }
 func (Migrate) kind() Kind       { return KindMigrate }
 func (MigrateAck) kind() Kind    { return KindMigrateAck }
 func (ShardRoute) kind() Kind    { return KindShardRoute }
-func (ShardStats) kind() Kind    { return KindShardStats }
 func (PatternAdd) kind() Kind    { return KindPatternAdd }
 func (PatternRemove) kind() Kind { return KindPatternRemove }
 func (ReplCut) kind() Kind       { return KindReplCut }
@@ -215,8 +214,6 @@ func appendFrame(dst []byte, f Frame) (_, tail []byte) {
 	case MigrateAck:
 		v.code(&c)
 	case ShardRoute:
-		v.code(&c)
-	case ShardStats:
 		v.code(&c)
 	case PatternAdd:
 		v.code(&c)
@@ -303,8 +300,6 @@ func decodePayload(p []byte) (Frame, error) {
 		f = MigrateAck{}.code(c)
 	case KindShardRoute:
 		f = ShardRoute{}.code(c)
-	case KindShardStats:
-		f = ShardStats{}.code(c)
 	case KindPatternAdd:
 		f = PatternAdd{}.code(c)
 	case KindPatternRemove:

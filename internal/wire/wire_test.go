@@ -133,11 +133,6 @@ func frames() []Frame {
 		MigrateAck{Shard: 9, UpTo: 5690},
 		ShardRoute{Owner: []uint32{0, 2, 1, math.MaxUint32, 2}},
 		ShardRoute{},
-		ShardStats{Stats: []ShardStat{
-			{Shard: 0, Events: 1 << 44, P99Nanos: 125_000, Cut: 1 << 52},
-			{Shard: 3, Events: 7, P99Nanos: 0},
-		}},
-		ShardStats{},
 		Watermark{UpTo: math.MaxUint64},
 		matchesOf(1 << 40), // a cut that released nothing: the bare watermark
 		matchesOf(7, MatchRecord{Shard: 3, Seq: 7, Pattern: 42, Body: AppendMatchBody(nil, plain)}),
@@ -344,6 +339,24 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Errorf("%s: decoded %#v, want error", name, f)
 		} else if errors.Is(err, ErrShort) {
 			t.Errorf("%s: rejected as a short buffer, not as corrupt: %v", name, err)
+		}
+	}
+}
+
+// retiredFrames are frames of kind 12, which carried a node's load
+// report up to Version 9 and is unassigned since: the report's old
+// layout with two shards' entries, and with none.
+func retiredFrames() [][]byte {
+	return [][]byte{frame(12, uvarints(2, 0, 1<<44, 125_000, 1<<52, 3, 7, 0, 0)), frame(12, uvarints(0))}
+}
+
+// TestRetiredKindUnknown: a frame of the retired kind 12 is refused as
+// an unknown kind, not decoded as some other layout.
+func TestRetiredKindUnknown(t *testing.T) {
+	for _, b := range retiredFrames() {
+		_, _, err := Decode(b)
+		if err == nil || err.Error() != "wire: unknown frame kind 12" {
+			t.Fatalf("kind 12 decoded with error %v, want an unknown frame kind", err)
 		}
 	}
 }

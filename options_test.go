@@ -35,7 +35,7 @@ func TestOptionSurface(t *testing.T) {
 		{"ShedBudget", reflect.TypeFor[acep.ShedBudget](), []string{
 			"LivePMs", "EventsPerSec", "QueueWait"}},
 		{"ClusterElastic", reflect.TypeFor[acep.ClusterElastic](), []string{
-			"HotRatio", "MinWaitP99", "CooldownCuts"}},
+			"HotRatio", "CooldownCuts"}},
 		{"InvariantOptions", reflect.TypeFor[acep.InvariantOptions](), []string{
 			"K", "Distance", "AutoDistance"}},
 	} {
