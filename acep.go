@@ -317,7 +317,10 @@ type ClusterConfig struct {
 // NewClusterIngress builds a distributed cluster ingress for the
 // pattern. cfg configures the engines of in-process nodes exactly like
 // NewShardedEngine's engine config (ignored for Connect mode, where each
-// remote worker owns its engine configuration).
+// remote worker owns its engine configuration). A config that sets a
+// field the chosen mode would drop is refused with an error naming it:
+// a recovery setting without Recover, Standby without Connect,
+// StandbyNodes with it.
 //
 //	ing, err := acep.NewClusterIngress(pattern, acep.Config{}, acep.ClusterConfig{
 //		Nodes:         3,
@@ -329,64 +332,71 @@ type ClusterConfig struct {
 //	for i := range events { ing.Process(&events[i]) }
 //	err = ing.Finish()
 func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngress, error) {
-	if len(cc.Connect) > 0 {
-		conns := make([]cluster.Conn, len(cc.Connect))
-		for i, addr := range cc.Connect {
-			c, err := cluster.DialTCP(addr)
-			if err != nil {
-				for _, open := range conns[:i] {
-					open.Close() // release the workers already dialed
-				}
-				return nil, err
-			}
-			conns[i] = c
+	local := len(cc.Connect) == 0
+	for _, f := range []struct {
+		name, why string
+		bad       bool
+	}{
+		{"HeartbeatTimeout", "needs Recover", !cc.Recover && cc.HeartbeatTimeout != 0},
+		{"MaxJournalBytes", "needs Recover", !cc.Recover && cc.MaxJournalBytes != 0},
+		{"OnFailover", "needs Recover", !cc.Recover && cc.OnFailover != nil},
+		{"Standby", "needs Recover", !cc.Recover && len(cc.Standby) > 0},
+		{"StandbyNodes", "needs Recover", !cc.Recover && cc.StandbyNodes != 0},
+		{"Standby", "needs Connect (in-process standbys are StandbyNodes)", local && len(cc.Standby) > 0},
+		{"StandbyNodes", "is for in-process nodes (Connect dials Standby)", !local && cc.StandbyNodes != 0},
+		{"Standby", "needs at least one address for Recover over Connect", !local && cc.Recover && len(cc.Standby) == 0},
+	} {
+		if f.bad {
+			return nil, fmt.Errorf("acep: ClusterConfig.%s %s", f.name, f.why)
 		}
-		opts := cluster.IngressOptions{
-			Batch:    cc.Batch,
-			Key:      cc.Key,
-			KeyAttr:  cc.KeyAttr,
-			Schema:   cc.Schema,
-			OnMatch:  cc.OnMatch,
-			OnTagged: cc.OnTagged,
-			Patterns: cc.Patterns,
-			Tenants:  cc.Tenants,
-			Elastic:  cc.Elastic,
-		}
-		if cc.Recover {
-			if len(cc.Standby) == 0 {
-				for _, open := range conns {
-					open.Close()
-				}
-				return nil, fmt.Errorf("acep: Recover over Connect needs at least one Standby address")
-			}
-			opts.Recovery = &cluster.RecoveryConfig{
-				HeartbeatTimeout: cc.HeartbeatTimeout,
-				MaxJournalBytes:  cc.MaxJournalBytes,
-				OnFailover:       cc.OnFailover,
-				Standby:          cluster.DialStandbys(cc.Standby),
-			}
-		}
-		return cluster.NewIngress(p, conns, opts)
 	}
-	return cluster.StartLocal(p, cfg, cluster.LocalConfig{
-		Nodes:            cc.Nodes,
-		ShardsPerNode:    cc.ShardsPerNode,
-		Batch:            cc.Batch,
-		QueueCap:         cc.QueueCap,
-		Key:              cc.Key,
-		KeyAttr:          cc.KeyAttr,
-		Schema:           cc.Schema,
-		OnMatch:          cc.OnMatch,
-		OnTagged:         cc.OnTagged,
-		Patterns:         cc.Patterns,
-		Tenants:          cc.Tenants,
-		Recover:          cc.Recover,
-		Standbys:         cc.StandbyNodes,
-		HeartbeatTimeout: cc.HeartbeatTimeout,
-		MaxJournalBytes:  cc.MaxJournalBytes,
-		OnFailover:       cc.OnFailover,
-		Elastic:          cc.Elastic,
-	})
+	// Local and Connect modes differ only in where the node connections
+	// and the standbys come from.
+	var conns []cluster.Conn
+	var standby func() (cluster.Conn, error)
+	var err error
+	if local {
+		nodes, standbys := cc.Nodes, cc.StandbyNodes
+		if nodes <= 0 {
+			nodes = 2
+		}
+		if standbys <= 0 {
+			standbys = 2
+		}
+		nc := cluster.NodeConfig{
+			Pattern: p, Schema: cc.Schema, Engine: cfg,
+			Shards: cc.ShardsPerNode, Batch: cc.Batch, QueueCap: cc.QueueCap,
+			Key: cc.Key, KeyAttr: cc.KeyAttr,
+		}
+		conns, err = cluster.Spawn(nodes, nc, nil)
+		standby = cluster.SpawnStandbys(standbys, nc, nil)
+	} else {
+		conns, err = cluster.Dial(cc.Connect)
+		standby = cluster.DialStandbys(cc.Standby)
+	}
+	if err != nil {
+		return nil, err
+	}
+	opts := cluster.IngressOptions{
+		Batch:    cc.Batch,
+		Key:      cc.Key,
+		KeyAttr:  cc.KeyAttr,
+		Schema:   cc.Schema,
+		OnMatch:  cc.OnMatch,
+		OnTagged: cc.OnTagged,
+		Patterns: cc.Patterns,
+		Tenants:  cc.Tenants,
+		Elastic:  cc.Elastic,
+	}
+	if cc.Recover {
+		opts.Recovery = &cluster.RecoveryConfig{
+			Standby:          standby,
+			HeartbeatTimeout: cc.HeartbeatTimeout,
+			MaxJournalBytes:  cc.MaxJournalBytes,
+			OnFailover:       cc.OnFailover,
+		}
+	}
+	return cluster.NewIngress(p, conns, opts)
 }
 
 // NewHAIngress builds a replicated coordinator pair over running TCP

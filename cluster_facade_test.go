@@ -3,9 +3,12 @@ package acep_test
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"acep"
+	"acep/internal/cluster"
 )
 
 // TestFacadeCluster runs the quick-start person pattern through the
@@ -45,31 +48,86 @@ func TestFacadeCluster(t *testing.T) {
 		t.Fatal("reference found no matches")
 	}
 
-	for _, layout := range []struct{ nodes, shards int }{{1, 1}, {2, 2}, {3, 1}} {
-		var got []string
-		ing, err := acep.NewClusterIngress(pat, acep.Config{}, acep.ClusterConfig{
-			Nodes:         layout.nodes,
-			ShardsPerNode: layout.shards,
-			Batch:         16,
-			KeyAttr:       "person_id",
-			Schema:        schema,
-			OnMatch:       func(m *acep.Match) { got = append(got, m.Key()) },
-		})
+	// listen serves a node on a loopback listener for Connect mode; a bare
+	// one (no pattern) is a standby, which learns the set at adoption.
+	listen := func(bare bool) string {
+		nc := cluster.NodeConfig{Shards: 2, Batch: 16, KeyAttr: "person_id"}
+		if !bare {
+			nc.Pattern, nc.Schema = pat, schema
+		}
+		node, err := cluster.NewNode(nc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		l, err := cluster.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go node.ServeListener(l, nil) //nolint:errcheck // ends when the listener closes
+		return l.Addr()
+	}
+	for _, c := range []struct {
+		name string
+		cc   acep.ClusterConfig
+	}{
+		{"1 node x 1 shard", acep.ClusterConfig{Nodes: 1, ShardsPerNode: 1}},
+		{"2 nodes x 2 shards", acep.ClusterConfig{Nodes: 2, ShardsPerNode: 2}},
+		{"3 nodes x 1 shard", acep.ClusterConfig{Nodes: 3, ShardsPerNode: 1}},
+		{"Connect", acep.ClusterConfig{Connect: []string{listen(false), listen(false)}}},
+		{"local Recover", acep.ClusterConfig{Nodes: 2, ShardsPerNode: 2, Recover: true}},
+		{"Connect Recover", acep.ClusterConfig{
+			Connect: []string{listen(false), listen(false)}, Recover: true, Standby: []string{listen(true)},
+		}},
+	} {
+		var got []string
+		c.cc.Batch, c.cc.KeyAttr, c.cc.Schema = 16, "person_id", schema
+		c.cc.OnMatch = func(m *acep.Match) { got = append(got, m.Key()) }
+		ing, err := acep.NewClusterIngress(pat, acep.Config{}, c.cc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		for i := range events {
 			ing.Process(&events[i])
 		}
 		if err := ing.Finish(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("nodes=%d shards=%d: %d matches vs %d", layout.nodes, layout.shards, len(got), len(want))
+			t.Fatalf("%s: %d matches vs %d", c.name, len(got), len(want))
 		}
 		if ing.Metrics().EventsArrived != uint64(len(events)) {
-			t.Fatalf("nodes=%d: merged metrics missed events", layout.nodes)
+			t.Fatalf("%s: merged metrics missed events", c.name)
+		}
+	}
+}
+
+// TestFacadeClusterConfigGates: NewClusterIngress refuses every
+// ClusterConfig field the chosen mode would otherwise drop without a
+// word, naming it. Each row fails before anything is spawned or dialed.
+func TestFacadeClusterConfigGates(t *testing.T) {
+	schema, pat, _ := personPattern(t)
+	connect := []string{"127.0.0.1:1"}
+	for _, c := range []struct {
+		name string
+		cc   acep.ClusterConfig
+		want string // in the error
+	}{
+		{"HeartbeatTimeout without Recover", acep.ClusterConfig{HeartbeatTimeout: time.Second}, "HeartbeatTimeout"},
+		{"MaxJournalBytes without Recover", acep.ClusterConfig{MaxJournalBytes: 1 << 20}, "MaxJournalBytes"},
+		{"OnFailover without Recover", acep.ClusterConfig{OnFailover: func(acep.ClusterFailover) {}}, "OnFailover"},
+		{"Standby without Recover", acep.ClusterConfig{Connect: connect, Standby: connect}, "Standby"},
+		{"StandbyNodes without Recover", acep.ClusterConfig{StandbyNodes: 1}, "StandbyNodes"},
+		{"Standby without Connect", acep.ClusterConfig{Recover: true, Standby: connect}, "Standby"},
+		{"StandbyNodes with Connect", acep.ClusterConfig{Connect: connect, Recover: true, Standby: connect, StandbyNodes: 1}, "StandbyNodes"},
+		{"Recover over Connect without Standby", acep.ClusterConfig{Connect: connect, Recover: true}, "Standby"},
+	} {
+		c.cc.KeyAttr, c.cc.Schema = "person_id", schema
+		c.cc.OnMatch = func(*acep.Match) {}
+		_, err := acep.NewClusterIngress(pat, acep.Config{}, c.cc)
+		if err == nil || !strings.Contains(err.Error(), "ClusterConfig."+c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
 		}
 	}
 }

@@ -22,13 +22,15 @@
 //	acep-run -in keyed.csv -shards 8 -queue-cap 4096 -overflow drop
 //
 // Distributed execution: -nodes runs an in-process cluster (N worker
-// nodes of -shards engines each, chan transport), and -connect drives
-// remote worker nodes started with acep-node over TCP; both deliver the
-// identical deterministic match stream the sharded engine produces. On
-// the TCP path each -batch cut is delta-encoded once and decoded once,
-// in place, into the node's event arena (see DESIGN.md "Wire-to-match
-// data flow"), so batch size trades latency against per-event framing
-// overhead without extra copies:
+// nodes of -shards engines each, on loopback sockets), and -connect
+// drives remote worker nodes started with acep-node over TCP; both
+// deliver the identical deterministic match stream the sharded engine
+// produces. Remote nodes configure their own engines, so with -connect
+// acep-run refuses the engine flags (-model, -policy, -t, -d, -k,
+// -check, -shed*, -shards, -queue-cap, -overflow). Each -batch cut is
+// delta-encoded once and decoded once, in place, into the node's event
+// arena (see DESIGN.md "Wire-to-match data flow"), so batch size trades
+// latency against per-event framing overhead without extra copies:
 //
 //	acep-run -in keyed.csv -kind sequence -size 4 -nodes 3 -shards 2
 //	acep-run -in keyed.csv -kind sequence -size 4 -connect 127.0.0.1:7101,127.0.0.1:7102
@@ -158,6 +160,15 @@ func main() {
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "acep-run: -in required")
 		os.Exit(2)
+	}
+	if *connect != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "model", "policy", "t", "d", "k", "check", "shed", "shed-target", "shed-pms",
+				"shed-rate", "shed-wait", "shards", "queue-cap", "overflow":
+				fail(fmt.Errorf("-%s configures engines, which acep-node workers configure themselves under -connect", f.Name))
+			}
+		})
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -308,6 +319,9 @@ func main() {
 		plans   []string
 		workers = 1 // parallel engines, for overhead normalization
 	)
+	if (*haFlag || *connect != "" || *nodes > 0) && w.Keys == 0 {
+		fail(fmt.Errorf("cluster mode needs a keyed workload; regenerate with acep-gen -keys"))
+	}
 	if *haFlag {
 		if *connect == "" {
 			fail(fmt.Errorf("-ha needs -connect worker addresses (the pair dials its own sessions)"))
@@ -318,21 +332,9 @@ func main() {
 		if *rebalance || *joinStr != "" || *drainSlot >= 0 {
 			fail(fmt.Errorf("-ha does not compose with -rebalance/-join/-drain"))
 		}
-		if w.Keys == 0 {
-			fail(fmt.Errorf("cluster mode needs a keyed workload; regenerate with acep-gen -keys"))
-		}
-		var addrs, standbyAddrs []string
-		for _, a := range strings.Split(*connect, ",") {
-			addrs = append(addrs, strings.TrimSpace(a))
-		}
-		if *standby != "" {
-			for _, a := range strings.Split(*standby, ",") {
-				standbyAddrs = append(standbyAddrs, strings.TrimSpace(a))
-			}
-		}
 		hcfg := ha.Config{
 			Pattern: pat, Schema: w.Schema, KeyAttr: *keyAttr, Batch: *batch,
-			Workers: addrs, Standbys: standbyAddrs,
+			Workers: addrs(*connect), Standbys: addrs(*standby),
 			StandbyAddr: *haStandby, LeaseAddr: *haLease,
 			OnTagged: onTagged,
 		}
@@ -382,63 +384,44 @@ func main() {
 				mg.Shard, mg.From, mg.To, mg.Reason, mg.ReplayCuts, mg.ReplayEvents, mg.Pause().Round(time.Microsecond))
 		}
 	} else if *connect != "" || *nodes > 0 {
-		if w.Keys == 0 {
-			fail(fmt.Errorf("cluster mode needs a keyed workload; regenerate with acep-gen -keys"))
-		}
 		var elastic *cluster.ElasticConfig
 		if *rebalance {
 			elastic = &cluster.ElasticConfig{}
 		}
-		var ing *cluster.Ingress
+		// Local and -connect modes differ only in where the node
+		// connections and the standbys come from.
+		var conns []cluster.Conn
+		var standbySrc func() (cluster.Conn, error)
 		if *connect != "" {
-			var conns []cluster.Conn
-			for _, addr := range strings.Split(*connect, ",") {
-				c, err := cluster.DialTCP(strings.TrimSpace(addr))
-				if err != nil {
-					fail(err)
-				}
-				conns = append(conns, c)
+			if *recoverOn && *standby == "" {
+				fail(fmt.Errorf("-recover with -connect needs -standby addresses (a bare acep-node works)"))
 			}
-			opts := cluster.IngressOptions{
-				Batch:    *batch,
-				KeyAttr:  *keyAttr,
-				Schema:   w.Schema,
-				Patterns: specs,
-				Tenants:  budgets,
-				OnTagged: onTagged,
-				Elastic:  elastic,
-			}
-			if *recoverOn {
-				if *standby == "" {
-					fail(fmt.Errorf("-recover with -connect needs -standby addresses (a bare acep-node works)"))
-				}
-				var addrs []string
-				for _, a := range strings.Split(*standby, ",") {
-					addrs = append(addrs, strings.TrimSpace(a))
-				}
-				opts.Recovery = &cluster.RecoveryConfig{
-					Standby: cluster.DialStandbys(addrs),
-				}
-			}
-			ing, err = cluster.NewIngress(nil, conns, opts)
+			conns, err = cluster.Dial(addrs(*connect))
+			standbySrc = cluster.DialStandbys(addrs(*standby))
 		} else {
-			lc := cluster.LocalConfig{
-				Nodes:         *nodes,
-				ShardsPerNode: *shards,
-				Batch:         *batch,
-				QueueCap:      *qcap,
-				Overflow:      overflow,
-				KeyAttr:       *keyAttr,
-				Schema:        w.Schema,
-				Recover:       *recoverOn,
-				Standbys:      *standbys,
-				Elastic:       elastic,
-				Patterns:      specs,
-				Tenants:       budgets,
-				OnTagged:      onTagged,
+			nc := cluster.NodeConfig{
+				Engine: cfg, Shards: *shards, Batch: *batch, QueueCap: *qcap, Overflow: overflow,
+				KeyAttr: *keyAttr, Schema: w.Schema,
 			}
-			ing, err = cluster.StartLocal(nil, cfg, lc)
+			conns, err = cluster.Spawn(*nodes, nc, nil)
+			standbySrc = cluster.SpawnStandbys(*standbys, nc, nil)
 		}
+		if err != nil {
+			fail(err)
+		}
+		opts := cluster.IngressOptions{
+			Batch:    *batch,
+			KeyAttr:  *keyAttr,
+			Schema:   w.Schema,
+			Patterns: specs,
+			Tenants:  budgets,
+			OnTagged: onTagged,
+			Elastic:  elastic,
+		}
+		if *recoverOn {
+			opts.Recovery = &cluster.RecoveryConfig{Standby: standbySrc}
+		}
+		ing, err := cluster.NewIngress(nil, conns, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -446,13 +429,10 @@ func main() {
 		// reproducible: -join admits bare workers (the controller or a later
 		// -drain hands them shards), -drain empties a slot gracefully.
 		joinAt, drainAt := -1, -1
-		var joins []string
-		if *joinStr != "" {
+		joins := addrs(*joinStr)
+		if len(joins) > 0 {
 			if *connect == "" || !*recoverOn {
 				fail(fmt.Errorf("-join needs -connect and -recover"))
-			}
-			for _, a := range strings.Split(*joinStr, ",") {
-				joins = append(joins, strings.TrimSpace(a))
 			}
 			if joinAt = *joinAfter; joinAt <= 0 {
 				joinAt = len(w.Events) / 4
@@ -661,6 +641,17 @@ func parseTenantBudgets(s string) (map[uint32]shed.TenantBudget, error) {
 		out[uint32(t)] = b
 	}
 	return out, nil
+}
+
+// addrs splits a comma-separated address list (nil for "").
+func addrs(list string) []string {
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 func fail(err error) {

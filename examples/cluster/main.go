@@ -8,7 +8,7 @@
 // key-partitionable patterns the delivered stream is byte-identical to
 // the single-process sharded engine's.
 //
-// This demo spawns the worker nodes in-process (chan transport, zero
+// This demo spawns the worker nodes in-process (loopback sockets, zero
 // setup). The identical code drives remote TCP workers: start them with
 //
 //	acep-node -listen 127.0.0.1:7101 -in keyed.csv -kind sequence -size 4 -shards 2

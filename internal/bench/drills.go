@@ -51,7 +51,7 @@ func (h *Harness) Drill(name, dataset string) (*DrillRecord, error) {
 func (r *rig) failover() error {
 	for _, sw := range []struct{ nodes, slack int }{{3, 1}, {3, 2}, {3, 4}, {4, 2}, {5, 2}} {
 		err := r.run(fmt.Sprintf("kill nodes=%d slack=%d", sw.nodes, sw.slack), sw.nodes, drillShardsPerNode, 1, func(d *drill) error {
-			conns, err := d.dial()
+			conns, err := cluster.Dial(d.addrs[:d.Nodes])
 			if err != nil {
 				return err
 			}
@@ -110,7 +110,7 @@ func (r *rig) elastic() error {
 			ec = &cluster.ElasticConfig{}
 		}
 		err := r.run(scenario, 2, 3, 1, func(d *drill) error {
-			conns, err := d.dial()
+			conns, err := cluster.Dial(d.addrs[:d.Nodes])
 			if err != nil {
 				return err
 			}

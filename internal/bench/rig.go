@@ -339,18 +339,6 @@ func (r *rig) run(scenario string, nodes, shardsPerNode, bare int, body func(d *
 	return nil
 }
 
-// dial connects to every configured node, in slot order.
-func (d *drill) dial() ([]cluster.Conn, error) {
-	conns := make([]cluster.Conn, d.Nodes)
-	for i := range conns {
-		var err error
-		if conns[i], err = cluster.DialTCP(d.addrs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return conns, nil
-}
-
 // ingress builds a journaled coordinator over conns.
 func (d *drill) ingress(conns []cluster.Conn, rc *cluster.RecoveryConfig, ec *cluster.ElasticConfig) (*cluster.Ingress, error) {
 	return cluster.NewIngress(d.r.pat, conns, cluster.IngressOptions{

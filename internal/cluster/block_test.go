@@ -25,17 +25,17 @@ func TestBlockReuseScenarios(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			want := shardtest.Reference(t, sc, shards)
 			var kept []shard.Tagged
-			ing, err := StartLocal(nil, sc.Config, LocalConfig{
-				Nodes: shards, ShardsPerNode: 1, Batch: 64,
-				KeyAttr: "key", Schema: sc.Schema,
+			nc := NodeConfig{Engine: sc.Config, Batch: 64, KeyAttr: "key", Schema: sc.Schema}
+			opts := IngressOptions{
+				Batch: 64, KeyAttr: "key", Schema: sc.Schema,
 				Patterns: sc.Specs, Tenants: sc.Tenants,
-				Recover:   sc.Name == moved.Name,
-				OnTagged:  func(tg shard.Tagged) { kept = append(kept, tg) },
-				OnNodeErr: func(err error) { t.Errorf("node error: %v", err) },
-			})
-			if err != nil {
-				t.Fatal(err)
+				OnTagged: func(tg shard.Tagged) { kept = append(kept, tg) },
 			}
+			if sc.Name == moved.Name {
+				opts.Recovery = &RecoveryConfig{Standby: SpawnStandbys(2, nc, nil)}
+			}
+			ing := spawnCluster(t, nil, shards, nc, opts)
+			var err error
 			for i := range sc.Events {
 				if op, ok := sc.Ops[i]; ok {
 					if op.Add != nil {

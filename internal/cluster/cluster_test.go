@@ -51,6 +51,22 @@ func (r *tagRecorder) rec(t shard.Tagged) {
 	r.n++
 }
 
+// spawnCluster is an in-process cluster: n nodes built from nc, each
+// behind a loopback Pipe, under one ingress. A node-side session error
+// fails the test.
+func spawnCluster(t *testing.T, pat *pattern.Pattern, n int, nc NodeConfig, opts IngressOptions) *Ingress {
+	t.Helper()
+	conns, err := Spawn(n, nc, func(err error) { t.Errorf("node error: %v", err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := NewIngress(pat, conns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ing
+}
+
 // runSharded is the single-process reference: the shard engine at the
 // given total shard count.
 func runSharded(t *testing.T, w *gen.Workload, kind gen.Kind, shards int) *tagRecorder {
@@ -211,7 +227,7 @@ func TestClusterHeterogeneousNodes(t *testing.T) {
 	}
 }
 
-// TestClusterLocalPipes: StartLocal's in-process nodes, each behind a
+// TestClusterLocalPipes: Spawn's in-process nodes, each behind a
 // loopback Pipe, deliver the single-process stream across node counts,
 // and reruns deliver the identical order (determinism).
 func TestClusterLocalPipes(t *testing.T) {
@@ -223,14 +239,10 @@ func TestClusterLocalPipes(t *testing.T) {
 	want := runSharded(t, w, gen.Sequence, 4)
 	run := func(nodes, shardsPer int) *tagRecorder {
 		rec := &tagRecorder{}
-		ing, err := StartLocal(pat, engine.Config{CheckEvery: 250}, LocalConfig{
-			Nodes: nodes, ShardsPerNode: shardsPer, Batch: 128,
-			KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-			OnNodeErr: func(err error) { t.Errorf("node error: %v", err) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ing := spawnCluster(t, pat, nodes, NodeConfig{
+			Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+			Shards: shardsPer, Batch: 128, KeyAttr: "key",
+		}, IngressOptions{Batch: 128, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec})
 		for i := range w.Events {
 			ing.Process(&w.Events[i])
 		}

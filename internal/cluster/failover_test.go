@@ -410,10 +410,10 @@ func TestRecoveryHealthyRun(t *testing.T) {
 	}
 }
 
-// TestLocalClusterRecover: the in-process StartLocal path spawns bare
-// standbys on demand; heartbeat detection is wired through LocalConfig.
-// (No failure is injectable through StartLocal's own links, so this pins
-// the healthy path plus configuration plumbing.)
+// TestLocalClusterRecover: an in-process cluster whose standbys
+// SpawnStandbys spawns bare on demand. (No failure is injectable through
+// Spawn's own links, so this pins the healthy path plus configuration
+// plumbing.)
 func TestLocalClusterRecover(t *testing.T) {
 	w := failoverWorkload(t, "traffic")
 	pat, err := w.Pattern(gen.Sequence, 3, 300)
@@ -423,15 +423,17 @@ func TestLocalClusterRecover(t *testing.T) {
 	want := runSharded(t, w, gen.Sequence, 4)
 	rec := &tagRecorder{}
 	var fos []recovery.Failover
-	ing, err := StartLocal(pat, engine.Config{CheckEvery: 250}, LocalConfig{
-		Nodes: 2, ShardsPerNode: 2, Batch: 64,
-		KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-		Recover: true, Standbys: 1,
-		OnFailover: func(f recovery.Failover) { fos = append(fos, f) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	nc := NodeConfig{
+		Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+		Shards: 2, Batch: 64, KeyAttr: "key",
 	}
+	ing := spawnCluster(t, pat, 2, nc, IngressOptions{
+		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
+		Recovery: &RecoveryConfig{
+			Standby:    SpawnStandbys(1, nc, nil),
+			OnFailover: func(f recovery.Failover) { fos = append(fos, f) },
+		},
+	})
 	for i := range w.Events {
 		ing.Process(&w.Events[i])
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/multi"
+	recovery "acep/internal/recover"
 	"acep/internal/wire"
 )
 
@@ -166,7 +169,7 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 	// Every way into a session runs the one hello check: a founding
 	// member's, a join's, a standby's adopting a dead slot.
-	running := func() *Ingress { return &Ingress{sig: sig, rec: &RecoveryConfig{}} }
+	running := func() *Ingress { return &Ingress{sig: sig, journal: new(recovery.Journal)} }
 	entries := []struct {
 		name string
 		open func(c Conn) error
@@ -479,5 +482,141 @@ func TestCorruptMatchesFrame(t *testing.T) {
 				t.Fatalf("delivered %d matches of the reference's %d, want some and not all", got.n, want.n)
 			}
 		})
+	}
+}
+
+// resultProbe is the node end of a link whose Send goes through a
+// truncator: it tells the feeder how far the node's results have got and
+// whether the damaged frame is out.
+type resultProbe struct {
+	truncStream
+	upTo    atomic.Uint64
+	damaged atomic.Bool
+}
+
+func (p *resultProbe) Send(f wire.Frame) error {
+	err := p.truncStream.Send(f)
+	if m, ok := f.(wire.Matches); ok && err == nil && m.UpTo > p.upTo.Load() {
+		p.upTo.Store(m.UpTo)
+	}
+	p.damaged.Store(p.tr.damaged)
+	return err
+}
+
+// cutLog is the ingress end of a link: it counts the cut frames the
+// coordinator writes at it after the link was closed.
+type cutLog struct {
+	Conn
+	mu     sync.Mutex
+	closed bool
+	late   int
+}
+
+func (c *cutLog) Send(f wire.Frame) error {
+	c.mu.Lock()
+	if _, cut := f.(wire.BatchRaw); cut && c.closed {
+		c.late++
+	}
+	c.mu.Unlock()
+	return c.Conn.Send(f)
+}
+
+func (c *cutLog) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	return c.Conn.Close()
+}
+
+func (c *cutLog) state() (closed bool, late int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed, c.late
+}
+
+// TestRefusedFrameAbandonsSlot: without recovery a node is lost the way
+// it is with it. A node whose Matches frame is refused (the pipe setup of
+// TestCorruptMatchesFrame) has its link closed; the barrier that acts on
+// the failure abandons its slot, which gets no cut after it; its shards
+// are abandoned at the collector, so the survivor's matches go on being
+// released before Finish; and Finish names the refused frame while
+// Failovers stays empty.
+func TestRefusedFrameAbandonsSlot(t *testing.T) {
+	w := keyedWorkload(t, "traffic")
+	pat, err := w.Pattern(gen.Sequence, 3, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 64
+	var probe *resultProbe
+	var log *cutLog
+	conns := make([]Conn, 2)
+	for i := range conns {
+		n, err := NewNode(NodeConfig{
+			Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+			Shards: 1, Batch: 128, KeyAttr: "key",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server := Pipe()
+		if i == 1 {
+			probe = &resultProbe{truncStream: truncStream{server.(*streamConn), &truncator{nth: 1}}}
+			log = &cutLog{Conn: client}
+			client, server = log, probe
+		}
+		go n.Serve(server) //nolint:errcheck // the failed session's error is expected
+		conns[i] = client
+	}
+	var released atomic.Uint64
+	ing, err := NewIngress(pat, conns, IngressOptions{
+		Batch: batch, KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {},
+		OnProgress: func(upTo uint64) { released.Store(upTo) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	failedAt, lateAtFailure := -1, 0
+	for i := range w.Events {
+		ing.Process(&w.Events[i])
+		if (i+1)%batch != 0 || failedAt >= 0 {
+			continue
+		}
+		// Lock-step with node 1 until its damaged frame is out, so the
+		// failure lands mid-stream.
+		upTo := w.Events[i].Seq
+		waitFor("node 1's results", func() bool { return probe.upTo.Load() >= upTo || probe.damaged.Load() })
+		if probe.damaged.Load() {
+			waitFor("node 1's link to close", func() bool { closed, _ := log.state(); return closed })
+			// The cut in flight at the failure was sealed before any
+			// barrier could act on it.
+			ing.sendWG.Wait()
+			_, lateAtFailure = log.state()
+			failedAt = i
+		}
+	}
+	if failedAt < 0 || failedAt > len(w.Events)/2 {
+		t.Fatalf("the damaged frame left node 1 after event %d of %d: the test is vacuous", failedAt, len(w.Events))
+	}
+	t.Logf("node 1 failed at event %d", failedAt)
+	lastCut := w.Events[len(w.Events)/batch*batch-1].Seq
+	waitFor("the survivor's matches to be released", func() bool { return released.Load() >= lastCut })
+	err = finishWithin(t, 30*time.Second, ing)
+	if err == nil || !strings.Contains(err.Error(), "node 1") || !strings.Contains(err.Error(), "matches frame") {
+		t.Fatalf("Finish returned %v, want node 1's refused frame", err)
+	}
+	if _, late := log.state(); late != lateAtFailure {
+		t.Fatalf("node 1 got %d cut frames after the barrier that acted on its failure", late-lateAtFailure)
+	}
+	if fo := ing.Failovers(); len(fo) != 0 {
+		t.Fatalf("failovers %+v without recovery", fo)
 	}
 }

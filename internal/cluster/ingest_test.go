@@ -50,14 +50,10 @@ func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
 
 	t.Run("plain", func(t *testing.T) {
 		rec := &tagRecorder{}
-		ing, err := StartLocal(pat, engine.Config{CheckEvery: 250}, LocalConfig{
-			Nodes: 3, ShardsPerNode: 2, Batch: 64,
-			KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-			OnNodeErr: func(err error) { t.Errorf("node error: %v", err) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ing := spawnCluster(t, pat, 3, NodeConfig{
+			Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+			Shards: 2, Batch: 64, KeyAttr: "key",
+		}, IngressOptions{Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec})
 		feedReusing(w, nil, ing.Process)
 		if err := ing.Finish(); err != nil {
 			t.Fatal(err)

@@ -97,9 +97,10 @@ type IngressOptions struct {
 	// elastic: sealed cuts are journaled per shard, a dead node's shards
 	// fail over to a standby, and shards can migrate between live nodes
 	// (rebalance, join, drain) with watermark replay and exact dedup (see
-	// RecoveryConfig and DESIGN.md "Elasticity"). When nil, a node
-	// failure surfaces as an error from Finish (exactness over
-	// availability) and migration is unavailable.
+	// RecoveryConfig and DESIGN.md "Elasticity"). When nil, a failed
+	// node's slot and shards are abandoned and the failure surfaces as an
+	// error from Finish (exactness over availability), and migration is
+	// unavailable.
 	Recovery *RecoveryConfig
 	// Elastic, when non-nil, enables and tunes the placement controller
 	// (it needs Recovery).
@@ -179,8 +180,7 @@ type Ingress struct {
 	// strictly behind it.
 	sendWG sync.WaitGroup
 
-	col     *shard.Collector
-	readers sync.WaitGroup
+	col *shard.Collector
 
 	// The session's pattern set (ingress goroutine unless noted). specs
 	// is the current set — the truth shipped to every join and adoption —
@@ -203,12 +203,12 @@ type Ingress struct {
 	// NewSealedIngress).
 	fixedSet bool
 
-	// Recovery/elasticity state (nil/empty without
-	// IngressOptions.Recovery). released is the collector's delivered
-	// watermark.
-	rec           *RecoveryConfig
+	// Recovery/elasticity state (zero without IngressOptions.Recovery;
+	// the journal is what the coordinator asks of). released is the
+	// collector's delivered watermark.
+	rec           RecoveryConfig
 	elastic       *ElasticConfig
-	journal       *recovery.Journal
+	journal       *recovery.Journal  // nil: no failover, no migration
 	det           *recovery.Detector // nil without a HeartbeatTimeout: nothing would read its clocks
 	released      atomic.Uint64
 	exitCh        chan struct{} // coalesced reader-exit wakeup for the drain loop
@@ -397,9 +397,8 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		deliver = in.opened(func(t shard.Tagged) { opts.OnMatch(t.M) })
 	}
 	var progress func(uint64)
-	if opts.Recovery != nil {
-		rc := opts.Recovery
-		in.rec = rc
+	if rc := opts.Recovery; rc != nil {
+		in.rec = *rc
 		if opts.Resume != nil {
 			in.journal = opts.Resume.Journal
 		} else if in.journal, err = recovery.NewJournal(recovery.JournalConfig{
@@ -423,7 +422,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	// Run recycling: a sealed run's storage is reusable once its send has
 	// been barriered (behind waitSends), unless the recovery journal keeps
 	// it.
-	if in.rec == nil {
+	if in.journal == nil {
 		in.spare = make([]wire.RunEncoder, in.total)
 	}
 	in.col = shard.NewCollectorOwned(in.owner, deliver, progress)
@@ -439,14 +438,9 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 			in.slots[o].hosted[g] = true
 		}
 	} else if err := in.takeoverAdopt(rs); err != nil {
-		// Orderly teardown: close every session so the readers exit, then
-		// drain the collector — the deferred sweep above would leave both
-		// running.
-		for _, c := range conns {
-			c.Close()
-		}
-		in.readers.Wait()
-		in.col.Close()
+		// Orderly teardown: the deferred sweep above would leave the
+		// readers and the collector running.
+		in.teardown()
 		built = true // connections already released
 		return nil, err
 	}
@@ -593,10 +587,10 @@ func (in *Ingress) metricsDone(s *slot) bool {
 // read is the reader goroutine of session s on node slot i: it turns each
 // Matches frame into one post to the merge collector — the frame's
 // matches, sealed, and its completion watermark — applies migration
-// acknowledgements and the node's final metrics, and on failure either
-// queues a suspect for failover (recovery configured, posting nothing —
-// the slot will be re-registered) or posts a terminal watermark so the
-// merge never deadlocks on a dead node.
+// acknowledgements and the node's final metrics, and on failure queues
+// a suspect and closes the link, posting nothing: the ingress goroutine
+// fails the node at its next barrier (failNode), which either seats a
+// successor or abandons the slot's shards at the collector.
 func (in *Ingress) read(i int, s *slot) {
 	defer func() { // runs last: done is closed by the time the drain wakes
 		select {
@@ -605,23 +599,13 @@ func (in *Ingress) read(i int, s *slot) {
 		}
 	}()
 	defer close(s.done)
-	defer in.readers.Done()
-	// lost ends the session on a failure: failover when recovery is
-	// configured, otherwise record the error and release the merge — and
-	// keep the link drained, unread: a node that is still talking must not
-	// fill it and stall the cuts the coordinator goes on sending it.
+	// lost ends the session on a failure. Closing the link stops a node
+	// that is still talking from filling it, undrained, and stalling the
+	// cut in flight to it; the suspect is queued first, so the next
+	// barrier acts on it.
 	lost := func(err error) {
-		if in.rec != nil {
-			in.suspect(i, s, err)
-			return
-		}
-		in.recordErr(err)
-		in.col.Post(i, maxSeq, nil)
-		for {
-			if _, err := s.conn.Recv(); err != nil {
-				return
-			}
-		}
+		in.suspect(i, s, err)
+		s.conn.Close()
 	}
 	for {
 		f, err := s.conn.Recv()
@@ -677,17 +661,6 @@ func (in *Ingress) read(i int, s *slot) {
 	}
 }
 
-// kill records a node's transport failure and closes its connection
-// immediately: the node then observes end-of-input and drains instead of
-// waiting for cuts that will never come, and the node's reader
-// goroutine observes the close and posts its terminal watermark — either
-// way the cluster finishes instead of deadlocking on a dead link.
-func (in *Ingress) kill(n int, err error) {
-	in.recordErr(err)
-	in.slots[n].state = slotDead
-	in.slots[n].conn.Close()
-}
-
 func (in *Ingress) recordErr(err error) {
 	in.mu.Lock()
 	if in.err == nil {
@@ -738,7 +711,6 @@ func (in *Ingress) Process(ev *event.Event) {
 // successor receives the journaled cuts through replay.
 func (in *Ingress) cutAll() {
 	in.waitSends()
-	in.checkSuspects()
 	in.rebalance()
 	in.sealed = in.sealed[:0]
 	for g := range in.runs {
@@ -802,18 +774,21 @@ func (in *Ingress) cutAll() {
 }
 
 // waitSends is the pipeline barrier: it blocks until the in-flight cut's
-// sends complete and routes any send failure into the failover (or
-// record-and-drain) path. All connection and routing mutation — close,
-// replace, migrate, replay — happens behind this barrier, which is what
-// keeps per-node frame order and the one-writer-per-connection
-// discipline intact.
+// sends complete, then fails every node a failure was observed on — the
+// readers' suspects and heartbeat expiries first (a reader closes its
+// link as it queues its suspect, which can fail the send in flight: the
+// reader's cause is the one recorded), then the parked send errors. All
+// connection and routing mutation — close, replace, migrate, replay —
+// happens behind this barrier, which is what keeps per-node frame order
+// and the one-writer-per-connection discipline intact.
 func (in *Ingress) waitSends() {
 	in.sendWG.Wait()
+	in.checkSuspects()
 	for n, s := range in.slots {
 		if err := s.sendErr; err != nil {
 			s.sendErr = nil
 			if s.inSession() {
-				in.fail(n, fmt.Errorf("cluster: sending to node %d: %w", n, err))
+				in.failNode(n, fmt.Errorf("cluster: sending to node %d: %w", n, err))
 			}
 		}
 	}
@@ -1027,7 +1002,7 @@ func (in *Ingress) AddNode(c Conn) (int, error) {
 		c.Close()
 		return -1, fmt.Errorf("cluster: AddNode after Finish")
 	}
-	if in.rec == nil {
+	if in.journal == nil {
 		c.Close()
 		return -1, fmt.Errorf("cluster: AddNode requires Recovery (the journal feeds shard handoff)")
 	}
@@ -1081,14 +1056,13 @@ func (in *Ingress) Drain(n int) error {
 	if in.finished {
 		return fmt.Errorf("cluster: Drain after Finish")
 	}
-	if in.rec == nil {
+	if in.journal == nil {
 		return fmt.Errorf("cluster: Drain requires Recovery (migrations replay from the journal)")
 	}
 	if n < 0 || n >= len(in.slots) {
 		return fmt.Errorf("cluster: Drain: no node slot %d", n)
 	}
 	in.waitSends()
-	in.checkSuspects()
 	s := in.slots[n]
 	if !s.receives() {
 		return fmt.Errorf("cluster: Drain: node %d is not live (dead or already drained)", n)
@@ -1118,7 +1092,7 @@ func (in *Ingress) Drain(n int) error {
 	if err := s.conn.Send(wire.Finish{}); err != nil {
 		// The shards are already safe on their new owners; the node's
 		// death at this point is a benign failover.
-		in.fail(n, fmt.Errorf("cluster: finishing drained node %d: %w", n, err))
+		in.failNode(n, fmt.Errorf("cluster: finishing drained node %d: %w", n, err))
 		return nil
 	}
 	in.det.Sent(n)
@@ -1183,7 +1157,6 @@ func (in *Ingress) MigrateShard(g, to int) error {
 		return fmt.Errorf("cluster: MigrateShard: no node slot %d", to)
 	}
 	in.waitSends()
-	in.checkSuspects()
 	if !in.slots[to].receives() {
 		return fmt.Errorf("cluster: MigrateShard: node %d cannot take shards", to)
 	}
@@ -1234,7 +1207,6 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 		in.cutAll()
 	}
 	in.waitSends()
-	in.checkSuspects()
 	in.specs = append(in.specs, sp)
 	in.reads = multi.ReadsOf(in.specs)
 	in.sig = signature(in.specs, in.schema)
@@ -1284,7 +1256,6 @@ func (in *Ingress) RemovePattern(id uint32) error {
 		in.cutAll()
 	}
 	in.waitSends()
-	in.checkSuspects()
 	in.specs = append(in.specs[:at:at], in.specs[at+1:]...)
 	in.reads = multi.ReadsOf(in.specs)
 	in.sig = signature(in.specs, in.schema)
@@ -1351,11 +1322,11 @@ func (in *Ingress) finishNodes() {
 
 // Finish flushes the final partial cut, tells every node to finish,
 // waits until every node's matches have been merged and delivered, and
-// closes the connections. With recovery configured, nodes that die
-// during the drain still fail over: their successors replay, finish and
-// deliver the missing tail before the merge closes. It returns the
-// first unrecovered error observed anywhere in the cluster session (nil
-// for a clean or fully recovered run). Idempotent.
+// closes the connections. A node that dies during the drain is failed
+// like one that dies mid-stream: with recovery its successor replays,
+// finishes and delivers the missing tail before the merge closes. It
+// returns the first unrecovered error observed anywhere in the cluster
+// session (nil for a clean or fully recovered run). Idempotent.
 func (in *Ingress) Finish() error {
 	if in.finished {
 		return in.Err()
@@ -1367,15 +1338,8 @@ func (in *Ingress) Finish() error {
 	// and a send failure must fail over before the drain begins.
 	in.waitSends()
 	in.finishNodes()
-	if in.rec == nil {
-		in.readers.Wait()
-	} else {
-		in.drainRecovered()
-	}
-	in.col.Close()
-	for _, s := range in.slots {
-		s.conn.Close()
-	}
+	in.drain()
+	in.teardown()
 	return in.Err()
 }
 
@@ -1391,11 +1355,20 @@ func (in *Ingress) Kill() {
 		return
 	}
 	in.finished = true
+	in.teardown()
+}
+
+// teardown closes every session, waits for the in-flight sends and every
+// reader to end, and shuts the merge collector down, delivering what it
+// holds.
+func (in *Ingress) teardown() {
 	for _, s := range in.slots {
 		s.conn.Close()
 	}
 	in.sendWG.Wait()
-	in.readers.Wait()
+	for _, s := range in.slots {
+		<-s.done
+	}
 	in.col.Close()
 }
 

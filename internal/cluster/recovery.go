@@ -28,8 +28,7 @@ type RecoveryConfig struct {
 	// speaking the node protocol; bare nodes learn the pattern from the
 	// Assign frame and their shards from the Migrate handshake). Called
 	// on the ingress goroutine. An error means no standby remains: the
-	// failure then surfaces from Finish exactly as it would without
-	// recovery configured.
+	// slot is abandoned and the failure surfaces from Finish.
 	Standby func() (Conn, error)
 	// SlackWindows / MaxJournalBytes tune the journal's retention
 	// horizon and memory bound (see recovery.JournalConfig); its window is
@@ -69,8 +68,8 @@ func (c *releaseConn) Close() error {
 // the pool when its connection closes, so a standby that was consumed,
 // died and restarted its listener is usable again (a failover retries
 // it on the next attempt). It errors when every address is in use or
-// unreachable — which degrades that failover to the surfaced-error
-// behavior.
+// unreachable — which degrades that failover: the slot is abandoned and
+// the error surfaces from Finish.
 func DialStandbys(addrs []string) func() (Conn, error) {
 	var mu sync.Mutex
 	inUse := make([]bool, len(addrs))
@@ -130,11 +129,9 @@ func (in *Ingress) suspect(i int, s *slot, err error) {
 }
 
 // checkSuspects acts on queued reader failures and heartbeat expiries.
-// Runs on the ingress goroutine at every cut and during Finish.
+// Runs on the ingress goroutine at every barrier (waitSends) and in
+// Finish's drain.
 func (in *Ingress) checkSuspects() {
-	if in.rec == nil {
-		return
-	}
 	in.mu.Lock()
 	sus := in.suspects
 	in.suspects = nil
@@ -163,20 +160,13 @@ func (in *Ingress) checkSuspects() {
 	}
 }
 
-// fail routes a node failure to failover (recovery configured) or to the
-// record-and-drain path (not configured).
-func (in *Ingress) fail(n int, err error) {
-	if in.rec != nil {
-		in.failNode(n, err)
-	} else {
-		in.kill(n, err)
-	}
-}
-
-// failNode declares node slot n dead and drives the failover: stop the
-// old reader, drop its aborted in-flight migrations, verify per-shard
-// journal coverage, then migrate its shards to standby connections
-// until one survives adoption, the attempt cap is hit, or none remain.
+// failNode is the one way a node is lost — a read error, a parked send
+// error and heartbeat silence all come here. It declares slot n dead
+// and drives the failover: stop the old reader, drop its aborted
+// in-flight migrations, verify per-shard journal coverage, then migrate
+// its shards to standby connections until one survives adoption, the
+// attempt cap is hit, or none remain. Without a journal there is nothing
+// to replay, and the slot is abandoned at once.
 func (in *Ingress) failNode(n int, cause error) {
 	s := in.slots[n]
 	if !s.inSession() {
@@ -188,11 +178,16 @@ func (in *Ingress) failNode(n int, cause error) {
 	// collector slot is re-registered.
 	s.conn.Close()
 	<-s.done
+	if in.journal == nil {
+		in.degrade(n, cause)
+		return
+	}
 	in.dropAbortedMigrations(n)
 	owned := in.ownedShards(n)
 	if len(owned) == 0 {
 		// A drained or never-loaded slot died: nothing to recover, the
-		// delivered stream is unaffected. Record the incident and move on.
+		// delivered stream is unaffected. Record the incident and retire
+		// the slot; with nothing lost there is no error to surface.
 		now := time.Now()
 		in.mu.Lock()
 		in.failovers = append(in.failovers, recovery.Failover{
@@ -200,6 +195,7 @@ func (in *Ingress) failNode(n int, cause error) {
 		})
 		in.facked = append(in.facked, 0)
 		in.mu.Unlock()
+		in.degrade(n, nil)
 		return
 	}
 	for _, g := range owned {
@@ -278,9 +274,9 @@ func (in *Ingress) dropAbortedMigrations(n int) {
 	in.migFailover = keptF
 }
 
-// degrade gives up on the slot: record the error and abandon its
-// shards at the collector so the merge drains instead of deadlocking —
-// the exact behavior of a cluster without recovery configured. The
+// degrade gives up on the slot — the one terminal failure state: record
+// the error (nil when the slot owned nothing) and abandon its shards at
+// the collector so the merge drains instead of deadlocking. The
 // abandoned shards' history is released from the journal (no replay
 // will ever need it) so their frozen frontiers cannot pin retention at
 // MaxBytes for the rest of the run.
@@ -288,8 +284,10 @@ func (in *Ingress) degrade(n int, err error) {
 	in.recordErr(err)
 	in.slots[n].state = slotAbandoned
 	in.slots[n].addr = ""
-	for _, g := range in.ownedShards(n) {
-		in.journal.AbandonShard(g)
+	if in.journal != nil {
+		for _, g := range in.ownedShards(n) {
+			in.journal.AbandonShard(g)
+		}
 	}
 	in.col.Abandon(n)
 }
@@ -341,23 +339,16 @@ func (in *Ingress) adopt(n int, conn Conn, fidx int) error {
 	return nil
 }
 
-// drainRecovered is Finish's wait loop with recovery configured: it
-// blocks until every reader has exited cleanly, while still detecting
-// and failing over nodes that die — or fall heartbeat-silent — during
+// drain is Finish's wait loop: it blocks until every reader has exited,
+// while still failing nodes that die — or fall heartbeat-silent — during
 // the drain. Successors adopted here receive the Finish frame and
 // deliver the missing tail before the merge closes.
-func (in *Ingress) drainRecovered() {
+func (in *Ingress) drain() {
 	var poll time.Duration
 	if in.rec.HeartbeatTimeout > 0 {
 		// A silent node produces no reader exit to wake on; poll a few
 		// times per timeout so expiry is noticed promptly.
-		poll = in.rec.HeartbeatTimeout / 4
-		if poll < 5*time.Millisecond {
-			poll = 5 * time.Millisecond
-		}
-		if poll > 250*time.Millisecond {
-			poll = 250 * time.Millisecond
-		}
+		poll = min(max(in.rec.HeartbeatTimeout/4, 5*time.Millisecond), 250*time.Millisecond)
 	}
 	for {
 		in.checkSuspects()

@@ -37,12 +37,12 @@ const (
 	// its reader has exited and its metrics are in it is a ghost, and
 	// AddNode reuses the slot.
 	slotDrained
-	// slotDead: the link failed. With recovery this lasts only while
-	// failNode finds a successor session (or for good, if the slot owned
-	// nothing); without, the error surfaces from Finish.
+	// slotDead: the link failed. Transient: it lasts only while failNode
+	// finds a successor session.
 	slotDead
-	// slotAbandoned: dead with no successor; its shards are abandoned at
-	// the collector and the journal.
+	// slotAbandoned: the one terminal failure state — dead with no
+	// successor (no journal, no standby, or nothing owned to recover);
+	// its shards are abandoned at the collector and the journal.
 	slotAbandoned
 )
 
@@ -65,7 +65,7 @@ type slot struct {
 	// through): sendCut brackets a cut's frames with it.
 	burst sendHolder
 	// sendErr is a send failure parked for the next barrier (waitSends),
-	// which routes it into failover or record-and-drain.
+	// which routes it into failNode.
 	sendErr error
 	done    chan struct{} // closed when the session's reader exits
 	// free is the reader's tag slices, handed back emptied by the
@@ -171,7 +171,7 @@ func (in *Ingress) openSession(c Conn, who string) error {
 func (in *Ingress) install(n int, c Conn, addr string) *slot {
 	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{}), free: make(chan []shard.Tagged, tagsFree)}
 	s.burst, _ = c.(sendHolder)
-	if in.rec != nil && in.rec.HeartbeatTimeout > 0 {
+	if in.rec.HeartbeatTimeout > 0 {
 		// A worker that stops draining its socket (wedged peer, one-way
 		// partition) must surface as this slot's link error in bounded
 		// time instead of wedging the feed inside a blocking send. Scaled
@@ -195,7 +195,6 @@ func (in *Ingress) install(n int, c Conn, addr string) *slot {
 	} else if in.det != nil {
 		in.det.Grow()
 	}
-	in.readers.Add(1)
 	go in.read(n, s)
 	return s
 }
@@ -203,8 +202,8 @@ func (in *Ingress) install(n int, c Conn, addr string) *slot {
 // broadcast sends one control frame to every slot that receives them,
 // moves each slot it reached to state then, and reports how many sends
 // failed. A failure is parked on the slot: the next barrier fails the
-// node over (its successor adopts the current set and routing) or, with
-// no recovery, records the error. Ingress goroutine, behind the barrier.
+// node (a successor adopts the current set and routing, or the slot is
+// abandoned). Ingress goroutine, behind the barrier.
 func (in *Ingress) broadcast(f wire.Frame, then slotState) (failed int) {
 	for n, s := range in.slots {
 		if !s.receives() {

@@ -329,6 +329,23 @@ func DialTCP(addr string) (Conn, error) {
 	return DialTCPContext(context.Background(), addr, DialPolicy{})
 }
 
+// Dial connects to every node address, in order — the remote
+// counterpart of Spawn. On error it closes the connections it made.
+func Dial(addrs []string) ([]Conn, error) {
+	conns := make([]Conn, 0, len(addrs))
+	for _, a := range addrs {
+		c, err := DialTCP(a)
+		if err != nil {
+			for _, open := range conns {
+				open.Close()
+			}
+			return nil, err
+		}
+		conns = append(conns, c)
+	}
+	return conns, nil
+}
+
 // Listener accepts framed node connections over TCP.
 type Listener struct {
 	l net.Listener

@@ -110,8 +110,14 @@ func TestRouterDeliveryPinned(t *testing.T) {
 			continue
 		}
 		var viaCluster routerRecords
-		ing, err := cluster.StartLocal(pat, cfg, cluster.LocalConfig{
-			Nodes: shards, Batch: batch, KeyAttr: "key", Schema: w.Schema, OnTagged: viaCluster.add,
+		conns, err := cluster.Spawn(shards, cluster.NodeConfig{
+			Pattern: pat, Schema: w.Schema, Engine: cfg, Batch: batch, KeyAttr: "key",
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ing, err := cluster.NewIngress(pat, conns, cluster.IngressOptions{
+			Batch: batch, KeyAttr: "key", Schema: w.Schema, OnTagged: viaCluster.add,
 		})
 		if err != nil {
 			t.Fatal(err)
