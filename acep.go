@@ -317,10 +317,12 @@ type ClusterConfig struct {
 // NewClusterIngress builds a distributed cluster ingress for the
 // pattern. cfg configures the engines of in-process nodes exactly like
 // NewShardedEngine's engine config (ignored for Connect mode, where each
-// remote worker owns its engine configuration). A config that sets a
-// field the chosen mode would drop is refused with an error naming it:
-// a recovery setting without Recover, Standby without Connect,
-// StandbyNodes with it.
+// remote worker owns its engine configuration). These combinations are
+// refused with an error naming the field: a recovery setting
+// (HeartbeatTimeout, MaxJournalBytes, OnFailover, Standby, StandbyNodes)
+// without Recover, Standby without Connect, StandbyNodes with Connect,
+// and Recover over Connect without a Standby. Nodes, ShardsPerNode,
+// QueueCap and cfg are still ignored under Connect.
 //
 //	ing, err := acep.NewClusterIngress(pattern, acep.Config{}, acep.ClusterConfig{
 //		Nodes:         3,
@@ -369,7 +371,7 @@ func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngres
 			Key: cc.Key, KeyAttr: cc.KeyAttr,
 		}
 		conns, err = cluster.Spawn(nodes, nc, nil)
-		standby = cluster.SpawnStandbys(standbys, nc, nil)
+		standby = cluster.SpawnStandbys(standbys, nc)
 	} else {
 		conns, err = cluster.Dial(cc.Connect)
 		standby = cluster.DialStandbys(cc.Standby)

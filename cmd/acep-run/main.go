@@ -404,7 +404,7 @@ func main() {
 				KeyAttr: *keyAttr, Schema: w.Schema,
 			}
 			conns, err = cluster.Spawn(*nodes, nc, nil)
-			standbySrc = cluster.SpawnStandbys(*standbys, nc, nil)
+			standbySrc = cluster.SpawnStandbys(*standbys, nc)
 		}
 		if err != nil {
 			fail(err)

@@ -32,7 +32,7 @@ func TestBlockReuseScenarios(t *testing.T) {
 				OnTagged: func(tg shard.Tagged) { kept = append(kept, tg) },
 			}
 			if sc.Name == moved.Name {
-				opts.Recovery = &RecoveryConfig{Standby: SpawnStandbys(2, nc, nil)}
+				opts.Recovery = &RecoveryConfig{Standby: SpawnStandbys(2, nc)}
 			}
 			ing := spawnCluster(t, nil, shards, nc, opts)
 			var err error

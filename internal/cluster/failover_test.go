@@ -430,7 +430,7 @@ func TestLocalClusterRecover(t *testing.T) {
 	ing := spawnCluster(t, pat, 2, nc, IngressOptions{
 		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
 		Recovery: &RecoveryConfig{
-			Standby:    SpawnStandbys(1, nc, nil),
+			Standby:    SpawnStandbys(1, nc),
 			OnFailover: func(f recovery.Failover) { fos = append(fos, f) },
 		},
 	})

@@ -27,7 +27,7 @@ func Spawn(n int, nc NodeConfig, onErr func(error)) ([]Conn, error) {
 // at most limit of them. The standbys start bare — nc's Pattern and
 // Schema are dropped — and learn the pattern set and schema from the
 // Assign frame and their shards from the Migrate handshake.
-func SpawnStandbys(limit int, nc NodeConfig, onErr func(error)) func() (Conn, error) {
+func SpawnStandbys(limit int, nc NodeConfig) func() (Conn, error) {
 	nc.Pattern, nc.Schema = nil, nil
 	spawned := 0
 	return func() (Conn, error) {
@@ -35,7 +35,7 @@ func SpawnStandbys(limit int, nc NodeConfig, onErr func(error)) func() (Conn, er
 			return nil, fmt.Errorf("cluster: all %d in-process standbys used", limit)
 		}
 		spawned++
-		return spawn(nc, onErr)
+		return spawn(nc, nil)
 	}
 }
 
