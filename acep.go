@@ -43,6 +43,7 @@ package acep
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"acep/internal/cluster"
@@ -255,16 +256,17 @@ type ClusterConfig struct {
 	// the handshake verifies fingerprints). When empty, Nodes in-process
 	// workers are spawned instead.
 	Connect []string
-	// Nodes is the in-process worker count (default 2; ignored with
+	// Nodes is the in-process worker count (default 2; refused with
 	// Connect set).
 	Nodes int
 	// ShardsPerNode is each in-process node's shard-engine count
-	// (default 1; remote nodes choose their own via acep-node -shards).
+	// (default 1; remote nodes choose their own via acep-node -shards,
+	// so it is refused with Connect set).
 	ShardsPerNode int
 	// Batch is the events-per-cut of the ingress (default 256).
 	Batch int
 	// QueueCap bounds each in-process node's per-shard ingestion queue
-	// in events (see ShardedConfig.QueueCap).
+	// in events (see ShardedConfig.QueueCap; refused with Connect set).
 	QueueCap int
 	// KeyAttr + Schema (or a custom Key) select the partition key, with
 	// the same partitionability validation as NewShardedEngine.
@@ -288,13 +290,12 @@ type ClusterConfig struct {
 	// OnTagged).
 	OnTagged func(TaggedMatch)
 	// Recover enables fault-tolerant failover: the ingress journals its
-	// cuts (bounded by MaxJournalBytes) and, when a worker dies, hands
-	// the lost shard block to a standby — dialed from Standby in Connect
-	// mode, or spawned in-process (at most StandbyNodes, default 2)
-	// otherwise — which replays the journaled history and suppresses
-	// already-delivered matches, keeping the output stream exactly the
-	// healthy one. Without Recover a node failure surfaces as an error
-	// from Finish.
+	// cuts and, when a worker dies, hands the lost shard block to a
+	// standby — dialed from Standby in Connect mode, or spawned
+	// in-process (at most StandbyNodes, default 2) otherwise — which
+	// replays the journaled history and suppresses already-delivered
+	// matches, keeping the output stream exactly the healthy one. Without
+	// Recover a node failure surfaces as an error from Finish.
 	Recover bool
 	// Standby lists TCP addresses of standby workers (bare acep-node
 	// processes work: the pattern ships in the handshake), dialed lazily
@@ -305,10 +306,6 @@ type ClusterConfig struct {
 	// HeartbeatTimeout declares a silent node dead even without a
 	// transport error (0: transport errors only).
 	HeartbeatTimeout time.Duration
-	// MaxJournalBytes bounds the cut journal (default 256 MiB).
-	MaxJournalBytes int64
-	// OnFailover observes each recovered failure as it completes.
-	OnFailover func(ClusterFailover)
 	// Elastic, when non-nil, enables and tunes the placement controller
 	// (requires Recover).
 	Elastic *ClusterElastic
@@ -316,13 +313,12 @@ type ClusterConfig struct {
 
 // NewClusterIngress builds a distributed cluster ingress for the
 // pattern. cfg configures the engines of in-process nodes exactly like
-// NewShardedEngine's engine config (ignored for Connect mode, where each
-// remote worker owns its engine configuration). These combinations are
-// refused with an error naming the field: a recovery setting
-// (HeartbeatTimeout, MaxJournalBytes, OnFailover, Standby, StandbyNodes)
-// without Recover, Standby without Connect, StandbyNodes with Connect,
-// and Recover over Connect without a Standby. Nodes, ShardsPerNode,
-// QueueCap and cfg are still ignored under Connect.
+// NewShardedEngine's engine config. These combinations are refused with
+// an error naming the field: a recovery setting (HeartbeatTimeout,
+// Standby, StandbyNodes) without Recover, Standby without Connect,
+// StandbyNodes with Connect, Recover over Connect without a Standby, and
+// an in-process node setting (Nodes, ShardsPerNode, QueueCap, a non-zero
+// cfg) with Connect, where each remote worker owns its engines.
 //
 //	ing, err := acep.NewClusterIngress(pattern, acep.Config{}, acep.ClusterConfig{
 //		Nodes:         3,
@@ -335,22 +331,27 @@ type ClusterConfig struct {
 //	err = ing.Finish()
 func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngress, error) {
 	local := len(cc.Connect) == 0
+	const remote = "configures in-process nodes (each Connect worker configures its own engines)"
 	for _, f := range []struct {
 		name, why string
 		bad       bool
 	}{
 		{"HeartbeatTimeout", "needs Recover", !cc.Recover && cc.HeartbeatTimeout != 0},
-		{"MaxJournalBytes", "needs Recover", !cc.Recover && cc.MaxJournalBytes != 0},
-		{"OnFailover", "needs Recover", !cc.Recover && cc.OnFailover != nil},
 		{"Standby", "needs Recover", !cc.Recover && len(cc.Standby) > 0},
 		{"StandbyNodes", "needs Recover", !cc.Recover && cc.StandbyNodes != 0},
 		{"Standby", "needs Connect (in-process standbys are StandbyNodes)", local && len(cc.Standby) > 0},
 		{"StandbyNodes", "is for in-process nodes (Connect dials Standby)", !local && cc.StandbyNodes != 0},
 		{"Standby", "needs at least one address for Recover over Connect", !local && cc.Recover && len(cc.Standby) == 0},
+		{"Nodes", remote, !local && cc.Nodes != 0},
+		{"ShardsPerNode", remote, !local && cc.ShardsPerNode != 0},
+		{"QueueCap", remote, !local && cc.QueueCap != 0},
 	} {
 		if f.bad {
 			return nil, fmt.Errorf("acep: ClusterConfig.%s %s", f.name, f.why)
 		}
+	}
+	if !local && !reflect.ValueOf(cfg).IsZero() {
+		return nil, fmt.Errorf("acep: a non-zero engine Config %s", remote)
 	}
 	// Local and Connect modes differ only in where the node connections
 	// and the standbys come from.
@@ -394,8 +395,6 @@ func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngres
 		opts.Recovery = &cluster.RecoveryConfig{
 			Standby:          standby,
 			HeartbeatTimeout: cc.HeartbeatTimeout,
-			MaxJournalBytes:  cc.MaxJournalBytes,
-			OnFailover:       cc.OnFailover,
 		}
 	}
 	return cluster.NewIngress(p, conns, opts)
@@ -409,8 +408,8 @@ func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngres
 // arrive through OnMatch (or OnTagged) exactly as with
 // NewClusterIngress; ClusterConfig.Standby seeds the shared worker
 // standby pool. The pair hosts p alone, partitioned by KeyAttr, and
-// refuses a config that sets Patterns, Tenants, Elastic, OnFailover or
-// Key rather than run without them.
+// refuses a config that sets Patterns, Tenants, Elastic or Key rather
+// than run without them.
 //
 //	ing, err := acep.NewHAIngress(pattern, acep.ClusterConfig{
 //		Connect: []string{"host1:7001", "host2:7001"},
@@ -432,7 +431,6 @@ func NewHAIngress(p *Pattern, cc ClusterConfig) (*HAIngress, error) {
 		{"Patterns", len(cc.Patterns) > 0},
 		{"Tenants", len(cc.Tenants) > 0},
 		{"Elastic", cc.Elastic != nil},
-		{"OnFailover", cc.OnFailover != nil},
 		{"Key", cc.Key != nil},
 	} {
 		if f.set {
@@ -453,7 +451,6 @@ func NewHAIngress(p *Pattern, cc ClusterConfig) (*HAIngress, error) {
 		Standbys:         cc.Standby,
 		OnTagged:         onTagged,
 		HeartbeatTimeout: cc.HeartbeatTimeout,
-		MaxJournalBytes:  cc.MaxJournalBytes,
 	})
 }
 

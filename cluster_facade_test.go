@@ -103,30 +103,33 @@ func TestFacadeCluster(t *testing.T) {
 	}
 }
 
-// TestFacadeClusterConfigGates: NewClusterIngress refuses every
-// ClusterConfig field the chosen mode would otherwise drop without a
-// word, naming it. Each row fails before anything is spawned or dialed.
+// TestFacadeClusterConfigGates: NewClusterIngress refuses every setting
+// the chosen mode would otherwise drop without a word, naming it. Each row
+// fails before anything is spawned or dialed.
 func TestFacadeClusterConfigGates(t *testing.T) {
 	schema, pat, _ := personPattern(t)
 	connect := []string{"127.0.0.1:1"}
 	for _, c := range []struct {
 		name string
+		cfg  acep.Config
 		cc   acep.ClusterConfig
 		want string // in the error
 	}{
-		{"HeartbeatTimeout without Recover", acep.ClusterConfig{HeartbeatTimeout: time.Second}, "HeartbeatTimeout"},
-		{"MaxJournalBytes without Recover", acep.ClusterConfig{MaxJournalBytes: 1 << 20}, "MaxJournalBytes"},
-		{"OnFailover without Recover", acep.ClusterConfig{OnFailover: func(acep.ClusterFailover) {}}, "OnFailover"},
-		{"Standby without Recover", acep.ClusterConfig{Connect: connect, Standby: connect}, "Standby"},
-		{"StandbyNodes without Recover", acep.ClusterConfig{StandbyNodes: 1}, "StandbyNodes"},
-		{"Standby without Connect", acep.ClusterConfig{Recover: true, Standby: connect}, "Standby"},
-		{"StandbyNodes with Connect", acep.ClusterConfig{Connect: connect, Recover: true, Standby: connect, StandbyNodes: 1}, "StandbyNodes"},
-		{"Recover over Connect without Standby", acep.ClusterConfig{Connect: connect, Recover: true}, "Standby"},
+		{"HeartbeatTimeout without Recover", acep.Config{}, acep.ClusterConfig{HeartbeatTimeout: time.Second}, "ClusterConfig.HeartbeatTimeout"},
+		{"Standby without Recover", acep.Config{}, acep.ClusterConfig{Connect: connect, Standby: connect}, "ClusterConfig.Standby"},
+		{"StandbyNodes without Recover", acep.Config{}, acep.ClusterConfig{StandbyNodes: 1}, "ClusterConfig.StandbyNodes"},
+		{"Standby without Connect", acep.Config{}, acep.ClusterConfig{Recover: true, Standby: connect}, "ClusterConfig.Standby"},
+		{"StandbyNodes with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, Recover: true, Standby: connect, StandbyNodes: 1}, "ClusterConfig.StandbyNodes"},
+		{"Recover over Connect without Standby", acep.Config{}, acep.ClusterConfig{Connect: connect, Recover: true}, "ClusterConfig.Standby"},
+		{"Nodes with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, Nodes: 2}, "ClusterConfig.Nodes"},
+		{"ShardsPerNode with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, ShardsPerNode: 2}, "ClusterConfig.ShardsPerNode"},
+		{"QueueCap with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, QueueCap: 64}, "ClusterConfig.QueueCap"},
+		{"engine Config with Connect", acep.Config{CheckEvery: 100}, acep.ClusterConfig{Connect: connect}, "engine Config"},
 	} {
 		c.cc.KeyAttr, c.cc.Schema = "person_id", schema
 		c.cc.OnMatch = func(*acep.Match) {}
-		_, err := acep.NewClusterIngress(pat, acep.Config{}, c.cc)
-		if err == nil || !strings.Contains(err.Error(), "ClusterConfig."+c.want) {
+		_, err := acep.NewClusterIngress(pat, c.cfg, c.cc)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
 		}
 	}

@@ -34,6 +34,9 @@
 // -shed-rate, and the -shed-wait p99 queue-wait latency target), and
 // -queue-cap bounds the local ingestion queues (-overflow drop makes
 // them lossy instead of backpressuring the network reader).
+//
+// The pattern and engine flags are acep-run's, declared once in
+// internal/cli with the same names, defaults and help text.
 package main
 
 import (
@@ -42,14 +45,8 @@ import (
 	"log"
 	"os"
 
+	"acep/internal/cli"
 	"acep/internal/cluster"
-	"acep/internal/core"
-	"acep/internal/engine"
-	"acep/internal/event"
-	"acep/internal/gen"
-	"acep/internal/pattern"
-	"acep/internal/shard"
-	"acep/internal/shed"
 	"acep/internal/stream"
 )
 
@@ -57,33 +54,21 @@ func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:0", "TCP address to serve ingress sessions on")
 		in       = flag.String("in", "", "workload CSV whose schema/pattern this node serves; empty runs a bare node that adopts the ingress's shipped pattern (standby mode)")
-		kindStr  = flag.String("kind", "sequence", "pattern family: sequence, conjunction, negation, kleene, composite")
-		size     = flag.Int("size", 3, "pattern size")
-		window   = flag.Int64("window", 150, "pattern window in logical ms")
-		model    = flag.String("model", "greedy", "evaluation model: greedy (order-based NFA) or zstream (tree)")
-		policy   = flag.String("policy", "invariant", "adaptation policy: static, unconditional, threshold, invariant")
-		tFlag    = flag.Float64("t", 0.3, "threshold for -policy threshold")
-		dFlag    = flag.Float64("d", 0.2, "distance for -policy invariant")
-		kFlag    = flag.Int("k", 1, "invariants per building block (K-invariant method)")
-		check    = flag.Int("check", 500, "adaptation check interval in events")
-		shards   = flag.Int("shards", 1, "local shard engines this node hosts")
+		buildPat = cli.PatternFlags(flag.CommandLine)
+		engFlags = cli.EngineFlags(flag.CommandLine)
 		batch    = flag.Int("batch", 0, "local handoff batch (0 = default)")
 		keyAttr  = flag.String("key", "key", "partition-key attribute")
-		shedPol  = flag.String("shed", "none", "load-shedding policy: none, random, rate-utility, pattern-aware")
-		shedTgt  = flag.Float64("shed-target", 0.3, "drop fraction the shedding policy aims for while overloaded")
-		shedPMs  = flag.Int("shed-pms", 0, "live partial-match budget per shard engine")
-		shedEPS  = flag.Float64("shed-rate", 0, "arrival-rate budget in events per logical second")
-		shedWait = flag.Duration("shed-wait", 0, "p99 ingestion queue-wait budget (latency-aware shedding; 0 = off)")
-		qcap     = flag.Int("queue-cap", 0, "per-shard ingestion queue bound in events (0 = default)")
-		overfl   = flag.String("overflow", "block", "full-queue behavior: block (backpressure) or drop")
 		once     = flag.Bool("once", false, "serve a single ingress session and exit")
 	)
 	flag.Parse()
+	nc, err := engFlags.Node()
+	if err != nil {
+		fail(err)
+	}
+	nc.Batch, nc.KeyAttr = *batch, *keyAttr
 	// With -in the node pins pattern and schema (the handshake
 	// fingerprint-checks them against the ingress); without it the node
 	// is bare and adopts whatever the ingress ships.
-	var pat *pattern.Pattern
-	var schema *event.Schema
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
@@ -94,92 +79,12 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-
-		var kind gen.Kind
-		switch *kindStr {
-		case "sequence":
-			kind = gen.Sequence
-		case "conjunction":
-			kind = gen.Conjunction
-		case "negation":
-			kind = gen.Negation
-		case "kleene":
-			kind = gen.Kleene
-		case "composite":
-			kind = gen.Composite
-		default:
-			fail(fmt.Errorf("unknown kind %q", *kindStr))
-		}
-		pat, err = w.Pattern(kind, *size, event.Time(*window))
-		if err != nil {
+		if nc.Pattern, err = buildPat(w); err != nil {
 			fail(err)
 		}
-		schema = w.Schema
+		nc.Schema = w.Schema
 	}
-
-	m := engine.GreedyNFA
-	if *model == "zstream" {
-		m = engine.ZStreamTree
-	} else if *model != "greedy" {
-		fail(fmt.Errorf("unknown model %q", *model))
-	}
-	newPolicy := func() core.Policy {
-		switch *policy {
-		case "static":
-			return core.Static{}
-		case "unconditional":
-			return core.Unconditional{}
-		case "threshold":
-			return &core.Threshold{T: *tFlag}
-		case "invariant":
-			return &core.Invariant{K: *kFlag, D: *dFlag}
-		default:
-			fail(fmt.Errorf("unknown policy %q", *policy))
-			return nil
-		}
-	}
-	var shedCfg shed.Config
-	switch *shedPol {
-	case "none", "":
-	case "random":
-		shedCfg.Policy = shed.Random{P: *shedTgt}
-	case "rate-utility":
-		shedCfg.Policy = shed.RateUtility{Target: *shedTgt}
-	case "pattern-aware":
-		shedCfg.Policy = shed.PatternAware{Target: *shedTgt}
-	default:
-		fail(fmt.Errorf("unknown shedding policy %q", *shedPol))
-	}
-	if shedCfg.Policy != nil {
-		shedCfg.Budget = shed.Budget{LivePMs: *shedPMs, EventsPerSec: *shedEPS, QueueWait: *shedWait}
-		if *shedPMs <= 0 && *shedEPS <= 0 && *shedWait <= 0 {
-			fail(fmt.Errorf("-shed %s needs a budget: set -shed-pms, -shed-rate and/or -shed-wait", *shedPol))
-		}
-	}
-	overflow := shard.Backpressure
-	switch *overfl {
-	case "block":
-	case "drop":
-		overflow = shard.DropNewest
-	default:
-		fail(fmt.Errorf("unknown overflow mode %q (want block or drop)", *overfl))
-	}
-
-	node, err := cluster.NewNode(cluster.NodeConfig{
-		Pattern: pat,
-		Engine: engine.Config{
-			Model:      m,
-			NewPolicy:  newPolicy,
-			CheckEvery: *check,
-			Shedding:   shedCfg,
-		},
-		Shards:   *shards,
-		Batch:    *batch,
-		QueueCap: *qcap,
-		Overflow: overflow,
-		KeyAttr:  *keyAttr,
-		Schema:   schema,
-	})
+	node, err := cluster.NewNode(nc)
 	if err != nil {
 		fail(err)
 	}
@@ -188,10 +93,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if pat != nil {
-		log.Printf("acep-node: serving %d shard(s) of %s on %s", *shards, pat, l.Addr())
+	if nc.Pattern != nil {
+		log.Printf("acep-node: serving %d shard(s) of %s on %s", nc.Shards, nc.Pattern, l.Addr())
 	} else {
-		log.Printf("acep-node: bare node (standby) with %d shard(s) on %s", *shards, l.Addr())
+		log.Printf("acep-node: bare node (standby) with %d shard(s) on %s", nc.Shards, l.Addr())
 	}
 	if *once {
 		c, err := l.Accept()

@@ -26,8 +26,9 @@
 // drives remote worker nodes started with acep-node over TCP; both
 // deliver the identical deterministic match stream the sharded engine
 // produces. Remote nodes configure their own engines, so with -connect
-// acep-run refuses the engine flags (-model, -policy, -t, -d, -k,
-// -check, -shed*, -shards, -queue-cap, -overflow). Each -batch cut is
+// acep-run refuses the engine flags it shares with acep-node (-model,
+// -policy, -t, -d, -k, -check, -shed*, -shards, -queue-cap, -overflow;
+// declared once in internal/cli). Each -batch cut is
 // delta-encoded once and decoded once, in place, into the node's event
 // arena (see DESIGN.md "Wire-to-match data flow"), so batch size trades
 // latency against per-event framing overhead without extra copies:
@@ -100,10 +101,9 @@ import (
 	"time"
 
 	"acep/internal/chaos"
+	"acep/internal/cli"
 	"acep/internal/cluster"
-	"acep/internal/core"
 	"acep/internal/engine"
-	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/ha"
 	"acep/internal/match"
@@ -117,25 +117,12 @@ import (
 func main() {
 	var (
 		in        = flag.String("in", "", "input CSV (required; see acep-gen)")
-		kindStr   = flag.String("kind", "sequence", "pattern family: sequence, conjunction, negation, kleene, composite")
-		size      = flag.Int("size", 3, "pattern size")
-		window    = flag.Int64("window", 150, "pattern window in logical ms")
-		model     = flag.String("model", "greedy", "evaluation model: greedy (order-based NFA) or zstream (tree)")
-		policy    = flag.String("policy", "invariant", "adaptation policy: static, unconditional, threshold, invariant")
-		tFlag     = flag.Float64("t", 0.3, "threshold for -policy threshold")
-		dFlag     = flag.Float64("d", 0.2, "distance for -policy invariant")
-		kFlag     = flag.Int("k", 1, "invariants per building block (K-invariant method)")
-		check     = flag.Int("check", 500, "adaptation check interval in events")
-		shards    = flag.Int("shards", 1, "partition the stream across this many parallel engines (workload must be keyed); with -nodes, engines per node")
+		buildPat  = cli.PatternFlags(flag.CommandLine)
+		engFlags  = cli.EngineFlags(flag.CommandLine)
 		nodes     = flag.Int("nodes", 0, "run an in-process cluster of this many worker nodes, -shards engines each")
 		connect   = flag.String("connect", "", "comma-separated TCP addresses of acep-node workers to drive instead of local engines")
 		batch     = flag.Int("batch", 0, "events per shard handoff batch (0 = default)")
 		keyAttr   = flag.String("key", "key", "partition-key attribute for -shards > 1")
-		shedPol   = flag.String("shed", "none", "load-shedding policy: none, random, rate-utility, pattern-aware")
-		shedTgt   = flag.Float64("shed-target", 0.3, "drop fraction the shedding policy aims for while overloaded")
-		shedPMs   = flag.Int("shed-pms", 0, "live partial-match budget (shedding activates above it)")
-		shedEPS   = flag.Float64("shed-rate", 0, "arrival-rate budget in events per logical second")
-		shedWait  = flag.Duration("shed-wait", 0, "p99 ingestion queue-wait budget (latency-aware shedding; 0 = off)")
 		recoverOn = flag.Bool("recover", false, "enable fault-tolerant failover (cut journal + standby migration)")
 		standby   = flag.String("standby", "", "comma-separated TCP addresses of standby nodes for -recover with -connect")
 		standbys  = flag.Int("standbys", 2, "in-process standby bound for -recover with -nodes")
@@ -151,8 +138,6 @@ func main() {
 		drainAft  = flag.Int("drain-after", 0, "drain the -drain slot after this many events (default: half of the stream)")
 		patset    = flag.String("patternset", "", "pattern-set spec file (acep-gen -patterns): evaluate the whole set with shared sub-pattern evaluation (-kind/-size/-window ignored)")
 		tenantBud = flag.String("tenant-budget", "", "per-tenant admission budgets tenant=rate[:burst],... in events per logical second (a single pattern bills to tenant 0; needs -shards or a cluster mode)")
-		qcap      = flag.Int("queue-cap", 0, "per-shard ingestion queue bound in events (0 = default of 4 batches)")
-		overfl    = flag.String("overflow", "block", "full-queue behavior for -shards > 1: block (backpressure) or drop")
 		mempro    = flag.String("memprofile", "", "write a heap profile after the run to this file (pprof)")
 		verbose   = flag.Bool("v", false, "print every match")
 	)
@@ -163,9 +148,7 @@ func main() {
 	}
 	if *connect != "" {
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "model", "policy", "t", "d", "k", "check", "shed", "shed-target", "shed-pms",
-				"shed-rate", "shed-wait", "shards", "queue-cap", "overflow":
+			if engFlags.Declares(f.Name) {
 				fail(fmt.Errorf("-%s configures engines, which acep-node workers configure themselves under -connect", f.Name))
 			}
 		})
@@ -186,94 +169,33 @@ func main() {
 
 	var pat *pattern.Pattern
 	if *patset == "" {
-		var kind gen.Kind
-		switch *kindStr {
-		case "sequence":
-			kind = gen.Sequence
-		case "conjunction":
-			kind = gen.Conjunction
-		case "negation":
-			kind = gen.Negation
-		case "kleene":
-			kind = gen.Kleene
-		case "composite":
-			kind = gen.Composite
-		default:
-			fail(fmt.Errorf("unknown kind %q", *kindStr))
-		}
-		if pat, err = w.Pattern(kind, *size, event.Time(*window)); err != nil {
+		if pat, err = buildPat(w); err != nil {
 			fail(err)
 		}
 	}
-
-	m := engine.GreedyNFA
-	if *model == "zstream" {
-		m = engine.ZStreamTree
-	} else if *model != "greedy" {
-		fail(fmt.Errorf("unknown model %q", *model))
+	nc, err := engFlags.Node()
+	if err != nil {
+		fail(err)
 	}
-
-	newPolicy := func() core.Policy {
-		switch *policy {
-		case "static":
-			return core.Static{}
-		case "unconditional":
-			return core.Unconditional{}
-		case "threshold":
-			return &core.Threshold{T: *tFlag}
-		case "invariant":
-			return &core.Invariant{K: *kFlag, D: *dFlag}
-		default:
-			fail(fmt.Errorf("unknown policy %q", *policy))
-			return nil
+	if nc.Engine.Shedding.Policy != nil && w.Keys > 0 {
+		// Keyed workload: let pattern-aware shedding protect at
+		// entity granularity even in unsharded mode.
+		if key, err := shard.ByAttrName(w.Schema, *keyAttr); err == nil {
+			nc.Engine.Shedding.Key = key
 		}
 	}
-
-	var shedCfg shed.Config
-	switch *shedPol {
-	case "none", "":
-	case "random":
-		shedCfg.Policy = shed.Random{P: *shedTgt}
-	case "rate-utility":
-		shedCfg.Policy = shed.RateUtility{Target: *shedTgt}
-	case "pattern-aware":
-		shedCfg.Policy = shed.PatternAware{Target: *shedTgt}
-	default:
-		fail(fmt.Errorf("unknown shedding policy %q", *shedPol))
-	}
-	if shedCfg.Policy != nil {
-		shedCfg.Budget = shed.Budget{LivePMs: *shedPMs, EventsPerSec: *shedEPS, QueueWait: *shedWait}
-		if *shedPMs <= 0 && *shedEPS <= 0 && *shedWait <= 0 {
-			fail(fmt.Errorf("-shed %s needs a budget: set -shed-pms, -shed-rate and/or -shed-wait", *shedPol))
-		}
-		if w.Keys > 0 {
-			// Keyed workload: let pattern-aware shedding protect at
-			// entity granularity even in unsharded mode.
-			if key, err := shard.ByAttrName(w.Schema, *keyAttr); err == nil {
-				shedCfg.Key = key
-			}
-		}
-	}
-	overflow := shard.Backpressure
-	switch *overfl {
-	case "block":
-	case "drop":
-		overflow = shard.DropNewest
-	default:
-		fail(fmt.Errorf("unknown overflow mode %q (want block or drop)", *overfl))
-	}
+	nc.Batch, nc.KeyAttr, nc.Schema = *batch, *keyAttr, w.Schema
 
 	// The pattern set every sharded or clustered session hosts: the one
 	// pattern -kind/-size/-window name, or the spec file's set
 	// regenerated against the loaded workload (the spec pins the
 	// parameters, OverlapPatterns is deterministic in them).
-	cfg := engine.Config{Model: m, NewPolicy: newPolicy, CheckEvery: *check, Shedding: shedCfg}
 	var (
 		specs   []multi.Spec
 		budgets map[uint32]shed.TenantBudget
 	)
 	if *patset == "" {
-		specs = multi.Solo(pat, cfg)
+		specs = multi.Solo(pat, nc.Engine)
 	} else {
 		ps, err := gen.LoadPatternSet(*patset)
 		if err != nil {
@@ -284,7 +206,7 @@ func main() {
 			fail(err)
 		}
 		for _, e := range entries {
-			specs = append(specs, multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: cfg})
+			specs = append(specs, multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: nc.Engine})
 		}
 		if w.Keys == 0 {
 			fail(fmt.Errorf("-patternset needs a keyed workload; regenerate with acep-gen -keys %d", ps.Keys))
@@ -399,10 +321,6 @@ func main() {
 			conns, err = cluster.Dial(addrs(*connect))
 			standbySrc = cluster.DialStandbys(addrs(*standby))
 		} else {
-			nc := cluster.NodeConfig{
-				Engine: cfg, Shards: *shards, Batch: *batch, QueueCap: *qcap, Overflow: overflow,
-				KeyAttr: *keyAttr, Schema: w.Schema,
-			}
 			conns, err = cluster.Spawn(*nodes, nc, nil)
 			standbySrc = cluster.SpawnStandbys(*standbys, nc)
 		}
@@ -492,15 +410,15 @@ func main() {
 			printPerPattern(ing.PatternMetrics(), perPat)
 			printTenantStats(ing.TenantStats())
 		}
-	} else if *shards > 1 || *patset != "" {
+	} else if nc.Shards > 1 || *patset != "" {
 		if w.Keys == 0 {
-			fail(fmt.Errorf("-shards %d needs a keyed workload; regenerate with acep-gen -keys", *shards))
+			fail(fmt.Errorf("-shards %d needs a keyed workload; regenerate with acep-gen -keys", nc.Shards))
 		}
 		eng, err := shard.New(nil, engine.Config{}, shard.Options{
-			Shards:   *shards,
+			Shards:   nc.Shards,
 			Batch:    *batch,
-			QueueCap: *qcap,
-			Overflow: overflow,
+			QueueCap: nc.QueueCap,
+			Overflow: nc.Overflow,
 			KeyAttr:  *keyAttr,
 			Schema:   w.Schema,
 			Patterns: specs,
@@ -517,7 +435,7 @@ func main() {
 		eng.Finish()
 		elapsed = time.Since(start)
 		met = eng.Metrics()
-		workers = *shards
+		workers = nc.Shards
 		if *patset == "" { // a set's plans are per pattern per shard: too many to list
 			for s, sp := range eng.Plans() {
 				for _, p := range sp {
@@ -538,8 +456,8 @@ func main() {
 		if budgets != nil {
 			fail(fmt.Errorf("-tenant-budget needs a hosted session: set -shards, -nodes or -connect"))
 		}
-		cfg.OnMatch = func(mt *match.Match) { onTagged(shard.Tagged{M: mt}) }
-		eng, err := engine.New(pat, cfg)
+		nc.Engine.OnMatch = func(mt *match.Match) { onTagged(shard.Tagged{M: mt}) }
+		eng, err := engine.New(pat, nc.Engine)
 		if err != nil {
 			fail(err)
 		}

@@ -7,9 +7,9 @@
 // with the Handover exchange and resumes the stream byte-identically.
 //
 // The standby needs no pattern, schema or workload knowledge: the
-// primary's opening Epoch frame carries the journal sizing (window,
-// slack, byte bound), and everything else arrives as self-describing
-// wire frames. One binary serves any workload.
+// primary's opening Epoch frame carries the pattern window, the mirror
+// journal runs at the journal defaults otherwise, and everything else
+// arrives as self-describing wire frames. One binary serves any workload.
 //
 //	acep-standby -listen 127.0.0.1:7200 &
 //	acep-run -in keyed.csv -connect ... -ha -standby-addr 127.0.0.1:7200

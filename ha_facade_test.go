@@ -132,8 +132,6 @@ func TestFacadeHAConfigGates(t *testing.T) {
 			Tenants: map[uint32]acep.TenantBudget{0: {Rate: 1}}}, "Tenants"},
 		{"Elastic", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
 			Elastic: &acep.ClusterElastic{}}, "Elastic"},
-		{"OnFailover", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
-			OnFailover: func(acep.ClusterFailover) {}}, "OnFailover"},
 		{"Key", acep.ClusterConfig{Connect: connect, OnMatch: onMatch, Key: key}, "Key"},
 	} {
 		c.cc.KeyAttr, c.cc.Schema = "person_id", schema

@@ -17,7 +17,7 @@ var drills = []struct {
 	name, doc string
 	run       func(*rig) error
 }{
-	{"failover", "one worker's link severed 40% in, its shards failed over to a bare standby, across node counts 3-5 and journal horizons 1/2/4 windows: recovery time, journal and replay volumes", (*rig).failover},
+	{"failover", "one worker's link severed 40% in, its shards failed over to a bare standby, across node counts 2-6 at the journal's two-window horizon: recovery time, journal and replay volumes", (*rig).failover},
 	{"elastic", "a bare third node joins a 2-node cluster a third in, with the placement controller off (nothing may move) and on (load must migrate onto it): migrations onto the joiner, longest migration pause, time to the last move", (*rig).elastic},
 	{"ha", "the primary of a replicated coordinator pair killed 40% in: takeover pause, mirrored, replayed and re-fed volumes, skipped regenerated matches", (*rig).takeover},
 	{"chaos", "a replicated pair over a replication link that duplicates and delays frames (absorbed), then over one silently blackholed 40% in under a lease arbiter: demotion, lease-arbitrated takeover, partition-to-resume time", (*rig).partitionTolerance},
@@ -44,23 +44,21 @@ func (h *Harness) Drill(name, dataset string) (*DrillRecord, error) {
 	return nil, fmt.Errorf("bench: unknown drill %q", name)
 }
 
-// failover crosses cluster width with journal retention, so both axes of
-// the recovery cost are visible. Each run severs node 1's link 40% into
+// failover sweeps cluster width at the journal's fixed retention (two
+// windows of slack), so the recovery cost is seen against the share of
+// the shard space one node holds. Each run severs node 1's link 40% into
 // the stream; its shard block must fail over, exactly once, to the bare
 // standby.
 func (r *rig) failover() error {
-	for _, sw := range []struct{ nodes, slack int }{{3, 1}, {3, 2}, {3, 4}, {4, 2}, {5, 2}} {
-		err := r.run(fmt.Sprintf("kill nodes=%d slack=%d", sw.nodes, sw.slack), sw.nodes, drillShardsPerNode, 1, func(d *drill) error {
+	for nodes := 2; nodes <= 6; nodes++ {
+		err := r.run(fmt.Sprintf("kill nodes=%d", nodes), nodes, drillShardsPerNode, 1, func(d *drill) error {
 			conns, err := cluster.Dial(d.addrs[:d.Nodes])
 			if err != nil {
 				return err
 			}
 			victim := chaos.Wrap(conns[1], chaos.Config{})
 			conns[1] = victim
-			ing, err := d.ingress(conns, &cluster.RecoveryConfig{
-				SlackWindows: sw.slack,
-				Standby:      cluster.DialStandbys(d.addrs[d.Nodes:]),
-			}, nil)
+			ing, err := d.ingress(conns, &cluster.RecoveryConfig{Standby: cluster.DialStandbys(d.addrs[d.Nodes:])}, nil)
 			if err != nil {
 				return err
 			}
@@ -114,10 +112,7 @@ func (r *rig) elastic() error {
 			if err != nil {
 				return err
 			}
-			// The tightest safe retention horizon: migration replay volume
-			// is proportional to it, and this drill is about moves, not
-			// crash history.
-			ing, err := d.ingress(conns, &cluster.RecoveryConfig{SlackWindows: 1}, ec)
+			ing, err := d.ingress(conns, &cluster.RecoveryConfig{}, ec)
 			if err != nil {
 				return err
 			}

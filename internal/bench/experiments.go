@@ -136,22 +136,6 @@ func MethodNames() []string {
 	return []string{"static", "unconditional", "threshold", "invariant"}
 }
 
-// policyFactory returns the policy constructor for a method name.
-func policyFactory(method string, topt, dopt float64) func() core.Policy {
-	switch method {
-	case "static":
-		return func() core.Policy { return core.Static{} }
-	case "unconditional":
-		return func() core.Policy { return core.Unconditional{} }
-	case "threshold":
-		return func() core.Policy { return &core.Threshold{T: topt} }
-	case "invariant":
-		return func() core.Policy { return &core.Invariant{D: dopt} }
-	default:
-		panic("bench: unknown method " + method)
-	}
-}
-
 // ScanThreshold finds t_opt for the combo by measuring the threshold
 // method on a size-5 sequence pattern over the candidate grid.
 func (h *Harness) ScanThreshold(c Combo, grid []float64) (float64, error) {
@@ -192,7 +176,11 @@ func (h *Harness) Methods(c Combo, kinds []gen.Kind, topt, dopt float64) (*Metho
 			}
 			perSize := make([]Result, 0, len(data.Methods))
 			for _, method := range data.Methods {
-				res, err := h.Run(c, pat, policyFactory(method, topt, dopt))
+				newPolicy, err := core.PolicyFromString(method, topt, dopt, 0)
+				if err != nil {
+					return nil, err
+				}
+				res, err := h.Run(c, pat, newPolicy)
 				if err != nil {
 					return nil, err
 				}

@@ -23,20 +23,6 @@ func DefaultShedTargets() []float64 { return []float64{0.2, 0.4, 0.6} }
 // experiment (None is always measured as the recall-1 baseline).
 func ShedPolicyNames() []string { return []string{"random", "rate-utility", "pattern-aware"} }
 
-// shedPolicy instantiates a policy by experiment name.
-func shedPolicy(name string, target float64) (shed.Policy, error) {
-	switch name {
-	case "random":
-		return shed.Random{P: target}, nil
-	case "rate-utility":
-		return shed.RateUtility{Target: target}, nil
-	case "pattern-aware":
-		return shed.PatternAware{Target: target}, nil
-	default:
-		return nil, fmt.Errorf("bench: unknown shedding policy %q (want one of %v)", name, ShedPolicyNames())
-	}
-}
-
 // ShedPoint is one measured (policy, target) cell of the
 // throughput-vs-recall frontier.
 type ShedPoint struct {
@@ -187,7 +173,7 @@ func (h *Harness) Shedding(dataset string, targets []float64, policies []string,
 	}
 	for _, target := range targets {
 		for _, name := range policies {
-			pol, err := shedPolicy(name, target)
+			pol, err := shed.PolicyFromString(name, target)
 			if err != nil {
 				return nil, err
 			}

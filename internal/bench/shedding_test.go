@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"acep/internal/shed"
 )
 
 // shedScale keeps the shedding experiment fast while leaving enough
@@ -89,11 +91,8 @@ func TestSheddingDeterministic(t *testing.T) {
 }
 
 func TestShedPolicyNames(t *testing.T) {
-	if _, err := shedPolicy("bogus", 0.5); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
 	for _, n := range ShedPolicyNames() {
-		p, err := shedPolicy(n, 0.5)
+		p, err := shed.PolicyFromString(n, 0.5)
 		if err != nil || p == nil {
 			t.Fatalf("%s: %v", n, err)
 		}

@@ -13,7 +13,6 @@ import (
 	"acep/internal/engine"
 	"acep/internal/gen"
 	"acep/internal/match"
-	recovery "acep/internal/recover"
 	"acep/internal/wire"
 )
 
@@ -422,17 +421,13 @@ func TestLocalClusterRecover(t *testing.T) {
 	}
 	want := runSharded(t, w, gen.Sequence, 4)
 	rec := &tagRecorder{}
-	var fos []recovery.Failover
 	nc := NodeConfig{
 		Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
 		Shards: 2, Batch: 64, KeyAttr: "key",
 	}
 	ing := spawnCluster(t, pat, 2, nc, IngressOptions{
 		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-		Recovery: &RecoveryConfig{
-			Standby:    SpawnStandbys(1, nc),
-			OnFailover: func(f recovery.Failover) { fos = append(fos, f) },
-		},
+		Recovery: &RecoveryConfig{Standby: SpawnStandbys(1, nc)},
 	})
 	for i := range w.Events {
 		ing.Process(&w.Events[i])
@@ -441,7 +436,7 @@ func TestLocalClusterRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "local recover-enabled cluster", rec, want)
-	if len(fos) != 0 {
+	if fos := ing.Failovers(); len(fos) != 0 {
 		t.Fatalf("healthy local run failed over: %+v", fos)
 	}
 }

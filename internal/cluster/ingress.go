@@ -401,10 +401,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		in.rec = *rc
 		if opts.Resume != nil {
 			in.journal = opts.Resume.Journal
-		} else if in.journal, err = recovery.NewJournal(recovery.JournalConfig{
-			Window: in.maxWindow(), Shards: in.total,
-			SlackWindows: rc.SlackWindows, MaxBytes: rc.MaxJournalBytes,
-		}); err != nil {
+		} else if in.journal, err = recovery.NewJournal(recovery.JournalConfig{Window: in.maxWindow(), Shards: in.total}); err != nil {
 			return nil, err
 		}
 		if rc.HeartbeatTimeout > 0 {

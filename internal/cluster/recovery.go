@@ -21,7 +21,9 @@ const maxAdoptAttempts = 8
 // shard's journaled history and suppresses every match the collector
 // had already released — so the delivered stream stays exactly the one
 // a fully healthy cluster (or the single-process sharded engine) would
-// produce: no duplicate, no loss, same order.
+// produce: no duplicate, no loss, same order. The journal's window is the
+// widest of the hosted patterns'; its slack (two windows) and byte bound
+// (256 MiB) are the journal defaults.
 type RecoveryConfig struct {
 	// Standby supplies successor connections, one call per adoption
 	// attempt (a fresh acep-node, a survivor's listener — any endpoint
@@ -30,19 +32,10 @@ type RecoveryConfig struct {
 	// on the ingress goroutine. An error means no standby remains: the
 	// slot is abandoned and the failure surfaces from Finish.
 	Standby func() (Conn, error)
-	// SlackWindows / MaxJournalBytes tune the journal's retention
-	// horizon and memory bound (see recovery.JournalConfig); its window is
-	// the widest of the hosted patterns'.
-	SlackWindows    int
-	MaxJournalBytes int64
 	// HeartbeatTimeout declares a node dead after this much frame
 	// silence even without a transport error (0 disables timeout
 	// detection; errors always detect). Checked at every cut.
 	HeartbeatTimeout time.Duration
-	// OnFailover observes each completed adoption, on the ingress
-	// goroutine, as soon as replay has been sent (RecoveredAt is still
-	// zero then; read Failovers after Finish for final records).
-	OnFailover func(recovery.Failover)
 }
 
 // releaseConn returns its standby address to the pool when the
@@ -330,12 +323,6 @@ func (in *Ingress) adopt(n int, conn Conn, fidx int) error {
 		}
 	}
 	in.routeBroadcast()
-	if in.rec.OnFailover != nil {
-		in.mu.Lock()
-		snap := in.failovers[fidx]
-		in.mu.Unlock()
-		in.rec.OnFailover(snap)
-	}
 	return nil
 }
 

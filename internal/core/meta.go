@@ -16,59 +16,51 @@ import (
 // the opportunity was real and d decays back towards its initial value
 // so future opportunities are not missed.
 type MetaInvariant struct {
-	// Inner is the wrapped invariant policy; its K and Select settings
-	// apply. D is managed by the controller (initialized from InitialD).
-	Inner Invariant
 	// InitialD seeds the distance (default 0.1).
 	InitialD float64
-	// MinGain is the relative plan-cost improvement below which a
-	// replacement is considered marginal (default 0.1, i.e. 10%).
-	MinGain float64
-	// Grow multiplies d after a wasted attempt (default 1.5); Shrink
-	// multiplies d after a productive one (default 0.8).
-	Grow, Shrink float64
-	// MaxD caps the distance (default 2.0).
-	MaxD float64
+
+	// inner is the wrapped invariant policy at its default K and
+	// selection; its D is managed by the controller.
+	inner Invariant
 }
+
+// The controller's constants: an attempt whose relative plan-cost
+// improvement is below metaMarginal is marginal, and grows d by metaGrow
+// up to metaMaxD; a productive one shrinks d by metaShrink down to
+// InitialD.
+const (
+	metaMarginal = 0.1
+	metaGrow     = 1.5
+	metaShrink   = 0.8
+	metaMaxD     = 2.0
+)
 
 // Name implements Policy.
 func (p *MetaInvariant) Name() string {
-	return fmt.Sprintf("meta-invariant(d=%.3g)", p.Inner.D)
+	return fmt.Sprintf("meta-invariant(d=%.3g)", p.inner.D)
 }
 
 func (p *MetaInvariant) defaults() {
 	if p.InitialD <= 0 {
 		p.InitialD = 0.1
 	}
-	if p.MinGain <= 0 {
-		p.MinGain = 0.1
-	}
-	if p.Grow <= 1 {
-		p.Grow = 1.5
-	}
-	if p.Shrink <= 0 || p.Shrink >= 1 {
-		p.Shrink = 0.8
-	}
-	if p.MaxD <= 0 {
-		p.MaxD = 2.0
-	}
-	if p.Inner.D == 0 {
-		p.Inner.D = p.InitialD
+	if p.inner.D == 0 {
+		p.inner.D = p.InitialD
 	}
 }
 
 // Install implements Policy.
 func (p *MetaInvariant) Install(t *Trace, s *stats.Snapshot) {
 	p.defaults()
-	p.Inner.Install(t, s)
+	p.inner.Install(t, s)
 	// Install resets the invariant list; keep the tuned distance.
-	p.Inner.d = p.Inner.D
+	p.inner.d = p.inner.D
 }
 
 // ShouldReoptimize implements Policy.
 func (p *MetaInvariant) ShouldReoptimize(s *stats.Snapshot) bool {
 	p.defaults()
-	return p.Inner.ShouldReoptimize(s)
+	return p.inner.ShouldReoptimize(s)
 }
 
 // ObserveOutcome implements OutcomeObserver: the loop reports the
@@ -76,24 +68,18 @@ func (p *MetaInvariant) ShouldReoptimize(s *stats.Snapshot) bool {
 // (0 when the plan was unchanged or not better).
 func (p *MetaInvariant) ObserveOutcome(relGain float64) {
 	p.defaults()
-	if relGain < p.MinGain {
-		p.Inner.D *= p.Grow
-		if p.Inner.D > p.MaxD {
-			p.Inner.D = p.MaxD
-		}
+	if relGain < metaMarginal {
+		p.inner.D = min(p.inner.D*metaGrow, metaMaxD)
 	} else {
-		p.Inner.D *= p.Shrink
-		if p.Inner.D < p.InitialD {
-			p.Inner.D = p.InitialD
-		}
+		p.inner.D = max(p.inner.D*metaShrink, p.InitialD)
 	}
-	p.Inner.d = p.Inner.D
+	p.inner.d = p.inner.D
 }
 
 // Distance reports the current tuned distance.
 func (p *MetaInvariant) Distance() float64 {
 	p.defaults()
-	return p.Inner.D
+	return p.inner.D
 }
 
 // OutcomeObserver is implemented by policies that adapt to the outcomes

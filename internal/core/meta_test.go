@@ -56,9 +56,9 @@ func TestMetaInvariantAppliesTunedDistance(t *testing.T) {
 }
 
 func TestMetaInvariantMarginalGainCountsAsWasted(t *testing.T) {
-	p := &MetaInvariant{InitialD: 0.1, MinGain: 0.2}
+	p := &MetaInvariant{InitialD: 0.1}
 	p.Install(paperTrace(), snapABC(100, 15, 10))
-	p.ObserveOutcome(0.05) // below MinGain
+	p.ObserveOutcome(0.05) // below the 0.1 marginal-gain bound
 	if d := p.Distance(); d <= 0.1 {
 		t.Fatalf("marginal gain must grow d; d = %g", d)
 	}

@@ -22,6 +22,24 @@ type Policy interface {
 	ShouldReoptimize(s *stats.Snapshot) bool
 }
 
+// PolicyFromString parses an adaptation policy by name into the
+// per-engine constructor engine.Config.NewPolicy takes: static,
+// unconditional, threshold (with threshold t) or invariant (with k
+// invariants per building block and distance d).
+func PolicyFromString(s string, t, d float64, k int) (func() Policy, error) {
+	switch s {
+	case "static":
+		return func() Policy { return Static{} }, nil
+	case "unconditional":
+		return func() Policy { return Unconditional{} }, nil
+	case "threshold":
+		return func() Policy { return &Threshold{T: t} }, nil
+	case "invariant":
+		return func() Policy { return &Invariant{K: k, D: d} }, nil
+	}
+	return nil, fmt.Errorf("core: unknown adaptation policy %q (want static, unconditional, threshold or invariant)", s)
+}
+
 // Static is the no-adaptation baseline: D constantly returns false and
 // the initial plan is kept forever.
 type Static struct{}

@@ -55,6 +55,18 @@ func (m Model) String() string {
 	}
 }
 
+// ModelFromString parses a model by its command-line name: greedy
+// (GreedyNFA) or zstream (ZStreamTree).
+func ModelFromString(s string) (Model, error) {
+	switch s {
+	case "greedy":
+		return GreedyNFA, nil
+	case "zstream":
+		return ZStreamTree, nil
+	}
+	return 0, fmt.Errorf("engine: unknown model %q (want greedy or zstream)", s)
+}
+
 // Config assembles an adaptive engine.
 type Config struct {
 	// Model picks the evaluation structure (default GreedyNFA).

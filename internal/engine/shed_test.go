@@ -44,8 +44,7 @@ func testSheddingNoneIdentity(t *testing.T, keys int) {
 				Policy: shed.None{},
 				// A budget the stream exceeds immediately: the monitor
 				// reports overload, yet None must not drop anything.
-				Budget:       shed.Budget{LivePMs: 1},
-				RefreshEvery: 16,
+				Budget: shed.Budget{LivePMs: 1},
 			},
 		})
 		if !reflect.DeepEqual(plain, want) {
@@ -85,9 +84,8 @@ func testSheddingDropsUnderOverload(t *testing.T, keys int) {
 			Model:      model,
 			CheckEvery: 100,
 			Shedding: shed.Config{
-				Policy:       shed.Random{P: 0.4},
-				Budget:       shed.Budget{LivePMs: 1},
-				RefreshEvery: 16,
+				Policy: shed.Random{P: 0.4},
+				Budget: shed.Budget{LivePMs: 1},
 			},
 		})
 		if m.EventsShed == 0 {
@@ -121,9 +119,8 @@ func TestSheddingNegationSafety(t *testing.T) {
 	got, m := run(t, pat, w.Events, Config{
 		CheckEvery: 100,
 		Shedding: shed.Config{
-			Policy:       shed.Random{P: 1},
-			Budget:       shed.Budget{LivePMs: 1},
-			RefreshEvery: 16,
+			Policy: shed.Random{P: 1},
+			Budget: shed.Budget{LivePMs: 1},
 		},
 	})
 	if m.EventsShed == 0 {
@@ -172,9 +169,8 @@ func TestSheddingORAccounting(t *testing.T) {
 	_, m := run(t, pat, w.Events, Config{
 		CheckEvery: 200,
 		Shedding: shed.Config{
-			Policy:       shed.Random{P: 0.4},
-			Budget:       shed.Budget{LivePMs: 1},
-			RefreshEvery: 16,
+			Policy: shed.Random{P: 0.4},
+			Budget: shed.Budget{LivePMs: 1},
 		},
 	})
 	if m.EventsArrived != uint64(len(w.Events)) {

@@ -68,7 +68,7 @@ func KindFromString(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("gen: unknown pattern kind %q", s)
+	return 0, fmt.Errorf("gen: unknown pattern kind %q (want one of %v)", s, Kinds())
 }
 
 // WritePatternSet writes the spec in its line-oriented key=value form.

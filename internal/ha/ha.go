@@ -101,11 +101,8 @@ type Config struct {
 	// OnTagged receives the delivered match stream — gated, so a match
 	// arrives only once across any single takeover.
 	OnTagged func(shard.Tagged)
-	// HeartbeatTimeout, SlackWindows and MaxJournalBytes pass through
-	// to the coordinator's RecoveryConfig (and size the mirror journal).
+	// HeartbeatTimeout passes through to the coordinator's RecoveryConfig.
 	HeartbeatTimeout time.Duration
-	SlackWindows     int
-	MaxJournalBytes  int64
 	// StandbyAddr is the listener address of an out-of-process standby
 	// (cmd/acep-standby). Empty spawns a StandbyServer on loopback
 	// inside this process — same server, same protocol.
@@ -272,14 +269,9 @@ func New(cfg Config) (*Pair, error) {
 		replConn = cfg.WrapRepl(replConn)
 	}
 	p.replConn = replConn
-	// The opening Epoch frame carries the journal sizing so the standby
-	// process needs no pattern knowledge of its own.
-	if err := replConn.Send(wire.Epoch{
-		Epoch:    1,
-		Window:   int64(cfg.Pattern.Window),
-		Slack:    uint32(cfg.SlackWindows),
-		MaxBytes: uint64(cfg.MaxJournalBytes),
-	}); err != nil {
+	// The opening Epoch frame carries the pattern window, the one journal
+	// sizing the standby process cannot know on its own.
+	if err := replConn.Send(wire.Epoch{Epoch: 1, Window: int64(cfg.Pattern.Window)}); err != nil {
 		// The sender and ack reader have not started: tear down by hand.
 		replConn.Close()
 		p.stopStandby()
@@ -326,10 +318,7 @@ func (p *Pair) ingressOptions(epoch uint64, addrs []string) cluster.IngressOptio
 		OnTagged: p.g.onTagged,
 		Epoch:    epoch,
 		Addrs:    addrs,
-		Recovery: &cluster.RecoveryConfig{
-			Standby: p.pool, HeartbeatTimeout: p.cfg.HeartbeatTimeout,
-			SlackWindows: p.cfg.SlackWindows, MaxJournalBytes: p.cfg.MaxJournalBytes,
-		},
+		Recovery: &cluster.RecoveryConfig{Standby: p.pool, HeartbeatTimeout: p.cfg.HeartbeatTimeout},
 	}
 }
 
@@ -804,11 +793,8 @@ func (p *Pair) fetchMirror(epoch uint64) (mirrorState, error) {
 	}
 	if hs.Cuts > 0 && len(hs.Owner) > 0 {
 		// Rebuild the mirror journal locally: the successor knows the
-		// retention parameters (it shares the pair's Config).
-		j, err := recovery.NewJournal(recovery.JournalConfig{
-			Window: p.cfg.Pattern.Window, Shards: len(hs.Owner),
-			SlackWindows: p.cfg.SlackWindows, MaxBytes: p.cfg.MaxJournalBytes,
-		})
+		// pattern window (it shares the pair's Config).
+		j, err := recovery.NewJournal(recovery.JournalConfig{Window: p.cfg.Pattern.Window, Shards: len(hs.Owner)})
 		if err != nil {
 			return mirrorState{}, fmt.Errorf("rebuilding mirror journal: %w", err)
 		}

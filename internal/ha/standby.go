@@ -28,12 +28,13 @@ import (
 //
 // Since the partition-tolerance work the server is process-agnostic: it
 // speaks only the wire protocol. The opening Epoch frame carries the
-// journal sizing (window, slack, byte bound), so `acep-standby` hosts a
-// StandbyServer with no pattern knowledge; and a takeover successor
-// pulls the mirrored state back out over TCP with the Handover /
-// HandoverState exchange instead of reading this struct's memory. The
-// in-process standby the Pair spawns by default is the same server on a
-// loopback listener — one code path for both deployments.
+// pattern window, the one journal sizing not fixed at the journal
+// defaults, so `acep-standby` hosts a StandbyServer with no pattern
+// knowledge; and a takeover successor pulls the mirrored state back out
+// over TCP with the Handover / HandoverState exchange instead of reading
+// this struct's memory. The in-process standby the Pair spawns by default
+// is the same server on a loopback listener — one code path for both
+// deployments.
 //
 // The serve loop owns sessions sequentially: first the primary's
 // replication session, then any number of handover reads. Duplicated or
@@ -53,11 +54,11 @@ type StandbyServer struct {
 	mu         sync.Mutex
 	conn       cluster.Conn // active session conn (Stop must unblock it)
 	journal    *recovery.Journal
-	sizing     wire.Epoch
-	lastUpTo   uint64 // newest mirrored cut watermark
-	lastCut    uint64 // newest mirrored cut ordinal (dedup/gap detector)
-	emitted    uint64 // primary's last received EmittedUpTo (E*)
-	count      uint64 // primary's delivered count at that boundary (N*)
+	window     event.Time // the mirror journal's, from the opening Epoch frame
+	lastUpTo   uint64     // newest mirrored cut watermark
+	lastCut    uint64     // newest mirrored cut ordinal (dedup/gap detector)
+	emitted    uint64     // primary's last received EmittedUpTo (E*)
+	count      uint64     // primary's delivered count at that boundary (N*)
 	owner      []uint32
 	addrs      []string
 	cuts       int
@@ -128,10 +129,9 @@ func (s *StandbyServer) serveSession(conn cluster.Conn) {
 	}
 	switch v := f.(type) {
 	case wire.Epoch:
-		s.logf("replication session open: epoch %d window %d slack %d maxbytes %d",
-			v.Epoch, v.Window, v.Slack, v.MaxBytes)
+		s.logf("replication session open: epoch %d window %d", v.Epoch, v.Window)
 		s.mu.Lock()
-		s.sizing = v
+		s.window = event.Time(v.Window)
 		s.mu.Unlock()
 		s.serveReplication(conn)
 	case wire.Handover:
@@ -221,9 +221,9 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 // count). It reports dup for an already-mirrored ordinal, and as an
 // error everything that would leave the mirror short of the cut: a
 // skipped ordinal (a frame was lost in transit), no journal to put it in
-// (no owner table yet, or a sizing — the session's opening Epoch frame —
-// that NewJournal refuses: a non-positive window from a misconfigured
-// primary), a run outside the shard space.
+// (no owner table yet, or a window — from the session's opening Epoch
+// frame — that NewJournal refuses: a non-positive one from a
+// misconfigured primary), a run outside the shard space.
 func (s *StandbyServer) mirror(v wire.ReplCut) (dup bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,10 +234,7 @@ func (s *StandbyServer) mirror(v wire.ReplCut) (dup bool, err error) {
 		return false, fmt.Errorf("ha: replication gap: cut %d arrived after cut %d", v.Cut, s.lastCut)
 	}
 	if s.journal == nil {
-		if s.journal, err = recovery.NewJournal(recovery.JournalConfig{
-			Window: event.Time(s.sizing.Window), Shards: len(v.Owner),
-			SlackWindows: int(s.sizing.Slack), MaxBytes: int64(s.sizing.MaxBytes),
-		}); err != nil {
+		if s.journal, err = recovery.NewJournal(recovery.JournalConfig{Window: s.window, Shards: len(v.Owner)}); err != nil {
 			return false, fmt.Errorf("ha: cut %d cannot be mirrored: %w", v.Cut, err)
 		}
 	}

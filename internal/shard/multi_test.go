@@ -363,9 +363,8 @@ func TestSetSheddingSeesQueue(t *testing.T) {
 		specs = append(specs, multi.Spec{ID: uint32(i + 1), Pattern: pat, Config: engine.Config{
 			CheckEvery: 250,
 			Shedding: shed.Config{
-				Policy:       shed.PatternAware{Target: 0.5},
-				Budget:       shed.Budget{QueueWait: 1},
-				RefreshEvery: 32,
+				Policy: shed.PatternAware{Target: 0.5},
+				Budget: shed.Budget{QueueWait: 1},
 			},
 		}})
 	}

@@ -196,9 +196,8 @@ func TestShardedShedding(t *testing.T) {
 	eng, err := New(pat, engine.Config{
 		CheckEvery: 250,
 		Shedding: shed.Config{
-			Policy:       shed.PatternAware{Target: 0.5},
-			Budget:       shed.Budget{LivePMs: 1},
-			RefreshEvery: 32,
+			Policy: shed.PatternAware{Target: 0.5},
+			Budget: shed.Budget{LivePMs: 1},
 		},
 	}, Options{
 		Shards:  4,

@@ -125,6 +125,18 @@ func (o Overflow) String() string {
 	}
 }
 
+// OverflowFromString parses an overflow mode by its command-line name:
+// block (Backpressure) or drop (DropNewest).
+func OverflowFromString(s string) (Overflow, error) {
+	switch s {
+	case "block":
+		return Backpressure, nil
+	case "drop":
+		return DropNewest, nil
+	}
+	return 0, fmt.Errorf("shard: unknown overflow mode %q (want block or drop)", s)
+}
+
 // Options assembles a sharded engine.
 type Options struct {
 	// Shards is the number of partitions (and worker goroutines).

@@ -8,6 +8,23 @@ import (
 	"acep/internal/stats"
 )
 
+// PolicyFromString parses a shedding policy by name with the drop
+// fraction it aims for while overloaded: none (a nil Policy, which
+// disables shedding), random, rate-utility or pattern-aware.
+func PolicyFromString(s string, target float64) (Policy, error) {
+	switch s {
+	case "none":
+		return nil, nil
+	case "random":
+		return Random{P: target}, nil
+	case "rate-utility":
+		return RateUtility{Target: target}, nil
+	case "pattern-aware":
+		return PatternAware{Target: target}, nil
+	}
+	return nil, fmt.Errorf("shed: unknown shedding policy %q (want none, random, rate-utility or pattern-aware)", s)
+}
+
 // None is the disabled policy: it never drops an event. Configuring it
 // (rather than leaving Config.Policy nil) still runs the load monitor, so
 // metrics report utilization without any shedding taking place.

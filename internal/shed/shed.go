@@ -96,22 +96,16 @@ type Config struct {
 	// Budget sets the load targets. Shedding activates when any budgeted
 	// dimension reaches utilization 1.
 	Budget Budget
-	// RefreshEvery is the event cadence of load sampling, hot-set
-	// rebuilds and policy refreshes (default 128). Smaller values track
-	// live state more closely at higher introspection cost.
-	RefreshEvery int
 	// Key extracts the partition-key value PatternAware protects; nil
 	// disables key-level protection (type-level hotness still applies).
 	// The sharded layer defaults it to the shard key.
 	Key func(*event.Event) uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.RefreshEvery <= 0 {
-		c.RefreshEvery = 128
-	}
-	return c
-}
+// refreshEvery is the event cadence of load sampling, hot-set rebuilds
+// and policy refreshes. Smaller values would track live state more
+// closely at higher introspection cost.
+const refreshEvery = 128
 
 // View is the decision state a Shedder maintains for its Policy: the
 // current load, the most recent hot sets and statistics, and the per-type
@@ -172,8 +166,8 @@ type Policy interface {
 	// Name identifies the policy in metrics and benchmark output.
 	Name() string
 	// Refresh recomputes the policy's decision state (typically
-	// View.DropProb) from the freshly sampled view. Called every
-	// Config.RefreshEvery events while overloaded.
+	// View.DropProb) from the freshly sampled view. Called every 128
+	// events while overloaded.
 	Refresh(v *View)
 	// Drop decides one event; rnd is a deterministic uniform draw in
 	// [0,1). Only consulted while overloaded, and never for events of
@@ -216,7 +210,6 @@ func New(cfg Config, pat *pattern.Pattern, probe Probe) (*Shedder, error) {
 	if cfg.Budget.unset() {
 		return nil, fmt.Errorf("shed: policy %q configured without any budget; set Budget.LivePMs, EventsPerSec or QueueWait", cfg.Policy.Name())
 	}
-	cfg = cfg.withDefaults()
 	subs := []*pattern.Pattern{pat}
 	if pat.Op == pattern.Or {
 		subs = pat.Subs
@@ -290,7 +283,7 @@ func (s *Shedder) Admit(ev *event.Event) bool {
 	s.counts[ev.Type]++
 	s.total++
 	s.sinceRefresh++
-	if !s.primed || s.sinceRefresh >= s.cfg.RefreshEvery {
+	if !s.primed || s.sinceRefresh >= refreshEvery {
 		s.refresh()
 	}
 	if s.view.Load < 1 {

@@ -76,9 +76,8 @@ func feed(sh *Shedder, n int, types []int) (kept, dropped map[int]int) {
 
 func overloadedConfig(pol Policy) Config {
 	return Config{
-		Policy:       pol,
-		Budget:       Budget{LivePMs: 10},
-		RefreshEvery: 32,
+		Policy: pol,
+		Budget: Budget{LivePMs: 10},
 	}
 }
 
@@ -119,9 +118,8 @@ func TestUnderBudgetNeverDrops(t *testing.T) {
 func TestLatencyBudget(t *testing.T) {
 	_, pat := testPattern(t, false)
 	cfg := Config{
-		Policy:       Random{P: 1},
-		Budget:       Budget{QueueWait: 10 * time.Millisecond},
-		RefreshEvery: 32,
+		Policy: Random{P: 1},
+		Budget: Budget{QueueWait: 10 * time.Millisecond},
 	}
 	p99 := float64(1 * time.Millisecond) // healthy
 	sh, err := New(cfg, pat, &fakeProbe{})

@@ -209,7 +209,7 @@ func controlFrames() []controlFrame {
 		{"migrate-ack", MigrateAck{Shard: 9, UpTo: 5690}, 1},
 		{"repl-state", ReplState{EmittedUpTo: 1 << 40, Count: 12345}, 1},
 		{"takeover", Takeover{Epoch: 2, Boundary: 768, Count: 99}, 1},
-		{"epoch", Epoch{Epoch: 3, Window: 5000, Slack: 4, MaxBytes: 1 << 28}, 1},
+		{"epoch", Epoch{Epoch: 3, Window: 5000}, 1},
 		{"lease-acquire", LeaseAcquire{Holder: 1, TTLMillis: 2000}, 1},
 		{"lease-renew", LeaseRenew{Holder: 1, Epoch: 4, TTLMillis: 2000, EmittedUpTo: 1 << 33, Count: 777}, 1},
 		{"lease-fence", LeaseFence{Granted: true, Holder: 1, Epoch: 4, EmittedUpTo: 1 << 33, Count: 777}, 1},

@@ -248,22 +248,16 @@ func (v Takeover) code(c *codec) Takeover { c.u64(&v.Epoch, &v.Boundary, &v.Coun
 
 // Epoch opens a replication link with the primary's coordination epoch (a
 // takeover successor runs at Epoch+1 and fences the old primary's worker
-// sessions through Assign) and the mirror journal's sizing, so that an
-// out-of-process standby needs no pattern knowledge of its own.
+// sessions through Assign) and the pattern window, the mirror journal's
+// retention unit, so that an out-of-process standby needs no pattern
+// knowledge of its own. The mirror's slack and byte bound are the journal
+// defaults, as the primary's are.
 type Epoch struct {
-	Epoch    uint64
-	Window   int64  // pattern window (journal retention unit); 0 on non-replication uses
-	Slack    uint32 // retention horizon in windows (0 = journal default)
-	MaxBytes uint64 // journal byte bound (0 = journal default)
+	Epoch  uint64
+	Window int64 // pattern window (journal retention unit); 0 on non-replication uses
 }
 
-func (v Epoch) code(c *codec) Epoch {
-	c.u64(&v.Epoch)
-	c.i64(&v.Window)
-	c.u32(&v.Slack)
-	c.u64(&v.MaxBytes)
-	return v
-}
+func (v Epoch) code(c *codec) Epoch { c.u64(&v.Epoch); c.i64(&v.Window); return v }
 
 // LeaseAcquire requests the single-writer emission lease for Holder for
 // TTLMillis, granted if the lease is free, expired or Holder's already;

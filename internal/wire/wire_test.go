@@ -176,7 +176,7 @@ func frames() []Frame {
 		Takeover{Epoch: 2, Boundary: 768, Count: 99},
 		Takeover{},
 		Epoch{Epoch: 1},
-		Epoch{Epoch: 3, Window: 5000, Slack: 4, MaxBytes: 1 << 28}, // self-configuring standby
+		Epoch{Epoch: 3, Window: 5000}, // self-configuring standby
 		Epoch{Epoch: 2, Window: -1},
 		LeaseAcquire{Holder: 1, TTLMillis: 2000},
 		LeaseAcquire{},

@@ -6,14 +6,20 @@ import (
 	"testing"
 
 	"acep"
+	"acep/internal/cluster"
+	"acep/internal/core"
+	"acep/internal/ha"
+	recovery "acep/internal/recover"
 )
 
-// TestOptionSurface pins the fields of every config struct the facade
-// names. Each field is a value some caller can set, and every one of them
-// multiplies the configurations the tests and benchmarks must cover. So a
-// field is added only with a non-test caller that sets it to a value other
-// than its default, and the list below changes in the same commit; a field
-// whose last such caller goes is deleted, and leaves the list with it.
+// TestOptionSurface pins the exported fields of every config struct the
+// facade names, and of the internal ones the facade, the commands and the
+// HA pair configure each other through. Each field is a value some caller
+// can set, and every one of them multiplies the configurations the tests
+// and benchmarks must cover. So a field is added only with a non-test
+// caller that sets it to a value other than its default, and the list
+// below changes in the same commit; a field whose last such caller goes
+// is deleted, and leaves the list with it.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -29,19 +35,38 @@ func TestOptionSurface(t *testing.T) {
 		{"ClusterConfig", reflect.TypeFor[acep.ClusterConfig](), []string{
 			"Connect", "Nodes", "ShardsPerNode", "Batch", "QueueCap", "KeyAttr", "Schema",
 			"Key", "OnMatch", "Patterns", "Tenants", "OnTagged", "Recover", "Standby",
-			"StandbyNodes", "HeartbeatTimeout", "MaxJournalBytes", "OnFailover", "Elastic"}},
+			"StandbyNodes", "HeartbeatTimeout", "Elastic"}},
 		{"SheddingConfig", reflect.TypeFor[acep.SheddingConfig](), []string{
-			"Policy", "Budget", "RefreshEvery", "Key"}},
+			"Policy", "Budget", "Key"}},
 		{"ShedBudget", reflect.TypeFor[acep.ShedBudget](), []string{
 			"LivePMs", "EventsPerSec", "QueueWait"}},
 		{"ClusterElastic", reflect.TypeFor[acep.ClusterElastic](), []string{
 			"HotRatio", "CooldownCuts"}},
 		{"InvariantOptions", reflect.TypeFor[acep.InvariantOptions](), []string{
 			"K", "Distance", "AutoDistance"}},
+		{"cluster.RecoveryConfig", reflect.TypeFor[cluster.RecoveryConfig](), []string{
+			"Standby", "HeartbeatTimeout"}},
+		{"cluster.NodeConfig", reflect.TypeFor[cluster.NodeConfig](), []string{
+			"Pattern", "Engine", "Shards", "Batch", "QueueCap", "Overflow", "Key", "KeyAttr",
+			"Schema", "WriteStall"}},
+		{"cluster.IngressOptions", reflect.TypeFor[cluster.IngressOptions](), []string{
+			"Batch", "Key", "KeyAttr", "Schema", "OnMatch", "OnTagged", "Patterns", "Tenants",
+			"Recovery", "Elastic", "Epoch", "OnCut", "OnProgress", "Addrs", "Resume"}},
+		{"ha.Config", reflect.TypeFor[ha.Config](), []string{
+			"Pattern", "Schema", "KeyAttr", "Batch", "Workers", "Standbys", "OnTagged",
+			"HeartbeatTimeout", "StandbyAddr", "LeaseAddr", "LeaseTTL", "ReplTimeout",
+			"WrapWorker", "WrapRepl"}},
+		{"core.MetaInvariant", reflect.TypeFor[core.MetaInvariant](), []string{"InitialD"}},
+		// The journal's slack and byte bound are the one exception: only the
+		// journal's own tests set them, to reach trimming on small inputs.
+		{"recovery.JournalConfig", reflect.TypeFor[recovery.JournalConfig](), []string{
+			"Window", "Shards", "SlackWindows", "MaxBytes"}},
 	} {
 		var got []string
 		for i := range c.typ.NumField() {
-			got = append(got, c.typ.Field(i).Name)
+			if f := c.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
 		}
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s fields are %q, want %q: a new option needs a non-test caller "+
