@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// TestMetaInvariantZeroValueStartsAtDefault: a zero MetaInvariant starts
+// at d = 0.1.
+func TestMetaInvariantZeroValueStartsAtDefault(t *testing.T) {
+	p := &MetaInvariant{}
+	p.Install(paperTrace(), snapABC(100, 15, 10))
+	if d := p.Distance(); d != 0.1 {
+		t.Fatalf("initial d = %g; want 0.1", d)
+	}
+}
+
 func TestMetaInvariantGrowsOnWastedAttempts(t *testing.T) {
 	p := &MetaInvariant{InitialD: 0.1}
 	p.Install(paperTrace(), snapABC(100, 15, 10))

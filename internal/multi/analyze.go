@@ -7,7 +7,7 @@
 // the set of one (Solo), which shares nothing and costs one mask
 // composition per event over a bare engine.
 //
-// Two kinds of sharing are detected (the "global plan" setting of
+// Three kinds of sharing are detected (the "global plan" setting of
 // Kolchinsky & Schuster's join-query-ordering work, applied to this
 // paper's evaluation structures):
 //
@@ -29,15 +29,21 @@
 //     per-subscriber, so each pattern's match set is provably identical
 //     to independent evaluation.
 //
+//   - Suffix classes. Group members that differ only in their suffix
+//     positions' unary predicates share one suffix automaton, fed the OR
+//     of their masks; each keeps the completions its own predicates pass,
+//     so its match multiset is again that of independent evaluation.
+//
 // Sharing never crosses tenants for prefix runners (a runner can only
 // serve patterns that see the same post-shed stream), while unary
 // verdicts are shed-independent and safely shared set-wide.
 package multi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"acep/internal/engine"
@@ -99,12 +105,14 @@ func (r Reads) Has(t int) bool { return t >= 0 && t < len(r) && r[t] }
 
 // PrefixGroup is one shared-prefix subscription: Members (indices into
 // the analyzed spec slice) share the pattern Prefix over their first Len
-// core positions.
+// core positions. Classes lists those that share one suffix automaton
+// (see suffixClasses); a member in no class runs its own.
 type PrefixGroup struct {
 	Prefix  *pattern.Pattern
 	Len     int
 	Tenant  uint32
 	Members []int
+	Classes [][]int
 }
 
 // Set is the compile-time analysis of a pattern set.
@@ -138,11 +146,13 @@ type Report struct {
 	DistinctUnary   int // entries in the shared verdict table
 	Groups          int
 	GroupedPatterns int
+	Classes         int // suffix classes
+	ClassedPatterns int // patterns a suffix class serves
 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("multi: %d patterns, %d/%d unary preds distinct, %d prefix groups covering %d patterns",
-		r.Patterns, r.DistinctUnary, r.TotalUnary, r.Groups, r.GroupedPatterns)
+	return fmt.Sprintf("multi: %d patterns, %d/%d unary preds distinct, %d prefix groups covering %d patterns, %d suffix classes serving %d",
+		r.Patterns, r.DistinctUnary, r.TotalUnary, r.Groups, r.GroupedPatterns, r.Classes, r.ClassedPatterns)
 }
 
 // Analyze inspects the pattern set and builds its sharing structure. The
@@ -217,25 +227,23 @@ func (s *Set) eligible(i int) int {
 }
 
 // prefixSignature renders the first j core positions of spec i — types,
-// unary predicates, and intra-prefix pairwise checks — as a canonical
-// string. Two patterns with equal signatures (and equal tenant) detect
-// identical prefix assignments and can share one runner.
-func (s *Set) prefixSignature(i, j int) string {
+// unary predicates of the first unary of them, and intra-prefix pairwise
+// checks — as a canonical string. Two patterns with equal signatures at
+// unary = j (and equal tenant) detect identical prefix assignments and
+// can share one runner.
+func (s *Set) prefixSignature(i, j, unary int) string {
 	p := s.Specs[i].Pattern
 	core := p.Core()
 	var b strings.Builder
 	for t := 0; t < j; t++ {
 		c := core[t]
 		fmt.Fprintf(&b, "T%d[", p.Positions[c].Type)
-		us := append([]pattern.CUnary(nil), p.Unary(c)...)
-		sort.Slice(us, func(a, z int) bool {
-			if us[a].Attr != us[z].Attr {
-				return us[a].Attr < us[z].Attr
-			}
-			if us[a].Op != us[z].Op {
-				return us[a].Op < us[z].Op
-			}
-			return us[a].C < us[z].C
+		var us []pattern.CUnary
+		if t < unary {
+			us = append(us, p.Unary(c)...)
+		}
+		slices.SortFunc(us, func(a, z pattern.CUnary) int {
+			return cmp.Or(cmp.Compare(a.Attr, z.Attr), cmp.Compare(a.Op, z.Op), cmp.Compare(a.C, z.C))
 		})
 		for _, u := range us {
 			fmt.Fprintf(&b, "a%d%s%x;", u.Attr, u.Op, math.Float64bits(u.C))
@@ -244,17 +252,8 @@ func (s *Set) prefixSignature(i, j int) string {
 		for u := 0; u < t; u++ {
 			pc := p.Pair(c, core[u])
 			ps := append([]pattern.CPair(nil), pc.Preds...)
-			sort.Slice(ps, func(a, z int) bool {
-				if ps[a].AttrN != ps[z].AttrN {
-					return ps[a].AttrN < ps[z].AttrN
-				}
-				if ps[a].AttrO != ps[z].AttrO {
-					return ps[a].AttrO < ps[z].AttrO
-				}
-				if ps[a].Op != ps[z].Op {
-					return ps[a].Op < ps[z].Op
-				}
-				return ps[a].C < ps[z].C
+			slices.SortFunc(ps, func(a, z pattern.CPair) int {
+				return cmp.Or(cmp.Compare(a.AttrN, z.AttrN), cmp.Compare(a.AttrO, z.AttrO), cmp.Compare(a.Op, z.Op), cmp.Compare(a.C, z.C))
 			})
 			fmt.Fprintf(&b, "P%d:", u)
 			for _, cp := range ps {
@@ -264,6 +263,29 @@ func (s *Set) prefixSignature(i, j int) string {
 		b.WriteString("|")
 	}
 	return b.String()
+}
+
+// suffixClasses splits the members of a group sharing j prefix positions
+// into suffix classes of two or more: members with no negated or Kleene
+// position, the same window, and the same types and pairwise checks at
+// every core position, which differ at most in their suffix positions'
+// unary predicates.
+func (s *Set) suffixClasses(members []int, j int) [][]int {
+	var classes [][]int
+	at := make(map[string]int)
+	for _, m := range members {
+		p := s.Specs[m].Pattern
+		if n := len(p.Core()); n == p.NumPositions() && p.MaskScannable() {
+			k := fmt.Sprintf("W%d|%s", p.Window, s.prefixSignature(m, n, j))
+			if c, ok := at[k]; ok {
+				classes[c] = append(classes[c], m)
+			} else {
+				at[k] = len(classes)
+				classes = append(classes, []int{m})
+			}
+		}
+	}
+	return slices.DeleteFunc(classes, func(c []int) bool { return len(c) < 2 })
 }
 
 // group detects shared prefixes greedily, longest first: at each length
@@ -287,7 +309,7 @@ func (s *Set) group() error {
 			if s.member[i] >= 0 || s.eligible(i) < j {
 				continue
 			}
-			k := bkey{s.Specs[i].Tenant, s.prefixSignature(i, j)}
+			k := bkey{s.Specs[i].Tenant, s.prefixSignature(i, j, j)}
 			if len(buckets[k]) == 0 {
 				order = append(order, k)
 			}
@@ -302,7 +324,8 @@ func (s *Set) group() error {
 			if err != nil {
 				return err
 			}
-			g := PrefixGroup{Prefix: prefix, Len: j, Tenant: k.tenant, Members: members}
+			g := PrefixGroup{Prefix: prefix, Len: j, Tenant: k.tenant, Members: members,
+				Classes: s.suffixClasses(members, j)}
 			for _, m := range members {
 				s.member[m] = len(s.Groups)
 			}
@@ -363,6 +386,10 @@ func (s *Set) Report() Report {
 	}
 	for _, g := range s.Groups {
 		r.GroupedPatterns += len(g.Members)
+		r.Classes += len(g.Classes)
+		for _, c := range g.Classes {
+			r.ClassedPatterns += len(c)
+		}
 	}
 	return r
 }

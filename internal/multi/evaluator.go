@@ -1,8 +1,10 @@
 package multi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"acep/internal/engine"
@@ -53,21 +55,35 @@ type target struct {
 	tslot  int           // tenant slot index
 	// types lists the event types a fixed-plan NFA consumes, when it is
 	// handed only those; nil when the engine is handed every event.
-	types []int
+	types  []int
+	member *sink // set on a suffix-class member: step runs it
 }
 
 // sink is one registered pattern's evaluation state.
 type sink struct {
 	target
-	spec Spec
-	base tally // the set's counters when the pattern joined
+	spec    Spec
+	base    tally        // the set's counters when the pattern joined
+	cls     *suffixClass // the suffix class it is a member of, if any
+	matches uint64       // delivered to a suffix-class member
+}
+
+// suffixClass is the suffix automaton its members share as their fixed.
+// The first member feeds it the OR of their masks; each step (a seed or
+// an event) leaves its completions in done for every member to replay.
+type suffixClass struct {
+	members []*sink
+	recipe  [][]posRecipe
+	done    []*event.Event
+	scratch match.Match
 }
 
 // tally is the evaluator's event accounting: events offered, dropped out
 // of order, and (per tenant) shed by the tenant gate.
 type tally struct{ arrived, late, gated uint64 }
 
-// posRecipe composes one position's mask bit from global verdicts.
+// posRecipe composes one position's mask bit from global verdicts. A
+// suffix class's recipe may hold several for one bit: any sets it.
 type posRecipe struct {
 	bit   uint32
 	preds []int
@@ -169,7 +185,11 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 		// subscribe/unsubscribe takes effect without rebinding.
 		run := nfa.New(g.Prefix, plan.NewOrderPlan(g.Prefix.Core()), func(m *match.Match) {
 			for _, s := range r.subs {
-				s.fixed.Seed(m.Events)
+				if s.cls != nil {
+					v.step(s, nil, m.Events)
+				} else {
+					s.fixed.Seed(m.Events)
+				}
 			}
 		})
 		run.SetOwnedEmit(true)
@@ -177,8 +197,17 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 			types: typesOf(g.Prefix, g.Prefix.Core())}
 		v.runners = append(v.runners, r)
 	}
+	classOf := make(map[int]*suffixClass)
+	for _, g := range set.Groups {
+		for _, members := range g.Classes {
+			c := &suffixClass{}
+			for _, i := range members {
+				classOf[i] = c
+			}
+		}
+	}
 	for i := range set.Specs {
-		s, err := v.buildSink(set.Specs[i], set.GroupOf(i))
+		s, err := v.buildSink(set.Specs[i], set.GroupOf(i), classOf[i])
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +218,8 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 	return v, nil
 }
 
-func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
+// buildSink registers sp, in prefix group group and suffix class c if set.
+func (v *Evaluator) buildSink(sp Spec, group int, c *suffixClass) (*sink, error) {
 	if _, dup := v.byID[sp.ID]; dup {
 		return nil, fmt.Errorf("multi: duplicate pattern id %d", sp.ID)
 	}
@@ -199,18 +229,29 @@ func (v *Evaluator) buildSink(sp Spec, group int) (*sink, error) {
 	s.base = tally{arrived: v.arrived, late: v.late, gated: v.gated[s.tslot]}
 	if group >= 0 {
 		r := v.runners[group]
-		e := nfa.New(sp.Pattern, plan.NewOrderPlan(sp.Pattern.Core()), func(m *match.Match) {
-			v.opt.OnMatch(sp.ID, m)
-		})
-		if err := e.SetSharedPrefix(r.group.Len); err != nil {
-			return nil, err
+		if c != nil && len(c.members) > 0 {
+			s.fixed, s.types = c.members[0].fixed, c.members[0].types
+		} else {
+			emit := func(m *match.Match) { v.opt.OnMatch(sp.ID, m) }
+			if c != nil {
+				emit = func(m *match.Match) { c.done = append(c.done, m.Events...) }
+			}
+			e := nfa.New(sp.Pattern, plan.NewOrderPlan(sp.Pattern.Core()), emit)
+			if err := e.SetSharedPrefix(r.group.Len); err != nil {
+				return nil, err
+			}
+			e.SetOwnedEmit(v.opt.OwnedEmit || c != nil)
+			s.fixed = e
+			if !e.Resolver().HasResiduals() {
+				// Parked matches resolve on the watermark: an automaton with
+				// negated or Kleene positions sees every event.
+				s.types = typesOf(sp.Pattern, sp.Pattern.Core()[r.group.Len:])
+			}
 		}
-		e.SetOwnedEmit(v.opt.OwnedEmit)
-		s.fixed = e
-		if !e.Resolver().HasResiduals() {
-			// Parked matches resolve on the watermark: an automaton with
-			// negated or Kleene positions sees every event.
-			s.types = typesOf(sp.Pattern, sp.Pattern.Core()[r.group.Len:])
+		if c != nil {
+			s.cls, s.member = c, s
+			c.members = append(c.members, s)
+			c.recipe = classRecipe(c)
 		}
 		r.subs = append(r.subs, s)
 		return s, nil
@@ -272,24 +313,33 @@ func typesOf(p *pattern.Pattern, positions []int) []int {
 // group member the types of its suffix core positions, every other engine
 // every type — runners first, then patterns in evaluation order, so seeds
 // land before their subscribers run and matches are delivered in the
-// order of an evaluator that hands every event to every engine.
+// order of an evaluator that hands every event to every engine. Every
+// suffix-class member is routed; targets holds the class automaton once.
 func (v *Evaluator) reroute() {
-	v.targets, v.always, v.skippers = nil, nil, nil
+	var places []*target
 	for _, r := range v.runners {
-		v.targets = append(v.targets, &r.target)
+		places = append(places, &r.target)
 	}
 	for _, s := range v.sinks {
-		v.targets = append(v.targets, &s.target)
+		places = append(places, &s.target)
 	}
+	v.targets, v.always, v.skippers = nil, nil, nil
 	width := 0
-	for _, d := range v.targets {
+	for _, d := range places {
 		for _, t := range d.types {
 			width = max(width, t+1)
 		}
 	}
 	v.route = make([][]*target, width)
 	v.due = math.MaxInt64
-	for _, d := range v.targets {
+	for _, d := range places {
+		if d.member == nil || d.member.cls.members[0] == d.member {
+			v.targets = append(v.targets, d)
+			if d.types != nil {
+				v.skippers = append(v.skippers, d)
+				v.due = min(v.due, d.fixed.NextPrune())
+			}
+		}
 		if d.types == nil {
 			v.always = append(v.always, d)
 			for t := range v.route {
@@ -297,12 +347,29 @@ func (v *Evaluator) reroute() {
 			}
 			continue
 		}
-		v.skippers = append(v.skippers, d)
-		v.due = min(v.due, d.fixed.NextPrune())
 		for _, t := range d.types {
 			v.route[t] = append(v.route[t], d)
 		}
 	}
+}
+
+// classRecipe composes the OR of c's members' masks: their entries once
+// each, those without a predicate first (maskFor skips a bit already set).
+func classRecipe(c *suffixClass) [][]posRecipe {
+	var rec [][]posRecipe
+	for _, s := range c.members {
+		for t, prs := range s.recipe {
+			rec = append(rec, make([][]posRecipe, max(0, t+1-len(rec)))...)
+			rec[t] = append(rec[t], prs...)
+		}
+	}
+	for t, prs := range rec {
+		slices.SortFunc(prs, func(a, b posRecipe) int {
+			return cmp.Or(len(a.preds)-len(b.preds), cmp.Compare(a.bit, b.bit), slices.Compare(a.preds, b.preds))
+		})
+		rec[t] = slices.CompactFunc(prs, func(a, b posRecipe) bool { return a.bit == b.bit && slices.Equal(a.preds, b.preds) })
+	}
+	return rec
 }
 
 // buildRecipe precomputes, per event type, how to compose the pattern's
@@ -369,6 +436,9 @@ func (v *Evaluator) maskFor(recipe [][]posRecipe, e *event.Event) uint32 {
 	m := pattern.MaskValid
 	for i := range recipe[t] {
 		pr := &recipe[t][i]
+		if m&pr.bit != 0 {
+			continue
+		}
 		ok := true
 		for _, id := range pr.preds {
 			if !v.verdictOf(id, e) {
@@ -420,6 +490,10 @@ func (v *Evaluator) Process(e *event.Event) {
 		if !v.admit[d.tslot] {
 			continue
 		}
+		if d.member != nil {
+			v.step(d.member, e, nil)
+			continue
+		}
 		if mask := v.maskFor(d.recipe, e); d.fixed != nil {
 			d.fixed.ProcessMasked(e, mask)
 		} else {
@@ -429,6 +503,46 @@ func (v *Evaluator) Process(e *event.Event) {
 	if e.TS >= v.due {
 		v.prune(e.TS)
 	}
+}
+
+// step runs suffix-class member s: the first feeds the class automaton e
+// or seed, and each replays the completions its own predicates pass.
+func (v *Evaluator) step(s *sink, e *event.Event, seed []*event.Event) {
+	c := s.cls
+	if c.members[0] == s {
+		c.done = c.done[:0]
+		if seed != nil {
+			s.fixed.Seed(seed)
+		} else {
+			s.fixed.ProcessMasked(e, v.maskFor(c.recipe, e))
+		}
+	}
+	for evs := range slices.Chunk(c.done, s.spec.Pattern.NumPositions()) {
+		if !v.passes(s.recipe, evs) {
+			continue
+		}
+		s.matches++
+		if v.opt.OwnedEmit {
+			c.scratch.Events = evs
+			v.opt.OnMatch(s.spec.ID, &c.scratch)
+		} else {
+			v.opt.OnMatch(s.spec.ID, &match.Match{Events: slices.Clone(evs)})
+		}
+	}
+}
+
+// passes reports whether a completion's events pass the recipe's predicates.
+func (v *Evaluator) passes(recipe [][]posRecipe, evs []*event.Event) bool {
+	for _, prs := range recipe {
+		for _, pr := range prs {
+			for _, id := range pr.preds {
+				if !v.preds[id].cu.Ok(evs[bits.TrailingZeros32(pr.bit)]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // prune advances the skipped fixed-plan NFAs whose prune falls due at ts
@@ -498,7 +612,7 @@ func (v *Evaluator) Finish() {
 // immediately; prefix groups are not re-analyzed (the pattern evaluates
 // independently), so existing patterns' output is undisturbed.
 func (v *Evaluator) Add(sp Spec) error {
-	s, err := v.buildSink(sp, -1)
+	s, err := v.buildSink(sp, -1, nil)
 	if err != nil {
 		return err
 	}
@@ -510,7 +624,8 @@ func (v *Evaluator) Add(sp Spec) error {
 
 // Remove retires a pattern at runtime. A group member is unsubscribed
 // from its runner; the runner keeps serving remaining subscribers (and
-// is dropped once the last one leaves).
+// is dropped once the last one leaves); a suffix class's next member
+// then feeds the class automaton.
 func (v *Evaluator) Remove(id uint32) error {
 	s, ok := v.byID[id]
 	if !ok {
@@ -520,6 +635,10 @@ func (v *Evaluator) Remove(id uint32) error {
 	v.sinks = slices.DeleteFunc(v.sinks, func(t *sink) bool { return t == s })
 	for _, r := range v.runners {
 		r.subs = slices.DeleteFunc(r.subs, func(t *sink) bool { return t == s })
+	}
+	if c := s.cls; c != nil {
+		c.members = slices.DeleteFunc(c.members, func(t *sink) bool { return t == s })
+		c.recipe = classRecipe(c)
 	}
 	v.runners = slices.DeleteFunc(v.runners, func(r *runnerState) bool { return len(r.subs) == 0 })
 	v.reroute()
@@ -555,9 +674,10 @@ func (v *Evaluator) TenantStats() []shed.TenantStat { return v.gate.Stats() }
 
 // Metrics reports per-pattern engine counters in evaluation order. For
 // group members (fixed-plan NFAs) the adaptive-loop counters are zero
-// and the evaluation counters are synthesized from match.Stats. The event
-// counts are the set's since the pattern joined: every event arrives at
-// every pattern, and its tenant's gate sheds it for all of them.
+// and the evaluation counters are synthesized from match.Stats (a
+// suffix-class member's are its class automaton's, but for Matches). The
+// event counts are the set's since the pattern joined: every event arrives
+// at every pattern, and its tenant's gate sheds it for all of them.
 func (v *Evaluator) Metrics() []PatternMetrics {
 	v.catchUp()
 	out := make([]PatternMetrics, 0, len(v.sinks))
@@ -568,6 +688,9 @@ func (v *Evaluator) Metrics() []PatternMetrics {
 			m = s.eng.Metrics()
 		} else {
 			st := s.fixed.Stats()
+			if s.cls != nil {
+				st.Emitted = s.matches
+			}
 			m = engine.Metrics{
 				Events:    arrived - late - gated,
 				Matches:   st.Emitted,

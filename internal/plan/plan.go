@@ -25,9 +25,6 @@ import (
 type Plan interface {
 	// Cost evaluates the model cost under the given statistics.
 	Cost(s *stats.Snapshot) float64
-	// NumBlocks reports the number of building blocks (steps for order
-	// plans, internal nodes for tree plans).
-	NumBlocks() int
 	// Equal reports structural equality with another plan.
 	Equal(other Plan) bool
 	// String renders the plan for logs and experiment output.
@@ -63,9 +60,6 @@ func (p *OrderPlan) Cost(s *stats.Snapshot) float64 {
 	}
 	return total
 }
-
-// NumBlocks reports one building block per step of the order.
-func (p *OrderPlan) NumBlocks() int { return len(p.Order) }
 
 // Equal reports whether other is an OrderPlan with the identical order.
 func (p *OrderPlan) Equal(other Plan) bool {

@@ -61,9 +61,6 @@ func TestOrderPlanEqual(t *testing.T) {
 
 func TestOrderPlanBasics(t *testing.T) {
 	p := NewOrderPlan([]int{2, 0, 1})
-	if p.NumBlocks() != 3 {
-		t.Errorf("NumBlocks = %d", p.NumBlocks())
-	}
 	if got := p.String(); got != "order[2 0 1]" {
 		t.Errorf("String = %q", got)
 	}
@@ -99,15 +96,28 @@ func TestTreeCardinalityAndCost(t *testing.T) {
 	}
 }
 
-func TestTreeLeavesAndBlocks(t *testing.T) {
+// TestTreeCostUnarySel: a leaf's cardinality is its rate scaled by its
+// unary selectivity, and the scaled value feeds every node above it.
+func TestTreeCostUnarySel(t *testing.T) {
+	s := snap3()
+	s.Sel[2][2] = 0.5 // unary filter on position 2: leaf cardinality 10*0.5 = 5
+	// (0 (1 2)): Card(1,2) = 15*5*0.2 = 15; root = 100*15*0.5*1 = 750.
+	// Cost = 100 + (15+5+15) + 750 = 885.
+	tr := NewTreePlan(Join(Leaf(0), Join(Leaf(1), Leaf(2))))
+	if got := Cardinality(tr.Root, s); math.Abs(got-750) > 1e-9 {
+		t.Errorf("root cardinality = %g; want 750", got)
+	}
+	if got := SubtreeCost(tr.Root, s); math.Abs(got-885) > 1e-9 {
+		t.Errorf("Cost = %g; want 885", got)
+	}
+}
+
+func TestTreeLeaves(t *testing.T) {
 	tr := NewTreePlan(Join(Join(Leaf(2), Leaf(0)), Leaf(1)))
 	var lv []int
 	lv = tr.Root.Leaves(lv)
 	if len(lv) != 3 || lv[0] != 2 || lv[1] != 0 || lv[2] != 1 {
 		t.Errorf("Leaves = %v", lv)
-	}
-	if tr.NumBlocks() != 2 {
-		t.Errorf("NumBlocks = %d; want 2", tr.NumBlocks())
 	}
 	if got := tr.String(); got != "tree((2 0) 1)" {
 		t.Errorf("String = %q", got)

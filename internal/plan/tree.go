@@ -74,16 +74,6 @@ func SubtreeCost(n *TreeNode, s *stats.Snapshot) float64 {
 // Cost implements Plan.
 func (p *TreePlan) Cost(s *stats.Snapshot) float64 { return SubtreeCost(p.Root, s) }
 
-// NumBlocks counts internal nodes (one building block per node).
-func (p *TreePlan) NumBlocks() int { return countInternal(p.Root) }
-
-func countInternal(n *TreeNode) int {
-	if n == nil || n.IsLeaf() {
-		return 0
-	}
-	return 1 + countInternal(n.Left) + countInternal(n.Right)
-}
-
 // Equal reports structural equality (same shape, same leaf positions).
 func (p *TreePlan) Equal(other Plan) bool {
 	o, ok := other.(*TreePlan)

@@ -12,8 +12,9 @@ import (
 	"acep/internal/stats"
 )
 
-// seqPattern builds SEQ(T0, ..., Tn-1) with an equality predicate chain
-// between adjacent positions when chain is true.
+// seqPattern builds SEQ(T0, ..., Tn-1) with, when chain is true, an
+// equality predicate chain between adjacent positions and a unary
+// predicate on every even position.
 func seqPattern(t testing.TB, n int, chain bool) *pattern.Pattern {
 	t.Helper()
 	s := event.NewSchema()
@@ -27,6 +28,9 @@ func seqPattern(t testing.TB, n int, chain bool) *pattern.Pattern {
 	if chain {
 		for i := 0; i+1 < n; i++ {
 			b.WherePred(pattern.Pred{L: i, R: i + 1, Op: pattern.EQ})
+		}
+		for i := 0; i < n; i += 2 {
+			b.WherePred(pattern.Pred{L: i, R: pattern.Unary, Op: pattern.GT})
 		}
 	}
 	return b.MustBuild()
@@ -169,13 +173,17 @@ func TestGreedyDeterminism(t *testing.T) {
 }
 
 // randomSnapshot draws random rates for all positions and random
-// selectivities for exactly the position pairs connected by predicates,
-// honoring the Snapshot contract (Sel == 1 on predicate-free pairs).
+// selectivities for exactly the positions with unary predicates and the
+// position pairs connected by predicates, honoring the Snapshot contract
+// (Sel == 1 on predicate-free pairs).
 func randomSnapshot(r *rand.Rand, pat *pattern.Pattern) *stats.Snapshot {
 	n := pat.NumPositions()
 	s := stats.NewSnapshot(n)
 	for i := 0; i < n; i++ {
 		s.Rates[i] = 1 + r.Float64()*99
+		if len(pat.Unary(i)) > 0 {
+			s.Sel[i][i] = 0.05 + r.Float64()*0.95
+		}
 		for j := i + 1; j < n; j++ {
 			if len(pat.PredsBetween(i, j)) > 0 {
 				s.SetSym(i, j, 0.05+r.Float64()*0.95)
