@@ -87,8 +87,8 @@ type Config struct {
 	// (sub-)pattern before any input is seen; nil (or a nil result) uses
 	// an empty snapshot (the paper's "default, empty Stat").
 	InitialStats func(*pattern.Pattern) *stats.Snapshot
-	// OnMatch receives every detected match. Unless OwnedEmit says
-	// otherwise the match is the callback's to keep.
+	// OnMatch receives every detected match: the callback's to keep unless
+	// OwnedEmit says otherwise, its events read-only (shared: match.Keeper).
 	OnMatch func(*match.Match)
 	// ExternalEvents declares that the caller owns the events' storage:
 	// every event pointer handed to Process stays valid, unchanged, until
@@ -240,6 +240,7 @@ type Engine struct {
 	// evaluators — current and draining, all disjuncts — point into; nil
 	// under Config.ExternalEvents, where the caller holds the events.
 	arena *match.Arena
+	keep  *match.Keeper // what a match leaves the arena in, unless OwnedEmit
 }
 
 // New builds an adaptive engine for the pattern.
@@ -264,12 +265,13 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 	e := &Engine{}
 	if !cfg.ExternalEvents {
 		// The engine owns the events' storage: it interns once, releases on
-		// its own Floor, and copies what leaves — a match the evaluators
+		// its own Floor, and keeps what leaves — a match the evaluators
 		// emit points into blocks that will be overwritten.
 		e.arena = &match.Arena{}
 		e.arena.SetRecycle(true)
 		if deliver := cfg.OnMatch; deliver != nil && !cfg.OwnedEmit {
-			cfg.OnMatch = func(m *match.Match) { deliver(m.Clone()) }
+			e.keep = &match.Keeper{}
+			cfg.OnMatch = func(m *match.Match) { deliver(e.keep.Keep(m)) }
 		}
 		cfg.OwnedEmit = true
 	}
@@ -312,6 +314,9 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 		return
 	}
 	if e.arena != nil {
+		if e.keep != nil {
+			e.keep.Step() // before the release: no block recycles mid-step
+		}
 		if e.arena.Full() {
 			e.arena.Release(e.Floor())
 		}

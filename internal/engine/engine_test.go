@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"acep/internal/core"
@@ -363,5 +365,59 @@ func TestKeyedCountsPinned(t *testing.T) {
 		if got != want[model] {
 			t.Errorf("%v: %+v, want %+v", model, got, want[model])
 		}
+	}
+}
+
+// TestDeliversSeqZeroByValue: a caller's stream may leave every Seq at 0,
+// so what the engine keeps for its consumer shares an event's copy on the
+// source event, never on its Seq. Over SEQ(A+, B) each match holds several
+// events the one B completes; every delivered match must read, by value,
+// the events the oracle finds.
+func TestDeliversSeqZeroByValue(t *testing.T) {
+	s := event.NewSchema()
+	s.MustAddType("A", "v")
+	s.MustAddType("B", "v")
+	b := pattern.NewBuilder(s, pattern.Seq, 6)
+	b.Event(0)
+	b.Event(1)
+	p := b.Kleene(0).MustBuild()
+	var evs []event.Event
+	for i := 0; i < 60; i++ {
+		evs = append(evs, s.MustNew(min(i%3, 1), event.Time(i+1), float64(i))) // A A B ...
+	}
+	render := func(ms []*match.Match) []string {
+		var out []string
+		for _, m := range ms {
+			r := ""
+			for _, ev := range m.Events {
+				if ev != nil {
+					r += fmt.Sprintf("%d@%d=%v ", ev.Type, ev.TS, ev.Attrs)
+				}
+			}
+			for _, set := range m.Kleene {
+				for _, ev := range set {
+					r += fmt.Sprintf("{%d@%d=%v} ", ev.Type, ev.TS, ev.Attrs)
+				}
+			}
+			out = append(out, r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	var got []*match.Match
+	e, err := New(p, Config{OnMatch: func(m *match.Match) { got = append(got, m) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range evs {
+		e.Process(&evs[i])
+	}
+	e.Finish()
+	want := render(oracle.Matches(p, evs))
+	if len(want) < 15 {
+		t.Fatalf("the oracle finds %d matches: the stream no longer exercises sharing", len(want))
+	}
+	if g := render(got); !reflect.DeepEqual(g, want) {
+		t.Fatalf("delivered %q, the oracle finds %q", g, want)
 	}
 }

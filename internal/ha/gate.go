@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"acep/internal/cluster"
+	"acep/internal/match"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -64,6 +65,7 @@ type gate struct {
 	q         []shard.Tagged // sealed: Enc set, M nil
 	head      int
 	open      []shard.Tagged // drain scratch: the prefix being emitted, decoded
+	keep      match.Keeper   // what the emitted matches are decoded into
 	err       error          // why the gate failed (see failure)
 	acked     uint64         // standby's mirrored watermark (ack-reader)
 	released  uint64         // collector release frontier (progress tap)
@@ -88,7 +90,7 @@ func (g *gate) onTagged(t shard.Tagged) {
 			return
 		}
 		if g.err == nil {
-			g.err = cluster.Open(&t)
+			g.err = cluster.Open(&t, &g.keep)
 		}
 		ok := g.err == nil
 		g.mu.Unlock()
@@ -192,7 +194,7 @@ func (g *gate) drainLocked() {
 		// records must be a count the consumer gets.
 		g.open = append(g.open[:0], g.q[g.head:g.head+n]...)
 		for i := 0; i < n && g.err == nil; i++ {
-			g.err = cluster.Open(&g.open[i])
+			g.err = cluster.Open(&g.open[i], &g.keep)
 		}
 		if g.err != nil {
 			g.demoteLocked()

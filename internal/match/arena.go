@@ -204,8 +204,8 @@ const arenaBlockEvents = 256
 // dequeued). Evaluation engines keep bare pointers into the blocks —
 // histories, partial matches, residual buffers, parked matches — so the
 // horizon is theirs to name: the owner releases on its engines' Floor,
-// and copies whatever it hands on (Match.Clone), since a returned block
-// is overwritten.
+// and keeps whatever it hands on in a Keeper, since a returned block is
+// overwritten.
 //
 // Input is timestamp-ordered, so the blocks are too, and Release stops at
 // the first one the horizon has not passed. Without a pool (SetRecycle,

@@ -93,49 +93,6 @@ func TestBlockDropFront(t *testing.T) {
 	requireBlock(t, &b, nil)
 }
 
-// TestMatchClone: a clone shares no storage with the match it was made
-// from — rewriting every source event leaves it reading the old values —
-// and keeps the shape: nil core entries, nil and empty Kleene sets.
-func TestMatchClone(t *testing.T) {
-	evs := blockEvents(8)
-	var b Block
-	for i := range evs {
-		b.Intern(&evs[i])
-	}
-	m := &Match{
-		Events: []*event.Event{b.At(0), nil, b.At(3)},
-		Kleene: [][]*event.Event{nil, {b.At(1), b.At(2), b.At(7)}, nil},
-	}
-	c := m.Clone()
-	b.Reset()
-	for i := range evs {
-		b.Alloc(-1, -1, 0, len(evs[i].Attrs)) // same slots, other values
-	}
-	same := func(got *event.Event, want *event.Event) {
-		t.Helper()
-		if (got == nil) != (want == nil) {
-			t.Fatalf("clone has %v where its source had %v", got, want)
-		}
-		if got != nil {
-			var one Block
-			one.evs, one.attrs = []event.Event{*got}, got.Attrs
-			requireBlock(t, &one, []event.Event{*want})
-		}
-	}
-	if len(c.Events) != 3 || len(c.Kleene) != 3 || c.Kleene[0] != nil || len(c.Kleene[1]) != 3 || c.Kleene[2] != nil {
-		t.Fatalf("clone has another shape than its source: %v / %v", c.Events, c.Kleene)
-	}
-	same(c.Events[0], &evs[0])
-	same(c.Events[1], nil)
-	same(c.Events[2], &evs[3])
-	for k, src := range []int{1, 2, 7} {
-		same(c.Kleene[1][k], &evs[src])
-	}
-	if plain := (&Match{Events: []*event.Event{&evs[5]}}).Clone(); plain.Kleene != nil {
-		t.Fatalf("clone of a match without Kleene sets grew some: %v", plain.Kleene)
-	}
-}
-
 // TestPoolDropsSurplus: a pool lets at most its slack more blocks wait
 // than are out and forgets the rest — with everything returned, the slack
 // itself; one without slack keeps them all.

@@ -38,101 +38,6 @@ func (m *Match) Key() string {
 	return b.String()
 }
 
-// Layout is the size of a match someone is about to own: what Clone counts
-// on its source and a decoder reads off the encoded body before either
-// allocates.
-type Layout struct {
-	Positions int // len(Events)
-	Sets      int // len(Kleene)
-	Members   int // events over all Kleene sets
-	Events    int // events stored: non-nil core entries plus Members
-	Attrs     int // attribute values over the stored events
-}
-
-// Owned is the storage of a match under construction that points into
-// nothing but itself: the events in one array, their attribute values in
-// another, and every pointer slice — Events and each Kleene set — carved
-// out of a third. With the Match that is four allocations however many
-// events it has (a fifth for the Kleene table), and the one layout every
-// match a consumer keeps has, whether it was copied out of an engine's
-// blocks (Clone) or decoded off the wire.
-type Owned struct {
-	blk  Block
-	ptrs []*event.Event
-}
-
-// New allocates a match of this layout — Events all nil, Kleene sets all
-// nil, either slice itself nil when it has no entries — and the storage
-// to fill it from: exactly what the layout counts, so nothing relocates.
-func (l Layout) New() (*Match, Owned) {
-	var o Owned
-	o.blk.Reserve(l.Events, l.Attrs)
-	if n := l.Positions + l.Members; n > 0 {
-		o.ptrs = make([]*event.Event, n)
-	}
-	m := &Match{}
-	if l.Positions > 0 {
-		m.Events = o.Set(l.Positions)
-	}
-	if l.Sets > 0 {
-		m.Kleene = make([][]*event.Event, l.Sets)
-	}
-	return m, o
-}
-
-// Set returns the next n pointer slots, all nil: a Kleene set for the
-// caller to fill. An empty set is empty, not nil.
-func (o *Owned) Set(n int) []*event.Event {
-	if n == 0 {
-		return []*event.Event{}
-	}
-	s := o.ptrs[:n:n]
-	o.ptrs = o.ptrs[n:]
-	return s
-}
-
-// Alloc stores an event for the caller to fill the attribute values of
-// (see Block.Alloc).
-func (o *Owned) Alloc(typ int, ts event.Time, seq uint64, nattrs int) *event.Event {
-	return o.blk.Alloc(typ, ts, seq, nattrs)
-}
-
-// Clone returns a copy of m that owns its events, attribute values
-// included: nothing in it points into the storage m's events live in, so
-// it stays valid however that storage is reused (see Owned).
-func (m *Match) Clone() *Match {
-	l := Layout{Positions: len(m.Events), Sets: len(m.Kleene)}
-	for _, ev := range m.Events {
-		if ev != nil {
-			l.Events++
-			l.Attrs += len(ev.Attrs)
-		}
-	}
-	for _, set := range m.Kleene {
-		l.Members += len(set)
-		for _, ev := range set {
-			l.Attrs += len(ev.Attrs)
-		}
-	}
-	l.Events += l.Members
-	c, own := l.New()
-	for i, ev := range m.Events {
-		if ev != nil {
-			c.Events[i] = own.blk.Intern(ev)
-		}
-	}
-	for p, set := range m.Kleene {
-		if set == nil {
-			continue
-		}
-		c.Kleene[p] = own.Set(len(set))
-		for i, ev := range set {
-			c.Kleene[p][i] = own.blk.Intern(ev)
-		}
-	}
-	return c
-}
-
 // Span returns the minimum and maximum timestamp over the match's core
 // events.
 func (m *Match) Span() (lo, hi event.Time) {

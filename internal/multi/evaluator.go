@@ -19,8 +19,8 @@ import (
 // Options assembles an Evaluator.
 type Options struct {
 	// OnMatch receives every match, tagged with the emitting pattern's
-	// id. Required. Unless OwnedEmit says otherwise the match is the
-	// callback's to keep.
+	// id. Required. The match is the callback's to keep unless OwnedEmit
+	// says otherwise, its events read-only (shared: match.Keeper).
 	OnMatch func(id uint32, m *match.Match)
 	// OwnedEmit declares that OnMatch reads each match synchronously and
 	// retains nothing of it (encode or copy inside): see
@@ -143,6 +143,7 @@ type Evaluator struct {
 	// arena holds the one copy of each event every hosted engine points
 	// into; nil with StableInput, where the caller holds the events.
 	arena *match.Arena
+	keep  *match.Keeper // what a match leaves the arena in, unless OwnedEmit
 
 	watermark event.Time
 	started   bool
@@ -169,11 +170,12 @@ func NewEvaluator(set *Set, opt Options) (*Evaluator, error) {
 	v.stamp = make([]uint64, len(v.preds))
 	if !opt.StableInput {
 		// The evaluator owns the events' storage: it interns once, releases
-		// on its own Floor, and copies what leaves.
+		// on its own Floor, and keeps what leaves.
 		v.arena = &match.Arena{}
 		v.arena.SetRecycle(true)
 		if deliver := opt.OnMatch; !opt.OwnedEmit {
-			v.opt.OnMatch = func(id uint32, m *match.Match) { deliver(id, m.Clone()) }
+			v.keep = &match.Keeper{}
+			v.opt.OnMatch = func(id uint32, m *match.Match) { deliver(id, v.keep.Keep(m)) }
 		}
 		v.opt.OwnedEmit = true
 	}
@@ -470,6 +472,9 @@ func (v *Evaluator) Process(e *event.Event) {
 	v.watermark = e.TS
 	v.epoch++
 	if v.arena != nil {
+		if v.keep != nil {
+			v.keep.Step() // before the release: no block recycles mid-step
+		}
 		if v.arena.Full() {
 			v.arena.Release(v.Floor())
 		}

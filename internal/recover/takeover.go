@@ -55,10 +55,6 @@ func (t Takeover) Pause() time.Duration {
 	return t.ResumedAt.Sub(t.DetectedAt)
 }
 
-// RecoveryTime is an alias for Pause, mirroring Failover's accessor so
-// callers aggregate both record kinds uniformly.
-func (t Takeover) RecoveryTime() time.Duration { return t.Pause() }
-
 // Demotion is the record of a primary coordinator stepping down: it
 // could not renew (or was fenced off) the single-writer emission lease,
 // so it froze its emission gate rather than risk emitting a stream a

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"acep/internal/engine"
+	"acep/internal/match"
 	"acep/internal/shard"
 	"acep/internal/shard/shardtest"
 	"acep/internal/wire"
@@ -66,11 +67,13 @@ func TestBlockReuseScenarios(t *testing.T) {
 					eng.Process(&sc.Events[i])
 				}
 				eng.Finish()
+				var keep match.Keeper
 				for i := range kept {
 					if !encoded {
 						continue
 					}
-					if kept[i].M, err = wire.DecodeMatchBody(kept[i].Enc); err != nil {
+					keep.StepTo(kept[i].Seq)
+					if kept[i].M, err = wire.DecodeMatchBody(kept[i].Enc, &keep); err != nil {
 						t.Fatalf("match %d of %d, at %d of shard %d: %v", i, len(kept), kept[i].Seq, kept[i].Src, err)
 					}
 				}

@@ -59,8 +59,8 @@
 // timestamps replayed into a live session are all safe by construction:
 // a block waits for the worker that holds it. Nothing leaves a worker
 // pointing into a block — a match is serialised (Options.EncodeMatch) or
-// deep-copied as it is tagged — so a delivered *match.Match stays valid
-// for as long as its consumer keeps it.
+// kept (match.Keeper: the matches one event completes share a read-only
+// copy of each event) as it is tagged, so a delivered match stays valid.
 //
 // What a cut's matches leave the worker in — the tag slice and, under
 // EncodeMatch, the slab the encoded bodies sit in (an outbox) — has one
@@ -192,8 +192,8 @@ type Options struct {
 	// count before it lands here.
 	Tenants map[uint32]shed.TenantBudget
 	// EncodeMatch, settable only with OnTagged, makes a match leave its
-	// worker as bytes instead of as a deep copy: each match is encoded into
-	// the cut's outbox slab on the worker goroutine (dst is the slab to
+	// worker as bytes instead of kept: each match is encoded into the
+	// cut's outbox slab on the worker goroutine (dst is the slab to
 	// append to; return the extended slice), and the resulting Tagged
 	// carries the encoded bytes in Enc with M nil. The callback must read m
 	// synchronously and retain nothing — the cluster node layer passes
@@ -249,11 +249,12 @@ type worker struct {
 	// resolver's scratch match; flushEmits moves them into the cut's
 	// outbox in canonical order (per-shard emission indices are assigned
 	// by the collector in posting order), each encoded into the outbox's
-	// slab (Options.EncodeMatch) or deep-copied, so none leaves the worker
+	// slab (Options.EncodeMatch) or kept, so none leaves the worker
 	// pointing into a block.
 	curSeq  uint64
 	scratch []scratchMatch
 	out     *outbox // the open cut's; nil until its first match
+	keep    match.Keeper
 
 	encode func(dst []byte, m *match.Match) []byte
 	mfree  []*match.Match // pooled scratch copies
@@ -347,6 +348,7 @@ func (w *worker) flushEmits() {
 		w.out = w.box() // the cut's first match
 	}
 	out := w.out
+	w.keep.Step()
 	for _, s := range w.scratch {
 		t := Tagged{Seq: w.curSeq, Src: w.id, Pattern: s.pat}
 		if w.encode != nil {
@@ -354,7 +356,7 @@ func (w *worker) flushEmits() {
 			out.enc = w.encode(out.enc, s.m)
 			t.Enc = out.enc[start:len(out.enc):len(out.enc)]
 		} else {
-			t.M = s.m.Clone()
+			t.M = w.keep.Keep(s.m)
 		}
 		w.putMatch(s.m)
 		out.tags = append(out.tags, t)

@@ -160,11 +160,13 @@ func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	r := NewReader(br)
 	r.SetDecodeArena(&arena)
 	var kept []*match.Match
-	g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { kept = append(kept, m.Clone()) })
+	var keep match.Keeper
+	g := nfa.New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { kept = append(kept, keep.Keep(m)) })
 	var held []*match.Block
 	for _, b := range batches {
 		v := decodeOne(t, r, br, b)
 		for _, ev := range v.Events {
+			keep.Step()
 			g.Process(ev)
 		}
 		held = append(held, arena.Take())

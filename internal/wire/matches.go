@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"acep/internal/event"
 	"acep/internal/match"
@@ -136,85 +137,83 @@ func appendEvent(dst []byte, ev *event.Event) []byte {
 // DecodeMatchBody accepts — without allocating: corrupt bytes then fail
 // the session that brought them, never the emission boundary.
 func CheckMatchBody(b []byte) error {
-	_, err := matchLayout(b)
+	_, err := DecodeMatchBody(b, nil)
 	return err
 }
 
-// DecodeMatchBody decodes a match body into a match the caller owns, in
-// its one layout (match.Owned): four allocations, five with Kleene sets.
-// It belongs where a consumer is about to see the match.
-func DecodeMatchBody(b []byte) (*match.Match, error) {
-	l, err := matchLayout(b)
-	if err != nil {
-		return nil, err
-	}
-	// The walk above accepted these bytes, so none of the reads below can
-	// fail, and it counted them, so nothing below relocates.
-	m, own := l.New()
+// DecodeMatchBody decodes a match body into k in one walk, where a
+// consumer is about to see the match. It shares k's copy of an event only
+// if Seq, type, timestamp and attribute bits are all equal, so the match
+// re-encodes to b. With k nil it only checks, as strictly: nothing
+// trailing, every count bounded by the bytes present — an event by its 4
+// bytes at least, an attribute value by its 8, a position by its presence
+// byte.
+func DecodeMatchBody(b []byte, k *match.Keeper) (*match.Match, error) {
 	c := codec{b: b}
-	next := func() *event.Event {
+	next := func() *event.Event { // one event
 		typ, ts, seq := int(c.uvarint()), event.Time(c.varint()), c.uvarint()
-		ev := own.Alloc(typ, ts, seq, int(c.uvarint()))
-		for k := range ev.Attrs {
-			ev.Attrs[k] = c.float()
+		n := c.count(0, maxAttrs, 8, "attribute")
+		if k == nil || c.err != nil {
+			c.off += 8 * n
+			return nil
+		}
+		if ev := k.Kept(seq); ev != nil && ev.Type == typ && ev.TS == ts && sameBits(ev.Attrs, c.b[c.off:c.off+8*n]) {
+			c.off += 8 * n
+			return ev
+		}
+		ev := k.Alloc(typ, ts, seq, n)
+		for i := range ev.Attrs {
+			ev.Attrs[i] = c.float()
 		}
 		return ev
 	}
-	c.uvarint() // len(m.Events)
-	for i := range m.Events {
-		if c.u8() == 1 {
-			m.Events[i] = next()
-		}
+	var m *match.Match
+	np := c.count(0, maxPositions, 1, "match position")
+	if k != nil {
+		m = k.Match(np, len(b)/4, len(b)/8, np+len(b)/4)
 	}
-	c.uvarint() // len(m.Kleene)
-	for p := range m.Kleene {
-		if c.u8() == 1 {
-			set := own.Set(int(c.uvarint()))
-			for i := range set {
-				set[i] = next()
-			}
-			m.Kleene[p] = set
-		}
-	}
-	return m, nil
-}
-
-// matchLayout walks a match body once, allocating nothing: it checks the
-// structure as strictly as any decode, nothing trailing, and counts what
-// a decode stores. Every size DecodeMatchBody allocates comes from here,
-// bounded by bytes present: an event by its 4 bytes at least, an attribute
-// value by its 8, a position by its presence byte.
-func matchLayout(b []byte) (match.Layout, error) {
-	var l match.Layout
-	c := codec{b: b}
-	skip := func() { // one event
-		c.uvarint() // type
-		c.varint()  // timestamp
-		c.uvarint() // sequence number
-		n := c.count(0, maxAttrs, 8, "attribute")
-		c.off += 8 * n
-		l.Events++
-		l.Attrs += n
-	}
-	l.Positions = c.count(0, maxPositions, 1, "match position")
-	for i := 0; i < l.Positions && c.err == nil; i++ {
+	for i := 0; i < np && c.err == nil; i++ {
 		if c.present(false) {
-			skip()
+			if ev := next(); m != nil {
+				m.Events[i] = ev
+			}
 		}
 	}
-	l.Sets = c.count(0, maxPositions, 1, "kleene position")
-	for i := 0; i < l.Sets && c.err == nil; i++ {
+	ns := c.count(0, maxPositions, 1, "kleene position")
+	if m != nil && ns > 0 {
+		m.Kleene = k.Table(ns)
+	}
+	for p := 0; p < ns && c.err == nil; p++ {
 		if !c.present(false) {
 			continue
 		}
 		n := c.count(0, maxKleene, 4, "kleene event")
-		l.Members += n
-		for j := 0; j < n && c.err == nil; j++ {
-			skip()
+		var set []*event.Event
+		if m != nil {
+			set = k.Set(n)
+			m.Kleene[p] = set
+		}
+		for i := 0; i < n && c.err == nil; i++ {
+			if ev := next(); set != nil {
+				set[i] = ev
+			}
 		}
 	}
 	if c.err == nil && c.off != len(b) {
 		c.fail("match body has %d trailing bytes", len(b)-c.off)
 	}
-	return l, c.err
+	if c.err != nil {
+		return nil, c.err
+	}
+	return m, nil
+}
+
+// sameBits reports whether b holds exactly the attribute values' bits.
+func sameBits(attrs []float64, b []byte) bool {
+	for i, v := range attrs {
+		if 8*i+8 > len(b) || math.Float64bits(v) != binary.LittleEndian.Uint64(b[8*i:]) {
+			return false
+		}
+	}
+	return 8*len(attrs) == len(b)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -516,7 +517,7 @@ func TestMatchBodyCanonical(t *testing.T) {
 		if err := CheckMatchBody(b); err != nil {
 			t.Fatalf("%v: own encoding refused: %v", m, err)
 		}
-		got, err := DecodeMatchBody(b)
+		got, err := DecodeMatchBody(b, &match.Keeper{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -527,12 +528,62 @@ func TestMatchBodyCanonical(t *testing.T) {
 			if CheckMatchBody(b[:cut]) == nil {
 				t.Fatalf("%v: body truncated to %d/%d bytes passes the check", m, cut, len(b))
 			}
-			if _, err := DecodeMatchBody(b[:cut]); err == nil {
+			if _, err := DecodeMatchBody(b[:cut], &match.Keeper{}); err == nil {
 				t.Fatalf("%v: body truncated to %d/%d bytes decodes", m, cut, len(b))
 			}
 		}
 		if CheckMatchBody(append(b[:len(b):len(b)], 0)) == nil {
 			t.Fatalf("%v: a trailing byte passes the check", m)
+		}
+	}
+}
+
+// TestDecodeSharesOnlyEqualEvents: within a step a decode shares the copy
+// its keeper holds of an event with the same Seq only when the type, the
+// timestamp and the attribute bits are the same too — so every decoded
+// body re-encodes to its own bytes, whatever was decoded before it — and a
+// new step shares nothing.
+func TestDecodeSharesOnlyEqualEvents(t *testing.T) {
+	base := event.Event{Type: 1, TS: 10, Seq: 7, Attrs: []float64{1.5, 0}}
+	variant := func(f func(*event.Event)) event.Event {
+		e := base
+		e.Attrs = slices.Clone(base.Attrs)
+		f(&e)
+		return e
+	}
+	var k match.Keeper
+	decode := func(e event.Event) *match.Match {
+		t.Helper()
+		b := AppendMatchBody(nil, &match.Match{Events: []*event.Event{&e, nil}})
+		m, err := DecodeMatchBody(b, &k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := AppendMatchBody(nil, m); !bytes.Equal(again, b) {
+			t.Fatalf("%v decodes to a match that re-encodes to other bytes", e)
+		}
+		return m
+	}
+	k.StepTo(1)
+	first := decode(base).Events[0]
+	k.StepTo(1) // the same tag: the same step
+	if again := decode(base).Events[0]; again != first {
+		t.Fatal("one step decoded two copies of one event")
+	}
+	k.StepTo(2)
+	if decode(base).Events[0] == first {
+		t.Fatal("a new step shares the last step's copy")
+	}
+	for i, e := range []event.Event{
+		variant(func(e *event.Event) { e.Attrs[1] = math.Copysign(0, -1) }), // == 0, other bits
+		variant(func(e *event.Event) { e.Attrs[0] = 2.5 }),
+		variant(func(e *event.Event) { e.Attrs = e.Attrs[:1] }),
+		variant(func(e *event.Event) { e.Type = 2 }),
+		variant(func(e *event.Event) { e.TS = 11 }),
+	} {
+		k.StepTo(uint64(3 + i))
+		if kept := decode(base).Events[0]; decode(e).Events[0] == kept {
+			t.Errorf("%v shares the copy of %v, the event with its Seq", e, base)
 		}
 	}
 }
