@@ -13,7 +13,9 @@
 //
 //   - fig5, table1, fig6..fig9 (method comparison per dataset-algorithm
 //     combo) and fig10..fig29 (the same per pattern set) follow the
-//     paper; DESIGN.md has the index.
+//     paper; DESIGN.md has the index. ablation-k and ablation-selector
+//     are its ablations of the K-invariant method (§3.3) and of invariant
+//     selection (§3.5).
 //   - shed-traffic and shed-stocks measure the overload-control layer's
 //     throughput-vs-recall frontier (every shedding policy against the
 //     unshedded baseline, under deterministic forced overload).

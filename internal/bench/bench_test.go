@@ -166,9 +166,9 @@ func TestScanThreshold(t *testing.T) {
 func paperID(id string) bool { return id == "table1" || strings.HasPrefix(id, "fig") }
 
 // TestExperimentRegistry: -list, -exp all and dispatch are one table, so
-// every listed id must run — the shed-* ids here at a small scale, the
-// drill ids in TestDrills, the paper ids through two representatives
-// (their runners are covered by the tests above).
+// every listed id must run — the shed-* and ablation-* ids here at a small
+// scale, the drill ids in TestDrills, the paper ids through two
+// representatives (their runners are covered by the tests above).
 func TestExperimentRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	paper := 0
@@ -183,6 +183,15 @@ func TestExperimentRegistry(t *testing.T) {
 		switch {
 		case paperID(e.ID):
 			paper++
+		case strings.HasPrefix(e.ID, "ablation-"):
+			var tbl bytes.Buffer
+			if err := NewRunner(NewHarness(tinyScale())).Run(&tbl, e.ID); err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			// One table per combo, each naming the largest size.
+			if got := strings.Count(tbl.String(), "Ablation"); got != len(Combos()) || !strings.Contains(tbl.String(), "size 4") {
+				t.Errorf("%s: %d tables, want one per combo at size 4:\n%s", e.ID, got, tbl.String())
+			}
 		case strings.HasPrefix(e.ID, "shed-"):
 			var tbl, rec bytes.Buffer
 			r := NewRunner(NewHarness(shedScale()))

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"acep/internal/gen"
 )
@@ -20,9 +21,9 @@ type Experiment struct {
 var datasets = []string{"traffic", "stocks"}
 
 // Experiments lists every runnable experiment: the paper's evaluation
-// (fig5, table1, fig6-fig29), the shedding recall frontier, and the four
-// fault drills. Throughput and per-layer cost are not here: they come
-// from benchmark/ (see benchmark/README.md).
+// (fig5, table1, fig6-fig29) and its two ablations, the shedding recall
+// frontier, and the four fault drills. Throughput and per-layer cost are
+// not here: they come from benchmark/ (see benchmark/README.md).
 func Experiments() []Experiment {
 	out := []Experiment{
 		{"fig5", "Figure 5: invariant-method throughput vs pattern size and distance d, per combo; yields d_opt", (*Runner).fig5},
@@ -46,6 +47,28 @@ func Experiments() []Experiment {
 			})
 		}
 	}
+	out = append(out,
+		Experiment{"ablation-k", "Ablation (§3.3): the K-invariant method's throughput, replans and overhead for K = 1, 2, 3, 5, per combo, sequence patterns of the largest size",
+			func(r *Runner, w io.Writer) error {
+				return r.ablation(w, func(c Combo, size int) error {
+					rows, err := r.H.AblationK(c, size, []int{1, 2, 3, 5}, ablationD)
+					if err == nil {
+						WriteAblationK(w, c, size, rows)
+					}
+					return err
+				})
+			}},
+		Experiment{"ablation-selector", "Ablation (§3.5): tightest-gap, tightest-relative-gap and full-DCS invariant selection, per combo, sequence patterns of the largest size",
+			func(r *Runner, w io.Writer) error {
+				return r.ablation(w, func(c Combo, size int) error {
+					rows, err := r.H.AblationSelector(c, size, ablationD)
+					if err == nil {
+						WriteAblationSelector(w, c, size, rows)
+					}
+					return err
+				})
+			}},
+	)
 	for _, ds := range datasets {
 		out = append(out, Experiment{
 			"shed-" + ds,
@@ -180,6 +203,25 @@ func (r *Runner) methods(w io.Writer, c Combo, kind int) error {
 		}
 	}
 	t.methods.WriteFigure(w, kind)
+	return nil
+}
+
+// ablationD is the invariant distance the ablations run at, as the root
+// package's BenchmarkAblationK and BenchmarkAblationSelector do.
+const ablationD = 0.2
+
+// ablation runs one ablation, run, on every combo at the scale's largest
+// pattern size. The root package's benchmarks drive the same sweeps at a
+// fixed size to report their headline metrics, as its BenchmarkFig*
+// do for the figures this registry prints.
+func (r *Runner) ablation(w io.Writer, run func(c Combo, size int) error) error {
+	size := slices.Max(r.H.Scale.Sizes)
+	for _, c := range Combos() {
+		if err := run(c, size); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
 	return nil
 }
 

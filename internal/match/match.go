@@ -80,12 +80,13 @@ func (m *Match) String() string {
 
 // PairOK checks whether events evA at position posA and evB at position
 // posB can coexist in one match of pat with window w: the events must be
-// distinct, within the window of each other, in timestamp order when the
+// distinct (compared by identity, since a stream may leave Seq at 0),
+// within the window of each other, in timestamp order when the
 // pattern is a sequence, and must satisfy every predicate connecting the
 // two positions. It reports the number of predicate evaluations
 // performed via npreds, letting engines meter their work.
 func PairOK(pat *pattern.Pattern, w event.Time, posA int, evA *event.Event, posB int, evB *event.Event, npreds *uint64) bool {
-	if evA.Seq == evB.Seq {
+	if evA == evB {
 		return false
 	}
 	dt := evA.TS - evB.TS

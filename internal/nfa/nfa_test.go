@@ -1,354 +1,451 @@
 package nfa
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"acep/internal/event"
+	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/match/matchtest"
 	"acep/internal/oracle"
 	"acep/internal/pattern"
 	"acep/internal/plan"
 )
 
-func mkSchema(n int) *event.Schema {
-	s := event.NewSchema()
-	for i := 0; i < n; i++ {
-		s.MustAddType(string(rune('A'+i)), "x")
-	}
-	return s
+// model is the order-based engine as the shared table
+// (internal/match/matchtest) drives it: every ordering of the core
+// positions is a plan, and a state is a place.
+var model = matchtest.Model{
+	Tests: map[string][]string{
+		"TestNFAPaperExample":                 {"paper-example"},
+		"TestNFAWindowExpiry":                 {"window"},
+		"TestNFAAllOrdersAgreeWithOracle":     {"chain3", "chain4"},
+		"TestNFAConjunction":                  {"and3"},
+		"TestNFANegationAgainstOracle":        {"negation"},
+		"TestNFAKleeneAgainstOracle":          {"kleene"},
+		"TestNFADuplicateTypeAcrossPositions": {"identity"},
+		"TestNFAEmitFilter":                   {"emit-filter"},
+		"TestNFAStatsAndExpiry":               {"expiry"},
+		"TestNFAPlanOrderAffectsWork":         {"work"},
+		"TestNFASinglePosition":               {"single-position"},
+		"TestIntrospection":                   {"introspection"},
+		"TestIntrospectionStaleBound":         {"stale-bound"},
+		"TestKeyedIndexDifferential":          {"keyed"},
+		"TestKeyedIndexNeedsAdjacentEquality": {"index-needs-equality"},
+		"TestProcessZeroAllocsNoMatch":        {"allocs/no-match"},
+		"TestProcessBoundedAllocsMatching":    {"allocs/matching"},
+		"TestProcessBoundedAllocsKleene":      {"allocs/kleene"},
+		"TestProcessZeroAllocsKeyChurn":       {"allocs/key-churn"},
+	},
+	New: func(pat *pattern.Pattern, p plan.Plan, emit func(*match.Match), indexed bool) matchtest.Engine {
+		if indexed {
+			return New(pat, p.(*plan.OrderPlan), emit)
+		}
+		return newEngine(pat, p.(*plan.OrderPlan), emit, false)
+	},
+	Shapes: func(order []int) []plan.Plan { return []plan.Plan{plan.NewOrderPlan(order)} },
+	Chain:  func(order []int) plan.Plan { return plan.NewOrderPlan(order) },
+	Indexed: func(e matchtest.Engine) []bool {
+		g := e.(*Engine)
+		var on []bool
+		for s := 1; s < g.n; s++ {
+			on = append(on, match.EqKeyOf(g.checks[s]).Indexed)
+		}
+		return on
+	},
+	// Under the declaration order every state is forward-only and keeps
+	// no history: after a prune a state holds a bucket exactly for each
+	// key with a live PM there. Under the reverse order every state keeps
+	// history, and holds no more buckets than there are keys inside the
+	// retention horizon.
+	Churn: func(t testing.TB, e matchtest.Engine, order []int, window event.Time) {
+		g := e.(*Engine)
+		history := order[0] != 0
+		g.Store.Prune(g.Watermark())
+		liveKeys := 2*int(window)/3 + 2 // keys with an event inside the two-window horizon
+		for st := 1; st < g.n; st++ {
+			pl := g.states[st]
+			if pl.KeepsHistory() != history {
+				t.Fatalf("order %v: state %d keeps history %v, want %v", order, st, pl.KeepsHistory(), history)
+			}
+			keys := map[uint64]bool{}
+			pl.HotKeys(func(e *event.Event) uint64 { return uint64(e.Attrs[1]) }, func(k uint64) { keys[k] = true })
+			if n := pl.Buckets(); history && (n == 0 || n > liveKeys) || !history && n != len(keys) {
+				t.Fatalf("order %v: state %d holds %d buckets after prune; want 1..%d with history, else one per key with a live PM (%d)", order, st, n, liveKeys, len(keys))
+			}
+		}
+		if !history && g.states[1].Buckets() == 0 {
+			t.Fatalf("order %v: no bucket at state 1; the bound is vacuous", order)
+		}
+	},
+	Expect: matchtest.Expect{
+		// An A makes B hot and its key live; its A+B fork waits for C at
+		// state 2 while the A-PM still waits at state 1.
+		Intro: [3]matchtest.Look{
+			{},
+			{Live: 1, Hot: []int{1}, Keys: []uint64{7}},
+			{Live: 2, Hot: []int{1, 2}, Keys: []uint64{7}},
+		},
+		ExpiredLive: 0,
+		Indexed:     []bool{false, true}, // C offered to A: nothing to key on; B offered to A, C: b.k
+		HotKeysAll:  true,
+	},
 }
 
-// genStream produces a random timestamp-ordered stream where type i
-// appears with relative weight weights[i] and x is drawn from {0..xmod-1}.
-func genStream(r *rand.Rand, s *event.Schema, weights []int, count, xmod int, gap event.Time) []event.Event {
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	var evs []event.Event
-	ts := event.Time(0)
-	var seq uint64
-	for i := 0; i < count; i++ {
-		ts += event.Time(1 + r.Intn(int(gap)))
-		pick := r.Intn(total)
-		typ := 0
-		for pick >= weights[typ] {
-			pick -= weights[typ]
-			typ++
+// Each test runs the table groups model.Tests names for it.
+func TestNFAPaperExample(t *testing.T)                 { model.Run(t) }
+func TestNFAWindowExpiry(t *testing.T)                 { model.Run(t) }
+func TestNFAAllOrdersAgreeWithOracle(t *testing.T)     { model.Run(t) }
+func TestNFAConjunction(t *testing.T)                  { model.Run(t) }
+func TestNFANegationAgainstOracle(t *testing.T)        { model.Run(t) }
+func TestNFAKleeneAgainstOracle(t *testing.T)          { model.Run(t) }
+func TestNFADuplicateTypeAcrossPositions(t *testing.T) { model.Run(t) }
+func TestNFAEmitFilter(t *testing.T)                   { model.Run(t) }
+func TestNFAStatsAndExpiry(t *testing.T)               { model.Run(t) }
+func TestNFAPlanOrderAffectsWork(t *testing.T)         { model.Run(t) }
+func TestNFASinglePosition(t *testing.T)               { model.Run(t) }
+func TestIntrospection(t *testing.T)                   { model.Run(t) }
+func TestIntrospectionStaleBound(t *testing.T)         { model.Run(t) }
+func TestKeyedIndexDifferential(t *testing.T)          { model.Run(t) }
+func TestKeyedIndexNeedsAdjacentEquality(t *testing.T) { model.Run(t) }
+func TestProcessZeroAllocsNoMatch(t *testing.T)        { model.Run(t) }
+func TestProcessBoundedAllocsMatching(t *testing.T)    { model.Run(t) }
+func TestProcessBoundedAllocsKleene(t *testing.T)      { model.Run(t) }
+func TestProcessZeroAllocsKeyChurn(t *testing.T)       { model.Run(t) }
+
+func BenchmarkProcess(b *testing.B) { model.BenchProcess(b) }
+func BenchmarkKeyed(b *testing.B)   { model.BenchKeyed(b) }
+
+// BenchmarkExtend isolates the partial-match extension path.
+func BenchmarkExtend(b *testing.B) {
+	s := matchtest.SchemaX(2)
+	pat := matchtest.EqChain(s, 2, 1000)
+	evs := matchtest.Weighted(rand.New(rand.NewSource(2)), s, []int{1, 1}, 20000, 2, 2)
+	b.ReportAllocs()
+	for range b.N {
+		g := New(pat, plan.NewOrderPlan([]int{0, 1}), func(*match.Match) {})
+		for j := range evs {
+			g.Process(&evs[j])
 		}
-		e := s.MustNew(typ, ts, float64(r.Intn(xmod)))
-		seq++
-		e.Seq = seq
+		g.Finish()
+	}
+}
+
+// What follows is the NFA's alone: the order its lazy scan delivers in, a
+// suffix automaton seeded by a prefix runner, and the history rule.
+
+// TestEmissionOrderPinned pins the order in which the engine delivers its
+// matches, not just their multiset, for three plan orders of a keyed and
+// an unkeyed SEQ-of-4: the lazy scan, the forks and the emissions happen
+// in an order a host sees. The digest is FNV-64a over the matches' keys
+// in delivery order; partial matches created are pinned alongside.
+func TestEmissionOrderPinned(t *testing.T) {
+	type row struct {
+		order     []int
+		matches   int
+		digest    uint64
+		pmCreated uint64
+	}
+	cases := []struct {
+		name   string
+		keys   int
+		window event.Time
+		rows   []row
+	}{
+		{name: "unkeyed", window: 200, rows: []row{
+			{order: []int{0, 1, 2, 3}, matches: 184, digest: 0xff12d7f02e47d54c, pmCreated: 38287},
+			{order: []int{3, 2, 1, 0}, matches: 184, digest: 0x68bc61e930d92e12, pmCreated: 16942},
+			{order: []int{1, 3, 0, 2}, matches: 184, digest: 0xd89872eaaf8509be, pmCreated: 13000},
+		}},
+		{name: "keyed", keys: 4, window: 800, rows: []row{
+			{order: []int{0, 1, 2, 3}, matches: 164, digest: 0xe5e04740502d6fbc, pmCreated: 38157},
+			{order: []int{3, 2, 1, 0}, matches: 164, digest: 0x75c2f275071abf2, pmCreated: 16570},
+			{order: []int{1, 3, 0, 2}, matches: 164, digest: 0x7a51ef7b4a4058c4, pmCreated: 39529},
+		}},
+	}
+	for _, c := range cases {
+		w := gen.Traffic(gen.TrafficConfig{Types: 6, Events: 20000, Seed: 5, Shifts: 1, Keys: c.keys})
+		pat, err := w.Pattern(gen.Sequence, 4, c.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range c.rows {
+			h := fnv.New64a()
+			n := 0
+			g := New(pat, plan.NewOrderPlan(r.order), func(m *match.Match) {
+				n++
+				h.Write([]byte(m.Key()))
+				h.Write([]byte{';'})
+			})
+			for i := range w.Events {
+				g.Process(&w.Events[i])
+			}
+			g.Finish()
+			got := row{order: r.order, matches: n, digest: h.Sum64(), pmCreated: g.Stats().PMCreated}
+			if n == 0 {
+				t.Fatalf("%s order %v: no matches; the case is vacuous", c.name, r.order)
+			}
+			if got.matches != r.matches || got.digest != r.digest || got.pmCreated != r.pmCreated {
+				t.Errorf("%s order %v: %d matches, digest %#x, %d PMs created; recorded %d, %#x, %d",
+					c.name, r.order, got.matches, got.digest, got.pmCreated, r.matches, r.digest, r.pmCreated)
+			}
+		}
+	}
+}
+
+// delivery is what a host sees of a run: the matches in delivery order
+// and the engine's counters.
+type delivery struct {
+	keys  []string
+	stats match.Stats
+}
+
+func deliver(out *delivery) func(*match.Match) {
+	return func(m *match.Match) { out.keys = append(out.keys, matchtest.Keys([]*match.Match{m})[0]) }
+}
+
+// work is the delivery as matchtest.RequireSameWork compares it.
+func (d delivery) work(indexed int) matchtest.Work {
+	return matchtest.WorkOf(slices.Sorted(slices.Values(d.keys)), d.stats, indexed)
+}
+
+// seeded drives the subscriber sub builds over evs with its first
+// positions fed, through Seed, by a runner over runnerPat — the shape a
+// shared prefix runner detects — which sees each event first, as
+// internal/multi's evaluator runs them.
+func seeded(t *testing.T, runnerPat *pattern.Pattern, evs []event.Event, sub func(emit func(*match.Match)) *Engine) delivery {
+	var out delivery
+	g := sub(deliver(&out))
+	if err := g.SetSharedPrefix(runnerPat.NumPositions()); err != nil {
+		t.Fatal(err)
+	}
+	runner := New(runnerPat, plan.NewOrderPlan(runnerPat.Core()), func(m *match.Match) { g.Seed(m.Events) })
+	runner.SetOwnedEmit(true)
+	for i := range evs {
+		runner.Process(&evs[i])
+		g.Process(&evs[i])
+	}
+	runner.Finish()
+	g.Finish()
+	out.stats = g.Stats()
+	return out
+}
+
+// TestSeededPrefixEquivalence drives the seeding contract directly: a
+// runner over the 2-position prefix pattern feeds Seed on a subscriber
+// whose first two order positions are disabled, and the subscriber's
+// match set must equal a plain engine's on every stream. The runner's
+// window is deliberately wider than the subscriber's: Seed must filter
+// over-span assignments itself.
+func TestSeededPrefixEquivalence(t *testing.T) {
+	s := matchtest.SchemaX(4)
+	for trial := range 20 {
+		r := rand.New(rand.NewSource(int64(300 + trial)))
+		window := event.Time(40 + 30*(trial%3))
+		pat := matchtest.EqChain(s, 4, window)
+		evs := matchtest.Weighted(r, s, []int{3, 2, 2, 3}, 600, 3, 4)
+		var want []*match.Match
+		plain := New(pat, plan.NewOrderPlan(pat.Core()), func(m *match.Match) { want = append(want, m) })
+		for i := range evs {
+			plain.Process(&evs[i])
+		}
+		plain.Finish()
+		got := seeded(t, matchtest.EqChain(s, 2, 2*window), evs, func(emit func(*match.Match)) *Engine {
+			return New(pat, plan.NewOrderPlan(pat.Core()), emit)
+		}).work(0)
+		if wk := matchtest.Keys(want); !reflect.DeepEqual(got.Keys, wk) {
+			t.Fatalf("trial %d: seeded subscriber found %d matches, a plain engine %d", trial, len(got.Keys), len(wk))
+		}
+	}
+}
+
+// TestSeededPrefixRejectsBadK pins the SetSharedPrefix bounds.
+func TestSeededPrefixRejectsBadK(t *testing.T) {
+	pat := matchtest.EqChain(matchtest.SchemaX(3), 3, 100)
+	g := New(pat, plan.NewOrderPlan(pat.Core()), nil)
+	for _, k := range []int{0, -1, 3, 4} {
+		if err := g.SetSharedPrefix(k); err == nil {
+			t.Fatalf("SetSharedPrefix(%d) accepted", k)
+		}
+	}
+	if err := g.SetSharedPrefix(2); err != nil {
+		t.Fatalf("SetSharedPrefix(2): %v", err)
+	}
+}
+
+// TestKeyedIndexSeededAndMigrating covers the way partial matches bypass
+// the plain path: prefix assignments injected by Seed, into a subscriber
+// whose remaining states both hold an adjacent equality, indexed and over
+// one bucket per state. (Migration's emit filter runs on every keyed case
+// of the table.)
+func TestKeyedIndexSeededAndMigrating(t *testing.T) {
+	s := matchtest.Schema(4)
+	const window = 40
+	pat := matchtest.EqChain(s, 4, window)
+	evs := matchtest.Stream(41, s, 600, []float64{0, 1, 2})
+	want := matchtest.Keys(oracle.Matches(pat, evs))
+	run := func(indexed bool) delivery {
+		return seeded(t, matchtest.EqChain(s, 2, 2*window), evs, func(emit func(*match.Match)) *Engine {
+			return newEngine(pat, plan.NewOrderPlan(pat.Core()), emit, indexed)
+		})
+	}
+	ref, got := run(false).work(0), run(true).work(2)
+	if len(want) == 0 || !reflect.DeepEqual(ref.Keys, want) {
+		t.Fatalf("seeded single-bucket subscriber found %d matches, oracle %d", len(ref.Keys), len(want))
+	}
+	matchtest.RequireSameWork(t, "seeded prefix", got, ref)
+}
+
+// keepAllHistory rebuilds g's states as places keyed as before that keep
+// a history: the store without the history rule, its reference.
+func keepAllHistory(g *Engine, indexed bool) {
+	for s := 1; s < g.n; s++ {
+		var key match.EqKey
+		if indexed {
+			key = match.EqKeyOf(g.checks[s])
+		}
+		g.states[s] = g.Store.NewPlace(key, true)
+	}
+}
+
+// tiedStream draws count events over the schema's types with timestamp
+// gaps of 0..2, so a third of the events share their timestamp with the
+// one before; k comes from keys and v from {0,1,2}.
+func tiedStream(seed int64, s *event.Schema, count int, keys []float64) []event.Event {
+	r := rand.New(rand.NewSource(seed))
+	evs := make([]event.Event, 0, count)
+	var ts event.Time
+	for i := range count {
+		ts += event.Time(r.Intn(3))
+		e := s.MustNew(r.Intn(s.NumTypes()), ts, keys[r.Intn(len(keys))], float64(r.Intn(3)))
+		e.Seq = uint64(i + 1)
 		evs = append(evs, e)
 	}
 	return evs
 }
 
-func runEngine(pat *pattern.Pattern, op *plan.OrderPlan, evs []event.Event) ([]*match.Match, match.Stats) {
-	var out []*match.Match
-	g := New(pat, op, func(m *match.Match) { out = append(out, m) })
-	for i := range evs {
-		g.Process(&evs[i])
-	}
-	g.Finish()
-	return out, g.Stats()
-}
-
-func seqChainPattern(s *event.Schema, n int, window event.Time) *pattern.Pattern {
-	b := pattern.NewBuilder(s, pattern.Seq, window)
-	for i := 0; i < n; i++ {
-		b.Event(i)
-	}
-	for i := 0; i+1 < n; i++ {
-		b.WherePred(pattern.Pred{L: i, R: i + 1, AttrL: 0, AttrR: 0, Op: pattern.EQ})
-	}
-	return b.MustBuild()
-}
-
-func TestNFAPaperExample(t *testing.T) {
-	// SEQ(A,B,C) with person_id equality, paper Example 1.
-	s := mkSchema(3)
-	pat := seqChainPattern(s, 3, 100)
-	evs := []event.Event{
-		{Type: 0, TS: 10, Seq: 1, Attrs: []float64{7}}, // A person 7
-		{Type: 1, TS: 20, Seq: 2, Attrs: []float64{7}}, // B person 7
-		{Type: 0, TS: 25, Seq: 3, Attrs: []float64{9}}, // A person 9
-		{Type: 2, TS: 30, Seq: 4, Attrs: []float64{7}}, // C person 7 -> match
-		{Type: 2, TS: 40, Seq: 5, Attrs: []float64{9}}, // C person 9, no B
-	}
-	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}} {
-		out, _ := runEngine(pat, plan.NewOrderPlan(order), evs)
-		if len(out) != 1 {
-			t.Fatalf("order %v: %d matches; want 1", order, len(out))
+// historyCases are matchtest.KeyedCases plus an unkeyed SEQ and an AND
+// over streams with tied timestamps: a forward-only state's history then
+// holds events at the timestamp of the PM's latest event, which only the
+// scan's strict lower bound keeps out.
+func historyCases() []matchtest.Case {
+	s := matchtest.Schema(3)
+	build := func(op pattern.Op, window event.Time) *pattern.Pattern {
+		b := pattern.NewBuilder(s, op, window)
+		for i := range 3 {
+			b.Event(i)
 		}
-		m := out[0]
-		if m.Events[0].Seq != 1 || m.Events[1].Seq != 2 || m.Events[2].Seq != 4 {
-			t.Fatalf("order %v: wrong match %v", order, m)
+		b.WherePred(pattern.Pred{L: 0, R: 1, AttrL: 1, AttrR: 1, Op: pattern.LE})
+		b.WherePred(pattern.Pred{L: 2, R: 1, AttrL: 1, AttrR: 1, Op: pattern.GE})
+		// In declaration order C meets this check before its order check
+		// against B, so a scan that visited a C tied with B would count
+		// an evaluation.
+		b.WherePred(pattern.Pred{L: 2, R: 0, AttrL: 1, AttrR: 1, Op: pattern.NE})
+		return b.MustBuild()
+	}
+	return append(matchtest.KeyedCases(),
+		matchtest.Case{Name: "seq/unkeyed/tied", Pat: build(pattern.Seq, 12), Events: tiedStream(51, s, 500, []float64{0})},
+		matchtest.Case{Name: "and/unkeyed/tied", Pat: build(pattern.And, 6), Events: tiedStream(52, s, 400, []float64{0})})
+}
+
+// requireHistoryRule holds the states of g to the rule: a state keeps
+// history exactly when one of its checks is RelBefore or RelNone, so every
+// state of a declaration-order SEQ is without. It reports the number of
+// states without history.
+func requireHistoryRule(t *testing.T, label string, g *Engine, order []int) int {
+	t.Helper()
+	free := 0
+	for s := 1; s < g.n; s++ {
+		looksBack := slices.ContainsFunc(g.checks[s], func(c match.Check) bool { return c.PC.Rel != pattern.RelAfter })
+		if g.states[s].KeepsHistory() != looksBack {
+			t.Fatalf("%s order %v: state %d keeps history %v; its checks look back: %v", label, order, s, g.states[s].KeepsHistory(), looksBack)
+		}
+		if g.Pat.Op == pattern.Seq && slices.IsSorted(order) && g.states[s].KeepsHistory() {
+			t.Fatalf("%s order %v: state %d of a declaration-order SEQ keeps history", label, order, s)
+		}
+		if !looksBack {
+			free++
 		}
 	}
+	return free
 }
 
-func TestNFAWindowExpiry(t *testing.T) {
-	s := mkSchema(2)
-	pat := seqChainPattern(s, 2, 50)
-	evs := []event.Event{
-		{Type: 0, TS: 10, Seq: 1, Attrs: []float64{1}},
-		{Type: 1, TS: 61, Seq: 2, Attrs: []float64{1}}, // 51 > W: no match
-		{Type: 0, TS: 70, Seq: 3, Attrs: []float64{1}},
-		{Type: 1, TS: 100, Seq: 4, Attrs: []float64{1}}, // within window of A@70
-	}
-	out, _ := runEngine(pat, plan.NewOrderPlan([]int{0, 1}), evs)
-	if len(out) != 1 {
-		t.Fatalf("%d matches; want 1", len(out))
-	}
-	if out[0].Events[0].Seq != 3 {
-		t.Fatalf("wrong A matched: %v", out[0])
-	}
-	// Window boundary is inclusive: exactly W apart matches.
-	evs2 := []event.Event{
-		{Type: 0, TS: 10, Seq: 1, Attrs: []float64{1}},
-		{Type: 1, TS: 60, Seq: 2, Attrs: []float64{1}},
-	}
-	out2, _ := runEngine(pat, plan.NewOrderPlan([]int{0, 1}), evs2)
-	if len(out2) != 1 {
-		t.Fatalf("boundary match missed")
-	}
-}
-
-func TestNFAAllOrdersAgreeWithOracle(t *testing.T) {
-	// The emitted match set must be identical for every plan order and
-	// equal to the brute-force oracle.
-	s := mkSchema(3)
-	pat := seqChainPattern(s, 3, 60)
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 10; trial++ {
-		evs := genStream(r, s, []int{3, 2, 1}, 120, 3, 4)
-		want := oracle.Keys(oracle.Matches(pat, evs))
-		for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-			out, _ := runEngine(pat, plan.NewOrderPlan(order), evs)
-			got := oracle.Keys(out)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d order %v: got %d matches, oracle %d\ngot:  %v\nwant: %v",
-					trial, order, len(got), len(want), got, want)
+// TestHistoryRuleDifferential runs every plan order of every case with
+// the history rule and against its reference — the same engine with a
+// history on every state — once over one bucket per state
+// (newEngine(…, false)) and once indexed: matches in delivery order,
+// PMCreated and PredEvals must be identical, and the match multiset the
+// oracle's.
+func TestHistoryRuleDifferential(t *testing.T) {
+	freeStates, freeMatches := 0, 0
+	for _, c := range historyCases() {
+		want := matchtest.Keys(oracle.Matches(c.Pat, c.Events))
+		if len(want) == 0 {
+			t.Fatalf("%s: oracle found no matches; the case is vacuous", c.Name)
+		}
+		for _, order := range matchtest.Permutations(c.Pat.Core()) {
+			for _, indexed := range []bool{false, true} {
+				var got, ref delivery
+				g := newEngine(c.Pat, plan.NewOrderPlan(order), deliver(&got), indexed)
+				r := newEngine(c.Pat, plan.NewOrderPlan(order), deliver(&ref), indexed)
+				keepAllHistory(r, indexed)
+				for i := range c.Events {
+					g.Process(&c.Events[i])
+					r.Process(&c.Events[i])
+				}
+				g.Finish()
+				r.Finish()
+				got.stats, ref.stats = g.Stats(), r.Stats()
+				free := requireHistoryRule(t, c.Name, g, order)
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("%s order %v indexed %v: with the history rule %d matches, %+v; reference %d, %+v",
+						c.Name, order, indexed, len(got.keys), got.stats, len(ref.keys), ref.stats)
+				}
+				if sorted := got.work(0).Keys; !reflect.DeepEqual(sorted, want) {
+					t.Fatalf("%s order %v indexed %v: %d matches, oracle %d", c.Name, order, indexed, len(sorted), len(want))
+				}
+				if free > 0 {
+					freeStates += free
+					freeMatches += len(got.keys)
+				}
 			}
 		}
 	}
+	if freeStates == 0 || freeMatches == 0 {
+		t.Fatal("no run had a state without history and a match; the rule was not exercised")
+	}
 }
 
-func TestNFAConjunction(t *testing.T) {
-	s := mkSchema(3)
-	b := pattern.NewBuilder(s, pattern.And, 60)
-	for i := 0; i < 3; i++ {
-		b.Event(i)
-	}
-	b.WherePred(pattern.Pred{L: 0, R: 1, Op: pattern.EQ})
-	pat := b.MustBuild()
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 6; trial++ {
-		evs := genStream(r, s, []int{2, 2, 1}, 90, 3, 4)
-		want := oracle.Keys(oracle.Matches(pat, evs))
-		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
-			out, _ := runEngine(pat, plan.NewOrderPlan(order), evs)
-			if got := oracle.Keys(out); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d order %v: engine/oracle mismatch (%d vs %d)",
-					trial, order, len(got), len(want))
+// TestHistoryRuleSeeded: a suffix automaton seeded by a prefix runner is
+// forward-only in declaration order, over tied timestamps too — a seed
+// arrives while the event that completed the prefix is processed, before
+// the automaton sees it — and delivers exactly what its reference does.
+func TestHistoryRuleSeeded(t *testing.T) {
+	s := matchtest.Schema(4)
+	const window = 30
+	pat := matchtest.EqChain(s, 4, window)
+	evs := tiedStream(53, s, 800, []float64{0, 1})
+	want := matchtest.Keys(oracle.Matches(pat, evs))
+	run := func(all bool) delivery {
+		return seeded(t, matchtest.EqChain(s, 2, 2*window), evs, func(emit func(*match.Match)) *Engine {
+			g := New(pat, plan.NewOrderPlan(pat.Core()), emit)
+			if all {
+				keepAllHistory(g, true)
+			} else {
+				requireHistoryRule(t, "seeded", g, pat.Core())
 			}
-		}
+			return g
+		})
 	}
-}
-
-func TestNFANegationAgainstOracle(t *testing.T) {
-	s := mkSchema(3)
-	b := pattern.NewBuilder(s, pattern.Seq, 60)
-	b.Event(0)
-	n := b.Event(1)
-	b.Event(2)
-	b.Negate(n)
-	b.WherePred(pattern.Pred{L: n, R: 0, Op: pattern.EQ})
-	pat := b.MustBuild()
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		evs := genStream(r, s, []int{2, 1, 2}, 100, 2, 4)
-		want := oracle.Keys(oracle.Matches(pat, evs))
-		out, _ := runEngine(pat, plan.NewOrderPlan([]int{0, 2}), evs)
-		if got := oracle.Keys(out); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: negation mismatch: got %d want %d", trial, len(got), len(want))
-		}
+	got, ref := run(false), run(true)
+	if len(want) == 0 || !reflect.DeepEqual(got.work(0).Keys, want) {
+		t.Fatalf("seeded subscriber found %d matches, oracle %d", len(got.keys), len(want))
 	}
-}
-
-func TestNFAKleeneAgainstOracle(t *testing.T) {
-	s := mkSchema(3)
-	b := pattern.NewBuilder(s, pattern.Seq, 60)
-	b.Event(0)
-	k := b.Event(1)
-	b.Event(2)
-	b.Kleene(k)
-	b.WherePred(pattern.Pred{L: k, R: 0, Op: pattern.EQ})
-	pat := b.MustBuild()
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 8; trial++ {
-		evs := genStream(r, s, []int{1, 3, 1}, 100, 2, 4)
-		wantMs := oracle.Matches(pat, evs)
-		want := oracle.Keys(wantMs)
-		var out []*match.Match
-		g := New(pat, plan.NewOrderPlan([]int{0, 2}), func(m *match.Match) { out = append(out, m) })
-		for i := range evs {
-			g.Process(&evs[i])
-		}
-		g.Finish()
-		if got := oracle.Keys(out); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: kleene core mismatch: got %d want %d", trial, len(got), len(want))
-		}
-		// Kleene sets must match too: index oracle by key.
-		oracleBy := map[string][]uint64{}
-		for _, m := range wantMs {
-			var seqs []uint64
-			for _, e := range m.Kleene[1] {
-				seqs = append(seqs, e.Seq)
-			}
-			oracleBy[m.Key()] = seqs
-		}
-		for _, m := range out {
-			var seqs []uint64
-			for _, e := range m.Kleene[1] {
-				seqs = append(seqs, e.Seq)
-			}
-			if !reflect.DeepEqual(seqs, oracleBy[m.Key()]) {
-				t.Fatalf("trial %d: kleene set mismatch for %s: %v vs %v",
-					trial, m.Key(), seqs, oracleBy[m.Key()])
-			}
-		}
-	}
-}
-
-func TestNFADuplicateTypeAcrossPositions(t *testing.T) {
-	// SEQ(A, A): same type at two positions; an event must not pair with
-	// itself.
-	s := mkSchema(1)
-	b := pattern.NewBuilder(s, pattern.Seq, 100)
-	b.Event(0)
-	b.Event(0)
-	pat := b.MustBuild()
-	evs := []event.Event{
-		{Type: 0, TS: 10, Seq: 1, Attrs: []float64{0}},
-		{Type: 0, TS: 20, Seq: 2, Attrs: []float64{0}},
-		{Type: 0, TS: 30, Seq: 3, Attrs: []float64{0}},
-	}
-	want := oracle.Keys(oracle.Matches(pat, evs))
-	for _, order := range [][]int{{0, 1}, {1, 0}} {
-		out, _ := runEngine(pat, plan.NewOrderPlan(order), evs)
-		if got := oracle.Keys(out); !reflect.DeepEqual(got, want) {
-			t.Fatalf("order %v: got %v want %v", order, got, want)
-		}
-	}
-	// 3 ordered pairs: (1,2), (1,3), (2,3).
-	if len(want) != 3 {
-		t.Fatalf("oracle found %d; want 3", len(want))
-	}
-}
-
-func TestNFAEmitFilter(t *testing.T) {
-	s := mkSchema(2)
-	pat := seqChainPattern(s, 2, 100)
-	evs := []event.Event{
-		{Type: 0, TS: 10, Seq: 1, Attrs: []float64{1}},
-		{Type: 1, TS: 20, Seq: 2, Attrs: []float64{1}},
-		{Type: 0, TS: 30, Seq: 3, Attrs: []float64{1}},
-		{Type: 1, TS: 40, Seq: 4, Attrs: []float64{1}},
-	}
-	var out []*match.Match
-	g := New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { out = append(out, m) })
-	g.SetEmitOnlyBefore(3) // only matches touching events 1 or 2
-	for i := range evs {
-		g.Process(&evs[i])
-	}
-	g.Finish()
-	// Full set would be (1,2), (1,4), (3,4); filter drops (3,4).
-	if len(out) != 2 {
-		t.Fatalf("%d matches; want 2", len(out))
-	}
-	if g.Stats().Suppressed != 1 {
-		t.Fatalf("Suppressed = %d; want 1", g.Stats().Suppressed)
-	}
-}
-
-func TestNFAStatsAndExpiry(t *testing.T) {
-	s := mkSchema(2)
-	pat := seqChainPattern(s, 2, 10)
-	var out []*match.Match
-	g := New(pat, plan.NewOrderPlan([]int{0, 1}), func(m *match.Match) { out = append(out, m) })
-	// Burst of As, then silence long past the window, then a B.
-	var seq uint64
-	for ts := event.Time(1); ts <= 5; ts++ {
-		seq++
-		e := s.MustNew(0, ts, 1)
-		e.Seq = seq
-		g.Process(&e)
-	}
-	st := g.Stats()
-	if st.PMCreated != 5 || st.LivePMs != 5 {
-		t.Fatalf("after burst: %+v", st)
-	}
-	// A B inside the window pairs with all five As.
-	seq++
-	b := s.MustNew(1, 6, 1)
-	b.Seq = seq
-	g.Process(&b)
-	if len(out) != 5 {
-		t.Fatalf("%d matches; want 5", len(out))
-	}
-	seq++
-	late := s.MustNew(1, 500, 1)
-	late.Seq = seq
-	g.Process(&late)
-	g.Finish()
-	if len(out) != 5 {
-		t.Fatal("expired PM matched the late B")
-	}
-	st = g.Stats()
-	if st.LivePMs != 0 {
-		t.Fatalf("PMs not pruned: %+v", st)
-	}
-	if st.PredEvals == 0 {
-		t.Fatal("no predicate evaluations counted")
-	}
-	if g.Plan() == nil {
-		t.Fatal("Plan() nil")
-	}
-}
-
-func TestNFAPlanOrderAffectsWork(t *testing.T) {
-	// With skewed rates, starting from the rare type must create far
-	// fewer PMs than starting from the frequent type (the paper's core
-	// motivation).
-	s := mkSchema(3)
-	pat := seqChainPattern(s, 3, 200)
-	r := rand.New(rand.NewSource(5))
-	evs := genStream(r, s, []int{20, 4, 1}, 2000, 2, 2)
-	_, ascStats := runEngine(pat, plan.NewOrderPlan([]int{2, 1, 0}), evs)
-	_, descStats := runEngine(pat, plan.NewOrderPlan([]int{0, 1, 2}), evs)
-	if ascStats.Emitted != descStats.Emitted {
-		t.Fatalf("order changed semantics: %d vs %d", ascStats.Emitted, descStats.Emitted)
-	}
-	if ascStats.PMCreated >= descStats.PMCreated {
-		t.Fatalf("ascending order PMs %d >= descending %d", ascStats.PMCreated, descStats.PMCreated)
-	}
-}
-
-func TestNFASinglePosition(t *testing.T) {
-	s := mkSchema(1)
-	b := pattern.NewBuilder(s, pattern.Seq, 100)
-	b.Event(0)
-	pat := b.MustBuild()
-	evs := []event.Event{
-		{Type: 0, TS: 1, Seq: 1, Attrs: []float64{0}},
-		{Type: 0, TS: 2, Seq: 2, Attrs: []float64{0}},
-	}
-	out, st := runEngine(pat, plan.NewOrderPlan([]int{0}), evs)
-	if len(out) != 2 || st.Emitted != 2 {
-		t.Fatalf("%d matches; want 2", len(out))
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("seeded: with the history rule %+v, reference %+v", got.stats, ref.stats)
 	}
 }
