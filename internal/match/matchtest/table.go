@@ -135,6 +135,7 @@ func scenarios() []scenario {
 		out = append(out, scenario{w.name, func(m Model, t *testing.T) { m.requireCheaper(t, w) }})
 	}
 	return append(out,
+		scenario{"work/look-back", Model.lookBack},
 		scenario{"expiry", Model.expiry},
 		scenario{"introspection", Model.introspection},
 		scenario{"stale-bound", Model.staleBound},
@@ -182,6 +183,10 @@ func Cases() []Case {
 		// the Bs 1, 3 and 5 ticks later.
 		{Name: "identity/seq-zero", Pat: build(xs[2], pattern.Seq, 6, []int{0, 1}, -1, -1), Events: seqZero,
 			Matches: slices.Repeat([]string{"0,0,"}, 28*3+2+1)},
+		// Unordered, each A pairs with the Bs 1, 3 and 5 ticks before and
+		// after it, nine fewer at the stream's ends.
+		{Name: "identity/seq-zero-and", Pat: build(xs[2], pattern.And, 6, []int{0, 1}, -1, -1), Events: seqZero,
+			Matches: slices.Repeat([]string{"0,0,"}, 30*6-9)},
 		// Of (1,2), (1,4) and (3,4), the filter at 3 withholds (3,4).
 		{Name: "emit-filter", Pat: EqChain(xs[2], 2, 100), Events: []event.Event{
 			ev(0, 10, 1, 1), ev(1, 20, 2, 1), ev(0, 30, 3, 1), ev(1, 40, 4, 1),
@@ -355,6 +360,31 @@ func (m Model) requireCheaper(t *testing.T, w workCase) {
 	}
 	if cheap.PMCreated >= dear.PMCreated {
 		t.Fatalf("%s: %d partial matches joining %v, %d joining %v; want fewer", w.name, cheap.PMCreated, w.cheap, dear.PMCreated, w.dear)
+	}
+}
+
+// lookBack joins SEQ(A, B, C) with a.x < b.x < c.x in the order A, C, B:
+// an arriving B would have to precede the C each partial match (or tuple)
+// it meets holds, and the engines offer it to none, where each meeting
+// would first have evaluated a.x < b.x. The matches are the oracle's, and
+// both models evaluate predicates only where an A, C pair meets an earlier
+// B: 4993 times, where offering each arriving B too made it 8564.
+func (m Model) lookBack(t *testing.T) {
+	s := SchemaX(3)
+	pat := LTChain(s, 3, 30, -1)
+	evs := Weighted(rand.New(rand.NewSource(17)), s, []int{2, 2, 1}, 600, 6, 2)
+	want := Keys(oracle.Matches(pat, evs))
+	var out []*match.Match
+	g := m.New(pat, m.Chain([]int{0, 2, 1}), func(mm *match.Match) { out = append(out, mm) }, true)
+	for i := range evs {
+		g.Process(&evs[i])
+	}
+	g.Finish()
+	if got := Keys(out); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("joining A, C, B: %d matches, oracle %d", len(got), len(want))
+	}
+	if got := g.Stats().PredEvals; got != 4993 {
+		t.Fatalf("joining A, C, B: %d predicate evaluations; want 4993", got)
 	}
 }
 
@@ -619,24 +649,43 @@ func (m Model) allocsKeyChurn(t *testing.T) {
 // BenchProcess measures event processing on a size-4 SEQ chain over
 // skewed rates, joining the rare types first and the frequent ones first:
 // the cost gap plan quality makes, the quantity adaptation optimises.
+// EqChain's small key buckets keep most arrivals from meeting a partial
+// match at all; the lt-chain cases, an LTChain with nothing to key on,
+// join under plans whose every later place looks back, so an engine that
+// offered each arrival there would meet every partial match in the
+// window. Rare-first checks the order relation first; last-first, the
+// shape of the greedy planner's orders on skewed traffic, would evaluate
+// a predicate against an earlier position before it.
 func (m Model) BenchProcess(b *testing.B) {
 	s := SchemaX(4)
-	pat := EqChain(s, 4, 100)
-	evs := Weighted(rand.New(rand.NewSource(1)), s, []int{12, 6, 2, 1}, 50000, 3, 2)
+	r := rand.New(rand.NewSource(1))
+	eqEvs := Weighted(r, s, []int{12, 6, 2, 1}, 50000, 3, 2)
+	ltEvs := Weighted(r, s, []int{12, 6, 2, 1}, 50000, 8, 2)
+	eq, lt := EqChain(s, 4, 100), LTChain(s, 4, 100, -1)
 	for _, tc := range []struct {
 		name  string
+		pat   *pattern.Pattern
+		evs   []event.Event
 		order []int
-	}{{"rare-first", []int{3, 2, 1, 0}}, {"frequent-first", []int{0, 1, 2, 3}}} {
+	}{
+		{"rare-first", eq, eqEvs, []int{3, 2, 1, 0}},
+		{"frequent-first", eq, eqEvs, []int{0, 1, 2, 3}},
+		{"lt-chain/rare-first", lt, ltEvs, []int{3, 2, 1, 0}},
+		{"lt-chain/last-first", lt, ltEvs, []int{3, 0, 1, 2}},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var evals uint64
 			for range b.N {
-				g := m.New(pat, m.Chain(tc.order), func(*match.Match) {}, true)
-				for j := range evs {
-					g.Process(&evs[j])
+				g := m.New(tc.pat, m.Chain(tc.order), func(*match.Match) {}, true)
+				for j := range tc.evs {
+					g.Process(&tc.evs[j])
 				}
 				g.Finish()
+				evals = g.Stats().PredEvals
 			}
-			b.SetBytes(int64(len(evs)))
+			b.SetBytes(int64(len(tc.evs)))
+			b.ReportMetric(float64(evals)/float64(len(tc.evs)), "pred-evals/event")
 		})
 	}
 }

@@ -22,11 +22,19 @@
 // Stats.PMCreated are those of the unindexed engine; Stats.PredEvals is
 // lower.
 //
-// A state whose next position must strictly follow every filled one
-// (every check RelAfter — all states of a declaration-order SEQ) keeps no
-// history: a PM is registered there only while the event it holds last is
-// processed, so nothing recorded could follow it and the lazy scan would
-// visit nothing.
+// Each state is classified once, when the plan is compiled, by the order
+// relations of its check list; events arrive in non-decreasing timestamp
+// order and both rules lean on it:
+//   - forward (every check RelAfter — all states of a declaration-order
+//     SEQ): no history. A PM is registered there only while the event it
+//     holds last is processed, so nothing recorded could follow it and the
+//     lazy scan would visit nothing. Arriving events take the eager path.
+//   - look-back (some check RelBefore): no eager path. The next position
+//     must strictly precede an event the PM already holds, and an arriving
+//     event is no earlier than any of them, so Offer records it and sweeps
+//     expiry but no PM is asked; PMs there grow through the lazy scan alone.
+//   - unordered (AND states, every check RelNone or RelAfter, one at least
+//     RelNone): both paths.
 //
 // Introspection (LivePMs, HotTypes, HotKeys) reads the store. On an
 // indexed state, a PM that expired in a bucket no later event probes is
@@ -46,7 +54,6 @@ package nfa
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"acep/internal/event"
@@ -65,6 +72,7 @@ type Engine struct {
 	orderIdx []int           // pattern position -> index in order (-1 if residual)
 	states   []*match.Place  // states[s]: PMs with s filled positions (1..n-1)
 	checks   [][]match.Check // per state: checks against the filled prefix
+	rules    []rule          // per state: which paths extend its PMs
 	n        int             // number of core positions
 	prefix   int             // when >0, order[0..prefix-1] is fed externally via Seed
 }
@@ -97,9 +105,10 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 	// exactly order[0..s-1], so the extension checks are a fixed list (in
 	// declaration-position order, matching the historical predicate
 	// evaluation order). A state whose list holds an equality predicate
-	// is indexed on it; one whose list is all RelAfter keeps no history.
+	// is indexed on it; a forward state keeps no history.
 	g.states = make([]*match.Place, g.n)
 	g.checks = make([][]match.Check, g.n)
+	g.rules = make([]rule, g.n)
 	for s := 1; s < g.n; s++ {
 		next := op.Order[s]
 		cs := make([]match.Check, 0, s)
@@ -113,10 +122,35 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 		if indexed {
 			key = match.EqKeyOf(cs)
 		}
-		history := slices.ContainsFunc(cs, func(c match.Check) bool { return c.PC.Rel != pattern.RelAfter })
-		g.states[s] = g.Store.NewPlace(key, history)
+		g.rules[s] = classify(cs)
+		g.states[s] = g.Store.NewPlace(key, g.rules[s] != forward)
 	}
 	return g
+}
+
+// rule is a state's offer rule: which of the two paths — the eager one,
+// an arriving event offered to the PMs parked there, and the lazy scan of
+// the history when a PM parks — can extend its PMs.
+type rule uint8
+
+const (
+	forward   rule = iota // eager path only, no history
+	lookBack              // lazy scan only: no arriving event is offered
+	unordered             // both
+)
+
+// classify names the rule of a state with the given check list.
+func classify(cs []match.Check) rule {
+	r := forward
+	for _, c := range cs {
+		switch c.PC.Rel {
+		case pattern.RelBefore:
+			return lookBack
+		case pattern.RelNone:
+			r = unordered
+		}
+	}
+	return r
 }
 
 // Plan returns the order plan in effect.
@@ -208,8 +242,14 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 			continue
 		}
 		// Offer the event to the PMs waiting at state k that its key
-		// selects, and record it for the ones that park there later.
-		for _, m := range g.states[k].Offer(e, g.Watermark()) {
+		// selects, and record it for the ones that park there later. At a
+		// look-back state it must precede an event each PM holds: it can
+		// extend none.
+		ms := g.states[k].Offer(e, g.Watermark())
+		if g.rules[k] == lookBack {
+			continue
+		}
+		for _, m := range ms {
 			if g.canExtend(k, m, e) {
 				g.fork(k, m, p, e)
 			}

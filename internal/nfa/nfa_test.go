@@ -136,7 +136,8 @@ func BenchmarkExtend(b *testing.B) {
 }
 
 // What follows is the NFA's alone: the order its lazy scan delivers in, a
-// suffix automaton seeded by a prefix runner, and the history rule.
+// suffix automaton seeded by a prefix runner, and the history and offer
+// rules.
 
 // TestEmissionOrderPinned pins the order in which the engine delivers its
 // matches, not just their multiset, for three plan orders of a keyed and
@@ -301,7 +302,7 @@ func TestKeyedIndexSeededAndMigrating(t *testing.T) {
 }
 
 // keepAllHistory rebuilds g's states as places keyed as before that keep
-// a history: the store without the history rule, its reference.
+// a history: the engine without the history rule, its reference.
 func keepAllHistory(g *Engine, indexed bool) {
 	for s := 1; s < g.n; s++ {
 		var key match.EqKey
@@ -309,6 +310,16 @@ func keepAllHistory(g *Engine, indexed bool) {
 			key = match.EqKeyOf(g.checks[s])
 		}
 		g.states[s] = g.Store.NewPlace(key, true)
+	}
+}
+
+// bothPaths is keepAllHistory that also offers every arriving event at
+// every state: the engine without the history and offer rules, the offer
+// rule's reference.
+func bothPaths(g *Engine, indexed bool) {
+	keepAllHistory(g, indexed)
+	for s := 1; s < g.n; s++ {
+		g.rules[s] = unordered
 	}
 }
 
@@ -352,17 +363,24 @@ func historyCases() []matchtest.Case {
 		matchtest.Case{Name: "and/unkeyed/tied", Pat: build(pattern.And, 6), Events: tiedStream(52, s, 400, []float64{0})})
 }
 
-// requireHistoryRule holds the states of g to the rule: a state keeps
-// history exactly when one of its checks is RelBefore or RelNone, so every
-// state of a declaration-order SEQ is without. It reports the number of
-// states without history.
-func requireHistoryRule(t *testing.T, label string, g *Engine, order []int) int {
+// requireRules holds the states of g to the rules: a state keeps history
+// exactly when one of its checks is RelBefore or RelNone, so every state of
+// a declaration-order SEQ is without, and is offered no arriving event
+// exactly when one is RelBefore. It reports the number of states without
+// history.
+func requireRules(t *testing.T, label string, g *Engine, order []int) int {
 	t.Helper()
 	free := 0
 	for s := 1; s < g.n; s++ {
-		looksBack := slices.ContainsFunc(g.checks[s], func(c match.Check) bool { return c.PC.Rel != pattern.RelAfter })
+		has := func(rel int8) bool {
+			return slices.ContainsFunc(g.checks[s], func(c match.Check) bool { return c.PC.Rel == rel })
+		}
+		looksBack := has(pattern.RelBefore) || has(pattern.RelNone)
 		if g.states[s].KeepsHistory() != looksBack {
 			t.Fatalf("%s order %v: state %d keeps history %v; its checks look back: %v", label, order, s, g.states[s].KeepsHistory(), looksBack)
+		}
+		if skips, before := g.rules[s] == lookBack, has(pattern.RelBefore); skips != before {
+			t.Fatalf("%s order %v: state %d offers arriving events to none: %v; a check needs one before a held event: %v", label, order, s, skips, before)
 		}
 		if g.Pat.Op == pattern.Seq && slices.IsSorted(order) && g.states[s].KeepsHistory() {
 			t.Fatalf("%s order %v: state %d of a declaration-order SEQ keeps history", label, order, s)
@@ -374,14 +392,15 @@ func requireHistoryRule(t *testing.T, label string, g *Engine, order []int) int 
 	return free
 }
 
-// TestHistoryRuleDifferential runs every plan order of every case with
-// the history rule and against its reference — the same engine with a
-// history on every state — once over one bucket per state
-// (newEngine(…, false)) and once indexed: matches in delivery order,
-// PMCreated and PredEvals must be identical, and the match multiset the
-// oracle's.
-func TestHistoryRuleDifferential(t *testing.T) {
-	freeStates, freeMatches := 0, 0
+// differential runs every plan order of every history case with the
+// history and offer rules and against the reference rebuild makes of the
+// same engine, once over one bucket per state (newEngine(…, false)) and
+// once indexed: matches in delivery order and every counter but PredEvals
+// must be identical, PredEvals identical too when exact and otherwise no
+// higher, and the match multiset the oracle's. It reports the matches of
+// runs with a state without history, and the runs that evaluated fewer
+// predicates than their reference.
+func differential(t *testing.T, rebuild func(*Engine, bool), exact bool) (freeMatches, fewer int) {
 	for _, c := range historyCases() {
 		want := matchtest.Keys(oracle.Matches(c.Pat, c.Events))
 		if len(want) == 0 {
@@ -392,7 +411,7 @@ func TestHistoryRuleDifferential(t *testing.T) {
 				var got, ref delivery
 				g := newEngine(c.Pat, plan.NewOrderPlan(order), deliver(&got), indexed)
 				r := newEngine(c.Pat, plan.NewOrderPlan(order), deliver(&ref), indexed)
-				keepAllHistory(r, indexed)
+				rebuild(r, indexed)
 				for i := range c.Events {
 					g.Process(&c.Events[i])
 					r.Process(&c.Events[i])
@@ -400,23 +419,46 @@ func TestHistoryRuleDifferential(t *testing.T) {
 				g.Finish()
 				r.Finish()
 				got.stats, ref.stats = g.Stats(), r.Stats()
-				free := requireHistoryRule(t, c.Name, g, order)
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s order %v indexed %v: with the history rule %d matches, %+v; reference %d, %+v",
-						c.Name, order, indexed, len(got.keys), got.stats, len(ref.keys), ref.stats)
+				free := requireRules(t, c.Name, g, order)
+				evals := got.stats.PredEvals
+				if !exact {
+					got.stats.PredEvals = ref.stats.PredEvals
+				}
+				if !reflect.DeepEqual(got, ref) || evals > ref.stats.PredEvals {
+					t.Fatalf("%s order %v indexed %v: with the rules %d matches, %+v, %d predicate evaluations; reference %d, %+v",
+						c.Name, order, indexed, len(got.keys), got.stats, evals, len(ref.keys), ref.stats)
 				}
 				if sorted := got.work(0).Keys; !reflect.DeepEqual(sorted, want) {
 					t.Fatalf("%s order %v indexed %v: %d matches, oracle %d", c.Name, order, indexed, len(sorted), len(want))
 				}
+				if evals < ref.stats.PredEvals {
+					fewer++
+				}
 				if free > 0 {
-					freeStates += free
 					freeMatches += len(got.keys)
 				}
 			}
 		}
 	}
-	if freeStates == 0 || freeMatches == 0 {
+	return freeMatches, fewer
+}
+
+// TestHistoryRuleDifferential holds the engine to the same engine with a
+// history on every state (differential, exact): the scans the history
+// rule spares visit nothing, not even an event tied with the PM's latest.
+func TestHistoryRuleDifferential(t *testing.T) {
+	if free, _ := differential(t, keepAllHistory, true); free == 0 {
 		t.Fatal("no run had a state without history and a match; the rule was not exercised")
+	}
+}
+
+// TestOfferRuleDifferential holds the engine to the same engine with a
+// history on every state that offers every arriving event at every state
+// (differential): the offers the offer rule spares extend nothing, and
+// some would have evaluated a predicate.
+func TestOfferRuleDifferential(t *testing.T) {
+	if _, fewer := differential(t, bothPaths, false); fewer == 0 {
+		t.Fatal("no run evaluated fewer predicates than its reference; the rule was not exercised")
 	}
 }
 
@@ -436,7 +478,7 @@ func TestHistoryRuleSeeded(t *testing.T) {
 			if all {
 				keepAllHistory(g, true)
 			} else {
-				requireHistoryRule(t, "seeded", g, pat.Core())
+				requireRules(t, "seeded", g, pat.Core())
 			}
 			return g
 		})

@@ -108,11 +108,12 @@ type PairCheck struct {
 }
 
 // Ok applies the check: temporal relation (which for strict relations
-// also guarantees the two events are distinct) and all predicates, with
-// n the new event and o the already-assigned one. The window constraint
-// is NOT applied here — engines check it once per partial match against
-// the match's timestamp span instead of once per pair. npreds counts
-// predicate evaluations performed.
+// also guarantees the two events are distinct; an unordered pair is told
+// apart by identity, as a stream may leave every Seq at 0) and all
+// predicates, with n the new event and o the already-assigned one. The
+// window constraint is NOT applied here — engines check it once per
+// partial match against the match's timestamp span instead of once per
+// pair. npreds counts predicate evaluations performed.
 func (pc *PairCheck) Ok(n, o *event.Event, npreds *uint64) bool {
 	switch pc.Rel {
 	case RelBefore:
@@ -124,7 +125,7 @@ func (pc *PairCheck) Ok(n, o *event.Event, npreds *uint64) bool {
 			return false
 		}
 	default:
-		if n.Seq == o.Seq {
+		if n == o {
 			return false
 		}
 	}

@@ -19,6 +19,14 @@
 // still counted until the next prune, at most half a window past its
 // expiry.
 //
+// An insert chain starts at the leaf of the event that arrived, and that
+// event is the latest of every tuple the chain builds. Where a node's join
+// table needs it strictly before an event of the sibling's leaf set — a
+// RelBefore pair, known when the plan is compiled — every probe there is
+// doomed: the tuple still parks and still sweeps the sibling's bucket, so
+// LivePMs and PeakPMs read as before, but it joins nothing. The sibling's
+// tuples meet it instead when they are inserted later.
+//
 // Like the NFA engine, this one stores no event — it keeps the pointers
 // it is handed, good until Floor has passed them — and its steady-state
 // per-event path is allocation-free: tuples, their assignment arrays and
@@ -47,6 +55,7 @@ type node struct {
 	parent, sibling *node
 	store           *match.Place  // tuples over this node's leaf set (nil at the root)
 	joins           []match.Check // cross pairs vs the sibling's leaf set: inserted tuple's PosN, sibling tuple's PosO
+	doomed          []bool        // by the position whose arrival started the insert chain: a join pair needs it before a sibling event
 }
 
 // Engine is a tree-based evaluation engine for one (non-OR) pattern and
@@ -115,8 +124,9 @@ func leafSet(n *node, out []int) []int {
 
 // compileJoins builds every non-root node's flat join table: the cross
 // pairs between its leaf set and its sibling's, each with the pattern's
-// pre-oriented pair check. Tuples are complete over their node's leaf
-// set, so the table never needs nil checks at join time.
+// pre-oriented pair check, and marks the positions whose arrival can join
+// nothing there. Tuples are complete over their node's leaf set, so the
+// table never needs nil checks at join time.
 func (g *Engine) compileJoins(n *node) {
 	if n == nil {
 		return
@@ -124,9 +134,12 @@ func (g *Engine) compileJoins(n *node) {
 	if n != g.root && n.sibling != nil {
 		mine := leafSet(n, nil)
 		theirs := leafSet(n.sibling, nil)
+		n.doomed = make([]bool, g.Pat.NumPositions())
 		for _, pa := range mine {
 			for _, pb := range theirs {
-				n.joins = append(n.joins, match.Check{PosN: pa, PosO: pb, PC: g.Pat.Pair(pa, pb)})
+				pc := g.Pat.Pair(pa, pb)
+				n.joins = append(n.joins, match.Check{PosN: pa, PosO: pb, PC: pc})
+				n.doomed[pa] = n.doomed[pa] || pc.Rel == pattern.RelBefore
 			}
 		}
 	}
@@ -187,23 +200,29 @@ func (g *Engine) process(e *event.Event, mask uint32) {
 		t.MaxTS = e.TS
 		t.Evs[p] = e
 		g.PMCreated++
-		g.insert(leaf, t)
+		g.insert(leaf, t, p)
 	}
 }
 
 // insert adds a tuple at a node, emits if the node is the root, and
 // otherwise joins it against the sibling tuples its key selects, pushing
-// combined tuples to the parent.
-func (g *Engine) insert(n *node, t *tuple) {
+// combined tuples to the parent. p is the position of the event whose
+// arrival started the chain; where the node's joins need that event
+// before a sibling event, the probe only sweeps.
+func (g *Engine) insert(n *node, t *tuple, p int) {
 	if n == g.root {
 		g.Complete(t)
 		return
 	}
 	n.store.Park(t)
-	for _, s := range n.sibling.store.ProbePartial(t, g.Watermark()) {
+	ss := n.sibling.store.ProbePartial(t, g.Watermark())
+	if n.doomed[p] {
+		return
+	}
+	for _, s := range ss {
 		if g.joinOK(n, t, s) {
 			g.PMCreated++
-			g.insert(n.parent, g.merge(t, s))
+			g.insert(n.parent, g.merge(t, s), p)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package tree
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"acep/internal/event"
@@ -146,4 +149,69 @@ func FuzzEnginesVsOracle(f *testing.F) {
 		},
 		Shapes: func(order []int) []plan.Plan { return []plan.Plan{plan.NewOrderPlan(order)} },
 	})
+}
+
+// joinAll clears every node's doomed marks: the engine that joins on every
+// insert, the reference of the offer rule.
+func joinAll(n *node) {
+	if n == nil {
+		return
+	}
+	clear(n.doomed)
+	joinAll(n.left)
+	joinAll(n.right)
+}
+
+// TestDoomedProbeDifferential runs every plan of the table's chain,
+// negation, Kleene and keyed cases with the offer rule and against its
+// reference, joinAll, once over one bucket per node and once indexed:
+// matches in delivery order and every counter but PredEvals must be
+// identical — the doomed probe still parks and sweeps, so LivePMs and
+// PeakPMs too — and PredEvals no higher.
+func TestDoomedProbeDifferential(t *testing.T) {
+	type delivery struct {
+		keys  []string
+		stats match.Stats
+	}
+	run := func(pat *pattern.Pattern, p plan.Plan, evs []event.Event, indexed, all bool) delivery {
+		var out delivery
+		g := newEngine(pat, p.(*plan.TreePlan), func(m *match.Match) {
+			out.keys = append(out.keys, matchtest.Keys([]*match.Match{m})[0])
+		}, indexed)
+		if all {
+			joinAll(g.root)
+		}
+		for i := range evs {
+			g.Process(&evs[i])
+		}
+		g.Finish()
+		out.stats = g.Stats()
+		return out
+	}
+	runs, fewer := 0, 0
+	for _, c := range matchtest.Cases() {
+		if !slices.ContainsFunc([]string{"chain3/", "chain4/", "negation/", "kleene/", "keyed/"}, func(g string) bool { return strings.HasPrefix(c.Name, g) }) {
+			continue
+		}
+		for _, order := range matchtest.Permutations(c.Pat.Core()) {
+			for _, p := range model.Shapes(order) {
+				for _, indexed := range []bool{false, true} {
+					got, ref := run(c.Pat, p, c.Events, indexed, false), run(c.Pat, p, c.Events, indexed, true)
+					evals := got.stats.PredEvals
+					got.stats.PredEvals = ref.stats.PredEvals
+					if !reflect.DeepEqual(got, ref) || evals > ref.stats.PredEvals {
+						t.Fatalf("%s %v indexed %v: with the offer rule %d matches, %+v, %d predicate evaluations; joining on every insert %d, %+v",
+							c.Name, p, indexed, len(got.keys), got.stats, evals, len(ref.keys), ref.stats)
+					}
+					runs++
+					if evals < ref.stats.PredEvals {
+						fewer++
+					}
+				}
+			}
+		}
+	}
+	if fewer == 0 {
+		t.Fatalf("none of %d runs evaluated fewer predicates than its reference; the offer rule was not exercised", runs)
+	}
 }
