@@ -198,10 +198,11 @@ type Ingress struct {
 	keyAttr string
 	tenants map[uint32]shed.TenantBudget
 	addCut  atomic.Pointer[map[uint32]uint64]
-	// fixedSet refuses AddPattern and RemovePattern: a sealed ingress's
-	// consumer rebuilds the session from its own configuration (see
-	// NewSealedIngress).
-	fixedSet bool
+	// sealedTags: the consumer takes the tags sealed (NewSealedIngress).
+	// It keeps Enc past delivery, so no Matches frame's buffer is read
+	// into again, and it rebuilds the session from its own configuration,
+	// so AddPattern and RemovePattern refuse.
+	sealedTags bool
 
 	// Recovery/elasticity state (zero without IngressOptions.Recovery;
 	// the journal is what the coordinator asks of). released is the
@@ -341,7 +342,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		tenantAgg:  make(map[uint32]shed.TenantStat),
 		epoch:      opts.Epoch,
 		onCut:      opts.OnCut,
-		fixedSet:   sealed,
+		sealedTags: sealed,
 	}
 	if opts.Elastic != nil {
 		ec := opts.Elastic.withDefaults()
@@ -548,32 +549,20 @@ func (in *Ingress) opened(out func(shard.Tagged)) func(shard.Tagged) {
 	}
 }
 
-// tagsOf turns a node's Matches frame into the tags the merge collector
-// orders: each carries its body as Enc, aliasing the frame's own bytes,
-// undecoded. The walk checks the whole frame (wire.Matches.Each) — corrupt
-// bytes fail this node's session, and nothing of an unsound frame is
-// posted — and drops replay artifacts of runtime-added patterns. The
-// slice comes from the slot's free list when the collector has handed
-// one back. Reader goroutines.
-func (in *Ingress) tagsOf(v wire.Matches, free chan []shard.Tagged) ([]shard.Tagged, error) {
-	var tags []shard.Tagged
+// tagsOf appends to tags (empty) a node's Matches frame as the tags the
+// merge collector orders: each carries its body as Enc, aliasing the
+// frame's own bytes, undecoded. The walk checks the whole frame
+// (wire.Matches.Each) — corrupt bytes fail this node's session, and
+// nothing of an unsound frame is posted — and drops replay artifacts of
+// runtime-added patterns. Reader goroutines.
+func (in *Ingress) tagsOf(v wire.Matches, tags []shard.Tagged) ([]shard.Tagged, error) {
+	tags = slices.Grow(tags, v.Count) // Each holds the count against the bytes
 	err := v.Each(func(r wire.MatchRecord) {
-		if in.dropRegen(r.Pattern, r.Seq) {
-			return
+		if !in.dropRegen(r.Pattern, r.Seq) {
+			tags = append(tags, shard.Tagged{Seq: r.Seq, Src: int(r.Shard), Pattern: r.Pattern, Enc: r.Body})
 		}
-		if tags == nil {
-			select {
-			case tags = <-free:
-			default:
-			}
-			tags = slices.Grow(tags, v.Count) // Each held the count against the bytes
-		}
-		tags = append(tags, shard.Tagged{Seq: r.Seq, Src: int(r.Shard), Pattern: r.Pattern, Enc: r.Body})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return tags, nil
+	return tags, err
 }
 
 // metricsDone reports whether the session delivered its final metrics
@@ -620,13 +609,15 @@ func (in *Ingress) read(i int, s *slot) {
 		in.det.Heard(i)
 		switch v := f.(type) {
 		case wire.Matches:
-			tags, err := in.tagsOf(v, s.free)
-			if err != nil {
+			r := s.take()
+			if r.tags, err = in.tagsOf(v, r.tags); err != nil {
 				lost(fmt.Errorf("cluster: node %d: %w", i, err))
 				return
 			}
-			if v.UpTo > 0 || len(tags) > 0 {
-				in.col.PostRecycled(i, v.UpTo, tags, s.free)
+			if v.UpTo > 0 || len(r.tags) > 0 {
+				in.col.PostRun(i, v.UpTo, r.tags, r)
+			} else {
+				r.Release()
 			}
 		case wire.Heartbeat:
 			// Liveness only (recorded above).
@@ -1182,7 +1173,7 @@ func (in *Ingress) MigrateShard(g, to int) error {
 // Config is ignored (each node applies its own engine configuration).
 // Must be called from the Process goroutine.
 func (in *Ingress) AddPattern(sp multi.Spec) error {
-	if in.fixedSet {
+	if in.sealedTags {
 		return fmt.Errorf("cluster: AddPattern on a sealed ingress (its pattern set is fixed)")
 	}
 	if in.finished {
@@ -1233,7 +1224,7 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 // no longer hosts it). The last live pattern cannot be removed. Must be
 // called from the Process goroutine.
 func (in *Ingress) RemovePattern(id uint32) error {
-	if in.fixedSet {
+	if in.sealedTags {
 		return fmt.Errorf("cluster: RemovePattern on a sealed ingress (its pattern set is fixed)")
 	}
 	if in.finished {

@@ -2,20 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"acep/internal/engine"
+	"acep/internal/match"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
-
-// tagsFree is the depth of a slot's free list of emptied tag slices. The
-// collector hands a reader's slice back as soon as it has copied the tags
-// into its heap, so a reader has out only the posts queued in the
-// collector's inbox — one or two at the rate a node sends results, a few
-// in a burst. Four covers that; a slice handed back to a full list is
-// dropped, so an idle slot parks at most four slices.
-const tagsFree = 4
 
 // slotState is where a node slot stands in its lifecycle (DESIGN.md
 // "Slot lifecycle" has the table). Everything the coordinator asks
@@ -68,13 +62,75 @@ type slot struct {
 	// which routes it into failNode.
 	sendErr error
 	done    chan struct{} // closed when the session's reader exits
-	// free is the reader's tag slices, handed back emptied by the
-	// collector once it has copied the tags into its heap (see tagsOf).
-	free chan []shard.Tagged
+
+	// The reader's runs (inRun) back from the collector, waiting to be
+	// refilled: the collector goroutine puts, the reader takes. pending
+	// is the one the frame being read went into (reader goroutine).
+	runMu   sync.Mutex
+	runFree []*inRun
+	pending *inRun
 
 	// Written by the slot's reader goroutine, under Ingress.mu.
 	metrics    engine.Metrics
 	gotMetrics bool // final metrics recorded: the clean-exit marker
+}
+
+// inRun is what a node's Matches frame is posted to the merge collector
+// in: the tags and, under NewIngress, the frame's buffer, which their Enc
+// slices alias. The reader fills one per frame and the collector hands it
+// back (Release) once it has delivered or purged the last of the tags, so
+// a reader in steady state allocates neither, and the runs in existence
+// are the most the collector ever held at once — a backlog behind a
+// lagging watermark included, since a run is made only when none waits.
+// Under NewSealedIngress the consumer keeps Enc past delivery: the frame
+// is the reader's own (frame nil) and never comes back.
+type inRun struct {
+	tags  []shard.Tagged
+	frame []byte
+	home  *slot
+}
+
+// Release returns the run to its slot's reader. Under the race detector
+// the frame is overwritten at once (match.PoisonBytes), so an Enc that
+// outlived its delivery fails a byte-identity suite. Collector goroutine.
+func (r *inRun) Release() {
+	clear(r.tags) // a parked slice must not pin what its tags point at
+	r.tags = r.tags[:0]
+	match.PoisonBytes(r.frame)
+	s := r.home
+	s.runMu.Lock()
+	s.runFree = append(s.runFree, r)
+	s.runMu.Unlock()
+}
+
+// take returns the run the frame just read went into, else one back from
+// the collector, else a new one. Reader goroutine.
+func (s *slot) take() *inRun {
+	if r := s.pending; r != nil {
+		s.pending = nil
+		return r
+	}
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if n := len(s.runFree); n > 0 {
+		r := s.runFree[n-1]
+		s.runFree[n-1] = nil
+		s.runFree = s.runFree[:n-1]
+		return r
+	}
+	return &inRun{home: s}
+}
+
+// frame is the reader's Matches buffer (wire.Reader.SetMatchesBuffer):
+// a run's frame, grown to n bytes, which the run then carries. Reader
+// goroutine.
+func (s *slot) frame(n int) []byte {
+	r := s.take()
+	if cap(r.frame) < n {
+		r.frame = make([]byte, n) // the run keeps it whole: len is cap
+	}
+	s.pending = r
+	return r.frame[:n]
 }
 
 // receives reports whether the slot gets cuts and control frames
@@ -169,8 +225,11 @@ func (in *Ingress) openSession(c Conn, who string) error {
 // founding member's, a join's, a standby's adopting a dead slot — comes
 // through here, so what a session needs is armed in one place.
 func (in *Ingress) install(n int, c Conn, addr string) *slot {
-	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{}), free: make(chan []shard.Tagged, tagsFree)}
+	s := &slot{conn: c, addr: addr, hosted: map[int]bool{}, done: make(chan struct{})}
 	s.burst, _ = c.(sendHolder)
+	if mb, ok := c.(interface{ SetMatchesBuffer(func(int) []byte) }); ok && !in.sealedTags {
+		mb.SetMatchesBuffer(s.frame)
+	}
 	if in.rec.HeartbeatTimeout > 0 {
 		// A worker that stops draining its socket (wedged peer, one-way
 		// partition) must surface as this slot's link error in bounded

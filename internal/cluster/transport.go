@@ -239,6 +239,13 @@ func (s *streamConn) RemoteAddr() string { return s.addr }
 // wire.BatchView (see wire.Reader.SetDecodeArena). A node arms it on its
 // Conn: a BatchView is the only batch it takes.
 func (s *streamConn) SetDecodeArena(a *match.Arena) { s.r.SetDecodeArena(a) }
+
+// SetMatchesBuffer has the receive side read each Matches frame into
+// frame(n) (see wire.Reader.SetMatchesBuffer). The ingress arms it on a
+// node's Conn when its consumer is done with a frame once the matches in
+// it are delivered.
+func (s *streamConn) SetMatchesBuffer(frame func(int) []byte) { s.r.SetMatchesBuffer(frame) }
+
 func (s *streamConn) Recv() (wire.Frame, error) {
 	f, err := s.r.Read()
 	if err != nil && err != io.EOF {

@@ -138,6 +138,7 @@ func scenarios() []scenario {
 		scenario{"work/look-back", Model.lookBack},
 		scenario{"expiry", Model.expiry},
 		scenario{"introspection", Model.introspection},
+		scenario{"introspection/look-back", Model.introspectionLookBack},
 		scenario{"stale-bound", Model.staleBound},
 		scenario{"index-needs-equality", Model.indexNeedsEquality},
 		scenario{"allocs/no-match", Model.allocsNoMatch},
@@ -456,6 +457,24 @@ func (m Model) introspection(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m.Expect.Intro) {
 		t.Fatalf("introspection before any event, after A, after B: %+v; want %+v", got, m.Expect.Intro)
+	}
+}
+
+// introspectionLookBack joins SEQ(A, B) in the order B, A. No arriving A
+// extends the B parked after one B — it would have to precede it — yet
+// HotTypes marks A: an A kept now is what the next B's scan of the
+// history finds, and the pattern-aware shedder loses recall without it
+// (DESIGN.md, the offer rule).
+func (m Model) introspectionLookBack(t *testing.T) {
+	s := SchemaX(2)
+	g := m.New(EqChain(s, 2, 100), m.Chain([]int{1, 0}), func(*match.Match) {}, true)
+	e := s.MustNew(1, 10, 7)
+	e.Seq = 1
+	g.Process(&e)
+	mark := make([]bool, 2)
+	g.HotTypes(mark)
+	if g.LivePMs() != 1 || !mark[0] || mark[1] {
+		t.Fatalf("after one B under order B, A: %d live, hot %v; want 1 live and A hot", g.LivePMs(), mark)
 	}
 }
 

@@ -22,3 +22,15 @@ func poison(b *Block) {
 		b.attrs[i] = math.NaN()
 	}
 }
+
+// PoisonBytes overwrites a buffer of encoded matches on its way back to
+// its owner — a worker's outbox slab, an ingress reader's Matches frame —
+// with bytes no match body contains, an endless varint, so that under the
+// race detector an Enc slice that outlived its release fails the reader's
+// check or a byte-identity suite instead of quietly reading the next
+// frame's matches.
+func PoisonBytes(b []byte) {
+	for i := range b {
+		b[i] = 0xff
+	}
+}

@@ -2,6 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"acep/internal/engine"
@@ -264,4 +267,79 @@ func TestBlockPoolBounded(t *testing.T) {
 	if limit := 2*queued + 2*shards; peak[1] > limit {
 		t.Errorf("%d blocks once nothing is retained; want the surplus dropped to at most %d", peak[1], limit)
 	}
+}
+
+// backlogRuns is BenchmarkCollectorBacklog's supply of runs: a free list
+// the collector hands runs back to, so the poster allocates only while the
+// backlog grows and the benchmark's bytes are the collector's.
+type backlogRuns struct {
+	mu   sync.Mutex
+	free []*backlogRun
+}
+
+type backlogRun struct {
+	tags []Tagged
+	home *backlogRuns
+}
+
+func (r *backlogRun) Release() {
+	r.home.mu.Lock()
+	r.home.free = append(r.home.free, r)
+	r.home.mu.Unlock()
+}
+
+// get returns a run of n tags at seq from shard src.
+func (p *backlogRuns) get(n int, seq uint64, src int, m *match.Match) *backlogRun {
+	p.mu.Lock()
+	var r *backlogRun
+	if k := len(p.free); k > 0 {
+		r, p.free = p.free[k-1], p.free[:k-1]
+	} else {
+		r = &backlogRun{home: p}
+	}
+	p.mu.Unlock()
+	r.tags = r.tags[:0]
+	for range n {
+		r.tags = append(r.tags, Tagged{M: m, Seq: seq, Src: src})
+	}
+	return r
+}
+
+// BenchmarkCollectorBacklog is the merge under a lagging watermark, the
+// shape a saturated cluster ingress is in: source 0 runs 1,250 sequence
+// numbers ahead of source 1, eight matches a post, so about 10,000 of its
+// matches wait in the collector while each post of source 1 releases one
+// of its runs and its own. It reports what a delivered match costs in time
+// and in bytes; the ladder's shard.collector_ns_per_match keeps one run
+// buffered and cannot see a backlog.
+func BenchmarkCollectorBacklog(b *testing.B) {
+	const perRun, lag = 8, 1250
+	delivered := 0
+	c := NewCollector(2, func(Tagged) { delivered++ }, nil)
+	runs := &backlogRuns{}
+	m := &match.Match{}
+	post := func(src int, seq uint64) {
+		r := runs.get(perRun, seq, src, m)
+		c.PostRun(src, seq, r.tags, r)
+	}
+	for seq := uint64(1); seq <= lag; seq++ {
+		post(0, seq)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes0 := ms.TotalAlloc
+	b.ResetTimer()
+	seq := uint64(1)
+	for ; int(seq)*2*perRun <= b.N; seq++ {
+		post(0, seq+lag)
+		post(1, seq)
+	}
+	c.Post(0, math.MaxUint64, nil)
+	c.Post(1, math.MaxUint64, nil)
+	c.Close()
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	n := float64(delivered - lag*perRun) // the backlog was posted before the timer
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/max(n, 1), "ns/match")
+	b.ReportMetric(float64(ms.TotalAlloc-bytes0)/max(n, 1), "B/match")
 }

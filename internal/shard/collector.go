@@ -1,6 +1,11 @@
 package shard
 
-import "acep/internal/match"
+import (
+	"container/heap"
+	"slices"
+
+	"acep/internal/match"
+)
 
 // Tagged is a match annotated for ordered merging: Seq is the global
 // sequence number of the event whose processing emitted the match
@@ -23,10 +28,15 @@ type Tagged struct {
 	// wherever matches travel as bytes; M is nil then. Out of a sharded
 	// engine (Options.EncodeMatch) the slice aliases the worker's outbox
 	// slab and is valid only during the OnTagged call; at a cluster
-	// ingress it aliases the buffer of the frame it arrived in, which
-	// nothing overwrites, and is valid for as long as the tag is kept.
+	// ingress it aliases its frame's buffer, which a sealed ingress never
+	// reuses: valid for as long as the tag is kept.
 	Enc []byte
 }
+
+// Releaser takes back what a posted run of tags lives in — a worker's
+// outbox, an ingress reader's tags and frame — once the collector has
+// delivered or purged the last of them (at once if it took none).
+type Releaser interface{ Release() }
 
 // ctrlOp selects a collector control message (routing mutations run on
 // the collector goroutine, serialized with the data stream).
@@ -39,19 +49,13 @@ const (
 	ctrlAbandon
 )
 
-// post is one source→collector message: the matches of one processed
-// batch and the posting node's new progress watermark, or a routing
-// control (migrate / complete / abandon).
+// post is one source→collector message: a run — the matches of one
+// processed batch, and what they live in — and the posting node's new
+// progress watermark, or a routing control (migrate/complete/abandon).
 type post struct {
 	node     int
 	progress uint64
-	matches  []Tagged
-	// box, on a worker's post, is the outbox matches is the tag slice of:
-	// the collector's to hand back (see postBox).
-	box *outbox
-	// free, on a recycling post, takes matches back emptied (see
-	// PostRecycled).
-	free chan<- []Tagged
+	run
 
 	ctrl  ctrlOp
 	shard int
@@ -59,21 +63,87 @@ type post struct {
 	reply chan uint64
 }
 
+// run is the accepted tags of one post, the next to leave first.
+type run struct {
+	tags []Tagged
+	done Releaser
+}
+
+// stream is a chain of runs that sort in order across the chain: each
+// run's first tag at or after the last tag chained before it. runs[head:]
+// are the runs left, each with tags left; a drained stream is reset.
+type stream struct {
+	runs []run
+	head int
+}
+
+func (s *stream) next() *Tagged { return &s.runs[s.head].tags[0] }
+
+// push chains r, reclaiming the slots of runs gone before it grows.
+func (s *stream) push(r run) {
+	if s.head > 0 && len(s.runs) == cap(s.runs) {
+		n := copy(s.runs, s.runs[s.head:])
+		clear(s.runs[n:])
+		s.runs, s.head = s.runs[:n], 0
+	}
+	s.runs = append(s.runs, r)
+}
+
+// chains reports whether a run whose first tag is t may chain onto s.
+func (s *stream) chains(t Tagged) bool {
+	n := len(s.runs)
+	return n == 0 || !tagLess(t, s.runs[n-1].tags[len(s.runs[n-1].tags)-1])
+}
+
+// purge drops shard g's tags, releasing every run left empty.
+func (s *stream) purge(g int) {
+	n := 0
+	for _, r := range s.runs[s.head:] {
+		if r.tags = slices.DeleteFunc(r.tags, func(t Tagged) bool { return t.Src == g }); len(r.tags) > 0 {
+			s.runs[n], n = r, n+1
+		} else {
+			r.done.Release()
+		}
+	}
+	clear(s.runs[n:])
+	s.runs, s.head = s.runs[:n], 0
+}
+
+// streams is the merge's heap: the streams with tags left, least next tag
+// first.
+type streams []*stream
+
+func (h streams) Len() int           { return len(h) }
+func (h streams) Less(i, j int) bool { return tagLess(*h[i].next(), *h[j].next()) }
+func (h streams) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *streams) Push(x any)        { *h = append(*h, x.(*stream)) }
+func (h *streams) Pop() any {
+	s := (*h)[len(*h)-1]
+	(*h)[len(*h)-1] = nil
+	*h = (*h)[:len(*h)-1]
+	return s
+}
+
 // Collector merges per-shard tagged match streams into one ordered
-// output. It buffers matches in a min-heap keyed (Seq, Src, Idx) and
-// releases a match only when every shard's progress watermark has passed
-// its tag — at that point no shard can still produce an earlier match,
-// so the released order is the sorted tag order, independent of
-// goroutine scheduling.
+// output. It releases a match only when every shard's progress watermark
+// has passed its tag (Seq, Src, Idx) — at that point no shard can still
+// produce an earlier match, so the released order is the sorted tag
+// order, independent of goroutine scheduling.
+//
+// A post arrives in tag order: it is a run, kept where it was posted. A
+// node's runs chain into one stream while each sorts at or after the
+// stream's last tag; one that sorts earlier — a migrated shard's replay —
+// opens a stream of its own. The merge pops from a heap over the streams'
+// next tags, a handful however many matches wait behind a lagging
+// watermark, and a run goes back to its Releaser after its last tag.
 //
 // Shards are the merge sources, but posts arrive per *node*: an owner
-// table maps each shard to the node currently feeding it, a node's
-// watermark advances exactly the marks of the shards it owns, and a
-// match is accepted only if its shard is owned by the posting node —
-// so a shard's stream can move between nodes mid-run (Migrate) with
-// stale in-flight posts from the previous owner dropped race-free.
-// In the single-process engine the mapping is the identity (worker i
-// posts as node i and owns shard i) and none of this machinery moves.
+// table maps each shard to the node feeding it, a node's watermark
+// advances the marks of the shards it owns, and a match is accepted only
+// if its shard is owned by the posting node — so a shard's stream can
+// move between nodes mid-run (Migrate) with stale in-flight posts from
+// the previous owner dropped race-free. In the single-process engine the
+// mapping is the identity (worker i posts as node i and owns shard i).
 //
 // Sources must post a match before or together with the first watermark
 // that covers its tag, and watermarks must be non-decreasing per node
@@ -89,19 +159,10 @@ type Collector struct {
 	frozen  []bool
 	marks   []uint64
 	nextIdx []uint64
-	heap    []Tagged
 	min     uint64
 
-	// boxes, per shard, is the worker outboxes with tags still in the heap,
-	// oldest first, each with how many (see postBox).
-	boxes [][]heldBox
-}
-
-// heldBox is an outbox the collector holds: left of its tags are still in
-// the heap.
-type heldBox struct {
-	box  *outbox
-	left int
+	heap streams
+	tail []*stream // by node: the stream its next run may chain onto
 }
 
 // NewCollector starts a collector goroutine over shards sources with the
@@ -134,41 +195,29 @@ func NewCollectorOwned(owner []int, deliver func(Tagged), progress func(uint64))
 		frozen:   make([]bool, n),
 		marks:    make([]uint64, n),
 		nextIdx:  make([]uint64, n),
-		boxes:    make([][]heldBox, n),
 	}
 	go c.run()
 	return c
 }
 
-// Post hands the collector one node's new watermark plus the matches
-// emitted since its last post (each tagged with its global shard in
-// Src). Safe to call from any goroutine; blocks while the collector's
-// inbox is full.
+// Post is PostRun for a source that keeps nothing of matches.
 func (c *Collector) Post(node int, watermark uint64, matches []Tagged) {
-	c.ch <- post{node: node, progress: watermark, matches: matches}
+	c.PostRun(node, watermark, matches, keepNothing{})
 }
 
-// PostRecycled is Post for a source that reuses its tag slices: once the
-// collector has copied matches into its heap it clears the slice and
-// offers it back on free, dropping it when free is full. The caller must
-// not touch matches after the call.
-func (c *Collector) PostRecycled(node int, watermark uint64, matches []Tagged, free chan<- []Tagged) {
-	c.ch <- post{node: node, progress: watermark, matches: matches, free: free}
-}
+type keepNothing struct{}
 
-// postBox is Post for a sharded engine's own workers: worker w posts as
-// node w, its tags all have Src w, and the outbox they came in (nil: the
-// cut emitted nothing) goes back to it when the last of them has left the
-// heap — delivered or purged; at once if none was taken. That needs no
-// bookkeeping per tag, because a worker's posts leave in the order they
-// came: each covers the sequence numbers past the watermark of the one
-// before, and delivery is in sequence order.
-func (c *Collector) postBox(node int, watermark uint64, box *outbox) {
-	p := post{node: node, progress: watermark, box: box}
-	if box != nil {
-		p.matches = box.tags
-	}
-	c.ch <- p
+func (keepNothing) Release() {}
+
+// PostRun hands the collector one node's new watermark plus the matches
+// emitted since its last post, in tag order, each tagged with its global
+// shard in Src. The collector keeps the tags in matches — it numbers them
+// (Idx) and drops stale ones in place — and calls done.Release once it
+// has delivered or purged the last of them; the caller must not touch the
+// slice before. Safe to call from any goroutine; blocks while the
+// collector's inbox is full.
+func (c *Collector) PostRun(node int, watermark uint64, matches []Tagged, done Releaser) {
+	c.ch <- post{node: node, progress: watermark, run: run{matches, done}}
 }
 
 // Close ends the input and waits until every buffered match has been
@@ -214,63 +263,62 @@ func (c *Collector) run() {
 		switch p.ctrl {
 		case ctrlMigrate:
 			c.migrate(p)
-			continue
 		case ctrlComplete:
 			g := p.shard
 			if g >= 0 && g < len(c.owner) && c.owner[g] == p.node && c.frozen[g] {
-				c.frozen[g] = false
-				if p.progress > c.marks[g] {
-					c.marks[g] = p.progress
-				}
+				c.frozen[g], c.marks[g] = false, max(c.marks[g], p.progress)
 				c.release()
 			}
-			continue
 		case ctrlAbandon:
 			for g, o := range c.owner {
 				if o == p.node {
-					c.owner[g] = -1
-					c.frozen[g] = false
-					c.marks[g] = ^uint64(0)
+					c.owner[g], c.frozen[g], c.marks[g] = -1, false, ^uint64(0)
 				}
 			}
 			c.release()
-			continue
-		}
-		for g, o := range c.owner {
-			if o == p.node && !c.frozen[g] && c.marks[g] < p.progress {
-				c.marks[g] = p.progress
-			}
-		}
-		taken := 0
-		for _, t := range p.matches {
-			if t.Src < 0 || t.Src >= len(c.owner) || c.owner[t.Src] != p.node {
-				continue // stale: an in-flight post from a previous owner
-			}
-			t.Idx = c.nextIdx[t.Src]
-			c.nextIdx[t.Src]++
-			c.push(t)
-			taken++
-		}
-		switch {
-		case p.box == nil:
-		case taken == 0:
-			p.box.release()
 		default:
-			c.boxes[p.node] = append(c.boxes[p.node], heldBox{p.box, taken})
-		}
-		if p.free != nil && cap(p.matches) > 0 {
-			clear(p.matches) // a parked slice must not pin the frames its tags alias
-			select {
-			case p.free <- p.matches[:0]:
-			default:
+			for g, o := range c.owner {
+				if o == p.node && !c.frozen[g] && c.marks[g] < p.progress {
+					c.marks[g] = p.progress
+				}
 			}
+			c.take(p)
+			c.release()
 		}
-		c.release()
 	}
 	// Channel closed: every node has posted its final watermark; drain
 	// the remainder in order (non-empty only if a source misbehaved).
 	for len(c.heap) > 0 {
-		c.emit(c.pop())
+		c.emit()
+	}
+}
+
+// take accepts a post's run: the tags of the shards the posting node
+// owns, each numbered in its shard's posting order, compacted in place.
+func (c *Collector) take(p post) {
+	tags := p.tags[:0]
+	for _, t := range p.tags {
+		if t.Src < 0 || t.Src >= len(c.owner) || c.owner[t.Src] != p.node {
+			continue // stale: an in-flight post from a previous owner
+		}
+		t.Idx = c.nextIdx[t.Src]
+		c.nextIdx[t.Src]++
+		tags = append(tags, t)
+	}
+	if len(tags) == 0 {
+		p.done.Release()
+		return
+	}
+	for len(c.tail) <= p.node {
+		c.tail = append(c.tail, &stream{})
+	}
+	s := c.tail[p.node]
+	if !s.chains(tags[0]) {
+		s = &stream{} // a replay: the node's next runs chain onto it
+		c.tail[p.node] = s
+	}
+	if s.push(run{tags, p.done}); len(s.runs) == 1 {
+		heap.Push(&c.heap, s) // it was drained
 	}
 }
 
@@ -282,42 +330,27 @@ func (c *Collector) migrate(p post) {
 		return
 	}
 	kept := c.heap[:0]
-	for _, t := range c.heap {
-		if t.Src != g {
-			kept = append(kept, t)
+	for _, s := range c.heap {
+		if s.purge(g); len(s.runs) > 0 {
+			kept = append(kept, s)
 		}
 	}
-	for i := len(kept); i < len(c.heap); i++ {
-		c.heap[i] = Tagged{}
-	}
+	clear(c.heap[len(kept):])
 	c.heap = kept
-	for i := len(c.heap)/2 - 1; i >= 0; i-- {
-		c.siftDown(i)
-	}
-	for _, h := range c.boxes[g] {
-		h.box.release() // every tag it still had here was the shard's
-	}
-	c.boxes[g] = c.boxes[g][:0]
-	c.owner[g] = p.owner
-	c.frozen[g] = true
-	c.marks[g] = c.min
+	heap.Init(&c.heap)
+	c.owner[g], c.frozen[g], c.marks[g] = p.owner, true, c.min
 	p.reply <- c.min
 }
 
-// release pops every buffered match the current frontier covers and
+// release delivers every buffered match the current frontier covers and
 // reports frontier advances.
 func (c *Collector) release() {
 	if len(c.marks) == 0 {
 		return
 	}
-	min := c.marks[0]
-	for _, pr := range c.marks[1:] {
-		if pr < min {
-			min = pr
-		}
-	}
-	for len(c.heap) > 0 && c.heap[0].Seq <= min {
-		c.emit(c.pop())
+	min := slices.Min(c.marks)
+	for len(c.heap) > 0 && c.heap[0].next().Seq <= min {
+		c.emit()
 	}
 	if min > c.min {
 		c.min = min
@@ -327,17 +360,26 @@ func (c *Collector) release() {
 	}
 }
 
-func (c *Collector) emit(t Tagged) {
+// emit delivers the least buffered match and, when it was its run's last,
+// releases the run.
+func (c *Collector) emit() {
+	s := c.heap[0]
+	r := &s.runs[s.head]
+	t := r.tags[0]
+	r.tags = r.tags[1:]
 	if c.deliver != nil {
 		c.deliver(t)
 	}
-	if q := c.boxes[t.Src]; len(q) > 0 {
-		// The shard's oldest outbox is the one t came in (see postBox).
-		if q[0].left--; q[0].left == 0 {
-			q[0].box.release()
-			c.boxes[t.Src] = q[:copy(q, q[1:])]
+	if len(r.tags) == 0 {
+		r.done.Release()
+		if s.runs[s.head] = (run{}); s.head+1 == len(s.runs) {
+			heap.Pop(&c.heap)
+			s.runs, s.head = s.runs[:0], 0
+			return
 		}
+		s.head++
 	}
+	heap.Fix(&c.heap, 0)
 }
 
 func tagLess(a, b Tagged) bool {
@@ -348,46 +390,4 @@ func tagLess(a, b Tagged) bool {
 		return a.Src < b.Src
 	}
 	return a.Idx < b.Idx
-}
-
-func (c *Collector) push(t Tagged) {
-	c.heap = append(c.heap, t)
-	i := len(c.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !tagLess(c.heap[i], c.heap[p]) {
-			break
-		}
-		c.heap[i], c.heap[p] = c.heap[p], c.heap[i]
-		i = p
-	}
-}
-
-func (c *Collector) pop() Tagged {
-	h := c.heap
-	top := h[0]
-	h[0] = h[len(h)-1]
-	h[len(h)-1] = Tagged{}
-	c.heap = h[:len(h)-1]
-	c.siftDown(0)
-	return top
-}
-
-func (c *Collector) siftDown(i int) {
-	h := c.heap
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && tagLess(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && tagLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }

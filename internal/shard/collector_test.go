@@ -131,30 +131,48 @@ func TestCollectorAbandon(t *testing.T) {
 
 func tag1(t Tagged) Tagged { t.Src = 1; return t }
 
-// TestCollectorRecyclesTagSlices: a recycling post's slice comes back on
-// its free list once the collector holds the tags — emptied, and cleared
-// so a parked slice pins nothing its tags pointed at — and a slice handed
-// back to a full list is dropped, never blocking the collector. The tags
-// themselves are delivered as copied, unaffected by the clear.
+// releases counts a run's Release calls and records the delivered count
+// at the first.
+type releases struct {
+	calls int
+	at    int // len(rec.got) at the first call
+	rec   *seqRec
+}
+
+func (r *releases) Release() {
+	if r.calls++; r.calls == 1 {
+		r.at = len(r.rec.snapshot())
+	}
+}
+
+// TestCollectorRecyclesTagSlices: a run's slice stays the collector's —
+// its tags merged from where they were posted, not copied out — until the
+// last of them is delivered; then its Releaser gets it back, once. A run
+// the collector takes nothing of comes back at once.
 func TestCollectorRecyclesTagSlices(t *testing.T) {
 	rec := &seqRec{}
-	c := NewCollector(1, rec.add, nil)
-	free := make(chan []Tagged, 1)
-	first := []Tagged{{M: &match.Match{}, Seq: 1}, {M: &match.Match{}, Seq: 2}}
-	c.PostRecycled(0, 1, first, free)
-	back := <-free
-	if len(back) != 0 || cap(back) != 2 || &back[:1][0] != &first[0] {
-		t.Fatalf("got back a slice of len %d cap %d, want the posted one emptied", len(back), cap(back))
+	c := NewCollector(2, rec.add, nil)
+	first := []Tagged{{M: &match.Match{}, Seq: 1}, {M: &match.Match{}, Seq: 3}}
+	a, b, stale := &releases{rec: rec}, &releases{rec: rec}, &releases{rec: rec}
+	c.PostRun(1, 0, []Tagged{{M: &match.Match{}, Seq: 2}}, stale) // shard 0 is node 0's
+	c.PostRun(0, 3, first, a)
+	c.PostRun(1, 2, []Tagged{tag1(Tagged{M: &match.Match{}, Seq: 2})}, b)
+	c.Migrate(1, 1) // a barrier: everything above is taken
+	rec.expect(t, 1, 2)
+	if a.calls != 0 {
+		t.Fatalf("run released with its Seq 3 still buffered")
 	}
-	if first[0].M != nil || first[1].M != nil {
-		t.Fatal("a handed-back slice still holds its tags")
+	if first[1].Idx != 1 || first[1].Seq != 3 {
+		t.Fatalf("the buffered tag is not in the posted slice: %+v", first[1])
 	}
-	c.PostRecycled(0, 2, []Tagged{{M: &match.Match{}, Seq: 3}}, free) // fills the list
-	c.PostRecycled(0, 3, []Tagged{{M: &match.Match{}, Seq: 3}}, free) // dropped
+	if b.calls != 1 || b.at != 2 || stale.calls != 1 || stale.at != 0 {
+		t.Fatalf("releases: delivered run %d at %d, stale run %d at %d; want each once, after its last tag and at once", b.calls, b.at, stale.calls, stale.at)
+	}
+	c.Complete(1, 1, math.MaxUint64)
 	c.Post(0, math.MaxUint64, nil)
 	c.Close()
-	if got := <-free; cap(got) != 1 {
-		t.Fatalf("free list holds a slice of cap %d, want the first handed back", cap(got))
+	rec.expect(t, 1, 2, 3)
+	if a.calls != 1 || a.at != 3 {
+		t.Fatalf("run released %d times, first after %d deliveries; want once, after 3", a.calls, a.at)
 	}
-	rec.expect(t, 1, 2, 3, 3)
 }

@@ -1,32 +1,32 @@
 package shard
 
+import "acep/internal/match"
+
 // outbox is what one cut's matches leave a worker in: the tags and, under
 // Options.EncodeMatch, the slab their Enc slices alias. The worker fills
-// one per cut that emits and posts it; the collector hands it back
-// (release) when it has delivered or purged the last of the tags, and the
-// worker refills it — so after the first few cuts a worker allocates
-// neither, the slab having grown to the widest cut so far. An append that
-// outgrows the slab moves it; the tags already made keep the old array
-// alive and valid, and the outbox goes on with the new one.
+// one per cut that emits and posts it as a run; the collector hands it
+// back (Release) after the last of the tags, and the worker refills it —
+// so after the first few cuts a worker allocates neither, the slab having
+// grown to the widest cut so far. An append that outgrows the slab moves
+// it; the tags already made keep the old array alive and valid.
 type outbox struct {
 	tags []Tagged
 	enc  []byte
 	home *worker
 }
 
-// release returns the outbox to the worker that filled it. Nothing may
+// Release returns the outbox to the worker that filled it. Nothing may
 // read its tags or their Enc bytes from here on: under the race detector
-// the slab is overwritten at once (see poisonSlab), so a stale Enc fails a
-// byte-identity suite instead of quietly reading a later cut's matches.
+// the slab is overwritten at once (match.PoisonBytes), so a stale Enc
+// fails a byte-identity suite instead of quietly reading a later cut's.
 // What waits for a refill is bounded by what steady traffic keeps in
 // flight — a queue's depth of cuts and a few in the collector — so the
 // outboxes of a burst the collector had to sit on (a shard far behind
-// under DropNewest) go to the garbage collector instead. Collector
-// goroutine.
-func (b *outbox) release() {
+// under DropNewest) go to the garbage collector. Collector goroutine.
+func (b *outbox) Release() {
 	clear(b.tags) // drop the delivered matches
 	b.tags = b.tags[:0]
-	poisonSlab(b.enc[:cap(b.enc)])
+	match.PoisonBytes(b.enc[:cap(b.enc)])
 	b.enc = b.enc[:0]
 	w := b.home
 	w.boxMu.Lock()

@@ -120,13 +120,14 @@ func TestOutboxReturnsOnPurge(t *testing.T) {
 	}
 	var got []uint64
 	c := NewCollector(2, func(t Tagged) { got = append(got, t.Seq) }, nil)
-	c.postBox(1, 4, fill(2, 3)) // held: shard 0 has not moved
-	c.postBox(1, 8, fill(6))
+	post := func(node int, watermark uint64, b *outbox) { c.PostRun(node, watermark, b.tags, b) }
+	post(1, 4, fill(2, 3)) // held: shard 0 has not moved
+	post(1, 8, fill(6))
 	c.Migrate(1, 0) // purges shard 1's three tags
 	if n := free(); n != 2 {
 		t.Fatalf("%d outboxes back after the purge, want both", n)
 	}
-	c.postBox(1, 9, fill(9)) // stale: shard 1 is node 0's now
+	post(1, 9, fill(9)) // stale: shard 1 is node 0's now
 	c.Post(0, 10, nil)
 	c.Close()
 	if n := free(); n != 2 || w.made != 2 {

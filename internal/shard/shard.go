@@ -291,7 +291,11 @@ func (w *worker) emit(id uint32, m *match.Match) {
 // post reports the cut's completion to the collector and hands it the
 // cut's outbox, if the cut emitted.
 func (w *worker) post(col *Collector, upTo uint64) {
-	col.postBox(w.id, upTo, w.out)
+	if w.out == nil {
+		col.Post(w.id, upTo, nil)
+		return
+	}
+	col.PostRun(w.id, upTo, w.out.tags, w.out)
 	w.out = nil
 }
 

@@ -42,6 +42,8 @@ type Reader struct {
 	arena *match.Arena
 	evs   []*event.Event
 	view  BatchView
+
+	frame func(n int) []byte // a Matches frame's buffer (SetMatchesBuffer)
 }
 
 // NewReader wraps r.
@@ -54,6 +56,12 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // consumer that took it (match.Arena.Take) — answers for none outliving
 // it. A nil arena restores the copying decode.
 func (r *Reader) SetDecodeArena(a *match.Arena) { r.arena = a }
+
+// SetMatchesBuffer has r read each Matches frame into frame(n), a slice
+// of length n that the frame then owns, instead of a buffer it makes: a
+// consumer that knows when the frame's records are dead hands the bytes
+// back that way. Nil restores the made buffer.
+func (r *Reader) SetMatchesBuffer(frame func(n int) []byte) { r.frame = frame }
 
 // Read decodes the next frame. What it returns may alias the Reader's
 // buffer only until the next Read, with one exception: a Matches frame's
@@ -75,7 +83,11 @@ func (r *Reader) Read() (Frame, error) {
 	if Kind(r.head[4]) == KindMatches {
 		// The decoded records alias the frame's bytes and outlive this
 		// call: the frame gets a buffer of its own, which goes with it.
-		buf = make([]byte, n)
+		if r.frame != nil {
+			buf = r.frame(int(n))
+		} else {
+			buf = make([]byte, n)
+		}
 	} else {
 		if cap(r.buf) < int(n) {
 			r.buf = make([]byte, n)

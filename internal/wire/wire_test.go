@@ -654,6 +654,39 @@ func TestReaderHandsOverMatches(t *testing.T) {
 	}
 }
 
+// TestReaderMatchesBuffer: under SetMatchesBuffer a Matches frame is read
+// into the buffer the hook hands out — its records alias it — and no other
+// frame asks for one.
+func TestReaderMatchesBuffer(t *testing.T) {
+	plain, _, _ := sampleMatches()
+	f := matchesOf(1, MatchRecord{Seq: 1, Body: AppendMatchBody(nil, plain)})
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	for _, fr := range []Frame{Heartbeat{}, f, Batch{UpTo: 3, Events: make([]event.Event, 4)}} {
+		if err := w.Write(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	own := make([]byte, 4096)
+	asked := 0
+	r := NewReader(&stream)
+	r.SetMatchesBuffer(func(n int) []byte { asked++; return own[:n] })
+	for i := 0; i < 3; i++ {
+		fr, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := fr.(Matches); ok {
+			if !bytes.Equal(m.Recs, f.Recs) || &m.Recs[0] != &own[cap(own)-cap(m.Recs)] {
+				t.Fatal("the frame's records are not in the hook's buffer")
+			}
+		}
+	}
+	if asked != 1 {
+		t.Fatalf("the hook was asked %d times for one Matches frame among three", asked)
+	}
+}
+
 // runCases are event sequences the run codec must carry exactly: the
 // float edge values by bit pattern, timestamps and sequence numbers that
 // go backwards or wrap, no attributes, no events, and counts on both
