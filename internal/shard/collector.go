@@ -130,7 +130,8 @@ func (h *streams) Pop() any {
 // produce an earlier match, so the released order is the sorted tag
 // order, independent of goroutine scheduling.
 //
-// A post arrives in tag order: it is a run, kept where it was posted. A
+// A post is a run, kept where it was posted and sorted there if it came
+// out of order (the replays of several shards migrated onto one node). A
 // node's runs chain into one stream while each sorts at or after the
 // stream's last tag; one that sorts earlier — a migrated shard's replay —
 // opens a stream of its own. The merge pops from a heap over the streams'
@@ -210,9 +211,9 @@ type keepNothing struct{}
 func (keepNothing) Release() {}
 
 // PostRun hands the collector one node's new watermark plus the matches
-// emitted since its last post, in tag order, each tagged with its global
-// shard in Src. The collector keeps the tags in matches — it numbers them
-// (Idx) and drops stale ones in place — and calls done.Release once it
+// emitted since its last post, each tagged with its global shard in Src.
+// The collector keeps the tags in matches — it numbers them (Idx), drops
+// stale ones and sorts the rest in place — and calls done.Release once it
 // has delivered or purged the last of them; the caller must not touch the
 // slice before. Safe to call from any goroutine; blocks while the
 // collector's inbox is full.
@@ -266,13 +267,18 @@ func (c *Collector) run() {
 		case ctrlComplete:
 			g := p.shard
 			if g >= 0 && g < len(c.owner) && c.owner[g] == p.node && c.frozen[g] {
-				c.frozen[g], c.marks[g] = false, max(c.marks[g], p.progress)
+				c.frozen[g] = false
+				if p.progress > c.marks[g] {
+					c.marks[g] = p.progress
+				}
 				c.release()
 			}
 		case ctrlAbandon:
 			for g, o := range c.owner {
 				if o == p.node {
-					c.owner[g], c.frozen[g], c.marks[g] = -1, false, ^uint64(0)
+					c.owner[g] = -1
+					c.frozen[g] = false
+					c.marks[g] = ^uint64(0)
 				}
 			}
 			c.release()
@@ -294,20 +300,28 @@ func (c *Collector) run() {
 }
 
 // take accepts a post's run: the tags of the shards the posting node
-// owns, each numbered in its shard's posting order, compacted in place.
+// owns, each numbered in its shard's posting order, compacted in place —
+// and sorted, if they came out of order (a node frames the replays of
+// shards migrated onto it shard after shard).
 func (c *Collector) take(p post) {
-	tags := p.tags[:0]
+	tags, sorted := p.tags[:0], true
 	for _, t := range p.tags {
 		if t.Src < 0 || t.Src >= len(c.owner) || c.owner[t.Src] != p.node {
 			continue // stale: an in-flight post from a previous owner
 		}
 		t.Idx = c.nextIdx[t.Src]
 		c.nextIdx[t.Src]++
+		if n := len(tags); n > 0 && tagLess(t, tags[n-1]) {
+			sorted = false
+		}
 		tags = append(tags, t)
 	}
 	if len(tags) == 0 {
 		p.done.Release()
 		return
+	}
+	if !sorted {
+		slices.SortFunc(tags, tagCmp)
 	}
 	for len(c.tail) <= p.node {
 		c.tail = append(c.tail, &stream{})
@@ -338,7 +352,9 @@ func (c *Collector) migrate(p post) {
 	clear(c.heap[len(kept):])
 	c.heap = kept
 	heap.Init(&c.heap)
-	c.owner[g], c.frozen[g], c.marks[g] = p.owner, true, c.min
+	c.owner[g] = p.owner
+	c.frozen[g] = true
+	c.marks[g] = c.min
 	p.reply <- c.min
 }
 
@@ -390,4 +406,15 @@ func tagLess(a, b Tagged) bool {
 		return a.Src < b.Src
 	}
 	return a.Idx < b.Idx
+}
+
+// tagCmp is tagLess in the form slices.SortFunc takes.
+func tagCmp(a, b Tagged) int {
+	if tagLess(a, b) {
+		return -1
+	}
+	if tagLess(b, a) {
+		return 1
+	}
+	return 0
 }

@@ -45,12 +45,7 @@ func (r *refMerge) post(node int, wm uint64, tags []Tagged) {
 
 func (r *refMerge) release() {
 	min := slices.Min(r.marks)
-	slices.SortFunc(r.buf, func(a, b Tagged) int {
-		if tagLess(a, b) {
-			return -1
-		}
-		return 1
-	})
+	slices.SortFunc(r.buf, tagCmp)
 	n := 0
 	for n < len(r.buf) && r.buf[n].Seq <= min {
 		n++
@@ -107,14 +102,15 @@ func (c *checkedRun) Release() {
 // TestCollectorMergeDifferential drives the collector and refMerge through
 // one seeded script each: three nodes owning up to four shards each post
 // sorted runs under advancing watermarks, now and then a tag that is
-// stale; shards migrate between live nodes, whose replay
-// runs sort before the tags the destination already posted, complete,
+// stale; shards migrate between live nodes, up to three at once, whose
+// replays go out in one run that sorts before the tags the destination
+// already posted and is out of order itself (shard after shard), complete,
 // and nodes are abandoned. The delivered sequence must be the reference's
 // tag for tag, a migration's boundary its release frontier, and every
 // run's Releaser must fire exactly once, after the last of its tags that
 // was delivered.
 func TestCollectorMergeDifferential(t *testing.T) {
-	replays := 0
+	replays, unsorted := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const nodes = 3
@@ -163,33 +159,37 @@ func TestCollectorMergeDifferential(t *testing.T) {
 			ls := live()
 			n := ls[rng.Intn(len(ls))]
 			switch k := rng.Intn(20); {
-			case k == 0 && len(ls) > 1: // migrate one of n's shards to another live node
+			case k == 0 && len(ls) > 1: // migrate up to three of n's shards to another live node
 				var mine []int
 				for g, o := range own {
 					if o == n && !pending[g] {
 						mine = append(mine, g)
 					}
 				}
-				if len(mine) == 0 {
-					continue
-				}
-				g := mine[rng.Intn(len(mine))]
 				to := ls[rng.Intn(len(ls))]
-				if to == n {
+				if len(mine) == 0 || to == n {
 					continue
 				}
-				if b, want := c.Migrate(g, to), ref.migrate(g, to); b != want {
-					t.Fatalf("seed %d: Migrate boundary %d, want %d", seed, b, want)
-				}
-				own[g], pending[g] = to, true
-				// The destination replays the shard from the boundary: a run
-				// that sorts before what it posted last, when it is ahead.
+				rng.Shuffle(len(mine), func(i, j int) { mine[i], mine[j] = mine[j], mine[i] })
+				// The destination replays each shard from the boundary, all in
+				// one run, shard after shard: it sorts before what the node
+				// posted last when the node is ahead, and is itself out of
+				// order when two replays regenerate matches.
 				var tags []Tagged
-				for s := ref.min + 1; s <= wm[to]; s += 1 + uint64(rng.Intn(3)) {
-					tags = append(tags, Tagged{Seq: s, Src: g})
+				for _, g := range mine[:1+rng.Intn(min(3, len(mine)))] {
+					if b, want := c.Migrate(g, to), ref.migrate(g, to); b != want {
+						t.Fatalf("seed %d: Migrate boundary %d, want %d", seed, b, want)
+					}
+					own[g], pending[g] = to, true
+					for s := ref.min + 1; s <= wm[to]; s += 1 + uint64(rng.Intn(3)) {
+						tags = append(tags, Tagged{Seq: s, Src: g})
+					}
 				}
 				if len(tags) > 0 && tags[0].Seq < last[to] {
 					replays++
+				}
+				if !slices.IsSortedFunc(tags, tagCmp) {
+					unsorted++
 				}
 				post(to, wm[to], tags)
 			case k == 1: // the destination of a migration acknowledges it
@@ -260,7 +260,7 @@ func TestCollectorMergeDifferential(t *testing.T) {
 			}
 		}
 	}
-	if replays == 0 {
-		t.Fatal("no replay run sorted before its node's last tag: the script no longer opens a second stream")
+	if replays == 0 || unsorted == 0 {
+		t.Fatalf("%d replay runs sorted before their node's last tag, %d were out of order: the script must make both", replays, unsorted)
 	}
 }
