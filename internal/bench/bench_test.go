@@ -130,16 +130,28 @@ func TestMethodsAndFigurePrinting(t *testing.T) {
 		t.Fatal("wrong avg shape")
 	}
 	// static must never reoptimize; unconditional must generate plans at
-	// every check.
+	// every check. Counts are means over the kinds, like the rest.
 	for si := range data.Sizes {
 		if avg[si][0].Reopts != 0 {
 			t.Fatalf("static reopts = %d", avg[si][0].Reopts)
+		}
+		for mi := range data.Methods {
+			var pms, matches uint64
+			for ki := range data.Kinds {
+				pms += data.Results[ki][si][mi].PMCreated
+				matches += data.Results[ki][si][mi].Matches
+			}
+			n := uint64(len(data.Kinds))
+			if got := avg[si][mi]; got.PMCreated != (pms+n/2)/n || got.Matches != (matches+n/2)/n {
+				t.Fatalf("size %d, %s: Avg has %d partial matches and %d matches; the means over the kinds are %d and %d",
+					data.Sizes[si], data.Methods[mi], got.PMCreated, got.Matches, (pms+n/2)/n, (matches+n/2)/n)
+			}
 		}
 	}
 	var buf bytes.Buffer
 	data.WriteFigure(&buf, -1)
 	out := buf.String()
-	for _, want := range []string{"throughput", "reoptimizations", "overhead", "static", "invariant"} {
+	for _, want := range []string{"throughput", "reoptimizations", "overhead", "e: partial matches created", "f: matches", "static", "invariant"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("figure output missing %q", want)
 		}

@@ -194,10 +194,13 @@ func (h *Harness) Methods(c Combo, kinds []gen.Kind, topt, dopt float64) (*Metho
 }
 
 // Avg averages the results over the pattern kinds: Figures 6-9 report
-// "averaged over all pattern sets". Throughputs, reoptimization counts
-// and overheads are arithmetic means.
+// "averaged over all pattern sets". Throughputs, overheads, matches,
+// partial matches created and reoptimization counts are arithmetic means
+// (the counts rounded); Elapsed is the total.
 func (m *MethodsData) Avg() [][]Result {
 	out := make([][]Result, len(m.Sizes))
+	n := float64(len(m.Kinds))
+	mean := func(sum uint64) uint64 { return uint64(float64(sum)/n + 0.5) }
 	for si := range m.Sizes {
 		out[si] = make([]Result, len(m.Methods))
 		for mi := range m.Methods {
@@ -211,10 +214,9 @@ func (m *MethodsData) Avg() [][]Result {
 				acc.PMCreated += r.PMCreated
 				acc.Elapsed += r.Elapsed
 			}
-			n := float64(len(m.Kinds))
 			acc.Throughput /= n
 			acc.Overhead /= n
-			acc.Reopts = uint64(float64(acc.Reopts)/n + 0.5)
+			acc.Matches, acc.Reopts, acc.PMCreated = mean(acc.Matches), mean(acc.Reopts), mean(acc.PMCreated)
 			out[si][mi] = acc
 		}
 	}

@@ -32,7 +32,7 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// WriteFigure prints the four panels of an adaptation-method comparison.
+// WriteFigure prints the panels of an adaptation-method comparison.
 // kindIdx selects a pattern set (Figures 10-29); pass -1 for the average
 // over sets (Figures 6-9).
 func (m *MethodsData) WriteFigure(w io.Writer, kindIdx int) {
@@ -47,53 +47,37 @@ func (m *MethodsData) WriteFigure(w io.Writer, kindIdx int) {
 	fmt.Fprintf(w, "Adaptation methods on %s — %s (t_opt=%.2f, d_opt=%.2f)\n",
 		m.Combo, label, m.TOpt, m.DOpt)
 
-	header := func(title string) {
-		fmt.Fprintf(w, "\n(%s)\n%-8s", title, "size")
+	// Each panel renders one method's result in its row; static is the
+	// row's first method.
+	panels := []struct {
+		title string
+		cell  func(r, static Result) string
+	}{
+		{"a: throughput, events/sec — higher is better", func(r, _ Result) string { return fmt.Sprintf("%15.0f", r.Throughput) }},
+		{"b: relative throughput gain over static — higher is better", func(r, static Result) string {
+			gain := 0.0
+			if static.Throughput > 0 {
+				gain = r.Throughput / static.Throughput
+			}
+			return fmt.Sprintf("%15.2f", gain)
+		}},
+		{"c: total number of plan reoptimizations", func(r, _ Result) string { return fmt.Sprintf("%15d", r.Reopts) }},
+		{"d: computational overhead, % of run time — lower is better", func(r, _ Result) string { return fmt.Sprintf("%14.2f%%", r.Overhead*100) }},
+		{"e: partial matches created", func(r, _ Result) string { return fmt.Sprintf("%15d", r.PMCreated) }},
+		{"f: matches", func(r, _ Result) string { return fmt.Sprintf("%15d", r.Matches) }},
+	}
+	for _, p := range panels {
+		fmt.Fprintf(w, "\n(%s)\n%-8s", p.title, "size")
 		for _, name := range m.Methods {
 			fmt.Fprintf(w, "%15s", name)
 		}
 		fmt.Fprintln(w)
-	}
-
-	header("a: throughput, events/sec — higher is better")
-	for si, size := range m.Sizes {
-		fmt.Fprintf(w, "%-8d", size)
-		for mi := range m.Methods {
-			fmt.Fprintf(w, "%15.0f", grid[si][mi].Throughput)
-		}
-		fmt.Fprintln(w)
-	}
-
-	header("b: relative throughput gain over static — higher is better")
-	staticIdx := 0
-	for si, size := range m.Sizes {
-		fmt.Fprintf(w, "%-8d", size)
-		base := grid[si][staticIdx].Throughput
-		for mi := range m.Methods {
-			gain := 0.0
-			if base > 0 {
-				gain = grid[si][mi].Throughput / base
+		for si, size := range m.Sizes {
+			fmt.Fprintf(w, "%-8d", size)
+			for mi := range m.Methods {
+				fmt.Fprint(w, p.cell(grid[si][mi], grid[si][0]))
 			}
-			fmt.Fprintf(w, "%15.2f", gain)
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-	}
-
-	header("c: total number of plan reoptimizations")
-	for si, size := range m.Sizes {
-		fmt.Fprintf(w, "%-8d", size)
-		for mi := range m.Methods {
-			fmt.Fprintf(w, "%15d", grid[si][mi].Reopts)
-		}
-		fmt.Fprintln(w)
-	}
-
-	header("d: computational overhead, % of run time — lower is better")
-	for si, size := range m.Sizes {
-		fmt.Fprintf(w, "%-8d", size)
-		for mi := range m.Methods {
-			fmt.Fprintf(w, "%14.2f%%", grid[si][mi].Overhead*100)
-		}
-		fmt.Fprintln(w)
 	}
 }

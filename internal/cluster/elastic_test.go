@@ -6,47 +6,16 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
 	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
-
-// runElastic streams the workload through the rig's cluster with the
-// placement controller configured, invoking the `at` hooks just before
-// the given event indexes — on the ingress goroutine, which is the
-// calling contract of MigrateShard, AddNode and Drain.
-func runElastic(t *testing.T, rig *failoverRig, w *gen.Workload, kind gen.Kind,
-	ec *ElasticConfig, at map[int]func(*Ingress)) (*tagRecorder, *Ingress) {
-	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
-	ing, err := NewIngress(pat, rig.conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-		Recovery: &rig.recOptions, Elastic: ec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Events {
-		if fn, ok := at[i]; ok {
-			fn(ing)
-		}
-		ing.Process(&w.Events[i])
-	}
-	if err := finishWithin(t, 60*time.Second, ing); err != nil {
-		t.Fatalf("elastic cluster finished with error: %v", err)
-	}
-	return rec, ing
-}
 
 // TestMigrateLive is the tentpole's acceptance shape: a shard migrates
 // between two healthy nodes mid-stream — ingest never stops, no failure
@@ -55,10 +24,10 @@ func runElastic(t *testing.T, rig *failoverRig, w *gen.Workload, kind gen.Kind,
 // and a completed timestamp (the ack round-trip happened).
 func TestMigrateLive(t *testing.T) {
 	for _, kind := range []gen.Kind{gen.Sequence, gen.Kleene} {
-		w := failoverWorkload(t, "traffic")
-		want := runSharded(t, w, kind, 6)
-		rig, _ := startFailoverRig(t, w, kind, 0, nil, nil)
-		got, ing := runElastic(t, rig, w, kind, nil, map[int]func(*Ingress){
+		row := rungtest.Lookup(t, fmt.Sprintf("traffic/%v", kind))
+		want := rungtest.Reference(t, row)
+		rig := startRig(t, row, 0, nil, nil)
+		got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 			2000: func(ing *Ingress) {
 				// Shard 2 is node 1's first shard; node 0 never hosted it.
 				if err := ing.MigrateShard(2, 0); err != nil {
@@ -66,7 +35,7 @@ func TestMigrateLive(t *testing.T) {
 				}
 			},
 		})
-		requireIdentical(t, fmt.Sprintf("live migration/%v", kind), got, want)
+		rungtest.Require(t, fmt.Sprintf("live migration/%v", kind), got, want)
 		if fos := ing.Failovers(); len(fos) != 0 {
 			t.Fatalf("%v: healthy migration recorded failovers: %+v", kind, fos)
 		}
@@ -104,10 +73,8 @@ func TestMigrateLive(t *testing.T) {
 func TestRebalanceSkewed(t *testing.T) {
 	// Keys: 4 over 6 global shards leaves at least two shards idle, so
 	// node load is skewed from the start and stays so.
-	w := gen.Traffic(gen.TrafficConfig{
-		Types: 6, Events: 5000, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 4,
-	})
-	want := runSharded(t, w, gen.Sequence, 6)
+	row := rungtest.Lookup(t, "pinned/sequence-300").WithShards(6)
+	want := rungtest.Reference(t, row)
 	type move struct {
 		shard, from, to int
 		reason          string
@@ -119,7 +86,7 @@ func TestRebalanceSkewed(t *testing.T) {
 		}
 		var first []move
 		for run := range 2 {
-			rig, _ := startFailoverRig(t, w, gen.Sequence, standbys, nil, nil)
+			rig := startRig(t, row, standbys, nil, nil)
 			at := map[int]func(*Ingress){}
 			if joiner {
 				// Seated before the first decision, at cut 16.
@@ -133,8 +100,8 @@ func TestRebalanceSkewed(t *testing.T) {
 					}
 				}
 			}
-			got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{HotRatio: 3}, at)
-			requireIdentical(t, name, got, want)
+			got, ing := runRig(t, rig, row, &ElasticConfig{HotRatio: 3}, at)
+			rungtest.Require(t, name, got, want)
 			if fos := ing.Failovers(); len(fos) != 0 {
 				t.Fatalf("%s: recorded failovers: %+v", name, fos)
 			}
@@ -172,24 +139,24 @@ func TestRebalanceSkewed(t *testing.T) {
 // pending). Both the migrated and the failed-over shard must land
 // exactly once in the output.
 func TestMigrateSourceKilled(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
 	// Node 1 has sent ≤94 frames by event 2000 (1 assign + 31 cuts × ≤3);
 	// budget 95 kills it on the first frames after the migration below.
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 1, func(i int, c Conn) Conn {
+	rig := startRig(t, row, 1, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &chaos.Flaky{C: c, Budget: 95}
 		}
 		return c
 	}, nil)
-	got, ing := runElastic(t, rig, w, gen.Sequence, nil, map[int]func(*Ingress){
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 		2000: func(ing *Ingress) {
 			if err := ing.MigrateShard(2, 0); err != nil {
 				t.Fatalf("migration off the doomed source failed: %v", err)
 			}
 		},
 	})
-	requireIdentical(t, "source killed mid-migration", got, want)
+	rungtest.Require(t, "source killed mid-migration", got, want)
 	fos := ing.Failovers()
 	if len(fos) != 1 || fos[0].Node != 1 {
 		t.Fatalf("failovers = %+v, want exactly one for node 1", fos)
@@ -216,17 +183,17 @@ func TestMigrateSourceKilled(t *testing.T) {
 // move is dropped, the destination's whole block (the half-migrated
 // shard included) fails over to a standby, and the stream stays exact.
 func TestMigrateDestKilled(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
 	// Node 0's budget expires just as the migration's Migrate-plus-replay
 	// burst lands on top of its ≤94 pre-migration frames.
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 1, func(i int, c Conn) Conn {
+	rig := startRig(t, row, 1, func(i int, c Conn) Conn {
 		if i == 0 {
 			return &chaos.Flaky{C: c, Budget: 96}
 		}
 		return c
 	}, nil)
-	got, ing := runElastic(t, rig, w, gen.Sequence, nil, map[int]func(*Ingress){
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 		2000: func(ing *Ingress) {
 			// The destination dies during this call's replay loop (or on
 			// the cut right after): the error path parks the failure for
@@ -234,7 +201,7 @@ func TestMigrateDestKilled(t *testing.T) {
 			ing.MigrateShard(2, 0) //nolint:errcheck // the death is the point
 		},
 	})
-	requireIdentical(t, "destination killed mid-replay", got, want)
+	rungtest.Require(t, "destination killed mid-replay", got, want)
 	fos := ing.Failovers()
 	if len(fos) != 1 || fos[0].Node != 0 {
 		t.Fatalf("failovers = %+v, want exactly one for node 0", fos)
@@ -252,18 +219,18 @@ func TestMigrateDestKilled(t *testing.T) {
 // must not interleave moves with the in-flight recovery (it never moves
 // while any migration is unacknowledged), and the stream stays exact.
 func TestRebalanceDuringFailover(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 1, func(i int, c Conn) Conn {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 1, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &chaos.Flaky{C: c, Budget: 45}
 		}
 		return c
 	}, nil)
-	got, ing := runElastic(t, rig, w, gen.Sequence, &ElasticConfig{
+	got, ing := runRig(t, rig, row, &ElasticConfig{
 		HotRatio: 1.1, CooldownCuts: 2,
 	}, nil)
-	requireIdentical(t, "rebalance during failover", got, want)
+	rungtest.Require(t, "rebalance during failover", got, want)
 	fos := ing.Failovers()
 	if len(fos) != 1 || fos[0].Node != 1 {
 		t.Fatalf("failovers = %+v, want exactly one for node 1", fos)
@@ -279,9 +246,9 @@ func TestRebalanceDuringFailover(t *testing.T) {
 // adopted again by a later failover. Two failovers of the same slot
 // ride one standby address; the stream stays exact.
 func TestStandbyRestartRejoins(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, func(i int, c Conn) Conn {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 0, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &chaos.Flaky{C: c, Budget: 30}
 		}
@@ -321,8 +288,8 @@ func TestStandbyRestartRejoins(t *testing.T) {
 	}()
 	rig.recOptions.Standby = DialStandbys([]string{l.Addr()})
 
-	got, ing := runElastic(t, rig, w, gen.Sequence, nil, nil)
-	requireIdentical(t, "standby restart rejoins", got, want)
+	got, ing := runRig(t, rig, row, nil, nil)
+	rungtest.Require(t, "standby restart rejoins", got, want)
 	fos := ing.Failovers()
 	if len(fos) != 2 || fos[0].Node != 1 || fos[1].Node != 1 {
 		t.Fatalf("failovers = %+v, want two for node 1 (original death, adoptee death)", fos)
@@ -338,62 +305,14 @@ func TestStandbyRestartRejoins(t *testing.T) {
 // the cluster keeps running. Stream byte-identical, every move
 // acknowledged, no failovers.
 func TestAddNodeDrain(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 4)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var conns []Conn
-	rig := &failoverRig{}
-	for i := 0; i < 2; i++ {
-		node, err := NewNode(NodeConfig{
-			Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-			Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go node.ServeListener(l, rig.noteErr) //nolint:errcheck // closed at test end
-		c, err := DialTCP(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, c)
-	}
-	// The joining node: bare (adopts pattern and schema from the Assign
-	// reply), listening but not yet part of the cluster.
-	joiner, err := NewNode(NodeConfig{
-		Engine: engine.Config{CheckEvery: 250}, Batch: 64, KeyAttr: "key",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jl, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jl.Close() })
-	go joiner.ServeListener(jl, rig.noteErr) //nolint:errcheck // closed at test end
-
-	rec := &tagRecorder{}
-	ing, err := NewIngress(pat, conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-		Recovery: &RecoveryConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Events {
-		switch i {
-		case 1500:
-			c, err := DialTCP(jl.Addr())
+	row := rungtest.Lookup(t, "traffic/sequence").WithShards(4)
+	want := rungtest.Reference(t, row)
+	// The joining node: the rig's bare standby (it adopts pattern and
+	// schema from the Assign reply), listening but not yet in the cluster.
+	rig := startRig(t, row, 1, nil, nil)
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
+		1500: func(ing *Ingress) {
+			c, err := DialTCP(rig.standbyLs[0].Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -407,17 +326,14 @@ func TestAddNodeDrain(t *testing.T) {
 			if err := ing.MigrateShard(1, n); err != nil {
 				t.Fatalf("handing shard 1 to the joiner: %v", err)
 			}
-		case 3500:
+		},
+		3500: func(ing *Ingress) {
 			if err := ing.Drain(0); err != nil {
 				t.Fatalf("Drain: %v", err)
 			}
-		}
-		ing.Process(&w.Events[i])
-	}
-	if err := finishWithin(t, 60*time.Second, ing); err != nil {
-		t.Fatalf("elastic cluster finished with error: %v", err)
-	}
-	requireIdentical(t, "join+drain", rec, want)
+		},
+	})
+	rungtest.Require(t, "join+drain", got, want)
 	if fos := ing.Failovers(); len(fos) != 0 {
 		t.Fatalf("join+drain recorded failovers: %+v", fos)
 	}
@@ -560,11 +476,8 @@ func scriptedNode(c Conn, shards uint32) {
 //     hottest, but it owns one shard and no node is empty, so nothing
 //     more moves.
 func TestRebalanceRoutedLoad(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	const batch = 8
 	start := func(shards uint32) Conn {
 		client, server := Pipe()
@@ -574,7 +487,7 @@ func TestRebalanceRoutedLoad(t *testing.T) {
 	var released atomic.Uint64
 	wake := make(chan struct{}, 1)
 	ing, err := NewIngress(pat, []Conn{start(2), start(2)}, IngressOptions{
-		Batch: batch, KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {},
+		Batch: batch, KeyAttr: "key", Schema: row.Schema, OnMatch: func(*match.Match) {},
 		Recovery: &RecoveryConfig{}, Elastic: &ElasticConfig{CooldownCuts: 4},
 		OnProgress: func(w uint64) {
 			released.Store(w)
@@ -588,8 +501,8 @@ func TestRebalanceRoutedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every event copies one the pattern reads, keyed onto its shard.
-	tmpl := w.Events[slices.IndexFunc(w.Events, func(ev event.Event) bool { return ing.reads.Has(ev.Type) })]
-	keyAt, _ := w.Schema.AttrIndex(tmpl.Type, "key")
+	tmpl := row.Events[slices.IndexFunc(row.Events, func(ev event.Event) bool { return ing.reads.Has(ev.Type) })]
+	keyAt, _ := row.Schema.AttrIndex(tmpl.Type, "key")
 	var keys [4]float64
 	var keyed [4]bool
 	for k, found := 0, 0; found < 4; k++ {
@@ -629,7 +542,7 @@ func TestRebalanceRoutedLoad(t *testing.T) {
 			cut([4]int{2, 4, 1, 1})
 		}
 	}
-	if err := finishWithin(t, 30*time.Second, ing); err != nil {
+	if err := rungtest.Finish(t, ing.Finish); err != nil {
 		t.Fatal(err)
 	}
 	type move struct {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,27 +12,10 @@ import (
 	"acep/internal/engine"
 	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/pattern"
+	"acep/internal/rungtest"
 	"acep/internal/wire"
 )
-
-// failoverWorkload spreads enough keys that every node of a 3×2 cluster
-// owns live traffic — a kill must actually lose in-flight state.
-func failoverWorkload(t *testing.T, dataset string) *gen.Workload {
-	t.Helper()
-	switch dataset {
-	case "traffic":
-		return gen.Traffic(gen.TrafficConfig{
-			Types: 6, Events: 5000, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 12,
-		})
-	case "stocks":
-		return gen.Stocks(gen.StocksConfig{
-			Types: 6, Events: 5000, Seed: 23, MeanGap: 3, DriftEvery: 300, Keys: 16,
-		})
-	default:
-		t.Fatalf("unknown dataset %s", dataset)
-		return nil
-	}
-}
 
 // recvKiller crashes the node side: after budget received frames the
 // connection slams shut — the remote-process-died failure mode. It embeds
@@ -86,26 +68,24 @@ func (r *failoverRig) noteErr(err error) {
 	r.mu.Unlock()
 }
 
-// startFailoverRig launches the worker and standby processes. wrapConn
-// (optional) injects failures into the ingress-side worker connections;
-// wrapStand into the dialed standby connections, by dial order.
-func startFailoverRig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int,
-	wrapConn func(i int, c Conn) Conn, wrapStand func(k int, c Conn) Conn) (*failoverRig, *gen.Workload) {
+// startRig launches the worker and standby processes: the row's nodes —
+// configured with its one pattern, or bare for a set, which ships from
+// the ingress — and bare standbys. wrapConn (optional) injects failures
+// into the ingress-side worker connections; wrapStand into the dialed
+// standby connections, by dial order.
+func startRig(t *testing.T, row rungtest.Row, standbys int,
+	wrapConn func(i int, c Conn) Conn, wrapStand func(k int, c Conn) Conn) *failoverRig {
 	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rig := &failoverRig{wrapStand: wrapStand}
-
 	serve := func(node *Node, l *Listener) {
 		go node.ServeListener(l, rig.noteErr) //nolint:errcheck // closed at test end
 	}
-	for i := 0; i < 3; i++ {
-		node, err := NewNode(NodeConfig{
-			Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-			Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
-		})
+	for i := range row.Nodes() {
+		nc := NodeConfig{Engine: row.Config, Shards: row.Shards / row.Nodes(), Batch: row.Batch, KeyAttr: "key"}
+		if row.Solo() {
+			nc.Pattern, nc.Schema = row.Specs[0].Pattern, row.Schema
+		}
+		node, err := NewNode(nc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +106,8 @@ func startFailoverRig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int
 	}
 	// Standbys are bare nodes: no pattern, no schema — they adopt both
 	// from the Assign handshake (pattern shipping over real TCP).
-	for k := 0; k < standbys; k++ {
-		node, err := NewNode(NodeConfig{
-			Engine: engine.Config{CheckEvery: 250}, Batch: 64, KeyAttr: "key",
-		})
+	for range standbys {
+		node, err := NewNode(NodeConfig{Engine: row.Config, Batch: row.Batch, KeyAttr: "key"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,54 +135,40 @@ func startFailoverRig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int
 			return c, nil
 		},
 	}
-	return rig, w
+	return rig
 }
 
-// runRecovered streams the workload through the rig's cluster and
-// requires a clean finish (every failure must have been recovered).
-func runRecovered(t *testing.T, rig *failoverRig, w *gen.Workload, kind gen.Kind) (*tagRecorder, *Ingress) {
+// runRig streams the row through the rig's cluster — one pattern
+// through NewIngress's pattern argument, a set as Options.Patterns — with
+// recovery armed from the rig's standbys and the placement controller ec,
+// invoking the `at` hooks just before the given event indexes (on the
+// ingress goroutine, the calling contract of MigrateShard, AddNode and
+// Drain), and requires a clean finish: every failure recovered.
+func runRig(t *testing.T, rig *failoverRig, row rungtest.Row, ec *ElasticConfig, at map[int]func(*Ingress)) (rungtest.Stream, *Ingress) {
 	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
+	var rec rungtest.Recorder
+	opts := IngressOptions{
+		Batch: row.Batch, KeyAttr: "key", Schema: row.Schema, OnTagged: rec.Tagged,
+		Patterns: row.Specs, Tenants: row.Tenants, Recovery: &rig.recOptions, Elastic: ec,
+	}
+	var pat *pattern.Pattern
+	if row.Solo() {
+		pat, opts.Patterns = row.Specs[0].Pattern, nil
+	}
+	ing, err := NewIngress(pat, rig.conns, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &tagRecorder{}
-	ing, err := NewIngress(pat, rig.conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-		Recovery: &rig.recOptions,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Events {
-		ing.Process(&w.Events[i])
-	}
-	done := make(chan error, 1)
-	go func() { done <- ing.Finish() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("recovered cluster finished with error: %v", err)
+	for i := range row.Events {
+		if fn, ok := at[i]; ok {
+			fn(ing)
 		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("recovered cluster Finish hung")
+		ing.Process(&row.Events[i])
 	}
-	return rec, ing
-}
-
-func requireIdentical(t *testing.T, label string, got, want *tagRecorder) {
-	t.Helper()
-	if want.n == 0 {
-		t.Fatalf("%s: reference produced no matches; test is vacuous", label)
+	if err := rungtest.Finish(t, ing.Finish); err != nil {
+		t.Fatalf("cluster finished with error: %v", err)
 	}
-	if !bytes.Equal(got.buf, want.buf) {
-		i := 0
-		for i < len(got.keys) && i < len(want.keys) && got.keys[i] == want.keys[i] {
-			i++
-		}
-		t.Fatalf("%s: recovered stream diverges from sharded reference (%d vs %d matches, first divergence at %d)",
-			label, got.n, want.n, i)
-	}
+	return rec.Stream(), ing
 }
 
 // TestFailoverByteIdentical is the PR's acceptance criterion: killing
@@ -215,19 +179,19 @@ func requireIdentical(t *testing.T, label string, got, want *tagRecorder) {
 // Kleene and composite patterns on both workload regimes.
 func TestFailoverByteIdentical(t *testing.T) {
 	for _, dataset := range []string{"traffic", "stocks"} {
-		w := failoverWorkload(t, dataset)
 		for _, kind := range []gen.Kind{gen.Sequence, gen.Negation, gen.Kleene, gen.Composite} {
-			want := runSharded(t, w, kind, 6)
+			row := rungtest.Lookup(t, fmt.Sprintf("%s/%v", dataset, kind))
+			want := rungtest.Reference(t, row)
 			// Budget 30 ≈ the assign frame plus 29 cuts of 64 events:
 			// the link dies ~37% into the stream.
-			rig, _ := startFailoverRig(t, w, kind, 1, func(i int, c Conn) Conn {
+			rig := startRig(t, row, 1, func(i int, c Conn) Conn {
 				if i == 1 {
 					return &chaos.Flaky{C: c, Budget: 30}
 				}
 				return c
 			}, nil)
-			got, ing := runRecovered(t, rig, w, kind)
-			requireIdentical(t, fmt.Sprintf("%s/%v", dataset, kind), got, want)
+			got, ing := runRig(t, rig, row, nil, nil)
+			rungtest.Require(t, fmt.Sprintf("%s/%v", dataset, kind), got, want)
 			fos := ing.Failovers()
 			if len(fos) != 1 || fos[0].Node != 1 {
 				t.Fatalf("%s/%v: failovers = %+v, want exactly one for node 1", dataset, kind, fos)
@@ -246,19 +210,16 @@ func TestFailoverByteIdentical(t *testing.T) {
 // connection slams shut mid-stream); the reader-side error triggers the
 // failover and the stream stays exact.
 func TestFailoverNodeSideCrash(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 1, nil, nil)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	pat := row.Specs[0].Pattern
+	rig := startRig(t, row, 1, nil, nil)
 	// Replace node 2's connection with a loopback node whose receive
 	// path dies after 25 frames: a node-side crash, not a link failure.
 	rig.conns[2].Close()
 	node, err := NewNode(NodeConfig{
 		Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-		Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Shards: 2, Batch: 64, KeyAttr: "key", Schema: row.Schema,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +228,8 @@ func TestFailoverNodeSideCrash(t *testing.T) {
 	go node.Serve(&recvKiller{streamConn: server.(*streamConn), budget: 25}) //nolint:errcheck // the crash is the point
 	rig.conns[2] = client
 
-	got, ing := runRecovered(t, rig, w, gen.Sequence)
-	requireIdentical(t, "node-side crash", got, want)
+	got, ing := runRig(t, rig, row, nil, nil)
+	rungtest.Require(t, "node-side crash", got, want)
 	if fos := ing.Failovers(); len(fos) != 1 || fos[0].Node != 2 {
 		t.Fatalf("failovers = %+v, want one for node 2", fos)
 	}
@@ -278,9 +239,9 @@ func TestFailoverNodeSideCrash(t *testing.T) {
 // being replayed into it; the ingress discards it, re-purges the slot
 // and adopts the second standby. The delivered stream stays exact.
 func TestFailoverDuringReplay(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 2,
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 2,
 		func(i int, c Conn) Conn {
 			if i == 0 {
 				return &chaos.Flaky{C: c, Budget: 40}
@@ -295,8 +256,8 @@ func TestFailoverDuringReplay(t *testing.T) {
 			}
 			return c
 		})
-	got, ing := runRecovered(t, rig, w, gen.Sequence)
-	requireIdentical(t, "standby died during replay", got, want)
+	got, ing := runRig(t, rig, row, nil, nil)
+	rungtest.Require(t, "standby died during replay", got, want)
 	if rig.dialed != 2 {
 		t.Fatalf("dialed %d standbys, want 2 (first died during replay)", rig.dialed)
 	}
@@ -309,10 +270,10 @@ func TestFailoverDuringReplay(t *testing.T) {
 // of the stream; both blocks fail over (to a fresh standby each) and the
 // stream stays exact.
 func TestFailoverDoubleFailure(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
 	for _, kind := range []gen.Kind{gen.Sequence, gen.Kleene} {
-		want := runSharded(t, w, kind, 6)
-		rig, _ := startFailoverRig(t, w, kind, 2, func(i int, c Conn) Conn {
+		row := rungtest.Lookup(t, fmt.Sprintf("traffic/%v", kind))
+		want := rungtest.Reference(t, row)
+		rig := startRig(t, row, 2, func(i int, c Conn) Conn {
 			switch i {
 			case 0:
 				return &chaos.Flaky{C: c, Budget: 45}
@@ -321,8 +282,8 @@ func TestFailoverDoubleFailure(t *testing.T) {
 			}
 			return c
 		}, nil)
-		got, ing := runRecovered(t, rig, w, kind)
-		requireIdentical(t, fmt.Sprintf("double failure/%v", kind), got, want)
+		got, ing := runRig(t, rig, row, nil, nil)
+		rungtest.Require(t, fmt.Sprintf("double failure/%v", kind), got, want)
 		fos := ing.Failovers()
 		if len(fos) != 2 {
 			t.Fatalf("%v: %d failovers, want 2: %+v", kind, len(fos), fos)
@@ -337,17 +298,17 @@ func TestFailoverDoubleFailure(t *testing.T) {
 // transport error (frames swallowed — a netsplit) is declared dead by
 // the heartbeat detector and failed over; the stream stays exact.
 func TestFailoverHeartbeatTimeout(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 1, func(i int, c Conn) Conn {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 1, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &blackholeConn{Conn: c, budget: 25}
 		}
 		return c
 	}, nil)
 	rig.recOptions.HeartbeatTimeout = 150 * time.Millisecond
-	got, ing := runRecovered(t, rig, w, gen.Sequence)
-	requireIdentical(t, "heartbeat timeout", got, want)
+	got, ing := runRig(t, rig, row, nil, nil)
+	rungtest.Require(t, "heartbeat timeout", got, want)
 	fos := ing.Failovers()
 	if len(fos) != 1 || fos[0].Node != 1 {
 		t.Fatalf("failovers = %+v, want one for node 1", fos)
@@ -361,29 +322,26 @@ func TestFailoverHeartbeatTimeout(t *testing.T) {
 // degrades to the exactness-over-availability behavior — Finish surfaces
 // the error instead of hanging or silently under-delivering.
 func TestFailoverStandbyExhausted(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, func(i int, c Conn) Conn {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startRig(t, row, 0, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &chaos.Flaky{C: c, Budget: 30}
 		}
 		return c
 	}, nil)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pat := row.Specs[0].Pattern
 	ing, err := NewIngress(pat, rig.conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema,
 		OnMatch:  func(*match.Match) {},
 		Recovery: &rig.recOptions,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
-		ing.Process(&w.Events[i])
+	for i := range row.Events {
+		ing.Process(&row.Events[i])
 	}
-	if err := finishWithin(t, 60*time.Second, ing); err == nil {
+	if err := rungtest.Finish(t, ing.Finish); err == nil {
 		t.Fatal("Finish reported success with an unrecoverable dead node")
 	} else if !strings.Contains(err.Error(), "standby") {
 		t.Fatalf("error %v does not explain the exhausted standbys", err)
@@ -396,11 +354,11 @@ func TestFailoverStandbyExhausted(t *testing.T) {
 // trimmed behind the released watermark rather than retaining the whole
 // stream.
 func TestRecoveryHealthyRun(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Negation, 6)
-	rig, _ := startFailoverRig(t, w, gen.Negation, 1, nil, nil)
-	got, ing := runRecovered(t, rig, w, gen.Negation)
-	requireIdentical(t, "healthy run with recovery armed", got, want)
+	row := rungtest.Lookup(t, "traffic/negation")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 1, nil, nil)
+	got, ing := runRig(t, rig, row, nil, nil)
+	rungtest.Require(t, "healthy run with recovery armed", got, want)
 	if fos := ing.Failovers(); len(fos) != 0 {
 		t.Fatalf("healthy run recorded failovers: %+v", fos)
 	}
@@ -414,28 +372,25 @@ func TestRecoveryHealthyRun(t *testing.T) {
 // Spawn's own links, so this pins the healthy path plus configuration
 // plumbing.)
 func TestLocalClusterRecover(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runSharded(t, w, gen.Sequence, 4)
-	rec := &tagRecorder{}
+	row := rungtest.Lookup(t, "traffic/sequence")
+	pat := row.Specs[0].Pattern
+	want := rungtest.Reference(t, row.WithShards(4))
+	var rec rungtest.Recorder
 	nc := NodeConfig{
-		Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+		Pattern: pat, Schema: row.Schema, Engine: engine.Config{CheckEvery: 250},
 		Shards: 2, Batch: 64, KeyAttr: "key",
 	}
 	ing := spawnCluster(t, pat, 2, nc, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema, OnTagged: rec.Tagged,
 		Recovery: &RecoveryConfig{Standby: SpawnStandbys(1, nc)},
 	})
-	for i := range w.Events {
-		ing.Process(&w.Events[i])
+	for i := range row.Events {
+		ing.Process(&row.Events[i])
 	}
 	if err := ing.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, "local recover-enabled cluster", rec, want)
+	rungtest.Require(t, "local recover-enabled cluster", rec.Stream(), want)
 	if fos := ing.Failovers(); len(fos) != 0 {
 		t.Fatalf("healthy local run failed over: %+v", fos)
 	}
@@ -454,18 +409,18 @@ func (p stallProbe) SetWriteStall(d time.Duration) { p.armed.Store(int64(d)) }
 // is installed on — a founding member's, a join's, and above all the
 // standby's that is in service because something already failed.
 func TestWriteStallArmedOnEverySession(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
 	var founding [3]atomic.Int64
 	var joined, adopted atomic.Int64
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 2, func(i int, c Conn) Conn {
+	rig := startRig(t, row, 2, func(i int, c Conn) Conn {
 		if i == 1 {
 			c = &chaos.Flaky{C: c, Budget: 30} // dies ~37% in; standby 0 adopts its shards
 		}
 		return stallProbe{c, &founding[i]}
 	}, func(_ int, c Conn) Conn { return stallProbe{c, &adopted} })
 	rig.recOptions.HeartbeatTimeout = 5 * time.Second
-	got, ing := runElastic(t, rig, w, gen.Sequence, nil, map[int]func(*Ingress){
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 		500: func(ing *Ingress) {
 			c, err := DialTCP(rig.standbyLs[1].Addr())
 			if err != nil {
@@ -476,7 +431,7 @@ func TestWriteStallArmedOnEverySession(t *testing.T) {
 			}
 		},
 	})
-	requireIdentical(t, "join and failover", got, want)
+	rungtest.Require(t, "join and failover", got, want)
 	if fos := ing.Failovers(); len(fos) != 1 {
 		t.Fatalf("failovers = %+v, want the one adoption", fos)
 	}

@@ -11,10 +11,10 @@ import (
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
-	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/multi"
 	recovery "acep/internal/recover"
+	"acep/internal/rungtest"
 	"acep/internal/wire"
 )
 
@@ -22,35 +22,17 @@ import (
 // (chaos.Flaky, chaos.Script) — shared between these tests, the HA
 // tests, acep-bench chaos-* and acep-run -chaos.
 
-// finishWithin guards the deadlock-freedom claims: Finish must return
-// even with dead links in the cluster.
-func finishWithin(t *testing.T, d time.Duration, ing *Ingress) error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- ing.Finish() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		t.Fatal("Finish deadlocked on a dead node link")
-		return nil
-	}
-}
-
 // brokenCluster builds a 3-node pipe cluster whose middle link dies
 // after the given number of successful ingress sends.
-func brokenCluster(t *testing.T, budget int) (*Ingress, *gen.Workload) {
+func brokenCluster(t *testing.T, budget int) (*Ingress, rungtest.Row) {
 	t.Helper()
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	conns := make([]Conn, 3)
 	for i := range conns {
 		node, err := NewNode(NodeConfig{
 			Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-			Shards: 2, Batch: 128, KeyAttr: "key", Schema: w.Schema,
+			Shards: 2, Batch: 128, KeyAttr: "key", Schema: row.Schema,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -61,13 +43,13 @@ func brokenCluster(t *testing.T, budget int) (*Ingress, *gen.Workload) {
 	}
 	conns[1] = &chaos.Flaky{C: conns[1], Budget: budget}
 	ing, err := NewIngress(pat, conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema,
 		OnMatch: func(*match.Match) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ing, w
+	return ing, row
 }
 
 // TestIngressSurvivesDeadNodeLink: when one node's link dies mid-stream,
@@ -78,11 +60,11 @@ func brokenCluster(t *testing.T, budget int) (*Ingress, *gen.Workload) {
 func TestIngressSurvivesDeadNodeLink(t *testing.T) {
 	// Budget 2 covers the assign frame and one cut; the link dies while
 	// the stream is still flowing.
-	ing, w := brokenCluster(t, 2)
-	for i := range w.Events {
-		ing.Process(&w.Events[i])
+	ing, row := brokenCluster(t, 2)
+	for i := range row.Events {
+		ing.Process(&row.Events[i])
 	}
-	err := finishWithin(t, 30*time.Second, ing)
+	err := rungtest.Finish(t, ing.Finish)
 	if err == nil {
 		t.Fatal("Finish reported success despite a dead node link")
 	}
@@ -104,16 +86,13 @@ func TestIngressSurvivesDeadNodeLink(t *testing.T) {
 // TestIngressSurvivesNodeCrash: a node whose process dies (connection
 // closes abruptly, no metrics ever sent) must not wedge the cluster.
 func TestIngressSurvivesNodeCrash(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	conns := make([]Conn, 2)
 	for i := range conns {
 		node, err := NewNode(NodeConfig{
 			Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-			Shards: 1, Batch: 128, KeyAttr: "key", Schema: w.Schema,
+			Shards: 1, Batch: 128, KeyAttr: "key", Schema: row.Schema,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +101,7 @@ func TestIngressSurvivesNodeCrash(t *testing.T) {
 		if i == 1 {
 			// Crash the node right after the handshake: greet, take the
 			// assignment, then slam the connection shut.
-			sig := signature(multi.Solo(pat, engine.Config{}), w.Schema)
+			sig := signature(multi.Solo(pat, engine.Config{}), row.Schema)
 			go func() {
 				server.Send(wire.Hello{Version: wire.Version, Shards: 1, PatternSig: sig}) //nolint:errcheck
 				server.Recv()                                                              //nolint:errcheck // assign
@@ -134,16 +113,16 @@ func TestIngressSurvivesNodeCrash(t *testing.T) {
 		conns[i] = client
 	}
 	ing, err := NewIngress(pat, conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema,
 		OnMatch: func(*match.Match) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
-		ing.Process(&w.Events[i])
+	for i := range row.Events {
+		ing.Process(&row.Events[i])
 	}
-	if err := finishWithin(t, 30*time.Second, ing); err == nil {
+	if err := rungtest.Finish(t, ing.Finish); err == nil {
 		t.Fatal("Finish reported success despite a crashed node")
 	}
 }
@@ -151,13 +130,10 @@ func TestIngressSurvivesNodeCrash(t *testing.T) {
 // TestHandshakeRejections: version skew, pattern mismatch and protocol
 // violations are refused before any event crosses the wire.
 func TestHandshakeRejections(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := signature(multi.Solo(pat, engine.Config{}), w.Schema)
-	opts := IngressOptions{KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {}}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
+	sig := signature(multi.Solo(pat, engine.Config{}), row.Schema)
+	opts := IngressOptions{KeyAttr: "key", Schema: row.Schema, OnMatch: func(*match.Match) {}}
 	cases := []struct {
 		name  string
 		hello wire.Frame
@@ -189,7 +165,7 @@ func TestHandshakeRejections(t *testing.T) {
 	// Node side: a peer that answers hello with something other than an
 	// assignment is refused.
 	node, err := NewNode(NodeConfig{
-		Pattern: pat, Engine: engine.Config{}, Shards: 1, KeyAttr: "key", Schema: w.Schema,
+		Pattern: pat, Engine: engine.Config{}, Shards: 1, KeyAttr: "key", Schema: row.Schema,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,10 +176,10 @@ func TestHandshakeRejections(t *testing.T) {
 	// An assignment outside the global shard space, or without a pattern
 	// set, is refused.
 	set := []wire.PatternEntry{{Pattern: pat}}
-	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Base: 5, Total: 3, Schema: w.Schema, Patterns: set}}}); err == nil {
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Base: 5, Total: 3, Schema: row.Schema, Patterns: set}}}); err == nil {
 		t.Error("node accepted an out-of-range assignment")
 	}
-	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: w.Schema}}}); err == nil {
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: row.Schema}}}); err == nil {
 		t.Error("node accepted an assignment without a pattern set")
 	}
 }
@@ -223,11 +199,8 @@ func (l *frameLog) Send(f wire.Frame) error {
 // fan-outs reach, whether the slot may take a shard, and whether a join
 // may reuse it — each asked of the code path that decides it.
 func TestSlotLifecycle(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	rows := []struct {
 		state                                         slotState
 		cut, route, patternAdd, finish, target, ghost bool
@@ -247,14 +220,14 @@ func TestSlotLifecycle(t *testing.T) {
 		logs := []*frameLog{{got: map[wire.Kind]int{}}, {got: map[wire.Kind]int{}}}
 		in := &Ingress{
 			owner: []int{0, 1}, runs: make([]wire.RunEncoder, 2), total: 2,
-			specs: multi.Solo(pat, engine.Config{}), schema: w.Schema,
+			specs: multi.Solo(pat, engine.Config{}), schema: row.Schema,
 		}
 		for n, st := range []slotState{r.state, slotLive} {
 			s := &slot{conn: logs[n], state: st, hosted: map[int]bool{n: true}, done: make(chan struct{}), gotMetrics: true}
 			close(s.done)
 			in.slots = append(in.slots, s)
 		}
-		in.runs[0].Append(&w.Events[0])
+		in.runs[0].Append(&row.Events[0])
 		target, ghost := in.slots[0].takes(1), in.ghost() == 0
 		in.cutAll()
 		in.waitSends()
@@ -288,13 +261,10 @@ func TestSlotLifecycle(t *testing.T) {
 // TestNodeRejectsGarbageBytes: raw junk on the TCP listener must produce
 // a decode error, not a hang or a crash.
 func TestNodeRejectsGarbageBytes(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	node, err := NewNode(NodeConfig{
-		Pattern: pat, Engine: engine.Config{}, Shards: 1, KeyAttr: "key", Schema: w.Schema,
+		Pattern: pat, Engine: engine.Config{}, Shards: 1, KeyAttr: "key", Schema: row.Schema,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -385,16 +355,13 @@ func (c truncStream) Send(f wire.Frame) error { return c.streamConn.Send(c.tr.se
 // check a body passes on arrival is the decoder's own (wire's
 // FuzzCheckMatchBody), so no match is left to fail at emission.
 func TestCorruptMatchesFrame(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runSharded(t, w, gen.Sequence, 2)
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
+	want := rungtest.Reference(t, row.WithShards(2))
 	node := func(bare bool) *Node {
 		cfg := NodeConfig{Engine: engine.Config{CheckEvery: 250}, Shards: 1, Batch: 128, KeyAttr: "key"}
 		if !bare {
-			cfg.Pattern, cfg.Schema = pat, w.Schema
+			cfg.Pattern, cfg.Schema = pat, row.Schema
 		}
 		n, err := NewNode(cfg)
 		if err != nil {
@@ -439,8 +406,8 @@ func TestCorruptMatchesFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got := &tagRecorder{}
-			opts := IngressOptions{Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: got.rec}
+			var got rungtest.Recorder
+			opts := IngressOptions{Batch: 64, KeyAttr: "key", Schema: row.Schema, OnTagged: got.Tagged}
 			if tc.recover {
 				standby := node(true)
 				opts.Recovery = &RecoveryConfig{Standby: func() (Conn, error) {
@@ -453,10 +420,10 @@ func TestCorruptMatchesFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range w.Events {
-				ing.Process(&w.Events[i])
+			for i := range row.Events {
+				ing.Process(&row.Events[i])
 			}
-			err = finishWithin(t, 60*time.Second, ing)
+			err = rungtest.Finish(t, ing.Finish)
 			if !tr.damaged || len(tr.spared) == 0 {
 				t.Fatal("no frame was damaged: the test is vacuous")
 			}
@@ -467,19 +434,22 @@ func TestCorruptMatchesFrame(t *testing.T) {
 				if fo := ing.Failovers(); len(fo) != 1 || fo[0].Node != 1 || !strings.Contains(fo[0].Cause, "matches frame") {
 					t.Fatalf("failovers %+v, want one of node 1 caused by the frame", fo)
 				}
-				requireIdentical(t, tc.name, got, want)
+				rungtest.Require(t, tc.name, got.Stream(), want)
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), "matches frame") {
 				t.Fatalf("Finish returned %v, want the refused frame", err)
 			}
+			delivered := got.Stream()
 			for _, r := range tr.spared {
-				if rec := wire.AppendMatchRecord(nil, 0, r.Seq, 0, r.Body); bytes.Contains(got.buf, rec) {
-					t.Fatalf("the match at %d, a sound record of the refused frame, was delivered", r.Seq)
+				for _, d := range delivered {
+					if d.Seq == r.Seq && bytes.Equal(d.Body, r.Body) {
+						t.Fatalf("the match at %d, a sound record of the refused frame, was delivered", r.Seq)
+					}
 				}
 			}
-			if got.n == 0 || got.n >= want.n {
-				t.Fatalf("delivered %d matches of the reference's %d, want some and not all", got.n, want.n)
+			if len(delivered) == 0 || len(delivered) >= len(want) {
+				t.Fatalf("delivered %d matches of the reference's %d, want some and not all", len(delivered), len(want))
 			}
 		})
 	}
@@ -542,18 +512,15 @@ func (c *cutLog) state() (closed bool, late int) {
 // released before Finish; and Finish names the refused frame while
 // Failovers stays empty.
 func TestRefusedFrameAbandonsSlot(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	const batch = 64
 	var probe *resultProbe
 	var log *cutLog
 	conns := make([]Conn, 2)
 	for i := range conns {
 		n, err := NewNode(NodeConfig{
-			Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+			Pattern: pat, Schema: row.Schema, Engine: engine.Config{CheckEvery: 250},
 			Shards: 1, Batch: 128, KeyAttr: "key",
 		})
 		if err != nil {
@@ -570,7 +537,7 @@ func TestRefusedFrameAbandonsSlot(t *testing.T) {
 	}
 	var released atomic.Uint64
 	ing, err := NewIngress(pat, conns, IngressOptions{
-		Batch: batch, KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) {},
+		Batch: batch, KeyAttr: "key", Schema: row.Schema, OnMatch: func(*match.Match) {},
 		OnProgress: func(upTo uint64) { released.Store(upTo) },
 	})
 	if err != nil {
@@ -585,14 +552,14 @@ func TestRefusedFrameAbandonsSlot(t *testing.T) {
 		}
 	}
 	failedAt, lateAtFailure := -1, 0
-	for i := range w.Events {
-		ing.Process(&w.Events[i])
+	for i := range row.Events {
+		ing.Process(&row.Events[i])
 		if (i+1)%batch != 0 || failedAt >= 0 {
 			continue
 		}
 		// Lock-step with node 1 until its damaged frame is out, so the
 		// failure lands mid-stream.
-		upTo := w.Events[i].Seq
+		upTo := row.Events[i].Seq
 		waitFor("node 1's results", func() bool { return probe.upTo.Load() >= upTo || probe.damaged.Load() })
 		if probe.damaged.Load() {
 			waitFor("node 1's link to close", func() bool { closed, _ := log.state(); return closed })
@@ -603,13 +570,13 @@ func TestRefusedFrameAbandonsSlot(t *testing.T) {
 			failedAt = i
 		}
 	}
-	if failedAt < 0 || failedAt > len(w.Events)/2 {
-		t.Fatalf("the damaged frame left node 1 after event %d of %d: the test is vacuous", failedAt, len(w.Events))
+	if failedAt < 0 || failedAt > len(row.Events)/2 {
+		t.Fatalf("the damaged frame left node 1 after event %d of %d: the test is vacuous", failedAt, len(row.Events))
 	}
 	t.Logf("node 1 failed at event %d", failedAt)
-	lastCut := w.Events[len(w.Events)/batch*batch-1].Seq
+	lastCut := row.Events[len(row.Events)/batch*batch-1].Seq
 	waitFor("the survivor's matches to be released", func() bool { return released.Load() >= lastCut })
-	err = finishWithin(t, 30*time.Second, ing)
+	err = rungtest.Finish(t, ing.Finish)
 	if err == nil || !strings.Contains(err.Error(), "node 1") || !strings.Contains(err.Error(), "matches frame") {
 		t.Fatalf("Finish returned %v, want node 1's refused frame", err)
 	}

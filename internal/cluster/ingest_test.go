@@ -7,9 +7,9 @@ import (
 
 	"acep/internal/engine"
 	"acep/internal/event"
-	"acep/internal/gen"
 	"acep/internal/multi"
 	"acep/internal/pattern"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -18,14 +18,14 @@ import (
 // record does: every event is handed over in the same event.Event
 // struct, its attributes in the same slice, both overwritten for the
 // next one as soon as Process returns.
-func feedReusing(w *gen.Workload, at map[int]func(), process func(*event.Event)) {
+func feedReusing(row rungtest.Row, at map[int]func(), process func(*event.Event)) {
 	var ev event.Event
 	attrs := make([]float64, 0, 16)
-	for i := range w.Events {
+	for i := range row.Events {
 		if fn, ok := at[i]; ok {
 			fn()
 		}
-		src := &w.Events[i]
+		src := &row.Events[i]
 		attrs = append(attrs[:0], src.Attrs...)
 		ev = event.Event{Type: src.Type, TS: src.TS, Seq: src.Seq, Attrs: attrs}
 		process(&ev)
@@ -41,37 +41,34 @@ func feedReusing(w *gen.Workload, at map[int]func(), process func(*event.Event))
 // the journal on and a shard migrated mid-stream (the replay re-sends
 // runs sealed a thousand events earlier).
 func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runSharded(t, w, gen.Sequence, 6)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	pat := row.Specs[0].Pattern
+	want := rungtest.Reference(t, row)
 
 	t.Run("plain", func(t *testing.T) {
-		rec := &tagRecorder{}
+		var rec rungtest.Recorder
 		ing := spawnCluster(t, pat, 3, NodeConfig{
-			Pattern: pat, Schema: w.Schema, Engine: engine.Config{CheckEvery: 250},
+			Pattern: pat, Schema: row.Schema, Engine: engine.Config{CheckEvery: 250},
 			Shards: 2, Batch: 64, KeyAttr: "key",
-		}, IngressOptions{Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec})
-		feedReusing(w, nil, ing.Process)
+		}, IngressOptions{Batch: 64, KeyAttr: "key", Schema: row.Schema, OnTagged: rec.Tagged})
+		feedReusing(row, nil, ing.Process)
 		if err := ing.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, "reused event, pipes", rec, want)
+		rungtest.Require(t, "reused event, pipes", rec.Stream(), want)
 	})
 
 	t.Run("recovery and migration", func(t *testing.T) {
-		rig, _ := startFailoverRig(t, w, gen.Sequence, 0, nil, nil)
-		rec := &tagRecorder{}
+		rig := startRig(t, row, 0, nil, nil)
+		var rec rungtest.Recorder
 		ing, err := NewIngress(pat, rig.conns, IngressOptions{
-			Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
+			Batch: 64, KeyAttr: "key", Schema: row.Schema, OnTagged: rec.Tagged,
 			Recovery: &rig.recOptions,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedReusing(w, map[int]func(){
+		feedReusing(row, map[int]func(){
 			2000: func() {
 				// Shard 2 is node 1's first shard; node 0 never hosted it.
 				if err := ing.MigrateShard(2, 0); err != nil {
@@ -85,7 +82,7 @@ func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
 		if mgs := ing.Migrations(); len(mgs) != 1 || mgs[0].ReplayEvents == 0 {
 			t.Fatalf("migrations %+v, want one that replayed journaled events", mgs)
 		}
-		requireIdentical(t, "reused event, recovery + migration", rec, want)
+		rungtest.Require(t, "reused event, recovery + migration", rec.Stream(), want)
 	})
 }
 
@@ -98,12 +95,9 @@ func TestIngressDoesNotRetainCallerEvent(t *testing.T) {
 // third of it, and the first leaves at two thirds — cut boundaries both, so
 // neither change seals a partial cut.
 func TestIngressElidesUnreadTypes(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	first, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := pattern.NewBuilder(w.Schema, pattern.Seq, 300)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	first := row.Specs[0].Pattern
+	pb := pattern.NewBuilder(row.Schema, pattern.Seq, 300)
 	for typ := 3; typ < 6; typ++ {
 		pb.Event(typ)
 	}
@@ -111,12 +105,12 @@ func TestIngressElidesUnreadTypes(t *testing.T) {
 	second := pb.MustBuild()
 	// Whole cuts only: Kill seals nothing.
 	const batch = 64
-	n := len(w.Events) / batch * batch
+	n := len(row.Events) / batch * batch
 	addAt, dropAt := n/3, 2*n/3
 	var runEvents, want int
 	var offBatch []uint64
 	ing, err := NewIngress(first, []Conn{newDiscardConn(2), newDiscardConn(2)}, IngressOptions{
-		Batch: batch, KeyAttr: "key", Schema: w.Schema,
+		Batch: batch, KeyAttr: "key", Schema: row.Schema,
 		OnTagged: func(shard.Tagged) {},
 		Recovery: &RecoveryConfig{},
 		OnCut: func(c CutInfo) {
@@ -141,10 +135,10 @@ func TestIngressElidesUnreadTypes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ := w.Events[i].Type; i < addAt && typ < 3 || i >= addAt && i < dropAt || i >= dropAt && typ >= 3 {
+		if typ := row.Events[i].Type; i < addAt && typ < 3 || i >= addAt && i < dropAt || i >= dropAt && typ >= 3 {
 			want++
 		}
-		ing.Process(&w.Events[i])
+		ing.Process(&row.Events[i])
 	}
 	ing.Kill()
 	if len(offBatch) > 0 {
@@ -195,11 +189,8 @@ func (c *discardConn) Close() error {
 // here — nothing is ever released — so its cut list also grows, by
 // doubling: rounding error at these run counts.)
 func TestIngressCutAllocs(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "traffic/sequence")
+	pat := row.Specs[0].Pattern
 	const nodes, perNode = 2, 2
 	const bound = 2*nodes*perNode + 2*nodes + 1 // holds under the race detector too
 	for _, batch := range []int{64, 1024} {
@@ -208,7 +199,7 @@ func TestIngressCutAllocs(t *testing.T) {
 			conns[i] = newDiscardConn(perNode)
 		}
 		ing, err := NewIngress(pat, conns, IngressOptions{
-			Batch: batch, KeyAttr: "key", Schema: w.Schema,
+			Batch: batch, KeyAttr: "key", Schema: row.Schema,
 			OnTagged: func(shard.Tagged) {},
 			Recovery: &RecoveryConfig{},
 		})
@@ -219,7 +210,7 @@ func TestIngressCutAllocs(t *testing.T) {
 		next := 0
 		cut := func() {
 			for k := 0; k < batch; k++ {
-				ev = w.Events[next%len(w.Events)]
+				ev = row.Events[next%len(row.Events)]
 				ev.Seq = uint64(next + 1)
 				ing.Process(&ev)
 				next++

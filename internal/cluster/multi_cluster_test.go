@@ -1,250 +1,46 @@
 package cluster
 
 import (
-	"bytes"
-	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
 	"acep/internal/gen"
 	"acep/internal/multi"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/shed"
-	"acep/internal/wire"
 )
 
-// multiClusterWorkload is a dense keyed stream for the multi-pattern
-// cluster tests: dense enough that every pattern of an overlapping-
-// prefix set (Kleene suffixes included) fires, keyed so the set is
-// partitionable by "key" and spreads across the shards.
-func multiClusterWorkload(t *testing.T, dataset string, keys int) *gen.Workload {
+// setRow is n overlapping-prefix patterns over tenants on a traffic
+// stream over four keys (three of six shards busy), at the given shards.
+func setRow(t *testing.T, n, tenants, shards int) rungtest.Row {
 	t.Helper()
-	switch dataset {
-	case "traffic":
-		return gen.Traffic(gen.TrafficConfig{
-			Types: 7, Events: 6000, Seed: 29, Shifts: 1, MeanGap: 2, Keys: keys,
-		})
-	case "stocks":
-		return gen.Stocks(gen.StocksConfig{
-			Types: 7, Events: 6000, Seed: 31, MeanGap: 2, DriftEvery: 300, Keys: keys,
-		})
-	default:
-		t.Fatalf("unknown dataset %s", dataset)
-		return nil
-	}
-}
-
-// multiClusterSpecs builds an overlapping-prefix pattern set over w.
-func multiClusterSpecs(t *testing.T, w *gen.Workload, kind gen.Kind, n, tenants int) []multi.Spec {
-	t.Helper()
-	entries, err := w.OverlapPatterns(kind, n, 3, 700, tenants)
+	w := gen.Traffic(gen.TrafficConfig{Types: 7, Events: 6000, Seed: 23, Shifts: 1, MeanGap: 2, Keys: 4})
+	entries, err := w.OverlapPatterns(gen.Sequence, n, 3, 700, tenants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]multi.Spec, len(entries))
-	for i, e := range entries {
-		specs[i] = multi.Spec{
-			ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern,
-			Config: engine.Config{CheckEvery: 250},
-		}
+	cfg := engine.Config{CheckEvery: 250}
+	row := rungtest.Row{Schema: w.Schema, Events: w.Events, Config: cfg, Shards: shards, Batch: 64}
+	for _, e := range entries {
+		row.Specs = append(row.Specs, multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: cfg})
 	}
-	return specs
+	return row
 }
 
-// multiRecorder canonicalizes a pattern-multiplexed match stream: one
-// wire-encoded byte stream per pattern id, in delivery order. Per-
-// pattern byte equality of two recordings means identical match sets
-// in identical order, down to every attribute bit.
-type multiRecorder struct {
-	bufs map[uint32][]byte
-	keys map[uint32][]string
-	n    int
-}
-
-func (r *multiRecorder) rec(tg shard.Tagged) {
-	if r.bufs == nil {
-		r.bufs = make(map[uint32][]byte)
-		r.keys = make(map[uint32][]string)
+// byPattern is each pattern's delivered matches, as sorted wire bodies.
+func byPattern(s rungtest.Stream) map[uint32][]string {
+	out := make(map[uint32][]string)
+	for _, r := range s {
+		out[r.Pattern] = append(out[r.Pattern], string(r.Body))
 	}
-	r.bufs[tg.Pattern] = wire.AppendMatchRecord(r.bufs[tg.Pattern], 0, tg.Seq, 0, wire.AppendMatchBody(nil, tg.M))
-	r.keys[tg.Pattern] = append(r.keys[tg.Pattern], tg.M.Key())
-	r.n++
-}
-
-// runMultiLocal is the single-process reference: the multi-pattern
-// shard engine at the given total shard count (itself cross-checked
-// against independent engines in the shard package's tests).
-func runMultiLocal(t *testing.T, w *gen.Workload, specs []multi.Spec, shards int, tenants map[uint32]shed.TenantBudget) *multiRecorder {
-	t.Helper()
-	rec := &multiRecorder{}
-	eng, err := shard.New(nil, engine.Config{}, shard.Options{
-		Shards: shards, Batch: 64, KeyAttr: "key", Schema: w.Schema,
-		Patterns: specs, Tenants: tenants, OnTagged: rec.rec,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, bodies := range out {
+		slices.Sort(bodies)
 	}
-	for i := range w.Events {
-		eng.Process(&w.Events[i])
-	}
-	eng.Finish()
-	return rec
-}
-
-// startMultiRig launches a loopback-TCP cluster of bare worker nodes
-// (multi-pattern sessions always ship the set from the ingress) plus
-// bare standby nodes behind a dialing Standby factory.
-func startMultiRig(t *testing.T, nodes, shardsPer, standbys int, wrapConn func(i int, c Conn) Conn) *failoverRig {
-	t.Helper()
-	rig := &failoverRig{}
-	serve := func(node *Node, l *Listener) {
-		go node.ServeListener(l, rig.noteErr) //nolint:errcheck // closed at test end
-	}
-	for i := 0; i < nodes; i++ {
-		node, err := NewNode(NodeConfig{
-			Engine: engine.Config{CheckEvery: 250},
-			Shards: shardsPer, Batch: 64, KeyAttr: "key",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		serve(node, l)
-		c, err := DialTCP(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wrapConn != nil {
-			c = wrapConn(i, c)
-		}
-		rig.conns = append(rig.conns, c)
-	}
-	for k := 0; k < standbys; k++ {
-		node, err := NewNode(NodeConfig{
-			Engine: engine.Config{CheckEvery: 250}, Batch: 64, KeyAttr: "key",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		serve(node, l)
-		rig.standbyLs = append(rig.standbyLs, l)
-	}
-	rig.recOptions = RecoveryConfig{
-		Standby: func() (Conn, error) {
-			if rig.dialed >= len(rig.standbyLs) {
-				return nil, fmt.Errorf("rig: standbys exhausted")
-			}
-			c, err := DialTCP(rig.standbyLs[rig.dialed].Addr())
-			if err != nil {
-				return nil, err
-			}
-			rig.dialed++
-			return c, nil
-		},
-	}
-	return rig
-}
-
-// runMultiCluster streams the workload through the rig's cluster with
-// the given pattern set, firing the `at` hooks before their event
-// index, and requires a clean finish.
-func runMultiCluster(t *testing.T, rig *failoverRig, w *gen.Workload, specs []multi.Spec,
-	tenants map[uint32]shed.TenantBudget, recover bool, at map[int]func(*Ingress)) (*multiRecorder, *Ingress) {
-	t.Helper()
-	rec := &multiRecorder{}
-	opts := IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: rec.rec,
-		Patterns: specs, Tenants: tenants,
-	}
-	if recover {
-		opts.Recovery = &rig.recOptions
-	}
-	ing, err := NewIngress(nil, rig.conns, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Events {
-		if f := at[i]; f != nil {
-			f(ing)
-		}
-		ing.Process(&w.Events[i])
-	}
-	if err := finishWithin(t, 60*time.Second, ing); err != nil {
-		t.Fatalf("multi cluster finished with error: %v", err)
-	}
-	return rec, ing
-}
-
-// requireMultiIdentical compares two recordings pattern by pattern.
-func requireMultiIdentical(t *testing.T, label string, specs []multi.Spec, got, want *multiRecorder) {
-	t.Helper()
-	if want.n == 0 {
-		t.Fatalf("%s: reference produced no matches; test is vacuous", label)
-	}
-	for _, sp := range specs {
-		if !bytes.Equal(got.bufs[sp.ID], want.bufs[sp.ID]) {
-			t.Fatalf("%s: pattern %d stream diverges from the reference (%d vs %d matches)",
-				label, sp.ID, len(got.keys[sp.ID]), len(want.keys[sp.ID]))
-		}
-	}
-	if got.n != want.n {
-		t.Fatalf("%s: %d matches delivered, reference has %d", label, got.n, want.n)
-	}
-}
-
-// TestMultiClusterByteIdentical is the subsystem's acceptance
-// criterion on the wire: a 3-node loopback-TCP cluster hosting an
-// overlapping-prefix pattern set must deliver, per pattern, a stream
-// byte-identical to the single-process multi-pattern shard engine at
-// equal total shards — for plain, negation and Kleene suffixes on
-// both workload regimes.
-func TestMultiClusterByteIdentical(t *testing.T) {
-	for _, dataset := range []string{"traffic", "stocks"} {
-		for _, kind := range []gen.Kind{gen.Sequence, gen.Negation, gen.Kleene} {
-			w := multiClusterWorkload(t, dataset, 4)
-			// Kleene closures need their own density: the standard regime
-			// is too cross-key-diluted for traffic closures to fire, while
-			// dense stocks streams make the closure count explode.
-			if kind == gen.Kleene {
-				if dataset == "traffic" {
-					w = gen.Traffic(gen.TrafficConfig{
-						Types: 7, Events: 6000, Seed: 23, Shifts: 1, MeanGap: 2, Keys: 2,
-					})
-				} else {
-					w = gen.Stocks(gen.StocksConfig{
-						Types: 7, Events: 6000, Seed: 31, MeanGap: 2, DriftEvery: 300, Keys: 8,
-					})
-				}
-			}
-			specs := multiClusterSpecs(t, w, kind, 6, 1)
-			want := runMultiLocal(t, w, specs, 6, nil)
-			rig := startMultiRig(t, 3, 2, 0, nil)
-			got, ing := runMultiCluster(t, rig, w, specs, nil, false, nil)
-			requireMultiIdentical(t, fmt.Sprintf("%s/%v", dataset, kind), specs, got, want)
-			pms := ing.PatternMetrics()
-			if len(pms) != len(specs) {
-				t.Fatalf("%s/%v: %d pattern metrics, want %d", dataset, kind, len(pms), len(specs))
-			}
-			for _, pm := range pms {
-				if pm.M.Events == 0 {
-					t.Fatalf("%s/%v: pattern %d reports zero events", dataset, kind, pm.ID)
-				}
-			}
-		}
-	}
+	return out
 }
 
 // TestMultiClusterMigrationFailover: the per-pattern streams stay
@@ -253,25 +49,24 @@ func TestMultiClusterByteIdentical(t *testing.T) {
 // fails over to a bare standby (which adopts the whole pattern set
 // through the Assign handshake and journal replay).
 func TestMultiClusterMigrationFailover(t *testing.T) {
-	w := multiClusterWorkload(t, "traffic", 4)
-	specs := multiClusterSpecs(t, w, gen.Sequence, 6, 1)
-	want := runMultiLocal(t, w, specs, 6, nil)
+	row := setRow(t, 6, 1, 6)
+	want := rungtest.Reference(t, row)
 	// Budget 45 ≈ the assign frame plus 44 cuts of 64 events: node 1's
 	// link dies ~47% into the stream, after the migration at event 1000.
-	rig := startMultiRig(t, 3, 2, 1, func(i int, c Conn) Conn {
+	rig := startRig(t, row, 1, func(i int, c Conn) Conn {
 		if i == 1 {
 			return &chaos.Flaky{C: c, Budget: 45}
 		}
 		return c
-	})
-	got, ing := runMultiCluster(t, rig, w, specs, nil, true, map[int]func(*Ingress){
+	}, nil)
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 		1000: func(ing *Ingress) {
 			if err := ing.MigrateShard(4, 0); err != nil {
 				t.Fatalf("migrating shard 4: %v", err)
 			}
 		},
 	})
-	requireMultiIdentical(t, "migration+failover", specs, got, want)
+	rungtest.Require(t, "migration+failover", got, want)
 	fos := ing.Failovers()
 	if len(fos) != 1 || fos[0].Node != 1 {
 		t.Fatalf("failovers = %+v, want exactly one for node 1", fos)
@@ -301,20 +96,19 @@ func TestMultiClusterMigrationFailover(t *testing.T) {
 // and the added pattern emits a subset of its full-stream solo set
 // (the migration replay must not regenerate pre-registration matches).
 func TestMultiClusterAddRemove(t *testing.T) {
-	w := multiClusterWorkload(t, "traffic", 4)
-	all := multiClusterSpecs(t, w, gen.Sequence, 7, 1)
-	initial, extra := all[:6], all[6]
-	removed := initial[1].ID
-
-	rigBase := startMultiRig(t, 3, 2, 0, nil)
-	base, _ := runMultiCluster(t, rigBase, w, initial, nil, false, nil)
-	solo := runMultiLocal(t, w, []multi.Spec{extra}, 1, nil)
+	// The baseline runs all seven from the start: the added pattern's
+	// full-stream set is its solo set.
+	row := setRow(t, 7, 1, 6)
+	baseRun, _ := runRig(t, startRig(t, row, 0, nil, nil), row, nil, nil)
+	base := byPattern(baseRun)
+	initial, extra := row.Specs[:6], row.Specs[6]
+	row.Specs = initial
+	removed, solo := initial[1].ID, base[extra.ID]
 
 	// Mutate early so the baseline certainly has post-mutation matches
 	// of the removed pattern; migrate one of the mutated shards later.
-	at := len(w.Events) / 8
-	rig := startMultiRig(t, 3, 2, 0, nil)
-	got, ing := runMultiCluster(t, rig, w, initial, nil, true, map[int]func(*Ingress){
+	at := len(row.Events) / 8
+	gotRun, ing := runRig(t, startRig(t, row, 0, nil, nil), row, nil, map[int]func(*Ingress){
 		at: func(ing *Ingress) {
 			if err := ing.AddPattern(extra); err != nil {
 				t.Fatalf("AddPattern: %v", err)
@@ -323,13 +117,14 @@ func TestMultiClusterAddRemove(t *testing.T) {
 				t.Fatalf("RemovePattern: %v", err)
 			}
 		},
-		3 * len(w.Events) / 8: func(ing *Ingress) {
+		3 * len(row.Events) / 8: func(ing *Ingress) {
 			if err := ing.MigrateShard(1, 2); err != nil {
 				t.Fatalf("migrating shard 1 after the mutation: %v", err)
 			}
 		},
 	})
 
+	got := byPattern(gotRun)
 	live := ing.Patterns()
 	if len(live) != 6 {
 		t.Fatalf("%d live patterns after add+remove, want 6", len(live))
@@ -343,32 +138,32 @@ func TestMultiClusterAddRemove(t *testing.T) {
 		if sp.ID == removed {
 			continue
 		}
-		if !reflect.DeepEqual(sorted(got.keys[sp.ID]), sorted(base.keys[sp.ID])) {
+		if !slices.Equal(got[sp.ID], base[sp.ID]) {
 			t.Fatalf("pattern %d disturbed by add/remove: %d vs %d matches",
-				sp.ID, len(got.keys[sp.ID]), len(base.keys[sp.ID]))
+				sp.ID, len(got[sp.ID]), len(base[sp.ID]))
 		}
 	}
 	baseSet := make(map[string]int)
-	for _, k := range base.keys[removed] {
+	for _, k := range base[removed] {
 		baseSet[k]++
 	}
-	for _, k := range got.keys[removed] {
+	for _, k := range got[removed] {
 		if baseSet[k] == 0 {
-			t.Fatalf("removed pattern emitted a match outside its baseline: %s", k)
+			t.Fatalf("removed pattern emitted a match outside its baseline: %x", k)
 		}
 		baseSet[k]--
 	}
-	if len(got.keys[removed]) >= len(base.keys[removed]) && len(base.keys[removed]) > 0 {
+	if len(got[removed]) >= len(base[removed]) && len(base[removed]) > 0 {
 		t.Fatalf("removal had no effect: %d of %d matches still emitted",
-			len(got.keys[removed]), len(base.keys[removed]))
+			len(got[removed]), len(base[removed]))
 	}
 	soloSet := make(map[string]int)
-	for _, k := range solo.keys[extra.ID] {
+	for _, k := range solo {
 		soloSet[k]++
 	}
-	for _, k := range got.keys[extra.ID] {
+	for _, k := range got[extra.ID] {
 		if soloSet[k] == 0 {
-			t.Fatalf("added pattern emitted a match outside its solo set (replay regenerated history?): %s", k)
+			t.Fatalf("added pattern emitted a match outside its solo set (replay regenerated history?): %x", k)
 		}
 		soloSet[k]--
 	}
@@ -379,14 +174,11 @@ func TestMultiClusterAddRemove(t *testing.T) {
 // unbudgeted run, and the per-tenant accounting merges across nodes
 // into the ingress TenantStats.
 func TestMultiClusterTenantBudgets(t *testing.T) {
-	w := multiClusterWorkload(t, "traffic", 4)
-	specs := multiClusterSpecs(t, w, gen.Sequence, 6, 2)
-	rigFree := startMultiRig(t, 3, 2, 0, nil)
-	free, _ := runMultiCluster(t, rigFree, w, specs, nil, false, nil)
-
-	budgets := map[uint32]shed.TenantBudget{0: {Rate: 5, Burst: 5}}
-	rig := startMultiRig(t, 3, 2, 0, nil)
-	got, ing := runMultiCluster(t, rig, w, specs, budgets, false, nil)
+	row := setRow(t, 6, 2, 6)
+	freeRun, _ := runRig(t, startRig(t, row, 0, nil, nil), row, nil, nil)
+	row.Tenants = map[uint32]shed.TenantBudget{0: {Rate: 5, Burst: 5}}
+	gotRun, ing := runRig(t, startRig(t, row, 0, nil, nil), row, nil, nil)
+	got, free := byPattern(gotRun), byPattern(freeRun)
 
 	stats := ing.TenantStats()
 	if len(stats) != 2 {
@@ -406,11 +198,11 @@ func TestMultiClusterTenantBudgets(t *testing.T) {
 	if shed1 != 0 || adm1 == 0 {
 		t.Fatalf("unbudgeted tenant: admitted %d, shed %d — want shedding zero", adm1, shed1)
 	}
-	for _, sp := range specs {
+	for _, sp := range row.Specs {
 		if sp.Tenant != 1 {
 			continue
 		}
-		if !bytes.Equal(got.bufs[sp.ID], free.bufs[sp.ID]) {
+		if !slices.Equal(got[sp.ID], free[sp.ID]) {
 			t.Fatalf("unbudgeted tenant's pattern %d disturbed by the other tenant's budget", sp.ID)
 		}
 	}
@@ -432,28 +224,11 @@ func waitGhost(t *testing.T, ing *Ingress, n int) {
 // move to the retired accumulator, and the delivered streams stay
 // byte-identical.
 func TestMultiClusterGhostSlots(t *testing.T) {
-	w := multiClusterWorkload(t, "traffic", 4)
-	specs := multiClusterSpecs(t, w, gen.Sequence, 6, 1)
-	want := runMultiLocal(t, w, specs, 4, nil)
-	rig := startMultiRig(t, 2, 2, 0, nil)
-
-	// Two joiner nodes, each behind its own listener.
-	var joinLs []*Listener
-	for j := 0; j < 2; j++ {
-		node, err := NewNode(NodeConfig{
-			Engine: engine.Config{CheckEvery: 250}, Batch: 64, KeyAttr: "key",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go node.ServeListener(l, rig.noteErr) //nolint:errcheck // closed at test end
-		joinLs = append(joinLs, l)
-	}
+	row := setRow(t, 6, 1, 4)
+	want := rungtest.Reference(t, row)
+	// The two joiners: the rig's standbys, which no failure dials.
+	rig := startRig(t, row, 2, nil, nil)
+	joinLs := rig.standbyLs
 	join := func(ing *Ingress, j int) int {
 		c, err := DialTCP(joinLs[j].Addr())
 		if err != nil {
@@ -466,7 +241,7 @@ func TestMultiClusterGhostSlots(t *testing.T) {
 		return n
 	}
 
-	got, ing := runMultiCluster(t, rig, w, specs, nil, true, map[int]func(*Ingress){
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 		1800: func(ing *Ingress) {
 			if n := join(ing, 0); n != 2 {
 				t.Fatalf("first joiner landed in slot %d, want appended slot 2", n)
@@ -496,35 +271,34 @@ func TestMultiClusterGhostSlots(t *testing.T) {
 		},
 	})
 
-	requireMultiIdentical(t, "ghost slots", specs, got, want)
+	rungtest.Require(t, "ghost slots", got, want)
 	if n := ing.Nodes(); n != 3 {
 		t.Fatalf("slot array grew to %d, want 3 (second joiner must reuse the ghost)", n)
 	}
 	if fos := ing.Failovers(); len(fos) != 0 {
 		t.Fatalf("join/drain churn recorded failovers: %+v", fos)
 	}
-	if ev := ing.Metrics().Events; ev < uint64(len(w.Events)) {
+	if ev := ing.Metrics().Events; ev < uint64(len(row.Events)) {
 		t.Fatalf("cluster metrics lost the retired sessions: %d events accounted, want >= %d",
-			ev, len(w.Events))
+			ev, len(row.Events))
 	}
 }
 
 // TestMultiClusterValidation covers the multi-pattern constructor,
 // handshake and runtime-mutation misuse errors.
 func TestMultiClusterValidation(t *testing.T) {
-	w := multiClusterWorkload(t, "traffic", 4)
-	specs := multiClusterSpecs(t, w, gen.Sequence, 4, 1)
-	pat := specs[0].Pattern
+	row := setRow(t, 4, 1, 6)
+	specs, pat := row.Specs, row.Specs[0].Pattern
 	onTag := func(shard.Tagged) {}
 	conn := func() Conn { c, _ := Pipe(); return c }
 
 	if _, err := NewIngress(pat, []Conn{conn()}, IngressOptions{
-		KeyAttr: "key", Schema: w.Schema, OnTagged: onTag, Patterns: specs,
+		KeyAttr: "key", Schema: row.Schema, OnTagged: onTag, Patterns: specs,
 	}); err == nil {
 		t.Error("non-nil pattern accepted alongside Options.Patterns")
 	}
 	if _, err := NewIngress(nil, []Conn{conn()}, IngressOptions{
-		KeyAttr: "key", Schema: w.Schema, OnTagged: onTag,
+		KeyAttr: "key", Schema: row.Schema, OnTagged: onTag,
 	}); err == nil {
 		t.Error("ingress without any pattern accepted")
 	}
@@ -536,7 +310,7 @@ func TestMultiClusterValidation(t *testing.T) {
 	dup := append([]multi.Spec(nil), specs...)
 	dup[2].ID = dup[0].ID
 	if _, err := NewIngress(nil, []Conn{conn()}, IngressOptions{
-		KeyAttr: "key", Schema: w.Schema, OnTagged: onTag, Patterns: dup,
+		KeyAttr: "key", Schema: row.Schema, OnTagged: onTag, Patterns: dup,
 	}); err == nil {
 		t.Error("duplicate pattern id accepted")
 	}
@@ -546,7 +320,7 @@ func TestMultiClusterValidation(t *testing.T) {
 	// fingerprint covers the set of one, the session's covers four.
 	single, err := NewNode(NodeConfig{
 		Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-		Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Shards: 2, Batch: 64, KeyAttr: "key", Schema: row.Schema,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +328,7 @@ func TestMultiClusterValidation(t *testing.T) {
 	client, server := Pipe()
 	go single.Serve(server) //nolint:errcheck // the rejection is the point
 	if _, err := NewIngress(nil, []Conn{client}, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: onTag, Patterns: specs,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema, OnTagged: onTag, Patterns: specs,
 	}); err == nil || !strings.Contains(err.Error(), "different pattern") {
 		t.Errorf("configured node accepted by multi ingress: %v", err)
 	}
@@ -569,7 +343,7 @@ func TestMultiClusterValidation(t *testing.T) {
 	mc, ms := Pipe()
 	go bare.Serve(ms) //nolint:errcheck // finished at test end
 	ing, err := NewIngress(nil, []Conn{mc}, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: onTag, Patterns: specs[:2],
+		Batch: 64, KeyAttr: "key", Schema: row.Schema, OnTagged: onTag, Patterns: specs[:2],
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -592,7 +366,7 @@ func TestMultiClusterValidation(t *testing.T) {
 	if err := ing.AddPattern(specs[2]); err != nil {
 		t.Errorf("valid AddPattern rejected: %v", err)
 	}
-	if err := finishWithin(t, 30*time.Second, ing); err != nil {
+	if err := rungtest.Finish(t, ing.Finish); err != nil {
 		t.Fatalf("validation cluster finish: %v", err)
 	}
 }
@@ -604,21 +378,18 @@ func TestMultiClusterValidation(t *testing.T) {
 // the single-process shard engine given the same mutations (which the
 // shard package checks against independent engines).
 func TestSoloClusterAddRemove(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
 	var specs []multi.Spec
-	for i, kind := range []gen.Kind{gen.Sequence, gen.Conjunction, gen.Kleene} {
-		pat, err := w.Pattern(kind, 3, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, multi.Spec{ID: uint32(i), Pattern: pat, Config: engine.Config{CheckEvery: 250}})
+	var w rungtest.Row
+	for i, name := range []string{"pinned/sequence-300", "pinned/conjunction-300", "pinned/kleene-300"} {
+		w = rungtest.Lookup(t, name)
+		specs = append(specs, multi.Spec{ID: uint32(i), Pattern: w.Specs[0].Pattern, Config: w.Config})
 	}
 	solo, added, brief := specs[0], specs[1], specs[2]
 	addAt, dropAt := len(w.Events)/4, len(w.Events)/2
 
-	want := &multiRecorder{}
+	var want, got rungtest.Recorder
 	ref, err := shard.New(solo.Pattern, solo.Config, shard.Options{
-		Shards: 4, Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: want.rec,
+		Shards: 4, Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: want.Tagged,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -641,9 +412,8 @@ func TestSoloClusterAddRemove(t *testing.T) {
 		}()
 		conns = append(conns, client)
 	}
-	got := &multiRecorder{}
 	ing, err := NewIngress(solo.Pattern, conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: got.rec,
+		Batch: 64, KeyAttr: "key", Schema: w.Schema, OnTagged: got.Tagged,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -677,14 +447,14 @@ func TestSoloClusterAddRemove(t *testing.T) {
 		ing.Process(&w.Events[i])
 		ref.Process(&w.Events[i])
 	}
-	if err := finishWithin(t, 30*time.Second, ing); err != nil {
+	if err := rungtest.Finish(t, ing.Finish); err != nil {
 		t.Fatalf("cluster finish: %v", err)
 	}
 	ref.Finish()
 
-	requireMultiIdentical(t, "solo session", specs, got, want)
+	rungtest.Require(t, "solo session", got.Stream(), want.Stream())
 	for _, sp := range specs {
-		if len(got.keys[sp.ID]) == 0 {
+		if len(byPattern(got.Stream())[sp.ID]) == 0 {
 			t.Fatalf("pattern %d never fired; test is vacuous", sp.ID)
 		}
 	}

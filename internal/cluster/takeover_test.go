@@ -1,51 +1,17 @@
 package cluster
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"acep/internal/engine"
-	"acep/internal/gen"
 	recovery "acep/internal/recover"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
-	"acep/internal/wire"
 )
-
-// seqRecorder is a tagRecorder that also remembers each match's tag and
-// byte offset, so a recording can be truncated to the prefix at or
-// below a watermark — the emission boundary a takeover successor
-// resumes from.
-type seqRecorder struct {
-	mu   sync.Mutex
-	buf  []byte
-	offs []int
-	seqs []uint64
-}
-
-func (r *seqRecorder) rec(t shard.Tagged) {
-	r.mu.Lock()
-	r.offs = append(r.offs, len(r.buf))
-	r.seqs = append(r.seqs, t.Seq)
-	r.buf = wire.AppendMatchRecord(r.buf, 0, t.Seq, 0, wire.AppendMatchBody(nil, t.M))
-	r.mu.Unlock()
-}
-
-// prefix returns the encoded matches with Seq <= upTo. Collector
-// delivery is monotone in merge order, so they form a byte prefix.
-func (r *seqRecorder) prefix(upTo uint64) ([]byte, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for n < len(r.seqs) && r.seqs[n] <= upTo {
-		n++
-	}
-	if n == len(r.seqs) {
-		return r.buf, n
-	}
-	return r.buf[:r.offs[n]], n
-}
 
 // inlineMirror is a synchronous stand-in for the HA standby: the OnCut
 // tap appends every sealed cut to its own journal and tracks the owner
@@ -77,31 +43,29 @@ func (m *inlineMirror) onCut(ci CutInfo) {
 // The combined consumer stream must be byte-identical to the
 // single-process engine.
 func TestTakeoverResume(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, nil, nil)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	pat := row.Specs[0].Pattern
+	rig := startRig(t, row, 0, nil, nil)
 	var addrs []string
 	for _, c := range rig.conns {
 		addrs = append(addrs, connAddr(c))
 	}
 
 	mir := &inlineMirror{}
+	var err error
 	mir.journal, err = recovery.NewJournal(recovery.JournalConfig{
 		Window: pat.Window, Shards: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	primRec := &seqRecorder{}
+	var primRec rungtest.Recorder
 	var released uint64 // last collector release watermark (the boundary)
 	var relMu sync.Mutex
 	ing, err := NewIngress(pat, rig.conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema,
-		OnTagged: primRec.rec,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema,
+		OnTagged: primRec.Tagged,
 		OnProgress: func(wm uint64) {
 			relMu.Lock()
 			if wm > released {
@@ -120,7 +84,7 @@ func TestTakeoverResume(t *testing.T) {
 
 	const killAt = 2500
 	for i := 0; i < killAt; i++ {
-		ing.Process(&w.Events[i])
+		ing.Process(&row.Events[i])
 		if (i+1)%512 == 0 {
 			// Pace the feed so the workers' release frontier tracks it:
 			// an unpaced coordinator can outrun single-CPU workers by the
@@ -132,7 +96,7 @@ func TestTakeoverResume(t *testing.T) {
 				relMu.Lock()
 				r := released
 				relMu.Unlock()
-				if r+512 >= w.Events[i].Seq || time.Now().After(deadline) {
+				if r+512 >= row.Events[i].Seq || time.Now().After(deadline) {
 					break
 				}
 				time.Sleep(time.Millisecond)
@@ -146,8 +110,11 @@ func TestTakeoverResume(t *testing.T) {
 	if mir.cuts == 0 || boundary == 0 {
 		t.Fatalf("nothing to resume from: %d cuts mirrored, boundary %d", mir.cuts, boundary)
 	}
-	kept, delivered := primRec.prefix(boundary)
-	if delivered == 0 {
+	// Delivery is monotone in merge order, so the matches at or below the
+	// boundary are a prefix of the primary's stream.
+	kept := primRec.Stream()
+	kept = kept[:sort.Search(len(kept), func(i int) bool { return kept[i].Seq > boundary })]
+	if len(kept) == 0 {
 		t.Fatal("primary delivered nothing below the boundary; test is vacuous")
 	}
 
@@ -162,14 +129,14 @@ func TestTakeoverResume(t *testing.T) {
 		}
 		conns = append(conns, c)
 	}
-	succRec := &seqRecorder{}
+	var succRec rungtest.Recorder
 	succ, err := NewIngress(pat, conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Batch: 64, KeyAttr: "key", Schema: row.Schema,
 		OnTagged: func(tm shard.Tagged) {
 			if tm.Seq <= boundary {
 				t.Errorf("successor re-emitted match at seq %d <= boundary %d", tm.Seq, boundary)
 			}
-			succRec.rec(tm)
+			succRec.Tagged(tm)
 		},
 		Epoch:    2,
 		Addrs:    mir.addrs,
@@ -183,27 +150,21 @@ func TestTakeoverResume(t *testing.T) {
 		t.Fatalf("building successor: %v", err)
 	}
 	refed := 0
-	for i := 0; i < len(w.Events); i++ {
-		if w.Events[i].Seq <= mir.lastUpTo {
+	for i := 0; i < len(row.Events); i++ {
+		if row.Events[i].Seq <= mir.lastUpTo {
 			continue
 		}
-		succ.Process(&w.Events[i])
+		succ.Process(&row.Events[i])
 		refed++
 	}
-	if err := finishWithin(t, 60*time.Second, succ); err != nil {
+	if err := rungtest.Finish(t, succ.Finish); err != nil {
 		t.Fatalf("successor finished with error: %v", err)
 	}
 	if refed == 0 {
 		t.Fatal("no tail was re-fed")
 	}
 
-	succRec.mu.Lock()
-	combined := append(append([]byte(nil), kept...), succRec.buf...)
-	succRec.mu.Unlock()
-	if string(combined) != string(want.buf) {
-		t.Fatalf("takeover stream diverges from the reference (%d+%d vs %d matches)",
-			delivered, len(succRec.seqs), want.n)
-	}
+	rungtest.Require(t, "takeover", append(kept, succRec.Stream()...), want)
 
 	mgs := succ.Migrations()
 	adopted := 0
@@ -225,14 +186,11 @@ func TestTakeoverResume(t *testing.T) {
 // epoch-1 coordinator (the zombie) is refused, while a fresh epoch-2
 // session is still welcome.
 func TestTakeoverEpochFence(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "traffic/sequence")
+	pat := row.Specs[0].Pattern
 	node, err := NewNode(NodeConfig{
 		Pattern: pat, Engine: engine.Config{CheckEvery: 250},
-		Shards: 2, Batch: 64, KeyAttr: "key", Schema: w.Schema,
+		Shards: 2, Batch: 64, KeyAttr: "key", Schema: row.Schema,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,16 +214,16 @@ func TestTakeoverEpochFence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ing, err := NewIngress(pat, []Conn{c}, IngressOptions{
-			Batch: 64, KeyAttr: "key", Schema: w.Schema,
+			Batch: 64, KeyAttr: "key", Schema: row.Schema,
 			OnTagged: func(shard.Tagged) {}, Epoch: epoch,
 		})
 		if err != nil {
 			return err
 		}
 		for i := 0; i < events; i++ {
-			ing.Process(&w.Events[i])
+			ing.Process(&row.Events[i])
 		}
-		return finishWithin(t, 30*time.Second, ing)
+		return rungtest.Finish(t, ing.Finish)
 	}
 	if err := run(2, 500); err != nil {
 		t.Fatalf("founding epoch-2 session failed: %v", err)
@@ -283,13 +241,13 @@ func TestTakeoverEpochFence(t *testing.T) {
 // its worker — which must be immediately reusable, here by re-joining
 // the very same worker process and handing it a shard back.
 func TestRemoveNodeScaleIn(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	want := runSharded(t, w, gen.Sequence, 6)
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, nil, nil)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 0, nil, nil)
 	removedAddr := connAddr(rig.conns[2])
 
 	ec := (*ElasticConfig)(nil)
-	rec, ing := runElastic(t, rig, w, gen.Sequence, ec, map[int]func(*Ingress){
+	rec, ing := runRig(t, rig, row, ec, map[int]func(*Ingress){
 		2000: func(in *Ingress) {
 			if err := in.RemoveNode(2); err != nil {
 				t.Fatalf("RemoveNode: %v", err)
@@ -316,7 +274,7 @@ func TestRemoveNodeScaleIn(t *testing.T) {
 			}
 		},
 	})
-	requireIdentical(t, "scale-in + rejoin", rec, want)
+	rungtest.Require(t, "scale-in + rejoin", rec, want)
 	drains, joins := 0, 0
 	for _, m := range ing.Migrations() {
 		switch m.Reason {
@@ -338,14 +296,11 @@ func TestRemoveNodeScaleIn(t *testing.T) {
 // TestTakeoverRequiresMirror pins the guard rails around ResumeState:
 // a resume without a journal or owner table must be refused outright.
 func TestTakeoverRequiresMirror(t *testing.T) {
-	w := failoverWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig, _ := startFailoverRig(t, w, gen.Sequence, 0, nil, nil)
-	_, err = NewIngress(pat, rig.conns, IngressOptions{
-		Batch: 64, KeyAttr: "key", Schema: w.Schema,
+	row := rungtest.Lookup(t, "traffic/sequence")
+	pat := row.Specs[0].Pattern
+	rig := startRig(t, row, 0, nil, nil)
+	_, err := NewIngress(pat, rig.conns, IngressOptions{
+		Batch: 64, KeyAttr: "key", Schema: row.Schema,
 		OnTagged: func(shard.Tagged) {}, Epoch: 2,
 		Recovery: &RecoveryConfig{},
 		Resume:   &ResumeState{NextSeq: 64},

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"acep/internal/engine"
-	"acep/internal/gen"
+	"acep/internal/rungtest"
 	"acep/internal/wire"
 )
 
@@ -151,13 +151,10 @@ func TestWriteStallToleratesSlowReader(t *testing.T) {
 // session with it. With WriteStall armed the session must end in a link
 // error instead.
 func TestNodeWedgedIngressFailsSession(t *testing.T) {
-	w := keyedWorkload(t, "traffic")
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := rungtest.Lookup(t, "pinned/sequence-300")
+	pat := row.Specs[0].Pattern
 	node, err := NewNode(NodeConfig{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key",
+		Pattern: pat, Schema: row.Schema, KeyAttr: "key",
 		Engine: engine.Config{CheckEvery: 250}, Shards: 1, Batch: 64,
 		WriteStall: 300 * time.Millisecond,
 	})
@@ -175,7 +172,7 @@ func TestNodeWedgedIngressFailsSession(t *testing.T) {
 		t.Fatalf("expected hello, got %s", wire.KindOf(f))
 	}
 	if err := ing.Send(wire.Assign{
-		Base: 0, Shards: 1, Total: 1, Schema: w.Schema, Patterns: []wire.PatternEntry{{Pattern: pat}},
+		Base: 0, Shards: 1, Total: 1, Schema: row.Schema, Patterns: []wire.PatternEntry{{Pattern: pat}},
 	}); err != nil {
 		t.Fatalf("assign: %v", err)
 	}

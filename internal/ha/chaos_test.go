@@ -10,9 +10,9 @@ import (
 
 	"acep/internal/chaos"
 	"acep/internal/cluster"
-	"acep/internal/gen"
 	"acep/internal/lease"
 	"acep/internal/multi"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -37,16 +37,16 @@ func startArbiter(t *testing.T) (string, *lease.Server) {
 // is byte-identical to a single-process engine: exactly one ingress
 // ever emits.
 func TestSplitBrainLeaseArbitrated(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
-	rec := &tagRecorder{}
-	p, wrap := newPartitionedPair(t, rig.pairConfig(t, w, gen.Sequence, rec.rec), 500*time.Millisecond)
-	for i := range w.Events {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 0)
+	var rec rungtest.Recorder
+	p, wrap := newPartitionedPair(t, rig.pairConfig(row, rec.Tagged), 500*time.Millisecond)
+	for i := range row.Events {
 		if i == 2000 {
 			wrap.Partition() // both directions, silently
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	// The replication flow-control window trips during the feed: the
 	// blackholed standby stops acknowledging, and that is a demotion.
@@ -67,12 +67,12 @@ func TestSplitBrainLeaseArbitrated(t *testing.T) {
 	if err := p.Finish(); err != nil {
 		t.Fatalf("finish after takeover: %v", err)
 	}
-	requireIdentical(t, "split brain", rec, want)
+	rungtest.Require(t, "split brain", rec.Stream(), want)
 	tk := p.Takeover()
 	if tk == nil {
 		t.Fatal("no takeover record after a lease-arbitrated takeover")
 	}
-	if tk.Skipped != 0 && want.n == 0 {
+	if tk.Skipped != 0 && len(want) == 0 {
 		t.Fatalf("takeover skipped %d with an empty reference", tk.Skipped)
 	}
 }
@@ -98,14 +98,14 @@ func newPartitionedPair(t *testing.T, cfg Config, replTimeout time.Duration) (*P
 // taken over must finish with an explicit error — a silently truncated
 // stream would hide the partition from the operator.
 func TestDemotedWithoutTakeoverErrors(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
-	p, wrap := newPartitionedPair(t, rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}), 400*time.Millisecond)
-	for i := range w.Events {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
+	p, wrap := newPartitionedPair(t, rig.pairConfig(row, func(shard.Tagged) {}), 400*time.Millisecond)
+	for i := range row.Events {
 		if i == 2000 {
 			wrap.Partition()
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	if p.Demotion() == nil {
 		t.Fatal("partitioned primary never demoted")
@@ -125,20 +125,20 @@ func TestDemotedRingCapForfeitsTakeover(t *testing.T) {
 	oldCap := demotedRingCap
 	demotedRingCap = 256
 	defer func() { demotedRingCap = oldCap }()
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
-	p, wrap := newPartitionedPair(t, rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}), 400*time.Millisecond)
-	for i := range w.Events {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
+	p, wrap := newPartitionedPair(t, rig.pairConfig(row, func(shard.Tagged) {}), 400*time.Millisecond)
+	for i := range row.Events {
 		if i == 2000 {
 			wrap.Partition()
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	if p.Demotion() == nil {
 		t.Fatal("partitioned primary never demoted")
 	}
 	if !p.ringForfeited {
-		t.Fatalf("demoted primary fed %d events past the partition without tripping the %d-event ring cap", len(w.Events)-2000, demotedRingCap)
+		t.Fatalf("demoted primary fed %d events past the partition without tripping the %d-event ring cap", len(row.Events)-2000, demotedRingCap)
 	}
 	if err := p.KillPrimary(); err == nil || !strings.Contains(err.Error(), "takeover impossible") {
 		t.Fatalf("KillPrimary after the ring cap returned %v, want an explicit forfeit error", err)
@@ -150,29 +150,26 @@ func TestDemotedRingCapForfeitsTakeover(t *testing.T) {
 // The feed pauses past the TTL (a long GC pause, a suspended VM), an
 // external holder acquires, and the primary's next commit is denied.
 func TestLeaseFencedPrimaryDemotes(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
 	arbAddr, arb := startArbiter(t)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
+	pat := row.Specs[0].Pattern
+	var rec rungtest.Recorder
 	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
-		Workers: rig.workers, OnTagged: rec.rec,
+		Pattern: pat, Schema: row.Schema, KeyAttr: "key", Batch: 64,
+		Workers: rig.workers, OnTagged: rec.Tagged,
 		LeaseAddr: arbAddr, LeaseTTL: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
+	for i := range row.Events {
 		if i == 2500 {
 			// Pause past the TTL so the grant lapses, then usurp it.
 			time.Sleep(600 * time.Millisecond)
 			fenceLease(t, arbAddr, 7)
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	d := p.Demotion()
 	if d == nil {
@@ -203,8 +200,8 @@ func TestLeaseFencedPrimaryDemotes(t *testing.T) {
 // length allows, plus the acquire, the release and one keepalive of slack.
 func TestLeaseRenewsOnTheTTLClock(t *testing.T) {
 	const batch, ttl = 64, 2 * time.Second
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
 	var rpcs atomic.Int64
 	arb := lease.NewAt(func() time.Time { rpcs.Add(1); return time.Now() })
 	arbAddr, err := arb.ListenAndServe("127.0.0.1:0")
@@ -212,15 +209,12 @@ func TestLeaseRenewsOnTheTTLClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(arb.Close)
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pat := row.Specs[0].Pattern
 	var mu sync.Mutex
 	matchCuts := map[uint64]bool{} // cut ordinal (seq-1)/batch; the flush has its own
 	start := time.Now()
 	p, err := New(Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: batch,
+		Pattern: pat, Schema: row.Schema, KeyAttr: "key", Batch: batch,
 		Workers: rig.workers, LeaseAddr: arbAddr, LeaseTTL: ttl,
 		OnTagged: func(tg shard.Tagged) {
 			mu.Lock()
@@ -231,14 +225,14 @@ func TestLeaseRenewsOnTheTTLClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
-		p.Process(&w.Events[i])
+	for i := range row.Events {
+		p.Process(&row.Events[i])
 	}
 	if err := p.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	cuts := (len(w.Events) + batch - 1) / batch
+	cuts := (len(row.Events) + batch - 1) / batch
 	if len(matchCuts) == 0 || len(matchCuts) > cuts/2 {
 		t.Fatalf("%d of %d cuts held a match: the workload cannot tell a per-cut lease from one that is not", len(matchCuts), cuts)
 	}
@@ -253,15 +247,13 @@ func TestLeaseRenewsOnTheTTLClock(t *testing.T) {
 // other — a runtime add or remove would be silently undone by the first
 // takeover, and the sealed ingress refuses both.
 func TestPairRefusesPatternOps(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
-	other, err := w.Pattern(gen.Negation, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPairFeed(t, rig, w, gen.Sequence, nil, func(p *Pair) {
-		for i := range w.Events {
-			if i == len(w.Events)/2 {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
+	other := rungtest.Lookup(t, "traffic/negation").Specs[0].Pattern
+	var rec rungtest.Recorder
+	runPairFeed(t, rig, row, &rec, nil, func(p *Pair) {
+		for i := range row.Events {
+			if i == len(row.Events)/2 {
 				if err := p.Ingress().AddPattern(multi.Spec{ID: 1, Pattern: other}); err == nil || !strings.Contains(err.Error(), "sealed") {
 					t.Errorf("AddPattern on the pair's ingress returned %v, want a sealed-ingress refusal", err)
 				}
@@ -269,7 +261,7 @@ func TestPairRefusesPatternOps(t *testing.T) {
 					t.Errorf("RemovePattern on the pair's ingress returned %v, want a sealed-ingress refusal", err)
 				}
 			}
-			p.Process(&w.Events[i])
+			p.Process(&row.Events[i])
 		}
 	})
 }
@@ -297,12 +289,12 @@ func fenceLease(t *testing.T, addr string, holder uint64) {
 // must have zero effect on the delivered stream, and demote nothing (a
 // demoted primary's Finish errors).
 func TestChaosFaultyLinkAbsorbed(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
-	rec := &tagRecorder{}
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 0)
+	var rec rungtest.Recorder
 	var wrap *chaos.Wrapper
-	cfg := rig.pairConfig(t, w, gen.Sequence, rec.rec)
+	cfg := rig.pairConfig(row, rec.Tagged)
 	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn {
 		wrap = chaos.Wrap(c, chaos.Config{
 			Seed: 0xfeed, DupProb: 0.08,
@@ -314,13 +306,13 @@ func TestChaosFaultyLinkAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
-		p.Process(&w.Events[i])
+	for i := range row.Events {
+		p.Process(&row.Events[i])
 	}
 	if err := p.Finish(); err != nil {
 		t.Fatalf("finish under dup/delay faults: %v", err)
 	}
-	requireIdentical(t, "faulty link", rec, want)
+	rungtest.Require(t, "faulty link", rec.Stream(), want)
 	st := wrap.Stats()
 	if st.Dups+st.Delays == 0 {
 		t.Fatal("fault injector injected nothing; test is vacuous")
@@ -333,12 +325,12 @@ func TestChaosFaultyLinkAbsorbed(t *testing.T) {
 // demotes. Killing it then hands the stream to a successor that resumes
 // from the mirror's last whole cut, byte-identical.
 func TestChaosDroppedCutDemotes(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
-	rec := &tagRecorder{}
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 0)
+	var rec rungtest.Recorder
 	var wrap *chaos.Wrapper
-	cfg := rig.pairConfig(t, w, gen.Sequence, rec.rec)
+	cfg := rig.pairConfig(row, rec.Tagged)
 	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn {
 		wrap = chaos.Wrap(c, chaos.Config{Seed: 0xd0d0})
 		return wrap
@@ -347,14 +339,14 @@ func TestChaosDroppedCutDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
+	for i := range row.Events {
 		switch i {
 		case 1000:
 			wrap.PartitionSend() // outbound frames vanish silently
 		case 1200:
 			wrap.Heal() // the next cut arrives with a gapped ordinal
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	// The primary cannot outrun its window past the gap: flow control
 	// holds the feed until the failed link demotes it.
@@ -367,7 +359,7 @@ func TestChaosDroppedCutDemotes(t *testing.T) {
 	if err := p.Finish(); err != nil {
 		t.Fatalf("finish after takeover: %v", err)
 	}
-	requireIdentical(t, "dropped cut", rec, want)
+	rungtest.Require(t, "dropped cut", rec.Stream(), want)
 	if p.Takeover() == nil {
 		t.Fatal("no takeover record after the gap")
 	}
@@ -378,9 +370,9 @@ func TestChaosDroppedCutDemotes(t *testing.T) {
 // (Config.StandbyAddr), the Pair spawns nothing, and the takeover pulls
 // the mirrored state back over TCP through the handover protocol.
 func TestOutOfProcessStandbyTakeover(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 0)
 	l, err := cluster.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -388,25 +380,25 @@ func TestOutOfProcessStandbyTakeover(t *testing.T) {
 	srv := NewStandbyServer(l)
 	go srv.Serve()
 	t.Cleanup(func() { srv.Stop(); srv.Wait() })
-	rec := &tagRecorder{}
-	cfg := rig.pairConfig(t, w, gen.Sequence, rec.rec)
+	var rec rungtest.Recorder
+	cfg := rig.pairConfig(row, rec.Tagged)
 	cfg.StandbyAddr = l.Addr()
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
+	for i := range row.Events {
 		if i == 2500 {
 			if err := p.KillPrimary(); err != nil {
 				t.Fatalf("takeover from the external standby failed: %v", err)
 			}
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	if err := p.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	requireIdentical(t, "external standby", rec, want)
+	rungtest.Require(t, "external standby", rec.Stream(), want)
 	tk := p.Takeover()
 	if tk == nil || tk.ReplayCuts == 0 {
 		t.Fatalf("takeover record %+v, want replayed cuts from the external mirror", tk)
@@ -422,8 +414,8 @@ func TestOutOfProcessStandbyTakeover(t *testing.T) {
 // must surface an error via the read-stall probe — not hang the
 // takeover forever.
 func TestWedgedStandbyHandoverTimesOut(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
 	// A fake standby: mirrors nothing, acks every cut (so the primary
 	// runs normally), and wedges on the first Handover frame.
 	l, err := cluster.ListenTCP("127.0.0.1:0")
@@ -462,14 +454,14 @@ func TestWedgedStandbyHandoverTimesOut(t *testing.T) {
 			}(c)
 		}
 	}()
-	cfg := rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {})
+	cfg := rig.pairConfig(row, func(shard.Tagged) {})
 	cfg.StandbyAddr = l.Addr()
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2500; i++ {
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	start := time.Now()
 	err = p.KillPrimary()

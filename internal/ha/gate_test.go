@@ -12,8 +12,8 @@ import (
 
 	"acep/internal/cluster"
 	"acep/internal/event"
-	"acep/internal/gen"
 	"acep/internal/match"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -179,11 +179,11 @@ func (c *stallConn) Send(f wire.Frame) error {
 // linkLost → demote, which needs that lock. Link loss must release the
 // blocked publish, and demote the primary.
 func TestGateDrainSurvivesLinkLossOnFullReplCh(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
 	link := &stallConn{entered: make(chan struct{}), fail: make(chan struct{})}
 	emitted := make(chan struct{}, 1)
-	cfg := rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) { emitted <- struct{}{} })
+	cfg := rig.pairConfig(row, func(shard.Tagged) { emitted <- struct{}{} })
 	cfg.WrapRepl = func(c cluster.Conn) cluster.Conn { link.Conn = c; return link }
 	p, err := New(cfg)
 	if err != nil {

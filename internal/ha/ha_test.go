@@ -1,7 +1,6 @@
 package ha
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -12,80 +11,11 @@ import (
 
 	"acep/internal/chaos"
 	"acep/internal/cluster"
-	"acep/internal/engine"
 	"acep/internal/event"
 	"acep/internal/gen"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
-	"acep/internal/wire"
 )
-
-// tagRecorder canonicalizes a tagged-match stream exactly like the
-// cluster tests: the wire encoding of every match in delivery order, so
-// byte equality means identical match sets in identical order.
-type tagRecorder struct {
-	mu  sync.Mutex
-	buf []byte
-	n   int
-}
-
-func (r *tagRecorder) rec(t shard.Tagged) {
-	r.mu.Lock()
-	r.buf = wire.AppendMatchRecord(r.buf, 0, t.Seq, 0, wire.AppendMatchBody(nil, t.M))
-	r.n++
-	r.mu.Unlock()
-}
-
-// haWorkload mirrors the cluster failover workloads: enough keys that
-// every node of a 3×2 cluster owns live traffic.
-func haWorkload(t testing.TB, dataset string) *gen.Workload {
-	t.Helper()
-	switch dataset {
-	case "traffic":
-		return gen.Traffic(gen.TrafficConfig{
-			Types: 6, Events: 5000, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 12,
-		})
-	case "stocks":
-		return gen.Stocks(gen.StocksConfig{
-			Types: 6, Events: 5000, Seed: 23, MeanGap: 3, DriftEvery: 300, Keys: 16,
-		})
-	default:
-		t.Fatalf("unknown dataset %s", dataset)
-		return nil
-	}
-}
-
-// runShardedRef is the single-process reference at equal total shards.
-func runShardedRef(t *testing.T, w *gen.Workload, kind gen.Kind, shards int) *tagRecorder {
-	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &tagRecorder{}
-	eng, err := shard.New(pat, engine.Config{CheckEvery: 250}, shard.Options{
-		Shards: shards, Batch: 128, KeyAttr: "key", Schema: w.Schema,
-		OnTagged: rec.rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Events {
-		eng.Process(&w.Events[i])
-	}
-	eng.Finish()
-	return rec
-}
-
-func requireIdentical(t *testing.T, label string, got, want *tagRecorder) {
-	t.Helper()
-	if want.n == 0 {
-		t.Fatalf("%s: reference produced no matches; test is vacuous", label)
-	}
-	if !bytes.Equal(got.buf, want.buf) {
-		t.Fatalf("%s: HA stream diverges from sharded reference (%d vs %d matches)",
-			label, got.n, want.n)
-	}
-}
 
 // haRig launches worker node processes (ServeListener on loopback TCP)
 // plus a pool of bare standby workers, returning their addresses. Fresh
@@ -104,19 +34,13 @@ func (r *haRig) noteErr(err error) {
 	r.mu.Unlock()
 }
 
-func startHARig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int) *haRig {
+func startHARig(t *testing.T, row rungtest.Row, standbys int) *haRig {
 	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rig := &haRig{}
 	start := func(configured bool) string {
-		cfg := cluster.NodeConfig{
-			Engine: engine.Config{CheckEvery: 250}, Batch: 64, KeyAttr: "key",
-		}
+		cfg := cluster.NodeConfig{Engine: row.Config, Batch: row.Batch, KeyAttr: "key"}
 		if configured {
-			cfg.Pattern, cfg.Schema, cfg.Shards = pat, w.Schema, 2
+			cfg.Pattern, cfg.Schema, cfg.Shards = row.Specs[0].Pattern, row.Schema, row.Shards/row.Nodes()
 		}
 		node, err := cluster.NewNode(cfg)
 		if err != nil {
@@ -130,71 +54,80 @@ func startHARig(t *testing.T, w *gen.Workload, kind gen.Kind, standbys int) *haR
 		go node.ServeListener(l, rig.noteErr) //nolint:errcheck // closed at test end
 		return l.Addr()
 	}
-	for i := 0; i < 3; i++ {
+	for range row.Nodes() {
 		rig.workers = append(rig.workers, start(true))
 	}
-	for k := 0; k < standbys; k++ {
+	for range standbys {
 		rig.standbys = append(rig.standbys, start(false))
 	}
 	return rig
 }
 
 // pairConfig is the configuration every pair under test starts from: the
-// rig's workers and pool, cuts of 64, and the pair's own lease arbiter
-// at a 300 ms TTL, so a takeover waits little for the dead primary's
-// grant to lapse.
-func (r *haRig) pairConfig(t *testing.T, w *gen.Workload, kind gen.Kind, onTagged func(shard.Tagged)) Config {
-	t.Helper()
-	pat, err := w.Pattern(kind, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+// rig's workers and pool, the row's cuts, and the pair's own lease
+// arbiter at a 300 ms TTL, so a takeover waits little for the dead
+// primary's grant to lapse.
+func (r *haRig) pairConfig(row rungtest.Row, onTagged func(shard.Tagged)) Config {
 	return Config{
-		Pattern: pat, Schema: w.Schema, KeyAttr: "key", Batch: 64,
+		Pattern: row.Specs[0].Pattern, Schema: row.Schema, KeyAttr: "key", Batch: row.Batch,
 		Workers: r.workers, Standbys: r.standbys, OnTagged: onTagged,
 		LeaseTTL: 300 * time.Millisecond,
 	}
 }
 
-// runPair streams the workload through a replicated pair, invoking the
-// `at` hooks just before the given event indexes (on the feed
-// goroutine, the calling contract of KillPrimary and friends).
-func runPair(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
-	wrap func(i int, c cluster.Conn) cluster.Conn, at map[int]func(*Pair)) (*tagRecorder, *Pair) {
+// runPair streams the row through a replicated pair, invoking the `at`
+// hooks just before the given event indexes (on the feed goroutine, the
+// calling contract of KillPrimary and friends).
+func runPair(t *testing.T, rig *haRig, row rungtest.Row,
+	wrap func(i int, c cluster.Conn) cluster.Conn, at map[int]func(*Pair)) (rungtest.Stream, *Pair) {
 	t.Helper()
-	return runPairFeed(t, rig, w, kind, wrap, func(p *Pair) {
-		for i := range w.Events {
+	var rec rungtest.Recorder
+	p := runPairFeed(t, rig, row, &rec, wrap, func(p *Pair) {
+		for i := range row.Events {
 			if fn, ok := at[i]; ok {
 				fn(p)
 			}
-			p.Process(&w.Events[i])
+			p.Process(&row.Events[i])
 		}
 	})
+	return rec.Stream(), p
 }
 
-// runPairFeed is runPair with the feed loop the caller's.
-func runPairFeed(t *testing.T, rig *haRig, w *gen.Workload, kind gen.Kind,
-	wrap func(i int, c cluster.Conn) cluster.Conn, feed func(*Pair)) (*tagRecorder, *Pair) {
+// runPairFeed is runPair with the recorder and the feed loop the caller's.
+func runPairFeed(t *testing.T, rig *haRig, row rungtest.Row, rec *rungtest.Recorder,
+	wrap func(i int, c cluster.Conn) cluster.Conn, feed func(*Pair)) *Pair {
 	t.Helper()
-	rec := &tagRecorder{}
-	cfg := rig.pairConfig(t, w, kind, rec.rec)
+	cfg := rig.pairConfig(row, rec.Tagged)
 	cfg.WrapWorker = wrap
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed(p)
-	done := make(chan error, 1)
-	go func() { done <- p.Finish() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("pair finished with error: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("pair Finish hung")
+	if err := rungtest.Finish(t, p.Finish); err != nil {
+		t.Fatalf("pair finished with error: %v", err)
 	}
-	return rec, p
+	return p
+}
+
+// TestTable runs the table's rows of one pattern on a replicated pair
+// over loopback-TCP workers, row.Nodes() of them, with no fault: the
+// emission gate, the lease commit and the replication link in the path
+// of every match.
+func TestTable(t *testing.T) {
+	rungtest.Run(t, rungtest.Rung{Name: "pair", Expect: rungtest.Pair, Run: func(t *testing.T, row rungtest.Row, rec *rungtest.Recorder) rungtest.Metrics {
+		p := runPairFeed(t, startHARig(t, row, 0), row, rec, nil, func(p *Pair) {
+			for i := range row.Events {
+				if op, ok := row.Ops[i]; ok {
+					if err := p.Ingress().MigrateShard(op.Migrate.Shard, op.Migrate.To); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p.Process(&row.Events[i])
+			}
+		})
+		return rungtest.Metrics{Arrived: p.Ingress().Metrics().EventsArrived, Patterns: rungtest.ByID(p.Ingress().PatternMetrics())}
+	}})
 }
 
 // waitFor polls cond until it holds, and fails the test after 10 s.
@@ -227,10 +160,10 @@ func waitMirroredEmission(t *testing.T, p *Pair) {
 func TestTakeoverByteIdentical(t *testing.T) {
 	for _, dataset := range []string{"traffic", "stocks"} {
 		for _, kind := range []gen.Kind{gen.Sequence, gen.Negation, gen.Kleene, gen.Composite} {
-			w := haWorkload(t, dataset)
-			want := runShardedRef(t, w, kind, 6)
-			rig := startHARig(t, w, kind, 0)
-			got, p := runPair(t, rig, w, kind, nil, map[int]func(*Pair){
+			row := rungtest.Lookup(t, fmt.Sprintf("%s/%v", dataset, kind))
+			want := rungtest.Reference(t, row)
+			rig := startHARig(t, row, 0)
+			got, p := runPair(t, rig, row, nil, map[int]func(*Pair){
 				2500: func(p *Pair) {
 					// The feed outruns the pipeline, so let the mirror
 					// learn an emission boundary first: the drill is about
@@ -241,7 +174,7 @@ func TestTakeoverByteIdentical(t *testing.T) {
 					}
 				},
 			})
-			requireIdentical(t, fmt.Sprintf("%s/%v", dataset, kind), got, want)
+			rungtest.Require(t, fmt.Sprintf("%s/%v", dataset, kind), got, want)
 			tk := p.Takeover()
 			if tk == nil {
 				t.Fatalf("%s/%v: no takeover record", dataset, kind)
@@ -275,22 +208,20 @@ func TestTakeoverByteIdentical(t *testing.T) {
 func TestPairDoesNotRetainCallerEvent(t *testing.T) {
 	// Dense on purpose — a match every few events — so the few dozen
 	// events of the unacknowledged tail are certain to sit in some.
-	w := gen.Stocks(gen.StocksConfig{
-		Types: 6, Events: 5000, Seed: 23, MeanGap: 1, DriftEvery: 300, Keys: 12,
-	})
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
-	got, p := runPairFeed(t, rig, w, gen.Sequence, nil, func(p *Pair) {
+	row := rungtest.Lookup(t, "dense/sequence")
+	want := rungtest.Reference(t, row)
+	var got rungtest.Recorder
+	p := runPairFeed(t, startHARig(t, row, 0), row, &got, nil, func(p *Pair) {
 		var ev event.Event
 		attrs := make([]float64, 0, 16)
-		for i := range w.Events {
+		for i := range row.Events {
 			if i == 40*64-1 { // the open cut (Batch 64) is one event short of sealing
 				waitMirroredEmission(t, p)
 				if err := p.KillPrimary(); err != nil {
 					t.Fatalf("takeover failed: %v", err)
 				}
 			}
-			src := &w.Events[i]
+			src := &row.Events[i]
 			attrs = append(attrs[:0], src.Attrs...)
 			ev = event.Event{Type: src.Type, TS: src.TS, Seq: src.Seq, Attrs: attrs}
 			p.Process(&ev)
@@ -302,7 +233,7 @@ func TestPairDoesNotRetainCallerEvent(t *testing.T) {
 	if tk := p.Takeover(); tk == nil || tk.RefedEvents == 0 {
 		t.Fatalf("no unacknowledged tail was re-fed (%+v); test is vacuous", tk)
 	}
-	requireIdentical(t, "reused event across a takeover", got, want)
+	rungtest.Require(t, "reused event across a takeover", got.Stream(), want)
 }
 
 // TestRingTrimsAtEachCut: the refeed ring is trimmed at every cut, not
@@ -311,31 +242,32 @@ func TestPairDoesNotRetainCallerEvent(t *testing.T) {
 // never holds more than the flow-control window plus the open cut, and
 // the stream stays exact.
 func TestRingTrimsAtEachCut(t *testing.T) {
-	w := haWorkload(t, "stocks")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
+	row := rungtest.Lookup(t, "stocks/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 0)
 	const batch = 64 // pairConfig's
-	got, _ := runPairFeed(t, rig, w, gen.Sequence, nil, func(p *Pair) {
+	var got rungtest.Recorder
+	runPairFeed(t, rig, row, &got, nil, func(p *Pair) {
 		for i := range 2 * batch {
-			p.Process(&w.Events[i])
+			p.Process(&row.Events[i])
 		}
 		waitFor(t, "the standby acknowledging the second cut", func() bool {
-			return p.g.ackedSeq() >= w.Events[2*batch-1].Seq
+			return p.g.ackedSeq() >= row.Events[2*batch-1].Seq
 		})
 		for i := 2 * batch; i < 3*batch; i++ {
-			p.Process(&w.Events[i])
+			p.Process(&row.Events[i])
 		}
 		if n := p.ring.Len(); n > batch {
 			t.Fatalf("ring holds %d events after the third cut, want at most the %d of that cut", n, batch)
 		}
-		for i := 3 * batch; i < len(w.Events); i++ {
-			p.Process(&w.Events[i])
+		for i := 3 * batch; i < len(row.Events); i++ {
+			p.Process(&row.Events[i])
 			if n := p.ring.Len(); n > (replLagCuts+1)*batch {
 				t.Fatalf("ring holds %d events at event %d, past replLagCuts+1 cuts (%d)", n, i, (replLagCuts+1)*batch)
 			}
 		}
 	})
-	requireIdentical(t, "ring trimmed at each cut", got, want)
+	rungtest.Require(t, "ring trimmed at each cut", got.Stream(), want)
 }
 
 // TestTakeoverMidMigration — kill matrix: the primary dies right after
@@ -344,10 +276,10 @@ func TestRingTrimsAtEachCut(t *testing.T) {
 // table its mirror holds and the stream stays exact.
 func TestTakeoverMidMigration(t *testing.T) {
 	for _, killAt := range []int{2010, 2100} { // before / after the next cut mirrors the move
-		w := haWorkload(t, "traffic")
-		want := runShardedRef(t, w, gen.Sequence, 6)
-		rig := startHARig(t, w, gen.Sequence, 0)
-		got, p := runPair(t, rig, w, gen.Sequence, nil, map[int]func(*Pair){
+		row := rungtest.Lookup(t, "traffic/sequence")
+		want := rungtest.Reference(t, row)
+		rig := startHARig(t, row, 0)
+		got, p := runPair(t, rig, row, nil, map[int]func(*Pair){
 			2000: func(p *Pair) {
 				if err := p.Ingress().MigrateShard(2, 0); err != nil {
 					t.Fatalf("migration before the kill failed: %v", err)
@@ -359,7 +291,7 @@ func TestTakeoverMidMigration(t *testing.T) {
 				}
 			},
 		})
-		requireIdentical(t, fmt.Sprintf("mid-migration kill@%d", killAt), got, want)
+		rungtest.Require(t, fmt.Sprintf("mid-migration kill@%d", killAt), got, want)
 		if tk := p.Takeover(); tk == nil || tk.ReplayCuts == 0 {
 			t.Fatalf("kill@%d: takeover record %+v", killAt, tk)
 		}
@@ -372,10 +304,10 @@ func TestTakeoverMidMigration(t *testing.T) {
 // which already points the failed slot at its adopted standby — and the
 // stream stays exact end to end.
 func TestTakeoverDuringWorkerFailover(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 1)
-	got, p := runPair(t, rig, w, gen.Sequence,
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 1)
+	got, p := runPair(t, rig, row,
 		func(i int, c cluster.Conn) cluster.Conn {
 			if i == 1 {
 				return &chaos.Flaky{C: c, Budget: 30}
@@ -389,7 +321,7 @@ func TestTakeoverDuringWorkerFailover(t *testing.T) {
 				}
 			},
 		})
-	requireIdentical(t, "takeover during worker failover", got, want)
+	rungtest.Require(t, "takeover during worker failover", got, want)
 	tk := p.Takeover()
 	if tk == nil || tk.Workers != 3 {
 		t.Fatalf("takeover %+v, want 3 workers re-established", tk)
@@ -402,23 +334,23 @@ func TestTakeoverDuringWorkerFailover(t *testing.T) {
 // error. What it delivered is a prefix of the reference stream, and
 // exactly the count its lease arbiter committed.
 func TestStandbyKilledBeforeTakeover(t *testing.T) {
-	w := haWorkload(t, "stocks")
-	want := runShardedRef(t, w, gen.Sequence, 6)
-	rig := startHARig(t, w, gen.Sequence, 0)
-	got := &tagRecorder{}
-	cfg := rig.pairConfig(t, w, gen.Sequence, got.rec)
+	row := rungtest.Lookup(t, "stocks/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startHARig(t, row, 0)
+	var got rungtest.Recorder
+	cfg := rig.pairConfig(row, got.Tagged)
 	cfg.LeaseTTL = time.Minute // no keepalive: the arbiter's count is the gate's commits alone
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Events {
+	for i := range row.Events {
 		if i == 2000 {
 			// Some match must be out, or the count check below is 0 == 0.
 			waitFor(t, "a delivered match", func() bool { return p.Delivered() > 0 })
 			p.KillStandby()
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	if d := p.Demotion(); d == nil || !strings.Contains(d.Cause, "standby killed") {
 		t.Fatalf("losing the standby left demotion %+v, want one naming the standby", d)
@@ -426,8 +358,8 @@ func TestStandbyKilledBeforeTakeover(t *testing.T) {
 	if err := p.Finish(); err == nil || !strings.Contains(err.Error(), "demoted without takeover") {
 		t.Fatalf("Finish returned %v after the standby died, want an explicit demotion error", err)
 	}
-	if got.n == 0 || !bytes.HasPrefix(want.buf, got.buf) {
-		t.Fatalf("the demoted primary delivered %d matches, want a nonempty prefix of the %d-match reference", got.n, want.n)
+	if n := len(got.Stream()); n == 0 || n > len(want) || rungtest.Diff(got.Stream(), want[:n], false) != "" {
+		t.Fatalf("the demoted primary delivered %d matches, want a nonempty prefix of the %d-match reference", n, len(want))
 	}
 	if _, _, _, count := p.arb.State(); count != p.Delivered() {
 		t.Fatalf("arbiter records %d delivered, the demoted primary delivered %d", count, p.Delivered())
@@ -441,21 +373,21 @@ func TestStandbyKilledBeforeTakeover(t *testing.T) {
 // already gone. No state can resume the stream; the failure must be an
 // explicit error, not a hang or a silently truncated stream.
 func TestDoubleDeath(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
-	p, err := New(rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}))
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
+	p, err := New(rig.pairConfig(row, func(shard.Tagged) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var killErr error
-	for i := range w.Events {
+	for i := range row.Events {
 		switch i {
 		case 2000:
 			p.KillStandby()
 		case 3000:
 			killErr = p.KillPrimary()
 		}
-		p.Process(&w.Events[i])
+		p.Process(&row.Events[i])
 	}
 	if killErr == nil || !strings.Contains(killErr.Error(), "double death") {
 		t.Fatalf("double death returned %v, want an explicit double-death error", killErr)
@@ -470,9 +402,9 @@ func TestDoubleDeath(t *testing.T) {
 // servers the pair spawned: once Finish has returned, neither the
 // in-process standby's address nor the lease arbiter's accepts a dial.
 func TestFailedTakeoverTearsDown(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	rig := startHARig(t, w, gen.Sequence, 0)
-	p, err := New(rig.pairConfig(t, w, gen.Sequence, func(shard.Tagged) {}))
+	row := rungtest.Lookup(t, "traffic/sequence")
+	rig := startHARig(t, row, 0)
+	p, err := New(rig.pairConfig(row, func(shard.Tagged) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,23 +453,23 @@ func TestTakeoverAfterControlOps(t *testing.T) {
 		}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := haWorkload(t, "traffic")
-			want := runShardedRef(t, w, gen.Sequence, 6)
-			rig := startHARig(t, w, gen.Sequence, 1)
-			got := &tagRecorder{}
-			cfg := rig.pairConfig(t, w, gen.Sequence, got.rec)
+			row := rungtest.Lookup(t, "traffic/sequence")
+			want := rungtest.Reference(t, row)
+			rig := startHARig(t, row, 1)
+			var got rungtest.Recorder
+			cfg := rig.pairConfig(row, got.Tagged)
 			cfg.Standbys = nil // the bare node joins by AddNode, not as a failover target
 			p, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range w.Events {
+			for i := range row.Events {
 				switch i {
 				case 2000:
 					tc.op(t, p, rig)
 				case 2000 + 4*64:
 					// The mirror may trail the feed by up to replLagCuts.
-					after := w.Events[2000+2*64].Seq
+					after := row.Events[2000+2*64].Seq
 					waitFor(t, "the mirror holding a cut past the op", func() bool {
 						p.srv.mu.Lock()
 						defer p.srv.mu.Unlock()
@@ -547,12 +479,12 @@ func TestTakeoverAfterControlOps(t *testing.T) {
 						t.Fatalf("takeover failed: %v", err)
 					}
 				}
-				p.Process(&w.Events[i])
+				p.Process(&row.Events[i])
 			}
 			if err := p.Finish(); err != nil {
 				t.Fatalf("finish after takeover: %v", err)
 			}
-			requireIdentical(t, tc.name, got, want)
+			rungtest.Require(t, tc.name, got.Stream(), want)
 			if tk := p.Takeover(); tk == nil || tk.Workers != tc.workers {
 				t.Fatalf("takeover %+v, want the successor over %d workers", tk, tc.workers)
 			}

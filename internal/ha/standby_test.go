@@ -10,6 +10,7 @@ import (
 	"acep/internal/event"
 	"acep/internal/gen"
 	recovery "acep/internal/recover"
+	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/wire"
 )
@@ -21,21 +22,21 @@ const mirrorShards = 2
 // ingress and replication tap do: batch events per cut, one encoded run
 // per shard with traffic, dense ordinals from 1, both tables on every
 // cut.
-func replCuts(t testing.TB, w *gen.Workload, batch int) []wire.ReplCut {
+func replCuts(t testing.TB, schema *event.Schema, evs []event.Event, batch int) []wire.ReplCut {
 	t.Helper()
-	key, err := shard.ByAttrName(w.Schema, "key")
+	key, err := shard.ByAttrName(schema, "key")
 	if err != nil {
 		t.Fatal(err)
 	}
 	owner := make([]uint32, mirrorShards)
 	addrs := make([]string, 1)
 	var cuts []wire.ReplCut
-	for at := 0; at+batch <= len(w.Events); at += batch {
+	for at := 0; at+batch <= len(evs); at += batch {
 		encs := make([]wire.RunEncoder, mirrorShards)
 		for i := at; i < at+batch; i++ {
-			encs[shard.GlobalIndex(key(&w.Events[i]), mirrorShards)].Append(&w.Events[i])
+			encs[shard.GlobalIndex(key(&evs[i]), mirrorShards)].Append(&evs[i])
 		}
-		rc := wire.ReplCut{UpTo: w.Events[at+batch-1].Seq, Cut: uint64(len(cuts) + 1), Owner: owner, Addrs: addrs}
+		rc := wire.ReplCut{UpTo: evs[at+batch-1].Seq, Cut: uint64(len(cuts) + 1), Owner: owner, Addrs: addrs}
 		for g := range encs {
 			if encs[g].Events() > 0 {
 				rc.Runs = append(rc.Runs, encs[g].Seal(uint32(g)))
@@ -56,8 +57,8 @@ func replCuts(t testing.TB, w *gen.Workload, batch int) []wire.ReplCut {
 // in Stats). The successor side refuses the same run when a handover
 // serves it.
 func TestStandbyAcksOnlyWhatItHolds(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	good := replCuts(t, w, 256)[0]
+	w := rungtest.Lookup(t, "pinned/sequence-300")
+	good := replCuts(t, w.Schema, w.Events, 256)[0]
 	stray := good
 	stray.Runs = append([]wire.ReplRun{}, good.Runs...)
 	stray.Runs[0].Shard = mirrorShards
@@ -125,11 +126,7 @@ func TestStandbyAcksOnlyWhatItHolds(t *testing.T) {
 		c.Send(wire.ReplCut{UpTo: stray.UpTo, Cut: 1, Runs: stray.Runs})                          //nolint:errcheck
 		c.Recv()                                                                                  //nolint:errcheck // hold the link until the successor hangs up
 	}()
-	pat, err := w.Pattern(gen.Sequence, 3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Pair{cfg: Config{Pattern: pat}, standbyAddr: l.Addr()}
+	p := &Pair{cfg: Config{Pattern: w.Specs[0].Pattern}, standbyAddr: l.Addr()}
 	if _, err := p.fetchMirror(2); err == nil || !strings.Contains(err.Error(), "run of shard 2") {
 		t.Errorf("fetchMirror over a handover with a run outside the owner table returned %v, want it refused", err)
 	}
@@ -143,8 +140,8 @@ func TestStandbyAcksOnlyWhatItHolds(t *testing.T) {
 // retains, so a successor's replay sends its workers the very frames the
 // dead primary's would have.
 func TestStandbyMirrorsVerbatim(t *testing.T) {
-	w := haWorkload(t, "traffic")
-	cuts := replCuts(t, w, 64)
+	w := rungtest.Lookup(t, "pinned/sequence-300")
+	cuts := replCuts(t, w.Schema, w.Events, 64)
 	const window = 300
 	ref, err := recovery.NewJournal(recovery.JournalConfig{Window: window, Shards: mirrorShards})
 	if err != nil {
@@ -231,11 +228,7 @@ func TestStandbyMirrorsVerbatim(t *testing.T) {
 
 	// The successor's side of the same exchange: the journal fetchMirror
 	// rebuilds replays, per shard, what the reference replays.
-	pat, err := w.Pattern(gen.Sequence, 3, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := (&Pair{cfg: Config{Pattern: pat}, standbyAddr: srv.Addr()}).fetchMirror(2)
+	st, err := (&Pair{cfg: Config{Pattern: w.Specs[0].Pattern}, standbyAddr: srv.Addr()}).fetchMirror(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +302,7 @@ func TestStandbyMirrorAllocs(t *testing.T) {
 		w := gen.Traffic(gen.TrafficConfig{
 			Types: 6, Events: (warm + runs + 2) * events, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 12,
 		})
-		cuts := replCuts(t, w, events)
+		cuts := replCuts(t, w.Schema, w.Events, events)
 		steps := make([][]wire.Frame, len(cuts))
 		for i, rc := range cuts {
 			steps[i] = []wire.Frame{rc}
@@ -349,7 +342,8 @@ func TestStandbyMirrorAllocs(t *testing.T) {
 // timestamps; the bodies are never looked at.
 func BenchmarkStandbyMirror(b *testing.B) {
 	const events = 256
-	cuts := replCuts(b, haWorkload(b, "traffic"), events)
+	w := rungtest.Lookup(b, "pinned/sequence-300")
+	cuts := replCuts(b, w.Schema, w.Events, events)
 	span := event.Time(cuts[len(cuts)-1].Runs[0].LastTS + 1)
 	primary := openMirror(b)
 	defer primary.Close()

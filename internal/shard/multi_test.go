@@ -87,31 +87,6 @@ func runIndependent(t *testing.T, w *gen.Workload, specs []multi.Spec) map[uint3
 	return out
 }
 
-// TestMultiShardedMatchesIndependent: the sharded shared-evaluation
-// layer must reproduce, per pattern, exactly the match set of an
-// independent single-threaded engine, for plain and residual suffixes.
-func TestMultiShardedMatchesIndependent(t *testing.T) {
-	w := multiWorkload(t, 6000, 23)
-	for _, kind := range []gen.Kind{gen.Sequence, gen.Negation, gen.Kleene} {
-		specs := multiSpecs(t, w, kind, 8, 1)
-		want := runIndependent(t, w, specs)
-		for _, shards := range []int{1, 4} {
-			_, got, _ := runMultiSharded(t, w, specs, shards, nil, nil)
-			total := 0
-			for _, sp := range specs {
-				if !reflect.DeepEqual(sorted(got[sp.ID]), sorted(want[sp.ID])) {
-					t.Fatalf("%v shards=%d pattern %d: %d matches vs independent %d",
-						kind, shards, sp.ID, len(got[sp.ID]), len(want[sp.ID]))
-				}
-				total += len(got[sp.ID])
-			}
-			if total == 0 {
-				t.Fatalf("%v: no matches at all; test is vacuous", kind)
-			}
-		}
-	}
-}
-
 // TestMultiShardedDeterministic: the delivered (pattern, key) stream is
 // a deterministic function of the input for a fixed shard count.
 func TestMultiShardedDeterministic(t *testing.T) {

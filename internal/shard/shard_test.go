@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,7 +16,6 @@ import (
 	"acep/internal/multi"
 	"acep/internal/oracle"
 	"acep/internal/pattern"
-	"acep/internal/wire"
 )
 
 // keyedWorkload is a small keyed traffic stream with one regime shift, so
@@ -55,37 +54,15 @@ func runSingle(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model)
 // returns the match keys in delivery order plus the engine.
 func runSharded(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model, shards, batch int) ([]string, *Engine) {
 	t.Helper()
-	keys, _, eng := runShardedBytes(t, w, kind, model, shards, batch, false)
-	return keys, eng
-}
-
-// runShardedBytes additionally returns the delivered stream's wire
-// encoding (every match with its merge tag, in delivery order). asSet
-// submits the pattern as Options.Patterns of one instead of through
-// New's pattern argument.
-func runShardedBytes(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.Model, shards, batch int, asSet bool) ([]string, []byte, *Engine) {
-	t.Helper()
 	pat, err := w.Pattern(kind, 3, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	var buf []byte
-	cfg := engine.Config{Model: model, CheckEvery: 250}
-	opts := Options{
-		Shards:  shards,
-		Batch:   batch,
-		KeyAttr: "key",
-		Schema:  w.Schema,
-		OnTagged: func(tg Tagged) {
-			got = append(got, tg.M.Key())
-			buf = wire.AppendMatchRecord(buf, uint32(tg.Src), tg.Seq, tg.Pattern, wire.AppendMatchBody(nil, tg.M))
-		},
-	}
-	if asSet {
-		opts.Patterns, pat, cfg = multi.Solo(pat, cfg), nil, engine.Config{}
-	}
-	eng, err := New(pat, cfg, opts)
+	eng, err := New(pat, engine.Config{Model: model, CheckEvery: 250}, Options{
+		Shards: shards, Batch: batch, KeyAttr: "key", Schema: w.Schema,
+		OnTagged: func(tg Tagged) { got = append(got, tg.M.Key()) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,35 +70,7 @@ func runShardedBytes(t *testing.T, w *gen.Workload, kind gen.Kind, model engine.
 		eng.Process(&w.Events[i])
 	}
 	eng.Finish()
-	return got, buf, eng
-}
-
-// TestShardedMatchesSingleThreaded is the central exactness property of
-// the sharded layer: for a key-partitionable pattern the sharded engine
-// must produce exactly the single-threaded match set, at every shard
-// count.
-func TestShardedMatchesSingleThreaded(t *testing.T) {
-	w := keyedWorkload(t)
-	for _, kind := range []gen.Kind{gen.Sequence, gen.Negation, gen.Kleene, gen.Conjunction} {
-		for _, model := range []engine.Model{engine.GreedyNFA, engine.ZStreamTree} {
-			want := runSingle(t, w, kind, model)
-			if len(want) == 0 {
-				t.Fatalf("%v/%v: reference produced no matches; test is vacuous", kind, model)
-			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				got, legacy, _ := runShardedBytes(t, w, kind, model, shards, 128, false)
-				if !reflect.DeepEqual(sorted(got), want) {
-					t.Fatalf("%v/%v shards=%d: %d matches vs single-threaded %d",
-						kind, model, shards, len(got), len(want))
-				}
-				// One more input: the same pattern as Options.Patterns of
-				// one must deliver the identical wire bytes.
-				if _, asSet, _ := runShardedBytes(t, w, kind, model, shards, 128, true); !bytes.Equal(asSet, legacy) {
-					t.Fatalf("%v/%v shards=%d: set of one diverges from the pattern argument", kind, model, shards)
-				}
-			}
-		}
-	}
+	return got, eng
 }
 
 // elided counts the events of a type pat does not read: the router offers
@@ -137,15 +86,7 @@ func elided(pat *pattern.Pattern, evs []event.Event) uint64 {
 	return n
 }
 
-func sorted(keys []string) []string {
-	out := append([]string(nil), keys...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func sorted(keys []string) []string { return slices.Sorted(slices.Values(keys)) }
 
 // TestShardedComposite covers OR patterns: per-disjunct, per-shard
 // adaptation with the same exactness requirement.

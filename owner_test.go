@@ -13,7 +13,7 @@ import (
 	"acep/internal/match/matchtest"
 	"acep/internal/multi"
 	"acep/internal/pattern"
-	"acep/internal/shard/shardtest"
+	"acep/internal/rungtest"
 	"acep/internal/shed"
 	"acep/internal/wire"
 )
@@ -128,7 +128,7 @@ func TestOwnerDoesNotRetainCallerEvent(t *testing.T) {
 			}}
 	}
 	multiRow := func(name string, events []event.Event, specs []multi.Spec, budgets map[uint32]shed.TenantBudget,
-		ops map[int]shardtest.Op, check func(*multi.Set, *multi.Evaluator) error) ownerRow {
+		ops map[int]rungtest.Op, check func(*multi.Set, *multi.Evaluator) error) ownerRow {
 		return ownerRow{name: "multi/" + name, events: events,
 			build: func(t *testing.T, stable bool, deliver func(uint32, *match.Match)) ownerSystem {
 				set, err := multi.Analyze(specs, s)
@@ -181,7 +181,7 @@ func TestOwnerDoesNotRetainCallerEvent(t *testing.T) {
 			}),
 		multiRow("add and remove mid-stream", stream,
 			[]multi.Spec{spec(1, 0, seq), spec(2, 0, negKleene)}, nil,
-			map[int]shardtest.Op{5000: {Add: &added}, 7000: {Remove: 2}}, nil),
+			map[int]rungtest.Op{5000: {Add: &added}, 7000: {Remove: 2}}, nil),
 		// Tenant 1's bucket empties after 100 events and refills one token
 		// per five windows: its engine sits on parked matches and a residual
 		// buffer while tenant 0 carries the evaluator's clock past them.
