@@ -169,6 +169,10 @@ type Ingress struct {
 	pending int               // events Process took since the last cut, elided ones included
 	lastSeq uint64
 	elided  uint64 // events Process offered no shard: no hosted pattern reads their type
+	// reoffered counts the events handoffs replayed to a shard's new
+	// owner: its previous owner, which reports, counted them arriving.
+	reoffered uint64
+	delivered map[uint32]uint64 // matches handed to the consumer, by pattern: the collector's
 
 	// Cut pipelining: each sealed cut's frames are encoded and sent by
 	// per-node goroutines while the coordinator returns to accumulating
@@ -397,6 +401,18 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	case opts.OnMatch != nil:
 		deliver = in.opened(func(t shard.Tagged) { opts.OnMatch(t.M) })
 	}
+	// The matches metrics report are the ones delivered here: an engine
+	// also counts the ones a moved shard's collector purge or its
+	// destination's replay suppression keeps from the consumer.
+	in.delivered = make(map[uint32]uint64)
+	if consume := deliver; consume != nil {
+		deliver = func(t shard.Tagged) {
+			in.delivered[t.Pattern]++
+			consume(t)
+		}
+	} else {
+		deliver = func(t shard.Tagged) { in.delivered[t.Pattern]++ }
+	}
 	var progress func(uint64)
 	if rc := opts.Recovery; rc != nil {
 		in.rec = *rc
@@ -522,9 +538,9 @@ func (in *Ingress) dropRegen(p uint32, seq uint64) bool {
 // is the tags of one Seq): the one decode of a match's life, and the
 // emission boundary is the only place for it — this ingress handing a
 // match to its consumer, or a consumer of sealed tags
-// (NewSealedIngress) doing so later. A reader checked these bytes when
-// they arrived (tagsOf), so an error is a fault of the coordinator, not of
-// the worker that sent them.
+// (NewSealedIngress) doing so later. The reader's decode checked these
+// bytes when they arrived (tagsOf), so an error is a fault of the
+// coordinator, not of the worker that sent them.
 func Open(t *shard.Tagged, k *match.Keeper) error {
 	k.StepTo(t.Seq)
 	m, err := wire.DecodeMatchBody(t.Enc, k)
@@ -551,13 +567,15 @@ func (in *Ingress) opened(out func(shard.Tagged)) func(shard.Tagged) {
 
 // tagsOf appends to tags (empty) a node's Matches frame as the tags the
 // merge collector orders: each carries its body as Enc, aliasing the
-// frame's own bytes, undecoded. The walk checks the whole frame
-// (wire.Matches.Each) — corrupt bytes fail this node's session, and
-// nothing of an unsound frame is posted — and drops replay artifacts of
-// runtime-added patterns. Reader goroutines.
+// frame's own bytes, undecoded. The frame is one the reader decoded, which
+// checked it whole (wire.Matches.Each) — corrupt bytes failed this node's
+// session there, before anything of the frame could be posted — so the
+// walk reads its records without checking the bodies again
+// (wire.Matches.Records), and drops replay artifacts of runtime-added
+// patterns. Reader goroutines.
 func (in *Ingress) tagsOf(v wire.Matches, tags []shard.Tagged) ([]shard.Tagged, error) {
-	tags = slices.Grow(tags, v.Count) // Each holds the count against the bytes
-	err := v.Each(func(r wire.MatchRecord) {
+	tags = slices.Grow(tags, v.Count) // decoding held the count against the bytes
+	err := v.Records(func(r wire.MatchRecord) {
 		if !in.dropRegen(r.Pattern, r.Seq) {
 			tags = append(tags, shard.Tagged{Seq: r.Seq, Src: int(r.Shard), Pattern: r.Pattern, Enc: r.Body})
 		}
@@ -890,8 +908,12 @@ func (in *Ingress) handoff(g, to int, reason string) error {
 	err := in.migrateShard(g, to, reason, -1)
 	if err != nil {
 		in.slots[to].park(err)
+		return err
 	}
-	return err
+	in.mu.Lock()
+	in.reoffered += uint64(in.migrations[len(in.migrations)-1].ReplayEvents)
+	in.mu.Unlock()
+	return nil
 }
 
 // move hands shard g to slot `to` and tells the fleet — the one way a
@@ -1260,8 +1282,9 @@ func (in *Ingress) Patterns() []multi.Spec {
 }
 
 // PatternMetrics merges every node's per-pattern engine counters,
-// ascending by pattern id. Patterns removed before Finish stop reporting
-// and are absent. Call after Finish.
+// ascending by pattern id, with Matches the pattern's matches delivered
+// (see Metrics). Patterns removed before Finish stop reporting and are
+// absent. Call after Finish.
 func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
 	tenant := make(map[uint32]uint32, len(in.specs))
 	for _, sp := range in.specs {
@@ -1271,7 +1294,9 @@ func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
 	defer in.mu.Unlock()
 	out := make([]multi.PatternMetrics, 0, len(in.patMetrics))
 	for _, id := range slices.Sorted(maps.Keys(in.patMetrics)) {
-		out = append(out, multi.PatternMetrics{ID: id, Tenant: tenant[id], M: in.patMetrics[id]})
+		m := in.patMetrics[id]
+		m.Matches = in.delivered[id]
+		out = append(out, multi.PatternMetrics{ID: id, Tenant: tenant[id], M: m})
 	}
 	return out
 }
@@ -1371,8 +1396,11 @@ func (in *Ingress) Nodes() int { return len(in.slots) }
 func (in *Ingress) TotalShards() int { return in.total }
 
 // Metrics merges every node's engine metrics into one cluster-wide view;
-// EventsArrived also counts, once, every event Process offered no shard.
-// Call after Finish.
+// EventsArrived also counts, once, every event Process offered no shard,
+// and not again the events a handoff replayed to a shard's new owner.
+// Matches counts the matches this ingress delivered, not the ones the
+// engines emitted: a moved shard's engines emit some twice. Call after
+// Finish.
 func (in *Ingress) Metrics() engine.Metrics {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -1382,6 +1410,11 @@ func (in *Ingress) Metrics() engine.Metrics {
 		if s.gotMetrics {
 			m.Merge(s.metrics)
 		}
+	}
+	m.EventsArrived -= min(in.reoffered, m.EventsArrived)
+	m.Matches = 0
+	for _, n := range in.delivered {
+		m.Matches += n
 	}
 	return m
 }

@@ -44,7 +44,9 @@ import (
 // ingress and a node. Implementations need not support concurrent Send
 // calls (each endpoint writes from one goroutine at a time); Recv may run
 // concurrently with Send. Close releases the connection; a Recv on the
-// other end then drains buffered frames and reports io.EOF.
+// other end then drains buffered frames and reports io.EOF. Recv returns
+// frames as wire's decoder leaves them — a Matches frame with every record
+// checked — and the ingress does not check a Matches frame again.
 type Conn interface {
 	Send(wire.Frame) error
 	Recv() (wire.Frame, error)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"acep/internal/core"
@@ -90,6 +91,17 @@ func allocEngine(t *testing.T, pat *pattern.Pattern, model Model) *Engine {
 	return e
 }
 
+// mallocs counts the heap allocations f makes, on one P as AllocsPerRun
+// counts them, but of a single run: f need not be repeatable.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestEngineProcessAllocs: the single-process engine's steady state
 // allocates nothing — every admitted event is copied into a block that
 // came back from behind the engine's own Floor — and replacing the plan
@@ -109,18 +121,42 @@ func TestEngineProcessAllocs(t *testing.T) {
 			if avg := testing.AllocsPerRun(20, func() { f.run(256) }); avg != 0 {
 				t.Fatalf("steady-state Process allocated %.2f times per 256 events; want 0", avg)
 			}
+			// Replacements come a whole number of cycles apart — of the prune
+			// clock, half a window, and of the stream's three types — so a
+			// plan deployed again sees the stream the plan it inherits from
+			// saw, and its pool needs no partial that plan did not make.
+			const cycle = 3 * allocWindow / 2
+			f.run(cycle - int(f.seq%cycle))
 			before := e.arena.Pool().Live()
 			r := e.runners[0]
 			r.migrate(otherPlan(r.curPlan))
 			if len(r.draining) != 1 {
 				t.Fatalf("%d draining evaluators after a replacement", len(r.draining))
 			}
-			f.run(3 * allocWindow)
+			f.run(4 * cycle)
 			if len(r.draining) != 0 {
 				t.Fatalf("the drain window did not close")
 			}
 			if after := e.arena.Pool().Live(); after != before || before < 3 {
 				t.Fatalf("%d blocks in existence before the plan replacement, %d after its drain", before, after)
+			}
+			// Every later replacement deploys the plan two back and inherits
+			// that plan's store, retired when the last drain closed: the
+			// replacement and its drain window allocate what building the
+			// plan's evaluator does — its compiled tables — and no history
+			// array, no partial, nothing per event of the window. The
+			// second is the first to inherit; on the NFA the third is the
+			// first whose plan keeps history.
+			for i := 2; i <= 5; i++ {
+				next := otherPlan(r.curPlan)
+				build := uint64(testing.AllocsPerRun(4, func() { r.buildEvaluator(next) }))
+				replace := mallocs(func() {
+					r.migrate(next)
+					f.run(4 * cycle)
+				})
+				if replace > build {
+					t.Fatalf("replacement %d and its drain window allocated %d times; building the evaluator alone allocates %d", i, replace, build)
+				}
 			}
 		})
 	}

@@ -219,6 +219,8 @@ type evaluator interface {
 	Finish()
 	SetEmitOnlyBefore(uint64)
 	Resolver() *match.Resolver
+	Storage() *match.Store
+	Inherit(*match.Store)
 	Plan() plan.Plan
 	Stats() match.Stats
 	// Shedding introspection (see internal/shed.Probe).
@@ -292,6 +294,10 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.shedder = sh
+	for _, r := range e.runners {
+		_, static := r.policy.(core.Static)
+		r.unread = static && sh == nil
+	}
 	return e, nil
 }
 
@@ -402,7 +408,9 @@ func (e *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
 
 // LastSnapshots implements shed.Probe: the most recent statistics
 // snapshot of every (sub-)pattern's adaptation loop, aligned with the
-// pattern's disjuncts; entries are nil before that loop's first check.
+// pattern's disjuncts; entries are nil before that loop's first check,
+// and always under core.Static without a shedder, where no loop gathers
+// statistics.
 func (e *Engine) LastSnapshots() []*stats.Snapshot {
 	out := make([]*stats.Snapshot, len(e.runners))
 	for i, r := range e.runners {

@@ -25,11 +25,18 @@ type runner struct {
 	cur      evaluator
 	curPlan  plan.Plan
 	draining []drainingEngine
+	// spare is the store of the evaluator that retired last: the next
+	// replacement inherits its arrays and pooled partials.
+	spare *match.Store
 
 	watermark  event.Time
 	lastSeq    uint64
 	sinceCheck int
 	lastSnap   *stats.Snapshot // most recent adaptation-check snapshot
+	// unread: nothing reads the statistics — the policy is core.Static,
+	// which decides without them, and no shedder asks for LastSnapshots —
+	// so the loop neither gathers nor refreshes them.
+	unread bool
 
 	metrics Metrics
 	retired match.Stats // counters accumulated from retired evaluators
@@ -97,7 +104,9 @@ func (r *runner) process(ev *event.Event, mask uint32) {
 	}
 	r.lastSeq = ev.Seq
 	r.watermark = ev.TS
-	r.est.Observe(ev)
+	if !r.unread {
+		r.est.Observe(ev)
+	}
 
 	// Drain pre-migration evaluators; retire those whose era has closed.
 	if len(r.draining) > 0 {
@@ -106,6 +115,7 @@ func (r *runner) process(ev *event.Event, mask uint32) {
 			if r.watermark > d.retireAt {
 				d.eval.Advance(r.watermark) // final flush of parked matches
 				r.accumulate(d.eval)
+				r.spare = d.eval.Storage()
 				continue
 			}
 			d.eval.ProcessMasked(ev, mask)
@@ -129,10 +139,13 @@ func (r *runner) process(ev *event.Event, mask uint32) {
 // adaptationCheck is one iteration of the optimizer side of Algorithm 1:
 // refresh statistics, consult D, possibly run A and deploy.
 func (r *runner) adaptationCheck() {
-	t0 := time.Now()
-	snap := r.est.Snapshot(r.watermark)
-	r.lastSnap = snap
-	r.metrics.StatTime += time.Since(t0)
+	var snap *stats.Snapshot
+	if !r.unread {
+		t0 := time.Now()
+		snap = r.est.Snapshot(r.watermark)
+		r.lastSnap = snap
+		r.metrics.StatTime += time.Since(t0)
+	}
 
 	t1 := time.Now()
 	should := r.policy.ShouldReoptimize(snap)
@@ -176,7 +189,9 @@ func (r *runner) adaptationCheck() {
 // pre-migration event; the new evaluator starts with empty core state
 // (all its matches are post-migration by construction) but inherits the
 // residual buffers so negation and Kleene scopes spanning the migration
-// point stay correct.
+// point stay correct. It also inherits the storage of the evaluator that
+// retired last, if any: the arrays and pooled partials a plan of this
+// pattern grew, emptied (match.Store.Inherit).
 func (r *runner) migrate(p plan.Plan) {
 	boundary := r.lastSeq + 1
 	r.cur.SetEmitOnlyBefore(boundary)
@@ -185,6 +200,10 @@ func (r *runner) migrate(p plan.Plan) {
 		retireAt: r.watermark + r.pat.Window,
 	})
 	next := r.buildEvaluator(p)
+	if r.spare != nil {
+		next.Inherit(r.spare)
+		r.spare = nil
+	}
 	next.Resolver().SeedFrom(r.cur.Resolver())
 	next.Advance(r.watermark)
 	r.cur = next
@@ -206,7 +225,7 @@ func (r *runner) finish() {
 		d.eval.Finish()
 		r.accumulate(d.eval)
 	}
-	r.draining = nil
+	r.draining, r.spare = nil, nil
 	r.cur.Finish()
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"acep/internal/core"
 	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/oracle"
@@ -223,4 +224,33 @@ func TestEngineProbe(t *testing.T) {
 		t.Fatalf("snapshots %v after 6k events with CheckEvery=100", snaps)
 	}
 	e.Finish()
+}
+
+// TestStaticGathersOnlyForAReader: under core.Static the loop still makes
+// every decision call, but takes no statistics snapshot unless a shedder
+// will read it; with one, every check leaves a snapshot for it.
+func TestStaticGathersOnlyForAReader(t *testing.T) {
+	w := gen.Traffic(TrafficSmall())
+	pat, err := w.Pattern(gen.Sequence, 3, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := func() core.Policy { return core.Static{} }
+	for _, shedding := range []shed.Config{{}, {Policy: shed.None{}, Budget: shed.Budget{LivePMs: 1}}} {
+		e, err := New(pat, Config{CheckEvery: 100, NewPolicy: static, Shedding: shedding})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range w.Events {
+			e.Process(&w.Events[i])
+		}
+		e.Finish()
+		m, snaps := e.Metrics(), e.LastSnapshots()
+		if want := uint64(len(w.Events) / 100); m.DecisionCalls != want {
+			t.Fatalf("shedder %v: %d decision calls, want %d", shedding.Policy, m.DecisionCalls, want)
+		}
+		if read := shedding.Policy != nil; (snaps[0] != nil) != read || (m.StatTime > 0) != read {
+			t.Fatalf("shedder %v: snapshot %v after %v of statistics", shedding.Policy, snaps[0], m.StatTime)
+		}
+	}
 }

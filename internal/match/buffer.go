@@ -49,6 +49,12 @@ func (b *Buffer) Prune(horizon event.Time) {
 	}
 }
 
+// reset empties the buffer, keeping its capacity and no event pointer.
+func (b *Buffer) reset() {
+	clear(b.evs)
+	b.evs, b.start = b.evs[:0], 0
+}
+
 // Scan visits live events with lo <= TS <= hi in timestamp order; when
 // loExcl/hiExcl are set the corresponding bound is strict. The visit
 // function returns false to stop early. Scan returns false if stopped.

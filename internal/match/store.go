@@ -83,7 +83,8 @@ type bucket struct {
 type Store struct {
 	npos   int
 	window event.Time
-	free   []*Partial
+	free   []*Partial // room for every partial made: Put never grows it
+	made   int
 	places []*Place
 	live   int
 	peak   int
@@ -102,6 +103,9 @@ func (s *Store) Get() *Partial {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return m
+	}
+	if s.made++; cap(s.free) < s.made {
+		s.free = make([]*Partial, 0, 2*s.made)
 	}
 	return &Partial{Evs: make([]*event.Event, s.npos)}
 }
@@ -146,6 +150,48 @@ func (s *Store) Prune(now event.Time) {
 			}
 		}
 	}
+}
+
+// Inherit hands old's storage to s, the store of an engine for the same
+// pattern that no event has reached yet: old's partials, the parked ones
+// recycled first, join s's pool, and each of s's places takes over the
+// arrays of old's place at the same index — its unindexed bucket's
+// parking list and history, and, when both places are indexed, the key
+// table and its buckets — emptied and cut back to length 0. Only capacity
+// moves: no event pointer and no partial's assignment survives, so s
+// behaves exactly as it would have from empty, with the arrays the
+// retired plan grew already in hand. old is left empty and unusable.
+func (s *Store) Inherit(old *Store) {
+	s.free, s.made = append(old.free, s.free...), old.made
+	for i, o := range old.places {
+		s.recycle(&o.flat)
+		for _, b := range o.live {
+			s.recycle(b)
+		}
+		if i >= len(s.places) {
+			continue
+		}
+		pl := s.places[i]
+		pl.flat.ms, pl.flat.hist = o.flat.ms, o.flat.hist
+		if pl.idx != nil && o.idx != nil {
+			clear(o.idx)
+			pl.idx, pl.free = o.idx, append(o.free, o.live...)
+			clear(o.live)
+			pl.live = o.live[:0]
+		}
+	}
+	*old = Store{}
+}
+
+// recycle puts b's partials back in the pool and empties b, keeping the
+// capacity of its arrays.
+func (s *Store) recycle(b *bucket) {
+	for _, m := range b.ms {
+		s.Put(m)
+	}
+	clear(b.ms)
+	b.ms = b.ms[:0]
+	b.hist.reset()
 }
 
 // Place is where partials of one kind — one NFA state, one tree node —

@@ -312,3 +312,73 @@ func TestPlacePruneKeyChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreInherit: a store that inherits a retired one starts empty —
+// every place without a partial, a bucket or a recorded event, whatever
+// the retired store held under the same keys — with the retired store's
+// arrays and partials in hand: no history array regrows and every
+// partial the retired store made comes back from Get, its assignment
+// clear, before a fresh one is made.
+func TestStoreInherit(t *testing.T) {
+	s, old, keyed := eqPlace(t, 0, true)
+	flat := old.NewPlace(EqKey{}, true)
+	made := make(map[*Partial]bool)
+	for ts := event.Time(1); ts <= 40; ts++ {
+		x := float64(ts % 4)
+		made[parkA(s, old, keyed, ts, x)] = true
+		made[parkA(s, old, flat, ts, x)] = true
+		keyed.Offer(ev(s, 1, ts, x), ts)
+		flat.Offer(ev(s, 1, ts, x), ts)
+	}
+	old.Prune(40) // some partials expire into the pool, the rest stay parked
+	if old.Live() == 0 || len(old.free) == 0 {
+		t.Fatalf("%d parked and %d pooled partials: the test needs both", old.Live(), len(old.free))
+	}
+	histCap := cap(flat.flat.hist.evs)
+
+	st := NewStore(2, old.window)
+	keyed2 := st.NewPlace(keyed.key, true)
+	flat2 := st.NewPlace(EqKey{}, true)
+	st.Inherit(old)
+	if old.places != nil || old.free != nil {
+		t.Fatal("the retired store still holds its places or its pool")
+	}
+	if st.Live() != 0 || keyed2.Len() != 0 || keyed2.Buckets() != 0 || flat2.Len() != 0 {
+		t.Fatalf("inherited store: %d live, %d/%d partials, %d buckets; want none", st.Live(), keyed2.Len(), flat2.Len(), keyed2.Buckets())
+	}
+	if got := cap(flat2.flat.hist.evs); got != histCap {
+		t.Fatalf("inherited history capacity %d, the retired one had %d", got, histCap)
+	}
+	if got := len(keyed2.free); got == 0 {
+		t.Fatal("the indexed place inherited no bucket")
+	}
+	// Every partial made before comes back, clear, without allocating.
+	var got []*Partial
+	if n := testing.AllocsPerRun(1, func() {
+		for _, m := range got {
+			st.Put(m)
+		}
+		got = got[:0]
+		for range made {
+			got = append(got, st.Get())
+		}
+	}); n != 0 {
+		t.Fatalf("Get allocated %v times taking back %d inherited partials", n, len(made))
+	}
+	for _, m := range got {
+		if !made[m] || slices.ContainsFunc(m.Evs, func(e *event.Event) bool { return e != nil }) {
+			t.Fatalf("Get returned %p: fresh %v, assignment %v", m, !made[m], m.Evs)
+		}
+	}
+	// Nothing recorded under the old store's keys is seen again.
+	for _, pl := range []*Place{keyed2, flat2} {
+		for x := 0.0; x < 4; x++ {
+			m := got[0]
+			got = got[1:]
+			m.Evs[0], m.MinTS, m.MaxTS = ev(s, 0, 41, x), 41, 41
+			if h := pl.Park(m); h.Len() != 0 {
+				t.Fatalf("a partial parked under %v after the hand-over finds %d recorded events", x, h.Len())
+			}
+		}
+	}
+}

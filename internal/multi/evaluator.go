@@ -677,6 +677,10 @@ func (v *Evaluator) Plans() []plan.Plan {
 // TenantStats reports per-tenant admission accounting.
 func (v *Evaluator) TenantStats() []shed.TenantStat { return v.gate.Stats() }
 
+// Arrived reports the events handed to the evaluator: each once, however
+// many patterns it hosts.
+func (v *Evaluator) Arrived() uint64 { return v.arrived }
+
 // Metrics reports per-pattern engine counters in evaluation order. For
 // group members (fixed-plan NFAs) the adaptive-loop counters are zero
 // and the evaluation counters are synthesized from match.Stats (a

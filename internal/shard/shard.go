@@ -858,13 +858,15 @@ func (e *Engine) Metrics() engine.Metrics {
 }
 
 // ShardMetrics is the per-shard breakdown behind Metrics: each shard's
-// counters cover the events offered to it. Call after Finish.
+// counters cover the events offered to it, and it counts each of them
+// arriving once, not once per hosted pattern. Call after Finish.
 func (e *Engine) ShardMetrics() []engine.Metrics {
 	out := make([]engine.Metrics, len(e.workers))
 	for i, w := range e.workers {
 		for _, pm := range w.eval.Metrics() {
 			out[i].Merge(pm.M)
 		}
+		out[i].EventsArrived = w.eval.Arrived() // not the patterns' sum
 		out[i].QueueDropped += e.queueDropped[i]
 		out[i].QueueWait = w.qwait
 		out[i].DetectTime = w.detect

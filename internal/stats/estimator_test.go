@@ -752,6 +752,30 @@ func TestExactMatchesReference(t *testing.T) {
 	if d := sameBits(Exact(pat, w.Events), refExact(pat, w.Events)); d != "" {
 		t.Fatalf("traffic: %s", d)
 	}
+	// Columns where the sorted count's tie rules decide: every value of
+	// diffValues — NaN, both infinities, both zeros, sums that round —
+	// three times over on each side, under every operator and constant.
+	s := event.NewSchema()
+	s.MustAddType("L", "x")
+	s.MustAddType("R", "x")
+	var evs []event.Event
+	for i, v := range diffValues {
+		for k := 0; k < 3; k++ {
+			evs = append(evs, s.MustNew(0, event.Time(2*i), v), s.MustNew(1, event.Time(2*i+1), -v))
+		}
+	}
+	for _, op := range []pattern.CmpOp{pattern.LT, pattern.LE, pattern.GT, pattern.GE, pattern.EQ, pattern.NE, pattern.AbsDiffLT} {
+		for _, c := range append(diffConsts, math.Inf(1), math.Inf(-1), 1e16) {
+			b := pattern.NewBuilder(s, pattern.And, event.Second)
+			b.Event(0)
+			b.Event(1)
+			b.WherePred(pattern.Pred{L: 0, R: 1, Op: op, C: c})
+			pat := b.MustBuild()
+			if d := sameBits(Exact(pat, evs), refExact(pat, evs)); d != "" {
+				t.Fatalf("%v with C=%v over the tie columns: %s", op, c, d)
+			}
+		}
+	}
 }
 
 // TestEstimatorAllocs: steady-state Observe allocates nothing — not once

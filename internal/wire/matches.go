@@ -42,7 +42,8 @@ type MatchRecord struct {
 const minMatchRecord = 6
 
 // code codes what precedes the records. An encoder leaves the records to
-// its caller; a decoder aliases and checks them (Each).
+// its caller; a decoder aliases and checks them (Each), so a decoded
+// frame's records are walked unchecked (Records).
 func (m Matches) code(c *codec) Matches {
 	c.u64(&m.UpTo)
 	m.Count = c.count(m.Count, maxMatches, minMatchRecord, "match record")
@@ -68,7 +69,17 @@ func AppendMatchRecord(dst []byte, shard uint32, seq uint64, pattern uint32, bod
 // nil, with each record in order; the bodies alias Recs. It allocates
 // nothing. On an error the records visited so far were sound, the frame
 // is not: a caller that must take all of it or none collects and discards.
-func (m Matches) Each(visit func(MatchRecord)) error {
+func (m Matches) Each(visit func(MatchRecord)) error { return m.walk(true, visit) }
+
+// Records is Each without the body check, for a frame Decode returned:
+// decoding checked every body of these immutable bytes, and a second
+// check would walk each one again. The tags and lengths are still read
+// against the bytes, so a frame that was never decoded cannot take it out
+// of bounds — but its bodies are unchecked.
+func (m Matches) Records(visit func(MatchRecord)) error { return m.walk(false, visit) }
+
+// walk is Each, with the body check optional.
+func (m Matches) walk(check bool, visit func(MatchRecord)) error {
 	if m.Count < 0 || uint64(m.Count)*minMatchRecord > uint64(len(m.Recs)) {
 		return fmt.Errorf("wire: matches frame declares %d records over %d bytes", m.Count, len(m.Recs))
 	}
@@ -84,8 +95,10 @@ func (m Matches) Each(visit func(MatchRecord)) error {
 		}
 		r.Body = c.b[c.off : c.off+n : c.off+n]
 		c.off += n
-		if err := CheckMatchBody(r.Body); err != nil {
-			return fmt.Errorf("wire: matches frame record %d of %d: %w", i+1, m.Count, err)
+		if check {
+			if err := CheckMatchBody(r.Body); err != nil {
+				return fmt.Errorf("wire: matches frame record %d of %d: %w", i+1, m.Count, err)
+			}
 		}
 		if visit != nil {
 			visit(r)
