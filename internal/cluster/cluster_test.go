@@ -7,10 +7,13 @@ import (
 
 	"acep/internal/engine"
 	"acep/internal/event"
+	"acep/internal/match"
 	"acep/internal/multi"
 	"acep/internal/pattern"
 	recovery "acep/internal/recover"
 	"acep/internal/rungtest"
+	"acep/internal/shard"
+	"acep/internal/wire"
 )
 
 // spawnCluster is an in-process cluster: n nodes built from nc, each
@@ -222,6 +225,32 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	if ing.Nodes() != 3 || ing.TotalShards() != 6 {
 		t.Fatal("Nodes/TotalShards accessors wrong")
+	}
+}
+
+// TestDeliveredCountsWhatOpens: the matches Metrics reports are the ones
+// the consumer received. A match that does not open at the emission
+// boundary is reported as an error, and neither delivered nor counted;
+// a consumer of sealed tags is handed, and counted, every tag.
+func TestDeliveredCountsWhatOpens(t *testing.T) {
+	good := wire.AppendMatchBody(nil, &match.Match{})
+	bad := append(slices.Clone(good), 7) // a trailing byte: does not decode
+	for _, sealed := range []bool{false, true} {
+		in := &Ingress{}
+		got := 0
+		deliver := in.deliverer(IngressOptions{OnTagged: func(shard.Tagged) { got++ }}, sealed)
+		deliver(shard.Tagged{Seq: 1, Pattern: 3, Enc: good})
+		deliver(shard.Tagged{Seq: 2, Pattern: 3, Enc: bad})
+		want := 1
+		if sealed {
+			want = 2
+		}
+		if got != want || in.delivered[3] != uint64(want) {
+			t.Fatalf("sealed=%v: consumer got %d, counted %d, want %d", sealed, got, in.delivered[3], want)
+		}
+		if (in.Err() == nil) == !sealed {
+			t.Fatalf("sealed=%v: error %v", sealed, in.Err())
+		}
 	}
 }
 

@@ -169,10 +169,9 @@ type Ingress struct {
 	pending int               // events Process took since the last cut, elided ones included
 	lastSeq uint64
 	elided  uint64 // events Process offered no shard: no hosted pattern reads their type
-	// reoffered counts the events handoffs replayed to a shard's new
-	// owner: its previous owner, which reports, counted them arriving.
-	reoffered uint64
-	delivered map[uint32]uint64 // matches handed to the consumer, by pattern: the collector's
+	// delivered counts the matches handed to the consumer, by pattern
+	// (collector goroutine).
+	delivered map[uint32]uint64
 
 	// Cut pipelining: each sealed cut's frames are encoded and sent by
 	// per-node goroutines while the coordinator returns to accumulating
@@ -389,30 +388,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		in.load = make([]uint64, in.total)
 	}
 
-	// The emission boundary: the collector orders sealed tags, and the
-	// match is decoded here, as the consumer takes it — unless the
-	// consumer asked for the tags sealed.
-	var deliver func(shard.Tagged)
-	switch {
-	case sealed:
-		deliver = opts.OnTagged
-	case opts.OnTagged != nil:
-		deliver = in.opened(opts.OnTagged)
-	case opts.OnMatch != nil:
-		deliver = in.opened(func(t shard.Tagged) { opts.OnMatch(t.M) })
-	}
-	// The matches metrics report are the ones delivered here: an engine
-	// also counts the ones a moved shard's collector purge or its
-	// destination's replay suppression keeps from the consumer.
-	in.delivered = make(map[uint32]uint64)
-	if consume := deliver; consume != nil {
-		deliver = func(t shard.Tagged) {
-			in.delivered[t.Pattern]++
-			consume(t)
-		}
-	} else {
-		deliver = func(t shard.Tagged) { in.delivered[t.Pattern]++ }
-	}
+	deliver := in.deliverer(opts, sealed)
 	var progress func(uint64)
 	if rc := opts.Recovery; rc != nil {
 		in.rec = *rc
@@ -480,7 +456,7 @@ func (in *Ingress) takeoverAdopt(rs *ResumeState) error {
 		if o < 0 {
 			continue
 		}
-		if err := in.migrateShard(g, o, "takeover", -1); err != nil {
+		if _, err := in.migrateShard(g, o, "takeover", -1); err != nil {
 			return err
 		}
 	}
@@ -549,6 +525,34 @@ func Open(t *shard.Tagged, k *match.Keeper) error {
 	}
 	t.M, t.Enc = m, nil
 	return nil
+}
+
+// deliverer returns the emission boundary: the collector orders sealed
+// tags, and each match is decoded here, as the consumer takes it —
+// unless the consumer asked for the tags sealed. The matches metrics
+// report are the ones that reach the consumer, counted by pattern: an
+// engine also counts the ones a moved shard's collector purge or its
+// destination's replay suppression keeps from the consumer, and a match
+// that does not open is not delivered. Collector goroutine.
+func (in *Ingress) deliverer(opts IngressOptions, sealed bool) func(shard.Tagged) {
+	in.delivered = make(map[uint32]uint64)
+	counted := func(out func(shard.Tagged)) func(shard.Tagged) {
+		return func(t shard.Tagged) {
+			in.delivered[t.Pattern]++
+			if out != nil {
+				out(t)
+			}
+		}
+	}
+	switch {
+	case sealed:
+		return counted(opts.OnTagged)
+	case opts.OnTagged != nil:
+		return in.opened(counted(opts.OnTagged))
+	case opts.OnMatch != nil:
+		return in.opened(counted(func(t shard.Tagged) { opts.OnMatch(t.M) }))
+	}
+	return counted(nil)
 }
 
 // opened wraps a consumer that takes matches decoded, on the collector
@@ -822,16 +826,17 @@ func (in *Ingress) ownedShards(n int) []int {
 // history to the destination. A healthy shard moves through handoff; a
 // failover's adoption and a takeover's re-establishment call it
 // directly. Must run on the ingress goroutine behind the send barrier;
-// fidx >= 0 folds the move into that failover record. On error the
-// destination is in an unknown state — the caller routes it into the
+// fidx >= 0 folds the move into that failover record. It returns the
+// number of events it replayed. On error the destination is in an
+// unknown state — the caller routes it into the
 // failure path (and aborted in-flight records are dropped there).
-func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
+func (in *Ingress) migrateShard(g, to int, reason string, fidx int) (replayed int, err error) {
 	dst := in.slots[to]
 	if dst.hosted[g] {
-		return fmt.Errorf("cluster: node %d already hosted shard %d this session; migrating it back would double-process", to, g)
+		return 0, fmt.Errorf("cluster: node %d already hosted shard %d this session; migrating it back would double-process", to, g)
 	}
 	if err := in.journal.CoveredShard(g); err != nil {
-		return err
+		return 0, err
 	}
 	from := in.owner[g]
 	boundary := in.col.Migrate(g, to)
@@ -871,7 +876,7 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 	c := dst.conn
 	in.det.Sent(to)
 	if err := c.Send(wire.Migrate{Shard: uint32(g), SuppressUpTo: boundary, ReplayUpTo: replayUpTo}); err != nil {
-		return fmt.Errorf("cluster: migrating shard %d to node %d: %w", g, to, err)
+		return 0, fmt.Errorf("cluster: migrating shard %d to node %d: %w", g, to, err)
 	}
 	var cuts, events int
 	var bytes int64
@@ -896,22 +901,24 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) error {
 	}
 	in.mu.Unlock()
 	if rerr != nil {
-		return fmt.Errorf("cluster: replaying shard %d to node %d: %w", g, to, rerr)
+		return events, fmt.Errorf("cluster: replaying shard %d to node %d: %w", g, to, rerr)
 	}
-	return nil
+	return events, nil
 }
 
 // handoff migrates healthy shard g to slot `to`. A failed handoff leaves
 // the destination in an unknown state, so the error is parked on it (the
-// next barrier fails it over) as well as returned.
+// next barrier fails it over) as well as returned. The destination's
+// session is charged the events replayed to it (slot.reoffered): g's
+// previous owner, still in session, counted them arriving.
 func (in *Ingress) handoff(g, to int, reason string) error {
-	err := in.migrateShard(g, to, reason, -1)
+	replayed, err := in.migrateShard(g, to, reason, -1)
 	if err != nil {
 		in.slots[to].park(err)
 		return err
 	}
 	in.mu.Lock()
-	in.reoffered += uint64(in.migrations[len(in.migrations)-1].ReplayEvents)
+	in.slots[to].reoffered += uint64(replayed)
 	in.mu.Unlock()
 	return nil
 }
@@ -1034,7 +1041,7 @@ func (in *Ingress) AddNode(c Conn) (int, error) {
 		n = len(in.slots)
 	} else {
 		in.mu.Lock()
-		in.retired.Merge(in.slots[n].metrics)
+		in.retired.Merge(in.slots[n].final())
 		in.mu.Unlock()
 	}
 	in.install(n, c, connAddr(c))
@@ -1138,8 +1145,8 @@ func (in *Ingress) RemoveNode(n int) error {
 	// Fold the retired session's counters now so the slot's metrics slate
 	// is clean for reuse; gotMetrics stays set — it is the clean-end
 	// marker ghost-slot compaction keys on.
-	in.retired.Merge(s.metrics)
-	s.metrics = engine.Metrics{}
+	in.retired.Merge(s.final())
+	s.metrics, s.reoffered = engine.Metrics{}, 0
 	in.mu.Unlock()
 	return nil
 }
@@ -1408,10 +1415,9 @@ func (in *Ingress) Metrics() engine.Metrics {
 	m.Merge(in.retired)
 	for _, s := range in.slots {
 		if s.gotMetrics {
-			m.Merge(s.metrics)
+			m.Merge(s.final())
 		}
 	}
-	m.EventsArrived -= min(in.reoffered, m.EventsArrived)
 	m.Matches = 0
 	for _, n := range in.delivered {
 		m.Matches += n

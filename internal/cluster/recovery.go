@@ -314,7 +314,7 @@ func (in *Ingress) adopt(n int, conn Conn, fidx int) error {
 	// address.
 	s := in.install(n, conn, connAddr(conn))
 	for _, g := range in.ownedShards(n) {
-		if err := in.migrateShard(g, n, "failover", fidx); err != nil {
+		if _, err := in.migrateShard(g, n, "failover", fidx); err != nil {
 			s.state = slotDead
 			conn.Close()
 			<-s.done

@@ -73,6 +73,20 @@ type slot struct {
 	// Written by the slot's reader goroutine, under Ingress.mu.
 	metrics    engine.Metrics
 	gotMetrics bool // final metrics recorded: the clean-exit marker
+
+	// reoffered counts the events handoffs replayed to this session,
+	// which it counts arriving again (ingress goroutine, under
+	// Ingress.mu).
+	reoffered uint64
+}
+
+// final returns the session's metrics as the cluster sums them:
+// EventsArrived leaves out the events handoffs replayed to it, which
+// their previous owner counted arriving. Under Ingress.mu.
+func (s *slot) final() engine.Metrics {
+	m := s.metrics
+	m.EventsArrived -= s.reoffered
+	return m
 }
 
 // inRun is what a node's Matches frame is posted to the merge collector

@@ -220,7 +220,6 @@ type evaluator interface {
 	SetEmitOnlyBefore(uint64)
 	Resolver() *match.Resolver
 	Storage() *match.Store
-	Inherit(*match.Store)
 	Plan() plan.Plan
 	Stats() match.Stats
 	// Shedding introspection (see internal/shed.Probe).

@@ -201,7 +201,7 @@ func (r *runner) migrate(p plan.Plan) {
 	})
 	next := r.buildEvaluator(p)
 	if r.spare != nil {
-		next.Inherit(r.spare)
+		next.Storage().Inherit(r.spare)
 		r.spare = nil
 	}
 	next.Resolver().SeedFrom(r.cur.Resolver())

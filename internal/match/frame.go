@@ -59,12 +59,8 @@ func NewFrame(pat *pattern.Pattern, emit func(*Match)) Frame {
 }
 
 // Storage returns the engine's partial-match store, for a replacement
-// engine to Inherit once this one has retired.
+// engine's store to Inherit once this one has retired.
 func (f *Frame) Storage() *Store { return f.Store }
-
-// Inherit takes over a retired engine's store (Store.Inherit); call it
-// before any event reaches the engine.
-func (f *Frame) Inherit(old *Store) { f.Store.Inherit(old) }
 
 // Resolver exposes the residual resolver (for migration seeding).
 func (f *Frame) Resolver() *Resolver { return f.res }

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"slices"
-	"sort"
 
 	"acep/internal/pattern"
 )
@@ -42,13 +40,13 @@ func layoutColumns(pat *pattern.Pattern) columns {
 }
 
 // countPred counts predicate pr over every (left, right) value pair — or
-// every left value when pr is unary, where r is ignored — with pairs, and
-// returns how many pass out of how many were tried.
-func countPred(pr *pattern.Pred, l, r []float64, pairs func(pattern.CmpOp, []float64, []float64, float64) int) (pass, total int) {
+// every left value when pr is unary, where r is ignored — and returns how
+// many pass out of how many were tried.
+func countPred(pr *pattern.Pred, l, r []float64) (pass, total int) {
 	if pr.IsUnary() {
 		return countUnary(pr.Op, l, pr.C), len(l)
 	}
-	return pairs(pr.Op, l, r, pr.C), len(l) * len(r)
+	return countPairs(pr.Op, l, r, pr.C), len(l) * len(r)
 }
 
 // unaryRight is the right-hand column of a unary predicate: pattern.Pred's
@@ -57,51 +55,6 @@ var unaryRight = []float64{0}
 
 func countUnary(op pattern.CmpOp, l []float64, c float64) int {
 	return countPairs(op, l, unaryRight, c)
-}
-
-// sortedPairs is countPairs for columns of thousands of values, as Exact
-// counts over: l sorted once, and each t = rv+c, formed as countPairs
-// forms it, placed by binary search. NaN passes NE alone and -0 ties +0,
-// as they do under the comparisons. AbsDiffLT, which forms no t, is left
-// to countPairs.
-func sortedPairs(op pattern.CmpOp, l, r []float64, c float64) int {
-	if op == pattern.AbsDiffLT {
-		return countPairs(op, l, r, c)
-	}
-	s := make([]float64, 0, len(l))
-	for _, v := range l {
-		if v == v {
-			s = append(s, v)
-		}
-	}
-	slices.Sort(s)
-	n := 0
-	for _, rv := range r {
-		t := rv + c
-		if t != t {
-			if op == pattern.NE {
-				n += len(l)
-			}
-			continue
-		}
-		lt := sort.Search(len(s), func(i int) bool { return s[i] >= t }) // values below t
-		le := lt + sort.Search(len(s)-lt, func(i int) bool { return s[lt+i] > t })
-		switch op {
-		case pattern.LT:
-			n += lt
-		case pattern.LE:
-			n += le
-		case pattern.GT:
-			n += len(s) - le
-		case pattern.GE:
-			n += len(s) - lt
-		case pattern.EQ:
-			n += le - lt
-		case pattern.NE:
-			n += len(l) - (le - lt)
-		}
-	}
-	return n
 }
 
 // countPairs returns the number of pairs (lv, rv) drawn from l × r that

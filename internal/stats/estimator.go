@@ -135,7 +135,7 @@ func (e *Estimator) refreshSelectivities() {
 			rring = &e.rings[pr.R]
 		}
 		if cnt.addsL != lring.adds || cnt.addsR != rring.adds {
-			cnt.pass, cnt.total = countPred(pr, lring.col(e.cols.l[k]), rring.col(e.cols.r[k]), countPairs)
+			cnt.pass, cnt.total = countPred(pr, lring.col(e.cols.l[k]), rring.col(e.cols.r[k]))
 			cnt.addsL, cnt.addsR = lring.adds, rring.adds
 		}
 		if cnt.total == 0 {

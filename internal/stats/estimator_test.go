@@ -752,9 +752,9 @@ func TestExactMatchesReference(t *testing.T) {
 	if d := sameBits(Exact(pat, w.Events), refExact(pat, w.Events)); d != "" {
 		t.Fatalf("traffic: %s", d)
 	}
-	// Columns where the sorted count's tie rules decide: every value of
-	// diffValues — NaN, both infinities, both zeros, sums that round —
-	// three times over on each side, under every operator and constant.
+	// Columns of ties: every value of diffValues — NaN, both infinities,
+	// both zeros, sums that round — three times over on each side, under
+	// every operator and constant.
 	s := event.NewSchema()
 	s.MustAddType("L", "x")
 	s.MustAddType("R", "x")

@@ -6,9 +6,8 @@ import (
 )
 
 // Exact computes a precise Snapshot from a finite slice of events, with
-// rates measured over the span of the slice and selectivities counted
-// over all event pairs (each left column sorted once, not compared pair by
-// pair: a warm-up prefix holds thousands of values per column). It is the ground truth against which
+// rates measured over the span of the slice and selectivities evaluated
+// exhaustively over all event pairs. It is the ground truth against which
 // the streaming estimators are tested, and a convenient way to seed an
 // engine with a-priori statistics.
 //
@@ -55,7 +54,7 @@ func Exact(pat *pattern.Pattern, events []event.Event) *Snapshot {
 		if !pr.IsUnary() {
 			rcol = cols[pr.R][lay.r[k]]
 		}
-		pass, total := countPred(pr, cols[pr.L][lay.l[k]], rcol, sortedPairs)
+		pass, total := countPred(pr, cols[pr.L][lay.l[k]], rcol)
 		if total == 0 {
 			return 1
 		}
