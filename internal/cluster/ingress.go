@@ -232,9 +232,13 @@ type Ingress struct {
 	epoch         uint64
 	suppressFloor uint64
 
-	mu          sync.Mutex
-	err         error
-	finished    bool
+	mu       sync.Mutex
+	err      error
+	finished bool
+	// rouse is closed, and replaced, when a reader's wait gains an exit
+	// (a suspect is queued, a migration starts): it wakes the parked
+	// readers.
+	rouse       chan struct{}
 	suspects    []suspectRec
 	failovers   []recovery.Failover
 	facked      []int // per failover: migrations acknowledged so far
@@ -335,6 +339,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		key:        key,
 		batch:      opts.Batch,
 		exitCh:     make(chan struct{}, 1),
+		rouse:      make(chan struct{}),
 		specs:      specs,
 		reads:      multi.ReadsOf(specs),
 		schema:     opts.Schema,
@@ -577,7 +582,7 @@ func (in *Ingress) opened(out func(shard.Tagged)) func(shard.Tagged) {
 // walk reads its records without checking the bodies again
 // (wire.Matches.Records), and drops replay artifacts of runtime-added
 // patterns. Reader goroutines.
-func (in *Ingress) tagsOf(v wire.Matches, tags []shard.Tagged) ([]shard.Tagged, error) {
+func (in *Ingress) tagsOf(v *wire.Matches, tags []shard.Tagged) ([]shard.Tagged, error) {
 	tags = slices.Grow(tags, v.Count) // decoding held the count against the bytes
 	err := v.Records(func(r wire.MatchRecord) {
 		if !in.dropRegen(r.Pattern, r.Seq) {
@@ -616,7 +621,7 @@ func (in *Ingress) read(i int, s *slot) {
 	// barrier acts on it.
 	lost := func(err error) {
 		in.suspect(i, s, err)
-		s.conn.Close()
+		s.close()
 	}
 	for {
 		f, err := s.conn.Recv()
@@ -630,8 +635,8 @@ func (in *Ingress) read(i int, s *slot) {
 		}
 		in.det.Heard(i)
 		switch v := f.(type) {
-		case wire.Matches:
-			r := s.take()
+		case *wire.Matches:
+			r := in.take(s)
 			if r.tags, err = in.tagsOf(v, r.tags); err != nil {
 				lost(fmt.Errorf("cluster: node %d: %w", i, err))
 				return
@@ -861,6 +866,7 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) (replayed in
 		StartedAt: time.Now(), SuppressUpTo: boundary, ReplayUpTo: replayUpTo,
 	})
 	in.migFailover = append(in.migFailover, fidx)
+	in.wake()
 	idx := len(in.migrations) - 1
 	if fidx >= 0 {
 		f := &in.failovers[fidx]
@@ -978,6 +984,22 @@ func (in *Ingress) migrationAcked(n, g int) {
 	}
 }
 
+// migrating reports whether a migration is unacknowledged. Under mu.
+func (in *Ingress) migrating() bool {
+	for _, m := range in.migrations {
+		if m.CompletedAt.IsZero() {
+			return true
+		}
+	}
+	return false
+}
+
+// wake rouses every reader parked in wait: it has an exit now. Under mu.
+func (in *Ingress) wake() {
+	close(in.rouse)
+	in.rouse = make(chan struct{})
+}
+
 // rebalance runs the placement controller once per cut, behind the
 // barrier: past the cooldown it gathers what place reads and carries out
 // the move it decides on.
@@ -998,9 +1020,7 @@ func (in *Ingress) rebalance() {
 		v.pinned[g] = in.journal.CoveredShard(g) != nil
 	}
 	in.mu.Lock()
-	for _, m := range in.migrations {
-		v.inFlight = v.inFlight || m.CompletedAt.IsZero()
-	}
+	v.inFlight = in.migrating()
 	for n, s := range in.slots {
 		v.slots[n] = slotView{eligible: s.state == slotLive, hosted: s.hosted}
 	}
@@ -1386,7 +1406,7 @@ func (in *Ingress) Kill() {
 // holds.
 func (in *Ingress) teardown() {
 	for _, s := range in.slots {
-		s.conn.Close()
+		s.close()
 	}
 	in.sendWG.Wait()
 	for _, s := range in.slots {

@@ -117,6 +117,7 @@ func (in *Ingress) suspect(i int, s *slot, err error) {
 	in.mu.Lock()
 	if in.slots[i] == s {
 		in.suspects = append(in.suspects, suspectRec{node: i, s: s, err: err})
+		in.wake()
 	}
 	in.mu.Unlock()
 }
@@ -166,10 +167,10 @@ func (in *Ingress) failNode(n int, cause error) {
 		return
 	}
 	s.state = slotDead
-	// Closing the connection makes the old reader observe the failure
-	// and exit without posting; its frames must stop before the
-	// collector slot is re-registered.
-	s.conn.Close()
+	// Closing the session makes the old reader observe the failure and
+	// exit without posting; its frames must stop before the collector
+	// slot is re-registered.
+	s.close()
 	<-s.done
 	if in.journal == nil {
 		in.degrade(n, cause)
@@ -316,7 +317,7 @@ func (in *Ingress) adopt(n int, conn Conn, fidx int) error {
 	for _, g := range in.ownedShards(n) {
 		if _, err := in.migrateShard(g, n, "failover", fidx); err != nil {
 			s.state = slotDead
-			conn.Close()
+			s.close()
 			<-s.done
 			in.dropAbortedMigrations(n)
 			return err

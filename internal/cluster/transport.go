@@ -80,9 +80,9 @@ func Pipe() (Conn, Conn) {
 // syscall instead of two each, and writes through a bufio.Writer that
 // Send flushes by default — one syscall per frame. Either way Send has
 // copied the frame's bytes when it returns, so the sender may reuse them.
-// A session that emits bursts of small frames (a node's per-cut
-// heartbeat and matches, the ingress's runs of a cut) can probe for
-// SetSendHold/Flush and coalesce a burst into a single write.
+// A session that emits bursts of small frames can coalesce a burst into a
+// single write: a node's per-cut heartbeat and matches through
+// SetSendHold/Flush, the ingress's runs of a cut through SendCut.
 type streamConn struct {
 	c    net.Conn
 	sc   *stallNetConn
@@ -217,14 +217,35 @@ type sendHolder interface {
 	Flush() error
 }
 
+// cutSender is what the stream transport offers the ingress's cut
+// sender: a cut's frames — one events-only frame per run, then the
+// watermark frame — written as one burst, none boxed into a wire.Frame.
+// Probed for on a Conn; a wrapper that hides it gets the frames one Send
+// at a time.
+type cutSender interface {
+	SendCut(runs [][]byte, upTo uint64) error
+}
+
+// SendCut writes a cut's frames through the write buffer and flushes once.
+func (s *streamConn) SendCut(runs [][]byte, upTo uint64) error {
+	for _, run := range runs {
+		if err := s.w.WriteRaw(wire.BatchRaw{Run: run}); err != nil {
+			return err
+		}
+	}
+	if err := s.w.WriteRaw(wire.BatchRaw{UpTo: upTo}); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
+
 // SetSendHold switches Send between write-through (false, the default:
 // every frame is flushed to the socket immediately) and held mode
 // (true: frames accumulate in the write buffer until Flush). Held mode
 // is only safe when the caller owns a protocol quiescence point to
 // flush at — the node after handling each inbound frame, and for the
-// results its collector releases while it waits for one; the ingress
-// after the last frame of a cut — since a held frame the peer is waiting
-// for would otherwise deadlock the session.
+// results its collector releases while it waits for one — since a held
+// frame the peer is waiting for would otherwise deadlock the session.
 func (s *streamConn) SetSendHold(on bool) { s.hold = on }
 
 // Flush writes any held frames through to the socket.

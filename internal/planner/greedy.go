@@ -29,18 +29,31 @@ type Greedy struct{}
 // Name implements Algorithm.
 func (Greedy) Name() string { return "greedy" }
 
-// stepExpr builds the live cost expression of candidate j at step i given
-// the previously chosen positions: r_j · sel_{j,j} · prod sel_{chosen,j}.
-func stepExpr(j int, chosen []int) core.Expr {
-	t := core.Term{Coef: 1, Rates: []int{j}, Sels: [][2]int{{j, j}}}
-	for _, k := range chosen {
-		a, b := k, j
-		if a > b {
-			a, b = b, a
+// stepExprs builds the live cost expression of every candidate at step i
+// given the previously chosen positions: r_j · sel_{j,j} · prod
+// sel_{chosen,j}. A step's expressions serve both its argmin and its DCS,
+// and share three backing arrays, each slice capped at its own length.
+func stepExprs(cands, chosen []int) []core.Expr {
+	n, w := len(cands), 1+len(chosen)
+	exprs := make([]core.Expr, n)
+	terms := make([]core.Term, n)
+	rates := make([]int, n)
+	sels := make([][2]int, 0, n*w)
+	for c, j := range cands {
+		rates[c] = j
+		at := len(sels)
+		sels = append(sels, [2]int{j, j})
+		for _, k := range chosen {
+			a, b := k, j
+			if a > b {
+				a, b = b, a
+			}
+			sels = append(sels, [2]int{a, b})
 		}
-		t.Sels = append(t.Sels, [2]int{a, b})
+		terms[c] = core.Term{Coef: 1, Rates: rates[c : c+1 : c+1], Sels: sels[at:len(sels):len(sels)]}
+		exprs[c] = core.Expr{Terms: terms[c : c+1 : c+1]}
 	}
-	return core.Expr{Terms: []core.Term{t}}
+	return exprs
 }
 
 // Generate implements Algorithm.
@@ -48,30 +61,29 @@ func (g Greedy) Generate(pat *pattern.Pattern, s *stats.Snapshot) Result {
 	corePos := pat.Core()
 	remaining := append([]int(nil), corePos...)
 	chosen := make([]int, 0, len(corePos))
-	trace := &core.Trace{}
+	trace := &core.Trace{Blocks: make([]core.DCS, 0, len(corePos))}
 
 	for len(remaining) > 0 {
 		// Find the argmin candidate under the current snapshot.
+		exprs := stepExprs(remaining, chosen)
 		best := 0
-		bestVal := stepExpr(remaining[0], chosen).Eval(s)
+		bestVal := exprs[0].Eval(s)
 		for c := 1; c < len(remaining); c++ {
-			v := stepExpr(remaining[c], chosen).Eval(s)
+			v := exprs[c].Eval(s)
 			if v < bestVal {
 				best, bestVal = c, v
 			}
 		}
 		winner := remaining[best]
 		// The DCS of this block: winner beats every other candidate.
-		dcs := core.DCS{Block: fmt.Sprintf("step %d: pos %d", len(chosen), winner)}
-		winExpr := stepExpr(winner, chosen)
-		for _, j := range remaining {
-			if j == winner {
-				continue
+		dcs := core.DCS{
+			Block: fmt.Sprintf("step %d: pos %d", len(chosen), winner),
+			Conds: make([]core.Condition, 0, len(remaining)-1),
+		}
+		for c := range remaining {
+			if c != best {
+				dcs.Conds = append(dcs.Conds, core.Condition{LHS: exprs[best], RHS: exprs[c]})
 			}
-			dcs.Conds = append(dcs.Conds, core.Condition{
-				LHS: winExpr,
-				RHS: stepExpr(j, chosen),
-			})
 		}
 		trace.Blocks = append(trace.Blocks, dcs)
 		chosen = append(chosen, winner)

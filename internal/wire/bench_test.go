@@ -157,6 +157,61 @@ func TestBatchEncodeAllocs(t *testing.T) {
 	}
 }
 
+// TestUnboxedFrameAllocs pins the two frames of a cluster's hot path
+// crossing the stream codec without a box: a cut's BatchRaw written
+// through WriteRaw — to the bytes Append writes — and a Matches frame read
+// into a hooked buffer, which comes back as the Reader's own *Matches.
+// Neither allocates per frame.
+func TestUnboxedFrameAllocs(t *testing.T) {
+	var e RunEncoder
+	for _, ev := range benchBatch(64).Events {
+		e.Append(&ev)
+	}
+	raw := BatchRaw{UpTo: 64, Run: e.Seal(0).Body}
+	var out bytes.Buffer
+	w := NewWriter(&out)
+	for _, v := range []BatchRaw{raw, {UpTo: 65}} {
+		out.Reset()
+		if err := w.WriteRaw(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), Append(nil, v)) {
+			t.Fatalf("WriteRaw(%d-byte run) wrote other bytes than Append", len(v.Run))
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		out.Reset()
+		if err := w.WriteRaw(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("WriteRaw allocated %.2f times per frame; want 0", avg)
+	}
+
+	plain, kleene, _ := sampleMatches()
+	frame := Append(nil, matchesOf(9,
+		MatchRecord{Seq: 3, Body: AppendMatchBody(nil, plain)},
+		MatchRecord{Seq: 9, Body: AppendMatchBody(nil, kleene)}))
+	own := make([]byte, len(frame))
+	br := bytes.NewReader(frame)
+	r := NewReader(br)
+	r.SetMatchesBuffer(func(n int) []byte { return own[:n] })
+	read := func() {
+		br.Reset(frame)
+		f, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := f.(*Matches); !ok || m.UpTo != 9 || m.Count != 2 {
+			t.Fatalf("read %#v, want the two-record frame as a *Matches", f)
+		}
+	}
+	read()
+	if avg := testing.AllocsPerRun(100, read); avg != 0 {
+		t.Errorf("reading a Matches frame allocated %.2f times; want 0", avg)
+	}
+}
+
 // TestRunEncodeAllocs pins the two ways an ingress cycles a run encoder:
 // reusing the sealed run's storage costs nothing per cut, and leaving it
 // to whoever keeps the body costs exactly the next run's storage — sized

@@ -23,6 +23,19 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 func (w *Writer) Write(f Frame) error {
 	var tail []byte
 	w.buf, tail = appendFrame(w.buf[:0], f)
+	return w.put(tail)
+}
+
+// WriteRaw is Write for a BatchRaw, taken as it is rather than boxed into
+// a Frame: a sender of a cut's many runs allocates nothing per frame.
+func (w *Writer) WriteRaw(v BatchRaw) error {
+	var tail []byte
+	w.buf, tail = appendRaw(w.buf[:0], v)
+	return w.put(tail)
+}
+
+// put sends the encoded head of a frame, then its tail.
+func (w *Writer) put(tail []byte) error {
 	if _, err := w.w.Write(w.buf); err != nil || len(tail) == 0 {
 		return err
 	}
@@ -43,7 +56,8 @@ type Reader struct {
 	evs   []*event.Event
 	view  BatchView
 
-	frame func(n int) []byte // a Matches frame's buffer (SetMatchesBuffer)
+	frame   func(n int) []byte // a Matches frame's buffer (SetMatchesBuffer)
+	matches Matches            // the Matches frame Read returns
 }
 
 // NewReader wraps r.
@@ -65,7 +79,9 @@ func (r *Reader) SetMatchesBuffer(frame func(n int) []byte) { r.frame = frame }
 
 // Read decodes the next frame. What it returns may alias the Reader's
 // buffer only until the next Read, with one exception: a Matches frame's
-// records are the consumer's to keep.
+// records are the consumer's to keep. A Matches frame comes back as a
+// *Matches, the Reader's own until the next Read (as a *BatchView is), so
+// reading one boxes nothing.
 func (r *Reader) Read() (Frame, error) {
 	// A frame is at least its length prefix and kind: a clean end of stream
 	// reads none of the five bytes.
@@ -100,6 +116,14 @@ func (r *Reader) Read() (Frame, error) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		return nil, err
+	}
+	if Kind(buf[0]) == KindMatches {
+		c := codec{b: buf, off: 1}
+		r.matches = Matches{}.code(&c)
+		if err := c.end(); err != nil {
+			return nil, err
+		}
+		return &r.matches, nil
 	}
 	if r.arena == nil || Kind(buf[0]) != KindBatch {
 		return decodePayload(buf)

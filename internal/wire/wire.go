@@ -189,6 +189,9 @@ func Append(dst []byte, f Frame) []byte {
 // run, a Matches frame's records — which it returns instead of copying;
 // the length prefix counts it.
 func appendFrame(dst []byte, f Frame) (_, tail []byte) {
+	if v, ok := f.(BatchRaw); ok {
+		return appendRaw(dst, v)
+	}
 	c := codec{b: append(dst, 0, 0, 0, 0, byte(f.kind())), enc: true}
 	switch v := f.(type) {
 	case Hello:
@@ -197,8 +200,6 @@ func appendFrame(dst []byte, f Frame) (_, tail []byte) {
 		v.code(&c)
 	case Batch:
 		v.encode(&c)
-	case BatchRaw:
-		tail = v.encode(&c)
 	case Watermark:
 		v.code(&c)
 	case Matches:
@@ -240,8 +241,22 @@ func appendFrame(dst []byte, f Frame) (_, tail []byte) {
 	default:
 		panic(fmt.Sprintf("wire: unencodable frame type %T", f))
 	}
-	binary.LittleEndian.PutUint32(c.b[len(dst):], uint32(len(c.b)-len(dst)-4+len(tail)))
-	return c.b, tail
+	return sealFrame(c.b, len(dst), tail), tail
+}
+
+// appendRaw is appendFrame for a BatchRaw, taken as it is: a sender of
+// many runs (Writer.WriteRaw) boxes none of them into a Frame.
+func appendRaw(dst []byte, v BatchRaw) (_, tail []byte) {
+	c := codec{b: append(dst, 0, 0, 0, 0, byte(KindBatch)), enc: true}
+	tail = v.encode(&c)
+	return sealFrame(c.b, len(dst), tail), tail
+}
+
+// sealFrame writes the length prefix of the frame that starts at b[at:]
+// and continues with tail.
+func sealFrame(b []byte, at int, tail []byte) []byte {
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4+len(tail)))
+	return b
 }
 
 // Decode parses one frame from the head of b and reports the bytes it
@@ -325,11 +340,21 @@ func decodePayload(p []byte) (Frame, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown frame kind %d", p[0])
 	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.off != len(p) {
-		return nil, fmt.Errorf("wire: %s frame has %d trailing bytes", Kind(p[0]), len(p)-c.off)
+	if err := c.end(); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// end reports what is wrong with the frame a decoding codec has read
+// (c.b, kind first): the first field that failed, or bytes left after the
+// last field.
+func (c *codec) end() error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.off != len(c.b) {
+		return fmt.Errorf("wire: %s frame has %d trailing bytes", Kind(c.b[0]), len(c.b)-c.off)
+	}
+	return nil
 }
