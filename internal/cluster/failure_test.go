@@ -337,13 +337,16 @@ func (tr *truncator) send(f wire.Frame) wire.Frame {
 }
 
 // The node side of a link whose Send goes through a truncator. It embeds
-// the stream connection, so the node still finds the transport's probes.
+// the stream connection, so the node still finds the transport's probes;
+// the unboxed Matches send it would find that way goes through Send.
 type truncStream struct {
 	*streamConn
 	tr *truncator
 }
 
 func (c truncStream) Send(f wire.Frame) error { return c.streamConn.Send(c.tr.send(f)) }
+
+func (c truncStream) SendMatches(m wire.Matches) error { return c.Send(m) }
 
 // TestCorruptMatchesFrame: a worker answers a cut with a Matches frame
 // one of whose bodies is cut short. The coordinator refuses the frame
@@ -472,6 +475,8 @@ func (p *resultProbe) Send(f wire.Frame) error {
 	p.damaged.Store(p.tr.damaged)
 	return err
 }
+
+func (p *resultProbe) SendMatches(m wire.Matches) error { return p.Send(m) }
 
 // cutLog is the ingress end of a link: it counts the cut frames the
 // coordinator writes at it after the link was closed.

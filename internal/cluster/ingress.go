@@ -29,9 +29,12 @@ const maxShardsPerNode = 1 << 12
 // global watermark, the encoded run of every shard that had events in
 // the cut, and the routing truth at seal time. The Runs and Owner slices
 // are ingress-owned scratch, valid only during the call — a replicator
-// copies them before returning — while the run bodies are the bytes the
-// journal retains, immutable from here on, and Addrs is the observer's
-// to keep. Final marks the cut sealed by Finish (the stream's last).
+// copies them before returning. The run bodies are the bytes the journal
+// retains, immutable from here on (each capped at its length: they are
+// carved one after another from the ingress's chunks). Addrs is an
+// immutable snapshot, the same slice from cut to cut until the fleet or
+// an address changes, and the observer's to keep. Final marks the cut
+// sealed by Finish (the stream's last).
 type CutInfo struct {
 	UpTo  uint64
 	Final bool
@@ -202,9 +205,8 @@ type Ingress struct {
 	tenants map[uint32]shed.TenantBudget
 	addCut  atomic.Pointer[map[uint32]uint64]
 	// sealedTags: the consumer takes the tags sealed (NewSealedIngress).
-	// It keeps Enc past delivery, so no Matches frame's buffer is read
-	// into again, and it rebuilds the session from its own configuration,
-	// so AddPattern and RemovePattern refuse.
+	// It rebuilds the session from its own configuration, so AddPattern
+	// and RemovePattern refuse.
 	sealedTags bool
 
 	// Recovery/elasticity state (zero without IngressOptions.Recovery;
@@ -229,6 +231,7 @@ type Ingress struct {
 	// — not the collector — is the truth about what was already
 	// delivered).
 	onCut         func(CutInfo)
+	addrs         []string // what onCut last replicated as Addrs (replAddrs)
 	epoch         uint64
 	suppressFloor uint64
 
@@ -263,13 +266,15 @@ func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingre
 // NewSealedIngress is NewIngress for a consumer that holds matches back
 // before it emits them — the HA emission gate. opts.OnTagged receives
 // every tag sealed: Enc holds the match as its worker encoded it —
-// checked on receipt, aliasing the frame it arrived in, which nothing
-// overwrites — and M is nil; the consumer decodes where it emits (Open),
-// and what it holds until then is bytes. Its pattern set is the one it
-// was built with: AddPattern and RemovePattern refuse, because the
-// consumer that holds the matches back (the HA pair) rebuilds a
-// successor from its own configuration, where a runtime change would be
-// lost.
+// checked on receipt, aliasing the frame it arrived in — and M is nil;
+// the consumer decodes where it emits (Open), and what it holds until
+// then is bytes. Enc is valid only during the OnTagged call: the frame
+// goes back to its reader once its last match is delivered, and the next
+// Matches frame is read into it, so a consumer copies the bodies it
+// keeps. Its pattern set is the one it was built with: AddPattern and
+// RemovePattern refuse, because the consumer that holds the matches back
+// (the HA pair) rebuilds a successor from its own configuration, where a
+// runtime change would be lost.
 func NewSealedIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingress, error) {
 	return newIngress(pat, conns, opts, true)
 }
@@ -717,6 +722,23 @@ func (in *Ingress) Process(ev *event.Event) {
 	}
 }
 
+// replAddrs returns the slots' addresses as an immutable snapshot, made
+// anew only when the fleet or a slot's address has changed since the last
+// one: the replication tap's observer keeps it. Ingress goroutine.
+func (in *Ingress) replAddrs() []string {
+	same := len(in.addrs) == len(in.slots)
+	for n := 0; same && n < len(in.slots); n++ {
+		same = in.addrs[n] == in.slots[n].addr
+	}
+	if !same {
+		in.addrs = make([]string, len(in.slots))
+		for n, s := range in.slots {
+			in.addrs[n] = s.addr
+		}
+	}
+	return in.addrs
+}
+
 // cutAll seals the current cut: the previous cut's pipelined sends are
 // barriered first and their failures — together with pending reader
 // suspects — handled (so a failover's replay ends at the previous cut
@@ -749,13 +771,9 @@ func (in *Ingress) cutAll() {
 		// Replication tap: behind the barrier (routing settled for this
 		// cut, the previous cut fully sent) and after journaling, so what
 		// the standby mirrors is exactly what a failover would replay.
-		addrs := make([]string, len(in.slots))
-		for n, s := range in.slots {
-			addrs[n] = s.addr
-		}
 		in.onCut(CutInfo{
 			UpTo: in.lastSeq, Final: in.finished,
-			Runs: in.sealed, Owner: in.owner, Addrs: addrs,
+			Runs: in.sealed, Owner: in.owner, Addrs: in.replAddrs(),
 		})
 	}
 	upTo := in.lastSeq

@@ -141,6 +141,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 type sender struct {
 	mu   sync.Mutex
 	c    Conn
+	rs   resultSender // nil: beats and Matches frames go boxed through c.Send
 	fl   sendHolder
 	busy bool // the loop is handling a frame and will flush after it
 	err  error
@@ -154,12 +155,30 @@ func (s *sender) send(f wire.Frame) {
 	s.mu.Unlock()
 }
 
-// release sends a frame of the collector's and, unless the loop will
-// flush it, flushes: a cut's results leave when they are released.
-func (s *sender) release(f wire.Frame) {
+// beat sends a Heartbeat, unboxed where the transport offers it.
+func (s *sender) beat(upTo uint64) {
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = s.c.Send(f)
+		if s.rs != nil {
+			s.err = s.rs.SendBeat(upTo)
+		} else {
+			s.err = s.c.Send(wire.Heartbeat{UpTo: upTo})
+		}
+	}
+	s.mu.Unlock()
+}
+
+// release sends the collector's Matches frame, unboxed where the
+// transport offers it, and, unless the loop will flush it, flushes: a
+// cut's results leave when they are released.
+func (s *sender) release(m wire.Matches) {
+	s.mu.Lock()
+	if s.err == nil {
+		if s.rs != nil {
+			s.err = s.rs.SendMatches(m)
+		} else {
+			s.err = s.c.Send(m)
+		}
 	}
 	if s.err == nil && s.fl != nil && !s.busy {
 		s.err = s.fl.Flush()
@@ -283,6 +302,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 	// from replayed history (the adaptation trajectory differs — plans
 	// restart fresh — but match sets and tags do not depend on it).
 	up := &sender{c: conn}
+	up.rs, _ = conn.(resultSender)
 	// Coalesced upstream writes: the transport holds the cut's burst
 	// (heartbeat, Matches) in its write buffer. The loop flushes once per
 	// inbound frame, carrying out whatever the collector released
@@ -435,7 +455,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		if upTo == 0 {
 			return // events-only frame; the cut's watermark frame follows
 		}
-		up.send(wire.Heartbeat{UpTo: upTo})
+		up.beat(upTo)
 		eng.Flush(upTo)
 		migMu.Lock()
 		maxUpTo = max(maxUpTo, upTo)
@@ -471,7 +491,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			suppress[g] = v.SuppressUpTo
 			pending = append(pending, g)
 			migMu.Unlock()
-			up.send(wire.Heartbeat{UpTo: v.ReplayUpTo}) // receipt beat: replay may be long
+			up.beat(v.ReplayUpTo) // receipt beat: replay may be long
 		case wire.Takeover:
 			// A successor coordinator announces its assumption: every
 			// match at or below the boundary was already delivered by the
@@ -482,7 +502,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			migMu.Lock()
 			suppressAll = max(suppressAll, v.Boundary)
 			migMu.Unlock()
-			up.send(wire.Heartbeat{UpTo: v.Boundary})
+			up.beat(v.Boundary)
 		case wire.ShardRoute:
 			// Routing is advisory here (ownership semantics ride the
 			// Migrate frames), but its position is load-bearing: the

@@ -13,13 +13,18 @@ import (
 
 // laggard is a node's end of a link whose every Send waits behind a chaos
 // delay, so the node's watermark trails its peers'. It embeds the stream
-// connection, so the node still finds the transport's probes.
+// connection, so the node still finds the transport's probes; the unboxed
+// sends it would find that way go through Send.
 type laggard struct {
 	*streamConn
 	delay *chaos.Wrapper // wraps the same connection
 }
 
 func (l laggard) Send(f wire.Frame) error { return l.delay.Send(f) }
+
+func (l laggard) SendBeat(upTo uint64) error { return l.Send(wire.Heartbeat{UpTo: upTo}) }
+
+func (l laggard) SendMatches(m wire.Matches) error { return l.Send(m) }
 
 // TestReaderHoldsTwoRuns: one of two nodes answers every cut late, so the
 // other node's results wait behind its watermark. The fast node's reader

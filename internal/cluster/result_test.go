@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
 	"io"
 	"math"
 	"net"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +15,6 @@ import (
 	"acep/internal/match"
 	"acep/internal/multi"
 	"acep/internal/pattern"
-	"acep/internal/shard"
 	"acep/internal/wire"
 )
 
@@ -314,64 +311,6 @@ func TestResultPathAllocs(t *testing.T) {
 				t.Errorf("%.2f objects per delivered match beyond the %d a cut may cost, want at most 0.1: a decode allocates per keeper slab", perMatch, framesPerCut)
 			}
 		})
-	}
-}
-
-// TestSealedTagsKeepTheirBytes: a sealed ingress's consumer keeps Enc past
-// delivery — the HA gate holds tags until their commit — so the reader
-// never reads a frame into a buffer tags were delivered from: the tags of
-// the first cut keep their bytes after the reader has read 64 more Matches
-// frames. Each later cut completes two matches, so a reused buffer would
-// be rewritten where the first cut's matches begin.
-func TestSealedTagsKeepTheirBytes(t *testing.T) {
-	f := newResultFixture()
-	conns := make([]Conn, 2)
-	for i := range conns {
-		client, server := Pipe()
-		go f.node(t).Serve(server) //nolint:errcheck // Finish reports a failed session
-		conns[i] = client
-	}
-	var kept []shard.Tagged
-	var want [][]byte
-	done := make(chan uint64, 1024)
-	ing, err := NewSealedIngress(f.pat, conns, IngressOptions{
-		Batch: resultCut, KeyAttr: "key", Schema: f.schema,
-		OnTagged: func(tg shard.Tagged) {
-			if tg.Seq <= resultCut {
-				kept = append(kept, tg)
-				want = append(want, slices.Clone(tg.Enc))
-			}
-		},
-		OnProgress: func(w uint64) { done <- w },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := new(event.Event)
-	const cuts = 1 + 32 // each node answers every cut with a Matches frame
-	for i := 0; i < cuts*resultCut; i++ {
-		f.set(ev, i)
-		if c, k := i/resultCut, i%resultCut; c > 0 {
-			ev.Type, ev.Attrs[0] = min(k, 6)%3, float64(c%32*2+k/3) // A, B, C twice, then As
-		}
-		ing.Process(ev)
-	}
-	for seen := uint64(0); seen < cuts*resultCut; seen = <-done {
-	}
-	if len(kept) < 80 {
-		t.Fatalf("the first cut delivered %d matches, want the 85 it completes", len(kept))
-	}
-	k := &match.Keeper{}
-	for i := range kept {
-		if !bytes.Equal(kept[i].Enc, want[i]) {
-			t.Fatalf("tag %d of the first cut changed its bytes after 64 more frames were read", i)
-		}
-		if err := Open(&kept[i], k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ing.Finish(); err != nil {
-		t.Fatal(err)
 	}
 }
 

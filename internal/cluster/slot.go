@@ -108,12 +108,11 @@ func (s *slot) final() engine.Metrics {
 const runsPerReader = 2
 
 // inRun is what a node's Matches frame is posted to the merge collector
-// in: the tags and, under NewIngress, the frame's buffer, which their Enc
-// slices alias. The reader fills one per frame and the collector hands it
-// back (Release) once it has delivered or purged the last of the tags, so
-// a reader in steady state allocates neither. Under NewSealedIngress the
-// consumer keeps Enc past delivery: the frame is the reader's own (frame
-// nil) and never comes back.
+// in: the tags and the frame's buffer, which their Enc slices alias. The
+// reader fills one per frame and the collector hands it back (Release)
+// once it has delivered or purged the last of the tags, so a reader in
+// steady state allocates neither. A consumer that holds a match past its
+// delivery — the HA gate, under NewSealedIngress — copies what it keeps.
 type inRun struct {
 	tags  []shard.Tagged
 	frame []byte
@@ -313,7 +312,7 @@ func (in *Ingress) install(n int, c Conn, addr string) *slot {
 		back: make(chan *inRun, runsPerReader),
 	}
 	s.cuts, _ = c.(cutSender)
-	if mb, ok := c.(interface{ SetMatchesBuffer(func(int) []byte) }); ok && !in.sealedTags {
+	if mb, ok := c.(interface{ SetMatchesBuffer(func(int) []byte) }); ok {
 		mb.SetMatchesBuffer(func(n int) []byte { return in.frame(s, n) })
 	}
 	if in.rec.HeartbeatTimeout > 0 {

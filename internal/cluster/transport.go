@@ -199,15 +199,32 @@ func (s *stallNetConn) Read(p []byte) (int, error) {
 	}
 }
 
-func (s *streamConn) Send(f wire.Frame) error {
-	if err := s.w.Write(f); err != nil {
+func (s *streamConn) Send(f wire.Frame) error { return s.sent(s.w.Write(f)) }
+
+// sent finishes a Send: unless it failed or frames are held, it flushes.
+func (s *streamConn) sent(err error) error {
+	if err != nil || s.hold {
 		return err
-	}
-	if s.hold {
-		return nil
 	}
 	return s.bw.Flush()
 }
+
+// resultSender is what the stream transport offers a node's sender: the
+// frames a node answers each cut with — its heartbeat and its Matches
+// frame — sent as Send would, neither boxed into a wire.Frame. Probed for
+// on a Conn; a wrapper that hides it gets them through Send.
+type resultSender interface {
+	SendBeat(upTo uint64) error
+	SendMatches(v wire.Matches) error
+}
+
+// SendBeat is Send for a Heartbeat, unboxed (wire.Writer.WriteBeat).
+func (s *streamConn) SendBeat(upTo uint64) error {
+	return s.sent(s.w.WriteBeat(wire.Heartbeat{UpTo: upTo}))
+}
+
+// SendMatches is Send for a Matches frame, unboxed (wire.Writer.WriteMatches).
+func (s *streamConn) SendMatches(v wire.Matches) error { return s.sent(s.w.WriteMatches(v)) }
 
 // sendHolder is what the stream transport offers a sender that knows
 // where its bursts end: hold frames in the write buffer, push them out

@@ -47,10 +47,16 @@ import (
 // prefix the dead primary already delivered).
 //
 // What the gate holds is what the coordinator received: the queue is the
-// collector's sealed tags, each Enc aliasing the frame its match arrived
-// in, and a match is decoded once, as its prefix is emitted — before the
-// prefix is committed, so a body that does not decode fails the gate
-// (see failure) with the lease still equal to what was emitted.
+// collector's sealed tags, and a match is decoded once, as its prefix is
+// emitted — before the prefix is committed, so a body that does not
+// decode fails the gate (see failure) with the lease still equal to what
+// was emitted. A sealed tag's Enc is valid only during onTagged (its frame
+// goes back to the ingress reader after delivery), so the gate copies each
+// body it queues into its own slab, held: the queued bodies lie there
+// back to back in queue order, from hfrom on. The slab is reset when the
+// queue empties and compacted once half of it is emitted, so it stays
+// within twice the bytes the gate still holds, and those are bounded by
+// the replication window the primary may run ahead of its standby.
 type gate struct {
 	out     func(shard.Tagged)
 	publish func(wire.Frame) // enqueues a ReplState on the repl link
@@ -62,8 +68,10 @@ type gate struct {
 
 	mu        sync.Mutex
 	ackCond   *sync.Cond     // broadcast whenever acked advances or gating ends
-	q         []shard.Tagged // sealed: Enc set, M nil
+	q         []shard.Tagged // sealed: Enc set (into held), M nil
 	head      int
+	held      []byte         // the slab: the bodies of q[head:], from hfrom on
+	hfrom     int            // the slab's emitted bytes, ahead of the held ones
 	open      []shard.Tagged // drain scratch: the prefix being emitted, decoded
 	keep      match.Keeper   // what the emitted matches are decoded into
 	err       error          // why the gate failed (see failure)
@@ -78,9 +86,9 @@ type gate struct {
 }
 
 // onTagged receives every match the merge collector delivers — sealed —
-// on the collector goroutine. A gated match joins the queue as it is:
-// nothing is copied or decoded until its prefix is emitted. A successor's
-// passes straight through, decoded on the way.
+// on the collector goroutine. A gated match joins the queue with its body
+// copied into the gate's slab, undecoded until its prefix is emitted. A
+// successor's passes straight through, decoded on the way.
 func (g *gate) onTagged(t shard.Tagged) {
 	g.mu.Lock()
 	if g.direct {
@@ -100,9 +108,44 @@ func (g *gate) onTagged(t shard.Tagged) {
 		return
 	}
 	if !g.frozen {
+		t.Enc = g.hold(t.Enc)
 		g.q = append(g.q, t)
 	}
 	g.mu.Unlock()
+}
+
+// hold copies a queued body into the slab and returns the copy, capped at
+// its length. A slab too small for it is first compacted, if half of it
+// is emitted, else replaced by one of twice the room, the held bodies
+// moved over either way. Under the gate lock.
+func (g *gate) hold(enc []byte) []byte {
+	if len(g.held)+len(enc) > cap(g.held) {
+		live := len(g.held) - g.hfrom
+		dst := g.held
+		if 2*g.hfrom < len(g.held) || live+len(enc) > cap(g.held) {
+			dst = make([]byte, 0, max(2*(live+len(enc)), minHeld))
+		}
+		g.rebase(dst)
+	}
+	off := len(g.held)
+	g.held = append(g.held, enc...)
+	return g.held[off:len(g.held):len(g.held)]
+}
+
+// minHeld is the smallest slab the gate makes: a few cuts' matches.
+const minHeld = 4 << 10
+
+// rebase moves the held bodies to the front of dst (which may be the slab
+// itself) and points the queued tags at them. Under the gate lock.
+func (g *gate) rebase(dst []byte) {
+	dst = append(dst[:0], g.held[g.hfrom:]...)
+	off := 0
+	for i := g.head; i < len(g.q); i++ {
+		n := len(g.q[i].Enc)
+		g.q[i].Enc = dst[off : off+n : off+n]
+		off += n
+	}
+	g.held, g.hfrom = dst, 0
 }
 
 // onProgress is the collector's release tap: matches at or below w have
@@ -217,6 +260,9 @@ func (g *gate) drainLocked() {
 			// the queue discard while draining is set, so the prefix is
 			// still intact here.
 		}
+		for i := g.head; i < g.head+n; i++ {
+			g.hfrom += len(g.q[i].Enc)
+		}
 		clear(g.q[g.head : g.head+n])
 		g.head += n
 		for i := range g.open {
@@ -224,8 +270,10 @@ func (g *gate) drainLocked() {
 			g.delivered++
 		}
 		if g.head == len(g.q) {
-			g.q = g.q[:0]
-			g.head = 0
+			g.q, g.head = g.q[:0], 0
+			g.held, g.hfrom = g.held[:0], 0
+		} else if 2*g.hfrom >= len(g.held) {
+			g.rebase(g.held)
 		}
 		if n > 0 || t > g.emitted {
 			g.emitted = t
@@ -244,10 +292,15 @@ func (g *gate) drainLocked() {
 		// A freeze that landed while this drain was in flight deferred
 		// its queue discard to us (see demoteLocked), and a kill waits
 		// for us; nothing beyond the committed prefix may ever escape now.
-		g.q = nil
-		g.head = 0
+		g.drop()
 		g.ackCond.Broadcast()
 	}
+}
+
+// drop discards the queue and the bodies it holds. Under the gate lock.
+func (g *gate) drop() {
+	g.q, g.head = nil, 0
+	g.held, g.hfrom = nil, 0
 }
 
 // demoteLocked freezes the gate after a lost lease: queued uncommitted
@@ -263,8 +316,7 @@ func (g *gate) demoteLocked() {
 	}
 	g.frozen = true
 	if !g.draining {
-		g.q = nil
-		g.head = 0
+		g.drop()
 	}
 	g.ackCond.Broadcast()
 }

@@ -3,6 +3,8 @@ package ha
 import (
 	"bytes"
 	"errors"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"acep/internal/cluster"
 	"acep/internal/event"
 	"acep/internal/match"
+	"acep/internal/pattern"
 	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/wire"
@@ -256,13 +259,13 @@ func heldFrames(cuts, perCut int) (tags []shard.Tagged, bodies [][]byte) {
 }
 
 // TestGateHoldAllocs pins what a held match costs: the gate queues the
-// collector's sealed tag as it is — no copy of the body, no decode, no
-// re-encode — so holding allocates nothing beyond the queue's amortised
-// growth, however long the standby stalls. A thousand cuts later the ack
-// arrives and every match decodes, in order, to the bytes that were held:
-// what waits in the gate is the tags and the frame buffers they alias,
-// bounded by the replication window the primary may run ahead of its
-// standby (replLagCuts cuts, enforced by waitAckedTimeout in the
+// collector's sealed tag with its body copied into the gate's slab — no
+// decode, no re-encode — so holding allocates nothing beyond the queue's
+// and the slab's amortised growth, however long the standby stalls. A
+// thousand cuts later the ack arrives and every match decodes, in order,
+// to the bytes that were held: what waits in the gate is the tags and the
+// slab, bounded by the replication window the primary may run ahead of
+// its standby (replLagCuts cuts, enforced by waitAckedTimeout in the
 // replication tap, plus what the workers have in flight).
 func TestGateHoldAllocs(t *testing.T) {
 	const cuts, perCut = 1000, 8
@@ -285,9 +288,10 @@ func TestGateHoldAllocs(t *testing.T) {
 	for next < 500*perCut {
 		hold()
 	}
-	// The queue grows by amortised doubling — a few reallocations over the
-	// next 400 cuts, which AllocsPerRun's whole-number average drops; one
-	// allocation per held cut, let alone per match, it would not.
+	// The queue and the slab grow by amortised doubling — a few
+	// reallocations over the next 400 cuts, which AllocsPerRun's
+	// whole-number average drops; one allocation per held cut, let alone
+	// per match, it would not.
 	if avg := testing.AllocsPerRun(399, hold); avg != 0 {
 		t.Errorf("holding a cut of %d matches allocated %.3f times, want only the queue's amortised growth", perCut, avg)
 	}
@@ -459,4 +463,176 @@ func TestGateWaitAckedAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("waiting on an acknowledged floor allocated %.1f times, want 0", avg)
 	}
+}
+
+// testGate is a gate as the tests drive it: out collects what it emits,
+// nothing is published, every commit succeeds.
+func testGate(out func(shard.Tagged)) *gate {
+	g := &gate{
+		out:     out,
+		publish: func(wire.Frame) {},
+		commit:  func(uint64, uint64) bool { return true },
+	}
+	g.ackCond = sync.NewCond(&g.mu)
+	return g
+}
+
+// TestGateKeepsHeldBodies: a sealed tag's Enc is valid only during
+// OnTagged — the ingress reader reads a later Matches frame into the
+// frame's buffer once its last match is delivered — so what the gate
+// holds is its own copy. Behind a standby that acknowledges nothing, the
+// gate holds the first cut's matches while the readers read 64 more
+// frames into recycled buffers (under the race detector each is poisoned
+// as it comes back); each later cut completes two matches, so a reused
+// buffer is rewritten where the first cut's matches began. Then the ack
+// arrives, and every held match decodes to the bytes it was delivered
+// with.
+func TestGateKeepsHeldBodies(t *testing.T) {
+	const cut = 256
+	s := event.NewSchema()
+	pb := pattern.NewBuilder(s, pattern.Seq, 100)
+	for _, name := range []string{"A", "B", "C"} {
+		pb.Event(s.MustAddType(name, "key"))
+	}
+	pb.WhereEq(0, "key", 1, "key").WhereEq(1, "key", 2, "key")
+	pat := pb.MustBuild()
+	conns, err := cluster.Spawn(2, cluster.NodeConfig{Pattern: pat, Schema: s, KeyAttr: "key", Shards: 1}, func(err error) { t.Error(err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []shard.Tagged
+	g := testGate(func(tg shard.Tagged) { got = append(got, tg) })
+	var want [][]byte
+	done := make(chan uint64, 1024)
+	ing, err := cluster.NewSealedIngress(pat, conns, cluster.IngressOptions{
+		Batch: cut, KeyAttr: "key", Schema: s,
+		OnTagged: func(tg shard.Tagged) {
+			want = append(want, slices.Clone(tg.Enc))
+			g.onTagged(tg)
+		},
+		OnProgress: func(w uint64) {
+			g.onProgress(w)
+			done <- w
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &event.Event{}
+	const cuts = 1 + 32 // each node answers every cut with a Matches frame
+	for i := 0; i < cuts*cut; i++ {
+		ev.Type, ev.TS, ev.Seq = i%3, event.Time(i), uint64(i+1)
+		ev.Attrs = append(ev.Attrs[:0], float64(i/3%64))
+		if c, k := i/cut, i%cut; c > 0 {
+			ev.Type, ev.Attrs[0] = min(k, 6)%3, float64(c%32*2+k/3) // A, B, C twice, then As
+		}
+		ing.Process(ev)
+	}
+	for seen := uint64(0); seen < cuts*cut; seen = <-done {
+	}
+	if len(got) != 0 {
+		t.Fatalf("%d matches escaped a gate whose standby acknowledged nothing", len(got))
+	}
+	g.onAck(math.MaxUint64)
+	if err := g.failure(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 85+2*(cuts-2) {
+		t.Fatalf("the gate emitted %d matches, want the first cut's 85 and two a cut after it", len(got))
+	}
+	for i, tg := range got {
+		if again := wire.AppendMatchBody(nil, tg.M); !bytes.Equal(again, want[i]) {
+			t.Fatalf("match %d (at %d) decoded to other bytes than it was delivered with", i, tg.Seq)
+		}
+	}
+	if err := ing.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGateSlabBounded: the gate's slab holds the queued bodies back to
+// back; a drain that empties the queue resets it and one that leaves half
+// of it or more emitted compacts it, so after every drain it is at most
+// twice the bytes still held, and it grows only to twice the most the
+// gate ever held. The standby acknowledges in uneven steps while cuts
+// keep arriving, and every match still decodes to the bytes it was held
+// with.
+func TestGateSlabBounded(t *testing.T) {
+	const cuts, perCut = 600, 8
+	tags, bodies := heldFrames(cuts, perCut)
+	var got []shard.Tagged
+	g := testGate(func(tg shard.Tagged) { got = append(got, tg) })
+	live := func() (n int) {
+		for _, tg := range g.q[g.head:] {
+			n += len(tg.Enc)
+		}
+		return n
+	}
+	next, acked, most := 0, uint64(0), 0
+	for c := 1; c <= cuts; c++ {
+		for ; next < c*perCut; next++ {
+			g.onTagged(tags[next])
+		}
+		g.onProgress(uint64(c))
+		most = max(most, live())
+		if c%7 == 0 || c%11 == 0 || c == cuts {
+			acked = max(acked, uint64(c-c%5)) // uneven steps, and some that drain nothing
+			g.onAck(acked)
+			if held := live(); len(g.held) > 2*held {
+				t.Fatalf("cut %d: after a drain the slab spans %d bytes for %d held", c, len(g.held), held)
+			}
+		}
+		if cap(g.held) > max(2*most, minHeld) {
+			t.Fatalf("cut %d: the slab has %d bytes of room, the gate never held more than %d", c, cap(g.held), most)
+		}
+	}
+	g.onAck(math.MaxUint64)
+	if len(g.held) != 0 || len(got) != len(tags) {
+		t.Fatalf("emitted %d of %d matches, %d bytes left in the slab", len(got), len(tags), len(g.held))
+	}
+	for i, tg := range got {
+		if again := wire.AppendMatchBody(nil, tg.M); !bytes.Equal(again, bodies[i]) {
+			t.Fatalf("match %d re-encodes to other bytes than were held", i)
+		}
+	}
+}
+
+// BenchmarkGateHold is the gate behind a standby that acknowledges 64
+// cuts at a time: an iteration holds 64 cuts of eight matches, each body
+// copied into the slab, then the ack emits them, decoded into the gate's
+// keeper outside the timer. It reports what holding a match allocates,
+// in bytes over everything the process allocates while the cuts are held
+// (B/match): the slab and the queue are reused once grown. CI runs it as
+// a smoke.
+func BenchmarkGateHold(b *testing.B) {
+	const cuts, perCut, lag = 1024, 8, 64
+	tags, _ := heldFrames(cuts, perCut)
+	g := testGate(func(shard.Tagged) {})
+	c := 0
+	hold := func() {
+		for k := 0; k < perCut; k++ {
+			tg := tags[c%cuts*perCut+k]
+			tg.Seq = uint64(c + 1)
+			g.onTagged(tg)
+		}
+		c++
+		g.onProgress(uint64(c))
+	}
+	var ms runtime.MemStats
+	var held uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for k := 0; k < lag; k++ {
+			hold()
+		}
+		runtime.ReadMemStats(&ms)
+		held += ms.TotalAlloc - before
+		b.StopTimer()
+		g.onAck(uint64(c))
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(held)/float64(b.N*lag*perCut), "B/match")
 }

@@ -157,7 +157,8 @@ type Pair struct {
 	ackDone      chan struct{}
 	replClosed   bool
 	srvStopped   bool
-	cutSeq       uint64 // dense replication cut ordinal (ingress goroutine)
+	cutSeq       uint64   // dense replication cut ordinal (ingress goroutine)
+	owner        []uint32 // the routing snapshot onCut last replicated (replOwner)
 
 	leaseCl     *lease.Client
 	leaseHolder uint64
@@ -441,31 +442,23 @@ func (p *Pair) demote(cause string) {
 
 // onCut is the primary's replication tap (ingress goroutine, behind the
 // send barrier): the sealed cut becomes one ReplCut frame stamped with
-// the next dense cut ordinal — the standby's dedup/gap detector. Owner
-// and the run headers are copied — the ingress reuses both after the
-// call — Addrs is ours to keep, and the run bodies are the bytes the
-// ingress framed to the workers and its journal retains, immutable for
-// the rest of the run.
+// the next dense cut ordinal — the standby's dedup/gap detector. The run
+// headers are copied — the ingress reuses them after the call — Owner is
+// the routing snapshot (replOwner), Addrs is ours to keep, and the run
+// bodies are the bytes the ingress framed to the workers and its journal
+// retains, immutable for the rest of the run.
 func (p *Pair) onCut(ci cluster.CutInfo) {
 	if p.replDown.Load() {
 		return
 	}
 	p.cutSeq++
-	rc := wire.ReplCut{
+	p.replCh <- wire.ReplCut{
 		UpTo: ci.UpTo, Cut: p.cutSeq, Final: ci.Final,
-		Owner: make([]uint32, len(ci.Owner)),
+		Owner: p.replOwner(ci.Owner),
 		Addrs: ci.Addrs,
 		Runs:  slices.Clone(ci.Runs),
 	}
-	for g, o := range ci.Owner {
-		if o < 0 {
-			rc.Owner[g] = ^uint32(0)
-		} else {
-			rc.Owner[g] = uint32(o)
-		}
-	}
-	p.replCh <- rc
-	if rc.Final {
+	if ci.Final {
 		// The Final cut resolves through the stand-down handshake in
 		// Finish rather than flow control.
 		return
@@ -495,6 +488,24 @@ func (p *Pair) onCut(ci cluster.CutInfo) {
 	if !p.demotedFlag.Load() && !p.replDown.Load() {
 		p.trimRing()
 	}
+}
+
+// replOwner returns the routing table as the wire carries it (an
+// abandoned shard is ^0): an immutable snapshot, made anew only when the
+// ingress's routing has changed since the last cut, so the sender
+// goroutine may encode it while the next cut is sealed. Ingress goroutine.
+func (p *Pair) replOwner(owner []int) []uint32 {
+	same := len(p.owner) == len(owner)
+	for g := 0; same && g < len(owner); g++ {
+		same = p.owner[g] == uint32(owner[g])
+	}
+	if !same {
+		p.owner = make([]uint32, len(owner))
+		for g, o := range owner {
+			p.owner[g] = uint32(o) // -1 becomes ^0
+		}
+	}
+	return p.owner
 }
 
 // markReplDown records that the replication link is gone and releases

@@ -22,10 +22,12 @@
 //     matches reach one further window back. Retention is per shard —
 //     a cold shard trims on its own clock instead of pinning every
 //     sibling's history. What it retains is the runs the ingress already
-//     encoded for the workers (wire.ReplRun), so its memory is exactly
-//     the bytes it accounts; a hard byte bound force-trims with an
-//     explicit per-shard coverage-lost marker rather than growing
-//     silently.
+//     encoded for the workers (wire.ReplRun), never a copy; each was
+//     carved from its shard encoder's chunk, so the journal pins the
+//     bytes it accounts plus, per shard, about two chunks (the one
+//     trimming has reached into and the one still being carved). A hard
+//     byte bound force-trims with an explicit per-shard coverage-lost
+//     marker rather than growing silently.
 //   - Detector — a wall-clock heartbeat monitor fed by the frames each
 //     node sends (watermarks double as heartbeats; nodes additionally
 //     acknowledge every cut on receipt), declaring a silent node dead
@@ -377,7 +379,9 @@ func (j *Journal) ReplayUpToShard(g int) uint64 {
 	return upTo
 }
 
-// Bytes reports the retained run bytes — exactly what the journal pins.
+// Bytes reports the retained run bytes. The runs' chunks make what the
+// journal pins a little more: about two chunks a shard (see the package
+// comment).
 func (j *Journal) Bytes() int64 { return j.bytes }
 
 // Cuts reports the number of retained cuts.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -230,8 +231,8 @@ func TestJournalAbandon(t *testing.T) {
 }
 
 // TestJournalKeepsTheRunBytes: a journaled run is the caller's encoded
-// body, retained — not copied, not re-encoded — which is what makes
-// Bytes exact; all-empty cuts are skipped, a run outside the shard space
+// body, retained — not copied, not re-encoded — and Bytes counts it
+// exactly; all-empty cuts are skipped, a run outside the shard space
 // refuses its whole cut, and the event-slice adapter stores the same
 // bytes the ingress's encoder would have handed over.
 func TestJournalKeepsTheRunBytes(t *testing.T) {
@@ -304,6 +305,76 @@ func TestJournalAppendAllocs(t *testing.T) {
 	if j.Cuts() > 12 {
 		t.Fatalf("%d cuts retained; the steady state did not trim", j.Cuts())
 	}
+}
+
+// TestJournalPinsItsBytes: an ingress's runs are carved one after another
+// from its encoders' chunks (wire.RunEncoder), so a journaled run pins
+// its whole chunk until the last run carved from it leaves. Trimming goes
+// shard by shard from the front, so behind a saturated stream — 200 cuts
+// in flight, runs of varying length — the heap holds the retained bytes
+// (Bytes) plus, per shard, two chunks: the one trimming has reached into
+// and the one its encoder still carves from. The journal's own records
+// and the room each run keeps in front of it for its count are counted on
+// top. The chunks in between lose less than one run's room at their ends,
+// half a run's on average: at 13 chunks a shard that fits in the room the
+// two end chunks leave (together they average one).
+func TestJournalPinsItsBytes(t *testing.T) {
+	const shards, lag, cuts = 4, 200, 2000
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	j, err := NewJournal(JournalConfig{Window: 100, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encs := make([]wire.RunEncoder, shards)
+	runs := make([]wire.ReplRun, 0, shards)
+	rng := rand.New(rand.NewPCG(1, 2))
+	ev := &event.Event{Attrs: make([]float64, 3)}
+	maxRun, nruns := 0, 0
+	for c := 1; c <= cuts; c++ {
+		runs = runs[:0]
+		for g := range encs {
+			for n := 16 + rng.IntN(48); n > 0; n-- {
+				ev.TS++
+				ev.Seq++
+				ev.Attrs[0] = rng.Float64()
+				encs[g].Append(ev)
+			}
+			runs = append(runs, encs[g].Seal(uint32(g)))
+			maxRun = max(maxRun, len(runs[g].Body))
+		}
+		if err := j.AppendRuns(runs, uint64(c)); err != nil {
+			t.Fatal(err)
+		}
+		for g := range encs {
+			encs[g].Reset(false)
+		}
+		if c > lag {
+			j.Advance(uint64(c - lag))
+		}
+	}
+	j.EachCut(func(rs []wire.ReplRun, _ uint64) error { //nolint:errcheck // fn never fails
+		nruns += len(rs)
+		return nil
+	})
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	pinned := int64(ms.HeapAlloc) - int64(base)
+	// A chunk is RunsPerChunk runs at its encoder's peak, the last with an
+	// eighth to spare, rounded up by the allocator.
+	chunk := int64(wire.RunsPerChunk*maxRun + maxRun/8 + 64 + 8<<10)
+	records := int64(j.Cuts())*2*32 + int64(nruns)*48
+	bound := j.Bytes() + shards*2*chunk + records + int64(nruns)*10 + 16<<10
+	t.Logf("%d cuts, %d runs retained: %d bytes accounted, %d pinned, bound %d (%d a chunk)", j.Cuts(), nruns, j.Bytes(), pinned, bound, chunk)
+	if j.Cuts() < lag {
+		t.Fatalf("%d cuts retained, want the %d in flight", j.Cuts(), lag)
+	}
+	if pinned > bound {
+		t.Fatalf("the journal pins %d bytes for %d accounted; want at most %d", pinned, j.Bytes(), bound)
+	}
+	runtime.KeepAlive(encs)
 }
 
 // laggingJournal is a journal in steady state with lag cuts in flight:

@@ -28,8 +28,9 @@ type Tagged struct {
 	// wherever matches travel as bytes; M is nil then. Out of a sharded
 	// engine (Options.EncodeMatch) the slice aliases the worker's outbox
 	// slab and is valid only during the OnTagged call; at a cluster
-	// ingress it aliases its frame's buffer, which a sealed ingress never
-	// reuses: valid for as long as the tag is kept.
+	// ingress it aliases its frame's buffer, which the ingress reader
+	// reads its next frame into once the frame's last match is delivered:
+	// valid only during the call too, under NewSealedIngress as well.
 	Enc []byte
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"acep/internal/engine"
@@ -214,25 +215,65 @@ func TestUnboxedFrameAllocs(t *testing.T) {
 
 // TestRunEncodeAllocs pins the two ways an ingress cycles a run encoder:
 // reusing the sealed run's storage costs nothing per cut, and leaving it
-// to whoever keeps the body costs exactly the next run's storage — sized
-// after the last, so the run never regrows.
+// to whoever keeps the body costs the run's own bytes, carved one run
+// after another from chunks of RunsPerChunk runs: fewer than one
+// allocation a run, and at most an eighth more bytes than the run holds.
 func TestRunEncodeAllocs(t *testing.T) {
 	evs := benchBatch(256).Events
 	var e RunEncoder
+	var body int
 	cut := func(reuse bool) func() {
 		return func() {
 			e.Reset(reuse)
 			for k := range evs {
 				e.Append(&evs[k])
 			}
-			e.Seal(0)
+			body = len(e.Seal(0).Body)
 		}
 	}
-	cut(false)() // size the storage
-	for reuse, want := range map[bool]float64{true: 0, false: 1} {
-		if avg := testing.AllocsPerRun(100, cut(reuse)); avg != want {
-			t.Errorf("encoding a 256-event run with reuse=%v allocated %.2f times; want %v", reuse, avg, want)
+	kept, reused := cut(false), cut(true)
+	kept() // size the storage
+	if avg := testing.AllocsPerRun(100, reused); avg != 0 {
+		t.Errorf("encoding a 256-event run over the last one allocated %.2f times; want 0", avg)
+	}
+	const runs = 16 * RunsPerChunk
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	objs, bytes0 := ms.Mallocs, ms.TotalAlloc
+	for range runs {
+		kept()
+	}
+	runtime.ReadMemStats(&ms)
+	if n := ms.Mallocs - objs; n >= runs {
+		t.Errorf("encoding %d kept 256-event runs allocated %d times; want fewer than one a run", runs, n)
+	}
+	if per := float64(ms.TotalAlloc-bytes0) / runs; per > 1.125*float64(body) {
+		t.Errorf("a kept %d-byte run cost %.0f bytes; want at most %.0f", body, per, 1.125*float64(body))
+	}
+}
+
+// TestRunEncoderCapsCarvedBodies: a kept run's body is capped at its
+// length, so appending to it copies it out instead of writing over the
+// run carved after it from the same chunk.
+func TestRunEncoderCapsCarvedBodies(t *testing.T) {
+	evs := benchBatch(8).Events
+	var e RunEncoder
+	seal := func() ReplRun {
+		e.Reset(false)
+		for k := range evs {
+			e.Append(&evs[k])
 		}
+		return e.Seal(0)
+	}
+	seal() // size the chunk: the next two runs are carved from it
+	first, second := seal(), seal()
+	want := bytes.Clone(second.Body)
+	_ = append(first.Body, make([]byte, len(second.Body)+runHead)...)
+	if !bytes.Equal(second.Body, want) {
+		t.Fatal("appending to a sealed run's body overwrote the run carved after it")
+	}
+	if _, err := DecodeRun(&match.Arena{}, second.Body, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -137,6 +137,23 @@ func appendAttrs(dst []byte, attrs []float64) []byte {
 // varint's width depends on its value.
 const runHead = binary.MaxVarintLen64
 
+// RunsPerChunk is how many runs at an encoder's peak one chunk holds (see
+// Reset): the room a chunk loses at its end, where the next run might not
+// fit, is less than one run's, and a cold shard's chunk pins a few of its
+// own small runs, not a floor sized for a hot one.
+const RunsPerChunk = 16
+
+// chunkSize rounds a chunk of n bytes up to what the allocator hands out
+// for it anyway, so the chunk's room is all of it: above 32 KiB, whole
+// 8 KiB pages.
+func chunkSize(n int) int {
+	const page = 8 << 10
+	if n <= 32<<10 {
+		return n
+	}
+	return (n + page - 1) &^ (page - 1)
+}
+
 // RunEncoder builds one run event by event — the ingress's cut buffer.
 // The zero value is ready to use.
 type RunEncoder struct {
@@ -161,8 +178,9 @@ func (e *RunEncoder) Append(ev *event.Event) {
 func (e *RunEncoder) Events() int { return e.n }
 
 // Seal closes the run and returns it; Body aliases the encoder's storage
-// until Reset lets go of it. An empty run seals to a ReplRun without a
-// body.
+// until Reset lets go of it, and is capped at its length, so an append to
+// it cannot reach the run carved after it. An empty run seals to a
+// ReplRun without a body.
 func (e *RunEncoder) Seal(shard uint32) ReplRun {
 	if e.n == 0 {
 		return ReplRun{Shard: shard}
@@ -170,22 +188,31 @@ func (e *RunEncoder) Seal(shard uint32) ReplRun {
 	var count [binary.MaxVarintLen64]byte
 	k := binary.PutUvarint(count[:], uint64(e.n))
 	copy(e.buf[runHead-k:], count[:k])
-	return ReplRun{Shard: shard, Events: e.n, LastTS: e.prevTS, Body: e.buf[runHead-k:]}
+	n := len(e.buf)
+	return ReplRun{Shard: shard, Events: e.n, LastTS: e.prevTS, Body: e.buf[runHead-k : n : n]}
 }
 
 // Reset starts the next run. With reuse it overwrites the last one's
-// storage, legal only once nothing reads the sealed body; otherwise the
-// body keeps it and the encoder takes storage sized after the recent runs'
-// peak, which forgets a sixteenth a run: a shard's runs are of similar
-// length, but where the router drops the types no pattern reads, that
-// length follows the stream's type mix, and a run outgrowing its storage
-// costs a regrowth.
+// storage, legal only once nothing reads the sealed body. Otherwise the
+// body keeps its bytes and the next run is carved from the storage after
+// them, the rest of the encoder's chunk, if a run at the recent runs'
+// peak fits there with room to spare; if not, from a new chunk of
+// RunsPerChunk such runs. The peak forgets a sixteenth a run: a shard's
+// runs are of similar length, but where the router drops the types no
+// pattern reads, that length follows the stream's type mix, and a run
+// outgrowing its room costs a regrowth. A chunk lives as long as any run
+// carved from it is kept.
 func (e *RunEncoder) Reset(reuse bool) {
 	if reuse {
 		e.buf = e.buf[:0]
 	} else if n := len(e.buf); n > 0 {
 		e.peak = max(n, e.peak-e.peak/16)
-		e.buf = make([]byte, 0, e.peak+e.peak/8+64)
+		need := e.peak + e.peak/8 + 64
+		if rest := e.buf[n:]; cap(rest) >= need {
+			e.buf = rest
+		} else {
+			e.buf = make([]byte, 0, chunkSize((RunsPerChunk-1)*e.peak+need))
+		}
 	}
 	e.n, e.prevTS, e.prevSeq = 0, 0, 0
 }

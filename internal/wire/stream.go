@@ -34,6 +34,23 @@ func (w *Writer) WriteRaw(v BatchRaw) error {
 	return w.put(tail)
 }
 
+// WriteBeat is Write for a Heartbeat, taken as it is rather than boxed
+// into a Frame: a node beats once a cut.
+func (w *Writer) WriteBeat(v Heartbeat) error {
+	c := codec{b: append(w.buf[:0], 0, 0, 0, 0, byte(KindHeartbeat)), enc: true}
+	v.code(&c)
+	w.buf = sealFrame(c.b, 0, nil)
+	return w.put(nil)
+}
+
+// WriteMatches is Write for a Matches frame, taken as it is: a node sends
+// one a cut, and its records go out as they are.
+func (w *Writer) WriteMatches(v Matches) error {
+	var tail []byte
+	w.buf, tail = appendMatches(w.buf[:0], v)
+	return w.put(tail)
+}
+
 // put sends the encoded head of a frame, then its tail.
 func (w *Writer) put(tail []byte) error {
 	if _, err := w.w.Write(w.buf); err != nil || len(tail) == 0 {

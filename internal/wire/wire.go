@@ -189,8 +189,11 @@ func Append(dst []byte, f Frame) []byte {
 // run, a Matches frame's records — which it returns instead of copying;
 // the length prefix counts it.
 func appendFrame(dst []byte, f Frame) (_, tail []byte) {
-	if v, ok := f.(BatchRaw); ok {
+	switch v := f.(type) {
+	case BatchRaw:
 		return appendRaw(dst, v)
+	case Matches:
+		return appendMatches(dst, v)
 	}
 	c := codec{b: append(dst, 0, 0, 0, 0, byte(f.kind())), enc: true}
 	switch v := f.(type) {
@@ -202,8 +205,6 @@ func appendFrame(dst []byte, f Frame) (_, tail []byte) {
 		v.encode(&c)
 	case Watermark:
 		v.code(&c)
-	case Matches:
-		tail = v.code(&c).Recs
 	case Metrics:
 		v.code(&c)
 	case Finish:
@@ -249,6 +250,14 @@ func appendFrame(dst []byte, f Frame) (_, tail []byte) {
 func appendRaw(dst []byte, v BatchRaw) (_, tail []byte) {
 	c := codec{b: append(dst, 0, 0, 0, 0, byte(KindBatch)), enc: true}
 	tail = v.encode(&c)
+	return sealFrame(c.b, len(dst), tail), tail
+}
+
+// appendMatches is appendFrame for a Matches frame, taken as it is
+// (Writer.WriteMatches); its records are the tail.
+func appendMatches(dst []byte, v Matches) (_, tail []byte) {
+	c := codec{b: append(dst, 0, 0, 0, 0, byte(KindMatches)), enc: true}
+	tail = v.code(&c).Recs
 	return sealFrame(c.b, len(dst), tail), tail
 }
 
