@@ -79,8 +79,9 @@ type (
 	Pred = pattern.Pred
 	// Match is one detected pattern occurrence.
 	Match = match.Match
-	// Snapshot is an immutable statistics snapshot (arrival rates and
-	// predicate selectivities).
+	// Snapshot is a statistics snapshot (arrival rates and predicate
+	// selectivities); one an engine hands out is its estimator's, refilled
+	// two checks on.
 	Snapshot = stats.Snapshot
 	// StatsConfig tunes the statistics estimator.
 	StatsConfig = stats.Config

@@ -115,6 +115,7 @@ type Result struct {
 	Matches    uint64
 	Reopts     uint64
 	Overhead   float64 // fraction of wall time in D and A
+	StatShare  float64 // fraction of wall time refreshing the statistics
 	PMCreated  uint64
 	Elapsed    time.Duration
 }
@@ -200,6 +201,7 @@ func (h *Harness) Run(c Combo, pat *pattern.Pattern, newPolicy func() core.Polic
 		Matches:    m.Matches,
 		Reopts:     m.Reoptimizations,
 		Overhead:   m.Overhead(elapsed),
+		StatShare:  m.StatShare(elapsed),
 		PMCreated:  m.PMCreated,
 		Elapsed:    elapsed,
 	}

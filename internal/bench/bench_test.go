@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -146,6 +147,18 @@ func TestMethodsAndFigurePrinting(t *testing.T) {
 				t.Fatalf("size %d, %s: Avg has %d partial matches and %d matches; the means over the kinds are %d and %d",
 					data.Sizes[si], data.Methods[mi], got.PMCreated, got.Matches, (pms+n/2)/n, (matches+n/2)/n)
 			}
+			statShare := 0.0
+			for ki := range data.Kinds {
+				statShare += data.Results[ki][si][mi].StatShare
+			}
+			if got, want := avg[si][mi].StatShare, statShare/float64(n); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("size %d, %s: Avg has statistics share %v; the mean over the kinds is %v", data.Sizes[si], data.Methods[mi], got, want)
+			}
+		}
+		// Static gathers no statistics; the invariant method refreshes
+		// them at every check.
+		if static, inv := avg[si][0].StatShare, avg[si][3].StatShare; static != 0 || inv <= 0 {
+			t.Fatalf("size %d: statistics share %v under static, %v under invariant", data.Sizes[si], static, inv)
 		}
 	}
 	var buf bytes.Buffer
@@ -155,6 +168,9 @@ func TestMethodsAndFigurePrinting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("figure output missing %q", want)
 		}
+	}
+	if !strings.Contains(out, "g: statistics refresh, % of run time") {
+		t.Fatal("figure output missing the statistics refresh panel")
 	}
 	buf.Reset()
 	data.WriteFigure(&buf, 1)

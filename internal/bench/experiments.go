@@ -101,6 +101,8 @@ func (h *Harness) Table1(c Combo, f5 *Fig5Data) ([]Table1Row, error) {
 		for i := 0; i < warm; i++ {
 			est.Observe(&w.Events[i])
 		}
+		// The estimator's snapshot, read before its next-but-one Snapshot
+		// call; this one takes no other.
 		snap := est.Snapshot(w.Events[warm-1].TS)
 		alg := algorithmFor(c)
 		res := alg.Generate(pat, snap)
@@ -194,9 +196,9 @@ func (h *Harness) Methods(c Combo, kinds []gen.Kind, topt, dopt float64) (*Metho
 }
 
 // Avg averages the results over the pattern kinds: Figures 6-9 report
-// "averaged over all pattern sets". Throughputs, overheads, matches,
-// partial matches created and reoptimization counts are arithmetic means
-// (the counts rounded); Elapsed is the total.
+// "averaged over all pattern sets". Throughputs, overheads, statistics
+// shares, matches, partial matches created and reoptimization counts are
+// arithmetic means (the counts rounded); Elapsed is the total.
 func (m *MethodsData) Avg() [][]Result {
 	out := make([][]Result, len(m.Sizes))
 	n := float64(len(m.Kinds))
@@ -211,11 +213,13 @@ func (m *MethodsData) Avg() [][]Result {
 				acc.Matches += r.Matches
 				acc.Reopts += r.Reopts
 				acc.Overhead += r.Overhead
+				acc.StatShare += r.StatShare
 				acc.PMCreated += r.PMCreated
 				acc.Elapsed += r.Elapsed
 			}
 			acc.Throughput /= n
 			acc.Overhead /= n
+			acc.StatShare /= n
 			acc.Matches, acc.Reopts, acc.PMCreated = mean(acc.Matches), mean(acc.Reopts), mean(acc.PMCreated)
 			out[si][mi] = acc
 		}

@@ -65,6 +65,7 @@ func (m *MethodsData) WriteFigure(w io.Writer, kindIdx int) {
 		{"d: computational overhead, % of run time — lower is better", func(r, _ Result) string { return fmt.Sprintf("%14.2f%%", r.Overhead*100) }},
 		{"e: partial matches created", func(r, _ Result) string { return fmt.Sprintf("%15d", r.PMCreated) }},
 		{"f: matches", func(r, _ Result) string { return fmt.Sprintf("%15d", r.Matches) }},
+		{"g: statistics refresh, % of run time — lower is better", func(r, _ Result) string { return fmt.Sprintf("%14.2f%%", r.StatShare*100) }},
 	}
 	for _, p := range panels {
 		fmt.Fprintf(w, "\n(%s)\n%-8s", p.title, "size")

@@ -134,11 +134,8 @@ func (c Condition) String() string {
 
 // DCS is the deciding condition set of one building block: every
 // condition whose verification led A to include the block in the plan.
+// Blocks are told apart by their position in the Trace.
 type DCS struct {
-	// Block is a human-readable label of the building block (for
-	// diagnostics; ordering is positional).
-	Block string
-	// Conds holds the deciding conditions.
 	Conds []Condition
 }
 

@@ -101,11 +101,11 @@ func TestConditionGapAndRelGap(t *testing.T) {
 
 func TestTraceAnyViolatedAndCount(t *testing.T) {
 	tr := &Trace{Blocks: []DCS{
-		{Block: "b0", Conds: []Condition{
+		{Conds: []Condition{
 			{LHS: rateExpr(2), RHS: rateExpr(1)},
 			{LHS: rateExpr(2), RHS: rateExpr(0)},
 		}},
-		{Block: "b1", Conds: []Condition{
+		{Conds: []Condition{
 			{LHS: rateExpr(1), RHS: rateExpr(0)},
 		}},
 	}}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"acep/internal/stats"
 )
@@ -108,53 +108,69 @@ func (p *Threshold) ShouldReoptimize(s *stats.Snapshot) bool {
 	return false
 }
 
-// Selector picks up to k conditions from a deciding condition set to act
-// as the block's invariants, given the plan-creation snapshot. The
-// default TightestGap implements §3.1's tightest-condition strategy;
-// TightestRelGap is the §3.5 alternative that normalizes by magnitude.
-type Selector func(dcs DCS, s *stats.Snapshot, k int) []Condition
+// Selector appends up to k conditions from a deciding condition set to
+// dst, to act as the block's invariants, given the plan-creation
+// snapshot, and returns the extended slice. The default TightestGap
+// implements §3.1's tightest-condition strategy; TightestRelGap is the
+// §3.5 alternative that normalizes by magnitude.
+type Selector func(dst []Condition, dcs DCS, s *stats.Snapshot, k int) []Condition
 
 // TightestGap selects the k conditions with the smallest absolute slack
 // RHS-LHS at creation time (§3.1).
-func TightestGap(dcs DCS, s *stats.Snapshot, k int) []Condition {
-	return selectBy(dcs, k, func(c Condition) float64 { return c.Gap(s) })
+func TightestGap(dst []Condition, dcs DCS, s *stats.Snapshot, k int) []Condition {
+	return selectBy(dst, dcs, k, func(c Condition) float64 { return c.Gap(s) })
 }
 
 // TightestRelGap selects the k conditions with the smallest relative
 // slack, an instance of the alternative selection strategies discussed in
 // §3.5 (conditions between small values are as fragile as conditions
 // between large ones).
-func TightestRelGap(dcs DCS, s *stats.Snapshot, k int) []Condition {
-	return selectBy(dcs, k, func(c Condition) float64 { return c.RelGap(s) })
+func TightestRelGap(dst []Condition, dcs DCS, s *stats.Snapshot, k int) []Condition {
+	return selectBy(dst, dcs, k, func(c Condition) float64 { return c.RelGap(s) })
 }
 
 // All selects every condition in the DCS, realizing the full-DCS decision
 // function of Theorem 2 regardless of k.
-func All(dcs DCS, _ *stats.Snapshot, _ int) []Condition {
-	return append([]Condition(nil), dcs.Conds...)
+func All(dst []Condition, dcs DCS, _ *stats.Snapshot, _ int) []Condition {
+	return append(dst, dcs.Conds...)
 }
 
-func selectBy(dcs DCS, k int, score func(Condition) float64) []Condition {
-	if k <= 0 {
-		k = 1
+// selectBy appends the k lowest-scoring conditions to dst, lowest first,
+// ties in DCS order — what a stable sort by score would put first. At
+// k = 1 that is an argmin whose first minimum wins; above, each condition
+// is inserted behind every kept one it does not undercut.
+func selectBy(dst []Condition, dcs DCS, k int, score func(Condition) float64) []Condition {
+	if len(dcs.Conds) == 0 {
+		return dst
 	}
-	idx := make([]int, len(dcs.Conds))
-	for i := range idx {
-		idx[i] = i
+	if k <= 1 {
+		best, bestScore := 0, score(dcs.Conds[0])
+		for i := 1; i < len(dcs.Conds); i++ {
+			if v := score(dcs.Conds[i]); v < bestScore {
+				best, bestScore = i, v
+			}
+		}
+		return append(dst, dcs.Conds[best])
 	}
-	scores := make([]float64, len(dcs.Conds))
-	for i, c := range dcs.Conds {
-		scores[i] = score(c)
+	at := len(dst)
+	var buf [8]float64
+	scores := buf[:0]
+	for _, c := range dcs.Conds {
+		v := score(c)
+		i := len(scores)
+		for i > 0 && v < scores[i-1] {
+			i--
+		}
+		if i == k {
+			continue
+		}
+		if len(scores) == k {
+			scores, dst = scores[:k-1], dst[:at+k-1]
+		}
+		scores = slices.Insert(scores, i, v)
+		dst = slices.Insert(dst, at+i, c)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]Condition, 0, k)
-	for _, i := range idx[:k] {
-		out = append(out, dcs.Conds[i])
-	}
-	return out
+	return dst
 }
 
 // Invariant is the paper's invariant-based reoptimizing decision function.
@@ -177,7 +193,12 @@ type Invariant struct {
 	// Select picks the per-block invariants (default TightestGap).
 	Select Selector
 
+	// invariants is the installed list; terms, rates and sels hold the
+	// expressions its conditions compare, copied out of the trace.
 	invariants []Condition
+	terms      []Term
+	rates      []int
+	sels       [][2]int
 	d          float64
 	installs   int
 }
@@ -198,23 +219,42 @@ func (p *Invariant) kOrDefault() int {
 }
 
 // Install implements Policy: builds the invariant list for the new plan.
+// The list is the policy's own: Install copies every condition it keeps
+// out of the trace, which the generator may refill once Install returns.
 func (p *Invariant) Install(t *Trace, s *stats.Snapshot) {
 	sel := p.Select
 	if sel == nil {
 		sel = TightestGap
 	}
 	p.invariants = p.invariants[:0]
+	p.terms, p.rates, p.sels = p.terms[:0], p.rates[:0], p.sels[:0]
 	for _, dcs := range t.Blocks {
-		if len(dcs.Conds) == 0 {
-			continue
+		at := len(p.invariants)
+		p.invariants = sel(p.invariants, dcs, s, p.kOrDefault())
+		for i := at; i < len(p.invariants); i++ {
+			c := &p.invariants[i]
+			c.LHS, c.RHS = p.own(c.LHS), p.own(c.RHS)
 		}
-		p.invariants = append(p.invariants, sel(dcs, s, p.kOrDefault())...)
 	}
 	p.d = p.D
 	if p.AutoDistance {
 		p.d = t.AvgRelDiffTightest(s)
 	}
 	p.installs++
+}
+
+// own copies e's terms and their factors into the policy's storage.
+func (p *Invariant) own(e Expr) Expr {
+	t := len(p.terms)
+	for _, term := range e.Terms {
+		r, q := len(p.rates), len(p.sels)
+		p.rates = append(p.rates, term.Rates...)
+		p.sels = append(p.sels, term.Sels...)
+		term.Rates, term.Sels = p.rates[r:len(p.rates):len(p.rates)], p.sels[q:len(p.sels):len(p.sels)]
+		p.terms = append(p.terms, term)
+	}
+	e.Terms = p.terms[t:len(p.terms):len(p.terms)]
+	return e
 }
 
 // ShouldReoptimize implements Policy: verifies the invariants in plan

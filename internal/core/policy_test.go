@@ -11,14 +11,14 @@ import (
 // 100/15/10: DCS1 = {C<B, C<A}, DCS2 = {B<A}, DCS3 = {}.
 func paperTrace() *Trace {
 	return &Trace{Blocks: []DCS{
-		{Block: "C first", Conds: []Condition{
+		{Conds: []Condition{ // C first
 			{LHS: rateExpr(2), RHS: rateExpr(1)},
 			{LHS: rateExpr(2), RHS: rateExpr(0)},
 		}},
-		{Block: "B second", Conds: []Condition{
+		{Conds: []Condition{ // B second
 			{LHS: rateExpr(1), RHS: rateExpr(0)},
 		}},
-		{Block: "A third"},
+		{}, // A third
 	}}
 }
 
@@ -202,23 +202,23 @@ func TestInvariantReinstallResets(t *testing.T) {
 func TestSelectors(t *testing.T) {
 	s := snapABC(100, 15, 10)
 	dcs := paperTrace().Blocks[0] // conds: C<B (gap 5, rel 0.5), C<A (gap 90, rel 9)
-	got := TightestGap(dcs, s, 1)
+	got := TightestGap(nil, dcs, s, 1)
 	if len(got) != 1 || got[0].RHS.Eval(s) != 15 {
 		t.Errorf("TightestGap picked RHS=%g; want rateB", got[0].RHS.Eval(s))
 	}
-	got = TightestRelGap(dcs, s, 1)
+	got = TightestRelGap(nil, dcs, s, 1)
 	if len(got) != 1 || got[0].RHS.Eval(s) != 15 {
 		t.Errorf("TightestRelGap picked RHS=%g; want rateB", got[0].RHS.Eval(s))
 	}
-	if got := All(dcs, s, 1); len(got) != 2 {
+	if got := All(nil, dcs, s, 1); len(got) != 2 {
 		t.Errorf("All returned %d conds", len(got))
 	}
 	// k larger than the set size returns everything.
-	if got := TightestGap(dcs, s, 5); len(got) != 2 {
+	if got := TightestGap(nil, dcs, s, 5); len(got) != 2 {
 		t.Errorf("k=5 returned %d conds", len(got))
 	}
 	// k <= 0 coerces to 1.
-	if got := TightestGap(dcs, s, 0); len(got) != 1 {
+	if got := TightestGap(nil, dcs, s, 0); len(got) != 1 {
 		t.Errorf("k=0 returned %d conds", len(got))
 	}
 }

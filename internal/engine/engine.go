@@ -181,6 +181,15 @@ func (m Metrics) Overhead(total time.Duration) float64 {
 	return float64(m.DecisionTime+m.PlanTime) / float64(total)
 }
 
+// StatShare returns the fraction of total elapsed time spent refreshing
+// the statistics D and A read, which Overhead leaves out.
+func (m Metrics) StatShare(total time.Duration) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return float64(m.StatTime) / float64(total)
+}
+
 // Merge folds another engine's metrics into m: counters add, peaks take
 // the maximum. The shard layer uses it to aggregate per-shard engines
 // into one stream-wide view.
@@ -249,13 +258,14 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 500
 	}
-	// A, the plan generation algorithm, is the model's (paper §4.1, §4.2).
-	var alg planner.Algorithm
+	// A, the plan generation algorithm, is the model's (paper §4.1, §4.2);
+	// each runner's builds into scratch of its own.
+	var newAlg func(*planner.Scratch) planner.Algorithm
 	switch cfg.Model {
 	case GreedyNFA:
-		alg = planner.Greedy{}
+		newAlg = func(sc *planner.Scratch) planner.Algorithm { return planner.Greedy{Scratch: sc} }
 	case ZStreamTree:
-		alg = planner.ZStream{}
+		newAlg = func(sc *planner.Scratch) planner.Algorithm { return planner.ZStream{Scratch: sc} }
 	default:
 		return nil, fmt.Errorf("engine: unknown model %v", cfg.Model)
 	}
@@ -282,7 +292,7 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 		e.split = true
 	}
 	for _, sub := range subs {
-		r, err := newRunner(sub, cfg, alg, newPolicy())
+		r, err := newRunner(sub, cfg, newAlg, newPolicy())
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +419,8 @@ func (e *Engine) HotKeys(key func(*event.Event) uint64, add func(uint64)) {
 // snapshot of every (sub-)pattern's adaptation loop, aligned with the
 // pattern's disjuncts; entries are nil before that loop's first check,
 // and always under core.Static without a shedder, where no loop gathers
-// statistics.
+// statistics. Each is its estimator's storage, unchanged until the check
+// after the next one (stats.Estimator.Snapshot).
 func (e *Engine) LastSnapshots() []*stats.Snapshot {
 	out := make([]*stats.Snapshot, len(e.runners))
 	for i, r := range e.runners {

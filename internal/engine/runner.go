@@ -18,9 +18,13 @@ import (
 type runner struct {
 	pat    *pattern.Pattern
 	cfg    Config
-	alg    planner.Algorithm
+	alg    planner.Algorithm // builds into scratch
 	policy core.Policy
 	est    *stats.Estimator
+	// scratch holds what alg's last run returned: the trace, valid until
+	// the next run, so the policy installs it at once; and the plan, which
+	// is cloned out before it is deployed.
+	scratch planner.Scratch
 
 	cur      evaluator
 	curPlan  plan.Plan
@@ -32,7 +36,9 @@ type runner struct {
 	watermark  event.Time
 	lastSeq    uint64
 	sinceCheck int
-	lastSnap   *stats.Snapshot // most recent adaptation-check snapshot
+	// lastSnap is the most recent adaptation-check snapshot, the
+	// estimator's: unchanged until the check after the next one.
+	lastSnap *stats.Snapshot
 	// unread: nothing reads the statistics — the policy is core.Static,
 	// which decides without them, and no shedder asks for LastSnapshots —
 	// so the loop neither gathers nor refreshes them.
@@ -51,12 +57,17 @@ type drainingEngine struct {
 	retireAt event.Time
 }
 
-func newRunner(pat *pattern.Pattern, cfg Config, alg planner.Algorithm, policy core.Policy) (*runner, error) {
+// newRunner builds the loop of one pattern; newAlg makes its plan
+// generator over the runner's scratch.
+func newRunner(pat *pattern.Pattern, cfg Config, newAlg func(*planner.Scratch) planner.Algorithm, policy core.Policy) (*runner, error) {
 	est, err := stats.NewEstimator(pat, cfg.Stats)
 	if err != nil {
 		return nil, err
 	}
-	r := &runner{pat: pat, cfg: cfg, alg: alg, policy: policy, est: est}
+	r := &runner{pat: pat, cfg: cfg, policy: policy, est: est}
+	r.alg = newAlg(&r.scratch)
+	// The initial snapshot may be shared with other engines: the loop only
+	// reads it.
 	var initial *stats.Snapshot
 	if cfg.InitialStats != nil {
 		initial = cfg.InitialStats(pat)
@@ -64,10 +75,10 @@ func newRunner(pat *pattern.Pattern, cfg Config, alg planner.Algorithm, policy c
 	if initial == nil {
 		initial = stats.NewSnapshot(pat.NumPositions())
 	}
-	res := alg.Generate(pat, initial)
+	res := r.alg.Generate(pat, initial)
 	r.metrics.PlanGenerations++
-	r.curPlan = res.Plan
-	r.cur = r.buildEvaluator(res.Plan)
+	r.curPlan = res.Plan.Clone()
+	r.cur = r.buildEvaluator(r.curPlan)
 	r.policy.Install(res.Trace, initial)
 	return r, nil
 }
@@ -175,12 +186,13 @@ func (r *runner) adaptationCheck() {
 	// Whether or not the plan is deployed, the policy re-anchors on the
 	// fresh trace and statistics (paper §3.2: a violation invalidates the
 	// current invariants; the threshold baseline likewise resets after a
-	// reoptimization attempt).
+	// reoptimization attempt). It does so now: the trace lives in the
+	// scratch the next run refills.
 	r.policy.Install(res.Trace, snap)
 	if !better {
 		return
 	}
-	r.migrate(res.Plan)
+	r.migrate(res.Plan.Clone())
 	r.metrics.Reoptimizations++
 }
 

@@ -438,7 +438,7 @@ func TestWedgedStandbyHandoverTimesOut(t *testing.T) {
 						return
 					}
 					switch v := f.(type) {
-					case wire.ReplCut:
+					case *wire.ReplCut:
 						up := v.UpTo
 						if v.Final {
 							up = math.MaxUint64

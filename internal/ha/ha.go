@@ -814,7 +814,7 @@ func (p *Pair) fetchMirror(epoch uint64) (mirrorState, error) {
 			if err != nil {
 				return mirrorState{}, fmt.Errorf("handover cut %d/%d: %w", i+1, hs.Cuts, err)
 			}
-			rc, ok := f.(wire.ReplCut)
+			rc, ok := f.(*wire.ReplCut)
 			if !ok {
 				return mirrorState{}, fmt.Errorf("handover cut %d/%d: unexpected %s frame", i+1, hs.Cuts, wire.KindOf(f))
 			}

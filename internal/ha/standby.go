@@ -154,7 +154,7 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 		switch v := f.(type) {
 		case wire.Epoch:
 			// Re-declaration on an open link: tolerated, no-op.
-		case wire.ReplCut:
+		case *wire.ReplCut:
 			dup, err := s.mirror(v)
 			if err != nil {
 				// Journaling on (or acknowledging) past a cut the mirror
@@ -224,7 +224,7 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 // (no owner table yet, or a window — from the session's opening Epoch
 // frame — that NewJournal refuses: a non-positive one from a
 // misconfigured primary), a run outside the shard space.
-func (s *StandbyServer) mirror(v wire.ReplCut) (dup bool, err error) {
+func (s *StandbyServer) mirror(v *wire.ReplCut) (dup bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v.Cut <= s.lastCut && s.mirrored {

@@ -211,7 +211,7 @@ func TestStandbyMirrorsVerbatim(t *testing.T) {
 	runs := 0
 	for i := uint64(0); i < hs.Cuts; i++ {
 		f, err := hand.Recv()
-		rc, ok := f.(wire.ReplCut)
+		rc, ok := f.(*wire.ReplCut)
 		if err != nil || !ok {
 			t.Fatalf("handover cut %d: %v (%v)", i+1, f, err)
 		}
@@ -255,8 +255,8 @@ func TestStandbyMirrorsVerbatim(t *testing.T) {
 }
 
 // scriptConn is one end of a scripted link with no socket under it:
-// frames cross by reference on channels, and Close ends the other end's
-// Recv.
+// frames cross by reference on channels — a cut as the *wire.ReplCut a
+// stream Reader returns — and Close ends the other end's Recv.
 type scriptConn struct {
 	out chan<- wire.Frame
 	in  <-chan wire.Frame
@@ -304,8 +304,8 @@ func TestStandbyMirrorAllocs(t *testing.T) {
 		})
 		cuts := replCuts(t, w.Schema, w.Events, events)
 		steps := make([][]wire.Frame, len(cuts))
-		for i, rc := range cuts {
-			steps[i] = []wire.Frame{rc}
+		for i := range cuts {
+			steps[i] = []wire.Frame{&cuts[i]}
 			if i >= 2 {
 				steps[i] = append(steps[i], wire.ReplState{EmittedUpTo: cuts[i-2].UpTo, Count: uint64(i)})
 			}
@@ -358,7 +358,7 @@ func BenchmarkStandbyMirror(b *testing.B) {
 			runs[k] = r
 		}
 		rc.Runs = runs
-		if err := primary.Send(rc); err != nil {
+		if err := primary.Send(&rc); err != nil {
 			b.Fatal(err)
 		}
 		if i >= 2 {

@@ -27,6 +27,9 @@ type Plan interface {
 	Cost(s *stats.Snapshot) float64
 	// Equal reports structural equality with another plan.
 	Equal(other Plan) bool
+	// Clone returns a deep copy, sharing no storage with the plan: a plan
+	// built into a generator's scratch is cloned before it is deployed.
+	Clone() Plan
 	// String renders the plan for logs and experiment output.
 	String() string
 }
@@ -60,6 +63,9 @@ func (p *OrderPlan) Cost(s *stats.Snapshot) float64 {
 	}
 	return total
 }
+
+// Clone implements Plan.
+func (p *OrderPlan) Clone() Plan { return NewOrderPlan(p.Order) }
 
 // Equal reports whether other is an OrderPlan with the identical order.
 func (p *OrderPlan) Equal(other Plan) bool {

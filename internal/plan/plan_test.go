@@ -112,13 +112,8 @@ func TestTreeCostUnarySel(t *testing.T) {
 	}
 }
 
-func TestTreeLeaves(t *testing.T) {
+func TestTreeString(t *testing.T) {
 	tr := NewTreePlan(Join(Join(Leaf(2), Leaf(0)), Leaf(1)))
-	var lv []int
-	lv = tr.Root.Leaves(lv)
-	if len(lv) != 3 || lv[0] != 2 || lv[1] != 0 || lv[2] != 1 {
-		t.Errorf("Leaves = %v", lv)
-	}
 	if got := tr.String(); got != "tree((2 0) 1)" {
 		t.Errorf("String = %q", got)
 	}
@@ -140,13 +135,31 @@ func TestTreeEqual(t *testing.T) {
 	}
 }
 
-func TestTreePostOrder(t *testing.T) {
-	l01 := Join(Leaf(0), Leaf(1))
-	root := Join(l01, Leaf(2))
-	tr := NewTreePlan(root)
-	nodes := tr.PostOrder(nil)
-	if len(nodes) != 2 || nodes[0] != l01 || nodes[1] != root {
-		t.Errorf("PostOrder = %v", nodes)
+// TestPlanClone: a clone equals its plan, costs what it costs — without
+// allocating — and shares no storage with it: a plan built into a
+// generator's scratch is cloned before it is deployed.
+func TestPlanClone(t *testing.T) {
+	s := snap3()
+	for _, p := range []Plan{
+		NewOrderPlan([]int{2, 1, 0}),
+		NewTreePlan(Join(Leaf(0), Join(Leaf(1), Leaf(2)))),
+	} {
+		c := p.Clone()
+		if !c.Equal(p) || c.Cost(s) != p.Cost(s) {
+			t.Fatalf("clone %v of %v", c, p)
+		}
+		if got := testing.AllocsPerRun(10, func() { p.Cost(s) }); got != 0 {
+			t.Errorf("%v: Cost allocated %v times, want 0", p, got)
+		}
+		switch p := p.(type) {
+		case *OrderPlan:
+			p.Order[0] = 1
+		case *TreePlan:
+			p.Root.Left.Pos = 2
+		}
+		if c.Equal(p) {
+			t.Fatalf("%v: the clone changed with its plan", c)
+		}
 	}
 }
 

@@ -23,15 +23,6 @@ func Join(l, r *TreeNode) *TreeNode { return &TreeNode{Pos: -1, Left: l, Right: 
 // IsLeaf reports whether the node is a leaf.
 func (n *TreeNode) IsLeaf() bool { return n.Pos >= 0 }
 
-// Leaves appends the node's leaf positions left-to-right to dst.
-func (n *TreeNode) Leaves(dst []int) []int {
-	if n.IsLeaf() {
-		return append(dst, n.Pos)
-	}
-	dst = n.Left.Leaves(dst)
-	return n.Right.Leaves(dst)
-}
-
 // TreePlan is a tree-based evaluation plan over the pattern's core
 // positions, as produced by the ZStream dynamic-programming algorithm.
 type TreePlan struct {
@@ -51,15 +42,20 @@ func Cardinality(n *TreeNode, s *stats.Snapshot) float64 {
 		return s.Rates[n.Pos] * s.Sel[n.Pos][n.Pos]
 	}
 	card := Cardinality(n.Left, s) * Cardinality(n.Right, s)
-	var lv, rv []int
-	lv = n.Left.Leaves(lv)
-	rv = n.Right.Leaves(rv)
-	for _, i := range lv {
-		for _, j := range rv {
-			card *= s.Sel[i][j]
-		}
+	return crossSel(card, n.Left, n.Right, s)
+}
+
+// crossSel multiplies card by Sel[i][j] for every leaf i of a and every
+// leaf j of b, both left to right, i outermost — the order a product over
+// the two leaf lists takes — without gathering the lists.
+func crossSel(card float64, a, b *TreeNode, s *stats.Snapshot) float64 {
+	if !a.IsLeaf() {
+		return crossSel(crossSel(card, a.Left, b, s), a.Right, b, s)
 	}
-	return card
+	if !b.IsLeaf() {
+		return crossSel(crossSel(card, a, b.Left, s), a, b.Right, s)
+	}
+	return card * s.Sel[a.Pos][b.Pos]
 }
 
 // SubtreeCost computes the ZStream cost of the subtree:
@@ -73,6 +69,16 @@ func SubtreeCost(n *TreeNode, s *stats.Snapshot) float64 {
 
 // Cost implements Plan.
 func (p *TreePlan) Cost(s *stats.Snapshot) float64 { return SubtreeCost(p.Root, s) }
+
+// Clone implements Plan.
+func (p *TreePlan) Clone() Plan { return NewTreePlan(cloneNode(p.Root)) }
+
+func cloneNode(n *TreeNode) *TreeNode {
+	if n.IsLeaf() {
+		return Leaf(n.Pos)
+	}
+	return Join(cloneNode(n.Left), cloneNode(n.Right))
+}
 
 // Equal reports structural equality (same shape, same leaf positions).
 func (p *TreePlan) Equal(other Plan) bool {
@@ -94,22 +100,6 @@ func nodesEqual(a, b *TreeNode) bool {
 		return a.Pos == b.Pos
 	}
 	return nodesEqual(a.Left, b.Left) && nodesEqual(a.Right, b.Right)
-}
-
-// PostOrder appends the internal nodes in leaves-to-root (post-order)
-// sequence to dst and returns it. This is the order in which the
-// invariant method verifies tree-plan invariants (paper §3.2).
-func (p *TreePlan) PostOrder(dst []*TreeNode) []*TreeNode {
-	return postOrder(p.Root, dst)
-}
-
-func postOrder(n *TreeNode, dst []*TreeNode) []*TreeNode {
-	if n == nil || n.IsLeaf() {
-		return dst
-	}
-	dst = postOrder(n.Left, dst)
-	dst = postOrder(n.Right, dst)
-	return append(dst, n)
 }
 
 // String renders the tree with parentheses, e.g. "((0 1) 2)".

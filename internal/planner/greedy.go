@@ -1,11 +1,8 @@
 package planner
 
 import (
-	"fmt"
-
 	"acep/internal/core"
 	"acep/internal/pattern"
-	"acep/internal/plan"
 	"acep/internal/stats"
 )
 
@@ -24,48 +21,46 @@ import (
 // stating cost(p_i) < cost(j') with both sides expressed over live
 // statistics. Ties are broken toward the lower position index, keeping
 // the algorithm deterministic.
-type Greedy struct{}
+type Greedy struct {
+	// Scratch is what Generate builds into (nil: a fresh one per call).
+	Scratch *Scratch
+}
 
 // Name implements Algorithm.
 func (Greedy) Name() string { return "greedy" }
 
-// stepExprs builds the live cost expression of every candidate at step i
-// given the previously chosen positions: r_j · sel_{j,j} · prod
-// sel_{chosen,j}. A step's expressions serve both its argmin and its DCS,
-// and share three backing arrays, each slice capped at its own length.
-func stepExprs(cands, chosen []int) []core.Expr {
-	n, w := len(cands), 1+len(chosen)
-	exprs := make([]core.Expr, n)
-	terms := make([]core.Term, n)
-	rates := make([]int, n)
-	sels := make([][2]int, 0, n*w)
-	for c, j := range cands {
-		rates[c] = j
-		at := len(sels)
-		sels = append(sels, [2]int{j, j})
+// stepExprs appends the live cost expression of every candidate at a step
+// given the previously chosen positions — r_j · sel_{j,j} · prod
+// sel_{chosen,j} — and returns them. A step's expressions serve both its
+// argmin and its DCS, so each step has a region of its own.
+func (sc *Scratch) stepExprs(cands, chosen []int) []core.Expr {
+	at := len(sc.exprs)
+	for _, j := range cands {
+		r, q := len(sc.rates), len(sc.sels)
+		sc.rates = append(sc.rates, j)
+		sc.sels = append(sc.sels, [2]int{j, j})
 		for _, k := range chosen {
-			a, b := k, j
-			if a > b {
-				a, b = b, a
-			}
-			sels = append(sels, [2]int{a, b})
+			sc.sels = append(sc.sels, [2]int{min(k, j), max(k, j)})
 		}
-		terms[c] = core.Term{Coef: 1, Rates: rates[c : c+1 : c+1], Sels: sels[at:len(sels):len(sels)]}
-		exprs[c] = core.Expr{Terms: terms[c : c+1 : c+1]}
+		t := len(sc.terms)
+		sc.terms = append(sc.terms, core.Term{Coef: 1, Rates: from(sc.rates, r), Sels: from(sc.sels, q)})
+		sc.exprs = append(sc.exprs, core.Expr{Terms: from(sc.terms, t)})
 	}
-	return exprs
+	return from(sc.exprs, at)
 }
 
 // Generate implements Algorithm.
 func (g Greedy) Generate(pat *pattern.Pattern, s *stats.Snapshot) Result {
-	corePos := pat.Core()
-	remaining := append([]int(nil), corePos...)
-	chosen := make([]int, 0, len(corePos))
-	trace := &core.Trace{Blocks: make([]core.DCS, 0, len(corePos))}
-
+	sc := g.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.reset()
+	remaining := append(sc.remaining[:0], pat.Core()...)
+	chosen := sc.order.Order[:0]
 	for len(remaining) > 0 {
 		// Find the argmin candidate under the current snapshot.
-		exprs := stepExprs(remaining, chosen)
+		exprs := sc.stepExprs(remaining, chosen)
 		best := 0
 		bestVal := exprs[0].Eval(s)
 		for c := 1; c < len(remaining); c++ {
@@ -74,20 +69,17 @@ func (g Greedy) Generate(pat *pattern.Pattern, s *stats.Snapshot) Result {
 				best, bestVal = c, v
 			}
 		}
-		winner := remaining[best]
 		// The DCS of this block: winner beats every other candidate.
-		dcs := core.DCS{
-			Block: fmt.Sprintf("step %d: pos %d", len(chosen), winner),
-			Conds: make([]core.Condition, 0, len(remaining)-1),
-		}
+		at := len(sc.conds)
 		for c := range remaining {
 			if c != best {
-				dcs.Conds = append(dcs.Conds, core.Condition{LHS: exprs[best], RHS: exprs[c]})
+				sc.conds = append(sc.conds, core.Condition{LHS: exprs[best], RHS: exprs[c]})
 			}
 		}
-		trace.Blocks = append(trace.Blocks, dcs)
-		chosen = append(chosen, winner)
+		sc.blocks = append(sc.blocks, core.DCS{Conds: from(sc.conds, at)})
+		chosen = append(chosen, remaining[best])
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
-	return Result{Plan: plan.NewOrderPlan(chosen), Trace: trace}
+	sc.remaining, sc.order.Order = remaining, chosen
+	return sc.result(&sc.order)
 }

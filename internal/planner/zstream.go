@@ -1,8 +1,6 @@
 package planner
 
 import (
-	"fmt"
-
 	"acep/internal/core"
 	"acep/internal/pattern"
 	"acep/internal/plan"
@@ -30,157 +28,155 @@ import (
 // a subtree is caught by an earlier invariant — while leaf cardinalities
 // (arrival rates and unary selectivities) and the top-level cross
 // selectivities stay live.
-type ZStream struct{}
+type ZStream struct {
+	// Scratch is what Generate builds into (nil: a fresh one per call).
+	Scratch *Scratch
+}
 
 // Name implements Algorithm.
 func (ZStream) Name() string { return "zstream" }
 
 // zcell is one memoized DP entry: the cheapest tree over a contiguous
-// range of core positions.
+// range of core positions, whose leaves are that range of the core.
 type zcell struct {
-	tree   *plan.TreeNode
-	leaves []int // actual pattern positions covered
-	cost   float64
-	card   float64
-	dcs    core.DCS
+	tree  *plan.TreeNode
+	cost  float64
+	card  float64
+	split int              // the left subtree covers the range's first split positions
+	conds []core.Condition // the DCS of the tree's root
 }
 
-// crossSels collects the selectivity factors between two leaf sets,
-// skipping pairs with no predicates (their selectivity is identically 1).
-func crossSels(pat *pattern.Pattern, lv, rv []int) [][2]int {
-	var out [][2]int
-	for _, i := range lv {
-		for _, j := range rv {
-			if len(pat.PredsBetween(i, j)) == 0 {
-				continue
-			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			out = append(out, [2]int{a, b})
-		}
-	}
-	return out
+// zcand is one candidate split of a range: its cost, cardinality and
+// partially frozen cost expression.
+type zcand struct {
+	cost, card float64
+	expr       core.Expr
 }
 
-// candidateExpr builds the partially frozen cost expression of the tree
-// joining cells l and r.
-func candidateExpr(pat *pattern.Pattern, l, r *zcell) core.Expr {
-	var e core.Expr
+// candidateExpr appends the partially frozen cost expression of the tree
+// joining cells l and r, over leaves lv and rv, and returns it with the
+// cross selectivities it multiplies the cardinality term by.
+func (sc *Scratch) candidateExpr(pat *pattern.Pattern, l, r *zcell, lv, rv []int) (e core.Expr, cross [][2]int) {
+	t := len(sc.terms)
 	// Children's costs: live for leaves, frozen for internal subtrees.
-	for _, c := range []*zcell{l, r} {
+	for _, c := range [2]*zcell{l, r} {
 		if c.tree.IsLeaf() {
 			p := c.tree.Pos
-			e.Terms = append(e.Terms, core.Term{
-				Coef: 1, Rates: []int{p}, Sels: [][2]int{{p, p}},
-			})
+			ri, q := len(sc.rates), len(sc.sels)
+			sc.rates = append(sc.rates, p)
+			sc.sels = append(sc.sels, [2]int{p, p})
+			sc.terms = append(sc.terms, core.Term{Coef: 1, Rates: from(sc.rates, ri), Sels: from(sc.sels, q)})
 		} else {
 			e.Add += c.cost
 		}
 	}
 	// Cardinality term: frozen child cardinalities for internal children,
 	// live rate/unary-selectivity factors for leaf children, plus the live
-	// cross selectivities.
+	// cross selectivities, skipping pairs with no predicates (their
+	// selectivity is identically 1).
 	card := core.Term{Coef: 1}
-	for _, c := range []*zcell{l, r} {
+	ri, q := len(sc.rates), len(sc.sels)
+	for _, c := range [2]*zcell{l, r} {
 		if c.tree.IsLeaf() {
 			p := c.tree.Pos
-			card.Rates = append(card.Rates, p)
-			card.Sels = append(card.Sels, [2]int{p, p})
+			sc.rates = append(sc.rates, p)
+			sc.sels = append(sc.sels, [2]int{p, p})
 		} else {
 			card.Coef *= c.card
 		}
 	}
-	card.Sels = append(card.Sels, crossSels(pat, l.leaves, r.leaves)...)
-	e.Terms = append(e.Terms, card)
-	return e
+	x := len(sc.sels)
+	for _, i := range lv {
+		for _, j := range rv {
+			if len(pat.PredsBetween(i, j)) != 0 {
+				sc.sels = append(sc.sels, [2]int{min(i, j), max(i, j)})
+			}
+		}
+	}
+	card.Rates, card.Sels = from(sc.rates, ri), from(sc.sels, q)
+	sc.terms = append(sc.terms, card)
+	e.Terms = from(sc.terms, t)
+	return e, from(sc.sels, x)
 }
 
 // Generate implements Algorithm.
 func (z ZStream) Generate(pat *pattern.Pattern, s *stats.Snapshot) Result {
+	sc := z.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.reset()
 	cp := pat.Core()
 	n := len(cp)
-	// memo[size-1][start]: cheapest tree over cp[start : start+size].
-	memo := make([][]*zcell, n)
-	memo[0] = make([]*zcell, n)
-	for start := 0; start < n; start++ {
-		p := cp[start]
+	// memo[(size-1)*n+start]: cheapest tree over cp[start : start+size].
+	// The final tree is built from winners alone: n leaves and one node
+	// per range of two or more.
+	if cap(sc.cells) < n*n {
+		sc.cells = make([]zcell, n*n)
+	}
+	if need := n + n*(n-1)/2; cap(sc.nodes) < need {
+		sc.nodes = make([]plan.TreeNode, need)
+	}
+	memo, nodes := sc.cells[:n*n], sc.nodes[:0]
+	node := func(v plan.TreeNode) *plan.TreeNode {
+		nodes = append(nodes, v)
+		return &nodes[len(nodes)-1]
+	}
+	for start, p := range cp {
 		card := s.Rates[p] * s.Sel[p][p]
-		memo[0][start] = &zcell{
-			tree:   plan.Leaf(p),
-			leaves: []int{p},
-			cost:   card,
-			card:   card,
-		}
+		memo[start] = zcell{tree: node(plan.TreeNode{Pos: p}), cost: card, card: card}
 	}
 	for size := 2; size <= n; size++ {
-		memo[size-1] = make([]*zcell, n-size+1)
 		for start := 0; start+size <= n; start++ {
-			type cand struct {
-				cell *zcell
-				expr core.Expr
-			}
-			var cands []cand
+			cands := sc.cands[:0]
 			for k := 1; k < size; k++ {
-				l := memo[k-1][start]
-				r := memo[size-k-1][start+k]
+				l := &memo[(k-1)*n+start]
+				r := &memo[(size-k-1)*n+start+k]
+				expr, cross := sc.candidateExpr(pat, l, r, cp[start:start+k], cp[start+k:start+size])
 				card := l.card * r.card
-				for _, ij := range crossSels(pat, l.leaves, r.leaves) {
+				for _, ij := range cross {
 					card *= s.Sel[ij[0]][ij[1]]
 				}
-				c := &zcell{
-					tree:   plan.Join(l.tree, r.tree),
-					leaves: append(append([]int(nil), l.leaves...), r.leaves...),
-					cost:   l.cost + r.cost + card,
-					card:   card,
-				}
-				cands = append(cands, cand{cell: c, expr: candidateExpr(pat, l, r)})
+				cands = append(cands, zcand{cost: l.cost + r.cost + card, card: card, expr: expr})
 			}
 			best := 0
 			for c := 1; c < len(cands); c++ {
-				if cands[c].cell.cost < cands[best].cell.cost {
+				if cands[c].cost < cands[best].cost {
 					best = c
 				}
 			}
-			win := cands[best]
-			win.cell.dcs = core.DCS{
-				Block: fmt.Sprintf("node over %v", win.cell.leaves),
-			}
+			at := len(sc.conds)
 			for c := range cands {
-				if c == best {
-					continue
+				if c != best {
+					sc.conds = append(sc.conds, core.Condition{LHS: cands[best].expr, RHS: cands[c].expr})
 				}
-				win.cell.dcs.Conds = append(win.cell.dcs.Conds, core.Condition{
-					LHS: win.expr,
-					RHS: cands[c].expr,
-				})
 			}
-			memo[size-1][start] = win.cell
+			k := best + 1
+			memo[(size-1)*n+start] = zcell{
+				tree:  node(plan.TreeNode{Pos: -1, Left: memo[(k-1)*n+start].tree, Right: memo[(size-k-1)*n+start+k].tree}),
+				cost:  cands[best].cost,
+				card:  cands[best].card,
+				split: k,
+				conds: from(sc.conds, at),
+			}
+			sc.cands = cands
 		}
 	}
+	// The DCSs of the chosen plan's internal nodes, leaves-to-root.
+	sc.collect(memo, n, n, 0)
+	sc.tree.Root = memo[(n-1)*n].tree
+	return sc.result(&sc.tree)
+}
 
-	root := memo[n-1][0]
-	tp := plan.NewTreePlan(root.tree)
-	// Collect the DCSs of the chosen plan's internal nodes, leaves-to-root.
-	// Winner nodes are shared by pointer between the memo and the final
-	// tree, so a pointer map recovers each node's cell.
-	byNode := make(map[*plan.TreeNode]core.DCS)
-	for size := 2; size <= n; size++ {
-		for start := 0; start+size <= n; start++ {
-			cell := memo[size-1][start]
-			byNode[cell.tree] = cell.dcs
-		}
+// collect appends the DCS of every internal node of the tree over
+// cp[start : start+size] in post-order — leaves to root, the order in
+// which the invariant method verifies a tree plan's invariants (§3.2).
+func (sc *Scratch) collect(memo []zcell, n, size, start int) {
+	if size == 1 {
+		return
 	}
-	trace := &core.Trace{}
-	for _, node := range tp.PostOrder(nil) {
-		dcs, ok := byNode[node]
-		if !ok {
-			// Every internal node of the final plan is a cell winner by
-			// construction; keep a labeled empty DCS if that ever breaks.
-			dcs = core.DCS{Block: "unknown node"}
-		}
-		trace.Blocks = append(trace.Blocks, dcs)
-	}
-	return Result{Plan: tp, Trace: trace}
+	c := &memo[(size-1)*n+start]
+	sc.collect(memo, n, c.split, start)
+	sc.collect(memo, n, size-c.split, start+c.split)
+	sc.blocks = append(sc.blocks, core.DCS{Conds: c.conds})
 }

@@ -119,6 +119,8 @@ type View struct {
 	// Patterns lists the detected (sub-)patterns — every disjunct of an
 	// OR pattern, or the pattern alone — and Snapshots the matching
 	// statistics snapshots (entries nil before that loop's first check).
+	// A snapshot is its loop's storage, refilled two checks on: a policy
+	// reads Snapshots during Refresh only, and Clones what it keeps.
 	Patterns  []*pattern.Pattern
 	Snapshots []*stats.Snapshot
 	// HotType[t] reports whether an event of type t could extend a live

@@ -11,8 +11,9 @@
 // position rings — one column of recent attribute values per attribute a
 // predicate reads — smoothed with an exponential moving average.
 //
-// A Snapshot is an immutable copy of all estimates at one instant; it is
-// the only statistics type the planner and decision layers see.
+// A Snapshot holds all estimates at one instant; it is the only
+// statistics type the planner and decision layers see, and they only read
+// it. An Estimator refills two of its own in turn.
 package stats
 
 import (

@@ -50,9 +50,9 @@ func (c Config) withDefaults(patWindow event.Time) Config {
 }
 
 // Estimator maintains the running statistics for one (non-OR) pattern.
-// Feed it every input event via Observe; take immutable copies of the
-// current estimates with Snapshot. An Estimator is the paper's dedicated
-// statistics-collection component (Figure 2).
+// Feed it every input event via Observe; read the current estimates with
+// Snapshot. An Estimator is the paper's dedicated statistics-collection
+// component (Figure 2).
 //
 // Estimators are not safe for concurrent use; the engine drives one from
 // its event loop.
@@ -66,6 +66,10 @@ type Estimator struct {
 	selPred []float64    // per predicate, EWMA-smoothed
 	seeded  []bool       // per predicate: has a first estimate landed
 	version uint64
+	// snaps are the two snapshots Snapshot refills in turn; turn is the
+	// one the next call refills.
+	snaps [2]*Snapshot
+	turn  int
 }
 
 // predCount is a predicate's pass/total over the sample rings, with the
@@ -93,6 +97,7 @@ func NewEstimator(pat *pattern.Pattern, cfg Config) (*Estimator, error) {
 		counts:  make([]predCount, len(pat.Preds)),
 		selPred: make([]float64, len(pat.Preds)),
 		seeded:  make([]bool, len(pat.Preds)),
+		snaps:   [2]*Snapshot{NewSnapshot(n), NewSnapshot(n)},
 	}
 	for i := 0; i < n; i++ {
 		eh, err := NewEH(cfg.Window, cfg.EHEps)
@@ -154,21 +159,27 @@ func (e *Estimator) refreshSelectivities() {
 	}
 }
 
-// Snapshot refreshes the selectivity estimates and returns an immutable
-// copy of all statistics as of now.
+// Snapshot refreshes the selectivity estimates and returns all statistics
+// as of now, in storage the estimator owns: it keeps two snapshots and
+// refills them in turn, so a snapshot it returned stays unchanged until
+// the call after the next one — an adaptation loop's last snapshot lasts
+// a full check interval. A caller that keeps one longer Clones it.
 func (e *Estimator) Snapshot(now event.Time) *Snapshot {
 	e.refreshSelectivities()
 	n := e.pat.NumPositions()
-	s := NewSnapshot(n)
+	s := e.snaps[e.turn]
+	e.turn ^= 1
 	e.version++
 	s.Version = e.version
 	for i := 0; i < n; i++ {
 		s.Rates[i] = e.ehs[i].Rate(now)
 	}
 	for i := 0; i < n; i++ {
+		u := 1.0
 		for _, k := range e.pat.PredsAt(i) {
-			s.Sel[i][i] *= e.selPred[k]
+			u *= e.selPred[k]
 		}
+		s.Sel[i][i] = u
 		for j := i + 1; j < n; j++ {
 			v := 1.0
 			for _, k := range e.pat.PredsBetween(i, j) {

@@ -782,7 +782,8 @@ func TestExactMatchesReference(t *testing.T) {
 // in ten windows of timestamps (AllocsPerRun's integer average would hide
 // a rarer allocation, so one run is ten windows long), with histogram
 // merging and expiry both in play and the bucket count ending inside its
-// bound — and Snapshot allocates only the Snapshot it returns.
+// bound — and neither does Snapshot: it refills the estimator's own two
+// snapshots.
 func TestEstimatorAllocs(t *testing.T) {
 	_, pat := chainWorkload(t, 1)
 	cfg := Config{Window: 200}
@@ -811,21 +812,44 @@ func TestEstimatorAllocs(t *testing.T) {
 	}
 
 	const checks = 100
-	var snap *Snapshot
 	snapshot := testing.AllocsPerRun(10, func() {
 		for i := 0; i < checks; i++ {
 			ev.TS++
 			e.Observe(&ev)
-			snap = e.Snapshot(ev.TS)
+			e.Snapshot(ev.TS)
 		}
 	})
-	value := testing.AllocsPerRun(10, func() {
-		for i := 0; i < checks; i++ {
-			snap = NewSnapshot(n)
-		}
-	})
-	if snapshot != value {
-		t.Errorf("Snapshot: %v allocations per %d checks, want the %v of the values it returns", snapshot, checks, value)
+	if snapshot != 0 {
+		t.Errorf("Snapshot: %v allocations per %d checks, want 0", snapshot, checks)
 	}
-	_ = snap
+}
+
+// TestSnapshotLifetime: a snapshot the estimator returned is bit-identical
+// after the next Snapshot call; the call after that refills it.
+func TestSnapshotLifetime(t *testing.T) {
+	w, pat := chainWorkload(t, 4000)
+	e, _ := NewEstimator(pat, Config{})
+	var prev, prevCopy *Snapshot
+	checks := 0
+	for i := range w.Events {
+		ev := &w.Events[i]
+		e.Observe(ev)
+		if (i+1)%50 != 0 {
+			continue
+		}
+		snap := e.Snapshot(ev.TS)
+		if prev != nil {
+			checks++
+			if snap == prev {
+				t.Fatalf("event %d: Snapshot refilled the snapshot it returned last", i)
+			}
+			if d := sameBits(prev, prevCopy); d != "" {
+				t.Fatalf("event %d: the previous snapshot changed under the next call: %s", i, d)
+			}
+		}
+		prev, prevCopy = snap, snap.Clone()
+	}
+	if checks < 50 {
+		t.Fatalf("only %d checks", checks)
+	}
 }

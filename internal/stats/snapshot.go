@@ -5,11 +5,16 @@ import (
 	"strings"
 )
 
-// Snapshot is an immutable copy of all statistics for one pattern at one
-// instant: per-position arrival rates and the combined selectivity of the
+// Snapshot holds all statistics for one pattern at one instant:
+// per-position arrival rates and the combined selectivity of the
 // predicates between every pair of positions. It is the STAT argument of
 // the paper's reoptimizing decision function D and of the plan generation
 // algorithm A.
+//
+// A snapshot an Estimator returns is the estimator's storage, refilled by
+// its next-but-one Snapshot call (see Estimator.Snapshot); one built with
+// NewSnapshot, Clone or Exact belongs to its caller, and no Estimator
+// writes into it.
 //
 // Indexing is by pattern position (not by event type): Rates[i] is the
 // arrival rate of the type at position i in events/second, Sel[i][j]
@@ -30,17 +35,16 @@ type Snapshot struct {
 }
 
 // NewSnapshot allocates an n-position snapshot with unit selectivities and
-// zero rates.
+// zero rates. The rates and the selectivity rows share one array.
 func NewSnapshot(n int) *Snapshot {
-	s := &Snapshot{
-		Rates: make([]float64, n),
-		Sel:   make([][]float64, n),
-	}
+	vals := make([]float64, n+n*n)
+	s := &Snapshot{Rates: vals[:n:n], Sel: make([][]float64, n)}
 	for i := range s.Sel {
-		s.Sel[i] = make([]float64, n)
-		for j := range s.Sel[i] {
-			s.Sel[i][j] = 1
+		row := vals[n+i*n : n+(i+1)*n : n+(i+1)*n]
+		for j := range row {
+			row[j] = 1
 		}
+		s.Sel[i] = row
 	}
 	return s
 }

@@ -420,3 +420,52 @@ func TestMatchDecodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReplCutReadAllocs pins the standby's replication read: a ReplCut
+// comes back as the Reader's own *ReplCut, and while a cut's topology
+// repeats the previous one's bytes its Owner and Addrs are the tables
+// already decoded. What a read allocates is each run's body, which the
+// mirror journal keeps: no box, no run headers, no topology. A changed
+// topology decodes anew and leaves the tables handed out before intact.
+func TestReplCutReadAllocs(t *testing.T) {
+	evs := benchBatch(8).Events
+	cut := func(i int, addrs ...string) ReplCut {
+		return ReplCut{
+			UpTo: uint64(i) * 256, Cut: uint64(i),
+			Owner: []uint32{0, 1, 1, 0}, Addrs: addrs,
+			Runs: []ReplRun{sealRun(0, evs[:3]...), sealRun(3, evs[3:]...)},
+		}
+	}
+	const cuts = 64
+	var stream []byte
+	for i := 1; i <= cuts; i++ {
+		stream = Append(stream, cut(i, "127.0.0.1:9001", "127.0.0.1:9002"))
+	}
+	stream = Append(stream, cut(cuts+1, "127.0.0.1:9001", "127.0.0.1:9003"))
+	r := NewReader(bytes.NewReader(stream))
+	read := func() *ReplCut {
+		f, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := f.(*ReplCut)
+		if !ok || len(v.Runs) != 2 {
+			t.Fatalf("read %#v, want a two-run *ReplCut", f)
+		}
+		return v
+	}
+	first := read()
+	owner, addrs := first.Owner, first.Addrs
+	if avg := testing.AllocsPerRun(cuts-2, func() { read() }); avg != 2 {
+		t.Errorf("reading a two-run ReplCut of a repeated topology allocated %.2f times; want 2, the run bodies", avg)
+	}
+	if first.Cut != cuts || !bytes.Equal(Append(nil, *first), Append(nil, cut(cuts, "127.0.0.1:9001", "127.0.0.1:9002"))) {
+		t.Fatalf("cut %d read back as other bytes than cut %d", first.Cut, cuts)
+	}
+	if &first.Owner[0] != &owner[0] || &first.Addrs[0] != &addrs[0] {
+		t.Error("a repeated topology was decoded anew")
+	}
+	if changed := read(); changed.Addrs[1] != "127.0.0.1:9003" || addrs[1] != "127.0.0.1:9002" {
+		t.Errorf("a changed topology read Addrs %q, and the tables handed out before read %q", changed.Addrs, addrs)
+	}
+}

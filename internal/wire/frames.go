@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"slices"
+
 	"acep/internal/engine"
 	"acep/internal/event"
 	"acep/internal/pattern"
@@ -211,17 +214,64 @@ type ReplCut struct {
 	Runs  []ReplRun
 }
 
-func (v ReplCut) code(c *codec) ReplCut {
+func (v ReplCut) code(c *codec) ReplCut { v.codeReusing(c, nil); return v }
+
+// codeReusing codes v. A Reader decodes every ReplCut into one of its own
+// with re, what it kept of the previous one (nil elsewhere): the run
+// headers go into re's array — each Body is still the consumer's to keep
+// — and Owner and Addrs stay as they were while the flag bits and bytes
+// they were decoded from repeat.
+func (v *ReplCut) codeReusing(c *codec, re *replReuse) {
 	c.u64(&v.UpTo, &v.Cut)
 	owner, addrs := v.Owner != nil, v.Addrs != nil
 	c.flags("repl-cut", &v.Final, &owner, &addrs)
-	c.topology(&v.Owner, &v.Addrs, owner, addrs)
 	// A run is at least its four metadata varints and a one-event body.
-	table(c, &v.Runs, maxShards, 9, "repl run")
+	if re == nil {
+		c.topology(&v.Owner, &v.Addrs, owner, addrs)
+		table(c, &v.Runs, maxShards, 9, "repl run")
+	} else {
+		re.topology(c, v, owner, addrs)
+		n := c.count(0, maxShards, 9, "repl run")
+		re.runs = slices.Grow(re.runs[:0], n)[:n]
+		v.Runs = nil
+		if n > 0 {
+			v.Runs = re.runs
+		}
+	}
 	for i := range v.Runs {
 		v.Runs[i].code(c)
 	}
-	return v
+}
+
+// replReuse is what a Reader keeps from one ReplCut to the next: the run
+// headers' array, and the topology flag bits and bytes that its ReplCut's
+// Owner and Addrs were decoded from (empty: none yet).
+type replReuse struct {
+	runs []ReplRun
+	topo []byte
+}
+
+// topology decodes v's Owner and Addrs anew unless their flag bits and
+// bytes repeat the previous frame's, which decode to what v holds.
+func (re *replReuse) topology(c *codec, v *ReplCut, owner, addrs bool) {
+	var bits byte
+	if owner {
+		bits |= 1
+	}
+	if addrs {
+		bits |= 2
+	}
+	at := c.off
+	if t := re.topo; len(t) > 0 && t[0] == bits && bytes.HasPrefix(c.b[at:], t[1:]) {
+		c.off += len(t) - 1
+		return
+	}
+	v.Owner, v.Addrs = nil, nil
+	if c.topology(&v.Owner, &v.Addrs, owner, addrs); c.err != nil {
+		re.topo = re.topo[:0]
+		return
+	}
+	re.topo = append(append(re.topo[:0], bits), c.b[at:c.off]...)
 }
 
 // ReplState publishes the primary's emission boundary to its standby:

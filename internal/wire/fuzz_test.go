@@ -81,7 +81,8 @@ func FuzzDecode(f *testing.F) {
 		}()
 		fr, n, err := Decode(b)
 		// The worker's decoder sees the same bytes through a Reader with
-		// an arena: it must agree with Decode on what a Batch frame is.
+		// an arena, the standby's through a Reader that keeps the ReplCut
+		// it returns: each must agree with Decode on what its frame is.
 		ar := NewReader(bytes.NewReader(b))
 		ar.SetDecodeArena(&match.Arena{})
 		view, aerr := ar.Read()
@@ -93,6 +94,12 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("Decode returned both frame %#v and error %v", fr, err)
 			}
 			return
+		}
+		if len(b) > 4 && Kind(b[4]) == KindReplCut && (err == nil) != (aerr == nil) {
+			t.Fatalf("Decode says %v, the Reader's decode of the same repl-cut frame %v", err, aerr)
+		}
+		if v, ok := view.(*ReplCut); ok && !bytes.Equal(Append(nil, *v), Append(nil, fr)) {
+			t.Fatalf("the Reader's decode of a repl-cut frame differs from Decode's")
 		}
 		if v, ok := view.(*BatchView); ok {
 			flat := Batch{UpTo: v.UpTo}

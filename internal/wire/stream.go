@@ -75,6 +75,8 @@ type Reader struct {
 
 	frame   func(n int) []byte // a Matches frame's buffer (SetMatchesBuffer)
 	matches Matches            // the Matches frame Read returns
+	repl    ReplCut            // the ReplCut frame Read returns
+	reuse   replReuse          // what repl's decode keeps from one frame to the next
 }
 
 // NewReader wraps r.
@@ -95,10 +97,12 @@ func (r *Reader) SetDecodeArena(a *match.Arena) { r.arena = a }
 func (r *Reader) SetMatchesBuffer(frame func(n int) []byte) { r.frame = frame }
 
 // Read decodes the next frame. What it returns may alias the Reader's
-// buffer only until the next Read, with one exception: a Matches frame's
-// records are the consumer's to keep. A Matches frame comes back as a
-// *Matches, the Reader's own until the next Read (as a *BatchView is), so
-// reading one boxes nothing.
+// buffer only until the next Read, with two exceptions: a Matches frame's
+// records and a ReplCut's run bodies are the consumer's to keep. A Matches
+// frame comes back as a *Matches and a ReplCut as a *ReplCut, the Reader's
+// own until the next Read (as a *BatchView is), so reading one boxes
+// nothing; a ReplCut's Owner and Addrs are decoded anew only when their
+// bytes change, and are never written after.
 func (r *Reader) Read() (Frame, error) {
 	// A frame is at least its length prefix and kind: a clean end of stream
 	// reads none of the five bytes.
@@ -141,6 +145,14 @@ func (r *Reader) Read() (Frame, error) {
 			return nil, err
 		}
 		return &r.matches, nil
+	}
+	if Kind(buf[0]) == KindReplCut {
+		c := codec{b: buf, off: 1}
+		r.repl.codeReusing(&c, &r.reuse)
+		if err := c.end(); err != nil {
+			return nil, err
+		}
+		return &r.repl, nil
 	}
 	if r.arena == nil || Kind(buf[0]) != KindBatch {
 		return decodePayload(buf)
