@@ -118,6 +118,35 @@ type Result struct {
 	StatShare  float64 // fraction of wall time refreshing the statistics
 	PMCreated  uint64
 	Elapsed    time.Duration
+	// Replace is what one plan replacement cost, on average (zero when the
+	// run made none).
+	Replace ReplaceCost
+}
+
+// ReplaceCost prices one plan replacement: A's time (every run of A, the
+// ones that deployed nothing included, charged to the replacements), the
+// time deploying the plan took (re-planning the retired evaluator or
+// building one, seeding it and advancing it), the events handed to the
+// draining evaluators, and the completions those withheld under the §2.2
+// emit filter — work the new plan repeats.
+type ReplaceCost struct {
+	A, Deploy   time.Duration
+	DrainEvents float64
+	Suppressed  float64
+}
+
+// replaceCost divides the run's totals by its replacements.
+func replaceCost(m engine.Metrics) ReplaceCost {
+	if m.Reoptimizations == 0 {
+		return ReplaceCost{}
+	}
+	n := float64(m.Reoptimizations)
+	return ReplaceCost{
+		A:           time.Duration(float64(m.PlanTime) / n),
+		Deploy:      time.Duration(float64(m.MigrateTime) / n),
+		DrainEvents: float64(m.DrainEvents) / n,
+		Suppressed:  float64(m.Suppressed) / n,
+	}
 }
 
 // Harness caches workloads so the many runs of one experiment share the
@@ -204,6 +233,7 @@ func (h *Harness) Run(c Combo, pat *pattern.Pattern, newPolicy func() core.Polic
 		StatShare:  m.StatShare(elapsed),
 		PMCreated:  m.PMCreated,
 		Elapsed:    elapsed,
+		Replace:    replaceCost(m),
 	}
 	return r, nil
 }

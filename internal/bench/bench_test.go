@@ -161,6 +161,37 @@ func TestMethodsAndFigurePrinting(t *testing.T) {
 			t.Fatalf("size %d: statistics share %v under static, %v under invariant", data.Sizes[si], static, inv)
 		}
 	}
+	// Every run that replaced a plan prices its replacements, and no other
+	// run does; Avg's prices are the means over the kinds.
+	priced := 0
+	for si := range data.Sizes {
+		for mi := range data.Methods {
+			var want ReplaceCost
+			for ki := range data.Kinds {
+				r := data.Results[ki][si][mi]
+				c := r.Replace
+				if (r.Reopts > 0) != (c.A > 0 && c.Deploy > 0 && c.DrainEvents > 0) || r.Reopts == 0 && c != (ReplaceCost{}) {
+					t.Fatalf("size %d, %s, kind %d: %d replacements priced %+v", data.Sizes[si], data.Methods[mi], ki, r.Reopts, c)
+				}
+				if r.Reopts > 0 {
+					priced++
+				}
+				want.A += c.A
+				want.Deploy += c.Deploy
+				want.DrainEvents += c.DrainEvents
+				want.Suppressed += c.Suppressed
+			}
+			n := float64(len(data.Kinds))
+			got := avg[si][mi].Replace
+			if math.Abs(float64(got.A)-float64(want.A)/n) > 1 || math.Abs(float64(got.Deploy)-float64(want.Deploy)/n) > 1 ||
+				math.Abs(got.DrainEvents-want.DrainEvents/n) > 1e-9 || math.Abs(got.Suppressed-want.Suppressed/n) > 1e-9 {
+				t.Fatalf("size %d, %s: Avg prices a replacement at %+v; the sums over the kinds are %+v", data.Sizes[si], data.Methods[mi], got, want)
+			}
+		}
+	}
+	if priced == 0 {
+		t.Fatal("no run replaced a plan; the replacement prices are untested")
+	}
 	var buf bytes.Buffer
 	data.WriteFigure(&buf, -1)
 	out := buf.String()
@@ -171,6 +202,11 @@ func TestMethodsAndFigurePrinting(t *testing.T) {
 	}
 	if !strings.Contains(out, "g: statistics refresh, % of run time") {
 		t.Fatal("figure output missing the statistics refresh panel")
+	}
+	for _, want := range []string{"h: per replacement, A's runs", "h: per replacement, deploying the plan", "h: per replacement, events handed to draining", "h: per replacement, drain-side completions withheld"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("figure output missing the replacement panel %q", want)
+		}
 	}
 	buf.Reset()
 	data.WriteFigure(&buf, 1)

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"time"
+
 	"acep/internal/core"
 	"acep/internal/engine"
 	"acep/internal/gen"
@@ -198,7 +200,8 @@ func (h *Harness) Methods(c Combo, kinds []gen.Kind, topt, dopt float64) (*Metho
 // Avg averages the results over the pattern kinds: Figures 6-9 report
 // "averaged over all pattern sets". Throughputs, overheads, statistics
 // shares, matches, partial matches created and reoptimization counts are
-// arithmetic means (the counts rounded); Elapsed is the total.
+// arithmetic means (the counts rounded), and so are the replacement costs;
+// Elapsed is the total.
 func (m *MethodsData) Avg() [][]Result {
 	out := make([][]Result, len(m.Sizes))
 	n := float64(len(m.Kinds))
@@ -216,10 +219,18 @@ func (m *MethodsData) Avg() [][]Result {
 				acc.StatShare += r.StatShare
 				acc.PMCreated += r.PMCreated
 				acc.Elapsed += r.Elapsed
+				acc.Replace.A += r.Replace.A
+				acc.Replace.Deploy += r.Replace.Deploy
+				acc.Replace.DrainEvents += r.Replace.DrainEvents
+				acc.Replace.Suppressed += r.Replace.Suppressed
 			}
 			acc.Throughput /= n
 			acc.Overhead /= n
 			acc.StatShare /= n
+			acc.Replace.A = time.Duration(float64(acc.Replace.A) / n)
+			acc.Replace.Deploy = time.Duration(float64(acc.Replace.Deploy) / n)
+			acc.Replace.DrainEvents /= n
+			acc.Replace.Suppressed /= n
 			acc.Matches, acc.Reopts, acc.PMCreated = mean(acc.Matches), mean(acc.Reopts), mean(acc.PMCreated)
 			out[si][mi] = acc
 		}

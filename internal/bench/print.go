@@ -3,7 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 )
+
+// us renders d in microseconds.
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // Write prints the Figure 5 throughput matrix.
 func (d *Fig5Data) Write(w io.Writer) {
@@ -66,6 +70,10 @@ func (m *MethodsData) WriteFigure(w io.Writer, kindIdx int) {
 		{"e: partial matches created", func(r, _ Result) string { return fmt.Sprintf("%15d", r.PMCreated) }},
 		{"f: matches", func(r, _ Result) string { return fmt.Sprintf("%15d", r.Matches) }},
 		{"g: statistics refresh, % of run time — lower is better", func(r, _ Result) string { return fmt.Sprintf("%14.2f%%", r.StatShare*100) }},
+		{"h: per replacement, A's runs, µs", func(r, _ Result) string { return fmt.Sprintf("%15.1f", us(r.Replace.A)) }},
+		{"h: per replacement, deploying the plan (re-plan or build, seed, advance), µs", func(r, _ Result) string { return fmt.Sprintf("%15.1f", us(r.Replace.Deploy)) }},
+		{"h: per replacement, events handed to draining evaluators", func(r, _ Result) string { return fmt.Sprintf("%15.0f", r.Replace.DrainEvents) }},
+		{"h: per replacement, drain-side completions withheld", func(r, _ Result) string { return fmt.Sprintf("%15.1f", r.Replace.Suppressed) }},
 	}
 	for _, p := range panels {
 		fmt.Fprintf(w, "\n(%s)\n%-8s", p.title, "size")

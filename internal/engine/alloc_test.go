@@ -107,7 +107,9 @@ func mallocs(f func()) uint64 {
 // came back from behind the engine's own Floor — and replacing the plan
 // makes no block either: the draining evaluator and its successor point
 // into the same copies, so the blocks in existence before the replacement
-// are the blocks in existence after its whole drain window.
+// are the blocks in existence after its whole drain window. Once an
+// evaluator has retired, a replacement and its drain window allocate
+// nothing at all.
 func TestEngineProcessAllocs(t *testing.T) {
 	s := event.NewSchema()
 	for _, name := range []string{"A", "B", "C"} {
@@ -123,8 +125,8 @@ func TestEngineProcessAllocs(t *testing.T) {
 			}
 			// Replacements come a whole number of cycles apart — of the prune
 			// clock, half a window, and of the stream's three types — so a
-			// plan deployed again sees the stream the plan it inherits from
-			// saw, and its pool needs no partial that plan did not make.
+			// plan deployed again sees the stream the evaluator it re-plans
+			// saw, and its pool needs no partial that evaluator did not make.
 			const cycle = 3 * allocWindow / 2
 			f.run(cycle - int(f.seq%cycle))
 			before := e.arena.Pool().Live()
@@ -140,22 +142,18 @@ func TestEngineProcessAllocs(t *testing.T) {
 			if after := e.arena.Pool().Live(); after != before || before < 3 {
 				t.Fatalf("%d blocks in existence before the plan replacement, %d after its drain", before, after)
 			}
-			// Every later replacement deploys the plan two back and inherits
-			// that plan's store, retired when the last drain closed: the
-			// replacement and its drain window allocate what building the
-			// plan's evaluator does — its compiled tables — and no history
-			// array, no partial, nothing per event of the window. The
-			// second is the first to inherit; on the NFA the third is the
-			// first whose plan keeps history.
+			// Every later replacement re-plans the evaluator that retired
+			// when the last drain closed, in place: no table, no history
+			// array, no partial is made, and nothing per event of the
+			// window. On the NFA the third is the first whose plan keeps
+			// history.
 			for i := 2; i <= 5; i++ {
 				next := otherPlan(r.curPlan)
-				build := uint64(testing.AllocsPerRun(4, func() { r.buildEvaluator(next) }))
-				replace := mallocs(func() {
+				if n := mallocs(func() {
 					r.migrate(next)
 					f.run(4 * cycle)
-				})
-				if replace > build {
-					t.Fatalf("replacement %d and its drain window allocated %d times; building the evaluator alone allocates %d", i, replace, build)
+				}); n != 0 {
+					t.Fatalf("replacement %d and its drain window allocated %d times; want 0", i, n)
 				}
 			}
 		})

@@ -128,9 +128,17 @@ type Metrics struct {
 	DecisionTime    time.Duration // time spent in D
 	PlanTime        time.Duration // time spent in A (and plan comparison)
 	StatTime        time.Duration // time spent refreshing snapshots
-	PMCreated       uint64
-	PredEvals       uint64
-	PeakPMs         int
+	// What the replacements cost beyond A: MigrateTime is the time spent
+	// deploying them (re-planning the retired evaluator or building one,
+	// seeding its residual buffers, advancing it), DrainEvents the events
+	// handed to draining evaluators, and Suppressed the completions those
+	// withheld, every one of them work the new plan repeats.
+	MigrateTime time.Duration
+	DrainEvents uint64
+	Suppressed  uint64
+	PMCreated   uint64
+	PredEvals   uint64
+	PeakPMs     int
 	// Latency percentiles (the groundwork latency-aware shedding needs),
 	// in wall-clock nanoseconds, sampled by the shard layer (the
 	// single-process engine has no ingestion queue and leaves both empty).
@@ -209,6 +217,9 @@ func (m *Metrics) add(o Metrics) {
 	m.DecisionTime += o.DecisionTime
 	m.PlanTime += o.PlanTime
 	m.StatTime += o.StatTime
+	m.MigrateTime += o.MigrateTime
+	m.DrainEvents += o.DrainEvents
+	m.Suppressed += o.Suppressed
 	m.PMCreated += o.PMCreated
 	m.PredEvals += o.PredEvals
 	if o.PeakPMs > m.PeakPMs {
@@ -228,8 +239,10 @@ type evaluator interface {
 	Finish()
 	SetEmitOnlyBefore(uint64)
 	Resolver() *match.Resolver
-	Storage() *match.Store
 	Plan() plan.Plan
+	// Replan makes a retired evaluator the one New would build for the
+	// same pattern and p, in the storage it has (nfa.Engine.Replan).
+	Replan(p plan.Plan)
 	Stats() match.Stats
 	// Shedding introspection (see internal/shed.Probe).
 	LivePMs() int
@@ -429,11 +442,13 @@ func (e *Engine) LastSnapshots() []*stats.Snapshot {
 	return out
 }
 
-// CurrentPlans reports the plan in effect for each (sub-)pattern.
+// CurrentPlans reports a copy of the plan in effect for each
+// (sub-)pattern: the caller's to keep, since a replacement re-plans a
+// retired evaluator, plan and all, in place.
 func (e *Engine) CurrentPlans() []plan.Plan {
 	var out []plan.Plan
 	for _, r := range e.runners {
-		out = append(out, r.cur.Plan())
+		out = append(out, r.curPlan.Clone())
 	}
 	return out
 }

@@ -23,15 +23,16 @@ type runner struct {
 	est    *stats.Estimator
 	// scratch holds what alg's last run returned: the trace, valid until
 	// the next run, so the policy installs it at once; and the plan, which
-	// is cloned out before it is deployed.
+	// is copied out before it is deployed.
 	scratch planner.Scratch
 
 	cur      evaluator
 	curPlan  plan.Plan
 	draining []drainingEngine
-	// spare is the store of the evaluator that retired last: the next
-	// replacement inherits its arrays and pooled partials.
-	spare *match.Store
+	// spare is the evaluator that retired last, its counters folded in:
+	// the next replacement re-plans it in place, plan included, and only
+	// a replacement that finds none builds an evaluator.
+	spare evaluator
 
 	watermark  event.Time
 	lastSeq    uint64
@@ -77,12 +78,13 @@ func newRunner(pat *pattern.Pattern, cfg Config, newAlg func(*planner.Scratch) p
 	}
 	res := r.alg.Generate(pat, initial)
 	r.metrics.PlanGenerations++
-	r.curPlan = res.Plan.Clone()
-	r.cur = r.buildEvaluator(r.curPlan)
+	r.cur = r.buildEvaluator(res.Plan.Clone())
+	r.curPlan = r.cur.Plan()
 	r.policy.Install(res.Trace, initial)
 	return r, nil
 }
 
+// buildEvaluator builds an evaluator for p, which it keeps.
 func (r *runner) buildEvaluator(p plan.Plan) evaluator {
 	emit := func(m *match.Match) {
 		r.metrics.Matches++
@@ -126,9 +128,10 @@ func (r *runner) process(ev *event.Event, mask uint32) {
 			if r.watermark > d.retireAt {
 				d.eval.Advance(r.watermark) // final flush of parked matches
 				r.accumulate(d.eval)
-				r.spare = d.eval.Storage()
+				r.spare = d.eval
 				continue
 			}
+			r.metrics.DrainEvents++
 			d.eval.ProcessMasked(ev, mask)
 			kept = append(kept, d)
 		}
@@ -192,34 +195,39 @@ func (r *runner) adaptationCheck() {
 	if !better {
 		return
 	}
-	r.migrate(res.Plan.Clone())
+	r.migrate(res.Plan)
 	r.metrics.Reoptimizations++
 }
 
-// migrate deploys a new plan using the §2.2 protocol. The current
+// migrate deploys a copy of p using the §2.2 protocol. The current
 // evaluator keeps running restricted to matches containing at least one
 // pre-migration event; the new evaluator starts with empty core state
 // (all its matches are post-migration by construction) but inherits the
 // residual buffers so negation and Kleene scopes spanning the migration
-// point stay correct. It also inherits the storage of the evaluator that
-// retired last, if any: the arrays and pooled partials a plan of this
-// pattern grew, emptied (match.Store.Inherit).
+// point stay correct. The new evaluator is the one that retired last,
+// re-planned in place — p copied into its plan's arrays, its tables,
+// places and pooled partials reused — or, when none has retired yet, a
+// new one.
 func (r *runner) migrate(p plan.Plan) {
+	t0 := time.Now()
 	boundary := r.lastSeq + 1
 	r.cur.SetEmitOnlyBefore(boundary)
 	r.draining = append(r.draining, drainingEngine{
 		eval:     r.cur,
 		retireAt: r.watermark + r.pat.Window,
 	})
-	next := r.buildEvaluator(p)
-	if r.spare != nil {
-		next.Storage().Inherit(r.spare)
+	next := r.spare
+	if next == nil {
+		next = r.buildEvaluator(p.Clone())
+	} else {
 		r.spare = nil
+		next.Replan(p.CopyTo(next.Plan()))
 	}
 	next.Resolver().SeedFrom(r.cur.Resolver())
 	next.Advance(r.watermark)
 	r.cur = next
-	r.curPlan = p
+	r.curPlan = next.Plan()
+	r.metrics.MigrateTime += time.Since(t0)
 }
 
 // accumulate folds a retired evaluator's counters into the runner.
@@ -227,6 +235,7 @@ func (r *runner) accumulate(ev evaluator) {
 	st := ev.Stats()
 	r.retired.PMCreated += st.PMCreated
 	r.retired.PredEvals += st.PredEvals
+	r.retired.Suppressed += st.Suppressed
 	if st.PeakPMs > r.retired.PeakPMs {
 		r.retired.PeakPMs = st.PeakPMs
 	}
@@ -246,10 +255,12 @@ func (r *runner) snapshotMetrics() Metrics {
 	m := r.metrics
 	m.PMCreated = r.retired.PMCreated
 	m.PredEvals = r.retired.PredEvals
+	m.Suppressed = r.retired.Suppressed
 	m.PeakPMs = r.retired.PeakPMs
 	add := func(st match.Stats) {
 		m.PMCreated += st.PMCreated
 		m.PredEvals += st.PredEvals
+		m.Suppressed += st.Suppressed
 		if st.PeakPMs > m.PeakPMs {
 			m.PeakPMs = st.PeakPMs
 		}

@@ -36,8 +36,9 @@ type Stats struct {
 //
 // The exported fields and Complete, UnaryOk and WantsResidual are for the
 // embedding engine's step only; its hosts go through the engine's methods.
-// Only Advance moves the watermark, since Floor, and with it the release of
-// event storage, is computed from it.
+// Only Advance moves the watermark forward, since Floor, and with it the
+// release of event storage, is computed from it; Reset takes it back to
+// zero on a retired engine no host reads.
 type Frame struct {
 	Pat   *pattern.Pattern
 	Store *Store    // the partial-match pool and the plan's parking places
@@ -58,9 +59,18 @@ func NewFrame(pat *pattern.Pattern, emit func(*Match)) Frame {
 	return Frame{Pat: pat, Store: NewStore(pat.NumPositions(), pat.Window), res: NewResolver(pat, emit)}
 }
 
-// Storage returns the engine's partial-match store, for a replacement
-// engine's store to Inherit once this one has retired.
-func (f *Frame) Storage() *Store { return f.Store }
+// Reset returns the frame to what NewFrame built, keeping its storage:
+// the store and the resolver are emptied for the next plan of the same
+// pattern (Store.Reset, Resolver.Reset), and the watermark, the prune
+// clock, the emit filter and the counters go to zero. The engine that
+// embeds the frame then compiles its next plan over it. The emit callback
+// and SetOwnedEmit survive.
+func (f *Frame) Reset() {
+	f.Store.Reset()
+	f.res.Reset()
+	f.watermark, f.lastPrune, f.emitBefore = 0, 0, 0
+	f.PMCreated, f.PredEvals, f.suppressed = 0, 0, 0
+}
 
 // Resolver exposes the residual resolver (for migration seeding).
 func (f *Frame) Resolver() *Resolver { return f.res }

@@ -29,6 +29,7 @@ type Engine interface {
 	SetEmitOnlyBefore(seq uint64)
 	SetOwnedEmit(owned bool)
 	Plan() plan.Plan
+	Replan(p plan.Plan)
 }
 
 // Model is one evaluation model as its package hands it to the table.
@@ -59,6 +60,10 @@ type Model struct {
 	Churn func(t testing.TB, g Engine, order []int, window event.Time)
 	// Expect holds what the models report differently.
 	Expect Expect
+
+	// fresh is set on the re-planned configuration (replanned) only: the
+	// model's own New, whose engines the re-planned ones are held to.
+	fresh func(pat *pattern.Pattern, p plan.Plan, emit func(*match.Match), indexed bool) Engine
 }
 
 // Expect is what one model must report where the two differ.
@@ -83,9 +88,10 @@ type Look struct {
 	Keys []uint64 // the keys HotKeys reports, ascending, without repeats
 }
 
-// Run runs the groups m.Tests names for the test t, each case a subtest.
-// First it holds m.Tests to the table, so a case no test of the package
-// runs, or two run, fails every test that runs the table.
+// Run runs the groups m.Tests names for the test t, each case a subtest,
+// whose own subtest "replanned" runs the case again on re-planned engines
+// (replanned). First it holds m.Tests to the table, so a case no test of
+// the package runs, or two run, fails every test that runs the table.
 func (m Model) Run(t *testing.T) {
 	groups, ok := m.Tests[t.Name()]
 	if !ok {
@@ -111,11 +117,71 @@ func (m Model) Run(t *testing.T) {
 			t.Fatalf("case %s is run by %d of the model's Tests; want 1", sc.name, runs[sc.name])
 		}
 	}
+	rm := m.replanned()
 	for _, sc := range scs {
 		if slices.ContainsFunc(groups, func(g string) bool { return in(sc, g) }) {
-			t.Run(sc.name, func(t *testing.T) { sc.run(m, t) })
+			t.Run(sc.name, func(t *testing.T) {
+				sc.run(m, t)
+				t.Run("replanned", func(t *testing.T) { sc.run(rm, t) })
+			})
 		}
 	}
+}
+
+// replanned is the model's re-planned configuration, which every case
+// runs as well: New builds each engine on another plan of the pattern —
+// the chain over the core positions reversed, or in declaration order if
+// that is the plan asked for — under an emit filter, feeds it a prefix
+// stream of its own (replanPrefix), and re-plans it in place to the plan
+// asked for. A re-planned engine must be exactly the engine New builds:
+// the cases' expected values hold on it unchanged, and m.run holds every
+// counter it reports to a new engine's.
+func (m Model) replanned() Model {
+	fresh := m.New
+	m.fresh = fresh
+	m.New = func(pat *pattern.Pattern, p plan.Plan, emit func(*match.Match), indexed bool) Engine {
+		rev := slices.Clone(pat.Core())
+		slices.Reverse(rev)
+		other := m.Chain(rev)
+		if other.Equal(p) {
+			other = m.Chain(pat.Core())
+		}
+		deliver := func(*match.Match) {}
+		g := fresh(pat, other, func(mm *match.Match) { deliver(mm) }, indexed)
+		prefix := replanPrefix(pat)
+		g.SetEmitOnlyBefore(prefix[len(prefix)/2].Seq)
+		for i := range prefix {
+			g.Process(&prefix[i])
+		}
+		g.Replan(p)
+		deliver = emit
+		return g
+	}
+	return m
+}
+
+// replanPrefix is the stream a re-planned engine runs before it is
+// re-planned: 200 events of the pattern's position types, a tick or two
+// apart, with every attribute a predicate reads drawn from {0, 1, 2}, so
+// that equalities hold often — keyed places fill several buckets — and
+// negated and Kleene positions are buffered.
+func replanPrefix(pat *pattern.Pattern) []event.Event {
+	attrs := 2
+	for _, pr := range pat.Preds {
+		attrs = max(attrs, pr.AttrL+1, pr.AttrR+1)
+	}
+	r := rand.New(rand.NewSource(int64(len(pat.Positions))))
+	evs := make([]event.Event, 200)
+	var ts event.Time
+	for i := range evs {
+		ts += event.Time(1 + r.Intn(2))
+		vals := make([]float64, attrs)
+		for k := range vals {
+			vals[k] = float64(r.Intn(3))
+		}
+		evs[i] = event.Event{Type: pat.Positions[r.Intn(len(pat.Positions))].Type, TS: ts, Seq: uint64(i + 1), Attrs: vals}
+	}
+	return evs
 }
 
 // scenario is one row of the table and the check it makes.
@@ -216,12 +282,23 @@ func Cases() []Case {
 
 // run drives one configuration of the model over the stream; emitBefore,
 // when set, turns the emit filter on. Stats().Emitted must count the
-// matches delivered.
+// matches delivered. Re-planned, the engine must do a new engine's work
+// exactly.
 func (m Model) run(t testing.TB, pat *pattern.Pattern, p plan.Plan, evs []event.Event, indexed bool, emitBefore uint64) Work {
 	t.Helper()
+	if m.fresh != nil {
+		want := Model{New: m.fresh, Indexed: m.Indexed}.run(t, pat, p, evs, indexed, emitBefore)
+		got := Model{New: m.New, Indexed: m.Indexed}.run(t, pat, p, evs, indexed, emitBefore)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v on %v re-planned: %+v; a new engine: %+v", p, pat, got, want)
+		}
+		return got
+	}
 	var out []*match.Match
 	g := m.New(pat, p, func(mm *match.Match) { out = append(out, mm) }, indexed)
-	g.SetEmitOnlyBefore(emitBefore)
+	if emitBefore > 0 {
+		g.SetEmitOnlyBefore(emitBefore)
+	}
 	for i := range evs {
 		g.Process(&evs[i])
 	}

@@ -383,6 +383,24 @@ func (r *Resolver) Flush() {
 // PendingCount reports the number of parked matches.
 func (r *Resolver) PendingCount() int { return len(r.pending) }
 
+// Reset empties the resolver for the next plan of its pattern: parked
+// matches are dropped into the pools unresolved, the residual buffers
+// emptied and the counters zeroed. Its pools and buffer arrays stay, and
+// so do the emit callback and SetOwned. A retired engine has already
+// resolved every match it could still deliver (its last Advance passed
+// their scopes), and its host has read its counters.
+func (r *Resolver) Reset() {
+	for i := range r.pending {
+		r.putCore(r.pending[i].core)
+		r.pending[i] = pendingMatch{}
+	}
+	r.pending = r.pending[:0]
+	for _, p := range r.residuals {
+		r.bufs[p].reset()
+	}
+	r.Emitted, r.Dropped, r.PredEvals = 0, 0, 0
+}
+
 // SeedFrom copies the residual buffers of another resolver (same
 // pattern). Plan migration uses this so a freshly deployed plan can still
 // veto matches with pre-migration negated events and build complete

@@ -80,12 +80,18 @@ type bucket struct {
 // more than the window past its earliest event; expired partials are
 // recycled when a probe sweeps their bucket or, in buckets nothing
 // probes, at the next Prune.
+//
+// A store outlives its plan: Reset empties it for the next plan of the
+// same pattern, and the places that plan asks for (NewPlace) are the
+// previous plan's, re-keyed, with every array, key table and bucket they
+// grew.
 type Store struct {
 	npos   int
 	window event.Time
 	free   []*Partial // room for every partial made: Put never grows it
 	made   int
-	places []*Place
+	places []*Place // places[:used] serve the plan; the rest wait, empty
+	used   int
 	live   int
 	peak   int
 }
@@ -127,12 +133,22 @@ func (s *Store) Peak() int { return s.peak }
 // NewPlace adds a parking place indexed on key. A place without history
 // records nothing Offer is handed, and Park returns nil there: it is for
 // partials that never look back at events that arrived before them.
+// After a Reset the place is the one the previous plan asked for at the
+// same turn, re-keyed; only a store's first plan, or one that asks for
+// more places than any before it, makes one.
 func (s *Store) NewPlace(key EqKey, history bool) *Place {
-	pl := &Place{st: s, key: key, history: history}
-	if key.Indexed {
+	var pl *Place
+	if s.used < len(s.places) {
+		pl = s.places[s.used]
+	} else {
+		pl = &Place{st: s}
+		s.places = append(s.places, pl)
+	}
+	s.used++
+	pl.key, pl.history = key, history
+	if key.Indexed && pl.idx == nil {
 		pl.idx = make(map[uint64]*bucket)
 	}
-	s.places = append(s.places, pl)
 	return pl
 }
 
@@ -141,7 +157,7 @@ func (s *Store) NewPlace(key EqKey, history bool) *Place {
 // buckets left with neither go back to their place's free list, so a
 // place's table is bounded by the keys live within the retention horizon.
 func (s *Store) Prune(now event.Time) {
-	for _, pl := range s.places {
+	for _, pl := range s.places[:s.used] {
 		pl.prune(&pl.flat, now)
 		// Backwards: the bucket a drop moves into slot i was visited.
 		for i := len(pl.live) - 1; i >= 0; i-- {
@@ -152,35 +168,26 @@ func (s *Store) Prune(now event.Time) {
 	}
 }
 
-// Inherit hands old's storage to s, the store of an engine for the same
-// pattern that no event has reached yet: old's partials, the parked ones
-// recycled first, join s's pool, and each of s's places takes over the
-// arrays of old's place at the same index — its unindexed bucket's
-// parking list and history, and, when both places are indexed, the key
-// table and its buckets — emptied and cut back to length 0. Only capacity
-// moves: no event pointer and no partial's assignment survives, so s
-// behaves exactly as it would have from empty, with the arrays the
-// retired plan grew already in hand. old is left empty and unusable.
-func (s *Store) Inherit(old *Store) {
-	s.free, s.made = append(old.free, s.free...), old.made
-	for i, o := range old.places {
-		s.recycle(&o.flat)
-		for _, b := range o.live {
+// Reset empties the store for the next plan of its pattern: every parked
+// partial goes back to the pool, every place is emptied — its buckets to
+// its free list, its key table cleared, no event recorded — and waits to
+// be handed out again by NewPlace; Live and Peak read 0. Only capacity
+// survives: no event pointer and no partial's assignment does, so the
+// store behaves exactly as a new one would, with the arrays and partials
+// the previous plans grew already in hand.
+func (s *Store) Reset() {
+	for _, pl := range s.places {
+		s.recycle(&pl.flat)
+		for _, b := range pl.live {
 			s.recycle(b)
 		}
-		if i >= len(s.places) {
-			continue
-		}
-		pl := s.places[i]
-		pl.flat.ms, pl.flat.hist = o.flat.ms, o.flat.hist
-		if pl.idx != nil && o.idx != nil {
-			clear(o.idx)
-			pl.idx, pl.free = o.idx, append(o.free, o.live...)
-			clear(o.live)
-			pl.live = o.live[:0]
-		}
+		pl.free = append(pl.free, pl.live...)
+		clear(pl.live)
+		pl.live = pl.live[:0]
+		clear(pl.idx)
+		pl.n = 0
 	}
-	*old = Store{}
+	s.used, s.live, s.peak = 0, 0, 0
 }
 
 // recycle puts b's partials back in the pool and empties b, keeping the
@@ -199,10 +206,12 @@ func (s *Store) recycle(b *bucket) {
 // live value of the place's key (a single one when the key indexes
 // nothing).
 //
-// A nil idx is the unindexed place: flat is the only bucket. In an indexed
-// place flat is where NaN keys park — NaN equals nothing, so no probe ever
-// looks there, but Prune still does. live lists idx's buckets densely
-// (live[b.at] == b), so Prune and HotKeys walk a slice, not the map.
+// An unindexed place (key.Indexed false) parks everything in flat, its
+// only bucket; idx, kept from a plan that indexed the place, stays empty.
+// In an indexed place flat is where NaN keys park — NaN equals nothing,
+// so no probe ever looks there, but Prune still does. live lists idx's
+// buckets densely (live[b.at] == b), so Prune and HotKeys walk a slice,
+// not the map.
 type Place struct {
 	st      *Store
 	key     EqKey
@@ -217,7 +226,7 @@ type Place struct {
 // slot returns the bucket filed under v, taking one from the free list
 // (or allocating) when v has none yet.
 func (pl *Place) slot(v float64) *bucket {
-	if pl.idx == nil {
+	if !pl.key.Indexed {
 		return &pl.flat
 	}
 	k, ok := keyBits(v)
@@ -256,7 +265,7 @@ func (pl *Place) drop(b *bucket) {
 // find returns the bucket a probe with v meets, or nil when there is
 // none.
 func (pl *Place) find(v float64) *bucket {
-	if pl.idx == nil {
+	if !pl.key.Indexed {
 		return &pl.flat
 	}
 	k, ok := keyBits(v)

@@ -313,44 +313,58 @@ func TestPlacePruneKeyChurn(t *testing.T) {
 	}
 }
 
-// TestStoreInherit: a store that inherits a retired one starts empty —
-// every place without a partial, a bucket or a recorded event, whatever
-// the retired store held under the same keys — with the retired store's
-// arrays and partials in hand: no history array regrows and every
-// partial the retired store made comes back from Get, its assignment
-// clear, before a fresh one is made.
-func TestStoreInherit(t *testing.T) {
-	s, old, keyed := eqPlace(t, 0, true)
-	flat := old.NewPlace(EqKey{}, true)
+// TestStoreReset: a store reset for its next plan starts empty — every
+// place it hands out again without a partial, a bucket or a recorded
+// event, whatever it held before under whatever key — and re-keyed: the
+// place that was indexed parks unindexed and the unindexed one indexed,
+// with the arrays and partials the store grew still in hand: no history
+// array regrows, no place or key table is made again, and every partial
+// the store made comes back from Get, its assignment clear, before a
+// fresh one is made.
+func TestStoreReset(t *testing.T) {
+	s, st, keyed := eqPlace(t, 0, true)
+	flat := st.NewPlace(EqKey{}, true)
 	made := make(map[*Partial]bool)
 	for ts := event.Time(1); ts <= 40; ts++ {
 		x := float64(ts % 4)
-		made[parkA(s, old, keyed, ts, x)] = true
-		made[parkA(s, old, flat, ts, x)] = true
+		made[parkA(s, st, keyed, ts, x)] = true
+		made[parkA(s, st, flat, ts, x)] = true
 		keyed.Offer(ev(s, 1, ts, x), ts)
 		flat.Offer(ev(s, 1, ts, x), ts)
 	}
-	old.Prune(40) // some partials expire into the pool, the rest stay parked
-	if old.Live() == 0 || len(old.free) == 0 {
-		t.Fatalf("%d parked and %d pooled partials: the test needs both", old.Live(), len(old.free))
+	st.Prune(40) // some partials expire into the pool, the rest stay parked
+	if st.Live() == 0 || len(st.free) == 0 {
+		t.Fatalf("%d parked and %d pooled partials: the test needs both", st.Live(), len(st.free))
 	}
 	histCap := cap(flat.flat.hist.evs)
+	key := keyed.key
 
-	st := NewStore(2, old.window)
-	keyed2 := st.NewPlace(keyed.key, true)
-	flat2 := st.NewPlace(EqKey{}, true)
-	st.Inherit(old)
-	if old.places != nil || old.free != nil {
-		t.Fatal("the retired store still holds its places or its pool")
+	var again [2]*Place
+	if n := testing.AllocsPerRun(1, func() {
+		st.Reset()
+		again[0], again[1] = st.NewPlace(EqKey{}, true), st.NewPlace(key, true)
+	}); n != 0 {
+		t.Fatalf("Reset and the next plan's places allocated %v times", n)
 	}
-	if st.Live() != 0 || keyed2.Len() != 0 || keyed2.Buckets() != 0 || flat2.Len() != 0 {
-		t.Fatalf("inherited store: %d live, %d/%d partials, %d buckets; want none", st.Live(), keyed2.Len(), flat2.Len(), keyed2.Buckets())
+	flat2, keyed2 := again[0], again[1]
+	if flat2 != keyed || keyed2 != flat || len(st.places) != 2 {
+		t.Fatalf("the reset store made new places (%d in all)", len(st.places))
 	}
-	if got := cap(flat2.flat.hist.evs); got != histCap {
-		t.Fatalf("inherited history capacity %d, the retired one had %d", got, histCap)
+	if st.Live() != 0 || st.Peak() != 0 || keyed2.Len() != 0 || keyed2.Buckets() != 0 || flat2.Len() != 0 || flat2.Buckets() != 0 {
+		t.Fatalf("reset store: %d live, peak %d, %d/%d partials, %d/%d buckets; want none", st.Live(), st.Peak(), keyed2.Len(), flat2.Len(), keyed2.Buckets(), flat2.Buckets())
 	}
-	if got := len(keyed2.free); got == 0 {
-		t.Fatal("the indexed place inherited no bucket")
+	for i, pl := range st.places {
+		for _, b := range append([]*bucket{&pl.flat}, pl.free...) {
+			if len(b.ms) != 0 || b.hist.Len() != 0 {
+				t.Fatalf("place %d keeps a bucket with %d partials and %d recorded events", i, len(b.ms), b.hist.Len())
+			}
+		}
+	}
+	if got := cap(keyed2.flat.hist.evs); got != histCap {
+		t.Fatalf("the re-keyed place's history capacity %d, it had %d", got, histCap)
+	}
+	if got := len(flat2.free); got == 0 {
+		t.Fatal("the place that was indexed kept no bucket")
 	}
 	// Every partial made before comes back, clear, without allocating.
 	var got []*Partial
@@ -363,22 +377,26 @@ func TestStoreInherit(t *testing.T) {
 			got = append(got, st.Get())
 		}
 	}); n != 0 {
-		t.Fatalf("Get allocated %v times taking back %d inherited partials", n, len(made))
+		t.Fatalf("Get allocated %v times taking back %d pooled partials", n, len(made))
 	}
 	for _, m := range got {
 		if !made[m] || slices.ContainsFunc(m.Evs, func(e *event.Event) bool { return e != nil }) {
 			t.Fatalf("Get returned %p: fresh %v, assignment %v", m, !made[m], m.Evs)
 		}
 	}
-	// Nothing recorded under the old store's keys is seen again.
+	// Nothing recorded before the reset is seen again, and each place
+	// files under its new key: one bucket per key where it is indexed.
 	for _, pl := range []*Place{keyed2, flat2} {
 		for x := 0.0; x < 4; x++ {
 			m := got[0]
 			got = got[1:]
 			m.Evs[0], m.MinTS, m.MaxTS = ev(s, 0, 41, x), 41, 41
 			if h := pl.Park(m); h.Len() != 0 {
-				t.Fatalf("a partial parked under %v after the hand-over finds %d recorded events", x, h.Len())
+				t.Fatalf("a partial parked under %v after the reset finds %d recorded events", x, h.Len())
 			}
 		}
+	}
+	if keyed2.Buckets() != 4 || flat2.Buckets() != 0 || st.Peak() != 8 {
+		t.Fatalf("after the reset: %d and %d buckets, peak %d; want 4, 0 and 8", keyed2.Buckets(), flat2.Buckets(), st.Peak())
 	}
 }

@@ -53,8 +53,9 @@
 package nfa
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"acep/internal/event"
 	"acep/internal/match"
@@ -67,7 +68,8 @@ import (
 // clock, the emit filter, the resolver and the counters.
 type Engine struct {
 	match.Frame
-	op *plan.OrderPlan
+	op        *plan.OrderPlan
+	unindexed bool // every state in a single bucket: the differential tests' reference
 
 	orderIdx []int           // pattern position -> index in order (-1 if residual)
 	states   []*match.Place  // states[s]: PMs with s filled positions (1..n-1)
@@ -89,12 +91,27 @@ func New(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)) *Eng
 // every state in a single bucket, the reference the differential tests
 // hold the index against.
 func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match), indexed bool) *Engine {
-	g := &Engine{
-		Frame:    match.NewFrame(pat, emit),
-		op:       op,
-		orderIdx: make([]int, pat.NumPositions()),
-		n:        len(op.Order),
-	}
+	g := &Engine{Frame: match.NewFrame(pat, emit), unindexed: !indexed}
+	g.compile(op)
+	return g
+}
+
+// Replan makes g the engine New would build for the same pattern, emit
+// callback and p, an *plan.OrderPlan, but in the storage g already has:
+// the match.Frame is reset (every partial, recorded event and parked
+// match dropped, the clock, the emit filter and the counters at zero),
+// and the plan is compiled into g's tables and places. g keeps p, which
+// must not change while g runs it. A host replaces a plan this way with
+// an engine that has retired, its counters read.
+func (g *Engine) Replan(p plan.Plan) { g.compile(p.(*plan.OrderPlan)) }
+
+// compile runs op over the frame: New runs it on a new engine, Replan on
+// a retired one, each slice written in place.
+func (g *Engine) compile(op *plan.OrderPlan) {
+	g.Reset()
+	pat := g.Pat
+	g.op, g.n, g.prefix = op, len(op.Order), 0
+	g.orderIdx = slices.Grow(g.orderIdx[:0], pat.NumPositions())[:pat.NumPositions()]
 	for i := range g.orderIdx {
 		g.orderIdx[i] = -1
 	}
@@ -106,26 +123,25 @@ func newEngine(pat *pattern.Pattern, op *plan.OrderPlan, emit func(*match.Match)
 	// declaration-position order, matching the historical predicate
 	// evaluation order). A state whose list holds an equality predicate
 	// is indexed on it; a forward state keeps no history.
-	g.states = make([]*match.Place, g.n)
-	g.checks = make([][]match.Check, g.n)
-	g.rules = make([]rule, g.n)
+	g.states = slices.Grow(g.states[:0], g.n)[:g.n]
+	g.checks = slices.Grow(g.checks[:0], g.n)[:g.n]
+	g.rules = slices.Grow(g.rules[:0], g.n)[:g.n]
 	for s := 1; s < g.n; s++ {
 		next := op.Order[s]
-		cs := make([]match.Check, 0, s)
+		cs := g.checks[s][:0]
 		for k := 0; k < s; k++ {
 			q := op.Order[k]
 			cs = append(cs, match.Check{PosN: next, PosO: q, PC: pat.Pair(next, q)})
 		}
-		sort.Slice(cs, func(i, j int) bool { return cs[i].PosO < cs[j].PosO })
+		slices.SortFunc(cs, func(a, b match.Check) int { return cmp.Compare(a.PosO, b.PosO) })
 		g.checks[s] = cs
 		var key match.EqKey
-		if indexed {
+		if !g.unindexed {
 			key = match.EqKeyOf(cs)
 		}
 		g.rules[s] = classify(cs)
 		g.states[s] = g.Store.NewPlace(key, g.rules[s] != forward)
 	}
-	return g
 }
 
 // rule is a state's offer rule: which of the two paths — the eager one,

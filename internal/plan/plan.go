@@ -30,6 +30,11 @@ type Plan interface {
 	// Clone returns a deep copy, sharing no storage with the plan: a plan
 	// built into a generator's scratch is cloned before it is deployed.
 	Clone() Plan
+	// CopyTo is Clone into dst's storage when dst is a plan of the same
+	// structure, other than this one, and not in use: dst is overwritten
+	// and returned. Any other dst (nil among them) is left alone, and the
+	// copy is a new plan.
+	CopyTo(dst Plan) Plan
 	// String renders the plan for logs and experiment output.
 	String() string
 }
@@ -65,7 +70,17 @@ func (p *OrderPlan) Cost(s *stats.Snapshot) float64 {
 }
 
 // Clone implements Plan.
-func (p *OrderPlan) Clone() Plan { return NewOrderPlan(p.Order) }
+func (p *OrderPlan) Clone() Plan { return p.CopyTo(nil) }
+
+// CopyTo implements Plan.
+func (p *OrderPlan) CopyTo(dst Plan) Plan {
+	d, ok := dst.(*OrderPlan)
+	if !ok || d == nil {
+		d = &OrderPlan{}
+	}
+	d.Order = append(d.Order[:0], p.Order...)
+	return d
+}
 
 // Equal reports whether other is an OrderPlan with the identical order.
 func (p *OrderPlan) Equal(other Plan) bool {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"acep/internal/stats"
@@ -27,6 +28,9 @@ func (n *TreeNode) IsLeaf() bool { return n.Pos >= 0 }
 // positions, as produced by the ZStream dynamic-programming algorithm.
 type TreePlan struct {
 	Root *TreeNode
+	// nodes holds the nodes of a plan made by Clone or CopyTo: Root and
+	// the links point into it.
+	nodes []TreeNode
 }
 
 // NewTreePlan wraps a root node.
@@ -71,13 +75,37 @@ func SubtreeCost(n *TreeNode, s *stats.Snapshot) float64 {
 func (p *TreePlan) Cost(s *stats.Snapshot) float64 { return SubtreeCost(p.Root, s) }
 
 // Clone implements Plan.
-func (p *TreePlan) Clone() Plan { return NewTreePlan(cloneNode(p.Root)) }
+func (p *TreePlan) Clone() Plan { return p.CopyTo(nil) }
 
-func cloneNode(n *TreeNode) *TreeNode {
-	if n.IsLeaf() {
-		return Leaf(n.Pos)
+// CopyTo implements Plan.
+func (p *TreePlan) CopyTo(dst Plan) Plan {
+	d, ok := dst.(*TreePlan)
+	if !ok || d == nil {
+		d = &TreePlan{}
 	}
-	return Join(cloneNode(n.Left), cloneNode(n.Right))
+	// Grown once, before any link into it is taken.
+	d.nodes = slices.Grow(d.nodes[:0], size(p.Root))
+	d.Root = d.copyNode(p.Root)
+	return d
+}
+
+// copyNode appends a copy of the subtree under n to p.nodes.
+func (p *TreePlan) copyNode(n *TreeNode) *TreeNode {
+	p.nodes = append(p.nodes, TreeNode{Pos: n.Pos})
+	c := &p.nodes[len(p.nodes)-1]
+	if !n.IsLeaf() {
+		c.Left = p.copyNode(n.Left)
+		c.Right = p.copyNode(n.Right)
+	}
+	return c
+}
+
+// size counts the nodes of the subtree under n.
+func size(n *TreeNode) int {
+	if n.IsLeaf() {
+		return 1
+	}
+	return 1 + size(n.Left) + size(n.Right)
 }
 
 // Equal reports structural equality (same shape, same leaf positions).

@@ -38,6 +38,8 @@
 package tree
 
 import (
+	"slices"
+
 	"acep/internal/event"
 	"acep/internal/match"
 	"acep/internal/pattern"
@@ -63,10 +65,14 @@ type node struct {
 // clock, the emit filter, the resolver and the counters.
 type Engine struct {
 	match.Frame
-	tp *plan.TreePlan
+	tp        *plan.TreePlan
+	unindexed bool // every node's tuples in a single bucket: the differential tests' reference
 
 	root      *node
+	nodes     []node  // every node of the plan; root and the links point into it
 	leafByPos []*node // pattern position -> leaf node (nil for residuals)
+	mine      []int   // compileJoins' leaf sets
+	theirs    []int
 }
 
 // New builds an engine for the pattern following the given tree plan.
@@ -80,19 +86,42 @@ func New(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match)) *Engi
 // every node's tuples in a single bucket, the reference the differential
 // tests hold the index against.
 func newEngine(pat *pattern.Pattern, tp *plan.TreePlan, emit func(*match.Match), indexed bool) *Engine {
-	g := &Engine{
-		Frame:     match.NewFrame(pat, emit),
-		tp:        tp,
-		leafByPos: make([]*node, pat.NumPositions()),
-	}
-	g.root = g.build(tp.Root, nil)
-	g.compileJoins(g.root)
-	g.placeStores(g.root, indexed)
+	g := &Engine{Frame: match.NewFrame(pat, emit), unindexed: !indexed}
+	g.compile(tp)
 	return g
 }
 
+// Replan makes g the engine New would build for the same pattern, emit
+// callback and p, a *plan.TreePlan, but in the storage g already has: the
+// match.Frame is reset (every tuple, recorded event and parked match
+// dropped, the clock, the emit filter and the counters at zero), and the
+// plan is compiled into g's nodes, join tables and places. g keeps p,
+// which must not change while g runs it. A host replaces a plan this way
+// with an engine that has retired, its counters read.
+func (g *Engine) Replan(p plan.Plan) { g.compile(p.(*plan.TreePlan)) }
+
+// compile runs tp over the frame: New runs it on a new engine, Replan on
+// a retired one, each node, table and place written in place.
+func (g *Engine) compile(tp *plan.TreePlan) {
+	g.Reset()
+	g.tp = tp
+	// A binary tree over the core positions has 2k-1 nodes; growing the
+	// array once, before any link into it is taken, keeps the links good.
+	k := len(g.Pat.Core())
+	g.nodes = slices.Grow(g.nodes[:0], 2*k-1)
+	g.leafByPos = slices.Grow(g.leafByPos[:0], g.Pat.NumPositions())[:g.Pat.NumPositions()]
+	clear(g.leafByPos)
+	g.root = g.build(tp.Root, nil)
+	g.compileJoins(g.root)
+	g.placeStores(g.root)
+}
+
+// build takes the next node of g.nodes for pn, keeping the arrays of its
+// join table and doomed marks.
 func (g *Engine) build(pn *plan.TreeNode, parent *node) *node {
-	n := &node{parent: parent}
+	g.nodes = g.nodes[:len(g.nodes)+1]
+	n := &g.nodes[len(g.nodes)-1]
+	*n = node{parent: parent, joins: n.joins[:0], doomed: n.doomed}
 	if pn.IsLeaf() {
 		n.leaf = true
 		n.pos = pn.Pos
@@ -132,11 +161,12 @@ func (g *Engine) compileJoins(n *node) {
 		return
 	}
 	if n != g.root && n.sibling != nil {
-		mine := leafSet(n, nil)
-		theirs := leafSet(n.sibling, nil)
-		n.doomed = make([]bool, g.Pat.NumPositions())
-		for _, pa := range mine {
-			for _, pb := range theirs {
+		g.mine = leafSet(n, g.mine[:0])
+		g.theirs = leafSet(n.sibling, g.theirs[:0])
+		n.doomed = slices.Grow(n.doomed[:0], g.Pat.NumPositions())[:g.Pat.NumPositions()]
+		clear(n.doomed)
+		for _, pa := range g.mine {
+			for _, pb := range g.theirs {
 				pc := g.Pat.Pair(pa, pb)
 				n.joins = append(n.joins, match.Check{PosN: pa, PosO: pb, PC: pc})
 				n.doomed[pa] = n.doomed[pa] || pc.Rel == pattern.RelBefore
@@ -151,19 +181,19 @@ func (g *Engine) compileJoins(n *node) {
 // tuples are probed by tuples inserted at its sibling, so the place is
 // indexed on an equality predicate of the sibling's join table, if it has
 // one.
-func (g *Engine) placeStores(n *node, indexed bool) {
+func (g *Engine) placeStores(n *node) {
 	if n == nil {
 		return
 	}
 	if n != g.root {
 		var key match.EqKey
-		if indexed {
+		if !g.unindexed {
 			key = match.EqKeyOf(n.sibling.joins)
 		}
 		n.store = g.Store.NewPlace(key, false) // nothing offers to a node
 	}
-	g.placeStores(n.left, indexed)
-	g.placeStores(n.right, indexed)
+	g.placeStores(n.left)
+	g.placeStores(n.right)
 }
 
 // Plan returns the tree plan in effect.
