@@ -520,15 +520,14 @@ func (in *Ingress) dropRegen(p uint32, seq uint64) bool {
 	return ok && seq <= born
 }
 
-// Open decodes a sealed tag in place (Enc into M, kept by k, whose step
-// is the tags of one Seq): the one decode of a match's life, and the
+// Open decodes a sealed tag in place (Enc into M, kept by k, whose slab's
+// matches share their events): the one decode of a match's life, and the
 // emission boundary is the only place for it — this ingress handing a
 // match to its consumer, or a consumer of sealed tags
 // (NewSealedIngress) doing so later. The reader's decode checked these
 // bytes when they arrived (tagsOf), so an error is a fault of the
 // coordinator, not of the worker that sent them.
 func Open(t *shard.Tagged, k *match.Keeper) error {
-	k.StepTo(t.Seq)
 	m, err := wire.DecodeMatchBody(t.Enc, k)
 	if err != nil {
 		return fmt.Errorf("match at %d of shard %d does not decode at emission: %w", t.Seq, t.Src, err)

@@ -88,7 +88,8 @@ type Config struct {
 	// an empty snapshot (the paper's "default, empty Stat").
 	InitialStats func(*pattern.Pattern) *stats.Snapshot
 	// OnMatch receives every detected match: the callback's to keep unless
-	// OwnedEmit says otherwise, its events read-only (shared: match.Keeper).
+	// OwnedEmit says otherwise, its events read-only (the matches kept in
+	// one slab share their events: match.Keeper).
 	OnMatch func(*match.Match)
 	// ExternalEvents declares that the caller owns the events' storage:
 	// every event pointer handed to Process stays valid, unchanged, until
@@ -342,9 +343,6 @@ func (e *Engine) ProcessMasked(ev *event.Event, mask uint32) {
 		return
 	}
 	if e.arena != nil {
-		if e.keep != nil {
-			e.keep.Step() // before the release: no block recycles mid-step
-		}
 		if e.arena.Full() {
 			e.arena.Release(e.Floor())
 		}

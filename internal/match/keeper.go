@@ -1,9 +1,13 @@
 package match
 
-import "acep/internal/event"
+import (
+	"math"
+
+	"acep/internal/event"
+)
 
 // A Keeper's slab sizes, in elements, and its sharing table's.
-const keptEvents, keptAttrs, keptPtrs, keptSets, keptMatches, keptSeen = 256, 1024, 1024, 256, 128, 256
+const keptEvents, keptAttrs, keptPtrs, keptSets, keptMatches, keptSeen = 256, 1024, 1024, 256, 128, 1024
 
 // Keeper is the one way a match leaves reusable storage for a consumer
 // that may keep it: copied out of an owner's blocks (Keep) or decoded off
@@ -11,43 +15,30 @@ const keptEvents, keptAttrs, keptPtrs, keptSets, keptMatches, keptSeen = 256, 10
 // attribute values, pointer slices, Kleene tables, Match structs — that
 // are never reused or grown: a full slab is replaced by a new one.
 //
-// Within one step — the matches one processed event emits, or the decoded
-// records that share one tag — each source event is copied once, shared
-// by every match holding it: delivered events are read-only. A replaced
-// slab starts a new step, so a kept match lies in one slab of each kind,
-// the most it can pin. One goroutine at a time uses a keeper; what it
-// handed out may be read on any.
+// One sharing rule holds on both sides: while the event slab holding a
+// copy is current, the copy is shared by every match holding an event of
+// equal bits — Seq, type, timestamp and attribute bits — since delivered
+// events are read-only. Replacing the event or the attribute slab empties
+// the sharing table, so a kept match lies in one slab of each kind, the
+// most it can pin. One goroutine at a time uses a keeper; what it handed
+// out may be read on any.
 type Keeper struct {
 	evs   []event.Event
 	attrs []float64
 	ptrs  []*event.Event
 	sets  [][]*event.Event
 	ms    []Match
-	// seen is the step's sharing table, indexed by the source's Seq and
-	// valid where gen is the keeper's, so a step empties it by bumping gen.
+	// seen is the sharing table, indexed by Seq and valid where gen is
+	// the keeper's, so replacing a slab empties it by bumping gen.
 	seen [keptSeen]struct {
-		gen       uint64
-		src, kept *event.Event
+		gen  uint64
+		kept *event.Event
 	}
 	gen uint64
-	tag uint64 // the decode side's step (StepTo)
 }
 
-// Step starts a new step. An owner steps once per processed event: the
-// source pointers Keep shares on cannot be recycled within one.
-func (k *Keeper) Step() { k.gen++ }
-
-// StepTo starts a new step unless tag is the current one: the decode
-// side's step is the run of records that share one tag Seq.
-func (k *Keeper) StepTo(tag uint64) {
-	if tag != k.tag {
-		k.tag = tag
-		k.Step()
-	}
-}
-
-// Keep returns a copy of m in the keeper's slabs, sharing this step's
-// copies of the same source pointers (a stream may leave Seq at 0).
+// Keep returns a copy of m in the keeper's slabs, sharing the copies the
+// current slab holds of events with equal bits.
 func (k *Keeper) Keep(m *Match) *Match {
 	evs, attrs, ptrs := 0, 0, len(m.Events)
 	count := func(set []*event.Event) {
@@ -76,38 +67,56 @@ func (k *Keeper) Keep(m *Match) *Match {
 	return c
 }
 
-// intern fills dst with this step's copies of src's events.
+// intern fills dst with the current slab's copies of src's events.
 func (k *Keeper) intern(dst, src []*event.Event) {
 	for i, ev := range src {
 		if ev == nil {
 			continue
 		}
-		if e := &k.seen[ev.Seq%keptSeen]; e.gen == k.gen && e.src == ev {
-			dst[i] = e.kept
+		if c := k.Kept(ev.Seq); c != nil && c.Type == ev.Type && c.TS == ev.TS && sameBits(c.Attrs, ev.Attrs) {
+			dst[i] = c
 			continue
 		}
 		dst[i] = k.Alloc(ev.Type, ev.TS, ev.Seq, len(ev.Attrs))
 		copy(dst[i].Attrs, ev.Attrs)
-		k.seen[ev.Seq%keptSeen].src = ev
 	}
+}
+
+// sameBits reports whether a and b hold the same attribute bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Match returns a new match with this many positions, all nil, having
 // made room for at most this many events, attribute values and pointers
 // (Events and Kleene members) to fill it with: a slab that lacks it is
-// replaced, and the step with it.
+// replaced.
 func (k *Keeper) Match(positions, events, attrs, ptrs int) *Match {
-	if room(k.evs) < events || room(k.attrs) < attrs || room(k.ptrs) < ptrs {
-		renew(&k.evs, events, keptEvents)
-		renew(&k.attrs, attrs, keptAttrs)
-		renew(&k.ptrs, ptrs, keptPtrs)
-		k.Step()
-	}
+	k.reserve(events, attrs)
+	renew(&k.ptrs, ptrs, keptPtrs)
 	m := &carve(&k.ms, 1, keptMatches)[0]
 	if positions > 0 {
 		m.Events = k.Set(positions)
 	}
 	return m
+}
+
+// reserve makes room for this many events and attribute values. Replacing
+// either slab empties the sharing table: a match shares only copies in
+// the slabs its own copies go to.
+func (k *Keeper) reserve(events, attrs int) {
+	ev, at := renew(&k.evs, events, keptEvents), renew(&k.attrs, attrs, keptAttrs)
+	if ev || at {
+		k.gen++
+	}
 }
 
 // Table returns a Kleene table of n sets, all nil.
@@ -121,8 +130,9 @@ func (k *Keeper) Set(n int) []*event.Event {
 	return carve(&k.ptrs, n, keptPtrs)
 }
 
-// Kept returns this step's copy of an event decoded with sequence number
-// seq, nil if none; the caller compares the rest.
+// Kept returns the current slab's last copy of an event with sequence
+// number seq, nil if none. The caller shares it only if the type, the
+// timestamp and the attribute bits are equal too.
 func (k *Keeper) Kept(seq uint64) *event.Event {
 	if e := &k.seen[seq%keptSeen]; e.gen == k.gen && e.kept != nil && e.kept.Seq == seq {
 		return e.kept
@@ -131,22 +141,26 @@ func (k *Keeper) Kept(seq uint64) *event.Event {
 }
 
 // Alloc stores an event for the caller to fill the attribute values of,
-// as this step's copy of seq.
+// as the current slab's copy of seq.
 func (k *Keeper) Alloc(typ int, ts event.Time, seq uint64, nattrs int) *event.Event {
+	k.reserve(1, nattrs)
 	ev := &carve(&k.evs, 1, keptEvents)[0]
 	*ev = event.Event{Type: typ, TS: ts, Seq: seq, Attrs: carve(&k.attrs, nattrs, keptAttrs)}
 	e := &k.seen[seq%keptSeen]
-	e.gen, e.src, e.kept = k.gen, nil, ev
+	e.gen, e.kept = k.gen, ev
 	return ev
 }
 
 func room[T any](s []T) int { return cap(s) - len(s) }
 
-// renew replaces a slab without room for n more by a new one.
-func renew[T any](s *[]T, n, size int) {
+// renew replaces a slab without room for n more by a new one, and
+// reports whether it did.
+func renew[T any](s *[]T, n, size int) bool {
 	if room(*s) < n {
 		*s = make([]T, 0, max(n, size))
+		return true
 	}
+	return false
 }
 
 // carve hands out the slab's next n elements.

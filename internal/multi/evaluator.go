@@ -20,7 +20,8 @@ import (
 type Options struct {
 	// OnMatch receives every match, tagged with the emitting pattern's
 	// id. Required. The match is the callback's to keep unless OwnedEmit
-	// says otherwise, its events read-only (shared: match.Keeper).
+	// says otherwise, its events read-only (the matches kept in one slab
+	// share their events: match.Keeper).
 	OnMatch func(id uint32, m *match.Match)
 	// OwnedEmit declares that OnMatch reads each match synchronously and
 	// retains nothing of it (encode or copy inside): see
@@ -472,9 +473,6 @@ func (v *Evaluator) Process(e *event.Event) {
 	v.watermark = e.TS
 	v.epoch++
 	if v.arena != nil {
-		if v.keep != nil {
-			v.keep.Step() // before the release: no block recycles mid-step
-		}
 		if v.arena.Full() {
 			v.arena.Release(v.Floor())
 		}

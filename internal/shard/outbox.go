@@ -6,9 +6,10 @@ import "acep/internal/match"
 // Options.EncodeMatch, the slab their Enc slices alias. The worker fills
 // one per cut that emits and posts it as a run; the collector hands it
 // back (Release) after the last of the tags, and the worker refills it —
-// so after the first few cuts a worker allocates neither, the slab having
-// grown to the widest cut so far. An append that outgrows the slab moves
-// it; the tags already made keep the old array alive and valid.
+// so after the first few cuts a worker allocates neither. A new box starts
+// as wide as the widest cut the worker has posted, instead of doubling up
+// to it; a reused one keeps what it has. An append that outgrows the slab
+// moves it; the tags already made keep the old array alive and valid.
 type outbox struct {
 	tags []Tagged
 	enc  []byte
@@ -37,7 +38,7 @@ func (b *outbox) Release() {
 }
 
 // box returns an empty outbox: a returned one if any waits, else a new
-// one. Worker goroutine.
+// one with room for the widest cut posted so far. Worker goroutine.
 func (w *worker) box() *outbox {
 	w.boxMu.Lock()
 	defer w.boxMu.Unlock()
@@ -48,5 +49,5 @@ func (w *worker) box() *outbox {
 		return b
 	}
 	w.made++
-	return &outbox{home: w}
+	return &outbox{home: w, tags: make([]Tagged, 0, w.wide.tags), enc: make([]byte, 0, w.wide.enc)}
 }

@@ -59,8 +59,8 @@
 // timestamps replayed into a live session are all safe by construction:
 // a block waits for the worker that holds it. Nothing leaves a worker
 // pointing into a block — a match is serialised (Options.EncodeMatch) or
-// kept (match.Keeper: the matches one event completes share a read-only
-// copy of each event) as it is tagged, so a delivered match stays valid.
+// kept (match.Keeper: the matches kept in one slab share a read-only copy
+// of each event) as it is tagged, so a delivered match stays valid.
 //
 // What a cut's matches leave the worker in — the tag slice and, under
 // EncodeMatch, the slab the encoded bodies sit in (an outbox) — has one
@@ -261,10 +261,12 @@ type worker struct {
 
 	// Outboxes back from the collector (see outbox), waiting to be refilled:
 	// the collector goroutine puts, the worker takes. made counts the ones
-	// this worker ever made.
+	// this worker ever made; wide is the widest cut it posted, in tags and
+	// encoded bytes (worker goroutine).
 	boxMu   sync.Mutex
 	boxFree []*outbox
 	made    int
+	wide    struct{ tags, enc int }
 
 	// Latency estimators, owned by the worker goroutine; read by
 	// Metrics/ShardMetrics after Finish.
@@ -295,6 +297,7 @@ func (w *worker) post(col *Collector, upTo uint64) {
 		col.Post(w.id, upTo, nil)
 		return
 	}
+	w.wide.tags, w.wide.enc = max(w.wide.tags, len(w.out.tags)), max(w.wide.enc, len(w.out.enc))
 	col.PostRun(w.id, upTo, w.out.tags, w.out)
 	w.out = nil
 }
@@ -352,7 +355,6 @@ func (w *worker) flushEmits() {
 		w.out = w.box() // the cut's first match
 	}
 	out := w.out
-	w.keep.Step()
 	for _, s := range w.scratch {
 		t := Tagged{Seq: w.curSeq, Src: w.id, Pattern: s.pat}
 		if w.encode != nil {

@@ -166,7 +166,6 @@ func TestDecodeArenaMigrationFreeze(t *testing.T) {
 	for _, b := range batches {
 		v := decodeOne(t, r, br, b)
 		for _, ev := range v.Events {
-			keep.Step()
 			g.Process(ev)
 		}
 		held = append(held, arena.Take())

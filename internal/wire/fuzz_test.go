@@ -134,7 +134,7 @@ func FuzzDecode(f *testing.F) {
 // accept exactly the same bytes — so a body that passed the reader cannot
 // fail at emission — and what decodes re-encodes to the bytes it came
 // from, so carrying the worker's bytes and carrying the match are the
-// same thing. Each input is decoded twice into one keeper, in one step:
+// same thing. Each input is decoded twice into one keeper, in one slab:
 // the second decode shares the first one's events, and re-encodes to the
 // input too.
 func FuzzCheckMatchBody(f *testing.F) {

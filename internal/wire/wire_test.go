@@ -544,11 +544,11 @@ func TestMatchBodyCanonical(t *testing.T) {
 	}
 }
 
-// TestDecodeSharesOnlyEqualEvents: within a step a decode shares the copy
-// its keeper holds of an event with the same Seq only when the type, the
+// TestDecodeSharesOnlyEqualEvents: a decode shares the copy its keeper's
+// current slab holds of an event with the same Seq only when the type, the
 // timestamp and the attribute bits are the same too — so every decoded
 // body re-encodes to its own bytes, whatever was decoded before it — and a
-// new step shares nothing.
+// new slab shares nothing.
 func TestDecodeSharesOnlyEqualEvents(t *testing.T) {
 	base := event.Event{Type: 1, TS: 10, Seq: 7, Attrs: []float64{1.5, 0}}
 	variant := func(f func(*event.Event)) event.Event {
@@ -570,24 +570,21 @@ func TestDecodeSharesOnlyEqualEvents(t *testing.T) {
 		}
 		return m
 	}
-	k.StepTo(1)
 	first := decode(base).Events[0]
-	k.StepTo(1) // the same tag: the same step
 	if again := decode(base).Events[0]; again != first {
-		t.Fatal("one step decoded two copies of one event")
+		t.Fatal("one slab decoded two copies of one event")
 	}
-	k.StepTo(2)
+	k.Match(0, 1<<12, 0, 0) // more room than the slab has: a new one
 	if decode(base).Events[0] == first {
-		t.Fatal("a new step shares the last step's copy")
+		t.Fatal("a new slab shares the last slab's copy")
 	}
-	for i, e := range []event.Event{
+	for _, e := range []event.Event{
 		variant(func(e *event.Event) { e.Attrs[1] = math.Copysign(0, -1) }), // == 0, other bits
 		variant(func(e *event.Event) { e.Attrs[0] = 2.5 }),
 		variant(func(e *event.Event) { e.Attrs = e.Attrs[:1] }),
 		variant(func(e *event.Event) { e.Type = 2 }),
 		variant(func(e *event.Event) { e.TS = 11 }),
 	} {
-		k.StepTo(uint64(3 + i))
 		if kept := decode(base).Events[0]; decode(e).Events[0] == kept {
 			t.Errorf("%v shares the copy of %v, the event with its Seq", e, base)
 		}
