@@ -223,8 +223,12 @@ func TestKeeperOutlivesSource(t *testing.T) {
 	}
 }
 
-// TestKeeperAllocs: a keeper allocates per slab, not per match — a
-// three-event match costs a few hundredths of an object.
+// TestKeeperAllocs: a keeper allocates per slab, not per match.
+// Unshared, every kept match holds three events of new Seq, so each event
+// and attribute value is copied: a three-event match costs a few
+// hundredths of an object. Shared, one match kept over and over copies its
+// events once a slab, leaving match headers and pointers: about one
+// hundredth.
 func TestKeeperAllocs(t *testing.T) {
 	evs := blockEvents(4)[1:] // one, two and three attribute values
 	var b Block
@@ -232,19 +236,31 @@ func TestKeeperAllocs(t *testing.T) {
 		b.Intern(&evs[i])
 	}
 	m := &Match{Events: []*event.Event{b.At(0), b.At(1), b.At(2)}}
-	var k Keeper
-	const n = 1000
-	var c *Match
-	avg := testing.AllocsPerRun(10, func() {
-		for i := 0; i < n; i++ {
-			c = k.Keep(m)
+	for _, tc := range []struct {
+		shared bool
+		want   float64
+	}{{false, 0.04}, {true, 0.015}} {
+		var k Keeper
+		const n = 1000
+		var c *Match
+		seq := uint64(0)
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < n; i++ {
+				if !tc.shared {
+					for _, ev := range m.Events {
+						seq++
+						ev.Seq = seq
+					}
+				}
+				c = k.Keep(m)
+			}
+		})
+		if per := avg / n; per > tc.want {
+			t.Errorf("a kept three-event match (shared %v) allocated %.3f objects, want at most %.3f", tc.shared, per, tc.want)
 		}
-	})
-	if per := avg / n; per > 0.04 {
-		t.Errorf("a kept three-event match allocated %.3f objects, want at most 0.04", per)
-	}
-	if !reflect.DeepEqual(c.Events[2].Attrs, evs[2].Attrs) {
-		t.Fatalf("kept match reads %v", *c.Events[2])
+		if !reflect.DeepEqual(c.Events[2].Attrs, evs[2].Attrs) || c.Events[2].Seq != m.Events[2].Seq {
+			t.Fatalf("kept match reads %v, want %v", *c.Events[2], *m.Events[2])
+		}
 	}
 }
 

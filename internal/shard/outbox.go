@@ -7,9 +7,10 @@ import "acep/internal/match"
 // one per cut that emits and posts it as a run; the collector hands it
 // back (Release) after the last of the tags, and the worker refills it —
 // so after the first few cuts a worker allocates neither. A new box starts
-// as wide as the widest cut the worker has posted, instead of doubling up
-// to it; a reused one keeps what it has. An append that outgrows the slab
-// moves it; the tags already made keep the old array alive and valid.
+// as wide as the widest cut the worker has posted, in tags and in encoded
+// bytes, instead of doubling up to it; a reused one keeps what it has. An
+// append that outgrows the slab moves it; the tags already made keep the
+// old array alive and valid.
 type outbox struct {
 	tags []Tagged
 	enc  []byte

@@ -101,6 +101,31 @@ func TestOutboxAllocs(t *testing.T) {
 	}
 }
 
+// TestOutboxStartsAtWidestCut: a worker's new outbox has room for the tags
+// and the encoded bytes of the widest cut it has posted, not of the last,
+// so a cut that wide fills it without regrowing either.
+func TestOutboxStartsAtWidestCut(t *testing.T) {
+	w := &worker{id: 1}
+	c := NewCollector(2, func(Tagged) {}, nil)
+	defer c.Close()
+	seq := uint64(0)
+	post := func(n int) {
+		w.out = w.box()
+		for i := 0; i < n; i++ {
+			seq++
+			w.out.tags = append(w.out.tags, Tagged{Seq: seq, Src: 1, M: &match.Match{}})
+			w.out.enc = append(w.out.enc, make([]byte, 100)...)
+		}
+		w.post(c, seq+1) // held: shard 0 has not moved
+	}
+	post(300)
+	post(100)
+	b := w.box()
+	if w.made != 3 || cap(b.tags) < 300 || cap(b.enc) < 300*100 {
+		t.Fatalf("new outbox %d of %d has room for %d tags and %d bytes, want the widest cut's 300 and 30,000", w.made, 3, cap(b.tags), cap(b.enc))
+	}
+}
+
 // TestOutboxReturnsOnPurge: an outbox whose tags the collector purges
 // (Migrate) or never takes (a stale poster) goes back to its worker like
 // one whose tags were delivered.

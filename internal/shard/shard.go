@@ -253,8 +253,8 @@ type worker struct {
 	// pointing into a block.
 	curSeq  uint64
 	scratch []scratchMatch
-	out     *outbox // the open cut's; nil until its first match
-	keep    match.Keeper
+	out     *outbox       // the open cut's; nil until its first match
+	keep    *match.Keeper // what a match leaves in, unless encode
 
 	encode func(dst []byte, m *match.Match) []byte
 	mfree  []*match.Match // pooled scratch copies
@@ -592,6 +592,9 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 	}
 	for s := 0; s < e.nshards; s++ {
 		w := &worker{id: s, in: make(chan cut, queue), encode: opts.EncodeMatch}
+		if w.encode == nil {
+			w.keep = &match.Keeper{}
+		}
 		w.held.SetPool(e.pool)
 		w.eval, err = multi.NewEvaluator(set, multi.Options{
 			OnMatch:     w.emit,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"acep/internal/engine"
@@ -368,48 +369,81 @@ func BenchmarkControlFrames(b *testing.B) {
 
 // TestMatchDecodeAllocs pins what the decode side allocates: a decoded
 // match lies in a keeper's slabs (match.Keeper), so decoding allocates per
-// slab, not per match. Over a thousand decodes of one body, sharing its
-// events while a slab lasts, a three-event match costs want objects, and
-// a Kleene match's table, sets and members come out of the same slabs.
-// Checking a body allocates nothing, and a decoded match re-encodes to
-// the bytes it came from.
+// slab, not per match. Unshared, each of a thousand bodies holds events of
+// their own Seq, so every event and attribute value is copied: a
+// three-event match costs at most want objects, and a Kleene match's
+// table, sets and members come out of the same slabs. Shared, one body
+// decoded a thousand times copies its events once a slab, so what is left
+// is match headers, pointers and tables: at most shared objects. Checking
+// a body allocates nothing, and a decoded match re-encodes to the bytes
+// it came from.
 func TestMatchDecodeAllocs(t *testing.T) {
-	evs := benchBatch(16).Events
-	ptr := func(is ...int) []*event.Event {
-		out := make([]*event.Event, len(is))
-		for k, i := range is {
-			out[k] = &evs[i]
-		}
-		return out
-	}
+	base := benchBatch(16).Events
 	for name, tc := range map[string]struct {
-		m    *match.Match
-		want float64
+		idx          [][]int // the events at each position; nil is a nil entry
+		kleene       bool    // positions past the first two are Kleene sets
+		want, shared float64
 	}{
-		"three events": {&match.Match{Events: ptr(0, 1, 2)}, 0.04},
-		"kleene": {&match.Match{
-			Events: []*event.Event{&evs[0], nil, nil, &evs[9]},
-			Kleene: [][]*event.Event{nil, ptr(1, 2, 3, 4, 5), ptr(6, 7, 8), nil},
-		}, 0.15},
+		"three events": {idx: [][]int{{0}, {1}, {2}}, want: 0.04, shared: 0.015},
+		"kleene":       {idx: [][]int{{0}, {1, 2, 3, 4, 5}, {6, 7, 8}, {9}}, kleene: true, want: 0.15, shared: 0.05},
 	} {
-		b := AppendMatchBody(nil, tc.m)
-		var k match.Keeper
-		var got *match.Match
-		const n = 1000
-		avg := testing.AllocsPerRun(10, func() {
-			for i := 0; i < n; i++ {
-				var err error
-				if got, err = DecodeMatchBody(b, &k); err != nil {
-					t.Fatal(err)
+		// body encodes the case's match over base's events with Seq
+		// shifted by shift.
+		body := func(shift uint64) []byte {
+			evs := slices.Clone(base)
+			for i := range evs {
+				evs[i].Seq += shift
+			}
+			m := &match.Match{Events: make([]*event.Event, len(tc.idx))}
+			if tc.kleene {
+				m.Kleene = make([][]*event.Event, len(tc.idx))
+			}
+			for p, is := range tc.idx {
+				if !tc.kleene || p == 0 || p == len(tc.idx)-1 {
+					m.Events[p] = &evs[is[0]]
+					continue
+				}
+				for _, i := range is {
+					m.Kleene[p] = append(m.Kleene[p], &evs[i])
 				}
 			}
-		})
-		if avg/n > tc.want {
-			t.Errorf("%s: decoding allocated %.3f objects a match, want at most %.2f", name, avg/n, tc.want)
+			return AppendMatchBody(nil, m)
 		}
-		if again := AppendMatchBody(nil, got); !bytes.Equal(again, b) {
-			t.Errorf("%s: the decoded match re-encodes to other bytes", name)
+		const n = 1000
+		for _, shared := range []bool{false, true} {
+			// Unshared: 1,000 bodies of distinct events, more than the
+			// sharing table's entries and a slab's events, so no run of
+			// AllocsPerRun finds a copy the last one made.
+			bodies := make([][]byte, n)
+			for i := range bodies {
+				if shared {
+					bodies[i] = body(0)
+				} else {
+					bodies[i] = body(uint64(i * len(base)))
+				}
+			}
+			var k match.Keeper
+			var got *match.Match
+			avg := testing.AllocsPerRun(10, func() {
+				for _, b := range bodies {
+					var err error
+					if got, err = DecodeMatchBody(b, &k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			want := tc.want
+			if shared {
+				want = tc.shared
+			}
+			if avg/n > want {
+				t.Errorf("%s (shared %v): decoding allocated %.3f objects a match, want at most %.3f", name, shared, avg/n, want)
+			}
+			if again := AppendMatchBody(nil, got); !bytes.Equal(again, bodies[n-1]) {
+				t.Errorf("%s (shared %v): the decoded match re-encodes to other bytes", name, shared)
+			}
 		}
+		b := body(0)
 		if avg := testing.AllocsPerRun(100, func() {
 			if err := CheckMatchBody(b); err != nil {
 				t.Fatal(err)
