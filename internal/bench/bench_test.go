@@ -116,6 +116,36 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestTable1Pinned holds Table 1's d_avg, bit for bit, on every combo and
+// size 4..8 at a small scale: A's trace over the warm-up prefix's
+// statistics does not depend on how the prefix is replayed.
+func TestTable1Pinned(t *testing.T) {
+	want := map[string][]float64{ // sizes 4..8
+		"traffic/greedy":  {2.7320671844762123, 2.1004748738175008, 3.146180908930388, 5.398079485853838, 5.89003712905649},
+		"traffic/zstream": {0.0810738105822968, 0.20906551517178681, 0.40095560825072096, 0.1069591224043602, 0.05281471688602083},
+		"stocks/greedy":   {0.13432997317410633, 0.0890061965260734, 0.10010343920181741, 0.2575097280453982, 0.22509376713374651},
+		"stocks/zstream":  {0.12052114075603482, 0.005152406323179576, 0.061915180300057826, 0.10176523692837197, 0.20462332014857348},
+	}
+	sc := tinyScale()
+	sc.Sizes = []int{4, 5, 6, 7, 8}
+	h := NewHarness(sc)
+	f5 := &Fig5Data{Ds: []float64{0.1}, Throughput: [][]float64{{1}}}
+	for _, c := range Combos() {
+		rows, err := h.Table1(c, f5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(sc.Sizes) {
+			t.Fatalf("%v: %d rows, want %d", c, len(rows), len(sc.Sizes))
+		}
+		for i, r := range rows {
+			if r.Size != sc.Sizes[i] || r.DAvg != want[c.String()][i] {
+				t.Errorf("%v size %d: d_avg %v, want %v at size %d", c, r.Size, r.DAvg, want[c.String()][i], sc.Sizes[i])
+			}
+		}
+	}
+}
+
 func TestMethodsAndFigurePrinting(t *testing.T) {
 	h := NewHarness(tinyScale())
 	c := Combos()[0]
