@@ -27,7 +27,6 @@ func (h *Harness) AblationK(c Combo, size int, ks []int, d float64) ([]AblationK
 	}
 	var rows []AblationKRow
 	for _, k := range ks {
-		k := k
 		res, err := h.RunBest(c, pat, func() core.Policy { return &core.Invariant{K: k, D: d} }, 2)
 		if err != nil {
 			return nil, err
@@ -71,7 +70,6 @@ func (h *Harness) AblationSelector(c Combo, size int, d float64) ([]AblationSele
 	}
 	var rows []AblationSelectorRow
 	for _, s := range selectors {
-		s := s
 		res, err := h.RunBest(c, pat, func() core.Policy {
 			return &core.Invariant{D: d, Select: s.sel}
 		}, 2)

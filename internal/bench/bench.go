@@ -91,18 +91,19 @@ func DefaultScale() Scale {
 	}
 }
 
-// Workload generates (and caches per harness) the dataset for a combo.
-func (s Scale) workload(dataset string) *gen.Workload {
+// workload generates a dataset; keys > 0 adds a partition-key attribute
+// (see keyedWorkload).
+func (s Scale) workload(dataset string, keys int) *gen.Workload {
 	switch dataset {
 	case "traffic":
 		return gen.Traffic(gen.TrafficConfig{
 			Types: s.Types, Events: s.Events, Seed: s.Seed, MeanGap: 2,
-			Skew: 1.2, Shifts: 3,
+			Skew: 1.2, Shifts: 3, Keys: keys,
 		})
 	case "stocks":
 		return gen.Stocks(gen.StocksConfig{
 			Types: s.Types, Events: s.Events, Seed: s.Seed, MeanGap: 2,
-			DriftEvery: 400, DriftMag: 0.12,
+			DriftEvery: 400, DriftMag: 0.12, Keys: keys,
 		})
 	default:
 		panic("bench: unknown dataset " + dataset)
@@ -189,7 +190,7 @@ func (h *Harness) initialStats(dataset string, pat *pattern.Pattern) *stats.Snap
 func (h *Harness) Workload(dataset string) *gen.Workload {
 	w, ok := h.workloads[dataset]
 	if !ok {
-		w = h.Scale.workload(dataset)
+		w = h.Scale.workload(dataset, 0)
 		h.workloads[dataset] = w
 	}
 	return w
@@ -200,13 +201,11 @@ func (h *Harness) Pattern(c Combo, kind gen.Kind, size int) (*pattern.Pattern, e
 	return h.Workload(c.Dataset).Pattern(kind, size, h.Scale.Window)
 }
 
-// Run measures one full pass of the combo's dataset through an adaptive
-// engine with the given pattern and policy factory. Every run (any
-// policy) starts from the same initial plan, built from exact statistics
-// over the stream's first 5%.
-func (h *Harness) Run(c Combo, pat *pattern.Pattern, newPolicy func() core.Policy) (Result, error) {
-	w := h.Workload(c.Dataset)
-	eng, err := engine.New(pat, engine.Config{
+// config is the engine configuration of every Run: the combo's model,
+// the policy, and the initial plan built from exact statistics over the
+// stream's first 5%, whatever the policy.
+func (h *Harness) config(c Combo, newPolicy func() core.Policy) engine.Config {
+	return engine.Config{
 		Model:      c.Model,
 		NewPolicy:  newPolicy,
 		CheckEvery: h.Scale.CheckEvery,
@@ -214,7 +213,14 @@ func (h *Harness) Run(c Combo, pat *pattern.Pattern, newPolicy func() core.Polic
 			return h.initialStats(c.Dataset, sub)
 		},
 		OnMatch: func(*match.Match) {},
-	})
+	}
+}
+
+// Run measures one full pass of the combo's dataset through an adaptive
+// engine with the given pattern and policy factory.
+func (h *Harness) Run(c Combo, pat *pattern.Pattern, newPolicy func() core.Policy) (Result, error) {
+	w := h.Workload(c.Dataset)
+	eng, err := engine.New(pat, h.config(c, newPolicy))
 	if err != nil {
 		return Result{}, err
 	}

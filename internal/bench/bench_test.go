@@ -146,6 +146,64 @@ func TestTable1Pinned(t *testing.T) {
 	}
 }
 
+// TestDecisionsMatchEngines: the decisions do not depend on the
+// evaluators. On every fig6–9 cell at a small scale — each combo, kind and
+// size 3..5, under the four compared methods and the meta-invariant — an
+// evaluator-free run (engine.Decisions) counts the events, late drops, D's
+// calls, A's runs and the replacements the engine counts.
+func TestDecisionsMatchEngines(t *testing.T) {
+	sc := tinyScale()
+	sc.Events, sc.Sizes = 12000, []int{3, 4, 5}
+	h := NewHarness(sc)
+	methods := map[string]func() core.Policy{
+		"meta-invariant": func() core.Policy { return &core.MetaInvariant{} },
+	}
+	for _, name := range MethodNames() {
+		newPolicy, err := core.PolicyFromString(name, 0.3, 0.1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		methods[name] = newPolicy
+	}
+	type counts struct{ Events, LateDropped, DecisionCalls, PlanGenerations, Reoptimizations uint64 }
+	of := func(m engine.Metrics) counts {
+		return counts{m.Events, m.LateDropped, m.DecisionCalls, m.PlanGenerations, m.Reoptimizations}
+	}
+	var reopts uint64
+	for _, c := range Combos() {
+		w := h.Workload(c.Dataset)
+		for _, kind := range gen.Kinds() {
+			for _, size := range sc.Sizes {
+				pat, err := h.Pattern(c, kind, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, newPolicy := range methods {
+					eng, err := engine.New(pat, h.config(c, newPolicy))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range w.Events {
+						eng.Process(&w.Events[i])
+					}
+					eng.Finish()
+					m, err := engine.Decisions(pat, h.config(c, newPolicy), w.Events, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := of(m), of(eng.Metrics()); got != want {
+						t.Errorf("%v %v size %d %s: Decisions %+v, engine %+v", c, kind, size, name, got, want)
+					}
+					reopts += m.Reoptimizations
+				}
+			}
+		}
+	}
+	if reopts == 0 {
+		t.Fatal("no cell replaced a plan")
+	}
+}
+
 func TestMethodsAndFigurePrinting(t *testing.T) {
 	h := NewHarness(tinyScale())
 	c := Combos()[0]

@@ -6,8 +6,6 @@ import (
 	"acep/internal/core"
 	"acep/internal/engine"
 	"acep/internal/gen"
-	"acep/internal/planner"
-	"acep/internal/stats"
 )
 
 // DefaultDGrid is the invariant-distance sweep of Figure 5.
@@ -38,7 +36,6 @@ func (h *Harness) Fig5(c Combo, ds []float64) (*Fig5Data, error) {
 			if err != nil {
 				return nil, err
 			}
-			d := d
 			res, err := h.RunBest(c, pat, func() core.Policy { return &core.Invariant{D: d} }, 3)
 			if err != nil {
 				return nil, err
@@ -92,23 +89,22 @@ func (h *Harness) Table1(c Combo, f5 *Fig5Data) ([]Table1Row, error) {
 			return nil, err
 		}
 		w := h.Workload(c.Dataset)
-		est, err := stats.NewEstimator(pat, stats.Config{})
-		if err != nil {
-			return nil, err
-		}
 		warm := len(w.Events) / 10
 		if warm < 1000 {
 			warm = len(w.Events) / 2
 		}
-		for i := 0; i < warm; i++ {
-			est.Observe(&w.Events[i])
+		// One check, at the prefix's last event, under a policy that runs
+		// A at every check.
+		var davg float64
+		_, err = engine.Decisions(pat, engine.Config{
+			Model: c.Model, CheckEvery: warm,
+			NewPolicy: func() core.Policy { return core.Unconditional{} },
+		}, w.Events[:warm], func(ck *engine.Check) {
+			davg = ck.Trace.AvgRelDiffTightest(ck.Snapshot)
+		})
+		if err != nil {
+			return nil, err
 		}
-		// The estimator's snapshot, read before its next-but-one Snapshot
-		// call; this one takes no other.
-		snap := est.Snapshot(w.Events[warm-1].TS)
-		alg := algorithmFor(c)
-		res := alg.Generate(pat, snap)
-		davg := res.Trace.AvgRelDiffTightest(snap)
 		q := 0.0
 		if davg > 0 && dopt > 0 {
 			q = davg / dopt
@@ -149,7 +145,6 @@ func (h *Harness) ScanThreshold(c Combo, grid []float64) (float64, error) {
 	}
 	best, bestTp := grid[0], -1.0
 	for _, t := range grid {
-		t := t
 		res, err := h.RunBest(c, pat, func() core.Policy { return &core.Threshold{T: t} }, 3)
 		if err != nil {
 			return 0, err
@@ -236,12 +231,4 @@ func (m *MethodsData) Avg() [][]Result {
 		}
 	}
 	return out
-}
-
-// algorithmFor maps the combo to its plan generation algorithm.
-func algorithmFor(c Combo) planner.Algorithm {
-	if c.Model == engine.ZStreamTree {
-		return planner.ZStream{}
-	}
-	return planner.Greedy{}
 }

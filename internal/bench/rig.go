@@ -68,21 +68,7 @@ func (h *Harness) keyedWorkload(dataset string, keys int) *gen.Workload {
 	if w, ok := h.workloads[name]; ok {
 		return w
 	}
-	var w *gen.Workload
-	switch dataset {
-	case "traffic":
-		w = gen.Traffic(gen.TrafficConfig{
-			Types: h.Scale.Types, Events: h.Scale.Events, Seed: h.Scale.Seed,
-			MeanGap: 2, Skew: 1.2, Shifts: 3, Keys: keys,
-		})
-	case "stocks":
-		w = gen.Stocks(gen.StocksConfig{
-			Types: h.Scale.Types, Events: h.Scale.Events, Seed: h.Scale.Seed,
-			MeanGap: 2, DriftEvery: 400, DriftMag: 0.12, Keys: keys,
-		})
-	default:
-		panic("bench: unknown dataset " + dataset)
-	}
+	w := h.Scale.workload(dataset, keys)
 	h.workloads[name] = w
 	return w
 }

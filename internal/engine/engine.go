@@ -25,7 +25,6 @@ import (
 	"acep/internal/match"
 	"acep/internal/pattern"
 	"acep/internal/plan"
-	"acep/internal/planner"
 	"acep/internal/shed"
 	"acep/internal/stats"
 )
@@ -201,11 +200,8 @@ func (m Metrics) StatShare(total time.Duration) float64 {
 
 // Merge folds another engine's metrics into m: counters add, peaks take
 // the maximum. The shard layer uses it to aggregate per-shard engines
-// into one stream-wide view.
-func (m *Metrics) Merge(o Metrics) { m.add(o) }
-
-// add merges per-runner metrics.
-func (m *Metrics) add(o Metrics) {
+// into one stream-wide view, and an engine its runners'.
+func (m *Metrics) Merge(o Metrics) {
 	m.Events += o.Events
 	m.Matches += o.Matches
 	m.LateDropped += o.LateDropped
@@ -269,25 +265,8 @@ type Engine struct {
 
 // New builds an adaptive engine for the pattern.
 func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 500
-	}
-	// A, the plan generation algorithm, is the model's (paper §4.1, §4.2);
-	// each runner's builds into scratch of its own.
-	var newAlg func(*planner.Scratch) planner.Algorithm
-	switch cfg.Model {
-	case GreedyNFA:
-		newAlg = func(sc *planner.Scratch) planner.Algorithm { return planner.Greedy{Scratch: sc} }
-	case ZStreamTree:
-		newAlg = func(sc *planner.Scratch) planner.Algorithm { return planner.ZStream{Scratch: sc} }
-	default:
-		return nil, fmt.Errorf("engine: unknown model %v", cfg.Model)
-	}
-	newPolicy := cfg.NewPolicy
-	if newPolicy == nil {
-		newPolicy = func() core.Policy { return &core.Invariant{} }
-	}
-	e := &Engine{}
+	cfg.settle()
+	e := &Engine{split: pat.Op == pattern.Or}
 	if !cfg.ExternalEvents {
 		// The engine owns the events' storage: it interns once, releases on
 		// its own Floor, and keeps what leaves — a match the evaluators
@@ -300,16 +279,12 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 		}
 		cfg.OwnedEmit = true
 	}
-	subs := []*pattern.Pattern{pat}
-	if pat.Op == pattern.Or {
-		subs = pat.Subs
-		e.split = true
-	}
-	for _, sub := range subs {
-		r, err := newRunner(sub, cfg, newAlg, newPolicy())
-		if err != nil {
+	for _, sub := range disjuncts(pat) {
+		r := &runner{}
+		if err := r.init(sub, cfg, cfg.NewPolicy()); err != nil {
 			return nil, err
 		}
+		r.cur = r.buildEvaluator(r.curPlan)
 		e.runners = append(e.runners, r)
 	}
 	sh, err := shed.New(cfg.Shedding, pat, e)
@@ -317,10 +292,6 @@ func New(pat *pattern.Pattern, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.shedder = sh
-	for _, r := range e.runners {
-		_, static := r.policy.(core.Static)
-		r.unread = static && sh == nil
-	}
 	return e, nil
 }
 
@@ -392,7 +363,7 @@ func (e *Engine) Finish() {
 func (e *Engine) Metrics() Metrics {
 	m := e.metrics
 	for _, r := range e.runners {
-		m.add(r.snapshotMetrics())
+		m.Merge(r.snapshotMetrics())
 	}
 	return m
 }

@@ -185,7 +185,7 @@ func TestUnconditionalRunsAEveryCheck(t *testing.T) {
 	}
 }
 
-// TestStaticCheaperDecisions: static never calls A after initialization.
+// TestStaticDecisionAccounting: static never calls A after initialization.
 func TestStaticDecisionAccounting(t *testing.T) {
 	w := gen.Traffic(TrafficSmall())
 	pat, _ := w.Pattern(gen.Sequence, 3, 60)
@@ -295,8 +295,8 @@ func TestMigrationSeedsResiduals(t *testing.T) {
 // TestMetricsAggregation sanity-checks counters.
 func TestMetricsAggregation(t *testing.T) {
 	var m Metrics
-	m.add(Metrics{Events: 1, Matches: 2, PeakPMs: 5, Reoptimizations: 1})
-	m.add(Metrics{Events: 2, PeakPMs: 3})
+	m.Merge(Metrics{Events: 1, Matches: 2, PeakPMs: 5, Reoptimizations: 1})
+	m.Merge(Metrics{Events: 2, PeakPMs: 3})
 	if m.Events != 3 || m.Matches != 2 || m.PeakPMs != 5 || m.Reoptimizations != 1 {
 		t.Fatalf("%+v", m)
 	}

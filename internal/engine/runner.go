@@ -3,50 +3,25 @@ package engine
 import (
 	"time"
 
-	"acep/internal/core"
 	"acep/internal/event"
 	"acep/internal/match"
 	"acep/internal/nfa"
-	"acep/internal/pattern"
 	"acep/internal/plan"
-	"acep/internal/planner"
-	"acep/internal/stats"
 	"acep/internal/tree"
 )
 
-// runner is the detection-adaptation loop of one (non-OR) pattern.
+// runner is the detection-adaptation loop of one (non-OR) pattern: the
+// decision loop it embeds and the evaluators that carry out its
+// decisions.
 type runner struct {
-	pat    *pattern.Pattern
-	cfg    Config
-	alg    planner.Algorithm // builds into scratch
-	policy core.Policy
-	est    *stats.Estimator
-	// scratch holds what alg's last run returned: the trace, valid until
-	// the next run, so the policy installs it at once; and the plan, which
-	// is copied out before it is deployed.
-	scratch planner.Scratch
+	loop
 
 	cur      evaluator
-	curPlan  plan.Plan
 	draining []drainingEngine
 	// spare is the evaluator that retired last, its counters folded in:
 	// the next replacement re-plans it in place, plan included, and only
 	// a replacement that finds none builds an evaluator.
 	spare evaluator
-
-	watermark  event.Time
-	lastSeq    uint64
-	sinceCheck int
-	// lastSnap is the most recent adaptation-check snapshot, the
-	// estimator's: unchanged until the check after the next one.
-	lastSnap *stats.Snapshot
-	// unread: nothing reads the statistics — the policy is core.Static,
-	// which decides without them, and no shedder asks for LastSnapshots —
-	// so the loop neither gathers nor refreshes them.
-	unread bool
-
-	metrics Metrics
-	retired match.Stats // counters accumulated from retired evaluators
 }
 
 // drainingEngine is a pre-migration evaluator still serving matches that
@@ -56,32 +31,6 @@ type drainingEngine struct {
 	// retireAt is the watermark past which no match owned by this
 	// evaluator can still complete (migration time + window).
 	retireAt event.Time
-}
-
-// newRunner builds the loop of one pattern; newAlg makes its plan
-// generator over the runner's scratch.
-func newRunner(pat *pattern.Pattern, cfg Config, newAlg func(*planner.Scratch) planner.Algorithm, policy core.Policy) (*runner, error) {
-	est, err := stats.NewEstimator(pat, cfg.Stats)
-	if err != nil {
-		return nil, err
-	}
-	r := &runner{pat: pat, cfg: cfg, policy: policy, est: est}
-	r.alg = newAlg(&r.scratch)
-	// The initial snapshot may be shared with other engines: the loop only
-	// reads it.
-	var initial *stats.Snapshot
-	if cfg.InitialStats != nil {
-		initial = cfg.InitialStats(pat)
-	}
-	if initial == nil {
-		initial = stats.NewSnapshot(pat.NumPositions())
-	}
-	res := r.alg.Generate(pat, initial)
-	r.metrics.PlanGenerations++
-	r.cur = r.buildEvaluator(res.Plan.Clone())
-	r.curPlan = r.cur.Plan()
-	r.policy.Install(res.Trace, initial)
-	return r, nil
 }
 
 // buildEvaluator builds an evaluator for p, which it keeps.
@@ -106,19 +55,8 @@ func (r *runner) buildEvaluator(p plan.Plan) evaluator {
 }
 
 func (r *runner) process(ev *event.Event, mask uint32) {
-	r.metrics.Events++
-	if ev.TS < r.watermark {
-		// The evaluation structures index their buffers by timestamp
-		// order; a late event cannot be inserted consistently. Drop it
-		// and account for it — callers that need late tolerance should
-		// reorder with the stream package first.
-		r.metrics.LateDropped++
+	if !r.observe(ev) {
 		return
-	}
-	r.lastSeq = ev.Seq
-	r.watermark = ev.TS
-	if !r.unread {
-		r.est.Observe(ev)
 	}
 
 	// Drain pre-migration evaluators; retire those whose era has closed.
@@ -127,7 +65,7 @@ func (r *runner) process(ev *event.Event, mask uint32) {
 		for _, d := range r.draining {
 			if r.watermark > d.retireAt {
 				d.eval.Advance(r.watermark) // final flush of parked matches
-				r.accumulate(d.eval)
+				r.metrics.fold(d.eval)
 				r.spare = d.eval
 				continue
 			}
@@ -143,60 +81,16 @@ func (r *runner) process(ev *event.Event, mask uint32) {
 
 	r.cur.ProcessMasked(ev, mask)
 
-	r.sinceCheck++
-	if r.sinceCheck >= r.cfg.CheckEvery {
-		r.sinceCheck = 0
+	if r.due() {
 		r.adaptationCheck()
 	}
 }
 
-// adaptationCheck is one iteration of the optimizer side of Algorithm 1:
-// refresh statistics, consult D, possibly run A and deploy.
+// adaptationCheck runs the loop's check and deploys the plan it returns.
 func (r *runner) adaptationCheck() {
-	var snap *stats.Snapshot
-	if !r.unread {
-		t0 := time.Now()
-		snap = r.est.Snapshot(r.watermark)
-		r.lastSnap = snap
-		r.metrics.StatTime += time.Since(t0)
+	if p, _ := r.check(); p != nil {
+		r.migrate(p)
 	}
-
-	t1 := time.Now()
-	should := r.policy.ShouldReoptimize(snap)
-	r.metrics.DecisionTime += time.Since(t1)
-	r.metrics.DecisionCalls++
-	if !should {
-		return
-	}
-
-	t2 := time.Now()
-	res := r.alg.Generate(r.pat, snap)
-	curCost := r.curPlan.Cost(snap)
-	newCost := res.Plan.Cost(snap)
-	better := !res.Plan.Equal(r.curPlan) && newCost < curCost
-	r.metrics.PlanTime += time.Since(t2)
-	r.metrics.PlanGenerations++
-
-	// Meta-adaptive policies (§3.4(3)) learn from the attempt's outcome.
-	if obs, ok := r.policy.(core.OutcomeObserver); ok {
-		gain := 0.0
-		if better && curCost > 0 {
-			gain = (curCost - newCost) / curCost
-		}
-		obs.ObserveOutcome(gain)
-	}
-
-	// Whether or not the plan is deployed, the policy re-anchors on the
-	// fresh trace and statistics (paper §3.2: a violation invalidates the
-	// current invariants; the threshold baseline likewise resets after a
-	// reoptimization attempt). It does so now: the trace lives in the
-	// scratch the next run refills.
-	r.policy.Install(res.Trace, snap)
-	if !better {
-		return
-	}
-	r.migrate(res.Plan)
-	r.metrics.Reoptimizations++
 }
 
 // migrate deploys a copy of p using the §2.2 protocol. The current
@@ -230,21 +124,20 @@ func (r *runner) migrate(p plan.Plan) {
 	r.metrics.MigrateTime += time.Since(t0)
 }
 
-// accumulate folds a retired evaluator's counters into the runner.
-func (r *runner) accumulate(ev evaluator) {
-	st := ev.Stats()
-	r.retired.PMCreated += st.PMCreated
-	r.retired.PredEvals += st.PredEvals
-	r.retired.Suppressed += st.Suppressed
-	if st.PeakPMs > r.retired.PeakPMs {
-		r.retired.PeakPMs = st.PeakPMs
-	}
+// fold adds an evaluator's counters to m: a retired one's to the loop's
+// metrics, the live ones' to a copy of those.
+func (m *Metrics) fold(ev evaluator) {
+	s := ev.Stats()
+	m.PMCreated += s.PMCreated
+	m.PredEvals += s.PredEvals
+	m.Suppressed += s.Suppressed
+	m.PeakPMs = max(m.PeakPMs, s.PeakPMs)
 }
 
 func (r *runner) finish() {
 	for _, d := range r.draining {
 		d.eval.Finish()
-		r.accumulate(d.eval)
+		r.metrics.fold(d.eval)
 	}
 	r.draining, r.spare = nil, nil
 	r.cur.Finish()
@@ -253,21 +146,9 @@ func (r *runner) finish() {
 // snapshotMetrics combines loop metrics with evaluator counters.
 func (r *runner) snapshotMetrics() Metrics {
 	m := r.metrics
-	m.PMCreated = r.retired.PMCreated
-	m.PredEvals = r.retired.PredEvals
-	m.Suppressed = r.retired.Suppressed
-	m.PeakPMs = r.retired.PeakPMs
-	add := func(st match.Stats) {
-		m.PMCreated += st.PMCreated
-		m.PredEvals += st.PredEvals
-		m.Suppressed += st.Suppressed
-		if st.PeakPMs > m.PeakPMs {
-			m.PeakPMs = st.PeakPMs
-		}
-	}
-	add(r.cur.Stats())
+	m.fold(r.cur)
 	for _, d := range r.draining {
-		add(d.eval.Stats())
+		m.fold(d.eval)
 	}
 	return m
 }
