@@ -43,7 +43,6 @@ package acep
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"acep/internal/cluster"
@@ -214,8 +213,8 @@ func ShardPartitionable(p *Pattern, s *Schema, attr string) error {
 // and merges the node match streams into one deterministic, ordered
 // output that is byte-identical to the single-process sharded engine's
 // for key-partitionable patterns. Nodes are either spawned in-process
-// (ClusterConfig.Nodes, each behind a loopback socket) or connected over TCP
-// (ClusterConfig.Connect, workers started with cmd/acep-node). See
+// (ClusterConfig.Local, each behind a loopback socket) or connected over
+// TCP (ClusterConfig.Remote, workers started with cmd/acep-node). See
 // DESIGN.md ("Distributed execution").
 type (
 	// ClusterIngress is the cluster coordinator: Process events, Finish,
@@ -251,24 +250,14 @@ type (
 )
 
 // ClusterConfig assembles a distributed cluster behind one ingress.
+// Exactly one of Local and Remote says where the workers run.
 type ClusterConfig struct {
-	// Connect lists the TCP addresses of running worker nodes (started
-	// with cmd/acep-node, which must serve the same pattern and schema —
-	// the handshake verifies fingerprints). When empty, Nodes in-process
-	// workers are spawned instead.
-	Connect []string
-	// Nodes is the in-process worker count (default 2; refused with
-	// Connect set).
-	Nodes int
-	// ShardsPerNode is each in-process node's shard-engine count
-	// (default 1; remote nodes choose their own via acep-node -shards,
-	// so it is refused with Connect set).
-	ShardsPerNode int
+	// Local spawns the workers in-process, each behind a loopback socket.
+	Local *ClusterLocal
+	// Remote drives running TCP workers.
+	Remote *ClusterRemote
 	// Batch is the events-per-cut of the ingress (default 256).
 	Batch int
-	// QueueCap bounds each in-process node's per-shard ingestion queue
-	// in events (see ShardedConfig.QueueCap; refused with Connect set).
-	QueueCap int
 	// KeyAttr + Schema (or a custom Key) select the partition key, with
 	// the same partitionability validation as NewShardedEngine.
 	KeyAttr string
@@ -292,91 +281,83 @@ type ClusterConfig struct {
 	OnTagged func(TaggedMatch)
 	// Recover enables fault-tolerant failover: the ingress journals its
 	// cuts and, when a worker dies, hands the lost shard block to a
-	// standby — dialed from Standby in Connect mode, or spawned
-	// in-process (at most StandbyNodes, default 2) otherwise — which
-	// replays the journaled history and suppresses already-delivered
-	// matches, keeping the output stream exactly the healthy one. Without
-	// Recover a node failure surfaces as an error from Finish.
-	Recover bool
-	// Standby lists TCP addresses of standby workers (bare acep-node
-	// processes work: the pattern ships in the handshake), dialed lazily
-	// at failover time. Connect mode only.
-	Standby []string
-	// StandbyNodes bounds in-process standby spawning (local mode).
-	StandbyNodes int
+	// standby — dialed from Remote.Standby, or one of at most two spawned
+	// in-process under Local — which replays the journaled history and
+	// suppresses already-delivered matches, keeping the output stream
+	// exactly the healthy one. Nil: a node failure surfaces as an error
+	// from Finish.
+	Recover *ClusterRecovery
+}
+
+// ClusterLocal runs a cluster's workers in-process: Nodes of them
+// (default 2), each running ShardsPerNode shard engines (default 1)
+// behind ingestion queues of QueueCap events (see ShardedConfig.QueueCap),
+// every engine configured by Engine exactly as by NewShardedEngine.
+type ClusterLocal struct {
+	Nodes, ShardsPerNode, QueueCap int
+	Engine                         Config
+}
+
+// ClusterRemote names running TCP workers, started with cmd/acep-node.
+// Each configures its own engines and shard count, and serves the same
+// pattern and schema (the handshake verifies fingerprints). Standby
+// workers are dialed lazily at failover time (bare acep-node processes
+// work: the pattern ships in the handshake); they need Recover, and
+// Recover over Remote needs at least one.
+type ClusterRemote struct {
+	Connect, Standby []string
+}
+
+// ClusterRecovery holds the settings that only apply with failover.
+type ClusterRecovery struct {
 	// HeartbeatTimeout declares a silent node dead even without a
 	// transport error (0: transport errors only).
 	HeartbeatTimeout time.Duration
-	// Elastic, when non-nil, enables and tunes the placement controller
-	// (requires Recover).
+	// Elastic, when non-nil, enables and tunes the placement controller.
 	Elastic *ClusterElastic
 }
 
 // NewClusterIngress builds a distributed cluster ingress for the
-// pattern. cfg configures the engines of in-process nodes exactly like
-// NewShardedEngine's engine config. These combinations are refused with
-// an error naming the field: a recovery setting (HeartbeatTimeout,
-// Standby, StandbyNodes) without Recover, Standby without Connect,
-// StandbyNodes with Connect, Recover over Connect without a Standby, and
-// an in-process node setting (Nodes, ShardsPerNode, QueueCap, a non-zero
-// cfg) with Connect, where each remote worker owns its engines.
+// pattern. It refuses a config that sets both or neither of Local and
+// Remote, and one whose Remote.Standby list disagrees with Recover.
 //
-//	ing, err := acep.NewClusterIngress(pattern, acep.Config{}, acep.ClusterConfig{
-//		Nodes:         3,
-//		ShardsPerNode: 2,
-//		KeyAttr:       "key",
-//		Schema:        w.Schema,
-//		OnMatch:       func(m *acep.Match) { ... },
+//	ing, err := acep.NewClusterIngress(pattern, acep.ClusterConfig{
+//		Local:   &acep.ClusterLocal{Nodes: 3, ShardsPerNode: 2},
+//		KeyAttr: "key",
+//		Schema:  w.Schema,
+//		OnMatch: func(m *acep.Match) { ... },
 //	})
 //	for i := range events { ing.Process(&events[i]) }
 //	err = ing.Finish()
-func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngress, error) {
-	local := len(cc.Connect) == 0
-	const remote = "configures in-process nodes (each Connect worker configures its own engines)"
-	for _, f := range []struct {
-		name, why string
-		bad       bool
-	}{
-		{"HeartbeatTimeout", "needs Recover", !cc.Recover && cc.HeartbeatTimeout != 0},
-		{"Standby", "needs Recover", !cc.Recover && len(cc.Standby) > 0},
-		{"StandbyNodes", "needs Recover", !cc.Recover && cc.StandbyNodes != 0},
-		{"Standby", "needs Connect (in-process standbys are StandbyNodes)", local && len(cc.Standby) > 0},
-		{"StandbyNodes", "is for in-process nodes (Connect dials Standby)", !local && cc.StandbyNodes != 0},
-		{"Standby", "needs at least one address for Recover over Connect", !local && cc.Recover && len(cc.Standby) == 0},
-		{"Nodes", remote, !local && cc.Nodes != 0},
-		{"ShardsPerNode", remote, !local && cc.ShardsPerNode != 0},
-		{"QueueCap", remote, !local && cc.QueueCap != 0},
-	} {
-		if f.bad {
-			return nil, fmt.Errorf("acep: ClusterConfig.%s %s", f.name, f.why)
-		}
+func NewClusterIngress(p *Pattern, cc ClusterConfig) (*ClusterIngress, error) {
+	switch r := cc.Remote; {
+	case (cc.Local == nil) == (r == nil):
+		return nil, fmt.Errorf("acep: ClusterConfig needs exactly one of Local and Remote")
+	case r != nil && cc.Recover != nil && len(r.Standby) == 0:
+		return nil, fmt.Errorf("acep: ClusterConfig.Recover over Remote needs Remote.Standby addresses (a bare acep-node works)")
+	case r != nil && cc.Recover == nil && len(r.Standby) > 0:
+		return nil, fmt.Errorf("acep: ClusterConfig.Remote.Standby needs Recover")
 	}
-	if !local && !reflect.ValueOf(cfg).IsZero() {
-		return nil, fmt.Errorf("acep: a non-zero engine Config %s", remote)
-	}
-	// Local and Connect modes differ only in where the node connections
-	// and the standbys come from.
+	// Local and Remote differ only in where the node connections and the
+	// standbys come from.
 	var conns []cluster.Conn
 	var standby func() (cluster.Conn, error)
 	var err error
-	if local {
-		nodes, standbys := cc.Nodes, cc.StandbyNodes
+	if l := cc.Local; l != nil {
+		nodes := l.Nodes
 		if nodes <= 0 {
 			nodes = 2
 		}
-		if standbys <= 0 {
-			standbys = 2
-		}
 		nc := cluster.NodeConfig{
-			Pattern: p, Schema: cc.Schema, Engine: cfg,
-			Shards: cc.ShardsPerNode, Batch: cc.Batch, QueueCap: cc.QueueCap,
+			Pattern: p, Schema: cc.Schema, Engine: l.Engine,
+			Shards: l.ShardsPerNode, Batch: cc.Batch, QueueCap: l.QueueCap,
 			Key: cc.Key, KeyAttr: cc.KeyAttr,
 		}
 		conns, err = cluster.Spawn(nodes, nc, nil)
-		standby = cluster.SpawnStandbys(standbys, nc)
+		standby = cluster.SpawnStandbys(2, nc)
 	} else {
-		conns, err = cluster.Dial(cc.Connect)
-		standby = cluster.DialStandbys(cc.Standby)
+		conns, err = cluster.Dial(cc.Remote.Connect)
+		standby = cluster.DialStandbys(cc.Remote.Standby)
 	}
 	if err != nil {
 		return nil, err
@@ -390,15 +371,34 @@ func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngres
 		OnTagged: cc.OnTagged,
 		Patterns: cc.Patterns,
 		Tenants:  cc.Tenants,
-		Elastic:  cc.Elastic,
 	}
-	if cc.Recover {
+	if rc := cc.Recover; rc != nil {
 		opts.Recovery = &cluster.RecoveryConfig{
 			Standby:          standby,
-			HeartbeatTimeout: cc.HeartbeatTimeout,
+			HeartbeatTimeout: rc.HeartbeatTimeout,
+			Elastic:          rc.Elastic,
 		}
 	}
 	return cluster.NewIngress(p, conns, opts)
+}
+
+// HAConfig assembles a replicated coordinator pair. The pair hosts one
+// pattern, partitioned by KeyAttr, over running TCP workers.
+type HAConfig struct {
+	// Remote lists the workers, and the standby pool that worker
+	// failover and takeover share.
+	Remote ClusterRemote
+	// Batch is the events-per-cut and the replication unit (default 256).
+	Batch int
+	// KeyAttr + Schema select the partition key.
+	KeyAttr string
+	Schema  *Schema
+	// Exactly one of OnMatch and OnTagged receives the delivered stream.
+	OnMatch  func(*Match)
+	OnTagged func(TaggedMatch)
+	// HeartbeatTimeout declares a silent worker dead even without a
+	// transport error (0: transport errors only).
+	HeartbeatTimeout time.Duration
 }
 
 // NewHAIngress builds a replicated coordinator pair over running TCP
@@ -407,51 +407,35 @@ func NewClusterIngress(p *Pattern, cfg Config, cc ClusterConfig) (*ClusterIngres
 // replication link, and can assume every worker on primary death with
 // the delivered stream byte-identical to an unkilled run. Matches
 // arrive through OnMatch (or OnTagged) exactly as with
-// NewClusterIngress; ClusterConfig.Standby seeds the shared worker
-// standby pool. The pair hosts p alone, partitioned by KeyAttr, and
-// refuses a config that sets Patterns, Tenants, Elastic or Key rather
-// than run without them.
+// NewClusterIngress.
 //
-//	ing, err := acep.NewHAIngress(pattern, acep.ClusterConfig{
-//		Connect: []string{"host1:7001", "host2:7001"},
+//	ing, err := acep.NewHAIngress(pattern, acep.HAConfig{
+//		Remote:  acep.ClusterRemote{Connect: []string{"host1:7001", "host2:7001"}},
 //		KeyAttr: "key",
 //		Schema:  w.Schema,
 //		OnMatch: func(m *acep.Match) { ... },
 //	})
-func NewHAIngress(p *Pattern, cc ClusterConfig) (*HAIngress, error) {
-	if len(cc.Connect) == 0 {
-		return nil, fmt.Errorf("acep: NewHAIngress needs Connect worker addresses (in-process nodes share the coordinator's fate)")
+func NewHAIngress(p *Pattern, hc HAConfig) (*HAIngress, error) {
+	if len(hc.Remote.Connect) == 0 {
+		return nil, fmt.Errorf("acep: NewHAIngress needs Remote.Connect worker addresses (in-process nodes share the coordinator's fate)")
 	}
-	if (cc.OnMatch == nil) == (cc.OnTagged == nil) {
+	if (hc.OnMatch == nil) == (hc.OnTagged == nil) {
 		return nil, fmt.Errorf("acep: NewHAIngress needs exactly one of OnMatch and OnTagged")
 	}
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"Patterns", len(cc.Patterns) > 0},
-		{"Tenants", len(cc.Tenants) > 0},
-		{"Elastic", cc.Elastic != nil},
-		{"Key", cc.Key != nil},
-	} {
-		if f.set {
-			return nil, fmt.Errorf("acep: NewHAIngress does not support ClusterConfig.%s (the pair hosts one pattern, partitioned by KeyAttr)", f.name)
-		}
-	}
-	onTagged := cc.OnTagged
+	onTagged := hc.OnTagged
 	if onTagged == nil {
-		om := cc.OnMatch
+		om := hc.OnMatch
 		onTagged = func(t TaggedMatch) { om(t.M) }
 	}
 	return ha.New(ha.Config{
 		Pattern:          p,
-		Schema:           cc.Schema,
-		KeyAttr:          cc.KeyAttr,
-		Batch:            cc.Batch,
-		Workers:          cc.Connect,
-		Standbys:         cc.Standby,
+		Schema:           hc.Schema,
+		KeyAttr:          hc.KeyAttr,
+		Batch:            hc.Batch,
+		Workers:          hc.Remote.Connect,
+		Standbys:         hc.Remote.Standby,
 		OnTagged:         onTagged,
-		HeartbeatTimeout: cc.HeartbeatTimeout,
+		HeartbeatTimeout: hc.HeartbeatTimeout,
 	})
 }
 

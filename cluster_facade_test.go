@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"acep"
 	"acep/internal/cluster"
@@ -71,19 +70,22 @@ func TestFacadeCluster(t *testing.T) {
 		name string
 		cc   acep.ClusterConfig
 	}{
-		{"1 node x 1 shard", acep.ClusterConfig{Nodes: 1, ShardsPerNode: 1}},
-		{"2 nodes x 2 shards", acep.ClusterConfig{Nodes: 2, ShardsPerNode: 2}},
-		{"3 nodes x 1 shard", acep.ClusterConfig{Nodes: 3, ShardsPerNode: 1}},
-		{"Connect", acep.ClusterConfig{Connect: []string{listen(false), listen(false)}}},
-		{"local Recover", acep.ClusterConfig{Nodes: 2, ShardsPerNode: 2, Recover: true}},
+		{"1 node x 1 shard", acep.ClusterConfig{Local: &acep.ClusterLocal{Nodes: 1, ShardsPerNode: 1}}},
+		{"2 nodes x 2 shards", acep.ClusterConfig{Local: &acep.ClusterLocal{Nodes: 2, ShardsPerNode: 2}}},
+		{"3 nodes x 1 shard", acep.ClusterConfig{Local: &acep.ClusterLocal{Nodes: 3, ShardsPerNode: 1}}},
+		{"Connect", acep.ClusterConfig{Remote: &acep.ClusterRemote{Connect: []string{listen(false), listen(false)}}}},
+		{"local Recover", acep.ClusterConfig{
+			Local: &acep.ClusterLocal{Nodes: 2, ShardsPerNode: 2}, Recover: &acep.ClusterRecovery{},
+		}},
 		{"Connect Recover", acep.ClusterConfig{
-			Connect: []string{listen(false), listen(false)}, Recover: true, Standby: []string{listen(true)},
+			Remote:  &acep.ClusterRemote{Connect: []string{listen(false), listen(false)}, Standby: []string{listen(true)}},
+			Recover: &acep.ClusterRecovery{},
 		}},
 	} {
 		var got []string
 		c.cc.Batch, c.cc.KeyAttr, c.cc.Schema = 16, "person_id", schema
 		c.cc.OnMatch = func(m *acep.Match) { got = append(got, m.Key()) }
-		ing, err := acep.NewClusterIngress(pat, acep.Config{}, c.cc)
+		ing, err := acep.NewClusterIngress(pat, c.cc)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -103,32 +105,31 @@ func TestFacadeCluster(t *testing.T) {
 	}
 }
 
-// TestFacadeClusterConfigGates: NewClusterIngress refuses every setting
-// the chosen mode would otherwise drop without a word, naming it. Each row
+// TestFacadeClusterConfigGates: NewClusterIngress refuses the
+// combinations its types cannot rule out, naming the fields. Each row
 // fails before anything is spawned or dialed.
 func TestFacadeClusterConfigGates(t *testing.T) {
 	schema, pat, _ := personPattern(t)
 	connect := []string{"127.0.0.1:1"}
 	for _, c := range []struct {
 		name string
-		cfg  acep.Config
 		cc   acep.ClusterConfig
 		want string // in the error
 	}{
-		{"HeartbeatTimeout without Recover", acep.Config{}, acep.ClusterConfig{HeartbeatTimeout: time.Second}, "ClusterConfig.HeartbeatTimeout"},
-		{"Standby without Recover", acep.Config{}, acep.ClusterConfig{Connect: connect, Standby: connect}, "ClusterConfig.Standby"},
-		{"StandbyNodes without Recover", acep.Config{}, acep.ClusterConfig{StandbyNodes: 1}, "ClusterConfig.StandbyNodes"},
-		{"Standby without Connect", acep.Config{}, acep.ClusterConfig{Recover: true, Standby: connect}, "ClusterConfig.Standby"},
-		{"StandbyNodes with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, Recover: true, Standby: connect, StandbyNodes: 1}, "ClusterConfig.StandbyNodes"},
-		{"Recover over Connect without Standby", acep.Config{}, acep.ClusterConfig{Connect: connect, Recover: true}, "ClusterConfig.Standby"},
-		{"Nodes with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, Nodes: 2}, "ClusterConfig.Nodes"},
-		{"ShardsPerNode with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, ShardsPerNode: 2}, "ClusterConfig.ShardsPerNode"},
-		{"QueueCap with Connect", acep.Config{}, acep.ClusterConfig{Connect: connect, QueueCap: 64}, "ClusterConfig.QueueCap"},
-		{"engine Config with Connect", acep.Config{CheckEvery: 100}, acep.ClusterConfig{Connect: connect}, "engine Config"},
+		{"neither Local nor Remote", acep.ClusterConfig{}, "exactly one of Local and Remote"},
+		{"both Local and Remote", acep.ClusterConfig{
+			Local: &acep.ClusterLocal{}, Remote: &acep.ClusterRemote{Connect: connect},
+		}, "exactly one of Local and Remote"},
+		{"Standby without Recover", acep.ClusterConfig{
+			Remote: &acep.ClusterRemote{Connect: connect, Standby: connect},
+		}, "Remote.Standby needs Recover"},
+		{"Recover over Remote without Standby", acep.ClusterConfig{
+			Remote: &acep.ClusterRemote{Connect: connect}, Recover: &acep.ClusterRecovery{},
+		}, "Recover over Remote needs Remote.Standby"},
 	} {
 		c.cc.KeyAttr, c.cc.Schema = "person_id", schema
 		c.cc.OnMatch = func(*acep.Match) {}
-		_, err := acep.NewClusterIngress(pat, c.cfg, c.cc)
+		_, err := acep.NewClusterIngress(pat, c.cc)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
 		}
@@ -145,8 +146,8 @@ func TestFacadeClusterRejectsUnpartitionable(t *testing.T) {
 	pb.Event(a)
 	pb.Event(b) // no WhereEq: matches may span persons
 	pat := pb.MustBuild()
-	_, err := acep.NewClusterIngress(pat, acep.Config{}, acep.ClusterConfig{
-		Nodes:   2,
+	_, err := acep.NewClusterIngress(pat, acep.ClusterConfig{
+		Local:   &acep.ClusterLocal{Nodes: 2},
 		KeyAttr: "person_id",
 		Schema:  schema,
 	})

@@ -28,7 +28,8 @@
 // produces. Remote nodes configure their own engines, so with -connect
 // acep-run refuses the engine flags it shares with acep-node (-model,
 // -policy, -t, -d, -k, -check, -shed*, -shards, -queue-cap, -overflow;
-// declared once in internal/cli). Each -batch cut is
+// declared once in internal/cli). Likewise every flag below that the
+// chosen mode would not read is refused, naming it. Each -batch cut is
 // delta-encoded once and decoded once, in place, into the node's event
 // arena (see DESIGN.md "Wire-to-match data flow"), so batch size trades
 // latency against per-event framing overhead without extra copies:
@@ -39,7 +40,7 @@
 // Fault tolerance: -recover journals the ingress's cuts and fails a
 // dead worker's shard block over to a standby — -standby TCP addresses
 // in -connect mode (bare acep-node processes, no -in needed), or up to
-// -standbys in-process spares in -nodes mode — replaying the journaled
+// two in-process spares in -nodes mode — replaying the journaled
 // window so the delivered match stream stays exactly the healthy one:
 //
 //	acep-node -listen 127.0.0.1:7190 &   # bare standby
@@ -68,9 +69,9 @@
 //
 // Elasticity (built on the same journal): -rebalance lets the ingress
 // migrate hot shards between live workers by the events it routed to
-// each shard since the last move, -join admits fresh bare workers mid-run
-// (the controller hands them shards), and -drain gracefully empties a
-// worker slot:
+// each shard since the last move, -join admits fresh bare workers a
+// quarter into the stream (the controller hands them shards), and -drain
+// gracefully empties a worker slot halfway through:
 //
 //	acep-node -listen 127.0.0.1:7190 &   # bare worker, joins mid-run
 //	acep-run -in keyed.csv -connect 127.0.0.1:7101,127.0.0.1:7102 -recover \
@@ -96,6 +97,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -114,46 +116,89 @@ import (
 	"acep/internal/stream"
 )
 
+// options are acep-run's flags.
+type options struct {
+	in, connect, keyAttr, standby, haStandby, haLease, chaosSpec *string
+	joinStr, patset, tenantBud, mempro                           *string
+	nodes, batch, haKill, drainSlot                              *int
+	recoverOn, haFlag, rebalance, verbose                        *bool
+
+	buildPat func(*gen.Workload) (*pattern.Pattern, error)
+	engFlags *cli.Engine
+}
+
+// declare defines acep-run's flags on fs.
+func declare(fs *flag.FlagSet) *options {
+	return &options{
+		in:        fs.String("in", "", "input CSV (required; see acep-gen)"),
+		buildPat:  cli.PatternFlags(fs),
+		engFlags:  cli.EngineFlags(fs),
+		nodes:     fs.Int("nodes", 0, "run an in-process cluster of this many worker nodes, -shards engines each"),
+		connect:   fs.String("connect", "", "comma-separated TCP addresses of acep-node workers to drive instead of local engines"),
+		batch:     fs.Int("batch", 0, "events per shard handoff batch (0 = default)"),
+		keyAttr:   fs.String("key", "key", "partition-key attribute for -shards > 1"),
+		recoverOn: fs.Bool("recover", false, "enable fault-tolerant failover (cut journal + standby migration)"),
+		standby:   fs.String("standby", "", "comma-separated TCP addresses of standby nodes for -recover with -connect, or the worker standby pool of -ha"),
+		haFlag:    fs.Bool("ha", false, "replicate the coordinator: hot-standby ingress with byte-identical takeover (needs -connect)"),
+		haKill:    fs.Int("ha-kill-after", -1, "kill the primary coordinator after this many events (takeover demo; needs -ha)"),
+		haStandby: fs.String("standby-addr", "", "out-of-process coordinator standby address (acep-standby) for -ha; empty spawns the mirror in-process"),
+		haLease:   fs.String("lease-addr", "", "emission-lease arbiter address for -ha; empty spawns the pair's own on loopback"),
+		chaosSpec: fs.String("chaos", "", "inject deterministic faults on the -ha replication link, e.g. seed=7,drop=0.01,delay=0.2:2ms (see internal/chaos)"),
+		rebalance: fs.Bool("rebalance", false, "enable the placement controller: move shards off the worker routed the most events (needs -recover)"),
+		joinStr:   fs.String("join", "", "comma-separated TCP addresses of bare acep-node workers to admit a quarter into the stream (needs -recover and -connect)"),
+		drainSlot: fs.Int("drain", -1, "gracefully drain this worker slot halfway through the stream (needs -recover)"),
+		patset:    fs.String("patternset", "", "pattern-set spec file (acep-gen -patterns): evaluate the whole set with shared sub-pattern evaluation (-kind/-size/-window ignored)"),
+		tenantBud: fs.String("tenant-budget", "", "per-tenant admission budgets tenant=rate[:burst],... in events per logical second (a single pattern bills to tenant 0; needs -shards or a cluster mode)"),
+		mempro:    fs.String("memprofile", "", "write a heap profile after the run to this file (pprof)"),
+		verbose:   fs.Bool("v", false, "print every match"),
+	}
+}
+
+// refuse names the first flag set on fs that the run's mode would not
+// read: every engine flag under -connect, where each acep-node
+// configures its own engines, and each row of the table below.
+func (o *options) refuse(fs *flag.FlagSet) error {
+	remote, ha, rec := *o.connect != "", *o.haFlag, *o.recoverOn
+	rows := []struct {
+		names, why string
+		drops      bool
+	}{
+		{"ha", "needs -connect worker addresses (the pair dials its own sessions)", !remote},
+		{"nodes", "spawns in-process workers, which -connect replaces", remote},
+		{"patternset tenant-budget rebalance join drain", "does not compose with -ha", ha},
+		{"standby", "needs -recover or -ha", !rec && !ha},
+		{"standby", "needs -connect (-nodes spawns its standbys)", !remote},
+		{"recover", "needs -nodes or -connect (-ha always recovers)", ha || !remote && *o.nodes <= 0},
+		{"recover", "with -connect needs -standby addresses (a bare acep-node works)", remote && *o.standby == ""},
+		{"rebalance drain", "needs -recover", !rec},
+		{"join", "needs -connect and -recover", !remote || !rec},
+		{"ha-kill-after standby-addr lease-addr chaos", "needs -ha", !ha},
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && remote && o.engFlags.Declares(f.Name) {
+			err = fmt.Errorf("-%s configures engines, which acep-node workers configure themselves under -connect", f.Name)
+		}
+		for _, r := range rows {
+			if err == nil && r.drops && slices.Contains(strings.Fields(r.names), f.Name) {
+				err = fmt.Errorf("-%s %s", f.Name, r.why)
+			}
+		}
+	})
+	return err
+}
+
 func main() {
-	var (
-		in        = flag.String("in", "", "input CSV (required; see acep-gen)")
-		buildPat  = cli.PatternFlags(flag.CommandLine)
-		engFlags  = cli.EngineFlags(flag.CommandLine)
-		nodes     = flag.Int("nodes", 0, "run an in-process cluster of this many worker nodes, -shards engines each")
-		connect   = flag.String("connect", "", "comma-separated TCP addresses of acep-node workers to drive instead of local engines")
-		batch     = flag.Int("batch", 0, "events per shard handoff batch (0 = default)")
-		keyAttr   = flag.String("key", "key", "partition-key attribute for -shards > 1")
-		recoverOn = flag.Bool("recover", false, "enable fault-tolerant failover (cut journal + standby migration)")
-		standby   = flag.String("standby", "", "comma-separated TCP addresses of standby nodes for -recover with -connect")
-		standbys  = flag.Int("standbys", 2, "in-process standby bound for -recover with -nodes")
-		haFlag    = flag.Bool("ha", false, "replicate the coordinator: hot-standby ingress with byte-identical takeover (needs -connect)")
-		haKill    = flag.Int("ha-kill-after", -1, "kill the primary coordinator after this many events (takeover demo; needs -ha)")
-		haStandby = flag.String("standby-addr", "", "out-of-process coordinator standby address (acep-standby) for -ha; empty spawns the mirror in-process")
-		haLease   = flag.String("lease-addr", "", "emission-lease arbiter address for -ha; empty spawns the pair's own on loopback")
-		chaosSpec = flag.String("chaos", "", "inject deterministic faults on the -ha replication link, e.g. seed=7,drop=0.01,delay=0.2:2ms (see internal/chaos)")
-		rebalance = flag.Bool("rebalance", false, "enable the placement controller: move shards off the worker routed the most events (needs -recover)")
-		joinStr   = flag.String("join", "", "comma-separated TCP addresses of bare acep-node workers to admit mid-run (needs -recover and -connect)")
-		joinAfter = flag.Int("join-after", 0, "admit -join workers after this many events (default: a quarter of the stream)")
-		drainSlot = flag.Int("drain", -1, "gracefully drain this worker slot mid-run (needs -recover)")
-		drainAft  = flag.Int("drain-after", 0, "drain the -drain slot after this many events (default: half of the stream)")
-		patset    = flag.String("patternset", "", "pattern-set spec file (acep-gen -patterns): evaluate the whole set with shared sub-pattern evaluation (-kind/-size/-window ignored)")
-		tenantBud = flag.String("tenant-budget", "", "per-tenant admission budgets tenant=rate[:burst],... in events per logical second (a single pattern bills to tenant 0; needs -shards or a cluster mode)")
-		mempro    = flag.String("memprofile", "", "write a heap profile after the run to this file (pprof)")
-		verbose   = flag.Bool("v", false, "print every match")
-	)
+	o := declare(flag.CommandLine)
 	flag.Parse()
-	if *in == "" {
+	if *o.in == "" {
 		fmt.Fprintln(os.Stderr, "acep-run: -in required")
 		os.Exit(2)
 	}
-	if *connect != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if engFlags.Declares(f.Name) {
-				fail(fmt.Errorf("-%s configures engines, which acep-node workers configure themselves under -connect", f.Name))
-			}
-		})
+	if err := o.refuse(flag.CommandLine); err != nil {
+		fail(err)
 	}
-	f, err := os.Open(*in)
+	f, err := os.Open(*o.in)
 	if err != nil {
 		fail(err)
 	}
@@ -168,23 +213,23 @@ func main() {
 	}
 
 	var pat *pattern.Pattern
-	if *patset == "" {
-		if pat, err = buildPat(w); err != nil {
+	if *o.patset == "" {
+		if pat, err = o.buildPat(w); err != nil {
 			fail(err)
 		}
 	}
-	nc, err := engFlags.Node()
+	nc, err := o.engFlags.Node()
 	if err != nil {
 		fail(err)
 	}
 	if nc.Engine.Shedding.Policy != nil && w.Keys > 0 {
 		// Keyed workload: let pattern-aware shedding protect at
 		// entity granularity even in unsharded mode.
-		if key, err := shard.ByAttrName(w.Schema, *keyAttr); err == nil {
+		if key, err := shard.ByAttrName(w.Schema, *o.keyAttr); err == nil {
 			nc.Engine.Shedding.Key = key
 		}
 	}
-	nc.Batch, nc.KeyAttr, nc.Schema = *batch, *keyAttr, w.Schema
+	nc.Batch, nc.KeyAttr, nc.Schema = *o.batch, *o.keyAttr, w.Schema
 
 	// The pattern set every sharded or clustered session hosts: the one
 	// pattern -kind/-size/-window name, or the spec file's set
@@ -194,10 +239,10 @@ func main() {
 		specs   []multi.Spec
 		budgets map[uint32]shed.TenantBudget
 	)
-	if *patset == "" {
+	if *o.patset == "" {
 		specs = multi.Solo(pat, nc.Engine)
 	} else {
-		ps, err := gen.LoadPatternSet(*patset)
+		ps, err := gen.LoadPatternSet(*o.patset)
 		if err != nil {
 			fail(err)
 		}
@@ -214,8 +259,8 @@ func main() {
 		fmt.Printf("pattern set: %d %v patterns, overlap %d, window %d, %d tenant(s)\n",
 			ps.Patterns, ps.Kind, ps.Overlap, ps.Window, ps.Tenants)
 	}
-	if *tenantBud != "" {
-		if budgets, err = parseTenantBudgets(*tenantBud); err != nil {
+	if *o.tenantBud != "" {
+		if budgets, err = parseTenantBudgets(*o.tenantBud); err != nil {
 			fail(err)
 		}
 	}
@@ -225,9 +270,9 @@ func main() {
 	onTagged := func(tg shard.Tagged) {
 		matches++
 		perPat[tg.Pattern]++
-		if *verbose && *patset != "" {
+		if *o.verbose && *o.patset != "" {
 			fmt.Printf("[pattern %d] %v\n", tg.Pattern, tg.M)
-		} else if *verbose {
+		} else if *o.verbose {
 			fmt.Println(tg.M)
 		}
 	}
@@ -241,27 +286,18 @@ func main() {
 		plans   []string
 		workers = 1 // parallel engines, for overhead normalization
 	)
-	if (*haFlag || *connect != "" || *nodes > 0) && w.Keys == 0 {
+	if (*o.haFlag || *o.connect != "" || *o.nodes > 0) && w.Keys == 0 {
 		fail(fmt.Errorf("cluster mode needs a keyed workload; regenerate with acep-gen -keys"))
 	}
-	if *haFlag {
-		if *connect == "" {
-			fail(fmt.Errorf("-ha needs -connect worker addresses (the pair dials its own sessions)"))
-		}
-		if *patset != "" || budgets != nil {
-			fail(fmt.Errorf("-ha does not support -patternset or -tenant-budget"))
-		}
-		if *rebalance || *joinStr != "" || *drainSlot >= 0 {
-			fail(fmt.Errorf("-ha does not compose with -rebalance/-join/-drain"))
-		}
+	if *o.haFlag {
 		hcfg := ha.Config{
-			Pattern: pat, Schema: w.Schema, KeyAttr: *keyAttr, Batch: *batch,
-			Workers: addrs(*connect), Standbys: addrs(*standby),
-			StandbyAddr: *haStandby, LeaseAddr: *haLease,
+			Pattern: pat, Schema: w.Schema, KeyAttr: *o.keyAttr, Batch: *o.batch,
+			Workers: addrs(*o.connect), Standbys: addrs(*o.standby),
+			StandbyAddr: *o.haStandby, LeaseAddr: *o.haLease,
 			OnTagged: onTagged,
 		}
-		if *chaosSpec != "" {
-			ccfg, err := chaos.ParseSpec(*chaosSpec)
+		if *o.chaosSpec != "" {
+			ccfg, err := chaos.ParseSpec(*o.chaosSpec)
 			if err != nil {
 				fail(err)
 			}
@@ -275,7 +311,7 @@ func main() {
 		}
 		start := time.Now()
 		for i := range w.Events {
-			if i == *haKill {
+			if i == *o.haKill {
 				if err := p.KillPrimary(); err != nil {
 					fail(err)
 				}
@@ -305,64 +341,50 @@ func main() {
 			fmt.Printf("migration: shard %d node %d -> %d (%s): replayed %d cuts / %d events, paused %v\n",
 				mg.Shard, mg.From, mg.To, mg.Reason, mg.ReplayCuts, mg.ReplayEvents, mg.Pause().Round(time.Microsecond))
 		}
-	} else if *connect != "" || *nodes > 0 {
-		var elastic *cluster.ElasticConfig
-		if *rebalance {
-			elastic = &cluster.ElasticConfig{}
-		}
+	} else if *o.connect != "" || *o.nodes > 0 {
 		// Local and -connect modes differ only in where the node
 		// connections and the standbys come from.
 		var conns []cluster.Conn
 		var standbySrc func() (cluster.Conn, error)
-		if *connect != "" {
-			if *recoverOn && *standby == "" {
-				fail(fmt.Errorf("-recover with -connect needs -standby addresses (a bare acep-node works)"))
-			}
-			conns, err = cluster.Dial(addrs(*connect))
-			standbySrc = cluster.DialStandbys(addrs(*standby))
+		if *o.connect != "" {
+			conns, err = cluster.Dial(addrs(*o.connect))
+			standbySrc = cluster.DialStandbys(addrs(*o.standby))
 		} else {
-			conns, err = cluster.Spawn(*nodes, nc, nil)
-			standbySrc = cluster.SpawnStandbys(*standbys, nc)
+			conns, err = cluster.Spawn(*o.nodes, nc, nil)
+			standbySrc = cluster.SpawnStandbys(2, nc)
 		}
 		if err != nil {
 			fail(err)
 		}
 		opts := cluster.IngressOptions{
-			Batch:    *batch,
-			KeyAttr:  *keyAttr,
+			Batch:    *o.batch,
+			KeyAttr:  *o.keyAttr,
 			Schema:   w.Schema,
 			Patterns: specs,
 			Tenants:  budgets,
 			OnTagged: onTagged,
-			Elastic:  elastic,
 		}
-		if *recoverOn {
+		if *o.recoverOn {
 			opts.Recovery = &cluster.RecoveryConfig{Standby: standbySrc}
+			if *o.rebalance {
+				opts.Recovery.Elastic = &cluster.ElasticConfig{}
+			}
 		}
 		ing, err := cluster.NewIngress(nil, conns, opts)
 		if err != nil {
 			fail(err)
 		}
 		// Mid-run elasticity actions, pinned to event offsets so runs are
-		// reproducible: -join admits bare workers (the controller or a later
-		// -drain hands them shards), -drain empties a slot gracefully.
+		// reproducible: -join admits bare workers a quarter into the stream
+		// (the controller or a later -drain hands them shards), -drain
+		// empties a slot gracefully halfway through.
 		joinAt, drainAt := -1, -1
-		joins := addrs(*joinStr)
+		joins := addrs(*o.joinStr)
 		if len(joins) > 0 {
-			if *connect == "" || !*recoverOn {
-				fail(fmt.Errorf("-join needs -connect and -recover"))
-			}
-			if joinAt = *joinAfter; joinAt <= 0 {
-				joinAt = len(w.Events) / 4
-			}
+			joinAt = len(w.Events) / 4
 		}
-		if *drainSlot >= 0 {
-			if !*recoverOn {
-				fail(fmt.Errorf("-drain needs -recover"))
-			}
-			if drainAt = *drainAft; drainAt <= 0 {
-				drainAt = len(w.Events) / 2
-			}
+		if *o.drainSlot >= 0 {
+			drainAt = len(w.Events) / 2
 		}
 		start := time.Now()
 		for i := range w.Events {
@@ -380,10 +402,10 @@ func main() {
 				}
 			}
 			if i == drainAt {
-				if err := ing.Drain(*drainSlot); err != nil {
+				if err := ing.Drain(*o.drainSlot); err != nil {
 					fail(err)
 				}
-				fmt.Printf("drained: node %d (at event %d)\n", *drainSlot, i)
+				fmt.Printf("drained: node %d (at event %d)\n", *o.drainSlot, i)
 			}
 			ing.Process(&w.Events[i])
 		}
@@ -406,20 +428,20 @@ func main() {
 			fmt.Printf("migration: shard %d node %d -> %d (%s): replayed %d cuts / %d events, paused %v\n",
 				mg.Shard, mg.From, mg.To, mg.Reason, mg.ReplayCuts, mg.ReplayEvents, mg.Pause().Round(time.Microsecond))
 		}
-		if *patset != "" || budgets != nil {
+		if *o.patset != "" || budgets != nil {
 			printPerPattern(ing.PatternMetrics(), perPat)
 			printTenantStats(ing.TenantStats())
 		}
-	} else if nc.Shards > 1 || *patset != "" {
+	} else if nc.Shards > 1 || *o.patset != "" {
 		if w.Keys == 0 {
 			fail(fmt.Errorf("-shards %d needs a keyed workload; regenerate with acep-gen -keys", nc.Shards))
 		}
 		eng, err := shard.New(nil, engine.Config{}, shard.Options{
 			Shards:   nc.Shards,
-			Batch:    *batch,
+			Batch:    *o.batch,
 			QueueCap: nc.QueueCap,
 			Overflow: nc.Overflow,
-			KeyAttr:  *keyAttr,
+			KeyAttr:  *o.keyAttr,
 			Schema:   w.Schema,
 			Patterns: specs,
 			Tenants:  budgets,
@@ -436,7 +458,7 @@ func main() {
 		elapsed = time.Since(start)
 		met = eng.Metrics()
 		workers = nc.Shards
-		if *patset == "" { // a set's plans are per pattern per shard: too many to list
+		if *o.patset == "" { // a set's plans are per pattern per shard: too many to list
 			for s, sp := range eng.Plans() {
 				for _, p := range sp {
 					plans = append(plans, fmt.Sprintf("shard %d: %s", s, p))
@@ -447,7 +469,7 @@ func main() {
 			fmt.Printf("shard %d: %d events, %d matches, %d replans\n",
 				s, sm.Events, sm.Matches, sm.Reoptimizations)
 		}
-		if *patset != "" || budgets != nil {
+		if *o.patset != "" || budgets != nil {
 			printPerPattern(eng.PatternMetrics(), perPat)
 			printTenantStats(eng.TenantStats())
 		}
@@ -503,8 +525,8 @@ func main() {
 	for _, p := range plans {
 		fmt.Printf("final plan: %s\n", p)
 	}
-	if *mempro != "" {
-		pf, err := os.Create(*mempro)
+	if *o.mempro != "" {
+		pf, err := os.Create(*o.mempro)
 		if err != nil {
 			fail(err)
 		}

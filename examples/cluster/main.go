@@ -8,12 +8,15 @@
 // key-partitionable patterns the delivered stream is byte-identical to
 // the single-process sharded engine's.
 //
-// This demo spawns the worker nodes in-process (loopback sockets, zero
-// setup). The identical code drives remote TCP workers: start them with
+// This demo spawns the worker nodes in-process (ClusterConfig.Local:
+// loopback sockets, zero setup). The same ingress drives remote TCP
+// workers: start them with
 //
 //	acep-node -listen 127.0.0.1:7101 -in keyed.csv -kind sequence -size 4 -shards 2
 //
-// and set ClusterConfig.Connect to their addresses.
+// and replace Local with Remote: &acep.ClusterRemote{Connect: addresses}.
+// Each remote worker picks its own shard count (acep-node -shards) and
+// engine configuration, so Remote has no field for them.
 package main
 
 import (
@@ -59,12 +62,11 @@ func main() {
 	// set, in the identical order.
 	for _, nodes := range []int{1, 2, 3} {
 		var matches uint64
-		ing, err := acep.NewClusterIngress(pat, acep.Config{}, acep.ClusterConfig{
-			Nodes:         nodes,
-			ShardsPerNode: 6 / nodes,
-			KeyAttr:       "key",
-			Schema:        w.Schema,
-			OnMatch:       func(*acep.Match) { matches++ },
+		ing, err := acep.NewClusterIngress(pat, acep.ClusterConfig{
+			Local:   &acep.ClusterLocal{Nodes: nodes, ShardsPerNode: 6 / nodes},
+			KeyAttr: "key",
+			Schema:  w.Schema,
+			OnMatch: func(*acep.Match) { matches++ },
 		})
 		if err != nil {
 			panic(err)

@@ -69,8 +69,8 @@ func TestFacadeHA(t *testing.T) {
 	}
 
 	var got []string
-	ing, err := acep.NewHAIngress(pat, acep.ClusterConfig{
-		Connect: addrs,
+	ing, err := acep.NewHAIngress(pat, acep.HAConfig{
+		Remote:  acep.ClusterRemote{Connect: addrs},
 		Batch:   16,
 		KeyAttr: "person_id",
 		Schema:  schema,
@@ -108,31 +108,18 @@ func TestFacadeHA(t *testing.T) {
 }
 
 // TestFacadeHAConfigGates: the pair constructor enforces its own
-// preconditions, and refuses every ClusterConfig field the pair would
-// otherwise drop without a word. Each row fails before anything is
-// dialed.
+// preconditions. Each row fails before anything is dialed.
 func TestFacadeHAConfigGates(t *testing.T) {
 	schema, pat, _ := personPattern(t)
 	onMatch := func(*acep.Match) {}
-	key, err := acep.ShardKeyByAttr(schema, "person_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	connect := []string{"127.0.0.1:1"}
+	connect := acep.ClusterRemote{Connect: []string{"127.0.0.1:1"}}
 	for _, c := range []struct {
 		name string
-		cc   acep.ClusterConfig
+		cc   acep.HAConfig
 		want string // in the error
 	}{
-		{"no Connect", acep.ClusterConfig{Nodes: 2, OnMatch: onMatch}, "Connect"},
-		{"no sink", acep.ClusterConfig{Connect: connect}, "OnMatch"},
-		{"Patterns", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
-			Patterns: []acep.MultiSpec{{Pattern: pat}}}, "Patterns"},
-		{"Tenants", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
-			Tenants: map[uint32]acep.TenantBudget{0: {Rate: 1}}}, "Tenants"},
-		{"Elastic", acep.ClusterConfig{Connect: connect, OnMatch: onMatch,
-			Elastic: &acep.ClusterElastic{}}, "Elastic"},
-		{"Key", acep.ClusterConfig{Connect: connect, OnMatch: onMatch, Key: key}, "Key"},
+		{"no Connect", acep.HAConfig{OnMatch: onMatch}, "Connect"},
+		{"no sink", acep.HAConfig{Remote: connect}, "OnMatch"},
 	} {
 		c.cc.KeyAttr, c.cc.Schema = "person_id", schema
 		_, err := acep.NewHAIngress(pat, c.cc)

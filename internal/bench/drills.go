@@ -58,7 +58,7 @@ func (r *rig) failover() error {
 			}
 			victim := chaos.Wrap(conns[1], chaos.Config{})
 			conns[1] = victim
-			ing, err := d.ingress(conns, &cluster.RecoveryConfig{Standby: cluster.DialStandbys(d.addrs[d.Nodes:])}, nil)
+			ing, err := d.ingress(conns, &cluster.RecoveryConfig{Standby: cluster.DialStandbys(d.addrs[d.Nodes:])})
 			if err != nil {
 				return err
 			}
@@ -112,7 +112,7 @@ func (r *rig) elastic() error {
 			if err != nil {
 				return err
 			}
-			ing, err := d.ingress(conns, &cluster.RecoveryConfig{}, ec)
+			ing, err := d.ingress(conns, &cluster.RecoveryConfig{Elastic: ec})
 			if err != nil {
 				return err
 			}

@@ -326,10 +326,10 @@ func (r *rig) run(scenario string, nodes, shardsPerNode, bare int, body func(d *
 }
 
 // ingress builds a journaled coordinator over conns.
-func (d *drill) ingress(conns []cluster.Conn, rc *cluster.RecoveryConfig, ec *cluster.ElasticConfig) (*cluster.Ingress, error) {
+func (d *drill) ingress(conns []cluster.Conn, rc *cluster.RecoveryConfig) (*cluster.Ingress, error) {
 	return cluster.NewIngress(d.r.pat, conns, cluster.IngressOptions{
 		Batch: drillBatch, KeyAttr: "key", Schema: d.r.w.Schema,
-		OnMatch: d.digest.add, Recovery: rc, Elastic: ec,
+		OnMatch: d.digest.add, Recovery: rc,
 	})
 }
 

@@ -488,7 +488,7 @@ func TestRebalanceRoutedLoad(t *testing.T) {
 	wake := make(chan struct{}, 1)
 	ing, err := NewIngress(pat, []Conn{start(2), start(2)}, IngressOptions{
 		Batch: batch, KeyAttr: "key", Schema: row.Schema, OnMatch: func(*match.Match) {},
-		Recovery: &RecoveryConfig{}, Elastic: &ElasticConfig{CooldownCuts: 4},
+		Recovery: &RecoveryConfig{Elastic: &ElasticConfig{CooldownCuts: 4}},
 		OnProgress: func(w uint64) {
 			released.Store(w)
 			select {

@@ -147,9 +147,11 @@ func startRig(t *testing.T, row rungtest.Row, standbys int,
 func runRig(t *testing.T, rig *failoverRig, row rungtest.Row, ec *ElasticConfig, at map[int]func(*Ingress)) (rungtest.Stream, *Ingress) {
 	t.Helper()
 	var rec rungtest.Recorder
+	rc := rig.recOptions
+	rc.Elastic = ec
 	opts := IngressOptions{
 		Batch: row.Batch, KeyAttr: "key", Schema: row.Schema, OnTagged: rec.Tagged,
-		Patterns: row.Specs, Tenants: row.Tenants, Recovery: &rig.recOptions, Elastic: ec,
+		Patterns: row.Specs, Tenants: row.Tenants, Recovery: &rc,
 	}
 	var pat *pattern.Pattern
 	if row.Solo() {

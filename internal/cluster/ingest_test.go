@@ -112,15 +112,14 @@ func TestIngressElidesUnreadTypes(t *testing.T) {
 	ing, err := NewIngress(first, []Conn{newDiscardConn(2), newDiscardConn(2)}, IngressOptions{
 		Batch: batch, KeyAttr: "key", Schema: row.Schema,
 		OnTagged: func(shard.Tagged) {},
-		Recovery: &RecoveryConfig{},
-		OnCut: func(c CutInfo) {
+		Recovery: &RecoveryConfig{OnCut: func(c CutInfo) {
 			for _, r := range c.Runs {
 				runEvents += r.Events
 			}
 			if c.UpTo%batch != 0 {
 				offBatch = append(offBatch, c.UpTo)
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

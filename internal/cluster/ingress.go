@@ -25,7 +25,7 @@ import (
 // shard->node map stays small.
 const maxShardsPerNode = 1 << 12
 
-// CutInfo is one sealed cut as observed by IngressOptions.OnCut: the
+// CutInfo is one sealed cut as observed by RecoveryConfig.OnCut: the
 // global watermark, the encoded run of every shard that had events in
 // the cut, and the routing truth at seal time. The Runs and Owner slices
 // are ingress-owned scratch, valid only during the call — a replicator
@@ -105,21 +105,11 @@ type IngressOptions struct {
 	// error from Finish (exactness over availability), and migration is
 	// unavailable.
 	Recovery *RecoveryConfig
-	// Elastic, when non-nil, enables and tunes the placement controller
-	// (it needs Recovery).
-	Elastic *ElasticConfig
 	// Epoch stamps every Assign frame this ingress issues (0 without
 	// HA). Worker processes latch the highest epoch they have served and
 	// fence sessions from anything lower, so a superseded primary cannot
 	// keep driving the cluster after its standby took over.
 	Epoch uint64
-	// OnCut, when set, observes every sealed cut on the ingress
-	// goroutine, strictly behind the send barrier and after the cut has
-	// been journaled — the replication tap of the HA subsystem
-	// (internal/ha). The CutInfo slices are valid only during the call.
-	// Requires Recovery (replication rides the journal's framing and
-	// retention guarantees).
-	OnCut func(CutInfo)
 	// OnProgress taps the merge collector's release watermark: called on
 	// the collector goroutine after the matches the watermark covers have
 	// been delivered. The HA emission gate keys off it.
@@ -130,13 +120,6 @@ type IngressOptions struct {
 	// on takeover. Adoptions and joins refresh a slot's entry when the
 	// new connection exposes its remote address; drains clear it.
 	Addrs []string
-	// Resume, when non-nil, builds a takeover successor instead of a
-	// founding coordinator: every worker handshakes into a zero-shard
-	// session, the mirrored journal and routing table are adopted as-is,
-	// and NewIngress re-establishes every shard on its mirrored slot via
-	// adoption migrations (reason "takeover") that replay the mirror and
-	// suppress matches at or below Resume.Boundary. Requires Recovery.
-	Resume *ResumeState
 }
 
 // Ingress is the cluster coordinator: it partitions one input stream
@@ -210,10 +193,9 @@ type Ingress struct {
 	sealedTags bool
 
 	// Recovery/elasticity state (zero without IngressOptions.Recovery;
-	// the journal is what the coordinator asks of). released is the
-	// collector's delivered watermark.
+	// the journal is what the coordinator asks of; rec.Elastic carries
+	// its defaults). released is the collector's delivered watermark.
 	rec           RecoveryConfig
-	elastic       *ElasticConfig
 	journal       *recovery.Journal  // nil: no failover, no migration
 	det           *recovery.Detector // nil without a HeartbeatTimeout: nothing would read its clocks
 	released      atomic.Uint64
@@ -224,14 +206,13 @@ type Ingress struct {
 	load []uint64
 
 	// HA state (zero without the internal/ha subsystem driving this
-	// ingress). onCut is the replication tap, epoch the coordinator epoch
-	// stamped on every Assign, and suppressFloor the takeover boundary a
-	// successor imposes on every adoption migration (a fresh collector's
-	// release frontier starts at zero, so the mirrored emission watermark
-	// — not the collector — is the truth about what was already
-	// delivered).
-	onCut         func(CutInfo)
-	addrs         []string // what onCut last replicated as Addrs (replAddrs)
+	// ingress, whose replication tap is rec.OnCut). epoch is the
+	// coordinator epoch stamped on every Assign, and suppressFloor the
+	// takeover boundary a successor imposes on every adoption migration
+	// (a fresh collector's release frontier starts at zero, so the
+	// mirrored emission watermark — not the collector — is the truth
+	// about what was already delivered).
+	addrs         []string // what rec.OnCut last replicated as Addrs (replAddrs)
 	epoch         uint64
 	suppressFloor uint64
 
@@ -316,22 +297,22 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	if opts.Batch <= 0 {
 		opts.Batch = 256
 	}
-	if opts.Elastic != nil && opts.Recovery == nil {
-		return nil, fmt.Errorf("cluster: Options.Elastic requires Recovery (migrations replay from the journal)")
+	// The recovery-only settings are zero without Recovery.
+	var rc RecoveryConfig
+	if opts.Recovery != nil {
+		rc = *opts.Recovery
 	}
-	if opts.OnCut != nil && opts.Recovery == nil {
-		return nil, fmt.Errorf("cluster: Options.OnCut requires Recovery (replication rides the journal)")
+	if rc.Elastic != nil {
+		ec := rc.Elastic.withDefaults()
+		rc.Elastic = &ec
 	}
-	if opts.Resume != nil {
-		if opts.Recovery == nil {
-			return nil, fmt.Errorf("cluster: Options.Resume requires Recovery (adoption migrations replay the mirror)")
+	if rs := rc.Resume; rs != nil {
+		if rs.Journal == nil || len(rs.Owner) == 0 {
+			return nil, fmt.Errorf("cluster: Recovery.Resume needs the mirrored journal and owner table")
 		}
-		if opts.Resume.Journal == nil || len(opts.Resume.Owner) == 0 {
-			return nil, fmt.Errorf("cluster: Options.Resume needs the mirrored journal and owner table")
-		}
-		for g, o := range opts.Resume.Owner {
+		for g, o := range rs.Owner {
 			if o >= len(conns) {
-				return nil, fmt.Errorf("cluster: Options.Resume: shard %d owned by slot %d, only %d connections", g, o, len(conns))
+				return nil, fmt.Errorf("cluster: Recovery.Resume: shard %d owned by slot %d, only %d connections", g, o, len(conns))
 			}
 		}
 	}
@@ -354,12 +335,8 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		patMetrics: make(map[uint32]engine.Metrics),
 		tenantAgg:  make(map[uint32]shed.TenantStat),
 		epoch:      opts.Epoch,
-		onCut:      opts.OnCut,
+		rec:        rc,
 		sealedTags: sealed,
-	}
-	if opts.Elastic != nil {
-		ec := opts.Elastic.withDefaults()
-		in.elastic = &ec
 	}
 	// Collect every node's greeting, then assign contiguous blocks of the
 	// global shard space in connection order.
@@ -369,7 +346,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 			return nil, err
 		}
 	}
-	if rs := opts.Resume; rs != nil {
+	if rs := rc.Resume; rs != nil {
 		// Takeover successor: the mirrored table defines the global shard
 		// space, every worker session starts bare (it learns its shards
 		// through the adoption migrations below), and the stream resumes
@@ -394,16 +371,15 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		base += claims[i]
 	}
 	in.runs = make([]wire.RunEncoder, in.total)
-	if in.elastic != nil {
+	if rc.Elastic != nil {
 		in.load = make([]uint64, in.total)
 	}
 
 	deliver := in.deliverer(opts, sealed)
 	var progress func(uint64)
-	if rc := opts.Recovery; rc != nil {
-		in.rec = *rc
-		if opts.Resume != nil {
-			in.journal = opts.Resume.Journal
+	if opts.Recovery != nil {
+		if rc.Resume != nil {
+			in.journal = rc.Resume.Journal
 		} else if in.journal, err = recovery.NewJournal(recovery.JournalConfig{Window: in.maxWindow(), Shards: in.total}); err != nil {
 			return nil, err
 		}
@@ -433,7 +409,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		}
 		in.install(i, c, addr)
 	}
-	if rs := opts.Resume; rs == nil {
+	if rs := rc.Resume; rs == nil {
 		for g, o := range in.owner {
 			in.slots[o].hosted[g] = true
 		}
@@ -766,11 +742,11 @@ func (in *Ingress) cutAll() {
 			panic(err) // every shard index above is below in.total
 		}
 	}
-	if in.onCut != nil {
+	if in.rec.OnCut != nil {
 		// Replication tap: behind the barrier (routing settled for this
 		// cut, the previous cut fully sent) and after journaling, so what
 		// the standby mirrors is exactly what a failover would replay.
-		in.onCut(CutInfo{
+		in.rec.OnCut(CutInfo{
 			UpTo: in.lastSeq, Final: in.finished,
 			Runs: in.sealed, Owner: in.owner, Addrs: in.replAddrs(),
 		})
@@ -1021,15 +997,15 @@ func (in *Ingress) wake() {
 // barrier: past the cooldown it gathers what place reads and carries out
 // the move it decides on.
 func (in *Ingress) rebalance() {
-	if in.journal == nil || in.elastic == nil {
+	if in.journal == nil || in.rec.Elastic == nil {
 		return
 	}
 	in.cutsSinceMove++
-	if in.cutsSinceMove < in.elastic.CooldownCuts {
+	if in.cutsSinceMove < in.rec.Elastic.CooldownCuts {
 		return
 	}
 	v := placementView{
-		cfg: *in.elastic, owner: in.owner, load: in.load,
+		cfg: *in.rec.Elastic, owner: in.owner, load: in.load,
 		pinned: make([]bool, in.total),
 		slots:  make([]slotView, len(in.slots)),
 	}

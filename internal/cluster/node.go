@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -62,12 +63,12 @@ type NodeConfig struct {
 	Key     shard.KeyFunc
 	KeyAttr string
 	Schema  *event.Schema
-	// WriteStall bounds how long the node's upstream sender tolerates
-	// zero write progress before failing the session (default 30s,
-	// negative disables). A coordinator that stops reading — wedged
-	// process, one-way partition — otherwise blocks the sender mutex
-	// forever and wedges the whole session with it.
-	WriteStall time.Duration
+	// writeStall bounds how long the node's upstream sender tolerates
+	// zero write progress before failing the session (0: 30s; tests
+	// shorten it). A coordinator that stops reading — wedged process,
+	// one-way partition — otherwise blocks the sender mutex forever and
+	// wedges the whole session with it.
+	writeStall time.Duration
 }
 
 // Node hosts shards of the global shard space behind a transport
@@ -225,13 +226,8 @@ func (s *sender) failed() error {
 // have run.
 func (n *Node) Serve(conn Conn) error {
 	defer conn.Close()
-	if ws := n.cfg.WriteStall; ws >= 0 {
-		if ws == 0 {
-			ws = 30 * time.Second
-		}
-		if sc, ok := conn.(interface{ SetWriteStall(time.Duration) }); ok {
-			sc.SetWriteStall(ws)
-		}
+	if sc, ok := conn.(interface{ SetWriteStall(time.Duration) }); ok {
+		sc.SetWriteStall(cmp.Or(n.cfg.writeStall, 30*time.Second))
 	}
 	if err := conn.Send(wire.Hello{
 		Version:    wire.Version,

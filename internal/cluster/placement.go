@@ -1,8 +1,8 @@
 package cluster
 
 // ElasticConfig tunes the placement controller, which a non-nil
-// IngressOptions.Elastic enables (it requires IngressOptions.Recovery:
-// migrations replay shard history from the journal). The controller reads
+// RecoveryConfig.Elastic enables (migrations replay shard history from
+// the journal). The controller reads
 // the routing the ingress already does: a shard's load is the number of
 // events routed to it since the last move, and the busiest shard of the
 // most loaded node migrates to the least loaded one — with hysteresis

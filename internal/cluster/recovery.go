@@ -36,6 +36,22 @@ type RecoveryConfig struct {
 	// silence even without a transport error (0 disables timeout
 	// detection; errors always detect). Checked at every cut.
 	HeartbeatTimeout time.Duration
+	// Elastic, when non-nil, enables and tunes the placement controller,
+	// whose migrations replay from the journal.
+	Elastic *ElasticConfig
+	// OnCut, when set, observes every sealed cut on the ingress
+	// goroutine, strictly behind the send barrier and after the cut has
+	// been journaled — the replication tap of the HA subsystem
+	// (internal/ha), which rides the journal's framing and retention.
+	// The CutInfo slices are valid only during the call.
+	OnCut func(CutInfo)
+	// Resume, when non-nil, builds a takeover successor instead of a
+	// founding coordinator: every worker handshakes into a zero-shard
+	// session, the mirrored journal and routing table are adopted as-is,
+	// and NewIngress re-establishes every shard on its mirrored slot via
+	// adoption migrations (reason "takeover") that replay the mirror and
+	// suppress matches at or below Resume.Boundary.
+	Resume *ResumeState
 }
 
 // releaseConn returns its standby address to the pool when the

@@ -73,10 +73,9 @@ func TestTakeoverResume(t *testing.T) {
 			}
 			relMu.Unlock()
 		},
-		OnCut:    mir.onCut,
 		Epoch:    1,
 		Addrs:    addrs,
-		Recovery: &RecoveryConfig{},
+		Recovery: &RecoveryConfig{OnCut: mir.onCut},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +137,12 @@ func TestTakeoverResume(t *testing.T) {
 			}
 			succRec.Tagged(tm)
 		},
-		Epoch:    2,
-		Addrs:    mir.addrs,
-		Recovery: &RecoveryConfig{},
-		Resume: &ResumeState{
+		Epoch: 2,
+		Addrs: mir.addrs,
+		Recovery: &RecoveryConfig{Resume: &ResumeState{
 			NextSeq: mir.lastUpTo, Boundary: boundary,
 			Owner: mir.owner, Journal: mir.journal,
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatalf("building successor: %v", err)
@@ -302,8 +300,7 @@ func TestTakeoverRequiresMirror(t *testing.T) {
 	_, err := NewIngress(pat, rig.conns, IngressOptions{
 		Batch: 64, KeyAttr: "key", Schema: row.Schema,
 		OnTagged: func(shard.Tagged) {}, Epoch: 2,
-		Recovery: &RecoveryConfig{},
-		Resume:   &ResumeState{NextSeq: 64},
+		Recovery: &RecoveryConfig{Resume: &ResumeState{NextSeq: 64}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "Resume") {
 		t.Fatalf("resume without a mirror built an ingress (err %v)", err)

@@ -148,7 +148,7 @@ func TestWriteStallToleratesSlowReader(t *testing.T) {
 // TestNodeWedgedIngressFailsSession: the node's upstream sender sits
 // behind a mutex; a coordinator that stops reading (wedged process,
 // one-way partition) used to block that mutex forever and wedge the
-// session with it. With WriteStall armed the session must end in a link
+// session with it. With writeStall armed the session must end in a link
 // error instead.
 func TestNodeWedgedIngressFailsSession(t *testing.T) {
 	row := rungtest.Lookup(t, "pinned/sequence-300")
@@ -156,7 +156,7 @@ func TestNodeWedgedIngressFailsSession(t *testing.T) {
 	node, err := NewNode(NodeConfig{
 		Pattern: pat, Schema: row.Schema, KeyAttr: "key",
 		Engine: engine.Config{CheckEvery: 250}, Shards: 1, Batch: 64,
-		WriteStall: 300 * time.Millisecond,
+		writeStall: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -121,9 +121,9 @@ type Config struct {
 	// primary even though the link never errored — the silently
 	// blackholed peer a plain TCP read would wait on forever.
 	ReplTimeout time.Duration
-	// WrapWorker (tests) wraps each initially dialed worker connection,
+	// wrapWorker (tests) wraps each initially dialed worker connection,
 	// by slot, to inject failures.
-	WrapWorker func(i int, c cluster.Conn) cluster.Conn
+	wrapWorker func(i int, c cluster.Conn) cluster.Conn
 	// WrapRepl (tests, chaos) wraps the primary's replication
 	// connection to inject failures: drops, duplicates, delays,
 	// partitions. The replication protocol is the one place silent
@@ -294,14 +294,14 @@ func New(cfg Config) (*Pair, error) {
 			p.abort()
 			return nil, fmt.Errorf("ha: dialing worker %d: %w", i, err)
 		}
-		if cfg.WrapWorker != nil {
-			c = cfg.WrapWorker(i, c)
+		if cfg.wrapWorker != nil {
+			c = cfg.wrapWorker(i, c)
 		}
 		conns[i] = c
 	}
 	opts := p.ingressOptions(1, cfg.Workers)
 	opts.OnProgress = p.g.onProgress
-	opts.OnCut = p.onCut
+	opts.Recovery.OnCut = p.onCut
 	if p.ing, err = cluster.NewSealedIngress(cfg.Pattern, conns, opts); err != nil {
 		p.abort()
 		return nil, err
@@ -883,7 +883,7 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 	skip := delivered - st.count
 	p.g.takeover(skip)
 	opts := p.ingressOptions(2, addrs)
-	opts.Resume = &cluster.ResumeState{
+	opts.Recovery.Resume = &cluster.ResumeState{
 		NextSeq: st.lastUpTo, Boundary: st.emitted,
 		Owner: newOwner, Journal: st.journal,
 	}

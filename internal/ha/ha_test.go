@@ -98,7 +98,7 @@ func runPairFeed(t *testing.T, rig *haRig, row rungtest.Row, rec *rungtest.Recor
 	wrap func(i int, c cluster.Conn) cluster.Conn, feed func(*Pair)) *Pair {
 	t.Helper()
 	cfg := rig.pairConfig(row, rec.Tagged)
-	cfg.WrapWorker = wrap
+	cfg.wrapWorker = wrap
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

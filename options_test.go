@@ -33,9 +33,15 @@ func TestOptionSurface(t *testing.T) {
 			"Shards", "Batch", "QueueCap", "Overflow", "Key", "KeyAttr", "Schema",
 			"OnMatch", "OnTagged", "OnProgress", "Patterns", "Tenants", "EncodeMatch"}},
 		{"ClusterConfig", reflect.TypeFor[acep.ClusterConfig](), []string{
-			"Connect", "Nodes", "ShardsPerNode", "Batch", "QueueCap", "KeyAttr", "Schema",
-			"Key", "OnMatch", "Patterns", "Tenants", "OnTagged", "Recover", "Standby",
-			"StandbyNodes", "HeartbeatTimeout", "Elastic"}},
+			"Local", "Remote", "Batch", "KeyAttr", "Schema", "Key", "OnMatch", "Patterns",
+			"Tenants", "OnTagged", "Recover"}},
+		{"ClusterLocal", reflect.TypeFor[acep.ClusterLocal](), []string{
+			"Nodes", "ShardsPerNode", "QueueCap", "Engine"}},
+		{"ClusterRemote", reflect.TypeFor[acep.ClusterRemote](), []string{"Connect", "Standby"}},
+		{"ClusterRecovery", reflect.TypeFor[acep.ClusterRecovery](), []string{
+			"HeartbeatTimeout", "Elastic"}},
+		{"HAConfig", reflect.TypeFor[acep.HAConfig](), []string{
+			"Remote", "Batch", "KeyAttr", "Schema", "OnMatch", "OnTagged", "HeartbeatTimeout"}},
 		{"SheddingConfig", reflect.TypeFor[acep.SheddingConfig](), []string{
 			"Policy", "Budget", "Key"}},
 		{"ShedBudget", reflect.TypeFor[acep.ShedBudget](), []string{
@@ -45,17 +51,17 @@ func TestOptionSurface(t *testing.T) {
 		{"InvariantOptions", reflect.TypeFor[acep.InvariantOptions](), []string{
 			"K", "Distance", "AutoDistance"}},
 		{"cluster.RecoveryConfig", reflect.TypeFor[cluster.RecoveryConfig](), []string{
-			"Standby", "HeartbeatTimeout"}},
+			"Standby", "HeartbeatTimeout", "Elastic", "OnCut", "Resume"}},
 		{"cluster.NodeConfig", reflect.TypeFor[cluster.NodeConfig](), []string{
 			"Pattern", "Engine", "Shards", "Batch", "QueueCap", "Overflow", "Key", "KeyAttr",
-			"Schema", "WriteStall"}},
+			"Schema"}},
 		{"cluster.IngressOptions", reflect.TypeFor[cluster.IngressOptions](), []string{
 			"Batch", "Key", "KeyAttr", "Schema", "OnMatch", "OnTagged", "Patterns", "Tenants",
-			"Recovery", "Elastic", "Epoch", "OnCut", "OnProgress", "Addrs", "Resume"}},
+			"Recovery", "Epoch", "OnProgress", "Addrs"}},
 		{"ha.Config", reflect.TypeFor[ha.Config](), []string{
 			"Pattern", "Schema", "KeyAttr", "Batch", "Workers", "Standbys", "OnTagged",
 			"HeartbeatTimeout", "StandbyAddr", "LeaseAddr", "LeaseTTL", "ReplTimeout",
-			"WrapWorker", "WrapRepl"}},
+			"WrapRepl"}},
 		{"core.MetaInvariant", reflect.TypeFor[core.MetaInvariant](), []string{"InitialD"}},
 		// The journal's slack and byte bound are the one exception: only the
 		// journal's own tests set them, to reach trimming on small inputs.
