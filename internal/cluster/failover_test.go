@@ -266,6 +266,7 @@ func TestFailoverDuringReplay(t *testing.T) {
 	if fos := ing.Failovers(); len(fos) != 1 || fos[0].Node != 0 {
 		t.Fatalf("failovers = %+v, want one completed failover for node 0", fos)
 	}
+	requireFailoverAggregates(t, ing)
 }
 
 // TestFailoverDoubleFailure: two different nodes die at different points
@@ -293,6 +294,87 @@ func TestFailoverDoubleFailure(t *testing.T) {
 		if fos[0].Node != 2 || fos[1].Node != 0 {
 			t.Fatalf("%v: failover order %+v, want node 2 then node 0", kind, fos)
 		}
+		requireFailoverAggregates(t, ing)
+	}
+}
+
+// requireFailoverAggregates holds every failover record to the
+// "failover" moves of its final adoption attempt in Migrations(): the
+// moves onto its node, for the tests that call it fail each node once and
+// an attempt that died before an acknowledgement leaves no move behind.
+// The record counts them, carries their widest boundaries and their
+// summed replay volume, and is stamped recovered no earlier than any of
+// them was acknowledged.
+func requireFailoverAggregates(t *testing.T, ing *Ingress) {
+	t.Helper()
+	mgs := ing.Migrations()
+	for _, f := range ing.Failovers() {
+		want := f
+		want.Shards, want.SuppressUpTo, want.ReplayUpTo = 0, 0, 0
+		want.ReplayCuts, want.ReplayEvents, want.ReplayBytes = 0, 0, 0
+		for _, m := range mgs {
+			if m.Reason != "failover" || m.To != f.Node {
+				continue
+			}
+			want.Shards++
+			want.SuppressUpTo = max(want.SuppressUpTo, m.SuppressUpTo)
+			want.ReplayUpTo = max(want.ReplayUpTo, m.ReplayUpTo)
+			want.ReplayCuts += m.ReplayCuts
+			want.ReplayEvents += m.ReplayEvents
+			want.ReplayBytes += m.ReplayBytes
+			if m.CompletedAt.IsZero() || f.RecoveredAt.Before(m.CompletedAt) {
+				t.Errorf("failover of node %d recovered at %v, before its move of shard %d was acknowledged (%v)",
+					f.Node, f.RecoveredAt, m.Shard, m.CompletedAt)
+			}
+		}
+		if f != want {
+			t.Errorf("failover of node %d = %+v, want its moves' aggregate %+v", f.Node, f, want)
+		}
+		if want.Shards == 0 || f.ReplayCuts == 0 || f.ReplayEvents == 0 || f.RecoveredAt.IsZero() {
+			t.Errorf("failover of node %d moved or replayed nothing, or never recovered: %+v", f.Node, f)
+		}
+	}
+}
+
+// finishRefuser is a link that dies when handed Finish: the frame that
+// would end a drained node's session.
+type finishRefuser struct{ Conn }
+
+func (c finishRefuser) Send(f wire.Frame) error {
+	if _, ok := f.(wire.Finish); ok {
+		c.Conn.Close()
+		return fmt.Errorf("finishrefuser: injected death at Finish")
+	}
+	return c.Conn.Send(f)
+}
+
+// TestFailoverOfDrainedSlot: a node dies once Drain has handed every
+// shard it owned to its peers. The incident is recorded, but nothing
+// moved and nothing is lost: Shards is 0, the slot counts as recovered
+// the moment it was found dead, and the stream stays exact.
+func TestFailoverOfDrainedSlot(t *testing.T) {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 0, func(i int, c Conn) Conn {
+		if i == 1 {
+			return finishRefuser{c}
+		}
+		return c
+	}, nil)
+	got, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
+		1500: func(ing *Ingress) {
+			if err := ing.Drain(1); err != nil {
+				t.Fatalf("Drain(1): %v", err)
+			}
+		},
+	})
+	rungtest.Require(t, "drained slot dies", got, want)
+	fos := ing.Failovers()
+	if len(fos) != 1 || fos[0].Node != 1 || !strings.Contains(fos[0].Cause, "finishing drained node") {
+		t.Fatalf("failovers = %+v, want one for drained node 1, dead at its Finish", fos)
+	}
+	if f := fos[0]; f.Shards != 0 || f.ReplayCuts != 0 || !f.RecoveredAt.Equal(f.DetectedAt) {
+		t.Fatalf("failover of the drained slot = %+v, want no shards, no replay, recovered when detected", f)
 	}
 }
 
