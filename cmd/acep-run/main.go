@@ -159,6 +159,10 @@ func declare(fs *flag.FlagSet) *options {
 // configures its own engines, and each row of the table below.
 func (o *options) refuse(fs *flag.FlagSet) error {
 	remote, ha, rec := *o.connect != "", *o.haFlag, *o.recoverOn
+	// The single-engine run: no session, so no cut and no partition key.
+	single := !remote && !ha && *o.nodes <= 0 && *o.patset == "" &&
+		fs.Lookup("shards").Value.(flag.Getter).Get().(int) <= 1
+	shedding := fs.Lookup("shed").Value.String() != "none"
 	rows := []struct {
 		names, why string
 		drops      bool
@@ -173,6 +177,8 @@ func (o *options) refuse(fs *flag.FlagSet) error {
 		{"rebalance drain", "needs -recover", !rec},
 		{"join", "needs -connect and -recover", !remote || !rec},
 		{"ha-kill-after standby-addr lease-addr chaos", "needs -ha", !ha},
+		{"batch", "needs a session to cut (set -shards, -nodes or -connect)", single},
+		{"key", "without a session is read only by a shedding policy (set -shed, or -shards, -nodes or -connect)", single && !shedding},
 	}
 	var err error
 	fs.Visit(func(f *flag.Flag) {
@@ -222,12 +228,16 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if nc.Engine.Shedding.Policy != nil && w.Keys > 0 {
-		// Keyed workload: let pattern-aware shedding protect at
-		// entity granularity even in unsharded mode.
-		if key, err := shard.ByAttrName(w.Schema, *o.keyAttr); err == nil {
-			nc.Engine.Shedding.Key = key
+	keyGiven := false
+	flag.Visit(func(f *flag.Flag) { keyGiven = keyGiven || f.Name == "key" })
+	if nc.Engine.Shedding.Policy != nil && (w.Keys > 0 || keyGiven) {
+		// Keyed workload, or a key named: let pattern-aware shedding
+		// protect at entity granularity even in unsharded mode.
+		key, err := shard.ByAttrName(w.Schema, *o.keyAttr)
+		if err != nil {
+			fail(fmt.Errorf("-key: %w", err))
 		}
+		nc.Engine.Shedding.Key = key
 	}
 	nc.Batch, nc.KeyAttr, nc.Schema = *o.batch, *o.keyAttr, w.Schema
 

@@ -41,6 +41,15 @@ func TestRefuse(t *testing.T) {
 		{"-connect a -recover -standby b -rebalance -join c -drain 0", ""},
 		{"-connect a -ha -standby b -ha-kill-after 5 -standby-addr c -lease-addr d -chaos seed=7", ""},
 		{"-shards 4 -model zstream -tenant-budget 0=1", ""},
+		{"-batch 7", "-batch needs a session to cut"},
+		{"-batch 7 -key nosuch", "-batch needs a session to cut"},
+		{"-key nosuch", "-key without a session is read only by a shedding policy"},
+		{"-shards 1 -key k", "-key without a session is read only by a shedding policy"},
+		{"-shed random -shed-rate 5 -key k", ""},
+		{"-shards 2 -batch 7 -key k", ""},
+		{"-nodes 2 -batch 7 -key k", ""},
+		{"-patternset s -batch 7 -key k", ""},
+		{"-connect a -batch 7 -key k", ""},
 	} {
 		fs := flag.NewFlagSet("acep-run", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

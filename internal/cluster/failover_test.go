@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/pattern"
+	recovery "acep/internal/recover"
 	"acep/internal/rungtest"
 	"acep/internal/wire"
 )
@@ -333,6 +335,58 @@ func requireFailoverAggregates(t *testing.T, ing *Ingress) {
 		if want.Shards == 0 || f.ReplayCuts == 0 || f.ReplayEvents == 0 || f.RecoveredAt.IsZero() {
 			t.Errorf("failover of node %d moved or replayed nothing, or never recovered: %+v", f.Node, f)
 		}
+	}
+}
+
+// TestFailoversDerivedFromLedger: a failover record is computed from the
+// moves its final adoption attempt wrote, and from nothing else — not an
+// earlier attempt's acknowledged move, not a move struck out when its
+// destination died — and reads recovered only once every one of them is
+// acknowledged. A failover that moved nothing recovered when detected,
+// and a struck move is not reported at all.
+func TestFailoversDerivedFromLedger(t *testing.T) {
+	t0 := time.Now()
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	in := &Ingress{ledger: ledger{
+		migrations: []recovery.Migration{
+			// An earlier attempt's, acknowledged before the attempt failed.
+			{Shard: 0, To: 1, Reason: "failover", SuppressUpTo: 90, ReplayUpTo: 90, ReplayCuts: 9, CompletedAt: at(1)},
+			// The final attempt's.
+			{Shard: 0, To: 1, Reason: "failover", SuppressUpTo: 40, ReplayUpTo: 50,
+				ReplayCuts: 2, ReplayEvents: 20, ReplayBytes: 200, CompletedAt: at(5)},
+			{Shard: 1, To: 1, Reason: "failover", SuppressUpTo: 30, ReplayUpTo: 60,
+				ReplayCuts: 3, ReplayEvents: 30, ReplayBytes: 300},
+			{Shard: 2, To: -1, Reason: "failover", SuppressUpTo: 99, ReplayCuts: 7},
+		},
+		failovers: []failover{
+			{Failover: recovery.Failover{Node: 1, Cause: "dead", DetectedAt: t0, JournalCuts: 4}, first: 1, end: 4},
+			{Failover: recovery.Failover{Node: 2, DetectedAt: at(2)}, first: 4, end: 4},
+		},
+	}}
+	want := recovery.Failover{
+		Node: 1, Cause: "dead", DetectedAt: t0, JournalCuts: 4, Shards: 2, SuppressUpTo: 40,
+		ReplayUpTo: 60, ReplayCuts: 5, ReplayEvents: 50, ReplayBytes: 500,
+	}
+	if fos := in.Failovers(); fos[0] != want {
+		t.Fatalf("failover with a move in flight = %+v, want %+v", fos[0], want)
+	}
+	if !in.migrating() {
+		t.Fatal("a move in flight does not count as migrating")
+	}
+	in.migrations[2].CompletedAt = at(7)
+	want.RecoveredAt = at(7)
+	fos := in.Failovers()
+	if fos[0] != want {
+		t.Fatalf("settled failover = %+v, want %+v", fos[0], want)
+	}
+	if f := fos[1]; f.Shards != 0 || !f.RecoveredAt.Equal(f.DetectedAt) {
+		t.Fatalf("failover that moved nothing = %+v, want recovered when detected", f)
+	}
+	if in.migrating() {
+		t.Fatal("a struck move counts as migrating")
+	}
+	if mgs := in.Migrations(); len(mgs) != 3 || slices.ContainsFunc(mgs, func(m recovery.Migration) bool { return m.To < 0 }) {
+		t.Fatalf("Migrations() = %+v, want the three moves not struck out", mgs)
 	}
 }
 

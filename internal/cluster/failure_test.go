@@ -145,14 +145,14 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 	// Every way into a session runs the one hello check: a founding
 	// member's, a join's, a standby's adopting a dead slot.
-	running := func() *Ingress { return &Ingress{sig: sig, journal: new(recovery.Journal)} }
+	running := func() *Ingress { return &Ingress{patternSet: patternSet{sig: sig}, journal: new(recovery.Journal)} }
 	entries := []struct {
 		name string
 		open func(c Conn) error
 	}{
 		{"founding", func(c Conn) error { _, err := NewIngress(pat, []Conn{c}, opts); return err }},
 		{"join", func(c Conn) error { _, err := running().AddNode(c); return err }},
-		{"adoption", func(c Conn) error { return running().adopt(0, c, 0) }},
+		{"adoption", func(c Conn) error { return running().adopt(0, c) }},
 	}
 	for _, c := range cases {
 		for _, e := range entries {
@@ -220,7 +220,7 @@ func TestSlotLifecycle(t *testing.T) {
 		logs := []*frameLog{{got: map[wire.Kind]int{}}, {got: map[wire.Kind]int{}}}
 		in := &Ingress{
 			owner: []int{0, 1}, runs: make([]wire.RunEncoder, 2), total: 2,
-			specs: multi.Solo(pat, engine.Config{}), schema: row.Schema,
+			patternSet: patternSet{specs: multi.Solo(pat, engine.Config{}), schema: row.Schema},
 		}
 		for n, st := range []slotState{r.state, slotLive} {
 			s := &slot{conn: logs[n], state: st, hosted: map[int]bool{n: true}, done: make(chan struct{}), gotMetrics: true}

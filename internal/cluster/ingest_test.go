@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -145,6 +146,46 @@ func TestIngressElidesUnreadTypes(t *testing.T) {
 	}
 	if want == n || runEvents != want {
 		t.Fatalf("the runs carried %d events; want the %d of %d a hosted pattern reads", runEvents, want, n)
+	}
+}
+
+// TestFleetOpsRefuse: every fleet operation passes one guard — refused
+// without Recovery, whose journal its moves replay from, and after the
+// session ended — and a refused AddNode closes the connection it was
+// handed.
+func TestFleetOpsRefuse(t *testing.T) {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	for _, tc := range []struct {
+		name  string
+		rec   *RecoveryConfig
+		ended bool
+		want  string
+	}{
+		{"without Recovery", nil, false, "requires Recovery"},
+		{"after Finish", &RecoveryConfig{}, true, "after Finish"},
+	} {
+		ing, err := NewIngress(row.Specs[0].Pattern, []Conn{newDiscardConn(2), newDiscardConn(2)}, IngressOptions{
+			KeyAttr: "key", Schema: row.Schema, OnTagged: func(shard.Tagged) {}, Recovery: tc.rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.ended {
+			ing.Kill()
+		}
+		joiner := newDiscardConn(1)
+		_, addErr := ing.AddNode(joiner)
+		for op, err := range map[string]error{"AddNode": addErr, "Drain": ing.Drain(0), "MigrateShard": ing.MigrateShard(0, 1)} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s = %v, want a refusal naming %q", tc.name, op, err, tc.want)
+			}
+		}
+		select {
+		case <-joiner.done:
+		default:
+			t.Errorf("%s: the refused AddNode left its connection open", tc.name)
+		}
+		ing.Kill()
 	}
 }
 

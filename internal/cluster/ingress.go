@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 	"sync"
@@ -171,22 +170,7 @@ type Ingress struct {
 
 	col *shard.Collector
 
-	// The session's pattern set (ingress goroutine unless noted). specs
-	// is the current set — the truth shipped to every join and adoption —
-	// reads the types it reads, which Process routes by, and sig its
-	// fingerprint under schema; keyAttr re-validates runtime
-	// additions; tenants are the shipped budgets. addCut maps
-	// runtime-added pattern ids to the cut boundary they joined at;
-	// reader goroutines load it to drop matches a migration replay
-	// regenerated from events the pattern never saw in the original
-	// timeline (see AddPattern).
-	specs   []multi.Spec
-	reads   multi.Reads
-	schema  *event.Schema
-	sig     uint64
-	keyAttr string
-	tenants map[uint32]shed.TenantBudget
-	addCut  atomic.Pointer[map[uint32]uint64]
+	patternSet
 	// sealedTags: the consumer takes the tags sealed (NewSealedIngress).
 	// It rebuilds the session from its own configuration, so AddPattern
 	// and RemovePattern refuse.
@@ -222,15 +206,12 @@ type Ingress struct {
 	// rouse is closed, and replaced, when a reader's wait gains an exit
 	// (a suspect is queued, a migration starts): it wakes the parked
 	// readers.
-	rouse       chan struct{}
-	suspects    []suspectRec
-	failovers   []recovery.Failover
-	facked      []int // per failover: migrations acknowledged so far
-	migrations  []recovery.Migration
-	migFailover []int          // per migration: owning failover index, -1 if none
-	retired     engine.Metrics // metrics of drained sessions whose slot was reused
-	patMetrics  map[uint32]engine.Metrics
-	tenantAgg   map[uint32]shed.TenantStat
+	rouse    chan struct{}
+	suspects []suspectRec
+	ledger
+	retired    engine.Metrics // metrics of drained sessions whose slot was reused
+	patMetrics map[uint32]engine.Metrics
+	tenantAgg  map[uint32]shed.TenantStat
 }
 
 // NewIngress performs the handshake over the given node connections
@@ -326,18 +307,14 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		batch:      opts.Batch,
 		exitCh:     make(chan struct{}, 1),
 		rouse:      make(chan struct{}),
-		specs:      specs,
-		reads:      multi.ReadsOf(specs),
-		schema:     opts.Schema,
-		sig:        signature(specs, opts.Schema),
-		keyAttr:    opts.KeyAttr,
-		tenants:    maps.Clone(opts.Tenants),
+		patternSet: patternSet{schema: opts.Schema, keyAttr: opts.KeyAttr, tenants: maps.Clone(opts.Tenants)},
 		patMetrics: make(map[uint32]engine.Metrics),
 		tenantAgg:  make(map[uint32]shed.TenantStat),
 		epoch:      opts.Epoch,
 		rec:        rc,
 		sealedTags: sealed,
 	}
+	in.derive(specs)
 	// Collect every node's greeting, then assign contiguous blocks of the
 	// global shard space in connection order.
 	claims := make([]int, len(conns))
@@ -365,7 +342,8 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	in.total = len(in.owner)
 	base := 0
 	for i, c := range conns {
-		if err := c.Send(in.assignFrame(base, claims[i])); err != nil {
+		a := wire.Assign{Base: uint32(base), Shards: uint32(claims[i]), Total: uint32(in.total), Epoch: in.epoch}
+		if err := c.Send(in.assignFrame(a)); err != nil {
 			return nil, fmt.Errorf("cluster: assigning node %d: %w", i, err)
 		}
 		base += claims[i]
@@ -376,7 +354,8 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	}
 
 	deliver := in.deliverer(opts, sealed)
-	var progress func(uint64)
+	tap := opts.OnProgress
+	progress := tap
 	if opts.Recovery != nil {
 		if rc.Resume != nil {
 			in.journal = rc.Resume.Journal
@@ -386,13 +365,11 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		if rc.HeartbeatTimeout > 0 {
 			in.det = recovery.NewDetector(0, rc.HeartbeatTimeout) // install grows it
 		}
-		progress = func(w uint64) { in.released.Store(w) }
-	}
-	if tap := opts.OnProgress; tap != nil {
-		if inner := progress; inner != nil {
-			progress = func(w uint64) { inner(w); tap(w) }
-		} else {
-			progress = tap
+		progress = func(w uint64) {
+			in.released.Store(w)
+			if tap != nil {
+				tap(w)
+			}
 		}
 	}
 	// Run recycling: a sealed run's storage is reusable once its send has
@@ -442,237 +419,12 @@ func (in *Ingress) takeoverAdopt(rs *ResumeState) error {
 		if o < 0 {
 			continue
 		}
-		if _, err := in.migrateShard(g, o, "takeover", -1); err != nil {
+		if _, err := in.migrateShard(g, o, "takeover"); err != nil {
 			return err
 		}
 	}
 	in.routeBroadcast()
 	return nil
-}
-
-// maxWindow is the widest time window any hosted pattern can reach back
-// — the journal-sizing horizon.
-func (in *Ingress) maxWindow() event.Time {
-	var w event.Time
-	for _, sp := range in.specs {
-		if sp.Pattern.Window > w {
-			w = sp.Pattern.Window
-		}
-	}
-	return w
-}
-
-// assignFrame builds the handshake reply for a session hosting shards
-// [base, base+shards): the current pattern set plus the tenant budgets,
-// sorted for a deterministic wire image. Ingress goroutine (reads
-// in.specs).
-func (in *Ingress) assignFrame(base, shards int) wire.Assign {
-	a := wire.Assign{
-		Base: uint32(base), Shards: uint32(shards), Total: uint32(in.total),
-		Schema: in.schema, Epoch: in.epoch,
-	}
-	for _, sp := range in.specs {
-		a.Patterns = append(a.Patterns, wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern})
-	}
-	for _, t := range slices.Sorted(maps.Keys(in.tenants)) {
-		a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: t, Budget: in.tenants[t]})
-	}
-	return a
-}
-
-// dropRegen reports whether a match of pattern p tagged at seq is a
-// replay artifact: a migration replays journaled history into a live
-// session whose evaluators already host patterns added later, so a
-// replayed cut can regenerate matches from events the pattern never saw
-// in the original timeline. Every legitimate match of a runtime-added
-// pattern is triggered by an event after its add boundary, so matches
-// at or below the boundary are dropped. Reader goroutines.
-func (in *Ingress) dropRegen(p uint32, seq uint64) bool {
-	m := in.addCut.Load()
-	if m == nil {
-		return false
-	}
-	born, ok := (*m)[p]
-	return ok && seq <= born
-}
-
-// Open decodes a sealed tag in place (Enc into M, kept by k, whose slab's
-// matches share their events): the one decode of a match's life, and the
-// emission boundary is the only place for it — this ingress handing a
-// match to its consumer, or a consumer of sealed tags
-// (NewSealedIngress) doing so later. The reader's decode checked these
-// bytes when they arrived (tagsOf), so an error is a fault of the
-// coordinator, not of the worker that sent them.
-func Open(t *shard.Tagged, k *match.Keeper) error {
-	m, err := wire.DecodeMatchBody(t.Enc, k)
-	if err != nil {
-		return fmt.Errorf("match at %d of shard %d does not decode at emission: %w", t.Seq, t.Src, err)
-	}
-	t.M, t.Enc = m, nil
-	return nil
-}
-
-// deliverer returns the emission boundary: the collector orders sealed
-// tags, and each match is decoded here, as the consumer takes it —
-// unless the consumer asked for the tags sealed. The matches metrics
-// report are the ones that reach the consumer, counted by pattern: an
-// engine also counts the ones a moved shard's collector purge or its
-// destination's replay suppression keeps from the consumer, and a match
-// that does not open is not delivered. Collector goroutine.
-func (in *Ingress) deliverer(opts IngressOptions, sealed bool) func(shard.Tagged) {
-	in.delivered = make(map[uint32]uint64)
-	counted := func(out func(shard.Tagged)) func(shard.Tagged) {
-		return func(t shard.Tagged) {
-			in.delivered[t.Pattern]++
-			if out != nil {
-				out(t)
-			}
-		}
-	}
-	switch {
-	case sealed:
-		return counted(opts.OnTagged)
-	case opts.OnTagged != nil:
-		return in.opened(counted(opts.OnTagged))
-	case opts.OnMatch != nil:
-		return in.opened(counted(func(t shard.Tagged) { opts.OnMatch(t.M) }))
-	}
-	return counted(nil)
-}
-
-// opened wraps a consumer that takes matches decoded, on the collector
-// goroutine. A match that does not open is not delivered, and Finish
-// reports why.
-func (in *Ingress) opened(out func(shard.Tagged)) func(shard.Tagged) {
-	k := &match.Keeper{}
-	return func(t shard.Tagged) {
-		if err := Open(&t, k); err != nil {
-			in.recordErr(fmt.Errorf("cluster: %w", err))
-			return
-		}
-		out(t)
-	}
-}
-
-// tagsOf appends to tags (empty) a node's Matches frame as the tags the
-// merge collector orders: each carries its body as Enc, aliasing the
-// frame's own bytes, undecoded. The frame is one the reader decoded, which
-// checked it whole (wire.Matches.Each) — corrupt bytes failed this node's
-// session there, before anything of the frame could be posted — so the
-// walk reads its records without checking the bodies again
-// (wire.Matches.Records), and drops replay artifacts of runtime-added
-// patterns. Reader goroutines.
-func (in *Ingress) tagsOf(v *wire.Matches, tags []shard.Tagged) ([]shard.Tagged, error) {
-	tags = slices.Grow(tags, v.Count) // decoding held the count against the bytes
-	err := v.Records(func(r wire.MatchRecord) {
-		if !in.dropRegen(r.Pattern, r.Seq) {
-			tags = append(tags, shard.Tagged{Seq: r.Seq, Src: int(r.Shard), Pattern: r.Pattern, Enc: r.Body})
-		}
-	})
-	return tags, err
-}
-
-// metricsDone reports whether the session delivered its final metrics
-// (the clean-exit marker), synchronized with the reader that records them.
-func (in *Ingress) metricsDone(s *slot) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return s.gotMetrics
-}
-
-// read is the reader goroutine of session s on node slot i: it turns each
-// Matches frame into one post to the merge collector — the frame's
-// matches, sealed, and its completion watermark — applies migration
-// acknowledgements and the node's final metrics, and on failure queues
-// a suspect and closes the link, posting nothing: the ingress goroutine
-// fails the node at its next barrier (failNode), which either seats a
-// successor or abandons the slot's shards at the collector.
-func (in *Ingress) read(i int, s *slot) {
-	defer func() { // runs last: done is closed by the time the drain wakes
-		select {
-		case in.exitCh <- struct{}{}:
-		default:
-		}
-	}()
-	defer close(s.done)
-	// lost ends the session on a failure. Closing the link stops a node
-	// that is still talking from filling it, undrained, and stalling the
-	// cut in flight to it; the suspect is queued first, so the next
-	// barrier acts on it.
-	lost := func(err error) {
-		in.suspect(i, s, err)
-		s.close()
-	}
-	for {
-		f, err := s.conn.Recv()
-		if err != nil {
-			if err == io.EOF && in.metricsDone(s) {
-				in.col.Post(i, maxSeq, nil) // clean end of stream
-			} else {
-				lost(fmt.Errorf("cluster: node %d stream: %w", i, err))
-			}
-			return
-		}
-		in.det.Heard(i)
-		switch v := f.(type) {
-		case *wire.Matches:
-			r := in.take(s)
-			if r.tags, err = in.tagsOf(v, r.tags); err != nil {
-				lost(fmt.Errorf("cluster: node %d: %w", i, err))
-				return
-			}
-			if v.UpTo > 0 || len(r.tags) > 0 {
-				in.col.PostRun(i, v.UpTo, r.tags, r)
-			} else {
-				r.Release()
-			}
-		case wire.Heartbeat:
-			// Liveness only (recorded above).
-		case wire.MigrateAck:
-			// The destination caught up to a migration's replay horizon; the
-			// matches it released on the way arrived ahead of this frame.
-			in.col.Complete(i, int(v.Shard), v.UpTo)
-			in.migrationAcked(i, int(v.Shard))
-		case wire.Metrics:
-			// The session's one report: fold it into the per-slot,
-			// per-pattern and per-tenant views.
-			in.mu.Lock()
-			s.metrics = v.M
-			for _, pm := range v.Patterns {
-				agg := in.patMetrics[pm.ID]
-				agg.Merge(pm.M)
-				in.patMetrics[pm.ID] = agg
-			}
-			for _, ts := range v.Tenants {
-				agg := in.tenantAgg[ts.Tenant]
-				agg.Tenant = ts.Tenant
-				agg.Admitted += ts.Admitted
-				agg.Shed += ts.Shed
-				in.tenantAgg[ts.Tenant] = agg
-			}
-			s.gotMetrics = true
-			in.mu.Unlock()
-		default:
-			lost(fmt.Errorf("cluster: node %d sent unexpected %s frame", i, wire.KindOf(f)))
-			return
-		}
-	}
-}
-
-func (in *Ingress) recordErr(err error) {
-	in.mu.Lock()
-	if in.err == nil {
-		in.err = err
-	}
-	in.mu.Unlock()
-}
-
-// Err reports the first transport or protocol error observed (nil while
-// healthy). Finish returns the same error.
-func (in *Ingress) Err() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.err
 }
 
 // Process routes one event to its shard. An event of a type no hosted
@@ -701,11 +453,7 @@ func (in *Ingress) Process(ev *event.Event) {
 // anew only when the fleet or a slot's address has changed since the last
 // one: the replication tap's observer keeps it. Ingress goroutine.
 func (in *Ingress) replAddrs() []string {
-	same := len(in.addrs) == len(in.slots)
-	for n := 0; same && n < len(in.slots); n++ {
-		same = in.addrs[n] == in.slots[n].addr
-	}
-	if !same {
+	if !slices.EqualFunc(in.addrs, in.slots, func(a string, s *slot) bool { return a == s.addr }) {
 		in.addrs = make([]string, len(in.slots))
 		for n, s := range in.slots {
 			in.addrs[n] = s.addr
@@ -823,12 +571,11 @@ func (in *Ingress) ownedShards(n int) []int {
 // the suppress boundary and replay horizon, and replays g's journaled
 // history to the destination. A healthy shard moves through handoff; a
 // failover's adoption and a takeover's re-establishment call it
-// directly. Must run on the ingress goroutine behind the send barrier;
-// fidx >= 0 folds the move into that failover record. It returns the
-// number of events it replayed. On error the destination is in an
-// unknown state — the caller routes it into the
-// failure path (and aborted in-flight records are dropped there).
-func (in *Ingress) migrateShard(g, to int, reason string, fidx int) (replayed int, err error) {
+// directly. Must run on the ingress goroutine behind the send barrier.
+// It returns the number of events it replayed. On error the destination
+// is in an unknown state — the caller routes it into the failure path
+// (and aborted in-flight records are struck there).
+func (in *Ingress) migrateShard(g, to int, reason string) (replayed int, err error) {
 	dst := in.slots[to]
 	if dst.hosted[g] {
 		return 0, fmt.Errorf("cluster: node %d already hosted shard %d this session; migrating it back would double-process", to, g)
@@ -854,23 +601,12 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) (replayed in
 	// with the tail of the replay loop, and an ack that finds no record
 	// would leave the migration in flight forever.
 	in.mu.Lock()
+	idx := len(in.migrations)
 	in.migrations = append(in.migrations, recovery.Migration{
 		Shard: g, From: from, To: to, Reason: reason,
 		StartedAt: time.Now(), SuppressUpTo: boundary, ReplayUpTo: replayUpTo,
 	})
-	in.migFailover = append(in.migFailover, fidx)
 	in.wake()
-	idx := len(in.migrations) - 1
-	if fidx >= 0 {
-		f := &in.failovers[fidx]
-		f.Shards++
-		if boundary > f.SuppressUpTo {
-			f.SuppressUpTo = boundary
-		}
-		if replayUpTo > f.ReplayUpTo {
-			f.ReplayUpTo = replayUpTo
-		}
-	}
 	in.mu.Unlock()
 	c := dst.conn
 	in.det.Sent(to)
@@ -892,46 +628,11 @@ func (in *Ingress) migrateShard(g, to int, reason string, fidx int) (replayed in
 	in.mu.Lock()
 	m := &in.migrations[idx]
 	m.ReplayCuts, m.ReplayEvents, m.ReplayBytes = cuts, events, bytes
-	if fidx >= 0 {
-		f := &in.failovers[fidx]
-		f.ReplayCuts += cuts
-		f.ReplayEvents += events
-		f.ReplayBytes += bytes
-	}
 	in.mu.Unlock()
 	if rerr != nil {
 		return events, fmt.Errorf("cluster: replaying shard %d to node %d: %w", g, to, rerr)
 	}
 	return events, nil
-}
-
-// handoff migrates healthy shard g to slot `to`. A failed handoff leaves
-// the destination in an unknown state, so the error is parked on it (the
-// next barrier fails it over) as well as returned. The destination's
-// session is charged the events replayed to it (slot.reoffered): g's
-// previous owner, still in session, counted them arriving.
-func (in *Ingress) handoff(g, to int, reason string) error {
-	replayed, err := in.migrateShard(g, to, reason, -1)
-	if err != nil {
-		in.slots[to].park(err)
-		return err
-	}
-	in.mu.Lock()
-	in.slots[to].reoffered += uint64(replayed)
-	in.mu.Unlock()
-	return nil
-}
-
-// move hands shard g to slot `to` and tells the fleet — the one way a
-// healthy shard changes owner: the placement controller and MigrateShard
-// come through here, and Drain hands off each owned shard the same way
-// before its single route broadcast.
-func (in *Ingress) move(g, to int, reason string) error {
-	if err := in.handoff(g, to, reason); err != nil {
-		return err
-	}
-	in.routeBroadcast()
-	return nil
 }
 
 // routeBroadcast ships the current shard->slot owner table to every
@@ -943,402 +644,15 @@ func (in *Ingress) move(g, to int, reason string) error {
 func (in *Ingress) routeBroadcast() {
 	route := wire.ShardRoute{Owner: make([]uint32, len(in.owner))}
 	for g, o := range in.owner {
-		if o < 0 {
-			route.Owner[g] = ^uint32(0)
-		} else {
-			route.Owner[g] = uint32(o)
-		}
+		route.Owner[g] = uint32(o) // -1 converts to ^uint32(0)
 	}
 	in.broadcast(route, slotLive)
-}
-
-// migrationAcked stamps the youngest in-flight migration of shard g to
-// slot n complete, and — when the move belonged to a failover — counts
-// it toward the failover's recovery, stamping RecoveredAt when the
-// last migrated shard has acknowledged. Reader goroutines.
-func (in *Ingress) migrationAcked(n, g int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i := len(in.migrations) - 1; i >= 0; i-- {
-		m := &in.migrations[i]
-		if m.Shard != g || m.To != n || !m.CompletedAt.IsZero() {
-			continue
-		}
-		m.CompletedAt = time.Now()
-		if fi := in.migFailover[i]; fi >= 0 {
-			in.facked[fi]++
-			if in.facked[fi] >= in.failovers[fi].Shards {
-				// The final ack wins: an adoption retry resets the
-				// aggregates and this overwrites any premature stamp.
-				in.failovers[fi].RecoveredAt = time.Now()
-			}
-		}
-		return
-	}
-}
-
-// migrating reports whether a migration is unacknowledged. Under mu.
-func (in *Ingress) migrating() bool {
-	for _, m := range in.migrations {
-		if m.CompletedAt.IsZero() {
-			return true
-		}
-	}
-	return false
 }
 
 // wake rouses every reader parked in wait: it has an exit now. Under mu.
 func (in *Ingress) wake() {
 	close(in.rouse)
 	in.rouse = make(chan struct{})
-}
-
-// rebalance runs the placement controller once per cut, behind the
-// barrier: past the cooldown it gathers what place reads and carries out
-// the move it decides on.
-func (in *Ingress) rebalance() {
-	if in.journal == nil || in.rec.Elastic == nil {
-		return
-	}
-	in.cutsSinceMove++
-	if in.cutsSinceMove < in.rec.Elastic.CooldownCuts {
-		return
-	}
-	v := placementView{
-		cfg: *in.rec.Elastic, owner: in.owner, load: in.load,
-		pinned: make([]bool, in.total),
-		slots:  make([]slotView, len(in.slots)),
-	}
-	for g := range v.pinned {
-		v.pinned[g] = in.journal.CoveredShard(g) != nil
-	}
-	in.mu.Lock()
-	v.inFlight = in.migrating()
-	for n, s := range in.slots {
-		v.slots[n] = slotView{eligible: s.state == slotLive, hosted: s.hosted}
-	}
-	in.mu.Unlock()
-	if g, to, reason, ok := place(v); ok {
-		in.move(g, to, reason) //nolint:errcheck // parked on the destination; the next barrier acts on it
-		in.cutsSinceMove = 0
-	}
-}
-
-// AddNode admits a freshly dialed node into the running cluster: it
-// runs the hello/assign handshake (the node joins with zero shards and
-// a total-sized engine), registers the new slot's reader and heartbeat
-// clock, and returns the slot index. The placement controller (or an
-// explicit MigrateShard) hands it work. Requires Recovery; must be
-// called from the Process goroutine. The connection is closed on error.
-func (in *Ingress) AddNode(c Conn) (int, error) {
-	if in.finished {
-		c.Close()
-		return -1, fmt.Errorf("cluster: AddNode after Finish")
-	}
-	if in.journal == nil {
-		c.Close()
-		return -1, fmt.Errorf("cluster: AddNode requires Recovery (the journal feeds shard handoff)")
-	}
-	in.waitSends()
-	if err := in.openSession(c, "joining node"); err != nil {
-		c.Close()
-		return -1, err
-	}
-	// Ghost-slot compaction: reuse the oldest ghost for the joining node
-	// instead of growing the fleet, so a long-running cluster's
-	// join/drain churn doesn't leak slots. The retired session's metrics
-	// move to the retired accumulator first, keeping the cluster-wide
-	// Metrics sum intact.
-	n := in.ghost()
-	if n < 0 {
-		n = len(in.slots)
-	} else {
-		in.mu.Lock()
-		in.retired.Merge(in.slots[n].final())
-		in.mu.Unlock()
-	}
-	in.install(n, c, connAddr(c))
-	return n, nil
-}
-
-// ghost finds the oldest ghost slot (-1: none): drained, its session
-// fully ended — reader exited, final metrics recorded. It owns nothing
-// and will never speak again.
-func (in *Ingress) ghost() int {
-	for n, s := range in.slots {
-		if s.state != slotDrained {
-			continue
-		}
-		select {
-		case <-s.done:
-			if in.metricsDone(s) {
-				return n
-			}
-		default: // session still draining
-		}
-	}
-	return -1
-}
-
-// Drain gracefully empties node slot n: every shard it owns migrates
-// to a live peer (round-robin, skipping peers whose session already
-// hosted the shard), then the node gets its Finish frame and reports
-// final metrics while the rest of the cluster keeps running. Requires
-// Recovery; must be called from the Process goroutine.
-func (in *Ingress) Drain(n int) error {
-	if in.finished {
-		return fmt.Errorf("cluster: Drain after Finish")
-	}
-	if in.journal == nil {
-		return fmt.Errorf("cluster: Drain requires Recovery (migrations replay from the journal)")
-	}
-	if n < 0 || n >= len(in.slots) {
-		return fmt.Errorf("cluster: Drain: no node slot %d", n)
-	}
-	in.waitSends()
-	s := in.slots[n]
-	if !s.receives() {
-		return fmt.Errorf("cluster: Drain: node %d is not live (dead or already drained)", n)
-	}
-	// Round-robin over the other slots from slot 0, skipping any that
-	// cannot take the shard (not live, or its session already hosted it).
-	owned := in.ownedShards(n)
-	next := len(in.slots) - 1
-	for _, g := range owned {
-		pick := -1
-		for k := 1; k <= len(in.slots) && pick < 0; k++ {
-			if t := (next + k) % len(in.slots); t != n && in.slots[t].takes(g) {
-				pick = t
-			}
-		}
-		if pick < 0 {
-			return fmt.Errorf("cluster: draining node %d: no live node can take shard %d (every one is gone or already hosted it this session)", n, g)
-		}
-		next = pick
-		if err := in.handoff(g, pick, "drain"); err != nil {
-			return err
-		}
-	}
-	if len(owned) > 0 {
-		in.routeBroadcast()
-	}
-	if err := s.conn.Send(wire.Finish{}); err != nil {
-		// The shards are already safe on their new owners; the node's
-		// death at this point is a benign failover.
-		in.failNode(n, fmt.Errorf("cluster: finishing drained node %d: %w", n, err))
-		return nil
-	}
-	in.det.Sent(n)
-	s.state = slotDrained
-	s.addr = "" // the slot no longer lives anywhere dialable
-	return nil
-}
-
-// RemoveNode scales the cluster in — the symmetric inverse of AddNode,
-// in one call: it drains slot n (every owned shard migrates to a live
-// peer), waits for the drained session to report its final metrics and
-// end, folds those metrics into the retired accumulator, closes the
-// connection — which returns a pooled standby address to circulation
-// for later adoptions and joins — and compacts the slot into an
-// immediately reusable ghost. Requires Recovery; must be called from
-// the Process goroutine.
-func (in *Ingress) RemoveNode(n int) error {
-	if err := in.Drain(n); err != nil {
-		return err
-	}
-	// The drained session ends on its own clock: it owns nothing, but
-	// its engines still flush and its reader must record the final
-	// metrics before the slot can be compacted. The wait cannot starve —
-	// draining needs no further ingress sends, and the merge collector
-	// runs on its own goroutine.
-	s := in.slots[n]
-	<-s.done
-	s.conn.Close()
-	in.mu.Lock()
-	// Fold the retired session's counters now so the slot's metrics slate
-	// is clean for reuse; gotMetrics stays set — it is the clean-end
-	// marker ghost-slot compaction keys on.
-	in.retired.Merge(s.final())
-	s.metrics, s.reoffered = engine.Metrics{}, 0
-	in.mu.Unlock()
-	return nil
-}
-
-// connAddr reports a connection's dialable remote address ("" when it has
-// none: accepted, in-process or wrapped).
-func connAddr(c Conn) string {
-	if ra, ok := c.(interface{ RemoteAddr() string }); ok {
-		return ra.RemoteAddr()
-	}
-	return ""
-}
-
-// MigrateShard moves one shard to node slot `to` on demand — the
-// manual override of the placement controller. Requires Recovery; must
-// be called from the Process goroutine.
-func (in *Ingress) MigrateShard(g, to int) error {
-	if in.finished {
-		return fmt.Errorf("cluster: MigrateShard after Finish")
-	}
-	if in.journal == nil {
-		return fmt.Errorf("cluster: MigrateShard requires Recovery (migrations replay from the journal)")
-	}
-	if g < 0 || g >= in.total {
-		return fmt.Errorf("cluster: MigrateShard: no shard %d", g)
-	}
-	if to < 0 || to >= len(in.slots) {
-		return fmt.Errorf("cluster: MigrateShard: no node slot %d", to)
-	}
-	in.waitSends()
-	if !in.slots[to].receives() {
-		return fmt.Errorf("cluster: MigrateShard: node %d cannot take shards", to)
-	}
-	if in.owner[g] == to {
-		return fmt.Errorf("cluster: MigrateShard: node %d already owns shard %d", to, g)
-	}
-	reason := "rebalance"
-	if len(in.ownedShards(to)) == 0 {
-		reason = "join"
-	}
-	return in.move(g, to, reason)
-}
-
-// AddPattern registers one more pattern on a running cluster. The
-// in-progress cut is sealed first, so the mutation lands
-// on a clean cut boundary on every node: events already ingested stay
-// ahead of the new pattern and events after this call are the first it
-// sees. The spec joins the shipped set — future joins, adoptions and
-// failover replays host it — and matches a migration replay regenerates
-// from history before the boundary are filtered at the merge, so the
-// delivered stream for the new pattern is exactly what a cluster that
-// had hosted it from this boundary onward would produce. The spec's
-// Config is ignored (each node applies its own engine configuration).
-// Must be called from the Process goroutine.
-func (in *Ingress) AddPattern(sp multi.Spec) error {
-	if in.sealedTags {
-		return fmt.Errorf("cluster: AddPattern on a sealed ingress (its pattern set is fixed)")
-	}
-	if in.finished {
-		return fmt.Errorf("cluster: AddPattern after Finish")
-	}
-	for _, have := range in.specs {
-		if have.ID == sp.ID {
-			return fmt.Errorf("cluster: pattern id %d already registered", sp.ID)
-		}
-	}
-	// Prevalidate here so a bad spec is one error return, not a poisoned
-	// session on every node.
-	if _, err := multi.Analyze([]multi.Spec{sp}, in.schema); err != nil {
-		return err
-	}
-	if in.keyAttr != "" {
-		if err := shard.Partitionable(sp.Pattern, in.schema, in.keyAttr); err != nil {
-			return err
-		}
-	}
-	if in.pending > 0 {
-		in.cutAll()
-	}
-	in.waitSends()
-	in.specs = append(in.specs, sp)
-	in.reads = multi.ReadsOf(in.specs)
-	in.sig = signature(in.specs, in.schema)
-	// Publish the add boundary before any node can emit for the new
-	// pattern: the reader-side replay filter must be in place first.
-	next := map[uint32]uint64{sp.ID: in.lastSeq}
-	if old := in.addCut.Load(); old != nil {
-		for id, cut := range *old {
-			next[id] = cut
-		}
-	}
-	in.addCut.Store(&next)
-	in.broadcast(wire.PatternAdd{Entry: wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern}}, slotLive)
-	return nil
-}
-
-// RemovePattern retires a pattern cluster-wide at the next cut
-// boundary: its evaluation state is dropped on every node and no
-// further matches of it are delivered. Removal is a deliberate
-// stop-caring operation — matches the pattern produced before the
-// boundary but not yet delivered still drain normally, but if a shard
-// later migrates or fails over, undelivered matches of the retired
-// pattern inside the replayed span are not regenerated (the successor
-// no longer hosts it). The last live pattern cannot be removed. Must be
-// called from the Process goroutine.
-func (in *Ingress) RemovePattern(id uint32) error {
-	if in.sealedTags {
-		return fmt.Errorf("cluster: RemovePattern on a sealed ingress (its pattern set is fixed)")
-	}
-	if in.finished {
-		return fmt.Errorf("cluster: RemovePattern after Finish")
-	}
-	at := -1
-	for i, sp := range in.specs {
-		if sp.ID == id {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return fmt.Errorf("cluster: no pattern %d registered", id)
-	}
-	if len(in.specs) == 1 {
-		return fmt.Errorf("cluster: cannot remove the last pattern (joins and adoptions need a live set)")
-	}
-	if in.pending > 0 {
-		in.cutAll()
-	}
-	in.waitSends()
-	in.specs = append(in.specs[:at:at], in.specs[at+1:]...)
-	in.reads = multi.ReadsOf(in.specs)
-	in.sig = signature(in.specs, in.schema)
-	in.broadcast(wire.PatternRemove{ID: id}, slotLive)
-	return nil
-}
-
-// Patterns snapshots the current pattern set. Process goroutine.
-func (in *Ingress) Patterns() []multi.Spec {
-	return append([]multi.Spec(nil), in.specs...)
-}
-
-// PatternMetrics merges every node's per-pattern engine counters,
-// ascending by pattern id, with Matches the pattern's matches delivered
-// (see Metrics). Patterns removed before Finish stop reporting and are
-// absent. Call after Finish.
-func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
-	tenant := make(map[uint32]uint32, len(in.specs))
-	for _, sp := range in.specs {
-		tenant[sp.ID] = sp.Tenant
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]multi.PatternMetrics, 0, len(in.patMetrics))
-	for _, id := range slices.Sorted(maps.Keys(in.patMetrics)) {
-		m := in.patMetrics[id]
-		m.Matches = in.delivered[id]
-		out = append(out, multi.PatternMetrics{ID: id, Tenant: tenant[id], M: m})
-	}
-	return out
-}
-
-// TenantStats merges the per-tenant admission accounting reported by
-// every node, sorted by tenant id. Call after Finish.
-func (in *Ingress) TenantStats() []shed.TenantStat {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]shed.TenantStat, 0, len(in.tenantAgg))
-	for _, t := range slices.Sorted(maps.Keys(in.tenantAgg)) {
-		out = append(out, in.tenantAgg[t])
-	}
-	return out
-}
-
-// Migrations reports every shard move so far (completed and in
-// flight), oldest first.
-func (in *Ingress) Migrations() []recovery.Migration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]recovery.Migration(nil), in.migrations...)
 }
 
 // Owners snapshots the shard->slot routing table (-1: abandoned).
@@ -1414,6 +728,54 @@ func (in *Ingress) Nodes() int { return len(in.slots) }
 
 // TotalShards reports the global shard count across all nodes.
 func (in *Ingress) TotalShards() int { return in.total }
+
+func (in *Ingress) recordErr(err error) {
+	in.mu.Lock()
+	if in.err == nil {
+		in.err = err
+	}
+	in.mu.Unlock()
+}
+
+// Err reports the first transport or protocol error observed (nil while
+// healthy). Finish returns the same error.
+func (in *Ingress) Err() error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.err
+}
+
+// PatternMetrics merges every node's per-pattern engine counters,
+// ascending by pattern id, with Matches the pattern's matches delivered
+// (see Metrics). Patterns removed before Finish stop reporting and are
+// absent. Call after Finish.
+func (in *Ingress) PatternMetrics() []multi.PatternMetrics {
+	tenant := make(map[uint32]uint32, len(in.specs))
+	for _, sp := range in.specs {
+		tenant[sp.ID] = sp.Tenant
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := make([]multi.PatternMetrics, 0, len(in.patMetrics))
+	for _, id := range slices.Sorted(maps.Keys(in.patMetrics)) {
+		m := in.patMetrics[id]
+		m.Matches = in.delivered[id]
+		out = append(out, multi.PatternMetrics{ID: id, Tenant: tenant[id], M: m})
+	}
+	return out
+}
+
+// TenantStats merges the per-tenant admission accounting reported by
+// every node, sorted by tenant id. Call after Finish.
+func (in *Ingress) TenantStats() []shed.TenantStat {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := make([]shed.TenantStat, 0, len(in.tenantAgg))
+	for _, t := range slices.Sorted(maps.Keys(in.tenantAgg)) {
+		out = append(out, in.tenantAgg[t])
+	}
+	return out
+}
 
 // Metrics merges every node's engine metrics into one cluster-wide view;
 // EventsArrived also counts, once, every event Process offered no shard,

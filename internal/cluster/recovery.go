@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,7 +103,6 @@ func DialStandbys(addrs []string) func() (Conn, error) {
 				lastErr = err
 				continue
 			}
-			i := i
 			rc := &releaseConn{streamConn: c.(*streamConn)}
 			rc.release = func() {
 				mu.Lock()
@@ -172,57 +172,31 @@ func (in *Ingress) checkSuspects() {
 
 // failNode is the one way a node is lost — a read error, a parked send
 // error and heartbeat silence all come here. It declares slot n dead
-// and drives the failover: stop the old reader, drop its aborted
+// and drives the failover: stop the old reader, strike its aborted
 // in-flight migrations, verify per-shard journal coverage, then migrate
 // its shards to standby connections until one survives adoption, the
 // attempt cap is hit, or none remain. Without a journal there is nothing
-// to replay, and the slot is abandoned at once.
+// to replay, and the slot is abandoned at once. The incident is recorded
+// once a successor holds the shards (at once when there were none).
 func (in *Ingress) failNode(n int, cause error) {
-	s := in.slots[n]
-	if !s.inSession() {
+	if !in.slots[n].inSession() {
 		return
 	}
-	s.state = slotDead
-	// Closing the session makes the old reader observe the failure and
-	// exit without posting; its frames must stop before the collector
-	// slot is re-registered.
-	s.close()
-	<-s.done
+	in.stop(n)
 	if in.journal == nil {
 		in.degrade(n, cause)
 		return
 	}
-	in.dropAbortedMigrations(n)
+	f := failover{Failover: recovery.Failover{Node: n, Cause: cause.Error(), DetectedAt: time.Now()}}
 	owned := in.ownedShards(n)
-	if len(owned) == 0 {
-		// A drained or never-loaded slot died: nothing to recover, the
-		// delivered stream is unaffected. Record the incident and retire
-		// the slot; with nothing lost there is no error to surface.
-		now := time.Now()
-		in.mu.Lock()
-		in.failovers = append(in.failovers, recovery.Failover{
-			Node: n, Cause: cause.Error(), DetectedAt: now, RecoveredAt: now,
-		})
-		in.facked = append(in.facked, 0)
-		in.mu.Unlock()
-		in.degrade(n, nil)
-		return
-	}
 	for _, g := range owned {
 		if err := in.journal.CoveredShard(g); err != nil {
 			in.degrade(n, fmt.Errorf("%v (node %d failed: %v)", err, n, cause))
 			return
 		}
 	}
-	in.mu.Lock()
-	fidx := len(in.failovers)
-	in.failovers = append(in.failovers, recovery.Failover{
-		Node: n, Cause: cause.Error(), DetectedAt: time.Now(),
-		JournalBytes: in.journal.Bytes(), JournalCuts: in.journal.Cuts(),
-	})
-	in.facked = append(in.facked, 0)
-	in.mu.Unlock()
-	for attempt := 0; ; attempt++ {
+	f.JournalBytes, f.JournalCuts = in.journal.Bytes(), in.journal.Cuts()
+	for attempt := 0; len(owned) > 0; attempt++ {
 		var conn Conn
 		var err error
 		switch {
@@ -234,54 +208,44 @@ func (in *Ingress) failNode(n int, cause error) {
 			conn, err = in.rec.Standby()
 		}
 		if err != nil {
-			in.popFailover(fidx)
 			in.degrade(n, fmt.Errorf("cluster: node %d failed (%v) and no standby took over: %w", n, cause, err))
 			return
 		}
-		if in.adopt(n, conn, fidx) == nil {
-			return
+		// The ingress goroutine is the ledger's only appender: the
+		// attempt's moves are the ones appended while it runs.
+		f.first = len(in.migrations)
+		if in.adopt(n, conn) == nil {
+			f.end = len(in.migrations)
+			break
 		}
 		// The standby itself died during adoption ("during replay" in
 		// the kill matrix); the next one re-purges and replays afresh.
+		in.stop(n)
 	}
-}
-
-// popFailover removes a failover record whose every adoption attempt
-// failed (its aborted migrations are already dropped, so nothing can
-// reference the index).
-func (in *Ingress) popFailover(fidx int) {
 	in.mu.Lock()
-	in.failovers = in.failovers[:fidx]
-	in.facked = in.facked[:fidx]
+	in.failovers = append(in.failovers, f)
 	in.mu.Unlock()
+	if len(owned) == 0 {
+		// A drained or never-loaded slot died: nothing to recover, the
+		// delivered stream is unaffected. The slot retires; with nothing
+		// lost there is no error to surface.
+		in.degrade(n, nil)
+	}
 }
 
-// dropAbortedMigrations compacts away every in-flight migration headed
-// to slot n — its session is dead, so no acknowledgement will ever
-// arrive. Each dropped move is subtracted from its failover's shard
-// count, re-checking whether the remaining acknowledged moves now
-// complete the record.
-func (in *Ingress) dropAbortedMigrations(n int) {
+// stop ends the session on slot n as dead. Closing it makes its reader
+// observe the failure and exit without posting (its frames must stop
+// before the collector slot is re-registered), and the moves headed to
+// it are struck: no acknowledgement will ever arrive. A session already
+// stopped stays as it is.
+func (in *Ingress) stop(n int) {
+	s := in.slots[n]
+	s.state = slotDead
+	s.close()
+	<-s.done
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	kept := in.migrations[:0]
-	keptF := in.migFailover[:0]
-	for i, m := range in.migrations {
-		fi := in.migFailover[i]
-		if m.To == n && m.CompletedAt.IsZero() {
-			if fi >= 0 {
-				in.failovers[fi].Shards--
-				if in.facked[fi] >= in.failovers[fi].Shards && in.failovers[fi].RecoveredAt.IsZero() {
-					in.failovers[fi].RecoveredAt = time.Now()
-				}
-			}
-			continue
-		}
-		kept = append(kept, m)
-		keptF = append(keptF, fi)
-	}
-	in.migrations = kept
-	in.migFailover = keptF
+	in.strike(n)
+	in.mu.Unlock()
 }
 
 // degrade gives up on the slot — the one terminal failure state: record
@@ -305,37 +269,21 @@ func (in *Ingress) degrade(n int, err error) {
 // adopt hands slot n's shards to one successor connection: a
 // zero-shard session (the successor runs a total-sized engine and learns
 // its shards from the Migrate frames), then one migrateShard per owned
-// shard. On error the connection is closed, its reader has exited,
-// aborted migrations are dropped, and the slot is dead again — the
-// caller may try another standby, which re-migrates every owned shard
-// afresh.
-func (in *Ingress) adopt(n int, conn Conn, fidx int) error {
+// shard. On error the caller stops the slot again (stop) and may try
+// another standby, which re-migrates every owned shard afresh.
+func (in *Ingress) adopt(n int, conn Conn) error {
 	if err := in.openSession(conn, fmt.Sprintf("standby for node %d", n)); err != nil {
 		conn.Close()
 		return err
 	}
-	// An adoption retry resets the per-replay aggregates the failed
-	// attempt accumulated; the final shard's ack re-stamps RecoveredAt,
-	// so a premature stamp cannot survive.
-	in.mu.Lock()
-	fr := &in.failovers[fidx]
-	fr.Shards, fr.SuppressUpTo, fr.ReplayUpTo = 0, 0, 0
-	fr.ReplayCuts, fr.ReplayEvents, fr.ReplayBytes = 0, 0, 0
-	fr.RecoveredAt = time.Time{}
-	in.facked[fidx] = 0
-	in.mu.Unlock()
 	// Seat the session — its reader running — before replaying: the
 	// reader must drain the upstream (matches, heartbeats, acks) while
 	// replay cuts flow down, or a bounded transport fills in both
 	// directions and deadlocks. The slot now lives at the standby's
 	// address.
-	s := in.install(n, conn, connAddr(conn))
+	in.install(n, conn, connAddr(conn))
 	for _, g := range in.ownedShards(n) {
-		if _, err := in.migrateShard(g, n, "failover", fidx); err != nil {
-			s.state = slotDead
-			s.close()
-			<-s.done
-			in.dropAbortedMigrations(n)
+		if _, err := in.migrateShard(g, n, "failover"); err != nil {
 			return err
 		}
 	}
@@ -385,12 +333,93 @@ func (in *Ingress) drain() {
 	}
 }
 
-// Failovers reports the node-death incidents so far, in order. Call
-// after Finish for settled RecoveredAt stamps.
+// ledger is the record of every shard move and node failure, under
+// Ingress.mu: a reader's wait reads whether a move is unacknowledged
+// together with the suspects and rouse, in one critical section, so a
+// move appended while a reader captures rouse cannot be a lost wakeup.
+// It is append-only. A move whose destination died before acknowledging
+// is struck out (To = -1), never removed, so the span a failover's final
+// adoption attempt wrote stays put, and the failover's aggregates are
+// computed from that span when asked (Failovers).
+type ledger struct {
+	migrations []recovery.Migration
+	failovers  []failover
+}
+
+// failover is a node-death incident as the ledger keeps it: its own
+// facts (Node, Cause, DetectedAt and the journal snapshot) and the span
+// [first, end) of migrations its final adoption attempt wrote.
+type failover struct {
+	recovery.Failover
+	first, end int
+}
+
+// acked stamps the youngest in-flight migration of shard g to slot n
+// complete.
+func (l *ledger) acked(n, g int) {
+	for i := len(l.migrations) - 1; i >= 0; i-- {
+		if m := &l.migrations[i]; m.Shard == g && m.To == n && m.CompletedAt.IsZero() {
+			m.CompletedAt = time.Now()
+			return
+		}
+	}
+}
+
+// migrating reports whether a migration is unacknowledged.
+func (l *ledger) migrating() bool {
+	return slices.ContainsFunc(l.migrations, func(m recovery.Migration) bool { return m.To >= 0 && m.CompletedAt.IsZero() })
+}
+
+// strike strikes out every in-flight migration headed to slot n: its
+// session is dead, so no acknowledgement will ever arrive.
+func (l *ledger) strike(n int) {
+	for i, m := range l.migrations {
+		if m.To == n && m.CompletedAt.IsZero() {
+			l.migrations[i].To = -1
+		}
+	}
+}
+
+// Failovers reports the node-death incidents so far, in order. Each is
+// its own facts plus, over the moves of its final adoption attempt that
+// were not struck out, their count, widest boundaries and summed replay
+// volume; it recovered when the last of them was acknowledged (zero
+// while one is in flight: call after Finish for settled stamps), or at
+// detection when it had none.
 func (in *Ingress) Failovers() []recovery.Failover {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	out := make([]recovery.Failover, len(in.failovers))
-	copy(out, in.failovers)
+	for i, f := range in.failovers {
+		r, inFlight := f.Failover, false
+		r.RecoveredAt = r.DetectedAt
+		for _, m := range in.migrations[f.first:f.end] {
+			if m.To < 0 {
+				continue
+			}
+			r.Shards++
+			r.SuppressUpTo = max(r.SuppressUpTo, m.SuppressUpTo)
+			r.ReplayUpTo = max(r.ReplayUpTo, m.ReplayUpTo)
+			r.ReplayCuts += m.ReplayCuts
+			r.ReplayEvents += m.ReplayEvents
+			r.ReplayBytes += m.ReplayBytes
+			inFlight = inFlight || m.CompletedAt.IsZero()
+			if m.CompletedAt.After(r.RecoveredAt) {
+				r.RecoveredAt = m.CompletedAt
+			}
+		}
+		if inFlight {
+			r.RecoveredAt = time.Time{}
+		}
+		out[i] = r
+	}
 	return out
+}
+
+// Migrations reports every shard move so far (completed and in
+// flight), oldest first.
+func (in *Ingress) Migrations() []recovery.Migration {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return slices.DeleteFunc(slices.Clone(in.migrations), func(m recovery.Migration) bool { return m.To < 0 })
 }

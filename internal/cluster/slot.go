@@ -165,8 +165,8 @@ func (in *Ingress) take(s *slot) *inRun {
 //
 //   - a shard migration is unacknowledged: its MigrateAck rides behind
 //     frames on some reader, and the frozen shard holds runs until it
-//     arrives (derived from the migration records, which a failed
-//     destination's drop clears);
+//     arrives (derived from the migration records, where a failed
+//     destination's moves are struck out);
 //   - a failure is queued for the next barrier (a suspect): a peer whose
 //     reader died posts nothing more, so this reader's runs come back
 //     only once the barrier acts, which a blocked send to this node would
@@ -295,7 +295,7 @@ func (in *Ingress) openSession(c Conn, who string) error {
 	if _, err := in.hello(c, who); err != nil {
 		return err
 	}
-	if err := c.Send(in.assignFrame(0, 0)); err != nil {
+	if err := c.Send(in.assignFrame(wire.Assign{Total: uint32(in.total), Epoch: in.epoch})); err != nil {
 		return fmt.Errorf("cluster: assigning %s: %w", who, err)
 	}
 	return nil
