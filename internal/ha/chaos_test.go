@@ -387,11 +387,14 @@ func TestOutOfProcessStandbyTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var srvCuts, srvEvents int
 	for i := range row.Events {
 		if i == 2500 {
+			waitMirrorTrim(t, srv)
 			if err := p.KillPrimary(); err != nil {
 				t.Fatalf("takeover from the external standby failed: %v", err)
 			}
+			srvCuts, srvEvents = srv.Stats()
 		}
 		p.Process(&row.Events[i])
 	}
@@ -403,9 +406,33 @@ func TestOutOfProcessStandbyTakeover(t *testing.T) {
 	if tk == nil || tk.ReplayCuts == 0 {
 		t.Fatalf("takeover record %+v, want replayed cuts from the external mirror", tk)
 	}
+	// The handover reports what the standby mirrored, in the units the
+	// in-process path reports: every mirrored cut, not the ones its
+	// journal still retains.
 	cuts, events := p.MirrorStats()
 	if cuts == 0 || events == 0 {
 		t.Fatalf("handover recorded no mirror volume (%d cuts, %d events)", cuts, events)
+	}
+	if cuts != srvCuts || events != srvEvents {
+		t.Fatalf("MirrorStats() = (%d cuts, %d events), the standby mirrored (%d, %d)",
+			cuts, events, srvCuts, srvEvents)
+	}
+}
+
+// waitMirrorTrim waits until the standby's journal has trimmed a cut it
+// mirrored, so that the cuts it retains and the cuts it mirrored differ.
+func waitMirrorTrim(t *testing.T, srv *StandbyServer) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		trimmed := srv.journal != nil && uint64(srv.journal.Cuts()) < srv.lastCut
+		srv.mu.Unlock()
+		if trimmed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the standby's journal trimmed no cut in 10 s")
+		}
 	}
 }
 

@@ -787,8 +787,8 @@ func (p *Pair) fetchMirror(epoch uint64) (mirrorState, error) {
 	st := mirrorState{
 		lastUpTo: hs.LastUpTo,
 		emitted:  hs.EmittedUpTo, count: hs.Count,
-		cuts: int(hs.Cuts), events: int(hs.Events),
-		finished: hs.Finished, dead: hs.Dead, cause: hs.Cause,
+		cuts: int(hs.LastCut), events: int(hs.Events),
+		dead: hs.Dead, cause: hs.Cause,
 		addrs: hs.Addrs,
 	}
 	if hs.DetectedAt != 0 {

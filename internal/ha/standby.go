@@ -56,12 +56,11 @@ type StandbyServer struct {
 	journal    *recovery.Journal
 	window     event.Time // the mirror journal's, from the opening Epoch frame
 	lastUpTo   uint64     // newest mirrored cut watermark
-	lastCut    uint64     // newest mirrored cut ordinal (dedup/gap detector)
+	lastCut    uint64     // newest mirrored cut ordinal; dense from 1, so also the number mirrored
 	emitted    uint64     // primary's last received EmittedUpTo (E*)
 	count      uint64     // primary's delivered count at that boundary (N*)
 	owner      []uint32
 	addrs      []string
-	cuts       int
 	events     int
 	mirrored   bool // a replication session has produced at least one cut
 	finished   bool // saw the Final cut: clean stand-down
@@ -185,7 +184,7 @@ func (s *StandbyServer) serveReplication(conn cluster.Conn) {
 				conn.Send(wire.Watermark{UpTo: math.MaxUint64}) //nolint:errcheck // primary may already be gone
 				s.mu.Lock()
 				s.finished = true
-				cuts, events := s.cuts, s.events
+				cuts, events := s.lastCut, s.events
 				s.mu.Unlock()
 				s.logf("stand-down: %d cuts, %d events mirrored", cuts, events)
 				continue
@@ -246,7 +245,6 @@ func (s *StandbyServer) mirror(v *wire.ReplCut) (dup bool, err error) {
 	s.mirrored = true
 	s.owner = append(s.owner[:0], v.Owner...)
 	s.addrs = append(s.addrs[:0], v.Addrs...)
-	s.cuts++
 	for _, r := range v.Runs {
 		s.events += r.Events
 	}
@@ -261,8 +259,8 @@ func (s *StandbyServer) serveHandover(conn cluster.Conn) {
 	hs := wire.HandoverState{
 		LastUpTo: s.lastUpTo, LastCut: s.lastCut,
 		EmittedUpTo: s.emitted, Count: s.count,
-		Events:   uint64(s.events),
-		Finished: s.finished, Dead: s.dead, Cause: s.cause,
+		Events: uint64(s.events),
+		Dead:   s.dead, Cause: s.cause,
 		Owner: append([]uint32(nil), s.owner...),
 		Addrs: append([]string(nil), s.addrs...),
 	}
@@ -322,7 +320,7 @@ func (s *StandbyServer) Wait() { <-s.done }
 func (s *StandbyServer) Stats() (cuts, events int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cuts, s.events
+	return int(s.lastCut), s.events
 }
 
 // mirrorState is the snapshot a takeover resumes from, rebuilt on the
@@ -336,7 +334,6 @@ type mirrorState struct {
 	addrs      []string
 	cuts       int
 	events     int
-	finished   bool
 	dead       bool
 	cause      string
 	detectedAt time.Time

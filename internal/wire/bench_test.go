@@ -310,7 +310,7 @@ func controlFrames() []controlFrame {
 		{"lease-acquire", LeaseAcquire{Holder: 1, TTLMillis: 2000}, 1},
 		{"lease-renew", LeaseRenew{Holder: 1, Epoch: 4, TTLMillis: 2000, EmittedUpTo: 1 << 33, Count: 777}, 1},
 		{"lease-fence", LeaseFence{Granted: true, Holder: 1, Epoch: 4, EmittedUpTo: 1 << 33, Count: 777}, 1},
-		{"handover-state", HandoverState{LastUpTo: 1 << 30, LastCut: 255, Cuts: 8, Finished: true}, 1},
+		{"handover-state", HandoverState{LastUpTo: 1 << 30, LastCut: 255, Cuts: 8, Dead: true}, 1},
 		{"shard-route", ShardRoute{Owner: []uint32{0, 2, 1, math.MaxUint32, 2}}, 2},
 		{"metrics", Metrics{M: engine.Metrics{Events: 100, Matches: 3, PeakPMs: 17, QueueWait: q}}, 3},
 		{"repl-cut-final", ReplCut{UpTo: 1 << 52, Cut: 1 << 20, Final: true}, 1},

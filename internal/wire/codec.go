@@ -353,8 +353,9 @@ func (c *codec) subPattern(pp **pattern.Pattern, s *event.Schema) {
 func (c *codec) metrics(m *engine.Metrics) {
 	c.u64(&m.Events, &m.Matches, &m.LateDropped, &m.EventsArrived, &m.EventsShed,
 		&m.QueueDropped, &m.DecisionCalls, &m.PlanGenerations, &m.Reoptimizations,
-		&m.PMCreated, &m.PredEvals)
-	c.i64((*int64)(&m.DecisionTime), (*int64)(&m.PlanTime), (*int64)(&m.StatTime))
+		&m.DrainEvents, &m.Suppressed, &m.PMCreated, &m.PredEvals)
+	c.i64((*int64)(&m.DecisionTime), (*int64)(&m.PlanTime), (*int64)(&m.StatTime),
+		(*int64)(&m.MigrateTime))
 	c.int(&m.PeakPMs)
 	c.quantile(&m.QueueWait)
 	c.quantile(&m.DetectTime)

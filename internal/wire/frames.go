@@ -108,9 +108,9 @@ type Metrics struct {
 
 func (v Metrics) code(c *codec) Metrics {
 	c.metrics(&v.M)
-	// An entry is at least 20 bytes: the id, 15 counters and two empty
+	// An entry is at least 23 bytes: the id, 18 counters and two empty
 	// estimators of two count bytes each.
-	table(c, &v.Patterns, maxPatternEntries, 20, "pattern metrics")
+	table(c, &v.Patterns, maxPatternEntries, 23, "pattern metrics")
 	for i := range v.Patterns {
 		c.u32(&v.Patterns[i].ID)
 		c.metrics(&v.Patterns[i].M)
@@ -374,7 +374,6 @@ type HandoverState struct {
 	Count       uint64 // delivered count at that boundary (N*)
 	Cuts        uint64 // retained journal cuts following as ReplCut frames
 	Events      uint64 // events mirrored in total (accounting)
-	Finished    bool   // the primary stood the mirror down cleanly
 	Dead        bool   // the mirror observed the primary die on the link
 	Cause       string // how the death surfaced (truncated to 256 bytes)
 	DetectedAt  uint64 // unix nanoseconds of the death observation
@@ -385,7 +384,7 @@ type HandoverState struct {
 func (v HandoverState) code(c *codec) HandoverState {
 	c.u64(&v.LastUpTo, &v.LastCut, &v.EmittedUpTo, &v.Count, &v.Cuts, &v.Events)
 	owner, addrs := v.Owner != nil, v.Addrs != nil
-	c.flags("handover-state", &v.Finished, &v.Dead, &owner, &addrs)
+	c.flags("handover-state", &v.Dead, &owner, &addrs)
 	v.Cause = v.Cause[:min(len(v.Cause), maxNameBytes)]
 	c.str(&v.Cause, "handover cause")
 	c.u64(&v.DetectedAt)

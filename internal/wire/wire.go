@@ -58,7 +58,7 @@ import (
 
 // Version is the protocol version carried in Hello frames. Bump it on any
 // layout change: no frame carries compatibility shapes.
-const Version = 11
+const Version = 12
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.

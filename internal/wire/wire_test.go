@@ -196,7 +196,7 @@ func frames() []Frame {
 			Owner:      []uint32{1, 0, math.MaxUint32},
 			Addrs:      []string{"127.0.0.1:9001", "[::1]:40000"},
 		},
-		HandoverState{Finished: true},
+		HandoverState{Dead: true},
 		HandoverState{},
 		Finish{},
 	}
@@ -248,6 +248,65 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if !eqFrame(t, f, got) {
 			t.Fatalf("%s: round-trip mismatch:\n in: %#v\nout: %#v", KindOf(f), f, got)
+		}
+	}
+}
+
+// everyMetric returns engine.Metrics with every field set by reflection,
+// each to its own value (base offsets them), and samples in both
+// estimators. A field of a kind it cannot set fails the test.
+func everyMetric(t *testing.T, base int) engine.Metrics {
+	t.Helper()
+	var m engine.Metrics
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, n := v.Field(i), base+1000*(i+1)
+		if q, ok := f.Addr().Interface().(*stats.Quantile); ok {
+			for j := 0; j < 50; j++ {
+				q.Add(float64(n + j))
+			}
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(n))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(n))
+		default:
+			t.Fatalf("engine.Metrics.%s: set it here (kind %s)", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return m
+}
+
+// TestMetricsEveryFieldRoundTrip: a Metrics frame carries every field of
+// engine.Metrics, in the session-wide counters and in each pattern's
+// entry, so a field added to the engine and not to the codec fails here.
+func TestMetricsEveryFieldRoundTrip(t *testing.T) {
+	in := Metrics{M: everyMetric(t, 0), Patterns: []PatternMetrics{{ID: 7, M: everyMetric(t, 1)}}}
+	f, _, err := Decode(Append(nil, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := f.(Metrics)
+	if len(out.Patterns) != 1 || out.Patterns[0].ID != 7 {
+		t.Fatalf("pattern entries %+v, want one with id 7", out.Patterns)
+	}
+	for _, pair := range [][2]engine.Metrics{{in.M, out.M}, {in.Patterns[0].M, out.Patterns[0].M}} {
+		want, got := reflect.ValueOf(pair[0]), reflect.ValueOf(pair[1])
+		for i := 0; i < want.NumField(); i++ {
+			name := want.Type().Field(i).Name
+			if wq, ok := want.Field(i).Interface().(stats.Quantile); ok {
+				gq := got.Field(i).Interface().(stats.Quantile)
+				if wq.Count() != gq.Count() || !slices.Equal(wq.Samples(), gq.Samples()) {
+					t.Errorf("%s: decoded %d samples of %d, want %d of %d",
+						name, len(gq.Samples()), gq.Count(), len(wq.Samples()), wq.Count())
+				}
+				continue
+			}
+			if w, g := want.Field(i).Interface(), got.Field(i).Interface(); w != g {
+				t.Errorf("%s: decoded %v, want %v", name, g, w)
+			}
 		}
 	}
 }
