@@ -53,7 +53,7 @@ func TestMigrateLive(t *testing.T) {
 		if m.CompletedAt.IsZero() || m.Pause() <= 0 {
 			t.Fatalf("%v: migration never acknowledged: %+v", kind, m)
 		}
-		if o := ing.Owners(); o[2] != 0 {
+		if o := ing.owner; o[2] != 0 {
 			t.Fatalf("%v: owners %v, want shard 2 on node 0", kind, o)
 		}
 	}
@@ -206,7 +206,7 @@ func TestMigrateDestKilled(t *testing.T) {
 	if len(fos) != 1 || fos[0].Node != 0 {
 		t.Fatalf("failovers = %+v, want exactly one for node 0", fos)
 	}
-	owners := ing.Owners()
+	owners := ing.owner
 	for _, g := range []int{0, 1, 2} {
 		if owners[g] != 0 {
 			t.Fatalf("owners %v: shard %d must ride node 0's successor", owners, g)
@@ -352,7 +352,7 @@ func TestAddNodeDrain(t *testing.T) {
 			t.Fatalf("migration never acknowledged: %+v", m)
 		}
 	}
-	owners := ing.Owners()
+	owners := ing.owner
 	if owners[1] != 2 || owners[0] == 0 {
 		t.Fatalf("owners %v: shard 1 must ride the joiner and shard 0 must have left node 0", owners)
 	}

@@ -173,11 +173,11 @@ func TestHandshakeRejections(t *testing.T) {
 	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Watermark{UpTo: 1}}}); err == nil {
 		t.Error("node accepted a non-assign handshake reply")
 	}
-	// An assignment outside the global shard space, or without a pattern
+	// An assignment of an empty global shard space, or without a pattern
 	// set, is refused.
 	set := []wire.PatternEntry{{Pattern: pat}}
-	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Base: 5, Total: 3, Schema: row.Schema, Patterns: set}}}); err == nil {
-		t.Error("node accepted an out-of-range assignment")
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 0, Schema: row.Schema, Patterns: set}}}); err == nil {
+		t.Error("node accepted an empty global shard space")
 	}
 	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: row.Schema}}}); err == nil {
 		t.Error("node accepted an assignment without a pattern set")

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"acep/internal/engine"
 	"acep/internal/wire"
 )
 
@@ -120,36 +119,6 @@ func (in *Ingress) Drain(n int) error {
 	in.det.Sent(n)
 	s.state = slotDrained
 	s.addr = "" // the slot no longer lives anywhere dialable
-	return nil
-}
-
-// RemoveNode scales the cluster in — the symmetric inverse of AddNode,
-// in one call: it drains slot n (every owned shard migrates to a live
-// peer), waits for the drained session to report its final metrics and
-// end, folds those metrics into the retired accumulator, closes the
-// connection — which returns a pooled standby address to circulation
-// for later adoptions and joins — and compacts the slot into an
-// immediately reusable ghost. Requires Recovery; must be called from
-// the Process goroutine.
-func (in *Ingress) RemoveNode(n int) error {
-	if err := in.Drain(n); err != nil {
-		return err
-	}
-	// The drained session ends on its own clock: it owns nothing, but
-	// its engines still flush and its reader must record the final
-	// metrics before the slot can be compacted. The wait cannot starve —
-	// draining needs no further ingress sends, and the merge collector
-	// runs on its own goroutine.
-	s := in.slots[n]
-	<-s.done
-	s.conn.Close()
-	in.mu.Lock()
-	// Fold the retired session's counters now so the slot's metrics slate
-	// is clean for reuse; gotMetrics stays set — it is the clean-end
-	// marker ghost-slot compaction keys on.
-	in.retired.Merge(s.final())
-	s.metrics, s.reoffered = engine.Metrics{}, 0
-	in.mu.Unlock()
 	return nil
 }
 

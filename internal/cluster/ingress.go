@@ -315,8 +315,10 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		sealedTags: sealed,
 	}
 	in.derive(specs)
-	// Collect every node's greeting, then assign contiguous blocks of the
-	// global shard space in connection order.
+	// Collect every node's greeting. A founding fleet routes contiguous
+	// blocks of the global shard space in connection order, each as large
+	// as its node's claim; every session gets the same Assign, which names
+	// no shard.
 	claims := make([]int, len(conns))
 	for i, c := range conns {
 		if claims[i], err = in.hello(c, fmt.Sprintf("node %d", i)); err != nil {
@@ -325,10 +327,9 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 	}
 	if rs := rc.Resume; rs != nil {
 		// Takeover successor: the mirrored table defines the global shard
-		// space, every worker session starts bare (it learns its shards
-		// through the adoption migrations below), and the stream resumes
-		// at the newest mirrored cut.
-		clear(claims)
+		// space, every worker session learns its shards through the
+		// adoption migrations below, and the stream resumes at the newest
+		// mirrored cut.
 		in.owner = append([]int(nil), rs.Owner...)
 		in.lastSeq = rs.NextSeq
 		in.suppressFloor = rs.Boundary
@@ -340,13 +341,11 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		}
 	}
 	in.total = len(in.owner)
-	base := 0
+	assign := in.assignFrame()
 	for i, c := range conns {
-		a := wire.Assign{Base: uint32(base), Shards: uint32(claims[i]), Total: uint32(in.total), Epoch: in.epoch}
-		if err := c.Send(in.assignFrame(a)); err != nil {
+		if err := c.Send(assign); err != nil {
 			return nil, fmt.Errorf("cluster: assigning node %d: %w", i, err)
 		}
-		base += claims[i]
 	}
 	in.runs = make([]wire.RunEncoder, in.total)
 	if rc.Elastic != nil {
@@ -390,7 +389,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 		for g, o := range in.owner {
 			in.slots[o].hosted[g] = true
 		}
-	} else if err := in.takeoverAdopt(rs); err != nil {
+	} else if err := in.takeoverAdopt(); err != nil {
 		// Orderly teardown: the deferred sweep above would leave the
 		// readers and the collector running.
 		in.teardown()
@@ -402,19 +401,12 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 }
 
 // takeoverAdopt re-establishes every mirrored shard on its slot's fresh
-// worker session: a Takeover frame announces the successor's epoch and
-// suppress boundary, then each shard runs the standard adoption
-// migration (reason "takeover") — replaying the mirrored journal with
-// duplicates at or below the boundary suppressed on the worker. Runs
-// once, at successor construction, before any ingest.
-func (in *Ingress) takeoverAdopt(rs *ResumeState) error {
-	tk := wire.Takeover{Epoch: in.epoch, Boundary: rs.Boundary}
-	for i, s := range in.slots {
-		if err := s.conn.Send(tk); err != nil {
-			return fmt.Errorf("cluster: takeover announce to worker %d: %w", i, err)
-		}
-		in.det.Sent(i)
-	}
+// worker session by the standard adoption migration (reason
+// "takeover"): it replays the mirrored journal, and its Migrate frame
+// carries the resumed boundary (migrateShard raises it to
+// suppressFloor), so the worker suppresses the duplicates at or below
+// it. Runs once, at successor construction, before any ingest.
+func (in *Ingress) takeoverAdopt() error {
 	for g, o := range in.owner {
 		if o < 0 {
 			continue
@@ -653,12 +645,6 @@ func (in *Ingress) routeBroadcast() {
 func (in *Ingress) wake() {
 	close(in.rouse)
 	in.rouse = make(chan struct{})
-}
-
-// Owners snapshots the shard->slot routing table (-1: abandoned).
-// Process goroutine.
-func (in *Ingress) Owners() []int {
-	return append([]int(nil), in.owner...)
 }
 
 // finishNodes hands Finish to every slot still live, failing over (and

@@ -125,7 +125,7 @@ func TestMultiClusterAddRemove(t *testing.T) {
 	})
 
 	got := byPattern(gotRun)
-	live := ing.Patterns()
+	live := ing.specs
 	if len(live) != 6 {
 		t.Fatalf("%d live patterns after add+remove, want 6", len(live))
 	}
@@ -458,7 +458,7 @@ func TestSoloClusterAddRemove(t *testing.T) {
 			t.Fatalf("pattern %d never fired; test is vacuous", sp.ID)
 		}
 	}
-	if live := ing.Patterns(); len(live) != 2 {
+	if live := ing.specs; len(live) != 2 {
 		t.Fatalf("%d live patterns after add+add+remove, want 2", len(live))
 	}
 	if pms := ing.PatternMetrics(); len(pms) != 2 || pms[0].ID != multi.SoloID || pms[1].ID != added.ID {

@@ -216,14 +216,12 @@ func (s *sender) failed() error {
 // returns when the ingress finishes the stream (nil) or the transport
 // fails (the error), closing the connection either way.
 //
-// The Assign reply fixes the session's view of the global shard space;
-// whether the node starts with a block of shards (a founding member) or
-// none (a standby adoption or a runtime join) it runs one engine
-// spanning the whole space, so any shard the ingress later Migrates in
-// — replaying the shard's journaled history, with matches at or below
-// the shipped release boundary suppressed as already-delivered — lands
-// on a worker that is bit-identical to the one a founding member would
-// have run.
+// The Assign reply fixes the global shard space and names no shard.
+// Every session runs one engine spanning the whole space and runs the
+// shards it is sent runs of. A shard Migrated in replays its journaled
+// history, with matches at or below the shipped release boundary
+// suppressed as already delivered, so it lands on a worker bit-identical
+// to the one a founding member would have run.
 func (n *Node) Serve(conn Conn) error {
 	defer conn.Close()
 	if sc, ok := conn.(interface{ SetWriteStall(time.Duration) }); ok {
@@ -244,11 +242,11 @@ func (n *Node) Serve(conn Conn) error {
 	if !ok {
 		return fmt.Errorf("cluster: node expected assign frame, got %s", wire.KindOf(f))
 	}
-	return n.serveBlock(conn, a)
+	return n.serveSession(conn, a)
 }
 
-// serveBlock hosts one ingress session.
-func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
+// serveSession hosts one ingress session.
+func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 	// Epoch fence, entry half: latch the highest coordinator epoch this
 	// process has served and refuse anything lower — a session from a
 	// primary that a takeover already superseded must not rebuild state.
@@ -283,9 +281,8 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		}
 	}
 	total := int(a.Total)
-	if total < 1 || uint64(a.Base)+uint64(a.Shards) > uint64(a.Total) {
-		return fmt.Errorf("cluster: assignment [%d,%d) outside global shard space of %d",
-			a.Base, uint64(a.Base)+uint64(a.Shards), a.Total)
+	if total < 1 {
+		return fmt.Errorf("cluster: assignment of an empty global shard space")
 	}
 
 	// The engine spans the full global shard space — worker g IS global
@@ -329,10 +326,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		ackWait  = map[int]uint64{}
 		pending  []int // Migrate received, awaiting the ShardRoute marker
 		maxUpTo  uint64
-		// suppressAll is the takeover boundary: a successor coordinator's
-		// session-wide floor below which every regenerated match was
-		// already delivered by the old primary (0 outside takeovers).
-		suppressAll uint64
 	)
 
 	// The Matches frame being filled, on the engine's collector goroutine:
@@ -371,11 +364,7 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 		OnTagged: func(t shard.Tagged) {
 			migMu.Lock()
 			boundary, migrated := suppress[t.Src]
-			floor := suppressAll
 			migMu.Unlock()
-			if floor > 0 && t.Seq <= floor {
-				return // at or below the takeover boundary: the old primary delivered it
-			}
 			if migrated && t.Seq <= boundary {
 				return // already delivered before the shard moved here
 			}
@@ -488,17 +477,6 @@ func (n *Node) serveBlock(conn Conn, a wire.Assign) error {
 			pending = append(pending, g)
 			migMu.Unlock()
 			up.beat(v.ReplayUpTo) // receipt beat: replay may be long
-		case wire.Takeover:
-			// A successor coordinator announces its assumption: every
-			// match at or below the boundary was already delivered by the
-			// old primary — suppress session-wide. The per-shard Migrate
-			// boundaries that follow repeat it shard by shard; this floor
-			// additionally covers any match a frame-ordering edge could
-			// slip in between.
-			migMu.Lock()
-			suppressAll = max(suppressAll, v.Boundary)
-			migMu.Unlock()
-			up.beat(v.Boundary)
 		case wire.ShardRoute:
 			// Routing is advisory here (ownership semantics ride the
 			// Migrate frames), but its position is load-bearing: the

@@ -53,15 +53,16 @@ func (ps *patternSet) maxWindow() event.Time {
 	return w
 }
 
-// assignFrame completes a handshake reply with the current pattern set
-// and the tenant budgets, sorted for a deterministic wire image.
-func (ps *patternSet) assignFrame(a wire.Assign) wire.Assign {
-	a.Schema = ps.schema
-	for _, sp := range ps.specs {
+// assignFrame is the handshake reply every session gets: the global
+// shard space, the epoch, the current pattern set and the tenant budgets,
+// sorted for a deterministic wire image.
+func (in *Ingress) assignFrame() wire.Assign {
+	a := wire.Assign{Total: uint32(in.total), Schema: in.schema, Epoch: in.epoch}
+	for _, sp := range in.specs {
 		a.Patterns = append(a.Patterns, wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern})
 	}
-	for _, t := range slices.Sorted(maps.Keys(ps.tenants)) {
-		a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: t, Budget: ps.tenants[t]})
+	for _, t := range slices.Sorted(maps.Keys(in.tenants)) {
+		a.Tenants = append(a.Tenants, wire.TenantBudgetEntry{Tenant: t, Budget: in.tenants[t]})
 	}
 	return a
 }
@@ -170,9 +171,4 @@ func (in *Ingress) repattern(op string, next func() ([]multi.Spec, wire.Frame, e
 	in.derive(specs)
 	in.broadcast(f, slotLive)
 	return nil
-}
-
-// Patterns snapshots the current pattern set. Process goroutine.
-func (in *Ingress) Patterns() []multi.Spec {
-	return append([]multi.Spec(nil), in.specs...)
 }

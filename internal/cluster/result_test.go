@@ -96,7 +96,7 @@ func startSolo(tb testing.TB, n *Node, s *event.Schema, pat *pattern.Pattern) *s
 		tb.Fatalf("node opened with a %v frame, want hello", k)
 	}
 	h.send(wire.Append(nil, wire.Assign{
-		Shards: 1, Total: 1, Schema: s,
+		Total: 1, Schema: s,
 		Patterns: []wire.PatternEntry{{ID: multi.SoloID, Pattern: pat}},
 	}))
 	return h

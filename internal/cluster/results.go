@@ -121,7 +121,11 @@ func (in *Ingress) read(i int, s *slot) {
 		f, err := s.conn.Recv()
 		if err != nil {
 			if err == io.EOF && in.metricsDone(s) {
-				in.col.Post(i, maxSeq, nil) // clean end of stream
+				// Clean end of stream. The session is over, so its conn
+				// closes now, not at Finish: a drained slot's pooled
+				// standby address (DialStandbys) is free again at once.
+				s.conn.Close()
+				in.col.Post(i, maxSeq, nil)
 			} else {
 				lost(fmt.Errorf("cluster: node %d stream: %w", i, err))
 			}

@@ -288,14 +288,14 @@ func (in *Ingress) hello(c Conn, who string) (int, error) {
 	return int(h.Shards), nil
 }
 
-// openSession handshakes a peer into a zero-shard session — every
-// session but a founding member's: the node runs a total-sized engine
-// and learns its shards from Migrate frames.
+// openSession handshakes a peer into a session after construction — a
+// join's or a standby's adopting a dead slot: the node runs a total-sized
+// engine and learns its shards from Migrate frames.
 func (in *Ingress) openSession(c Conn, who string) error {
 	if _, err := in.hello(c, who); err != nil {
 		return err
 	}
-	if err := c.Send(in.assignFrame(wire.Assign{Total: uint32(in.total), Epoch: in.epoch})); err != nil {
+	if err := c.Send(in.assignFrame()); err != nil {
 		return fmt.Errorf("cluster: assigning %s: %w", who, err)
 	}
 	return nil

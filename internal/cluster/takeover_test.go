@@ -234,45 +234,46 @@ func TestTakeoverEpochFence(t *testing.T) {
 	}
 }
 
-// TestRemoveNodeScaleIn pins the scale-in path symmetric to AddNode:
-// RemoveNode drains a slot, retires its session cleanly, and releases
-// its worker — which must be immediately reusable, here by re-joining
-// the very same worker process and handing it a shard back.
-func TestRemoveNodeScaleIn(t *testing.T) {
+// TestDrainedWorkerRejoins pins scale-in as Drain: the drained slot's
+// shards leave it, its session ends on its own, and its worker is free
+// to rejoin — here the same worker process, re-dialed, seated on the
+// ghost slot and handed a shard back.
+func TestDrainedWorkerRejoins(t *testing.T) {
 	row := rungtest.Lookup(t, "traffic/sequence")
 	want := rungtest.Reference(t, row)
 	rig := startRig(t, row, 0, nil, nil)
-	removedAddr := connAddr(rig.conns[2])
+	drainedAddr := connAddr(rig.conns[2])
 
-	ec := (*ElasticConfig)(nil)
-	rec, ing := runRig(t, rig, row, ec, map[int]func(*Ingress){
+	rec, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
 		2000: func(in *Ingress) {
-			if err := in.RemoveNode(2); err != nil {
-				t.Fatalf("RemoveNode: %v", err)
+			if err := in.Drain(2); err != nil {
+				t.Fatalf("Drain: %v", err)
 			}
-			for g, o := range in.Owners() {
+			for g, o := range in.owner {
 				if o == 2 {
-					t.Fatalf("shard %d still on the removed slot", g)
+					t.Fatalf("shard %d still on the drained slot", g)
 				}
 			}
 		},
 		3500: func(in *Ingress) {
-			// The released worker re-joins: the same process serves a
-			// fresh session and takes a shard back.
-			c, err := DialTCP(removedAddr)
+			sessionEnds(t, in.slots[2])
+			c, err := DialTCP(drainedAddr)
 			if err != nil {
-				t.Fatalf("re-dialing the released worker: %v", err)
+				t.Fatalf("re-dialing the drained worker: %v", err)
 			}
 			n, err := in.AddNode(c)
 			if err != nil {
-				t.Fatalf("re-joining the released worker: %v", err)
+				t.Fatalf("re-joining the drained worker: %v", err)
+			}
+			if n != 2 {
+				t.Fatalf("rejoined as slot %d, want the ghost slot 2", n)
 			}
 			if err := in.MigrateShard(0, n); err != nil {
 				t.Fatalf("handing shard 0 back: %v", err)
 			}
 		},
 	})
-	rungtest.Require(t, "scale-in + rejoin", rec, want)
+	rungtest.Require(t, "drain + rejoin", rec, want)
 	drains, joins := 0, 0
 	for _, m := range ing.Migrations() {
 		switch m.Reason {
@@ -287,7 +288,73 @@ func TestRemoveNodeScaleIn(t *testing.T) {
 			drains, joins, ing.Migrations())
 	}
 	if len(ing.Failovers()) != 0 {
-		t.Fatalf("scale-in recorded failovers: %+v", ing.Failovers())
+		t.Fatalf("drain recorded failovers: %+v", ing.Failovers())
+	}
+}
+
+// TestDrainedConnFreesStandby: a drained session's conn closes when the
+// session ends, not at Finish, so the DialStandbys address it held is
+// handed out again mid-stream. Every address of the pool is seated, one
+// seat is drained, and the pool must then give that address to the next
+// join.
+func TestDrainedConnFreesStandby(t *testing.T) {
+	row := rungtest.Lookup(t, "traffic/sequence")
+	want := rungtest.Reference(t, row)
+	rig := startRig(t, row, 3, nil, nil)
+	var addrs []string
+	for _, l := range rig.standbyLs {
+		addrs = append(addrs, l.Addr())
+	}
+	pool := DialStandbys(addrs)
+	var seated []int
+	rec, ing := runRig(t, rig, row, nil, map[int]func(*Ingress){
+		1000: func(in *Ingress) {
+			for range addrs {
+				c, err := pool()
+				if err != nil {
+					t.Fatalf("seating the pool: %v", err)
+				}
+				n, err := in.AddNode(c)
+				if err != nil {
+					t.Fatalf("AddNode: %v", err)
+				}
+				seated = append(seated, n)
+			}
+			if err := in.MigrateShard(0, seated[0]); err != nil {
+				t.Fatalf("handing shard 0 to a pooled worker: %v", err)
+			}
+		},
+		2500: func(in *Ingress) {
+			if err := in.Drain(seated[0]); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			sessionEnds(t, in.slots[seated[0]])
+			c, err := pool()
+			if err != nil {
+				t.Fatalf("the drained session ended, but the pool kept its address: %v", err)
+			}
+			n, err := in.AddNode(c)
+			if err != nil {
+				t.Fatalf("AddNode: %v", err)
+			}
+			if err := in.MigrateShard(0, n); err != nil {
+				t.Fatalf("handing shard 0 to the re-pooled worker: %v", err)
+			}
+		},
+	})
+	rungtest.Require(t, "drain frees a pooled address", rec, want)
+	if len(ing.Failovers()) != 0 {
+		t.Fatalf("drain recorded failovers: %+v", ing.Failovers())
+	}
+}
+
+// sessionEnds waits for session s's reader to exit.
+func sessionEnds(t *testing.T, s *slot) {
+	t.Helper()
+	select {
+	case <-s.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the drained session never ended")
 	}
 }
 

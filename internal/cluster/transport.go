@@ -1,7 +1,7 @@
 // Package cluster is the distributed execution layer: it scales the
 // key-partitioned shard engine (internal/shard) across processes and
-// machines. A worker Node hosts a contiguous block of the global shard
-// space behind a transport connection; the Ingress coordinator partitions
+// machines. A worker Node hosts whichever global shards it is sent runs
+// of, behind a transport connection; the Ingress coordinator partitions
 // the input stream across nodes with the same consistent placement the
 // shard layer uses locally, drives uniform watermark cuts so idle nodes
 // still advance, and merges the node match streams — already ordered
@@ -107,11 +107,6 @@ func newStreamConn(c net.Conn, addr string) *streamConn {
 		addr: addr,
 	}
 }
-
-// WrapNetConn frames wire messages over an already-established net.Conn:
-// the streamConn DialTCP returns, stall probes included. Only the
-// transport tests call it, to run the framing over net.Pipe.
-func WrapNetConn(c net.Conn) Conn { return newStreamConn(c, "") }
 
 // stallSlices is how many deadline slices a stall window is cut into:
 // progress within any slice resets the stall clock, so only a peer that

@@ -67,8 +67,8 @@ func TestReadStallWedgedPeer(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	conn := WrapNetConn(a)
-	conn.(interface{ SetReadStall(time.Duration) }).SetReadStall(200 * time.Millisecond)
+	conn := newStreamConn(a, "")
+	conn.SetReadStall(200 * time.Millisecond)
 	start := time.Now()
 	_, err := conn.Recv()
 	if err == nil || !strings.Contains(err.Error(), "read stalled") {
@@ -86,8 +86,8 @@ func TestReadStallToleratesLatePeer(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	conn := WrapNetConn(a)
-	conn.(interface{ SetReadStall(time.Duration) }).SetReadStall(time.Second)
+	conn := newStreamConn(a, "")
+	conn.SetReadStall(time.Second)
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		b.Write(wire.Append(nil, wire.Watermark{UpTo: 7}))
@@ -108,8 +108,8 @@ func TestWriteStallWedgedPeer(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	conn := WrapNetConn(a)
-	conn.(interface{ SetWriteStall(time.Duration) }).SetWriteStall(200 * time.Millisecond)
+	conn := newStreamConn(a, "")
+	conn.SetWriteStall(200 * time.Millisecond)
 	err := conn.Send(wire.Watermark{UpTo: 1})
 	if err == nil || !strings.Contains(err.Error(), "write stalled") {
 		t.Fatalf("Send into a wedged peer returned %v, want a write-stall error", err)
@@ -123,8 +123,8 @@ func TestWriteStallToleratesSlowReader(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	conn := WrapNetConn(a)
-	conn.(interface{ SetWriteStall(time.Duration) }).SetWriteStall(200 * time.Millisecond)
+	conn := newStreamConn(a, "")
+	conn.SetWriteStall(200 * time.Millisecond)
 	// A frame several times larger than the per-read trickle.
 	big := wire.ReplCut{UpTo: 1, Cut: 1, Addrs: []string{strings.Repeat("x", 4096)}}
 	done := make(chan struct{})
@@ -164,15 +164,15 @@ func TestNodeWedgedIngressFailsSession(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	served := make(chan error, 1)
-	go func() { served <- node.Serve(WrapNetConn(a)) }()
-	ing := WrapNetConn(b)
+	go func() { served <- node.Serve(newStreamConn(a, "")) }()
+	ing := newStreamConn(b, "")
 	if f, err := ing.Recv(); err != nil {
 		t.Fatalf("hello: %v", err)
 	} else if _, ok := f.(wire.Hello); !ok {
 		t.Fatalf("expected hello, got %s", wire.KindOf(f))
 	}
 	if err := ing.Send(wire.Assign{
-		Base: 0, Shards: 1, Total: 1, Schema: row.Schema, Patterns: []wire.PatternEntry{{Pattern: pat}},
+		Total: 1, Schema: row.Schema, Patterns: []wire.PatternEntry{{Pattern: pat}},
 	}); err != nil {
 		t.Fatalf("assign: %v", err)
 	}

@@ -58,7 +58,7 @@ func TestSplitBrainLeaseArbitrated(t *testing.T) {
 		t.Fatalf("demotion cause %q does not name the replication loss", d.Cause)
 	}
 	// The frozen primary must not have emitted past its committed state.
-	if got := p.Delivered(); got != d.Count {
+	if got := p.g.deliveredCount(); got != d.Count {
 		t.Fatalf("demoted primary delivered %d matches but committed %d — commit-then-emit violated", got, d.Count)
 	}
 	if err := p.KillPrimary(); err != nil {
@@ -180,12 +180,12 @@ func TestLeaseFencedPrimaryDemotes(t *testing.T) {
 	}
 	// Commit-then-emit: the fenced drain emitted nothing, so delivered
 	// equals the last successfully committed count exactly.
-	if got := p.Delivered(); got != d.Count {
+	if got := p.g.deliveredCount(); got != d.Count {
 		t.Fatalf("fenced primary delivered %d matches but committed %d", got, d.Count)
 	}
 	// And the arbiter holds that count: it is what a successor skips by.
-	if _, _, _, count := arb.State(); count != p.Delivered() {
-		t.Fatalf("arbiter records %d delivered, the fenced primary delivered %d", count, p.Delivered())
+	if _, _, _, count := arb.State(); count != p.g.deliveredCount() {
+		t.Fatalf("arbiter records %d delivered, the fenced primary delivered %d", count, p.g.deliveredCount())
 	}
 	if err := p.Finish(); err == nil || !strings.Contains(err.Error(), "demoted without takeover") {
 		t.Fatalf("Finish returned %v after a fence", err)

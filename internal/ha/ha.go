@@ -133,9 +133,9 @@ type Config struct {
 }
 
 // Pair is a replicated coordinator: one primary ingress, one hot
-// standby, one replication link between them. Process, Finish,
-// KillPrimary and KillStandby must run on a single goroutine (the
-// feed); the OnTagged callback fires on collector or link goroutines.
+// standby, one replication link between them. Process, Finish and
+// KillPrimary must run on a single goroutine (the feed); the OnTagged
+// callback fires on collector or link goroutines.
 type Pair struct {
 	cfg         Config
 	pool        func() (cluster.Conn, error)
@@ -919,12 +919,12 @@ func (p *Pair) runTakeover(delivered uint64, st mirrorState, cause string, detec
 	return nil
 }
 
-// KillStandby kills the standby as if its process died. The primary
+// killStandby kills the standby as if its process died. The primary
 // demotes at once (it can no longer prove its mirror) — before the
 // standby stops, so the demotion names the standby rather than the
 // link loss its death causes — and a later KillPrimary is a double
 // death.
-func (p *Pair) KillStandby() {
+func (p *Pair) killStandby() {
 	p.standbyLost = true
 	if !p.tookOver {
 		p.demote("ha: standby killed; the primary cannot prove its mirror is current")
@@ -960,6 +960,3 @@ func (p *Pair) MirrorStats() (cuts, events int) {
 	}
 	return p.mirrorCuts, p.mirrorEvs
 }
-
-// Delivered reports the matches emitted downstream so far.
-func (p *Pair) Delivered() uint64 { return p.g.deliveredCount() }

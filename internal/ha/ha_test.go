@@ -347,8 +347,8 @@ func TestStandbyKilledBeforeTakeover(t *testing.T) {
 	for i := range row.Events {
 		if i == 2000 {
 			// Some match must be out, or the count check below is 0 == 0.
-			waitFor(t, "a delivered match", func() bool { return p.Delivered() > 0 })
-			p.KillStandby()
+			waitFor(t, "a delivered match", func() bool { return p.g.deliveredCount() > 0 })
+			p.killStandby()
 		}
 		p.Process(&row.Events[i])
 	}
@@ -361,8 +361,8 @@ func TestStandbyKilledBeforeTakeover(t *testing.T) {
 	if n := len(got.Stream()); n == 0 || n > len(want) || rungtest.Diff(got.Stream(), want[:n], false) != "" {
 		t.Fatalf("the demoted primary delivered %d matches, want a nonempty prefix of the %d-match reference", n, len(want))
 	}
-	if _, _, _, count := p.arb.State(); count != p.Delivered() {
-		t.Fatalf("arbiter records %d delivered, the demoted primary delivered %d", count, p.Delivered())
+	if _, _, _, count := p.arb.State(); count != p.g.deliveredCount() {
+		t.Fatalf("arbiter records %d delivered, the demoted primary delivered %d", count, p.g.deliveredCount())
 	}
 	if p.Takeover() != nil {
 		t.Fatal("demoted run recorded a takeover")
@@ -383,7 +383,7 @@ func TestDoubleDeath(t *testing.T) {
 	for i := range row.Events {
 		switch i {
 		case 2000:
-			p.KillStandby()
+			p.killStandby()
 		case 3000:
 			killErr = p.KillPrimary()
 		}

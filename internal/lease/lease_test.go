@@ -90,6 +90,37 @@ func TestRenewCommitsAndFences(t *testing.T) {
 	}
 }
 
+// TestRenewMonotone: a renew commits its (boundary, count) only past
+// the stored pair — a keepalive that raced a drain commit must not roll
+// the successor's resume point back. A stale boundary, and an equal
+// boundary with a lower or equal count, leave State() as it was; an
+// equal boundary with a higher count advances it.
+func TestRenewMonotone(t *testing.T) {
+	s := New()
+	s.Acquire(1, time.Minute)
+	renew := func(upTo, count uint64) {
+		t.Helper()
+		if f := s.Renew(wire.LeaseRenew{Holder: 1, Epoch: 1, TTLMillis: 60_000, EmittedUpTo: upTo, Count: count}); !f.Granted {
+			t.Fatalf("renew (%d, %d) denied: %+v", upTo, count, f)
+		}
+	}
+	state := func() [2]uint64 {
+		_, _, boundary, count := s.State()
+		return [2]uint64{boundary, count}
+	}
+	renew(800, 77)
+	for _, stale := range [][2]uint64{{500, 90}, {800, 70}, {800, 77}} {
+		renew(stale[0], stale[1])
+		if got := state(); got != [2]uint64{800, 77} {
+			t.Fatalf("stale renew %v moved the committed state to %v, want [800 77]", stale, got)
+		}
+	}
+	renew(800, 80)
+	if got := state(); got != [2]uint64{800, 80} {
+		t.Fatalf("equal boundary with a higher count committed %v, want [800 80]", got)
+	}
+}
+
 func TestReleaseKeepsBoundary(t *testing.T) {
 	s := New()
 	s.Acquire(1, time.Minute)

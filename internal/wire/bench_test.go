@@ -300,12 +300,11 @@ func controlFrames() []controlFrame {
 		{"handover", Handover{Epoch: 2}, 0},
 		{"finish", Finish{}, 0},
 		{"hello", Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d}, 1},
-		{"assign", Assign{Base: 0, Shards: 2, Total: 4, Epoch: 3}, 1},
+		{"assign", Assign{Total: 4, Epoch: 3}, 1},
 		{"watermark", Watermark{UpTo: math.MaxUint64}, 1},
 		{"migrate", Migrate{Shard: 9, SuppressUpTo: 1234, ReplayUpTo: 5678}, 1},
 		{"migrate-ack", MigrateAck{Shard: 9, UpTo: 5690}, 1},
 		{"repl-state", ReplState{EmittedUpTo: 1 << 40, Count: 12345}, 1},
-		{"takeover", Takeover{Epoch: 2, Boundary: 768, Count: 99}, 1},
 		{"epoch", Epoch{Epoch: 3, Window: 5000}, 1},
 		{"lease-acquire", LeaseAcquire{Holder: 1, TTLMillis: 2000}, 1},
 		{"lease-renew", LeaseRenew{Holder: 1, Epoch: 4, TTLMillis: 2000, EmittedUpTo: 1 << 33, Count: 777}, 1},

@@ -20,15 +20,13 @@ type Hello struct {
 
 func (v Hello) code(c *codec) Hello { c.u32(&v.Version, &v.Shards); c.u64(&v.PatternSig); return v }
 
-// Assign is the ingress's handshake reply fixing the shard layout: the
-// node initially owns global shards [Base, Base+Shards) of Total (Shards
-// zero: a node joining a running cluster, whose shards arrive by Migrate).
-// Every node hosts exactly the pattern set and schema shipped here; a node
+// Assign is the ingress's handshake reply fixing the global shard space,
+// Total shards. It names no shard: a session runs the shards whose runs
+// it is sent, and a shard moved onto it arrives by Migrate. Every node
+// hosts exactly the pattern set and schema shipped here; a node
 // configured with a pattern of its own only pins, through the fingerprint
 // in its Hello, which set it is willing to be handed.
 type Assign struct {
-	Base   uint32
-	Shards uint32 // initial block size (0 = join empty, shards arrive by Migrate)
 	Total  uint32 // cluster-wide shard count
 	Schema *event.Schema
 
@@ -48,7 +46,7 @@ type Assign struct {
 }
 
 func (v Assign) code(c *codec) Assign {
-	c.u32(&v.Base, &v.Shards, &v.Total)
+	c.u32(&v.Total)
 	c.schema(&v.Schema)
 	table(c, &v.Patterns, maxPatternEntries, 3, "pattern entry")
 	for i := range v.Patterns {
@@ -284,17 +282,6 @@ type ReplState struct {
 }
 
 func (v ReplState) code(c *codec) ReplState { c.u64(&v.EmittedUpTo, &v.Count); return v }
-
-// Takeover announces a successor ingress to a worker, right after the
-// Assign handshake; the node suppresses every match tagged at or below
-// Boundary for the rest of the session.
-type Takeover struct {
-	Epoch    uint64
-	Boundary uint64 // suppress matches tagged ≤ Boundary (already delivered)
-	Count    uint64 // matches delivered at the boundary (accounting)
-}
-
-func (v Takeover) code(c *codec) Takeover { c.u64(&v.Epoch, &v.Boundary, &v.Count); return v }
 
 // Epoch opens a replication link with the primary's coordination epoch (a
 // takeover successor runs at Epoch+1 and fences the old primary's worker

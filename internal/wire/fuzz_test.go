@@ -40,8 +40,8 @@ func allocated() uint64 {
 //   - whatever Decode accepts, Append re-encodes to exactly the bytes it
 //     consumed: an accepted frame has one encoding.
 //
-// The seeds are every frames() entry and every frame of the retired kind
-// 12, each also with a trailing byte inside its declared length, plus
+// The seeds are every frames() entry and every frame of the retired kinds
+// 12 and 17, each also with a trailing byte inside its declared length, plus
 // what no byte flip of them reaches: the framing, two frames in one
 // buffer, and the crashers of the unit tests.
 // CI runs this for a short smoke interval on every push (like the SASE

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// goldenFile pins the bytes of protocol Version 12: one line per frames()
+// goldenFile pins the bytes of protocol Version 13: one line per frames()
 // entry — its kind and the hex of its encoding — then the hex of the
 // stream a Writer produces for all of them in order.
 const goldenFile = "testdata/golden.txt"

@@ -5,8 +5,7 @@
 //   - ingress ↔ worker node: the Hello/Assign handshake; Batch cuts down,
 //     Matches and Heartbeats back; shard migration (Migrate,
 //     MigrateAck, ShardRoute); pattern registration (PatternAdd,
-//     PatternRemove); Takeover from a successor; Finish, answered by
-//     Metrics.
+//     PatternRemove); Finish, answered by Metrics.
 //   - primary → standby coordinator: Epoch opens the replication link,
 //     ReplCut mirrors every sealed cut and ReplState the emission boundary.
 //   - coordinator ↔ lease server: LeaseAcquire and LeaseRenew, answered by
@@ -58,7 +57,7 @@ import (
 
 // Version is the protocol version carried in Hello frames. Bump it on any
 // layout change: no frame carries compatibility shapes.
-const Version = 12
+const Version = 13
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.
@@ -109,7 +108,7 @@ const (
 	KindPatternRemove
 	KindReplCut
 	KindReplState
-	KindTakeover
+	_ // 17: retired (a successor's session-wide suppression floor, up to Version 12); decodes as unknown
 	KindEpoch
 	KindLeaseAcquire
 	KindLeaseRenew
@@ -124,8 +123,7 @@ var kindNames = [...]string{
 	KindFinish: "finish", KindHeartbeat: "heartbeat", KindMigrate: "migrate",
 	KindMigrateAck: "migrate-ack", KindShardRoute: "shard-route",
 	KindPatternAdd: "pattern-add", KindPatternRemove: "pattern-remove",
-	KindReplCut: "repl-cut", KindReplState: "repl-state",
-	KindTakeover: "takeover", KindEpoch: "epoch",
+	KindReplCut: "repl-cut", KindReplState: "repl-state", KindEpoch: "epoch",
 	KindLeaseAcquire: "lease-acquire", KindLeaseRenew: "lease-renew",
 	KindLeaseFence: "lease-fence", KindHandover: "handover",
 	KindHandoverState: "handover-state",
@@ -159,7 +157,6 @@ func (PatternAdd) kind() Kind    { return KindPatternAdd }
 func (PatternRemove) kind() Kind { return KindPatternRemove }
 func (ReplCut) kind() Kind       { return KindReplCut }
 func (ReplState) kind() Kind     { return KindReplState }
-func (Takeover) kind() Kind      { return KindTakeover }
 func (Epoch) kind() Kind         { return KindEpoch }
 func (LeaseAcquire) kind() Kind  { return KindLeaseAcquire }
 func (LeaseRenew) kind() Kind    { return KindLeaseRenew }
@@ -224,8 +221,6 @@ func appendFrame(dst []byte, f Frame) (_, tail []byte) {
 	case ReplCut:
 		v.code(&c)
 	case ReplState:
-		v.code(&c)
-	case Takeover:
 		v.code(&c)
 	case Epoch:
 		v.code(&c)
@@ -332,8 +327,6 @@ func decodePayload(p []byte) (Frame, error) {
 		f = ReplCut{}.code(c)
 	case KindReplState:
 		f = ReplState{}.code(c)
-	case KindTakeover:
-		f = Takeover{}.code(c)
 	case KindEpoch:
 		f = Epoch{}.code(c)
 	case KindLeaseAcquire:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -106,12 +107,12 @@ func frames() []Frame {
 	return []Frame{
 		Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d},
 		Hello{},
-		Assign{Base: 6, Shards: 2, Total: 12},
-		Assign{Base: 0, Shards: 4, Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: p}}}, // the set of one
-		Assign{Base: 0, Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: orPat}}},        // empty join: shards arrive by Migrate
-		Assign{Base: 0, Total: 1, Patterns: []PatternEntry{{ID: 3, Tenant: 1, Pattern: p}}},     // schema-free: custom key extractors
+		Assign{Total: 12},
+		Assign{Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: p}}},        // the set of one
+		Assign{Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: orPat}}},    // an OR pattern
+		Assign{Total: 1, Patterns: []PatternEntry{{ID: 3, Tenant: 1, Pattern: p}}}, // schema-free: custom key extractors
 		Assign{ // a full pattern set with tenant budgets
-			Base: 0, Shards: 2, Total: 2, Schema: s,
+			Total: 2, Schema: s,
 			Patterns: []PatternEntry{
 				{ID: 1, Tenant: 9, Pattern: p},
 				{ID: 2, Tenant: 9, Pattern: samplePattern(s)},
@@ -162,7 +163,7 @@ func frames() []Frame {
 		PatternAdd{Entry: PatternEntry{ID: 99, Tenant: 2, Pattern: samplePattern(s)}},
 		PatternRemove{ID: 99},
 		PatternRemove{},
-		Assign{Base: 0, Shards: 2, Total: 4, Epoch: 3}, // epoch-stamped session
+		Assign{Total: 4, Epoch: 3}, // epoch-stamped session
 		ReplCut{ // replicated cut with topology tables
 			UpTo:  1 << 30,
 			Cut:   17,
@@ -174,8 +175,6 @@ func frames() []Frame {
 		ReplCut{UpTo: 1 << 52, Cut: 1 << 20, Final: true},            // stream-ending marker
 		ReplState{EmittedUpTo: 1 << 40, Count: 12345},
 		ReplState{},
-		Takeover{Epoch: 2, Boundary: 768, Count: 99},
-		Takeover{},
 		Epoch{Epoch: 1},
 		Epoch{Epoch: 3, Window: 5000}, // self-configuring standby
 		Epoch{Epoch: 2, Window: -1},
@@ -409,20 +408,25 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// retiredFrames are frames of kind 12, which carried a node's load
-// report up to Version 9 and is unassigned since: the report's old
-// layout with two shards' entries, and with none.
+// retiredFrames are frames of the retired kinds: 12, which carried a
+// node's load report up to Version 9 (its old layout with two shards'
+// entries, and with none), and 17, which carried a successor's
+// session-wide suppression floor up to Version 12 (epoch, boundary and
+// count, and all zero).
 func retiredFrames() [][]byte {
-	return [][]byte{frame(12, uvarints(2, 0, 1<<44, 125_000, 1<<52, 3, 7, 0, 0)), frame(12, uvarints(0))}
+	return [][]byte{
+		frame(12, uvarints(2, 0, 1<<44, 125_000, 1<<52, 3, 7, 0, 0)), frame(12, uvarints(0)),
+		frame(17, uvarints(2, 768, 99)), frame(17, uvarints(0, 0, 0)),
+	}
 }
 
-// TestRetiredKindUnknown: a frame of the retired kind 12 is refused as
-// an unknown kind, not decoded as some other layout.
+// TestRetiredKindUnknown: a frame of a retired kind is refused as an
+// unknown kind, not decoded as some other layout.
 func TestRetiredKindUnknown(t *testing.T) {
 	for _, b := range retiredFrames() {
 		_, _, err := Decode(b)
-		if err == nil || err.Error() != "wire: unknown frame kind 12" {
-			t.Fatalf("kind 12 decoded with error %v, want an unknown frame kind", err)
+		if want := fmt.Sprintf("wire: unknown frame kind %d", b[4]); err == nil || err.Error() != want {
+			t.Fatalf("kind %d decoded with error %v, want an unknown frame kind", b[4], err)
 		}
 	}
 }
@@ -917,7 +921,7 @@ func TestBatchDeltaNonMonotone(t *testing.T) {
 func TestPatternShipping(t *testing.T) {
 	s := sampleSchema()
 	p := samplePattern(s)
-	f, _, err := Decode(Append(nil, Assign{Base: 1, Total: 3, Schema: s, Patterns: []PatternEntry{{ID: 5, Tenant: 2, Pattern: p}}}))
+	f, _, err := Decode(Append(nil, Assign{Total: 3, Schema: s, Patterns: []PatternEntry{{ID: 5, Tenant: 2, Pattern: p}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -937,7 +941,7 @@ func TestPatternShipping(t *testing.T) {
 		}
 	}
 
-	f, _, err = Decode(Append(nil, Assign{Base: 1, Total: 3}))
+	f, _, err = Decode(Append(nil, Assign{Total: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

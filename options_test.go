@@ -81,3 +81,32 @@ func TestOptionSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestMethodSurface pins the exported methods of the two coordinators
+// the facade names. Each is a call some program makes: a method is added
+// only with a non-test caller, and one whose last such caller goes is
+// deleted — or unexported, when the package's own tests still drive it.
+func TestMethodSurface(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  reflect.Type
+		want []string
+	}{
+		{"ClusterIngress", reflect.TypeFor[*acep.ClusterIngress](), []string{
+			"AddNode", "AddPattern", "Drain", "Err", "Failovers", "Finish", "Kill", "Metrics",
+			"MigrateShard", "Migrations", "NodeMetrics", "Nodes", "PatternMetrics", "Process",
+			"RemovePattern", "TenantStats", "TotalShards"}},
+		{"HAIngress", reflect.TypeFor[*acep.HAIngress](), []string{
+			"Degraded", "Demotion", "Finish", "Ingress", "KillPrimary", "MirrorStats", "Process",
+			"Takeover"}},
+	} {
+		var got []string
+		for i := range c.typ.NumMethod() {
+			got = append(got, c.typ.Method(i).Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s methods are %q, want %q: a new method needs a non-test caller, "+
+				"and a method no such caller calls is deleted", c.name, got, c.want)
+		}
+	}
+}
