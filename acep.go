@@ -82,8 +82,6 @@ type (
 	// selectivities); one an engine hands out is its estimator's, refilled
 	// two checks on.
 	Snapshot = stats.Snapshot
-	// StatsConfig tunes the statistics estimator.
-	StatsConfig = stats.Config
 	// Policy is a reoptimizing decision function D.
 	Policy = core.Policy
 	// Engine is the adaptive detection engine.
@@ -172,16 +170,16 @@ type (
 	ShardedEngine = shard.Engine
 	// ShardedConfig tunes partitioning, batching and match delivery.
 	ShardedConfig = shard.Options
-	// ShardKeyFunc extracts an event's partition key.
+	// ShardKeyFunc extracts an event's key (SheddingConfig.Key).
 	ShardKeyFunc = shard.KeyFunc
 )
 
 // NewShardedEngine builds a sharded adaptive engine. cfg configures every
 // shard's engine identically (each shard's engine calls cfg.NewPolicy for
-// a policy of its own, so each shard adapts independently); sc selects the
-// partition key — either a named attribute validated for partitionability
-// (KeyAttr + Schema) or a custom extractor (Key) — and receives the
-// merged matches through sc.OnMatch.
+// a policy of its own, so each shard adapts independently); sc names the
+// partition key attribute (KeyAttr, resolved against Schema), which every
+// pattern must be partitionable by, and receives the merged matches
+// through sc.OnMatch.
 //
 //	eng, err := acep.NewShardedEngine(pattern, acep.Config{}, acep.ShardedConfig{
 //		Shards:  8,
@@ -194,7 +192,8 @@ func NewShardedEngine(p *Pattern, cfg Config, sc ShardedConfig) (*ShardedEngine,
 }
 
 // ShardKeyByAttr builds a key extractor for the named attribute, which
-// every event type in the schema must carry.
+// every event type in the schema must carry — the entity key a
+// pattern-aware shedder protects (SheddingConfig.Key).
 func ShardKeyByAttr(s *Schema, attr string) (ShardKeyFunc, error) {
 	return shard.ByAttrName(s, attr)
 }
@@ -258,11 +257,10 @@ type ClusterConfig struct {
 	Remote *ClusterRemote
 	// Batch is the events-per-cut of the ingress (default 256).
 	Batch int
-	// KeyAttr + Schema (or a custom Key) select the partition key, with
-	// the same partitionability validation as NewShardedEngine.
+	// KeyAttr + Schema select the partition key, with the same
+	// partitionability validation as NewShardedEngine.
 	KeyAttr string
 	Schema  *Schema
-	Key     ShardKeyFunc
 	// OnMatch receives every match in the merged deterministic order.
 	OnMatch func(*Match)
 	// Patterns is the pattern set to host, for callers with more than one
@@ -351,7 +349,7 @@ func NewClusterIngress(p *Pattern, cc ClusterConfig) (*ClusterIngress, error) {
 		nc := cluster.NodeConfig{
 			Pattern: p, Schema: cc.Schema, Engine: l.Engine,
 			Shards: l.ShardsPerNode, Batch: cc.Batch, QueueCap: l.QueueCap,
-			Key: cc.Key, KeyAttr: cc.KeyAttr,
+			KeyAttr: cc.KeyAttr,
 		}
 		conns, err = cluster.Spawn(nodes, nc, nil)
 		standby = cluster.SpawnStandbys(2, nc)
@@ -364,7 +362,6 @@ func NewClusterIngress(p *Pattern, cc ClusterConfig) (*ClusterIngress, error) {
 	}
 	opts := cluster.IngressOptions{
 		Batch:    cc.Batch,
-		Key:      cc.Key,
 		KeyAttr:  cc.KeyAttr,
 		Schema:   cc.Schema,
 		OnMatch:  cc.OnMatch,

@@ -15,7 +15,9 @@
 //	acep-run  -in keyed.csv -kind sequence -size 4 -connect 127.0.0.1:7101,127.0.0.1:7102
 //
 // Without -in, the node runs bare: it serves any ingress, adopting the
-// pattern and schema shipped in the handshake. A bare node is also the
+// pattern and schema shipped in the handshake. Either way the node
+// partitions by the key the handshake ships, and -key only pins it: an
+// ingress keyed on another attribute is refused. A bare node is also the
 // standby of the failover subsystem — point acep-run's -standby at it
 // and it adopts a dead worker's shard block on demand:
 //
@@ -57,7 +59,7 @@ func main() {
 		buildPat = cli.PatternFlags(flag.CommandLine)
 		engFlags = cli.EngineFlags(flag.CommandLine)
 		batch    = flag.Int("batch", 0, "local handoff batch (0 = default)")
-		keyAttr  = flag.String("key", "key", "partition-key attribute")
+		keyAttr  = flag.String("key", "key", "partition-key attribute this node pins: the ingress refuses a session keyed on another (empty: any)")
 		once     = flag.Bool("once", false, "serve a single ingress session and exit")
 	)
 	flag.Parse()

@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"acep/internal/core"
@@ -44,16 +43,6 @@ func Combos() []Combo {
 		{"stocks", engine.GreedyNFA},
 		{"stocks", engine.ZStreamTree},
 	}
-}
-
-// ComboByName resolves "traffic/greedy"-style names.
-func ComboByName(name string) (Combo, error) {
-	for _, c := range Combos() {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return Combo{}, fmt.Errorf("bench: unknown combo %q (want dataset/algorithm)", name)
 }
 
 // Scale controls experiment size; the defaults keep a full figure under a

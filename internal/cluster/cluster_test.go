@@ -3,10 +3,12 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"acep/internal/engine"
 	"acep/internal/event"
+	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/multi"
 	"acep/internal/pattern"
@@ -182,6 +184,70 @@ func TestClusterLocalPipes(t *testing.T) {
 			t.Fatal(err)
 		}
 		rungtest.Require(t, fmt.Sprintf("%d nodes × %d shards", layout.nodes, layout.per), rec.Stream(), want)
+	}
+}
+
+// TestNodeKeyMismatchRefused: the ingress owns the partition key. On a
+// pattern partitionable by both key and count, nodes pinned to count
+// under an ingress keyed on key are refused at the handshake, with both
+// keys named; nodes that pin no key partition by the shipped one and
+// deliver the reference's match count.
+func TestNodeKeyMismatchRefused(t *testing.T) {
+	w := gen.Traffic(gen.TrafficConfig{Types: 3, Events: 6000, Seed: 5, MeanGap: 3, Keys: 8})
+	for i := range w.Events {
+		w.Events[i].Attrs[1] = float64(i * 7 % 5) // count: 5 values, independent of key
+	}
+	b := pattern.NewBuilder(w.Schema, pattern.Seq, 400)
+	e0, e1, e2 := b.Event(0), b.Event(1), b.Event(2)
+	for _, attr := range []string{"key", "count"} {
+		b.WhereEq(e0, attr, e1, attr).WhereEq(e1, attr, e2, attr)
+	}
+	pat := b.MustBuild()
+	want := 0
+	ref, err := engine.New(pat, engine.Config{OnMatch: func(*match.Match) { want++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Events {
+		ref.Process(&w.Events[i])
+	}
+	ref.Finish()
+	if want == 0 {
+		t.Fatal("reference found no matches; the test is vacuous")
+	}
+	open := func(nodeKey string) (*Ingress, *int, error) {
+		conns, err := Spawn(2, NodeConfig{Shards: 2, KeyAttr: nodeKey}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := new(int)
+		ing, err := NewIngress(pat, conns, IngressOptions{
+			KeyAttr: "key", Schema: w.Schema, OnMatch: func(*match.Match) { *got++ },
+		})
+		return ing, got, err
+	}
+	run := func(ing *Ingress, got *int) int {
+		for i := range w.Events {
+			ing.Process(&w.Events[i])
+		}
+		if err := ing.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return *got
+	}
+
+	ing, got, err := open("count")
+	if err == nil {
+		t.Fatalf("nodes pinned to count accepted by an ingress keyed on key; the session delivered %d of %d matches", run(ing, got), want)
+	}
+	if !strings.Contains(err.Error(), `"count"`) || !strings.Contains(err.Error(), `"key"`) {
+		t.Fatalf("refusal does not name both keys: %v", err)
+	}
+	if ing, got, err = open(""); err != nil {
+		t.Fatal(err)
+	}
+	if n := run(ing, got); n != want {
+		t.Fatalf("nodes without a pinned key delivered %d of %d matches", n, want)
 	}
 }
 

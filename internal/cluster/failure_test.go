@@ -176,10 +176,10 @@ func TestHandshakeRejections(t *testing.T) {
 	// An assignment of an empty global shard space, or without a pattern
 	// set, is refused.
 	set := []wire.PatternEntry{{Pattern: pat}}
-	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 0, Schema: row.Schema, Patterns: set}}}); err == nil {
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 0, Schema: row.Schema, KeyAttr: "key", Patterns: set}}}); err == nil {
 		t.Error("node accepted an empty global shard space")
 	}
-	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: row.Schema}}}); err == nil {
+	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: row.Schema, KeyAttr: "key"}}}); err == nil {
 		t.Error("node accepted an assignment without a pattern set")
 	}
 }
@@ -220,7 +220,7 @@ func TestSlotLifecycle(t *testing.T) {
 		logs := []*frameLog{{got: map[wire.Kind]int{}}, {got: map[wire.Kind]int{}}}
 		in := &Ingress{
 			owner: []int{0, 1}, runs: make([]wire.RunEncoder, 2), total: 2,
-			patternSet: patternSet{specs: multi.Solo(pat, engine.Config{}), schema: row.Schema},
+			patternSet: patternSet{specs: multi.Solo(pat, engine.Config{}), schema: row.Schema, keyAttr: "key"},
 		}
 		for n, st := range []slotState{r.state, slotLive} {
 			s := &slot{conn: logs[n], state: st, hosted: map[int]bool{n: true}, done: make(chan struct{}), gotMetrics: true}

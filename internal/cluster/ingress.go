@@ -66,9 +66,9 @@ type IngressOptions struct {
 	// completion progress advances cluster-wide even through idle
 	// partitions.
 	Batch int
-	// Key extracts the partition key; Key or KeyAttr+Schema is required
-	// and must match the nodes' configuration.
-	Key     shard.KeyFunc
+	// KeyAttr names the partition key attribute, resolved against Schema;
+	// both are required. Every node partitions by the KeyAttr its Assign
+	// ships, and a node pinned to another key is refused at the handshake.
 	KeyAttr string
 	Schema  *event.Schema
 	// OnMatch receives every match, on the merge-collector goroutine, in
@@ -219,8 +219,8 @@ type Ingress struct {
 // collector. The session hosts pat — shorthand for the set of one,
 // multi.Solo — or, with a nil pattern, the set in opts.Patterns. The set
 // and schema must match every configured node's — the handshake compares
-// fingerprints — and every pattern must be key-partitionable in KeyAttr
-// mode, exactly like shard.New.
+// fingerprints and pinned keys — and every pattern must be
+// key-partitionable in KeyAttr, exactly like shard.New.
 func NewIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions) (*Ingress, error) {
 	return newIngress(pat, conns, opts, false)
 }
@@ -297,7 +297,7 @@ func newIngress(pat *pattern.Pattern, conns []Conn, opts IngressOptions, sealed 
 			}
 		}
 	}
-	key, err := shard.KeyFor(opts.Key, opts.KeyAttr, opts.Schema, specs)
+	key, err := shard.KeyFor(opts.KeyAttr, opts.Schema, specs)
 	if err != nil {
 		return nil, err
 	}

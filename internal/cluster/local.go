@@ -25,8 +25,9 @@ func Spawn(n int, nc NodeConfig, onErr func(error)) ([]Conn, error) {
 // SpawnStandbys is DialStandbys for in-process nodes: a
 // RecoveryConfig.Standby supplier whose every call spawns one more node,
 // at most limit of them. The standbys start bare — nc's Pattern and
-// Schema are dropped — and learn the pattern set and schema from the
-// Assign frame and their shards from the Migrate handshake.
+// Schema are dropped, its KeyAttr still pins the key — and learn the
+// pattern set, schema and key from the Assign frame and their shards
+// from the Migrate handshake.
 func SpawnStandbys(limit int, nc NodeConfig) func() (Conn, error) {
 	nc.Pattern, nc.Schema = nil, nil
 	spawned := 0

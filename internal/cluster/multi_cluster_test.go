@@ -9,6 +9,7 @@ import (
 	"acep/internal/engine"
 	"acep/internal/gen"
 	"acep/internal/multi"
+	"acep/internal/pattern"
 	"acep/internal/rungtest"
 	"acep/internal/shard"
 	"acep/internal/shed"
@@ -353,6 +354,13 @@ func TestMultiClusterValidation(t *testing.T) {
 	}
 	if err := ing.AddPattern(multi.Spec{ID: 77}); err == nil {
 		t.Error("AddPattern without a pattern accepted")
+	}
+	// A pattern with no key equality could match across shards.
+	b := pattern.NewBuilder(row.Schema, pattern.Seq, 300)
+	b.Event(0)
+	b.Event(1)
+	if err := ing.AddPattern(multi.Spec{ID: 78, Pattern: b.MustBuild()}); err == nil {
+		t.Error("AddPattern of a pattern not partitionable by the key accepted")
 	}
 	if err := ing.RemovePattern(999); err == nil {
 		t.Error("unknown RemovePattern accepted")

@@ -58,11 +58,14 @@ type NodeConfig struct {
 	// Overflow selects the full-queue behavior (default Backpressure).
 	// DropNewest discards a shard's whole run of the overflowing cut.
 	Overflow shard.Overflow
-	// Key extracts the partition key; Key or KeyAttr+Schema is required
-	// and must match the ingress's placement.
-	Key     shard.KeyFunc
+	// KeyAttr pins the partition key the way Pattern pins the set: the
+	// node greets with it and the ingress refuses to pair unless it is
+	// the session's key. Empty takes whatever key the ingress ships.
+	// Either way the node partitions by the KeyAttr of the Assign frame.
 	KeyAttr string
-	Schema  *event.Schema
+	// Schema is the schema Pattern is fingerprinted under (required with
+	// a Pattern).
+	Schema *event.Schema
 	// writeStall bounds how long the node's upstream sender tolerates
 	// zero write progress before failing the session (0: 30s; tests
 	// shorten it). A coordinator that stops reading — wedged process,
@@ -76,7 +79,6 @@ type NodeConfig struct {
 // ServeListener for an accept loop).
 type Node struct {
 	cfg NodeConfig
-	key shard.KeyFunc
 	sig uint64
 
 	// epoch is the highest coordinator epoch any session of this Node
@@ -106,27 +108,19 @@ func signature(specs []multi.Spec, s *event.Schema) uint64 {
 	return wire.Fingerprint(b.String())
 }
 
-// NewNode validates the configuration and resolves the partition key. A
-// bare node (nil Pattern) defers schema and key resolution to the
-// handshake that ships them.
+// NewNode validates the configuration and fingerprints a pinned
+// pattern. The schema, the key and the set a session runs are the ones
+// its handshake ships.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	n := &Node{cfg: cfg}
-	if cfg.Pattern == nil && cfg.Key == nil && cfg.KeyAttr != "" {
-		// Bare KeyAttr mode: the attribute resolves against the schema the
-		// handshake ships.
-		return n, nil
-	}
-	var specs []multi.Spec
 	if cfg.Pattern != nil {
-		specs = multi.Solo(cfg.Pattern, cfg.Engine)
-		n.sig = signature(specs, cfg.Schema)
-	}
-	var err error
-	if n.key, err = shard.KeyFor(cfg.Key, cfg.KeyAttr, cfg.Schema, specs); err != nil {
-		return nil, err
+		if cfg.Schema == nil {
+			return nil, fmt.Errorf("cluster: a node's Pattern needs its Schema")
+		}
+		n.sig = signature(multi.Solo(cfg.Pattern, cfg.Engine), cfg.Schema)
 	}
 	return n, nil
 }
@@ -231,6 +225,7 @@ func (n *Node) Serve(conn Conn) error {
 		Version:    wire.Version,
 		Shards:     uint32(n.cfg.Shards),
 		PatternSig: n.sig,
+		KeyAttr:    n.cfg.KeyAttr,
 	}); err != nil {
 		return fmt.Errorf("cluster: node hello: %w", err)
 	}
@@ -271,14 +266,12 @@ func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 	for i, e := range a.Patterns {
 		specs[i] = multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: n.cfg.Engine}
 	}
-	key := n.key
-	if key == nil {
-		// Bare KeyAttr mode: resolve against the shipped schema, with
-		// the same partitionability validation a configured node runs.
-		var err error
-		if key, err = shard.KeyFor(nil, n.cfg.KeyAttr, a.Schema, specs); err != nil {
-			return fmt.Errorf("cluster: bare node: %w", err)
-		}
+	// Every node partitions by the shipped key: the ingress places runs
+	// by it, and a node pinned to another key was refused at the hello.
+	// shard.New below checks the set against it.
+	key, err := shard.KeyFor(a.KeyAttr, a.Schema, nil)
+	if err != nil {
+		return fmt.Errorf("cluster: node: %w", err)
 	}
 	total := int(a.Total)
 	if total < 1 {
@@ -352,7 +345,7 @@ func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 		Batch:    n.cfg.Batch,
 		QueueCap: n.cfg.QueueCap,
 		Overflow: n.cfg.Overflow,
-		Key:      key,
+		KeyAttr:  a.KeyAttr,
 		Schema:   a.Schema,
 		Patterns: specs,
 		Tenants:  budgets,

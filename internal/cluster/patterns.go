@@ -16,8 +16,9 @@ import (
 // patternSet is the session's pattern set and everything derived from it
 // (ingress goroutine unless noted). specs is the current set — the truth
 // shipped to every join and adoption — reads the types it reads, which
-// Process routes by, and sig its fingerprint under schema; keyAttr
-// re-validates runtime additions; tenants are the shipped budgets.
+// Process routes by, and sig its fingerprint under schema; keyAttr is
+// the partition key every session is shipped, and re-validates runtime
+// additions; tenants are the shipped budgets.
 // addCut maps runtime-added pattern ids to the cut boundary they joined
 // at; reader goroutines load it to drop matches a migration replay
 // regenerated from events the pattern never saw in the original timeline
@@ -54,10 +55,10 @@ func (ps *patternSet) maxWindow() event.Time {
 }
 
 // assignFrame is the handshake reply every session gets: the global
-// shard space, the epoch, the current pattern set and the tenant budgets,
-// sorted for a deterministic wire image.
+// shard space, the partition key, the epoch, the current pattern set and
+// the tenant budgets, sorted for a deterministic wire image.
 func (in *Ingress) assignFrame() wire.Assign {
-	a := wire.Assign{Total: uint32(in.total), Schema: in.schema, Epoch: in.epoch}
+	a := wire.Assign{Total: uint32(in.total), Schema: in.schema, KeyAttr: in.keyAttr, Epoch: in.epoch}
 	for _, sp := range in.specs {
 		a.Patterns = append(a.Patterns, wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern})
 	}
@@ -104,10 +105,8 @@ func (in *Ingress) AddPattern(sp multi.Spec) error {
 		if _, err := multi.Analyze([]multi.Spec{sp}, in.schema); err != nil {
 			return nil, nil, err
 		}
-		if in.keyAttr != "" {
-			if err := shard.Partitionable(sp.Pattern, in.schema, in.keyAttr); err != nil {
-				return nil, nil, err
-			}
+		if err := shard.Partitionable(sp.Pattern, in.schema, in.keyAttr); err != nil {
+			return nil, nil, err
 		}
 		entry := wire.PatternEntry{ID: sp.ID, Tenant: sp.Tenant, Pattern: sp.Pattern}
 		return append(in.specs, sp), wire.PatternAdd{Entry: entry}, nil

@@ -275,6 +275,11 @@ func (in *Ingress) hello(c Conn, who string) (int, error) {
 	if h.PatternSig != 0 && h.PatternSig != in.sig {
 		return 0, fmt.Errorf("cluster: %s serves a different pattern or schema (fingerprint %x, want %x)", who, h.PatternSig, in.sig)
 	}
+	// Likewise an empty KeyAttr takes the shipped key; a pinned one must
+	// be it.
+	if h.KeyAttr != "" && h.KeyAttr != in.keyAttr {
+		return 0, fmt.Errorf("cluster: %s partitions by key %q, the session by %q", who, h.KeyAttr, in.keyAttr)
+	}
 	if h.Shards < 1 {
 		return 0, fmt.Errorf("cluster: %s hosts no shards", who)
 	}

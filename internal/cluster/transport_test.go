@@ -172,7 +172,7 @@ func TestNodeWedgedIngressFailsSession(t *testing.T) {
 		t.Fatalf("expected hello, got %s", wire.KindOf(f))
 	}
 	if err := ing.Send(wire.Assign{
-		Total: 1, Schema: row.Schema, Patterns: []wire.PatternEntry{{Pattern: pat}},
+		Total: 1, Schema: row.Schema, KeyAttr: "key", Patterns: []wire.PatternEntry{{Pattern: pat}},
 	}); err != nil {
 		t.Fatalf("assign: %v", err)
 	}

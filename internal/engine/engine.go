@@ -75,8 +75,8 @@ type Config struct {
 	// shard above this package — so no two loops share a policy's state.
 	// Nil defaults to the invariant-based method with K=1, d=0.
 	NewPolicy func() core.Policy
-	// Stats tunes the statistics estimator.
-	Stats stats.Config
+	// stats (tests) tunes the statistics estimator.
+	stats stats.Config
 	// CheckEvery is the adaptation check interval in events per
 	// sub-pattern (default 500). A shard engine's clock counts the events
 	// offered to its shard: the router offers none of a type no hosted

@@ -78,8 +78,8 @@ func TestEstimatorNoiseRobustness(t *testing.T) {
 		NewPolicy:  func() core.Policy { return &core.Invariant{} },
 		CheckEvery: 300,
 	}
-	noisy.Stats.SampleSize = 2
-	noisy.Stats.Window = 30 // barely a handful of events
+	noisy.stats.SampleSize = 2
+	noisy.stats.Window = 30 // barely a handful of events
 	got, m := run(t, pat, w.Events, noisy)
 	if !reflect.DeepEqual(got, base) {
 		t.Fatalf("noisy estimator changed semantics: %d vs %d matches", len(got), len(base))

@@ -65,7 +65,7 @@ func disjuncts(pat *pattern.Pattern) []*pattern.Pattern {
 // init builds the loop of pat in place, A over the loop's own scratch,
 // and makes A's plan for the initial statistics the deployed one.
 func (l *loop) init(pat *pattern.Pattern, cfg Config, policy core.Policy) error {
-	est, err := stats.NewEstimator(pat, cfg.Stats)
+	est, err := stats.NewEstimator(pat, cfg.stats)
 	if err != nil {
 		return err
 	}

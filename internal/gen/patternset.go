@@ -80,9 +80,9 @@ func WritePatternSet(w io.Writer, s PatternSetSpec) error {
 	return err
 }
 
-// ReadPatternSet parses a spec written by WritePatternSet. Unknown keys
+// readPatternSet parses a spec written by WritePatternSet. Unknown keys
 // are rejected (the file is a contract, not a config grab-bag).
-func ReadPatternSet(r io.Reader) (PatternSetSpec, error) {
+func readPatternSet(r io.Reader) (PatternSetSpec, error) {
 	var s PatternSetSpec
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -150,5 +150,5 @@ func LoadPatternSet(path string) (PatternSetSpec, error) {
 		return PatternSetSpec{}, err
 	}
 	defer f.Close()
-	return ReadPatternSet(f)
+	return readPatternSet(f)
 }

@@ -14,7 +14,7 @@ func TestPatternSetRoundTrip(t *testing.T) {
 	if err := WritePatternSet(&buf, spec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPatternSet(&buf)
+	got, err := readPatternSet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,10 @@ func TestPatternSetReproducible(t *testing.T) {
 }
 
 func TestPatternSetRejectsBadInput(t *testing.T) {
-	if _, err := ReadPatternSet(bytes.NewBufferString("dataset=traffic\nbogus=1\n")); err == nil {
+	if _, err := readPatternSet(bytes.NewBufferString("dataset=traffic\nbogus=1\n")); err == nil {
 		t.Fatal("unknown key accepted")
 	}
-	if _, err := ReadPatternSet(bytes.NewBufferString("dataset=traffic\n")); err == nil {
+	if _, err := readPatternSet(bytes.NewBufferString("dataset=traffic\n")); err == nil {
 		t.Fatal("missing keys accepted")
 	}
 	w := Traffic(TrafficConfig{Types: 4, Events: 10})

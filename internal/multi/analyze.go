@@ -157,9 +157,11 @@ func (r Report) String() string {
 
 // Analyze inspects the pattern set and builds its sharing structure. The
 // specs must carry distinct IDs and non-nil patterns valid against the
-// schema; a nil schema (sessions partitioned by a custom key extractor
-// have none) skips the name checks when a shared prefix is rebuilt.
+// schema, which is required.
 func Analyze(specs []Spec, schema *event.Schema) (*Set, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("multi: Analyze needs the patterns' schema")
+	}
 	s := &Set{
 		Specs:  append([]Spec(nil), specs...),
 		schema: schema,

@@ -148,11 +148,8 @@ func NewJournal(cfg JournalConfig) (*Journal, error) {
 // with no successor, so no replay will ever need its history again. Its
 // retained runs free immediately and future cuts for it are not
 // retained.
-func (j *Journal) AbandonShard(g int) { j.Abandon(g, 1) }
-
-// Abandon drops shard block [base, base+shards) (see AbandonShard).
-func (j *Journal) Abandon(base, shards int) {
-	for g := max(base, 0); g < base+shards && g < len(j.excluded); g++ {
+func (j *Journal) AbandonShard(g int) {
+	if g >= 0 && g < len(j.excluded) {
 		j.excluded[g] = true
 	}
 	j.trim(j.Cuts())
@@ -335,17 +332,6 @@ func (j *Journal) CoveredShard(g int) error {
 	if j.forcedTS[g] >= j.relTS[g]-j.slack {
 		return fmt.Errorf("recovery: journal overflowed (%d bytes cap) and trimmed into shard %d's replay horizon; raise MaxBytes or shrink the window",
 			j.cfg.MaxBytes, g)
-	}
-	return nil
-}
-
-// Covered reports whether every shard of block [base, base+shards) is
-// still fully replayable (see CoveredShard).
-func (j *Journal) Covered(base, shards int) error {
-	for g := base; g < base+shards; g++ {
-		if err := j.CoveredShard(g); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -26,6 +26,16 @@ func j4(t *testing.T, maxBytes int64, slack int) *Journal {
 	return j
 }
 
+// allCovered is CoveredShard over every shard of a j4 journal.
+func allCovered(j *Journal) error {
+	for g := range 4 {
+		if err := j.CoveredShard(g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // cutFor builds one per-shard cut: each event is (ts, seq, shard).
 func cutFor(evs ...[3]int64) [][]event.Event {
 	perShard := make([][]event.Event, 4)
@@ -102,7 +112,7 @@ func TestJournalTrim(t *testing.T) {
 	if j.Cuts() != 1 {
 		t.Fatalf("trimmed to %d cuts, want 1", j.Cuts())
 	}
-	if err := j.Covered(0, 4); err != nil {
+	if err := allCovered(j); err != nil {
 		t.Fatalf("normal trim reported coverage loss: %v", err)
 	}
 }
@@ -206,7 +216,7 @@ func TestJournalForceTrim(t *testing.T) {
 	if j.Cuts() >= 32 {
 		t.Fatal("nothing force-trimmed")
 	}
-	if err := j.Covered(0, 4); err == nil {
+	if err := allCovered(j); err == nil {
 		t.Fatal("coverage loss not reported after force-trim of unreleased history")
 	}
 }
@@ -224,9 +234,10 @@ func TestJournalAbandon(t *testing.T) {
 	if j.Cuts() != 2 {
 		t.Fatalf("retained %d cuts, want 2 (shard 2 pins its own cut)", j.Cuts())
 	}
-	j.Abandon(2, 2)
+	j.AbandonShard(2)
+	j.AbandonShard(3)
 	if j.Cuts() != 1 {
-		t.Fatalf("retained %d cuts after Abandon, want 1", j.Cuts())
+		t.Fatalf("retained %d cuts after AbandonShard, want 1", j.Cuts())
 	}
 }
 
@@ -589,10 +600,8 @@ func (m *refJournal) advance(relSeq uint64) {
 	m.trim()
 }
 
-func (m *refJournal) abandon(base, shards int) {
-	for g := base; g < base+shards; g++ {
-		m.excluded[g] = true
-	}
+func (m *refJournal) abandon(g int) {
+	m.excluded[g] = true
 	m.trim()
 }
 
@@ -661,7 +670,7 @@ func replayOf(j *Journal, g int) []replayed {
 // released cuts, emptied cuts leave from the front — to the full-walk
 // reference model over a seeded script on 4 shards: a hot, a warm, a cold
 // and a bursty shard, releases that trail the feed by hundreds of cuts and
-// now and then catch up, an Abandon of shards still holding unreleased
+// now and then catch up, an AbandonShard of shards still holding unreleased
 // runs, and (second row) a byte bound that force-trims. After every step
 // the counters, each shard's replay and each shard's coverage verdict
 // must agree.
@@ -711,7 +720,7 @@ func TestJournalTrimDifferential(t *testing.T) {
 
 				switch {
 				case step == 1500:
-					// Abandon the cold and the bursty shard while most of
+					// AbandonShard the cold and the bursty shard while most of
 					// their history is unreleased.
 					for _, g := range []int{2, 3} {
 						for _, r := range ref.replay(g) {
@@ -720,10 +729,12 @@ func TestJournalTrimDifferential(t *testing.T) {
 							}
 						}
 					}
-					j.Abandon(2, 2)
-					ref.abandon(2, 2)
+					for _, g := range []int{2, 3} {
+						j.AbandonShard(g)
+						ref.abandon(g)
+					}
 				case step >= 1200 && step < 1500:
-					lag = 300 // Abandon must meet a backlog
+					lag = 300 // AbandonShard must meet a backlog
 				case rng.IntN(50) == 0:
 					lag = rng.IntN(6) // catch up, then fall behind again
 				case rng.IntN(20) == 0:
@@ -752,12 +763,12 @@ func TestJournalTrimDifferential(t *testing.T) {
 				t.Fatalf("at most %d cuts were in flight; the script never lagged", maxUnreleased)
 			}
 			if abandonedUnreleased == 0 {
-				t.Fatal("the abandoned shards held no unreleased run; Abandon was not exercised")
+				t.Fatal("the abandoned shards held no unreleased run; AbandonShard was not exercised")
 			}
 			if forced := slices.Contains(ref.forced, true); forced != (tc.name == "force-trim") {
 				t.Fatalf("force-trimmed into a horizon: %v, want %v", forced, !forced)
 			}
-			t.Logf("peak %d cuts in flight; Abandon met %d unreleased runs", maxUnreleased, abandonedUnreleased)
+			t.Logf("peak %d cuts in flight; AbandonShard met %d unreleased runs", maxUnreleased, abandonedUnreleased)
 		})
 	}
 }

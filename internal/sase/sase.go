@@ -43,15 +43,6 @@ func Parse(schema *event.Schema, src string) (*pattern.Pattern, error) {
 	return pat, nil
 }
 
-// MustParse is Parse that panics on error; for tests and examples.
-func MustParse(schema *event.Schema, src string) *pattern.Pattern {
-	p, err := Parse(schema, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // token kinds
 type tokKind int
 

@@ -15,6 +15,16 @@ func testSchema() *event.Schema {
 	return s
 }
 
+// mustParse is Parse that fails the test on error.
+func mustParse(t *testing.T, s *event.Schema, src string) *pattern.Pattern {
+	t.Helper()
+	p, err := Parse(s, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestParsePaperExample(t *testing.T) {
 	s := testSchema()
 	p, err := Parse(s, `
@@ -41,7 +51,7 @@ func TestParsePaperExample(t *testing.T) {
 
 func TestParseModifiers(t *testing.T) {
 	s := testSchema()
-	p := MustParse(s, `PATTERN SEQ(A a, ~B b, C+ c) WHERE b.x = a.x WITHIN 5 s`)
+	p := mustParse(t, s, `PATTERN SEQ(A a, ~B b, C+ c) WHERE b.x = a.x WITHIN 5 s`)
 	if !p.Positions[1].Neg {
 		t.Fatal("negation not parsed")
 	}
@@ -55,7 +65,7 @@ func TestParseModifiers(t *testing.T) {
 
 func TestParseAndOperator(t *testing.T) {
 	s := testSchema()
-	p := MustParse(s, `PATTERN AND(A a, B b) WITHIN 100 ms`)
+	p := mustParse(t, s, `PATTERN AND(A a, B b) WITHIN 100 ms`)
 	if p.Op != pattern.And || p.Window != 100 {
 		t.Fatalf("%v", p)
 	}
@@ -63,7 +73,7 @@ func TestParseAndOperator(t *testing.T) {
 
 func TestParseConditionForms(t *testing.T) {
 	s := testSchema()
-	p := MustParse(s, `
+	p := mustParse(t, s, `
 		PATTERN SEQ(A a, B b)
 		WHERE a.x < b.x + 3 AND a.x >= 10 AND |a.x - b.x| < 5 AND a.x != b.x - 2.5
 		WITHIN 1 minute`)
@@ -92,7 +102,7 @@ func TestParseConditionForms(t *testing.T) {
 
 func TestParseNegativeConstant(t *testing.T) {
 	s := testSchema()
-	p := MustParse(s, `PATTERN SEQ(A a) WHERE a.x > -4 WITHIN 1 s`)
+	p := mustParse(t, s, `PATTERN SEQ(A a) WHERE a.x > -4 WITHIN 1 s`)
 	if p.Preds[0].C != -4 {
 		t.Fatalf("C = %g", p.Preds[0].C)
 	}
@@ -107,7 +117,7 @@ func TestParseDurationUnits(t *testing.T) {
 		"3 min":       3 * event.Minute,
 	}
 	for src, want := range cases {
-		p := MustParse(s, "PATTERN SEQ(A a, B b) WITHIN "+src)
+		p := mustParse(t, s, "PATTERN SEQ(A a, B b) WITHIN "+src)
 		if p.Window != want {
 			t.Errorf("%q: window = %d; want %d", src, p.Window, want)
 		}
@@ -142,17 +152,8 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseCaseInsensitiveKeywords(t *testing.T) {
 	s := testSchema()
-	p := MustParse(s, `pattern seq(A a, B b) where a.x = b.x within 1 minute`)
+	p := mustParse(t, s, `pattern seq(A a, B b) where a.x = b.x within 1 minute`)
 	if p.Op != pattern.Seq || len(p.Preds) != 1 {
 		t.Fatalf("%v", p)
 	}
-}
-
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse did not panic")
-		}
-	}()
-	MustParse(testSchema(), "garbage")
 }

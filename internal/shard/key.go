@@ -32,16 +32,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// ByAttr keys on the attribute at index idx, which every event type must
-// carry at the same index. The key is the attribute's float64 bit
-// pattern; values that compare equal as floats must be bit-identical
-// (integral entity ids are; beware -0.0 and NaN).
-func ByAttr(idx int) KeyFunc {
-	return func(ev *event.Event) uint64 {
-		return math.Float64bits(ev.Attrs[idx])
-	}
-}
-
 // ByAttrName keys on the named attribute, resolved per event type through
 // the schema. Every registered type must carry the attribute.
 func ByAttrName(s *event.Schema, name string) (KeyFunc, error) {
@@ -64,19 +54,14 @@ func ByAttrName(s *event.Schema, name string) (KeyFunc, error) {
 	}, nil
 }
 
-// KeyFor resolves a partition-key configuration into its KeyFunc — the
-// one statement of the rule every layer that places events applies:
-// exactly one of an extractor and an attribute name; the attribute
-// resolved per type through the schema, with every pattern of specs
-// verified partitionable by it.
-func KeyFor(key KeyFunc, attr string, s *event.Schema, specs []multi.Spec) (KeyFunc, error) {
+// KeyFor resolves a partition key into its KeyFunc — the one statement
+// of the rule every layer that places events applies: the key is a named
+// attribute, resolved per type through the schema, and every pattern of
+// specs must be partitionable by it.
+func KeyFor(attr string, s *event.Schema, specs []multi.Spec) (KeyFunc, error) {
 	switch {
-	case key != nil && attr != "":
-		return nil, fmt.Errorf("shard: set exactly one of Key and KeyAttr, not both")
-	case key != nil:
-		return key, nil
 	case attr == "":
-		return nil, fmt.Errorf("shard: a partition key is required: set Key or KeyAttr")
+		return nil, fmt.Errorf("shard: a partition key is required: set KeyAttr")
 	case s == nil:
 		return nil, fmt.Errorf("shard: KeyAttr needs Schema to resolve the attribute")
 	}

@@ -8,6 +8,7 @@ import (
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/multi"
+	"acep/internal/pattern"
 	"acep/internal/shed"
 )
 
@@ -229,11 +230,15 @@ func TestMultiShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.PatternIDs()) != 3 {
-		t.Fatal("PatternIDs accessor wrong")
-	}
 	if err := eng.AddPattern(specs[0]); err == nil {
 		t.Error("duplicate AddPattern accepted")
+	}
+	// A pattern with no key equality could match across shards.
+	b := pattern.NewBuilder(w.Schema, pattern.Seq, 300)
+	b.Event(0)
+	b.Event(1)
+	if err := eng.AddPattern(multi.Spec{ID: 900, Pattern: b.MustBuild()}); err == nil {
+		t.Error("AddPattern of a pattern not partitionable by the key accepted")
 	}
 	if err := eng.RemovePattern(999); err == nil {
 		t.Error("unknown RemovePattern accepted")

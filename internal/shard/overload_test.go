@@ -6,7 +6,6 @@ import (
 
 	"acep/internal/core"
 	"acep/internal/engine"
-	"acep/internal/event"
 	"acep/internal/gen"
 	"acep/internal/match"
 	"acep/internal/shed"
@@ -25,23 +24,21 @@ func (p slowPolicy) ShouldReoptimize(*stats.Snapshot) bool {
 	return false
 }
 
-// TestZeroEventShardLiveness routes every event to a single key: all but
-// one shard receive only empty watermark cuts, and the collector must
-// still release every match. A stalling shard watermark would deadlock
-// Finish; the test completing is the assertion.
+// TestZeroEventShardLiveness runs a workload with a single key value:
+// all but one shard receive only empty watermark cuts, and the collector
+// must still release every match. A stalling shard watermark would
+// deadlock Finish; the test completing is the assertion.
 func TestZeroEventShardLiveness(t *testing.T) {
-	w := keyedWorkload(t)
+	// One key value: every event lands on one shard; the other seven
+	// process nothing, ever.
+	w := gen.Traffic(gen.TrafficConfig{Types: 6, Events: 5000, Seed: 17, Shifts: 1, MeanGap: 3, Keys: 1})
 	pat, err := w.Pattern(gen.Sequence, 3, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var matches []*match.Match
 	eng, err := New(pat, engine.Config{CheckEvery: 250}, Options{
-		Shards: 8,
-		Batch:  64,
-		// Constant key: every event lands on one shard; the other seven
-		// process nothing, ever.
-		Key:     func(*event.Event) uint64 { return 42 },
+		Shards: 8, Batch: 64, KeyAttr: "key", Schema: w.Schema,
 		OnMatch: func(m *match.Match) { matches = append(matches, m) },
 	})
 	if err != nil {
@@ -55,6 +52,9 @@ func TestZeroEventShardLiveness(t *testing.T) {
 	// Events of a type the pattern does not read reach no shard.
 	if skip := elided(pat, w.Events); m.Events+skip != uint64(len(w.Events)) {
 		t.Fatalf("processed %d + %d elided of %d events", m.Events, skip, len(w.Events))
+	}
+	if len(matches) == 0 {
+		t.Fatal("no matches released; the test is vacuous")
 	}
 	// Matches are released in detection order; on a timestamp-ordered
 	// stream a (negation/Kleene-free) match's latest event is the one

@@ -1,5 +1,5 @@
 // Package shard is the parallel execution layer: it partitions one input
-// stream by a user-supplied key, hosts the session's pattern set on every
+// stream by a named key attribute, hosts the session's pattern set on every
 // shard — one multi.Evaluator per worker goroutine, a single pattern
 // being the set of one — and merges the per-shard matches back into one
 // deterministic, ordered output.
@@ -154,14 +154,11 @@ type Options struct {
 	QueueCap int
 	// Overflow selects the full-queue behavior (default Backpressure).
 	Overflow Overflow
-	// Key extracts the partition key (custom-extractor mode). Exactly one
-	// of Key and KeyAttr must be set.
-	Key KeyFunc
-	// KeyAttr names the key attribute (hash mode): the key is the
-	// attribute's value, resolved per type through Schema, and the
+	// KeyAttr names the partition key attribute (required): the key is
+	// the attribute's value, resolved per type through Schema, and every
 	// pattern is validated to be partitionable by it.
 	KeyAttr string
-	// Schema resolves KeyAttr; required in hash mode.
+	// Schema resolves KeyAttr (required).
 	Schema *event.Schema
 	// OnMatch receives every match, on the collector goroutine, in the
 	// deterministic merged order described in the package comment.
@@ -182,8 +179,8 @@ type Options struct {
 	// worker runs one multi.Evaluator over the whole set (shared unary
 	// predicates, shared SEQ prefix runners, per-tenant budgets) on its
 	// partition of the stream, and every Tagged match carries the
-	// emitting pattern's id. In hash mode every pattern of the set must
-	// be partitionable by KeyAttr. Mutate the running set with
+	// emitting pattern's id. Every pattern of the set must be
+	// partitionable by KeyAttr. Mutate the running set with
 	// AddPattern/RemovePattern.
 	Patterns []multi.Spec
 	// Tenants installs per-tenant token-bucket budgets. Each worker gates
@@ -555,7 +552,7 @@ func New(pat *pattern.Pattern, cfg engine.Config, opts Options) (*Engine, error)
 	}
 	// admit verifies each pattern partitionable (it also vets runtime
 	// additions), so the set is not passed here.
-	key, err := KeyFor(opts.Key, opts.KeyAttr, opts.Schema, nil)
+	key, err := KeyFor(opts.KeyAttr, opts.Schema, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -634,10 +631,8 @@ func (e *Engine) admit(sp multi.Spec) (multi.Spec, error) {
 	if sp.Pattern == nil {
 		return sp, fmt.Errorf("shard: pattern %d is nil", sp.ID)
 	}
-	if e.keyAttr != "" {
-		if err := Partitionable(sp.Pattern, e.schema, e.keyAttr); err != nil {
-			return sp, fmt.Errorf("shard: pattern %d: %w", sp.ID, err)
-		}
+	if err := Partitionable(sp.Pattern, e.schema, e.keyAttr); err != nil {
+		return sp, fmt.Errorf("shard: pattern %d: %w", sp.ID, err)
 	}
 	if sp.Config.Shedding.Policy != nil && sp.Config.Shedding.Key == nil {
 		// Pattern-aware shedding protects per-entity state; default the
@@ -779,12 +774,6 @@ func (e *Engine) Finish() {
 
 // Shards reports the shard count.
 func (e *Engine) Shards() int { return e.nshards }
-
-// PatternIDs lists the currently registered pattern ids, sorted
-// ascending. Call from the Process goroutine.
-func (e *Engine) PatternIDs() []uint32 {
-	return slices.Sorted(maps.Keys(e.specs))
-}
 
 // AddPattern registers one additional pattern on the running engine.
 // The current cut is sealed first and the pattern starts evaluating at

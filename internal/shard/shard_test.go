@@ -248,7 +248,6 @@ func TestNewValidation(t *testing.T) {
 		opts Options
 	}{
 		{"no key", engine.Config{}, Options{}},
-		{"both modes", engine.Config{}, Options{Key: ByAttr(2), KeyAttr: "key", Schema: w.Schema}},
 		{"keyattr without schema", engine.Config{}, Options{KeyAttr: "key"}},
 		{"unknown attr", engine.Config{}, Options{KeyAttr: "nope", Schema: w.Schema}},
 		{"engine OnMatch", engine.Config{OnMatch: func(*match.Match) {}}, ok},
@@ -258,7 +257,7 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	// A non-partitionable pattern must be rejected in KeyAttr mode: the
+	// A non-partitionable pattern must be rejected: the
 	// unkeyed workload's pattern has no equality-on-key predicates even
 	// though the "speed" attribute exists at every position.
 	unkeyed := gen.Traffic(gen.TrafficConfig{Types: 6, Events: 10, Seed: 1})

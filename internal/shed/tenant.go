@@ -74,14 +74,14 @@ type TenantGate struct {
 func NewTenantGate(budgets map[uint32]TenantBudget) *TenantGate {
 	g := &TenantGate{states: make(map[uint32]*tenantState)}
 	for id, b := range budgets {
-		g.SetBudget(id, b)
+		g.setBudget(id, b)
 	}
 	return g
 }
 
-// SetBudget installs or replaces a tenant's budget. The bucket restarts
+// setBudget installs or replaces a tenant's budget. The bucket restarts
 // full (deterministic for a given install point in the stream).
-func (g *TenantGate) SetBudget(tenant uint32, b TenantBudget) {
+func (g *TenantGate) setBudget(tenant uint32, b TenantBudget) {
 	if b.Burst <= 0 {
 		b.Burst = b.Rate
 	}
@@ -89,11 +89,6 @@ func (g *TenantGate) SetBudget(tenant uint32, b TenantBudget) {
 	st.budget = b
 	st.tokens = b.Burst
 	st.started = false
-}
-
-// RemoveBudget lifts a tenant's budget; accounting continues.
-func (g *TenantGate) RemoveBudget(tenant uint32) {
-	g.state(tenant).budget = TenantBudget{}
 }
 
 func (g *TenantGate) state(tenant uint32) *tenantState {

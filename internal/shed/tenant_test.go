@@ -91,7 +91,7 @@ func TestTenantGateRuntimeBudgetChange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.Admit(5, event.Time(i))
 	}
-	g.SetBudget(5, TenantBudget{Rate: 1, Burst: 1})
+	g.setBudget(5, TenantBudget{Rate: 1, Burst: 1})
 	shed := 0
 	for i := 10; i < 30; i++ {
 		if !g.Admit(5, event.Time(i)) {
@@ -100,11 +100,5 @@ func TestTenantGateRuntimeBudgetChange(t *testing.T) {
 	}
 	if shed == 0 {
 		t.Fatal("budget installed at runtime never engaged")
-	}
-	g.RemoveBudget(5)
-	for i := 30; i < 40; i++ {
-		if !g.Admit(5, event.Time(i)) {
-			t.Fatal("removed budget still shedding")
-		}
 	}
 }

@@ -191,9 +191,5 @@ func (e *Estimator) Snapshot(now event.Time) *Snapshot {
 	return s
 }
 
-// PredSelectivity exposes the current smoothed estimate for predicate k
-// (index into the pattern's Preds); for tests and introspection.
-func (e *Estimator) PredSelectivity(k int) float64 { return e.selPred[k] }
-
 // Window returns the statistics window in effect.
 func (e *Estimator) Window() event.Time { return e.cfg.Window }

@@ -132,7 +132,7 @@ func TestEstimatorEWMA(t *testing.T) {
 		emit(1, ts, 1)
 	}
 	e.Snapshot(100)
-	first := e.PredSelectivity(0)
+	first := e.selPred[0]
 	if first < 0.99 {
 		t.Fatalf("phase-1 sel = %.3f; want ~1", first)
 	}
@@ -142,7 +142,7 @@ func TestEstimatorEWMA(t *testing.T) {
 		emit(1, ts, 2)
 	}
 	e.Snapshot(200)
-	second := e.PredSelectivity(0)
+	second := e.selPred[0]
 	if second > 0.51 || second < 0.4 {
 		t.Fatalf("phase-2 sel = %.3f; want ~0.5 after one EWMA step", second)
 	}
@@ -661,8 +661,8 @@ func TestEstimatorMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d (%v, cfg %+v), check at event %d: %s", trial, c.pat, c.cfg, i, d)
 			}
 			for k := range c.pat.Preds {
-				if got, want := e.PredSelectivity(k), ref.selPred[k]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("trial %d (%v), check at event %d: PredSelectivity(%d) = %v, want %v", trial, c.pat, i, k, got, want)
+				if got, want := e.selPred[k], ref.selPred[k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d (%v), check at event %d: selPred[%d] = %v, want %v", trial, c.pat, i, k, got, want)
 				}
 			}
 		}

@@ -11,24 +11,33 @@ import (
 )
 
 // Hello is the node's handshake greeting: the protocol version it speaks,
-// its local shard count, and the pattern-set fingerprint it expects.
+// its local shard count, and the pattern-set fingerprint and partition
+// key it expects.
 type Hello struct {
 	Version    uint32
 	Shards     uint32 // local shard engines hosted by the node
 	PatternSig uint64 // Fingerprint of the pattern set the node expects (0: any)
+	KeyAttr    string // partition key attribute the node expects ("": any)
 }
 
-func (v Hello) code(c *codec) Hello { c.u32(&v.Version, &v.Shards); c.u64(&v.PatternSig); return v }
+func (v Hello) code(c *codec) Hello {
+	c.u32(&v.Version, &v.Shards)
+	c.u64(&v.PatternSig)
+	c.str(&v.KeyAttr, "key attribute")
+	return v
+}
 
 // Assign is the ingress's handshake reply fixing the global shard space,
 // Total shards. It names no shard: a session runs the shards whose runs
 // it is sent, and a shard moved onto it arrives by Migrate. Every node
-// hosts exactly the pattern set and schema shipped here; a node
-// configured with a pattern of its own only pins, through the fingerprint
-// in its Hello, which set it is willing to be handed.
+// hosts exactly the pattern set and schema shipped here and partitions by
+// the key attribute shipped here; a node configured with a pattern or a
+// key of its own only pins, through its Hello, which ones it is willing
+// to be handed.
 type Assign struct {
-	Total  uint32 // cluster-wide shard count
-	Schema *event.Schema
+	Total   uint32 // cluster-wide shard count
+	Schema  *event.Schema
+	KeyAttr string // the partition key attribute, resolved against Schema
 
 	// Patterns is the pattern set the session hosts; one pattern is the
 	// set of one.
@@ -48,6 +57,7 @@ type Assign struct {
 func (v Assign) code(c *codec) Assign {
 	c.u32(&v.Total)
 	c.schema(&v.Schema)
+	c.str(&v.KeyAttr, "key attribute")
 	table(c, &v.Patterns, maxPatternEntries, 3, "pattern entry")
 	for i := range v.Patterns {
 		v.Patterns[i].code(c, v.Schema)

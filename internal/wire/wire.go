@@ -57,7 +57,7 @@ import (
 
 // Version is the protocol version carried in Hello frames. Bump it on any
 // layout change: no frame carries compatibility shapes.
-const Version = 13
+const Version = 14
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.

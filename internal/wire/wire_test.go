@@ -105,14 +105,14 @@ func frames() []Frame {
 	}
 	plain, kleene, empty := sampleMatches()
 	return []Frame{
-		Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d},
+		Hello{Version: Version, Shards: 4, PatternSig: 0xdeadbeefcafef00d, KeyAttr: "key"},
+		Hello{Version: Version, Shards: 1, KeyAttr: "key"}, // a bare node pinning its key
 		Hello{},
 		Assign{Total: 12},
-		Assign{Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: p}}},        // the set of one
-		Assign{Total: 4, Schema: s, Patterns: []PatternEntry{{Pattern: orPat}}},    // an OR pattern
-		Assign{Total: 1, Patterns: []PatternEntry{{ID: 3, Tenant: 1, Pattern: p}}}, // schema-free: custom key extractors
+		Assign{Total: 4, Schema: s, KeyAttr: "key", Patterns: []PatternEntry{{Pattern: p}}},     // the set of one
+		Assign{Total: 4, Schema: s, KeyAttr: "key", Patterns: []PatternEntry{{Pattern: orPat}}}, // an OR pattern
 		Assign{ // a full pattern set with tenant budgets
-			Total: 2, Schema: s,
+			Total: 2, Schema: s, KeyAttr: "key",
 			Patterns: []PatternEntry{
 				{ID: 1, Tenant: 9, Pattern: p},
 				{ID: 2, Tenant: 9, Pattern: samplePattern(s)},

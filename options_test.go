@@ -27,13 +27,13 @@ func TestOptionSurface(t *testing.T) {
 		want []string
 	}{
 		{"Config", reflect.TypeFor[acep.Config](), []string{
-			"Model", "NewPolicy", "Stats", "CheckEvery", "InitialStats", "OnMatch",
+			"Model", "NewPolicy", "CheckEvery", "InitialStats", "OnMatch",
 			"ExternalEvents", "OwnedEmit", "Shedding"}},
 		{"ShardedConfig", reflect.TypeFor[acep.ShardedConfig](), []string{
-			"Shards", "Batch", "QueueCap", "Overflow", "Key", "KeyAttr", "Schema",
+			"Shards", "Batch", "QueueCap", "Overflow", "KeyAttr", "Schema",
 			"OnMatch", "OnTagged", "OnProgress", "Patterns", "Tenants", "EncodeMatch"}},
 		{"ClusterConfig", reflect.TypeFor[acep.ClusterConfig](), []string{
-			"Local", "Remote", "Batch", "KeyAttr", "Schema", "Key", "OnMatch", "Patterns",
+			"Local", "Remote", "Batch", "KeyAttr", "Schema", "OnMatch", "Patterns",
 			"Tenants", "OnTagged", "Recover"}},
 		{"ClusterLocal", reflect.TypeFor[acep.ClusterLocal](), []string{
 			"Nodes", "ShardsPerNode", "QueueCap", "Engine"}},
@@ -53,10 +53,9 @@ func TestOptionSurface(t *testing.T) {
 		{"cluster.RecoveryConfig", reflect.TypeFor[cluster.RecoveryConfig](), []string{
 			"Standby", "HeartbeatTimeout", "Elastic", "OnCut", "Resume"}},
 		{"cluster.NodeConfig", reflect.TypeFor[cluster.NodeConfig](), []string{
-			"Pattern", "Engine", "Shards", "Batch", "QueueCap", "Overflow", "Key", "KeyAttr",
-			"Schema"}},
+			"Pattern", "Engine", "Shards", "Batch", "QueueCap", "Overflow", "KeyAttr", "Schema"}},
 		{"cluster.IngressOptions", reflect.TypeFor[cluster.IngressOptions](), []string{
-			"Batch", "Key", "KeyAttr", "Schema", "OnMatch", "OnTagged", "Patterns", "Tenants",
+			"Batch", "KeyAttr", "Schema", "OnMatch", "OnTagged", "Patterns", "Tenants",
 			"Recovery", "Epoch", "OnProgress", "Addrs"}},
 		{"ha.Config", reflect.TypeFor[ha.Config](), []string{
 			"Pattern", "Schema", "KeyAttr", "Batch", "Workers", "Standbys", "OnTagged",

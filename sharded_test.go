@@ -87,34 +87,10 @@ func TestFacadeSharded(t *testing.T) {
 			t.Fatalf("shards=%d: merged metrics missed events", shards)
 		}
 	}
-
-	// Custom key-extractor mode through the façade helper.
-	key, err := acep.ShardKeyByAttr(schema, "person_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	eng, err := acep.NewShardedEngine(pat, acep.Config{}, acep.ShardedConfig{
-		Shards: 4,
-		Key:    key,
-		OnMatch: func(*acep.Match) {
-			n++
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range events {
-		eng.Process(&events[i])
-	}
-	eng.Finish()
-	if n != len(want) {
-		t.Fatalf("custom key mode: %d matches vs %d", n, len(want))
-	}
 }
 
 // TestFacadeShardedRejectsUnpartitionable: a pattern without the
-// connecting equality predicates must be refused in KeyAttr mode.
+// connecting equality predicates must be refused.
 func TestFacadeShardedRejectsUnpartitionable(t *testing.T) {
 	schema := acep.NewSchema()
 	a := schema.MustAddType("A", "person_id")
