@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"acep/internal/chaos"
 	"acep/internal/engine"
+	"acep/internal/event"
 	"acep/internal/match"
 	"acep/internal/multi"
 	recovery "acep/internal/recover"
@@ -181,6 +183,36 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 	if err := node.Serve(&chaos.Script{Frames: []wire.Frame{wire.Assign{Total: 3, Schema: row.Schema, KeyAttr: "key"}}}); err == nil {
 		t.Error("node accepted an assignment without a pattern set")
+	}
+}
+
+// TestNodeRefusesShardOutsideSpace: a Batch frame naming a shard outside
+// the session's global space ends the session with an error naming the
+// shard, as a Migrate for one does.
+func TestNodeRefusesShardOutsideSpace(t *testing.T) {
+	const total = 3
+	f := newResultFixture()
+	var enc wire.RunEncoder
+	var ev event.Event
+	f.set(&ev, 0)
+	enc.Append(&ev)
+	for _, c := range []struct {
+		f     wire.Frame
+		shard int
+	}{
+		{wire.BatchRaw{Shard: total, Run: enc.Seal(total).Body}, total},
+		{wire.BatchRaw{UpTo: 1, Shard: 1 << 20}, 1 << 20}, // a bare watermark frame too
+		{wire.Migrate{Shard: total}, total},
+	} {
+		conn, served := nodeSession(t, f, total)
+		if err := conn.Send(c.f); err != nil {
+			t.Fatal(err)
+		}
+		conn.Send(wire.Finish{}) //nolint:errcheck // ends a session that took the frame; a refusing one has closed
+		err := <-served
+		if want := fmt.Sprintf("shard %d outside global space of %d", c.shard, total); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s frame: session ended with %v, want an error naming %q", wire.KindOf(c.f), err, want)
+		}
 	}
 }
 

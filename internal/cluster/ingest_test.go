@@ -317,3 +317,84 @@ func TestNodeDecodeAllocs(t *testing.T) {
 		h.finish()
 	}
 }
+
+// nodeSession serves a bare node over a Pipe, assigns it a global space
+// of total shards hosting the result fixture's pattern, and returns the
+// ingress's end of the link and the session's outcome.
+func nodeSession(t *testing.T, f resultFixture, total int) (Conn, <-chan error) {
+	t.Helper()
+	node, err := NewNode(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := Pipe()
+	t.Cleanup(func() { client.Close() })
+	served := make(chan error, 1)
+	go func() { served <- node.Serve(server) }()
+	if h, err := client.Recv(); err != nil || wire.KindOf(h) != wire.KindHello {
+		t.Fatalf("node opened with %v (%v), want a hello", h, err)
+	}
+	if err := client.Send(wire.Assign{
+		Total: uint32(total), Schema: f.schema, KeyAttr: "key",
+		Patterns: []wire.PatternEntry{{Pattern: f.pat}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return client, served
+}
+
+// TestNodeRunsTheFramesShard: the ingress is the only router. A run
+// whose keys hash to shard h, sent in a frame naming shard g, runs on
+// worker g: every match it completes is tagged with g.
+func TestNodeRunsTheFramesShard(t *testing.T) {
+	const total = 4
+	f := newResultFixture()
+	key, err := shard.ByAttrName(f.schema, "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]event.Event, 3)
+	for i := range evs {
+		f.set(&evs[i], i) // A, B, C of key 0: one match
+	}
+	h := shard.GlobalIndex(key(&evs[0]), total)
+	g := uint32(1) // neither the keys' shard nor the zero value
+	if h == 1 {
+		g = 2
+	}
+	var enc wire.RunEncoder
+	for i := range evs {
+		enc.Append(&evs[i])
+	}
+	c, served := nodeSession(t, f, total)
+	for _, fr := range []wire.Frame{
+		wire.BatchRaw{Shard: g, Run: enc.Seal(g).Body},
+		wire.BatchRaw{UpTo: evs[2].Seq},
+		wire.Finish{},
+	} {
+		if err := c.Send(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var srcs []uint32
+	for {
+		fr, err := c.Recv()
+		if err != nil {
+			t.Fatalf("reading the node's frames: %v", err)
+		}
+		if m, ok := fr.(*wire.Matches); ok {
+			if err := m.Each(func(r wire.MatchRecord) { srcs = append(srcs, r.Shard) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wire.KindOf(fr) == wire.KindMetrics {
+			break
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("node session: %v", err)
+	}
+	if len(srcs) != 1 || srcs[0] != g {
+		t.Fatalf("matches tagged with shards %v, want one of shard %d (its keys hash to %d)", srcs, g, h)
+	}
+}

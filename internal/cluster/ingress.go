@@ -505,7 +505,7 @@ func (in *Ingress) cutAll() {
 		}
 		in.runs[g].Reset(recycle)
 		if o := in.owner[g]; o >= 0 && in.slots[o].receives() {
-			in.slots[o].outs = append(in.slots[o].outs, r.Body)
+			in.slots[o].outs = append(in.slots[o].outs, r)
 		}
 	}
 	for n, s := range in.slots {
@@ -609,7 +609,7 @@ func (in *Ingress) migrateShard(g, to int, reason string) (replayed int, err err
 	var bytes int64
 	rerr := in.journal.ReplayShard(g, func(r wire.ReplRun, upTo uint64) error {
 		in.det.Sent(to)
-		if err := c.Send(wire.BatchRaw{UpTo: upTo, Run: r.Body}); err != nil {
+		if err := c.Send(wire.BatchRaw{UpTo: upTo, Shard: r.Shard, Run: r.Body}); err != nil {
 			return err
 		}
 		cuts++

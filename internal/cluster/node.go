@@ -61,7 +61,6 @@ type NodeConfig struct {
 	// KeyAttr pins the partition key the way Pattern pins the set: the
 	// node greets with it and the ingress refuses to pair unless it is
 	// the session's key. Empty takes whatever key the ingress ships.
-	// Either way the node partitions by the KeyAttr of the Assign frame.
 	KeyAttr string
 	// Schema is the schema Pattern is fingerprinted under (required with
 	// a Pattern).
@@ -266,13 +265,6 @@ func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 	for i, e := range a.Patterns {
 		specs[i] = multi.Spec{ID: e.ID, Tenant: e.Tenant, Pattern: e.Pattern, Config: n.cfg.Engine}
 	}
-	// Every node partitions by the shipped key: the ingress places runs
-	// by it, and a node pinned to another key was refused at the hello.
-	// shard.New below checks the set against it.
-	key, err := shard.KeyFor(a.KeyAttr, a.Schema, nil)
-	if err != nil {
-		return fmt.Errorf("cluster: node: %w", err)
-	}
 	total := int(a.Total)
 	if total < 1 {
 		return fmt.Errorf("cluster: assignment of an empty global shard space")
@@ -399,7 +391,7 @@ func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 	// Zero-copy receive: the transport decodes a run inside Recv straight
 	// into a block of the engine's pool — the decoded slots are the events
 	// the evaluators retain, no re-intern — through this arena, which holds
-	// the block only until ingest takes it out and hands it to the engine,
+	// the block only until a Batch frame's case takes it out for the engine,
 	// and surfaces the frame as a wire.BatchView. The block comes back to
 	// the pool from the shard worker that consumed it, on that worker's own
 	// clock — which is what makes replaying old-timestamp history into a
@@ -416,28 +408,6 @@ func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 		eng.Finish()
 		up.flush()
 		return err
-	}
-	// ingest is what a Batch frame triggers. A frame's events are one
-	// global shard's run of the open cut, by the ingress's
-	// construction: a live cut arrives as one events-only frame (UpTo 0)
-	// per owned shard with traffic, then one watermark-bearing frame; a
-	// replay frame is one shard's journaled run with its cut's watermark.
-	// So the run's first event places all of it, the block it was decoded
-	// into goes to that worker whole, and only the watermark seals —
-	// covering every run of the cut, whatever order the shards came in.
-	// Then: beat on receipt, seal.
-	ingest := func(upTo uint64) {
-		if run := dec.Take(); run != nil {
-			eng.ProcessStable(shard.GlobalIndex(key(run.At(0)), total), run)
-		}
-		if upTo == 0 {
-			return // events-only frame; the cut's watermark frame follows
-		}
-		up.beat(upTo)
-		eng.Flush(upTo)
-		migMu.Lock()
-		maxUpTo = max(maxUpTo, upTo)
-		migMu.Unlock()
 	}
 	for {
 		f, err := conn.Recv()
@@ -456,7 +426,29 @@ func (n *Node) serveSession(conn Conn, a wire.Assign) error {
 		}
 		switch v := f.(type) {
 		case *wire.BatchView:
-			ingest(v.UpTo)
+			// A frame carries one global shard's run of the open cut and
+			// names that shard: a live cut arrives as one events-only frame
+			// (UpTo 0) per owned shard with traffic, then one
+			// watermark-bearing frame; a replay frame is one shard's
+			// journaled run with its cut's watermark. The block the run was
+			// decoded into goes whole to the worker of the shard the ingress
+			// placed it on — the node places nothing — and only the
+			// watermark seals, covering every run of the cut, whatever order
+			// the shards came in. Then: beat on receipt, seal.
+			if v.Shard >= a.Total {
+				return abort(fmt.Errorf("cluster: batch for shard %d outside global space of %d", v.Shard, total))
+			}
+			if run := dec.Take(); run != nil {
+				eng.ProcessStable(int(v.Shard), run)
+			}
+			if v.UpTo == 0 {
+				break // events-only frame; the cut's watermark frame follows
+			}
+			up.beat(v.UpTo)
+			eng.Flush(v.UpTo)
+			migMu.Lock()
+			maxUpTo = max(maxUpTo, v.UpTo)
+			migMu.Unlock()
 		case wire.Migrate:
 			// A shard is moving onto this session: suppress its
 			// regenerated duplicates, and queue it for acknowledgement

@@ -54,7 +54,7 @@ type slot struct {
 	// that already ran a shard holds stale window state for it, so
 	// migrating the shard back would double-process.
 	hosted map[int]bool
-	outs   [][]byte // the open cut's runs bound for this node, regrouped each cut
+	outs   []wire.ReplRun // the open cut's runs bound for this node, regrouped each cut
 	// cuts is the conn's whole-cut writer (nil: sendCut sends frame by
 	// frame, through whatever wraps the transport).
 	cuts cutSender
@@ -230,18 +230,19 @@ func (s *slot) inSession() bool { return s.state <= slotDrained }
 func (s *slot) takes(g int) bool { return s.state == slotLive && !s.hosted[g] }
 
 // sendCut ships the open cut to the node: events-only frames (UpTo 0),
-// one per owned shard with a run, then the cut's single watermark frame.
-// The node hands each run to its shard's worker as it is and seals only
-// when the watermark arrives, so a cut split across shards can never
-// publish a watermark ahead of its events. On a buffering transport the
-// frames go out in one write. Runs on the cut's per-node send goroutine,
-// the connection's only writer until the next barrier.
+// one per owned shard with a run, each naming its shard, then the cut's
+// single watermark frame. The node hands each run to the worker of the
+// shard its frame names and seals only when the watermark arrives, so a
+// cut split across shards can never publish a watermark ahead of its
+// events. On a buffering transport the frames go out in one write. Runs
+// on the cut's per-node send goroutine, the connection's only writer
+// until the next barrier.
 func (s *slot) sendCut(upTo uint64) error {
 	if s.cuts != nil {
 		return s.cuts.SendCut(s.outs, upTo)
 	}
-	for _, run := range s.outs {
-		if err := s.conn.Send(wire.BatchRaw{Run: run}); err != nil {
+	for _, r := range s.outs {
+		if err := s.conn.Send(wire.BatchRaw{Shard: r.Shard, Run: r.Body}); err != nil {
 			return err
 		}
 	}

@@ -230,18 +230,18 @@ type sendHolder interface {
 }
 
 // cutSender is what the stream transport offers the ingress's cut
-// sender: a cut's frames — one events-only frame per run, then the
-// watermark frame — written as one burst, none boxed into a wire.Frame.
-// Probed for on a Conn; a wrapper that hides it gets the frames one Send
-// at a time.
+// sender: a cut's frames — one events-only frame per run, naming its
+// shard, then the watermark frame — written as one burst, none boxed into
+// a wire.Frame. Probed for on a Conn; a wrapper that hides it gets the
+// frames one Send at a time.
 type cutSender interface {
-	SendCut(runs [][]byte, upTo uint64) error
+	SendCut(runs []wire.ReplRun, upTo uint64) error
 }
 
 // SendCut writes a cut's frames through the write buffer and flushes once.
-func (s *streamConn) SendCut(runs [][]byte, upTo uint64) error {
-	for _, run := range runs {
-		if err := s.w.WriteRaw(wire.BatchRaw{Run: run}); err != nil {
+func (s *streamConn) SendCut(runs []wire.ReplRun, upTo uint64) error {
+	for _, r := range runs {
+		if err := s.w.WriteRaw(wire.BatchRaw{Shard: r.Shard, Run: r.Body}); err != nil {
 			return err
 		}
 	}

@@ -234,7 +234,7 @@ func TestStandbyMirrorsVerbatim(t *testing.T) {
 	}
 	replay := func(j *recovery.Journal, g int) (frames []byte) {
 		j.ReplayShard(g, func(r wire.ReplRun, upTo uint64) error { //nolint:errcheck // fn never fails
-			frames = wire.Append(frames, wire.BatchRaw{UpTo: upTo, Run: r.Body})
+			frames = wire.Append(frames, wire.BatchRaw{UpTo: upTo, Shard: r.Shard, Run: r.Body})
 			return nil
 		})
 		return frames

@@ -304,6 +304,34 @@ func scenarios(tb testing.TB) []Row {
 		Specs:  []multi.Spec{spec(seqID, 0), spec(negID, 0)},
 		Events: stream(6, evenTypes, anyKey),
 		Ops:    map[int]Op{2500: {Add: &added}, 3500: {Remove: negID}},
+	}, {
+		// A pattern joins, leaves and joins again under the same id, and a
+		// shard moves right after: the move replays history the pattern
+		// never saw in either life into a session that hosts it, and what
+		// that regenerates is dropped at the later add's boundary, not the
+		// first's. Its first life sees only D, so what it delivers is its
+		// second life's, which is what a re-added engine counts. The two
+		// windows after the later add carry only D too: the replay feeds
+		// the added engine events from before its add, and a match spanning
+		// the add would be delivered where the reference forms none.
+		Name:  "reuse/re-add",
+		Specs: []multi.Spec{spec(seqID, 0), spec(negID, 0)},
+		Events: stream(7, func(i int, r *rand.Rand) int {
+			if i >= 500 && i < 1000 || i >= 4000 && i < 4000+2*window {
+				return 3
+			}
+			return evenTypes(i, r)
+		}, anyKey),
+		Ops: map[int]Op{
+			500: {Add: &added}, 1000: {Remove: kleeneID},
+			4000: {Add: &added}, 4001: {Migrate: &Move{Shard: 1, To: 0}},
+		},
+		exercised: func(m map[uint32]engine.Metrics) error {
+			if m[kleeneID].Matches == 0 {
+				return fmt.Errorf("the re-added pattern matched nothing")
+			}
+			return nil
+		},
 	}}
 	for i := range rows {
 		rows[i].Schema, rows[i].Shards, rows[i].Batch = s, shards, 64

@@ -680,16 +680,16 @@ func (e *Engine) Process(ev *event.Event) {
 func (e *Engine) Pool() *match.Pool { return e.pool }
 
 // ProcessStable is the by-shard zero-copy ingest entry: run holds shard
-// g's events of the open cut in Seq order, partitioned by the caller — who
-// owns the obligation that all events of one partition key go to one
-// shard (GlobalIndex is Process's placement) — in a block drawn from
-// Pool. The engine owns the block from here: the cluster node passes the
-// block the wire decoder filled, the shard's worker points its engines
-// into it and returns it to the pool, and nothing in between copies. (A
-// second run for a shard within one cut is the exception: it is copied
-// behind the first.) It never seals: the caller's Flush does, with a
-// watermark covering every run of the cut, so runs may arrive in any
-// shard order.
+// g's events of the open cut in Seq order, in a block drawn from Pool.
+// The caller placed them and the engine reads no key: all events of one
+// partition key must go to one shard (GlobalIndex is Process's
+// placement; a cluster node passes the shard its Batch frame names). The
+// engine owns the block from here: the cluster node passes the block the
+// wire decoder filled, the shard's worker points its engines into it and
+// returns it to the pool, and nothing in between copies. (A second run
+// for a shard within one cut is the exception: it is copied behind the
+// first.) It never seals: the caller's Flush does, with a watermark
+// covering every run of the cut, so runs may arrive in any shard order.
 func (e *Engine) ProcessStable(g int, run *match.Block) {
 	if e.finished {
 		panic("shard: ProcessStable after Finish")

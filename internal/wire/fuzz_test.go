@@ -102,7 +102,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("the Reader's decode of a repl-cut frame differs from Decode's")
 		}
 		if v, ok := view.(*BatchView); ok {
-			flat := Batch{UpTo: v.UpTo}
+			flat := Batch{UpTo: v.UpTo, Shard: v.Shard}
 			for _, ev := range v.Events {
 				flat.Events = append(flat.Events, *ev)
 			}

@@ -8,10 +8,12 @@ import (
 	"acep/internal/match"
 )
 
-// Batch is one cut of events bound for a node: its events since the last
-// cut (possibly none) and the global watermark the cut covers.
+// Batch is one global shard's run of a cut, bound for the node that owns
+// the shard: the watermark the frame seals (0: none), the shard the
+// ingress placed the events on, and the events (possibly none).
 type Batch struct {
-	UpTo   uint64 // global sequence watermark the cut covers
+	UpTo   uint64
+	Shard  uint32
 	Events []event.Event
 }
 
@@ -24,17 +26,19 @@ type Batch struct {
 // BatchRaw.
 type BatchView struct {
 	UpTo   uint64
+	Shard  uint32
 	Events []*event.Event
 }
 
 // BatchRaw is a pre-encoded Batch: Run is the run that follows the
-// watermark (nil: the empty run of a bare watermark frame), so its frame
-// is the Batch's, byte for byte, with no event struct on the sending
-// side. It decodes as a Batch, or as a BatchView where the receiver
-// decodes into an arena, as a node does.
+// watermark and the shard (nil: the empty run of a bare watermark frame),
+// so its frame is the Batch's, byte for byte, with no event struct on the
+// sending side. It decodes as a Batch, or as a BatchView where the
+// receiver decodes into an arena, as a node does.
 type BatchRaw struct {
-	UpTo uint64
-	Run  []byte
+	UpTo  uint64
+	Shard uint32
+	Run   []byte
 }
 
 // ReplRun is one shard's run of a sealed cut as every layer above a
@@ -71,9 +75,10 @@ func (r *ReplRun) code(c *codec) {
 	}
 }
 
-// encode appends a Batch's body: the watermark, then its events' run.
+// encode appends a Batch's body: the watermark, the shard, the run.
 func (v Batch) encode(c *codec) {
 	c.u64(&v.UpTo)
+	c.u32(&v.Shard)
 	c.count(len(v.Events), maxBatchEvents, 4, "batch event")
 	var prevTS event.Time
 	var prevSeq uint64
@@ -84,10 +89,11 @@ func (v Batch) encode(c *codec) {
 	}
 }
 
-// encode appends a BatchRaw's watermark and returns the run that follows
-// it; a nil run is encoded here, as its zero count.
+// encode appends a BatchRaw's watermark and shard and returns the run
+// that follows them; a nil run is encoded here, as its zero count.
 func (v BatchRaw) encode(c *codec) (tail []byte) {
 	c.u64(&v.UpTo)
+	c.u32(&v.Shard)
 	if len(v.Run) == 0 {
 		c.b = append(c.b, 0)
 	}
@@ -98,7 +104,7 @@ func (v BatchRaw) encode(c *codec) (tail []byte) {
 // DecodeRun, the one run decoder there is, and copied out of its block.
 func (c *codec) batch() Batch {
 	v := Batch{UpTo: c.uvarint()}
-	if c.err != nil {
+	if c.u32(&v.Shard); c.err != nil {
 		return v
 	}
 	evs, err := DecodeRun(&match.Arena{}, c.b[c.off:], nil)

@@ -157,10 +157,10 @@ func (r *Reader) Read() (Frame, error) {
 	if r.arena == nil || Kind(buf[0]) != KindBatch {
 		return decodePayload(buf)
 	}
-	// The zero-copy decode: the watermark, then the run straight into the
-	// arena.
+	// The zero-copy decode: watermark, shard, then the run into the arena.
 	c := codec{b: buf, off: 1}
-	if r.view.UpTo = c.uvarint(); c.err != nil {
+	r.view.UpTo = c.uvarint()
+	if c.u32(&r.view.Shard); c.err != nil {
 		return nil, c.err
 	}
 	if r.evs, err = DecodeRun(r.arena, buf[c.off:], r.evs); err != nil {

@@ -34,13 +34,14 @@
 //
 // # Runs and match bodies
 //
-// What follows the watermark in a Batch body — the event count, then the
-// events delta-coded from (0, 0) — is a run: one shard's events of one
-// cut. The ingress encodes a run once, as it accepts the events
-// (RunEncoder), and everything above a worker carries those bytes: the
-// Batch frame to the worker (BatchRaw), the cut journal, the ReplCut to
-// the standby, its mirror and the handover (ReplRun). Only a worker
-// decodes one (DecodeRun, or a Reader with a decode arena).
+// What follows the watermark and the shard in a Batch body — the event
+// count, then the events delta-coded from (0, 0) — is a run: one shard's
+// events of one cut, and the frame names that shard. The ingress encodes
+// a run once, as it accepts the events (RunEncoder), and everything above
+// a worker carries those bytes: the Batch frame to the worker (BatchRaw),
+// the cut journal, the ReplCut to the standby, its mirror and the
+// handover (ReplRun). Only a worker decodes one (DecodeRun, or a Reader
+// with a decode arena).
 //
 // A match travels the other way as its body, the bytes AppendMatchBody
 // wrote on the worker: a Matches frame carries bodies as records, whoever
@@ -57,7 +58,7 @@ import (
 
 // Version is the protocol version carried in Hello frames. Bump it on any
 // layout change: no frame carries compatibility shapes.
-const Version = 14
+const Version = 15
 
 // MaxFrame bounds one frame's payload (kind+body) in bytes; Decode and
 // Reader reject larger length prefixes as corrupt.

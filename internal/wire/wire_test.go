@@ -124,11 +124,11 @@ func frames() []Frame {
 			},
 		},
 		Batch{UpTo: 1 << 50},
-		Batch{UpTo: 42, Events: []event.Event{ev, ev2}},
-		Batch{Events: []event.Event{ev2}},             // events-only run of an open cut
-		BatchRaw{UpTo: 1 << 50},                       // pre-encoded: the bare watermark,
-		BatchRaw{Run: sealRun(0, ev, ev2).Body},       // a live cut's run,
-		BatchRaw{UpTo: 42, Run: sealRun(0, ev2).Body}, // a replayed one
+		Batch{UpTo: 42, Shard: 5, Events: []event.Event{ev, ev2}},
+		Batch{Shard: 1 << 20, Events: []event.Event{ev2}},       // events-only run of an open cut
+		BatchRaw{UpTo: 1 << 50},                                 // pre-encoded: the bare watermark,
+		BatchRaw{Shard: 3, Run: sealRun(3, ev, ev2).Body},       // a live cut's run,
+		BatchRaw{UpTo: 42, Shard: 7, Run: sealRun(7, ev2).Body}, // a replayed one
 		Heartbeat{UpTo: 77},
 		Migrate{Shard: 9, SuppressUpTo: 1234, ReplayUpTo: 5678},
 		Migrate{},
@@ -377,11 +377,12 @@ func TestDecodeCorrupt(t *testing.T) {
 		"zero length":      {0, 0, 0, 0},
 		"oversized length": {0xff, 0xff, 0xff, 0xff, byte(KindFinish)},
 		"unknown kind":     Append(nil, Finish{})[:4:4],
-		"event count lie":  {3, 0, 0, 0, byte(KindBatch), 5, 200},
-		"attr count lie":   {7, 0, 0, 0, byte(KindBatch), 5, 1, 0, 0, 1, 250},
+		"event count lie":  {4, 0, 0, 0, byte(KindBatch), 5, 0, 200},
+		"attr count lie":   {8, 0, 0, 0, byte(KindBatch), 5, 0, 1, 0, 0, 1, 250},
 		// A uint32 field whose varint does not fit 32 bits: truncated to 32,
 		// it would name another shard, version or pattern.
 		"migrate shard 2^32+3":  frame(KindMigrate, uvarints(1<<32+3, 0, 0)),
+		"batch shard 2^32+3":    frame(KindBatch, uvarints(5, 1<<32+3, 0)),
 		"hello version 2^32+9":  frame(KindHello, uvarints(1<<32+9, 1, 0)),
 		"match shard 2^32+1":    frame(KindMatches, uvarints(5, 1, 1<<32+1, 5, 0, 2), []byte{0, 0}),
 		"match pattern 2^32+42": frame(KindMatches, uvarints(5, 1, 1, 5, 1<<32+42, 2), []byte{0, 0}),
@@ -790,7 +791,7 @@ func runCases() map[string][]event.Event {
 func TestRunEncoderIsTheBatchBody(t *testing.T) {
 	var reused RunEncoder
 	for name, evs := range runCases() {
-		want := Append(nil, Batch{Events: evs})
+		want := Append(nil, Batch{Shard: 4, Events: evs})
 		run := sealRun(4, evs...)
 		if run.Shard != 4 || run.Events != len(evs) {
 			t.Errorf("%s: sealed as shard %d with %d events, want shard 4 with %d", name, run.Shard, run.Events, len(evs))
@@ -798,11 +799,12 @@ func TestRunEncoderIsTheBatchBody(t *testing.T) {
 		if len(evs) > 0 && run.LastTS != evs[len(evs)-1].TS {
 			t.Errorf("%s: LastTS %d, want the last event's %d", name, run.LastTS, evs[len(evs)-1].TS)
 		}
-		// Payload: length prefix, kind, the one-byte watermark 0, the run.
-		if body := want[4+1+1:]; len(evs) > 0 && !bytes.Equal(run.Body, body) {
+		// Payload: length prefix, kind, the one-byte watermark 0 and shard
+		// 4, the run.
+		if body := want[4+1+1+1:]; len(evs) > 0 && !bytes.Equal(run.Body, body) {
 			t.Errorf("%s: run body differs from the Batch frame's", name)
 		}
-		if got := Append(nil, BatchRaw{Run: run.Body}); !bytes.Equal(got, want) {
+		if got := Append(nil, BatchRaw{Shard: 4, Run: run.Body}); !bytes.Equal(got, want) {
 			t.Errorf("%s: BatchRaw frame differs from the Batch frame", name)
 		}
 		for _, reuse := range []bool{true, false} {
