@@ -26,6 +26,16 @@ func benchScale() bench.Scale {
 	return sc
 }
 
+// fig5 sweeps the invariant method's d over ds on the scale's sizes: the
+// Figure 5 matrix and d_opt, the grid point its choice rule picks.
+func fig5(h *bench.Harness, c bench.Combo, ds []float64) (*bench.Sweep, float64, error) {
+	s, err := h.Sweep("d", c, h.Scale.Sizes, bench.DPoints(ds))
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, ds[s.Choose().Best], nil
+}
+
 // BenchmarkFig5 regenerates Figure 5: invariant-method throughput as a
 // function of pattern size and distance d, for all four combos.
 func BenchmarkFig5(b *testing.B) {
@@ -33,15 +43,14 @@ func BenchmarkFig5(b *testing.B) {
 		c := c
 		b.Run(c.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				h := bench.NewHarness(benchScale())
-				f5, err := h.Fig5(c, bench.DefaultDGrid())
+				f5, dopt, err := fig5(bench.NewHarness(benchScale()), c, bench.DefaultDGrid())
 				if err != nil {
 					b.Fatal(err)
 				}
 				var buf bytes.Buffer
-				f5.Write(&buf)
+				f5.Write(&buf, "Figure 5 — "+c.String())
 				b.Log("\n" + buf.String())
-				b.ReportMetric(f5.BestD(), "d_opt")
+				b.ReportMetric(dopt, "d_opt")
 			}
 		})
 	}
@@ -55,11 +64,11 @@ func BenchmarkTable1(b *testing.B) {
 		b.Run(c.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := bench.NewHarness(benchScale())
-				f5, err := h.Fig5(c, bench.DefaultDGrid())
+				_, dopt, err := fig5(h, c, bench.DefaultDGrid())
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows, err := h.Table1(c, f5)
+				rows, err := h.Table1(c, dopt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -80,15 +89,16 @@ func methodsFigure(b *testing.B, c bench.Combo, kinds []gen.Kind, kindIdx int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		h := bench.NewHarness(benchScale())
-		f5, err := h.Fig5(c, []float64{0, 0.2, 0.5})
+		_, dopt, err := fig5(h, c, []float64{0, 0.2, 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
-		topt, err := h.ScanThreshold(c, []float64{0.1, 0.3, 0.8})
+		ts := []float64{0.1, 0.3, 0.8}
+		tscan, err := h.Sweep("t", c, []int{5}, bench.TPoints(ts))
 		if err != nil {
 			b.Fatal(err)
 		}
-		data, err := h.Methods(c, kinds, topt, f5.BestD())
+		data, err := h.Methods(c, kinds, ts[tscan.Choose().Best], dopt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,15 +186,15 @@ func BenchmarkAblationK(b *testing.B) {
 		b.Run(c.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := bench.NewHarness(benchScale())
-				rows, err := h.AblationK(c, 6, []int{1, 2, 3, 5}, 0.2)
+				s, err := h.Sweep("K", c, []int{6}, bench.KPoints([]int{1, 2, 3, 5}, 0.2))
 				if err != nil {
 					b.Fatal(err)
 				}
 				var buf bytes.Buffer
-				bench.WriteAblationK(&buf, c, 6, rows)
+				s.Write(&buf, "Ablation — K-invariant method (§3.3) on "+c.String()+", sequence size 6")
 				b.Log("\n" + buf.String())
-				b.ReportMetric(float64(rows[0].Reopts), "replans_K1")
-				b.ReportMetric(float64(rows[len(rows)-1].Reopts), "replans_Kmax")
+				b.ReportMetric(float64(s.Reopts[0]), "replans_K1")
+				b.ReportMetric(float64(s.Reopts[len(s.Reopts)-1]), "replans_Kmax")
 			}
 		})
 	}
@@ -198,12 +208,12 @@ func BenchmarkAblationSelector(b *testing.B) {
 		b.Run(c.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := bench.NewHarness(benchScale())
-				rows, err := h.AblationSelector(c, 6, 0.2)
+				s, err := h.Sweep("selector", c, []int{6}, bench.SelectorPoints(0.2))
 				if err != nil {
 					b.Fatal(err)
 				}
 				var buf bytes.Buffer
-				bench.WriteAblationSelector(&buf, c, 6, rows)
+				s.Write(&buf, "Ablation — invariant selection strategy (§3.5) on "+c.String()+", sequence size 6")
 				b.Log("\n" + buf.String())
 			}
 		})

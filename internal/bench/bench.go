@@ -1,7 +1,7 @@
 // Package bench is the experiment harness that regenerates every table
 // and figure of the paper's evaluation (Section 5 and Appendix A) on the
-// synthetic stand-in workloads. See DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// synthetic stand-in workloads. DESIGN.md's "Experiment index" lists the
+// experiments and states how a sweep chooses d_opt and t_opt.
 //
 // All experiments are deterministic given a Scale (seed included); every
 // compared adaptation method processes the identical event sequence.
@@ -231,21 +231,4 @@ func (h *Harness) Run(c Combo, pat *pattern.Pattern, newPolicy func() core.Polic
 		Replace:    replaceCost(m),
 	}
 	return r, nil
-}
-
-// RunBest measures the run repeats times and keeps the best throughput:
-// the least-interference estimate, used by the tuning scans so that
-// wall-clock noise does not distort d_opt / t_opt selection.
-func (h *Harness) RunBest(c Combo, pat *pattern.Pattern, newPolicy func() core.Policy, repeats int) (Result, error) {
-	var best Result
-	for i := 0; i < repeats; i++ {
-		r, err := h.Run(c, pat, newPolicy)
-		if err != nil {
-			return Result{}, err
-		}
-		if i == 0 || r.Throughput > best.Throughput {
-			best = r
-		}
-	}
-	return best, nil
 }

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,23 +64,104 @@ func TestHarnessRunDeterministicWorkload(t *testing.T) {
 	}
 }
 
-func TestFig5AndBestD(t *testing.T) {
+// TestSweep: a sweep measures every (point, size) sweepRepeats times,
+// keeps each point's counters, and prints its median matrix and choice;
+// the t_opt scan is the same sweep at one size.
+func TestSweep(t *testing.T) {
 	h := NewHarness(tinyScale())
-	f5, err := h.Fig5(Combos()[0], []float64{0, 0.3})
+	c := Combos()[0]
+	s, err := h.Sweep("d", c, h.Scale.Sizes, DPoints([]float64{0, 0.3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f5.Throughput) != 2 || len(f5.Throughput[0]) != 2 {
-		t.Fatalf("shape %dx%d", len(f5.Throughput), len(f5.Throughput[0]))
+	if len(s.Throughput) != 2 || len(s.Throughput[0]) != 2 || len(s.Throughput[0][0]) != sweepRepeats {
+		t.Fatalf("shape %dx%dx%d", len(s.Throughput), len(s.Throughput[0]), len(s.Throughput[0][0]))
 	}
-	best := f5.BestD()
-	if best != 0 && best != 0.3 {
-		t.Fatalf("BestD = %g", best)
+	for p := range s.Labels {
+		if s.PMCreated[p] == 0 {
+			t.Fatalf("point %s created no partial matches", s.Labels[p])
+		}
 	}
 	var buf bytes.Buffer
-	f5.Write(&buf)
-	if !strings.Contains(buf.String(), "Figure 5") {
-		t.Fatal("missing header")
+	s.Write(&buf, "Figure 5 — test")
+	for _, want := range []string{"Figure 5", "PMCreated", "noise ", "decided by", "d_opt = "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("sweep output missing %q:\n%s", want, buf.String())
+		}
+	}
+	ts, err := h.Sweep("t", c, []int{5}, TPoints([]float64{0.1, 0.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts.Labels) != 2 || ts.Labels[1] != "0.50" || len(ts.Throughput[1]) != 1 || len(ts.Throughput[1][0]) != sweepRepeats {
+		t.Fatalf("t_opt scan: labels %v, throughput %v", ts.Labels, ts.Throughput)
+	}
+}
+
+// TestSweepChoice holds the choice rule on hand-built sweeps, so no wall
+// clock decides it: within the widest spread the exact counters choose,
+// and only a median that beats the rest by more than that spread wins on
+// throughput.
+func TestSweepChoice(t *testing.T) {
+	// sweep builds a two-size sweep; tp[p] lists point p's per-repeat
+	// events/s, the same at both sizes, so a repeat's score is tp[p][r].
+	sweep := func(tp [][]float64, pms, reopts []uint64) *Sweep {
+		s := &Sweep{Param: "d", Sizes: []int{4, 6}, PMCreated: pms, Reopts: reopts}
+		for p, reps := range tp {
+			s.Labels = append(s.Labels, fmt.Sprint(p))
+			s.Throughput = append(s.Throughput, [][]float64{reps, reps})
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		s     *Sweep
+		want  int
+		noise float64
+		tied  []int
+		by    string
+	}{
+		{
+			// Point 2 spreads 20 % about its median; every median lies
+			// within 20 % of point 0's, so the fewest partial matches win.
+			name: "within the widest spread",
+			s: sweep([][]float64{{99, 100, 101}, {94, 95, 96}, {80, 100, 100}, {89, 90, 91}},
+				[]uint64{500, 400, 300, 300}, []uint64{1, 1, 2, 1}),
+			want: 3, noise: 0.2, tied: []int{0, 1, 2, 3}, by: "replacements",
+		},
+		{
+			name: "the least PMCreated over the best median",
+			s: sweep([][]float64{{95, 100, 105}, {91, 92, 93}, {50, 51, 52}},
+				[]uint64{900, 100, 10}, []uint64{0, 5, 0}),
+			want: 1, noise: 0.1, tied: []int{0, 1}, by: "PMCreated",
+		},
+		{
+			// Point 1's median beats the others by 50 %, more than any
+			// point's 2 % spread.
+			name: "a median beyond the widest spread",
+			s: sweep([][]float64{{99, 100, 101}, {149, 150, 151}, {98, 99, 100}},
+				[]uint64{10, 1000, 10}, []uint64{0, 9, 0}),
+			want: 1, noise: 2.0 / 99, tied: []int{1}, by: "throughput",
+		},
+		{
+			name: "equal PMCreated, fewer replacements",
+			s: sweep([][]float64{{100, 100, 100}, {100, 100, 100}, {100, 100, 100}},
+				[]uint64{70, 50, 50}, []uint64{0, 4, 3}),
+			want: 2, noise: 0, tied: []int{0, 1, 2}, by: "replacements",
+		},
+		{
+			name: "all counters equal, the first grid point",
+			s: sweep([][]float64{{90, 100, 110}, {90, 100, 110}, {90, 100, 110}},
+				[]uint64{50, 50, 50}, []uint64{3, 3, 3}),
+			want: 0, noise: 0.2, tied: []int{0, 1, 2}, by: "grid order",
+		},
+	}
+	for _, tc := range cases {
+		ch := tc.s.Choose()
+		if ch.Best != tc.want || math.Abs(ch.Noise-tc.noise) > 1e-9 || !slices.Equal(ch.Tied, tc.tied) || ch.By != tc.by {
+			t.Errorf("%s: chose %d (noise %v, tied %v, by %s); want %d (noise %v, tied %v, by %s)",
+				tc.name, ch.Best, ch.Noise, ch.Tied, ch.By, tc.want, tc.noise, tc.tied, tc.by)
+		}
 	}
 }
 
@@ -86,11 +169,7 @@ func TestTable1(t *testing.T) {
 	sc := tinyScale()
 	sc.Sizes = []int{4, 5}
 	h := NewHarness(sc)
-	f5, err := h.Fig5(Combos()[0], []float64{0, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := h.Table1(Combos()[0], f5)
+	rows, err := h.Table1(Combos()[0], 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +201,8 @@ func TestTable1Pinned(t *testing.T) {
 	sc := tinyScale()
 	sc.Sizes = []int{4, 5, 6, 7, 8}
 	h := NewHarness(sc)
-	f5 := &Fig5Data{Ds: []float64{0.1}, Throughput: [][]float64{{1}}}
 	for _, c := range Combos() {
-		rows, err := h.Table1(c, f5)
+		rows, err := h.Table1(c, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,17 +371,6 @@ func TestMethodsAndFigurePrinting(t *testing.T) {
 	data.WriteFigure(&buf, 1)
 	if !strings.Contains(buf.String(), "conjunction patterns") {
 		t.Fatal("per-kind figure missing kind label")
-	}
-}
-
-func TestScanThreshold(t *testing.T) {
-	h := NewHarness(tinyScale())
-	topt, err := h.ScanThreshold(Combos()[0], []float64{0.1, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topt != 0.1 && topt != 0.5 {
-		t.Fatalf("topt = %g", topt)
 	}
 }
 

@@ -8,61 +8,6 @@ import (
 	"acep/internal/gen"
 )
 
-// DefaultDGrid is the invariant-distance sweep of Figure 5.
-func DefaultDGrid() []float64 { return []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5} }
-
-// DefaultTGrid is the threshold sweep used to find t_opt for the
-// constant-threshold baseline (the paper found t_opt empirically with "a
-// similar series of runs").
-func DefaultTGrid() []float64 { return []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8} }
-
-// Fig5Data holds throughput of the invariant method as a function of
-// pattern size and distance d for one combo (paper Figure 5).
-type Fig5Data struct {
-	Combo      Combo
-	Ds         []float64
-	Sizes      []int
-	Throughput [][]float64 // [dIdx][sizeIdx]
-}
-
-// Fig5 measures the invariant method on sequence patterns over the d
-// sweep.
-func (h *Harness) Fig5(c Combo, ds []float64) (*Fig5Data, error) {
-	data := &Fig5Data{Combo: c, Ds: ds, Sizes: h.Scale.Sizes}
-	for _, d := range ds {
-		row := make([]float64, 0, len(h.Scale.Sizes))
-		for _, size := range h.Scale.Sizes {
-			pat, err := h.Pattern(c, gen.Sequence, size)
-			if err != nil {
-				return nil, err
-			}
-			res, err := h.RunBest(c, pat, func() core.Policy { return &core.Invariant{D: d} }, 3)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.Throughput)
-		}
-		data.Throughput = append(data.Throughput, row)
-	}
-	return data, nil
-}
-
-// BestD returns the d with the highest geometric-mean throughput across
-// sizes: the combo's d_opt.
-func (d *Fig5Data) BestD() float64 {
-	best, bestScore := d.Ds[0], -1.0
-	for i, dv := range d.Ds {
-		score := 1.0
-		for _, tp := range d.Throughput[i] {
-			score *= tp
-		}
-		if score > bestScore {
-			best, bestScore = dv, score
-		}
-	}
-	return best
-}
-
 // Table1Row is one row of Table 1: the quality of the average-relative-
 // difference estimate d_avg against the empirically optimal d_opt.
 type Table1Row struct {
@@ -75,10 +20,9 @@ type Table1Row struct {
 
 // Table1 computes d_avg for each pattern size by monitoring the initial
 // execution of the plan generation algorithm on statistics estimated from
-// a warmup prefix of the stream (§3.4), and compares it with d_opt taken
-// from the Figure 5 sweep.
-func (h *Harness) Table1(c Combo, f5 *Fig5Data) ([]Table1Row, error) {
-	dopt := f5.BestD()
+// a warmup prefix of the stream (§3.4), and compares it with dopt, the
+// d_opt Figure 5's sweep chose.
+func (h *Harness) Table1(c Combo, dopt float64) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, size := range h.Scale.Sizes {
 		if size < 4 {
@@ -107,10 +51,7 @@ func (h *Harness) Table1(c Combo, f5 *Fig5Data) ([]Table1Row, error) {
 		}
 		q := 0.0
 		if davg > 0 && dopt > 0 {
-			q = davg / dopt
-			if q > 1 {
-				q = 1 / q
-			}
+			q = min(davg/dopt, dopt/davg)
 		}
 		rows = append(rows, Table1Row{Combo: c, Size: size, DAvg: davg, DOpt: dopt, Quality: q})
 	}
@@ -134,26 +75,6 @@ type MethodsData struct {
 // MethodNames lists the compared adaptation methods in display order.
 func MethodNames() []string {
 	return []string{"static", "unconditional", "threshold", "invariant"}
-}
-
-// ScanThreshold finds t_opt for the combo by measuring the threshold
-// method on a size-5 sequence pattern over the candidate grid.
-func (h *Harness) ScanThreshold(c Combo, grid []float64) (float64, error) {
-	pat, err := h.Pattern(c, gen.Sequence, 5)
-	if err != nil {
-		return 0, err
-	}
-	best, bestTp := grid[0], -1.0
-	for _, t := range grid {
-		res, err := h.RunBest(c, pat, func() core.Policy { return &core.Threshold{T: t} }, 3)
-		if err != nil {
-			return 0, err
-		}
-		if res.Throughput > bestTp {
-			best, bestTp = t, res.Throughput
-		}
-	}
-	return best, nil
 }
 
 // Methods runs the full adaptation-method comparison for one combo.

@@ -9,24 +9,6 @@ import (
 // us renders d in microseconds.
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// Write prints the Figure 5 throughput matrix.
-func (d *Fig5Data) Write(w io.Writer) {
-	fmt.Fprintf(w, "Figure 5 — invariant-method throughput vs pattern size and distance d (%s)\n", d.Combo)
-	fmt.Fprintf(w, "%-8s", "d\\size")
-	for _, s := range d.Sizes {
-		fmt.Fprintf(w, "%12d", s)
-	}
-	fmt.Fprintln(w)
-	for i, dv := range d.Ds {
-		fmt.Fprintf(w, "%-8.2f", dv)
-		for _, tp := range d.Throughput[i] {
-			fmt.Fprintf(w, "%12.0f", tp)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "d_opt = %.2f\n", d.BestD())
-}
-
 // WriteTable1 prints Table 1 rows.
 func WriteTable1(w io.Writer, rows []Table1Row) {
 	fmt.Fprintln(w, "Table 1 — quality of the average-relative-difference distance estimate")

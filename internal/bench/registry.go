@@ -48,25 +48,13 @@ func Experiments() []Experiment {
 		}
 	}
 	out = append(out,
-		Experiment{"ablation-k", "Ablation (§3.3): the K-invariant method's throughput, replans and overhead for K = 1, 2, 3, 5, per combo, sequence patterns of the largest size",
+		Experiment{"ablation-k", "Ablation (§3.3): the K-invariant method's throughput, partial matches and replans for K = 1, 2, 3, 5, per combo, sequence patterns of the largest size",
 			func(r *Runner, w io.Writer) error {
-				return r.ablation(w, func(c Combo, size int) error {
-					rows, err := r.H.AblationK(c, size, []int{1, 2, 3, 5}, ablationD)
-					if err == nil {
-						WriteAblationK(w, c, size, rows)
-					}
-					return err
-				})
+				return r.ablation(w, "K-invariant method (§3.3)", "K", KPoints([]int{1, 2, 3, 5}, ablationD))
 			}},
 		Experiment{"ablation-selector", "Ablation (§3.5): tightest-gap, tightest-relative-gap and full-DCS invariant selection, per combo, sequence patterns of the largest size",
 			func(r *Runner, w io.Writer) error {
-				return r.ablation(w, func(c Combo, size int) error {
-					rows, err := r.H.AblationSelector(c, size, ablationD)
-					if err == nil {
-						WriteAblationSelector(w, c, size, rows)
-					}
-					return err
-				})
+				return r.ablation(w, "invariant selection strategy (§3.5)", "selector", SelectorPoints(ablationD))
 			}},
 	)
 	for _, ds := range datasets {
@@ -96,12 +84,12 @@ func Experiments() []Experiment {
 }
 
 // tuned caches per-combo tuning (d_opt from the Figure 5 sweep, t_opt
-// from the threshold scan) and the full method-comparison data so the
+// from the threshold sweep) and the full method-comparison data so the
 // main figure and the five appendix figures of one combo share a single
 // measurement pass.
 type tuned struct {
 	dopt, topt float64
-	fig5       *Fig5Data
+	fig5       *Sweep
 	methods    *MethodsData
 }
 
@@ -147,15 +135,16 @@ func (r *Runner) tune(c Combo) (*tuned, error) {
 	if t, ok := r.cache[c.String()]; ok {
 		return t, nil
 	}
-	f5, err := r.H.Fig5(c, DefaultDGrid())
+	ds, ts := DefaultDGrid(), DefaultTGrid()
+	f5, err := r.H.Sweep("d", c, r.H.Scale.Sizes, DPoints(ds))
 	if err != nil {
 		return nil, err
 	}
-	topt, err := r.H.ScanThreshold(c, DefaultTGrid())
+	tscan, err := r.H.Sweep("t", c, []int{5}, TPoints(ts))
 	if err != nil {
 		return nil, err
 	}
-	t := &tuned{dopt: f5.BestD(), topt: topt, fig5: f5}
+	t := &tuned{dopt: ds[f5.Choose().Best], topt: ts[tscan.Choose().Best], fig5: f5}
 	r.cache[c.String()] = t
 	return t, nil
 }
@@ -166,7 +155,7 @@ func (r *Runner) fig5(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t.fig5.Write(w)
+		t.fig5.Write(w, fmt.Sprintf("Figure 5 — invariant-method throughput, median events/s, vs pattern size and distance d (%s)", c))
 		fmt.Fprintln(w)
 	}
 	return nil
@@ -179,7 +168,7 @@ func (r *Runner) table1(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cr, err := r.H.Table1(c, t.fig5)
+		cr, err := r.H.Table1(c, t.dopt)
 		if err != nil {
 			return err
 		}
@@ -210,16 +199,18 @@ func (r *Runner) methods(w io.Writer, c Combo, kind int) error {
 // package's BenchmarkAblationK and BenchmarkAblationSelector do.
 const ablationD = 0.2
 
-// ablation runs one ablation, run, on every combo at the scale's largest
+// ablation sweeps the points on every combo at the scale's largest
 // pattern size. The root package's benchmarks drive the same sweeps at a
 // fixed size to report their headline metrics, as its BenchmarkFig*
 // do for the figures this registry prints.
-func (r *Runner) ablation(w io.Writer, run func(c Combo, size int) error) error {
+func (r *Runner) ablation(w io.Writer, what, param string, points []Point) error {
 	size := slices.Max(r.H.Scale.Sizes)
 	for _, c := range Combos() {
-		if err := run(c, size); err != nil {
+		s, err := r.H.Sweep(param, c, []int{size}, points)
+		if err != nil {
 			return err
 		}
+		s.Write(w, fmt.Sprintf("Ablation — %s on %s, sequence size %d", what, c, size))
 		fmt.Fprintln(w)
 	}
 	return nil
